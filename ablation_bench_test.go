@@ -1,5 +1,5 @@
-// Ablation benchmarks for the design choices called out in DESIGN.md, in
-// addition to the per-experiment benchmarks of bench_test.go:
+// Ablation benchmarks for the engine's design choices, in addition to the
+// per-experiment benchmarks of bench_test.go:
 //
 //   - A1: the three permanent-maintenance strategies (generic segment tree,
 //     ring inclusion–exclusion, finite column-type counting) on the same

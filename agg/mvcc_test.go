@@ -387,3 +387,50 @@ func TestNestedSessionHasNoSnapshots(t *testing.T) {
 	}
 	s.writerMu.Unlock()
 }
+
+// TestSessionEvalAllocationIndependentOfDatabaseSize is the regression guard
+// for point reads on a session: Eval pins a throwaway snapshot per call, so
+// what one read allocates must follow the cone of gates its overrides touch
+// (bounded on a bounded-degree graph), never the size of the circuit.  Ten
+// times the database may not double the bytes per read.
+func TestSessionEvalAllocationIndependentOfDatabaseSize(t *testing.T) {
+	ctx := context.Background()
+	bytesPerEval := func(n int) float64 {
+		db, err := Generate("bounded-degree", n, 1)
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		p, err := Open(db).Prepare(ctx, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		s, err := p.Session()
+		if err != nil {
+			t.Fatalf("Session: %v", err)
+		}
+		defer s.Close()
+		const reads = 200
+		read := func() {
+			for i := 0; i < reads; i++ {
+				if _, err := s.Eval(ctx, i*7%n); err != nil {
+					t.Fatalf("Eval: %v", err)
+				}
+			}
+		}
+		read() // warm-up
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / reads
+	}
+	nSmall, nLarge := 200, 2000
+	if testing.Short() {
+		nSmall, nLarge = 60, 600 // Prepare at n=2000 takes half a minute under -race
+	}
+	small, large := bytesPerEval(nSmall), bytesPerEval(nLarge)
+	t.Logf("Session.Eval allocates %.0f B per read at n=%d, %.0f B at n=%d", small, nSmall, large, nLarge)
+	if large >= 2*small {
+		t.Errorf("Session.Eval allocates %.0f B per read at n=%d against %.0f B at n=%d; a point read must not scale with the circuit", large, nLarge, small, nSmall)
+	}
+}

@@ -1,5 +1,5 @@
-// Package repro's top-level benchmarks: one benchmark per experiment of
-// EXPERIMENTS.md (E1–E10), exercising the core operation whose complexity
+// Package repro's top-level benchmarks: one benchmark per experiment E1–E10
+// of internal/bench, exercising the core operation whose complexity
 // the corresponding table reports.  Run with
 //
 //	go test -bench=. -benchmem
@@ -276,13 +276,14 @@ func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	inputs := func(key structure.WeightKey) enumerate.Value {
 		return enumerate.Gen(provenance.Generator("g" + key.Tuple))
 	}
+	p := c.Program()
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			enumerate.New(c, inputs)
+			enumerate.NewProgram(p, inputs)
 		}
 	})
 	b.Run("per-monomial-delay", func(b *testing.B) {
-		e := enumerate.New(c, inputs)
+		e := enumerate.NewProgram(p, inputs)
 		cur := e.Cursor()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

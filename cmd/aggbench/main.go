@@ -1,4 +1,4 @@
-// Command aggbench runs the experiment suite of EXPERIMENTS.md and prints
+// Command aggbench runs the experiment suite of internal/bench and prints
 // each table (plain text by default, Markdown with -markdown).
 //
 // Usage:
@@ -23,7 +23,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit Markdown tables")
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E1,E5); empty runs all")
 	workers := flag.Int("workers", 1, "experiments run concurrently on this many goroutines (0 = GOMAXPROCS; >1 skews timings)")
-	e14check := flag.Bool("e14check", false, "run the E14 program-vs-legacy layout comparison as a pass/fail smoke check and exit")
 	e16check := flag.Bool("e16check", false, "run the E16 re-platformed nested/localsearch comparison as a pass/fail smoke check and exit")
 	e17check := flag.Bool("e17check", false, "run the E17 instrumentation-overhead comparison as a pass/fail smoke check and exit")
 	e18check := flag.Bool("e18check", false, "run the E18 snapshot-reads-under-writes comparison as a pass/fail smoke check and exit")
@@ -31,13 +30,6 @@ func main() {
 	e20check := flag.Bool("e20check", false, "run the E20 live-push/ingest comparison as a pass/fail smoke check and exit")
 	flag.Parse()
 
-	if *e14check {
-		if err := bench.E14Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *e16check {
 		if err := bench.E16Check(); err != nil {
 			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)

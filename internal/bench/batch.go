@@ -127,7 +127,7 @@ func engineAllocsPerUpdate(db *workload.Database, hubs []hotVertex) float64 {
 		panic(err)
 	}
 	w := db.Weights()
-	dyn := circuit.NewDynamic[int64](res.Circuit, semiring.Nat, compile.NewValuation(res, semiring.Nat, w))
+	dyn := circuit.NewDynamicProgram[int64](res.Program, semiring.Nat, compile.NewValuation(res, semiring.Nat, w))
 	keys := make([]structure.WeightKey, len(hubs))
 	for i, h := range hubs {
 		keys[i] = structure.MakeWeightKey("u", structure.Tuple{h.v})

@@ -26,8 +26,8 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	reg := Registry(true)
-	if len(reg) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(reg))
+	if len(reg) != 19 { // E1–E20 without the retired E14
+		t.Fatalf("expected 19 experiments, got %d", len(reg))
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {

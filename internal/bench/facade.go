@@ -55,7 +55,7 @@ func E15FacadeOverhead(sizes []int, reps int) *Table {
 
 		// Per-evaluation costs: best-of-reps, because sub-millisecond
 		// parallel evaluations are dominated by scheduler jitter and the
-		// minimum is the stable statistic (same convention as E14).
+		// minimum is the stable statistic.
 		w := db.Weights()
 		var internalVal int64
 		internalDur := bestOf(reps, func() {

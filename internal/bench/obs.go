@@ -43,7 +43,7 @@ func bestOfPair(reps int, f, g func()) (df, dg time.Duration) {
 // e17Measure runs the comparison at one size.  Both sides share one engine
 // and workload; only the presence of an obs.Tracer differs.  Per-side
 // timings are interleaved best-of-reps, the stable statistic for
-// sub-millisecond work (same convention as E14/E15, with interleaving
+// sub-millisecond work (same convention as E15, with interleaving
 // because here the two sides are compared against a tight margin).
 func e17Measure(n, updates, reps int) e17Measurements {
 	const exprText = "sum x, y, z . [E(x,y) & E(y,z) & !(x = z)] * u(x) * u(z)"

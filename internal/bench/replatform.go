@@ -183,8 +183,8 @@ func E16Replatform(nestedSizes, searchSizes []int) *Table {
 // well over 2x (near-linear vs quadratic), so its 10% margin is generous; the
 // two local-search drivers do the same propagation work per round (the batch
 // only coalesces the wave), so that gate asserts parity — best-of-3 minimums
-// with a 15% margin, the E14 convention for sub-second timings on noisy
-// shared runners.
+// with a 15% margin, the convention for sub-second timings on noisy shared
+// runners.
 func E16Check() error {
 	program, reference, agree := e16NestedMeasure(2000)
 	if !agree {

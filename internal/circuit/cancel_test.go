@@ -1,9 +1,10 @@
-package circuit
+package circuit_test
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	. "repro/internal/circuit"
 	"sync"
 	"testing"
 	"time"

@@ -10,9 +10,10 @@
 // gates of arbitrary fan-in, multiplication gates, and permanent gates whose
 // inputs form a rectangular matrix with a bounded number of rows.
 //
-// The same circuit can be evaluated in any semiring: see Evaluate for the
-// unit-cost evaluation and the dynamic evaluator in dynamic.go for
-// maintenance under input updates.
+// A Circuit only grows gates; it has no evaluators.  Freeze it into a Program
+// (program.go), the one executable form: the same Program can be evaluated in
+// any semiring (program_eval.go) and maintained under input updates
+// (dynamic.go).
 package circuit
 
 import (
@@ -20,8 +21,6 @@ import (
 	"math/big"
 	"sync"
 
-	"repro/internal/perm"
-	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
@@ -357,85 +356,6 @@ type Valuation[T any] func(key structure.WeightKey) (value T, ok bool)
 // WeightsValuation adapts a structure.Weights assignment to a Valuation.
 func WeightsValuation[T any](w *structure.Weights[T]) Valuation[T] {
 	return func(key structure.WeightKey) (T, bool) { return w.GetKey(key) }
-}
-
-// Evaluate computes the value of the output gate in the semiring s under
-// the valuation v, visiting every gate once.  Permanent gates are evaluated
-// with the O(2^rows · rows · cols) column dynamic program of package perm.
-// Evaluation runs on the circuit's frozen Program (freezing on first use);
-// use EvaluateProgram directly when the Program is already at hand.
-func Evaluate[T any](c *Circuit, s semiring.Semiring[T], v Valuation[T]) T {
-	if c.Output < 0 {
-		panic("circuit: no output gate set")
-	}
-	return EvaluateProgram(c.Program(), s, v)
-}
-
-// EvaluateAll computes the value of every gate on the circuit's frozen
-// Program, returning the slice indexed by gate id.
-func EvaluateAll[T any](c *Circuit, s semiring.Semiring[T], v Valuation[T]) []T {
-	return EvaluateAllProgram(c.Program(), s, v)
-}
-
-// LegacyEvaluateAll computes the value of every gate by walking the builder
-// layout directly (one Children slice and one big.Int per Gate).  It is the
-// pre-Program execution path, retained as the differential-testing oracle
-// and the baseline of bench experiment E14; all production callers go
-// through the Program form.
-func LegacyEvaluateAll[T any](c *Circuit, s semiring.Semiring[T], v Valuation[T]) []T {
-	vals := make([]T, len(c.Gates))
-	for id := range c.Gates {
-		evaluateGate(c, s, v, id, vals)
-	}
-	return vals
-}
-
-// evaluateGate computes the value of a single gate into vals[id].  All
-// children of the gate must already be present in vals; distinct gate ids
-// may be evaluated concurrently as long as that invariant holds.
-func evaluateGate[T any](c *Circuit, s semiring.Semiring[T], v Valuation[T], id int, vals []T) {
-	g := &c.Gates[id]
-	switch g.Kind {
-	case KindInput:
-		if x, ok := v(g.Key); ok {
-			vals[id] = x
-		} else {
-			vals[id] = s.Zero()
-		}
-	case KindConst:
-		vals[id] = semiring.ScalarMulBig(s, g.N, s.One())
-	case KindAdd:
-		acc := s.Zero()
-		for _, ch := range g.Children {
-			acc = s.Add(acc, vals[ch])
-		}
-		vals[id] = acc
-	case KindMul:
-		acc := s.One()
-		for _, ch := range g.Children {
-			acc = s.Mul(acc, vals[ch])
-		}
-		vals[id] = acc
-	case KindPerm:
-		vals[id] = evaluatePermGate(s, *g, vals)
-	default:
-		panic(fmt.Sprintf("circuit: unknown gate kind %v", g.Kind))
-	}
-}
-
-func evaluatePermGate[T any](s semiring.Semiring[T], g Gate, vals []T) T {
-	cols := make([][]T, g.Cols)
-	for c := range cols {
-		col := make([]T, g.Rows)
-		for r := range col {
-			col[r] = s.Zero()
-		}
-		cols[c] = col
-	}
-	for _, e := range g.Entries {
-		cols[e.Col][e.Row] = vals[e.Gate]
-	}
-	return perm.PermColumns(s, g.Rows, func(c int) []T { return cols[c] }, g.Cols)
 }
 
 // String renders a compact description of the circuit for diagnostics.

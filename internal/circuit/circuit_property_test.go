@@ -1,8 +1,9 @@
-package circuit
+package circuit_test
 
 import (
 	"math/big"
 	"math/rand"
+	. "repro/internal/circuit"
 	"testing"
 
 	"repro/internal/semiring"
@@ -113,8 +114,8 @@ func TestEvaluateAgreesAcrossSemirings(t *testing.T) {
 		c := randomCircuit(r, nInputs, r.Intn(10)+3)
 		vals := randomValues(r, nInputs)
 
-		nat := Evaluate[int64](c, semiring.Nat, valuationFor(vals))
-		bi := Evaluate[*big.Int](c, semiring.Big, func(k structure.WeightKey) (*big.Int, bool) {
+		nat := EvaluateProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
+		bi := EvaluateProgram[*big.Int](c.Program(), semiring.Big, func(k structure.WeightKey) (*big.Int, bool) {
 			v, ok := valuationFor(vals)(k)
 			if !ok {
 				return nil, false
@@ -125,7 +126,7 @@ func TestEvaluateAgreesAcrossSemirings(t *testing.T) {
 			t.Fatalf("round %d: ℕ evaluation %d differs from big-int evaluation %s", round, nat, bi)
 		}
 
-		boolVal := Evaluate[bool](c, semiring.Bool, func(k structure.WeightKey) (bool, bool) {
+		boolVal := EvaluateProgram[bool](c.Program(), semiring.Bool, func(k structure.WeightKey) (bool, bool) {
 			v, ok := valuationFor(vals)(k)
 			return v != 0, ok
 		})
@@ -136,7 +137,7 @@ func TestEvaluateAgreesAcrossSemirings(t *testing.T) {
 }
 
 // TestEvaluateAllConsistentWithEvaluate checks that the output entry of
-// EvaluateAll matches Evaluate and that every addition/multiplication gate
+// EvaluateAllProgram matches EvaluateProgram and that every addition/multiplication gate
 // value is consistent with its children's values.
 func TestEvaluateAllConsistentWithEvaluate(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
@@ -146,9 +147,9 @@ func TestEvaluateAllConsistentWithEvaluate(t *testing.T) {
 		vals := randomValues(r, nInputs)
 		v := valuationFor(vals)
 
-		all := EvaluateAll[int64](c, semiring.Nat, v)
-		if got, want := all[c.Output], Evaluate[int64](c, semiring.Nat, v); got != want {
-			t.Fatalf("round %d: EvaluateAll output %d, Evaluate %d", round, got, want)
+		all := EvaluateAllProgram[int64](c.Program(), semiring.Nat, v)
+		if got, want := all[c.Output], EvaluateProgram[int64](c.Program(), semiring.Nat, v); got != want {
+			t.Fatalf("round %d: EvaluateAllProgram output %d, EvaluateProgram %d", round, got, want)
 		}
 		for id, g := range c.Gates {
 			switch g.Kind {
@@ -182,12 +183,12 @@ func TestDynamicMatchesRecomputationOnRandomCircuits(t *testing.T) {
 		nInputs := r.Intn(6) + 2
 		c := randomCircuit(r, nInputs, r.Intn(10)+4)
 		vals := randomValues(r, nInputs)
-		dyn := NewDynamic[int64](c, semiring.Nat, valuationFor(vals))
+		dyn := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
 		for step := 0; step < 20; step++ {
 			i := r.Intn(nInputs)
 			vals[i] = int64(r.Intn(5))
 			dyn.SetInput(key("w", i), vals[i])
-			want := Evaluate[int64](c, semiring.Nat, valuationFor(vals))
+			want := EvaluateProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
 			if got := dyn.Value(); got != want {
 				t.Fatalf("round %d step %d: dynamic value %d, recomputed %d", round, step, got, want)
 			}
@@ -219,12 +220,12 @@ func TestDynamicMatchesRecomputationMinPlus(t *testing.T) {
 				return toExt(v), true
 			}
 		}
-		dyn := NewDynamic[semiring.Ext](c, semiring.MinPlus, valuation())
+		dyn := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, valuation())
 		for step := 0; step < 15; step++ {
 			i := r.Intn(nInputs)
 			vals[i] = int64(r.Intn(5))
 			dyn.SetInput(key("w", i), toExt(vals[i]))
-			want := Evaluate[semiring.Ext](c, semiring.MinPlus, valuation())
+			want := EvaluateProgram[semiring.Ext](c.Program(), semiring.MinPlus, valuation())
 			if got := dyn.Value(); !semiring.MinPlus.Equal(got, want) {
 				t.Fatalf("round %d step %d: dynamic %s, recomputed %s",
 					round, step, semiring.MinPlus.Format(got), semiring.MinPlus.Format(want))

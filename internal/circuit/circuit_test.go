@@ -1,8 +1,9 @@
-package circuit
+package circuit_test
 
 import (
 	"math/big"
 	"math/rand"
+	. "repro/internal/circuit"
 	"testing"
 
 	"repro/internal/semiring"
@@ -123,10 +124,10 @@ func TestEvaluateExample5(t *testing.T) {
 	for i := 0; i < n; i++ {
 		u[i], v[i], w[i] = int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(5))
 	}
-	got := Evaluate[int64](c, semiring.Nat, valuationFromSlices(u, v, w))
+	got := EvaluateProgram[int64](c.Program(), semiring.Nat, valuationFromSlices(u, v, w))
 	want := referenceTriangleLike(u, v, w)
 	if got != want {
-		t.Fatalf("Evaluate = %d, want %d", got, want)
+		t.Fatalf("EvaluateProgram = %d, want %d", got, want)
 	}
 	// The same circuit evaluated in the min-plus semiring computes the
 	// minimum of u(x)+v(y)+w(z) over x≠y, x≠z.
@@ -137,7 +138,7 @@ func TestEvaluateExample5(t *testing.T) {
 		}
 		return semiring.Fin(iv), true
 	}
-	gotMP := Evaluate[semiring.Ext](c, semiring.MinPlus, mpVal)
+	gotMP := EvaluateProgram[semiring.Ext](c.Program(), semiring.MinPlus, mpVal)
 	wantMP := semiring.Infinite
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
@@ -149,7 +150,7 @@ func TestEvaluateExample5(t *testing.T) {
 		}
 	}
 	if !semiring.MinPlus.Equal(gotMP, wantMP) {
-		t.Fatalf("min-plus Evaluate = %v, want %v", gotMP, wantMP)
+		t.Fatalf("min-plus EvaluateProgram = %v, want %v", gotMP, wantMP)
 	}
 }
 
@@ -187,17 +188,17 @@ func TestConstGateEvaluation(t *testing.T) {
 	three := c.ConstInt(3)
 	c.SetOutput(c.Add(five, c.Mul(three, x)))
 	val := func(k structure.WeightKey) (int64, bool) { return 7, true }
-	if got := Evaluate[int64](c, semiring.Nat, val); got != 26 {
+	if got := EvaluateProgram[int64](c.Program(), semiring.Nat, val); got != 26 {
 		t.Errorf("5 + 3·7 = %d, want 26", got)
 	}
 	// In the boolean semiring constants ≥ 1 collapse to true.
 	bval := func(k structure.WeightKey) (bool, bool) { return false, true }
-	if got := Evaluate[bool](c, semiring.Bool, bval); got != true {
+	if got := EvaluateProgram[bool](c.Program(), semiring.Bool, bval); got != true {
 		t.Errorf("constant 5 should be true in the boolean semiring")
 	}
 	// Missing inputs default to zero.
 	missing := func(k structure.WeightKey) (int64, bool) { return 0, false }
-	if got := Evaluate[int64](c, semiring.Nat, missing); got != 5 {
+	if got := EvaluateProgram[int64](c.Program(), semiring.Nat, missing); got != 5 {
 		t.Errorf("with missing input: %d, want 5", got)
 	}
 }
@@ -224,12 +225,12 @@ func TestDynamicMatchesRecomputation(t *testing.T) {
 
 	runFor("Nat-generic", func(_ int, vals map[structure.WeightKey]int64) {
 		val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-		d := NewDynamic[int64](c, semiring.Nat, val)
+		d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 		for step := 0; step < 40; step++ {
 			k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
 			vals[k] = int64(r.Intn(4))
 			d.SetInput(k, vals[k])
-			want := Evaluate[int64](c, semiring.Nat, val)
+			want := EvaluateProgram[int64](c.Program(), semiring.Nat, val)
 			if got := d.Value(); got != want {
 				t.Fatalf("step %d: dynamic %d, recomputed %d", step, got, want)
 			}
@@ -238,12 +239,12 @@ func TestDynamicMatchesRecomputation(t *testing.T) {
 
 	runFor("Int-ring", func(_ int, vals map[structure.WeightKey]int64) {
 		val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-		d := NewDynamic[int64](c, semiring.Int, val)
+		d := NewDynamicProgram[int64](c.Program(), semiring.Int, val)
 		for step := 0; step < 40; step++ {
 			k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
 			vals[k] = int64(r.Intn(7) - 3)
 			d.SetInput(k, vals[k])
-			want := Evaluate[int64](c, semiring.Int, val)
+			want := EvaluateProgram[int64](c.Program(), semiring.Int, val)
 			if got := d.Value(); got != want {
 				t.Fatalf("step %d: dynamic %d, recomputed %d", step, got, want)
 			}
@@ -253,12 +254,12 @@ func TestDynamicMatchesRecomputation(t *testing.T) {
 	runFor("Mod7-finite", func(_ int, vals map[structure.WeightKey]int64) {
 		mod := semiring.NewModular(7)
 		val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-		d := NewDynamic[int64](c, mod, val)
+		d := NewDynamicProgram[int64](c.Program(), mod, val)
 		for step := 0; step < 40; step++ {
 			k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
 			vals[k] = int64(r.Intn(7))
 			d.SetInput(k, vals[k])
-			want := Evaluate[int64](c, mod, val)
+			want := EvaluateProgram[int64](c.Program(), mod, val)
 			if got := d.Value(); !mod.Equal(got, want) {
 				t.Fatalf("step %d: dynamic %d, recomputed %d", step, got, want)
 			}
@@ -277,7 +278,7 @@ func TestDynamicMinPlus(t *testing.T) {
 		}
 	}
 	val := func(k structure.WeightKey) (semiring.Ext, bool) { v, ok := vals[k]; return v, ok }
-	d := NewDynamic[semiring.Ext](c, semiring.MinPlus, val)
+	d := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, val)
 	for step := 0; step < 30; step++ {
 		k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
 		if r.Intn(5) == 0 {
@@ -286,7 +287,7 @@ func TestDynamicMinPlus(t *testing.T) {
 			vals[k] = semiring.Fin(int64(r.Intn(10)))
 		}
 		d.SetInput(k, vals[k])
-		want := Evaluate[semiring.Ext](c, semiring.MinPlus, val)
+		want := EvaluateProgram[semiring.Ext](c.Program(), semiring.MinPlus, val)
 		if got := d.Value(); !semiring.MinPlus.Equal(got, want) {
 			t.Fatalf("step %d: dynamic %v, recomputed %v", step, got, want)
 		}
@@ -297,7 +298,7 @@ func TestDynamicIgnoresUnknownInputs(t *testing.T) {
 	c := buildTriangleLike(3)
 	vals := map[structure.WeightKey]int64{}
 	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-	d := NewDynamic[int64](c, semiring.Nat, val)
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	before := d.Value()
 	d.SetInput(key("unrelated", 0), 99)
 	if d.Value() != before {
@@ -321,7 +322,7 @@ func TestGateValueAndSharedSubcircuits(t *testing.T) {
 	c.SetOutput(c.Add(left, right))
 	vals := map[structure.WeightKey]int64{key("x", 0): 2, key("y", 0): 3}
 	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-	d := NewDynamic[int64](c, semiring.Nat, val)
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	// (2·3 + 2) + (2·3·3) = 8 + 18 = 26
 	if d.Value() != 26 {
 		t.Fatalf("initial value %d, want 26", d.Value())
@@ -335,7 +336,7 @@ func TestGateValueAndSharedSubcircuits(t *testing.T) {
 	if d.Value() != 65 {
 		t.Fatalf("after update %d, want 65", d.Value())
 	}
-	if got := Evaluate[int64](c, semiring.Nat, val); got != d.Value() {
+	if got := EvaluateProgram[int64](c.Program(), semiring.Nat, val); got != d.Value() {
 		t.Fatalf("dynamic and static evaluation disagree: %d vs %d", d.Value(), got)
 	}
 }

@@ -33,13 +33,11 @@ import (
 //
 // The evaluator runs on the circuit's frozen Program and borrows its
 // topological ranks and parents CSR instead of rebuilding them per session:
-// dirty gates wait in one bucket per rank and each wave drains the buckets
-// in increasing rank order, so every affected gate is recomputed exactly
-// once per wave no matter how many of its children changed.  All wave state
-// (buckets, changed-children lists, old values) lives in scratch buffers
-// owned by the Dynamic and reused across updates: once the buffers have
-// grown to their steady-state capacity, updates on the generic path perform
-// zero heap allocations.
+// a Worklist drains dirty gates in increasing rank order, so every affected
+// gate is recomputed exactly once per wave no matter how many of its children
+// changed.  All wave state (worklist, old values) is owned by the Dynamic and
+// reused across updates: once the buffers have grown to their steady-state
+// capacity, updates on the generic path perform zero heap allocations.
 //
 // # Goroutine safety
 //
@@ -71,13 +69,12 @@ type Dynamic[T any] struct {
 	adders []*adderState[T]
 	perms  []permState[T]
 
-	// Wave scratch, reused across updates (see runWave).
-	buckets [][]int  // buckets[r] lists the dirty gates of rank r
-	queued  []bool   // gate is waiting in a bucket
-	changed [][]int  // changed[g] lists g's children that changed this wave
-	oldOf   []T      // oldOf[g] is g's value right before this wave's change
-	stamp   []uint64 // stamp[g] == gen marks g as changed this wave
-	gen     uint64   // wave generation for stamp (not the commit epoch)
+	// Wave state, reused across updates (see runWave).
+	wave    *Worklist
+	refresh func(g int, changed []int) // refreshGate, bound once so a wave allocates nothing
+	oldOf   []T                        // oldOf[g] is g's value right before this wave's change
+	stamp   []uint64                   // stamp[g] == gen marks g as changed this wave
+	gen     uint64                     // wave generation for stamp (not the commit epoch)
 
 	// valMu orders mutations against reads: writers hold it exclusively for
 	// one whole mutation, readers share it per resolution batch.
@@ -137,12 +134,6 @@ type permState[T any] struct {
 	positions map[int][][2]int
 }
 
-// NewDynamic initialises the dynamic evaluator for the circuit's frozen
-// Program under the given valuation; see NewDynamicProgram.
-func NewDynamic[T any](c *Circuit, s semiring.Semiring[T], v Valuation[T]) *Dynamic[T] {
-	return NewDynamicProgram(c.Program(), s, v)
-}
-
 // NewDynamicProgram initialises the dynamic evaluator on a frozen Program
 // under the given valuation.  Freezing already validated the topological
 // gate order, so propagation may trust the Program's ranks.  Many Dynamic
@@ -183,9 +174,8 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 			d.perms[id] = d.newPermState(id)
 		}
 	}
-	d.buckets = make([][]int, p.maxRank+1)
-	d.queued = make([]bool, n)
-	d.changed = make([][]int, n)
+	d.wave = NewWorklist(p)
+	d.refresh = d.refreshGate
 	d.oldOf = make([]T, n)
 	d.stamp = make([]uint64, n)
 	d.gen = 1
@@ -315,18 +305,25 @@ func (d *Dynamic[T]) RetainedUndoBytes() int64 {
 func (d *Dynamic[T]) SetInput(key structure.WeightKey, value T) {
 	d.valMu.Lock()
 	defer d.valMu.Unlock()
-	id := d.p.InputGate(key)
-	if id < 0 {
-		return
+	if _, _, changed := d.assign(key, value); changed {
+		d.runWave()
+		d.log.Commit()
 	}
-	if d.s.Equal(d.vals[id], value) {
-		return
+}
+
+// assign stores value at the input gate of key and enlists its parents in the
+// pending wave.  It reports the gate and the value it held, or changed=false
+// when the circuit does not reference the key or already holds the value.
+// The caller holds the exclusive lock and runs the wave.
+func (d *Dynamic[T]) assign(key structure.WeightKey, value T) (id int, old T, changed bool) {
+	id = d.p.InputGate(key)
+	if id < 0 || d.s.Equal(d.vals[id], value) {
+		return id, old, false
 	}
-	old := d.vals[id]
+	old = d.vals[id]
 	d.vals[id] = value
 	d.markChanged(id, old)
-	d.runWave()
-	d.log.Commit()
+	return id, old, true
 }
 
 // ApplyBatch applies every leaf change first and then runs one propagation
@@ -340,17 +337,9 @@ func (d *Dynamic[T]) ApplyBatch(changes []InputChange[T]) {
 	defer d.valMu.Unlock()
 	touched := false
 	for _, ch := range changes {
-		id := d.p.InputGate(ch.Key)
-		if id < 0 {
-			continue
+		if _, _, changed := d.assign(ch.Key, ch.Value); changed {
+			touched = true
 		}
-		if d.s.Equal(d.vals[id], ch.Value) {
-			continue
-		}
-		old := d.vals[id]
-		d.vals[id] = ch.Value
-		d.markChanged(id, old)
-		touched = true
 	}
 	if touched {
 		d.runWave()
@@ -372,17 +361,9 @@ func (d *Dynamic[T]) EvalWith(changes []InputChange[T]) T {
 	defer d.valMu.Unlock()
 	d.restore = d.restore[:0]
 	for _, ch := range changes {
-		id := d.p.InputGate(ch.Key)
-		if id < 0 {
-			continue
+		if id, old, changed := d.assign(ch.Key, ch.Value); changed {
+			d.restore = append(d.restore, valUndo[T]{gate: int32(id), old: old})
 		}
-		if d.s.Equal(d.vals[id], ch.Value) {
-			continue
-		}
-		old := d.vals[id]
-		d.restore = append(d.restore, valUndo[T]{gate: int32(id), old: old})
-		d.vals[id] = ch.Value
-		d.markChanged(id, old)
 	}
 	if len(d.restore) == 0 {
 		return d.vals[d.p.output]
@@ -404,12 +385,12 @@ func (d *Dynamic[T]) EvalWith(changes []InputChange[T]) T {
 	return out
 }
 
-// markChanged records that gate g's value just changed from old, notifying
-// g's parents and queueing them by rank.  A gate's value changes at most once
-// per wave (children drain strictly before parents), so the generation stamp
-// only guards against the same *input* being assigned twice within one batch:
-// the first assignment records the pre-wave value and enlists the parents,
-// later ones merely overwrite vals.  When snapshots are pinned the pre-wave
+// markChanged records that gate g's value just changed from old and enlists
+// g's parents in the wave.  A gate's value changes at most once per wave
+// (children drain strictly before parents), so the generation stamp only
+// guards against the same *input* being assigned twice within one batch: the
+// first assignment records the pre-wave value and enlists the parents, later
+// ones merely overwrite vals.  When snapshots are pinned the pre-wave
 // value is also appended to the undo log — it is exactly the entry a reader
 // at an older epoch needs to roll g back.
 func (d *Dynamic[T]) markChanged(g int, old T) {
@@ -421,15 +402,7 @@ func (d *Dynamic[T]) markChanged(g int, old T) {
 	if d.log.Logging() {
 		d.log.Append(valUndo[T]{gate: int32(g), old: old})
 	}
-	for _, p32 := range d.p.ParentIDs(g) {
-		p := int(p32)
-		d.changed[p] = append(d.changed[p], g)
-		if !d.queued[p] {
-			d.queued[p] = true
-			r := d.p.rank[p]
-			d.buckets[r] = append(d.buckets[r], p)
-		}
-	}
+	d.wave.Enlist(g)
 }
 
 // runWave drains the propagation wave, timing it only when a wave hook is
@@ -444,35 +417,31 @@ func (d *Dynamic[T]) runWave() {
 	d.waveHook(time.Since(start))
 }
 
-// propagateWave drains the rank buckets in increasing order.  Recomputing a
-// gate of rank r can only enqueue parents of strictly larger rank, so a
-// single left-to-right sweep recomputes every affected gate exactly once.
+// propagateWave drains the worklist and closes the wave's generation.
 func (d *Dynamic[T]) propagateWave() {
-	for r := 1; r < len(d.buckets); r++ {
-		bucket := d.buckets[r]
-		for _, g := range bucket {
-			d.queued[g] = false
-			newVal := d.recomputeGate(g)
-			d.changed[g] = d.changed[g][:0]
-			if d.s.Equal(newVal, d.vals[g]) {
-				continue
-			}
-			old := d.vals[g]
-			d.vals[g] = newVal
-			d.markChanged(g, old)
-		}
-		d.buckets[r] = bucket[:0]
-	}
+	d.wave.Drain(d.refresh)
 	d.gen++
+}
+
+// refreshGate is the wave's per-gate step: recompute g from its changed
+// children and, when its value moved, store it and pass the change on.
+func (d *Dynamic[T]) refreshGate(g int, changed []int) {
+	newVal := d.recomputeGate(g, changed)
+	if d.s.Equal(newVal, d.vals[g]) {
+		return
+	}
+	old := d.vals[g]
+	d.vals[g] = newVal
+	d.markChanged(g, old)
 }
 
 // recomputeGate refreshes the auxiliary structures of gate g given its
 // changed children (their pre-wave values are in oldOf), and returns the new
 // value of g.
-func (d *Dynamic[T]) recomputeGate(g int) T {
+func (d *Dynamic[T]) recomputeGate(g int, changed []int) T {
 	switch Kind(d.p.kind[g]) {
 	case KindAdd:
-		return d.recomputeAdd(g)
+		return d.recomputeAdd(g, changed)
 	case KindMul:
 		acc := d.s.One()
 		for _, ch := range d.p.ChildIDs(g) {
@@ -481,7 +450,7 @@ func (d *Dynamic[T]) recomputeGate(g int) T {
 		return acc
 	case KindPerm:
 		st := d.perms[g]
-		for _, child := range d.changed[g] {
+		for _, child := range changed {
 			if d.s.Equal(d.oldOf[child], d.vals[child]) {
 				continue
 			}
@@ -495,7 +464,7 @@ func (d *Dynamic[T]) recomputeGate(g int) T {
 	}
 }
 
-func (d *Dynamic[T]) recomputeAdd(g int) T {
+func (d *Dynamic[T]) recomputeAdd(g int, changed []int) T {
 	st := d.adders[g]
 	switch {
 	case d.ring != nil:
@@ -503,7 +472,7 @@ func (d *Dynamic[T]) recomputeAdd(g int) T {
 		// wave: children drain strictly before parents, so oldOf holds the
 		// value this gate last incorporated.
 		acc := d.vals[g]
-		for _, ch := range d.changed[g] {
+		for _, ch := range changed {
 			occ := int64(len(st.occurrences[ch]))
 			if occ == 0 {
 				continue
@@ -513,7 +482,7 @@ func (d *Dynamic[T]) recomputeAdd(g int) T {
 		}
 		return acc
 	case d.finite != nil:
-		for _, ch := range d.changed[g] {
+		for _, ch := range changed {
 			oldVal := d.oldOf[ch]
 			if d.s.Equal(oldVal, d.vals[ch]) {
 				continue
@@ -530,7 +499,7 @@ func (d *Dynamic[T]) recomputeAdd(g int) T {
 		}
 		return acc
 	default:
-		for _, ch := range d.changed[g] {
+		for _, ch := range changed {
 			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
 				continue
 			}

@@ -1,8 +1,9 @@
-package circuit
+package circuit_test
 
 import (
 	"math/big"
 	"math/rand"
+	. "repro/internal/circuit"
 	"testing"
 
 	"repro/internal/provenance"
@@ -19,8 +20,8 @@ func TestApplyBatchMatchesSequentialUpdates(t *testing.T) {
 		nInputs := r.Intn(6) + 2
 		c := randomCircuit(r, nInputs, r.Intn(10)+4)
 		vals := randomValues(r, nInputs)
-		batched := NewDynamic[int64](c, semiring.Nat, valuationFor(vals))
-		single := NewDynamic[int64](c, semiring.Nat, valuationFor(vals))
+		batched := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
+		single := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
 		for step := 0; step < 8; step++ {
 			batch := make([]InputChange[int64], r.Intn(6)+1)
 			for i := range batch {
@@ -55,13 +56,13 @@ func TestDynamicOracleRandomized(t *testing.T) {
 		vals := randomValues(r, nInputs)
 
 		// One dynamic evaluator per semiring, all driven by the same updates.
-		nat := NewDynamic[int64](c, semiring.Nat, valuationFor(vals))
-		ring := NewDynamic[int64](c, semiring.Int, valuationFor(vals))
-		fin := NewDynamic[int64](c, trunc, func(k structure.WeightKey) (int64, bool) {
+		nat := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
+		ring := NewDynamicProgram[int64](c.Program(), semiring.Int, valuationFor(vals))
+		fin := NewDynamicProgram[int64](c.Program(), trunc, func(k structure.WeightKey) (int64, bool) {
 			v, ok := valuationFor(vals)(k)
 			return trunc.Add(v, 0), ok
 		})
-		finMod := NewDynamic[int64](c, mod, func(k structure.WeightKey) (int64, bool) {
+		finMod := NewDynamicProgram[int64](c.Program(), mod, func(k structure.WeightKey) (int64, bool) {
 			v, ok := valuationFor(vals)(k)
 			return mod.Add(v, 0), ok
 		})
@@ -71,7 +72,7 @@ func TestDynamicOracleRandomized(t *testing.T) {
 			}
 			return semiring.Fin(v)
 		}
-		mp := NewDynamic[semiring.Ext](c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
+		mp := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
 			v, ok := valuationFor(vals)(k)
 			return toExt(v), ok
 		})
@@ -91,38 +92,38 @@ func TestDynamicOracleRandomized(t *testing.T) {
 			}
 			return toPoly(tp[0], vals[tp[0]]), true
 		}
-		prov := NewDynamic[*provenance.Poly](c, provenance.Free, provVal)
+		prov := NewDynamicProgram[*provenance.Poly](c.Program(), provenance.Free, provVal)
 
 		check := func(step int) {
 			t.Helper()
-			if got, want := nat.Value(), Evaluate[int64](c, semiring.Nat, valuationFor(vals)); got != want {
+			if got, want := nat.Value(), EvaluateProgram[int64](c.Program(), semiring.Nat, valuationFor(vals)); got != want {
 				t.Fatalf("round %d step %d: ℕ dynamic %d, oracle %d", round, step, got, want)
 			}
-			if got, want := ring.Value(), Evaluate[int64](c, semiring.Int, valuationFor(vals)); got != want {
+			if got, want := ring.Value(), EvaluateProgram[int64](c.Program(), semiring.Int, valuationFor(vals)); got != want {
 				t.Fatalf("round %d step %d: ℤ dynamic %d, oracle %d", round, step, got, want)
 			}
-			wantFin := Evaluate[int64](c, trunc, func(k structure.WeightKey) (int64, bool) {
+			wantFin := EvaluateProgram[int64](c.Program(), trunc, func(k structure.WeightKey) (int64, bool) {
 				v, ok := valuationFor(vals)(k)
 				return trunc.Add(v, 0), ok
 			})
 			if got := fin.Value(); !trunc.Equal(got, wantFin) {
 				t.Fatalf("round %d step %d: truncated dynamic %d, oracle %d", round, step, got, wantFin)
 			}
-			wantMod := Evaluate[int64](c, mod, func(k structure.WeightKey) (int64, bool) {
+			wantMod := EvaluateProgram[int64](c.Program(), mod, func(k structure.WeightKey) (int64, bool) {
 				v, ok := valuationFor(vals)(k)
 				return mod.Add(v, 0), ok
 			})
 			if got := finMod.Value(); !mod.Equal(got, wantMod) {
 				t.Fatalf("round %d step %d: mod-7 dynamic %d, oracle %d", round, step, got, wantMod)
 			}
-			wantMP := Evaluate[semiring.Ext](c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
+			wantMP := EvaluateProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
 				v, ok := valuationFor(vals)(k)
 				return toExt(v), ok
 			})
 			if got := mp.Value(); !semiring.MinPlus.Equal(got, wantMP) {
 				t.Fatalf("round %d step %d: min-plus dynamic %v, oracle %v", round, step, got, wantMP)
 			}
-			wantProv := Evaluate[*provenance.Poly](c, provenance.Free, provVal)
+			wantProv := EvaluateProgram[*provenance.Poly](c.Program(), provenance.Free, provVal)
 			if got := prov.Value(); !provenance.Free.Equal(got, wantProv) {
 				t.Fatalf("round %d step %d: provenance dynamic %s, oracle %s",
 					round, step, provenance.Free.Format(got), provenance.Free.Format(wantProv))
@@ -197,7 +198,7 @@ func TestApplyBatchRevertIsNoOp(t *testing.T) {
 		}
 	}
 	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-	d := NewDynamic[int64](c, semiring.Nat, val)
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	before := make([]int64, c.NumGates())
 	for id := range c.Gates {
 		before[id] = d.GateValue(id)
@@ -220,19 +221,20 @@ func TestApplyBatchRevertIsNoOp(t *testing.T) {
 }
 
 // TestNewDynamicRejectsNonTopologicalCircuits is the property test for the
-// topological-order precondition: NewDynamic must panic on any circuit whose
-// gate ids are not topologically ordered, since propagation (and EvaluateAll)
-// processes gates in rank order derived from that invariant.
+// topological-order precondition: freezing a circuit for NewDynamicProgram
+// must panic when its gate ids are not topologically ordered, since
+// propagation (and EvaluateAllProgram) processes gates in rank order derived
+// from that invariant.
 func TestNewDynamicRejectsNonTopologicalCircuits(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	mustPanic := func(name string, c *Circuit) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: NewDynamic accepted a non-topological circuit", name)
+				t.Errorf("%s: NewDynamicProgram accepted a non-topological circuit", name)
 			}
 		}()
-		NewDynamic[int64](c, semiring.Nat, func(structure.WeightKey) (int64, bool) { return 1, true })
+		NewDynamicProgram[int64](c.Program(), semiring.Nat, func(structure.WeightKey) (int64, bool) { return 1, true })
 	}
 	for round := 0; round < 20; round++ {
 		// Start from a valid random circuit, then rewire one gate to point at
@@ -264,7 +266,7 @@ func TestNewDynamicRejectsNonTopologicalCircuits(t *testing.T) {
 	mustPanic("forward reference", c)
 	// Valid circuits still work.
 	ok := randomCircuit(r, 3, 6)
-	NewDynamic[int64](ok, semiring.Nat, func(structure.WeightKey) (int64, bool) { return 1, true })
+	NewDynamicProgram[int64](ok.Program(), semiring.Nat, func(structure.WeightKey) (int64, bool) { return 1, true })
 }
 
 // collidingFormat wraps a finite semiring with a Format that is constant on
@@ -277,7 +279,7 @@ func (collidingFormat) Format(int64) string { return "∗" }
 // TestFiniteCarrierIndexPaths drives the finite adder path through both
 // elemIndex strategies: a >32-element carrier with injective Format (the
 // precomputed map) and the same carrier with a colliding Format (the map is
-// dropped at NewDynamic and the Equal-scan fallback takes over).
+// dropped at NewDynamicProgram and the Equal-scan fallback takes over).
 func TestFiniteCarrierIndexPaths(t *testing.T) {
 	big := semiring.NewTruncated(40) // 41 elements: above the scan limit
 	coll := collidingFormat{big}
@@ -286,14 +288,14 @@ func TestFiniteCarrierIndexPaths(t *testing.T) {
 		nInputs := r.Intn(5) + 2
 		c := randomCircuit(r, nInputs, r.Intn(8)+4)
 		vals := randomValues(r, nInputs)
-		mapped := NewDynamic[int64](c, big, valuationFor(vals))
-		scanned := NewDynamic[int64](c, coll, valuationFor(vals))
+		mapped := NewDynamicProgram[int64](c.Program(), big, valuationFor(vals))
+		scanned := NewDynamicProgram[int64](c.Program(), coll, valuationFor(vals))
 		for step := 0; step < 10; step++ {
 			i := r.Intn(nInputs)
 			vals[i] = int64(r.Intn(5))
 			mapped.SetInput(key("w", i), vals[i])
 			scanned.SetInput(key("w", i), vals[i])
-			want := Evaluate[int64](c, big, valuationFor(vals))
+			want := EvaluateProgram[int64](c.Program(), big, valuationFor(vals))
 			if got := mapped.Value(); !big.Equal(got, want) {
 				t.Fatalf("round %d step %d: mapped finite path %d, oracle %d", round, step, got, want)
 			}
@@ -328,7 +330,7 @@ func TestGenericUpdateZeroAllocs(t *testing.T) {
 	permGate := c.Perm(2, 8, entries)
 	c.SetOutput(c.Add(wide, permGate))
 
-	d := NewDynamic[int64](c, semiring.Nat, func(k structure.WeightKey) (int64, bool) {
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, func(k structure.WeightKey) (int64, bool) {
 		return 1, true
 	})
 	keys := make([]structure.WeightKey, nInputs)
@@ -371,7 +373,7 @@ func BenchmarkDynamicGenericUpdate(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	c := randomCircuit(r, 24, 60)
 	vals := randomValues(r, 24)
-	d := NewDynamic[int64](c, semiring.Nat, valuationFor(vals))
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
 	keys := make([]structure.WeightKey, 24)
 	for i := range keys {
 		keys[i] = key("w", i)
@@ -394,7 +396,7 @@ func BenchmarkDynamicApplyBatch(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	c := randomCircuit(r, 24, 60)
 	vals := randomValues(r, 24)
-	d := NewDynamic[int64](c, semiring.Nat, valuationFor(vals))
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
 	keys := make([]structure.WeightKey, 24)
 	for i := range keys {
 		keys[i] = key("w", i)

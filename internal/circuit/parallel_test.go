@@ -1,14 +1,27 @@
-package circuit
+package circuit_test
 
 import (
 	"fmt"
 	"math/rand"
+	. "repro/internal/circuit"
 	"testing"
 
 	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
+
+// builderChildren lists the operand gates of a builder-layout gate.
+func builderChildren(g Gate) []int {
+	if g.Kind != KindPerm {
+		return g.Children
+	}
+	out := make([]int, len(g.Entries))
+	for i, e := range g.Entries {
+		out[i] = e.Gate
+	}
+	return out
+}
 
 // hasPermGate reports whether the circuit contains a permanent gate.
 func hasPermGate(c *Circuit) bool {
@@ -20,27 +33,22 @@ func hasPermGate(c *Circuit) bool {
 	return false
 }
 
-// checkEquivalence asserts ParallelEvaluateAll matches EvaluateAll
-// gate-for-gate in the given semiring, across several worker counts and
-// with both on-the-fly and precomputed schedules.
+// checkEquivalence asserts ParallelEvaluateAllProgram matches
+// EvaluateAllProgram gate-for-gate in the given semiring, across several
+// worker counts.
 func checkEquivalence[T any](t *testing.T, name string, c *Circuit, s semiring.Semiring[T], v Valuation[T]) {
 	t.Helper()
-	want := EvaluateAll(c, s, v)
-	sched := NewSchedule(c)
+	p := c.Program()
+	want := EvaluateAllProgram(p, s, v)
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		for _, opts := range []EvalOptions{
-			{Workers: workers},
-			{Workers: workers, Schedule: sched},
-		} {
-			got := ParallelEvaluateAll(c, s, v, opts)
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: got %d values, want %d", name, workers, len(got), len(want))
-			}
-			for id := range want {
-				if !s.Equal(got[id], want[id]) {
-					t.Fatalf("%s workers=%d: gate %d = %s, want %s",
-						name, workers, id, s.Format(got[id]), s.Format(want[id]))
-				}
+		got := ParallelEvaluateAllProgram(p, s, v, workers)
+		if len(got) != len(want) {
+			t.Fatalf("%s workers=%d: got %d values, want %d", name, workers, len(got), len(want))
+		}
+		for id := range want {
+			if !s.Equal(got[id], want[id]) {
+				t.Fatalf("%s workers=%d: gate %d = %s, want %s",
+					name, workers, id, s.Format(got[id]), s.Format(want[id]))
 			}
 		}
 	}
@@ -82,32 +90,34 @@ func TestParallelEvaluateAllEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelEvaluateEquivalence checks the output-gate shortcut.
-func TestParallelEvaluateEquivalence(t *testing.T) {
+// TestParallelEvaluateOutputEquivalence checks the output gate of a parallel
+// evaluation against the sequential output-gate shortcut.
+func TestParallelEvaluateOutputEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const nInputs = 6
-	c := randomCircuit(rng, nInputs, 200)
+	p := randomCircuit(rng, nInputs, 200).Program()
 	val := valuationFor(randomValues(rng, nInputs))
-	want := Evaluate[int64](c, semiring.Nat, val)
-	got := ParallelEvaluate[int64](c, semiring.Nat, val, EvalOptions{Workers: 3})
+	want := EvaluateProgram[int64](p, semiring.Nat, val)
+	got := ParallelEvaluateAllProgram[int64](p, semiring.Nat, val, 3)[p.OutputGate()]
 	if got != want {
-		t.Fatalf("ParallelEvaluate = %d, want %d", got, want)
+		t.Fatalf("parallel output = %d, want %d", got, want)
 	}
 }
 
-// TestNewSchedule checks the structural invariants of the level schedule:
-// every gate appears exactly once, children sit on strictly lower levels,
-// and the depth agrees with Statistics.
-func TestNewSchedule(t *testing.T) {
+// TestProgramLevelSchedule checks the structural invariants of the level
+// schedule baked into the Program: every gate appears exactly once on the
+// level of its rank, no level is empty, children sit on strictly lower
+// levels, and the depth agrees with Statistics.
+func TestProgramLevelSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randomCircuit(rng, 8, 400)
-	sched := NewSchedule(c)
-	if sched.NumGates() != c.NumGates() {
-		t.Fatalf("schedule covers %d gates, circuit has %d", sched.NumGates(), c.NumGates())
+	p := c.Program()
+	if p.NumGates() != c.NumGates() {
+		t.Fatalf("program covers %d gates, circuit has %d", p.NumGates(), c.NumGates())
 	}
-	level := make([]int, c.NumGates())
 	seen := make([]bool, c.NumGates())
-	for d, lvl := range sched.Levels {
+	for d := 0; d <= p.Depth(); d++ {
+		lvl := p.LevelGates(d)
 		if len(lvl) == 0 {
 			t.Errorf("level %d is empty", d)
 		}
@@ -116,7 +126,9 @@ func TestNewSchedule(t *testing.T) {
 				t.Fatalf("gate %d scheduled twice", id)
 			}
 			seen[id] = true
-			level[id] = d
+			if p.Rank(int(id)) != d {
+				t.Fatalf("gate %d on level %d has rank %d", id, d, p.Rank(int(id)))
+			}
 		}
 	}
 	for id := range seen {
@@ -124,34 +136,35 @@ func TestNewSchedule(t *testing.T) {
 			t.Fatalf("gate %d not scheduled", id)
 		}
 	}
-	for id := range c.Gates {
-		for _, ch := range c.children(id) {
-			if level[ch] >= level[id] {
-				t.Fatalf("child %d (level %d) not below gate %d (level %d)", ch, level[ch], id, level[id])
+	for id, g := range c.Gates {
+		for _, ch := range builderChildren(g) {
+			if p.Rank(ch) >= p.Rank(id) {
+				t.Fatalf("child %d (level %d) not below gate %d (level %d)", ch, p.Rank(ch), id, p.Rank(id))
 			}
 		}
 	}
-	if want := c.Statistics().Depth; sched.Depth() != want {
-		t.Fatalf("schedule depth %d, Statistics depth %d", sched.Depth(), want)
-	}
-	if sched.MaxWidth() <= 0 {
-		t.Fatal("MaxWidth must be positive for a non-empty circuit")
+	if want := c.Statistics().Depth; p.Depth() != want {
+		t.Fatalf("program depth %d, Statistics depth %d", p.Depth(), want)
 	}
 }
 
-// TestScheduleMismatchPanics checks that passing a stale schedule is caught.
-func TestScheduleMismatchPanics(t *testing.T) {
+// TestProgramRefreezesExtendedCircuit checks the staleness guard of the
+// build → freeze seam: gates added after a freeze are covered by the next
+// Program() and evaluated, never silently dropped.
+func TestProgramRefreezesExtendedCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := randomCircuit(rng, 5, 60)
-	sched := NewSchedule(c)
-	c.ConstInt(41) // extend the circuit behind the schedule's back
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected a panic for a stale schedule")
-		}
-	}()
-	ParallelEvaluateAll[int64](c, semiring.Nat, func(structure.WeightKey) (int64, bool) { return 1, true },
-		EvalOptions{Workers: 2, Schedule: sched})
+	stale := c.Program()
+	c.SetOutput(c.Add(c.Output, c.ConstInt(41))) // extend the circuit behind the program's back
+	p := c.Program()
+	if p == stale || p.NumGates() != c.NumGates() || p.OutputGate() != c.Output {
+		t.Fatalf("Program() after extension covers %d gates output %d, circuit has %d/%d",
+			p.NumGates(), p.OutputGate(), c.NumGates(), c.Output)
+	}
+	one := func(structure.WeightKey) (int64, bool) { return 1, true }
+	if got, want := EvaluateProgram[int64](p, semiring.Nat, one), EvaluateProgram[int64](stale, semiring.Nat, one)+41; got != want {
+		t.Fatalf("extended program evaluates to %d, want %d", got, want)
+	}
 }
 
 // benchmarkCircuit builds a wide, shallow circuit with ≥ 10k gates dominated
@@ -187,24 +200,14 @@ func benchmarkCircuit(b *testing.B) (*Circuit, Valuation[int64]) {
 	return c, func(key structure.WeightKey) (int64, bool) { return int64(len(key.Tuple)%5) + 1, true }
 }
 
-// BenchmarkEvaluateAllSequential is the sequential baseline on the ≥10k-gate
-// permanent-heavy circuit.
-func BenchmarkEvaluateAllSequential(b *testing.B) {
-	c, val := benchmarkCircuit(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EvaluateAll[int64](c, semiring.Nat, val)
-	}
-}
-
-// BenchmarkEvaluateAllParallel measures the level-parallel evaluator with a
-// precomputed schedule at GOMAXPROCS workers; on a multi-core machine it
-// should beat BenchmarkEvaluateAllSequential.
+// BenchmarkEvaluateAllParallel measures the level-parallel evaluator at
+// GOMAXPROCS workers; on a multi-core machine it should beat
+// BenchmarkProgramEvaluateAll.
 func BenchmarkEvaluateAllParallel(b *testing.B) {
 	c, val := benchmarkCircuit(b)
-	sched := NewSchedule(c)
+	p := c.Program()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ParallelEvaluateAll[int64](c, semiring.Nat, val, EvalOptions{Schedule: sched})
+		ParallelEvaluateAllProgram[int64](p, semiring.Nat, val, 0)
 	}
 }

@@ -14,16 +14,14 @@
 //
 // The split is the seam between build and execute: Circuit stays the
 // construction API (internal/compile and the examples keep building through
-// it), while Evaluate, ParallelEvaluateAll, Dynamic and the enumeration
-// engine all run on the frozen Program.
+// it) and has no evaluators; EvaluateProgram, ParallelEvaluateAllProgram,
+// Dynamic and the enumeration engine all run on the frozen Program.
 package circuit
 
 import (
 	"fmt"
 	"math/big"
-	"sync"
 	"time"
-	"unsafe"
 
 	"repro/internal/structure"
 )
@@ -77,9 +75,6 @@ type Program struct {
 	perms    []permProgram
 	permRows []int32
 	permCols []int32
-
-	schedOnce sync.Once
-	sched     *Schedule
 
 	// freezeDur is the wall-clock cost of Freeze, recorded here because
 	// freezing happens deep inside compilation (no context in scope); the
@@ -382,25 +377,6 @@ func (p *Program) permArg(id int) int32 {
 	return p.arg[id]
 }
 
-// Schedule materialises the baked level schedule as a *Schedule (levels as
-// [][]int), for callers that consume the legacy schedule shape.  The result
-// is built once and shared; it must not be modified.
-func (p *Program) Schedule() *Schedule {
-	p.schedOnce.Do(func() {
-		levels := make([][]int, p.maxRank+1)
-		for d := range levels {
-			lg := p.LevelGates(d)
-			lvl := make([]int, len(lg))
-			for i, id := range lg {
-				lvl[i] = int(id)
-			}
-			levels[d] = lvl
-		}
-		p.sched = &Schedule{Levels: levels, gates: p.numGates}
-	})
-	return p.sched
-}
-
 // Footprint returns the approximate resident size of the program in bytes:
 // every arena at its element size, the interned constants, the input keys
 // and an estimate of the input-index map.  It deliberately excludes the
@@ -425,28 +401,5 @@ func (p *Program) Footprint() int64 {
 		bytes += 2 * (32 + int64(len(k.Weight)+len(k.Tuple)))
 	}
 	bytes += int64(len(p.inputIndex)) * 16 // map slot overhead (value + buckets, approximate)
-	return bytes
-}
-
-// LegacyFootprint returns the approximate resident size in bytes of the
-// builder (array-of-structs) layout: one Gate struct per gate plus its
-// privately allocated Children slice, permanent entries, big.Int constant
-// and key strings.  It is the baseline against which Program.Footprint is
-// compared in bench experiment E14.
-func (c *Circuit) LegacyFootprint() int64 {
-	bytes := int64(0)
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		bytes += int64(unsafe.Sizeof(Gate{}))
-		bytes += 8 * int64(cap(g.Children))
-		bytes += int64(unsafe.Sizeof(PermEntry{})) * int64(cap(g.Entries))
-		if g.N != nil {
-			bytes += 24 + int64((g.N.BitLen()+7)/8)
-		}
-		bytes += int64(len(g.Key.Weight) + len(g.Key.Tuple))
-	}
-	for k := range c.inputIndex {
-		bytes += 32 + int64(len(k.Weight)+len(k.Tuple)) + 16
-	}
 	return bytes
 }

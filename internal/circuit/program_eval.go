@@ -1,7 +1,15 @@
-// Evaluation over the frozen Program form: the same semantics as the gate
-// walk in circuit.go, but iterating the CSR arenas with index arithmetic —
-// no per-gate slice headers to chase and no big.Int arithmetic for
-// constants that fit int64.
+// Evaluation over the frozen Program form: one sweep over the CSR arenas with
+// index arithmetic — no per-gate slice headers to chase and no big.Int
+// arithmetic for constants that fit int64.
+//
+// The circuits produced by internal/compile are wide and shallow: Theorem 6
+// bounds their depth by a constant depending only on the query, while the
+// number of gates grows linearly with the database.  That shape is ideal for
+// level-parallel evaluation: every child of a rank-d gate has rank < d, so
+// the gates of one level of the Program's baked schedule are independent and
+// evaluate concurrently.  Permanent gates, with their O(2^rows·rows·cols)
+// column dynamic program, dominate evaluation time and parallelise across the
+// pool.
 package circuit
 
 import (
@@ -84,15 +92,19 @@ func evaluateProgramGate[T any](p *Program, s semiring.Semiring[T], v Valuation[
 		}
 		vals[id] = acc
 	case KindPerm:
-		vals[id] = evaluateProgramPerm(p, s, id, vals, sc)
+		vals[id] = evaluateProgramPerm(p, s, id, p.children[p.childStart[id]:p.childStart[id+1]], vals, sc)
 	}
 }
 
-// evaluateProgramPerm evaluates a permanent gate with the column dynamic
-// program of perm.PermColumns, run directly over the column-major entry
-// arena with the caller's scratch buffers: no column matrix is materialised
-// and nothing is allocated.
-func evaluateProgramPerm[T any](p *Program, s semiring.Semiring[T], id int, vals []T, sc *permScratch[T]) T {
+// evaluateProgramPerm is the one from-scratch evaluator of permanent gates:
+// the column dynamic program of perm.PermColumns, run directly over the
+// column-major entry arena with the caller's scratch buffers, so no column
+// matrix is materialised and nothing is allocated.  The operand wired at
+// entry i is vals[kids[i]].  The sweeps pass the gate's slice of the children
+// arena and the gate-indexed value array, reading operands in place; a view
+// that cannot index values by gate id (the snapshot overlay) gathers its
+// operands in entry order and passes the identity as kids.
+func evaluateProgramPerm[T any](p *Program, s semiring.Semiring[T], id int, kids []int32, vals []T, sc *permScratch[T]) T {
 	pm := p.perms[p.arg[id]]
 	rows, nCols := int(pm.rows), int(pm.cols)
 	if rows == 0 {
@@ -107,7 +119,6 @@ func evaluateProgramPerm[T any](p *Program, s semiring.Semiring[T], id int, vals
 		state[i] = s.Zero()
 	}
 	state[0] = s.One()
-	kids := p.children[p.childStart[id]:p.childStart[id+1]]
 	idx := 0
 	for c := 0; c < nCols; c++ {
 		for r := range col {
@@ -170,6 +181,12 @@ func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s sem
 	return vals, nil
 }
 
+// minGatesPerWorker is the smallest slice of a level worth handing to a
+// separate goroutine; levels narrower than 2·minGatesPerWorker run on the
+// calling goroutine.  Cheap gates (add/mul over a few children) cost tens of
+// nanoseconds, so very fine-grained fan-out would be pure overhead.
+const minGatesPerWorker = 32
+
 // cancelCheckStride is the number of gates evaluated between cancellation
 // checks; it bounds the latency of a cancelled evaluation to the cost of a
 // stride of gates (plus the gate in flight) per worker.
@@ -191,14 +208,10 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	vals := make([]T, p.numGates)
 	if workers == 1 && done == nil {
-		var sc permScratch[T]
-		for id := 0; id < p.numGates; id++ {
-			evaluateProgramGate(p, s, v, id, vals, &sc)
-		}
-		return vals, nil
+		return EvaluateAllProgram(p, s, v), nil
 	}
+	vals := make([]T, p.numGates)
 	if workers == 1 {
 		var sc permScratch[T]
 		for id := 0; id < p.numGates; id++ {

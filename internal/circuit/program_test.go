@@ -1,8 +1,10 @@
-package circuit
+package circuit_test
 
 import (
 	"math/big"
 	"math/rand"
+	. "repro/internal/circuit"
+	"repro/internal/circuit/circuittest"
 	"testing"
 
 	"repro/internal/provenance"
@@ -11,10 +13,11 @@ import (
 )
 
 // checkProgramAgreesWithLegacy asserts that program evaluation (sequential
-// and parallel) matches the legacy array-of-structs gate walk gate-for-gate.
+// and parallel) matches the reference walk of the builder layout
+// gate-for-gate.
 func checkProgramAgreesWithLegacy[T any](t *testing.T, name string, c *Circuit, s semiring.Semiring[T], v Valuation[T]) {
 	t.Helper()
-	want := LegacyEvaluateAll(c, s, v)
+	want := circuittest.EvaluateAll(c, s, v)
 	p := c.Program()
 	for _, got := range [][]T{
 		EvaluateAllProgram(p, s, v),
@@ -94,8 +97,8 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 		c := randomCircuit(r, nInputs, r.Intn(10)+4)
 		vals := randomValues(r, nInputs)
 
-		ring := NewDynamic[int64](c, semiring.Int, valuationFor(vals))
-		fin := NewDynamic[int64](c, mod, func(k structure.WeightKey) (int64, bool) {
+		ring := NewDynamicProgram[int64](c.Program(), semiring.Int, valuationFor(vals))
+		fin := NewDynamicProgram[int64](c.Program(), mod, func(k structure.WeightKey) (int64, bool) {
 			x, ok := valuationFor(vals)(k)
 			return mod.Add(x, 0), ok
 		})
@@ -105,7 +108,7 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 			}
 			return semiring.Fin(x)
 		}
-		generic := NewDynamic[semiring.Ext](c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
+		generic := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
 			x, ok := valuationFor(vals)(k)
 			return toExt(x), ok
 		})
@@ -116,12 +119,12 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 			fin.SetInput(key("w", i), mod.Add(vals[i], 0))
 			generic.SetInput(key("w", i), toExt(vals[i]))
 
-			wantInt := LegacyEvaluateAll[int64](c, semiring.Int, valuationFor(vals))
-			wantMod := LegacyEvaluateAll[int64](c, mod, func(k structure.WeightKey) (int64, bool) {
+			wantInt := circuittest.EvaluateAll[int64](c, semiring.Int, valuationFor(vals))
+			wantMod := circuittest.EvaluateAll[int64](c, mod, func(k structure.WeightKey) (int64, bool) {
 				x, ok := valuationFor(vals)(k)
 				return mod.Add(x, 0), ok
 			})
-			wantMP := LegacyEvaluateAll[semiring.Ext](c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
+			wantMP := circuittest.EvaluateAll[semiring.Ext](c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
 				x, ok := valuationFor(vals)(k)
 				return toExt(x), ok
 			})
@@ -172,7 +175,7 @@ func TestProgramStructure(t *testing.T) {
 			}
 			// Children (as a multiset per gate) match the builder layout; for
 			// permanent gates the arena is column-major, so compare sorted.
-			want := append([]int(nil), c.children(id)...)
+			want := append([]int(nil), builderChildren(c.Gates[id])...)
 			got := make([]int, 0, len(want))
 			for _, ch := range p.ChildIDs(id) {
 				got = append(got, int(ch))
@@ -299,8 +302,8 @@ func TestInputsReturnsCopy(t *testing.T) {
 	}
 }
 
-// BenchmarkProgramEvaluateAll measures program-layout evaluation on the
-// ≥10k-gate circuit; compare with BenchmarkEvaluateAllLegacy.
+// BenchmarkProgramEvaluateAll measures the sequential sweep on the ≥10k-gate
+// permanent-heavy circuit.
 func BenchmarkProgramEvaluateAll(b *testing.B) {
 	c, val := benchmarkCircuit(b)
 	p := c.Program()
@@ -308,16 +311,5 @@ func BenchmarkProgramEvaluateAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EvaluateAllProgram[int64](p, semiring.Nat, val)
-	}
-}
-
-// BenchmarkEvaluateAllLegacy is the legacy-layout baseline on the same
-// circuit.
-func BenchmarkEvaluateAllLegacy(b *testing.B) {
-	c, val := benchmarkCircuit(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LegacyEvaluateAll[int64](c, semiring.Nat, val)
 	}
 }

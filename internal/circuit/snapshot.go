@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"repro/internal/perm"
-	"repro/internal/semiring"
-)
+import "repro/internal/semiring"
 
 // DynSnapshot is a read handle on a Dynamic pinned at one committed epoch:
 // every resolution — Value, GateValue, and point queries through EvalWith —
@@ -30,11 +27,18 @@ type DynSnapshot[T any] struct {
 	digest   map[int32]T
 	released bool
 
-	// Overlay scratch of EvalWith, allocated on first use and reused.
+	// Overlay scratch of EvalWith, allocated on first use and reused.  The
+	// overlay wave keeps a sparse worklist of its own instead of a Worklist: a
+	// pinned read is throwaway, so it may cost O(touched gates) but never
+	// O(gates).  A gate waits in a bucket iff it has a changeCh entry.
 	overlay  map[int]T     // gate → value under the current overrides
 	changeCh map[int][]int // gate → children changed by the overlay wave
-	buckets  [][]int
-	queued   []bool
+	buckets  [][]int       // buckets[r] lists the waiting gates of rank r
+	// Operands of the permanent gate being recomputed, gathered in entry
+	// order, the identity index that addresses them, and the DP's buffers.
+	permOps []T
+	permIdx []int32
+	permSc  permScratch[T]
 }
 
 // Snapshot pins the current committed epoch and returns a read handle
@@ -118,17 +122,16 @@ func (s *DynSnapshot[T]) resolveLocked(g int) T {
 // when the semiring subtracts; appending the new summands when every changed
 // child was zero at the pinned epoch (the usual case for point-query
 // toggles, valid in any semiring); a full fan-in re-sum otherwise.
-// Permanent gates recompute from scratch over the snapshot-resolved entries
-// — costlier than the writer's maintained structures, but permanents are
-// capped at twelve rows and both sides of a snapshot comparison pay the same
-// path.
+// Permanent gates recompute from scratch with the static sweep's evaluator
+// over the snapshot-resolved entries — costlier than the writer's maintained
+// structures, but permanents are capped at twelve rows and both sides of a
+// snapshot comparison pay the same path.
 func (s *DynSnapshot[T]) EvalWith(changes []InputChange[T]) T {
 	d := s.d
 	d.valMu.RLock()
 	defer d.valMu.RUnlock()
 	s.extendLocked()
-	if s.queued == nil {
-		s.queued = make([]bool, d.p.numGates)
+	if s.overlay == nil {
 		s.buckets = make([][]int, d.p.maxRank+1)
 		s.overlay = make(map[int]T)
 		s.changeCh = make(map[int][]int)
@@ -167,29 +170,27 @@ func (s *DynSnapshot[T]) overlayValue(g int) T {
 	return s.resolveLocked(g)
 }
 
-// markOverlay enlists g's parents after g's overlay value changed, mirroring
-// the writer's markChanged on the private scratch.
+// markOverlay enlists g's parents after g's overlay value changed.  Parents
+// outrank g and ranks drain in increasing order, so a parent that already has
+// a changeCh entry is still waiting and is not queued again.
 func (s *DynSnapshot[T]) markOverlay(g int) {
 	for _, p32 := range s.d.p.ParentIDs(g) {
 		p := int(p32)
-		s.changeCh[p] = append(s.changeCh[p], g)
-		if !s.queued[p] {
-			s.queued[p] = true
+		chs, waiting := s.changeCh[p]
+		if !waiting {
 			r := s.d.p.rank[p]
 			s.buckets[r] = append(s.buckets[r], p)
 		}
+		s.changeCh[p] = append(chs, g)
 	}
 }
 
-// runOverlayWave drains the private rank buckets in increasing order, the
-// overlay twin of propagateWave.
+// runOverlayWave drains the private rank buckets in increasing order.
 func (s *DynSnapshot[T]) runOverlayWave() {
 	d := s.d
 	for r := 1; r < len(s.buckets); r++ {
 		bucket := s.buckets[r]
-		for i := 0; i < len(bucket); i++ {
-			g := bucket[i]
-			s.queued[g] = false
+		for _, g := range bucket {
 			newVal := s.recomputeOverlay(g)
 			if d.s.Equal(newVal, s.resolveLocked(g)) {
 				continue
@@ -266,19 +267,17 @@ func (s *DynSnapshot[T]) recomputeOverlayAdd(g int) T {
 	return acc
 }
 
+// recomputeOverlayPerm gathers the gate's operands through the overlay and
+// runs the shared permanent evaluator over them.
 func (s *DynSnapshot[T]) recomputeOverlayPerm(g int) T {
 	d := s.d
-	rows, cols := d.p.PermShape(g)
-	colVals := make([][]T, cols)
-	for c := range colVals {
-		col := make([]T, rows)
-		for r := range col {
-			col[r] = d.s.Zero()
-		}
-		colVals[c] = col
+	kids := d.p.ChildIDs(g)
+	for len(s.permIdx) < len(kids) {
+		s.permIdx = append(s.permIdx, int32(len(s.permIdx)))
 	}
-	d.p.ForEachPermEntry(g, func(row, col, gate int) {
-		colVals[col][row] = s.overlayValue(gate)
-	})
-	return perm.PermColumns(d.s, rows, func(c int) []T { return colVals[c] }, cols)
+	s.permOps = s.permOps[:0]
+	for _, ch := range kids {
+		s.permOps = append(s.permOps, s.overlayValue(int(ch)))
+	}
+	return evaluateProgramPerm(d.p, d.s, g, s.permIdx[:len(kids)], s.permOps, &s.permSc)
 }

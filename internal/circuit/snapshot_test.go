@@ -1,8 +1,10 @@
-package circuit
+package circuit_test
 
 import (
 	"fmt"
 	"math/rand"
+	. "repro/internal/circuit"
+	"repro/internal/circuit/circuittest"
 	"runtime"
 	"sync"
 	"testing"
@@ -38,8 +40,8 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			vals := map[structure.WeightKey]int64{}
 			val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-			d := NewDynamic[int64](c, tc.s, val)
-			prog := d.p
+			d := NewDynamicProgram[int64](c.Program(), tc.s, val)
+			prog := c.Program()
 
 			var pins []pinned
 			record := func() {
@@ -73,10 +75,12 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 			}
 			// Release in a scrambled order; later snapshots must survive the
 			// truncation that follows each release.
+			released := map[int]bool{}
 			for _, i := range r.Perm(len(pins)) {
 				pins[i].snap.Release()
+				released[i] = true
 				for j, p := range pins {
-					if p.snap.released {
+					if released[j] {
 						continue
 					}
 					if got := p.snap.Value(); !tc.s.Equal(got, p.value) {
@@ -93,73 +97,80 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 
 // TestSnapshotEvalWithMatchesReference runs point-query style overrides on a
 // pinned snapshot while the writer keeps mutating, checking the overlay wave
-// against a from-scratch evaluation of the pinned state + overrides.
+// against the reference walk of the pinned state + overrides.  The circuit
+// has a 2-row and a 3-row permanent; the carriers cover the generic, ring and
+// finite adder rules and, with min-plus, a semiring that is neither a ring
+// nor finite, so the shared permanent evaluator runs under every view.
 func TestSnapshotEvalWithMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	t.Run("Nat-generic", func(t *testing.T) {
+		checkSnapshotEvalWith[int64](t, r, semiring.Nat, func() int64 { return int64(r.Intn(5)) })
+	})
+	t.Run("Int-ring", func(t *testing.T) {
+		checkSnapshotEvalWith[int64](t, r, semiring.Int, func() int64 { return int64(r.Intn(9) - 4) })
+	})
+	t.Run("Mod7-finite", func(t *testing.T) {
+		checkSnapshotEvalWith[int64](t, r, semiring.NewModular(7), func() int64 { return int64(r.Intn(7)) })
+	})
+	t.Run("MinPlus", func(t *testing.T) {
+		checkSnapshotEvalWith[semiring.Ext](t, r, semiring.MinPlus, func() semiring.Ext {
+			if r.Intn(4) == 0 {
+				return semiring.Infinite
+			}
+			return semiring.Fin(int64(r.Intn(10)))
+		})
+	})
+}
+
+func checkSnapshotEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[T], draw func() T) {
 	n := 4
 	c := buildTriangleLike(n)
-	r := rand.New(rand.NewSource(43))
+	randomKey := func() structure.WeightKey { return key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n)) }
+	vals := map[structure.WeightKey]T{}
+	for a := 0; a < n; a++ {
+		for _, w := range []string{"u", "v", "w"} {
+			vals[key(w, a)] = draw()
+		}
+	}
+	val := func(k structure.WeightKey) (T, bool) { v, ok := vals[k]; return v, ok }
+	d := NewDynamicProgram[T](c.Program(), s, val)
 
-	for _, tc := range []struct {
-		name string
-		s    semiring.Semiring[int64]
-		draw func() int64
-	}{
-		{"Nat-generic", semiring.Nat, func() int64 { return int64(r.Intn(5)) }},
-		{"Int-ring", semiring.Int, func() int64 { return int64(r.Intn(9) - 4) }},
-		{"Mod7-finite", semiring.NewModular(7), func() int64 { return int64(r.Intn(7)) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			vals := map[structure.WeightKey]int64{}
-			for a := 0; a < n; a++ {
-				for _, w := range []string{"u", "v", "w"} {
-					vals[key(w, a)] = tc.draw()
-				}
-			}
-			val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-			d := NewDynamic[int64](c, tc.s, val)
+	// Pin, remember the pinned assignment, then let the writer move on.
+	snap := d.Snapshot()
+	defer snap.Release()
+	pinnedVals := map[structure.WeightKey]T{}
+	for k, v := range vals {
+		pinnedVals[k] = v
+	}
+	pinnedVal := func(k structure.WeightKey) (T, bool) { v, ok := pinnedVals[k]; return v, ok }
+	for step := 0; step < 25; step++ {
+		k := randomKey()
+		vals[k] = draw()
+		d.SetInput(k, vals[k])
+	}
 
-			// Pin, remember the pinned assignment, then let the writer move on.
-			snap := d.Snapshot()
-			defer snap.Release()
-			pinnedVals := map[structure.WeightKey]int64{}
-			for k, v := range vals {
-				pinnedVals[k] = v
+	for trial := 0; trial < 20; trial++ {
+		over := map[structure.WeightKey]T{}
+		var changes []InputChange[T]
+		for i := 0; i < 1+r.Intn(3); i++ {
+			k, v := randomKey(), draw()
+			over[k] = v
+			changes = append(changes, InputChange[T]{Key: k, Value: v})
+		}
+		refVal := func(k structure.WeightKey) (T, bool) {
+			if v, ok := over[k]; ok {
+				return v, true
 			}
-			for step := 0; step < 25; step++ {
-				k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
-				vals[k] = tc.draw()
-				d.SetInput(k, vals[k])
-			}
-
-			for trial := 0; trial < 20; trial++ {
-				over := map[structure.WeightKey]int64{}
-				var changes []InputChange[int64]
-				for i := 0; i < 1+r.Intn(3); i++ {
-					k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
-					v := tc.draw()
-					over[k] = v
-					changes = append(changes, InputChange[int64]{Key: k, Value: v})
-				}
-				refVal := func(k structure.WeightKey) (int64, bool) {
-					if v, ok := over[k]; ok {
-						return v, true
-					}
-					v, ok := pinnedVals[k]
-					return v, ok
-				}
-				want := Evaluate[int64](c, tc.s, refVal)
-				if got := snap.EvalWith(changes); !tc.s.Equal(got, want) {
-					t.Fatalf("trial %d: snapshot EvalWith = %d, reference = %d", trial, got, want)
-				}
-				// Repeated use of one handle must not leak overlay state.
-				if got := snap.Value(); !tc.s.Equal(got, Evaluate[int64](c, tc.s, func(k structure.WeightKey) (int64, bool) {
-					v, ok := pinnedVals[k]
-					return v, ok
-				})) {
-					t.Fatalf("trial %d: snapshot Value drifted after EvalWith", trial)
-				}
-			}
-		})
+			return pinnedVal(k)
+		}
+		want := circuittest.EvaluateAll[T](c, s, refVal)[c.Output]
+		if got := snap.EvalWith(changes); !s.Equal(got, want) {
+			t.Fatalf("trial %d: snapshot EvalWith = %s, reference = %s", trial, s.Format(got), s.Format(want))
+		}
+		// Repeated use of one handle must not leak overlay state.
+		if got := snap.Value(); !s.Equal(got, circuittest.EvaluateAll[T](c, s, pinnedVal)[c.Output]) {
+			t.Fatalf("trial %d: snapshot Value drifted after EvalWith", trial)
+		}
 	}
 }
 
@@ -173,7 +184,7 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 	c := buildTriangleLike(n)
 	vals := map[structure.WeightKey]int64{}
 	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-	d := NewDynamic[int64](c, semiring.Nat, val)
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 
 	const (
 		updates = 150
@@ -257,7 +268,7 @@ func TestSnapshotReclamationBoundsUndoMemory(t *testing.T) {
 	c := buildTriangleLike(n)
 	vals := map[structure.WeightKey]int64{}
 	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
-	d := NewDynamic[int64](c, semiring.Nat, val)
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	r := rand.New(rand.NewSource(5))
 	update := func() {
 		k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))

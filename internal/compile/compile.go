@@ -60,9 +60,6 @@ type Result struct {
 	// Compile.  Every execution layer — evaluation, dynamic sessions,
 	// enumeration — runs on this shared immutable artefact.
 	Program *circuit.Program
-	// Schedule is the level schedule baked into Program at freeze time,
-	// materialised for callers that consume the level decomposition.
-	Schedule *circuit.Schedule
 	// Structure is the (possibly quantifier-elimination-extended) structure
 	// the circuit was compiled against.
 	Structure *structure.Structure
@@ -173,7 +170,6 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 	c.SetOutput(c.Add(gates...))
 	res.Circuit = c
 	res.Program = c.Program()
-	res.Schedule = res.Program.Schedule()
 	return res, nil
 }
 

@@ -233,7 +233,7 @@ func TestCompileDynamicRelations(t *testing.T) {
 			continue
 		}
 		victim := a.Tuples("E")[0]
-		d := circuit.NewDynamic[int64](res.Circuit, semiring.Nat, NewValuation[int64](res, semiring.Nat, w))
+		d := circuit.NewDynamicProgram[int64](res.Program, semiring.Nat, NewValuation[int64](res, semiring.Nat, w))
 		pos, neg := RelationInputKeys("E", victim)
 		d.SetInput(pos, 0)
 		d.SetInput(neg, 1)

@@ -42,9 +42,9 @@ func EnumerateAnswers(a *structure.Structure, phi logic.Formula, vars []string, 
 
 // EnumerateAnswersParallel preprocesses like EnumerateAnswers but computes
 // the initial per-gate emptiness with the level-parallel circuit engine
-// (NewParallel) on workers goroutines, reusing the schedule precomputed by
-// the compiler; workers ≤ 0 selects GOMAXPROCS and workers == 1 falls back
-// to the sequential pass.
+// (NewProgramParallel) on workers goroutines, over the level schedule baked
+// into the compiled Program; workers ≤ 0 selects GOMAXPROCS and workers == 1
+// falls back to the sequential pass.
 func EnumerateAnswersParallel(a *structure.Structure, phi logic.Formula, vars []string, opts compile.Options, workers int) (*Answers, error) {
 	return enumerateAnswers(nil, a, phi, vars, opts, workers)
 }

@@ -153,12 +153,13 @@ type Enumerator struct {
 	adders []*adderMeta
 	perms  []*permGateMeta
 
-	// Wave scratch reused across updates: dirty gates wait in one bucket per
-	// rank and a wave drains the buckets in increasing rank order, so every
-	// affected gate is refreshed exactly once per update batch.
-	buckets   [][]int
-	queued    []bool
-	changedCh [][]int // changedCh[g] lists g's children whose emptiness flipped
+	// wave queues the parents of gates whose emptiness flipped and drains
+	// them in increasing rank order, so every affected gate is refreshed
+	// exactly once per update batch.  refresh and isEmpty are refreshWave and
+	// the live emptiness view, bound once so a wave allocates nothing.
+	wave    *circuit.Worklist
+	refresh func(g int, changed []int)
+	isEmpty func(gate int) bool
 }
 
 // enumUndo is one undo-log entry: the pre-change state of a gate within one
@@ -187,12 +188,29 @@ type InputAssignment struct {
 // indices within the children arena slice) whose child is currently
 // non-empty.
 type adderMeta struct {
-	children  []int32     // view into the Program's children arena
-	positions []int       // positions with non-empty children
-	index     map[int]int // position → index in positions, -1 when absent
+	children  []int32 // view into the Program's children arena
+	positions []int   // positions with non-empty children
+	index     []int   // position → index in positions, -1 when absent
 	// occurrences[child] lists the positions of that child, so that an
-	// update touches only the changed child's occurrences.
+	// update touches only the changed child's occurrences.  Only the writer
+	// updates metadata, so only build fills it; snapshots leave it nil.
 	occurrences map[int][]int
+}
+
+// newAdderMeta derives the metadata a cursor reads for an addition gate over
+// children, under the given emptiness view (the live bits for the writer, the
+// pinned epoch's for a snapshot).
+func newAdderMeta(children []int32, empty func(gate int) bool) *adderMeta {
+	meta := &adderMeta{children: children, index: make([]int, len(children))}
+	for pos, ch := range children {
+		if empty(int(ch)) {
+			meta.index[pos] = -1
+			continue
+		}
+		meta.index[pos] = len(meta.positions)
+		meta.positions = append(meta.positions, pos)
+	}
+	return meta
 }
 
 // permGateMeta maintains the Lemma 39 bookkeeping of a permanent gate.
@@ -206,15 +224,50 @@ type permGateMeta struct {
 	// index within its list (for O(1) removal).
 	byType    [][]int
 	posInType []int
-	// colsOfChild[child] lists the columns where that child is wired.
+	// colsOfChild[child] lists the columns where that child is wired.  Only
+	// the writer updates metadata, so only build fills it; snapshots leave it
+	// nil.
 	colsOfChild map[int][]int
 }
 
-// New builds the enumerator for a circuit under the given input assignment,
-// freezing the circuit into its Program form first.  Inputs not covered by
-// the assignment are zero.
-func New(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) *Enumerator {
-	return build(c.Program(), inputs, nil)
+// newPermGateMeta derives the Lemma 39 column-type bookkeeping of permanent
+// gate id under the given emptiness view (the live bits for the writer, the
+// pinned epoch's for a snapshot).
+func newPermGateMeta(p *circuit.Program, id int, empty func(gate int) bool) *permGateMeta {
+	rows, cols := p.PermShape(id)
+	meta := &permGateMeta{
+		rows: rows, cols: cols,
+		entry:     make([][]int, cols),
+		colType:   make([]int, cols),
+		byType:    make([][]int, 1<<uint(rows)),
+		posInType: make([]int, cols),
+	}
+	for col := range meta.entry {
+		meta.entry[col] = make([]int, rows)
+		for r := range meta.entry[col] {
+			meta.entry[col][r] = -1
+		}
+	}
+	p.ForEachPermEntry(id, func(row, col, gate int) { meta.entry[col][row] = gate })
+	for col := 0; col < cols; col++ {
+		t := meta.columnType(col, empty)
+		meta.colType[col] = t
+		meta.posInType[col] = len(meta.byType[t])
+		meta.byType[t] = append(meta.byType[t], col)
+	}
+	return meta
+}
+
+// columnType returns the bitmask of the rows of col whose wired child is
+// non-empty under the given emptiness view.
+func (m *permGateMeta) columnType(col int, empty func(gate int) bool) int {
+	t := 0
+	for r, ch := range m.entry[col] {
+		if ch >= 0 && !empty(ch) {
+			t |= 1 << uint(r)
+		}
+	}
+	return t
 }
 
 // NewProgram builds the enumerator directly on a frozen Program, sharing its
@@ -223,29 +276,16 @@ func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value) 
 	return build(p, inputs, nil)
 }
 
-// NewParallel builds the enumerator like New, but computes the initial
-// emptiness of every gate with the level-parallel circuit engine first: a
-// gate's value is non-empty exactly when the circuit, with every input
-// mapped to the truth of "this input is non-empty", evaluates to true at
-// that gate in the boolean semiring (for permanent gates the boolean
-// permanent is the existence of a system of distinct representatives, which
-// is Lemma 39's matchability test).  The sequential metadata pass that
-// follows then skips its per-gate emptiness work.
-//
-// sched is retained for compatibility and only validated (the level schedule
-// is baked into the Program); workers ≤ 0 selects GOMAXPROCS.  inputs is
-// called from multiple goroutines and must be safe for concurrent use.
-func NewParallel(c *circuit.Circuit, inputs func(key structure.WeightKey) Value, sched *circuit.Schedule, workers int) *Enumerator {
-	p := c.Program()
-	if sched != nil && sched.NumGates() != p.NumGates() {
-		panic("enumerate: schedule does not match circuit (was the circuit extended after scheduling?)")
-	}
-	return NewProgramParallel(p, inputs, workers)
-}
-
-// NewProgramParallel builds the enumerator like NewProgram, computing the
-// initial per-gate emptiness with the level-parallel program engine on
-// workers goroutines (≤ 0 selects GOMAXPROCS).
+// NewProgramParallel builds the enumerator like NewProgram, but computes the
+// initial emptiness of every gate with the level-parallel circuit engine first
+// (on workers goroutines; ≤ 0 selects GOMAXPROCS): a gate's value is non-empty
+// exactly when the circuit, with every input mapped to the truth of "this
+// input is non-empty", evaluates to true at that gate in the boolean semiring
+// (for permanent gates the boolean permanent is the existence of a system of
+// distinct representatives, which is Lemma 39's matchability test).  The
+// sequential metadata pass that follows then skips its per-gate emptiness
+// work.  inputs is called from multiple goroutines and must be safe for
+// concurrent use.
 func NewProgramParallel(p *circuit.Program, inputs func(key structure.WeightKey) Value, workers int) *Enumerator {
 	nonempty := circuit.ParallelEvaluateAllProgram[bool](p, semiring.Bool, emptinessValuation(inputs), workers)
 	return build(p, inputs, nonempty)
@@ -293,9 +333,9 @@ func build(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonem
 		perms:      make([]*permGateMeta, n),
 	}
 	e.log.EntryBytes = int64(unsafe.Sizeof(enumUndo{}))
-	e.buckets = make([][]int, p.Depth()+1)
-	e.queued = make([]bool, n)
-	e.changedCh = make([][]int, n)
+	e.wave = circuit.NewWorklist(p)
+	e.refresh = e.refreshWave
+	e.isEmpty = func(gate int) bool { return e.empty[gate] }
 	for id := 0; id < n; id++ {
 		switch p.GateKind(id) {
 		case circuit.KindInput:
@@ -310,21 +350,13 @@ func build(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonem
 		case circuit.KindConst:
 			e.empty[id] = p.ConstIsZero(id)
 		case circuit.KindAdd:
-			children := p.ChildIDs(id)
-			meta := &adderMeta{children: children, index: map[int]int{}, occurrences: map[int][]int{}}
-			allEmpty := true
-			for pos, ch := range children {
+			meta := newAdderMeta(p.ChildIDs(id), e.isEmpty)
+			meta.occurrences = map[int][]int{}
+			for pos, ch := range meta.children {
 				meta.occurrences[int(ch)] = append(meta.occurrences[int(ch)], pos)
-				if !e.empty[ch] {
-					meta.index[pos] = len(meta.positions)
-					meta.positions = append(meta.positions, pos)
-					allEmpty = false
-				} else {
-					meta.index[pos] = -1
-				}
 			}
 			e.adders[id] = meta
-			e.empty[id] = allEmpty
+			e.empty[id] = len(meta.positions) == 0
 		case circuit.KindMul:
 			anyEmpty := false
 			for _, ch := range p.ChildIDs(id) {
@@ -334,41 +366,17 @@ func build(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonem
 			}
 			e.empty[id] = anyEmpty
 		case circuit.KindPerm:
-			rows, cols := p.PermShape(id)
-			meta := &permGateMeta{rows: rows, cols: cols}
-			meta.entry = make([][]int, cols)
-			for col := range meta.entry {
-				meta.entry[col] = make([]int, rows)
-				for r := range meta.entry[col] {
-					meta.entry[col][r] = -1
-				}
-			}
+			meta := newPermGateMeta(p, id, e.isEmpty)
 			meta.colsOfChild = map[int][]int{}
-			p.ForEachPermEntry(id, func(row, col, gate int) {
-				meta.entry[col][row] = gate
+			p.ForEachPermEntry(id, func(_, col, gate int) {
 				meta.colsOfChild[gate] = append(meta.colsOfChild[gate], col)
 			})
-			meta.colType = make([]int, cols)
-			meta.byType = make([][]int, 1<<uint(rows))
-			meta.posInType = make([]int, cols)
-			for col := 0; col < cols; col++ {
-				t := 0
-				for r := 0; r < rows; r++ {
-					ch := meta.entry[col][r]
-					if ch >= 0 && !e.empty[ch] {
-						t |= 1 << uint(r)
-					}
-				}
-				meta.colType[col] = t
-				meta.posInType[col] = len(meta.byType[t])
-				meta.byType[t] = append(meta.byType[t], col)
-			}
 			e.perms[id] = meta
 			if nonempty != nil {
 				// The boolean permanent already decided matchability.
 				e.empty[id] = !nonempty[id]
 			} else {
-				e.empty[id] = !meta.matchable((1<<uint(rows))-1, nil)
+				e.empty[id] = !meta.matchable((1<<uint(meta.rows))-1, nil)
 			}
 		}
 	}
@@ -475,52 +483,33 @@ func (e *Enumerator) assign(key structure.WeightKey, v Value) (stored, flipped b
 		return true, false
 	}
 	e.empty[id] = newEmpty
-	e.seed(id)
+	e.wave.Enlist(id)
 	return true, true
 }
 
-// seed notifies the parents of a gate whose emptiness flipped, queueing them
-// by rank.  An input whose emptiness flips twice within one batch seeds its
-// parents twice; refreshGate's per-child work is idempotent, so the
-// duplicate entries are harmless.
-func (e *Enumerator) seed(g int) {
-	for _, p32 := range e.p.ParentIDs(g) {
-		p := int(p32)
-		e.changedCh[p] = append(e.changedCh[p], g)
-		if !e.queued[p] {
-			e.queued[p] = true
-			r := e.p.Rank(p)
-			e.buckets[r] = append(e.buckets[r], p)
-		}
-	}
-}
-
-// runWave drains the rank buckets in increasing order: children flip before
-// their parents are refreshed, a gate of rank r only ever enqueues gates of
-// strictly larger rank, and every affected gate is refreshed exactly once.
+// runWave drains the worklist seeded by assign: children flip before their
+// parents are refreshed and every affected gate is refreshed exactly once.
 // Each affected gate only revisits the positions of its children that
 // actually flipped emptiness, so the cost per update is bounded by the
-// circuit's fan-out and depth, not by the fan-in of wide gates.  The buckets
-// and changed-children lists are scratch buffers owned by the Enumerator and
-// reused across waves.
-func (e *Enumerator) runWave() {
-	for r := 1; r < len(e.buckets); r++ {
-		bucket := e.buckets[r]
-		for _, g := range bucket {
-			e.queued[g] = false
-			newEmpty := e.refreshGate(g, e.changedCh[g])
-			e.changedCh[g] = e.changedCh[g][:0]
-			if newEmpty == e.empty[g] {
-				continue
-			}
-			if e.log.Logging() {
-				e.log.Append(enumUndo{gate: int32(g), kind: undoEmpty, oldEmpty: e.empty[g]})
-			}
-			e.empty[g] = newEmpty
-			e.seed(g)
-		}
-		e.buckets[r] = bucket[:0]
+// circuit's fan-out and depth, not by the fan-in of wide gates.  An input
+// whose emptiness flips twice within one batch is enlisted twice;
+// refreshGate's per-child work is idempotent, so the duplicate entries are
+// harmless.
+func (e *Enumerator) runWave() { e.wave.Drain(e.refresh) }
+
+// refreshWave is the wave's per-gate step: refresh g's metadata and, when its
+// emptiness flipped, log the old bit for pinned snapshots and pass the flip
+// on.
+func (e *Enumerator) refreshWave(g int, changed []int) {
+	newEmpty := e.refreshGate(g, changed)
+	if newEmpty == e.empty[g] {
+		return
 	}
+	if e.log.Logging() {
+		e.log.Append(enumUndo{gate: int32(g), kind: undoEmpty, oldEmpty: e.empty[g]})
+	}
+	e.empty[g] = newEmpty
+	e.wave.Enlist(g)
 }
 
 // refreshGate recomputes the metadata of gate g given the children whose
@@ -565,13 +554,7 @@ func (e *Enumerator) refreshGate(g int, changedChildren []int) bool {
 		// rather than tracked in a per-call set.
 		for _, ch := range changedChildren {
 			for _, col := range meta.colsOfChild[ch] {
-				t := 0
-				for r := 0; r < meta.rows; r++ {
-					cch := meta.entry[col][r]
-					if cch >= 0 && !e.empty[cch] {
-						t |= 1 << uint(r)
-					}
-				}
+				t := meta.columnType(col, e.isEmpty)
 				if t == meta.colType[col] {
 					continue
 				}
@@ -964,59 +947,4 @@ func (c *permCursor) isUsed(col int) bool {
 		}
 	}
 	return false
-}
-
-// ---------------------------------------------------------------------------
-// Cross-checking helpers
-// ---------------------------------------------------------------------------
-
-// EvaluateExplicit evaluates the circuit in the explicit free semiring under
-// the same inputs; intended for differential testing on small instances.
-func EvaluateExplicit(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) *provenance.Poly {
-	val := func(key structure.WeightKey) (*provenance.Poly, bool) {
-		if inputs == nil {
-			return nil, false
-		}
-		v := inputs(key)
-		if v == nil {
-			return nil, false
-		}
-		p := provenance.NewPoly()
-		cur := v.Cursor()
-		for {
-			m, ok := cur.Next()
-			if !ok {
-				break
-			}
-			p.AddMonomial(m, 1)
-		}
-		return p, true
-	}
-	return circuit.Evaluate[*provenance.Poly](c, provenance.Free, val)
-}
-
-// CountMonomials evaluates the circuit in ℕ under the homomorphism sending
-// every generator to 1: the number of monomials (with multiplicity) of the
-// output value.  It is used to cross-check enumeration completeness.
-func CountMonomials(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) int64 {
-	val := func(key structure.WeightKey) (int64, bool) {
-		if inputs == nil {
-			return 0, false
-		}
-		v := inputs(key)
-		if v == nil || v.Empty() {
-			return 0, false
-		}
-		count := int64(0)
-		cur := v.Cursor()
-		for {
-			_, ok := cur.Next()
-			if !ok {
-				break
-			}
-			count++
-		}
-		return count, true
-	}
-	return circuit.Evaluate[int64](c, semiring.Nat, val)
 }

@@ -67,10 +67,10 @@ func TestEnumeratorRejectsNonTopologicalCircuits(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Errorf("New accepted a non-topological circuit")
+			t.Errorf("NewProgram accepted a non-topological circuit")
 		}
 	}()
-	New(c, nil)
+	NewProgram(c.Program(), nil)
 }
 
 // TestAnswersApplyBatch drives random batches of Gaifman-preserving updates

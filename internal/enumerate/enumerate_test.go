@@ -10,6 +10,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logic"
 	"repro/internal/provenance"
+	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
@@ -51,22 +52,74 @@ func equalStringSlices(a, b []string) bool {
 	return true
 }
 
+// evaluateExplicit evaluates the circuit's Program in the explicit free
+// semiring under the same inputs: the differential oracle of the cursors on
+// small instances.
+func evaluateExplicit(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) *provenance.Poly {
+	val := func(key structure.WeightKey) (*provenance.Poly, bool) {
+		if inputs == nil {
+			return nil, false
+		}
+		v := inputs(key)
+		if v == nil {
+			return nil, false
+		}
+		p := provenance.NewPoly()
+		cur := v.Cursor()
+		for {
+			m, ok := cur.Next()
+			if !ok {
+				break
+			}
+			p.AddMonomial(m, 1)
+		}
+		return p, true
+	}
+	return circuit.EvaluateProgram[*provenance.Poly](c.Program(), provenance.Free, val)
+}
+
+// countMonomials evaluates the circuit's Program in ℕ under the homomorphism
+// sending every generator to 1: the number of monomials (with multiplicity)
+// of the output value, cross-checking enumeration completeness.
+func countMonomials(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) int64 {
+	val := func(key structure.WeightKey) (int64, bool) {
+		if inputs == nil {
+			return 0, false
+		}
+		v := inputs(key)
+		if v == nil || v.Empty() {
+			return 0, false
+		}
+		count := int64(0)
+		cur := v.Cursor()
+		for {
+			_, ok := cur.Next()
+			if !ok {
+				break
+			}
+			count++
+		}
+		return count, true
+	}
+	return circuit.EvaluateProgram[int64](c.Program(), semiring.Nat, val)
+}
+
 // checkEnumeratorAgainstExplicit builds both the iterator-based enumerator
 // and the explicit free-semiring evaluation of a circuit and compares the
 // resulting multisets of monomials.
 func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(structure.WeightKey) Value) {
 	t.Helper()
-	e := New(c, inputs)
+	e := NewProgram(c.Program(), inputs)
 	got := monomialMultiset(e.CollectAll(0))
-	want := polyMultiset(EvaluateExplicit(c, inputs))
+	want := polyMultiset(evaluateExplicit(c, inputs))
 	if !equalStringSlices(got, want) {
 		t.Fatalf("enumerator and explicit evaluation disagree:\n got %v\nwant %v", got, want)
 	}
 	if e.Empty() != (len(want) == 0) {
 		t.Fatalf("Empty() = %v but %d monomials expected", e.Empty(), len(want))
 	}
-	if count := CountMonomials(c, inputs); count != int64(len(want)) {
-		t.Fatalf("CountMonomials = %d, want %d", count, len(want))
+	if count := countMonomials(c, inputs); count != int64(len(want)) {
+		t.Fatalf("countMonomials = %d, want %d", count, len(want))
 	}
 }
 
@@ -390,11 +443,11 @@ func TestProvenanceOfTriangles(t *testing.T) {
 		}
 		return Gen(provenance.Generator("e" + k.Tuple))
 	}
-	e := New(res.Circuit, inputs)
+	e := NewProgram(res.Program, inputs)
 	got := monomialMultiset(e.CollectAll(0))
 	// The graph has two directed triangles 0→1→2→0 and 0→1→3→0; each is
 	// counted three times (once per starting vertex).
-	want := polyMultiset(EvaluateExplicit(res.Circuit, inputs))
+	want := polyMultiset(evaluateExplicit(res.Circuit, inputs))
 	if !equalStringSlices(got, want) {
 		t.Fatalf("triangle provenance mismatch:\n got %v\nwant %v", got, want)
 	}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestNewParallelMatchesNew checks that the level-parallel emptiness pass
+// TestNewProgramParallelMatchesSequential checks that the level-parallel emptiness pass
 // produces an enumerator indistinguishable from the sequential one: same
 // per-gate emptiness and the same multiset of enumerated monomials.
-func TestNewParallelMatchesNew(t *testing.T) {
+func TestNewProgramParallelMatchesSequential(t *testing.T) {
 	db := workload.Grid(12, 12, 3)
 	phi := parser.MustParseFormula("E(x,y) & E(y,z) & !(x = z)")
 	vars := []string{"x", "y", "z"}
@@ -20,14 +20,14 @@ func TestNewParallelMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnumerateAnswers: %v", err)
 	}
-	c := seq.Result().Circuit
+	p := seq.Result().Program
 	want := monomialMultiset(seq.enum.CollectAll(0))
 
-	// Gate-level comparison must reuse one compiled circuit: recompiling can
+	// Gate-level comparison must reuse one compiled program: recompiling can
 	// legitimately produce a different (equivalent) circuit.
 	for _, workers := range []int{0, 2, 4} {
-		par := NewParallel(c, seq.inputValue, seq.Result().Schedule, workers)
-		for id := 0; id < c.NumGates(); id++ {
+		par := NewProgramParallel(p, seq.inputValue, workers)
+		for id := 0; id < p.NumGates(); id++ {
 			if seq.enum.GateEmpty(id) != par.GateEmpty(id) {
 				t.Fatalf("workers=%d: gate %d emptiness differs (seq %v, par %v)",
 					workers, id, seq.enum.GateEmpty(id), par.GateEmpty(id))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/circuit/circuittest"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
@@ -47,8 +48,8 @@ func randomEnumCircuit(r *rand.Rand, nInputs, extraGates int) *circuit.Circuit {
 
 // TestEnumeratorEmptinessMatchesLegacyBoolean is the Program-equivalence
 // property for the enumeration engine: on random circuits under random
-// update sequences, every gate's emptiness flag must equal the legacy-layout
-// boolean evaluation of "this gate's free-semiring value is non-zero"
+// update sequences, every gate's emptiness flag must equal the reference
+// walk's boolean evaluation of "this gate's free-semiring value is non-zero"
 // (emptiness is the complement of the boolean semantics, with the boolean
 // permanent deciding matchability exactly as Lemma 39 does).
 func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
@@ -73,12 +74,12 @@ func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
 		}
 
 		// Sequential and parallel preprocessing agree with each other and
-		// with the legacy layout, then stay in agreement across updates.
-		seq := New(c, inputs)
+		// with the reference walk, then stay in agreement across updates.
+		seq := NewProgram(c.Program(), inputs)
 		par := NewProgramParallel(c.Program(), inputs, 3)
 		check := func(step int) {
 			t.Helper()
-			want := circuit.LegacyEvaluateAll[bool](c, semiring.Bool, boolVal)
+			want := circuittest.EvaluateAll[bool](c, semiring.Bool, boolVal)
 			for id := range want {
 				if seq.GateEmpty(id) != !want[id] {
 					t.Fatalf("round %d step %d: gate %d sequential emptiness %v, legacy boolean %v",

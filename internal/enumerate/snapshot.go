@@ -156,61 +156,28 @@ func (s *Snapshot) gateCursor(id int) Cursor {
 	}
 }
 
-// adderLocked derives (and memoises) the non-empty positions of an addition
-// gate at the pinned epoch.  Only the fields the cursor reads are populated;
-// the incremental index/occurrence maps of the live metadata stay with the
-// writer.  Caller holds at least the shared lock with the digest extended.
+// adderLocked derives (and memoises) the metadata of an addition gate at the
+// pinned epoch, with the writer's constructor under the snapshot's emptiness
+// view.  Caller holds at least the shared lock with the digest extended.
 func (s *Snapshot) adderLocked(id int) *adderMeta {
-	if m, ok := s.adders[id]; ok {
-		return m
+	m, ok := s.adders[id]
+	if !ok {
+		m = newAdderMeta(s.e.p.ChildIDs(id), s.emptyLocked)
+		s.adders[id] = m
 	}
-	children := s.e.p.ChildIDs(id)
-	meta := &adderMeta{children: children}
-	for pos, ch := range children {
-		if !s.emptyLocked(int(ch)) {
-			meta.positions = append(meta.positions, pos)
-		}
-	}
-	s.adders[id] = meta
-	return meta
+	return m
 }
 
 // permLocked derives (and memoises) the Lemma 39 column-type bookkeeping of
-// a permanent gate at the pinned epoch.  Caller holds at least the shared
-// lock with the digest extended.
+// a permanent gate at the pinned epoch, likewise.  Caller holds at least the
+// shared lock with the digest extended.
 func (s *Snapshot) permLocked(id int) *permGateMeta {
-	if m, ok := s.perms[id]; ok {
-		return m
+	m, ok := s.perms[id]
+	if !ok {
+		m = newPermGateMeta(s.e.p, id, s.emptyLocked)
+		s.perms[id] = m
 	}
-	rows, cols := s.e.p.PermShape(id)
-	meta := &permGateMeta{rows: rows, cols: cols}
-	meta.entry = make([][]int, cols)
-	for col := range meta.entry {
-		meta.entry[col] = make([]int, rows)
-		for r := range meta.entry[col] {
-			meta.entry[col][r] = -1
-		}
-	}
-	s.e.p.ForEachPermEntry(id, func(row, col, gate int) {
-		meta.entry[col][row] = gate
-	})
-	meta.colType = make([]int, cols)
-	meta.byType = make([][]int, 1<<uint(rows))
-	meta.posInType = make([]int, cols)
-	for col := 0; col < cols; col++ {
-		t := 0
-		for r := 0; r < rows; r++ {
-			ch := meta.entry[col][r]
-			if ch >= 0 && !s.emptyLocked(ch) {
-				t |= 1 << uint(r)
-			}
-		}
-		meta.colType[col] = t
-		meta.posInType[col] = len(meta.byType[t])
-		meta.byType[t] = append(meta.byType[t], col)
-	}
-	s.perms[id] = meta
-	return meta
+	return m
 }
 
 // ---------------------------------------------------------------------------

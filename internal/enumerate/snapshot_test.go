@@ -43,13 +43,13 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		key("d", 0): Zero(), key("e", 0): One(),
 	}
 	lookup := func(k structure.WeightKey) Value { return inputs[k] }
-	e := New(c, lookup)
+	e := NewProgram(c.Program(), lookup)
 
 	type pinned struct {
 		snap *Snapshot
 		want []string // monomial multiset at the pinned epoch
 	}
-	explicit := func() []string { return polyMultiset(EvaluateExplicit(c, lookup)) }
+	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
 
 	pins := []pinned{{e.Snapshot(), explicit()}}
 	r := rand.New(rand.NewSource(31))
@@ -92,6 +92,73 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 	}
 	if got := e.RetainedUndoBytes(); got != 0 {
 		t.Errorf("retained undo bytes %d after all snapshots released, want 0", got)
+	}
+}
+
+// TestSnapshotPermCursorAfterColumnFlip opens a snapshot's first cursor over
+// a permanent gate only after the writer has flipped one of the gate's
+// columns, and a second one after a further flip: the snapshot derives its
+// column types from the pinned emptiness bits (through the undo digest) with
+// the same constructor the writer's metadata came from, memoises them, and
+// must keep streaming the pinned epoch while the live refreshGate moves
+// columns between the type lists.
+func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
+	const rows, cols = 2, 3
+	c := circuit.NewBuilder()
+	inputs := map[structure.WeightKey]Value{}
+	var entries []circuit.PermEntry
+	for row := 0; row < rows; row++ {
+		for col := 0; col < cols; col++ {
+			k := key("m", row, col)
+			inputs[k] = Gen(provenance.Generator(fmt.Sprintf("r%dc%d", row, col)))
+			entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input(k)})
+		}
+	}
+	c.SetOutput(c.Perm(rows, cols, entries))
+	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	e := NewProgram(c.Program(), lookup)
+	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
+	drain := func(cur Cursor) []string {
+		var got []provenance.Monomial
+		for m, ok := cur.Next(); ok; m, ok = cur.Next() {
+			got = append(got, m)
+		}
+		return monomialMultiset(got)
+	}
+	set := func(k structure.WeightKey, v Value) {
+		inputs[k] = v
+		e.SetInput(k, v)
+	}
+
+	pinned := explicit()
+	if len(pinned) != cols*(cols-1) {
+		t.Fatalf("full %d×%d permanent has %d monomials, want %d", rows, cols, len(pinned), cols*(cols-1))
+	}
+	snap := e.Snapshot()
+	defer snap.Release()
+
+	// Column 1 goes from type {0,1} to the empty type.
+	set(key("m", 0, 1), Zero())
+	set(key("m", 1, 1), Zero())
+	if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+		t.Errorf("snapshot cursor opened after the flip enumerates %v, want the pinned %v", got, pinned)
+	}
+	if got := drain(e.Cursor()); !equalStringSlices(got, explicit()) || len(got) == len(pinned) {
+		t.Errorf("live cursor after the flip enumerates %v, want %v", got, explicit())
+	}
+
+	// Column 2 loses row 0; the memoised snapshot metadata must not follow.
+	set(key("m", 0, 2), Zero())
+	if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+		t.Errorf("second snapshot cursor enumerates %v, want the pinned %v", got, pinned)
+	}
+	if got := drain(e.Cursor()); !equalStringSlices(got, explicit()) {
+		t.Errorf("live cursor after the second flip enumerates %v, want %v", got, explicit())
+	}
+	late := e.Snapshot()
+	defer late.Release()
+	if got := drain(late.Cursor()); !equalStringSlices(got, explicit()) {
+		t.Errorf("snapshot pinned after the flips enumerates %v, want %v", got, explicit())
 	}
 }
 

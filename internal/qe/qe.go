@@ -15,8 +15,7 @@
 // the structure, keeping the Gaifman graph unchanged.
 //
 // Formulas outside the fragment are rejected with a descriptive error
-// rather than silently mis-evaluated; see DESIGN.md §3 for the substitution
-// rationale.
+// rather than silently mis-evaluated.
 package qe
 
 import (
@@ -217,7 +216,7 @@ func (e *eliminator) eliminateExists(y string, psi logic.Formula) (logic.Formula
 				guard = v
 			} else if guard != v {
 				return nil, failf(y, parser.FormatFormula(psi),
-					fmt.Sprintf("∃%s is not guarded: atoms link %s to both %s and %s (outside the supported fragment, see DESIGN.md §3)", y, y, guard, v))
+					fmt.Sprintf("∃%s is not guarded: atoms link %s to both %s and %s ; the supported fragment guards ∃%s by atoms linking %s to a single other variable", y, y, guard, v, y, y))
 			}
 		}
 	}
@@ -239,7 +238,7 @@ func (e *eliminator) eliminateExists(y string, psi logic.Formula) (logic.Formula
 	for _, v := range others {
 		if v != guard {
 			return nil, failf(y, parser.FormatFormula(psi),
-				fmt.Sprintf("∃%s ψ has free variables %v besides the guard %s (outside the supported fragment, see DESIGN.md §3)", y, others, guard))
+				fmt.Sprintf("∃%s ψ has free variables %v besides the guard %s ; the supported fragment guards ∃%s by atoms linking %s to a single other variable, the only one ψ may mention", y, others, guard, y, y))
 		}
 	}
 	// Materialise the derived predicate P(guard) ≡ ∃y ψ(guard, y) by

@@ -2,6 +2,7 @@ package qe
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -130,8 +131,15 @@ func TestEliminateRejectsUnsupported(t *testing.T) {
 		logic.Ex([]string{"y"}, logic.Conj(logic.R("E", "x", "y"), logic.R("S", "z"))),
 	}
 	for _, f := range unsupported {
-		if _, err := Eliminate(a, f, nil); err == nil {
+		_, err := Eliminate(a, f, nil)
+		if err == nil {
 			t.Errorf("Eliminate(%s) should have been rejected", f)
+			continue
+		}
+		// The message states the fragment itself; it must not send the user
+		// to a document.
+		if msg := err.Error(); !strings.Contains(msg, "single other variable") || strings.Contains(msg, ".md") {
+			t.Errorf("Eliminate(%s): error %q should state the supported fragment inline and name no .md file", f, msg)
 		}
 	}
 	// Dynamic relations under a quantifier are rejected.

@@ -1,5 +1,5 @@
 // Package workload generates the synthetic sparse databases used by the
-// examples, the benchmark harness and the experiments in EXPERIMENTS.md.
+// examples and the benchmark harness.
 //
 // The generators produce exactly the graph classes the paper names as
 // canonical bounded-expansion classes: bounded-degree random graphs, planar
