@@ -4,6 +4,7 @@
 // Usage:
 //
 //	aggbench [-quick] [-markdown] [-only E2,E5] [-workers 4]
+//	aggbench -check E16,E19     (or -check all: the pass/fail gates CI runs)
 //
 // With -workers > 1 the experiments of the sweep run concurrently; use the
 // default of 1 when the absolute timings inside the tables matter.
@@ -23,57 +24,35 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit Markdown tables")
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E1,E5); empty runs all")
 	workers := flag.Int("workers", 1, "experiments run concurrently on this many goroutines (0 = GOMAXPROCS; >1 skews timings)")
-	e16check := flag.Bool("e16check", false, "run the E16 re-platformed nested/localsearch comparison as a pass/fail smoke check and exit")
-	e17check := flag.Bool("e17check", false, "run the E17 instrumentation-overhead comparison as a pass/fail smoke check and exit")
-	e18check := flag.Bool("e18check", false, "run the E18 snapshot-reads-under-writes comparison as a pass/fail smoke check and exit")
-	e19check := flag.Bool("e19check", false, "run the E19 fleet scale-out comparison as a pass/fail smoke check and exit")
-	e20check := flag.Bool("e20check", false, "run the E20 live-push/ingest comparison as a pass/fail smoke check and exit")
+	check := flag.String("check", "", "run the pass/fail gates of these experiments (e.g. E16,E19, or all for every experiment that has one) and exit")
 	flag.Parse()
 
-	if *e16check {
-		if err := bench.E16Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(1)
+	if *check != "" {
+		wanted := idSet(*check)
+		all := wanted["ALL"]
+		delete(wanted, "ALL")
+		failed := false
+		for _, e := range bench.Registry(*quick) {
+			if e.Check == nil || !(all || wanted[e.ID]) {
+				continue
+			}
+			delete(wanted, e.ID)
+			if err := e.Check(); err != nil {
+				fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
+				failed = true
+			}
 		}
-		return
-	}
-	if *e17check {
-		if err := bench.E17Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(1)
+		for id := range wanted {
+			fmt.Fprintf(os.Stderr, "aggbench: -check: experiment %s does not exist or has no gate\n", id)
+			failed = true
 		}
-		return
-	}
-	if *e18check {
-		if err := bench.E18Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *e19check {
-		if err := bench.E19Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *e20check {
-		if err := bench.E20Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: %v\n", err)
+		if failed {
 			os.Exit(1)
 		}
 		return
 	}
 
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		id = strings.TrimSpace(id)
-		if id != "" {
-			wanted[strings.ToUpper(id)] = true
-		}
-	}
-
+	wanted := idSet(*only)
 	var selected []bench.Experiment
 	for _, e := range bench.Registry(*quick) {
 		if len(wanted) > 0 && !wanted[e.ID] {
@@ -102,4 +81,15 @@ func main() {
 	for _, t := range bench.RunExperiments(selected, *workers) {
 		print(t)
 	}
+}
+
+// idSet parses a comma-separated list of experiment ids, upper-cased.
+func idSet(list string) map[string]bool {
+	ids := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids[strings.ToUpper(id)] = true
+		}
+	}
+	return ids
 }

@@ -174,7 +174,7 @@ func main() {
 		"semirings", agg.SemiringNames(),
 		"goVersion", goVersion,
 		"revision", revision)
-	serve(log, httpSrv)
+	serve(log, httpSrv, srv.Close)
 }
 
 // newHTTPServer builds a listener with the slow-client timeouts every
@@ -193,8 +193,10 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 // serve runs the server until it fails or a SIGINT/SIGTERM triggers a
-// graceful shutdown.
-func serve(log *slog.Logger, httpSrv *http.Server) {
+// graceful shutdown.  release runs first: it ends what would otherwise keep
+// connections open for the whole shutdown grace period (a replica's
+// /subscribe streams end when their sessions close).
+func serve(log *slog.Logger, httpSrv *http.Server, release func()) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -208,6 +210,7 @@ func serve(log *slog.Logger, httpSrv *http.Server) {
 		}
 	case <-ctx.Done():
 		log.Info("shutting down")
+		release()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -236,7 +239,6 @@ func runRouter(log *slog.Logger, listen, route string, healthInterval time.Durat
 		log.Error("router", "err", err)
 		os.Exit(1)
 	}
-	defer rt.Close()
 	log.Info("aggserve routing", "addr", listen, "replicas", replicas)
-	serve(log, newHTTPServer(listen, rt.Handler()))
+	serve(log, newHTTPServer(listen, rt.Handler()), rt.Close)
 }

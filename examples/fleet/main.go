@@ -76,7 +76,7 @@ func main() {
 	fmt.Println()
 	for i := 0; i < 3; i++ {
 		fmt.Printf("  replica %d: %d compiles, %d cache hits\n",
-			i, f.Replica(i).Stats().Compiles.Load(), f.Replica(i).Stats().CacheHits.Load())
+			i, f.Replica(i).StatsSnapshot().Compiles, f.Replica(i).StatsSnapshot().CacheHits)
 	}
 
 	// --- Sticky sessions ---------------------------------------------------

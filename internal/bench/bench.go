@@ -744,6 +744,9 @@ func E11ParallelEvaluation(sizes []int, workers int) *Table {
 type Experiment struct {
 	ID  string
 	Run func() *Table
+	// Check, when set, runs the experiment as a pass/fail gate with its own
+	// fixed sizes and thresholds (aggbench -check, used by CI).
+	Check func() error
 }
 
 // Registry lists every experiment with its default parameters.
@@ -770,35 +773,35 @@ func Registry(quick bool) []Experiment {
 		e16Nested, e16Search = []int{500, 1000}, []int{20000}
 	}
 	return []Experiment{
-		{"E1", func() *Table { return E1CircuitCompilation(sizes) }},
-		{"E2", func() *Table { return E2WeightedTriangles(sizes, naiveCap) }},
-		{"E3", func() *Table { return E3Permanent(permCols) }},
-		{"E4", func() *Table { return E4DynamicUpdates(small) }},
-		{"E5", func() *Table { return E5Enumeration(sizes) }},
-		{"E6", func() *Table { return E6PageRank(small) }},
-		{"E7", func() *Table { return E7NestedQuery(small) }},
-		{"E8", func() *Table { return E8LocalSearch(sizes) }},
-		{"E9", func() *Table { return E9Coloring(small) }},
-		{"E10", func() *Table { return E10ProvenancePermanent(permCols) }},
-		{"E11", func() *Table { return E11ParallelEvaluation(sizes, 0) }},
-		{"E12", func() *Table { return E12ServingThroughput(small, 8) }},
-		{"E13", func() *Table { return E13BatchedUpdates(small, 10000, 1024, 64) }},
-		{"E15", func() *Table { return E15FacadeOverhead(small, 10) }},
-		{"E16", func() *Table { return E16Replatform(e16Nested, e16Search) }},
-		{"E17", func() *Table { return E17InstrumentationOverhead(small, 10) }},
-		{"E18", func() *Table { return E18SnapshotReads(small, 10000) }},
-		{"E19", func() *Table {
+		{ID: "E1", Run: func() *Table { return E1CircuitCompilation(sizes) }},
+		{ID: "E2", Run: func() *Table { return E2WeightedTriangles(sizes, naiveCap) }},
+		{ID: "E3", Run: func() *Table { return E3Permanent(permCols) }},
+		{ID: "E4", Run: func() *Table { return E4DynamicUpdates(small) }},
+		{ID: "E5", Run: func() *Table { return E5Enumeration(sizes) }},
+		{ID: "E6", Run: func() *Table { return E6PageRank(small) }},
+		{ID: "E7", Run: func() *Table { return E7NestedQuery(small) }},
+		{ID: "E8", Run: func() *Table { return E8LocalSearch(sizes) }},
+		{ID: "E9", Run: func() *Table { return E9Coloring(small) }},
+		{ID: "E10", Run: func() *Table { return E10ProvenancePermanent(permCols) }},
+		{ID: "E11", Run: func() *Table { return E11ParallelEvaluation(sizes, 0) }},
+		{ID: "E12", Run: func() *Table { return E12ServingThroughput(small, 8) }},
+		{ID: "E13", Run: func() *Table { return E13BatchedUpdates(small, 10000, 1024, 64) }},
+		{ID: "E15", Run: func() *Table { return E15FacadeOverhead(small, 10) }},
+		{ID: "E16", Run: func() *Table { return E16Replatform(e16Nested, e16Search) }, Check: e16Check},
+		{ID: "E17", Run: func() *Table { return E17InstrumentationOverhead(small, 10) }, Check: e17Check},
+		{ID: "E18", Run: func() *Table { return E18SnapshotReads(small, 10000) }, Check: e18Check},
+		{ID: "E19", Run: func() *Table {
 			if quick {
 				return E19FleetScaling(500, 24, 12, 8, 32)
 			}
 			return E19FleetScaling(800, 32, 12, 8, 48)
-		}},
-		{"E20", func() *Table {
+		}, Check: e19Check},
+		{ID: "E20", Run: func() *Table {
 			if quick {
 				return E20LivePush(small[:1], 1000, 4000)
 			}
 			return E20LivePush(small, 2000, 10000)
-		}},
+		}, Check: e20Check},
 	}
 }
 

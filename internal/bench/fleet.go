@@ -105,8 +105,8 @@ func e19Run(db *workload.Database, replicas, distinct, cacheSize, clients, perCl
 
 	var hits0, misses0 int64
 	for i := 0; i < replicas; i++ {
-		hits0 += f.Replica(i).Stats().CacheHits.Load()
-		misses0 += f.Replica(i).Stats().CacheMisses.Load()
+		hits0 += f.Replica(i).StatsSnapshot().CacheHits
+		misses0 += f.Replica(i).StatsSnapshot().CacheMisses
 	}
 
 	lats := make([][]time.Duration, clients)
@@ -138,8 +138,8 @@ func e19Run(db *workload.Database, replicas, distinct, cacheSize, clients, perCl
 	res.p50 = e19Percentile(all, 50)
 	res.p99 = e19Percentile(all, 99)
 	for i := 0; i < replicas; i++ {
-		res.hits += f.Replica(i).Stats().CacheHits.Load()
-		res.misses += f.Replica(i).Stats().CacheMisses.Load()
+		res.hits += f.Replica(i).StatsSnapshot().CacheHits
+		res.misses += f.Replica(i).StatsSnapshot().CacheMisses
 	}
 	res.hits -= hits0
 	res.misses -= misses0
@@ -214,13 +214,13 @@ func E19FleetScaling(n, distinct, cacheSize, clients, perClient int) *Table {
 	return t
 }
 
-// E19Check runs the scale-out comparison as a pass/fail smoke check (used
+// e19Check runs the scale-out comparison as a pass/fail smoke check (used
 // by CI): 4 replicas must deliver ≥2.5× the aggregate req/s of 1 replica on
 // the cache-thrashing working set with p99 no worse, and the router hop
 // must add ≤1ms to the p50 of a cached query.  Timing attempts are
 // re-measured up to two more times so co-tenant noise cannot red-light an
 // unrelated change.
-func E19Check() error {
+func e19Check() error {
 	const (
 		n, distinct, cacheSize = 500, 24, 12
 		clients, perClient     = 8, 36

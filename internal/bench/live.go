@@ -412,13 +412,13 @@ func E20LivePush(sizes []int, updates, changes int) *Table {
 	return t
 }
 
-// E20Check runs E20 as a pass/fail smoke check (used by CI): the slow
+// e20Check runs E20 as a pass/fail smoke check (used by CI): the slow
 // client's coalescing ratio must exceed 1, a paced subscriber may cost the
 // writer at most 10% of its zero-subscriber rate, the push p99 must be
 // measured and sane, and streamed ingest must not fall behind batched POSTs
 // by more than 2x (it is usually ahead).  Timing attempts are re-measured up
 // to two more times so co-tenant noise cannot red-light an unrelated change.
-func E20Check() error {
+func e20Check() error {
 	const (
 		writerKeep = 0.90
 		p99Limit   = 250 * time.Millisecond

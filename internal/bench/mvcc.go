@@ -246,7 +246,7 @@ func E18SnapshotReads(sizes []int, updates int) *Table {
 	return t
 }
 
-// E18Check runs the comparison as a pass/fail smoke check (used by CI): the
+// e18Check runs the comparison as a pass/fail smoke check (used by CI): the
 // MVCC write path must keep ≥90% of the plain engine's solo throughput, and
 // the readers' p99 under the sustained write stream must stay near the idle
 // baseline — 1.25× plus a scheduling allowance, since on a small shared
@@ -254,7 +254,7 @@ func E18SnapshotReads(sizes []int, updates int) *Table {
 // read during the write stream must succeed (the measurement panics on any
 // ErrSessionBusy).  Timing attempts are re-measured up to two more times so
 // co-tenant noise cannot red-light an unrelated change.
-func E18Check() error {
+func e18Check() error {
 	const (
 		writerKeep = 0.90
 		p99Margin  = 1.25

@@ -177,14 +177,14 @@ func E17InstrumentationOverhead(sizes []int, reps int) *Table {
 	return t
 }
 
-// E17Check runs the E17 comparison as a pass/fail smoke check (used by CI):
+// e17Check runs the E17 comparison as a pass/fail smoke check (used by CI):
 // the instrumented evaluation and update paths must stay within 3% of the
 // uninstrumented ones, and the no-listener update path must not allocate.
 // The timing gates are tight, so each attempt uses best-of timings on both
 // sides and a failed attempt is re-measured up to two more times before the
 // check red-lights — co-tenant noise on shared CI runners must not fail an
 // unrelated change, but a real regression fails all three attempts.
-func E17Check() error {
+func e17Check() error {
 	const margin = 1.03
 	var m e17Measurements
 	var err error

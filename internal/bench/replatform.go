@@ -177,7 +177,7 @@ func E16Replatform(nestedSizes, searchSizes []int) *Table {
 	return t
 }
 
-// E16Check runs the re-platforming comparison as a pass/fail smoke check
+// e16Check runs the re-platforming comparison as a pass/fail smoke check
 // (used by CI): both Program-core paths must agree with the seed-era results
 // and must not be slower.  The nested gate guards a steady-state advantage of
 // well over 2x (near-linear vs quadratic), so its 10% margin is generous; the
@@ -185,7 +185,7 @@ func E16Replatform(nestedSizes, searchSizes []int) *Table {
 // only coalesces the wave), so that gate asserts parity — best-of-3 minimums
 // with a 15% margin, the convention for sub-second timings on noisy shared
 // runners.
-func E16Check() error {
+func e16Check() error {
 	program, reference, agree := e16NestedMeasure(2000)
 	if !agree {
 		return fmt.Errorf("E16: nested Program-core value disagrees with the reference recursion")

@@ -89,8 +89,8 @@ func E12ServingThroughput(sizes []int, clients int) *Table {
 		})
 		reqPerSec := float64(clients*perClient) / elapsed.Seconds()
 
-		hits := srv.Stats().CacheHits.Load()
-		if compiles := srv.Stats().Compiles.Load(); compiles != 1 {
+		hits := srv.StatsSnapshot().CacheHits
+		if compiles := srv.StatsSnapshot().Compiles; compiles != 1 {
 			panic(fmt.Sprintf("E12: expected exactly 1 compile, saw %d", compiles))
 		}
 		t.Rows = append(t.Rows, []string{

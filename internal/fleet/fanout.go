@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -14,32 +12,20 @@ import (
 	"repro/internal/server"
 )
 
-// fanResult is one replica's answer to a fleet-wide fan-out.
-type fanResult[T any] struct {
-	rep *replica
-	val T
-	err error
-}
-
-// fanOut queries every replica concurrently — the by-id registry / async
-// fan-out / await-all shape — bounding each replica by FanoutTimeout so a
-// dead or slow replica delays the merged answer by at most one timeout and
-// is reported as an error instead of being waited on.
-func fanOut[T any](rt *Router, f func(ctx context.Context, rep *replica) (T, error)) []fanResult[T] {
-	results := make([]fanResult[T], len(rt.replicas))
+// each runs f once per replica, concurrently — the by-id registry / async
+// fan-out / await-all shape — bounding every call by replicaTimeout.
+func (rt *Router) each(f func(ctx context.Context, i int, rep *replica)) {
 	var wg sync.WaitGroup
 	for i, rep := range rt.replicas {
 		wg.Add(1)
-		go func(i int, rep *replica) {
+		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), rt.opts.FanoutTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), replicaTimeout)
 			defer cancel()
-			v, err := f(ctx, rep)
-			results[i] = fanResult[T]{rep: rep, val: v, err: err}
-		}(i, rep)
+			f(ctx, i, rep)
+		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // getJSON fetches path from one replica into v over the shared client.
@@ -102,291 +88,88 @@ func (rt *Router) routerStats() RouterStats {
 	return rs
 }
 
-// FleetStatsSnapshot fans out to every replica's /stats and merges.
-func (rt *Router) FleetStatsSnapshot() FleetStats {
-	out := FleetStats{
-		Replicas: make(map[string]server.StatsSnapshot, len(rt.replicas)),
-		Router:   rt.routerStats(),
-	}
-	results := fanOut(rt, func(ctx context.Context, rep *replica) (server.StatsSnapshot, error) {
-		var snap server.StatsSnapshot
-		err := rt.getJSON(ctx, rep, "/stats", &snap)
-		return snap, err
+// scrape fans out to every replica's raw /metrics.json and merges under the
+// rules the server's metric table declares: counters sum, histograms merge
+// bucket by bucket (a fleet bucket count is exactly the sum of the replica
+// buckets), session epoch maps union (sticky routing keeps session names
+// disjoint across replicas), uptime takes the oldest replica, and the build
+// identity carries over from the first replica reporting one.  Both fleet
+// documents, /stats and /metrics, are views of this one result.
+func (rt *Router) scrape() (merged *server.MetricsSnapshot, replicas map[string]server.StatsSnapshot, failed map[string]string) {
+	snaps := make([]server.MetricsSnapshot, len(rt.replicas))
+	errs := make([]error, len(rt.replicas))
+	rt.each(func(ctx context.Context, i int, rep *replica) {
+		errs[i] = rt.getJSON(ctx, rep, "/metrics.json", &snaps[i])
 	})
-	for _, res := range results {
-		if res.err != nil {
-			if out.ReplicaErrors == nil {
-				out.ReplicaErrors = map[string]string{}
+	merged = &server.MetricsSnapshot{}
+	replicas = make(map[string]server.StatsSnapshot, len(rt.replicas))
+	for i, rep := range rt.replicas {
+		if errs[i] != nil {
+			rep.setErr(errs[i])
+			if failed == nil {
+				failed = map[string]string{}
 			}
-			out.ReplicaErrors[res.rep.id] = res.err.Error()
+			failed[rep.id] = errs[i].Error()
 			continue
 		}
-		out.Replicas[res.rep.id] = res.val
-		mergeStats(&out.Fleet, &res.val)
+		replicas[rep.id] = snaps[i].Stats
+		merged.Merge(&snaps[i])
 	}
-	return out
+	return merged, replicas, failed
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(rt.FleetStatsSnapshot())
+	merged, replicas, failed := rt.scrape()
+	server.WriteJSON(w, FleetStats{Fleet: merged.Stats, Replicas: replicas, ReplicaErrors: failed, Router: rt.routerStats()})
 }
 
-// mergeStats folds one replica's snapshot into the fleet view: counters and
-// byte totals sum, session epoch maps union (sticky routing keeps session
-// names disjoint across replicas), uptime takes the oldest replica, and the
-// build identity carries over from the first replica reporting one.
-func mergeStats(dst, src *server.StatsSnapshot) {
-	dst.Queries += src.Queries
-	dst.Points += src.Points
-	dst.Updates += src.Updates
-	dst.UpdateBatches += src.UpdateBatches
-	dst.Batches += src.Batches
-	dst.BatchedUpdates += src.BatchedUpdates
-	dst.Enumerations += src.Enumerations
-	dst.Analyzes += src.Analyzes
-	dst.Sessions += src.Sessions
-	dst.Subscriptions += src.Subscriptions
-	dst.Subscribers += src.Subscribers
-	dst.Pushes += src.Pushes
-	dst.PushCoalesced += src.PushCoalesced
-	dst.Ingests += src.Ingests
-	dst.IngestWaves += src.IngestWaves
-	dst.IngestedChanges += src.IngestedChanges
-	dst.Compiles += src.Compiles
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.CompileMillis += src.CompileMillis
-	dst.EvalMillis += src.EvalMillis
-	dst.InFlight += src.InFlight
-	dst.Errors += src.Errors
-	dst.Canceled += src.Canceled
-	dst.Busy += src.Busy
-	dst.CachedQueries += src.CachedQueries
-	dst.Databases += src.Databases
-	dst.CacheBytes += src.CacheBytes
-	dst.CacheEntryBytes = append(dst.CacheEntryBytes, src.CacheEntryBytes...)
-	dst.SessionRetainedUndoBytes += src.SessionRetainedUndoBytes
-	if len(src.SessionEpochs) > 0 && dst.SessionEpochs == nil {
-		dst.SessionEpochs = map[string]uint64{}
-	}
-	for name, epoch := range src.SessionEpochs {
-		dst.SessionEpochs[name] = epoch
-	}
-	if src.UptimeSeconds > dst.UptimeSeconds {
-		dst.UptimeSeconds = src.UptimeSeconds
-		dst.StartTime = src.StartTime
-	}
-	if dst.GoVersion == "" {
-		dst.GoVersion = src.GoVersion
-	}
-	if dst.Revision == "" {
-		dst.Revision = src.Revision
-	}
+// routerMetrics declares the router's own scalars: RouterStats plus the
+// number of replicas that failed to report to the scrape being answered.
+var routerMetrics = []obs.Metric{
+	{Field: "Replicas", Family: "aggfleet_replicas", Help: "Replicas configured on the ring.", Kind: "gauge"},
+	{Field: "Live", Family: "aggfleet_replicas_live", Help: "Replicas currently marked up.", Kind: "gauge"},
+	{Field: "UptimeSeconds", Family: "aggfleet_uptime_seconds", Help: "Seconds since the router started.", Kind: "gauge"},
+	{Field: "ScrapeFailures", Family: "aggfleet_scrape_failures", Help: "Replicas that failed to report to this scrape.", Kind: "gauge"},
+	{Field: "Reroutes", Family: "aggfleet_reroutes_total", Help: "Requests rerouted to another replica after a failed exchange that was safe to repeat.", Kind: "counter"},
+	{Field: "Unavailable", Family: "aggfleet_unavailable_total", Help: "Requests answered 503: no live replica for the key.", Kind: "counter"},
+	{Field: "GatewayErrors", Family: "aggfleet_gateway_errors_total", Help: "Requests answered 502: replica unreachable mid-exchange.", Kind: "counter"},
 }
 
-// ---------------------------------------------------------------------------
-// Fleet-wide /metrics
-// ---------------------------------------------------------------------------
-
-// FleetMetricsSnapshot fans out to every replica's raw /metrics.json and
-// merges: counters sum and histograms merge bucket-by-bucket, so a fleet
-// histogram's every bucket count equals the sum of the corresponding
-// per-replica buckets.  The int result counts replicas that failed to
-// report.
-func (rt *Router) FleetMetricsSnapshot() (*server.MetricsSnapshot, int) {
-	merged := &server.MetricsSnapshot{
-		Requests: map[string]obs.Snapshot{},
-		Stages:   map[string]obs.Snapshot{},
-	}
-	failed := 0
-	results := fanOut(rt, func(ctx context.Context, rep *replica) (*server.MetricsSnapshot, error) {
-		var snap server.MetricsSnapshot
-		err := rt.getJSON(ctx, rep, "/metrics.json", &snap)
-		return &snap, err
-	})
-	for _, res := range results {
-		if res.err != nil {
-			res.rep.setErr(res.err)
-			failed++
-			continue
-		}
-		mergeStats(&merged.Stats, &res.val.Stats)
-		merged.Push.Merge(&res.val.Push)
-		for ep, snap := range res.val.Requests {
-			have := merged.Requests[ep]
-			have.Merge(&snap)
-			merged.Requests[ep] = have
-		}
-		for st, snap := range res.val.Stages {
-			have := merged.Stages[st]
-			have.Merge(&snap)
-			merged.Stages[st] = have
-		}
-	}
-	return merged, failed
+// replicaMetrics declares the per-replica families over ReplicaState, one
+// sample per replica.
+var replicaMetrics = []obs.Metric{
+	{Field: "Up", Family: "aggfleet_replica_up", Help: "Replica liveness as seen by the router (1 up, 0 down).", Kind: "gauge"},
+	{Field: "Proxied", Family: "aggfleet_replica_proxied_total", Help: "Requests proxied to each replica.", Kind: "counter"},
+	{Field: "ProbeFailures", Family: "aggfleet_replica_probe_failures_total", Help: "Failed health probes per replica.", Kind: "counter"},
+	{Field: "Sessions", Family: "aggfleet_replica_sessions", Help: "Sessions registered on each replica (last readiness probe).", Kind: "gauge"},
+	{Field: "CacheEntries", Family: "aggfleet_replica_cache_entries", Help: "Compiled queries cached on each replica (last readiness probe).", Kind: "gauge"},
 }
 
-// handleMetrics serves the fleet-wide Prometheus exposition: the aggserve_*
-// families re-emitted from the merged replica snapshots (histograms are the
-// exact bucket sums), plus aggfleet_* families describing the router itself
-// — per-replica liveness and gauges, reroute and error counters, and the
-// router-side request latency per endpoint.
+// handleMetrics serves the fleet-wide Prometheus exposition: the replicas'
+// own families written from the merged snapshot, plus the aggfleet_*
+// families describing the router itself — reroute and error counters,
+// per-replica liveness and gauges, and the router-side request latency per
+// endpoint.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	merged, failed := rt.FleetMetricsSnapshot()
-	var buf bytes.Buffer
-	pw := obs.NewWriter(&buf)
+	merged, _, failed := rt.scrape()
+	server.ServeMetrics(w, func(pw *obs.Writer) {
+		merged.WritePrometheus(pw, obs.FleetWide)
 
-	st := &merged.Stats
-	pw.Header("aggserve_requests_total", "Requests completed successfully, by endpoint (fleet-wide).", "counter")
-	for _, c := range []struct {
-		endpoint string
-		v        int64
-	}{
-		{"query", st.Queries},
-		{"session", st.Sessions},
-		{"point", st.Points},
-		{"update", st.UpdateBatches},
-		{"batch", st.Batches},
-		{"enumerate", st.Enumerations},
-		{"subscribe", st.Subscriptions},
-		{"ingest", st.Ingests},
-		{"analyze", st.Analyzes},
-	} {
-		pw.Counter("aggserve_requests_total", obs.Labels{"endpoint": c.endpoint}, uint64(c.v))
-	}
-
-	pw.Header("aggserve_updates_applied_total", "Individual updates applied, by path (fleet-wide).", "counter")
-	pw.Counter("aggserve_updates_applied_total", obs.Labels{"path": "single"}, uint64(st.Updates))
-	pw.Counter("aggserve_updates_applied_total", obs.Labels{"path": "batched"}, uint64(st.BatchedUpdates))
-	pw.Counter("aggserve_updates_applied_total", obs.Labels{"path": "ingested"}, uint64(st.IngestedChanges))
-
-	for _, c := range []struct {
-		name, help string
-		v          int64
-	}{
-		{"aggserve_compiles_total", "Queries compiled across the fleet.", st.Compiles},
-		{"aggserve_cache_hits_total", "Compiled-query cache hits across the fleet.", st.CacheHits},
-		{"aggserve_cache_misses_total", "Compiled-query cache misses across the fleet.", st.CacheMisses},
-		{"aggserve_errors_total", "Requests answered with a non-2xx status across the fleet.", st.Errors},
-		{"aggserve_canceled_total", "Requests abandoned by their client across the fleet.", st.Canceled},
-		{"aggserve_busy_total", "Fail-fast session-busy rejections (409) across the fleet.", st.Busy},
-		{"aggserve_pushes_total", "Updates pushed to /subscribe clients across the fleet.", st.Pushes},
-		{"aggserve_push_coalesced_total", "Evaluated results folded into pushed updates across the fleet.", st.PushCoalesced},
-		{"aggserve_ingest_waves_total", "Batch waves committed by /ingest across the fleet.", st.IngestWaves},
-	} {
-		pw.Header(c.name, c.help, "counter")
-		pw.Counter(c.name, nil, uint64(c.v))
-	}
-
-	pw.Header("aggserve_request_duration_seconds", "End-to-end replica request latency by endpoint, summed over replicas.", "histogram")
-	for _, ep := range sortedKeys(merged.Requests) {
-		snap := merged.Requests[ep]
-		pw.Histogram("aggserve_request_duration_seconds", obs.Labels{"endpoint": ep}, &snap)
-	}
-	pw.Header("aggserve_stage_duration_seconds", "Internal pipeline stage latency, summed over replicas.", "histogram")
-	for _, stage := range sortedKeys(merged.Stages) {
-		snap := merged.Stages[stage]
-		pw.Histogram("aggserve_stage_duration_seconds", obs.Labels{"stage": stage}, &snap)
-	}
-	pw.Header("aggserve_push_latency_seconds", "Commit-to-client push latency of /subscribe streams, summed over replicas.", "histogram")
-	pw.Histogram("aggserve_push_latency_seconds", nil, &merged.Push)
-
-	sessionsActive := len(st.SessionEpochs)
-	for _, g := range []struct {
-		name, help string
-		v          float64
-	}{
-		{"aggserve_in_flight_requests", "Requests currently being served across the fleet.", float64(st.InFlight)},
-		{"aggserve_cache_entries", "Compiled queries resident across all replica caches.", float64(st.CachedQueries)},
-		{"aggserve_cache_bytes", "Total bytes of frozen circuit programs across all replica caches.", float64(st.CacheBytes)},
-		{"aggserve_sessions_active", "Named sessions registered across the fleet.", float64(sessionsActive)},
-		{"aggserve_subscribers_active", "Live /subscribe streams open across the fleet.", float64(st.Subscribers)},
-		{"aggserve_databases", "Database mounts summed over replicas.", float64(st.Databases)},
-		{"aggserve_session_retained_undo_bytes_total", "MVCC undo bytes pinned by open snapshot readers, fleet-wide.", float64(st.SessionRetainedUndoBytes)},
-	} {
-		pw.Header(g.name, g.help, "gauge")
-		pw.Gauge(g.name, nil, g.v)
-	}
-	if sessionsActive > 0 {
-		pw.Header("aggserve_session_epoch", "Updates committed per session (each session lives on exactly one replica).", "gauge")
-		for _, name := range sortedKeys(st.SessionEpochs) {
-			pw.Gauge("aggserve_session_epoch", obs.Labels{"session": name}, float64(st.SessionEpochs[name]))
+		rs := rt.routerStats()
+		pw.Table(routerMetrics, obs.FleetWide, obs.Source{Stats: &struct {
+			RouterStats
+			ScrapeFailures int
+		}{rs, len(failed)}})
+		perReplica := make([]obs.Source, len(rs.ReplicaStates))
+		for i := range rs.ReplicaStates {
+			perReplica[i] = obs.Source{Labels: obs.Labels{"replica": rs.ReplicaStates[i].ID}, Stats: &rs.ReplicaStates[i]}
 		}
-	}
+		pw.Table(replicaMetrics, obs.FleetWide, perReplica...)
 
-	// Router-side families.
-	rs := rt.routerStats()
-	for _, g := range []struct {
-		name, help string
-		v          float64
-	}{
-		{"aggfleet_replicas", "Replicas configured on the ring.", float64(rs.Replicas)},
-		{"aggfleet_replicas_live", "Replicas currently marked up.", float64(rs.Live)},
-		{"aggfleet_uptime_seconds", "Seconds since the router started.", rs.UptimeSeconds},
-		{"aggfleet_scrape_failures", "Replicas that failed to report to this scrape.", float64(failed)},
-	} {
-		pw.Header(g.name, g.help, "gauge")
-		pw.Gauge(g.name, nil, g.v)
-	}
-	for _, c := range []struct {
-		name, help string
-		v          int64
-	}{
-		{"aggfleet_reroutes_total", "Requests rerouted to another replica after a dial failure.", rs.Reroutes},
-		{"aggfleet_unavailable_total", "Requests answered 503: no live replica for the key.", rs.Unavailable},
-		{"aggfleet_gateway_errors_total", "Requests answered 502: replica unreachable mid-exchange.", rs.GatewayErrors},
-	} {
-		pw.Header(c.name, c.help, "counter")
-		pw.Counter(c.name, nil, uint64(c.v))
-	}
-
-	pw.Header("aggfleet_replica_up", "Replica liveness as seen by the router (1 up, 0 down).", "gauge")
-	for _, s := range rs.ReplicaStates {
-		up := 0.0
-		if s.Up {
-			up = 1
+		latency := make(map[string]obs.Snapshot, len(rt.hist))
+		for ep, h := range rt.hist {
+			latency[ep] = h.Snapshot()
 		}
-		pw.Gauge("aggfleet_replica_up", obs.Labels{"replica": s.ID}, up)
-	}
-	pw.Header("aggfleet_replica_proxied_total", "Requests proxied to each replica.", "counter")
-	for _, s := range rs.ReplicaStates {
-		pw.Counter("aggfleet_replica_proxied_total", obs.Labels{"replica": s.ID}, uint64(s.Proxied))
-	}
-	pw.Header("aggfleet_replica_probe_failures_total", "Failed health probes per replica.", "counter")
-	for _, s := range rs.ReplicaStates {
-		pw.Counter("aggfleet_replica_probe_failures_total", obs.Labels{"replica": s.ID}, uint64(s.ProbeFailures))
-	}
-	pw.Header("aggfleet_replica_sessions", "Sessions registered on each replica (last readiness probe).", "gauge")
-	for _, s := range rs.ReplicaStates {
-		pw.Gauge("aggfleet_replica_sessions", obs.Labels{"replica": s.ID}, float64(s.Sessions))
-	}
-	pw.Header("aggfleet_replica_cache_entries", "Compiled queries cached on each replica (last readiness probe).", "gauge")
-	for _, s := range rs.ReplicaStates {
-		pw.Gauge("aggfleet_replica_cache_entries", obs.Labels{"replica": s.ID}, float64(s.CacheEntries))
-	}
-
-	pw.Header("aggfleet_request_duration_seconds", "Router-side end-to-end latency by endpoint (includes the proxy hop).", "histogram")
-	for _, ep := range routerEndpoints {
-		snap := rt.hist[ep].Snapshot()
-		pw.Histogram("aggfleet_request_duration_seconds", obs.Labels{"endpoint": ep}, &snap)
-	}
-
-	if err := pw.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf.Bytes())
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+		pw.Histograms("aggfleet_request_duration_seconds", "Router-side end-to-end latency by endpoint (includes the proxy hop).", "endpoint", latency)
+	})
 }

@@ -106,12 +106,12 @@ func TestStickySessionAcrossConcurrentClients(t *testing.T) {
 
 	withSession, totalPoints := 0, int64(0)
 	for i := 0; i < 3; i++ {
-		st := f.Replica(i).Stats()
-		if st.Sessions.Load() > 0 {
+		st := f.Replica(i).StatsSnapshot()
+		if st.Sessions > 0 {
 			withSession++
 		}
-		totalPoints += st.Points.Load()
-		if st.Sessions.Load() == 0 && (st.Points.Load() > 0 || st.Updates.Load() > 0) {
+		totalPoints += st.Points
+		if st.Sessions == 0 && (st.Points > 0 || st.Updates > 0) {
 			t.Errorf("replica %d served session traffic without holding the session", i)
 		}
 	}
@@ -169,7 +169,7 @@ func TestReplicaDownRerouteAndRecovery(t *testing.T) {
 	if out, code := postJSON(t, f.URL()+"/query", body); code != http.StatusOK {
 		t.Fatalf("warm query: %d %v", code, out)
 	}
-	if got := f.Replica(owner).Stats().Queries.Load(); got != 1 {
+	if got := f.Replica(owner).StatsSnapshot().Queries; got != 1 {
 		t.Fatalf("ring owner %d served %d queries, want 1", owner, got)
 	}
 
@@ -180,7 +180,7 @@ func TestReplicaDownRerouteAndRecovery(t *testing.T) {
 	survivors := int64(0)
 	for i := 0; i < 3; i++ {
 		if i != owner {
-			survivors += f.Replica(i).Stats().Queries.Load()
+			survivors += f.Replica(i).StatsSnapshot().Queries
 		}
 	}
 	if survivors != 1 {
@@ -203,7 +203,7 @@ func TestReplicaDownRerouteAndRecovery(t *testing.T) {
 	if out, code := postJSON(t, f.URL()+"/query", body); code != http.StatusOK {
 		t.Fatalf("query after recovery: %d %v", code, out)
 	}
-	if got := f.Replica(owner).Stats().Queries.Load(); got != 2 {
+	if got := f.Replica(owner).StatsSnapshot().Queries; got != 2 {
 		t.Errorf("recovered owner served %d queries total, want 2 (key returned home)", got)
 	}
 }
@@ -221,7 +221,7 @@ func TestCacheKeySharding(t *testing.T) {
 	}
 	totalCompiles := int64(0)
 	for i := 0; i < 3; i++ {
-		totalCompiles += f.Replica(i).Stats().Compiles.Load()
+		totalCompiles += f.Replica(i).StatsSnapshot().Compiles
 	}
 	if totalCompiles != 1 {
 		t.Errorf("3 spellings of one query compiled %d times fleet-wide, want 1", totalCompiles)
@@ -236,7 +236,7 @@ func TestCacheKeySharding(t *testing.T) {
 	}
 	spread := 0
 	for i := 0; i < 3; i++ {
-		if f.Replica(i).Stats().Compiles.Load() > 0 {
+		if f.Replica(i).StatsSnapshot().Compiles > 0 {
 			spread++
 		}
 	}
@@ -421,7 +421,7 @@ func TestFleetMetricsMerge(t *testing.T) {
 	// Counter agreement and router families present.
 	var queries float64
 	for i := 0; i < 3; i++ {
-		queries += float64(f.Replica(i).Stats().Queries.Load())
+		queries += float64(f.Replica(i).StatsSnapshot().Queries)
 	}
 	if got := fleetSamples[`aggserve_requests_total{endpoint="query"}`]; got != queries {
 		t.Errorf("fleet aggserve_requests_total{query} = %v, want %v", got, queries)
@@ -588,12 +588,12 @@ func TestSubscribeLiveThroughRouter(t *testing.T) {
 
 	// Sticky: the subscription lives on the ring owner and nowhere else.
 	for i := 0; i < 3; i++ {
-		st := f.Replica(i).Stats()
+		st := f.Replica(i).StatsSnapshot()
 		want := int64(0)
 		if i == owner {
 			want = 1
 		}
-		if got := st.Subscriptions.Load(); got != want {
+		if got := st.Subscriptions; got != want {
 			t.Errorf("replica %d subscriptions = %d, want %d", i, got, want)
 		}
 	}
@@ -603,13 +603,13 @@ func TestSubscribeLiveThroughRouter(t *testing.T) {
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := f.Replica(owner).Stats()
-		if st.Canceled.Load() >= 1 && st.Subscribers.Load() == 0 {
+		st := f.Replica(owner).StatsSnapshot()
+		if st.Canceled >= 1 && st.Subscribers == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("replica never observed the disconnect: canceled=%d subscribers=%d",
-				st.Canceled.Load(), st.Subscribers.Load())
+				st.Canceled, st.Subscribers)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -732,9 +732,9 @@ func TestIngestThroughRouter(t *testing.T) {
 		t.Errorf("value drifted %v -> %v despite paired remove/re-insert", base["value"], after["value"])
 	}
 
-	st := f.Replica(owner).Stats()
-	if st.Ingests.Load() != 1 || st.IngestedChanges.Load() != 4 || st.IngestWaves.Load() != 2 {
+	st := f.Replica(owner).StatsSnapshot()
+	if st.Ingests != 1 || st.IngestedChanges != 4 || st.IngestWaves != 2 {
 		t.Errorf("owner ingest counters = %d/%d/%d, want 1 ingest, 4 changes, 2 waves",
-			st.Ingests.Load(), st.IngestedChanges.Load(), st.IngestWaves.Load())
+			st.Ingests, st.IngestedChanges, st.IngestWaves)
 	}
 }

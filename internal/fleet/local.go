@@ -32,7 +32,6 @@ type localReplica struct {
 
 	mu   sync.Mutex
 	http *http.Server
-	ln   net.Listener
 }
 
 // LocalFleet is an in-process fleet: n aggserve replicas behind one router,
@@ -83,13 +82,15 @@ func StartLocal(n int, o LocalOptions) (*LocalFleet, error) {
 		return nil, err
 	}
 	f.routerLn = ln
-	f.routerHTTP = &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	go func() { _ = f.routerHTTP.Serve(ln) }()
+	f.routerHTTP = serveOn(ln, rt.Handler())
 	return f, nil
+}
+
+// serveOn starts an HTTP server for h on the listener.
+func serveOn(ln net.Listener, h http.Handler) *http.Server {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 60 * time.Second}
+	go func() { _ = hs.Serve(ln) }()
+	return hs
 }
 
 // listen (re)binds the replica's HTTP listener on addr and starts serving.
@@ -98,17 +99,10 @@ func (rep *localReplica) listen(addr string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{
-		Handler:           rep.srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
 	rep.mu.Lock()
 	rep.addr = ln.Addr().String()
-	rep.ln = ln
-	rep.http = hs
+	rep.http = serveOn(ln, rep.srv.Handler())
 	rep.mu.Unlock()
-	go func() { _ = hs.Serve(ln) }()
 	return nil
 }
 
@@ -150,7 +144,7 @@ func (f *LocalFleet) RestartReplica(i int) error {
 }
 
 // Close tears the fleet down: router first (stopping probes), then every
-// replica listener.
+// replica's listener and sessions.
 func (f *LocalFleet) Close() {
 	if f.Router != nil {
 		f.Router.Close()
@@ -158,7 +152,8 @@ func (f *LocalFleet) Close() {
 	if f.routerHTTP != nil {
 		_ = f.routerHTTP.Close()
 	}
-	for i := range f.replicas {
+	for i, rep := range f.replicas {
 		f.KillReplica(i)
+		rep.srv.Close()
 	}
 }

@@ -68,9 +68,6 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Replicas returns the number of replicas on the ring.
-func (r *Ring) Replicas() int { return r.n }
-
 // hashKey is FNV-1a over the key bytes followed by a 64-bit avalanche
 // finalizer (murmur3's fmix64).  Raw FNV clusters badly on the
 // near-identical strings vnode positions are derived from ("url#0",

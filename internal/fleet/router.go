@@ -32,25 +32,23 @@ type Options struct {
 	// (≤ 0 selects the default of 128).
 	VNodes int
 	// HealthInterval is the period of the /healthz probe loop (≤ 0 selects
-	// 1s); HealthTimeout bounds each probe (≤ 0 selects 2s).
+	// 1s).
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
-	// FanoutTimeout bounds each per-replica request of a fleet-wide /stats
-	// or /metrics fan-out (≤ 0 selects 2s).  A slow or dead replica costs at
-	// most this long and is reported, never waited on indefinitely.
-	FanoutTimeout time.Duration
-	// MaxIdleConnsPerHost tunes the shared keep-alive proxy client (≤ 0
-	// selects 32): each busy replica keeps a warm connection pool so the
-	// proxy hop does not pay a TCP handshake per request.
-	MaxIdleConnsPerHost int
 	// Logger receives mark-down/mark-up transitions and proxy errors.  Nil
 	// discards them.
 	Logger *slog.Logger
 }
 
-// routerEndpoints names every proxied route with its own router-side latency
-// histogram, in the order the fleet /metrics exposition emits them.
-var routerEndpoints = []string{"query", "session", "point", "update", "batch", "enumerate", "subscribe", "ingest", "analyze"}
+const (
+	// replicaTimeout bounds one replica's share of a fan-out — a /healthz
+	// probe round or a fleet-wide /stats or /metrics: a slow or dead replica
+	// costs at most this long and is reported, never waited on indefinitely.
+	replicaTimeout = 2 * time.Second
+	// idleConnsPerReplica sizes the shared keep-alive proxy client: each busy
+	// replica keeps a warm connection pool so the proxy hop does not pay a
+	// TCP handshake per request.
+	idleConnsPerReplica = 32
+)
 
 // replica is the router's view of one aggserve process: its ring identity,
 // liveness, and the gauges the health probe reports.
@@ -74,9 +72,6 @@ func (rep *replica) setErr(err error) {
 		rep.lastErr.Store(err.Error())
 	}
 }
-
-// markDown flips the replica to down, returning true on the transition.
-func (rep *replica) markDown() bool { return rep.up.CompareAndSwap(true, false) }
 
 // ReplicaState is a point-in-time snapshot of one replica's router-side
 // state, exported on the fleet /stats and /metrics and used by tests.
@@ -124,15 +119,6 @@ func New(opts Options) (*Router, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = time.Second
 	}
-	if opts.HealthTimeout <= 0 {
-		opts.HealthTimeout = 2 * time.Second
-	}
-	if opts.FanoutTimeout <= 0 {
-		opts.FanoutTimeout = 2 * time.Second
-	}
-	if opts.MaxIdleConnsPerHost <= 0 {
-		opts.MaxIdleConnsPerHost = 32
-	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
@@ -164,20 +150,22 @@ func New(opts Options) (*Router, error) {
 		replicas: replicas,
 		log:      log,
 		start:    time.Now(),
-		hist:     make(map[string]*obs.Histogram, len(routerEndpoints)),
+		hist:     map[string]*obs.Histogram{},
 		stop:     make(chan struct{}),
 		client: &http.Client{
 			// One shared keep-alive transport: every proxied request and
 			// fan-out probe reuses warm connections to the replicas.
 			Transport: &http.Transport{
-				MaxIdleConns:        4 * opts.MaxIdleConnsPerHost,
-				MaxIdleConnsPerHost: opts.MaxIdleConnsPerHost,
+				MaxIdleConns:        4 * idleConnsPerReplica,
+				MaxIdleConnsPerHost: idleConnsPerReplica,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
 	}
-	for _, ep := range routerEndpoints {
-		rt.hist[ep] = obs.NewHistogram()
+	for _, ro := range routes {
+		if rt.hist[ro.endpoint] == nil {
+			rt.hist[ro.endpoint] = obs.NewHistogram()
+		}
 	}
 
 	rt.done.Add(1)
@@ -192,9 +180,6 @@ func (rt *Router) Close() {
 	rt.done.Wait()
 	rt.client.CloseIdleConnections()
 }
-
-// Replicas reports the configured replica count.
-func (rt *Router) Replicas() int { return len(rt.replicas) }
 
 // ReplicaStates snapshots every replica's router-side state, in ring order.
 func (rt *Router) ReplicaStates() []ReplicaState {
@@ -217,17 +202,6 @@ func (rt *Router) ReplicaStates() []ReplicaState {
 		out[i] = st
 	}
 	return out
-}
-
-// Live reports how many replicas are currently marked up.
-func (rt *Router) Live() int {
-	n := 0
-	for _, rep := range rt.replicas {
-		if rep.up.Load() {
-			n++
-		}
-	}
-	return n
 }
 
 // OwnerOf returns the index of the replica that owns the given shard key
@@ -279,196 +253,149 @@ func SessionShardKey(name string) string { return "s\x00" + name }
 // HTTP surface
 // ---------------------------------------------------------------------------
 
+// bodyMode says what a route does with the request body.
+type bodyMode uint8
+
+const (
+	// bodyNone: the shard key is in the URL query and nothing is forwarded.
+	bodyNone bodyMode = iota
+	// bodyBuffered: a small JSON document that names the shard key, so it is
+	// read whole before a replica can be picked, and replayed on a reroute.
+	bodyBuffered
+	// bodyStreamed: an unbounded NDJSON feed passed through full-duplex and
+	// never buffered; the shard key is in the URL query.
+	bodyStreamed
+)
+
+// shardFields are the request fields a shard key is built from, decoded once
+// per request: from the JSON body of a bodyBuffered route, from the URL query
+// otherwise.
+type shardFields struct {
+	Name     string   `json:"name"` // POST and DELETE /session name the session "name"
+	Session  string   `json:"session"`
+	DB       string   `json:"db"`
+	Expr     string   `json:"expr"`
+	Phi      string   `json:"phi"`
+	Semiring string   `json:"semiring"`
+	Dynamic  []string `json:"dynamic"`
+	Vars     []string `json:"-"` // only ever a comma-separated query parameter
+}
+
+func queryFields(q url.Values) shardFields {
+	return shardFields{
+		Name: q.Get("name"), Session: q.Get("session"), DB: q.Get("db"), Expr: q.Get("expr"),
+		Phi: q.Get("phi"), Semiring: q.Get("semiring"), Vars: server.SplitList(q.Get("vars")),
+	}
+}
+
+// route declares one proxied endpoint.  replayable marks a pure read (MVCC
+// snapshots and cached Programs, no replica state changes; a /subscribe
+// reconnect replays nothing the client cannot reconcile via Last-Event-ID),
+// which forward may send again after any transport failure.
+type route struct {
+	method, path, endpoint string
+	body                   bodyMode
+	replayable             bool
+	key                    func(shardFields) string
+}
+
+// routes is every proxied endpoint; Handler registers from it and the
+// router-side latency histograms are one per distinct endpoint.  Session
+// routes are sticky: every request naming a session lands where its MVCC
+// state lives.
+var routes = []route{
+	{"POST", "/query", "query", bodyBuffered, true, queryKey},
+	{"POST", "/session", "session", bodyBuffered, false, sessionKey},
+	{"DELETE", "/session", "session", bodyNone, false, sessionKey},
+	{"POST", "/point", "point", bodyBuffered, true, pointKey},
+	{"POST", "/update", "update", bodyBuffered, false, sessionKey},
+	{"POST", "/batch", "batch", bodyBuffered, false, sessionKey},
+	{"GET", "/enumerate", "enumerate", bodyNone, true, formulaKey},
+	{"GET", "/subscribe", "subscribe", bodyNone, true, sessionKey},
+	{"POST", "/ingest", "ingest", bodyStreamed, false, sessionKey},
+	{"GET", "/analyze", "analyze", bodyNone, true, analyzeKey},
+}
+
+func sessionKey(f shardFields) string {
+	if f.Session != "" {
+		return SessionShardKey(f.Session)
+	}
+	return SessionShardKey(f.Name)
+}
+
+func queryKey(f shardFields) string {
+	return QueryShardKey(f.DB, f.Expr, f.Semiring, f.Dynamic)
+}
+
+// pointKey: a point read goes to its session, or else to the compiled query
+// (which the replica prepares without dynamic relations).
+func pointKey(f shardFields) string {
+	if f.Session != "" {
+		return SessionShardKey(f.Session)
+	}
+	return QueryShardKey(f.DB, f.Expr, f.Semiring, nil)
+}
+
+func formulaKey(f shardFields) string { return FormulaShardKey(f.DB, f.Phi, f.Vars) }
+
+// analyzeKey mirrors the replica's /analyze preparation split: with vars it
+// analyses the enumeration program (formula key), otherwise the query
+// program — so the report lands on the replica already holding that
+// compiled Program.
+func analyzeKey(f shardFields) string {
+	expr := f.Expr
+	if expr == "" {
+		expr = f.Phi
+	}
+	if len(f.Vars) > 0 {
+		return FormulaShardKey(f.DB, expr, f.Vars)
+	}
+	return QueryShardKey(f.DB, expr, f.Semiring, nil)
+}
+
 // Handler returns the router's HTTP handler.  It serves the same API as a
-// single aggserve replica: /query, /session, /point, /update, /batch,
-// /enumerate and /analyze proxy to the replica owning the request's shard
-// key; /stats and /metrics fan out to every replica and merge; /healthz
-// reports the router's own readiness.
+// single aggserve replica: every entry of routes proxies to the replica
+// owning the request's shard key; /stats and /metrics fan out to every
+// replica and merge; /healthz reports the router's own readiness.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", rt.timed("query", rt.routeQuery))
-	mux.HandleFunc("POST /session", rt.timed("session", rt.routeSessionBody))
-	mux.HandleFunc("DELETE /session", rt.timed("session", rt.routeSessionQuery))
-	mux.HandleFunc("POST /point", rt.timed("point", rt.routePoint))
-	mux.HandleFunc("POST /update", rt.timed("update", rt.routeSessionBody))
-	mux.HandleFunc("POST /batch", rt.timed("batch", rt.routeSessionBody))
-	mux.HandleFunc("GET /enumerate", rt.timed("enumerate", rt.routeEnumerate))
-	mux.HandleFunc("GET /subscribe", rt.timed("subscribe", rt.routeSubscribe))
-	mux.HandleFunc("POST /ingest", rt.timed("ingest", rt.routeIngest))
-	mux.HandleFunc("GET /analyze", rt.timed("analyze", rt.routeAnalyze))
+	for i := range routes {
+		mux.HandleFunc(routes[i].method+" "+routes[i].path, rt.serve(&routes[i]))
+	}
 	mux.HandleFunc("GET /stats", rt.handleStats)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	return mux
 }
 
-// timed records the router-side end-to-end latency of one proxied endpoint.
-func (rt *Router) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	hist := rt.hist[endpoint]
+// serve binds one route into its handler: decode the shard fields, pick the
+// key, forward, and record the router-side end-to-end latency.
+func (rt *Router) serve(ro *route) http.HandlerFunc {
+	hist := rt.hist[ro.endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(start))
-	}
-}
-
-// body reads and returns the full request body (requests are small JSON
-// documents; the shard key lives inside, so the router must buffer before
-// it can pick a replica).
-func body(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(r.Body)
-}
-
-func (rt *Router) routeQuery(w http.ResponseWriter, r *http.Request) {
-	raw, err := body(r)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	var req struct {
-		DB       string   `json:"db"`
-		Expr     string   `json:"expr"`
-		Semiring string   `json:"semiring"`
-		Dynamic  []string `json:"dynamic"`
-	}
-	// A body that fails to decode still forwards (hashed raw): the owning
-	// replica produces the canonical 400 with the taxonomy code.
-	_ = json.Unmarshal(raw, &req)
-	rt.forward(w, r, QueryShardKey(req.DB, req.Expr, req.Semiring, req.Dynamic), raw, true)
-}
-
-// routeSessionBody routes the endpoints whose JSON body names a session:
-// /session (create, field "name"), /update and /batch (field "session").
-func (rt *Router) routeSessionBody(w http.ResponseWriter, r *http.Request) {
-	raw, err := body(r)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	var req struct {
-		Name    string `json:"name"`
-		Session string `json:"session"`
-	}
-	_ = json.Unmarshal(raw, &req)
-	name := req.Session
-	if name == "" {
-		name = req.Name
-	}
-	rt.forward(w, r, SessionShardKey(name), raw, false)
-}
-
-// routeSessionQuery routes DELETE /session?name=... by its query parameter.
-func (rt *Router) routeSessionQuery(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, SessionShardKey(r.URL.Query().Get("name")), nil, false)
-}
-
-func (rt *Router) routePoint(w http.ResponseWriter, r *http.Request) {
-	raw, err := body(r)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	var req struct {
-		Session  string `json:"session"`
-		DB       string `json:"db"`
-		Expr     string `json:"expr"`
-		Semiring string `json:"semiring"`
-	}
-	_ = json.Unmarshal(raw, &req)
-	key := QueryShardKey(req.DB, req.Expr, req.Semiring, nil)
-	if req.Session != "" {
-		key = SessionShardKey(req.Session)
-	}
-	rt.forward(w, r, key, raw, true)
-}
-
-// routeSubscribe routes the live push stream by its session shard key, so
-// subscribers land on the replica whose MVCC session produces the commits
-// they watch.  The subscription is replayable (a pure read: reconnecting
-// replays nothing the client cannot reconcile via Last-Event-ID), and the
-// proxied response streams through flushCopy, so every pushed update and
-// heartbeat reaches the client as the replica emits it.  The outgoing
-// request carries the client's context: a subscriber hanging up cancels the
-// replica-side subscription.
-func (rt *Router) routeSubscribe(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, SessionShardKey(r.URL.Query().Get("session")), nil, true)
-}
-
-// routeIngest proxies the streaming /ingest change feed to the session's
-// owner.  The body is an unbounded NDJSON stream, so unlike every other
-// routed endpoint it is never buffered and never retried: a transport
-// failure surfaces as a 502, and the waves the replica already acked stay
-// committed — the client resumes from its last epoch checkpoint.
-func (rt *Router) routeIngest(w http.ResponseWriter, r *http.Request) {
-	key := SessionShardKey(r.URL.Query().Get("session"))
-	idx, ok := rt.ring.LookupLive(key, func(i int) bool { return rt.replicas[i].up.Load() })
-	if !ok {
-		rt.unavailable.Add(1)
-		rt.writeError(w, http.StatusServiceUnavailable, "unavailable", "no live replica for this key")
-		return
-	}
-	rep := rt.replicas[idx]
-
-	// Acks stream back while the change feed is still being read, so the
-	// router's own connection must be full-duplex too.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	target := *rep.base
-	target.Path = strings.TrimSuffix(target.Path, "/") + r.URL.Path
-	target.RawQuery = r.URL.RawQuery
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), r.Body)
-	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	copyHeaders(out.Header, r.Header)
-	resp, err := rt.client.Do(out)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // the client is gone; nothing to write
+		defer func() { hist.Observe(time.Since(start)) }()
+		var f shardFields
+		var buffered []byte
+		if ro.body == bodyBuffered {
+			var err error
+			if buffered, err = io.ReadAll(r.Body); err != nil {
+				writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("reading request body: %v", err))
+				return
+			}
+			// A body that fails to decode still forwards (hashed as empty
+			// fields): the owning replica produces the canonical 400 with the
+			// taxonomy code.
+			_ = json.Unmarshal(buffered, &f)
+		} else {
+			f = queryFields(r.URL.Query())
 		}
-		rep.setErr(err)
-		if rep.markDown() {
-			rep.markDowns.Add(1)
-			rt.log.Warn("replica marked down (ingest proxy failed)", "replica", rep.id, "err", err)
-		}
-		rt.gateway.Add(1)
-		rt.writeError(w, http.StatusBadGateway, "unreachable",
-			fmt.Sprintf("replica %s: %v", rep.id, err))
-		return
+		rt.forward(w, r, ro, ro.key(f), buffered)
 	}
-	defer resp.Body.Close()
-	rep.proxied.Add(1)
-	copyHeaders(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	flushCopy(w, resp.Body)
-}
-
-func (rt *Router) routeEnumerate(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	rt.forward(w, r, FormulaShardKey(q.Get("db"), q.Get("phi"), splitList(q.Get("vars"))), nil, true)
-}
-
-// routeAnalyze mirrors the replica's /analyze preparation split: with vars
-// it analyses the enumeration program (formula key), otherwise the query
-// program — so the report lands on the replica already holding that
-// compiled Program.
-func (rt *Router) routeAnalyze(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	expr := q.Get("expr")
-	if expr == "" {
-		expr = q.Get("phi")
-	}
-	if vars := splitList(q.Get("vars")); len(vars) > 0 {
-		rt.forward(w, r, FormulaShardKey(q.Get("db"), expr, vars), nil, true)
-		return
-	}
-	rt.forward(w, r, QueryShardKey(q.Get("db"), expr, q.Get("semiring"), nil), nil, true)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	live := rt.Live()
+	live := rt.routerStats().Live
 	h := struct {
 		Status        string  `json:"status"`
 		UptimeSeconds float64 `json:"uptimeSeconds"`
@@ -488,37 +415,34 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // writeError emits a router-originated error in the replicas' JSON error
 // shape, so clients see one taxonomy whether the hop or the replica failed.
-func (rt *Router) writeError(w http.ResponseWriter, status int, code, msg string) {
+func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-		Code  string `json:"code"`
-	}{msg, code})
-}
-
-// hopHeaders are never copied across the proxy hop (RFC 9110 §7.6.1).
-var hopHeaders = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
+	_ = json.NewEncoder(w).Encode(server.ErrorBody{Error: msg, Code: code})
 }
 
 // forward proxies the request to the live replica owning key, streaming the
-// response through (NDJSON enumeration lines flush as they arrive).  The
-// outgoing request carries the client's context, so a disconnect cancels
-// the replica-side evaluation; replica errors pass through verbatim —
-// status code and JSON body with its taxonomy code survive the hop.
+// response through (NDJSON lines and pushed updates flush as they arrive).
+// The outgoing request carries the client's context, so a disconnect cancels
+// the replica-side work; replica errors pass through verbatim — status code
+// and JSON body with its taxonomy code survive the hop.
 //
-// Fail-over policy: a dial-level failure (nothing reached the replica, so
-// any method is safe to retry) marks the replica down and reroutes to the
-// next live owner.  When replayable is true the request is a pure read
-// (/query, /point, /enumerate, /analyze — MVCC snapshots and cached
-// Programs, no replica state changes), so any transport failure reroutes
-// the same way — this covers the killed-replica case where a pooled
-// keep-alive connection dies with EOF instead of a dial error.  Mutating
-// requests (/session, /update, /batch) never retry past a connection the
-// replica may have read from: the exchange failure surfaces as a 502.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, reqBody []byte, replayable bool) {
+// Fail-over policy: a failed exchange is safe to send again when nothing
+// reached the replica (a dial-level failure, so even an update cannot
+// double-apply) or the route is replayable — which covers the killed-replica
+// case where a pooled keep-alive connection dies with EOF instead of a dial
+// error.  A safe failure marks the replica down at once, without waiting for
+// the next probe, and reroutes to the next live owner.  Anything else — a
+// mutating exchange the replica may have acted on, or a streamed body, which
+// the transport closes with the failed attempt — surfaces as a 502; the
+// waves a replica already acked to an /ingest stay committed, and the client
+// resumes from its last epoch checkpoint.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ro *route, key string, buffered []byte) {
+	if ro.body == bodyStreamed {
+		// Acks stream back while the change feed is still being read, so the
+		// router's own connection must be full-duplex too.
+		_ = http.NewResponseController(w).EnableFullDuplex()
+	}
 	tried := make(map[int]bool)
 	for {
 		idx, ok := rt.ring.LookupLive(key, func(i int) bool {
@@ -526,7 +450,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, re
 		})
 		if !ok {
 			rt.unavailable.Add(1)
-			rt.writeError(w, http.StatusServiceUnavailable, "unavailable", "no live replica for this key")
+			writeError(w, http.StatusServiceUnavailable, "unavailable", "no live replica for this key")
 			return
 		}
 		rep := rt.replicas[idx]
@@ -534,13 +458,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, re
 		target := *rep.base
 		target.Path = strings.TrimSuffix(target.Path, "/") + r.URL.Path
 		target.RawQuery = r.URL.RawQuery
-		var bodyReader io.Reader
-		if len(reqBody) > 0 {
-			bodyReader = bytes.NewReader(reqBody)
+		var body io.Reader
+		switch {
+		case ro.body == bodyStreamed:
+			body = r.Body
+		case len(buffered) > 0:
+			body = bytes.NewReader(buffered)
 		}
-		out, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), bodyReader)
+		out, err := http.NewRequestWithContext(r.Context(), r.Method, target.String(), body)
 		if err != nil {
-			rt.writeError(w, http.StatusInternalServerError, "internal", err.Error())
+			writeError(w, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
 		copyHeaders(out.Header, r.Header)
@@ -552,25 +479,17 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, re
 			}
 			rep.setErr(err)
 			var opErr *net.OpError
-			dialFailed := errors.As(err, &opErr) && opErr.Op == "dial"
-			if dialFailed || replayable {
-				// Safe to reroute: either the connection never opened
-				// (nothing reached the replica, so even an update cannot
-				// double-apply) or the request is a pure read.  Mark the
-				// replica down now instead of waiting for the next probe.
-				if rep.markDown() {
-					rep.markDowns.Add(1)
-					rt.log.Warn("replica marked down (proxy failed)", "replica", rep.id, "err", err)
-				}
+			safe := ro.replayable || (errors.As(err, &opErr) && opErr.Op == "dial")
+			if safe {
+				rt.markDown(rep, "proxy failed", err)
+			}
+			if safe && ro.body != bodyStreamed {
 				tried[idx] = true
 				rt.reroutes.Add(1)
 				continue
 			}
-			// A mutating exchange died mid-flight; the replica may have
-			// acted, so surface the failure instead of silently retrying.
 			rt.gateway.Add(1)
-			rt.writeError(w, http.StatusBadGateway, "unreachable",
-				fmt.Sprintf("replica %s: %v", rep.id, err))
+			writeError(w, http.StatusBadGateway, "unreachable", fmt.Sprintf("replica %s: %v", rep.id, err))
 			return
 		}
 		defer resp.Body.Close()
@@ -583,11 +502,17 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, re
 	}
 }
 
+// hopHeaders are never copied across the proxy hop (RFC 9110 §7.6.1).
+var hopHeaders = map[string]bool{
+	"Connection": true, "Keep-Alive": true, "Proxy-Authenticate": true, "Proxy-Authorization": true,
+	"Te": true, "Trailer": true, "Transfer-Encoding": true, "Upgrade": true,
+}
+
 func copyHeaders(dst, src http.Header) {
-	for _, h := range hopHeaders {
-		src.Del(h)
-	}
 	for k, vs := range src {
+		if hopHeaders[k] {
+			continue
+		}
 		for _, v := range vs {
 			dst.Add(k, v)
 		}
@@ -627,7 +552,7 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 // and cache-entry gauges the fleet /metrics exports.
 func (rt *Router) healthLoop() {
 	defer rt.done.Done()
-	rt.probeAll() // immediate first round: recover marked-down replicas fast
+	rt.each(rt.probe) // immediate first round: recover marked-down replicas fast
 	ticker := time.NewTicker(rt.opts.HealthInterval)
 	defer ticker.Stop()
 	for {
@@ -635,45 +560,22 @@ func (rt *Router) healthLoop() {
 		case <-rt.stop:
 			return
 		case <-ticker.C:
-			rt.probeAll()
+			rt.each(rt.probe)
 		}
 	}
 }
 
-func (rt *Router) probeAll() {
-	var wg sync.WaitGroup
-	for _, rep := range rt.replicas {
-		wg.Add(1)
-		go func(rep *replica) {
-			defer wg.Done()
-			rt.probe(rep)
-		}(rep)
-	}
-	wg.Wait()
-}
-
-func (rt *Router) probe(rep *replica) {
+func (rt *Router) probe(ctx context.Context, _ int, rep *replica) {
 	rep.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.HealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.id+"/healthz", nil)
-	if err != nil {
-		rt.probeFailed(rep, err)
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.probeFailed(rep, err)
-		return
-	}
-	defer resp.Body.Close()
 	var h server.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		rt.probeFailed(rep, fmt.Errorf("decoding /healthz: %w", err))
-		return
+	err := rt.getJSON(ctx, rep, "/healthz", &h)
+	if err == nil && h.Status != "ok" {
+		err = fmt.Errorf("GET /healthz: status %q", h.Status)
 	}
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		rt.probeFailed(rep, fmt.Errorf("/healthz status %d (%q)", resp.StatusCode, h.Status))
+	if err != nil {
+		rep.probeFailures.Add(1)
+		rep.setErr(err)
+		rt.markDown(rep, "probe failed", err)
 		return
 	}
 	rep.sessions.Store(int64(h.Sessions))
@@ -684,22 +586,10 @@ func (rt *Router) probe(rep *replica) {
 	}
 }
 
-func (rt *Router) probeFailed(rep *replica, err error) {
-	rep.probeFailures.Add(1)
-	rep.setErr(err)
-	if rep.markDown() {
+// markDown flips the replica to down and logs the transition.
+func (rt *Router) markDown(rep *replica, why string, err error) {
+	if rep.up.CompareAndSwap(true, false) {
 		rep.markDowns.Add(1)
-		rt.log.Warn("replica marked down (probe failed)", "replica", rep.id, "err", err)
+		rt.log.Warn("replica marked down ("+why+")", "replica", rep.id, "err", err)
 	}
-}
-
-// splitList mirrors the replica's comma-list query-parameter parsing.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
 }

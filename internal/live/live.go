@@ -73,7 +73,8 @@ type Key struct {
 	Args string
 }
 
-// EncodeArgs canonicalises a point-argument tuple into the Key.Args form.
+// EncodeArgs canonicalises a tuple into a map key: the Key.Args form of a
+// point-argument tuple, and the identity of an answer in a delta set.
 func EncodeArgs(args []int) string {
 	if len(args) == 0 {
 		return ""
@@ -395,21 +396,10 @@ type box struct {
 	rem   map[string][]int
 }
 
-func tupleKey(t []int) string {
-	b := make([]byte, 0, len(t)*4)
-	for i, v := range t {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(b)
-}
-
 func tupleMap(ts [][]int) map[string][]int {
 	m := make(map[string][]int, len(ts))
 	for _, t := range ts {
-		m[tupleKey(t)] = t
+		m[EncodeArgs(t)] = t
 	}
 	return m
 }
@@ -497,10 +487,10 @@ func (s *Sub) merge(r Result, reset bool) {
 		case s.box.full:
 			// A pending reset absorbs increments in place.
 			for _, t := range r.Added {
-				s.box.set[tupleKey(t)] = t
+				s.box.set[EncodeArgs(t)] = t
 			}
 			for _, t := range r.Removed {
-				delete(s.box.set, tupleKey(t))
+				delete(s.box.set, EncodeArgs(t))
 			}
 		default:
 			if s.box.add == nil {
@@ -512,7 +502,7 @@ func (s *Sub) merge(r Result, reset bool) {
 			// Net-merge consecutive deltas: an add cancels a pending remove
 			// and vice versa.
 			for _, t := range r.Added {
-				k := tupleKey(t)
+				k := EncodeArgs(t)
 				if _, ok := s.box.rem[k]; ok {
 					delete(s.box.rem, k)
 				} else {
@@ -520,7 +510,7 @@ func (s *Sub) merge(r Result, reset bool) {
 				}
 			}
 			for _, t := range r.Removed {
-				k := tupleKey(t)
+				k := EncodeArgs(t)
 				if _, ok := s.box.add[k]; ok {
 					delete(s.box.add, k)
 				} else {

@@ -218,13 +218,13 @@ func TestHubDeltaNetMerge(t *testing.T) {
 			// Net of epochs 1..2 (possibly from a partial read at epoch 1).
 			wantAdd := map[string]bool{"1": true, "3": true}
 			for _, a := range r.Added {
-				delete(wantAdd, tupleKey(a))
+				delete(wantAdd, EncodeArgs(a))
 			}
 			if len(wantAdd) != 0 && !r.Full {
 				t.Fatalf("merged delta %+v missing adds %v", r, wantAdd)
 			}
 			for _, rm := range r.Removed {
-				if k := tupleKey(rm); k == "1" || k == "3" {
+				if k := EncodeArgs(rm); k == "1" || k == "3" {
 					t.Fatalf("merged delta wrongly removes %s", k)
 				}
 			}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/agg"
@@ -102,8 +101,8 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.reqHist[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.InFlight.Add(1)
-		defer s.stats.InFlight.Add(-1)
+		s.ctr[cInFlight].Add(1)
+		defer s.ctr[cInFlight].Add(-1)
 		id := s.reqID.Add(1)
 		m := &reqMeta{}
 		ctx := context.WithValue(obs.NewContext(r.Context(), s.tr), metaKey{}, m)
@@ -135,16 +134,18 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers 200 with v as a JSON document.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
 
-// errorBody is the JSON shape of every error response: a human-readable
-// message plus a stable machine-readable code from the agg taxonomy.
-type errorBody struct {
+// ErrorBody is the JSON shape of every error response: a human-readable
+// message plus a stable machine-readable code from the agg taxonomy (or, for
+// errors the fleet router originates, its own few codes).
+type ErrorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
 }
@@ -153,35 +154,38 @@ type errorBody struct {
 // matching involved.
 func statusOf(err error) int {
 	switch {
-	case errors.Is(err, agg.ErrUnknownDatabase), errors.Is(err, agg.ErrUnknownSession):
+	case errors.Is(err, agg.ErrUnknownDatabase), errors.Is(err, agg.ErrUnknownSession),
+		// A request that resolved its session just before a DELETE closed it.
+		errors.Is(err, agg.ErrSessionClosed):
 		return http.StatusNotFound
 	case errors.Is(err, agg.ErrSessionExists), errors.Is(err, agg.ErrSessionBusy):
 		return http.StatusConflict
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// 499 Client Closed Request (nginx convention): the response will
-		// not be read, but logs and stats stay truthful.
-		return 499
 	default:
 		return http.StatusBadRequest
 	}
 }
 
+// writeError answers a failed request, unless the failure is the client
+// having gone away: then it is counted as canceled and nothing is written.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	s.stats.Errors.Add(1)
+	if s.canceled(err) {
+		return
+	}
+	s.ctr[cErrors].Add(1)
 	if errors.Is(err, agg.ErrSessionBusy) {
 		// Fail-fast contention is its own signal, not a generic error: the
 		// busy counter makes 409 churn visible on /stats and /metrics.
-		s.stats.Busy.Add(1)
+		s.ctr[cBusy].Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(statusOf(err))
-	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error(), Code: agg.ErrorCode(err)})
+	_ = json.NewEncoder(w).Encode(ErrorBody{Error: err.Error(), Code: agg.ErrorCode(err)})
 }
 
 // canceled records and reports a request abandoned by its client.
 func (s *Server) canceled(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.stats.Canceled.Add(1)
+		s.ctr[cCanceled].Add(1)
 		return true
 	}
 	return false
@@ -239,24 +243,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("expression has free variables %v; use /point for point queries: %w", free, agg.ErrArgument))
 		return
 	}
+	if req.Workers > 0 {
+		p = p.Workers(req.Workers) // p carries the server default otherwise
+	}
 	var value agg.Value
-	d := timed(&s.stats.EvalNanos, func() {
-		value, err = p.Workers(s.workers(req.Workers)).Eval(r.Context())
+	d := timed(&s.ctr[cEvalNanos], func() {
+		value, err = p.Eval(r.Context())
 	})
 	if err != nil {
-		if s.canceled(err) {
-			return // the client is gone; nothing to write
-		}
 		s.writeError(w, err)
 		return
 	}
-	s.stats.Queries.Add(1)
+	s.ctr[cQueries].Add(1)
 	annotate(r,
 		slog.String("semiring", p.SemiringName()),
 		slog.Bool("cached", hit),
 		slog.Duration("eval", d))
 	st := p.Stats()
-	s.writeJSON(w, queryResponse{
+	WriteJSON(w, queryResponse{
 		Semiring:   p.SemiringName(),
 		Value:      value.String(),
 		Cached:     hit,
@@ -298,7 +302,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		slog.String("session", h.Name()),
 		slog.String("semiring", h.Semiring()),
 		slog.Bool("cached", hit))
-	s.writeJSON(w, sessionResponse{Session: h.Name(), FreeVars: h.FreeVars(), Cached: hit})
+	WriteJSON(w, sessionResponse{Session: h.Name(), FreeVars: h.FreeVars(), Cached: hit})
 }
 
 // handleDeleteSession serves DELETE /session?name=...; without it, a
@@ -315,7 +319,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, map[string]string{"deleted": name})
+	WriteJSON(w, map[string]string{"deleted": name})
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +346,10 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	var value agg.Value
+	// A named session or, without one, the compiled query's implicit one.
+	var target interface {
+		Eval(ctx context.Context, args ...int) (agg.Value, error)
+	}
 	if req.Session != "" {
 		annotate(r, slog.String("session", req.Session))
 		h, err := s.Session(req.Session)
@@ -350,31 +357,22 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		value, err = h.Eval(r.Context(), req.Args...)
-		if err != nil {
-			if s.canceled(err) {
-				return
-			}
-			s.writeError(w, err)
-			return
-		}
+		target = h
 	} else {
 		p, _, err := s.compiled(req.DB, req.Expr, req.Semiring, nil)
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		value, err = p.Eval(r.Context(), req.Args...)
-		if err != nil {
-			if s.canceled(err) {
-				return
-			}
-			s.writeError(w, err)
-			return
-		}
+		target = p
 	}
-	s.stats.Points.Add(1)
-	s.writeJSON(w, pointResponse{Value: value.String()})
+	value, err := target.Eval(r.Context(), req.Args...)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	s.ctr[cPoints].Add(1)
+	WriteJSON(w, pointResponse{Value: value.String()})
 }
 
 // ---------------------------------------------------------------------------
@@ -407,6 +405,15 @@ type updateRequest struct {
 	Updates []updateSpec `json:"updates"`
 }
 
+func (req updateRequest) changes() []agg.Change {
+	changes := make([]agg.Change, len(req.Updates))
+	for i, u := range req.Updates {
+		changes[i] = u.change()
+	}
+	return changes
+}
+
+// updateResponse answers both /update and /batch.
 type updateResponse struct {
 	Applied int `json:"applied"`
 }
@@ -422,27 +429,19 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	changes := make([]agg.Change, len(req.Updates))
-	for i, u := range req.Updates {
-		changes[i] = u.change()
-	}
-	applied, err := h.SetAll(changes)
-	s.stats.Updates.Add(int64(applied))
-	s.stats.UpdateBatches.Add(1)
+	applied, err := h.SetAll(req.changes())
+	s.ctr[cUpdates].Add(int64(applied))
+	s.ctr[cUpdateBatches].Add(1)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, updateResponse{Applied: applied})
+	WriteJSON(w, updateResponse{Applied: applied})
 }
 
 // ---------------------------------------------------------------------------
 // POST /batch
 // ---------------------------------------------------------------------------
-
-type batchResponse struct {
-	Applied int `json:"applied"`
-}
 
 // handleBatch applies a batch of updates atomically: every update is
 // validated before anything is applied (all-or-nothing, unlike /update's
@@ -456,22 +455,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	changes := make([]agg.Change, len(req.Updates))
-	for i, u := range req.Updates {
-		changes[i] = u.change()
-	}
 	h, err := s.Session(req.Session)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+	changes := req.changes()
 	if err := h.ApplyBatch(changes); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.stats.Batches.Add(1)
-	s.stats.BatchedUpdates.Add(int64(len(changes)))
-	s.writeJSON(w, batchResponse{Applied: len(changes)})
+	s.ctr[cBatches].Add(1)
+	s.ctr[cBatchedUpdates].Add(int64(len(changes)))
+	WriteJSON(w, updateResponse{Applied: len(changes)})
 }
 
 // ---------------------------------------------------------------------------
@@ -490,7 +486,7 @@ type enumerateLine struct {
 
 func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	vars := splitList(q.Get("vars"))
+	vars := SplitList(q.Get("vars"))
 	limit := 100
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -507,9 +503,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	total, err := p.AnswerCount(r.Context())
 	if err != nil {
-		if s.canceled(err) {
-			return
-		}
 		s.writeError(w, err)
 		return
 	}
@@ -533,7 +526,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err := enc.Encode(enumerateLine{Answer: ans}); err != nil {
-			s.stats.Canceled.Add(1)
+			s.ctr[cCanceled].Add(1)
 			return // client went away
 		}
 		streamed++
@@ -542,7 +535,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	_ = enc.Encode(enumerateLine{Done: true, Streamed: streamed, Total: total, Cached: hit})
-	s.stats.Enumerations.Add(1)
+	s.ctr[cEnumerations].Add(1)
 	annotate(r, slog.Int("streamed", streamed), slog.Bool("cached", hit))
 }
 
@@ -572,7 +565,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		hit bool
 		err error
 	)
-	if vars := splitList(q.Get("vars")); len(vars) > 0 {
+	if vars := SplitList(q.Get("vars")); len(vars) > 0 {
 		p, hit, err = s.compiledEnumerator(q.Get("db"), expr, vars)
 	} else {
 		p, hit, err = s.compiled(q.Get("db"), expr, q.Get("semiring"), nil)
@@ -586,43 +579,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.stats.Analyzes.Add(1)
-	s.writeJSON(w, analyzeResponse{Analysis: report, Cached: hit})
+	s.ctr[cAnalyzes].Add(1)
+	WriteJSON(w, analyzeResponse{Analysis: report, Cached: hit})
 }
 
 // ---------------------------------------------------------------------------
 // GET /stats
 // ---------------------------------------------------------------------------
 
-// buildInfo is memoised: debug.ReadBuildInfo re-parses the embedded module
-// data on every call.
-var buildInfoOnce = sync.OnceValues(BuildInfo)
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.StatsSnapshot())
-}
-
-// StatsSnapshot assembles the full /stats view: the atomic counters plus the
-// cache, session, database and build gauges.  The fleet router consumes it
-// directly when merging per-replica stats.
-func (s *Server) StatsSnapshot() StatsSnapshot {
-	snap := s.stats.snapshot()
-	snap.CachedQueries = s.cache.len()
-	snap.CacheEntryBytes, snap.CacheBytes = s.cache.entryBytes()
-	if gauges := s.sessionGauges(); len(gauges) > 0 {
-		snap.SessionEpochs = make(map[string]uint64, len(gauges))
-		for _, g := range gauges {
-			snap.SessionEpochs[g.name] = g.epoch
-			snap.SessionRetainedUndoBytes += g.retained
-		}
-	}
-	s.mu.RLock()
-	snap.Databases = len(s.dbs)
-	s.mu.RUnlock()
-	snap.UptimeSeconds = time.Since(s.start).Seconds()
-	snap.StartTime = s.start.UTC().Format(time.RFC3339)
-	snap.GoVersion, snap.Revision = buildInfoOnce()
-	return snap
+	WriteJSON(w, s.StatsSnapshot())
 }
 
 // ---------------------------------------------------------------------------
@@ -644,7 +610,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	sessions := len(s.sessions)
 	s.mu.RUnlock()
-	s.writeJSON(w, Health{
+	WriteJSON(w, Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Sessions:      sessions,
@@ -652,7 +618,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func splitList(s string) []string {
+// SplitList parses a comma-separated query parameter, dropping blanks.
+func SplitList(s string) []string {
 	var out []string
 	for _, v := range strings.Split(s, ",") {
 		if v = strings.TrimSpace(v); v != "" {

@@ -28,10 +28,10 @@ type subscribeEvent struct {
 	Count int64  `json:"count,omitempty"`
 	// Reset marks a delta update carrying the complete answer set in
 	// Answers (the first delivery, and any re-sync after a stale resume).
-	Reset   bool    `json:"reset,omitempty"`
-	Answers [][]int `json:"answers,omitempty"`
-	Added   [][]int `json:"added,omitempty"`
-	Removed [][]int `json:"removed,omitempty"`
+	Reset   bool         `json:"reset,omitempty"`
+	Answers []agg.Answer `json:"answers,omitempty"`
+	Added   []agg.Answer `json:"added,omitempty"`
+	Removed []agg.Answer `json:"removed,omitempty"`
 	// Coalesced counts re-evaluations folded into this update because the
 	// client lagged; 0 means it kept up with the write stream.
 	Coalesced uint64 `json:"coalesced,omitempty"`
@@ -43,17 +43,6 @@ type subscribeDone struct {
 	Done     bool   `json:"done"`
 	Streamed int    `json:"streamed"`
 	Epoch    uint64 `json:"epoch"`
-}
-
-func answerTuples(as []agg.Answer) [][]int {
-	if len(as) == 0 {
-		return nil
-	}
-	out := make([][]int, len(as))
-	for i, a := range as {
-		out[i] = a
-	}
-	return out
 }
 
 // handleSubscribe serves GET /subscribe: a live push stream of re-evaluated
@@ -104,7 +93,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("unknown kind %q (value, point, count, delta): %w", kind, agg.ErrArgument))
 		return
 	}
-	if raw := firstNonEmpty(r.Header.Get("Last-Event-ID"), q.Get("from")); raw != "" {
+	raw := r.Header.Get("Last-Event-ID") // SSE auto-reconnect wins over ?from=
+	if raw == "" {
+		raw = q.Get("from")
+	}
+	if raw != "" {
 		from, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			s.writeError(w, fmt.Errorf("invalid resume epoch %q: %w", raw, agg.ErrArgument))
@@ -173,9 +166,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	s.stats.Subscriptions.Add(1)
-	s.stats.Subscribers.Add(1)
-	defer s.stats.Subscribers.Add(-1)
+	s.ctr[cSubscriptions].Add(1)
+	s.ctr[cSubscribers].Add(1)
+	defer s.ctr[cSubscribers].Add(-1)
 	annotate(r, slog.String("session", h.Name()), slog.String("kind", kind))
 
 	enc := json.NewEncoder(w)
@@ -233,7 +226,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-ctx.Done():
-			s.stats.Canceled.Add(1)
+			s.ctr[cCanceled].Add(1)
 			return
 		case <-ticker.C:
 			var err error
@@ -244,7 +237,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				err = writeEvent("", map[string]bool{"heartbeat": true})
 			}
 			if err != nil {
-				s.stats.Canceled.Add(1)
+				s.ctr[cCanceled].Add(1)
 				return
 			}
 		case it, ok := <-ch:
@@ -255,8 +248,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				if s.canceled(it.err) {
 					return
 				}
-				s.stats.Errors.Add(1)
-				_ = writeEvent("error", errorBody{Error: it.err.Error(), Code: agg.ErrorCode(it.err)})
+				s.ctr[cErrors].Add(1)
+				_ = writeEvent("error", ErrorBody{Error: it.err.Error(), Code: agg.ErrorCode(it.err)})
 				return
 			}
 			u := it.u
@@ -266,17 +259,17 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				Value:     u.Value.String(),
 				Count:     u.Count,
 				Reset:     u.Reset,
-				Answers:   answerTuples(u.Answers),
-				Added:     answerTuples(u.Added),
-				Removed:   answerTuples(u.Removed),
+				Answers:   u.Answers,
+				Added:     u.Added,
+				Removed:   u.Removed,
 				Coalesced: u.Coalesced,
 			}
 			if err := writeEvent("update", ev); err != nil {
-				s.stats.Canceled.Add(1)
+				s.ctr[cCanceled].Add(1)
 				return
 			}
-			s.stats.Pushes.Add(1)
-			s.stats.PushCoalesced.Add(int64(u.Coalesced))
+			s.ctr[cPushes].Add(1)
+			s.ctr[cPushCoalesced].Add(int64(u.Coalesced))
 			if u.Lag > 0 {
 				s.pushHist.Observe(u.Lag)
 			}
@@ -364,7 +357,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if s.canceled(err) {
 			return
 		}
-		s.stats.Errors.Add(1)
+		s.ctr[cErrors].Add(1)
 		_ = enc.Encode(ingestAck{
 			Applied: applied, Waves: waves, Epoch: h.Epoch(),
 			Error: err.Error(), Code: agg.ErrorCode(err), AtLine: line,
@@ -381,8 +374,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		applied += int64(len(changes))
 		waves++
-		s.stats.IngestedChanges.Add(int64(len(changes)))
-		s.stats.IngestWaves.Add(1)
+		s.ctr[cIngestedChanges].Add(int64(len(changes)))
+		s.ctr[cIngestWaves].Add(1)
 		changes = changes[:0]
 		if waves%int64(ackEvery) == 0 {
 			if err := enc.Encode(ingestAck{Applied: applied, Waves: waves, Epoch: h.Epoch()}); err != nil {
@@ -419,7 +412,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := sc.Err(); err != nil {
 		// A torn body usually means the client went away mid-stream.
 		if r.Context().Err() != nil {
-			s.stats.Canceled.Add(1)
+			s.ctr[cCanceled].Add(1)
 			return
 		}
 		fail(fmt.Errorf("reading change stream: %w: %v", agg.ErrArgument, err))
@@ -429,7 +422,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		fail(err)
 		return
 	}
-	s.stats.Ingests.Add(1)
+	s.ctr[cIngests].Add(1)
 	annotate(r, slog.Int64("applied", applied), slog.Int64("waves", waves))
 	_ = enc.Encode(ingestAck{Applied: applied, Waves: waves, Epoch: h.Epoch(), Done: true})
 }
@@ -448,11 +441,4 @@ func parseArgs(raw string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

@@ -3,13 +3,17 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/agg"
 )
 
 // subscribeLine mirrors the NDJSON / SSE-data wire shape of /subscribe.
@@ -103,13 +107,13 @@ func TestSubscribeNDJSONStream(t *testing.T) {
 		t.Fatalf("summary = %+v, want done with 3 streamed at epoch %d", done, second.Epoch)
 	}
 
-	if got := srv.Stats().Subscriptions.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Subscriptions; got != 1 {
 		t.Errorf("subscriptions = %d, want 1", got)
 	}
-	if got := srv.Stats().Pushes.Load(); got != 3 {
+	if got := srv.StatsSnapshot().Pushes; got != 3 {
 		t.Errorf("pushes = %d, want 3", got)
 	}
-	waitFor(t, "subscriber gauge to drain", func() bool { return srv.Stats().Subscribers.Load() == 0 })
+	waitFor(t, "subscriber gauge to drain", func() bool { return srv.StatsSnapshot().Subscribers == 0 })
 
 	// The new families surface on /stats and /metrics.
 	var snap StatsSnapshot
@@ -275,11 +279,11 @@ func TestSubscribeDisconnectCancels(t *testing.T) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	nextLine(t, sc) // initial snapshot: the stream is live
-	waitFor(t, "subscriber gauge to rise", func() bool { return srv.Stats().Subscribers.Load() == 1 })
+	waitFor(t, "subscriber gauge to rise", func() bool { return srv.StatsSnapshot().Subscribers == 1 })
 	resp.Body.Close()
 
-	waitFor(t, "canceled counter after disconnect", func() bool { return srv.Stats().Canceled.Load() >= 1 })
-	waitFor(t, "subscriber gauge to drain", func() bool { return srv.Stats().Subscribers.Load() == 0 })
+	waitFor(t, "canceled counter after disconnect", func() bool { return srv.StatsSnapshot().Canceled >= 1 })
+	waitFor(t, "subscriber gauge to drain", func() bool { return srv.StatsSnapshot().Subscribers == 0 })
 
 	// The writer path is unaffected.
 	mustBatch(t, ts.URL, "gone", []map[string]any{{"weight": "w", "tuple": db.A.Tuples("E")[0], "value": 9}})
@@ -404,13 +408,13 @@ func TestIngestStream(t *testing.T) {
 		t.Errorf("after ingest: value %v, want %d", point["value"], want)
 	}
 
-	if got := srv.Stats().Ingests.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Ingests; got != 1 {
 		t.Errorf("ingests = %d, want 1", got)
 	}
-	if got := srv.Stats().IngestedChanges.Load(); got != int64(len(edges)) {
+	if got := srv.StatsSnapshot().IngestedChanges; got != int64(len(edges)) {
 		t.Errorf("ingestedChanges = %d, want %d", got, len(edges))
 	}
-	if got := srv.Stats().IngestWaves.Load(); got != wantWaves {
+	if got := srv.StatsSnapshot().IngestWaves; got != wantWaves {
 		t.Errorf("ingestWaves = %d, want %d", got, wantWaves)
 	}
 }
@@ -449,7 +453,7 @@ func TestIngestBadLine(t *testing.T) {
 	if last.Applied != 1 {
 		t.Errorf("applied = %d, want the 1 committed wave", last.Applied)
 	}
-	if got := srv.Stats().Ingests.Load(); got != 0 {
+	if got := srv.StatsSnapshot().Ingests; got != 0 {
 		t.Errorf("failed ingest counted as completed (%d)", got)
 	}
 	// Unknown sessions fail before any body is consumed.
@@ -536,4 +540,109 @@ func readSSE(t *testing.T, r io.Reader, n int) []sseFrame {
 		t.Fatalf("SSE stream ended after %d frames, want %d (err: %v)", len(frames), n, sc.Err())
 	}
 	return frames
+}
+
+// hubEvaluators counts the live-hub evaluator goroutines in the process.
+func hubEvaluators() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "live.(*Hub).run")
+}
+
+// TestDeleteSessionClosesIt: DELETE /session closes the session, not just
+// its registry entry — an open /subscribe stream ends with a session_closed
+// error event instead of heartbeating forever, the subscriber gauge drains,
+// the hub's evaluator goroutine exits, and a request still holding the
+// handle answers 404 like any request that comes after.
+func TestDeleteSessionClosesIt(t *testing.T) {
+	srv, ts, _ := newTestServer(t, 6)
+	if resp, code := postJSON(t, ts.URL+"/session", map[string]any{"name": "gone", "expr": edgeSum}); code != http.StatusOK {
+		t.Fatalf("creating session: %v", resp)
+	}
+	h, err := srv.Session("gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := hubEvaluators()
+
+	resp, err := http.Get(ts.URL + "/subscribe?session=gone&mode=ndjson&heartbeat=100ms")
+	if err != nil {
+		t.Fatalf("GET /subscribe: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	nextLine(t, sc) // the initial snapshot: the stream is live
+	if got := hubEvaluators(); got != before+1 {
+		t.Fatalf("%d hub evaluators with one open subscription, want %d", got, before+1)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/session?name=gone", nil)
+	del, err := http.DefaultClient.Do(req)
+	if err != nil || del.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /session: %v %v", err, del)
+	}
+	del.Body.Close()
+
+	// The stream must end by itself, with the error event as its last line.
+	last := make(chan map[string]any, 1)
+	go func() {
+		var line map[string]any
+		for sc.Scan() {
+			var l map[string]any
+			if json.Unmarshal(sc.Bytes(), &l) == nil && l["heartbeat"] != true {
+				line = l
+			}
+		}
+		last <- line
+	}()
+	select {
+	case line := <-last:
+		if line["code"] != "session_closed" {
+			t.Errorf("stream ended with %v, want an error event with code session_closed", line)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("/subscribe stream still open 5s after its session was deleted")
+	}
+	waitFor(t, "subscriber gauge to drain", func() bool { return srv.StatsSnapshot().Subscribers == 0 })
+	waitFor(t, "hub evaluator to exit", func() bool { return hubEvaluators() == before })
+
+	if _, err := h.Eval(context.Background()); statusOf(err) != http.StatusNotFound || agg.ErrorCode(err) != "session_closed" {
+		t.Errorf("Eval on the deleted session's handle: %v (status %d), want session_closed as a 404", err, statusOf(err))
+	}
+	if out, code := postJSON(t, ts.URL+"/point", map[string]any{"session": "gone"}); code != http.StatusNotFound {
+		t.Errorf("/point after delete: %d %v, want 404", code, out)
+	}
+}
+
+// TestServerCloseEndsStreams: Close closes every registered session, so a
+// graceful HTTP shutdown is not left waiting on open /subscribe streams.
+func TestServerCloseEndsStreams(t *testing.T) {
+	srv, ts, _ := newTestServer(t, 6)
+	for _, name := range []string{"a", "b"} {
+		if resp, code := postJSON(t, ts.URL+"/session", map[string]any{"name": name, "expr": edgeSum}); code != http.StatusOK {
+			t.Fatalf("creating session: %v", resp)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/subscribe?session=a&mode=ndjson")
+	if err != nil {
+		t.Fatalf("GET /subscribe: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	nextLine(t, sc)
+
+	srv.Close()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		for sc.Scan() {
+		}
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("/subscribe stream still open 5s after Server.Close")
+	}
+	if n := len(srv.StatsSnapshot().SessionEpochs); n != 0 {
+		t.Errorf("%d sessions still registered after Close", n)
+	}
 }

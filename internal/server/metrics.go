@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"runtime"
 	"time"
@@ -13,9 +12,7 @@ import (
 // MetricsSnapshot is the raw, mergeable form of the /metrics exposition: the
 // full stats view plus the per-endpoint request histograms and per-stage
 // pipeline histograms as obs snapshots.  The fleet router scrapes it from
-// GET /metrics.json on every replica and merges the fleet-wide view by
-// summing counters and histogram buckets (obs.Snapshot merges exactly, so
-// fleet bucket counts equal the sum of the per-replica buckets).
+// GET /metrics.json on every replica and merges the fleet-wide view.
 type MetricsSnapshot struct {
 	Stats    StatsSnapshot           `json:"stats"`
 	Requests map[string]obs.Snapshot `json:"requests"`
@@ -43,145 +40,102 @@ func (s *Server) MetricsSnapshot() *MetricsSnapshot {
 	return m
 }
 
-// handleMetricsJSON serves the raw snapshot for fleet-wide aggregation.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.MetricsSnapshot())
+// Merge folds another process's snapshot into m: every stats field merges
+// under the rule statsMetrics declares for it, and histograms merge bucket
+// by bucket, so a merged bucket count is exactly the sum of its parts.
+func (m *MetricsSnapshot) Merge(o *MetricsSnapshot) {
+	obs.MergeInto(statsMetrics[:], &m.Stats, &o.Stats)
+	m.Push.Merge(&o.Push)
+	m.Requests = mergeHistograms(m.Requests, o.Requests)
+	m.Stages = mergeHistograms(m.Stages, o.Stages)
 }
 
-// handleMetrics serves GET /metrics in the Prometheus text exposition
-// format: the Stats counters, the per-endpoint request-latency histograms,
-// the per-stage pipeline histograms (parse, cache lookup, compile, freeze,
-// eval, update waves), cache and session gauges, build info, and a small
-// set of Go runtime stats.  /stats keeps serving the same counters as JSON;
-// this endpoint is the scrape target.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	pw := obs.NewWriter(&buf)
-
-	// Request counters, one family with an endpoint label per operation
-	// completed successfully (the histograms below count every request,
-	// including failed ones).
-	pw.Header("aggserve_requests_total", "Requests completed successfully, by endpoint.", "counter")
-	for _, c := range []struct {
-		endpoint string
-		v        int64
-	}{
-		{"query", s.stats.Queries.Load()},
-		{"session", s.stats.Sessions.Load()},
-		{"point", s.stats.Points.Load()},
-		{"update", s.stats.UpdateBatches.Load()},
-		{"batch", s.stats.Batches.Load()},
-		{"enumerate", s.stats.Enumerations.Load()},
-		{"subscribe", s.stats.Subscriptions.Load()},
-		{"ingest", s.stats.Ingests.Load()},
-		{"analyze", s.stats.Analyzes.Load()},
-	} {
-		pw.Counter("aggserve_requests_total", obs.Labels{"endpoint": c.endpoint}, uint64(c.v))
+func mergeHistograms(dst, src map[string]obs.Snapshot) map[string]obs.Snapshot {
+	if dst == nil {
+		dst = make(map[string]obs.Snapshot, len(src))
 	}
-
-	pw.Header("aggserve_updates_applied_total", "Individual updates applied, by path.", "counter")
-	pw.Counter("aggserve_updates_applied_total", obs.Labels{"path": "single"}, uint64(s.stats.Updates.Load()))
-	pw.Counter("aggserve_updates_applied_total", obs.Labels{"path": "batched"}, uint64(s.stats.BatchedUpdates.Load()))
-	pw.Counter("aggserve_updates_applied_total", obs.Labels{"path": "ingested"}, uint64(s.stats.IngestedChanges.Load()))
-
-	for _, c := range []struct {
-		name, help string
-		v          int64
-	}{
-		{"aggserve_compiles_total", "Queries compiled (cache misses that ran the compiler).", s.stats.Compiles.Load()},
-		{"aggserve_cache_hits_total", "Compiled-query cache hits.", s.stats.CacheHits.Load()},
-		{"aggserve_cache_misses_total", "Compiled-query cache misses.", s.stats.CacheMisses.Load()},
-		{"aggserve_errors_total", "Requests answered with a non-2xx status.", s.stats.Errors.Load()},
-		{"aggserve_canceled_total", "Requests abandoned by their client mid-work.", s.stats.Canceled.Load()},
-		{"aggserve_busy_total", "Fail-fast session-busy rejections (409): writer-writer conflicts on one session.", s.stats.Busy.Load()},
-		{"aggserve_pushes_total", "Updates pushed to /subscribe clients.", s.stats.Pushes.Load()},
-		{"aggserve_push_coalesced_total", "Evaluated results folded into pushed updates by lagging subscribers.", s.stats.PushCoalesced.Load()},
-		{"aggserve_ingest_waves_total", "Batch waves committed by /ingest change streams.", s.stats.IngestWaves.Load()},
-	} {
-		pw.Header(c.name, c.help, "counter")
-		pw.Counter(c.name, nil, uint64(c.v))
+	for k, snap := range src {
+		have := dst[k]
+		have.Merge(&snap)
+		dst[k] = have
 	}
+	return dst
+}
 
-	// Request latency: one histogram per endpoint, in seconds.
-	pw.Header("aggserve_request_duration_seconds", "End-to-end request latency by endpoint.", "histogram")
-	for _, ep := range endpoints {
-		snap := s.reqHist[ep].Snapshot()
-		pw.Histogram("aggserve_request_duration_seconds", obs.Labels{"endpoint": ep}, &snap)
-	}
+// WritePrometheus emits the snapshot in the text exposition format: the
+// statsMetrics families, the request, stage and push latency histograms, and
+// the per-session epoch gauge.  at says whether m is one process's snapshot
+// or a merged one.
+func (m *MetricsSnapshot) WritePrometheus(pw *obs.Writer, at obs.Scope) {
+	pw.Table(statsMetrics[:], at, obs.Source{Stats: &m.Stats})
 
+	pw.Histograms("aggserve_request_duration_seconds", "End-to-end request latency by endpoint.", "endpoint", m.Requests)
 	// Stage latency: the parse → cache lookup → compile → freeze → eval
 	// pipeline of the paper, plus the per-wave update propagation cost
 	// (the observable form of the O(log n)-per-update guarantee).
-	pw.Header("aggserve_stage_duration_seconds", "Internal pipeline stage latency.", "histogram")
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		snap := s.tr.Stage(st).Snapshot()
-		pw.Histogram("aggserve_stage_duration_seconds", obs.Labels{"stage": st.String()}, &snap)
-	}
-
-	// Push latency: commit to subscriber write, over all /subscribe streams.
+	pw.Histograms("aggserve_stage_duration_seconds", "Internal pipeline stage latency.", "stage", m.Stages)
 	pw.Header("aggserve_push_latency_seconds", "Commit-to-client push latency of /subscribe streams.", "histogram")
-	pushSnap := s.pushHist.Snapshot()
-	pw.Histogram("aggserve_push_latency_seconds", nil, &pushSnap)
+	pw.Histogram("aggserve_push_latency_seconds", nil, &m.Push)
 
-	// Gauges: serving state and cache occupancy.
-	entryBytes, cacheBytes := s.cache.entryBytes()
-	s.mu.RLock()
-	sessions := len(s.sessions)
-	databases := len(s.dbs)
-	s.mu.RUnlock()
-	for _, g := range []struct {
-		name, help string
-		v          float64
-	}{
-		{"aggserve_in_flight_requests", "Requests currently being served.", float64(s.stats.InFlight.Load())},
-		{"aggserve_cache_entries", "Compiled queries resident in the LRU cache.", float64(len(entryBytes))},
-		{"aggserve_cache_bytes", "Total bytes of frozen circuit programs in the cache.", float64(cacheBytes)},
-		{"aggserve_sessions_active", "Named dynamic-update sessions currently registered.", float64(sessions)},
-		{"aggserve_subscribers_active", "Live /subscribe streams currently open.", float64(s.stats.Subscribers.Load())},
-		{"aggserve_databases", "Databases mounted.", float64(databases)},
-		{"aggserve_start_time_seconds", "Unix time the server started.", float64(s.start.UnixNano()) / float64(time.Second)},
-		{"aggserve_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds()},
-	} {
-		pw.Header(g.name, g.help, "gauge")
-		pw.Gauge(g.name, nil, g.v)
+	if len(m.Stats.SessionEpochs) > 0 {
+		// The committed epoch advances with every update; each session lives
+		// on exactly one replica, so merged snapshots never collide.
+		obs.Gauges(pw, "aggserve_session_epoch", "Updates committed per session.", "session", m.Stats.SessionEpochs)
 	}
+}
 
-	// Per-session MVCC gauges: the committed epoch advances with every
-	// update, and the retained-undo-bytes gauge shows how much history open
-	// snapshot readers are pinning (zero in steady state with no readers).
-	if gauges := s.sessionGauges(); len(gauges) > 0 {
-		pw.Header("aggserve_session_epoch", "Updates committed per session.", "gauge")
-		for _, g := range gauges {
-			pw.Gauge("aggserve_session_epoch", obs.Labels{"session": g.name}, float64(g.epoch))
+// handleMetricsJSON serves the raw snapshot for fleet-wide aggregation.
+func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, s.MetricsSnapshot())
+}
+
+// handleMetrics serves GET /metrics, the scrape target: the snapshot's
+// families plus what only this process can say.  /stats serves the same
+// counters as JSON.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	ServeMetrics(w, func(pw *obs.Writer) {
+		s.MetricsSnapshot().WritePrometheus(pw, obs.PerProcess)
+
+		// Undo history each session's snapshot readers pin: zero in steady
+		// state with no readers.
+		if hs := s.handles(); len(hs) > 0 {
+			retained := make(map[string]int64, len(hs))
+			for _, h := range hs {
+				retained[h.name] = h.RetainedUndoBytes()
+			}
+			obs.Gauges(pw, "aggserve_session_retained_undo_bytes", "Undo-history bytes pinned by open snapshot readers, per session.", "session", retained)
 		}
-		pw.Header("aggserve_session_retained_undo_bytes", "Undo-history bytes pinned by open snapshot readers, per session.", "gauge")
-		for _, g := range gauges {
-			pw.Gauge("aggserve_session_retained_undo_bytes", obs.Labels{"session": g.name}, float64(g.retained))
+
+		goVersion, revision := buildInfoOnce()
+		pw.Header("aggserve_build_info", "Build metadata; the value is always 1.", "gauge")
+		pw.Gauge("aggserve_build_info", obs.Labels{"go_version": goVersion, "revision": revision}, 1)
+
+		// Process start and the handful of Go runtime stats an operator
+		// reaches for first; attach pprof (-pprof-addr) for anything deeper.
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		for _, g := range []struct {
+			name, help string
+			v          float64
+		}{
+			{"aggserve_start_time_seconds", "Unix time the server started.", float64(s.start.UnixNano()) / float64(time.Second)},
+			{"go_goroutines", "Number of goroutines.", float64(runtime.NumGoroutine())},
+			{"go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(ms.HeapAlloc)},
+			{"go_memstats_sys_bytes", "Bytes obtained from the OS.", float64(ms.Sys)},
+			{"go_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC)},
+		} {
+			pw.Header(g.name, g.help, "gauge")
+			pw.Gauge(g.name, nil, g.v)
 		}
-	}
+	})
+}
 
-	goVersion, revision := buildInfoOnce()
-	pw.Header("aggserve_build_info", "Build metadata; the value is always 1.", "gauge")
-	pw.Gauge("aggserve_build_info", obs.Labels{"go_version": goVersion, "revision": revision}, 1)
-
-	// Go runtime: the handful of stats an operator reaches for first; attach
-	// pprof (-pprof-addr) for anything deeper.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	for _, g := range []struct {
-		name, help string
-		v          float64
-	}{
-		{"go_goroutines", "Number of goroutines.", float64(runtime.NumGoroutine())},
-		{"go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(ms.HeapAlloc)},
-		{"go_memstats_sys_bytes", "Bytes obtained from the OS.", float64(ms.Sys)},
-		{"go_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC)},
-	} {
-		pw.Header(g.name, g.help, "gauge")
-		pw.Gauge(g.name, nil, g.v)
-	}
-
+// ServeMetrics answers a /metrics scrape with whatever write emits,
+// buffered so a formatting error becomes a 500 instead of a torn exposition.
+func ServeMetrics(w http.ResponseWriter, write func(*obs.Writer)) {
+	var buf bytes.Buffer
+	pw := obs.NewWriter(&buf)
+	write(pw)
 	if err := pw.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -17,7 +17,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"iter"
 	"log/slog"
 	"sort"
@@ -57,7 +56,7 @@ var endpoints = []string{"query", "session", "point", "update", "batch", "enumer
 type Server struct {
 	opts  Options
 	cache *lruCache
-	stats Stats
+	ctr   [numCounters]atomic.Int64 // live counters, indexed by counter
 	start time.Time
 
 	// tr records the pipeline stage timings (parse, cache lookup, compile,
@@ -98,24 +97,6 @@ func New(opts Options) *Server {
 		dbs:      map[string]*agg.Engine{},
 		sessions: map[string]*SessionHandle{},
 	}
-}
-
-// Tracer exposes the server's stage tracer (for tests and benchmarks).
-func (s *Server) Tracer() *obs.Tracer { return s.tr }
-
-// Stats exposes the server's counters (primarily for tests and benchmarks;
-// HTTP clients use GET /stats).
-func (s *Server) Stats() *Stats { return &s.stats }
-
-// MountDatabase parses a database from r in the dbio text format and mounts
-// it under the given name.
-func (s *Server) MountDatabase(name string, r io.Reader) error {
-	db, err := agg.ReadDatabase(r)
-	if err != nil {
-		return err
-	}
-	s.MountDatabaseValue(name, db)
-	return nil
 }
 
 // MountDatabaseValue mounts an already-loaded database.  Remounting an
@@ -167,20 +148,8 @@ func (s *Server) optionsKey(dynamic []string) string {
 	return fmt.Sprintf("dyn=%s;maxvars=%d", strings.Join(dyn, ","), s.opts.MaxVars)
 }
 
-// prepareOptions assembles the facade options shared by every compilation.
-func (s *Server) prepareOptions(semName string, dynamic []string) []agg.Option {
-	return []agg.Option{
-		agg.WithSemiring(semName),
-		agg.WithDynamic(dynamic...),
-		agg.WithWorkers(s.opts.Workers),
-		agg.WithMaxVars(s.opts.MaxVars),
-	}
-}
-
 // compiled resolves (database, expression, semiring, options) through the
 // LRU cache, preparing at most once per key.  The bool reports a cache hit.
-// Compilation runs under the background context: it is a shared artefact
-// that outlives the request that happened to trigger it.
 func (s *Server) compiled(dbName, exprText, semName string, dynamic []string) (*agg.Prepared, bool, error) {
 	dbName, eng, err := s.engine(dbName)
 	if err != nil {
@@ -197,33 +166,7 @@ func (s *Server) compiled(dbName, exprText, semName string, dynamic []string) (*
 		semName = "natural"
 	}
 	key := strings.Join([]string{"query", dbName, canonical, semName, s.optionsKey(dynamic)}, "\x00")
-
-	lookupStart := time.Now()
-	v, hit, err := s.cache.getOrCreate(key, func() (any, error) {
-		s.stats.Compiles.Add(1)
-		var p *agg.Prepared
-		var cerr error
-		timed(&s.stats.CompileNanos, func() {
-			// Background context: the compilation is a shared artefact that
-			// outlives the triggering request.  The server tracer rides along
-			// so parse/compile/freeze stages and later session waves record.
-			p, cerr = eng.Prepare(obs.NewContext(context.Background(), s.tr), exprText, s.prepareOptions(semName, dynamic)...)
-		})
-		if cerr != nil {
-			return nil, cerr
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		s.stats.CacheHits.Add(1)
-		s.tr.Observe(obs.StageCacheLookup, time.Since(lookupStart))
-	} else {
-		s.stats.CacheMisses.Add(1)
-	}
-	return v.(*agg.Prepared), hit, nil
+	return s.cached(key, eng, exprText, agg.WithSemiring(semName), agg.WithDynamic(dynamic...))
 }
 
 // compiledEnumerator resolves (database, formula, vars) through the cache to
@@ -244,17 +187,24 @@ func (s *Server) compiledEnumerator(dbName, phiText string, vars []string) (*agg
 		return nil, false, err
 	}
 	key := strings.Join([]string{"enum", dbName, canonical, strings.Join(vars, ","), s.optionsKey(nil)}, "\x00")
+	return s.cached(key, eng, phiText, agg.WithAnswerVars(vars...))
+}
 
+// cached is the cache-through step shared by every compilation: look key up,
+// prepare text on a miss (at most once per key, with the server's worker and
+// MaxVars options after opts), and account for the hit or miss.
+func (s *Server) cached(key string, eng *agg.Engine, text string, opts ...agg.Option) (*agg.Prepared, bool, error) {
 	lookupStart := time.Now()
 	v, hit, err := s.cache.getOrCreate(key, func() (any, error) {
-		s.stats.Compiles.Add(1)
+		s.ctr[cCompiles].Add(1)
 		var p *agg.Prepared
 		var cerr error
-		timed(&s.stats.CompileNanos, func() {
-			p, cerr = eng.Prepare(obs.NewContext(context.Background(), s.tr), phiText,
-				agg.WithAnswerVars(vars...),
-				agg.WithWorkers(s.opts.Workers),
-				agg.WithMaxVars(s.opts.MaxVars))
+		timed(&s.ctr[cCompileNanos], func() {
+			// Background context: the compilation is a shared artefact that
+			// outlives the triggering request.  The server tracer rides along
+			// so parse/compile/freeze stages and later session waves record.
+			p, cerr = eng.Prepare(obs.NewContext(context.Background(), s.tr), text,
+				append(opts, agg.WithWorkers(s.opts.Workers), agg.WithMaxVars(s.opts.MaxVars))...)
 		})
 		if cerr != nil {
 			return nil, cerr
@@ -265,10 +215,10 @@ func (s *Server) compiledEnumerator(dbName, phiText string, vars []string) (*agg
 		return nil, false, err
 	}
 	if hit {
-		s.stats.CacheHits.Add(1)
+		s.ctr[cCacheHits].Add(1)
 		s.tr.Observe(obs.StageCacheLookup, time.Since(lookupStart))
 	} else {
-		s.stats.CacheMisses.Add(1)
+		s.ctr[cCacheMisses].Add(1)
 	}
 	return v.(*agg.Prepared), hit, nil
 }
@@ -283,8 +233,6 @@ func (s *Server) compiledEnumerator(dbName, phiText string, vars []string) (*agg
 // mid-flight on the same session.
 type SessionHandle struct {
 	name     string
-	db       string
-	expr     string
 	semiring string
 
 	mu   sync.Mutex
@@ -293,12 +241,6 @@ type SessionHandle struct {
 
 // Name returns the session's registered name.
 func (h *SessionHandle) Name() string { return h.name }
-
-// Database returns the name of the database the session was compiled over.
-func (h *SessionHandle) Database() string { return h.db }
-
-// Query returns the session's query text.
-func (h *SessionHandle) Query() string { return h.expr }
 
 // Semiring returns the name of the session's semiring.
 func (h *SessionHandle) Semiring() string { return h.semiring }
@@ -320,13 +262,6 @@ func (h *SessionHandle) Epoch() uint64 { return h.sess.Epoch() }
 // RetainedUndoBytes reports the undo-history memory currently pinned by
 // open snapshot readers of the session.
 func (h *SessionHandle) RetainedUndoBytes() int64 { return h.sess.RetainedUndoBytes() }
-
-// Set applies one update, queueing behind other operations.
-func (h *SessionHandle) Set(change agg.Change) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sess.Set(change)
-}
 
 // SetAll applies the changes one at a time under a single hold of the
 // handle, stopping at the first failure (unlike ApplyBatch it is not
@@ -372,7 +307,7 @@ func (s *Server) CreateSession(name, dbName, exprText, semName string, dynamic [
 	if err != nil {
 		return nil, hit, err
 	}
-	h := &SessionHandle{name: name, db: dbName, expr: exprText, semiring: p.SemiringName(), sess: sess}
+	h := &SessionHandle{name: name, semiring: p.SemiringName(), sess: sess}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -380,21 +315,37 @@ func (s *Server) CreateSession(name, dbName, exprText, semName string, dynamic [
 		return nil, hit, fmt.Errorf("session %q: %w", name, agg.ErrSessionExists)
 	}
 	s.sessions[name] = h
-	s.stats.Sessions.Add(1)
+	s.ctr[cSessions].Add(1)
 	return h, hit, nil
 }
 
-// DeleteSession unregisters a named session, releasing its evaluator state.
-// In-flight requests holding the handle finish normally; later requests see
-// an unknown session.
+// DeleteSession unregisters a named session and closes it, which stops its
+// live-hub evaluator and ends its open /subscribe streams with
+// session_closed.  Requests already holding the handle get the same error;
+// later requests see an unknown session.
 func (s *Server) DeleteSession(name string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sessions[name]; !ok {
+	h, ok := s.sessions[name]
+	delete(s.sessions, name)
+	s.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("session %q: %w", name, agg.ErrUnknownSession)
 	}
-	delete(s.sessions, name)
-	return nil
+	// Outside s.mu: Close waits for an in-flight update on the session.
+	return h.sess.Close()
+}
+
+// Close closes every registered session, ending their /subscribe streams so
+// an HTTP shutdown is not left waiting on them.  The server keeps answering
+// stateless requests.
+func (s *Server) Close() {
+	s.mu.Lock()
+	sessions := s.sessions
+	s.sessions = map[string]*SessionHandle{}
+	s.mu.Unlock()
+	for _, h := range sessions {
+		_ = h.sess.Close() // always nil; Close is idempotent
+	}
 }
 
 // Session resolves a registered session handle by name.
@@ -407,37 +358,15 @@ func (s *Server) Session(name string) (*SessionHandle, error) {
 	return nil, fmt.Errorf("session %q: %w", name, agg.ErrUnknownSession)
 }
 
-// sessionGauge is one row of the per-session MVCC gauges exported on /stats
-// and /metrics: the session's committed epoch and the undo-history bytes its
-// open snapshot readers currently retain.
-type sessionGauge struct {
-	name     string
-	epoch    uint64
-	retained int64
-}
-
-// sessionGauges samples every registered session, sorted by name for stable
-// exposition.  The registry lock is dropped before the sessions are probed:
-// Epoch and RetainedUndoBytes only touch per-session state.
-func (s *Server) sessionGauges() []sessionGauge {
+// handles lists the registered sessions.  Callers probe them (Epoch,
+// RetainedUndoBytes) after the registry lock is dropped: those only touch
+// per-session state.
+func (s *Server) handles() []*SessionHandle {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	hs := make([]*SessionHandle, 0, len(s.sessions))
 	for _, h := range s.sessions {
 		hs = append(hs, h)
 	}
-	s.mu.RUnlock()
-	out := make([]sessionGauge, len(hs))
-	for i, h := range hs {
-		out[i] = sessionGauge{name: h.name, epoch: h.Epoch(), retained: h.RetainedUndoBytes()}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// workers resolves a per-request worker count against the server default.
-func (s *Server) workers(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return s.opts.Workers
+	return hs
 }

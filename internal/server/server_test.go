@@ -64,7 +64,7 @@ func TestCacheHitSkipsCompilation(t *testing.T) {
 	if first["cached"] != false {
 		t.Errorf("first query reported cached=%v, want false", first["cached"])
 	}
-	if got := srv.Stats().Compiles.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Compiles; got != 1 {
 		t.Fatalf("after first query: %d compiles, want 1", got)
 	}
 
@@ -75,13 +75,13 @@ func TestCacheHitSkipsCompilation(t *testing.T) {
 	if second["cached"] != true {
 		t.Errorf("second query reported cached=%v, want true", second["cached"])
 	}
-	if got := srv.Stats().Compiles.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Compiles; got != 1 {
 		t.Errorf("cache hit recompiled: %d compiles, want 1", got)
 	}
 	if second["value"] != first["value"] {
 		t.Errorf("cached value %v differs from cold value %v", second["value"], first["value"])
 	}
-	if got := srv.Stats().CacheHits.Load(); got != 1 {
+	if got := srv.StatsSnapshot().CacheHits; got != 1 {
 		t.Errorf("cacheHits = %d, want 1", got)
 	}
 
@@ -89,7 +89,7 @@ func TestCacheHitSkipsCompilation(t *testing.T) {
 	if _, code := postJSON(t, ts.URL+"/query", map[string]any{"expr": edgeSum, "semiring": "boolean"}); code != http.StatusOK {
 		t.Fatalf("boolean query failed")
 	}
-	if got := srv.Stats().Compiles.Load(); got != 2 {
+	if got := srv.StatsSnapshot().Compiles; got != 2 {
 		t.Errorf("after boolean query: %d compiles, want 2", got)
 	}
 }
@@ -248,7 +248,7 @@ func TestConcurrentPointsAndUpdates(t *testing.T) {
 
 	// The session and every point went through one compilation (the oracle
 	// compiled outside the server).
-	if got := srv.Stats().Compiles.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Compiles; got != 1 {
 		t.Errorf("session workload compiled %d times, want 1", got)
 	}
 }
@@ -316,7 +316,7 @@ func TestPointDuringInFlightBatch(t *testing.T) {
 	if code := <-batchStatus; code != http.StatusOK {
 		t.Fatalf("released batch: status %d", code)
 	}
-	if got := srv.Stats().Busy.Load(); got != 0 {
+	if got := srv.StatsSnapshot().Busy; got != 0 {
 		t.Errorf("busy counter = %d after reads under write, want 0 (writer-writer conflicts only)", got)
 	}
 	if h.Epoch() <= epochBefore {
@@ -458,10 +458,10 @@ func TestBatchEndpoint(t *testing.T) {
 	if got := resp["applied"]; got != float64(len(updates)) {
 		t.Errorf("applied = %v, want %d", got, len(updates))
 	}
-	if got := srv.Stats().Batches.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Batches; got != 1 {
 		t.Errorf("batches counter = %d, want 1", got)
 	}
-	if got := srv.Stats().BatchedUpdates.Load(); got != int64(len(updates)) {
+	if got := srv.StatsSnapshot().BatchedUpdates; got != int64(len(updates)) {
 		t.Errorf("batchedUpdates counter = %d, want %d", got, len(updates))
 	}
 
@@ -505,7 +505,7 @@ func TestBatchEndpoint(t *testing.T) {
 	if after["value"] != before["value"] {
 		t.Errorf("invalid batch partially applied: point 0 went from %v to %v", before["value"], after["value"])
 	}
-	if got := srv.Stats().Batches.Load(); got != 1 {
+	if got := srv.StatsSnapshot().Batches; got != 1 {
 		t.Errorf("failed batches were counted: batches = %d, want 1", got)
 	}
 
@@ -658,14 +658,14 @@ func TestEnumerateClientDisconnect(t *testing.T) {
 	resp.Body.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Canceled.Load() == 0 {
+	for srv.StatsSnapshot().Canceled == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("canceled counter never incremented after client disconnect (enumerations=%d)",
-				srv.Stats().Enumerations.Load())
+				srv.StatsSnapshot().Enumerations)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := srv.Stats().Enumerations.Load(); got != 0 {
+	if got := srv.StatsSnapshot().Enumerations; got != 0 {
 		t.Errorf("aborted stream still counted as a completed enumeration (%d)", got)
 	}
 
@@ -786,7 +786,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	if out["cached"] != true {
 		t.Errorf("repeated analyze reported cached=%v, want true", out["cached"])
 	}
-	if got := srv.Stats().Analyzes.Load(); got != 3 {
+	if got := srv.StatsSnapshot().Analyzes; got != 3 {
 		t.Errorf("Analyzes counter = %d, want 3", got)
 	}
 
