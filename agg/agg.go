@@ -119,9 +119,14 @@ func WithMaxVars(n int) Option {
 	return func(c *config) { c.maxVars = n }
 }
 
-// WithAnswerVars forces formula mode and fixes the answer-tuple variable
-// order for Enumerate.  Without it a query that parses as a formula
-// enumerates over its free variables in sorted order.
+// WithAnswerVars forces formula mode and fixes the parameter order of the
+// query: the layout of the answer tuples Enumerate yields and, equally, the
+// order in which Eval, Session.Eval, Reader.Eval and SubscribePoint take
+// their arguments (FreeVars reports it).  The list must contain every free
+// variable of the formula; a variable the formula does not mention ranges
+// over the whole domain in answers and is ignored as an argument.  Without
+// the option a query that parses as a formula uses its free variables in
+// sorted order.
 func WithAnswerVars(vars ...string) Option {
 	return func(c *config) { c.answerVars = append(c.answerVars, vars...) }
 }

@@ -109,7 +109,7 @@ func Analyze(p *Prepared) (*Analysis, error) {
 	}
 
 	if p.enum != nil {
-		fr := kc.Factorization(prog, len(p.vars))
+		fr := kc.Factorization(prog, p.enum.ans.Shared().Arity())
 		report.ModelCount = fr.Answers.String()
 		report.Factorization = &Factorization{
 			CircuitSize:      fr.CircuitSize,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"iter"
 
+	"repro/internal/enumerate"
 	"repro/internal/obs"
 )
 
@@ -17,7 +18,7 @@ func (p *Prepared) AnswerVars() []string {
 	if p.enum == nil {
 		return nil
 	}
-	return append([]string(nil), p.vars...)
+	return p.enum.ans.Variables()
 }
 
 // Enumerate streams the answer set of a formula query with constant delay
@@ -34,13 +35,25 @@ func (p *Prepared) AnswerVars() []string {
 // and yields the context's error as its final pair.  Expression-mode queries
 // yield ErrNotEnumerable.
 func (p *Prepared) Enumerate(ctx context.Context) iter.Seq2[Answer, error] {
+	return p.stream(ctx, func() (*enumerate.TupleCursor, error) { return p.enum.ans.Cursor(), nil })
+}
+
+// stream is the iterator behind Prepared.Enumerate and Reader.Enumerate: it
+// draws one cursor (open runs only once the query is known to be enumerable)
+// and yields its answers until it is drained, the consumer stops, or ctx is
+// cancelled.
+func (p *Prepared) stream(ctx context.Context, open func() (*enumerate.TupleCursor, error)) iter.Seq2[Answer, error] {
 	ctx = ensureCtx(ctx)
 	return func(yield func(Answer, error) bool) {
 		if p.enum == nil {
 			yield(nil, errorf(ErrNotEnumerable, p.text, "Enumerate needs a first-order formula or a boolean nested query with free variables"))
 			return
 		}
-		if err := ctx.Err(); err != nil {
+		cur, err := open()
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			yield(nil, err)
 			return
 		}
@@ -48,7 +61,6 @@ func (p *Prepared) Enumerate(ctx context.Context) iter.Seq2[Answer, error] {
 		// the last answer drawn, however the consumer paces the iteration.
 		evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
 		defer evalSpan.End()
-		cur := p.enum.ans.Cursor()
 		done := ctx.Done()
 		for {
 			t, ok := cur.Next()

@@ -285,7 +285,7 @@ func (e *Engine) prepareNested(ctx context.Context, p *Prepared) (*Prepared, err
 			return nil, newError(ErrCompile, p.text, err)
 		}
 		p.enum = &enumState{ans: ans}
-		p.vars = vars
+		p.sh = ans.Shared()
 	}
 	return p, nil
 }
@@ -298,13 +298,7 @@ func (e *Engine) nestedDatabase(sem Semiring) (*nested.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := structure.NewStructure(sig, e.db.a.N)
-	for _, r := range e.db.a.Sig.Relations {
-		for _, t := range e.db.a.Tuples(r.Name) {
-			base.MustAddTuple(r.Name, t...)
-		}
-	}
-	ndb := nested.NewDatabase(base)
+	ndb := nested.NewDatabase(e.db.a.OnSignature(sig))
 	box := sem.boxed()
 	for _, ws := range e.db.a.Sig.Weights {
 		if err := ndb.DeclareSRelation(ws.Name, box, ws.Arity); err != nil {

@@ -16,9 +16,10 @@ import (
 )
 
 // Prepared is a compiled query bound to one engine and one semiring: the
-// facade's analogue of a prepared statement.  A Prepared wraps one frozen
-// circuit program shared by every evaluation, session and enumeration drawn
-// from it, and is safe for concurrent use.
+// facade's analogue of a prepared statement.  A Prepared owns exactly one
+// frozen circuit program — the closure of the query over its parameters —
+// shared by every evaluation, session and enumeration drawn from it, and is
+// safe for concurrent use.
 //
 // A Prepared is in one of two modes, decided by what the query text parses
 // as:
@@ -30,8 +31,8 @@ import (
 //     ErrNotEnumerable.
 //   - formula mode (a first-order formula): Enumerate streams the answer
 //     set with constant delay and AnswerCount counts it (Theorem 24);
-//     Eval(args...) decides membership of one answer tuple, and Session
-//     tracks membership under updates.
+//     Eval(args...) decides membership of one answer tuple, given in
+//     AnswerVars order, and Session tracks membership under updates.
 type Prepared struct {
 	eng       *Engine
 	text      string
@@ -39,23 +40,21 @@ type Prepared struct {
 	cfg       config
 	sem       Semiring
 
-	// Formula mode: phi and the answer variables; nil phi means expression
-	// mode.
-	phi  logic.Formula
-	vars []string
+	// sh is the one compilation behind Eval, sessions and enumeration: the
+	// query closed over its parameters (its free variables, or the answer
+	// variables of a formula).  Only a nested query that evaluates in stages
+	// has none.
+	sh *dynamicq.Shared
 
-	// Expression backend: the Theorem 8 compilation, converted weights and
-	// the lazily built implicit point-query session.  In formula mode the
-	// backend itself is built lazily from Guard(phi).
+	// Point-query state, built on first use: the database weights converted
+	// into the carrier and the implicit session behind Eval(args...).
 	evalMu   sync.Mutex
-	ex       expr.Expr
-	sh       *dynamicq.Shared
 	cw       any
 	implicit erasedSession
 
-	// Enumeration backend (formula and boolean nested mode): built eagerly
-	// at Prepare, shared by all cursors and by every Workers rebind (it
-	// never receives updates).
+	// Enumeration backend (formula and boolean nested mode): built at Prepare
+	// on sh, shared by all cursors and by every In/Workers rebind (it never
+	// receives updates).
 	enum *enumState
 
 	// Nested mode (WithNested): the resolved FOG[C] formula and its
@@ -69,9 +68,10 @@ type Prepared struct {
 	tr *obs.Tracer
 }
 
-// enumState is the shared enumeration backend of a formula-mode query: the
-// constant-delay enumerator plus the memoised answer total (the enumerator
-// is static, so the total is a constant computed at most once).
+// enumState is the enumeration backend of an enumerable query: the
+// constant-delay enumerator over the Prepared's program — the same closure in
+// the free semiring — plus the memoised answer total (the enumerator is
+// static, so the total is a constant computed at most once).
 type enumState struct {
 	ans       *enumerate.Answers
 	countOnce sync.Once
@@ -123,11 +123,12 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 
 	if ex != nil {
 		parseSpan.End()
-		p.ex = ex
-		if err := p.compileEval(ctx); err != nil {
+		p.canonical = parser.FormatExpr(ex)
+		span := tr.StartSpan(obs.StageCompile)
+		sh, err := dynamicq.CompileShared(e.db.a, ex, p.compileOptions())
+		if err := p.install(ctx, span, sh, nil, err); err != nil {
 			return nil, err
 		}
-		p.canonical = parser.FormatExpr(ex)
 		return p, nil
 	}
 
@@ -146,26 +147,19 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 		// Neither shape parsed; report whichever diagnosis got further.
 		return nil, newError(ErrParse, query, betterParseError(exprParseErr, ferr))
 	}
-	p.phi = phi
-	p.vars = cfg.answerVars
-	if len(p.vars) == 0 {
-		p.vars = logic.FreeVars(phi)
+	vars := cfg.answerVars
+	if len(vars) == 0 {
+		vars = logic.FreeVars(phi)
 	}
-	if len(p.vars) == 0 {
+	if len(vars) == 0 {
 		return nil, errorf(ErrArgument, query, "formula has no free variables to enumerate over; evaluate it as the expression [%s] instead", query)
 	}
-	compileSpan := tr.StartSpan(obs.StageCompile)
-	ans, err := enumerate.EnumerateAnswersCtx(ctx, e.db.a, phi, p.vars, p.compileOptions(), cfg.workers)
-	if err != nil {
-		if ctxErr(err) != nil {
-			return nil, err
-		}
-		return nil, newError(ErrCompile, query, err)
-	}
-	compileSpan.End()
-	tr.Observe(obs.StageFreeze, ans.Result().Program.FreezeDuration())
-	p.enum = &enumState{ans: ans}
 	p.canonical = parser.FormatFormula(phi)
+	span := tr.StartSpan(obs.StageCompile)
+	ans, err := enumerate.EnumerateAnswersCtx(ctx, e.db.a, phi, vars, p.compileOptions(), cfg.workers)
+	if err := p.install(ctx, span, nil, ans, err); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -200,45 +194,40 @@ func (p *Prepared) compileOptions() compile.Options {
 	return compile.Options{DynamicRelations: p.cfg.dynamic, MaxVars: p.cfg.maxVars}
 }
 
-// compileEval builds the expression backend; the caller must not hold
-// p.evalMu (Prepare) or must hold it (lazy path) — it locks internally only
-// through evalBackend.
-func (p *Prepared) compileEval(ctx context.Context) error {
-	tr := obs.FromContext(ctx)
-	compileSpan := tr.StartSpan(obs.StageCompile)
-	sh, err := dynamicq.CompileShared(p.eng.db.a, p.ex, p.compileOptions())
+// install closes the compile stage of the Prepared's one compilation and,
+// once nothing can fail any more, installs what it produced: the closure sh,
+// or in formula mode the enumerator ans and the closure it was built on.
+func (p *Prepared) install(ctx context.Context, span obs.Span, sh *dynamicq.Shared, ans *enumerate.Answers, err error) error {
 	if err != nil {
 		if cerr := ctxErr(err); cerr != nil {
 			return cerr
 		}
 		return newError(ErrCompile, p.text, err)
 	}
-	compileSpan.End()
-	tr.Observe(obs.StageFreeze, sh.Result().Program.FreezeDuration())
+	if ans != nil {
+		sh = ans.Shared()
+	}
+	span.End()
+	obs.FromContext(ctx).Observe(obs.StageFreeze, sh.Result().Program.FreezeDuration())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	p.sh = sh
-	p.cw = p.sem.convert(p.eng.db.w)
+	if ans != nil {
+		p.enum = &enumState{ans: ans}
+	}
 	return nil
 }
 
-// evalBackend returns the (lazily built) expression backend.
-func (p *Prepared) evalBackend(ctx context.Context) (*dynamicq.Shared, any, error) {
+// weights returns the database weights converted into the carrier, built on
+// first use (enumeration never needs them, and an In rebind starts without).
+func (p *Prepared) weights() any {
 	p.evalMu.Lock()
 	defer p.evalMu.Unlock()
-	if p.sh == nil {
-		// Formula mode: compile the membership query [phi] on demand.
-		p.ex = expr.Guard(p.phi)
-		if err := p.compileEval(ctx); err != nil {
-			p.ex = nil
-			return nil, nil, err
-		}
-	}
 	if p.cw == nil {
 		p.cw = p.sem.convert(p.eng.db.w)
 	}
-	return p.sh, p.cw, nil
+	return p.cw
 }
 
 // workers resolves the configured worker-pool size (0 = GOMAXPROCS).
@@ -259,14 +248,12 @@ func (p *Prepared) SemiringName() string { return p.sem.Name() }
 // free variables.
 func (p *Prepared) Enumerable() bool { return p.enum != nil }
 
-// FreeVars returns the query's free variables: the point-query parameters of
-// an expression or nested formula, or the answer variables of a formula.
+// FreeVars returns the query's free variables, in the order Eval takes its
+// arguments: the point-query parameters of an expression or nested formula,
+// or the answer variables of a formula.
 func (p *Prepared) FreeVars() []string {
-	switch {
-	case p.nst != nil:
+	if p.nst != nil {
 		return append([]string(nil), p.nst.vars...)
-	case p.phi != nil:
-		return append([]string(nil), p.vars...)
 	}
 	return p.sh.FreeVars()
 }
@@ -281,18 +268,13 @@ type CircuitStats struct {
 	Inputs      int
 }
 
-// result returns the compilation backing this Prepared: the enumeration
-// compilation in formula (or boolean nested) mode, the expression
-// compilation otherwise, or nil for a nested query whose stages are compiled
-// per evaluation.
+// result returns the compilation backing this Prepared, or nil for a nested
+// query whose stages are compiled per evaluation.
 func (p *Prepared) result() *compile.Result {
-	if p.enum != nil {
-		return p.enum.ans.Result()
+	if p.sh == nil {
+		return nil
 	}
-	if p.sh != nil {
-		return p.sh.Result()
-	}
-	return nil
+	return p.sh.Result()
 }
 
 // Stats returns the structural statistics of the frozen circuit program,
@@ -350,16 +332,11 @@ func (p *Prepared) In(name string) (*Prepared, error) {
 		canonical: p.canonical,
 		cfg:       p.cfg,
 		sem:       sem,
-		phi:       p.phi,
-		vars:      p.vars,
+		sh:        p.sh,
 		enum:      p.enum,
 		tr:        p.tr,
 	}
 	clone.cfg.semiring = name
-	p.evalMu.Lock()
-	clone.ex, clone.sh = p.ex, p.sh
-	p.evalMu.Unlock()
-	// cw is rebuilt lazily in the new carrier.
 	return clone, nil
 }
 
@@ -377,23 +354,23 @@ func (p *Prepared) Workers(n int) *Prepared {
 		canonical: p.canonical,
 		cfg:       p.cfg,
 		sem:       p.sem,
-		phi:       p.phi,
-		vars:      p.vars,
+		sh:        p.sh,
 		enum:      p.enum,
 		nst:       p.nst,
 		tr:        p.tr,
 	}
 	clone.cfg.workers = n
 	p.evalMu.Lock()
-	clone.ex, clone.sh, clone.cw = p.ex, p.sh, p.cw
+	clone.cw = p.cw
 	p.evalMu.Unlock()
 	return clone
 }
 
 // Eval evaluates the prepared query under the context.  A closed query takes
 // no arguments and runs the level-parallel engine over the shared circuit; a
-// query with k free variables takes exactly k elements and answers the point
-// query f(args) in logarithmic time through the Prepared's internal session.
+// query with k free variables takes exactly k elements, in FreeVars order, and
+// answers the point query f(args) in logarithmic time through the Prepared's
+// internal session (built on the shared program at the first such call).
 // Cancelling the context stops a running parallel evaluation in bounded
 // time.
 func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
@@ -401,17 +378,13 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	if p.nst != nil {
 		return p.nst.eval(ctx, p, args...)
 	}
-	sh, cw, err := p.evalBackend(ctx)
-	if err != nil {
-		return "", err
-	}
 	tr := obs.FromContext(ctx)
 	if len(args) == 0 {
-		if free := sh.FreeVars(); len(free) > 0 {
+		if free := p.sh.FreeVars(); len(free) > 0 {
 			return "", errorf(ErrArgument, p.text, "query has free variables %v; pass one argument per variable", free)
 		}
 		evalSpan := tr.StartSpan(obs.StageEval)
-		out, err := p.sem.evaluate(ctx, sh.Result(), cw, p.workers())
+		out, err := p.sem.evaluate(ctx, p.sh.Result(), p.weights(), p.workers())
 		if err != nil {
 			return "", err
 		}
@@ -424,7 +397,7 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	p.evalMu.Lock()
 	defer p.evalMu.Unlock()
 	if p.implicit == nil {
-		p.implicit = p.sem.newSession(sh, p.eng.db.w, p.tr)
+		p.implicit = p.sem.newSession(p.sh, p.eng.db.w, p.tr)
 	}
 	evalSpan := tr.StartSpan(obs.StageEval)
 	out, err := p.implicit.Point(args)
@@ -451,11 +424,7 @@ func (p *Prepared) Session() (*Session, error) {
 	if p.nst != nil {
 		return &Session{p: p, sess: p.nst.newSession(p)}, nil
 	}
-	sh, _, err := p.evalBackend(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	s := &Session{p: p, sess: p.sem.newSession(sh, p.eng.db.w, p.tr)}
+	s := &Session{p: p, sess: p.sem.newSession(p.sh, p.eng.db.w, p.tr)}
 	if p.enum != nil && len(p.cfg.dynamic) > 0 {
 		s.ans = p.enum.ans.Clone()
 	}

@@ -84,51 +84,17 @@ func (r *Reader) Eval(ctx context.Context, args ...int) (Value, error) {
 // writer commits while it runs.  Non-enumerable queries yield
 // ErrNotEnumerable.
 func (r *Reader) Enumerate(ctx context.Context) iter.Seq2[Answer, error] {
-	ctx = ensureCtx(ctx)
-	return func(yield func(Answer, error) bool) {
-		if r.p.enum == nil {
-			yield(nil, errorf(ErrNotEnumerable, r.p.text, "Enumerate needs a first-order formula or a boolean nested query with free variables"))
-			return
+	return r.p.stream(ctx, func() (*enumerate.TupleCursor, error) {
+		switch {
+		case r.closed:
+			return nil, errorf(ErrSessionClosed, r.p.text, "reader was closed")
+		case r.ans != nil:
+			return r.ans.Cursor(), nil
 		}
-		if r.closed {
-			yield(nil, errorf(ErrSessionClosed, r.p.text, "reader was closed"))
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			yield(nil, err)
-			return
-		}
-		evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
-		defer evalSpan.End()
-		cur := r.cursor()
-		done := ctx.Done()
-		for {
-			t, ok := cur.Next()
-			if !ok {
-				return
-			}
-			if !yield(Answer(t), nil) {
-				return
-			}
-			select {
-			case <-done:
-				yield(nil, ctx.Err())
-				return
-			default:
-			}
-		}
-	}
-}
-
-// cursor draws a fresh answer cursor at the pinned epoch: the answer-set
-// snapshot when the session maintains one, else the prepared query's static
-// enumeration structure (whose answers never change without dynamic
-// relations).
-func (r *Reader) cursor() *enumerate.TupleCursor {
-	if r.ans != nil {
-		return r.ans.Cursor()
-	}
-	return r.p.enum.ans.Cursor()
+		// Without dynamic relations the answers never change: the prepared
+		// query's static enumeration structure is every epoch's answer set.
+		return r.p.enum.ans.Cursor(), nil
+	})
 }
 
 // AnswerCount returns the number of answers as of the pinned epoch, computed

@@ -39,8 +39,10 @@ type Session struct {
 	closed bool
 	sess   erasedSession
 	// ans is the session-private answer enumerator, present only for
-	// enumerable queries with dynamic relations: tuple updates are mirrored
-	// into it so Readers can enumerate the answer set at a pinned epoch.
+	// enumerable queries with dynamic relations: a second engine state, in the
+	// free semiring, over the program sess evaluates.  Tuple updates validated
+	// by sess are mirrored into it so Readers can enumerate the answer set at
+	// a pinned epoch.
 	ans *enumerate.Answers
 
 	// hub fans committed epochs out to Subscribe streams.  It stays nil
@@ -190,9 +192,8 @@ func (s *Session) apply(change Change) error {
 		return newError(ErrUpdate, s.p.text, err)
 	}
 	if change.Rel != "" && s.ans != nil {
-		if merr := s.ans.SetTuple(change.Rel, change.Tuple, change.Present); merr != nil {
-			return newError(ErrUpdate, s.p.text, merr)
-		}
+		// sess validated the change against the compilation ans shares.
+		s.ans.Follow(s.p.sh, []enumerate.TupleChange{{Rel: change.Rel, Tuple: change.Tuple, Present: change.Present}})
 	}
 	if h := s.hub.Load(); h != nil {
 		h.Notify(s.sess.Epoch())
@@ -222,17 +223,14 @@ func (s *Session) ApplyBatch(changes []Change) error {
 		return newError(ErrUpdate, s.p.text, err)
 	}
 	if s.ans != nil {
+		// sess validated the batch against the compilation ans shares.
 		var mirror []enumerate.TupleChange
 		for _, ch := range changes {
 			if ch.Rel != "" {
 				mirror = append(mirror, enumerate.TupleChange{Rel: ch.Rel, Tuple: ch.Tuple, Present: ch.Present})
 			}
 		}
-		if len(mirror) > 0 {
-			if merr := s.ans.ApplyBatch(mirror); merr != nil {
-				return newError(ErrUpdate, s.p.text, merr)
-			}
-		}
+		s.ans.Follow(s.p.sh, mirror)
 	}
 	if h := s.hub.Load(); h != nil {
 		h.Notify(s.sess.Epoch())

@@ -279,11 +279,11 @@ func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	p := c.Program()
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			enumerate.NewProgram(p, inputs)
+			enumerate.NewProgram(p, inputs, nil)
 		}
 	})
 	b.Run("per-monomial-delay", func(b *testing.B) {
-		e := enumerate.NewProgram(p, inputs)
+		e := enumerate.NewProgram(p, inputs, nil)
 		cur := e.Cursor()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

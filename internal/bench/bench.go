@@ -664,7 +664,7 @@ func E10ProvenancePermanent(columns []int) *Table {
 			return enumerate.Gen(provenance.Generator("g" + key.Tuple))
 		}
 		var e *enumerate.Enumerator
-		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), inputs) })
+		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), inputs, nil) })
 		cur := e.Cursor()
 		var maxDelay, total time.Duration
 		count := 0

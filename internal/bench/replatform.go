@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/enumerate"
-	"repro/internal/localsearch"
 	"repro/internal/logic"
 	"repro/internal/nested"
 	"repro/internal/semiring"
@@ -71,9 +70,9 @@ func e16NestedMeasure(n int) (program, reference time.Duration, agree bool) {
 
 // e16SearchMeasure runs the same maximal-independent-set local search twice
 // on one workload: once committing every improvement through per-tuple
-// SetTuple propagations (the seed-era driver loop) and once through the
-// re-platformed localsearch driver, which batches each round's wave into a
-// single ApplyAll propagation.  Preprocessing is excluded from both timings.
+// SetTuple propagations (the seed-era driver loop) and once batching each
+// round's wave into a single ApplyBatch propagation.  Preprocessing is
+// excluded from both timings.
 func e16SearchMeasure(n int) (batched, perTuple time.Duration, rounds int, agree bool) {
 	db := workload.Search(n, 3, 31)
 	a := db.A
@@ -89,7 +88,7 @@ func e16SearchMeasure(n int) (batched, perTuple time.Duration, rounds int, agree
 	if err != nil {
 		panic(fmt.Sprintf("E16: enumerate: %v", err))
 	}
-	ptRounds, ptSize := 0, 0
+	ptRounds := 0
 	perTuple = timeIt(func() {
 		for {
 			tpl, ok := ans.Cursor().Next()
@@ -98,7 +97,6 @@ func e16SearchMeasure(n int) (batched, perTuple time.Duration, rounds int, agree
 			}
 			v := tpl[0]
 			ptRounds++
-			ptSize++
 			for _, ch := range []struct {
 				rel string
 				el  int
@@ -115,21 +113,21 @@ func e16SearchMeasure(n int) (batched, perTuple time.Duration, rounds int, agree
 		}
 	})
 
-	// Program-core path: the localsearch driver, one batched wave per round.
-	s, err := localsearch.New(a, phi, []string{"x"}, []string{"S", "B"})
+	// Program-core path: the same engine, one batched wave per round.
+	bat, err := enumerate.EnumerateAnswers(a, phi, []string{"x"}, opts)
 	if err != nil {
-		panic(fmt.Sprintf("E16: localsearch.New: %v", err))
+		panic(fmt.Sprintf("E16: enumerate: %v", err))
 	}
-	bSize := 0
+	bRounds := 0
 	var changes []enumerate.TupleChange
 	batched = timeIt(func() {
 		for {
-			tpl, ok := s.FindImprovement()
+			tpl, ok := bat.Cursor().Next()
 			if !ok {
 				break
 			}
 			v := tpl[0]
-			bSize++
+			bRounds++
 			changes = append(changes[:0],
 				enumerate.TupleChange{Rel: "S", Tuple: structure.Tuple{v}, Present: true},
 				enumerate.TupleChange{Rel: "B", Tuple: structure.Tuple{v}, Present: true},
@@ -137,12 +135,12 @@ func e16SearchMeasure(n int) (batched, perTuple time.Duration, rounds int, agree
 			for _, u := range neighbors[v] {
 				changes = append(changes, enumerate.TupleChange{Rel: "B", Tuple: structure.Tuple{u}, Present: true})
 			}
-			if err := s.ApplyAll(changes); err != nil {
+			if err := bat.ApplyBatch(changes); err != nil {
 				panic(fmt.Sprintf("E16: batched update: %v", err))
 			}
 		}
 	})
-	return batched, perTuple, s.Rounds(), s.Rounds() == ptRounds && bSize == ptSize
+	return batched, perTuple, bRounds, bRounds == ptRounds
 }
 
 // E16Replatform compares the re-platformed nested-query and local-search

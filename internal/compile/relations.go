@@ -1,0 +1,89 @@
+package compile
+
+import (
+	"fmt"
+
+	"repro/internal/structure"
+)
+
+// Relations shadows the dynamic relations of one compilation for one engine
+// state: the membership of their tuples after the updates applied so far,
+// the validation of Theorem 24's update model, and the translation of a
+// membership update into the pair of 0/1 leaf inputs of Lemma 40.  Every
+// engine that accepts tuple updates (dynamicq.Query, enumerate.Answers)
+// embeds one, so the rules live here once.
+type Relations struct {
+	res *Result
+	// state[rel][tuple.Key()] is the current membership of every tuple that
+	// was present at compile time or has been updated since.
+	state map[string]map[string]bool
+}
+
+// NewRelations returns the shadow of res's dynamic relations as compiled.
+func NewRelations(res *Result) Relations {
+	r := Relations{res: res, state: make(map[string]map[string]bool, len(res.DynamicRelations))}
+	for rel := range res.DynamicRelations {
+		state := map[string]bool{}
+		for _, t := range res.Structure.Tuples(rel) {
+			state[t.Key()] = true
+		}
+		r.state[rel] = state
+	}
+	return r
+}
+
+// Clone returns an independent copy of the shadow over the same compilation.
+func (r *Relations) Clone() Relations {
+	c := Relations{res: r.res, state: make(map[string]map[string]bool, len(r.state))}
+	for rel, state := range r.state {
+		s := make(map[string]bool, len(state))
+		for k, v := range state {
+			s[k] = v
+		}
+		c.state[rel] = s
+	}
+	return c
+}
+
+// ValidateTuple checks a membership update without recording it: the
+// relation must have been declared dynamic at compile time, the tuple must
+// match its arity, and an insertion must preserve the Gaifman graph of the
+// compiled structure — its elements must already be pairwise adjacent
+// (Theorem 24's update model).
+func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present bool) error {
+	if !r.res.DynamicRelations[rel] {
+		return fmt.Errorf("relation %q was not declared dynamic at compile time", rel)
+	}
+	decl, _ := r.res.Structure.Sig.Relation(rel)
+	if decl.Arity != len(tuple) {
+		return fmt.Errorf("relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
+	}
+	if present {
+		g := r.res.Structure.Gaifman()
+		for i := 0; i < len(tuple); i++ {
+			for j := i + 1; j < len(tuple); j++ {
+				if tuple[i] != tuple[j] && !g.HasEdge(tuple[i], tuple[j]) {
+					return fmt.Errorf("inserting %s%v would change the Gaifman graph (elements %d and %d are not adjacent); only Gaifman-preserving updates are supported (Theorem 24)", rel, tuple, tuple[i], tuple[j])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Record notes a validated membership update and returns the leaf inputs it
+// drives: positive takes [present], negative takes [!present].  Both must
+// change within one committed epoch so no reader sees the tuple half-toggled.
+func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (positive, negative structure.WeightKey) {
+	r.state[rel][tuple.Key()] = present
+	return RelationInputKeys(rel, tuple)
+}
+
+// HasTuple reports the current membership of a tuple: the recorded state for
+// a dynamic relation, the compiled structure otherwise.
+func (r *Relations) HasTuple(rel string, tuple structure.Tuple) bool {
+	if state, ok := r.state[rel]; ok {
+		return state[tuple.Key()]
+	}
+	return r.res.Structure.HasTuple(rel, tuple...)
+}

@@ -8,6 +8,10 @@ package dynamicq
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -17,9 +21,10 @@ import (
 	"repro/internal/structure"
 )
 
-// freeVarWeightPrefix names the fresh unary weight symbols v_1, ..., v_k
-// introduced by the free-variable reduction in the proof of Theorem 8.
-const freeVarWeightPrefix = ".fv:"
+// paramWeightPrefix names the fresh unary weight symbols v_1, ..., v_k of the
+// closure (the free-variable reduction in the proof of Theorem 8, and the
+// answer weights w_i of equation (4)).
+const paramWeightPrefix = ".fv:"
 
 // Query is a compiled weighted query f(x̄) over a structure, ready for
 // evaluation, point queries and updates in a fixed semiring.
@@ -33,87 +38,153 @@ const freeVarWeightPrefix = ".fv:"
 // epoch: any number of snapshots may evaluate point queries concurrently
 // with each other and with the single writer, without ever blocking it.
 type Query[T any] struct {
+	// Relations shadows the dynamic relations: ValidateTuple, HasTuple.
+	compile.Relations
 	s       semiring.Semiring[T]
-	res     *compile.Result
+	sh      *Shared
 	dyn     *circuit.Dynamic[T]
 	weights *structure.Weights[T]
-	free    []string
-	// fvKeys[i][a] is the precomputed weight key of the fresh unary symbol
-	// v_i at element a, so point queries never rebuild keys with Sprintf.
-	fvKeys [][]structure.WeightKey
-	// relation membership shadowing the dynamic relations of the circuit.
-	relState map[string]map[string]bool
 	// scratch is the reusable leaf-change buffer behind ApplyBatch.
 	scratch []circuit.InputChange[T]
 	// point is the reusable override buffer behind Value's point queries.
 	point []circuit.InputChange[T]
 }
 
-// Shared is the semiring-agnostic half of a compiled query: the circuit of
-// the closed expression (Theorem 6) plus the free-variable bookkeeping of
-// the Theorem 8 reduction.  One Shared may back any number of Query
-// instances, possibly in different semirings; instantiating a Query through
-// NewQuery costs only the dynamic-evaluator state, not a recompilation.
-// A Shared itself is immutable after CompileShared and safe for concurrent
+// Shared is the semiring-agnostic closure of a query over an ordered list of
+// parameters x̄ = x_1, ..., x_k:
+//
+//	f' = Σ_x̄ f(x̄) · v_1(x_1) ··· v_k(x_k)
+//
+// compiled into one circuit (Theorem 6), where the v_i are fresh unary weight
+// symbols.  Which problem the circuit solves is decided by the semiring its
+// consumer evaluates it in and by what it feeds the v_i: a Query raises them
+// from 0 to 1 at one tuple to read f there (Theorem 8); enumerate.Answers
+// closes f = [ϕ] and sets v_i(a) to the generator e^i_a of the free semiring,
+// so the circuit's value enumerates the answers of ϕ (equation (4),
+// Theorem 24), or to 1 in ℕ, so it counts them.
+//
+// One Shared may back any number of engine states, possibly in different
+// semirings; instantiating one costs only its own state, not a
+// recompilation.  A Shared is immutable after Close and safe for concurrent
 // use by multiple goroutines.
 type Shared struct {
 	res  *compile.Result
-	free []string
+	vars []string
+
+	// keys[i][a] is the weight key of v_i at element a, built on the first
+	// point query's behalf so that no point query rebuilds keys with Sprintf,
+	// and shared by every Query on this closure.
+	keysOnce sync.Once
+	keys     [][]structure.WeightKey
 }
 
-// FreeVars returns the query's free variables in the order expected by
-// Query.Value.
-func (sh *Shared) FreeVars() []string { return append([]string(nil), sh.free...) }
+// FreeVars returns the closure's parameters, in the order Query.Value takes
+// its arguments and enumerate.Answers lays out its tuples.
+func (sh *Shared) FreeVars() []string { return append([]string(nil), sh.vars...) }
+
+// Arity returns the number of parameters.
+func (sh *Shared) Arity() int { return len(sh.vars) }
 
 // Result exposes the underlying compilation result.
 func (sh *Shared) Result() *compile.Result { return sh.res }
 
-// CompileShared performs the expensive, semiring-independent part of
-// CompileQuery: closing the expression over its free variables and compiling
-// it into a circuit.
-func CompileShared(a *structure.Structure, e expr.Expr, opts compile.Options) (*Shared, error) {
-	free := expr.FreeVars(e)
-
-	// Close the expression: f' = Σ_x̄ f(x̄) · v_1(x_1) ··· v_k(x_k), where the
-	// v_i are fresh unary weight symbols that default to 0 (Theorem 8).
-	closed := e
-	sig := a.Sig
-	if len(free) > 0 {
-		var extra []structure.WeightSymbol
-		factors := []expr.Expr{e}
-		for i, v := range free {
-			name := fmt.Sprintf("%s%d", freeVarWeightPrefix, i)
-			extra = append(extra, structure.WeightSymbol{Name: name, Arity: 1})
-			factors = append(factors, expr.W(name, v))
+// Close compiles the closure of e over the parameter list vars, which must
+// contain every free variable of e (a parameter e does not mention is summed
+// out, so its argument is ignored; one listed twice takes two arguments that
+// must agree).  This is the expensive,
+// semiring-independent part of every dynamic engine: one signature extension,
+// one re-homed structure, one compile.Compile.
+func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Options) (*Shared, error) {
+	for _, v := range expr.FreeVars(e) {
+		if !slices.Contains(vars, v) {
+			return nil, fmt.Errorf("dynamicq: free variable %q is not among the parameters %v", v, vars)
 		}
-		var err error
-		sig, err = a.Sig.WithWeights(extra...)
+	}
+	closed, base := e, a
+	if len(vars) > 0 {
+		extra := make([]structure.WeightSymbol, len(vars))
+		factors := []expr.Expr{e}
+		// A variable listed twice is bound once and weighted at both
+		// positions, so the two arguments must agree (binding it twice would
+		// sum the inner binding out and scale the value by the domain size).
+		var bound []string
+		for i, v := range vars {
+			extra[i] = structure.WeightSymbol{Name: paramWeight(i), Arity: 1}
+			factors = append(factors, expr.W(extra[i].Name, v))
+			if !slices.Contains(vars[:i], v) {
+				bound = append(bound, v)
+			}
+		}
+		sig, err := a.Sig.WithWeights(extra...)
 		if err != nil {
 			return nil, fmt.Errorf("dynamicq: extending signature: %w", err)
 		}
-		closed = expr.Agg(free, expr.Times(factors...))
+		closed, base = expr.Agg(bound, expr.Times(factors...)), a.OnSignature(sig)
 	}
-
-	// Re-home the structure onto the extended signature if needed.
-	base := a
-	if sig != a.Sig {
-		base = structure.NewStructure(sig, a.N)
-		for _, r := range a.Sig.Relations {
-			for _, t := range a.Tuples(r.Name) {
-				base.MustAddTuple(r.Name, t...)
-			}
-		}
-	}
-
 	res, err := compile.Compile(base, closed, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Pre-build the lazily cached Gaifman graph so that concurrent sessions
-	// sharing this compilation can run Gaifman-preservation checks without
-	// racing on the first construction.
+	// Compile built the structure's lazily cached Gaifman graph; touching it
+	// here keeps that a guarantee, so concurrent sessions sharing this closure
+	// run Gaifman-preservation checks without racing on a first construction.
 	res.Structure.Gaifman()
-	return &Shared{res: res, free: free}, nil
+	return &Shared{res: res, vars: slices.Clone(vars)}, nil
+}
+
+// CompileShared closes e over its own free variables in sorted order.
+func CompileShared(a *structure.Structure, e expr.Expr, opts compile.Options) (*Shared, error) {
+	return Close(a, e, expr.FreeVars(e), opts)
+}
+
+func paramWeight(i int) string { return paramWeightPrefix + strconv.Itoa(i) }
+
+// Param reports whether key is an input of the closure's parameter weights
+// and, if so, which parameter it belongs to and at which element.
+func (sh *Shared) Param(key structure.WeightKey) (i int, a structure.Element, ok bool) {
+	rest, ok := strings.CutPrefix(key.Weight, paramWeightPrefix)
+	if !ok {
+		return 0, 0, false
+	}
+	i, err := strconv.Atoi(rest)
+	t := structure.ParseTupleKey(key.Tuple)
+	if err != nil || i >= len(sh.vars) || len(t) != 1 {
+		return 0, 0, false
+	}
+	return i, t[0], true
+}
+
+// paramKey returns the weight key of v_i at element a, from the precomputed
+// table when a is a structure element and built on the fly otherwise
+// (out-of-universe arguments address no input gate and are ignored by the
+// evaluator either way).
+func (sh *Shared) paramKey(i int, a structure.Element) structure.WeightKey {
+	sh.keysOnce.Do(func() {
+		sh.keys = make([][]structure.WeightKey, len(sh.vars))
+		for i := range sh.keys {
+			name := paramWeight(i)
+			sh.keys[i] = make([]structure.WeightKey, sh.res.Structure.N)
+			for a := range sh.keys[i] {
+				sh.keys[i][a] = structure.MakeWeightKey(name, structure.Tuple{a})
+			}
+		}
+	})
+	if keys := sh.keys[i]; a >= 0 && a < len(keys) {
+		return keys[a]
+	}
+	return structure.MakeWeightKey(paramWeight(i), structure.Tuple{a})
+}
+
+// point translates the argument tuple of a point query into the toggles of
+// the Theorem 8 reduction — v_i raised to one at args[i] — appended to buf.
+func point[T any](sh *Shared, one T, args []structure.Element, buf []circuit.InputChange[T]) ([]circuit.InputChange[T], error) {
+	if len(args) != len(sh.vars) {
+		return buf, fmt.Errorf("dynamicq: query has %d free variables, got %d arguments", len(sh.vars), len(args))
+	}
+	for i, a := range args {
+		buf = append(buf, circuit.InputChange[T]{Key: sh.paramKey(i, a), Value: one})
+	}
+	return buf, nil
 }
 
 // NewQuery instantiates a compiled query in the semiring s under the initial
@@ -125,49 +196,16 @@ func NewQuery[T any](s semiring.Semiring[T], sh *Shared, w *structure.Weights[T]
 	if w == nil {
 		w = structure.NewWeights[T]()
 	}
-	res := sh.res
-	q := &Query[T]{
-		s:        s,
-		res:      res,
-		weights:  w,
-		free:     sh.FreeVars(),
-		relState: map[string]map[string]bool{},
-	}
-	for rel := range res.DynamicRelations {
-		state := map[string]bool{}
-		for _, t := range res.Structure.Tuples(rel) {
-			state[t.Key()] = true
-		}
-		q.relState[rel] = state
-	}
-	// Precompute the point-query keys for every (free variable, element)
-	// pair: this linear-time pass removes the 2k Sprintf allocations that a
-	// point query would otherwise pay on its hot path.
-	q.fvKeys = make([][]structure.WeightKey, len(q.free))
-	for i := range q.free {
-		name := fmt.Sprintf("%s%d", freeVarWeightPrefix, i)
-		keys := make([]structure.WeightKey, res.Structure.N)
-		for a := 0; a < res.Structure.N; a++ {
-			keys[a] = structure.MakeWeightKey(name, structure.Tuple{a})
-		}
-		q.fvKeys[i] = keys
-	}
 	// Every session instantiated from this Shared borrows the same frozen
 	// Program: the ranks, parents CSR and children arena are shared, only the
 	// per-session values and maintenance state below are private.
-	q.dyn = circuit.NewDynamicProgram(res.Program, s, compile.NewValuation(res, s, w))
-	return q
-}
-
-// fvKey returns the weight key of the fresh unary symbol v_i at element a,
-// from the precomputed table when a is a structure element and built on the
-// fly otherwise (out-of-universe arguments address no input gate and are
-// ignored by the evaluator either way).
-func (q *Query[T]) fvKey(i int, a structure.Element) structure.WeightKey {
-	if keys := q.fvKeys[i]; a >= 0 && a < len(keys) {
-		return keys[a]
+	return &Query[T]{
+		Relations: compile.NewRelations(sh.res),
+		s:         s,
+		sh:        sh,
+		weights:   w,
+		dyn:       circuit.NewDynamicProgram(sh.res.Program, s, compile.NewValuation(sh.res, s, w)),
 	}
-	return structure.MakeWeightKey(fmt.Sprintf("%s%d", freeVarWeightPrefix, i), structure.Tuple{a})
 }
 
 // CompileQuery compiles the weighted expression e, whose free variables
@@ -190,17 +228,17 @@ func (q *Query[T]) SetWaveHook(f func(time.Duration)) { q.dyn.SetWaveHook(f) }
 
 // FreeVars returns the query's free variables in the order expected by
 // Value.
-func (q *Query[T]) FreeVars() []string { return append([]string(nil), q.free...) }
+func (q *Query[T]) FreeVars() []string { return q.sh.FreeVars() }
 
 // Result exposes the underlying compilation result (circuit statistics,
 // colouring, normalised polynomial).
-func (q *Query[T]) Result() *compile.Result { return q.res }
+func (q *Query[T]) Result() *compile.Result { return q.sh.res }
 
 // ValueClosed returns the value of a closed query (no free variables).
 func (q *Query[T]) ValueClosed() (T, error) {
 	var zero T
-	if len(q.free) != 0 {
-		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", q.free)
+	if len(q.sh.vars) != 0 {
+		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", q.sh.vars)
 	}
 	return q.dyn.Value(), nil
 }
@@ -212,52 +250,26 @@ func (q *Query[T]) ValueClosed() (T, error) {
 // under one exclusive critical section of the evaluator, so concurrent
 // snapshots never observe the transient toggles.
 func (q *Query[T]) Value(args ...structure.Element) (T, error) {
-	var zero T
-	if len(args) != len(q.free) {
-		return zero, fmt.Errorf("dynamicq: query has %d free variables, got %d arguments", len(q.free), len(args))
+	var err error
+	q.point, err = point(q.sh, q.s.One(), args, q.point[:0])
+	if err != nil {
+		var zero T
+		return zero, err
 	}
 	if len(args) == 0 {
 		return q.dyn.Value(), nil
-	}
-	q.point = q.point[:0]
-	for i, a := range args {
-		q.point = append(q.point, circuit.InputChange[T]{Key: q.fvKey(i, a), Value: q.s.One()})
 	}
 	return q.dyn.EvalWith(q.point), nil
 }
 
 // validateWeight checks that a weight symbol exists with the tuple's arity.
 func (q *Query[T]) validateWeight(weight string, tuple structure.Tuple) error {
-	decl, ok := q.res.Structure.Sig.Weight(weight)
+	decl, ok := q.sh.res.Structure.Sig.Weight(weight)
 	if !ok {
 		return fmt.Errorf("unknown weight symbol %q", weight)
 	}
 	if decl.Arity != len(tuple) {
 		return fmt.Errorf("weight %q has arity %d, got tuple of length %d", weight, decl.Arity, len(tuple))
-	}
-	return nil
-}
-
-// validateTuple checks that a relation update targets a declared dynamic
-// relation with the right arity and, for insertions, preserves the Gaifman
-// graph of the compiled structure (Theorem 24's update model).
-func (q *Query[T]) validateTuple(rel string, tuple structure.Tuple, present bool) error {
-	if !q.res.DynamicRelations[rel] {
-		return fmt.Errorf("relation %q was not declared dynamic at compile time", rel)
-	}
-	decl, _ := q.res.Structure.Sig.Relation(rel)
-	if decl.Arity != len(tuple) {
-		return fmt.Errorf("relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
-	}
-	if present {
-		g := q.res.Structure.Gaifman()
-		for i := 0; i < len(tuple); i++ {
-			for j := i + 1; j < len(tuple); j++ {
-				if tuple[i] != tuple[j] && !g.HasEdge(tuple[i], tuple[j]) {
-					return fmt.Errorf("inserting %s%v would change the Gaifman graph (elements %d and %d are not adjacent); only Gaifman-preserving updates are supported", rel, tuple, tuple[i], tuple[j])
-				}
-			}
-		}
 	}
 	return nil
 }
@@ -277,21 +289,28 @@ func (q *Query[T]) SetWeight(weight string, tuple structure.Tuple, value T) erro
 // elements of the tuple must already form a clique in the Gaifman graph of
 // the compiled structure (Theorem 24's update model).
 func (q *Query[T]) SetTuple(rel string, tuple structure.Tuple, present bool) error {
-	if err := q.validateTuple(rel, tuple, present); err != nil {
+	if err := q.ValidateTuple(rel, tuple, present); err != nil {
 		return fmt.Errorf("dynamicq: %w", err)
 	}
-	q.applyTuple(rel, tuple, present)
+	q.commit(q.tupleLeaves(q.scratch[:0], rel, tuple, present))
 	return nil
 }
 
-func (q *Query[T]) applyTuple(rel string, tuple structure.Tuple, present bool) {
-	q.relState[rel][tuple.Key()] = present
-	pos, neg := compile.RelationInputKeys(rel, tuple)
-	// Both membership inputs land in one batch so the epoch commits once per
-	// tuple update and a snapshot can never pin a half-toggled tuple.
-	leaf := append(q.scratch[:0],
+// tupleLeaves records a validated membership update and appends its two leaf
+// changes.  Both membership inputs land in one batch so the epoch commits
+// once per tuple update and a snapshot can never pin a half-toggled tuple.
+func (q *Query[T]) tupleLeaves(leaf []circuit.InputChange[T], rel string, tuple structure.Tuple, present bool) []circuit.InputChange[T] {
+	pos, neg := q.Record(rel, tuple, present)
+	return append(leaf,
 		circuit.InputChange[T]{Key: pos, Value: semiring.Iverson(q.s, present)},
 		circuit.InputChange[T]{Key: neg, Value: semiring.Iverson(q.s, !present)})
+}
+
+// commit runs one propagation wave over the leaf changes and recycles their
+// buffer, zeroing the elements first so the retained backing array does not
+// pin the batch's keys and semiring values (e.g. provenance polynomials)
+// until the next large batch.
+func (q *Query[T]) commit(leaf []circuit.InputChange[T]) {
 	q.dyn.ApplyBatch(leaf)
 	clear(leaf)
 	q.scratch = leaf[:0]
@@ -338,7 +357,7 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 				return fmt.Errorf("dynamicq: batch change %d: %w", i, err)
 			}
 		case ch.Rel != "":
-			if err := q.validateTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
+			if err := q.ValidateTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
 				return fmt.Errorf("dynamicq: batch change %d: %w", i, err)
 			}
 		default:
@@ -353,29 +372,8 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 			leaf = append(leaf, circuit.InputChange[T]{Key: structure.MakeWeightKey(ch.Weight, ch.Tuple), Value: ch.Value})
 			continue
 		}
-		q.relState[ch.Rel][ch.Tuple.Key()] = ch.Present
-		pos, neg := compile.RelationInputKeys(ch.Rel, ch.Tuple)
-		leaf = append(leaf,
-			circuit.InputChange[T]{Key: pos, Value: semiring.Iverson(q.s, ch.Present)},
-			circuit.InputChange[T]{Key: neg, Value: semiring.Iverson(q.s, !ch.Present)})
+		leaf = q.tupleLeaves(leaf, ch.Rel, ch.Tuple, ch.Present)
 	}
-	q.dyn.ApplyBatch(leaf)
-	// Zero the elements before truncating so the retained backing array does
-	// not pin the batch's keys and semiring values (e.g. provenance
-	// polynomials) until the next large batch.
-	clear(leaf)
-	q.scratch = leaf[:0]
+	q.commit(leaf)
 	return nil
-}
-
-// HasTuple reports the current membership of a tuple in a dynamic relation
-// (tracking the updates applied so far).
-func (q *Query[T]) HasTuple(rel string, tuple structure.Tuple) bool {
-	if state, ok := q.relState[rel]; ok {
-		if v, ok := state[tuple.Key()]; ok {
-			return v
-		}
-		return false
-	}
-	return q.res.Structure.HasTuple(rel, tuple...)
 }

@@ -3,6 +3,7 @@ package dynamicq
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/compile"
@@ -154,6 +155,60 @@ func TestTwoFreeVariables(t *testing.T) {
 		if got != want {
 			t.Fatalf("f(%d,%d) = %d, want %d", x, z, got, want)
 		}
+	}
+}
+
+// TestCloseOverExplicitParameters closes the 2-path query over parameter
+// lists other than its sorted free variables: reordered, padded with a
+// variable the query does not mention, and with a variable listed twice.
+func TestCloseOverExplicitParameters(t *testing.T) {
+	q := expr.Agg([]string{"y"}, expr.Times(
+		expr.Guard(logic.Conj(logic.R("E", "x", "y"), logic.R("E", "y", "z"))),
+		expr.W("u", "y"),
+	))
+	a, w := testDB(8, 18, 5)
+	if _, err := Close(a, q, []string{"x"}, compile.Options{}); err == nil {
+		t.Errorf("a parameter list missing the free variable z should be rejected")
+	}
+	for _, vars := range [][]string{{"z", "x"}, {"x", "pad", "z"}, {"x", "z", "x"}} {
+		given := slices.Clone(vars)
+		sh, err := Close(a, q, given, compile.Options{})
+		if err != nil {
+			t.Fatalf("Close over %v: %v", vars, err)
+		}
+		// The closure keeps its own copy of the parameter list.
+		given[0] = "clobbered"
+		if got := sh.FreeVars(); !slices.Equal(got, vars) {
+			t.Fatalf("FreeVars() = %v after the caller's slice changed, want %v", got, vars)
+		}
+		query := NewQuery(semiring.Nat, sh, w)
+		args := make([]structure.Element, len(vars))
+		var visit func(i int)
+		visit = func(i int) {
+			if i < len(args) {
+				for args[i] = 0; args[i] < a.N; args[i]++ {
+					visit(i + 1)
+				}
+				return
+			}
+			// The oracle reads args as an assignment to vars; positions
+			// naming one variable must agree or the value is zero.
+			env := map[string]structure.Element{}
+			want := int64(-1)
+			for j, v := range vars {
+				if prev, ok := env[v]; ok && prev != args[j] {
+					want = 0
+				}
+				env[v] = args[j]
+			}
+			if want != 0 {
+				want = naive(a, w, q, env)
+			}
+			if got, err := query.Value(args...); err != nil || got != want {
+				t.Fatalf("closure over %v at %v = %d, %v; want %d", vars, args, got, err, want)
+			}
+		}
+		visit(0)
 	}
 }
 

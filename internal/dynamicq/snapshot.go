@@ -49,16 +49,14 @@ func (s *Snapshot[T]) Release() { s.snap.Release() }
 // Theorem 8 reduction run on a private overlay, so concurrent writer commits
 // and other snapshots are never observed and never disturbed.
 func (s *Snapshot[T]) Value(args ...structure.Element) (T, error) {
-	var zero T
-	if len(args) != len(s.q.free) {
-		return zero, fmt.Errorf("dynamicq: query has %d free variables, got %d arguments", len(s.q.free), len(args))
+	var err error
+	s.point, err = point(s.q.sh, s.q.s.One(), args, s.point[:0])
+	if err != nil {
+		var zero T
+		return zero, err
 	}
 	if len(args) == 0 {
 		return s.snap.Value(), nil
-	}
-	s.point = s.point[:0]
-	for i, a := range args {
-		s.point = append(s.point, circuit.InputChange[T]{Key: s.q.fvKey(i, a), Value: s.q.s.One()})
 	}
 	return s.snap.EvalWith(s.point), nil
 }
@@ -67,8 +65,8 @@ func (s *Snapshot[T]) Value(args ...structure.Element) (T, error) {
 // pinned epoch.
 func (s *Snapshot[T]) ValueClosed() (T, error) {
 	var zero T
-	if len(s.q.free) != 0 {
-		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", s.q.free)
+	if vars := s.q.sh.vars; len(vars) != 0 {
+		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", vars)
 	}
 	return s.snap.Value(), nil
 }

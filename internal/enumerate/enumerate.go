@@ -270,57 +270,33 @@ func (m *permGateMeta) columnType(col int, empty func(gate int) bool) int {
 	return t
 }
 
-// NewProgram builds the enumerator directly on a frozen Program, sharing its
-// ranks, parents and children arenas with every other engine using it.
-func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value) *Enumerator {
-	return build(p, inputs, nil)
-}
-
-// NewProgramParallel builds the enumerator like NewProgram, but computes the
-// initial emptiness of every gate with the level-parallel circuit engine first
-// (on workers goroutines; ≤ 0 selects GOMAXPROCS): a gate's value is non-empty
-// exactly when the circuit, with every input mapped to the truth of "this
-// input is non-empty", evaluates to true at that gate in the boolean semiring
-// (for permanent gates the boolean permanent is the existence of a system of
-// distinct representatives, which is Lemma 39's matchability test).  The
-// sequential metadata pass that follows then skips its per-gate emptiness
-// work.  inputs is called from multiple goroutines and must be safe for
-// concurrent use.
-func NewProgramParallel(p *circuit.Program, inputs func(key structure.WeightKey) Value, workers int) *Enumerator {
-	nonempty := circuit.ParallelEvaluateAllProgram[bool](p, semiring.Bool, emptinessValuation(inputs), workers)
-	return build(p, inputs, nonempty)
-}
-
-// NewProgramParallelCtx builds the enumerator like NewProgramParallel but
-// honours cancellation during the initial emptiness wave: when ctx is
-// cancelled the preprocessing stops in bounded time and ctx's error is
-// returned.
-func NewProgramParallelCtx(ctx context.Context, p *circuit.Program, inputs func(key structure.WeightKey) Value, workers int) (*Enumerator, error) {
-	nonempty, err := circuit.ParallelEvaluateAllProgramCtx[bool](ctx, p, semiring.Bool, emptinessValuation(inputs), workers)
-	if err != nil {
-		return nil, err
-	}
-	return build(p, inputs, nonempty), nil
-}
-
-// emptinessValuation maps every circuit input to the truth of "this input is
-// non-empty", the valuation under which the boolean circuit value of a gate
-// is exactly its free-semiring non-emptiness.
-func emptinessValuation(inputs func(key structure.WeightKey) Value) circuit.Valuation[bool] {
-	return func(key structure.WeightKey) (bool, bool) {
+// Nonempty computes the initial non-emptiness of every gate with the
+// level-parallel circuit engine (on workers goroutines; ≤ 0 selects
+// GOMAXPROCS), for NewProgram to skip its own per-gate emptiness work: a
+// gate's value is non-empty exactly when the circuit, with every input mapped
+// to the truth of "this input is non-empty", evaluates to true at that gate in
+// the boolean semiring (for permanent gates the boolean permanent is the
+// existence of a system of distinct representatives, which is Lemma 39's
+// matchability test).  inputs is called from multiple goroutines and must be
+// safe for concurrent use.  When ctx is cancelled the wave stops in bounded
+// time and ctx's error is returned.
+func Nonempty(ctx context.Context, p *circuit.Program, inputs func(key structure.WeightKey) Value, workers int) ([]bool, error) {
+	return circuit.ParallelEvaluateAllProgramCtx[bool](ctx, p, semiring.Bool, func(key structure.WeightKey) (bool, bool) {
 		if inputs == nil {
 			return false, true
 		}
 		v := inputs(key)
 		return v != nil && !v.Empty(), true
-	}
+	}, workers)
 }
 
-// build constructs the enumerator; when nonempty is non-nil it carries the
-// precomputed per-gate emptiness and the pass skips recomputing it.  The
-// Program's freeze already validated the topological gate order, so the
+// NewProgram builds the enumerator directly on a frozen Program, sharing its
+// ranks, parents and children arenas with every other engine using it.  A
+// non-nil nonempty carries the per-gate non-emptiness precomputed by Nonempty
+// and the pass skips recomputing it; nil has the pass decide it gate by gate.
+// The Program's freeze already validated the topological gate order, so the
 // emptiness bookkeeping may trust its ranks.
-func build(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
+func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
 	if p.OutputGate() < 0 {
 		panic("enumerate: circuit has no output gate")
 	}

@@ -70,7 +70,7 @@ func TestEnumeratorRejectsNonTopologicalCircuits(t *testing.T) {
 			t.Errorf("NewProgram accepted a non-topological circuit")
 		}
 	}()
-	NewProgram(c.Program(), nil)
+	NewProgram(c.Program(), nil, nil)
 }
 
 // TestAnswersApplyBatch drives random batches of Gaifman-preserving updates

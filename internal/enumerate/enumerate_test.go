@@ -109,7 +109,7 @@ func countMonomials(c *circuit.Circuit, inputs func(key structure.WeightKey) Val
 // resulting multisets of monomials.
 func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(structure.WeightKey) Value) {
 	t.Helper()
-	e := NewProgram(c.Program(), inputs)
+	e := NewProgram(c.Program(), inputs, nil)
 	got := monomialMultiset(e.CollectAll(0))
 	want := polyMultiset(evaluateExplicit(c, inputs))
 	if !equalStringSlices(got, want) {
@@ -287,6 +287,26 @@ func TestEnumerateAnswersStatic(t *testing.T) {
 	}
 }
 
+// TestEnumerateAnswersRepeatedVariable lists an answer variable twice: every
+// answer carries the same element at both positions and appears once.
+func TestEnumerateAnswersRepeatedVariable(t *testing.T) {
+	a := enumerationStructure(10, 24, 7)
+	ans, err := EnumerateAnswers(a, logic.R("S", "x"), []string{"x", "x"}, compile.Options{})
+	if err != nil {
+		t.Fatalf("EnumerateAnswers: %v", err)
+	}
+	var want []structure.Tuple
+	for _, s := range a.Tuples("S") {
+		want = append(want, structure.Tuple{s[0], s[0]})
+	}
+	if got := sortTuples(ans.Collect(0)); !equalStringSlices(got, sortTuples(want)) {
+		t.Fatalf("answers over (x,x) = %v, want %v", got, sortTuples(want))
+	}
+	if ans.Count() != int64(len(want)) {
+		t.Fatalf("Count() = %d, want %d", ans.Count(), len(want))
+	}
+}
+
 func TestEnumerateAnswersRejectsUnknownVariables(t *testing.T) {
 	a := enumerationStructure(5, 8, 1)
 	if _, err := EnumerateAnswers(a, logic.R("E", "x", "y"), []string{"x"}, compile.Options{}); err == nil {
@@ -370,6 +390,34 @@ func TestEnumerateUnaryDynamicPredicate(t *testing.T) {
 	}
 }
 
+// TestFollowChecksTheClosure mirrors writes validated elsewhere over the
+// same closure, and refuses a batch vouched for by a different one.
+func TestFollowChecksTheClosure(t *testing.T) {
+	a := enumerationStructure(8, 16, 23)
+	phi := logic.Conj(logic.R("S", "x"), logic.R("E", "x", "y"))
+	vars := []string{"x", "y"}
+	opts := compile.Options{DynamicRelations: []string{"S"}}
+	ans, err := EnumerateAnswers(a, phi, vars, opts)
+	if err != nil {
+		t.Fatalf("EnumerateAnswers: %v", err)
+	}
+	other, err := EnumerateAnswers(a, phi, vars, opts)
+	if err != nil {
+		t.Fatalf("EnumerateAnswers: %v", err)
+	}
+	mirror := a.Clone()
+	flip := []TupleChange{{Rel: "S", Tuple: structure.Tuple{3}, Present: !a.HasTuple("S", 3)}}
+	ans.Follow(ans.Shared(), flip)
+	setMirror(mirror, "S", flip[0].Tuple, flip[0].Present)
+	checkAnswers(t, ans, mirror, phi, vars)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Follow accepted a batch validated against another closure")
+		}
+	}()
+	ans.Follow(other.Shared(), flip)
+}
+
 // setMirror rebuilds the mirror structure with the tuple present or absent.
 func setMirror(a *structure.Structure, rel string, tuple structure.Tuple, present bool) {
 	fresh := structure.NewStructure(a.Sig, a.N)
@@ -443,7 +491,7 @@ func TestProvenanceOfTriangles(t *testing.T) {
 		}
 		return Gen(provenance.Generator("e" + k.Tuple))
 	}
-	e := NewProgram(res.Program, inputs)
+	e := NewProgram(res.Program, inputs, nil)
 	got := monomialMultiset(e.CollectAll(0))
 	// The graph has two directed triangles 0→1→2→0 and 0→1→3→0; each is
 	// counted three times (once per starting vertex).

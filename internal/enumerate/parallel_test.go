@@ -1,12 +1,27 @@
 package enumerate
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/structure"
 
 	"repro/internal/compile"
 	"repro/internal/parser"
 	"repro/internal/workload"
 )
+
+// newProgramParallel builds an enumerator whose initial emptiness comes from
+// the level-parallel Nonempty pass on workers goroutines.
+func newProgramParallel(t *testing.T, p *circuit.Program, inputs func(structure.WeightKey) Value, workers int) *Enumerator {
+	t.Helper()
+	nonempty, err := Nonempty(context.Background(), p, inputs, workers)
+	if err != nil {
+		t.Fatalf("Nonempty: %v", err)
+	}
+	return NewProgram(p, inputs, nonempty)
+}
 
 // TestNewProgramParallelMatchesSequential checks that the level-parallel emptiness pass
 // produces an enumerator indistinguishable from the sequential one: same
@@ -26,7 +41,7 @@ func TestNewProgramParallelMatchesSequential(t *testing.T) {
 	// Gate-level comparison must reuse one compiled program: recompiling can
 	// legitimately produce a different (equivalent) circuit.
 	for _, workers := range []int{0, 2, 4} {
-		par := NewProgramParallel(p, seq.inputValue, workers)
+		par := newProgramParallel(t, p, seq.inputValue, workers)
 		for id := 0; id < p.NumGates(); id++ {
 			if seq.enum.GateEmpty(id) != par.GateEmpty(id) {
 				t.Fatalf("workers=%d: gate %d emptiness differs (seq %v, par %v)",
@@ -40,14 +55,14 @@ func TestNewProgramParallelMatchesSequential(t *testing.T) {
 	}
 
 	// The end-to-end wrapper compiles its own circuit; compare semantics.
-	par, err := EnumerateAnswersParallel(db.A, phi, vars, compile.Options{}, 4)
+	par, err := EnumerateAnswersCtx(context.Background(), db.A, phi, vars, compile.Options{}, 4)
 	if err != nil {
-		t.Fatalf("EnumerateAnswersParallel: %v", err)
+		t.Fatalf("EnumerateAnswersCtx: %v", err)
 	}
 	if got, wantN := par.Count(), seq.Count(); got != wantN {
-		t.Fatalf("EnumerateAnswersParallel Count = %d, want %d", got, wantN)
+		t.Fatalf("EnumerateAnswersCtx Count = %d, want %d", got, wantN)
 	}
 	if got, wantN := len(par.Collect(0)), len(want); got != wantN {
-		t.Fatalf("EnumerateAnswersParallel yields %d answers, want %d", got, wantN)
+		t.Fatalf("EnumerateAnswersCtx yields %d answers, want %d", got, wantN)
 	}
 }

@@ -75,8 +75,8 @@ func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
 
 		// Sequential and parallel preprocessing agree with each other and
 		// with the reference walk, then stay in agreement across updates.
-		seq := NewProgram(c.Program(), inputs)
-		par := NewProgramParallel(c.Program(), inputs, 3)
+		seq := NewProgram(c.Program(), inputs, nil)
+		par := newProgramParallel(t, c.Program(), inputs, 3)
 		check := func(step int) {
 			t.Helper()
 			want := circuittest.EvaluateAll[bool](c, semiring.Bool, boolVal)

@@ -2,7 +2,6 @@ package enumerate
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
@@ -220,36 +219,16 @@ func (s *AnswersSnapshot) Empty() bool { return s.snap.Empty() }
 // pinned epoch.  Unlike live cursors, it stays valid while the writer
 // updates.
 func (s *AnswersSnapshot) Cursor() *TupleCursor {
-	return &TupleCursor{ans: s.ans, inner: s.snap.Cursor()}
+	return &TupleCursor{arity: s.ans.sh.Arity(), inner: s.snap.Cursor()}
 }
 
 // Collect drains a fresh cursor into a slice of answers (limit ≤ 0 means no
 // limit).
-func (s *AnswersSnapshot) Collect(limit int) []structure.Tuple {
-	var out []structure.Tuple
-	cur := s.Cursor()
-	for {
-		t, ok := cur.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
-		if limit > 0 && len(out) >= limit {
-			return out
-		}
-	}
-}
+func (s *AnswersSnapshot) Collect(limit int) []structure.Tuple { return collect(s.Cursor(), limit) }
 
 // Count returns the number of answers at the pinned epoch by evaluating the
 // circuit in ℕ under the homomorphism sending every generator to 1, with
 // each input resolved through the snapshot.
 func (s *AnswersSnapshot) Count() int64 {
-	p := s.ans.res.Program
-	return circuit.EvaluateProgram[int64](p, semiring.Nat, func(key structure.WeightKey) (int64, bool) {
-		id := p.InputGate(key)
-		if id < 0 || s.snap.GateEmpty(id) {
-			return 0, false
-		}
-		return 1, true
-	})
+	return countAnswers(s.ans.sh.Result().Program, s.snap.GateEmpty)
 }

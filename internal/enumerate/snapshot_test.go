@@ -43,7 +43,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		key("d", 0): Zero(), key("e", 0): One(),
 	}
 	lookup := func(k structure.WeightKey) Value { return inputs[k] }
-	e := NewProgram(c.Program(), lookup)
+	e := NewProgram(c.Program(), lookup, nil)
 
 	type pinned struct {
 		snap *Snapshot
@@ -116,7 +116,7 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	}
 	c.SetOutput(c.Perm(rows, cols, entries))
 	lookup := func(k structure.WeightKey) Value { return inputs[k] }
-	e := NewProgram(c.Program(), lookup)
+	e := NewProgram(c.Program(), lookup, nil)
 	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
 	drain := func(cur Cursor) []string {
 		var got []provenance.Monomial

@@ -126,6 +126,37 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGuardWiderThanArgument evaluates connective arguments that mention only
+// x under the guard E(x,y): y must not become a parameter of the argument's
+// closure (with it the three-path count would join five variables per
+// monomial, over compile.Options' default MaxVars of 4).
+func TestGuardWiderThanArgument(t *testing.T) {
+	edge := func(x, y string) Formula { return Bracket(NatSemiring, B("E", x, y)) }
+	threePaths := Sum([]string{"a", "b", "c"}, Times(Times(edge("x", "a"), edge("a", "b")), edge("b", "c")))
+	hasTwoPath := Exists([]string{"a"}, Times(B("E", "x", "a"), Exists([]string{"b"}, B("E", "a", "b"))))
+	holds := Connective{Name: "holds", Out: BoolSemiring, Apply: func(args []any) any { return args[0] }}
+	queries := map[string]Formula{
+		"semiring": Sum([]string{"x", "y"}, Guard("E", []string{"x", "y"}, IntoMaxPlus, threePaths)),
+		"boolean":  Exists([]string{"x", "y"}, Times(Neg(B("E", "y", "x")), Guard("E", []string{"x", "y"}, holds, hasTwoPath))),
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		db := randomNestedDB(t, 12, seed)
+		for name, f := range queries {
+			got, err := NewEvaluator(db, compile.Options{}).EvalClosed(f)
+			if err != nil {
+				t.Fatalf("%s/seed%d: EvalClosed: %v", name, seed, err)
+			}
+			want, err := ReferenceEvalClosed(db, f)
+			if err != nil {
+				t.Fatalf("%s/seed%d: ReferenceEvalClosed: %v", name, seed, err)
+			}
+			if !f.Out().Equal(got, want) {
+				t.Errorf("%s/seed%d: got %s, reference %s", name, seed, f.Out().Format(got), f.Out().Format(want))
+			}
+		}
+	}
+}
+
 // TestEnumerateBoolMatchesReference checks that the answer set enumerated for
 // a boolean nested query is exactly the set of elements where the reference
 // recursion returns true.

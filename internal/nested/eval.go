@@ -5,11 +5,9 @@ import (
 	"sort"
 
 	"repro/internal/compile"
-	"repro/internal/dynamicq"
 	"repro/internal/enumerate"
 	"repro/internal/expr"
 	"repro/internal/logic"
-	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
@@ -502,12 +500,7 @@ func extendStructure(a *structure.Structure, rel string, arity int, tuples []str
 	if err != nil {
 		return nil, err
 	}
-	ext := structure.NewStructure(sig, a.N)
-	for _, r := range a.Sig.Relations {
-		for _, t := range a.Tuples(r.Name) {
-			ext.MustAddTuple(r.Name, t...)
-		}
-	}
+	ext := a.OnSignature(sig)
 	for _, t := range tuples {
 		ext.MustAddTuple(rel, t...)
 	}
@@ -531,56 +524,24 @@ func (ev *Evaluator) evalResidueAt(f Formula, vars []string, tuples []structure.
 		if err != nil {
 			return nil, err
 		}
-		return ev.evalBooleanAt(phi, vars, tuples)
+		// The quantified boolean formula is compiled once — as the weighted
+		// expression [ϕ] over the boolean semiring, with quantifier
+		// elimination applied inside the compiler — and every tuple is a
+		// point query on that one program (Theorem 8).
+		return BoolSemiring.evalAtTuples(ev.work, nil, expr.Guard(phi), vars, tuples, ev.opts)
 	}
-	e, weights, sig, err := ev.toExpr(f)
+	e, weights, symbols, err := ev.toExpr(f)
 	if err != nil {
 		return nil, err
 	}
 	// Evaluate over a structure re-homed onto the signature extended with
 	// the weight symbols used by the expression.
-	base, err := rehome(ev.work, sig)
+	sig, err := structure.NewSignature(ev.work.Sig.Relations, append(append([]structure.WeightSymbol(nil), ev.work.Sig.Weights...), symbols...))
 	if err != nil {
 		return nil, err
 	}
+	base := ev.work.OnSignature(sig)
 	return f.Out().evalAtTuples(base, weights, e, vars, tuples, ev.opts)
-}
-
-// evalBooleanAt evaluates a quantified boolean formula at assignment tuples.
-// The formula is compiled once — as the weighted expression [ϕ] over the
-// boolean semiring, with quantifier elimination applied inside the compiler —
-// into a shared frozen circuit.Program, and every tuple is then read from a
-// dynamic session over that program (Theorem 8), replacing the seed-era path
-// that re-ran first-order model checking per tuple.
-func (ev *Evaluator) evalBooleanAt(phi logic.Formula, vars []string, tuples []structure.Tuple) ([]any, error) {
-	q, err := dynamicq.CompileQuery[bool](semiring.Bool, ev.work, structure.NewWeights[bool](), expr.Guard(phi), ev.opts)
-	if err != nil {
-		return nil, err
-	}
-	queryVars := q.FreeVars()
-	out := make([]any, len(tuples))
-	args := make([]structure.Element, len(queryVars))
-	for i, t := range tuples {
-		for j, v := range queryVars {
-			found := false
-			for vi, name := range vars {
-				if name == v {
-					args[j] = t[vi]
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("nested: free variable %q of a boolean residue is not bound by the guard variables %v", v, vars)
-			}
-		}
-		val, err := q.Value(args...)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = val
-	}
-	return out, nil
 }
 
 // toLogic converts a connective-free boolean formula to first-order logic
@@ -710,20 +671,4 @@ func (ev *Evaluator) toExpr(f Formula) (expr.Expr, []WeightValue, []structure.We
 		}
 	}
 	return e, dedup, symbols, nil
-}
-
-// rehome copies the structure onto a signature extended with the given
-// weight symbols.
-func rehome(a *structure.Structure, symbols []structure.WeightSymbol) (*structure.Structure, error) {
-	sig, err := structure.NewSignature(a.Sig.Relations, append(append([]structure.WeightSymbol(nil), a.Sig.Weights...), symbols...))
-	if err != nil {
-		return nil, err
-	}
-	out := structure.NewStructure(sig, a.N)
-	for _, r := range a.Sig.Relations {
-		for _, t := range a.Tuples(r.Name) {
-			out.MustAddTuple(r.Name, t...)
-		}
-	}
-	return out, nil
 }

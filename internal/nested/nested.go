@@ -23,6 +23,7 @@ package nested
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/dynamicq"
@@ -108,26 +109,28 @@ func (b box[T]) evalAtTuples(a *structure.Structure, weights []WeightValue, e ex
 		}
 		w.Set(wv.Weight, wv.Tuple, tv)
 	}
-	q, err := dynamicq.CompileQuery[T](b.s, a, w, e, opts)
+	// Close over the guard variables e mentions, in guard order (a repeated
+	// one is read at its first position): one e does not mention would only
+	// widen every monomial by a summed-out variable and count against
+	// compile.Options.MaxVars.
+	free := expr.FreeVars(e)
+	var params []string
+	var keep []int
+	for i, v := range vars {
+		if slices.Contains(free, v) && !slices.Contains(params, v) {
+			params, keep = append(params, v), append(keep, i)
+		}
+	}
+	sh, err := dynamicq.Close(a, e, params, opts)
 	if err != nil {
 		return nil, err
 	}
-	queryVars := q.FreeVars()
+	q := dynamicq.NewQuery(b.s, sh, w)
 	out := make([]any, len(tuples))
+	args := make([]structure.Element, len(keep))
 	for i, t := range tuples {
-		args := make([]structure.Element, len(queryVars))
-		for j, v := range queryVars {
-			found := false
-			for vi, name := range vars {
-				if name == v {
-					args[j] = t[vi]
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("nested: free variable %q of a connective argument is not bound by the guard variables %v", v, vars)
-			}
+		for j, k := range keep {
+			args[j] = t[k]
 		}
 		val, err := q.Value(args...)
 		if err != nil {

@@ -95,12 +95,7 @@ func (e *eliminator) extend(name string, members map[structure.Element]bool) err
 	if err != nil {
 		return &Error{Detail: fmt.Sprintf("extending signature with %s", name), Err: err}
 	}
-	ext := structure.NewStructure(sig, e.work.N)
-	for _, r := range e.sig.Relations {
-		for _, t := range e.work.Tuples(r.Name) {
-			ext.MustAddTuple(r.Name, t...)
-		}
-	}
+	ext := e.work.OnSignature(sig)
 	elems := make([]structure.Element, 0, len(members))
 	for el := range members {
 		elems = append(elems, el)

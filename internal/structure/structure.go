@@ -291,11 +291,19 @@ func (a *Structure) MaxArity() int {
 }
 
 // Clone returns a deep copy of the structure (sharing the signature).
-func (a *Structure) Clone() *Structure {
-	b := NewStructure(a.Sig, a.N)
-	for rel, ts := range a.tuples {
-		for _, t := range ts {
-			b.MustAddTuple(rel, t...)
+func (a *Structure) Clone() *Structure { return a.OnSignature(a.Sig) }
+
+// OnSignature re-homes the structure onto sig: a fresh structure over the
+// same domain holding every tuple of every relation of a.  sig must declare
+// a's relation symbols with their arities (it panics otherwise); typically it
+// is a.Sig extended with weight symbols (the Theorem 8 closure) or with
+// derived relations (quantifier elimination, nested connectives), which start
+// out empty.  The source is left untouched.
+func (a *Structure) OnSignature(sig *Signature) *Structure {
+	b := NewStructure(sig, a.N)
+	for _, r := range a.Sig.Relations {
+		for _, t := range a.tuples[r.Name] {
+			b.MustAddTuple(r.Name, t...)
 		}
 	}
 	return b

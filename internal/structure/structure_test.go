@@ -193,3 +193,68 @@ func TestWeights(t *testing.T) {
 		t.Errorf("undeclared weight symbol should be rejected")
 	}
 }
+
+// TestOnSignature checks the one re-home helper behind the Theorem 8 closure,
+// quantifier elimination and the nested evaluator: every tuple survives, the
+// symbols the target signature adds are visible, and the source is untouched.
+func TestOnSignature(t *testing.T) {
+	sig := testSignature(t)
+	src := NewStructure(sig, 5)
+	src.MustAddTuple("E", 0, 1)
+	src.MustAddTuple("E", 1, 2)
+	src.MustAddTuple("U", 3)
+	src.MustAddTuple("T", 0, 1, 2)
+
+	withWeight, err := sig.WithWeights(WeightSymbol{Name: "v0", Arity: 1})
+	if err != nil {
+		t.Fatalf("WithWeights: %v", err)
+	}
+	withRelation := MustSignature(append(append([]RelSymbol(nil), sig.Relations...), RelSymbol{Name: "D", Arity: 1}), sig.Weights)
+	noWeights := MustSignature(sig.Relations, nil)
+
+	for _, tc := range []struct {
+		name      string
+		sig       *Signature
+		weights   []string // weight symbols the copy must declare
+		relations []string // relation symbols the copy must declare, empty
+	}{
+		{name: "same signature", sig: sig, weights: []string{"w", "u", "c"}},
+		{name: "extra weight", sig: withWeight, weights: []string{"w", "v0"}},
+		{name: "extra relation", sig: withRelation, weights: []string{"w"}, relations: []string{"D"}},
+		{name: "weights dropped", sig: noWeights},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := src.OnSignature(tc.sig)
+			if got.Sig != tc.sig || got.N != src.N {
+				t.Fatalf("copy has signature %p and domain %d, want %p and %d", got.Sig, got.N, tc.sig, src.N)
+			}
+			for _, r := range sig.Relations {
+				want := src.Tuples(r.Name)
+				have := got.Tuples(r.Name)
+				if len(have) != len(want) {
+					t.Fatalf("relation %s has %d tuples, want %d", r.Name, len(have), len(want))
+				}
+				for i := range want {
+					if !have[i].Equal(want[i]) || !got.HasTuple(r.Name, want[i]...) {
+						t.Errorf("relation %s tuple %d = %v, want %v", r.Name, i, have[i], want[i])
+					}
+				}
+			}
+			for _, w := range tc.weights {
+				if _, ok := got.Sig.Weight(w); !ok {
+					t.Errorf("weight symbol %s is not visible on the copy", w)
+				}
+			}
+			for _, r := range tc.relations {
+				if _, ok := got.Sig.Relation(r); !ok || len(got.Tuples(r)) != 0 {
+					t.Errorf("added relation %s should be declared and empty", r)
+				}
+			}
+			// The copy is independent: writing to it leaves the source alone.
+			got.MustAddTuple("U", 4)
+			if src.HasTuple("U", 4) || src.TupleCount() != 4 || src.Sig != sig {
+				t.Errorf("re-homing modified the source structure")
+			}
+		})
+	}
+}
