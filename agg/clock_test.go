@@ -1,0 +1,347 @@
+package agg
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/logic"
+	"repro/internal/parser"
+)
+
+// pairedSession opens the session that keeps two engine states over one
+// Program: "E(x,y) & S(x)" on testDB with S dynamic, so the value state
+// decides membership of one tuple and the answer state enumerates them all.
+func pairedSession(t *testing.T) (*Engine, *Session) {
+	t.Helper()
+	eng := testEngine(t)
+	p, err := eng.Prepare(context.Background(), "E(x,y) & S(x)", WithDynamic("S"))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return eng, s
+}
+
+// TestEpochCountsWritesThatChangeState pins the one definition of an epoch on
+// every kind of session: a write commits exactly one epoch iff it changed
+// some engine state, a Reader's epoch is the session's at the pin, and a
+// no-op write pushes nothing to subscribers.
+func TestEpochCountsWritesThatChangeState(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, tc := range []struct {
+		name, query  string
+		opts         []Option
+		sub          SubscribeOption
+		change, noop Change // change moves the state; noop re-asserts the database as loaded
+	}{
+		{"expression", "sum y . [E(x,y)] * w(x,y)", nil, SubscribePoint(0),
+			SetWeight("w", []int{0, 1}, 9), SetWeight("w", []int{1, 2}, 3)},
+		{"formula", "E(x,y) & S(x)", nil, SubscribeCount(),
+			Change{}, SetWeight("w", []int{1, 2}, 7)}, // no dynamic relation: nothing a write could change
+		{"formula+dynamic", "E(x,y) & S(x)", []Option{WithDynamic("S")}, SubscribeDelta(),
+			SetTuple("S", []int{1}, true), SetTuple("S", []int{0}, true)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := testEngine(t).Prepare(ctx, tc.query, tc.opts...)
+			if err != nil {
+				t.Fatalf("Prepare: %v", err)
+			}
+			s, err := p.Session()
+			if err != nil {
+				t.Fatalf("Session: %v", err)
+			}
+			defer s.Close()
+			next, stop := pullSub(ctx, s, tc.sub)
+			defer stop()
+			if u := mustNext(t, next); u.Epoch != 0 {
+				t.Fatalf("initial update at epoch %d, want 0", u.Epoch)
+			}
+			epochs := func(want uint64, when string) {
+				t.Helper()
+				r, err := s.Snapshot()
+				if err != nil {
+					t.Fatalf("Snapshot: %v", err)
+				}
+				defer r.Close()
+				if s.Epoch() != want || r.Epoch() != want {
+					t.Fatalf("%s: Session.Epoch %d, Reader.Epoch %d, want %d", when, s.Epoch(), r.Epoch(), want)
+				}
+			}
+			write := func(batch bool, ch Change) {
+				t.Helper()
+				var err error
+				if batch {
+					err = s.ApplyBatch([]Change{ch, ch})
+				} else {
+					err = s.Set(ch)
+				}
+				if err != nil {
+					t.Fatalf("write %+v: %v", ch, err)
+				}
+			}
+
+			epochs(0, "fresh")
+			write(false, tc.noop)
+			write(true, tc.noop)
+			epochs(0, "after no-op writes")
+			if tc.change.Weight == "" && tc.change.Rel == "" {
+				return
+			}
+			// One real write and three re-assertions of it: one epoch, everywhere.
+			write(false, tc.change)
+			write(false, tc.change)
+			write(true, tc.change)
+			write(false, tc.change)
+			epochs(1, "after one real and three no-op writes")
+			// The subscriber saw exactly that one commit: nothing was evaluated and
+			// folded on behalf of the no-op writes before or after it.
+			if u := mustNext(t, next); u.Epoch != 1 || u.Coalesced != 0 {
+				t.Fatalf("subscriber got epoch %d with %d coalesced, want epoch 1 with 0", u.Epoch, u.Coalesced)
+			}
+			if s.RetainedUndoBytes() != 0 {
+				t.Fatalf("retained %d undo bytes with no Reader open", s.RetainedUndoBytes())
+			}
+		})
+	}
+}
+
+// TestSnapshotIsOnePin counts pins on the session clock: a Reader on a
+// session with two engine states is one pin, returned by Close, and a
+// Session.Eval leaves none behind.
+func TestSnapshotIsOnePin(t *testing.T) {
+	ctx := context.Background()
+	_, s := pairedSession(t)
+	pins := func(want int, when string) {
+		t.Helper()
+		if got := s.clock.Pins(); got != want {
+			t.Fatalf("%s: %d pins on the session clock, want %d", when, got, want)
+		}
+	}
+	pins(0, "fresh")
+	if _, err := s.Eval(ctx, 0, 1); err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	pins(0, "after Eval")
+	r, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	pins(1, "with one Reader open")
+	for _, present := range []bool{false, true, false} {
+		if err := s.Set(SetTuple("S", []int{0}, present)); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
+	}
+	if s.RetainedUndoBytes() == 0 {
+		t.Fatal("no undo history retained under an open Reader")
+	}
+	if v, err := r.Eval(ctx, 0, 1); err != nil || v != "1" {
+		t.Fatalf("pinned Eval(0,1) = %q, %v; want 1", v, err)
+	}
+	if n, err := r.AnswerCount(ctx); err != nil || n != 3 {
+		t.Fatalf("pinned AnswerCount = %d, %v; want 3", n, err)
+	}
+	r.Close()
+	r.Close() // idempotent: the pin is returned once
+	pins(0, "after Close")
+	if got := s.RetainedUndoBytes(); got != 0 {
+		t.Fatalf("retained %d undo bytes after Close, want 0", got)
+	}
+}
+
+// TestReaderNeverSplitsValueAndAnswers is the regression test for the split
+// view: while a writer toggles S(0), every Reader must agree with itself —
+// Eval(0,1) is non-zero exactly when Enumerate yields (0,1), and AnswerCount
+// is the brute-force count at that membership — and a point and a delta
+// subscriber of the same session must never be told different things about
+// one epoch.  With one pin set per engine state (the parent of this test) a
+// commit landing between the two pins split the Reader within a few hundred
+// snapshots.
+func TestReaderNeverSplitsValueAndAnswers(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	eng, s := pairedSession(t)
+
+	// Brute-force answer counts with and without S(0).
+	phi, err := parser.ParseFormula("E(x,y) & S(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantCount [2]int64
+	for in := range wantCount {
+		a := eng.db.a.Clone()
+		if in == 0 {
+			if err := a.RemoveTuple("S", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantCount[in] = int64(len(logic.Answers(phi, a, []string{"x", "y"})))
+	}
+
+	var wg sync.WaitGroup
+	stopWriter := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for present := false; ; present = !present {
+			select {
+			case <-stopWriter:
+				return
+			default:
+			}
+			if err := s.Set(SetTuple("S", []int{0}, present)); err != nil {
+				t.Errorf("Set: %v", err)
+				return
+			}
+		}
+	}()
+
+	// Two subscribers of the same session record what they are told about the
+	// membership of (0,1) per epoch.
+	var mu sync.Mutex
+	told := map[uint64][2]int{} // epoch → 1+membership as seen by [point, delta]; 0 = not seen
+	record := func(who int, epoch uint64, in bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		e := told[epoch]
+		e[who] = 1
+		if in {
+			e[who] = 2
+		}
+		if e[0] != 0 && e[1] != 0 && e[0] != e[1] {
+			t.Errorf("epoch %d: point subscriber saw membership %v, delta subscriber %v", epoch, e[0] == 2, e[1] == 2)
+		}
+		told[epoch] = e
+	}
+	subCtx, stopSubs := context.WithCancel(ctx)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for u, err := range s.Subscribe(subCtx, SubscribePoint(0, 1)) {
+			if err != nil {
+				return
+			}
+			record(0, u.Epoch, u.Value != "0")
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		in := false
+		has01 := func(as []Answer) bool {
+			for _, a := range as {
+				if a[0] == 0 && a[1] == 1 {
+					return true
+				}
+			}
+			return false
+		}
+		for u, err := range s.Subscribe(subCtx, SubscribeDelta()) {
+			if err != nil {
+				return
+			}
+			switch {
+			case u.Reset:
+				in = has01(u.Answers)
+			case has01(u.Added):
+				in = true
+			case has01(u.Removed):
+				in = false
+			}
+			record(1, u.Epoch, in)
+		}
+	}()
+
+	snapshots := 20000
+	if testing.Short() {
+		snapshots = 2000
+	}
+	for i := 0; i < snapshots && !t.Failed(); i++ {
+		r, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		v, err := r.Eval(ctx, 0, 1)
+		if err != nil {
+			t.Fatalf("Eval: %v", err)
+		}
+		in, enumerated := 0, false
+		if v != "0" {
+			in = 1
+		}
+		for a, err := range r.Enumerate(ctx) {
+			if err != nil {
+				t.Fatalf("Enumerate: %v", err)
+			}
+			enumerated = enumerated || (a[0] == 0 && a[1] == 1)
+		}
+		count, err := r.AnswerCount(ctx)
+		if err != nil {
+			t.Fatalf("AnswerCount: %v", err)
+		}
+		if enumerated != (in == 1) || count != wantCount[in] {
+			t.Errorf("snapshot %d at epoch %d: Eval(0,1) = %s, Enumerate has (0,1): %v, AnswerCount %d (brute force: %d)",
+				i, r.Epoch(), v, enumerated, count, wantCount[in])
+		}
+		r.Close()
+	}
+	close(stopWriter)
+	stopSubs()
+	wg.Wait()
+}
+
+// TestWritePathAllocations guards what one unobserved, unpinned write and one
+// point read allocate, against the counts measured at the parent of the
+// one-clock change (PR 15, go1.24, no race detector): the shared clock may
+// not cost the write path a per-call closure or pin handle, nor the read
+// path a heap pin.
+func TestWritePathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ctx := context.Background()
+	check := func(what string, parent float64, f func(step int)) {
+		t.Helper()
+		step := 0
+		for ; step < 64; step++ { // grow every reusable buffer first
+			f(step)
+		}
+		got := testing.AllocsPerRun(500, func() { step++; f(step) })
+		t.Logf("%s: %.0f allocs (parent %.0f)", what, got, parent)
+		if got > parent {
+			t.Errorf("%s allocates %.0f objects, the parent allocated %.0f", what, got, parent)
+		}
+	}
+
+	ring := make([][]int, 16)
+	for i := range ring {
+		ring[i] = []int{i, (i + 1) % 16}
+	}
+	p, err := ringEngine(t, 16).Prepare(ctx, "sum y . [E(x,y)] * w(x,y)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	expr, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer expr.Close()
+	check("expression Session.Set", 12, func(i int) { _ = expr.Set(SetWeight("w", ring[i%16], int64(i%5+1))) })
+	check("expression Session.Eval", 26, func(i int) { _, _ = expr.Eval(ctx, i%16) })
+
+	_, paired := pairedSession(t)
+	elems := [][]int{{0}, {1}, {2}, {3}}
+	check("paired Session.Set", 16, func(i int) { _ = paired.Set(SetTuple("S", elems[i%4], i%3 == 0)) })
+	check("paired Session.Eval", 26, func(i int) { _, _ = paired.Eval(ctx, 0, 1) })
+	batch := []Change{SetTuple("S", elems[0], true), SetTuple("S", elems[1], false), SetTuple("S", elems[3], true)}
+	check("paired Session.ApplyBatch(3)", 52, func(i int) {
+		batch[0].Present = i%2 == 0
+		_ = paired.ApplyBatch(batch)
+	})
+}

@@ -6,6 +6,8 @@ import (
 	"sync"
 
 	"repro/internal/compile"
+	"repro/internal/enumerate"
+	"repro/internal/mvcc"
 	"repro/internal/nested"
 	"repro/internal/obs"
 	"repro/internal/semiring"
@@ -381,8 +383,6 @@ type nestedSession struct {
 	db *nested.Database
 }
 
-func (s *nestedSession) FreeVars() []string { return append([]string(nil), s.st.vars...) }
-
 func (s *nestedSession) Point(args []int) (string, error) {
 	v, err := nestedEvalAt(s.db, s.st.f, s.st.vars, args, s.p.compileOptions())
 	if err != nil {
@@ -391,46 +391,41 @@ func (s *nestedSession) Point(args []int) (string, error) {
 	return s.st.out.Format(v), nil
 }
 
-func (s *nestedSession) SetWeight(weight string, tuple []int, value int64) error {
-	if _, _, ok := s.db.SRelation(weight); !ok {
-		return fmt.Errorf("unknown weight %q", weight)
+// Write applies the changes in order (so a batch may insert a tuple and then
+// weight it, as in flat sessions); a failing change rolls the whole batch
+// back, and the next read re-materialises once over the final state.  There
+// is no epoch to commit and no answer state to mirror into.
+func (s *nestedSession) Write(changes []Change, _ *enumerate.Answers) (uint64, error) {
+	var rollback *nested.Database
+	if len(changes) > 1 {
+		rollback = s.db.Clone()
 	}
-	return s.db.SetValue(weight, structure.Tuple(tuple), s.p.sem.embedAny(structure.MakeWeightKey(weight, structure.Tuple(tuple)), value))
-}
-
-func (s *nestedSession) SetTuple(rel string, tuple []int, present bool) error {
-	return s.db.SetTuple(rel, structure.Tuple(tuple), present)
-}
-
-// Snapshot is unsupported on nested sessions: the recompute evaluator has no
-// epoch-versioned state to pin, so reads that race a writer keep failing fast
-// with ErrSessionBusy instead of falling back to a snapshot.
-func (s *nestedSession) Snapshot() (erasedSnapshot, error) {
-	return nil, fmt.Errorf("nested sessions do not support snapshots")
-}
-
-// Epoch is always zero: nested sessions have no commit counter.
-func (s *nestedSession) Epoch() uint64 { return 0 }
-
-// RetainedUndoBytes is always zero: nested sessions keep no undo history.
-func (s *nestedSession) RetainedUndoBytes() int64 { return 0 }
-
-func (s *nestedSession) ApplyBatch(changes []Change) error {
-	// Changes apply in order (so a batch may insert a tuple and then weight
-	// it, as in flat sessions); a failing change rolls the whole batch back,
-	// and the next read re-materialises once over the final state.
-	snapshot := s.db.Clone()
 	for i, ch := range changes {
-		var err error
-		if ch.Weight != "" {
-			err = s.SetWeight(ch.Weight, ch.Tuple, ch.Value)
-		} else {
-			err = s.SetTuple(ch.Rel, ch.Tuple, ch.Present)
-		}
-		if err != nil {
-			s.db = snapshot
-			return fmt.Errorf("change %d: %w", i, err)
+		if err := s.apply(ch); err != nil {
+			if rollback != nil {
+				s.db, err = rollback, fmt.Errorf("change %d: %w", i, err)
+			}
+			return 0, err
 		}
 	}
-	return nil
+	return 0, nil
 }
+
+func (s *nestedSession) apply(ch Change) error {
+	t := structure.Tuple(ch.Tuple)
+	if ch.Weight == "" {
+		return s.db.SetTuple(ch.Rel, t, ch.Present)
+	}
+	if _, _, ok := s.db.SRelation(ch.Weight); !ok {
+		return fmt.Errorf("unknown weight %q", ch.Weight)
+	}
+	return s.db.SetValue(ch.Weight, t, s.p.sem.embedAny(structure.MakeWeightKey(ch.Weight, t), ch.Value))
+}
+
+// Clock is nil: the recompute evaluator has no epoch-versioned state to pin,
+// so a nested session has no epochs, no snapshots and no subscriptions, reads
+// that race a writer keep failing fast with ErrSessionBusy, and At is never
+// called.
+func (s *nestedSession) Clock() *mvcc.Clock { return nil }
+
+func (s *nestedSession) At(uint64) func([]int) (string, error) { return nil }

@@ -418,15 +418,17 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 // concurrency contract).
 //
 // For enumerable queries with dynamic relations the session also carries a
-// private copy of the enumeration structure, kept in lockstep with tuple
-// updates, so Readers can enumerate the answer set at their pinned epoch.
+// private copy of the enumeration structure on the same clock as its value
+// state, written and committed together with it, so a Reader's one pin
+// serves Eval, Enumerate and AnswerCount at one epoch.
 func (p *Prepared) Session() (*Session, error) {
 	if p.nst != nil {
 		return &Session{p: p, sess: p.nst.newSession(p)}, nil
 	}
 	s := &Session{p: p, sess: p.sem.newSession(p.sh, p.eng.db.w, p.tr)}
+	s.clock = s.sess.Clock()
 	if p.enum != nil && len(p.cfg.dynamic) > 0 {
-		s.ans = p.enum.ans.Clone()
+		s.ans = p.enum.ans.Clone(s.clock)
 	}
 	return s, nil
 }

@@ -5,13 +5,16 @@ import (
 	"iter"
 
 	"repro/internal/enumerate"
+	"repro/internal/mvcc"
 	"repro/internal/obs"
 )
 
-// Reader is a consistent read handle on a Session, pinned at one committed
-// epoch: Eval, Enumerate and AnswerCount all answer as of that commit no
-// matter how many updates the session's writer applies afterwards, and none
-// of them can return ErrSessionBusy.
+// Reader is a consistent read handle on a Session: one pin of one committed
+// epoch on the session's clock, which Eval, Enumerate and AnswerCount all
+// resolve.  So they agree with each other — a tuple Enumerate yields evaluates
+// to non-zero, AnswerCount counts the tuples enumerated — no matter how many
+// updates the session's writer applies afterwards, and none of them can
+// return ErrSessionBusy.
 //
 // A Reader is meant for one goroutine (its snapshot digests are
 // unsynchronised); take one Reader per reading goroutine.  Any number of
@@ -21,34 +24,41 @@ import (
 // how much).
 type Reader struct {
 	p      *Prepared
-	snap   erasedSnapshot
+	clock  *mvcc.Clock
+	epoch  uint64 // the pin: taken by Snapshot, returned by Close
+	point  func(args []int) (string, error)
 	ans    *enumerate.AnswersSnapshot // nil unless enumerable with dynamic relations
 	closed bool
+}
+
+// pinnable returns the session's clock, or the reason there is nothing to
+// pin: the session is closed, or nested and so without epochs.
+func (s *Session) pinnable() (*mvcc.Clock, error) {
+	s.stateMu.RLock()
+	closed := s.closed
+	s.stateMu.RUnlock()
+	if closed {
+		return nil, errorf(ErrSessionClosed, s.p.text, "session was closed")
+	}
+	if s.clock == nil {
+		return nil, errorf(ErrArgument, s.p.text, "nested sessions do not support snapshots")
+	}
+	return s.clock, nil
 }
 
 // Snapshot pins the session's current committed epoch and returns a Reader
 // for it.  Taking a snapshot is cheap (no copy of the evaluator state) and
 // does not block the writer beyond a brief pin.  Nested sessions cannot
 // snapshot and fail with ErrArgument.
-//
-// For enumerable queries the value snapshot and the answer-set snapshot are
-// pinned in two steps, so a batch committed exactly between them may be
-// visible to Enumerate but not to Eval (or vice versa); take the snapshot
-// while no update is in flight to rule even that out.
 func (s *Session) Snapshot() (*Reader, error) {
-	s.stateMu.RLock()
-	closed, sess, ans := s.closed, s.sess, s.ans
-	s.stateMu.RUnlock()
-	if closed {
-		return nil, errorf(ErrSessionClosed, s.p.text, "session was closed")
-	}
-	snap, err := sess.Snapshot()
+	c, err := s.pinnable()
 	if err != nil {
-		return nil, newError(ErrArgument, s.p.text, err)
+		return nil, err
 	}
-	r := &Reader{p: s.p, snap: snap}
-	if ans != nil {
-		r.ans = ans.Snapshot()
+	r := &Reader{p: s.p, clock: c, epoch: c.Pin()}
+	r.point = s.sess.At(r.epoch)
+	if s.ans != nil {
+		r.ans = s.ans.At(r.epoch)
 	}
 	return r, nil
 }
@@ -58,7 +68,7 @@ func (s *Session) Snapshot() (*Reader, error) {
 func (r *Reader) FreeVars() []string { return r.p.FreeVars() }
 
 // Epoch returns the committed session epoch this Reader is pinned at.
-func (r *Reader) Epoch() uint64 { return r.snap.Epoch() }
+func (r *Reader) Epoch() uint64 { return r.epoch }
 
 // Eval reads the query value at the pinned epoch: no arguments for a closed
 // query, one element per free variable for a point query.
@@ -70,7 +80,7 @@ func (r *Reader) Eval(ctx context.Context, args ...int) (Value, error) {
 		return "", errorf(ErrSessionClosed, r.p.text, "reader was closed")
 	}
 	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
-	out, err := r.snap.Point(args)
+	out, err := r.point(args)
 	if err != nil {
 		return "", newError(ErrArgument, r.p.text, err)
 	}
@@ -118,17 +128,12 @@ func (r *Reader) AnswerCount(ctx context.Context) (int64, error) {
 	return r.p.AnswerCount(ctx)
 }
 
-// Close releases the Reader's pinned snapshots, letting the session reclaim
-// undo history.  Close is idempotent; operations after it fail with
-// ErrSessionClosed.
+// Close releases the Reader's pin, letting the session reclaim undo history.
+// Close is idempotent; operations after it fail with ErrSessionClosed.
 func (r *Reader) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.snap.Release()
-	if r.ans != nil {
-		r.ans.Release()
+	if !r.closed {
+		r.closed = true
+		r.clock.Unpin(r.epoch)
 	}
 	return nil
 }

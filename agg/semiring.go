@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/dynamicq"
+	"repro/internal/enumerate"
+	"repro/internal/mvcc"
 	"repro/internal/nested"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -63,29 +65,26 @@ type Semiring interface {
 	embedAny(key structure.WeightKey, v int64) any
 }
 
-// erasedSession is a dynamic-update session with the carrier type erased;
-// the public Session type wraps it with locking and lifecycle state.
+// erasedSession is the engine state of a dynamic-update session with the
+// carrier type erased; the public Session type wraps it with the fail-fast
+// writer lock and lifecycle state.
 type erasedSession interface {
-	FreeVars() []string
 	Point(args []int) (string, error)
-	SetWeight(weight string, tuple []int, value int64) error
-	SetTuple(rel string, tuple []int, present bool) error
-	ApplyBatch(changes []Change) error
-	// Snapshot pins the current committed epoch for concurrent reads; engines
-	// without MVCC support (the nested evaluator) return an error.
-	Snapshot() (erasedSnapshot, error)
-	// Epoch is the number of committed mutations so far.
-	Epoch() uint64
-	// RetainedUndoBytes is the undo-history memory pinned by open snapshots.
-	RetainedUndoBytes() int64
-}
-
-// erasedSnapshot is a pinned read handle on an erasedSession: point queries
-// answer as of the pinned epoch while the writer keeps committing.
-type erasedSnapshot interface {
-	Point(args []int) (string, error)
-	Epoch() uint64
-	Release()
+	// Write validates the batch before anything is applied (all-or-nothing)
+	// and then applies it as one exclusive section of Clock() that commits at
+	// most one epoch, which it returns (0 when the write changed nothing or
+	// there is no clock).  A non-nil ans is the session's answer state on the
+	// same clock: tuple changes are staged into it within the same section, so
+	// it is validated once and committed together with the value state.
+	Write(changes []Change, ans *enumerate.Answers) (committed uint64, err error)
+	// Clock is the session's one MVCC clock: commit counter, reader pins and
+	// reader/writer lock of every engine state the session keeps; nil for an
+	// engine without epoch-versioned state (the nested evaluator).
+	Clock() *mvcc.Clock
+	// At returns the point query as of an epoch pinned on Clock(): it keeps
+	// answering as of that commit while the writer keeps committing, and is
+	// meant for one goroutine (it owns overlay scratch).
+	At(epoch uint64) func(args []int) (string, error)
 }
 
 // NewSemiring builds a registrable semiring from an arithmetic and an
@@ -140,7 +139,7 @@ func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, w *structure.Weights
 	if hook := tr.WaveHook(); hook != nil {
 		q.SetWaveHook(hook)
 	}
-	return &typedSession[T]{ts: ts, q: q}
+	return &typedSession[T]{ts: ts, sh: sh, q: q}
 }
 
 func (ts *typedSemiring[T]) boxed() nested.Semiring {
@@ -157,64 +156,61 @@ func (ts *typedSemiring[T]) embedAny(key structure.WeightKey, v int64) any {
 // typedSession adapts a dynamicq.Query to the erased session interface.
 type typedSession[T any] struct {
 	ts *typedSemiring[T]
+	sh *dynamicq.Shared
 	q  *dynamicq.Query[T]
 }
 
-func (s *typedSession[T]) FreeVars() []string { return s.q.FreeVars() }
-
-func (s *typedSession[T]) Point(args []int) (string, error) {
-	v, err := s.q.Value(args...)
+func (s *typedSession[T]) format(v T, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
 	return s.ts.s.Format(v), nil
 }
 
-func (s *typedSession[T]) SetWeight(weight string, tuple []int, value int64) error {
-	t := structure.Tuple(tuple)
-	return s.q.SetWeight(weight, t, s.ts.embed(structure.MakeWeightKey(weight, t), value))
+func (s *typedSession[T]) Point(args []int) (string, error) { return s.format(s.q.Value(args...)) }
+
+func (s *typedSession[T]) Clock() *mvcc.Clock { return s.q.Clock() }
+
+func (s *typedSession[T]) At(epoch uint64) func(args []int) (string, error) {
+	snap := s.q.At(epoch)
+	return func(args []int) (string, error) { return s.format(snap.Value(args...)) }
 }
 
-func (s *typedSession[T]) SetTuple(rel string, tuple []int, present bool) error {
-	return s.q.SetTuple(rel, structure.Tuple(tuple), present)
-}
-
-func (s *typedSession[T]) Snapshot() (erasedSnapshot, error) {
-	return &typedSnapshot[T]{ts: s.ts, snap: s.q.Snapshot()}, nil
-}
-
-func (s *typedSession[T]) Epoch() uint64 { return s.q.Epoch() }
-
-func (s *typedSession[T]) RetainedUndoBytes() int64 { return s.q.RetainedUndoBytes() }
-
-// typedSnapshot adapts a dynamicq.Snapshot to the erased snapshot interface.
-type typedSnapshot[T any] struct {
-	ts   *typedSemiring[T]
-	snap *dynamicq.Snapshot[T]
-}
-
-func (s *typedSnapshot[T]) Point(args []int) (string, error) {
-	v, err := s.snap.Value(args...)
-	if err != nil {
-		return "", err
+// Write is the one write section of a session: the query validates and
+// prepares the batch, then — under the clock, exclusively — the value state
+// and (when the session keeps one) the answer state both stage it, and the
+// clock commits once, iff either state changed.  The embedding is the
+// registrant's code, so it runs before the clock is taken.
+func (s *typedSession[T]) Write(changes []Change, ans *enumerate.Answers) (uint64, error) {
+	// A single Set converts and mirrors on the stack.
+	var one [1]dynamicq.Change[T]
+	var oneTuple [1]enumerate.TupleChange
+	typed, mirror := one[:0], oneTuple[:0]
+	if len(changes) > 1 {
+		typed = make([]dynamicq.Change[T], 0, len(changes))
 	}
-	return s.ts.s.Format(v), nil
-}
-
-func (s *typedSnapshot[T]) Epoch() uint64 { return s.snap.Epoch() }
-
-func (s *typedSnapshot[T]) Release() { s.snap.Release() }
-
-func (s *typedSession[T]) ApplyBatch(changes []Change) error {
-	typed := make([]dynamicq.Change[T], len(changes))
-	for i, ch := range changes {
+	for _, ch := range changes {
 		t := structure.Tuple(ch.Tuple)
-		typed[i] = dynamicq.Change[T]{Rel: ch.Rel, Tuple: t, Present: ch.Present, Weight: ch.Weight}
+		c := dynamicq.Change[T]{Weight: ch.Weight, Rel: ch.Rel, Tuple: t, Present: ch.Present}
 		if ch.Weight != "" {
-			typed[i].Value = s.ts.embed(structure.MakeWeightKey(ch.Weight, t), ch.Value)
+			c.Value = s.ts.embed(structure.MakeWeightKey(ch.Weight, t), ch.Value)
+		} else if ans != nil {
+			mirror = append(mirror, enumerate.TupleChange{Rel: ch.Rel, Tuple: t, Present: ch.Present})
 		}
+		typed = append(typed, c)
 	}
-	return s.q.ApplyBatch(typed)
+	if err := s.q.Prepare(typed); err != nil {
+		return 0, err
+	}
+	c := s.q.Clock()
+	c.Lock()
+	defer c.Unlock()
+	s.q.Stage()
+	if ans != nil {
+		// The query validated the batch against the closure ans was built on.
+		ans.Follow(s.sh, mirror)
+	}
+	return c.Commit(), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/enumerate"
 	"repro/internal/live"
+	"repro/internal/mvcc"
 	"repro/internal/obs"
 )
 
@@ -38,12 +39,18 @@ type Session struct {
 
 	closed bool
 	sess   erasedSession
+	// clock is sess.Clock(): the session's one commit counter, pin set and
+	// reader/writer lock, nil for a nested session.
+	clock *mvcc.Clock
 	// ans is the session-private answer enumerator, present only for
 	// enumerable queries with dynamic relations: a second engine state, in the
-	// free semiring, over the program sess evaluates.  Tuple updates validated
-	// by sess are mirrored into it so Readers can enumerate the answer set at
-	// a pinned epoch.
+	// free semiring, over the program sess evaluates and on the same clock.
+	// Every write sess validates is staged into both and committed once, so a
+	// Reader's one pin resolves the value and the answer set of one epoch.
 	ans *enumerate.Answers
+	// one is Set's one-change batch, kept here (under writerMu) because a
+	// per-call slice would escape to the heap through the engine interface.
+	one [1]Change
 
 	// hub fans committed epochs out to Subscribe streams.  It stays nil
 	// until the first subscriber, so the write path of an unobserved
@@ -101,17 +108,17 @@ func (s *Session) FreeVars() []string { return s.p.FreeVars() }
 // for a closed query, one element per free variable for a point query.
 //
 // Eval never returns ErrSessionBusy on an MVCC-backed (non-nested) session:
-// it pins a snapshot of the last committed epoch, answers from that, and
-// releases it, without ever taking the writer lock — so reads keep flowing
-// under a sustained write stream and never make a concurrent writer fail
-// either.  On a nested session, which cannot snapshot, Eval evaluates in
-// place under the writer lock and fails fast when it is held.
+// it pins the last committed epoch, answers from that, and unpins it, without
+// ever taking the writer lock — so reads keep flowing under a sustained write
+// stream and never make a concurrent writer fail either.  On a nested session,
+// which cannot snapshot, Eval evaluates in place under the writer lock and
+// fails fast when it is held.
 func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 	if err := ensureCtx(ctx).Err(); err != nil {
 		return "", err
 	}
 	s.stateMu.RLock()
-	closed, sess := s.closed, s.sess
+	closed := s.closed
 	s.stateMu.RUnlock()
 	if closed {
 		return "", errorf(ErrSessionClosed, s.p.text, "session was closed")
@@ -119,15 +126,16 @@ func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
 	var out string
 	var err error
-	if snap, serr := sess.Snapshot(); serr == nil {
-		out, err = snap.Point(args)
-		snap.Release()
+	if c := s.clock; c != nil {
+		epoch := c.Pin()
+		out, err = s.sess.At(epoch)(args)
+		c.Unpin(epoch)
 	} else {
 		// Nested sessions have no snapshots: evaluate in place, fail-fast.
 		if !s.writerMu.TryLock() {
 			return "", errorf(ErrSessionBusy, s.p.text, "session is processing another operation")
 		}
-		out, err = sess.Point(args)
+		out, err = s.sess.Point(args)
 		s.writerMu.Unlock()
 	}
 	if err != nil {
@@ -137,15 +145,21 @@ func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 	return Value(out), nil
 }
 
-// Epoch returns the number of updates committed on this session so far.
-// Nested sessions, which have no commit counter, always report zero.
+// Epoch returns the session's committed epoch: the number of writes that
+// changed its state so far.  A Set or ApplyBatch commits exactly one epoch —
+// whatever the number of changes and of engine states they reach — iff it
+// changed some weight the circuit reads or some tuple's membership; a write
+// that re-asserts what the session already holds commits none and pushes
+// nothing to subscribers.  Reader.Epoch, Update.Epoch and this counter all
+// read the same clock.  Nested sessions, which have no commit counter, always
+// report zero.
 func (s *Session) Epoch() uint64 {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	if s.closed {
+	if s.closed || s.clock == nil {
 		return 0
 	}
-	return s.sess.Epoch()
+	return s.clock.Epoch()
 }
 
 // RetainedUndoBytes reports the undo-history memory currently pinned by
@@ -153,14 +167,10 @@ func (s *Session) Epoch() uint64 {
 func (s *Session) RetainedUndoBytes() int64 {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	if s.closed {
+	if s.closed || s.clock == nil {
 		return 0
 	}
-	n := s.sess.RetainedUndoBytes()
-	if s.ans != nil {
-		n += s.ans.RetainedUndoBytes()
-	}
-	return n
+	return s.clock.Retained()
 }
 
 // Set applies one change: a weight update or a dynamic-relation membership
@@ -172,33 +182,9 @@ func (s *Session) Set(change Change) error {
 		return err
 	}
 	defer s.writerMu.Unlock()
-	return s.apply(change)
-}
-
-// apply performs one change; the caller holds the write half.
-func (s *Session) apply(change Change) error {
-	var err error
-	switch {
-	case change.Weight != "" && change.Rel != "":
-		return errorf(ErrUpdate, s.p.text, "change names both weight %q and relation %q", change.Weight, change.Rel)
-	case change.Weight != "":
-		err = s.sess.SetWeight(change.Weight, change.Tuple, change.Value)
-	case change.Rel != "":
-		err = s.sess.SetTuple(change.Rel, change.Tuple, change.Present)
-	default:
-		return errorf(ErrUpdate, s.p.text, "change names neither a weight nor a relation")
-	}
-	if err != nil {
-		return newError(ErrUpdate, s.p.text, err)
-	}
-	if change.Rel != "" && s.ans != nil {
-		// sess validated the change against the compilation ans shares.
-		s.ans.Follow(s.p.sh, []enumerate.TupleChange{{Rel: change.Rel, Tuple: change.Tuple, Present: change.Present}})
-	}
-	if h := s.hub.Load(); h != nil {
-		h.Notify(s.sess.Epoch())
-	}
-	return nil
+	s.one[0] = change
+	defer clear(s.one[:])
+	return s.write(s.one[:])
 }
 
 // ApplyBatch applies a mixed batch of changes atomically: every change is
@@ -211,29 +197,26 @@ func (s *Session) ApplyBatch(changes []Change) error {
 		return err
 	}
 	defer s.writerMu.Unlock()
+	return s.write(changes)
+}
+
+// write checks the shape of the batch, hands it to the engine and, if the
+// write committed an epoch, hands that epoch to the subscribers.  The caller
+// holds the write half.
+func (s *Session) write(changes []Change) error {
 	for i, ch := range changes {
-		if ch.Weight != "" && ch.Rel != "" {
-			return errorf(ErrUpdate, s.p.text, "change %d names both a weight and a relation", i)
-		}
-		if ch.Weight == "" && ch.Rel == "" {
-			return errorf(ErrUpdate, s.p.text, "change %d names neither a weight nor a relation", i)
+		if (ch.Weight == "") == (ch.Rel == "") {
+			return errorf(ErrUpdate, s.p.text, "change %d must name exactly one of a weight and a relation, got weight %q and relation %q", i, ch.Weight, ch.Rel)
 		}
 	}
-	if err := s.sess.ApplyBatch(changes); err != nil {
+	committed, err := s.sess.Write(changes, s.ans)
+	if err != nil {
 		return newError(ErrUpdate, s.p.text, err)
 	}
-	if s.ans != nil {
-		// sess validated the batch against the compilation ans shares.
-		var mirror []enumerate.TupleChange
-		for _, ch := range changes {
-			if ch.Rel != "" {
-				mirror = append(mirror, enumerate.TupleChange{Rel: ch.Rel, Tuple: ch.Tuple, Present: ch.Present})
-			}
+	if committed != 0 {
+		if h := s.hub.Load(); h != nil {
+			h.Notify(committed)
 		}
-		s.ans.Follow(s.p.sh, mirror)
-	}
-	if h := s.hub.Load(); h != nil {
-		h.Notify(s.sess.Epoch())
 	}
 	return nil
 }

@@ -139,15 +139,14 @@ func (s *Session) Subscribe(ctx context.Context, opts ...SubscribeOption) iter.S
 				return
 			}
 		}
-		// The probe snapshot rejects nested and closed sessions up front and
-		// anchors resume semantics at the current committed epoch.
-		probe, err := s.Snapshot()
+		// Nested and closed sessions are rejected up front; resume semantics
+		// anchor at the current committed epoch.
+		clock, err := s.pinnable()
 		if err != nil {
 			yield(Update{}, err)
 			return
 		}
-		epoch := probe.Epoch()
-		probe.Close()
+		epoch := clock.Epoch()
 		hub, err := s.ensureHub()
 		if err != nil {
 			yield(Update{}, err)
@@ -232,10 +231,12 @@ func (s *Session) ensureHub() (*live.Hub, error) {
 	return h, nil
 }
 
-// liveEval is the hub's EvalFunc: it pins one snapshot of the latest
-// committed epoch and evaluates every subscribed key from it, so one commit
-// costs one evaluation per distinct key no matter how many subscribers
-// share it.  It runs only on the hub's evaluator goroutine.
+// liveEval is the hub's EvalFunc: it pins the latest committed epoch once
+// and evaluates every subscribed key of the round from that pin — values,
+// counts and answer-set deltas alike — so subscribers of one session never
+// see two updates with one Epoch that disagree, and one commit costs one
+// evaluation per distinct key no matter how many subscribers share it.  It
+// runs only on the hub's evaluator goroutine.
 func (s *Session) liveEval(reqs []live.Request) (uint64, []live.Result, error) {
 	ctx := context.Background()
 	r, err := s.Snapshot()

@@ -4,7 +4,9 @@
 // writer keep committing.  Session.Snapshot goes further and hands out a
 // Reader pinned at one epoch for as long as the caller needs: a consistent
 // view for multi-read transactions, reports, or streaming enumeration while
-// the session keeps moving underneath.
+// the session keeps moving underneath.  A Reader is one pin on the session's
+// one clock: the value it evaluates and the answers it enumerates belong to
+// the same epoch.
 //
 //	go run ./examples/snapshotreads
 package main
@@ -103,4 +105,64 @@ func main() {
 	// writer's steady state with no readers is allocation-free again.
 	r.Close()
 	fmt.Printf("after closing the reader: %d bytes retained\n", s.RetainedUndoBytes())
+
+	// --- One pin serves the value and the answer set ----------------------
+	//
+	// A formula session over a dynamic relation keeps two engine states on
+	// its one circuit — is this tuple an answer (Eval), and which tuples are
+	// (Enumerate, AnswerCount) — under one clock.  A write commits both as one
+	// epoch and a Reader is one pin on that clock, so across a write the
+	// Reader's Eval and Enumerate keep agreeing with each other, and so do
+	// the live session's.
+	grid, err := agg.OpenSource(agg.Source{Kind: "grid", N: 64, Seed: 3})
+	if err != nil {
+		panic(err)
+	}
+	q, err := grid.Prepare(ctx, "E(x,y) & S(x)", agg.WithDynamic("S"))
+	if err != nil {
+		panic(err)
+	}
+	fs, err := q.Session()
+	if err != nil {
+		panic(err)
+	}
+	defer fs.Close()
+	fr, err := fs.Snapshot()
+	if err != nil {
+		panic(err)
+	}
+	defer fr.Close()
+	// The smallest answer (a,b), and how many answers start at a.
+	count := func(r *agg.Reader, a int) (first agg.Answer, fromA int) {
+		for ans, err := range r.Enumerate(ctx) {
+			if err != nil {
+				panic(err)
+			}
+			if first == nil || ans[0] < first[0] || (ans[0] == first[0] && ans[1] < first[1]) {
+				first = ans
+			}
+			if ans[0] == a {
+				fromA++
+			}
+		}
+		return first, fromA
+	}
+	ans, _ := count(fr, -1)
+	a, b := ans[0], ans[1]
+	// Removing a from S removes every answer (a, ·) — for the live session.
+	if err := fs.Set(agg.SetTuple("S", []int{a}, false)); err != nil {
+		panic(err)
+	}
+	now, err := fs.Snapshot()
+	if err != nil {
+		panic(err)
+	}
+	defer now.Close()
+	for _, rd := range []*agg.Reader{fr, now} {
+		v, _ := rd.Eval(ctx, a, b)
+		_, fromA := count(rd, a)
+		total, _ := rd.AnswerCount(ctx)
+		fmt.Printf("reader at epoch %d: Eval(%d,%d)=%s, Enumerate yields %d answers (%d,·) of %d\n",
+			rd.Epoch(), a, b, v, fromA, a, total)
+	}
 }

@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"fmt"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -41,15 +40,16 @@ import (
 //
 // # Goroutine safety
 //
-// A Dynamic serialises its own access: mutations (SetInput, ApplyBatch,
-// EvalWith) take an exclusive lock for the full leaf-assignment + wave +
-// commit sequence, and reads (Value, GateValue, and every Snapshot
-// resolution) take a shared lock, so any number of goroutines may read while
-// at most one mutates.  Each committed mutation advances the epoch counter;
-// Snapshot pins the current epoch and keeps resolving values as of that
-// commit while later mutations proceed, using the undo entries the wave
-// scratch already computes (oldOf: gate → pre-wave value).  With no snapshot
-// pinned the undo log records nothing and mutations stay allocation-free.
+// The state is versioned by one mvcc.Clock, its own or the one it shares with
+// the other engine state of a session: a mutation holds it exclusively from
+// its first leaf assignment through its wave to its commit — one epoch, iff
+// it changed something — and a snapshot resolves an epoch pinned on it under
+// the shared lock, rolling dirtied slots back through the undo entries the
+// wave logs while anything is pinned.  So any number of snapshots, one per
+// reading goroutine, run concurrently with each other and with mutations.
+// The live reads Value and GateValue take the shared lock too: they are safe
+// from any goroutine, but not from a wave hook or other code already holding
+// the clock.
 type Dynamic[T any] struct {
 	p *Program
 	s semiring.Semiring[T]
@@ -76,21 +76,18 @@ type Dynamic[T any] struct {
 	stamp   []uint64                   // stamp[g] == gen marks g as changed this wave
 	gen     uint64                     // wave generation for stamp (not the commit epoch)
 
-	// valMu orders mutations against reads: writers hold it exclusively for
-	// one whole mutation, readers share it per resolution batch.
-	valMu sync.RWMutex
-	// log is the epoch/undo state behind Snapshot: while readers are pinned,
-	// markChanged records each gate's pre-wave value and every mutation
-	// commits one transition.
-	log mvcc.Log[valUndo[T]]
+	// log is this state's undo history on clock: while readers are pinned,
+	// markChanged records each gate's pre-wave value.
+	clock *mvcc.Clock
+	log   *mvcc.Log[valUndo[T]]
 	// restore is the scratch of EvalWith's second (undo) wave.
 	restore []valUndo[T]
 
 	// waveHook, when non-nil, receives the wall-clock duration of every
 	// propagation wave.  The nil check in runWave keeps the uninstrumented
 	// update path free of clock reads and allocations.  The hook runs while
-	// the mutation holds the exclusive lock, so it must not call back into
-	// the Dynamic.
+	// the mutation holds the clock, so it must not call back into the
+	// Dynamic.
 	waveHook func(time.Duration)
 }
 
@@ -100,6 +97,8 @@ type valUndo[T any] struct {
 	gate int32
 	old  T
 }
+
+func (u valUndo[T]) Slot() int32 { return u.gate }
 
 // SetWaveHook installs (or, with nil, removes) a listener that receives the
 // duration of each propagation wave.  The hook runs on the updating
@@ -137,8 +136,9 @@ type permState[T any] struct {
 // NewDynamicProgram initialises the dynamic evaluator on a frozen Program
 // under the given valuation.  Freezing already validated the topological
 // gate order, so propagation may trust the Program's ranks.  Many Dynamic
-// sessions may share one Program; each gets independent update state while
-// the ranks, parents and children arenas stay shared and immutable.
+// sessions may share one Program; each gets independent update state — and a
+// clock of its own — while the ranks, parents and children arenas stay shared
+// and immutable.
 func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) *Dynamic[T] {
 	if p.output < 0 {
 		panic("circuit: no output gate set")
@@ -179,7 +179,8 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 	d.oldOf = make([]T, n)
 	d.stamp = make([]uint64, n)
 	d.gen = 1
-	d.log.EntryBytes = int64(unsafe.Sizeof(valUndo[T]{}))
+	d.clock = new(mvcc.Clock)
+	d.log = mvcc.NewLog[valUndo[T]](d.clock, int64(unsafe.Sizeof(valUndo[T]{})))
 	return d
 }
 
@@ -260,61 +261,32 @@ func (d *Dynamic[T]) newPermState(id int) permState[T] {
 	return permState[T]{maintainer: maint, positions: positions}
 }
 
-// Value returns the current value of the output gate.  It takes the shared
-// lock, so it is safe to call from any goroutine concurrently with mutations
-// — but never from a wave hook or any code already holding the Dynamic's
-// exclusive lock.
-func (d *Dynamic[T]) Value() T {
-	d.valMu.RLock()
-	v := d.vals[d.p.output]
-	d.valMu.RUnlock()
-	return v
-}
+// Clock returns the clock this state commits under.  Another engine state
+// over the same Program may attach its undo log to it, to be written (Lock,
+// Stage both, Commit, Unlock), pinned and read as one with this one.
+func (d *Dynamic[T]) Clock() *mvcc.Clock { return d.clock }
 
-// GateValue returns the current value of an arbitrary gate, under the same
-// goroutine-safety contract as Value.
+// Value returns the current value of the output gate.
+func (d *Dynamic[T]) Value() T { return d.GateValue(d.p.output) }
+
+// GateValue returns the current value of an arbitrary gate.
 func (d *Dynamic[T]) GateValue(id int) T {
-	d.valMu.RLock()
+	d.clock.RLock()
 	v := d.vals[id]
-	d.valMu.RUnlock()
+	d.clock.RUnlock()
 	return v
-}
-
-// Epoch returns the number of committed mutations: the epoch a Snapshot
-// taken now would pin.
-func (d *Dynamic[T]) Epoch() uint64 {
-	d.valMu.RLock()
-	e := d.log.Epoch()
-	d.valMu.RUnlock()
-	return e
-}
-
-// RetainedUndoBytes reports the memory held by undo history for outstanding
-// snapshots (0 when none are pinned).
-func (d *Dynamic[T]) RetainedUndoBytes() int64 {
-	d.valMu.RLock()
-	n := d.log.Retained()
-	d.valMu.RUnlock()
-	return n
 }
 
 // SetInput updates one weight input to the given value and propagates the
-// change.  Unknown keys (keys the circuit does not reference) are ignored,
-// matching the convention that weights outside the circuit cannot influence
-// the query value.
+// change: ApplyBatch of the one change.
 func (d *Dynamic[T]) SetInput(key structure.WeightKey, value T) {
-	d.valMu.Lock()
-	defer d.valMu.Unlock()
-	if _, _, changed := d.assign(key, value); changed {
-		d.runWave()
-		d.log.Commit()
-	}
+	d.ApplyBatch([]InputChange[T]{{Key: key, Value: value}})
 }
 
 // assign stores value at the input gate of key and enlists its parents in the
 // pending wave.  It reports the gate and the value it held, or changed=false
 // when the circuit does not reference the key or already holds the value.
-// The caller holds the exclusive lock and runs the wave.
+// The caller holds the clock and runs the wave.
 func (d *Dynamic[T]) assign(key structure.WeightKey, value T) (id int, old T, changed bool) {
 	id = d.p.InputGate(key)
 	if id < 0 || d.s.Equal(d.vals[id], value) {
@@ -329,12 +301,22 @@ func (d *Dynamic[T]) assign(key structure.WeightKey, value T) (id int, old T, ch
 // ApplyBatch applies every leaf change first and then runs one propagation
 // wave in rank order, so gates shared by several changed inputs are
 // recomputed once per batch instead of once per update.  Repeated changes to
-// the same key coalesce (the last value wins) and unknown keys are ignored,
-// exactly as with SetInput.  Applying a batch is observationally equivalent
-// to applying its changes one at a time; only the propagation cost differs.
+// the same key coalesce (the last value wins); unknown keys (keys the circuit
+// does not reference) are ignored, matching the convention that weights
+// outside the circuit cannot influence the query value.  Applying a batch is
+// observationally equivalent to applying its changes one at a time; only the
+// propagation cost differs.  A batch that changes no input commits no epoch.
 func (d *Dynamic[T]) ApplyBatch(changes []InputChange[T]) {
-	d.valMu.Lock()
-	defer d.valMu.Unlock()
+	d.clock.Lock()
+	defer d.clock.Unlock()
+	d.Stage(changes)
+	d.clock.Commit()
+}
+
+// Stage is ApplyBatch without the lock and without the commit, for a caller
+// that holds Clock() exclusively and commits this state's changes together
+// with another's.
+func (d *Dynamic[T]) Stage(changes []InputChange[T]) {
 	touched := false
 	for _, ch := range changes {
 		if _, _, changed := d.assign(ch.Key, ch.Value); changed {
@@ -343,13 +325,13 @@ func (d *Dynamic[T]) ApplyBatch(changes []InputChange[T]) {
 	}
 	if touched {
 		d.runWave()
-		d.log.Commit()
+		d.clock.Touch()
 	}
 }
 
 // EvalWith evaluates the output under temporary input overrides: the changes
 // are applied as one wave, the output read, and the originals restored with
-// a second wave, all under one exclusive critical section and without
+// a second wave, all under one exclusive section of the clock and without
 // committing an epoch — the state is net unchanged, so snapshots can never
 // pin the transient overrides.  While readers are pinned the two waves still
 // append their (mutually cancelling) undo entries to the open transition,
@@ -357,8 +339,8 @@ func (d *Dynamic[T]) ApplyBatch(changes []InputChange[T]) {
 // writer-side fast path of dynamicq's point queries; snapshot readers use
 // DynSnapshot.EvalWith, which leaves the shared state untouched.
 func (d *Dynamic[T]) EvalWith(changes []InputChange[T]) T {
-	d.valMu.Lock()
-	defer d.valMu.Unlock()
+	d.clock.Lock()
+	defer d.clock.Unlock()
 	d.restore = d.restore[:0]
 	for _, ch := range changes {
 		if id, old, changed := d.assign(ch.Key, ch.Value); changed {

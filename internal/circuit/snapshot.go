@@ -1,19 +1,21 @@
 package circuit
 
-import "repro/internal/semiring"
+import (
+	"repro/internal/mvcc"
+	"repro/internal/semiring"
+)
 
-// DynSnapshot is a read handle on a Dynamic pinned at one committed epoch:
-// every resolution — Value, GateValue, and point queries through EvalWith —
-// answers as of that commit, no matter how many mutations the writer has
-// applied since.  Taking a snapshot is O(1); resolving a gate costs a digest
-// lookup plus, lazily, one walk over the undo entries committed since the
-// pin (first entry per gate wins, which is precisely its value at the pinned
-// epoch).
+// DynSnapshot is a read handle on a Dynamic at one committed epoch pinned on
+// its clock: every resolution — Value, GateValue, and point queries through
+// EvalWith — answers as of that commit, no matter how many mutations the
+// writer has applied since.  Taking a snapshot is O(1); resolving a gate
+// costs a digest lookup plus, lazily, one walk over the undo entries
+// committed since the pin (mvcc.View).
 //
 // A snapshot holds no copy of the value array: it reads the writer's current
 // state under the shared lock and rolls dirtied gates back through the undo
-// chain, the copy-on-write scheme of the MVCC session layer.  Release it
-// when done — an unreleased snapshot pins undo history and its memory grows
+// chain, the copy-on-write scheme of the MVCC session layer.  The pin must be
+// released when done — a pinned epoch retains undo history whose memory grows
 // with every write.
 //
 // A DynSnapshot is intended for a single reader goroutine (its digest and
@@ -21,11 +23,9 @@ import "repro/internal/semiring"
 // of one Dynamic may be taken, used and released concurrently with each
 // other and with the writer.
 type DynSnapshot[T any] struct {
-	d        *Dynamic[T]
-	epoch    uint64 // pinned commit epoch
-	digested uint64 // undo history of epochs [epoch, digested) is folded into digest
-	digest   map[int32]T
-	released bool
+	d     *Dynamic[T]
+	view  mvcc.View[valUndo[T]]
+	owned bool // Snapshot took the pin itself and Release returns it
 
 	// Overlay scratch of EvalWith, allocated on first use and reused.  The
 	// overlay wave keeps a sparse worklist of its own instead of a Worklist: a
@@ -41,72 +41,47 @@ type DynSnapshot[T any] struct {
 	permSc  permScratch[T]
 }
 
-// Snapshot pins the current committed epoch and returns a read handle
-// resolving every gate as of this moment.  From now until Release, mutations
-// record undo entries (in reusable per-epoch buffers), so the writer's
-// steady state with no snapshots outstanding stays allocation-free.
-func (d *Dynamic[T]) Snapshot() *DynSnapshot[T] {
-	d.valMu.Lock()
-	e := d.log.Pin()
-	d.valMu.Unlock()
-	return &DynSnapshot[T]{d: d, epoch: e, digested: e, digest: make(map[int32]T)}
+// At returns a read handle resolving every gate as of epoch, which the caller
+// has pinned on Clock() and unpins when done with the handle.
+func (d *Dynamic[T]) At(epoch uint64) *DynSnapshot[T] {
+	return &DynSnapshot[T]{d: d, view: d.log.At(epoch)}
 }
 
-// Epoch returns the committed epoch this snapshot is pinned at.
-func (s *DynSnapshot[T]) Epoch() uint64 { return s.epoch }
+// Snapshot is At on a pin of its own, which Release returns: the stand-alone
+// form, for an evaluator that is the only state on its clock.
+func (d *Dynamic[T]) Snapshot() *DynSnapshot[T] {
+	s := d.At(d.clock.Pin())
+	s.owned = true
+	return s
+}
 
-// Release unpins the snapshot, letting the writer truncate undo history it
-// no longer needs.  Release is idempotent; a released snapshot keeps
-// answering from its digest but stops following new undo entries, so use it
-// only before the release.
+// Release returns the pin Snapshot took, letting the writer truncate undo
+// history it no longer needs.  It is idempotent, and a no-op on a handle from
+// At; use the snapshot only before the release.
 func (s *DynSnapshot[T]) Release() {
-	if s.released {
-		return
+	if s.owned {
+		s.owned = false
+		s.d.clock.Unpin(s.view.Epoch())
 	}
-	s.released = true
-	s.d.valMu.Lock()
-	s.d.log.Unpin(s.epoch)
-	s.d.valMu.Unlock()
 }
 
 // Value returns the output gate's value at the pinned epoch.
-func (s *DynSnapshot[T]) Value() T {
-	s.d.valMu.RLock()
-	defer s.d.valMu.RUnlock()
-	s.extendLocked()
-	return s.resolveLocked(s.d.p.output)
-}
+func (s *DynSnapshot[T]) Value() T { return s.GateValue(s.d.p.output) }
 
 // GateValue returns an arbitrary gate's value at the pinned epoch.
 func (s *DynSnapshot[T]) GateValue(id int) T {
-	s.d.valMu.RLock()
-	defer s.d.valMu.RUnlock()
-	s.extendLocked()
+	s.d.clock.RLock()
+	defer s.d.clock.RUnlock()
+	s.view.Extend()
 	return s.resolveLocked(id)
-}
-
-// extendLocked folds undo entries committed since the last resolution into
-// the digest.  First entry per gate wins: the undo chain is walked from the
-// pinned epoch forwards, so the first pre-wave value recorded for a gate is
-// its value at the pin.  Caller holds at least the shared lock.
-func (s *DynSnapshot[T]) extendLocked() {
-	if s.released || s.digested == s.d.log.Epoch() {
-		return
-	}
-	s.digested = s.d.log.Walk(s.digested, func(e valUndo[T]) {
-		if _, ok := s.digest[e.gate]; !ok {
-			s.digest[e.gate] = e.old
-		}
-	})
 }
 
 // resolveLocked answers one gate at the pinned epoch: its first-recorded
 // undo value if the writer dirtied it since the pin, the live value
-// otherwise.  Caller holds at least the shared lock with the digest
-// extended.
+// otherwise.  Caller holds at least the shared lock with the view extended.
 func (s *DynSnapshot[T]) resolveLocked(g int) T {
-	if v, ok := s.digest[int32(g)]; ok {
-		return v
+	if u, ok := s.view.Lookup(int32(g)); ok {
+		return u.old
 	}
 	return s.d.vals[g]
 }
@@ -128,9 +103,9 @@ func (s *DynSnapshot[T]) resolveLocked(g int) T {
 // snapshot comparison pay the same path.
 func (s *DynSnapshot[T]) EvalWith(changes []InputChange[T]) T {
 	d := s.d
-	d.valMu.RLock()
-	defer d.valMu.RUnlock()
-	s.extendLocked()
+	d.clock.RLock()
+	defer d.clock.RUnlock()
+	s.view.Extend()
 	if s.overlay == nil {
 		s.buckets = make([][]int, d.p.maxRank+1)
 		s.overlay = make(map[int]T)
@@ -162,7 +137,7 @@ func (s *DynSnapshot[T]) EvalWith(changes []InputChange[T]) T {
 }
 
 // overlayValue reads a gate under the current overlay, falling back to the
-// snapshot.  Caller holds the shared lock with the digest extended.
+// snapshot.  Caller holds the shared lock with the view extended.
 func (s *DynSnapshot[T]) overlayValue(g int) T {
 	if v, ok := s.overlay[g]; ok {
 		return v

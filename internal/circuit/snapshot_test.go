@@ -65,7 +65,7 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 
 			for i, p := range pins {
 				if got := p.snap.Value(); !tc.s.Equal(got, p.value) {
-					t.Errorf("pin %d (epoch %d): Value = %d, want %d", i, p.snap.Epoch(), got, p.value)
+					t.Errorf("pin %d: Value = %d, want %d", i, got, p.value)
 				}
 				for g, want := range p.gates {
 					if got := p.snap.GateValue(g); !tc.s.Equal(got, want) {
@@ -78,6 +78,7 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 			released := map[int]bool{}
 			for _, i := range r.Perm(len(pins)) {
 				pins[i].snap.Release()
+				pins[i].snap.Release() // idempotent
 				released[i] = true
 				for j, p := range pins {
 					if released[j] {
@@ -88,7 +89,7 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 					}
 				}
 			}
-			if got := d.RetainedUndoBytes(); got != 0 {
+			if got := d.Clock().Retained(); got != 0 {
 				t.Errorf("retained undo bytes %d after all snapshots released, want 0", got)
 			}
 		})
@@ -191,7 +192,7 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 		readers = 4
 	)
 	var oracle sync.Map // epoch → expected output value
-	oracle.Store(d.Epoch(), d.Value())
+	oracle.Store(d.Clock().Epoch(), d.Value())
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -206,7 +207,7 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 			d.SetInput(k, vals2)
 			// The oracle entry lands after the commit; readers that pinned
 			// this epoch first spin until it appears.
-			oracle.Store(d.Epoch(), d.Value())
+			oracle.Store(d.Clock().Epoch(), d.Value())
 		}
 	}()
 
@@ -222,19 +223,21 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 					return
 				default:
 				}
-				snap := d.Snapshot()
+				// The session form: pin the clock, resolve At the pin, unpin.
+				epoch := d.Clock().Pin()
+				snap := d.At(epoch)
 				got := snap.Value()
 				var want any
 				for {
 					var ok bool
-					if want, ok = oracle.Load(snap.Epoch()); ok {
+					if want, ok = oracle.Load(epoch); ok {
 						break
 					}
 					runtime.Gosched()
 				}
 				if got != want.(int64) {
-					errs <- errf("reader %d at epoch %d: snapshot value %d, oracle %d", seed, snap.Epoch(), got, want)
-					snap.Release()
+					errs <- errf("reader %d at epoch %d: snapshot value %d, oracle %d", seed, epoch, got, want)
+					d.Clock().Unpin(epoch)
 					return
 				}
 				if r.Intn(2) == 0 {
@@ -242,11 +245,11 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 					_ = snap.EvalWith([]InputChange[int64]{{Key: key("u", r.Intn(n)), Value: int64(r.Intn(5))}})
 					if again := snap.Value(); again != got {
 						errs <- errf("reader %d: Value changed %d → %d after EvalWith", seed, got, again)
-						snap.Release()
+						d.Clock().Unpin(epoch)
 						return
 					}
 				}
-				snap.Release()
+				d.Clock().Unpin(epoch)
 			}
 		}(int64(i))
 	}
@@ -255,7 +258,7 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := d.RetainedUndoBytes(); got != 0 {
+	if got := d.Clock().Retained(); got != 0 {
 		t.Errorf("retained undo bytes %d after all readers done, want 0", got)
 	}
 }
@@ -280,7 +283,7 @@ func TestSnapshotReclamationBoundsUndoMemory(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		update()
 	}
-	if got := d.RetainedUndoBytes(); got != 0 {
+	if got := d.Clock().Retained(); got != 0 {
 		t.Fatalf("retained %d bytes with no snapshots, want 0", got)
 	}
 
@@ -288,7 +291,7 @@ func TestSnapshotReclamationBoundsUndoMemory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		update()
 	}
-	grew := d.RetainedUndoBytes()
+	grew := d.Clock().Retained()
 	if grew == 0 {
 		t.Fatal("no undo history retained while a snapshot is pinned")
 	}
@@ -297,9 +300,9 @@ func TestSnapshotReclamationBoundsUndoMemory(t *testing.T) {
 		update()
 	}
 	// Releasing the old pin must shrink history to what the recent pin needs.
-	beforeRelease := d.RetainedUndoBytes()
+	beforeRelease := d.Clock().Retained()
 	old.Release()
-	afterOld := d.RetainedUndoBytes()
+	afterOld := d.Clock().Retained()
 	if afterOld == 0 {
 		t.Fatal("history for the recent pin was dropped with the old one")
 	}
@@ -307,13 +310,13 @@ func TestSnapshotReclamationBoundsUndoMemory(t *testing.T) {
 		t.Fatalf("history did not shrink after releasing the oldest pin (%d → %d bytes)", beforeRelease, afterOld)
 	}
 	recent.Release()
-	if got := d.RetainedUndoBytes(); got != 0 {
+	if got := d.Clock().Retained(); got != 0 {
 		t.Fatalf("retained %d bytes after all pins released, want 0", got)
 	}
 	for i := 0; i < 20; i++ {
 		update()
 	}
-	if got := d.RetainedUndoBytes(); got != 0 {
+	if got := d.Clock().Retained(); got != 0 {
 		t.Fatalf("retained %d bytes on the pin-free path, want 0", got)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compile"
 	"repro/internal/expr"
+	"repro/internal/mvcc"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
@@ -32,22 +33,23 @@ const paramWeightPrefix = ".fv:"
 // # Goroutine safety
 //
 // A Query is a single-writer object: Value, SetWeight, SetTuple and
-// ApplyBatch mutate the underlying dynamic evaluator and must be serialised
-// by the caller (the agg layer does this with a fail-fast writer lock).
-// Concurrent *reads* go through Snapshot, which pins the current committed
-// epoch: any number of snapshots may evaluate point queries concurrently
-// with each other and with the single writer, without ever blocking it.
+// ApplyBatch (or Prepare and Stage) mutate the underlying dynamic evaluator
+// and the query's own shadow of the weights and relations, and must be
+// serialised by the caller (the agg layer does this with a fail-fast writer
+// lock).  Concurrent *reads* go through At, on an epoch pinned on Clock(): any
+// number of snapshots may evaluate point queries concurrently with each other
+// and with the single writer, without ever blocking it.
 type Query[T any] struct {
 	// Relations shadows the dynamic relations: ValidateTuple, HasTuple.
 	compile.Relations
+	// reader reads the live evaluator: Value, ValueClosed.
+	reader[T]
 	s       semiring.Semiring[T]
-	sh      *Shared
 	dyn     *circuit.Dynamic[T]
 	weights *structure.Weights[T]
-	// scratch is the reusable leaf-change buffer behind ApplyBatch.
-	scratch []circuit.InputChange[T]
-	// point is the reusable override buffer behind Value's point queries.
-	point []circuit.InputChange[T]
+	// leaves is the reusable leaf-change buffer Prepare fills and Stage
+	// applies.
+	leaves []circuit.InputChange[T]
 }
 
 // Shared is the semiring-agnostic closure of a query over an ordered list of
@@ -199,12 +201,13 @@ func NewQuery[T any](s semiring.Semiring[T], sh *Shared, w *structure.Weights[T]
 	// Every session instantiated from this Shared borrows the same frozen
 	// Program: the ranks, parents CSR and children arena are shared, only the
 	// per-session values and maintenance state below are private.
+	dyn := circuit.NewDynamicProgram(sh.res.Program, s, compile.NewValuation(sh.res, s, w))
 	return &Query[T]{
 		Relations: compile.NewRelations(sh.res),
+		reader:    reader[T]{sh: sh, one: s.One(), ev: dyn},
 		s:         s,
-		sh:        sh,
 		weights:   w,
-		dyn:       circuit.NewDynamicProgram(sh.res.Program, s, compile.NewValuation(sh.res, s, w)),
+		dyn:       dyn,
 	}
 }
 
@@ -234,86 +237,21 @@ func (q *Query[T]) FreeVars() []string { return q.sh.FreeVars() }
 // colouring, normalised polynomial).
 func (q *Query[T]) Result() *compile.Result { return q.sh.res }
 
-// ValueClosed returns the value of a closed query (no free variables).
-func (q *Query[T]) ValueClosed() (T, error) {
-	var zero T
-	if len(q.sh.vars) != 0 {
-		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", q.sh.vars)
-	}
-	return q.dyn.Value(), nil
-}
+// Clock returns the clock the value state commits under (circuit.Dynamic.Clock).
+func (q *Query[T]) Clock() *mvcc.Clock { return q.dyn.Clock() }
 
-// Value returns the value of the query at the given tuple of the free
-// variables.  Following the proof of Theorem 8, the point query is simulated
-// by k temporary weight updates: the fresh weights v_i are raised to 1 at
-// the queried elements, the output is read, and the weights are reset — all
-// under one exclusive critical section of the evaluator, so concurrent
-// snapshots never observe the transient toggles.
-func (q *Query[T]) Value(args ...structure.Element) (T, error) {
-	var err error
-	q.point, err = point(q.sh, q.s.One(), args, q.point[:0])
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	if len(args) == 0 {
-		return q.dyn.Value(), nil
-	}
-	return q.dyn.EvalWith(q.point), nil
-}
-
-// validateWeight checks that a weight symbol exists with the tuple's arity.
-func (q *Query[T]) validateWeight(weight string, tuple structure.Tuple) error {
-	decl, ok := q.sh.res.Structure.Sig.Weight(weight)
-	if !ok {
-		return fmt.Errorf("unknown weight symbol %q", weight)
-	}
-	if decl.Arity != len(tuple) {
-		return fmt.Errorf("weight %q has arity %d, got tuple of length %d", weight, decl.Arity, len(tuple))
-	}
-	return nil
-}
-
-// SetWeight updates the weight w(tuple) to the given value.
+// SetWeight updates the weight w(tuple) to the given value: ApplyBatch of the
+// one change.
 func (q *Query[T]) SetWeight(weight string, tuple structure.Tuple, value T) error {
-	if err := q.validateWeight(weight, tuple); err != nil {
-		return fmt.Errorf("dynamicq: %w", err)
-	}
-	q.weights.Set(weight, tuple, value)
-	q.dyn.SetInput(structure.MakeWeightKey(weight, tuple), value)
-	return nil
+	return q.ApplyBatch([]Change[T]{WeightChange(weight, tuple, value)})
 }
 
 // SetTuple inserts (present=true) or removes (present=false) a tuple of a
-// dynamic relation.  The update must preserve the Gaifman graph: the
-// elements of the tuple must already form a clique in the Gaifman graph of
-// the compiled structure (Theorem 24's update model).
+// dynamic relation: ApplyBatch of the one change.  The update must preserve
+// the Gaifman graph: the elements of the tuple must already form a clique in
+// the Gaifman graph of the compiled structure (Theorem 24's update model).
 func (q *Query[T]) SetTuple(rel string, tuple structure.Tuple, present bool) error {
-	if err := q.ValidateTuple(rel, tuple, present); err != nil {
-		return fmt.Errorf("dynamicq: %w", err)
-	}
-	q.commit(q.tupleLeaves(q.scratch[:0], rel, tuple, present))
-	return nil
-}
-
-// tupleLeaves records a validated membership update and appends its two leaf
-// changes.  Both membership inputs land in one batch so the epoch commits
-// once per tuple update and a snapshot can never pin a half-toggled tuple.
-func (q *Query[T]) tupleLeaves(leaf []circuit.InputChange[T], rel string, tuple structure.Tuple, present bool) []circuit.InputChange[T] {
-	pos, neg := q.Record(rel, tuple, present)
-	return append(leaf,
-		circuit.InputChange[T]{Key: pos, Value: semiring.Iverson(q.s, present)},
-		circuit.InputChange[T]{Key: neg, Value: semiring.Iverson(q.s, !present)})
-}
-
-// commit runs one propagation wave over the leaf changes and recycles their
-// buffer, zeroing the elements first so the retained backing array does not
-// pin the batch's keys and semiring values (e.g. provenance polynomials)
-// until the next large batch.
-func (q *Query[T]) commit(leaf []circuit.InputChange[T]) {
-	q.dyn.ApplyBatch(leaf)
-	clear(leaf)
-	q.scratch = leaf[:0]
+	return q.ApplyBatch([]Change[T]{TupleChange[T](rel, tuple, present)})
 }
 
 // Change is one element of an ApplyBatch batch: a weight update (Weight
@@ -345,35 +283,74 @@ func TupleChange[T any](rel string, tuple structure.Tuple, present bool) Change[
 // circuit.Dynamic.ApplyBatch), so gates shared by several changes are
 // recomputed once per batch and repeated changes to the same key coalesce
 // with the last value winning.  The result is observationally identical to
-// applying the changes one at a time through SetWeight/SetTuple.
+// applying the changes one at a time through SetWeight/SetTuple, except that
+// the batch commits one epoch — none if it changes no input — so a snapshot
+// can never pin a half-applied batch or a half-toggled tuple.
 func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
-	// Validation pass: the batch is all-or-nothing.
+	if err := q.Prepare(changes); err != nil {
+		return err
+	}
+	c := q.Clock()
+	c.Lock()
+	defer c.Unlock()
+	q.Stage()
+	c.Commit()
+	return nil
+}
+
+// Prepare is the half of ApplyBatch that needs no lock: it validates the
+// batch (all-or-nothing), records it in the query's shadow of the weights and
+// relations, and translates it into the leaf changes the next Stage applies.
+func (q *Query[T]) Prepare(changes []Change[T]) error {
 	for i, ch := range changes {
+		var err error
 		switch {
 		case ch.Weight != "" && ch.Rel != "":
-			return fmt.Errorf("dynamicq: batch change %d names both weight %q and relation %q", i, ch.Weight, ch.Rel)
+			err = fmt.Errorf("change names both weight %q and relation %q", ch.Weight, ch.Rel)
 		case ch.Weight != "":
-			if err := q.validateWeight(ch.Weight, ch.Tuple); err != nil {
-				return fmt.Errorf("dynamicq: batch change %d: %w", i, err)
+			decl, ok := q.sh.res.Structure.Sig.Weight(ch.Weight)
+			if !ok {
+				err = fmt.Errorf("unknown weight symbol %q", ch.Weight)
+			} else if decl.Arity != len(ch.Tuple) {
+				err = fmt.Errorf("weight %q has arity %d, got tuple of length %d", ch.Weight, decl.Arity, len(ch.Tuple))
 			}
 		case ch.Rel != "":
-			if err := q.ValidateTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
-				return fmt.Errorf("dynamicq: batch change %d: %w", i, err)
-			}
+			err = q.ValidateTuple(ch.Rel, ch.Tuple, ch.Present)
 		default:
-			return fmt.Errorf("dynamicq: batch change %d names neither a weight nor a relation", i)
+			err = fmt.Errorf("change names neither a weight nor a relation")
+		}
+		if err != nil {
+			if len(changes) > 1 {
+				err = fmt.Errorf("batch change %d: %w", i, err)
+			}
+			return fmt.Errorf("dynamicq: %w", err)
 		}
 	}
-	// Record the updates and translate them into leaf changes for one wave.
-	leaf := q.scratch[:0]
+	leaf := q.leaves[:0]
 	for _, ch := range changes {
 		if ch.Weight != "" {
 			q.weights.Set(ch.Weight, ch.Tuple, ch.Value)
 			leaf = append(leaf, circuit.InputChange[T]{Key: structure.MakeWeightKey(ch.Weight, ch.Tuple), Value: ch.Value})
 			continue
 		}
-		leaf = q.tupleLeaves(leaf, ch.Rel, ch.Tuple, ch.Present)
+		// Both membership inputs land in one wave and one epoch.
+		pos, neg := q.Record(ch.Rel, ch.Tuple, ch.Present)
+		leaf = append(leaf,
+			circuit.InputChange[T]{Key: pos, Value: semiring.Iverson(q.s, ch.Present)},
+			circuit.InputChange[T]{Key: neg, Value: semiring.Iverson(q.s, !ch.Present)})
 	}
-	q.commit(leaf)
+	q.leaves = leaf
 	return nil
+}
+
+// Stage is the other half: it writes the prepared leaves into the value
+// state and runs one wave, without committing.  The caller holds Clock()
+// exclusively and commits, after staging the batch into any other engine
+// state on the clock.  The leaf buffer is zeroed before it is recycled, so its
+// backing array does not pin the batch's keys and semiring values (e.g.
+// provenance polynomials) until the next large batch.
+func (q *Query[T]) Stage() {
+	q.dyn.Stage(q.leaves)
+	clear(q.leaves)
+	q.leaves = q.leaves[:0]
 }

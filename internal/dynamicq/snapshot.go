@@ -7,66 +7,59 @@ import (
 	"repro/internal/structure"
 )
 
-// Snapshot is a read handle on a Query pinned at one committed epoch: point
-// queries and the closed value answer as of that commit no matter how many
-// weight or tuple updates the writer applies afterwards.  Point queries run
-// on a private overlay of the pinned circuit state, so a snapshot never
-// blocks the writer and the writer never disturbs a snapshot.
-//
-// A Snapshot is intended for a single reader goroutine; take one per
-// goroutine.  Release it when done — an unreleased snapshot pins undo
-// history whose memory grows with every write.
-type Snapshot[T any] struct {
-	q     *Query[T]
-	snap  *circuit.DynSnapshot[T]
+// reader reads the closure at a tuple of its parameters on one side of the
+// clock.  ev is either the live evaluator, whose EvalWith toggles in place
+// under one exclusive section of the clock (the writer's logarithmic path),
+// or a snapshot of it at a pinned epoch, whose EvalWith runs on a private
+// overlay and so neither blocks the writer nor is disturbed by it.  Either
+// way no snapshot ever observes the transient toggles.
+type reader[T any] struct {
+	sh  *Shared
+	one T
+	ev  interface {
+		Value() T
+		EvalWith(changes []circuit.InputChange[T]) T
+	}
+	// point is the reusable override buffer behind Value's point queries.
 	point []circuit.InputChange[T]
 }
 
-// Snapshot pins the current committed epoch of the query's dynamic evaluator
-// and returns a read handle for it.  Taking a snapshot is O(1) and safe to
-// call concurrently with the writer and with other snapshots.
-func (q *Query[T]) Snapshot() *Snapshot[T] {
-	return &Snapshot[T]{q: q, snap: q.dyn.Snapshot()}
-}
-
-// Epoch returns the committed epoch of the query's dynamic evaluator, i.e.
-// the number of committed mutations so far.
-func (q *Query[T]) Epoch() uint64 { return q.dyn.Epoch() }
-
-// RetainedUndoBytes reports the memory currently held by undo history for
-// outstanding snapshots.  It is zero whenever no snapshot is pinned.
-func (q *Query[T]) RetainedUndoBytes() int64 { return q.dyn.RetainedUndoBytes() }
-
-// Epoch returns the committed epoch this snapshot is pinned at.
-func (s *Snapshot[T]) Epoch() uint64 { return s.snap.Epoch() }
-
-// Release unpins the snapshot, letting the writer reclaim undo history it no
-// longer needs.  Release is idempotent.
-func (s *Snapshot[T]) Release() { s.snap.Release() }
-
 // Value returns the value of the query at the given tuple of the free
-// variables, as of the pinned epoch.  The free-variable toggles of the
-// Theorem 8 reduction run on a private overlay, so concurrent writer commits
-// and other snapshots are never observed and never disturbed.
-func (s *Snapshot[T]) Value(args ...structure.Element) (T, error) {
+// variables.  Following the proof of Theorem 8, the point query is simulated
+// by k temporary weight updates: the fresh weights v_i are raised to 1 at
+// the queried elements, the output is read, and the weights are reset.
+func (r *reader[T]) Value(args ...structure.Element) (T, error) {
 	var err error
-	s.point, err = point(s.q.sh, s.q.s.One(), args, s.point[:0])
+	r.point, err = point(r.sh, r.one, args, r.point[:0])
 	if err != nil {
 		var zero T
 		return zero, err
 	}
 	if len(args) == 0 {
-		return s.snap.Value(), nil
+		return r.ev.Value(), nil
 	}
-	return s.snap.EvalWith(s.point), nil
+	return r.ev.EvalWith(r.point), nil
 }
 
-// ValueClosed returns the value of a closed query (no free variables) at the
-// pinned epoch.
-func (s *Snapshot[T]) ValueClosed() (T, error) {
-	var zero T
-	if vars := s.q.sh.vars; len(vars) != 0 {
-		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", vars)
+// ValueClosed returns the value of a closed query (no free variables).
+func (r *reader[T]) ValueClosed() (T, error) {
+	if len(r.sh.vars) != 0 {
+		var zero T
+		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", r.sh.vars)
 	}
-	return s.snap.Value(), nil
+	return r.ev.Value(), nil
+}
+
+// Snapshot is a read handle on a Query at one committed epoch pinned on its
+// clock: Value and ValueClosed answer as of that commit no matter how many
+// weight or tuple updates the writer applies afterwards.  A Snapshot is
+// intended for a single reader goroutine; take one per goroutine.
+type Snapshot[T any] struct{ reader[T] }
+
+// At returns a read handle for epoch, which the caller has pinned on Clock()
+// and unpins when done with the handle — a pinned epoch retains undo history
+// whose memory grows with every write.  It is O(1) and safe to call
+// concurrently with the writer and with other snapshots.
+func (q *Query[T]) At(epoch uint64) *Snapshot[T] {
+	return &Snapshot[T]{reader[T]{sh: q.sh, one: q.one, ev: q.dyn.At(epoch)}}
 }

@@ -28,12 +28,14 @@ func TestSnapshotPointQueriesPinned(t *testing.T) {
 	}
 
 	type pinned struct {
+		epoch  uint64
 		snap   *Snapshot[int64]
 		mirror *structure.Structure
 		w      *structure.Weights[int64]
 	}
 	record := func() pinned {
-		return pinned{snap: query.Snapshot(), mirror: a.Clone(), w: w.Clone()}
+		epoch := query.Clock().Pin()
+		return pinned{epoch: epoch, snap: query.At(epoch), mirror: a.Clone(), w: w.Clone()}
 	}
 
 	pins := []pinned{record()}
@@ -69,7 +71,7 @@ func TestSnapshotPointQueriesPinned(t *testing.T) {
 			}
 			want := naive(p.mirror, p.w, q, map[string]structure.Element{"x": x})
 			if got != want {
-				t.Errorf("pin %d (epoch %d): f(%d) = %d, want %d", i, p.snap.Epoch(), x, got, want)
+				t.Errorf("pin %d (epoch %d): f(%d) = %d, want %d", i, p.epoch, x, got, want)
 			}
 		}
 	}
@@ -79,14 +81,13 @@ func TestSnapshotPointQueriesPinned(t *testing.T) {
 			t.Errorf("live query: f(%d) = %d, want %d", x, got, want)
 		}
 	}
-	if query.RetainedUndoBytes() == 0 {
+	if query.Clock().Retained() == 0 {
 		t.Error("no undo history retained while snapshots are pinned")
 	}
 	for _, p := range pins {
-		p.snap.Release()
-		p.snap.Release() // idempotent
+		query.Clock().Unpin(p.epoch)
 	}
-	if got := query.RetainedUndoBytes(); got != 0 {
+	if got := query.Clock().Retained(); got != 0 {
 		t.Errorf("retained undo bytes %d after all snapshots released, want 0", got)
 	}
 }
@@ -99,8 +100,9 @@ func TestSnapshotArityChecks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileQuery: %v", err)
 	}
-	snap := query.Snapshot()
-	defer snap.Release()
+	epoch := query.Clock().Pin()
+	defer query.Clock().Unpin(epoch)
+	snap := query.At(epoch)
 	if _, err := snap.Value(); err == nil {
 		t.Errorf("missing arguments accepted")
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dynamicq"
 	"repro/internal/expr"
 	"repro/internal/logic"
+	"repro/internal/mvcc"
 	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
@@ -112,18 +113,20 @@ func decodeGenerator(g provenance.Generator) (varIdx int, elem structure.Element
 }
 
 // Clone returns an independent enumerator over the same compilation and the
-// same current dynamic state.  The frozen circuit program and its CSR arrays
-// are shared; the per-gate enumeration state is rebuilt from the original's
+// same current dynamic state, committing under c: a fresh clock for an
+// enumerator of its own (how several local searches, or speculative update
+// sequences, run concurrently from one paid preprocessing), or the clock of
+// another engine state over the same closure, which Follow then keeps the
+// copy in lockstep with.  The frozen circuit program and its CSR arrays are
+// shared; the per-gate enumeration state is rebuilt from the original's
 // current input values with one linear preprocessing pass, after which
-// updates to the clone and to the original are fully isolated from each
-// other.  Cloning is how several local searches (or speculative update
-// sequences) run concurrently from one paid preprocessing.
-func (ans *Answers) Clone() *Answers {
+// updates to the clone and to the original are fully isolated from each other.
+func (ans *Answers) Clone(c *mvcc.Clock) *Answers {
 	p, e := ans.sh.Result().Program, ans.enum
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.clock.RLock()
+	defer e.clock.RUnlock()
 	current := func(key structure.WeightKey) Value { return e.inputValue[p.InputGate(key)] }
-	return &Answers{Relations: ans.Relations.Clone(), sh: ans.sh, enum: NewProgram(p, current, nil)}
+	return &Answers{Relations: ans.Relations.Clone(), sh: ans.sh, enum: newProgram(c, p, current, nil)}
 }
 
 // Shared returns the closure the enumerator runs on, so that point queries
@@ -210,16 +213,10 @@ func countAnswers(p *circuit.Program, empty func(gate int) bool) int64 {
 }
 
 // SetTuple inserts or removes a tuple of a dynamic relation, maintaining the
-// enumeration data structure in constant time.  Insertions must preserve the
-// Gaifman graph of the preprocessed structure.  Both membership inputs flip
-// within a single committed epoch, so a snapshot can never observe the tuple
-// half-toggled.
+// enumeration data structure in constant time: ApplyBatch of the one change.
+// Insertions must preserve the Gaifman graph of the preprocessed structure.
 func (ans *Answers) SetTuple(rel string, tuple structure.Tuple, present bool) error {
-	if err := ans.ValidateTuple(rel, tuple, present); err != nil {
-		return fmt.Errorf("enumerate: %w", err)
-	}
-	ans.apply([]TupleChange{{Rel: rel, Tuple: tuple, Present: present}})
-	return nil
+	return ans.ApplyBatch([]TupleChange{{Rel: rel, Tuple: tuple, Present: present}})
 }
 
 // TupleChange is one dynamic-relation update of an ApplyBatch batch:
@@ -234,51 +231,51 @@ type TupleChange struct {
 // change is validated up front (the batch is all-or-nothing) and the
 // enumeration data structure is refreshed with a single propagation wave, so
 // gates shared by several changes are revisited once per batch.  Repeated
-// changes to the same tuple coalesce with the last one winning.  As with
-// SetTuple, cursors drawn before the batch are invalidated.
+// changes to the same tuple coalesce with the last one winning.  The batch
+// commits one epoch — none if it changes no membership — so a snapshot can
+// never observe a tuple half-toggled; cursors drawn before it are
+// invalidated.
 func (ans *Answers) ApplyBatch(changes []TupleChange) error {
 	for i, ch := range changes {
 		if err := ans.ValidateTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
-			return fmt.Errorf("enumerate: batch change %d: %w", i, err)
+			if len(changes) > 1 {
+				err = fmt.Errorf("batch change %d: %w", i, err)
+			}
+			return fmt.Errorf("enumerate: %w", err)
 		}
 	}
-	ans.apply(changes)
+	c := ans.enum.clock
+	c.Lock()
+	defer c.Unlock()
+	ans.stage(changes)
+	c.Commit()
 	return nil
 }
 
-// Follow applies a batch that has already passed ValidateTuple on another
-// engine state over the same closure sh — the dynamicq.Query a session keeps
-// this enumerator in lockstep with — so each write is validated once.  It
-// panics if sh is not the closure these answers were built on: the other
-// state's validation says nothing about this one then.
+// Follow stages a batch that has already passed ValidateTuple on another
+// engine state over the same closure sh and on the same clock — the
+// dynamicq.Query a session keeps this enumerator in lockstep with — so each
+// write is validated once and committed once, by the caller, who holds the
+// clock exclusively.  It panics if sh is not the closure these answers were
+// built on: the other state's validation says nothing about this one then.
 func (ans *Answers) Follow(sh *dynamicq.Shared, changes []TupleChange) {
 	if sh != ans.sh {
 		panic("enumerate: Follow: the batch was validated against a different closure")
 	}
-	ans.apply(changes)
+	ans.stage(changes)
 }
 
-// apply applies a validated batch.  It feeds the enumerator's input slots
-// directly and runs one coalesced wave at the end, instead of materialising
-// an InputAssignment slice: local search commits many tiny batches, where
-// the slice traffic would cost more than the coalescing saves.  The whole
-// batch commits one epoch.
-func (ans *Answers) apply(changes []TupleChange) {
+// stage applies a validated batch under the caller's exclusive hold of the
+// clock, without committing.  It feeds the enumerator's input slots directly
+// and runs one coalesced wave at the end, instead of materialising an
+// InputAssignment slice: local search commits many tiny batches, where the
+// slice traffic would cost more than the coalescing saves.
+func (ans *Answers) stage(changes []TupleChange) {
 	e := ans.enum
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	stored, flipped := false, false
 	for _, ch := range changes {
 		pos, neg := ans.Record(ch.Rel, ch.Tuple, ch.Present)
-		s1, f1 := e.assign(pos, Bool(ch.Present))
-		s2, f2 := e.assign(neg, Bool(!ch.Present))
-		stored = stored || s1 || s2
-		flipped = flipped || f1 || f2
+		e.assign(pos, Bool(ch.Present))
+		e.assign(neg, Bool(!ch.Present))
 	}
-	if flipped {
-		e.runWave()
-	}
-	if stored {
-		e.log.Commit()
-	}
+	e.runWave()
 }

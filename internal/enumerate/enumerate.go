@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sync"
 	"unsafe"
 
 	"repro/internal/circuit"
@@ -27,7 +26,9 @@ import (
 )
 
 // Value is the free-semiring value of a circuit input, given by its
-// emptiness and the ability to enumerate its monomials.
+// emptiness and the ability to enumerate its monomials.  Implementations must
+// be comparable with ==: assigning an input the value it already holds is a
+// no-op that commits no epoch.
 type Value interface {
 	// Empty reports whether the value is the zero polynomial.
 	Empty() bool
@@ -130,21 +131,24 @@ func (c *sliceCursor) Next() (provenance.Monomial, bool) {
 //
 // # Goroutine safety
 //
-// An Enumerator is a single-writer object: SetInput and SetInputs (and the
-// update paths of Answers built on them) must be serialised by the caller,
-// and live cursors may only run between updates on the same goroutine that
-// mutates.  Concurrent reads go through Snapshot, which pins the current
-// committed epoch: snapshot cursors stream one consistent epoch while the
-// writer keeps committing, without blocking it.
+// The state is versioned by one mvcc.Clock, its own or the one it shares with
+// the other engine state of a session: a mutation holds it exclusively from
+// its first leaf assignment through its wave to its commit — one epoch, iff
+// it changed something — and a snapshot resolves an epoch pinned on it under
+// the shared lock, rolling dirtied slots back through the undo entries the
+// wave logs while anything is pinned.  So any number of snapshots, one per
+// reading goroutine, run concurrently with each other and with mutations.
+// The live reads Empty, GateEmpty and Cursor take no lock — a live cursor is a
+// constant-delay pointer walk — so they may only run between mutations, on
+// the goroutine that mutates.
 type Enumerator struct {
 	p *circuit.Program
 
-	// mu guards the mutable state below against snapshot readers: writers
-	// hold it exclusively, snapshot resolution holds it shared.  The undo
-	// log records, per committed epoch, the pre-change input values and
-	// emptiness bits that pinned snapshots roll back through.
-	mu  sync.RWMutex
-	log mvcc.Log[enumUndo]
+	// log is this state's undo history on clock: per committed epoch, the
+	// pre-change input values and emptiness bits that pinned snapshots roll
+	// back through.
+	clock *mvcc.Clock
+	log   *mvcc.Log[enumUndo]
 
 	// inputValue[id] is the value of input gate id.
 	inputValue map[int]Value
@@ -177,6 +181,8 @@ const (
 	undoInput = uint8(iota)
 	undoEmpty
 )
+
+func (u enumUndo) Slot() int32 { return u.gate }
 
 // InputAssignment pairs a weight input with its new value for SetInputs.
 type InputAssignment struct {
@@ -291,12 +297,19 @@ func Nonempty(ctx context.Context, p *circuit.Program, inputs func(key structure
 }
 
 // NewProgram builds the enumerator directly on a frozen Program, sharing its
-// ranks, parents and children arenas with every other engine using it.  A
+// ranks, parents and children arenas with every other engine using it, on a
+// clock of its own.  A
 // non-nil nonempty carries the per-gate non-emptiness precomputed by Nonempty
 // and the pass skips recomputing it; nil has the pass decide it gate by gate.
 // The Program's freeze already validated the topological gate order, so the
 // emptiness bookkeeping may trust its ranks.
 func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
+	return newProgram(new(mvcc.Clock), p, inputs, nonempty)
+}
+
+// newProgram is NewProgram with the enumerator's undo log attached to c, the
+// clock of a session that keeps other engine states over p as well.
+func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
 	if p.OutputGate() < 0 {
 		panic("enumerate: circuit has no output gate")
 	}
@@ -308,7 +321,8 @@ func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value, 
 		adders:     make([]*adderMeta, n),
 		perms:      make([]*permGateMeta, n),
 	}
-	e.log.EntryBytes = int64(unsafe.Sizeof(enumUndo{}))
+	e.clock = c
+	e.log = mvcc.NewLog[enumUndo](c, int64(unsafe.Sizeof(enumUndo{})))
 	e.wave = circuit.NewWorklist(p)
 	e.refresh = e.refreshWave
 	e.isEmpty = func(gate int) bool { return e.empty[gate] }
@@ -387,80 +401,48 @@ func (e *Enumerator) CollectAll(limit int) []provenance.Monomial {
 }
 
 // SetInput replaces the value of a weight input and updates the emptiness
-// bookkeeping along the input's fan-out cone, committing one epoch.
+// bookkeeping along the input's fan-out cone: SetInputs of the one
+// assignment.
 func (e *Enumerator) SetInput(key structure.WeightKey, v Value) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	stored, flipped := e.assign(key, v)
-	if flipped {
-		e.runWave()
-	}
-	if stored {
-		e.log.Commit()
-	}
+	e.SetInputs([]InputAssignment{{Key: key, Value: v}})
 }
 
 // SetInputs replaces the values of several weight inputs and refreshes the
 // emptiness bookkeeping with a single propagation wave, so gates shared by
 // several changed inputs are revisited once per batch instead of once per
 // input.  The result is identical to calling SetInput for each assignment in
-// order, except that the whole batch commits a single epoch.
+// order, except that the whole batch commits a single epoch — and none when
+// every input already held its value.
 func (e *Enumerator) SetInputs(assigns []InputAssignment) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	stored, flipped := false, false
+	e.clock.Lock()
+	defer e.clock.Unlock()
 	for _, a := range assigns {
-		s, f := e.assign(a.Key, a.Value)
-		stored = stored || s
-		flipped = flipped || f
+		e.assign(a.Key, a.Value)
 	}
-	if flipped {
-		e.runWave()
-	}
-	if stored {
-		e.log.Commit()
-	}
+	e.runWave()
+	e.clock.Commit()
 }
 
-// Epoch returns the current committed epoch: the number of committed input
-// mutations so far.
-func (e *Enumerator) Epoch() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.log.Epoch()
-}
-
-// RetainedUndoBytes reports the memory currently held by undo history for
-// outstanding snapshots; zero whenever no snapshot is pinned.
-func (e *Enumerator) RetainedUndoBytes() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.log.Retained()
-}
-
-// assign stores an input value and, when its emptiness flipped, seeds the
-// wave.  It reports whether a value was stored (the mutation must commit an
-// epoch) and whether the input's emptiness flipped (a wave must run).  The
-// caller holds the exclusive lock.
-func (e *Enumerator) assign(key structure.WeightKey, v Value) (stored, flipped bool) {
+// assign stores an input value, touching the clock, and seeds the wave when
+// its emptiness flipped; an input that already holds the value is left alone.
+// The caller holds the clock exclusively and runs the wave.
+func (e *Enumerator) assign(key structure.WeightKey, v Value) {
 	id := e.p.InputGate(key)
-	if id < 0 {
-		return false, false
-	}
 	if v == nil {
 		v = zeroValue{}
+	}
+	if id < 0 || v == e.inputValue[id] {
+		return
 	}
 	if e.log.Logging() {
 		e.log.Append(enumUndo{gate: int32(id), kind: undoInput, oldEmpty: e.empty[id], oldInput: e.inputValue[id]})
 	}
+	e.clock.Touch()
 	e.inputValue[id] = v
-	newEmpty := v.Empty()
-	if newEmpty == e.empty[id] {
-		return true, false
+	if newEmpty := v.Empty(); newEmpty != e.empty[id] {
+		e.empty[id] = newEmpty
+		e.wave.Enlist(id)
 	}
-	e.empty[id] = newEmpty
-	e.wave.Enlist(id)
-	return true, true
 }
 
 // runWave drains the worklist seeded by assign: children flip before their

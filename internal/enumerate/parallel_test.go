@@ -23,10 +23,11 @@ func newProgramParallel(t *testing.T, p *circuit.Program, inputs func(structure.
 	return NewProgram(p, inputs, nonempty)
 }
 
-// TestNewProgramParallelMatchesSequential checks that the level-parallel emptiness pass
-// produces an enumerator indistinguishable from the sequential one: same
-// per-gate emptiness and the same multiset of enumerated monomials.
-func TestNewProgramParallelMatchesSequential(t *testing.T) {
+// TestNonemptyMatchesSequential checks that the level-parallel emptiness pass
+// (Nonempty, handed to NewProgram) produces an enumerator indistinguishable
+// from the sequential one: same per-gate emptiness and the same multiset of
+// enumerated monomials.
+func TestNonemptyMatchesSequential(t *testing.T) {
 	db := workload.Grid(12, 12, 3)
 	phi := parser.MustParseFormula("E(x,y) & E(y,z) & !(x = z)")
 	vars := []string{"x", "y", "z"}

@@ -46,12 +46,17 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 	e := NewProgram(c.Program(), lookup, nil)
 
 	type pinned struct {
-		snap *Snapshot
-		want []string // monomial multiset at the pinned epoch
+		epoch uint64
+		snap  *Snapshot
+		want  []string // monomial multiset at the pinned epoch
 	}
 	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
+	record := func() pinned {
+		epoch := e.clock.Pin()
+		return pinned{epoch, e.At(epoch), explicit()}
+	}
 
-	pins := []pinned{{e.Snapshot(), explicit()}}
+	pins := []pinned{record()}
 	r := rand.New(rand.NewSource(31))
 	keys := []structure.WeightKey{key("a", 0), key("b", 0), key("d", 0), key("e", 0)}
 	for step := 0; step < 30; step++ {
@@ -60,7 +65,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		inputs[k] = v
 		e.SetInput(k, v)
 		if step%7 == 0 {
-			pins = append(pins, pinned{e.Snapshot(), explicit()})
+			pins = append(pins, record())
 		}
 	}
 
@@ -76,7 +81,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		}
 		if !equalStringSlices(monomialMultiset(got), p.want) {
 			t.Errorf("pin %d (epoch %d): snapshot enumerates %v, want %v",
-				i, p.snap.Epoch(), monomialMultiset(got), p.want)
+				i, p.epoch, monomialMultiset(got), p.want)
 		}
 		if p.snap.Empty() != (len(p.want) == 0) {
 			t.Errorf("pin %d: Empty() = %v with %d monomials expected", i, p.snap.Empty(), len(p.want))
@@ -87,10 +92,9 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		t.Errorf("live enumerator drifted: %v vs %v", got, explicit())
 	}
 	for _, i := range r.Perm(len(pins)) {
-		pins[i].snap.Release()
-		pins[i].snap.Release() // idempotent
+		e.clock.Unpin(pins[i].epoch)
 	}
-	if got := e.RetainedUndoBytes(); got != 0 {
+	if got := e.clock.Retained(); got != 0 {
 		t.Errorf("retained undo bytes %d after all snapshots released, want 0", got)
 	}
 }
@@ -134,8 +138,9 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	if len(pinned) != cols*(cols-1) {
 		t.Fatalf("full %d×%d permanent has %d monomials, want %d", rows, cols, len(pinned), cols*(cols-1))
 	}
-	snap := e.Snapshot()
-	defer snap.Release()
+	epoch := e.clock.Pin()
+	defer e.clock.Unpin(epoch)
+	snap := e.At(epoch)
 
 	// Column 1 goes from type {0,1} to the empty type.
 	set(key("m", 0, 1), Zero())
@@ -155,8 +160,9 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	if got := drain(e.Cursor()); !equalStringSlices(got, explicit()) {
 		t.Errorf("live cursor after the second flip enumerates %v, want %v", got, explicit())
 	}
-	late := e.Snapshot()
-	defer late.Release()
+	lateEpoch := e.clock.Pin()
+	defer e.clock.Unpin(lateEpoch)
+	late := e.At(lateEpoch)
 	if got := drain(late.Cursor()); !equalStringSlices(got, explicit()) {
 		t.Errorf("snapshot pinned after the flips enumerates %v, want %v", got, explicit())
 	}
@@ -175,10 +181,14 @@ func TestAnswersSnapshotPinnedEpochs(t *testing.T) {
 	}
 
 	type pinned struct {
+		epoch  uint64
 		snap   *AnswersSnapshot
 		mirror *structure.Structure
 	}
-	record := func() pinned { return pinned{ans.Snapshot(), a.Clone()} }
+	record := func() pinned {
+		epoch := ans.enum.clock.Pin()
+		return pinned{epoch, ans.At(epoch), a.Clone()}
+	}
 
 	pins := []pinned{record()}
 	r := rand.New(rand.NewSource(37))
@@ -203,7 +213,7 @@ func TestAnswersSnapshotPinnedEpochs(t *testing.T) {
 		want := sortTuples(logic.Answers(phi, p.mirror, vars))
 		got := sortTuples(p.snap.Collect(0))
 		if !equalStringSlices(got, want) {
-			t.Errorf("pin %d (epoch %d): snapshot answers %v, want %v", i, p.snap.Epoch(), got, want)
+			t.Errorf("pin %d (epoch %d): snapshot answers %v, want %v", i, p.epoch, got, want)
 		}
 		if p.snap.Count() != int64(len(want)) {
 			t.Errorf("pin %d: Count() = %d, want %d", i, p.snap.Count(), len(want))
@@ -212,13 +222,13 @@ func TestAnswersSnapshotPinnedEpochs(t *testing.T) {
 			t.Errorf("pin %d: Empty() inconsistent", i)
 		}
 	}
-	if ans.RetainedUndoBytes() == 0 {
+	if ans.enum.clock.Retained() == 0 {
 		t.Error("no undo history retained while snapshots are pinned")
 	}
 	for _, p := range pins {
-		p.snap.Release()
+		ans.enum.clock.Unpin(p.epoch)
 	}
-	if got := ans.RetainedUndoBytes(); got != 0 {
+	if got := ans.enum.clock.Retained(); got != 0 {
 		t.Errorf("retained undo bytes %d after all snapshots released, want 0", got)
 	}
 }
@@ -241,7 +251,7 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 		readers = 4
 	)
 	var oracle sync.Map // epoch → sorted answer keys
-	oracle.Store(ans.Epoch(), sortTuples(ans.Collect(0)))
+	oracle.Store(ans.enum.clock.Epoch(), sortTuples(ans.Collect(0)))
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -263,7 +273,7 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 			}
 			// The oracle entry lands after the commit; readers that pinned
 			// this epoch first spin until it appears.
-			oracle.Store(ans.Epoch(), sortTuples(ans.Collect(0)))
+			oracle.Store(ans.enum.clock.Epoch(), sortTuples(ans.Collect(0)))
 		}
 	}()
 
@@ -278,27 +288,28 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				snap := ans.Snapshot()
+				epoch := ans.enum.clock.Pin()
+				snap := ans.At(epoch)
 				got := sortTuples(snap.Collect(0))
 				var want any
 				for {
 					var ok bool
-					if want, ok = oracle.Load(snap.Epoch()); ok {
+					if want, ok = oracle.Load(epoch); ok {
 						break
 					}
 					runtime.Gosched()
 				}
 				if !equalStringSlices(got, want.([]string)) {
-					errs <- errf("reader %d at epoch %d: snapshot answers %v, oracle %v", seed, snap.Epoch(), got, want)
-					snap.Release()
+					errs <- errf("reader %d at epoch %d: snapshot answers %v, oracle %v", seed, epoch, got, want)
+					ans.enum.clock.Unpin(epoch)
 					return
 				}
 				if int64(len(got)) != snap.Count() {
-					errs <- errf("reader %d at epoch %d: Count %d, enumerated %d", seed, snap.Epoch(), snap.Count(), len(got))
-					snap.Release()
+					errs <- errf("reader %d at epoch %d: Count %d, enumerated %d", seed, epoch, snap.Count(), len(got))
+					ans.enum.clock.Unpin(epoch)
 					return
 				}
-				snap.Release()
+				ans.enum.clock.Unpin(epoch)
 			}
 		}(int64(i))
 	}
@@ -307,7 +318,7 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := ans.RetainedUndoBytes(); got != 0 {
+	if got := ans.enum.clock.Retained(); got != 0 {
 		t.Errorf("retained undo bytes %d after all readers done, want 0", got)
 	}
 }

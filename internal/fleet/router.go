@@ -56,7 +56,14 @@ type replica struct {
 	id   string
 	base *url.URL
 
-	up            atomic.Bool
+	up atomic.Bool
+	// downMu orders mark-ups against mark-downs: downGen counts the markDown
+	// calls, and a probe marks the replica up only if none happened since the
+	// probe started — a /healthz answer that was already in flight when the
+	// replica died must not undo the mark-down a failed proxy attempt made.
+	downMu  sync.Mutex
+	downGen uint64
+
 	proxied       atomic.Int64
 	probes        atomic.Int64
 	probeFailures atomic.Int64
@@ -567,6 +574,9 @@ func (rt *Router) healthLoop() {
 
 func (rt *Router) probe(ctx context.Context, _ int, rep *replica) {
 	rep.probes.Add(1)
+	rep.downMu.Lock()
+	gen := rep.downGen
+	rep.downMu.Unlock()
 	var h server.Health
 	err := rt.getJSON(ctx, rep, "/healthz", &h)
 	if err == nil && h.Status != "ok" {
@@ -580,15 +590,23 @@ func (rt *Router) probe(ctx context.Context, _ int, rep *replica) {
 	}
 	rep.sessions.Store(int64(h.Sessions))
 	rep.cacheEntries.Store(int64(h.CacheEntries))
-	if rep.up.CompareAndSwap(false, true) {
+	rep.downMu.Lock()
+	markedUp := rep.downGen == gen && rep.up.CompareAndSwap(false, true)
+	rep.downMu.Unlock()
+	if markedUp {
 		rep.markUps.Add(1)
 		rt.log.Info("replica marked up", "replica", rep.id)
 	}
 }
 
-// markDown flips the replica to down and logs the transition.
+// markDown flips the replica to down, invalidating every probe in flight,
+// and logs the transition.
 func (rt *Router) markDown(rep *replica, why string, err error) {
-	if rep.up.CompareAndSwap(true, false) {
+	rep.downMu.Lock()
+	rep.downGen++
+	markedDown := rep.up.CompareAndSwap(true, false)
+	rep.downMu.Unlock()
+	if markedDown {
 		rep.markDowns.Add(1)
 		rt.log.Warn("replica marked down ("+why+")", "replica", rep.id, "err", err)
 	}

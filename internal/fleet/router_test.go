@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -159,6 +161,56 @@ func TestForwardRetriesOnlyWhatIsSafe(t *testing.T) {
 		}
 		front.Close()
 		rt.Close()
+	}
+}
+
+// TestStaleProbeSuccessDoesNotUndoMarkDown holds a /healthz answer in flight
+// across a mark-down, the way a probe that started just before a replica died
+// overlaps the failed proxy attempt that notices the death: the late 200 must
+// leave the replica down, and only a probe started after the mark-down may
+// mark it up again.
+func TestStaleProbeSuccessDoesNotUndoMarkDown(t *testing.T) {
+	var hold atomic.Bool
+	first, arrived, release := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hold.Load() {
+			arrived <- struct{}{}
+			<-release
+		}
+		_, _ = io.WriteString(w, `{"status":"ok"}`)
+		select {
+		case first <- struct{}{}:
+		default:
+		}
+	}))
+	defer srv.Close()
+	rt, err := New(Options{Replicas: []string{srv.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rep := rt.replicas[0]
+	ctx := context.Background()
+	<-first // the health loop's opening probe is out of the way
+
+	hold.Store(true)
+	stale := make(chan struct{})
+	go func() {
+		defer close(stale)
+		rt.probe(ctx, 0, rep)
+	}()
+	<-arrived // the probe's GET is at the replica
+	rt.markDown(rep, "proxy failed", errors.New("dial failure"))
+	hold.Store(false)
+	close(release)
+	<-stale
+	if rep.up.Load() {
+		t.Fatal("a probe answered after the mark-down marked the replica up again")
+	}
+
+	rt.probe(ctx, 0, rep)
+	if st := rt.ReplicaStates()[0]; !st.Up || st.MarkDowns != 1 || st.MarkUps != 1 {
+		t.Fatalf("after a later probe: up=%v markDowns=%d markUps=%d, want up, 1, 1", st.Up, st.MarkDowns, st.MarkUps)
 	}
 }
 

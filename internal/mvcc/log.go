@@ -1,39 +1,22 @@
-// Package mvcc provides the epoch bookkeeping behind snapshot reads over the
-// incrementally maintained engines: a commit counter, a per-transition undo
-// log, and reader pins that keep just enough history alive to resolve any
-// pinned epoch.
-//
-// The design follows the copy-on-write version chains of factorised-database
-// engines: the writer keeps mutating its single current state in place, and
-// for every commit made while readers are pinned it records the pre-change
-// value of each touched slot ("undo entries" — exactly the wave scratch the
-// engines already compute).  A reader pinned at epoch P recovers the value of
-// slot g at P as the *first* undo entry for g among the transitions
-// P→P+1, …, C−1→C, falling back to the current state when no transition
-// touched g.  Once the oldest pin is released, the history before the new
-// minimum is truncated and its buffers recycled, so the writer's steady state
-// with no readers stays allocation-free.
-//
-// A Log is not safe for concurrent use; the owning engine serialises access
-// (writers exclusively, readers under a shared lock).
 package mvcc
 
-// Log is the epoch/undo state for one engine.  E is the undo-entry type
-// (typically a slot id plus the pre-change value).  The zero value is ready
-// to use; set EntryBytes to the approximate per-entry size so Retained can
-// report history memory.
-type Log[E any] struct {
-	// EntryBytes approximates the in-memory size of one undo entry, used by
-	// Retained.  Zero reports entry counts instead of bytes.
-	EntryBytes int64
+import "slices"
 
-	commit uint64 // current committed epoch C
-	base   uint64 // epoch of trans[0]: trans[i] holds the undo entries of transition (base+i) → (base+i+1)
-	trans  []*transition[E]
-	cur    *transition[E] // entries of the in-progress mutation (commit → commit+1), nil when none logged
-	free   []*transition[E]
-	pins   map[uint64]int // pinned epoch → reader count
-	npins  int
+// Entry is one undo entry: the pre-change state of the slot it names.
+type Entry interface{ Slot() int32 }
+
+// Log is the undo history one engine state contributes to its Clock: per
+// commit made while readers are pinned, the entries the state appended during
+// that write.  Every method is called with the Clock held (exclusively to
+// Append, at least shared to resolve a View).
+type Log[E Entry] struct {
+	c          *Clock
+	entryBytes int64 // approximate in-memory size of one undo entry
+
+	base  uint64           // epoch of trans[0]: trans[i] holds the undo entries of transition (base+i) → (base+i+1)
+	trans []*transition[E] // nil where a commit logged nothing in this state
+	cur   *transition[E]   // entries of the write in progress, nil when none logged
+	free  []*transition[E]
 }
 
 type transition[E any] struct{ entries []E }
@@ -43,163 +26,142 @@ type transition[E any] struct{ entries []E }
 // unbounded tail after a burst.
 const maxFreeBuffers = 8
 
-// Logging reports whether undo entries must be recorded for the current
-// mutation, i.e. whether any reader is pinned.  Writers check this once per
+// NewLog attaches a new undo log to c; entryBytes is the approximate size of
+// one entry, for Clock.Retained.
+func NewLog[E Entry](c *Clock, entryBytes int64) *Log[E] {
+	l := &Log[E]{c: c, entryBytes: entryBytes}
+	c.Lock()
+	c.logs = append(c.logs, l)
+	c.Unlock()
+	return l
+}
+
+// Logging reports whether undo entries must be recorded for the write in
+// progress, i.e. whether any reader is pinned.  Writers check this once per
 // touched slot; with no readers the answer is false and the mutation path
 // does no extra work.
-func (l *Log[E]) Logging() bool { return l.npins > 0 }
+func (l *Log[E]) Logging() bool { return l.c.npins > 0 }
 
-// Append records one undo entry for the in-progress mutation.  Call only
-// when Logging reports true.
+// Append records one undo entry for the write in progress.  Call only when
+// Logging reports true.
 func (l *Log[E]) Append(e E) {
 	if l.cur == nil {
-		l.cur = l.get()
+		if n := len(l.free); n > 0 {
+			l.cur, l.free[n-1] = l.free[n-1], nil
+			l.free = l.free[:n-1]
+		} else {
+			l.cur = &transition[E]{}
+		}
 	}
 	l.cur.entries = append(l.cur.entries, e)
 }
 
-// Commit seals the in-progress mutation as the transition commit → commit+1
-// and returns the new committed epoch.  While readers are pinned every
-// commit pushes a transition (possibly empty) so transitions stay indexable
-// by epoch; with no readers the history is dropped on the spot and the
-// counter alone advances.
-func (l *Log[E]) Commit() uint64 {
-	if l.npins > 0 {
-		t := l.cur
-		if t == nil {
-			t = l.get()
-		}
-		if len(l.trans) == 0 {
-			// Re-anchor: pin-free commits advanced the counter without
-			// retaining transitions, so an empty history starts here.
-			l.base = l.commit
-		}
-		l.trans = append(l.trans, t)
-		l.cur = nil
-		l.commit++
-		return l.commit
+func (l *Log[E]) seal(epoch uint64, keep bool) {
+	t := l.cur
+	l.cur = nil
+	if !keep {
+		l.recycle(t)
+		return
 	}
-	if l.cur != nil {
+	if len(l.trans) == 0 {
+		// Re-anchor: pin-free commits advanced the counter without retaining
+		// transitions, so an empty history starts here.
+		l.base = epoch
+	}
+	l.trans = append(l.trans, t)
+}
+
+// truncate recycles the dropped buffers.  With no pin left it also drops
+// entries parked in the open transition by non-committing operations (e.g.
+// override evaluations that restore the state in place).
+func (l *Log[E]) truncate(min uint64, idle bool) {
+	if idle {
 		l.recycle(l.cur)
 		l.cur = nil
-	}
-	l.commit++
-	l.truncate()
-	return l.commit
-}
-
-// Epoch returns the current committed epoch.
-func (l *Log[E]) Epoch() uint64 { return l.commit }
-
-// Pins returns the number of outstanding reader pins.
-func (l *Log[E]) Pins() int { return l.npins }
-
-// Pin registers a reader at the current committed epoch and returns that
-// epoch.  History from the returned epoch on is retained until Unpin.
-func (l *Log[E]) Pin() uint64 {
-	if l.pins == nil {
-		l.pins = make(map[uint64]int)
-	}
-	l.pins[l.commit]++
-	l.npins++
-	return l.commit
-}
-
-// Unpin releases one reader pin taken at the given epoch and truncates any
-// history no remaining pin needs.  Unpinning an epoch that is not pinned
-// panics: it indicates a double release.
-func (l *Log[E]) Unpin(epoch uint64) {
-	n, ok := l.pins[epoch]
-	if !ok {
-		panic("mvcc: Unpin of an epoch that is not pinned")
-	}
-	if n == 1 {
-		delete(l.pins, epoch)
-	} else {
-		l.pins[epoch] = n - 1
-	}
-	l.npins--
-	l.truncate()
-}
-
-// Walk visits, in commit order, every undo entry of the transitions
-// from → from+1, …, C−1 → C and returns C.  Readers use it to extend a
-// first-wins digest of their pinned epoch: the first entry seen for a slot
-// is its value at any epoch ≤ the transition's from-epoch, in particular at
-// the pinned one.  from must be ≥ the oldest pinned epoch (the caller's own
-// pin guarantees the history is still there).
-func (l *Log[E]) Walk(from uint64, fn func(E)) uint64 {
-	for e := from; e < l.commit; e++ {
-		for _, entry := range l.trans[e-l.base].entries {
-			fn(entry)
-		}
-	}
-	return l.commit
-}
-
-// Retained reports the memory held by live undo history, in bytes when
-// EntryBytes is set and in entries otherwise.  Recycled buffers waiting in
-// the bounded freelist are not counted: they are capped capital, not
-// history.
-func (l *Log[E]) Retained() int64 {
-	per := l.EntryBytes
-	if per == 0 {
-		per = 1
-	}
-	var n int64
-	for _, t := range l.trans {
-		n += int64(cap(t.entries)) * per
-	}
-	if l.cur != nil {
-		n += int64(cap(l.cur.entries)) * per
-	}
-	return n
-}
-
-// truncate drops every transition older than the oldest pin (all of them
-// when no pin remains), recycling the buffers.  With no pin left it also
-// drops entries parked in the open transition by non-committing operations
-// (e.g. override evaluations that restore the state in place).
-func (l *Log[E]) truncate() {
-	if l.npins == 0 && l.cur != nil {
-		l.recycle(l.cur)
-		l.cur = nil
-	}
-	min := l.commit
-	for e := range l.pins {
-		if e < min {
-			min = e
-		}
 	}
 	k := 0
 	for k < len(l.trans) && l.base+uint64(k) < min {
 		l.recycle(l.trans[k])
 		k++
 	}
-	if k == 0 {
-		return
-	}
-	copy(l.trans, l.trans[k:])
-	for i := len(l.trans) - k; i < len(l.trans); i++ {
-		l.trans[i] = nil
-	}
-	l.trans = l.trans[:len(l.trans)-k]
+	l.trans = slices.Delete(l.trans, 0, k)
 	l.base += uint64(k)
 }
 
-func (l *Log[E]) get() *transition[E] {
-	if n := len(l.free); n > 0 {
-		t := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		return t
+func (l *Log[E]) retained() int64 {
+	var n int64
+	for _, t := range l.trans {
+		if t != nil {
+			n += int64(cap(t.entries))
+		}
 	}
-	return &transition[E]{}
+	if l.cur != nil {
+		n += int64(cap(l.cur.entries))
+	}
+	return n * l.entryBytes
 }
 
 func (l *Log[E]) recycle(t *transition[E]) {
+	if t == nil {
+		return
+	}
 	t.entries = t.entries[:0]
 	if len(l.free) < maxFreeBuffers {
 		l.free = append(l.free, t)
 	}
+}
+
+// View resolves one engine state as of a pinned epoch, through a first-wins
+// digest of the undo entries committed since.  A View belongs to one reader
+// goroutine and holds no pin of its own: it follows the log for as long as
+// its epoch is pinned on the clock, and once the pin is released it stops
+// and keeps answering from what it has digested (the history it would need
+// may be truncated).
+type View[E Entry] struct {
+	l        *Log[E]
+	epoch    uint64 // the pinned epoch this view resolves
+	digested uint64 // undo history of epochs [epoch, digested) is folded into digest
+	digest   map[int32]E
+}
+
+// At returns a view of the log's state at epoch, which the caller has pinned
+// on the log's clock.
+func (l *Log[E]) At(epoch uint64) View[E] { return View[E]{l: l, epoch: epoch, digested: epoch} }
+
+// Epoch returns the epoch the view resolves.
+func (v *View[E]) Epoch() uint64 { return v.epoch }
+
+// Extend folds the undo entries committed since the last call into the
+// digest.  First entry per slot wins: walking the chain forwards from the
+// pin, the first pre-change state recorded for a slot is its state at the
+// pinned epoch.  The caller holds the clock at least shared.
+func (v *View[E]) Extend() {
+	l := v.l
+	now := l.c.epoch.Load()
+	if v.digested == now || l.c.pins[v.epoch] == 0 {
+		return
+	}
+	if v.digest == nil {
+		v.digest = make(map[int32]E)
+	}
+	for e := v.digested; e < now; e++ {
+		t := l.trans[e-l.base]
+		if t == nil {
+			continue
+		}
+		for _, u := range t.entries {
+			if _, ok := v.digest[u.Slot()]; !ok {
+				v.digest[u.Slot()] = u
+			}
+		}
+	}
+	v.digested = now
+}
+
+// Lookup returns the undo entry that holds slot's state at the view's epoch,
+// or ok=false when nothing digested so far touched the slot and the current
+// state is the pinned one.  Call it after Extend, under the same lock.
+func (v *View[E]) Lookup(slot int32) (E, bool) {
+	u, ok := v.digest[slot]
+	return u, ok
 }

@@ -242,6 +242,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			}
 		case it, ok := <-ch:
 			if !ok {
+				// The iterator's goroutine saw the cancellation first and
+				// closed the channel without an item: the same disconnect as
+				// the ctx.Done() case, which select may not have picked.
+				s.canceled(ctx.Err())
 				return
 			}
 			if it.err != nil {

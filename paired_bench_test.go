@@ -1,0 +1,126 @@
+// Benchmarks of the paired session: an enumerable query with a dynamic
+// relation, whose session keeps a value state and an answer state over one
+// Program.  No workload of the repository's benchmark (perf/) opens one, so
+// these say what its write, pin and pinned-enumeration paths cost.
+package repro
+
+import (
+	"context"
+	"testing"
+
+	"repro/agg"
+	"repro/internal/structure"
+	"repro/internal/workload"
+)
+
+const pairedGrid = 16 // a 16×16 grid: 256 vertices, one S toggle each
+
+// pairedBenchSession opens a session of "E(x,y) & S(x)" with S dynamic on a
+// grid where S holds the even vertices.
+func pairedBenchSession(b *testing.B) *agg.Session {
+	b.Helper()
+	grid := workload.Grid(pairedGrid, pairedGrid, 3)
+	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}}, nil)
+	a := structure.NewStructure(sig, grid.A.N)
+	for _, t := range grid.A.Tuples("E") {
+		a.MustAddTuple("E", t[0], t[1])
+	}
+	for v := 0; v < a.N; v += 2 {
+		a.MustAddTuple("S", v)
+	}
+	p, err := agg.Open(agg.FromStructure(a, nil)).Prepare(context.Background(), "E(x,y) & S(x)", agg.WithDynamic("S"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	return s
+}
+
+// BenchmarkPairedSessionSet flips the membership of one vertex in S per
+// operation: one write section over both engine states, one commit.
+func BenchmarkPairedSessionSet(b *testing.B) {
+	s := pairedBenchSession(b)
+	n := pairedGrid * pairedGrid
+	vertex := make([][]int, n)
+	for v := range vertex {
+		vertex[v] = []int{v}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Round r of the sweep sets every vertex to the parity it did not have.
+		v, round := i%n, i/n
+		if err := s.Set(agg.SetTuple("S", vertex[v], (v+round)%2 == 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPairedSessionApplyBatch256 flips all 256 vertices per operation,
+// as one batch: one wave per state, one commit.
+func BenchmarkPairedSessionApplyBatch256(b *testing.B) {
+	s := pairedBenchSession(b)
+	batch := make([]agg.Change, pairedGrid*pairedGrid)
+	for v := range batch {
+		batch[v] = agg.SetTuple("S", []int{v}, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := range batch {
+			batch[v].Present = (v+i)%2 == 1
+		}
+		if err := s.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPairedSessionSnapshot opens and closes one Reader per operation.
+func BenchmarkPairedSessionSnapshot(b *testing.B) {
+	s := pairedBenchSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := s.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
+// BenchmarkPairedSessionReaderEnumerate streams the whole answer set through
+// a fresh Reader per operation, with one committed write since the previous
+// one, so each pin has undo history to roll back through.
+func BenchmarkPairedSessionReaderEnumerate(b *testing.B) {
+	ctx := context.Background()
+	s := pairedBenchSession(b)
+	var answers int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := s.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Set(agg.SetTuple("S", []int{0}, i%2 == 1)); err != nil {
+			b.Fatal(err)
+		}
+		answers = 0
+		for _, err := range r.Enumerate(ctx) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			answers++
+		}
+		r.Close()
+	}
+	if answers == 0 {
+		b.Fatal("no answers enumerated")
+	}
+}
