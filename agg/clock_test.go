@@ -2,6 +2,7 @@ package agg
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +110,67 @@ func TestEpochCountsWritesThatChangeState(t *testing.T) {
 				t.Fatalf("retained %d undo bytes with no Reader open", s.RetainedUndoBytes())
 			}
 		})
+	}
+}
+
+// TestCommitIsDecidedByTheDatabase pins the commit rule where the compiler
+// and the database disagree: elements 3 and 4 lie on no 2-path, so the circuit
+// of the 2-path query wires no input gate for u there, yet a Set that changes
+// u(4) — a weight the query mentions — is a commit like any other: exactly one
+// epoch, delivered to a point subscriber.  Re-asserting the value commits
+// nothing, and neither does a weight symbol the query does not mention.
+func TestCommitIsDecidedByTheDatabase(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	eng, err := OpenReader(strings.NewReader(`
+domain 5
+rel E 2
+wsym u 1
+wsym w 2
+E 0 1
+E 1 2
+E 3 4
+u 0 1
+u 1 2
+u 2 3
+u 3 4
+u 4 5
+`))
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	p, err := eng.Prepare(ctx, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	next, stop := pullSub(ctx, s, SubscribePoint(0))
+	defer stop()
+	if u := mustNext(t, next); u.Epoch != 0 || u.Value != "6" {
+		t.Fatalf("initial update %+v, want value 6 at epoch 0", u)
+	}
+	set := func(ch Change, want uint64) {
+		t.Helper()
+		if err := s.Set(ch); err != nil {
+			t.Fatalf("Set %+v: %v", ch, err)
+		}
+		if got := s.Epoch(); got != want {
+			t.Fatalf("after Set %+v: epoch %d, want %d", ch, got, want)
+		}
+	}
+	set(SetWeight("u", []int{4}, 9), 1)
+	if u := mustNext(t, next); u.Epoch != 1 || u.Value != "6" || u.Coalesced != 0 {
+		t.Fatalf("subscriber got %+v, want value 6 at epoch 1", u)
+	}
+	set(SetWeight("u", []int{4}, 9), 1)    // re-asserted
+	set(SetWeight("w", []int{3, 4}, 7), 1) // not in the query
+	set(SetWeight("u", []int{2}, 4), 2)    // and a weight the circuit does read
+	if u := mustNext(t, next); u.Epoch != 2 || u.Value != "8" {
+		t.Fatalf("subscriber got %+v, want value 8 at epoch 2", u)
 	}
 }
 

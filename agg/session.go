@@ -146,13 +146,16 @@ func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 }
 
 // Epoch returns the session's committed epoch: the number of writes that
-// changed its state so far.  A Set or ApplyBatch commits exactly one epoch —
+// changed its state so far.  What a commit is is decided by the database, not
+// by the compiled circuit: a Set or ApplyBatch commits exactly one epoch —
 // whatever the number of changes and of engine states they reach — iff it
-// changed some weight the circuit reads or some tuple's membership; a write
-// that re-asserts what the session already holds commits none and pushes
-// nothing to subscribers.  Reader.Epoch, Update.Epoch and this counter all
-// read the same clock.  Nested sessions, which have no commit counter, always
-// report zero.
+// changes the stored value (a missing one is zero) of a weight symbol the
+// query mentions, or the membership of a tuple of a dynamic relation, whether
+// or not the compiler wired that input to a gate.  A write that re-asserts
+// what the session already holds, or sets a weight symbol the query does not
+// mention, commits none and pushes nothing to subscribers.  Reader.Epoch,
+// Update.Epoch and this counter all read the same clock.  Nested sessions,
+// which have no commit counter, always report zero.
 func (s *Session) Epoch() uint64 {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()

@@ -1,0 +1,239 @@
+package compile_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/circuit"
+	"repro/internal/compile"
+	"repro/internal/dynamicq"
+	"repro/internal/parser"
+	"repro/internal/semiring"
+	"repro/internal/structure"
+	"repro/internal/workload"
+)
+
+// linkDB re-homes a generated graph database onto a signature that has one
+// relation per link kind of the box enumeration: E and S as generated plus a
+// few self-loops E(v,v), a ternary T on the directed 2-paths from every
+// third vertex (its tuples make x and z adjacent without an E edge), and D —
+// every other E edge — to be compiled as a dynamic relation.  isolated extra
+// elements occur in no tuple.
+func linkDB(d *workload.Database, isolated int) (*structure.Structure, *structure.Weights[int64]) {
+	sig := structure.MustSignature(
+		[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}, {Name: "T", Arity: 3}, {Name: "D", Arity: 2}},
+		[]structure.WeightSymbol{{Name: "w", Arity: 2}, {Name: "u", Arity: 1}},
+	)
+	a := structure.NewStructure(sig, d.A.N+isolated)
+	out := make([][]int, d.A.N)
+	for i, t := range d.A.Tuples("E") {
+		a.MustAddTuple("E", t...)
+		out[t[0]] = append(out[t[0]], t[1])
+		if i%2 == 0 {
+			a.MustAddTuple("D", t...)
+		}
+	}
+	for _, t := range d.A.Tuples("S") {
+		a.MustAddTuple("S", t...)
+	}
+	w := d.Weights()
+	for x := 0; x < d.A.N; x += 3 {
+		for _, y := range out[x] {
+			for _, z := range out[y] {
+				a.MustAddTuple("T", x, y, z)
+			}
+		}
+	}
+	for v := 1; v < d.A.N; v += 5 {
+		a.MustAddTuple("E", v, v)
+		w.Set("w", structure.Tuple{v, v}, int64(v%3+1))
+	}
+	for v := d.A.N; v < a.N; v++ {
+		a.MustAddTuple("S", v) // isolated in the Gaifman graph all the same
+		w.Set("u", structure.Tuple{v}, 2)
+	}
+	return a, w
+}
+
+// linkQueries has one query per way two variables of a monomial can be
+// linked — or fail to be.
+var linkQueries = []struct{ name, text string }{
+	{"binary literal", "sum x,y,z . [E(x,y) & E(y,z)] * u(x) * w(y,z)"},
+	{"both directions", "sum x,y . [E(x,y) & E(y,x)] * u(x)"},
+	{"repeated variable", "sum x,y . [E(x,x) & E(x,y)] * u(y) * w(x,x)"},
+	{"positive equality", "sum x,y,z . [E(x,z) & x=y & S(y)] * u(y) * u(z)"},
+	{"ternary relation", "sum x,y,z . [T(x,y,z)] * u(x) * u(z)"},
+	{"ternary relation closed by an edge", "sum x,y,z . [T(x,y,z) & E(z,x)] * u(y)"},
+	{"binary weight is the only link", "sum x,y . [S(y)] * w(x,y) * u(x)"},
+	{"dynamic literal", "sum x,y,z . [D(x,y) & E(y,z)] * u(x) * u(z)"},
+	{"dynamic literal is the only link", "sum x,y . [D(x,y) & S(x)] * u(y)"},
+	{"negative only", "sum x,y . [!E(x,y) & !(x=y)] * u(x) * u(y)"},
+	{"unlinked third variable", "sum x,y,z . [E(x,y) & !E(y,z) & S(z)] * u(x)"},
+	{"second variable unlinked to the first", "sum x,z,y . [E(x,y) & E(y,z)] * u(x) * u(z)"},
+}
+
+// TestBoxEnumerationAgainstBaseline compares the compiled circuit with the
+// brute-force evaluator, in ℕ and in min-plus, for every link kind on every
+// structure kind; for the queries over the dynamic relation it then toggles
+// tuples of D through dynamicq — removing stored ones and inserting ones that
+// were absent at compile time, which a compiler pruning by D's membership
+// would have lost — and compares again.
+func TestBoxEnumerationAgainstBaseline(t *testing.T) {
+	fin := func(v int64) semiring.Ext { return semiring.Fin(v) }
+	for _, db := range []struct {
+		name     string
+		d        *workload.Database
+		isolated int
+	}{
+		{"bounded-degree", workload.BoundedDegree(40, 3, 5), 0},
+		{"pref-attach", workload.PreferentialAttachment(40, 2, 5), 0},
+		{"grid", workload.Grid(6, 6, 5), 0},
+		{"isolated elements", workload.BoundedDegree(30, 2, 6), 8},
+	} {
+		a, w := linkDB(db.d, db.isolated)
+		wmp := structure.NewWeights[semiring.Ext]()
+		w.ForEach(func(k structure.WeightKey, v int64) { wmp.SetKey(k, fin(v)) })
+		for _, q := range linkQueries {
+			t.Run(db.name+"/"+q.name, func(t *testing.T) {
+				e := parser.MustParseExpr(q.text)
+				opts := compile.Options{DynamicRelations: []string{"D"}}
+				res, err := compile.Compile(a, e, opts)
+				if err != nil {
+					t.Fatalf("Compile: %v", err)
+				}
+				if got, want := compile.Evaluate(res, semiring.Nat, w), baseline.EvalExpression(semiring.Nat, a, w, e); got != want {
+					t.Fatalf("ℕ: circuit %d, baseline %d (stats %+v)", got, want, res.Stats)
+				} else if want == 0 && !(db.name == "pref-attach" && q.name == "ternary relation closed by an edge") { // no directed cycles there
+					t.Fatalf("the query is zero on this database: the case tests nothing")
+				}
+				if got, want := compile.Evaluate(res, semiring.MinPlus, wmp), baseline.EvalExpression(semiring.MinPlus, a, wmp, e); !semiring.MinPlus.Equal(got, want) {
+					t.Fatalf("min-plus: circuit %v, baseline %v", got, want)
+				}
+
+				// Toggle D: every stored tuple out, every E edge that was not in D
+				// in (Gaifman-preserving: E made its endpoints adjacent).
+				query, err := dynamicq.CompileQuery(semiring.Nat, a, w.Clone(), e, opts)
+				if err != nil {
+					t.Fatalf("CompileQuery: %v", err)
+				}
+				b := a.Clone()
+				for i, edge := range a.Tuples("E") {
+					present := !a.HasTuple("D", edge...)
+					if i%3 == 0 {
+						continue
+					}
+					if err := query.SetTuple("D", edge, present); err != nil {
+						t.Fatalf("SetTuple(D%v, %v): %v", edge, present, err)
+					}
+					if present {
+						b.MustAddTuple("D", edge...)
+					} else if err := b.RemoveTuple("D", edge...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := query.Value()
+				if err != nil {
+					t.Fatalf("Value: %v", err)
+				}
+				if want := baseline.EvalExpression(semiring.Nat, b, w, e); got != want {
+					t.Fatalf("after toggling D: circuit %d, baseline %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// triangles is the benchmark's triangle query.
+const triangles = "sum x,y,z . [E(x,y)&E(y,z)&E(z,x)] * w(x,y)*w(y,z)*w(z,x)"
+
+// TestCompileWorkIsLinear guards Theorem 6's "linear in the database" on
+// counts that repeat exactly, not on time: doubling the database may not
+// much more than double the boxes compiled and the shapes built (the
+// colour-tuple enumeration this replaced grew 4.5× and 4.2×), and one
+// compilation at n=600 stays within a tenth of the 2.16 M allocations it took.
+func TestCompileWorkIsLinear(t *testing.T) {
+	e := parser.MustParseExpr(triangles)
+	var stats [2]compile.Stats
+	for i, n := range []int{600, 1200} {
+		res, err := compile.Compile(workload.BoundedDegree(n, 3, 1).A, e, compile.Options{})
+		if err != nil {
+			t.Fatalf("Compile n=%d: %v", n, err)
+		}
+		stats[i] = res.Stats
+	}
+	t.Logf("n=600: %+v", stats[0])
+	t.Logf("n=1200: %+v", stats[1])
+	if r := float64(stats[1].ColorAssignments) / float64(stats[0].ColorAssignments); r > 2.5 {
+		t.Errorf("boxes grew %.2f× from n=600 to n=1200, want ≤ 2.5×", r)
+	}
+	if r := float64(stats[1].Shapes) / float64(stats[0].Shapes); r > 2.5 {
+		t.Errorf("shapes grew %.2f× from n=600 to n=1200, want ≤ 2.5×", r)
+	}
+	if raceEnabled {
+		return // allocation counts differ under the race detector
+	}
+	a := workload.BoundedDegree(600, 3, 1).A
+	a.Gaifman()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := compile.Compile(a, e, compile.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("n=600: %.0f allocations per Compile", allocs)
+	if allocs > 200_000 {
+		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 200000", allocs)
+	}
+}
+
+// TestCompileIsDeterministic compiles one input twenty times, half of them on
+// a clone of the structure, and wants the same Program gate for gate: no map
+// iteration order may reach the colouring, the forests or the gate order.
+func TestCompileIsDeterministic(t *testing.T) {
+	a := workload.BoundedDegree(300, 3, 2).A
+	e := parser.MustParseExpr(triangles + " + sum x,y . [E(x,y) & !S(y)] * u(x)")
+	var first *circuit.Program
+	for i := 0; i < 20; i++ {
+		in := a
+		if i%2 == 1 {
+			in = a.Clone()
+		}
+		res, err := compile.Compile(in, e, compile.Options{})
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		if first == nil {
+			first = res.Program
+			continue
+		}
+		if diff := programDiff(first, res.Program); diff != "" {
+			t.Fatalf("compile %d differs from the first: %s (stats %+v)", i, diff, res.Stats)
+		}
+	}
+}
+
+// programDiff describes the first difference between two programs, gate by
+// gate: kind, children or permanent entries, input key, constant.
+func programDiff(p, q *circuit.Program) string {
+	if p.NumGates() != q.NumGates() || p.OutputGate() != q.OutputGate() {
+		return fmt.Sprintf("%d gates with output %d, against %d with output %d", p.NumGates(), p.OutputGate(), q.NumGates(), q.OutputGate())
+	}
+	describe := func(p *circuit.Program, id int) string {
+		s := fmt.Sprintf("%v%v", p.GateKind(id), p.ChildIDs(id))
+		switch p.GateKind(id) {
+		case circuit.KindInput:
+			s += fmt.Sprintf(" key %v", p.InputKey(id))
+		case circuit.KindConst:
+			s += fmt.Sprintf(" = %v", p.ConstBig(id))
+		case circuit.KindPerm:
+			p.ForEachPermEntry(id, func(row, col, gate int) { s += fmt.Sprintf(" (%d,%d)=%d", row, col, gate) })
+		}
+		return s
+	}
+	for id := 0; id < p.NumGates(); id++ {
+		if g, h := describe(p, id), describe(q, id); g != h {
+			return fmt.Sprintf("gate %d is %s, against %s", id, g, h)
+		}
+	}
+	return ""
+}

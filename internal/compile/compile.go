@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sort"
-	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/expr"
@@ -39,13 +37,18 @@ type Options struct {
 
 // Stats summarises the work performed by the compiler.
 type Stats struct {
-	Monomials         int
-	Colors            int
+	Monomials int
+	Colors    int
+	// ColorAssignments counts the boxes compiled (a colour and a candidate
+	// set per variable); PrunedAssignments the colours tried for a variable
+	// that left some candidate set empty.
 	ColorAssignments  int
 	PrunedAssignments int
-	Forests           int
-	Shapes            int
-	MaxForestDepth    int
+	// Forests counts the elimination forests built, Shapes the (box, shape)
+	// pairs compiled.
+	Forests        int
+	Shapes         int
+	MaxForestDepth int
 }
 
 // Result is the outcome of compiling a closed weighted expression over a
@@ -131,6 +134,9 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 		if len(pm.vars) > opts.MaxVars {
 			return nil, fmt.Errorf("compile: monomial uses %d joined variables, exceeding MaxVars=%d", len(pm.vars), opts.MaxVars)
 		}
+		if len(pm.vars) > maxJoinedVars {
+			return nil, fmt.Errorf("compile: monomial uses %d joined variables, exceeding the supported maximum %d", len(pm.vars), maxJoinedVars)
+		}
 		if len(pm.vars) > maxVars {
 			maxVars = len(pm.vars)
 		}
@@ -147,16 +153,22 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 	}
 
 	env := &compileEnv{
-		c:        c,
-		a:        work,
-		gaifman:  gaifman,
-		coloring: coloring,
-		dyn:      dyn,
-		forests:  map[string]*colorForest{},
-		stats:    &res.Stats,
+		c:       c,
+		a:       work,
+		gaifman: gaifman,
+		dyn:     dyn,
+		stats:   &res.Stats,
 	}
 	if coloring != nil {
-		env.buildColorIndexes()
+		env.color = coloring.Color
+		env.colorClasses = make([][]int, coloring.NumColors)
+		for v, col := range coloring.Color {
+			env.colorClasses[col] = append(env.colorClasses[col], v)
+		}
+		env.inducer = graph.NewInducer(gaifman)
+		env.forests = map[string]*colorForest{}
+		env.member = make([]uint64, work.N)
+		env.seen = make([]uint32, work.N)
 	}
 
 	var gates []int
@@ -231,56 +243,32 @@ func eliminateBrackets(a *structure.Structure, e expr.Expr, dynamic []string) (*
 
 // compileEnv carries the shared state of one compilation run.
 type compileEnv struct {
-	c        *circuit.Circuit
-	a        *structure.Structure
-	gaifman  *graph.Graph
-	coloring *graph.Coloring
-	dyn      map[string]bool
-	// forests caches colour forests by sorted colour-set key.
-	forests map[string]*colorForest
-	// colorClasses[c] lists original elements of colour c.
+	c       *circuit.Circuit
+	a       *structure.Structure
+	gaifman *graph.Graph
+	dyn     map[string]bool
+	stats   *Stats
+
+	// The rest serves monomials with two or more variables (boxes.go) and is
+	// unset when there are none.
+
+	// color[v] is the colour of element v; colorClasses[c] lists the
+	// elements of colour c in increasing order.
+	color        []int
 	colorClasses [][]int
-	// relColorTuples[rel] is the set of colour tuples realised by the static
-	// relation rel, used to prune colour assignments.
-	relColorTuples map[string]map[string]bool
-	// edgeColorPairs holds the colour pairs of Gaifman edges.
-	edgeColorPairs map[[2]int]bool
-	stats          *Stats
-}
-
-func (env *compileEnv) buildColorIndexes() {
-	col := env.coloring.Color
-	env.colorClasses = make([][]int, env.coloring.NumColors)
-	for v, c := range col {
-		env.colorClasses[c] = append(env.colorClasses[c], v)
-	}
-	env.relColorTuples = map[string]map[string]bool{}
-	for _, r := range env.a.Sig.Relations {
-		set := map[string]bool{}
-		for _, t := range env.a.Tuples(r.Name) {
-			set[colorTupleKey(col, t)] = true
-		}
-		env.relColorTuples[r.Name] = set
-	}
-	env.edgeColorPairs = map[[2]int]bool{}
-	for _, e := range env.gaifman.Edges() {
-		c1, c2 := col[e[0]], col[e[1]]
-		if c1 > c2 {
-			c1, c2 = c2, c1
-		}
-		env.edgeColorPairs[[2]int{c1, c2}] = true
-	}
-}
-
-func colorTupleKey(color []int, t structure.Tuple) string {
-	var b strings.Builder
-	for i, e := range t {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", color[e])
-	}
-	return b.String()
+	inducer      *graph.Inducer
+	// forests caches the forest of a set of whole colour classes by
+	// colorSetKey.
+	forests map[string]*colorForest
+	// member[v] has bit i set while element v is in the candidate set of
+	// variable i of the box being enumerated.
+	member []uint64
+	// seen[v] == seenGen marks v as collected by the current union or reach.
+	seen    []uint32
+	seenGen uint32
+	// tuple is the scratch buffer literal and weight arguments are resolved
+	// into.
+	tuple structure.Tuple
 }
 
 // compileMonomial compiles one prepared monomial into a gate.
@@ -342,205 +330,6 @@ func constantTuple(el, arity int) structure.Tuple {
 		t[i] = el
 	}
 	return t
-}
-
-// compileJoined handles monomials with at least two bound variables via the
-// colour decomposition, elimination forests and shapes.
-func (env *compileEnv) compileJoined(pm *preparedMonomial) (int, error) {
-	k := len(pm.vars)
-	col := env.coloring.Color
-
-	// Positive static literals and equality literals prune colour
-	// assignments; comparability requirements prune to Gaifman-edge colour
-	// pairs.
-	type litCheck struct {
-		rel     string
-		argIdx  []int
-		dynamic bool
-	}
-	var checks []litCheck
-	var equalPairs [][2]int
-	var comparePairs [][2]int
-	for _, l := range pm.literals {
-		if l.IsEquality() {
-			if l.Positive {
-				equalPairs = append(equalPairs, [2]int{pm.varIndex[l.Args[0]], pm.varIndex[l.Args[1]]})
-			}
-			continue
-		}
-		if !l.Positive {
-			continue
-		}
-		idx := make([]int, len(l.Args))
-		for i, arg := range l.Args {
-			idx[i] = pm.varIndex[arg]
-		}
-		checks = append(checks, litCheck{rel: l.Rel, argIdx: idx, dynamic: env.dyn[l.Rel]})
-		for i := 0; i < len(idx); i++ {
-			for j := i + 1; j < len(idx); j++ {
-				if idx[i] != idx[j] {
-					comparePairs = append(comparePairs, [2]int{idx[i], idx[j]})
-				}
-			}
-		}
-	}
-	for _, w := range pm.weights {
-		if len(w.Args) < 2 {
-			continue
-		}
-		for i := 0; i < len(w.Args); i++ {
-			for j := i + 1; j < len(w.Args); j++ {
-				a, b := pm.varIndex[w.Args[i]], pm.varIndex[w.Args[j]]
-				if a != b {
-					comparePairs = append(comparePairs, [2]int{a, b})
-				}
-			}
-		}
-	}
-
-	assign := make([]int, k)
-	var gates []int
-
-	// admissible checks the pruning conditions restricted to the variables
-	// assigned so far (indices < upto).
-	admissible := func(upto int) bool {
-		for _, p := range equalPairs {
-			if p[0] < upto && p[1] < upto && assign[p[0]] != assign[p[1]] {
-				return false
-			}
-		}
-		for _, p := range comparePairs {
-			if p[0] < upto && p[1] < upto {
-				c1, c2 := assign[p[0]], assign[p[1]]
-				if c1 == c2 {
-					continue
-				}
-				key := [2]int{c1, c2}
-				if c1 > c2 {
-					key = [2]int{c2, c1}
-				}
-				if !env.edgeColorPairs[key] {
-					return false
-				}
-			}
-		}
-		for _, ch := range checks {
-			if ch.dynamic {
-				continue
-			}
-			all := true
-			for _, vi := range ch.argIdx {
-				if vi >= upto {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			t := make(structure.Tuple, len(ch.argIdx))
-			for i, vi := range ch.argIdx {
-				t[i] = assign[vi]
-			}
-			if !env.relColorTuples[ch.rel][t.Key()] {
-				return false
-			}
-		}
-		return true
-	}
-
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == k {
-			env.stats.ColorAssignments++
-			g, err := env.compileColored(pm, assign)
-			if err != nil {
-				return err
-			}
-			if g != env.c.Zero() {
-				gates = append(gates, g)
-			}
-			return nil
-		}
-		for col := 0; col < env.coloring.NumColors; col++ {
-			if len(env.colorClasses[col]) == 0 {
-				continue
-			}
-			assign[i] = col
-			if !admissible(i + 1) {
-				env.stats.PrunedAssignments++
-				continue
-			}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_ = col
-	if err := rec(0); err != nil {
-		return 0, err
-	}
-	return env.c.Add(gates...), nil
-}
-
-// compileColored compiles a monomial under a fixed colour assignment of its
-// variables: the induced subgraph on the used colours is decomposed by an
-// elimination forest, shapes are enumerated and compiled.
-func (env *compileEnv) compileColored(pm *preparedMonomial, colorAssign []int) (int, error) {
-	cf, err := env.forestFor(colorAssign)
-	if err != nil {
-		return 0, err
-	}
-	if cf.forest.N() == 0 {
-		return env.c.Zero(), nil
-	}
-	constraints := pm.shapeConstraintsFor(cf)
-	shapes := enumerateShapes(constraints)
-	env.stats.Shapes += len(shapes)
-	if cf.maxDepth > env.stats.MaxForestDepth {
-		env.stats.MaxForestDepth = cf.maxDepth
-	}
-	var gates []int
-	assignCopy := append([]int(nil), colorAssign...)
-	for _, sh := range shapes {
-		b := newShapeBuilder(env.c, env.a, cf, pm, assignCopy, env.coloring.Color, env.dyn, sh)
-		g := b.build()
-		if g != env.c.Zero() {
-			gates = append(gates, g)
-		}
-	}
-	return env.c.Add(gates...), nil
-}
-
-// forestFor returns the (cached) colour forest for the set of colours used
-// by an assignment.
-func (env *compileEnv) forestFor(colorAssign []int) (*colorForest, error) {
-	set := map[int]bool{}
-	for _, c := range colorAssign {
-		set[c] = true
-	}
-	cols := make([]int, 0, len(set))
-	for c := range set {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	key := fmt.Sprint(cols)
-	if cf, ok := env.forests[key]; ok {
-		return cf, nil
-	}
-	var vertices []int
-	for _, c := range cols {
-		vertices = append(vertices, env.colorClasses[c]...)
-	}
-	sort.Ints(vertices)
-	cf, err := buildColorForest(env.gaifman, vertices)
-	if err != nil {
-		return nil, err
-	}
-	env.forests[key] = cf
-	env.stats.Forests++
-	return cf, nil
 }
 
 // ---------------------------------------------------------------------------

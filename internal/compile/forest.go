@@ -1,8 +1,10 @@
 package compile
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sort"
 
 	"repro/internal/circuit"
@@ -16,8 +18,9 @@ import (
 const maxForestDepth = 63
 
 // colorForest is the elimination forest of the subgraph of the Gaifman graph
-// induced by a set of colours, together with realisability indices used to
-// prune shape enumeration.
+// induced by the elements of a box (a whole set of colour classes, or the
+// union of a box's candidate sets), together with realisability indices used
+// to prune shape enumeration.
 type colorForest struct {
 	forest *graph.Forest
 	// toOrig maps subgraph vertex indices to original elements.
@@ -31,12 +34,16 @@ type colorForest struct {
 	// m; index 0 encodes m = -1 ("different trees").
 	siblingMeet [][]uint64
 	maxDepth    int
+	// profile encodes maxDepth, depthMask and siblingMeet — everything shape
+	// enumeration asks of the forest — so forests with equal profiles share
+	// one shape plan per monomial.
+	profile string
 }
 
 // buildColorForest constructs the elimination forest for the induced
 // subgraph on the given original elements.
-func buildColorForest(gaifman *graph.Graph, vertices []int) (*colorForest, error) {
-	sub, toOrig, _ := gaifman.InducedSubgraph(vertices)
+func buildColorForest(inducer *graph.Inducer, vertices []int) (*colorForest, error) {
+	sub, toOrig := inducer.Subgraph(vertices)
 	f := graph.EliminationForest(sub)
 	if f.MaxDepth > maxForestDepth {
 		return nil, fmt.Errorf("compile: elimination forest depth %d exceeds the supported maximum %d; the colouring is too coarse for this graph", f.MaxDepth, maxForestDepth)
@@ -67,61 +74,42 @@ func buildColorForest(gaifman *graph.Graph, vertices []int) (*colorForest, error
 	for i := range cf.siblingMeet {
 		cf.siblingMeet[i] = make([]uint64, cf.maxDepth+1)
 	}
-	recordSiblings := func(meetIdx int, childMasks []uint64) {
-		if len(childMasks) < 2 {
+	recordSiblings := func(meetIdx int, children []int) {
+		if len(children) < 2 {
 			return
 		}
 		// prefix/suffix ORs to get "others" per child in linear time.
-		prefix := make([]uint64, len(childMasks)+1)
-		suffix := make([]uint64, len(childMasks)+1)
-		for i, m := range childMasks {
-			prefix[i+1] = prefix[i] | m
+		prefix := make([]uint64, len(children)+1)
+		suffix := make([]uint64, len(children)+1)
+		for i, c := range children {
+			prefix[i+1] = prefix[i] | depthsBelow[c]
 		}
-		for i := len(childMasks) - 1; i >= 0; i-- {
-			suffix[i] = suffix[i+1] | childMasks[i]
+		for i := len(children) - 1; i >= 0; i-- {
+			suffix[i] = suffix[i+1] | depthsBelow[children[i]]
 		}
-		for i, m := range childMasks {
+		for i, c := range children {
 			others := prefix[i] | suffix[i+1]
-			if others == 0 {
-				continue
-			}
-			mm := m
-			for mm != 0 {
-				d1 := trailingZeros64(mm)
-				mm &= mm - 1
-				cf.siblingMeet[meetIdx][d1] |= others
+			for mm := depthsBelow[c]; mm != 0 && others != 0; mm &= mm - 1 {
+				cf.siblingMeet[meetIdx][bits.TrailingZeros64(mm)] |= others
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		children := f.Children(v)
-		if len(children) >= 2 {
-			masks := make([]uint64, len(children))
-			for i, c := range children {
-				masks[i] = depthsBelow[c]
-			}
-			recordSiblings(f.Depth[v]+1, masks)
-		}
+		recordSiblings(f.Depth[v]+1, f.Children(v))
 	}
 	// Different trees: the virtual forest "root" has the tree roots as
 	// children.
-	if len(cf.roots) >= 2 {
-		masks := make([]uint64, len(cf.roots))
-		for i, r := range cf.roots {
-			masks[i] = depthsBelow[r]
-		}
-		recordSiblings(0, masks)
-	}
-	return cf, nil
-}
+	recordSiblings(0, cf.roots)
 
-func trailingZeros64(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
+	key := binary.AppendUvarint(make([]byte, 0, 16), uint64(cf.maxDepth))
+	key = binary.AppendUvarint(key, cf.depthMask)
+	for _, row := range cf.siblingMeet {
+		for _, m := range row {
+			key = binary.AppendUvarint(key, m)
+		}
 	}
-	return n
+	cf.profile = string(key)
+	return cf, nil
 }
 
 // realizable reports whether some pair of nodes at depths d1, d2 meets at
@@ -157,10 +145,15 @@ type preparedMonomial struct {
 	varIndex map[string]int
 	literals []expr.Literal
 	weights  []expr.WeightTerm
+	// litArgs[l] and weightArgs[w] are the variable indices of the arguments
+	// of literals[l] and weights[w].
+	litArgs, weightArgs [][]int
 	// nullaryWeights are weight terms of arity 0 (applied once, outside the
 	// per-variable machinery).
 	nullaryWeights []expr.WeightTerm
 	coeff          *big.Int
+	// plans caches the monomial's shape plan per forest profile.
+	plans map[string][]*plannedShape
 }
 
 // prepareMonomial indexes the variables of a closed monomial and folds
@@ -173,7 +166,7 @@ func prepareMonomial(m *expr.Monomial, domainSize int) (*preparedMonomial, error
 	for _, v := range m.Vars() {
 		used[v] = true
 	}
-	pm := &preparedMonomial{varIndex: map[string]int{}, coeff: big.NewInt(m.Coeff)}
+	pm := &preparedMonomial{varIndex: map[string]int{}, coeff: big.NewInt(m.Coeff), plans: map[string][]*plannedShape{}}
 	unused := 0
 	for _, v := range m.Bound {
 		if used[v] {
@@ -187,15 +180,53 @@ func prepareMonomial(m *expr.Monomial, domainSize int) (*preparedMonomial, error
 		scale := new(big.Int).Exp(big.NewInt(int64(domainSize)), big.NewInt(int64(unused)), nil)
 		pm.coeff.Mul(pm.coeff, scale)
 	}
+	indices := func(args []string) []int {
+		idx := make([]int, len(args))
+		for i, a := range args {
+			idx[i] = pm.varIndex[a]
+		}
+		return idx
+	}
 	for _, w := range m.Weights {
 		if len(w.Args) == 0 {
 			pm.nullaryWeights = append(pm.nullaryWeights, w)
 		} else {
 			pm.weights = append(pm.weights, w)
+			pm.weightArgs = append(pm.weightArgs, indices(w.Args))
 		}
 	}
 	pm.literals = m.Literals
+	for _, l := range m.Literals {
+		pm.litArgs = append(pm.litArgs, indices(l.Args))
+	}
 	return pm, nil
+}
+
+// comparePairs lists the pairs of distinct variables that share a positive
+// relation literal or a weight term of arity ≥ 2.  Either can be non-zero only
+// on a Gaifman clique — a weight of arity ≥ 2 is zero outside relation
+// tuples, and updates of dynamic relations are Gaifman-preserving — so the
+// two variables must be equal or adjacent.
+func (pm *preparedMonomial) comparePairs() [][2]int {
+	var pairs [][2]int
+	add := func(idx []int) {
+		for i := 0; i < len(idx); i++ {
+			for j := i + 1; j < len(idx); j++ {
+				if idx[i] != idx[j] {
+					pairs = append(pairs, [2]int{idx[i], idx[j]})
+				}
+			}
+		}
+	}
+	for li, l := range pm.literals {
+		if l.Positive && !l.IsEquality() {
+			add(pm.litArgs[li])
+		}
+	}
+	for wi := range pm.weights {
+		add(pm.weightArgs[wi])
+	}
+	return pairs
 }
 
 // shapeConstraintsFor derives the shape constraints of a prepared monomial
@@ -204,257 +235,224 @@ func (pm *preparedMonomial) shapeConstraintsFor(cf *colorForest) shapeConstraint
 	c := shapeConstraints{
 		numVars:         len(pm.vars),
 		maxDepth:        cf.maxDepth,
+		mustCompare:     pm.comparePairs(),
 		realizable:      cf.realizable,
 		depthRealizable: cf.depthRealizable,
 	}
-	addPairs := func(dst *[][2]int, args []string) {
-		idx := make([]int, 0, len(args))
-		for _, a := range args {
-			idx = append(idx, pm.varIndex[a])
-		}
-		for i := 0; i < len(idx); i++ {
-			for j := i + 1; j < len(idx); j++ {
-				if idx[i] != idx[j] {
-					*dst = append(*dst, [2]int{idx[i], idx[j]})
-				}
-			}
-		}
-	}
-	for _, l := range pm.literals {
-		if l.IsEquality() {
-			p := [2]int{pm.varIndex[l.Args[0]], pm.varIndex[l.Args[1]]}
-			if l.Positive {
-				c.mustEqual = append(c.mustEqual, p)
-			} else {
-				c.mustDiffer = append(c.mustDiffer, p)
-			}
+	for li, l := range pm.literals {
+		if !l.IsEquality() {
 			continue
 		}
+		p := [2]int{pm.litArgs[li][0], pm.litArgs[li][1]}
 		if l.Positive {
-			// A positive relation literal can only hold on a Gaifman clique,
-			// whose elements are pairwise ancestor-related in the forest.
-			addPairs(&c.mustCompare, l.Args)
-		}
-	}
-	for _, w := range pm.weights {
-		if len(w.Args) >= 2 {
-			// Weights of arity ≥ 2 are non-zero only on relation tuples.
-			addPairs(&c.mustCompare, w.Args)
+			c.mustEqual = append(c.mustEqual, p)
+		} else {
+			c.mustDiffer = append(c.mustDiffer, p)
 		}
 	}
 	return c
 }
 
 // ---------------------------------------------------------------------------
-// Shape compilation over a colour forest
+// Shape plans and their compilation over a box
 // ---------------------------------------------------------------------------
 
-// shapeBuilder compiles one (monomial, colour assignment, shape) triple into
-// a circuit over the data forest, following the recursion of Claim 1 in the
-// paper: at each level, a permanent gate assigns the shape slots injectively
-// to data nodes, and the entries recurse into the corresponding subtrees.
-type shapeBuilder struct {
-	c  *circuit.Circuit
-	a  *structure.Structure
-	cf *colorForest
-	pm *preparedMonomial
-	// colorAssign[i] is the required colour of variable i; colorOf maps an
-	// original element to its colour.
-	colorAssign []int
-	colorOf     []int
-	dynamicRels map[string]bool
-
+// plannedShape is one shape of a monomial's shape plan: its slot tree and
+// the attachment of the monomial's literals and weight terms to slots.  It
+// depends on the monomial and the shape only, so every box whose forest has
+// the plan's profile compiles it as is.
+type plannedShape struct {
 	tree *shapeTree
-	// slotColor[s] is the required colour of slot s, or -1 when
-	// unconstrained, or -2 when contradictory.
-	slotColor []int
+	// slotVars[s] has bit i set when variable i is mapped to slot s.
+	slotVars []uint64
 	// slotLiterals / slotWeights are the literals and weight terms whose
 	// deepest argument slot is s.
 	slotLiterals [][]int
 	slotWeights  [][]int
-	feasible     bool
 }
 
-// newShapeBuilder prepares the attachment of literals and weight terms to
-// shape slots.  It reports infeasibility (the shape cannot support the
-// monomial) via the feasible flag.
-func newShapeBuilder(c *circuit.Circuit, a *structure.Structure, cf *colorForest, pm *preparedMonomial,
-	colorAssign []int, colorOf []int, dynamicRels map[string]bool, sh *shape) *shapeBuilder {
-
-	b := &shapeBuilder{
-		c: c, a: a, cf: cf, pm: pm,
-		colorAssign: colorAssign, colorOf: colorOf, dynamicRels: dynamicRels,
-		feasible: true,
+// planFor returns the monomial's shape plan for forests with cf's profile:
+// the shapes such a forest can realise and that can support the monomial.
+func (pm *preparedMonomial) planFor(cf *colorForest) []*plannedShape {
+	if plan, ok := pm.plans[cf.profile]; ok {
+		return plan
 	}
-	b.tree = buildShapeTree(sh)
-	b.slotColor = make([]int, b.tree.numSlots)
-	for s := range b.slotColor {
-		b.slotColor[s] = -1
-	}
-	for v, slot := range b.tree.varSlot {
-		want := colorAssign[v]
-		switch b.slotColor[slot] {
-		case -1:
-			b.slotColor[slot] = want
-		case want:
-		default:
-			b.feasible = false
-			return b
+	var plan []*plannedShape
+	for _, sh := range enumerateShapes(pm.shapeConstraintsFor(cf)) {
+		if ps := pm.planShape(sh); ps != nil {
+			plan = append(plan, ps)
 		}
 	}
-	b.slotLiterals = make([][]int, b.tree.numSlots)
-	b.slotWeights = make([][]int, b.tree.numSlots)
+	pm.plans[cf.profile] = plan
+	return plan
+}
 
-	deepestSlot := func(args []string) (int, bool) {
-		best := -1
-		for _, arg := range args {
-			slot := b.tree.varSlot[b.pm.varIndex[arg]]
-			if best == -1 || b.tree.slotDepth[slot] > b.tree.slotDepth[best] {
+// planShape attaches the literals and weight terms of the monomial to the
+// slots of the shape, or returns nil when the shape cannot support the
+// monomial.
+func (pm *preparedMonomial) planShape(sh *shape) *plannedShape {
+	tree := buildShapeTree(sh)
+	ps := &plannedShape{
+		tree:         tree,
+		slotVars:     make([]uint64, tree.numSlots),
+		slotLiterals: make([][]int, tree.numSlots),
+		slotWeights:  make([][]int, tree.numSlots),
+	}
+	for v, slot := range tree.varSlot {
+		ps.slotVars[slot] |= 1 << uint(v)
+	}
+	// deepestSlot returns the deepest slot among the argument variables and
+	// whether every argument slot is an ancestor of (or equal to) it, i.e. the
+	// arguments are pairwise comparable.
+	deepestSlot := func(args []int) (int, bool) {
+		best := tree.varSlot[args[0]]
+		for _, v := range args[1:] {
+			if slot := tree.varSlot[v]; tree.slotDepth[slot] > tree.slotDepth[best] {
 				best = slot
 			}
 		}
-		// All argument slots must be ancestors of (or equal to) the deepest
-		// slot; otherwise the arguments are not pairwise comparable.
-		for _, arg := range args {
-			slot := b.tree.varSlot[b.pm.varIndex[arg]]
-			if !b.slotIsAncestor(slot, best) {
+		for _, v := range args {
+			if !tree.isAncestor(tree.varSlot[v], best) {
 				return best, false
 			}
 		}
 		return best, true
 	}
-
 	for li, l := range pm.literals {
 		if l.IsEquality() {
 			continue // consumed by the shape constraints
 		}
-		slot, comparable := deepestSlot(l.Args)
+		slot, comparable := deepestSlot(pm.litArgs[li])
 		if !comparable {
 			if l.Positive {
 				// Cannot be satisfied within this shape (enumeration should
 				// already have pruned it, but stay safe).
-				b.feasible = false
-				return b
+				return nil
 			}
 			// Negative literal over a non-clique: automatically satisfied.
 			continue
 		}
-		b.slotLiterals[slot] = append(b.slotLiterals[slot], li)
+		ps.slotLiterals[slot] = append(ps.slotLiterals[slot], li)
 	}
-	for wi, w := range pm.weights {
-		slot, comparable := deepestSlot(w.Args)
+	for wi := range pm.weights {
+		slot, comparable := deepestSlot(pm.weightArgs[wi])
 		if !comparable {
 			// A weight of arity ≥ 2 is zero outside relation tuples, hence
 			// zero on non-cliques: the whole monomial vanishes on this shape.
-			b.feasible = false
-			return b
+			return nil
 		}
-		b.slotWeights[slot] = append(b.slotWeights[slot], wi)
+		ps.slotWeights[slot] = append(ps.slotWeights[slot], wi)
 	}
-	return b
+	return ps
 }
 
-// slotIsAncestor reports whether slot a is an ancestor of (or equal to)
-// slot b in the shape tree.
-func (b *shapeBuilder) slotIsAncestor(a, s int) bool {
+// isAncestor reports whether slot a is an ancestor of (or equal to) slot s.
+func (t *shapeTree) isAncestor(a, s int) bool {
 	for s >= 0 {
 		if s == a {
 			return true
 		}
-		s = b.tree.slotParent[s]
+		s = t.slotParent[s]
 	}
 	return false
 }
 
-// build compiles the shape into a circuit gate and reports whether the gate
-// is (structurally) the zero gate.
+// shapeBuilder compiles one (monomial, box, planned shape) triple into a
+// circuit over the box's forest, following the recursion of Claim 1 in the
+// paper: at each level, a permanent gate assigns the shape slots injectively
+// to data nodes, and the entries recurse into the corresponding subtrees.
+type shapeBuilder struct {
+	env *compileEnv
+	cf  *colorForest
+	pm  *preparedMonomial
+	ps  *plannedShape
+	// assign[s] is the data node (subgraph index) of slot s on the current
+	// root-to-slot path.
+	assign []int
+}
+
+// build compiles the shape into a circuit gate, the zero gate when no tuple
+// of the box has this shape.
 func (b *shapeBuilder) build() int {
-	if !b.feasible {
-		return b.c.Zero()
-	}
-	assign := make([]int, b.tree.numSlots)
-	for i := range assign {
-		assign[i] = -1
-	}
-	return b.rec(b.tree.roots, b.cf.roots, assign)
+	return b.rec(b.ps.tree.roots, b.cf.roots)
 }
 
 // rec builds the circuit assigning the given shape slots (all at one depth,
 // sharing a parent) injectively to the candidate data nodes.
-func (b *shapeBuilder) rec(slots []int, candidates []int, assign []int) int {
+func (b *shapeBuilder) rec(slots []int, candidates []int) int {
+	c := b.env.c
 	if len(slots) == 0 {
-		return b.c.One()
+		return c.One()
 	}
 	var entries []circuit.PermEntry
 	cols := 0
+	var rows uint64 // the rows (at most one per variable) that have an entry
 	for _, v := range candidates {
 		colUsed := false
 		for ri, s := range slots {
-			g := b.entry(s, v, assign)
-			if g == b.c.Zero() {
+			g := b.entry(s, v)
+			if g == c.Zero() {
 				continue
 			}
 			if !colUsed {
 				colUsed = true
 				cols++
 			}
+			rows |= 1 << uint(ri)
 			entries = append(entries, circuit.PermEntry{Row: ri, Col: cols - 1, Gate: g})
 		}
 	}
-	return b.c.Perm(len(slots), cols, entries)
+	if rows != 1<<uint(len(slots))-1 {
+		return c.Zero() // a slot no data node can take: the permanent is zero
+	}
+	return c.Perm(len(slots), cols, entries)
 }
 
-// entry builds the circuit for assigning data node v to shape slot s in the
-// context assign (which fixes the data nodes of all ancestor slots).
-func (b *shapeBuilder) entry(s, v int, assign []int) int {
-	// Colour filter.
-	if want := b.slotColor[s]; want >= 0 && b.colorOf[b.cf.toOrig[v]] != want {
-		return b.c.Zero()
+// entry builds the circuit for assigning data node v to shape slot s, the
+// data nodes of all ancestor slots being fixed in b.assign.  The checks that
+// decide structurally — candidate membership, static literals, the subtree —
+// come before any input gate is requested, so a dead entry leaves none behind.
+func (b *shapeBuilder) entry(s, v int) int {
+	env, c := b.env, b.env.c
+	// v must be a candidate of every variable mapped to s.
+	if want := b.ps.slotVars[s]; env.member[b.cf.toOrig[v]]&want != want {
+		return c.Zero()
 	}
-	assign[s] = v
-	defer func() { assign[s] = -1 }()
-
-	factors := make([]int, 0, 4)
-	// Literals attached to this slot.
-	for _, li := range b.slotLiterals[s] {
+	b.assign[s] = v
+	for _, li := range b.ps.slotLiterals[s] {
 		l := b.pm.literals[li]
-		tuple := b.literalTuple(l.Args, assign)
-		if b.dynamicRels[l.Rel] {
-			factors = append(factors, b.c.Input(relationInputKey(l.Rel, tuple, l.Positive)))
-			continue
-		}
-		holds := b.a.HasTuple(l.Rel, tuple...)
-		if holds != l.Positive {
-			return b.c.Zero()
+		if !env.dyn[l.Rel] && env.a.HasTuple(l.Rel, b.tuple(b.pm.litArgs[li])...) != l.Positive {
+			return c.Zero()
 		}
 	}
-	// Weight terms attached to this slot.
-	for _, wi := range b.slotWeights[s] {
-		w := b.pm.weights[wi]
-		tuple := b.literalTuple(w.Args, assign)
-		factors = append(factors, b.c.Input(structure.MakeWeightKey(w.W, tuple)))
+	child := b.rec(b.ps.tree.slotChildren[s], b.cf.forest.Children(v))
+	if child == c.Zero() {
+		return c.Zero()
 	}
-	// Recurse into the children slots over the children of v.
-	child := b.rec(b.tree.slotChildren[s], b.cf.forest.Children(v), assign)
-	if child == b.c.Zero() {
-		return b.c.Zero()
+	var factors []int
+	for _, li := range b.ps.slotLiterals[s] {
+		if l := b.pm.literals[li]; env.dyn[l.Rel] {
+			factors = append(factors, c.Input(relationInputKey(l.Rel, b.tuple(b.pm.litArgs[li]), l.Positive)))
+		}
 	}
-	factors = append(factors, child)
-	return b.c.Mul(factors...)
+	for _, wi := range b.ps.slotWeights[s] {
+		factors = append(factors, c.Input(structure.MakeWeightKey(b.pm.weights[wi].W, b.tuple(b.pm.weightArgs[wi]))))
+	}
+	if factors == nil {
+		return child
+	}
+	return c.Mul(append(factors, child)...)
 }
 
-// literalTuple resolves the argument variables of a literal or weight term
-// to original elements under the current slot assignment.
-func (b *shapeBuilder) literalTuple(args []string, assign []int) structure.Tuple {
-	t := make(structure.Tuple, len(args))
-	for i, arg := range args {
-		slot := b.tree.varSlot[b.pm.varIndex[arg]]
-		node := assign[slot]
-		if node < 0 {
-			panic(fmt.Sprintf("compile: argument %s resolved before its slot was assigned", arg))
-		}
-		t[i] = b.cf.toOrig[node]
+// tuple resolves the argument variables of a literal or weight term to
+// original elements under the current slot assignment.  The result lives in
+// a scratch buffer valid until the next call.
+func (b *shapeBuilder) tuple(args []int) structure.Tuple {
+	t := b.env.tuple[:0]
+	for _, v := range args {
+		t = append(t, b.cf.toOrig[b.assign[b.ps.tree.varSlot[v]]])
 	}
+	b.env.tuple = t
 	return t
 }
 
@@ -494,5 +492,11 @@ func DecodeRelationKey(key structure.WeightKey) (rel string, tuple structure.Tup
 // RelationInputKeys returns the pair of weight keys (asserted, negated) that
 // represent membership of the tuple in a dynamic relation.
 func RelationInputKeys(rel string, tuple structure.Tuple) (positive, negative structure.WeightKey) {
-	return relationInputKey(rel, tuple, true), relationInputKey(rel, tuple, false)
+	return relationInputKeys(rel, tuple.Key())
+}
+
+// relationInputKeys is RelationInputKeys on an already encoded tuple.
+func relationInputKeys(rel, tupleKey string) (positive, negative structure.WeightKey) {
+	return structure.WeightKey{Weight: dynamicPositivePrefix + rel, Tuple: tupleKey},
+		structure.WeightKey{Weight: dynamicNegativePrefix + rel, Tuple: tupleKey}
 }

@@ -72,11 +72,15 @@ func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present boo
 }
 
 // Record notes a validated membership update and returns the leaf inputs it
-// drives: positive takes [present], negative takes [!present].  Both must
-// change within one committed epoch so no reader sees the tuple half-toggled.
-func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (positive, negative structure.WeightKey) {
-	r.state[rel][tuple.Key()] = present
-	return RelationInputKeys(rel, tuple)
+// drives — positive takes [present], negative takes [!present]; both must
+// change within one committed epoch so no reader sees the tuple half-toggled
+// — and the membership recorded before.
+func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (positive, negative structure.WeightKey, was bool) {
+	key := tuple.Key()
+	was = r.state[rel][key]
+	r.state[rel][key] = present
+	positive, negative = relationInputKeys(rel, key)
+	return positive, negative, was
 }
 
 // HasTuple reports the current membership of a tuple: the recorded state for

@@ -7,15 +7,46 @@
 //  1. the expression is normalised into a sum of prenex monomials
 //     (internal/expr, Lemma 28);
 //  2. each monomial is decomposed by a low-treedepth colouring of the
-//     Gaifman graph: the aggregation is partitioned according to the
-//     colours of the bound variables (equation (12));
-//  3. for every colour pattern, the induced subgraph is decomposed by an
-//     elimination forest of bounded depth (Lemma 33 / Example 2);
+//     Gaifman graph into *boxes*: one colour and one candidate set
+//     cand[i] ⊆ that colour class per bound variable, the aggregation being
+//     partitioned into the products ∏ cand[i] (equation (12) partitions by
+//     the colours alone).  The boxes are enumerated from the data, not from
+//     the colours: variables are visited so that each is linked to an earlier
+//     one where possible, a variable is tried only on the colours found among
+//     the elements equal or adjacent to a linked candidate set, and linked
+//     candidate sets are kept supported by one another (boxes.go);
+//  3. for every box, the subgraph induced by the union of its candidate
+//     sets is decomposed by an elimination forest of bounded depth
+//     (Lemma 33 / Example 2) — the cached forest of the colour classes when
+//     every candidate set is a whole class;
 //  4. over that forest, the monomial is decomposed into *shapes* — the
 //     ancestry/equality patterns of the bound variables (Appendix A.2) —
 //     and each shape is compiled into a circuit by structural recursion,
 //     with permanent gates handling the injective assignment of sibling
-//     subtrees (Claim 1 of the paper).
+//     subtrees (Claim 1 of the paper).  Which shapes exist, their slot trees
+//     and where the monomial's literals and weights attach depend on the
+//     forest only through its realisability profile (depths present, depths
+//     of sibling meets), so they are computed once per (monomial, profile) —
+//     a *shape plan* — and every box with that profile runs the plan
+//     (forest.go).
+//
+// Soundness of step 2.  The decomposition identity holds for any colouring
+// and any partition of the product space, and the colouring's guarantee —
+// few colour classes induce a subgraph of small treedepth — holds a fortiori
+// for subsets of those classes, so any family of disjoint boxes may be
+// compiled as long as every tuple left out contributes zero.  A tuple is left
+// out only if some variable misses the elements satisfying the positive
+// literals over it alone, or two linked variables take elements that are
+// neither equal nor adjacent, or violate a positive literal over exactly the
+// two.  Variables are linked when they share a positive relation literal or a
+// weight term of arity ≥ 2, which can be non-zero only on a Gaifman clique
+// (weights of arity ≥ 2 vanish outside relation tuples; updates of dynamic
+// relations preserve the Gaifman graph), or a positive equality.  Only
+// literals over static relations filter by membership; those over dynamic
+// relations stay inputs of the circuit.  So on every tuple left out the
+// monomial is zero whatever the weights and the dynamic relations become —
+// the terms entry (forest.go) drops structurally anyway — and the circuit
+// computes the same polynomial with fewer dead gates.
 //
 // This file implements shapes: their enumeration, consistency with the
 // monomial's (in)equality literals, and realisability pruning against the

@@ -50,6 +50,9 @@ type Query[T any] struct {
 	// leaves is the reusable leaf-change buffer Prepare fills and Stage
 	// applies.
 	leaves []circuit.InputChange[T]
+	// changed records that the prepared batch changes the database as the
+	// query sees it (see Prepare), so Stage commits it.
+	changed bool
 }
 
 // Shared is the semiring-agnostic closure of a query over an ordered list of
@@ -72,6 +75,8 @@ type Query[T any] struct {
 type Shared struct {
 	res  *compile.Result
 	vars []string
+	// mentions holds the weight symbols occurring in the closure's polynomial.
+	mentions map[string]bool
 
 	// keys[i][a] is the weight key of v_i at element a, built on the first
 	// point query's behalf so that no point query rebuilds keys with Sprintf,
@@ -131,7 +136,13 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 	// here keeps that a guarantee, so concurrent sessions sharing this closure
 	// run Gaifman-preservation checks without racing on a first construction.
 	res.Structure.Gaifman()
-	return &Shared{res: res, vars: slices.Clone(vars)}, nil
+	mentions := map[string]bool{}
+	for _, m := range res.Polynomial.Monomials {
+		for _, w := range m.Weights {
+			mentions[w.W] = true
+		}
+	}
+	return &Shared{res: res, vars: slices.Clone(vars), mentions: mentions}, nil
 }
 
 // CompileShared closes e over its own free variables in sorted order.
@@ -284,8 +295,9 @@ func TupleChange[T any](rel string, tuple structure.Tuple, present bool) Change[
 // recomputed once per batch and repeated changes to the same key coalesce
 // with the last value winning.  The result is observationally identical to
 // applying the changes one at a time through SetWeight/SetTuple, except that
-// the batch commits one epoch — none if it changes no input — so a snapshot
-// can never pin a half-applied batch or a half-toggled tuple.
+// the batch commits one epoch — none if it changes nothing the query can see
+// (Prepare) — so a snapshot can never pin a half-applied batch or a
+// half-toggled tuple.
 func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 	if err := q.Prepare(changes); err != nil {
 		return err
@@ -301,6 +313,13 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 // Prepare is the half of ApplyBatch that needs no lock: it validates the
 // batch (all-or-nothing), records it in the query's shadow of the weights and
 // relations, and translates it into the leaf changes the next Stage applies.
+//
+// It also decides whether the batch is a commit, by the database and not by
+// the circuit: a batch commits iff it changes the stored value (missing is
+// zero) of a weight symbol the query's polynomial mentions, or the membership
+// of a tuple of a dynamic relation.  Which of those inputs the compiler
+// happened to wire to a gate — it prunes the ones no answer can reach — does
+// not enter into it.
 func (q *Query[T]) Prepare(changes []Change[T]) error {
 	for i, ch := range changes {
 		var err error
@@ -329,12 +348,21 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 	leaf := q.leaves[:0]
 	for _, ch := range changes {
 		if ch.Weight != "" {
-			q.weights.Set(ch.Weight, ch.Tuple, ch.Value)
-			leaf = append(leaf, circuit.InputChange[T]{Key: structure.MakeWeightKey(ch.Weight, ch.Tuple), Value: ch.Value})
+			key := structure.MakeWeightKey(ch.Weight, ch.Tuple)
+			if q.sh.mentions[ch.Weight] {
+				old, ok := q.weights.GetKey(key)
+				if !ok {
+					old = q.s.Zero()
+				}
+				q.changed = q.changed || !q.s.Equal(old, ch.Value)
+			}
+			q.weights.SetKey(key, ch.Value)
+			leaf = append(leaf, circuit.InputChange[T]{Key: key, Value: ch.Value})
 			continue
 		}
 		// Both membership inputs land in one wave and one epoch.
-		pos, neg := q.Record(ch.Rel, ch.Tuple, ch.Present)
+		pos, neg, was := q.Record(ch.Rel, ch.Tuple, ch.Present)
+		q.changed = q.changed || was != ch.Present
 		leaf = append(leaf,
 			circuit.InputChange[T]{Key: pos, Value: semiring.Iverson(q.s, ch.Present)},
 			circuit.InputChange[T]{Key: neg, Value: semiring.Iverson(q.s, !ch.Present)})
@@ -344,13 +372,18 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 }
 
 // Stage is the other half: it writes the prepared leaves into the value
-// state and runs one wave, without committing.  The caller holds Clock()
+// state, runs one wave and marks the write as a commit if Prepare found it to
+// be one, without committing.  The caller holds Clock()
 // exclusively and commits, after staging the batch into any other engine
 // state on the clock.  The leaf buffer is zeroed before it is recycled, so its
 // backing array does not pin the batch's keys and semiring values (e.g.
 // provenance polynomials) until the next large batch.
 func (q *Query[T]) Stage() {
 	q.dyn.Stage(q.leaves)
+	if q.changed {
+		q.Clock().Touch()
+		q.changed = false
+	}
 	clear(q.leaves)
 	q.leaves = q.leaves[:0]
 }

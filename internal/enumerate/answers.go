@@ -273,7 +273,10 @@ func (ans *Answers) Follow(sh *dynamicq.Shared, changes []TupleChange) {
 func (ans *Answers) stage(changes []TupleChange) {
 	e := ans.enum
 	for _, ch := range changes {
-		pos, neg := ans.Record(ch.Rel, ch.Tuple, ch.Present)
+		pos, neg, was := ans.Record(ch.Rel, ch.Tuple, ch.Present)
+		if was != ch.Present {
+			e.clock.Touch() // a commit by the database, wired to a gate or not
+		}
 		e.assign(pos, Bool(ch.Present))
 		e.assign(neg, Bool(!ch.Present))
 	}

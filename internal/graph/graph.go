@@ -10,6 +10,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -18,8 +20,10 @@ import (
 type Graph struct {
 	n   int
 	adj [][]int
-	// edgeSet provides O(1) membership tests; keyed by packed endpoint pair.
-	edgeSet map[[2]int]struct{}
+	// edgeSet provides O(1) membership tests, keyed by edgeKey.  Nothing
+	// ranges over it: every order the package exposes comes from the adjacency
+	// lists, so equal graphs built in equal order behave identically.
+	edgeSet map[uint64]struct{}
 	m       int
 }
 
@@ -31,7 +35,7 @@ func New(n int) *Graph {
 	return &Graph{
 		n:       n,
 		adj:     make([][]int, n),
-		edgeSet: make(map[[2]int]struct{}),
+		edgeSet: make(map[uint64]struct{}),
 	}
 }
 
@@ -48,11 +52,13 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-func edgeKey(u, v int) [2]int {
+// edgeKey packs the endpoints, smaller first, into one word (the runtime's
+// fast map path); vertex counts stay far below 2³².
+func edgeKey(u, v int) uint64 {
 	if u > v {
 		u, v = v, u
 	}
-	return [2]int{u, v}
+	return uint64(u)<<32 | uint64(v)
 }
 
 // HasEdge reports whether the edge {u, v} is present.
@@ -84,21 +90,27 @@ func (g *Graph) AddEdge(u, v int) {
 	g.m++
 }
 
-// Edges returns all edges as (u, v) pairs with u < v, in no particular
-// order.
+// Edges returns all edges as (u, v) pairs with u < v, ordered by u and then
+// by the position of v in u's adjacency list.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
-	for e := range g.edgeSet {
-		out = append(out, e)
+	for u, nbrs := range g.adj {
+		for _, v := range nbrs {
+			if u < v {
+				out = append(out, [2]int{u, v})
+			}
+		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph with every adjacency list in the
+// same order, so whatever is computed from the copy (degeneracy orders,
+// colourings, forests) equals what is computed from the original.
 func (g *Graph) Clone() *Graph {
-	h := New(g.n)
-	for e := range g.edgeSet {
-		h.AddEdge(e[0], e[1])
+	h := &Graph{n: g.n, adj: make([][]int, g.n), edgeSet: maps.Clone(g.edgeSet), m: g.m}
+	for v, nbrs := range g.adj {
+		h.adj[v] = slices.Clone(nbrs)
 	}
 	return h
 }
@@ -107,25 +119,51 @@ func (g *Graph) Clone() *Graph {
 // together with the mapping from new vertex indices to original ones.
 // The inverse mapping (original → new, or -1) is also returned.
 func (g *Graph) InducedSubgraph(vertices []int) (sub *Graph, toOrig []int, toSub []int) {
+	sub, toOrig = NewInducer(g).Subgraph(vertices)
 	toSub = make([]int, g.n)
 	for i := range toSub {
 		toSub[i] = -1
 	}
-	toOrig = make([]int, len(vertices))
 	for i, v := range vertices {
 		toSub[v] = i
-		toOrig[i] = v
+	}
+	return sub, toOrig, toSub
+}
+
+// Inducer builds induced subgraphs of one graph through one reusable
+// original→subgraph index, so a call costs the size of the subgraph and its
+// vertices' adjacency lists, not O(n): the compiler builds one small subgraph
+// per box of candidate sets, thousands per compilation.
+type Inducer struct {
+	g *Graph
+	// index[v] is one more than v's subgraph index during a Subgraph call
+	// and zero between calls.
+	index []int32
+}
+
+// NewInducer returns an Inducer for g, which must not grow while it is used.
+func NewInducer(g *Graph) *Inducer { return &Inducer{g: g, index: make([]int32, g.n)} }
+
+// Subgraph returns the subgraph induced by the given distinct vertices;
+// subgraph vertex i is vertices[i], which toOrig records.  Adjacency lists
+// keep the relative order they have in the original graph.
+func (in *Inducer) Subgraph(vertices []int) (sub *Graph, toOrig []int) {
+	toOrig = slices.Clone(vertices)
+	for i, v := range vertices {
+		in.index[v] = int32(i) + 1
 	}
 	sub = New(len(vertices))
 	for i, v := range vertices {
-		for _, w := range g.adj[v] {
-			j := toSub[w]
-			if j >= 0 && i < j {
+		for _, w := range in.g.adj[v] {
+			if j := int(in.index[w]) - 1; j > i {
 				sub.AddEdge(i, j)
 			}
 		}
 	}
-	return sub, toOrig, toSub
+	for _, v := range vertices {
+		in.index[v] = 0
+	}
+	return sub, toOrig
 }
 
 // ConnectedComponents returns the vertex sets of the connected components.

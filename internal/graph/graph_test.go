@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -114,6 +115,79 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if toSub[3] != -1 {
 		t.Errorf("vertex 3 should not be in the subgraph")
+	}
+}
+
+// TestInducerIsReusable takes many subgraphs through one Inducer and wants
+// each equal, adjacency list for adjacency list, to a fresh InducedSubgraph:
+// the shared index must be clean again after every call.
+func TestInducerIsReusable(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	g := New(60)
+	for i := 0; i < 150; i++ {
+		g.AddEdge(r.Intn(60), r.Intn(60))
+	}
+	in := NewInducer(g)
+	for round := 0; round < 50; round++ {
+		vertices := r.Perm(60)[:r.Intn(30)]
+		got, toOrig := in.Subgraph(vertices)
+		want, wantOrig, _ := g.InducedSubgraph(vertices)
+		if !slices.Equal(toOrig, wantOrig) || !slices.Equal(toOrig, vertices) {
+			t.Fatalf("round %d: toOrig %v, want %v", round, toOrig, vertices)
+		}
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("round %d: %d vertices and %d edges, want %d and %d", round, got.N(), got.M(), want.N(), want.M())
+		}
+		for v := 0; v < got.N(); v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("round %d: neighbours of %d are %v, want %v", round, v, got.Neighbors(v), want.Neighbors(v))
+			}
+			for _, w := range got.Neighbors(v) {
+				if !g.HasEdge(toOrig[v], toOrig[w]) || !got.HasEdge(v, w) {
+					t.Fatalf("round %d: subgraph edge %d-%d is not an edge %d-%d of the graph", round, v, w, toOrig[v], toOrig[w])
+				}
+			}
+		}
+	}
+}
+
+// TestCloneIsDeterministic pins what makes compilation repeatable: a clone
+// has the adjacency lists of the original in the same order, so the edge
+// list, the degeneracy order and the colouring computed from either agree,
+// call after call.
+func TestCloneIsDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	g := New(200)
+	for i := 0; i < 500; i++ {
+		g.AddEdge(r.Intn(200), r.Intn(200))
+	}
+	order, _ := g.DegeneracyOrder()
+	colors := LowTreedepthColoring(g, 3).Color
+	for i := 0; i < 5; i++ {
+		h := g.Clone()
+		if h.M() != g.M() || !slices.Equal(h.Edges(), g.Edges()) {
+			t.Fatalf("clone %d lists its edges in another order", i)
+		}
+		for v := 0; v < g.N(); v++ {
+			if !slices.Equal(h.Neighbors(v), g.Neighbors(v)) {
+				t.Fatalf("clone %d: neighbours of %d are %v, want %v", i, v, h.Neighbors(v), g.Neighbors(v))
+			}
+		}
+		if o, _ := h.DegeneracyOrder(); !slices.Equal(o, order) {
+			t.Fatalf("clone %d has another degeneracy order", i)
+		}
+		if c := LowTreedepthColoring(h, 3).Color; !slices.Equal(c, colors) {
+			t.Fatalf("clone %d is coloured differently", i)
+		}
+		for v := 1; v < g.N(); v++ {
+			h.AddEdge(0, v)
+		}
+	}
+	if g.Degree(0) == g.N()-1 {
+		t.Errorf("edges added to a clone reached the original")
+	}
+	if e := g.Edges(); !slices.IsSortedFunc(e, func(a, b [2]int) int { return a[0] - b[0] }) {
+		t.Errorf("Edges is not ordered by the smaller endpoint: %v", e)
 	}
 }
 

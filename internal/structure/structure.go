@@ -10,6 +10,7 @@ package structure
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -21,16 +22,25 @@ type Element = int
 // Tuple is a tuple of database elements.
 type Tuple []Element
 
-// Key encodes a tuple as a map key.
+// Key encodes a tuple as a map key: its elements in decimal, comma
+// separated.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [keyBufSize]byte
+	return string(t.appendKey(buf[:0]))
+}
+
+// keyBufSize keeps the keys of tuples of the usual arities (≤ 4) and domain
+// sizes on the caller's stack.
+const keyBufSize = 48
+
+func (t Tuple) appendKey(b []byte) []byte {
 	for i, e := range t {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", e)
+		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports element-wise equality.
@@ -240,7 +250,9 @@ func (a *Structure) HasTuple(rel string, tuple ...Element) bool {
 	if idx == nil {
 		return false
 	}
-	return idx[Tuple(tuple).Key()]
+	// A map lookup by string(bytes) does not allocate the string.
+	var buf [keyBufSize]byte
+	return idx[string(Tuple(tuple).appendKey(buf[:0]))]
 }
 
 // Tuples returns the tuples of the named relation.  The returned slice must
@@ -266,8 +278,11 @@ func (a *Structure) Gaifman() *graph.Graph {
 		return a.gaifman
 	}
 	g := graph.New(a.N)
-	for _, ts := range a.tuples {
-		for _, t := range ts {
+	// In signature order, not map order: the adjacency lists, and with them
+	// every colouring and forest computed from the graph, are a function of
+	// the structure alone.
+	for _, r := range a.Sig.Relations {
+		for _, t := range a.tuples[r.Name] {
 			for i := 0; i < len(t); i++ {
 				for j := i + 1; j < len(t); j++ {
 					g.AddEdge(t[i], t[j])
@@ -357,6 +372,9 @@ func NewWeights[T any]() *Weights[T] {
 func (w *Weights[T]) Set(weight string, tuple Tuple, value T) {
 	w.vals[MakeWeightKey(weight, tuple)] = value
 }
+
+// SetKey assigns the value for a pre-built key.
+func (w *Weights[T]) SetKey(k WeightKey, value T) { w.vals[k] = value }
 
 // Get returns w(tuple) and whether it was explicitly set.
 func (w *Weights[T]) Get(weight string, tuple Tuple) (T, bool) {

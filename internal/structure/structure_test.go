@@ -258,3 +258,37 @@ func TestOnSignature(t *testing.T) {
 		})
 	}
 }
+
+// TestTupleKeyRoundTrip pins the key text — decimal elements, comma
+// separated, the empty string for the empty tuple — through ParseTupleKey,
+// for arities 0–4, multi-digit elements and a tuple longer than the stack
+// buffer Key builds small keys in; HasTuple builds the same key without
+// allocating it.
+func TestTupleKeyRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		tuple Tuple
+		key   string
+	}{
+		{Tuple{}, ""},
+		{Tuple{0}, "0"},
+		{Tuple{7, 0}, "7,0"},
+		{Tuple{12, 345, 6}, "12,345,6"},
+		{Tuple{1000000, 2, 30, 400}, "1000000,2,30,400"},
+		{Tuple{123456789, 123456789, 123456789, 123456789, 123456789, 123456789}, "123456789,123456789,123456789,123456789,123456789,123456789"},
+	} {
+		if got := tc.tuple.Key(); got != tc.key {
+			t.Errorf("%v.Key() = %q, want %q", []int(tc.tuple), got, tc.key)
+		}
+		if back := ParseTupleKey(tc.key); !back.Equal(tc.tuple) {
+			t.Errorf("ParseTupleKey(%q) = %v, want %v", tc.key, back, tc.tuple)
+		}
+	}
+	a := NewStructure(testSignature(t), 2000)
+	a.MustAddTuple("T", 12, 345, 1999)
+	if !a.HasTuple("T", 12, 345, 1999) || a.HasTuple("T", 12, 34, 51999) || a.HasTuple("T", 1, 2345, 1999) {
+		t.Errorf("HasTuple does not tell (12,345,1999) from tuples with the same digits")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.HasTuple("T", 12, 345, 1999) }); allocs != 0 {
+		t.Errorf("HasTuple allocates %.0f objects per call, want 0", allocs)
+	}
+}
