@@ -214,7 +214,7 @@ func TestSessionBusyAndClosed(t *testing.T) {
 	}
 
 	// Hold the write half as a concurrent update would: writes fail fast
-	// with ErrSessionBusy, reads fall back to an epoch snapshot and succeed.
+	// with ErrSessionBusy, reads are served at a pinned epoch and succeed.
 	want, err := s.Eval(context.Background())
 	if err != nil {
 		t.Fatalf("Eval: %v", err)

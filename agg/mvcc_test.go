@@ -333,8 +333,8 @@ func TestConcurrentReadersNeverBusy(t *testing.T) {
 					r.Close()
 					return
 				}
-				// Session.Eval must never be busy either: it falls back to a
-				// snapshot when the writer holds the session.
+				// Session.Eval must never be busy either: it always reads at a
+				// pin of the last committed epoch, never under the writer lock.
 				if _, err := s.Eval(ctx, 0); err != nil {
 					errs <- fmt.Errorf("reader %d: Session.Eval: %v", id, err)
 					r.Close()

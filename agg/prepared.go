@@ -412,8 +412,8 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 // queries plus weight and tuple updates with logarithmic cost (Theorem 8).
 // Each call returns independent session state; the expensive compilation is
 // shared.  Updates fail fast with ErrSessionBusy when they race each other,
-// but reads never do: Eval falls back to an epoch snapshot under a
-// concurrent writer, and Session.Snapshot pins a Reader for sustained
+// but reads never do: Eval always reads at a pin of the last committed
+// epoch, and Session.Snapshot keeps such a pin in a Reader for sustained
 // concurrent reading (see the Session and Reader docs for the full
 // concurrency contract).
 //

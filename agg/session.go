@@ -18,9 +18,9 @@ import (
 //
 // Writes serialise and fail fast: a Set or ApplyBatch attempted while
 // another update holds the session returns ErrSessionBusy instead of
-// queueing.  Reads never fail that way — Eval falls back to a snapshot of
-// the last committed epoch when a writer is in flight, and Snapshot hands
-// out a Reader pinned at one epoch for sustained concurrent reading.  The
+// queueing.  Reads never fail that way — Eval always reads at a pin of the
+// last committed epoch, writer in flight or not, and Snapshot hands out a
+// Reader that keeps one such pin for sustained concurrent reading.  The
 // lone exception is a nested (WithNested) session, whose recompute evaluator
 // has no epochs to snapshot: there Eval keeps the fail-fast ErrSessionBusy
 // contract.  After Close every operation returns ErrSessionClosed, but
@@ -30,8 +30,8 @@ type Session struct {
 	p    *Prepared
 	once sync.Once
 
-	// writerMu serialises mutations and the in-place read path; TryLock keeps
-	// the fail-fast contract for writer–writer conflicts.
+	// writerMu serialises mutations (and a nested session's in-place reads);
+	// TryLock keeps the fail-fast contract for writer–writer conflicts.
 	writerMu sync.Mutex
 	// stateMu guards the lifecycle flag so concurrent readers can check it
 	// without contending with writers.
@@ -56,9 +56,6 @@ type Session struct {
 	// until the first subscriber, so the write path of an unobserved
 	// session pays one atomic load and nothing else.
 	hub atomic.Pointer[live.Hub]
-	// liveDelta is the per-key answer-set state behind delta subscriptions;
-	// it is touched only by the hub's single evaluator goroutine.
-	liveDelta map[live.Key]map[string][]int
 }
 
 // Change is one update of a Session: a weight update (Weight non-empty:

@@ -3,9 +3,9 @@ package agg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/live"
@@ -14,49 +14,84 @@ import (
 // Update is one push delivered by Session.Subscribe: the subscribed quantity
 // re-evaluated at a committed epoch.  Because slow subscribers coalesce,
 // consecutive Updates may skip epochs; each one is self-consistent at its
-// Epoch.
+// Epoch.  Its JSON form is the wire shape of one /subscribe line.
 type Update struct {
 	// Epoch is the committed session epoch the update reflects.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Kind is "value", "point", "count" or "delta", per the subscription.
-	Kind string
+	Kind string `json:"kind"`
 	// Value is the query value for "value" and "point" subscriptions.
-	Value Value
+	Value Value `json:"value,omitempty"`
 	// Count is the answer count for "count" subscriptions.
-	Count int64
+	Count int64 `json:"count,omitempty"`
 	// Reset marks a "delta" update that replaces any previously known
 	// answer set: Answers is the complete set at Epoch.  Subscribers get a
 	// Reset first (unless resuming from the current epoch) and must accept
 	// one at any later point.
-	Reset bool
-	// Answers is the full answer set of a Reset.
-	Answers []Answer
-	// Added and Removed are the net answer-set change since the previous
-	// delivered update, for non-Reset "delta" updates.
-	Added   []Answer
-	Removed []Answer
+	Reset bool `json:"reset,omitempty"`
+	// Answers is the full answer set of a Reset, in lexicographic order.
+	Answers []Answer `json:"answers,omitempty"`
+	// Added and Removed are the difference between the answer set at Epoch
+	// and the one this subscriber was last given, for non-Reset "delta"
+	// updates, each in lexicographic order.
+	Added   []Answer `json:"added,omitempty"`
+	Removed []Answer `json:"removed,omitempty"`
 	// Coalesced counts evaluated results that were folded into this one
 	// because the subscriber lagged; 0 means it kept up.
-	Coalesced uint64
+	Coalesced uint64 `json:"coalesced,omitempty"`
 	// Lag is the approximate time from the commit that produced Epoch to
 	// this update becoming deliverable; 0 when the update was not driven by
 	// a fresh commit (initial snapshots).
-	Lag time.Duration
+	Lag time.Duration `json:"-"`
+}
+
+// kind is what a subscription watches; its name is Update.Kind.
+type kind uint8
+
+const (
+	kindValue kind = iota // the closed query's value
+	kindPoint             // the query's value at one argument tuple
+	kindCount             // the number of answers of an enumerable query
+	kindDelta             // the answer set of an enumerable query
+)
+
+func (k kind) String() string { return [...]string{"value", "point", "count", "delta"}[k] }
+
+// watch is what one subscription asks of every epoch: the hub hands it to
+// liveEval once per round for all the subscriptions whose watchKeys agree.
+type watch struct {
+	kind kind
+	args []int // the point, for kindPoint
+}
+
+// watchKey is a watch in comparable form.
+type watchKey struct {
+	kind kind
+	args string
+}
+
+// watched is a watch read at one epoch: the value, the count or the sorted
+// answer set.  One is shared by every subscriber of a key and never written
+// after liveEval returns it.
+type watched struct {
+	value   Value
+	count   int64
+	answers []Answer
+	err     error
 }
 
 // SubscribeOption configures one Session.Subscribe call.
 type SubscribeOption func(*subscribeConfig)
 
 type subscribeConfig struct {
-	kind    live.Kind
+	watch
 	kindSet bool
-	args    []int
 	from    uint64
 	hasFrom bool
 	err     error
 }
 
-func (c *subscribeConfig) setKind(k live.Kind) {
+func (c *subscribeConfig) setKind(k kind) {
 	if c.kindSet && c.kind != k {
 		c.err = errors.New("conflicting subscription kinds: " + c.kind.String() + " and " + k.String())
 		return
@@ -68,27 +103,30 @@ func (c *subscribeConfig) setKind(k live.Kind) {
 // (one element per free variable) instead of the closed query value.
 func SubscribePoint(args ...int) SubscribeOption {
 	return func(c *subscribeConfig) {
-		c.setKind(live.KindPoint)
-		c.args = args
+		c.setKind(kindPoint)
+		c.args = slices.Clone(args) // the evaluator reads it on every round
 	}
 }
 
 // SubscribeCount subscribes to the answer count of an enumerable query.
 func SubscribeCount() SubscribeOption {
-	return func(c *subscribeConfig) { c.setKind(live.KindCount) }
+	return func(c *subscribeConfig) { c.setKind(kindCount) }
 }
 
 // SubscribeDelta subscribes to the answer set of an enumerable query as a
 // stream of added/removed tuples, starting from a full Reset snapshot.
 func SubscribeDelta() SubscribeOption {
-	return func(c *subscribeConfig) { c.setKind(live.KindDelta) }
+	return func(c *subscribeConfig) { c.setKind(kindDelta) }
 }
 
 // SubscribeFrom resumes a subscription: epoch is the last committed epoch
 // the client has already seen.  At or above the session's current epoch the
 // initial snapshot is skipped and delivery starts with the next commit;
 // below it the subscription starts with a fresh snapshot (a Reset for
-// "delta") because skipped epochs cannot be replayed.
+// "delta") because skipped epochs cannot be replayed.  The current epoch is
+// the epoch of the subscription's first evaluation, which is taken after the
+// subscription is registered: a commit racing the Subscribe call is either
+// part of that evaluation or pushed after it, never lost.
 func SubscribeFrom(epoch uint64) SubscribeOption {
 	return func(c *subscribeConfig) { c.from, c.hasFrom = epoch, true }
 }
@@ -123,50 +161,56 @@ func (s *Session) Subscribe(ctx context.Context, opts ...SubscribeOption) iter.S
 			return
 		}
 		switch cfg.kind {
-		case live.KindValue:
+		case kindValue:
 			if n := len(s.p.FreeVars()); n > 0 {
 				yield(Update{}, errorf(ErrArgument, s.p.text, "query has %d free variables; subscribe with SubscribePoint", n))
 				return
 			}
-		case live.KindPoint:
+		case kindPoint:
 			if got, want := len(cfg.args), len(s.p.FreeVars()); got != want {
 				yield(Update{}, errorf(ErrArgument, s.p.text, "SubscribePoint got %d args, query has %d free variables", got, want))
 				return
 			}
-		case live.KindCount, live.KindDelta:
+		case kindCount, kindDelta:
 			if s.p.enum == nil {
 				yield(Update{}, errorf(ErrNotEnumerable, s.p.text, "%s subscriptions need a first-order formula or a boolean nested query with free variables", cfg.kind))
 				return
 			}
 		}
-		// Nested and closed sessions are rejected up front; resume semantics
-		// anchor at the current committed epoch.
-		clock, err := s.pinnable()
-		if err != nil {
+		// Nested and closed sessions are rejected up front, and a context that
+		// is already over before anything is registered: a caller probing for
+		// the errors above costs the session nothing.
+		if _, err := s.pinnable(); err != nil {
 			yield(Update{}, err)
 			return
 		}
-		epoch := clock.Epoch()
+		if err := ctx.Err(); err != nil {
+			yield(Update{}, err)
+			return
+		}
 		hub, err := s.ensureHub()
 		if err != nil {
 			yield(Update{}, err)
 			return
 		}
-		resume := cfg.from
-		if resume > epoch {
-			resume = epoch
-		}
-		initial := !cfg.hasFrom || cfg.from < epoch
-		key := live.Key{Kind: cfg.kind, Args: live.EncodeArgs(cfg.args)}
-		sub, err := hub.Subscribe(key, resume, initial)
+		sub, err := hub.Subscribe(watchKey{cfg.kind, fmt.Sprint(cfg.args)}, &cfg.watch)
 		if err != nil {
 			yield(Update{}, errorf(ErrSessionClosed, s.p.text, "session was closed"))
 			return
 		}
 		defer sub.Close()
-		kind := cfg.kind.String()
+
+		// The hub owes every subscription the current state and then the
+		// newest evaluated epoch; what this subscriber makes of them lives in
+		// this frame.  A resuming subscriber swallows the current state if it
+		// is not news to it, and a delta is the difference from the answer set
+		// this subscriber was last given (swallowed or not), so deltas that
+		// skip epochs are net by construction.
+		resuming := cfg.hasFrom
+		var given []Answer
+		seeded := false
 		for {
-			res, err := sub.Next(ctx)
+			d, err := sub.Next(ctx)
 			if err != nil {
 				if errors.Is(err, live.ErrClosed) {
 					err = errorf(ErrSessionClosed, s.p.text, "session was closed")
@@ -174,42 +218,46 @@ func (s *Session) Subscribe(ctx context.Context, opts ...SubscribeOption) iter.S
 				yield(Update{}, err)
 				return
 			}
-			u := Update{Epoch: res.Epoch, Kind: kind, Coalesced: res.Coalesced}
-			if res.Stamp > 0 {
-				if lag := time.Since(time.Unix(0, res.Stamp)); lag > 0 {
-					u.Lag = lag
-				}
+			w := d.State.(*watched)
+			if w.err != nil {
+				yield(Update{}, w.err)
+				return
 			}
-			switch cfg.kind {
-			case live.KindValue, live.KindPoint:
-				u.Value = Value(res.Value)
-			case live.KindCount:
-				u.Count = res.Count
-			case live.KindDelta:
-				if res.Full {
-					u.Reset = true
-					u.Answers = toAnswers(res.Answers)
+			u := Update{
+				Epoch: d.Epoch, Kind: cfg.kind.String(), Value: w.value, Count: w.count,
+				Coalesced: d.Coalesced, Lag: d.Lag,
+			}
+			if cfg.kind == kindDelta {
+				if seeded {
+					u.Added, u.Removed = diffAnswers(given, w.answers)
 				} else {
-					u.Added = toAnswers(res.Added)
-					u.Removed = toAnswers(res.Removed)
+					u.Reset, u.Answers = true, slices.Clone(w.answers)
 				}
+				given, seeded = w.answers, true
 			}
-			if !yield(u, nil) {
+			swallow := resuming && d.Epoch <= cfg.from
+			resuming = false
+			if !swallow && !yield(u, nil) {
 				return
 			}
 		}
 	}
 }
 
-func toAnswers(ts [][]int) []Answer {
-	if len(ts) == 0 {
-		return nil
+// diffAnswers returns the answers of next that prev lacks and those of prev
+// that next lacks; both inputs are sorted and so are both outputs.
+func diffAnswers(prev, next []Answer) (added, removed []Answer) {
+	for len(prev) > 0 && len(next) > 0 {
+		switch c := slices.Compare(prev[0], next[0]); {
+		case c < 0:
+			removed, prev = append(removed, prev[0]), prev[1:]
+		case c > 0:
+			added, next = append(added, next[0]), next[1:]
+		default:
+			prev, next = prev[1:], next[1:]
+		}
 	}
-	out := make([]Answer, len(ts))
-	for i, t := range ts {
-		out[i] = Answer(t)
-	}
-	return out
+	return append(added, next...), append(removed, prev...)
 }
 
 // ensureHub lazily creates the session's live hub; the writer path stays
@@ -232,98 +280,36 @@ func (s *Session) ensureHub() (*live.Hub, error) {
 }
 
 // liveEval is the hub's EvalFunc: it pins the latest committed epoch once
-// and evaluates every subscribed key of the round from that pin — values,
-// counts and answer-set deltas alike — so subscribers of one session never
-// see two updates with one Epoch that disagree, and one commit costs one
-// evaluation per distinct key no matter how many subscribers share it.  It
-// runs only on the hub's evaluator goroutine.
-func (s *Session) liveEval(reqs []live.Request) (uint64, []live.Result, error) {
+// and reads every watch of the round from that pin — values, counts and
+// answer sets alike — so subscribers of one session never see two updates
+// with one Epoch that disagree, and one commit costs one evaluation per
+// distinct watch no matter how many subscribers share it.  A watch that
+// fails ends its own subscribers only.
+func (s *Session) liveEval(watches []any) (uint64, []any, error) {
 	ctx := context.Background()
 	r, err := s.Snapshot()
 	if err != nil {
 		return 0, nil, err
 	}
 	defer r.Close()
-	epoch := r.Epoch()
-	out := make([]live.Result, len(reqs))
-	for i, rq := range reqs {
-		res := live.Result{Epoch: epoch}
-		switch rq.Key.Kind {
-		case live.KindValue:
-			v, verr := r.Eval(ctx)
-			res.Value, res.Err = string(v), verr
-		case live.KindPoint:
-			args, aerr := decodeSubscribeArgs(rq.Key.Args)
-			if aerr != nil {
-				res.Err = aerr
-				break
+	out := make([]any, len(watches))
+	for i, w := range watches {
+		w, res := w.(*watch), &watched{}
+		switch w.kind {
+		case kindValue, kindPoint:
+			res.value, res.err = r.Eval(ctx, w.args...)
+		case kindCount:
+			res.count, res.err = r.AnswerCount(ctx)
+		case kindDelta:
+			for a, err := range r.Enumerate(ctx) {
+				if res.err = err; err != nil {
+					break
+				}
+				res.answers = append(res.answers, a)
 			}
-			v, verr := r.Eval(ctx, args...)
-			res.Value, res.Err = string(v), verr
-		case live.KindCount:
-			n, cerr := r.AnswerCount(ctx)
-			res.Count, res.Err = n, cerr
-		case live.KindDelta:
-			res = s.liveDeltaEval(ctx, r, rq, epoch)
+			slices.SortFunc(res.answers, slices.Compare[Answer])
 		}
 		out[i] = res
 	}
-	return epoch, out, nil
-}
-
-// liveDeltaEval enumerates the answer set at the pinned epoch and diffs it
-// against the state of the previous evaluation of the same key.
-func (s *Session) liveDeltaEval(ctx context.Context, r *Reader, rq live.Request, epoch uint64) live.Result {
-	res := live.Result{Epoch: epoch}
-	cur := make(map[string][]int)
-	for a, err := range r.Enumerate(ctx) {
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		t := append([]int(nil), a...)
-		cur[live.EncodeArgs(t)] = t
-	}
-	if s.liveDelta == nil {
-		s.liveDelta = make(map[live.Key]map[string][]int)
-	}
-	prev, ok := s.liveDelta[rq.Key]
-	if ok {
-		res.Increments = true
-		for k, t := range cur {
-			if _, in := prev[k]; !in {
-				res.Added = append(res.Added, t)
-			}
-		}
-		for k, t := range prev {
-			if _, in := cur[k]; !in {
-				res.Removed = append(res.Removed, t)
-			}
-		}
-	}
-	if rq.Full || !ok {
-		res.Full = true
-		res.Answers = make([][]int, 0, len(cur))
-		for _, t := range cur {
-			res.Answers = append(res.Answers, t)
-		}
-	}
-	s.liveDelta[rq.Key] = cur
-	return res
-}
-
-func decodeSubscribeArgs(enc string) ([]int, error) {
-	if enc == "" {
-		return nil, nil
-	}
-	parts := strings.Split(enc, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return r.Epoch(), out, nil
 }

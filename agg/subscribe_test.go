@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -436,5 +438,287 @@ func TestSubscribeWriterZeroAllocOverhead(t *testing.T) {
 	if withHub := measure(); withHub != baseline {
 		t.Errorf("Set with idle hub allocates %.2f objects/update, baseline %.2f; live adds %+.2f, want 0",
 			withHub, baseline, withHub-baseline)
+	}
+}
+
+// marksSession opens a session of "S(x)", S dynamic, on a four-element
+// database where S = {0}: its answer set is whatever a test writes to S.
+func marksSession(t *testing.T, ctx context.Context) *Session {
+	t.Helper()
+	eng, err := OpenReader(strings.NewReader("domain 4\nrel S 1\nS 0\n"))
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	p, err := eng.Prepare(ctx, "S(x)", WithDynamic("S"))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestSubscribeDeltaNetMerge: a delta subscriber that does not read while
+// the answer set goes {0} → {0,1,2} → {0,1,3} is told the difference from
+// what it was last given — 1 and 3 arrive, neither is ever taken back, and 2,
+// which came and went between two of its reads, is never mentioned when the
+// two commits reach it as one delivery.
+func TestSubscribeDeltaNetMerge(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s := marksSession(t, ctx)
+
+	delta, stopDelta := pullSub(ctx, s, SubscribeDelta())
+	defer stopDelta()
+	count, stopCount := pullSub(ctx, s, SubscribeCount())
+	defer stopCount()
+	if u := mustNext(t, delta); !u.Reset || fmt.Sprint(u.Answers) != "[[0]]" {
+		t.Fatalf("initial delta = %+v, want a reset to {0}", u)
+	}
+
+	if err := s.ApplyBatch([]Change{SetTuple("S", []int{1}, true), SetTuple("S", []int{2}, true)}); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	if err := s.ApplyBatch([]Change{SetTuple("S", []int{2}, false), SetTuple("S", []int{3}, true)}); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	// The count subscriber is served by the same rounds: once it holds epoch
+	// 2, that round is in (or about to enter) the delta mailbox too.
+	if u := awaitEpoch(t, count, 2); u.Count != 3 {
+		t.Fatalf("count at epoch 2 = %+v, want 3", u)
+	}
+
+	have := map[int]bool{0: true}
+	for deliveries := 1; ; deliveries++ {
+		u := mustNext(t, delta)
+		if u.Reset {
+			t.Fatalf("delta %+v is a reset; a subscriber that was given a set gets differences", u)
+		}
+		for _, a := range u.Added {
+			have[a[0]] = true
+		}
+		for _, a := range u.Removed {
+			if a[0] == 1 || a[0] == 3 {
+				t.Fatalf("delta %+v takes back %d, which is in the final set", u, a[0])
+			}
+			delete(have, a[0])
+		}
+		if u.Epoch < 2 {
+			continue // read a round early; the next one completes it
+		}
+		if deliveries == 1 && (fmt.Sprint(u.Added) != "[[1] [3]]" || u.Removed != nil) {
+			t.Fatalf("both commits in one delivery = %+v, want added [[1] [3]] and nothing removed", u)
+		}
+		if fmt.Sprint(have) != "map[0:true 1:true 3:true]" {
+			t.Fatalf("deltas fold to %v, want {0,1,3}", have)
+		}
+		return
+	}
+}
+
+// TestSubscribeDeltaResume: a delta subscriber resuming at the current epoch
+// hears nothing until the next commit and is then sent an increment — the
+// state it swallowed is its baseline — while one resuming from a stale epoch
+// is re-synced with a Reset.
+func TestSubscribeDeltaResume(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s := marksSession(t, ctx)
+	if err := s.Set(SetTuple("S", []int{1}, true)); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+
+	idle, idleCancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer idleCancel()
+	next, stop := pullSub(idle, s, SubscribeDelta(), SubscribeFrom(1))
+	if u, err, ok := next(); !ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("resume at the current epoch yielded %+v, %v (ok=%v); want nothing while idle", u, err, ok)
+	}
+	stop()
+
+	stale, stopStale := pullSub(ctx, s, SubscribeDelta(), SubscribeFrom(0))
+	defer stopStale()
+	if u := mustNext(t, stale); u.Epoch != 1 || !u.Reset || fmt.Sprint(u.Answers) != "[[0] [1]]" {
+		t.Fatalf("stale resume = %+v, want a reset to {0,1} at epoch 1", u)
+	}
+
+	// A subscription registers on its first pull, which then blocks, so the
+	// commit it waits for has to come from here after a pause; when the pause
+	// was too short the subscriber was in fact stale and says so with a Reset,
+	// and the round is played again with a longer one.
+	for pause := 20 * time.Millisecond; ; pause *= 4 {
+		epoch := s.Epoch()
+		firsts := make(chan Update, 2)
+		for _, from := range []uint64{epoch, epoch + 99} {
+			go func() {
+				for u, err := range s.Subscribe(ctx, SubscribeDelta(), SubscribeFrom(from)) {
+					if err != nil {
+						t.Errorf("resume from %d: %v", from, err)
+					}
+					firsts <- u
+					return
+				}
+			}()
+		}
+		time.Sleep(pause)
+		if err := s.Set(SetTuple("S", []int{0}, epoch%2 == 0)); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
+		late := false
+		for range 2 {
+			u := <-firsts
+			if u.Reset && pause < time.Second {
+				late = true
+			} else if u.Epoch != epoch+1 || u.Reset || len(u.Added)+len(u.Removed) != 1 {
+				t.Fatalf("resume at epoch %d: first delivery = %+v, want the one-tuple increment of epoch %d", epoch, u, epoch+1)
+			}
+		}
+		if !late {
+			return
+		}
+	}
+}
+
+// TestSubscribeRacingCommitIsNotLost: a client resuming from the epoch it
+// read a moment ago (an SSE reconnect with Last-Event-ID, during a write) must
+// be told about a commit that lands between that read and its registration.
+// The hub's writer fast path records nothing while nobody is subscribed, so
+// this holds only because a registration is always owed one evaluation at
+// whatever epoch the session then has.  Each round is a fresh session, one
+// Set and one Subscribe, with a swept delay before the Set.
+func TestSubscribeRacingCommitIsNotLost(t *testing.T) {
+	eng := testEngine(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, err := eng.Prepare(ctx, edgeSum)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	// A lost update never arrives (until some later commit), so the patience
+	// only bounds how long a failure takes to show.
+	const patience = 300 * time.Millisecond
+	lost := 0
+	for i := range rounds {
+		s, err := p.Session()
+		if err != nil {
+			t.Fatalf("Session: %v", err)
+		}
+		from := s.Epoch()
+		got := make(chan uint64, 1)
+		sctx, stop := context.WithCancel(ctx)
+		go func() {
+			defer close(got)
+			for u, err := range s.Subscribe(sctx, SubscribeFrom(from)) {
+				if err == nil {
+					got <- u.Epoch
+				}
+				return
+			}
+		}()
+		for spin := i % 512; spin > 0; spin-- {
+			runtime.Gosched()
+		}
+		if err := s.Set(SetWeight("w", []int{0, 1}, 10)); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
+		select {
+		case e := <-got:
+			if e != 1 {
+				t.Fatalf("round %d: first delivery at epoch %d, want 1", i, e)
+			}
+		case <-time.After(patience):
+			lost++
+		}
+		stop()
+		<-got
+		s.Close()
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d subscribers were never told about the commit that raced their registration", lost, rounds)
+	}
+}
+
+// TestSessionCloseLeavesNoGoroutines: closing a session with open
+// subscriptions ends their streams and the hub's evaluator.
+func TestSessionCloseLeavesNoGoroutines(t *testing.T) {
+	eng := testEngine(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	p, err := eng.Prepare(ctx, "E(x,y) & S(x)", WithDynamic("E"))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	base := runtime.NumGoroutine()
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	var streams sync.WaitGroup
+	started := make(chan struct{}, 2)
+	for _, opt := range []SubscribeOption{SubscribePoint(2, 0), SubscribeDelta()} {
+		streams.Add(1)
+		go func() {
+			defer streams.Done()
+			var last error
+			for _, err := range s.Subscribe(ctx, opt) {
+				if last = err; err == nil {
+					started <- struct{}{}
+				}
+			}
+			if !errors.Is(last, ErrSessionClosed) {
+				t.Errorf("stream ended with %v, want ErrSessionClosed", last)
+			}
+		}()
+	}
+	<-started
+	<-started
+	if n := runtime.NumGoroutine(); n < base+3 {
+		t.Fatalf("%d goroutines with two subscribers and a hub open, baseline %d", n, base)
+	}
+	s.Close()
+	streams.Wait()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 2s after Session.Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestSubscribeCanceledContextTouchesNothing: a context that is over before
+// Subscribe is ranged is reported after validation and before the session is
+// asked for anything — which is how /subscribe probes for argument errors
+// before it commits to a 200 — so it creates no hub and costs no evaluation.
+func TestSubscribeCanceledContextTouchesNothing(t *testing.T) {
+	eng := testEngine(t)
+	p, err := eng.Prepare(context.Background(), edgeSum)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for u, err := range s.Subscribe(ctx) {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Subscribe on a canceled context yielded %+v, %v; want context.Canceled", u, err)
+		}
+	}
+	for _, err := range s.Subscribe(ctx, SubscribeCount()) {
+		if !errors.Is(err, ErrNotEnumerable) {
+			t.Fatalf("validation must still come first: got %v, want ErrNotEnumerable", err)
+		}
+	}
+	if s.hub.Load() != nil {
+		t.Fatal("a canceled Subscribe created the session's hub")
 	}
 }

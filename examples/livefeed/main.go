@@ -95,10 +95,12 @@ func main() {
 	wg.Wait()
 
 	// Resume: a client that reports the epoch it has already seen skips the
-	// initial snapshot and is woken only by fresh commits.
+	// initial snapshot and is woken only by fresh commits — including one that
+	// races its registration, as this one does.
 	resumed := make(chan agg.Update, 1)
+	seen := s.Epoch()
 	go func() {
-		for u, err := range s.Subscribe(ctx, agg.SubscribeFrom(s.Epoch())) {
+		for u, err := range s.Subscribe(ctx, agg.SubscribeFrom(seen)) {
 			if err != nil {
 				panic(err)
 			}
@@ -106,7 +108,6 @@ func main() {
 			return
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // let it register before the commit
 	if err := s.Set(agg.SetWeight("u", []int{0}, 999)); err != nil {
 		panic(err)
 	}

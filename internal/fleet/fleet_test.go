@@ -738,3 +738,22 @@ func TestIngestThroughRouter(t *testing.T) {
 			st.Ingests, st.IngestedChanges, st.IngestWaves)
 	}
 }
+
+// TestOversizedBodyIs413AtTheRouter: the router reads a buffered route's body
+// whole to find its shard key, so it applies the replicas' bound itself.
+func TestOversizedBodyIs413AtTheRouter(t *testing.T) {
+	f := startFleet(t, 2)
+	body := `{"expr":"` + strings.Repeat("x", server.MaxBodyBytes+1-len(`{"expr":"`))
+	resp, err := http.Post(f.URL()+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /query: %v", err)
+	}
+	defer resp.Body.Close()
+	var out server.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decoding the refusal: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || out.Code != "invalid_argument" {
+		t.Fatalf("%d-byte body: status %d code %q (%s), want 413 invalid_argument", len(body), resp.StatusCode, out.Code, out.Error)
+	}
+}

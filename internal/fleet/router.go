@@ -267,7 +267,8 @@ const (
 	// bodyNone: the shard key is in the URL query and nothing is forwarded.
 	bodyNone bodyMode = iota
 	// bodyBuffered: a small JSON document that names the shard key, so it is
-	// read whole before a replica can be picked, and replayed on a reroute.
+	// read whole (up to server.MaxBodyBytes) before a replica can be picked,
+	// and replayed on a reroute.
 	bodyBuffered
 	// bodyStreamed: an unbounded NDJSON feed passed through full-duplex and
 	// never buffered; the shard key is in the URL query.
@@ -386,8 +387,13 @@ func (rt *Router) serve(ro *route) http.HandlerFunc {
 		var buffered []byte
 		if ro.body == bodyBuffered {
 			var err error
-			if buffered, err = io.ReadAll(r.Body); err != nil {
-				writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("reading request body: %v", err))
+			if buffered, err = io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)); err != nil {
+				status, code := http.StatusBadRequest, "bad_request"
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					status, code = http.StatusRequestEntityTooLarge, "invalid_argument"
+				}
+				writeError(w, status, code, fmt.Sprintf("reading request body: %v", err))
 				return
 			}
 			// A body that fails to decode still forwards (hashed as empty

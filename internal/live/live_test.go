@@ -14,22 +14,17 @@ import (
 // writer without a real session.
 type fakeEval struct {
 	epoch atomic.Uint64
-	calls atomic.Int64
+	calls atomic.Int64 // rounds
+	asked atomic.Int64 // watches, over all rounds
 }
 
-func (f *fakeEval) eval(reqs []Request) (uint64, []Result, error) {
+func (f *fakeEval) eval(watches []any) (uint64, []any, error) {
 	f.calls.Add(1)
+	f.asked.Add(int64(len(watches)))
 	e := f.epoch.Load()
-	out := make([]Result, len(reqs))
-	for i, rq := range reqs {
-		r := Result{Epoch: e}
-		switch rq.Key.Kind {
-		case KindValue, KindPoint:
-			r.Value = fmt.Sprintf("v%d@%s", e, rq.Key.Args)
-		case KindCount:
-			r.Count = int64(e)
-		}
-		out[i] = r
+	out := make([]any, len(watches))
+	for i, w := range watches {
+		out[i] = fmt.Sprintf("%v@%d", w, e)
 	}
 	return e, out, nil
 }
@@ -40,7 +35,7 @@ func (f *fakeEval) commit(h *Hub) uint64 {
 	return e
 }
 
-func next(t *testing.T, s *Sub) Result {
+func next(t *testing.T, s *Sub) Delivery {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -56,13 +51,13 @@ func TestHubInitialAndCommits(t *testing.T) {
 	h := NewHub(f.eval)
 	defer h.Close()
 
-	sub, err := h.Subscribe(Key{Kind: KindValue}, 0, true)
+	sub, err := h.Subscribe("k", "w")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if r := next(t, sub); r.Epoch != 0 || r.Value != "v0@" {
-		t.Fatalf("initial = %+v, want epoch 0", r)
+	if r := next(t, sub); r.Epoch != 0 || r.State != "w@0" || r.Lag != 0 {
+		t.Fatalf("initial = %+v, want the state at epoch 0, driven by no commit", r)
 	}
 	f.commit(h)
 	if r := next(t, sub); r.Epoch != 1 {
@@ -77,7 +72,7 @@ func TestHubSharesEvaluationPerKey(t *testing.T) {
 
 	var subs []*Sub
 	for i := 0; i < 4; i++ {
-		s, err := h.Subscribe(Key{Kind: KindValue}, 0, true)
+		s, err := h.Subscribe("k", "w")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,16 +82,47 @@ func TestHubSharesEvaluationPerKey(t *testing.T) {
 	for _, s := range subs {
 		next(t, s) // drain initials
 	}
-	before := f.calls.Load()
+	before, asked := f.calls.Load(), f.asked.Load()
 	f.commit(h)
 	for _, s := range subs {
 		if r := next(t, s); r.Epoch != 1 {
 			t.Fatalf("epoch = %d, want 1", r.Epoch)
 		}
 	}
-	// One commit with 4 same-key subscribers must not take 4 evaluations.
-	if got := f.calls.Load() - before; got > 2 {
-		t.Fatalf("evaluator ran %d times for one commit, want ≤ 2", got)
+	// One commit with 4 same-key subscribers must not take 4 evaluations:
+	// few rounds, and one watch asked in each.
+	rounds := f.calls.Load() - before
+	if rounds > 2 {
+		t.Fatalf("evaluator ran %d times for one commit, want ≤ 2", rounds)
+	}
+	if got := f.asked.Load() - asked; got != rounds {
+		t.Fatalf("%d watches asked in %d rounds, want one per round for the one key", got, rounds)
+	}
+}
+
+// TestHubSubscribeAfterUnobservedCommit is the lost update: a commit notified
+// while nobody is subscribed leaves no trace in the hub (that is Notify's fast
+// path), so whoever registers next must learn the source's epoch from the
+// round the registration is owed, not from the next commit.
+func TestHubSubscribeAfterUnobservedCommit(t *testing.T) {
+	f := &fakeEval{}
+	h := NewHub(f.eval)
+	defer h.Close()
+
+	f.commit(h)
+	sub, err := h.Subscribe("k", "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	d, err := sub.Next(ctx)
+	if err != nil {
+		t.Fatalf("Next after an unobserved commit: %v", err)
+	}
+	if d.Epoch != 1 || d.State != "w@1" || d.Lag != 0 {
+		t.Fatalf("first delivery = %+v, want the state at epoch 1 with no lag to report", d)
 	}
 }
 
@@ -105,7 +131,7 @@ func TestHubCoalescesSlowSubscriber(t *testing.T) {
 	h := NewHub(f.eval)
 	defer h.Close()
 
-	sub, err := h.Subscribe(Key{Kind: KindCount}, 0, true)
+	sub, err := h.Subscribe("k", "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,115 +149,13 @@ func TestHubCoalescesSlowSubscriber(t *testing.T) {
 	for {
 		r := next(t, sub)
 		if r.Epoch == last {
-			if r.Count != int64(last) {
-				t.Fatalf("count = %d, want %d", r.Count, last)
+			if want := fmt.Sprintf("w@%d", last); r.State != want {
+				t.Fatalf("state = %v, want %s", r.State, want)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("never saw final epoch %d", last)
-		}
-	}
-}
-
-func TestHubResumeSkipsInitial(t *testing.T) {
-	f := &fakeEval{}
-	h := NewHub(f.eval)
-	defer h.Close()
-	f.epoch.Store(7)
-
-	// Resuming from the current epoch owes the client nothing until a new
-	// commit arrives.
-	sub, err := h.Subscribe(Key{Kind: KindValue}, 7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if r, err := sub.Next(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Next = %+v, %v; want deadline (no update owed)", r, err)
-	}
-	f.commit(h)
-	if r := next(t, sub); r.Epoch != 8 {
-		t.Fatalf("epoch = %d, want 8", r.Epoch)
-	}
-}
-
-func TestHubDeltaNetMerge(t *testing.T) {
-	// Scripted delta evaluator over answer sets E0={0}, E1={0,1,2},
-	// E2={0,1,3}.  Like the real one it diffs against the state at its own
-	// previous evaluation, so coalesced epochs yield net deltas.
-	sets := [][][]int{{{0}}, {{0}, {1}, {2}}, {{0}, {1}, {3}}}
-	var epoch atomic.Uint64
-	prev := -1 // evaluator-goroutine only, like real delta state
-	eval := func(reqs []Request) (uint64, []Result, error) {
-		e := epoch.Load()
-		cur := tupleMap(sets[e])
-		out := make([]Result, len(reqs))
-		for i, rq := range reqs {
-			r := Result{Epoch: e}
-			if prev >= 0 {
-				old := tupleMap(sets[prev])
-				for k, t := range cur {
-					if _, ok := old[k]; !ok {
-						r.Added = append(r.Added, t)
-					}
-				}
-				for k, t := range old {
-					if _, ok := cur[k]; !ok {
-						r.Removed = append(r.Removed, t)
-					}
-				}
-			}
-			r.Increments = prev >= 0
-			if rq.Full || prev < 0 {
-				r.Full, r.Answers = true, sets[e]
-			}
-			out[i] = r
-		}
-		prev = int(e)
-		return e, out, nil
-	}
-	h := NewHub(eval)
-	defer h.Close()
-
-	sub, err := h.Subscribe(Key{Kind: KindDelta}, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	init := next(t, sub)
-	if !init.Full || len(init.Answers) != 1 {
-		t.Fatalf("initial = %+v, want full reset with 1 answer", init)
-	}
-
-	epoch.Store(1)
-	h.Notify(1)
-	epoch.Store(2)
-	h.Notify(2)
-	// Read until the mailbox has merged through epoch 2.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r := next(t, sub)
-		if r.Epoch == 2 {
-			// Net of epochs 1..2 (possibly from a partial read at epoch 1).
-			wantAdd := map[string]bool{"1": true, "3": true}
-			for _, a := range r.Added {
-				delete(wantAdd, EncodeArgs(a))
-			}
-			if len(wantAdd) != 0 && !r.Full {
-				t.Fatalf("merged delta %+v missing adds %v", r, wantAdd)
-			}
-			for _, rm := range r.Removed {
-				if k := EncodeArgs(rm); k == "1" || k == "3" {
-					t.Fatalf("merged delta wrongly removes %s", k)
-				}
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never reached epoch 2")
 		}
 	}
 }
@@ -250,7 +174,7 @@ func TestHubNotifyZeroSubscribersAllocsZero(t *testing.T) {
 	}
 
 	// The same must hold after a subscriber came and went.
-	sub, err := h.Subscribe(Key{Kind: KindValue}, 0, true)
+	sub, err := h.Subscribe("k", "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,19 +193,22 @@ func TestHubCloseDeliversPendingThenTerminates(t *testing.T) {
 	f := &fakeEval{}
 	h := NewHub(f.eval)
 
-	sub, err := h.Subscribe(Key{Kind: KindValue}, 0, true)
+	sub, err := h.Subscribe("k", "w")
 	if err != nil {
 		t.Fatal(err)
 	}
 	next(t, sub)
 	last := f.commit(h)
 	// Let the evaluator park the commit in the mailbox before closing.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.Pushes() < 2 {
+	parked := func() bool {
+		sub.mu.Lock()
+		defer sub.mu.Unlock()
+		return sub.has
+	}
+	for deadline := time.Now().Add(5 * time.Second); !parked(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("push never arrived")
 		}
-		time.Sleep(time.Millisecond)
 	}
 	h.Close()
 	if r := next(t, sub); r.Epoch != last {
@@ -290,7 +217,7 @@ func TestHubCloseDeliversPendingThenTerminates(t *testing.T) {
 	if _, err := sub.Next(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Next after close = %v, want ErrClosed", err)
 	}
-	if _, err := h.Subscribe(Key{Kind: KindValue}, 0, true); !errors.Is(err, ErrClosed) {
+	if _, err := h.Subscribe("k", "w"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Subscribe after close = %v, want ErrClosed", err)
 	}
 }
@@ -299,16 +226,16 @@ func TestHubEvalErrorTerminatesSubscribers(t *testing.T) {
 	boom := errors.New("boom")
 	var fail atomic.Bool
 	f := &fakeEval{}
-	eval := func(reqs []Request) (uint64, []Result, error) {
+	eval := func(watches []any) (uint64, []any, error) {
 		if fail.Load() {
 			return 0, nil, boom
 		}
-		return f.eval(reqs)
+		return f.eval(watches)
 	}
 	h := NewHub(eval)
 	defer h.Close()
 
-	sub, err := h.Subscribe(Key{Kind: KindValue}, 0, true)
+	sub, err := h.Subscribe("k", "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +261,7 @@ func TestHubMonotoneUnderConcurrentWriter(t *testing.T) {
 	errs := make(chan error, readers)
 	for i := 0; i < readers; i++ {
 		slow := i%2 == 0
-		sub, err := h.Subscribe(Key{Kind: KindCount}, 0, true)
+		sub, err := h.Subscribe("k", "w")
 		if err != nil {
 			t.Fatal(err)
 		}

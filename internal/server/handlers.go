@@ -153,7 +153,10 @@ type ErrorBody struct {
 // statusOf maps the typed error taxonomy to HTTP status codes — no string
 // matching involved.
 func statusOf(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, agg.ErrUnknownDatabase), errors.Is(err, agg.ErrUnknownSession),
 		// A request that resolved its session just before a DELETE closed it.
 		errors.Is(err, agg.ErrSessionClosed):
@@ -191,9 +194,14 @@ func (s *Server) canceled(err error) bool {
 	return false
 }
 
-func decode(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w: %v", agg.ErrArgument, err)
+// MaxBodyBytes bounds every request body that is read whole before it is
+// acted on (here and in the fleet router); a larger one is answered 413.
+// /ingest is the streaming path for more.
+const MaxBodyBytes = 16 << 20
+
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v); err != nil {
+		return fmt.Errorf("decoding request body: %w: %w", agg.ErrArgument, err)
 	}
 	return nil
 }
@@ -230,7 +238,7 @@ type queryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -289,7 +297,7 @@ type sessionResponse struct {
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -342,7 +350,7 @@ type pointResponse struct {
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	var req pointRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -420,7 +428,7 @@ type updateResponse struct {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -451,7 +459,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // equivalent sequence of individual updates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

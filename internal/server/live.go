@@ -19,24 +19,6 @@ import (
 // GET /subscribe
 // ---------------------------------------------------------------------------
 
-// subscribeEvent is the wire shape of one pushed update, shared by the SSE
-// data field and the NDJSON line format.
-type subscribeEvent struct {
-	Epoch uint64 `json:"epoch"`
-	Kind  string `json:"kind"`
-	Value string `json:"value,omitempty"`
-	Count int64  `json:"count,omitempty"`
-	// Reset marks a delta update carrying the complete answer set in
-	// Answers (the first delivery, and any re-sync after a stale resume).
-	Reset   bool         `json:"reset,omitempty"`
-	Answers []agg.Answer `json:"answers,omitempty"`
-	Added   []agg.Answer `json:"added,omitempty"`
-	Removed []agg.Answer `json:"removed,omitempty"`
-	// Coalesced counts re-evaluations folded into this update because the
-	// client lagged; 0 means it kept up with the write stream.
-	Coalesced uint64 `json:"coalesced,omitempty"`
-}
-
 // subscribeDone is the terminal NDJSON line / SSE "done" event written when
 // a limit-bounded subscription completes.
 type subscribeDone struct {
@@ -60,9 +42,11 @@ type subscribeDone struct {
 //	limit      close the stream after this many updates (0 = unbounded)
 //
 // Every committed batch or point write re-evaluates the subscribed quantity
-// once per distinct key and pushes it; slow clients coalesce (latest epoch
-// wins) and never stall the session's writers.  Client disconnect cancels
-// the subscription server-side (counted in the canceled stat).
+// once per distinct key and pushes it, as the JSON form of the agg.Update it
+// is (the SSE data field and the NDJSON line alike); slow clients coalesce
+// (latest epoch wins) and never stall the session's writers.  Client
+// disconnect cancels the subscription server-side (counted in the canceled
+// stat).
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	h, err := s.Session(q.Get("session"))
@@ -139,8 +123,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	// Validate the subscription before committing a 200: probing with an
 	// already-canceled context surfaces argument errors synchronously (the
-	// facade validates before its first wait) and otherwise fails with
-	// context.Canceled, so real streams still start from the loop below.
+	// facade validates before it registers anything) and otherwise fails
+	// with context.Canceled, so real streams still start from the loop below.
 	probeCtx, cancelProbe := context.WithCancel(context.Background())
 	cancelProbe()
 	for _, perr := range h.Subscribe(probeCtx, opts...) {
@@ -175,8 +159,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	enc.SetEscapeHTML(false)
 	writeEvent := func(event string, v any) error {
 		if sse {
-			if ev, ok := v.(subscribeEvent); ok {
-				if _, err := fmt.Fprintf(w, "id: %d\n", ev.Epoch); err != nil {
+			if u, ok := v.(agg.Update); ok {
+				if _, err := fmt.Fprintf(w, "id: %d\n", u.Epoch); err != nil {
 					return err
 				}
 			}
@@ -257,18 +241,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			u := it.u
-			ev := subscribeEvent{
-				Epoch:     u.Epoch,
-				Kind:      u.Kind,
-				Value:     u.Value.String(),
-				Count:     u.Count,
-				Reset:     u.Reset,
-				Answers:   u.Answers,
-				Added:     u.Added,
-				Removed:   u.Removed,
-				Coalesced: u.Coalesced,
-			}
-			if err := writeEvent("update", ev); err != nil {
+			if err := writeEvent("update", u); err != nil {
 				s.ctr[cCanceled].Add(1)
 				return
 			}

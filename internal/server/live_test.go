@@ -646,3 +646,33 @@ func TestServerCloseEndsStreams(t *testing.T) {
 		t.Errorf("%d sessions still registered after Close", n)
 	}
 }
+
+// TestServerCloseLeavesNoGoroutines: Server.Close with an SSE stream open
+// ends the stream's handler, its iterator goroutine and the session's hub.
+func TestServerCloseLeavesNoGoroutines(t *testing.T) {
+	srv, ts, _ := newTestServer(t, 6)
+	getText(t, ts.URL+"/stats") // the default client's keep-alive connection is part of the baseline
+	base := runtime.NumGoroutine()
+	if resp, code := postJSON(t, ts.URL+"/session", map[string]any{"name": "a", "expr": edgeSum}); code != http.StatusOK {
+		t.Fatalf("creating session: %v", resp)
+	}
+	tr := &http.Transport{}
+	resp, err := (&http.Client{Transport: tr}).Get(ts.URL + "/subscribe?session=a&mode=sse&heartbeat=100ms")
+	if err != nil {
+		t.Fatalf("GET /subscribe: %v", err)
+	}
+	readSSE(t, resp.Body, 1) // returns on the line after the frame: the first heartbeat
+	if n := runtime.NumGoroutine(); n < base+3 {
+		t.Fatalf("%d goroutines with an SSE stream open, baseline %d", n, base)
+	}
+
+	srv.Close()
+	io.Copy(io.Discard, resp.Body) // ends by itself: the error event, then EOF
+	resp.Body.Close()
+	tr.CloseIdleConnections()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 2s after Server.Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+}

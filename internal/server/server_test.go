@@ -796,3 +796,22 @@ func TestAnalyzeEndpoint(t *testing.T) {
 		t.Fatalf("malformed query analysed successfully: %v", out)
 	}
 }
+
+// TestOversizedBodyIs413: a JSON body one byte past MaxBodyBytes is refused
+// as it is read, not buffered whole, and the refusal keeps the taxonomy.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts, _ := newTestServer(t, 4)
+	body := `{"expr":"` + strings.Repeat("x", MaxBodyBytes+1-len(`{"expr":"`))
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /query: %v", err)
+	}
+	defer resp.Body.Close()
+	var out ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decoding the refusal: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || out.Code != "invalid_argument" {
+		t.Fatalf("%d-byte body: status %d code %q (%s), want 413 invalid_argument", len(body), resp.StatusCode, out.Code, out.Error)
+	}
+}

@@ -6,6 +6,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/agg"
@@ -122,5 +123,47 @@ func BenchmarkPairedSessionReaderEnumerate(b *testing.B) {
 	}
 	if answers == 0 {
 		b.Fatal("no answers enumerated")
+	}
+}
+
+// BenchmarkPairedPointRead reads one point of "sum y . [E(x,y)] * u(x) * u(y)"
+// through the two point evaluators the engine keeps: Prepared.Eval binds the
+// argument in place in the maintained trees (Dynamic.EvalWith, Theorem 8's
+// logarithmic read — and a mutation, so it cannot serve a stale pin), and
+// Session.Eval reads at a pin through a private overlay (DynSnapshot.EvalWith,
+// which recomputes the permanent gates it reaches over all their columns).
+// The pair is ROADMAP 5(a)'s measurement: how far apart the two are as n grows.
+func BenchmarkPairedPointRead(b *testing.B) {
+	ctx := context.Background()
+	for _, n := range []int{600, 2400, 9600} {
+		db, err := agg.Generate("grid", n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, semiring := range []string{"natural", "minplus"} {
+			p, err := agg.Open(db).Prepare(ctx, "sum y . [E(x,y)] * u(x) * u(y)", agg.WithSemiring(semiring))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := p.Session()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { s.Close() })
+			elements := db.Elements()
+			for _, read := range []struct {
+				name string
+				eval func(context.Context, ...int) (agg.Value, error)
+			}{{"inplace", p.Eval}, {"overlay", s.Eval}} {
+				b.Run(fmt.Sprintf("n=%d/%s/%s", n, semiring, read.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := read.eval(ctx, i%elements); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
