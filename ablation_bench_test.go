@@ -95,20 +95,31 @@ func BenchmarkA3Parser(b *testing.B) {
 }
 
 // BenchmarkA4LowTreedepthColoring measures the colouring substrate of
-// Proposition 1 for increasing subset sizes p on a grid.
+// Proposition 1 for increasing subset sizes p on a grid, and — colouring
+// only — at n = 38,400 on the three generators, where it reports the colours
+// used and the arcs per vertex of the augmented graph: both are to stay flat
+// in n for the compilation to be linear.
 func BenchmarkA4LowTreedepthColoring(b *testing.B) {
-	db := workload.Grid(64, 64, 3)
-	g := graph.New(db.A.N)
-	for _, t := range db.A.Tuples("E") {
-		if !g.HasEdge(t[0], t[1]) {
-			g.AddEdge(t[0], t[1])
-		}
-	}
-	for _, p := range []int{1, 2, 3} {
-		p := p
-		b.Run(pName(p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				graph.LowTreedepthColoring(g, p)
+	for _, in := range []struct {
+		name string
+		gen  func() *workload.Database
+	}{
+		{"grid/n=4096", func() *workload.Database { return workload.Grid(64, 64, 3) }},
+		{"grid/n=38416", func() *workload.Database { return workload.Grid(196, 196, 1) }},
+		{"bounded-degree/n=38400", func() *workload.Database { return workload.BoundedDegree(38400, 3, 1) }},
+		{"pref-attach/n=38400", func() *workload.Database { return workload.PreferentialAttachment(38400, 2, 1) }},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			g := in.gen().A.Gaifman()
+			for _, p := range []int{1, 2, 3} {
+				b.Run(pName(p), func(b *testing.B) {
+					var c *graph.Coloring
+					for i := 0; i < b.N; i++ {
+						c = graph.LowTreedepthColoring(g, p)
+					}
+					b.ReportMetric(float64(c.NumColors), "colours")
+					b.ReportMetric(float64(c.AugmentedArcs)/float64(g.N()), "arcs/vertex")
+				})
 			}
 		})
 	}

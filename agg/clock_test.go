@@ -407,3 +407,42 @@ func TestWritePathAllocations(t *testing.T) {
 		_ = paired.ApplyBatch(batch)
 	})
 }
+
+// TestSessionEvalAllocations guards the pooled overlay: a session read takes
+// a fresh snapshot handle every call, so the overlay wave's maps, buckets and
+// changed-children lists come from the circuit's pool or the read allocates
+// them all over again (48–61 objects per read before the pool, at a leaf and
+// at a hub of this input).
+func TestSessionEvalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ctx := context.Background()
+	db, err := Generate("pref-attach", 1500, 1)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	p, err := Open(db).Prepare(ctx, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	for _, x := range []int{0, 1499} { // the oldest vertex is a hub, the newest a leaf
+		for i := 0; i < 64; i++ { // grow every reusable buffer first
+			_, _ = s.Eval(ctx, x)
+		}
+		got := testing.AllocsPerRun(500, func() {
+			if _, err := s.Eval(ctx, x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Session.Eval(%d): %.0f allocs", x, got)
+		if got > 10 {
+			t.Errorf("Session.Eval(%d) allocates %.0f objects, want ≤ 10", x, got)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -82,6 +83,8 @@ type Dynamic[T any] struct {
 	log   *mvcc.Log[valUndo[T]]
 	// restore is the scratch of EvalWith's second (undo) wave.
 	restore []valUndo[T]
+	// overlays pools the scratch of DynSnapshot.EvalWith (*overlay[T]).
+	overlays sync.Pool
 
 	// waveHook, when non-nil, receives the wall-clock duration of every
 	// propagation wave.  The nil check in runWave keeps the uninstrumented

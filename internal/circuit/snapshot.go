@@ -18,27 +18,14 @@ import (
 // released when done — a pinned epoch retains undo history whose memory grows
 // with every write.
 //
-// A DynSnapshot is intended for a single reader goroutine (its digest and
-// scratch are unsynchronised); take one snapshot per goroutine.  Snapshots
+// A DynSnapshot is intended for a single reader goroutine (its digest is
+// unsynchronised); take one snapshot per goroutine.  Snapshots
 // of one Dynamic may be taken, used and released concurrently with each
 // other and with the writer.
 type DynSnapshot[T any] struct {
 	d     *Dynamic[T]
 	view  mvcc.View[valUndo[T]]
 	owned bool // Snapshot took the pin itself and Release returns it
-
-	// Overlay scratch of EvalWith, allocated on first use and reused.  The
-	// overlay wave keeps a sparse worklist of its own instead of a Worklist: a
-	// pinned read is throwaway, so it may cost O(touched gates) but never
-	// O(gates).  A gate waits in a bucket iff it has a changeCh entry.
-	overlay  map[int]T     // gate → value under the current overrides
-	changeCh map[int][]int // gate → children changed by the overlay wave
-	buckets  [][]int       // buckets[r] lists the waiting gates of rank r
-	// Operands of the permanent gate being recomputed, gathered in entry
-	// order, the identity index that addresses them, and the DP's buffers.
-	permOps []T
-	permIdx []int32
-	permSc  permScratch[T]
 }
 
 // At returns a read handle resolving every gate as of epoch, which the caller
@@ -86,6 +73,49 @@ func (s *DynSnapshot[T]) resolveLocked(g int) T {
 	return s.d.vals[g]
 }
 
+// overlay is the working memory of one DynSnapshot.EvalWith, borrowed from
+// the Dynamic's pool for the call — allocated on first use and reused by
+// whichever snapshot reads next, since a session read takes a fresh
+// DynSnapshot every time.  The overlay wave keeps a sparse worklist of its own
+// instead of a Worklist: a pinned read is throwaway, so it may cost
+// O(touched gates) but never O(gates).  A gate waits in a bucket iff it has a
+// changeCh entry.
+type overlay[T any] struct {
+	s        *DynSnapshot[T] // the snapshot being read, while borrowed
+	vals     map[int]T       // gate → value under the current overrides
+	changeCh map[int][]int   // gate → children changed by the overlay wave
+	buckets  [][]int         // buckets[r] lists the waiting gates of rank r
+	free     [][]int         // emptied changeCh lists, for the next wave
+	// Operands of the permanent gate being recomputed, gathered in entry
+	// order, the identity index that addresses them, and the DP's buffers.
+	permOps []T
+	permIdx []int32
+	permSc  permScratch[T]
+}
+
+// borrowOverlay takes an empty overlay for s from the pool.
+func (s *DynSnapshot[T]) borrowOverlay() *overlay[T] {
+	o, _ := s.d.overlays.Get().(*overlay[T])
+	if o == nil {
+		o = &overlay[T]{
+			vals:     make(map[int]T),
+			changeCh: make(map[int][]int),
+			buckets:  make([][]int, s.d.p.maxRank+1),
+		}
+	}
+	o.s = s
+	return o
+}
+
+// release empties o and returns it to the pool.  The wave has drained every
+// bucket and changeCh entry by then.
+func (o *overlay[T]) release() {
+	clear(o.vals)
+	d := o.s.d
+	o.s = nil
+	d.overlays.Put(o)
+}
+
 // EvalWith evaluates the output at the pinned epoch under temporary input
 // overrides, without touching the shared state: the overrides seed a private
 // overlay wave that propagates rank-ascending exactly like the writer's
@@ -106,102 +136,105 @@ func (s *DynSnapshot[T]) EvalWith(changes []InputChange[T]) T {
 	d.clock.RLock()
 	defer d.clock.RUnlock()
 	s.view.Extend()
-	if s.overlay == nil {
-		s.buckets = make([][]int, d.p.maxRank+1)
-		s.overlay = make(map[int]T)
-		s.changeCh = make(map[int][]int)
-	}
+	o := s.borrowOverlay()
 	touched := false
 	for _, ch := range changes {
 		id := d.p.InputGate(ch.Key)
 		if id < 0 {
 			continue
 		}
-		_, already := s.overlay[id]
+		_, already := o.vals[id]
 		if !already && d.s.Equal(s.resolveLocked(id), ch.Value) {
 			continue
 		}
-		s.overlay[id] = ch.Value
+		o.vals[id] = ch.Value
 		if !already {
-			s.markOverlay(id)
+			o.mark(id)
 		}
 		touched = true
 	}
 	if touched {
-		s.runOverlayWave()
+		o.run()
 	}
-	out := s.overlayValue(d.p.output)
-	clear(s.overlay)
-	clear(s.changeCh)
+	out := o.value(d.p.output)
+	o.release() // not deferred: a wave that panicked half-way is not pooled
 	return out
 }
 
-// overlayValue reads a gate under the current overlay, falling back to the
+// value reads a gate under the current overlay, falling back to the
 // snapshot.  Caller holds the shared lock with the view extended.
-func (s *DynSnapshot[T]) overlayValue(g int) T {
-	if v, ok := s.overlay[g]; ok {
+func (o *overlay[T]) value(g int) T {
+	if v, ok := o.vals[g]; ok {
 		return v
 	}
-	return s.resolveLocked(g)
+	return o.s.resolveLocked(g)
 }
 
-// markOverlay enlists g's parents after g's overlay value changed.  Parents
-// outrank g and ranks drain in increasing order, so a parent that already has
-// a changeCh entry is still waiting and is not queued again.
-func (s *DynSnapshot[T]) markOverlay(g int) {
-	for _, p32 := range s.d.p.ParentIDs(g) {
-		p := int(p32)
-		chs, waiting := s.changeCh[p]
+// mark enlists g's parents after g's overlay value changed.  Parents outrank
+// g and ranks drain in increasing order, so a parent that already has a
+// changeCh entry is still waiting and is not queued again.
+func (o *overlay[T]) mark(g int) {
+	p := o.s.d.p
+	for _, p32 := range p.ParentIDs(g) {
+		parent := int(p32)
+		chs, waiting := o.changeCh[parent]
 		if !waiting {
-			r := s.d.p.rank[p]
-			s.buckets[r] = append(s.buckets[r], p)
+			r := p.rank[parent]
+			o.buckets[r] = append(o.buckets[r], parent)
+			if k := len(o.free); k > 0 {
+				chs, o.free = o.free[k-1], o.free[:k-1]
+			}
 		}
-		s.changeCh[p] = append(chs, g)
+		o.changeCh[parent] = append(chs, g)
 	}
 }
 
-// runOverlayWave drains the private rank buckets in increasing order.
-func (s *DynSnapshot[T]) runOverlayWave() {
-	d := s.d
-	for r := 1; r < len(s.buckets); r++ {
-		bucket := s.buckets[r]
+// run drains the private rank buckets in increasing order.  A gate's changeCh
+// list goes back to the free list once the gate is recomputed: nothing below
+// its rank is left to mark it again.
+func (o *overlay[T]) run() {
+	s := o.s
+	for r := 1; r < len(o.buckets); r++ {
+		bucket := o.buckets[r]
 		for _, g := range bucket {
-			newVal := s.recomputeOverlay(g)
-			if d.s.Equal(newVal, s.resolveLocked(g)) {
+			chs := o.changeCh[g]
+			newVal := o.recompute(g, chs)
+			delete(o.changeCh, g)
+			o.free = append(o.free, chs[:0])
+			if s.d.s.Equal(newVal, s.resolveLocked(g)) {
 				continue
 			}
-			s.overlay[g] = newVal
-			s.markOverlay(g)
+			o.vals[g] = newVal
+			o.mark(g)
 		}
-		s.buckets[r] = bucket[:0]
+		o.buckets[r] = bucket[:0]
 	}
 }
 
-// recomputeOverlay computes gate g's value under the overlay from its
-// children, given the changed-children list of the current wave.
-func (s *DynSnapshot[T]) recomputeOverlay(g int) T {
-	d := s.d
+// recompute computes gate g's value under the overlay from its children,
+// given chs, the children the current wave changed.
+func (o *overlay[T]) recompute(g int, chs []int) T {
+	d := o.s.d
 	switch Kind(d.p.kind[g]) {
 	case KindMul:
 		acc := d.s.One()
 		for _, ch := range d.p.ChildIDs(g) {
-			acc = d.s.Mul(acc, s.overlayValue(int(ch)))
+			acc = d.s.Mul(acc, o.value(int(ch)))
 		}
 		return acc
 	case KindAdd:
-		return s.recomputeOverlayAdd(g)
+		return o.recomputeAdd(g, chs)
 	case KindPerm:
-		return s.recomputeOverlayPerm(g)
+		return o.recomputePerm(g)
 	default:
 		panic("circuit: snapshot overlay cannot recompute gate kind")
 	}
 }
 
-func (s *DynSnapshot[T]) recomputeOverlayAdd(g int) T {
-	d := s.d
+func (o *overlay[T]) recomputeAdd(g int, chs []int) T {
+	s, d := o.s, o.s.d
 	st := d.adders[g] // children and occurrences are immutable after build
 	snapVal := s.resolveLocked(g)
-	chs := s.changeCh[g]
 	if d.ring != nil {
 		acc := snapVal
 		for _, ch := range chs {
@@ -209,7 +242,7 @@ func (s *DynSnapshot[T]) recomputeOverlayAdd(g int) T {
 			if occ == 0 {
 				continue
 			}
-			delta := d.ring.Add(s.overlayValue(ch), d.ring.Neg(s.resolveLocked(ch)))
+			delta := d.ring.Add(o.value(ch), d.ring.Neg(s.resolveLocked(ch)))
 			acc = d.ring.Add(acc, semiring.ScalarMul[T](d.ring, occ, delta))
 		}
 		return acc
@@ -230,29 +263,29 @@ func (s *DynSnapshot[T]) recomputeOverlayAdd(g int) T {
 			if occ == 0 {
 				continue
 			}
-			acc = d.s.Add(acc, semiring.ScalarMul(d.s, occ, s.overlayValue(ch)))
+			acc = d.s.Add(acc, semiring.ScalarMul(d.s, occ, o.value(ch)))
 		}
 		return acc
 	}
 	// Fallback: re-sum the whole fan-in.
 	acc := d.s.Zero()
 	for _, ch := range st.children {
-		acc = d.s.Add(acc, s.overlayValue(int(ch)))
+		acc = d.s.Add(acc, o.value(int(ch)))
 	}
 	return acc
 }
 
-// recomputeOverlayPerm gathers the gate's operands through the overlay and
-// runs the shared permanent evaluator over them.
-func (s *DynSnapshot[T]) recomputeOverlayPerm(g int) T {
-	d := s.d
+// recomputePerm gathers the gate's operands through the overlay and runs the
+// shared permanent evaluator over them.
+func (o *overlay[T]) recomputePerm(g int) T {
+	d := o.s.d
 	kids := d.p.ChildIDs(g)
-	for len(s.permIdx) < len(kids) {
-		s.permIdx = append(s.permIdx, int32(len(s.permIdx)))
+	for len(o.permIdx) < len(kids) {
+		o.permIdx = append(o.permIdx, int32(len(o.permIdx)))
 	}
-	s.permOps = s.permOps[:0]
+	o.permOps = o.permOps[:0]
 	for _, ch := range kids {
-		s.permOps = append(s.permOps, s.overlayValue(int(ch)))
+		o.permOps = append(o.permOps, o.value(int(ch)))
 	}
-	return evaluateProgramPerm(d.p, d.s, g, s.permIdx[:len(kids)], s.permOps, &s.permSc)
+	return evaluateProgramPerm(d.p, d.s, g, o.permIdx[:len(kids)], o.permOps, &o.permSc)
 }

@@ -175,6 +175,55 @@ func checkSnapshotEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semirin
 	}
 }
 
+// TestSnapshotOverlaysAreNotShared reads one Dynamic through EvalWith from
+// several goroutines at once, every read on a fresh handle as a session read
+// is, each against the reference walk of its own overrides: the overlays come
+// from one pool, and a read must neither see another's overrides nor race it.
+func TestSnapshotOverlaysAreNotShared(t *testing.T) {
+	const n, readers, reads = 4, 4, 200
+	c := buildTriangleLike(n)
+	vals := map[structure.WeightKey]int64{}
+	for a := 0; a < n; a++ {
+		for _, w := range []string{"u", "v", "w"} {
+			vals[key(w, a)] = int64(a + 1)
+		}
+	}
+	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
+
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for read := 0; read < reads; read++ {
+				over := map[structure.WeightKey]int64{}
+				var changes []InputChange[int64]
+				for j := 0; j < 1+r.Intn(3); j++ {
+					k, v := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n)), int64(r.Intn(5))
+					over[k] = v
+					changes = append(changes, InputChange[int64]{Key: k, Value: v})
+				}
+				want := circuittest.EvaluateAll[int64](c, semiring.Nat, func(k structure.WeightKey) (int64, bool) {
+					if v, ok := over[k]; ok {
+						return v, true
+					}
+					return val(k)
+				})[c.Output]
+				epoch := d.Clock().Pin()
+				got := d.At(epoch).EvalWith(changes)
+				d.Clock().Unpin(epoch)
+				if got != want {
+					t.Errorf("reader %d, read %d: EvalWith(%v) = %d, reference = %d", seed, read, changes, got, want)
+					return
+				}
+			}
+		}(int64(i))
+	}
+	wg.Wait()
+}
+
 // TestSnapshotConcurrentReadersObserveCommittedEpochs is the race-enabled
 // stress test of the MVCC contract at the circuit layer: one writer streams
 // single-input commits while several reader goroutines pin snapshots and

@@ -2,12 +2,15 @@ package compile_test
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/circuit"
 	"repro/internal/compile"
 	"repro/internal/dynamicq"
+	"repro/internal/graph"
 	"repro/internal/parser"
 	"repro/internal/semiring"
 	"repro/internal/structure"
@@ -183,6 +186,52 @@ func TestCompileWorkIsLinear(t *testing.T) {
 	t.Logf("n=600: %.0f allocations per Compile", allocs)
 	if allocs > 200_000 {
 		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 200000", allocs)
+	}
+}
+
+// TestColorCountIsFlat guards the constant in Theorem 6 on a count that
+// repeats exactly: the colouring a three-variable query is compiled over
+// uses as many colours at n = 38,400 as at n = 600 on the two inputs whose
+// degrees do not grow (the augmentation that paired in-neighbours used 73–79
+// on bounded-degree), and on preferential attachment — whose maximum degree
+// grows with n, so it is not held to "flat" — stays under a hundred where it
+// used 277 at n = 1,500 and 1,218 at n = 38,400.
+func TestColorCountIsFlat(t *testing.T) {
+	sizes := []int{600, 2400, 9600, 38400}
+	if testing.Short() {
+		sizes = sizes[:3]
+	}
+	colors := func(d *workload.Database) int {
+		return graph.LowTreedepthColoring(d.A.Gaifman(), 3).NumColors
+	}
+	for _, kind := range []struct {
+		name string
+		gen  func(n int) *workload.Database
+	}{
+		{"bounded-degree", func(n int) *workload.Database { return workload.BoundedDegree(n, 3, 1) }},
+		{"grid", func(n int) *workload.Database {
+			side := int(math.Sqrt(float64(n)))
+			return workload.Grid(side, side, 1)
+		}},
+	} {
+		var counts []int
+		for _, n := range sizes {
+			counts = append(counts, colors(kind.gen(n)))
+		}
+		t.Logf("%s: %v colours at n = %v", kind.name, counts, sizes)
+		if lo, hi := slices.Min(counts), slices.Max(counts); 10*hi > 12*lo {
+			t.Errorf("%s: colours range over %d–%d for n = %v, want max ≤ 1.2 × min", kind.name, lo, hi, sizes)
+		}
+	}
+	for _, c := range []struct{ n, limit int }{{1500, 50}, {38400, 100}} {
+		if c.n > sizes[len(sizes)-1] {
+			continue
+		}
+		got := colors(workload.PreferentialAttachment(c.n, 2, 1))
+		t.Logf("pref-attach: %d colours at n = %d", got, c.n)
+		if got > c.limit {
+			t.Errorf("pref-attach n=%d: %d colours, want ≤ %d", c.n, got, c.limit)
+		}
 	}
 }
 

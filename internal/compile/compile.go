@@ -296,8 +296,6 @@ func (env *compileEnv) compileMonomial(pm *preparedMonomial) (int, error) {
 // compileSingleVariable handles monomials over one bound variable: the
 // aggregation is a plain sum over the domain, no decomposition needed.
 func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
-	v := pm.vars[0]
-	_ = v
 	var terms []int
 	for el := 0; el < env.a.N; el++ {
 		factors := make([]int, 0, len(pm.weights)+len(pm.literals))

@@ -1,131 +1,155 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Coloring is a (not necessarily proper) vertex colouring: Color[v] is the
 // colour of vertex v, colours are 0..NumColors-1.
 type Coloring struct {
 	Color     []int
 	NumColors int
+	// AugmentedArcs is the number of edges of the augmented graph that
+	// LowTreedepthColoring coloured properly.
+	AugmentedArcs int
 }
 
-// ClassSizes returns the number of vertices of each colour.
-func (c *Coloring) ClassSizes() []int {
-	sizes := make([]int, c.NumColors)
-	for _, col := range c.Color {
-		sizes[col]++
-	}
-	return sizes
+// arcs is an acyclic orientation of a graph, held in rank space: vertex i is
+// the i-th vertex of one degeneracy order of the input graph, and every arc
+// points up that order, so each edge lives exactly once, in the out-list of
+// its lower-rank endpoint.  The lists are flat (CSR): the out-neighbours of i
+// are dst[off[i]:off[i+1]], each greater than i.
+type arcs struct {
+	order []int // order[i] is the input vertex of rank i
+	off   []int
+	dst   []int32
 }
 
-// GreedyColoring properly colours g greedily along the given vertex order
-// (smallest available colour).  With a reversed degeneracy order this uses
-// at most degeneracy+1 colours.
-func GreedyColoring(g *Graph, order []int) *Coloring {
-	n := g.N()
-	color := make([]int, n)
-	for v := range color {
-		color[v] = -1
+func (a *arcs) out(i int) []int32 { return a.dst[a.off[i]:a.off[i+1]] }
+
+// orient directs every edge of g from its earlier to its later endpoint in a
+// degeneracy order of g, which bounds every out-degree by the degeneracy.
+func orient(g *Graph) *arcs {
+	order, _ := g.DegeneracyOrder()
+	rank := make([]int32, g.n)
+	for i, v := range order {
+		rank[v] = int32(i)
 	}
-	maxColor := 0
-	used := make([]int, n+1)
-	for i := range used {
-		used[i] = -1
-	}
-	for _, v := range order {
-		for _, w := range g.Neighbors(v) {
-			if color[w] >= 0 {
-				used[color[w]] = v
+	a := &arcs{order: order, off: make([]int, g.n+1), dst: make([]int32, 0, g.m)}
+	for i, v := range order {
+		for _, w := range g.adj[v] {
+			if r := rank[w]; r > int32(i) {
+				a.dst = append(a.dst, r)
 			}
 		}
-		c := 0
-		for used[c] == v {
-			c++
-		}
-		color[v] = c
-		if c+1 > maxColor {
-			maxColor = c + 1
-		}
+		a.off[i+1] = len(a.dst)
 	}
-	return &Coloring{Color: color, NumColors: maxColor}
+	return a
 }
 
-// reverseDegeneracyOrder returns the degeneracy order reversed, which is the
-// classic order for greedy colouring with at most degeneracy+1 colours.
-func reverseDegeneracyOrder(g *Graph) []int {
-	order, _ := g.DegeneracyOrder()
-	rev := make([]int, len(order))
-	for i, v := range order {
-		rev[len(order)-1-i] = v
+// transpose returns the in-lists of a in the same flat layout: the tails of
+// the arcs into i, in increasing order.
+func (a *arcs) transpose() (off []int, src []int32) {
+	n := len(a.order)
+	off = make([]int, n+1)
+	for _, w := range a.dst {
+		off[w+1]++
 	}
-	return rev
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	src = make([]int32, len(a.dst))
+	next := slices.Clone(off[:n])
+	for u := 0; u < n; u++ {
+		for _, w := range a.out(u) {
+			src[next[w]] = int32(u)
+			next[w]++
+		}
+	}
+	return off, src
 }
 
-// FraternalAugmentation returns a supergraph of g obtained by one round of
-// fraternal augmentation: the graph is oriented by degeneracy and for every
-// pair of arcs u→w, v→w (a "fraternal" pair) the edge {u, v} is added, and
-// for every pair of arcs u→v→w (a "transitive" pair) the edge {u, w} is
-// added.
-//
-// Iterating this operation a bounded number of times on a graph from a
-// bounded-expansion class keeps the degeneracy bounded, and a greedy proper
-// colouring of the augmented graph yields a low-treedepth colouring
-// (Nešetřil–Ossona de Mendez; Proposition 1 of the paper).  This is the
-// standard practical recipe; the decomposition identity used by the
-// compiler is exact for any colouring, so colouring quality affects only
-// performance, never correctness.
-func FraternalAugmentation(g *Graph) *Graph {
-	o := g.DegeneracyOrientation()
-	h := g.Clone()
-	for v := 0; v < g.N(); v++ {
-		out := o.Out[v]
-		// Transitive arcs: v→w→x gives edge {v, x}.
-		for _, w := range out {
-			for _, x := range o.Out[w] {
-				if x != v {
-					h.AddEdge(v, x)
+// augment applies one round of transitive–fraternal augmentation: for every
+// pair of arcs u→w→x the transitive arc u→x, and for every pair v→u, v→w out
+// of one vertex — the side whose degree the orientation bounds, so a vertex
+// of out-degree d contributes at most d² pairs — the fraternal edge {u, w},
+// directed up the order like every other arc.  The order never changes, so
+// the orientation stays acyclic round after round and nothing is re-derived.
+func (a *arcs) augment() {
+	n := len(a.order)
+	stamp := make([]int32, n) // stamp[x] == u+1 iff u's new list already holds x
+	inOff, in := a.transpose()
+	off := make([]int, n+1)
+	dst := make([]int32, 0, 2*len(a.dst))
+	for u := 0; u < n; u++ {
+		mark := int32(u) + 1
+		for _, w := range a.out(u) {
+			stamp[w] = mark
+			dst = append(dst, w)
+		}
+		for _, w := range a.out(u) {
+			for _, x := range a.out(int(w)) {
+				if stamp[x] != mark {
+					stamp[x] = mark
+					dst = append(dst, x)
 				}
 			}
 		}
-	}
-	// Fraternal arcs: u→w and v→w gives edge {u, v}.  Collect in-arcs per
-	// target by scanning out-lists once.
-	in := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, w := range o.Out[v] {
-			in[w] = append(in[w], v)
-		}
-	}
-	for w := 0; w < g.N(); w++ {
-		src := in[w]
-		for i := 0; i < len(src); i++ {
-			for j := i + 1; j < len(src); j++ {
-				h.AddEdge(src[i], src[j])
+		for _, v := range in[inOff[u]:inOff[u+1]] {
+			for _, w := range a.out(int(v)) {
+				if int(w) > u && stamp[w] != mark {
+					stamp[w] = mark
+					dst = append(dst, w)
+				}
 			}
 		}
+		off[u+1] = len(dst)
 	}
-	return h
+	a.off, a.dst = off, dst
+}
+
+// augmented returns g oriented by degeneracy and augmented rounds times.
+func augmented(g *Graph, rounds int) *arcs {
+	a := orient(g)
+	for i := 0; i < rounds; i++ {
+		a.augment()
+	}
+	return a
 }
 
 // LowTreedepthColoring computes a colouring of g intended to have the
 // low-treedepth property for parameter p: the subgraph induced by any set of
 // at most p colour classes should have small treedepth.
 //
-// The construction applies p-1 rounds of fraternal augmentation and greedily
-// colours the result along a reverse degeneracy order.  For p = 1 this is a
-// plain proper colouring (every single class is an independent set,
-// treedepth 1); for p = 2 the colouring is a star colouring (every two
-// classes induce a star forest, treedepth ≤ 2) whenever the augmentation
-// closure is reached.
+// The construction applies p-1 rounds of transitive–fraternal augmentation
+// along one degeneracy orientation of g and properly colours the result
+// greedily down that order (Nešetřil–Ossona de Mendez; Proposition 1 of the
+// paper): when a vertex's turn comes, the neighbours already coloured are
+// exactly its out-neighbours, so the colours used are at most one more than
+// the largest augmented out-degree, which stays bounded on a graph from a
+// bounded-expansion class.  For p = 1 this is a plain proper colouring (every
+// single class is an independent set, treedepth 1); for p = 2 the colouring
+// is a star colouring (every two classes induce a star forest, treedepth ≤ 2)
+// whenever the augmentation closure is reached.  The decomposition identity
+// used by the compiler is exact for any colouring, so colouring quality
+// affects only performance, never correctness.
 func LowTreedepthColoring(g *Graph, p int) *Coloring {
-	if p < 1 {
-		p = 1
+	a := augmented(g, p-1)
+	c := &Coloring{Color: make([]int, g.n), AugmentedArcs: len(a.dst)}
+	byRank := make([]int32, g.n)
+	used := make([]int32, g.n+1) // used[c] == i+1 iff an out-neighbour of i has colour c
+	for i := g.n - 1; i >= 0; i-- {
+		mark := int32(i) + 1
+		for _, w := range a.out(i) {
+			used[byRank[w]] = mark
+		}
+		col := 0
+		for used[col] == mark {
+			col++
+		}
+		byRank[i] = int32(col)
+		c.Color[a.order[i]] = col
+		c.NumColors = max(c.NumColors, col+1)
 	}
-	h := g
-	for i := 0; i < p-1; i++ {
-		h = FraternalAugmentation(h)
-	}
-	return GreedyColoring(h, reverseDegeneracyOrder(h))
+	return c
 }
 
 // SubsetStatistics describes the treedepth quality of a colouring for a
@@ -138,8 +162,8 @@ type SubsetStatistics struct {
 	// Edges is the number of edges in the induced subgraph.
 	Edges int
 	// ForestDepth is the depth of the heuristic elimination forest of the
-	// induced subgraph (an upper bound on its treedepth, minus one plus
-	// one... the number of levels minus 1).
+	// induced subgraph, roots at depth 0: one less than its number of levels,
+	// which bounds the subgraph's treedepth from above.
 	ForestDepth int
 }
 
@@ -151,6 +175,7 @@ func ColoringQuality(g *Graph, c *Coloring, p int) []SubsetStatistics {
 	for v, col := range c.Color {
 		classes[col] = append(classes[col], v)
 	}
+	inducer := NewInducer(g)
 	var stats []SubsetStatistics
 	var rec func(start int, chosen []int)
 	rec = func(start int, chosen []int) {
@@ -159,8 +184,8 @@ func ColoringQuality(g *Graph, c *Coloring, p int) []SubsetStatistics {
 			for _, col := range chosen {
 				vertices = append(vertices, classes[col]...)
 			}
-			sort.Ints(vertices)
-			sub, _, _ := g.InducedSubgraph(vertices)
+			slices.Sort(vertices)
+			sub, _ := inducer.Subgraph(vertices)
 			f := EliminationForest(sub)
 			stats = append(stats, SubsetStatistics{
 				Colors:      append([]int(nil), chosen...),
@@ -191,35 +216,4 @@ func MaxForestDepth(g *Graph, c *Coloring, p int) int {
 		}
 	}
 	return max
-}
-
-// IsProperColoring reports whether c is a proper colouring of g.
-func IsProperColoring(g *Graph, c *Coloring) bool {
-	for _, e := range g.Edges() {
-		if c.Color[e[0]] == c.Color[e[1]] {
-			return false
-		}
-	}
-	return true
-}
-
-// Subsets enumerates all subsets of {0,...,n-1} of size between 1 and k, in
-// lexicographic order.  It is shared by the compiler (colour-subset
-// decomposition, equation (12) of the paper) and the experiment harness.
-func Subsets(n, k int) [][]int {
-	var out [][]int
-	var rec func(start int, chosen []int)
-	rec = func(start int, chosen []int) {
-		if len(chosen) > 0 {
-			out = append(out, append([]int(nil), chosen...))
-		}
-		if len(chosen) == k {
-			return
-		}
-		for i := start; i < n; i++ {
-			rec(i+1, append(chosen, i))
-		}
-	}
-	rec(0, nil)
-	return out
 }

@@ -1,18 +1,15 @@
 // Package graph provides the sparse-graph substrate of the library:
-// undirected graphs, degeneracy orderings and orientations, spanning and
-// elimination forests, greedy colourings, transitive–fraternal
-// augmentations and low-treedepth colourings.
+// undirected graphs, degeneracy orderings, elimination forests,
+// transitive–fraternal augmentations and low-treedepth colourings.
 //
 // These are the combinatorial tools behind classes of bounded expansion
-// (Section 2 of the paper): Proposition 1 (low treedepth colourings) and
-// the degeneracy-based functional encoding of Lemma 37.
+// (Section 2 of the paper): Proposition 1 (low treedepth colourings).
 package graph
 
 import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 )
 
 // Graph is a simple undirected graph on vertices 0..N-1 stored as adjacency
@@ -115,21 +112,6 @@ func (g *Graph) Clone() *Graph {
 	return h
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertex set,
-// together with the mapping from new vertex indices to original ones.
-// The inverse mapping (original → new, or -1) is also returned.
-func (g *Graph) InducedSubgraph(vertices []int) (sub *Graph, toOrig []int, toSub []int) {
-	sub, toOrig = NewInducer(g).Subgraph(vertices)
-	toSub = make([]int, g.n)
-	for i := range toSub {
-		toSub[i] = -1
-	}
-	for i, v := range vertices {
-		toSub[v] = i
-	}
-	return sub, toOrig, toSub
-}
-
 // Inducer builds induced subgraphs of one graph through one reusable
 // original→subgraph index, so a call costs the size of the subgraph and its
 // vertices' adjacency lists, not O(n): the compiler builds one small subgraph
@@ -207,117 +189,48 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 	n := g.n
 	deg := make([]int, n)
 	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = len(g.adj[v])
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
+	for v, nbrs := range g.adj {
+		deg[v] = len(nbrs)
+		maxDeg = max(maxDeg, deg[v])
 	}
-	// Bucket queue keyed by current degree.
-	buckets := make([][]int, maxDeg+1)
-	pos := make([]int, n) // position of v within its bucket
-	for v := 0; v < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-		pos[v] = len(buckets[deg[v]]) - 1
+	// order holds the vertices sorted by current degree, bin[d] is where the
+	// vertices of degree d start in it, pos[v] is where v sits.  The vertex at
+	// i has the minimum degree among those from i on; removing it moves each
+	// neighbour of higher degree to the front of its bin and the bin's start
+	// one to the right, which is a decrement of that neighbour's degree.
+	bin := make([]int, maxDeg+2)
+	for _, d := range deg {
+		bin[d+1]++
 	}
-	removed := make([]bool, n)
-	order = make([]int, 0, n)
-	cur := 0
-	for len(order) < n {
-		for cur <= maxDeg && len(buckets[cur]) == 0 {
-			cur++
-		}
-		if cur > maxDeg {
-			break
-		}
-		// Pop a vertex of minimum current degree.
-		b := buckets[cur]
-		v := b[len(b)-1]
-		buckets[cur] = b[:len(b)-1]
-		if removed[v] {
-			continue
-		}
-		removed[v] = true
-		order = append(order, v)
-		if cur > degeneracy {
-			degeneracy = cur
-		}
+	for d := 0; d <= maxDeg; d++ {
+		bin[d+1] += bin[d]
+	}
+	order, pos := make([]int, n), make([]int, n)
+	for v, d := range deg {
+		pos[v] = bin[d]
+		order[pos[v]] = v
+		bin[d]++
+	}
+	for d := maxDeg; d > 0; d-- {
+		bin[d] = bin[d-1]
+	}
+	bin[0] = 0
+	for _, v := range order {
+		degeneracy = max(degeneracy, deg[v])
 		for _, w := range g.adj[v] {
-			if removed[w] {
-				continue
-			}
-			// Decrease the degree of w lazily: append to the lower bucket;
-			// stale entries are skipped when popped.
-			deg[w]--
-			buckets[deg[w]] = append(buckets[deg[w]], w)
-			if deg[w] < cur {
-				cur = deg[w]
-			}
-		}
-	}
-	// Pass over any leftover stale entries (none expected, but keep the
-	// invariant that order is a permutation).
-	if len(order) != n {
-		for v := 0; v < n; v++ {
-			if !removed[v] {
-				order = append(order, v)
+			// A removed vertex has degree at most deg[v] and is skipped too:
+			// degrees at removal never decrease along the order.
+			if dw := deg[w]; dw > deg[v] {
+				first := bin[dw]
+				u := order[first]
+				order[first], order[pos[w]] = w, u
+				pos[u], pos[w] = pos[w], first
+				bin[dw]++
+				deg[w]--
 			}
 		}
 	}
 	return order, degeneracy
-}
-
-// Orientation is an acyclic orientation of a graph: for each vertex, the
-// list of out-neighbours.
-type Orientation struct {
-	// Out[v] lists the out-neighbours of v.
-	Out [][]int
-	// MaxOutDegree is the maximum out-degree over all vertices.
-	MaxOutDegree int
-	// Rank[v] is the position of v in the ordering inducing the
-	// orientation; arcs go from lower to higher rank... see Orient.
-	Rank []int
-}
-
-// DegeneracyOrientation orients every edge from the endpoint that appears
-// earlier in a degeneracy ordering towards the later endpoint, producing an
-// acyclic orientation whose maximum out-degree equals the degeneracy.
-//
-// This is the orientation used by Lemma 37 of the paper to encode
-// arbitrary-arity relations with unary functions.
-func (g *Graph) DegeneracyOrientation() *Orientation {
-	order, _ := g.DegeneracyOrder()
-	rank := make([]int, g.n)
-	for i, v := range order {
-		rank[v] = i
-	}
-	out := make([][]int, g.n)
-	maxOut := 0
-	for v := 0; v < g.n; v++ {
-		for _, w := range g.adj[v] {
-			if rank[v] < rank[w] {
-				out[v] = append(out[v], w)
-			}
-		}
-		// Deterministic order of out-neighbours (needed because the encoded
-		// functions f_i(v) = "i-th out-neighbour of v" must be stable).
-		sort.Ints(out[v])
-		if len(out[v]) > maxOut {
-			maxOut = len(out[v])
-		}
-	}
-	return &Orientation{Out: out, MaxOutDegree: maxOut, Rank: rank}
-}
-
-// OutIndex returns the 1-based index of w in v's out-neighbour list, or 0 if
-// w is not an out-neighbour of v.
-func (o *Orientation) OutIndex(v, w int) int {
-	for i, x := range o.Out[v] {
-		if x == w {
-			return i + 1
-		}
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -425,46 +338,6 @@ func (f *Forest) IsAncestor(a, v int) bool {
 		return false
 	}
 	return f.AncestorAtDepth(v, f.Depth[a]) == a
-}
-
-// SpanningForestDFS computes a rooted spanning forest of g by depth-first
-// search.  For graphs of bounded treedepth the DFS forest has bounded depth
-// (at most 2^treedepth), which is the property exploited by Example 2 of the
-// paper.  The search is iterative to avoid stack overflow on deep graphs.
-func SpanningForestDFS(g *Graph) *Forest {
-	n := g.N()
-	parent := make([]int, n)
-	visited := make([]bool, n)
-	for v := range parent {
-		parent[v] = v
-	}
-	type frame struct {
-		v   int
-		idx int
-	}
-	var stack []frame
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		stack = append(stack[:0], frame{v: s})
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			if top.idx >= len(g.adj[top.v]) {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			w := g.adj[top.v][top.idx]
-			top.idx++
-			if !visited[w] {
-				visited[w] = true
-				parent[w] = top.v
-				stack = append(stack, frame{v: w})
-			}
-		}
-	}
-	return NewForest(parent)
 }
 
 // EliminationForest computes a rooted forest over the vertices of g such
@@ -620,16 +493,4 @@ func EliminationForest(g *Graph) *Forest {
 		process(comp, -1)
 	}
 	return NewForest(parent)
-}
-
-// ValidEliminationForest reports whether f is a valid elimination forest for
-// g: every edge of g must connect a vertex with one of its ancestors.
-func ValidEliminationForest(g *Graph, f *Forest) bool {
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if !f.IsAncestor(u, v) && !f.IsAncestor(v, u) {
-			return false
-		}
-	}
-	return true
 }

@@ -24,26 +24,18 @@ func TestDegeneracyOrientationProperties(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		g := graphFromEdgeList(raw, 24)
 		_, degeneracy := g.DegeneracyOrder()
-		o := g.DegeneracyOrientation()
-		// Out-degrees are bounded by the degeneracy.
-		if o.MaxOutDegree > degeneracy {
+		a := augmented(g, 0)
+		// Every edge is oriented exactly once, up the order (acyclicity), and
+		// out-degrees are bounded by the degeneracy.
+		if arcsError(g, a) != "" || len(a.dst) != g.M() {
 			return false
 		}
-		oriented := 0
-		for v := 0; v < g.N(); v++ {
-			if len(o.Out[v]) > o.MaxOutDegree {
+		for i := range a.order {
+			if len(a.out(i)) > degeneracy {
 				return false
 			}
-			for _, w := range o.Out[v] {
-				// Every arc is a graph edge going up in rank (acyclicity).
-				if !g.HasEdge(v, w) || o.Rank[v] >= o.Rank[w] {
-					return false
-				}
-				oriented++
-			}
 		}
-		// Every edge is oriented exactly once.
-		return oriented == g.M()
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -54,48 +46,13 @@ func TestGreedyColoringProperOnRandomGraphs(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		g := graphFromEdgeList(raw, 20)
 		_, degeneracy := g.DegeneracyOrder()
-		c := GreedyColoring(g, reverseDegeneracyOrder(g))
+		c := LowTreedepthColoring(g, 1)
 		if !IsProperColoring(g, c) {
 			return false
 		}
 		// Greedy colouring along a reverse degeneracy order uses at most
 		// degeneracy+1 colours.
 		return c.NumColors <= degeneracy+1
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSpanningForestDFSProperties(t *testing.T) {
-	prop := func(raw []uint8) bool {
-		g := graphFromEdgeList(raw, 22)
-		f := SpanningForestDFS(g)
-		if f.N() != g.N() {
-			return false
-		}
-		for v := 0; v < g.N(); v++ {
-			// Parent pointers follow graph edges (roots point to themselves).
-			if f.Parent[v] != v && !g.HasEdge(v, f.Parent[v]) {
-				return false
-			}
-			// Depth is consistent with the parent pointer.
-			if f.Parent[v] == v {
-				if f.Depth[v] != 0 {
-					return false
-				}
-			} else if f.Depth[v] != f.Depth[f.Parent[v]]+1 {
-				return false
-			}
-		}
-		// DFS property on undirected graphs: every edge connects a vertex
-		// with one of its ancestors.
-		for _, e := range g.Edges() {
-			if !f.IsAncestor(e[0], e[1]) && !f.IsAncestor(e[1], e[0]) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -113,19 +70,15 @@ func TestEliminationForestValidOnRandomGraphs(t *testing.T) {
 	}
 }
 
-func TestFraternalAugmentationIsSupergraphOnRandomGraphs(t *testing.T) {
+func TestAugmentationIsSupergraphOnRandomGraphs(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		g := graphFromEdgeList(raw, 16)
-		aug := FraternalAugmentation(g)
-		if aug.N() != g.N() {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if !aug.HasEdge(e[0], e[1]) {
+		for rounds := 1; rounds <= 3; rounds++ {
+			if arcsError(g, augmented(g, rounds)) != "" {
 				return false
 			}
 		}
-		return aug.M() >= g.M()
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

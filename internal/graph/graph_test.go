@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -102,25 +103,22 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := cycleGraph(6)
-	sub, toOrig, toSub := g.InducedSubgraph([]int{0, 1, 2, 4})
+	sub, toOrig := NewInducer(g).Subgraph([]int{0, 1, 2, 4})
 	if sub.N() != 4 {
 		t.Fatalf("subgraph has %d vertices, want 4", sub.N())
 	}
 	// Edges 0-1 and 1-2 survive; 4 is isolated in the subgraph.
-	if sub.M() != 2 {
-		t.Errorf("subgraph has %d edges, want 2", sub.M())
+	if sub.M() != 2 || !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.Degree(3) != 0 {
+		t.Errorf("subgraph has edges %v, want 0-1 and 1-2", sub.Edges())
 	}
-	if toOrig[toSub[4]] != 4 {
-		t.Errorf("index mappings are not inverse")
-	}
-	if toSub[3] != -1 {
-		t.Errorf("vertex 3 should not be in the subgraph")
+	if !slices.Equal(toOrig, []int{0, 1, 2, 4}) {
+		t.Errorf("toOrig = %v, want the vertices given", toOrig)
 	}
 }
 
 // TestInducerIsReusable takes many subgraphs through one Inducer and wants
-// each equal, adjacency list for adjacency list, to a fresh InducedSubgraph:
-// the shared index must be clean again after every call.
+// each equal, adjacency list for adjacency list, to the one a fresh Inducer
+// builds: the shared index must be clean again after every call.
 func TestInducerIsReusable(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := New(60)
@@ -131,7 +129,7 @@ func TestInducerIsReusable(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		vertices := r.Perm(60)[:r.Intn(30)]
 		got, toOrig := in.Subgraph(vertices)
-		want, wantOrig, _ := g.InducedSubgraph(vertices)
+		want, wantOrig := NewInducer(g).Subgraph(vertices)
 		if !slices.Equal(toOrig, wantOrig) || !slices.Equal(toOrig, vertices) {
 			t.Fatalf("round %d: toOrig %v, want %v", round, toOrig, vertices)
 		}
@@ -222,30 +220,66 @@ func TestDegeneracy(t *testing.T) {
 	}
 }
 
+// TestDegeneracyOrientation checks the orientation every augmentation starts
+// from: each edge once, up the order, out-degrees within the degeneracy.
 func TestDegeneracyOrientation(t *testing.T) {
 	for _, g := range []*Graph{pathGraph(20), cycleGraph(15), gridGraph(6, 7), randomSparseGraph(100, 250, 1)} {
-		o := g.DegeneracyOrientation()
+		a := checkArcs(t, g, 0)
 		_, d := g.DegeneracyOrder()
-		if o.MaxOutDegree > d {
-			t.Errorf("orientation out-degree %d exceeds degeneracy %d", o.MaxOutDegree, d)
-		}
-		// Every edge is oriented exactly once.
-		count := 0
-		for v := 0; v < g.N(); v++ {
-			count += len(o.Out[v])
-			for _, w := range o.Out[v] {
-				if !g.HasEdge(v, w) {
-					t.Fatalf("orientation contains non-edge (%d,%d)", v, w)
-				}
-				if idx := o.OutIndex(v, w); idx < 1 || o.Out[v][idx-1] != w {
-					t.Fatalf("OutIndex inconsistent for (%d,%d)", v, w)
-				}
+		for i := range a.order {
+			if len(a.out(i)) > d {
+				t.Errorf("out-degree %d exceeds degeneracy %d", len(a.out(i)), d)
 			}
 		}
-		if count != g.M() {
-			t.Errorf("orientation has %d arcs, want %d", count, g.M())
+		if len(a.dst) != g.M() {
+			t.Errorf("orientation has %d arcs, want %d", len(a.dst), g.M())
 		}
 	}
+}
+
+// checkArcs augments g rounds times and checks what every round must keep:
+// the order is a permutation, every out-list is duplicate-free and points up
+// the order, and every edge of g is still there.
+func checkArcs(t *testing.T, g *Graph, rounds int) *arcs {
+	t.Helper()
+	a := augmented(g, rounds)
+	if err := arcsError(g, a); err != "" {
+		t.Fatalf("%d rounds: %s", rounds, err)
+	}
+	return a
+}
+
+func arcsError(g *Graph, a *arcs) string {
+	rank := make([]int, g.N())
+	for v := range rank {
+		rank[v] = -1
+	}
+	for i, v := range a.order {
+		rank[v] = i
+	}
+	if len(a.order) != g.N() || slices.Contains(rank, -1) {
+		return fmt.Sprintf("order %v is not a permutation of the vertices", a.order)
+	}
+	for i := range a.order {
+		out := slices.Clone(a.out(i))
+		slices.Sort(out)
+		if len(slices.Compact(out)) != len(a.out(i)) {
+			return fmt.Sprintf("out-list of rank %d repeats a head: %v", i, a.out(i))
+		}
+		if len(out) > 0 && int(out[0]) <= i {
+			return fmt.Sprintf("out-list of rank %d points down the order: %v", i, a.out(i))
+		}
+	}
+	for _, e := range g.Edges() {
+		lo, hi := rank[e[0]], rank[e[1]]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if !slices.Contains(a.out(lo), int32(hi)) {
+			return fmt.Sprintf("edge %v is missing", e)
+		}
+	}
+	return ""
 }
 
 func TestForestBasics(t *testing.T) {
@@ -275,30 +309,6 @@ func TestForestBasics(t *testing.T) {
 	}
 	if got := len(f.Children(1)); got != 2 {
 		t.Errorf("Children(1) has %d entries, want 2", got)
-	}
-}
-
-func TestSpanningForestDFS(t *testing.T) {
-	for _, g := range []*Graph{pathGraph(30), cycleGraph(20), gridGraph(5, 5), randomSparseGraph(200, 400, 7)} {
-		f := SpanningForestDFS(g)
-		if f.N() != g.N() {
-			t.Fatalf("forest size mismatch")
-		}
-		// Every tree edge is a graph edge.
-		for v := 0; v < g.N(); v++ {
-			if !f.IsRoot(v) && !g.HasEdge(v, f.Parent[v]) {
-				t.Errorf("tree edge (%d,%d) not in graph", v, f.Parent[v])
-			}
-		}
-		// Vertices in the same component share a root.
-		for _, comp := range g.ConnectedComponents() {
-			root := f.AncestorAtDepth(comp[0], 0)
-			for _, v := range comp {
-				if f.AncestorAtDepth(v, 0) != root {
-					t.Errorf("component split across trees")
-				}
-			}
-		}
 	}
 }
 
@@ -345,7 +355,7 @@ func randomTree(n int, seed int64) *Graph {
 
 func TestGreedyColoringProper(t *testing.T) {
 	for _, g := range []*Graph{pathGraph(30), cycleGraph(21), gridGraph(8, 8), completeGraph(6), randomSparseGraph(150, 300, 5)} {
-		c := GreedyColoring(g, reverseDegeneracyOrder(g))
+		c := LowTreedepthColoring(g, 1) // no augmentation: greedy along a reverse degeneracy order
 		if !IsProperColoring(g, c) {
 			t.Errorf("greedy colouring is not proper")
 		}
@@ -353,26 +363,31 @@ func TestGreedyColoringProper(t *testing.T) {
 		if c.NumColors > d+1 {
 			t.Errorf("greedy colouring uses %d colours, want at most degeneracy+1 = %d", c.NumColors, d+1)
 		}
-		total := 0
-		for _, s := range c.ClassSizes() {
-			total += s
-		}
-		if total != g.N() {
-			t.Errorf("class sizes do not sum to n")
+		if len(c.Color) != g.N() {
+			t.Errorf("%d vertices coloured, want %d", len(c.Color), g.N())
 		}
 	}
 }
 
-func TestFraternalAugmentationSupergraph(t *testing.T) {
+// TestAugmentationIsSupergraph also wants each round to add something to a
+// random sparse graph and nothing to K5, which is closed.
+func TestAugmentationIsSupergraph(t *testing.T) {
 	g := randomSparseGraph(80, 160, 11)
-	h := FraternalAugmentation(g)
-	for _, e := range g.Edges() {
-		if !h.HasEdge(e[0], e[1]) {
-			t.Fatalf("augmentation dropped edge %v", e)
+	arcs := g.M()
+	for rounds := 1; rounds <= 3; rounds++ {
+		a := checkArcs(t, g, rounds)
+		if len(a.dst) <= arcs {
+			t.Errorf("round %d left %d arcs, had %d", rounds, len(a.dst), arcs)
 		}
+		arcs = len(a.dst)
 	}
-	if h.M() < g.M() {
-		t.Fatalf("augmentation has fewer edges than original")
+	if a := checkArcs(t, completeGraph(5), 2); len(a.dst) != 10 {
+		t.Errorf("K5 augmented to %d arcs, want 10", len(a.dst))
+	}
+	// The leaves of a star precede its hub, so no two arcs share a tail and
+	// nothing is added: pairs are joined on the side the orientation bounds.
+	if a := checkArcs(t, starGraph(50), 2); len(a.dst) != 49 {
+		t.Errorf("K1,49 augmented to %d arcs, want 49", len(a.dst))
 	}
 }
 
@@ -419,31 +434,6 @@ func TestColoringQualityStats(t *testing.T) {
 	}
 }
 
-func TestSubsets(t *testing.T) {
-	subs := Subsets(4, 2)
-	// 4 singletons + 6 pairs.
-	if len(subs) != 10 {
-		t.Fatalf("Subsets(4,2) returned %d subsets, want 10", len(subs))
-	}
-	seen := map[string]bool{}
-	for _, s := range subs {
-		if len(s) < 1 || len(s) > 2 {
-			t.Errorf("subset %v has invalid size", s)
-		}
-		key := ""
-		for _, x := range s {
-			key += string(rune('a' + x))
-		}
-		if seen[key] {
-			t.Errorf("duplicate subset %v", s)
-		}
-		seen[key] = true
-	}
-	if len(Subsets(3, 3)) != 7 {
-		t.Errorf("Subsets(3,3) should have 7 entries")
-	}
-}
-
 func TestEliminationForestCoversAllVertices(t *testing.T) {
 	g := randomSparseGraph(500, 900, 23)
 	f := EliminationForest(g)
@@ -458,4 +448,26 @@ func TestEliminationForestCoversAllVertices(t *testing.T) {
 	if !ValidEliminationForest(g, f) {
 		t.Errorf("invalid elimination forest on random sparse graph")
 	}
+}
+
+// IsProperColoring reports whether c is a proper colouring of g.
+func IsProperColoring(g *Graph, c *Coloring) bool {
+	for _, e := range g.Edges() {
+		if c.Color[e[0]] == c.Color[e[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// ValidEliminationForest reports whether f is a valid elimination forest for
+// g: every edge of g must connect a vertex with one of its ancestors.
+func ValidEliminationForest(g *Graph, f *Forest) bool {
+	for _, e := range g.Edges() {
+		u, v := e[0], e[1]
+		if !f.IsAncestor(u, v) && !f.IsAncestor(v, u) {
+			return false
+		}
+	}
+	return true
 }

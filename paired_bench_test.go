@@ -167,3 +167,36 @@ func BenchmarkPairedPointRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPairedColdPrepare is the repository benchmark's cold_prepare
+// workload without its harness: a fresh Engine and one Prepare per operation
+// — parse, quantifier elimination, colouring, compile, freeze, nothing cached
+// — of the three cold_prepare queries on its input (bounded-degree, n = 600)
+// and of the session workloads' point query on theirs (pref-attach, n = 1,500).
+// The queries are spelled as in perf/oracle.go.
+func BenchmarkPairedColdPrepare(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name, kind string
+		n          int
+		query      string
+	}{
+		{"triangle", "bounded-degree", 600, "sum x,y,z . [E(x,y)&E(y,z)&E(z,x)] * w(x,y)*w(y,z)*w(z,x)"},
+		{"path", "bounded-degree", 600, "E(x,y) & E(y,z) & S(x)"},
+		{"exists", "bounded-degree", 600, "sum x . [exists y . E(x,y) & S(y)] * u(x)"},
+		{"point", "pref-attach", 1500, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)"},
+	} {
+		db, err := agg.Generate(c.kind, c.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/%s/n=%d", c.name, c.kind, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := agg.Open(db).Prepare(ctx, c.query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
