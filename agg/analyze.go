@@ -72,18 +72,13 @@ const DeterminismGateLimit = 1 << 13
 const maxReportedViolations = 8
 
 // Analyze inspects the frozen circuit program behind a prepared query and
-// reports its knowledge-compilation properties.  It works for expression- and
-// formula-mode queries and for nested queries that enumerate (boolean with
-// free variables); other nested queries evaluate in stages without one
-// overall program and report ErrArgument.  The analysis reads the shared
-// frozen artefact, so it is safe to run concurrently with evaluations,
-// sessions and enumerations of the same Prepared.
+// reports its knowledge-compilation properties.  It works for every Prepared;
+// of a nested query it sees the program of the flat query its materialisation
+// left.  The analysis reads the shared frozen artefact, so it is safe to run
+// concurrently with evaluations, sessions and enumerations of the same
+// Prepared.
 func Analyze(p *Prepared) (*Analysis, error) {
-	res := p.result()
-	if res == nil {
-		return nil, errorf(ErrArgument, p.text, "this nested query evaluates in stages without a single circuit program; analysis needs an enumerable (boolean) nested query or a flat query")
-	}
-	prog := res.Program
+	prog := p.sh.Result().Program
 	an := kc.Analyze(prog)
 
 	report := &Analysis{
@@ -123,14 +118,9 @@ func Analyze(p *Prepared) (*Analysis, error) {
 }
 
 // DOT renders the frozen circuit program behind a prepared query in Graphviz
-// dot format, for visual inspection of small circuits.  Like Analyze it needs
-// a query with a single program (flat queries and enumerable nested ones).
+// dot format, for visual inspection of small circuits.
 func DOT(p *Prepared) (string, error) {
-	res := p.result()
-	if res == nil {
-		return "", errorf(ErrArgument, p.text, "this nested query evaluates in stages without a single circuit program to render")
-	}
-	return kc.DOT(res.Program), nil
+	return kc.DOT(p.sh.Result().Program), nil
 }
 
 func violationStrings(vs []kc.Violation) []string {

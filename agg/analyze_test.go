@@ -2,8 +2,8 @@ package agg
 
 import (
 	"context"
-	"errors"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -94,15 +94,25 @@ func TestAnalyzeNested(t *testing.T) {
 		t.Errorf("nested ModelCount = %q, want 1", report.ModelCount)
 	}
 
-	// Semiring-valued nested queries evaluate in stages; there is no single
-	// program, and Analyze says so.
+	// A semiring-valued nested query is a flat query over its materialised
+	// database, with one program like any other.
 	sumQ := NSum([]string{"x", "y"},
 		NTimes(NBracket(NAtom("E", "x", "y")), NWeight("w", "x", "y")))
 	p2, err := eng.Prepare(ctx, "nested edge sum", WithNested(sumQ))
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if _, err := Analyze(p2); !errors.Is(err, ErrArgument) {
-		t.Errorf("Analyze of staged nested query = %v, want ErrArgument", err)
+	report, err = Analyze(p2)
+	if err != nil {
+		t.Fatalf("Analyze semiring-valued nested: %v", err)
+	}
+	if report.Gates == 0 || report.Variables != 4 || report.ModelCount != "" {
+		t.Errorf("nested edge sum report %+v; want a program over the 4 edge weights and no model count", report)
+	}
+	if dot, err := DOT(p2); err != nil || !strings.HasPrefix(dot, "digraph") {
+		t.Errorf("DOT of nested edge sum = %.20q, %v", dot, err)
+	}
+	if st := p2.Stats(); st.Gates != report.Gates || p2.Footprint() != report.FootprintBytes || p2.Footprint() <= 0 {
+		t.Errorf("Stats %+v and Footprint %d disagree with the report %+v", st, p2.Footprint(), report)
 	}
 }

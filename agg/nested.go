@@ -3,9 +3,9 @@ package agg
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/compile"
+	"repro/internal/dynamicq"
 	"repro/internal/enumerate"
 	"repro/internal/mvcc"
 	"repro/internal/nested"
@@ -25,7 +25,7 @@ import (
 // through NWeight (valued in the Prepare semiring), and the connectives of
 // NGuard change carriers under a guard relation.  A boolean-valued Nested
 // with free variables supports Enumerate/AnswerCount like a flat formula; any
-// Nested supports Eval (closed or at a point) and Session.
+// Nested supports Eval (closed, or at a point as a point query) and Session.
 type Nested struct {
 	kind nkind
 	rel  string
@@ -241,154 +241,129 @@ func (c NestedConnective) resolve(args []nested.Formula) (nested.Connective, err
 	return nested.Connective{}, fmt.Errorf("unknown connective %s", c)
 }
 
-// nestedState is the backend of a nested-mode Prepared: the resolved formula
-// over a multi-semiring view of the engine's database.  Evaluators are built
-// per read (each materialisation run extends a private working structure);
-// the enumeration state, when the formula is boolean with free variables, is
-// built once at Prepare and shared.
-type nestedState struct {
-	db   *nested.Database
+// nestedInput is what the nested front end reads: the WithNested tree resolved
+// in the WithSemiring carrier, over a private multi-semiring view of the
+// engine's database — the boolean relations on a weight-free signature, plus
+// one S-relation per weight symbol, valued in that carrier.
+type nestedInput struct {
+	base Semiring
 	f    nested.Formula
-	out  nested.Semiring
-	vars []string
-
-	mu sync.Mutex
+	db   *nested.Database
 }
 
-// prepareNested resolves and validates a WithNested query and, for boolean
-// formulas with free variables, builds the constant-delay enumeration state.
-func (e *Engine) prepareNested(ctx context.Context, p *Prepared) (*Prepared, error) {
-	f, err := p.cfg.nested.resolve(p.sem)
-	if err != nil {
-		return nil, newError(ErrCompile, p.text, err)
-	}
-	ndb, err := e.nestedDatabase(p.sem)
-	if err != nil {
-		return nil, newError(ErrCompile, p.text, err)
-	}
-	st := &nestedState{db: ndb, f: f, out: f.Out(), vars: nested.FreeVars(f)}
-	// Validate eagerly (Prepare reports compile errors, reads don't).
-	if err := ndb.Check(f); err != nil {
-		return nil, newError(ErrCompile, p.text, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p.nst = st
-	p.canonical = f.String()
-	if st.out.Name() == nested.BoolSemiring.Name() && len(st.vars) > 0 {
-		vars := p.cfg.answerVars
-		if len(vars) == 0 {
-			vars = st.vars
-		}
-		ev := nested.NewEvaluator(ndb, p.compileOptions())
-		ans, err := ev.EnumerateBool(f, vars)
-		if err != nil {
-			return nil, newError(ErrCompile, p.text, err)
-		}
-		p.enum = &enumState{ans: ans}
-		p.sh = ans.Shared()
-	}
-	return p, nil
-}
-
-// nestedDatabase builds the multi-semiring view of the engine's database: the
-// boolean relations on a weight-free signature, plus one S-relation per
-// weight symbol, valued in sem's carrier.
-func (e *Engine) nestedDatabase(sem Semiring) (*nested.Database, error) {
-	sig, err := structure.NewSignature(e.db.a.Sig.Relations, nil)
+func (p *Prepared) nestedInput() (*nestedInput, error) {
+	base, err := LookupSemiring(p.cfg.semiring)
 	if err != nil {
 		return nil, err
 	}
-	ndb := nested.NewDatabase(e.db.a.OnSignature(sig))
-	box := sem.boxed()
-	for _, ws := range e.db.a.Sig.Weights {
-		if err := ndb.DeclareSRelation(ws.Name, box, ws.Arity); err != nil {
+	f, err := p.cfg.nested.resolve(base)
+	if err != nil {
+		return nil, err
+	}
+	a, w := p.eng.db.a, p.eng.db.w
+	sig, err := structure.NewSignature(a.Sig.Relations, nil)
+	if err != nil {
+		return nil, err
+	}
+	db, box := nested.NewDatabase(a.OnSignature(sig)), base.boxed()
+	for _, ws := range a.Sig.Weights {
+		if err := db.DeclareSRelation(ws.Name, box, ws.Arity); err != nil {
 			return nil, err
 		}
 	}
-	var werr error
-	if e.db.w != nil {
-		e.db.w.ForEach(func(k structure.WeightKey, v int64) {
-			if werr != nil {
-				return
-			}
-			if err := ndb.SetValue(k.Weight, structure.ParseTupleKey(k.Tuple), sem.embedAny(k, v)); err != nil {
-				werr = err
+	if w != nil {
+		w.ForEach(func(k structure.WeightKey, v int64) {
+			if err == nil {
+				err = db.SetValue(k.Weight, structure.ParseTupleKey(k.Tuple), base.embedAny(k, v))
 			}
 		})
 	}
-	if werr != nil {
-		return nil, werr
-	}
-	return ndb, nil
+	return &nestedInput{base: base, f: f, db: db}, err
 }
 
-// eval answers Eval for a nested-mode Prepared: closed formulas take no
-// arguments, formulas with k free variables take exactly k elements.  Each
-// call runs a fresh Theorem 26 evaluation over the shared database snapshot.
-func (st *nestedState) eval(ctx context.Context, p *Prepared, args ...int) (Value, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
-	v, err := nestedEvalAt(st.db, st.f, st.vars, args, p.compileOptions())
+// materialize is the nested front end: it evaluates the guarded connectives
+// of the formula over the database view, innermost first — the paper's linear
+// preprocessing, one compilation per connective argument — and returns the
+// flat query that is left, the carrier its value lives in (looked up in the
+// registry by the name of its box) and the derived weights in that carrier.
+func (in *nestedInput) materialize(opts compile.Options) (*nested.Stage, Semiring, any, error) {
+	st, err := nested.Compile(in.db, in.f, opts)
 	if err != nil {
-		return "", newError(ErrArgument, p.text, err)
+		return nil, nil, nil, err
 	}
-	evalSpan.End()
-	return Value(st.out.Format(v)), nil
-}
-
-// newSession opens a recompute session: updates mutate a private copy of the
-// nested database and the next read re-runs the staged evaluation over it.
-// Unlike flat sessions there is no incremental maintenance — every relation
-// and weight is updatable, at re-evaluation cost per read.
-func (st *nestedState) newSession(p *Prepared) erasedSession {
-	return &nestedSession{p: p, st: st, db: st.db.Clone()}
-}
-
-// nestedEvalAt evaluates f at one assignment of vars (or closed when vars is
-// empty) with a fresh evaluator, so repeated calls never accumulate derived
-// state.
-func nestedEvalAt(db *nested.Database, f nested.Formula, vars []string, args []int, opts compile.Options) (any, error) {
-	ev := nested.NewEvaluator(db, opts)
-	if len(vars) == 0 {
-		if len(args) != 0 {
-			return nil, fmt.Errorf("closed nested query takes no arguments, got %d", len(args))
-		}
-		return ev.EvalClosed(f)
+	name := st.Out.Name()
+	if name == nested.BoolSemiring.Name() {
+		name = "boolean"
 	}
-	if len(args) != len(vars) {
-		return nil, fmt.Errorf("nested query has free variables %v; pass one argument per variable", vars)
-	}
-	t := make(structure.Tuple, len(args))
-	for i, a := range args {
-		t[i] = a
-	}
-	vals, err := ev.EvalAt(f, vars, []structure.Tuple{t})
+	out, err := LookupSemiring(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return vals[0], nil
+	cw, err := out.adopt(st.Weights)
+	return st, out, cw, err
 }
 
-// nestedSession adapts a private nested database to the erased session
-// interface used by Session.
+// prepareNested compiles a WithNested query: the front end once, then the
+// tail every Prepare ends in.  From there on the Prepared is an ordinary one,
+// in the carrier of the nested formula's value, over the derived weights.
+func (e *Engine) prepareNested(ctx context.Context, p *Prepared) (*Prepared, error) {
+	span := p.tr.StartSpan(obs.StageCompile)
+	in, err := p.nestedInput()
+	if err != nil {
+		return nil, newError(ErrCompile, p.text, err)
+	}
+	st, out, cw, err := in.materialize(p.compileOptions())
+	if err != nil {
+		return nil, newError(ErrCompile, p.text, err)
+	}
+	p.canonical, p.sem, p.cw = in.f.String(), out, cw
+	vars := nested.FreeVars(in.f)
+	if st.Phi == nil || len(vars) == 0 {
+		return p, p.compile(ctx, span, st.A, st.Expr, nil, nil)
+	}
+	if len(p.cfg.answerVars) > 0 {
+		vars = p.cfg.answerVars
+	}
+	return p, p.compile(ctx, span, st.A, nil, st.Phi, vars)
+}
+
+// nestedSession is the recompute session of a nested query, the one engine
+// that is nested-specific: writes mutate its private database view — every
+// relation and weight is updatable, Gaifman-preserving or not — and the first
+// read after a write re-runs the front end over it and opens a flat session
+// on the result, which answers every read until the next write.
 type nestedSession struct {
-	p  *Prepared
-	st *nestedState
-	db *nested.Database
+	p   *Prepared
+	in  *nestedInput
+	cur erasedSession
+}
+
+func (p *Prepared) nestedSession() (erasedSession, error) {
+	in, err := p.nestedInput()
+	if err != nil {
+		return nil, newError(ErrCompile, p.text, err)
+	}
+	return &nestedSession{p: p, in: in}, nil
 }
 
 func (s *nestedSession) Point(args []int) (string, error) {
-	v, err := nestedEvalAt(s.db, s.st.f, s.st.vars, args, s.p.compileOptions())
-	if err != nil {
-		return "", err
+	if s.cur == nil {
+		opts := s.p.compileOptions()
+		span := s.p.tr.StartSpan(obs.StageCompile)
+		st, out, cw, err := s.in.materialize(opts)
+		if err != nil {
+			return "", err
+		}
+		// Over the Prepared's own parameter list, so that the session takes its
+		// arguments in the order the Prepared does.
+		sh, err := dynamicq.Close(st.A, st.Expr, s.p.sh.FreeVars(), opts)
+		if err != nil {
+			return "", err
+		}
+		span.End()
+		s.cur = out.newSession(sh, cw, s.p.tr)
 	}
-	return s.st.out.Format(v), nil
+	return s.cur.Point(args)
 }
 
 // Write applies the changes in order (so a batch may insert a tuple and then
@@ -398,12 +373,13 @@ func (s *nestedSession) Point(args []int) (string, error) {
 func (s *nestedSession) Write(changes []Change, _ *enumerate.Answers) (uint64, error) {
 	var rollback *nested.Database
 	if len(changes) > 1 {
-		rollback = s.db.Clone()
+		rollback = s.in.db.Clone()
 	}
+	s.cur = nil
 	for i, ch := range changes {
 		if err := s.apply(ch); err != nil {
 			if rollback != nil {
-				s.db, err = rollback, fmt.Errorf("change %d: %w", i, err)
+				s.in.db, err = rollback, fmt.Errorf("change %d: %w", i, err)
 			}
 			return 0, err
 		}
@@ -414,18 +390,17 @@ func (s *nestedSession) Write(changes []Change, _ *enumerate.Answers) (uint64, e
 func (s *nestedSession) apply(ch Change) error {
 	t := structure.Tuple(ch.Tuple)
 	if ch.Weight == "" {
-		return s.db.SetTuple(ch.Rel, t, ch.Present)
+		return s.in.db.SetTuple(ch.Rel, t, ch.Present)
 	}
-	if _, _, ok := s.db.SRelation(ch.Weight); !ok {
+	if _, _, ok := s.in.db.SRelation(ch.Weight); !ok {
 		return fmt.Errorf("unknown weight %q", ch.Weight)
 	}
-	return s.db.SetValue(ch.Weight, t, s.p.sem.embedAny(structure.MakeWeightKey(ch.Weight, t), ch.Value))
+	return s.in.db.SetValue(ch.Weight, t, s.in.base.embedAny(structure.MakeWeightKey(ch.Weight, t), ch.Value))
 }
 
-// Clock is nil: the recompute evaluator has no epoch-versioned state to pin,
-// so a nested session has no epochs, no snapshots and no subscriptions, reads
-// that race a writer keep failing fast with ErrSessionBusy, and At is never
-// called.
+// Clock is nil: the recompute session has no epoch-versioned state to pin, so
+// it has no epochs, no snapshots and no subscriptions, reads that race a
+// writer keep failing fast with ErrSessionBusy, and At is never called.
 func (s *nestedSession) Clock() *mvcc.Clock { return nil }
 
 func (s *nestedSession) At(uint64) func([]int) (string, error) { return nil }

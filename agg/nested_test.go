@@ -3,7 +3,11 @@ package agg
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
+
+	"repro/internal/nested"
+	"repro/internal/obs"
 )
 
 // outWeight is Σ_y [E(x,y)]·w(x,y): the outgoing edge weight of x.
@@ -220,5 +224,99 @@ func TestNestedMaxPlusRatio(t *testing.T) {
 	}
 	if got != "2" {
 		t.Errorf("max ratio = %q; want 2", got)
+	}
+}
+
+// avgNeighbourWeight is the README's ⌊Σ_y [E(x,y)]·u(y) / Σ_y [E(x,y)]⌋ at x,
+// and maxAvgNeighbourWeight its maximum over x, through max-plus.
+func avgNeighbourWeight() *Nested {
+	sumW := NSum([]string{"y"}, NTimes(NBracket(NAtom("E", "x", "y")), NWeight("u", "y")))
+	degree := NSum([]string{"y"}, NBracket(NAtom("E", "x", "y")))
+	return NGuard("V", []string{"x"}, ConnRatio, sumW, degree)
+}
+
+func maxAvgNeighbourWeight() *Nested {
+	return NSum([]string{"x"}, NGuard("V", []string{"x"}, ConnToMaxPlus, avgNeighbourWeight()))
+}
+
+// TestNestedEvalCompilesOnce pins the preprocessing/read split of a nested
+// query: Prepare materialises and compiles, and after it a read — closed or at
+// a point — is a read of the one program, which compiles nothing, allocates
+// like a flat point query and agrees with the reference recursion.
+func TestNestedEvalCompilesOnce(t *testing.T) {
+	db, err := Generate("nested", 300, 13)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	tr := obs.NewTracer()
+	ctx := obs.NewContext(context.Background(), tr)
+	rng := rand.New(rand.NewSource(1))
+	for name, q := range map[string]*Nested{"closed": maxAvgNeighbourWeight(), "point": avgNeighbourWeight()} {
+		p, err := Open(db).Prepare(ctx, name, WithNested(q))
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", name, err)
+		}
+		in, err := p.nestedInput()
+		if err != nil {
+			t.Fatalf("%s: nestedInput: %v", name, err)
+		}
+		compiles := tr.Stage(obs.StageCompile).Snapshot().Count
+		for i := 0; i < 100; i++ {
+			var args []int
+			env := map[string]int{}
+			if len(p.FreeVars()) == 1 {
+				args = []int{rng.Intn(db.Elements())}
+				env["x"] = args[0]
+			}
+			got, err := p.Eval(ctx, args...)
+			if err != nil {
+				t.Fatalf("%s: Eval(%v): %v", name, args, err)
+			}
+			want, err := nested.ReferenceEvalAt(in.db, in.f, env)
+			if err != nil {
+				t.Fatalf("%s: ReferenceEvalAt(%v): %v", name, args, err)
+			}
+			if string(got) != in.f.Out().Format(want) {
+				t.Fatalf("%s: Eval(%v) = %s, reference %s", name, args, got, in.f.Out().Format(want))
+			}
+		}
+		if n := tr.Stage(obs.StageCompile).Snapshot().Count - compiles; n != 0 {
+			t.Errorf("%s: 100 reads observed %d compile stages; want none", name, n)
+		}
+		if len(p.FreeVars()) == 1 && !raceEnabled {
+			// A materialisation allocates megabytes; a point read a few words.
+			if allocs := testing.AllocsPerRun(20, func() { p.Eval(ctx, 7) }); allocs > 16 {
+				t.Errorf("%s: a point read allocates %.0f times; it must not re-materialise", name, allocs)
+			}
+		}
+	}
+}
+
+// TestNestedSessionRecompilesPerWrite: a nested session re-runs the front end
+// on the first read after a write, and not on the reads that follow it.
+func TestNestedSessionRecompilesPerWrite(t *testing.T) {
+	tr := obs.NewTracer()
+	ctx := obs.NewContext(context.Background(), tr)
+	p, err := testEngine(t).Prepare(ctx, "out-weight", WithNested(outWeight()))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	compiles := func() uint64 { return tr.Stage(obs.StageCompile).Snapshot().Count }
+	before := compiles()
+	if err := s.Set(SetWeight("w", []int{0, 1}, 7)); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	for x, want := range map[int]string{0: "7", 2: "6"} {
+		if got, err := s.Eval(ctx, x); err != nil || string(got) != want {
+			t.Errorf("outWeight(%d) after the write = %q, %v; want %s", x, got, err, want)
+		}
+	}
+	if n := compiles() - before; n != 1 {
+		t.Errorf("one write and two reads observed %d compile stages; want 1", n)
 	}
 }

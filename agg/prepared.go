@@ -13,6 +13,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/structure"
 )
 
 // Prepared is a compiled query bound to one engine and one semiring: the
@@ -38,16 +39,19 @@ type Prepared struct {
 	text      string
 	canonical string
 	cfg       config
-	sem       Semiring
+	// sem is the carrier sh is evaluated in: the WithSemiring one (cfg.semiring
+	// names it), or the one a nested query's connectives end in.
+	sem Semiring
 
 	// sh is the one compilation behind Eval, sessions and enumeration: the
 	// query closed over its parameters (its free variables, or the answer
-	// variables of a formula).  Only a nested query that evaluates in stages
-	// has none.
+	// variables of a formula).
 	sh *dynamicq.Shared
 
-	// Point-query state, built on first use: the database weights converted
-	// into the carrier and the implicit session behind Eval(args...).
+	// The weights sh reads, in the carrier — the database's, converted on
+	// first use, or the ones a nested query's materialisation derived at
+	// Prepare — and the implicit session behind Eval(args...), built on first
+	// use.
 	evalMu   sync.Mutex
 	cw       any
 	implicit erasedSession
@@ -56,10 +60,6 @@ type Prepared struct {
 	// on sh, shared by all cursors and by every In/Workers rebind (it never
 	// receives updates).
 	enum *enumState
-
-	// Nested mode (WithNested): the resolved FOG[C] formula and its
-	// multi-semiring database view; nil otherwise.
-	nst *nestedState
 
 	// tr is the stage tracer captured from the Prepare context (nil when the
 	// caller attached none); sessions spawned from this Prepared report their
@@ -83,7 +83,10 @@ type enumState struct {
 // first-order formula ("E(x,y) & S(x)"); see Prepared for how the two modes
 // behave.  Compilation — the expensive, linear-time preprocessing of the
 // paper — happens here, once; the context bounds it and cancels the
-// parallel preprocessing waves.
+// parallel preprocessing waves.  For a WithNested query it includes
+// materialising every guarded connective at its guard tuples (one compilation
+// per connective argument), so that what Prepare leaves is one program like
+// any other and reads pay none of it.
 func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Prepared, error) {
 	ctx = ensureCtx(ctx)
 	cfg := config{semiring: "natural"}
@@ -100,6 +103,7 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 
 	tr := obs.FromContext(ctx)
 	p := &Prepared{eng: e, text: query, cfg: cfg, sem: sem, tr: tr}
+	p.cfg.semiring = sem.Name()
 
 	// Nested mode: the formula is the WithNested tree, not the query text.
 	if cfg.nested != nil {
@@ -124,9 +128,7 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 	if ex != nil {
 		parseSpan.End()
 		p.canonical = parser.FormatExpr(ex)
-		span := tr.StartSpan(obs.StageCompile)
-		sh, err := dynamicq.CompileShared(e.db.a, ex, p.compileOptions())
-		if err := p.install(ctx, span, sh, nil, err); err != nil {
+		if err := p.compile(ctx, tr.StartSpan(obs.StageCompile), e.db.a, ex, nil, nil); err != nil {
 			return nil, err
 		}
 		return p, nil
@@ -155,9 +157,7 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 		return nil, errorf(ErrArgument, query, "formula has no free variables to enumerate over; evaluate it as the expression [%s] instead", query)
 	}
 	p.canonical = parser.FormatFormula(phi)
-	span := tr.StartSpan(obs.StageCompile)
-	ans, err := enumerate.EnumerateAnswersCtx(ctx, e.db.a, phi, vars, p.compileOptions(), cfg.workers)
-	if err := p.install(ctx, span, nil, ans, err); err != nil {
+	if err := p.compile(ctx, tr.StartSpan(obs.StageCompile), e.db.a, nil, phi, vars); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -194,18 +194,28 @@ func (p *Prepared) compileOptions() compile.Options {
 	return compile.Options{DynamicRelations: p.cfg.dynamic, MaxVars: p.cfg.maxVars}
 }
 
-// install closes the compile stage of the Prepared's one compilation and,
-// once nothing can fail any more, installs what it produced: the closure sh,
-// or in formula mode the enumerator ans and the closure it was built on.
-func (p *Prepared) install(ctx context.Context, span obs.Span, sh *dynamicq.Shared, ans *enumerate.Answers, err error) error {
+// compile is the tail every Prepare ends in, flat or nested: the one
+// compilation of the query over the structure a — the closure of the
+// expression ex over its free variables, or, when phi is given, the
+// constant-delay enumerator of phi's answers over vars and the closure it is
+// built on.  It closes the compile stage span and, once nothing can fail any
+// more, installs what it produced.
+func (p *Prepared) compile(ctx context.Context, span obs.Span, a *structure.Structure, ex expr.Expr, phi logic.Formula, vars []string) error {
+	var sh *dynamicq.Shared
+	var ans *enumerate.Answers
+	var err error
+	if phi != nil {
+		if ans, err = enumerate.EnumerateAnswersCtx(ctx, a, phi, vars, p.compileOptions(), p.cfg.workers); err == nil {
+			sh = ans.Shared()
+		}
+	} else {
+		sh, err = dynamicq.CompileShared(a, ex, p.compileOptions())
+	}
 	if err != nil {
 		if cerr := ctxErr(err); cerr != nil {
 			return cerr
 		}
 		return newError(ErrCompile, p.text, err)
-	}
-	if ans != nil {
-		sh = ans.Shared()
 	}
 	span.End()
 	obs.FromContext(ctx).Observe(obs.StageFreeze, sh.Result().Program.FreezeDuration())
@@ -219,11 +229,16 @@ func (p *Prepared) install(ctx context.Context, span obs.Span, sh *dynamicq.Shar
 	return nil
 }
 
-// weights returns the database weights converted into the carrier, built on
-// first use (enumeration never needs them, and an In rebind starts without).
+// weights returns the weights the program reads, in the carrier: the
+// database's are converted on first use (enumeration never needs them, and an
+// In rebind starts without).
 func (p *Prepared) weights() any {
 	p.evalMu.Lock()
 	defer p.evalMu.Unlock()
+	return p.weightsLocked()
+}
+
+func (p *Prepared) weightsLocked() any {
 	if p.cw == nil {
 		p.cw = p.sem.convert(p.eng.db.w)
 	}
@@ -240,8 +255,9 @@ func (p *Prepared) Query() string { return p.text }
 // cache key used by aggserve).
 func (p *Prepared) Canonical() string { return p.canonical }
 
-// SemiringName returns the name of the semiring the query evaluates in.
-func (p *Prepared) SemiringName() string { return p.sem.Name() }
+// SemiringName returns the name of the semiring the query was prepared in
+// (WithSemiring, or In).
+func (p *Prepared) SemiringName() string { return p.cfg.semiring }
 
 // Enumerable reports whether Enumerate and AnswerCount are available: the
 // query was prepared in formula mode, or as a boolean nested formula with
@@ -251,12 +267,7 @@ func (p *Prepared) Enumerable() bool { return p.enum != nil }
 // FreeVars returns the query's free variables, in the order Eval takes its
 // arguments: the point-query parameters of an expression or nested formula,
 // or the answer variables of a formula.
-func (p *Prepared) FreeVars() []string {
-	if p.nst != nil {
-		return append([]string(nil), p.nst.vars...)
-	}
-	return p.sh.FreeVars()
-}
+func (p *Prepared) FreeVars() []string { return p.sh.FreeVars() }
 
 // CircuitStats summarises the frozen circuit program behind a Prepared.
 type CircuitStats struct {
@@ -268,24 +279,10 @@ type CircuitStats struct {
 	Inputs      int
 }
 
-// result returns the compilation backing this Prepared, or nil for a nested
-// query whose stages are compiled per evaluation.
-func (p *Prepared) result() *compile.Result {
-	if p.sh == nil {
-		return nil
-	}
-	return p.sh.Result()
-}
-
 // Stats returns the structural statistics of the frozen circuit program,
-// computed from its CSR arrays (zero for nested queries without enumeration
-// state, whose stages are compiled per evaluation).
+// computed from its CSR arrays.
 func (p *Prepared) Stats() CircuitStats {
-	res := p.result()
-	if res == nil {
-		return CircuitStats{}
-	}
-	prog := res.Program
+	prog := p.sh.Result().Program
 	st := CircuitStats{
 		Gates:  prog.NumGates(),
 		Depth:  prog.Depth(),
@@ -305,21 +302,15 @@ func (p *Prepared) Stats() CircuitStats {
 
 // Footprint returns the resident size in bytes of the frozen circuit
 // program — the artefact all evaluations, sessions and enumerations of this
-// Prepared share (zero for nested queries without enumeration state).
-func (p *Prepared) Footprint() int64 {
-	res := p.result()
-	if res == nil {
-		return 0
-	}
-	return res.Program.Footprint()
-}
+// Prepared share.
+func (p *Prepared) Footprint() int64 { return p.sh.Result().Program.Footprint() }
 
 // In returns a Prepared over the same compilation bound to another
 // registered semiring: the circuit is shared, only the weight embedding and
 // session state differ, so rebinding costs one weight conversion instead of
 // a recompilation.
 func (p *Prepared) In(name string) (*Prepared, error) {
-	if p.nst != nil {
+	if p.cfg.nested != nil {
 		return nil, errorf(ErrArgument, p.text, "nested queries fix their carriers at Prepare; prepare again with WithSemiring(%q)", name)
 	}
 	sem, err := LookupSemiring(name)
@@ -336,7 +327,7 @@ func (p *Prepared) In(name string) (*Prepared, error) {
 		enum:      p.enum,
 		tr:        p.tr,
 	}
-	clone.cfg.semiring = name
+	clone.cfg.semiring = sem.Name()
 	return clone, nil
 }
 
@@ -356,7 +347,6 @@ func (p *Prepared) Workers(n int) *Prepared {
 		sem:       p.sem,
 		sh:        p.sh,
 		enum:      p.enum,
-		nst:       p.nst,
 		tr:        p.tr,
 	}
 	clone.cfg.workers = n
@@ -375,9 +365,6 @@ func (p *Prepared) Workers(n int) *Prepared {
 // time.
 func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	ctx = ensureCtx(ctx)
-	if p.nst != nil {
-		return p.nst.eval(ctx, p, args...)
-	}
 	tr := obs.FromContext(ctx)
 	if len(args) == 0 {
 		if free := p.sh.FreeVars(); len(free) > 0 {
@@ -397,7 +384,7 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	p.evalMu.Lock()
 	defer p.evalMu.Unlock()
 	if p.implicit == nil {
-		p.implicit = p.sem.newSession(p.sh, p.eng.db.w, p.tr)
+		p.implicit = p.sem.newSession(p.sh, p.weightsLocked(), p.tr)
 	}
 	evalSpan := tr.StartSpan(obs.StageEval)
 	out, err := p.implicit.Point(args)
@@ -422,10 +409,14 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 // state, written and committed together with it, so a Reader's one pin
 // serves Eval, Enumerate and AnswerCount at one epoch.
 func (p *Prepared) Session() (*Session, error) {
-	if p.nst != nil {
-		return &Session{p: p, sess: p.nst.newSession(p)}, nil
+	if p.cfg.nested != nil {
+		sess, err := p.nestedSession()
+		if err != nil {
+			return nil, err
+		}
+		return &Session{p: p, sess: sess}, nil
 	}
-	s := &Session{p: p, sess: p.sem.newSession(p.sh, p.eng.db.w, p.tr)}
+	s := &Session{p: p, sess: p.sem.newSession(p.sh, p.weights(), p.tr)}
 	s.clock = s.sess.Clock()
 	if p.enum != nil && len(p.cfg.dynamic) > 0 {
 		s.ans = p.enum.ans.Clone(s.clock)

@@ -48,14 +48,17 @@ type Semiring interface {
 	// convert embeds the database's integer weights into the carrier once;
 	// the result is immutable and shared by any number of evaluations.
 	convert(w *structure.Weights[int64]) any
+	// adopt is convert for weights that already are values of the carrier: the
+	// ones a nested query's materialisation derived, dynamically typed.
+	adopt(ws []nested.WeightValue) (any, error)
 	// evaluate runs the compiled circuit under previously converted weights
 	// across workers goroutines, honouring ctx, and formats the output.
 	evaluate(ctx context.Context, res *compile.Result, cw any, workers int) (string, error)
 	// newSession instantiates per-session dynamic state (Theorem 8) on a
-	// shared compilation, with a private copy of the weights.  A non-nil
-	// tracer receives the session's propagation-wave timings; nil leaves the
-	// update path uninstrumented (no clock reads).
-	newSession(sh *dynamicq.Shared, w *structure.Weights[int64], tr *obs.Tracer) erasedSession
+	// shared compilation, with a private copy of the converted weights cw.  A
+	// non-nil tracer receives the session's propagation-wave timings; nil
+	// leaves the update path uninstrumented (no clock reads).
+	newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession
 	// boxed returns the dynamically typed view of the carrier used by nested
 	// (FOG[C]) formulas; bool carriers map onto the canonical boolean box so
 	// nested's boolean positions recognise them.
@@ -79,7 +82,7 @@ type erasedSession interface {
 	Write(changes []Change, ans *enumerate.Answers) (committed uint64, err error)
 	// Clock is the session's one MVCC clock: commit counter, reader pins and
 	// reader/writer lock of every engine state the session keeps; nil for an
-	// engine without epoch-versioned state (the nested evaluator).
+	// engine without epoch-versioned state (the nested recompute session).
 	Clock() *mvcc.Clock
 	// At returns the point query as of an epoch pinned on Clock(): it keeps
 	// answering as of that commit while the writer keeps committing, and is
@@ -111,19 +114,16 @@ type typedSemiring[T any] struct {
 
 func (ts *typedSemiring[T]) Name() string { return ts.name }
 
-func (ts *typedSemiring[T]) convertTyped(w *structure.Weights[int64]) *structure.Weights[T] {
+func (ts *typedSemiring[T]) convert(w *structure.Weights[int64]) any {
 	out := structure.NewWeights[T]()
-	if w == nil {
-		return out
+	if w != nil {
+		w.ForEach(func(k structure.WeightKey, v int64) { out.SetKey(k, ts.embed(k, v)) })
 	}
-	w.ForEach(func(k structure.WeightKey, v int64) {
-		out.Set(k.Weight, structure.ParseTupleKey(k.Tuple), ts.embed(k, v))
-	})
 	return out
 }
 
-func (ts *typedSemiring[T]) convert(w *structure.Weights[int64]) any {
-	return ts.convertTyped(w)
+func (ts *typedSemiring[T]) adopt(ws []nested.WeightValue) (any, error) {
+	return nested.TypedWeights[T](ws)
 }
 
 func (ts *typedSemiring[T]) evaluate(ctx context.Context, res *compile.Result, cw any, workers int) (string, error) {
@@ -134,8 +134,8 @@ func (ts *typedSemiring[T]) evaluate(ctx context.Context, res *compile.Result, c
 	return ts.s.Format(v), nil
 }
 
-func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, w *structure.Weights[int64], tr *obs.Tracer) erasedSession {
-	q := dynamicq.NewQuery(ts.s, sh, ts.convertTyped(w))
+func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession {
+	q := dynamicq.NewQuery(ts.s, sh, cw.(*structure.Weights[T]).Clone())
 	if hook := tr.WaveHook(); hook != nil {
 		q.SetWaveHook(hook)
 	}

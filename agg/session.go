@@ -21,11 +21,15 @@ import (
 // queueing.  Reads never fail that way — Eval always reads at a pin of the
 // last committed epoch, writer in flight or not, and Snapshot hands out a
 // Reader that keeps one such pin for sustained concurrent reading.  The
-// lone exception is a nested (WithNested) session, whose recompute evaluator
-// has no epochs to snapshot: there Eval keeps the fail-fast ErrSessionBusy
-// contract.  After Close every operation returns ErrSessionClosed, but
-// Readers drawn before the Close stay usable until they are closed
-// themselves.
+// lone exception is a nested (WithNested) session, which recomputes instead
+// of maintaining: a write may change any relation or weight, Gaifman graph
+// included, and only marks the session stale; the first read after it
+// re-materialises the nested query over the updated database (the cost of a
+// Prepare), and the reads that follow are point queries on that result until
+// the next write.  Such a session has no epochs to snapshot, so there Eval
+// keeps the fail-fast ErrSessionBusy contract.  After Close every operation
+// returns ErrSessionClosed, but Readers drawn before the Close stay usable
+// until they are closed themselves.
 type Session struct {
 	p    *Prepared
 	once sync.Once
@@ -108,8 +112,9 @@ func (s *Session) FreeVars() []string { return s.p.FreeVars() }
 // it pins the last committed epoch, answers from that, and unpins it, without
 // ever taking the writer lock — so reads keep flowing under a sustained write
 // stream and never make a concurrent writer fail either.  On a nested session,
-// which cannot snapshot, Eval evaluates in place under the writer lock and
-// fails fast when it is held.
+// which cannot snapshot, Eval reads — and after a write first rebuilds — the
+// session's one materialisation under the writer lock, and fails fast when it
+// is held.
 func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 	if err := ensureCtx(ctx).Err(); err != nil {
 		return "", err

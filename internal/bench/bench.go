@@ -521,12 +521,15 @@ func E7NestedQuery(sizes []int) *Table {
 
 		var got semiring.Ext
 		nestedTime := timeIt(func() {
-			ev := nested.NewEvaluator(ndb, compile.Options{})
-			v, err := ev.EvalClosed(query)
+			st, err := nested.Compile(ndb, query, compile.Options{})
 			if err != nil {
 				panic(err)
 			}
-			got = v.(semiring.Ext)
+			vals, err := st.At(nil, []structure.Tuple{{}}, compile.Options{})
+			if err != nil {
+				panic(err)
+			}
+			got = vals[0].(semiring.Ext)
 		})
 		var want int64
 		base := timeIt(func() {
@@ -834,10 +837,4 @@ func RunExperiments(exps []Experiment, workers int) []*Table {
 	}
 	wg.Wait()
 	return out
-}
-
-// RunAll executes every experiment with default parameters on the given
-// worker pool.
-func RunAll(quick bool, workers int) []*Table {
-	return RunExperiments(Registry(quick), workers)
 }

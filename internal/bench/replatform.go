@@ -50,12 +50,15 @@ func e16NestedMeasure(n int) (program, reference time.Duration, agree bool) {
 
 	var got semiring.Ext
 	program = timeIt(func() {
-		ev := nested.NewEvaluator(ndb, compile.Options{})
-		v, err := ev.EvalClosed(query)
+		st, err := nested.Compile(ndb, query, compile.Options{})
+		if err != nil {
+			panic(fmt.Sprintf("E16: program compile: %v", err))
+		}
+		vals, err := st.At(nil, []structure.Tuple{{}}, compile.Options{})
 		if err != nil {
 			panic(fmt.Sprintf("E16: program eval: %v", err))
 		}
-		got = v.(semiring.Ext)
+		got = vals[0].(semiring.Ext)
 	})
 	var want semiring.Ext
 	reference = timeIt(func() {

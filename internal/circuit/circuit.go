@@ -353,11 +353,6 @@ func (c *Circuit) children(id int) []int {
 // false take the semiring zero.
 type Valuation[T any] func(key structure.WeightKey) (value T, ok bool)
 
-// WeightsValuation adapts a structure.Weights assignment to a Valuation.
-func WeightsValuation[T any](w *structure.Weights[T]) Valuation[T] {
-	return func(key structure.WeightKey) (T, bool) { return w.GetKey(key) }
-}
-
 // String renders a compact description of the circuit for diagnostics.
 func (c *Circuit) String() string {
 	st := c.Statistics()

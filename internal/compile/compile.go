@@ -3,7 +3,6 @@ package compile
 import (
 	"context"
 	"fmt"
-	"math/big"
 
 	"repro/internal/circuit"
 	"repro/internal/expr"
@@ -376,7 +375,3 @@ func EvaluateParallelCtx[T any](ctx context.Context, res *Result, s semiring.Sem
 	}
 	return vals[res.Program.OutputGate()], nil
 }
-
-// BigCoefficient is a helper exposing big.Int construction to callers
-// without importing math/big (used by examples).
-func BigCoefficient(n int64) *big.Int { return big.NewInt(n) }

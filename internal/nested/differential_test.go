@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/compile"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
@@ -88,10 +87,9 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 		db := randomNestedDB(t, 16+int(seed)*7, seed)
 		for name, f := range differentialQueries() {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				ev := NewEvaluator(db, compile.Options{})
 				out := f.Out()
 				if len(FreeVars(f)) == 0 {
-					got, err := ev.EvalClosed(f)
+					got, err := evalClosed(db, f)
 					if err != nil {
 						t.Fatalf("EvalClosed: %v", err)
 					}
@@ -108,7 +106,7 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 				for v := 0; v < db.A.N; v++ {
 					tuples[v] = structure.Tuple{v}
 				}
-				got, err := ev.EvalAt(f, []string{"x"}, tuples)
+				got, err := evalAt(db, f, []string{"x"}, tuples)
 				if err != nil {
 					t.Fatalf("EvalAt: %v", err)
 				}
@@ -142,7 +140,7 @@ func TestGuardWiderThanArgument(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := randomNestedDB(t, 12, seed)
 		for name, f := range queries {
-			got, err := NewEvaluator(db, compile.Options{}).EvalClosed(f)
+			got, err := evalClosed(db, f)
 			if err != nil {
 				t.Fatalf("%s/seed%d: EvalClosed: %v", name, seed, err)
 			}
@@ -168,8 +166,7 @@ func TestEnumerateBoolMatchesReference(t *testing.T) {
 			Sum([]string{"z"}, Times(Bracket(NatSemiring, B("E", "y", "z")), S(NatSemiring, "u", "z"))))
 		f := Exists([]string{"y"}, Times(B("E", "x", "y"), heavy))
 
-		ev := NewEvaluator(db, compile.Options{})
-		ans, err := ev.EnumerateBool(f, []string{"x"})
+		ans, err := enumerateBool(db, f, []string{"x"})
 		if err != nil {
 			t.Fatalf("EnumerateBool: %v", err)
 		}

@@ -2,10 +2,11 @@ package nested
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compile"
-	"repro/internal/enumerate"
+	"repro/internal/dynamicq"
 	"repro/internal/expr"
 	"repro/internal/logic"
 	"repro/internal/structure"
@@ -64,24 +65,6 @@ func (db *Database) CheckValue(name string, tuple structure.Tuple) error {
 	return nil
 }
 
-// CheckTuple validates a boolean-relation membership update without
-// performing it.
-func (db *Database) CheckTuple(rel string, tuple structure.Tuple) error {
-	decl, ok := db.A.Sig.Relation(rel)
-	if !ok {
-		return fmt.Errorf("nested: unknown boolean relation %q", rel)
-	}
-	if len(tuple) != decl.Arity {
-		return fmt.Errorf("nested: relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
-	}
-	for _, e := range tuple {
-		if e < 0 || e >= db.A.N {
-			return fmt.Errorf("nested: element %d out of domain [0,%d)", e, db.A.N)
-		}
-	}
-	return nil
-}
-
 // SetValue assigns a value to a tuple of an S-relation.  Values of arity ≥ 2
 // must be set only on tuples whose elements appear together in some boolean
 // relation (the Gaifman-graph discipline of the paper).
@@ -111,8 +94,8 @@ func (db *Database) tupleInSomeRelation(tuple structure.Tuple) bool {
 
 // SetTuple sets the membership of a tuple in a boolean relation of the
 // database.  Unlike the circuit-input updates of dynamic sessions, this
-// mutates the underlying structure, so evaluators built afterwards see the
-// change; evaluators built before keep their snapshot.
+// mutates the underlying structure: a Compile run afterwards sees the change,
+// and a Stage compiled before (whose A may be this very structure) is stale.
 func (db *Database) SetTuple(rel string, tuple structure.Tuple, present bool) error {
 	if _, ok := db.A.Sig.Relation(rel); !ok {
 		return fmt.Errorf("nested: unknown boolean relation %q", rel)
@@ -168,10 +151,6 @@ func (db *Database) Value(name string, tuple structure.Tuple) any {
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
-
-// Check validates semiring consistency and symbol usage of a formula against
-// the database, without evaluating anything.
-func (db *Database) Check(f Formula) error { return db.check(f) }
 
 // check validates semiring consistency and symbol usage of a formula.
 func (db *Database) check(f Formula) error {
@@ -312,10 +291,83 @@ func freeVars(f Formula) []string {
 // Evaluation (Theorem 26)
 // ---------------------------------------------------------------------------
 
-// Evaluator carries the state of one evaluation run: the progressively
+// Stage is a nested formula after the materialisation of Theorem 26: every
+// guarded connective has been evaluated at its guard tuples and replaced by a
+// derived relation or weight, so what is left is one flat query in one carrier
+// over an extended database — the input of the flat compilers
+// (dynamicq.Close, enumerate.EnumerateAnswers).
+type Stage struct {
+	// A is the database's structure extended with the derived boolean
+	// relations, on a signature declaring the weight symbols Expr mentions.
+	A *structure.Structure
+	// Out is the carrier of the value and of Weights.
+	Out Semiring
+	// Phi is the connective-free residue of a boolean-valued formula and nil
+	// for any other; Expr is the residue as a weighted expression ([Phi] for a
+	// boolean one).
+	Phi  logic.Formula
+	Expr expr.Expr
+	// Weights are the values of the base and derived S-relations Expr reads.
+	Weights []WeightValue
+}
+
+// Compile validates f against the database and materialises its guarded
+// connectives innermost-first, each inner stage compiled once and read at
+// every guard tuple (Stage.At).  The database is left untouched; the cost is
+// the paper's linear preprocessing, one compilation per connective argument.
+func Compile(db *Database, f Formula, opts compile.Options) (*Stage, error) {
+	if err := db.check(f); err != nil {
+		return nil, err
+	}
+	ev := &evaluator{db: db, work: db.A, derived: map[string]*sRelation{}, opts: opts}
+	flat, err := ev.materialize(f)
+	if err != nil {
+		return nil, err
+	}
+	return ev.stage(flat)
+}
+
+// At evaluates the stage at each assignment of vars, one element per variable
+// in order: the residue is closed over the variables it mentions and compiled
+// once, and every tuple is a point query on that one program (Theorem 8).
+func (st *Stage) At(vars []string, tuples []structure.Tuple, opts compile.Options) ([]any, error) {
+	// Close over the variables Expr mentions, in the given order (a repeated
+	// one is read at its first position): one it does not mention would only
+	// widen every monomial by a summed-out variable and count against
+	// compile.Options.MaxVars.
+	free := expr.FreeVars(st.Expr)
+	var params []string
+	var keep []int
+	for i, v := range vars {
+		if slices.Contains(free, v) && !slices.Contains(params, v) {
+			params, keep = append(params, v), append(keep, i)
+		}
+	}
+	sh, err := dynamicq.Close(st.A, st.Expr, params, opts)
+	if err != nil {
+		return nil, err
+	}
+	read, err := st.Out.reader(sh, st.Weights)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]any, len(tuples))
+	args := make([]structure.Element, len(keep))
+	for i, t := range tuples {
+		for j, k := range keep {
+			args[j] = t[k]
+		}
+		if out[i], err = read(args); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// evaluator carries the state of one materialisation run: the progressively
 // extended structure (derived boolean relations) and S-relation store
 // (derived weights).
-type Evaluator struct {
+type evaluator struct {
 	db      *Database
 	work    *structure.Structure
 	derived map[string]*sRelation
@@ -323,79 +375,9 @@ type Evaluator struct {
 	opts    compile.Options
 }
 
-// NewEvaluator prepares an evaluation run over the database.
-func NewEvaluator(db *Database, opts compile.Options) *Evaluator {
-	return &Evaluator{db: db, work: db.A, derived: map[string]*sRelation{}, opts: opts}
-}
-
-// EvalClosed evaluates a closed (sentence-like) formula and returns its
-// value in the formula's output semiring.
-func (ev *Evaluator) EvalClosed(f Formula) (any, error) {
-	if err := ev.db.check(f); err != nil {
-		return nil, err
-	}
-	if vars := freeVars(f); len(vars) != 0 {
-		return nil, fmt.Errorf("nested: formula has free variables %v; use EvalAt", vars)
-	}
-	flat, err := ev.materialize(f)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := ev.evalResidueAt(flat, nil, []structure.Tuple{{}})
-	if err != nil {
-		return nil, err
-	}
-	return vals[0], nil
-}
-
-// EvalAt evaluates a formula with free variables at every given assignment
-// tuple (elements listed in the order of vars) and returns the values.
-func (ev *Evaluator) EvalAt(f Formula, vars []string, tuples []structure.Tuple) ([]any, error) {
-	if err := ev.db.check(f); err != nil {
-		return nil, err
-	}
-	for _, v := range freeVars(f) {
-		found := false
-		for _, u := range vars {
-			if u == v {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("nested: free variable %q is not among %v", v, vars)
-		}
-	}
-	flat, err := ev.materialize(f)
-	if err != nil {
-		return nil, err
-	}
-	return ev.evalResidueAt(flat, vars, tuples)
-}
-
-// EnumerateBool preprocesses a boolean-valued formula for constant-delay
-// enumeration of its answers over the given variables (result (E) of the
-// paper).
-func (ev *Evaluator) EnumerateBool(f Formula, vars []string) (*enumerate.Answers, error) {
-	if err := ev.db.check(f); err != nil {
-		return nil, err
-	}
-	if f.Out().Name() != BoolSemiring.Name() {
-		return nil, fmt.Errorf("nested: EnumerateBool requires a boolean-valued formula, got %s-valued", f.Out().Name())
-	}
-	flat, err := ev.materialize(f)
-	if err != nil {
-		return nil, err
-	}
-	phi, err := ev.toLogic(flat)
-	if err != nil {
-		return nil, err
-	}
-	return enumerate.EnumerateAnswers(ev.work, phi, vars, ev.opts)
-}
-
 // materialize eliminates guarded connectives bottom-up, extending the
 // working database with derived relations/weights.
-func (ev *Evaluator) materialize(f Formula) (Formula, error) {
+func (ev *evaluator) materialize(f Formula) (Formula, error) {
 	switch g := f.(type) {
 	case BRel, SRel, ConstF:
 		return f, nil
@@ -436,7 +418,7 @@ func (ev *Evaluator) materialize(f Formula) (Formula, error) {
 
 // materializeGuarded evaluates the arguments of a guarded connective at all
 // guard tuples and replaces the connective by a derived atom.
-func (ev *Evaluator) materializeGuarded(g Guarded) (Formula, error) {
+func (ev *evaluator) materializeGuarded(g Guarded) (Formula, error) {
 	tuples := ev.work.Tuples(g.GuardRel)
 	// Argument tuples are the guard tuples projected onto the guard
 	// variables (repeated variables must agree, which they do trivially
@@ -447,11 +429,13 @@ func (ev *Evaluator) materializeGuarded(g Guarded) (Formula, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals, err := ev.evalResidueAt(flat, g.GuardArgs, tuples)
+		st, err := ev.stage(flat)
 		if err != nil {
 			return nil, err
 		}
-		values[i] = vals
+		if values[i], err = st.At(g.GuardArgs, tuples, ev.opts); err != nil {
+			return nil, err
+		}
 	}
 	ev.counter++
 	name := fmt.Sprintf(".conn%d", ev.counter)
@@ -508,7 +492,7 @@ func extendStructure(a *structure.Structure, rel string, arity int, tuples []str
 }
 
 // lookupSRelation finds a (base or derived) S-relation.
-func (ev *Evaluator) lookupSRelation(name string) (*sRelation, bool) {
+func (ev *evaluator) lookupSRelation(name string) (*sRelation, bool) {
 	if r, ok := ev.derived[name]; ok {
 		return r, true
 	}
@@ -516,37 +500,35 @@ func (ev *Evaluator) lookupSRelation(name string) (*sRelation, bool) {
 	return r, ok
 }
 
-// evalResidueAt evaluates a connective-free formula at the given assignment
-// tuples of vars.
-func (ev *Evaluator) evalResidueAt(f Formula, vars []string, tuples []structure.Tuple) ([]any, error) {
+// stage packages a connective-free formula as a flat query over the working
+// structure.
+func (ev *evaluator) stage(f Formula) (*Stage, error) {
 	if f.Out().Name() == BoolSemiring.Name() {
 		phi, err := ev.toLogic(f)
 		if err != nil {
 			return nil, err
 		}
-		// The quantified boolean formula is compiled once — as the weighted
-		// expression [ϕ] over the boolean semiring, with quantifier
-		// elimination applied inside the compiler — and every tuple is a
-		// point query on that one program (Theorem 8).
-		return BoolSemiring.evalAtTuples(ev.work, nil, expr.Guard(phi), vars, tuples, ev.opts)
+		// A quantified boolean formula compiles as the weighted expression [ϕ]
+		// over the boolean semiring, with quantifier elimination applied inside
+		// the compiler.
+		return &Stage{A: ev.work, Out: BoolSemiring, Phi: phi, Expr: expr.Guard(phi)}, nil
 	}
 	e, weights, symbols, err := ev.toExpr(f)
 	if err != nil {
 		return nil, err
 	}
-	// Evaluate over a structure re-homed onto the signature extended with
-	// the weight symbols used by the expression.
+	// Re-home the structure onto the signature extended with the weight
+	// symbols the expression uses.
 	sig, err := structure.NewSignature(ev.work.Sig.Relations, append(append([]structure.WeightSymbol(nil), ev.work.Sig.Weights...), symbols...))
 	if err != nil {
 		return nil, err
 	}
-	base := ev.work.OnSignature(sig)
-	return f.Out().evalAtTuples(base, weights, e, vars, tuples, ev.opts)
+	return &Stage{A: ev.work.OnSignature(sig), Out: f.Out(), Expr: e, Weights: weights}, nil
 }
 
 // toLogic converts a connective-free boolean formula to first-order logic
 // over the working structure.
-func (ev *Evaluator) toLogic(f Formula) (logic.Formula, error) {
+func (ev *evaluator) toLogic(f Formula) (logic.Formula, error) {
 	switch g := f.(type) {
 	case BRel:
 		return logic.R(g.Rel, g.Args...), nil
@@ -594,7 +576,7 @@ func (ev *Evaluator) toLogic(f Formula) (logic.Formula, error) {
 // toExpr converts a connective-free S-valued formula into a weighted
 // expression over the working structure, collecting the weight values it
 // references and the weight symbols needed in the signature.
-func (ev *Evaluator) toExpr(f Formula) (expr.Expr, []WeightValue, []structure.WeightSymbol, error) {
+func (ev *evaluator) toExpr(f Formula) (expr.Expr, []WeightValue, []structure.WeightSymbol, error) {
 	var weights []WeightValue
 	var symbols []structure.WeightSymbol
 	declared := map[string]bool{}

@@ -8,26 +8,21 @@
 // Theorem 8 (package dynamicq), the connective is applied pointwise, and the
 // result is materialised as a derived relation (boolean output) or derived
 // weight (semiring output) of an extended database.  Once no connectives
-// remain, the formula is an ordinary weighted expression in a single
-// semiring and is evaluated by the compiler; boolean-valued formulas
-// additionally support constant-delay answer enumeration (package
-// enumerate), which is result (E) of the paper.
+// remain, the formula is an ordinary flat query in a single semiring over
+// that extended database, and Compile hands it back as a Stage for the flat
+// engines to compile: dynamicq for values and point queries, enumerate for
+// the constant-delay enumeration of a boolean one (result (E) of the paper).
 //
-// Every stage — S-valued connective arguments, boolean residues, and the
-// final flat expression alike — is compiled once to a shared frozen
-// circuit.Program and read per guard tuple through dynamicq's frozen
-// sessions; nothing in this package walks a legacy builder circuit at
-// execution time.  ReferenceEvalAt keeps the direct recursive semantics as a
-// differential-testing oracle.
+// Every inner stage — S-valued connective arguments and boolean residues
+// alike — is compiled once to a frozen circuit.Program and read per guard
+// tuple through a dynamicq point query (Stage.At).  ReferenceEvalAt keeps the
+// direct recursive semantics as a differential-testing oracle.
 package nested
 
 import (
 	"fmt"
-	"slices"
 
-	"repro/internal/compile"
 	"repro/internal/dynamicq"
-	"repro/internal/expr"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
@@ -45,10 +40,10 @@ type Semiring interface {
 	// Less reports a < b when the carrier is ordered; ok is false otherwise.
 	Less(a, b any) (less, ok bool)
 
-	// evalAtTuples evaluates the weighted expression e (with free variables
-	// vars) over the structure a under the given weights, at each of the
-	// given tuples, using the Theorem 8 evaluator for this semiring.
-	evalAtTuples(a *structure.Structure, weights []WeightValue, e expr.Expr, vars []string, tuples []structure.Tuple, opts compile.Options) ([]any, error)
+	// reader instantiates the closure sh in this carrier under the given
+	// weights and hands back its point query (Theorem 8): the typed engine
+	// state behind a closure over dynamically typed values.
+	reader(sh *dynamicq.Shared, weights []WeightValue) (func(args []structure.Element) (any, error), error)
 }
 
 // WeightValue is one dynamically typed weight entry.
@@ -100,45 +95,27 @@ func (b box[T]) Less(x, y any) (bool, bool) {
 	return ord.Less(x.(T), y.(T)), true
 }
 
-func (b box[T]) evalAtTuples(a *structure.Structure, weights []WeightValue, e expr.Expr, vars []string, tuples []structure.Tuple, opts compile.Options) ([]any, error) {
-	w := structure.NewWeights[T]()
-	for _, wv := range weights {
-		tv, ok := wv.Value.(T)
-		if !ok {
-			return nil, fmt.Errorf("nested: weight %s%v has value %v incompatible with semiring %s", wv.Weight, wv.Tuple, wv.Value, b.name)
-		}
-		w.Set(wv.Weight, wv.Tuple, tv)
-	}
-	// Close over the guard variables e mentions, in guard order (a repeated
-	// one is read at its first position): one e does not mention would only
-	// widen every monomial by a summed-out variable and count against
-	// compile.Options.MaxVars.
-	free := expr.FreeVars(e)
-	var params []string
-	var keep []int
-	for i, v := range vars {
-		if slices.Contains(free, v) && !slices.Contains(params, v) {
-			params, keep = append(params, v), append(keep, i)
-		}
-	}
-	sh, err := dynamicq.Close(a, e, params, opts)
+func (b box[T]) reader(sh *dynamicq.Shared, weights []WeightValue) (func([]structure.Element) (any, error), error) {
+	w, err := TypedWeights[T](weights)
 	if err != nil {
 		return nil, err
 	}
 	q := dynamicq.NewQuery(b.s, sh, w)
-	out := make([]any, len(tuples))
-	args := make([]structure.Element, len(keep))
-	for i, t := range tuples {
-		for j, k := range keep {
-			args[j] = t[k]
+	return func(args []structure.Element) (any, error) { return q.Value(args...) }, nil
+}
+
+// TypedWeights converts dynamically typed weight entries into a weight
+// assignment over the carrier T they were computed in.
+func TypedWeights[T any](weights []WeightValue) (*structure.Weights[T], error) {
+	w := structure.NewWeights[T]()
+	for _, wv := range weights {
+		tv, ok := wv.Value.(T)
+		if !ok {
+			return nil, fmt.Errorf("nested: weight %s%v has value %v of type %T, which is not its carrier %T", wv.Weight, wv.Tuple, wv.Value, wv.Value, tv)
 		}
-		val, err := q.Value(args...)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = val
+		w.Set(wv.Weight, wv.Tuple, tv)
 	}
-	return out, nil
+	return w, nil
 }
 
 // Connective is a function between semirings, applied under a guard.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/compile"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
@@ -45,7 +44,6 @@ func testGraph(n, m int, seed int64) (*Database, []int64) {
 
 func TestValidation(t *testing.T) {
 	db, _ := testGraph(6, 10, 1)
-	ev := NewEvaluator(db, compile.Options{})
 
 	bad := []Formula{
 		B("missing", "x"),
@@ -59,12 +57,12 @@ func TestValidation(t *testing.T) {
 			S(NatSemiring, "weight", "y"), Val(NatSemiring, int64(1))),
 	}
 	for _, f := range bad {
-		if _, err := ev.EvalAt(f, freeVars(f), nil); err == nil {
+		if _, err := evalAt(db, f, freeVars(f), nil); err == nil {
 			t.Errorf("formula %s should have been rejected", f)
 		}
 	}
 	// Free variables must be declared for EvalClosed.
-	if _, err := ev.EvalClosed(S(NatSemiring, "weight", "x")); err == nil {
+	if _, err := evalClosed(db, S(NatSemiring, "weight", "x")); err == nil {
 		t.Errorf("EvalClosed on an open formula should fail")
 	}
 	// Declaring a duplicate or clashing S-relation fails.
@@ -81,10 +79,9 @@ func TestValidation(t *testing.T) {
 
 func TestSimpleAggregation(t *testing.T) {
 	db, weights := testGraph(8, 16, 3)
-	ev := NewEvaluator(db, compile.Options{})
 
 	// Σ_x weight(x): total weight.
-	total, err := ev.EvalClosed(Sum([]string{"x"}, S(NatSemiring, "weight", "x")))
+	total, err := evalClosed(db, Sum([]string{"x"}, S(NatSemiring, "weight", "x")))
 	if err != nil {
 		t.Fatalf("EvalClosed: %v", err)
 	}
@@ -98,7 +95,7 @@ func TestSimpleAggregation(t *testing.T) {
 
 	// Σ_{x,y} [E(x,y)]_N · weight(y): weighted in-degree mass.
 	f := Sum([]string{"x", "y"}, Times(Bracket(NatSemiring, B("E", "x", "y")), S(NatSemiring, "weight", "y")))
-	got, err := ev.EvalClosed(f)
+	got, err := evalClosed(db, f)
 	if err != nil {
 		t.Fatalf("EvalClosed: %v", err)
 	}
@@ -111,7 +108,7 @@ func TestSimpleAggregation(t *testing.T) {
 	}
 
 	// Boolean sentence: ∃x,y E(x,y).
-	b, err := ev.EvalClosed(Exists([]string{"x", "y"}, B("E", "x", "y")))
+	b, err := evalClosed(db, Exists([]string{"x", "y"}, B("E", "x", "y")))
 	if err != nil {
 		t.Fatalf("EvalClosed: %v", err)
 	}
@@ -127,7 +124,6 @@ func TestSimpleAggregation(t *testing.T) {
 // with the integer-ratio connective and a max-plus outer aggregation.
 func TestMaxAverageNeighborWeight(t *testing.T) {
 	db, weights := testGraph(10, 26, 5)
-	ev := NewEvaluator(db, compile.Options{})
 
 	sumW := Sum([]string{"y"}, Times(Bracket(NatSemiring, B("E", "x", "y")), S(NatSemiring, "weight", "y")))
 	degree := Sum([]string{"y"}, Bracket(NatSemiring, B("E", "x", "y")))
@@ -135,7 +131,7 @@ func TestMaxAverageNeighborWeight(t *testing.T) {
 	// Lift the ℕ-valued average into max-plus and take the maximum over x.
 	query := Sum([]string{"x"}, Guard("V", []string{"x"}, IntoMaxPlus, avg))
 
-	got, err := ev.EvalClosed(query)
+	got, err := evalClosed(db, query)
 	if err != nil {
 		t.Fatalf("EvalClosed: %v", err)
 	}
@@ -169,7 +165,6 @@ func TestMaxAverageNeighborWeight(t *testing.T) {
 // including its constant-delay enumeration (result (E)).
 func TestHeavyNeighborQuery(t *testing.T) {
 	db, weights := testGraph(9, 22, 7)
-	ev := NewEvaluator(db, compile.Options{})
 
 	neighbourSum := Sum([]string{"z"}, Times(Bracket(NatSemiring, B("E", "y", "z")), S(NatSemiring, "weight", "z")))
 	heavy := Guard("V", []string{"y"}, GreaterThan(NatSemiring), S(NatSemiring, "weight", "y"), neighbourSum)
@@ -199,7 +194,7 @@ func TestHeavyNeighborQuery(t *testing.T) {
 	for x := 0; x < n; x++ {
 		tuples = append(tuples, structure.Tuple{x})
 	}
-	vals, err := ev.EvalAt(f, []string{"x"}, tuples)
+	vals, err := evalAt(db, f, []string{"x"}, tuples)
 	if err != nil {
 		t.Fatalf("EvalAt: %v", err)
 	}
@@ -210,8 +205,7 @@ func TestHeavyNeighborQuery(t *testing.T) {
 	}
 
 	// Enumeration of the answer set (result E).
-	ev2 := NewEvaluator(db, compile.Options{})
-	ans, err := ev2.EnumerateBool(f, []string{"x"})
+	ans, err := enumerateBool(db, f, []string{"x"})
 	if err != nil {
 		t.Fatalf("EnumerateBool: %v", err)
 	}
@@ -235,7 +229,7 @@ func TestHeavyNeighborQuery(t *testing.T) {
 		}
 	}
 	// EnumerateBool rejects non-boolean formulas.
-	if _, err := ev2.EnumerateBool(S(NatSemiring, "weight", "x"), []string{"x"}); err == nil {
+	if _, err := enumerateBool(db, S(NatSemiring, "weight", "x"), []string{"x"}); err == nil {
 		t.Errorf("EnumerateBool on a non-boolean formula should fail")
 	}
 }
@@ -293,8 +287,7 @@ func TestNestedConnectivesWithBinaryWeights(t *testing.T) {
 		},
 	}
 	query := Sum([]string{"x"}, Guard("V", []string{"x"}, toMax, cheapest))
-	ev := NewEvaluator(db, compile.Options{})
-	got, err := ev.EvalClosed(query)
+	got, err := evalClosed(db, query)
 	if err != nil {
 		t.Fatalf("EvalClosed: %v", err)
 	}

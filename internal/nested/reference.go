@@ -9,7 +9,7 @@ import (
 // ReferenceEvalClosed evaluates a closed formula by direct recursion over the
 // FOG[C] semantics, without compiling anything.  It enumerates all variable
 // assignments explicitly, so it is exponential in quantifier depth and meant
-// purely as a differential-testing oracle for the Program-backed Evaluator.
+// purely as a differential-testing oracle for Compile.
 func ReferenceEvalClosed(db *Database, f Formula) (any, error) {
 	if err := db.check(f); err != nil {
 		return nil, err

@@ -218,8 +218,9 @@ func (a *Structure) MustAddTuple(rel string, tuple ...Element) {
 }
 
 // RemoveTuple deletes a tuple from the named relation; removing an absent
-// tuple is a no-op.  The cost is linear in the relation's size, and any
-// previously computed Gaifman graph is invalidated.
+// tuple is a no-op.  The cost is linear in the relation's size (one scan, no
+// allocation beyond the index delete), and any previously computed Gaifman
+// graph is invalidated.
 func (a *Structure) RemoveTuple(rel string, tuple ...Element) error {
 	decl, ok := a.Sig.Relation(rel)
 	if !ok {
@@ -228,14 +229,16 @@ func (a *Structure) RemoveTuple(rel string, tuple ...Element) error {
 	if len(tuple) != decl.Arity {
 		return fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
 	}
-	key := Tuple(tuple).Key()
-	if a.index[rel] == nil || !a.index[rel][key] {
+	var buf [keyBufSize]byte
+	key := Tuple(tuple).appendKey(buf[:0])
+	idx := a.index[rel]
+	if !idx[string(key)] {
 		return nil
 	}
-	delete(a.index[rel], key)
+	delete(idx, string(key))
 	kept := a.tuples[rel][:0]
 	for _, t := range a.tuples[rel] {
-		if t.Key() != key {
+		if !t.Equal(tuple) {
 			kept = append(kept, t)
 		}
 	}
@@ -423,7 +426,11 @@ func (w *Weights[T]) Validate(a *Structure, isZero func(T) bool) error {
 			err = fmt.Errorf("structure: weight value set for undeclared weight symbol %q", k.Weight)
 			return
 		}
-		t := parseTupleKey(k.Tuple)
+		t, perr := parseTupleKey(k.Tuple)
+		if perr != nil {
+			err = perr
+			return
+		}
 		if len(t) != decl.Arity {
 			err = fmt.Errorf("structure: weight %q has arity %d but value set for tuple of length %d", k.Weight, decl.Arity, len(t))
 			return
@@ -443,18 +450,33 @@ func (w *Weights[T]) Validate(a *Structure, isZero func(T) bool) error {
 	return err
 }
 
-func parseTupleKey(key string) Tuple {
+// parseTupleKey decodes Tuple.Key: decimal elements, comma separated, the
+// empty key being the empty tuple.
+func parseTupleKey(key string) (Tuple, error) {
 	if key == "" {
-		return Tuple{}
+		return Tuple{}, nil
 	}
-	parts := strings.Split(key, ",")
-	t := make(Tuple, len(parts))
-	for i, p := range parts {
-		fmt.Sscanf(p, "%d", &t[i])
+	t := make(Tuple, 0, strings.Count(key, ",")+1)
+	for rest, more := key, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		e, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("structure: malformed tuple key %q", key)
+		}
+		t = append(t, e)
 	}
-	return t
+	return t, nil
 }
 
 // ParseTupleKey exposes tuple-key decoding for other packages (e.g. the
 // enumeration layer decodes answer tuples from free-semiring generators).
-func ParseTupleKey(key string) Tuple { return parseTupleKey(key) }
+// Every key in the system is minted by Tuple.Key, so a malformed one is a bug
+// in the caller and panics instead of decoding to zeros.
+func ParseTupleKey(key string) Tuple {
+	t, err := parseTupleKey(key)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}

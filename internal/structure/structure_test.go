@@ -1,6 +1,7 @@
 package structure
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -290,5 +291,53 @@ func TestTupleKeyRoundTrip(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { a.HasTuple("T", 12, 345, 1999) }); allocs != 0 {
 		t.Errorf("HasTuple allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestMalformedTupleKey decides what a key Tuple.Key cannot have minted does:
+// Validate reports it, ParseTupleKey panics, and neither decodes it to zeros.
+func TestMalformedTupleKey(t *testing.T) {
+	if got := ParseTupleKey("-3,+4,007"); !got.Equal(Tuple{-3, 4, 7}) {
+		t.Errorf(`ParseTupleKey("-3,+4,007") = %v, want [-3 4 7]`, got)
+	}
+	a := NewStructure(testSignature(t), 4)
+	for _, key := range []string{",", "1,", ",1", "1,,2", "x", "1,2x", "1 ,2", "99999999999999999999"} {
+		w := NewWeights[int64]()
+		w.SetKey(WeightKey{Weight: "u", Tuple: key}, 1)
+		if err := w.Validate(a, func(v int64) bool { return v == 0 }); err == nil || !strings.Contains(err.Error(), "malformed tuple key") {
+			t.Errorf("Validate with key %q = %v, want a malformed-key error", key, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ParseTupleKey(%q) did not panic", key)
+				}
+			}()
+			ParseTupleKey(key)
+		}()
+	}
+}
+
+// TestRemoveTupleScansWithoutAllocating: removal compares stored tuples
+// element-wise, so its one scan allocates nothing per tuple — at most the
+// index delete's key.
+func TestRemoveTupleScansWithoutAllocating(t *testing.T) {
+	const n = 512
+	a := NewStructure(testSignature(t), n)
+	for v := 0; v < n; v++ {
+		a.MustAddTuple("E", v, (v+1)%n)
+	}
+	v := 0
+	allocs := testing.AllocsPerRun(n/2, func() {
+		if err := a.RemoveTuple("E", v, (v+1)%n); err != nil {
+			t.Fatal(err)
+		}
+		v++
+	})
+	if allocs > 1 {
+		t.Errorf("RemoveTuple allocates %.1f objects per call over %d stored tuples, want at most 1", allocs, n)
+	}
+	if got := len(a.Tuples("E")); got != n-v || a.HasTuple("E", 0, 1) || !a.HasTuple("E", n-1, 0) {
+		t.Errorf("after %d removals %d tuples are left, (0,1) present: %v", v, got, a.HasTuple("E", 0, 1))
 	}
 }

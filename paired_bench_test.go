@@ -168,6 +168,47 @@ func BenchmarkPairedPointRead(b *testing.B) {
 	}
 }
 
+// BenchmarkPairedNestedPointRead reads the README's nested query — the
+// average weight of x's out-neighbours, ⌊Σ_y [E(x,y)]·u(y) / Σ_y [E(x,y)]⌋
+// under the guard V(x) — at one point per operation, beside the flat point
+// read of its numerator.  Both are reads of a program Prepare compiled, so
+// they should sit within a small factor of each other and neither should grow
+// with n.
+func BenchmarkPairedNestedPointRead(b *testing.B) {
+	ctx := context.Background()
+	sumW := agg.NSum([]string{"y"}, agg.NTimes(agg.NBracket(agg.NAtom("E", "x", "y")), agg.NWeight("u", "y")))
+	degree := agg.NSum([]string{"y"}, agg.NBracket(agg.NAtom("E", "x", "y")))
+	avg := agg.NGuard("V", []string{"x"}, agg.ConnRatio, sumW, degree)
+	for _, n := range []int{1000, 4000} {
+		db, err := agg.Generate("nested", n, 13)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name  string
+			query string
+			opts  []agg.Option
+		}{
+			{"nested", "average neighbour weight", []agg.Option{agg.WithNested(avg)}},
+			{"flat", "sum y . [E(x,y)] * u(y)", nil},
+		} {
+			p, err := agg.Open(db).Prepare(ctx, c.query, c.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			elements := db.Elements()
+			b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.Eval(ctx, i%elements); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkPairedColdPrepare is the repository benchmark's cold_prepare
 // workload without its harness: a fresh Engine and one Prepare per operation
 // — parse, quantifier elimination, colouring, compile, freeze, nothing cached
