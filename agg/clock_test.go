@@ -446,3 +446,35 @@ func TestSessionEvalAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionOpenAllocations guards what opening a session builds per
+// instance: values only.  The circuit's shape — which slot of which parent a
+// gate feeds, which cell of a permanent a slot is — is frozen into the shared
+// Program, so a session that rebuilds it as per-gate maps (7.0 objects per
+// gate on this input, against 3.6 without them and with each permanent's
+// matrix allocated once) fails the bound.
+func TestSessionOpenAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	db, err := Generate("pref-attach", 1500, 1)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	p, err := Open(db).Prepare(context.Background(), "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		s, err := p.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	})
+	perGate := got / float64(p.Stats().Gates)
+	t.Logf("Prepared.Session: %.0f allocs, %.2f per gate", got, perGate)
+	if perGate > 5 {
+		t.Errorf("Prepared.Session allocates %.2f objects per gate, want ≤ 5", perGate)
+	}
+}

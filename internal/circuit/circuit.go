@@ -142,12 +142,6 @@ func (c *Circuit) Input(key structure.WeightKey) int {
 	return id
 }
 
-// HasInput reports whether the circuit references the weight key.
-func (c *Circuit) HasInput(key structure.WeightKey) bool {
-	_, ok := c.inputIndex[key]
-	return ok
-}
-
 // InputGate returns the gate id of an existing input, or -1.
 func (c *Circuit) InputGate(key structure.WeightKey) int {
 	if id, ok := c.inputIndex[key]; ok {

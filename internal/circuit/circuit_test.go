@@ -106,9 +106,6 @@ func TestBuilderSimplifications(t *testing.T) {
 	if c.Perm(2, 1, nil) != c.Zero() {
 		t.Errorf("permanent with fewer columns than rows should be zero")
 	}
-	if !c.HasInput(key("u", 0)) || c.HasInput(key("zzz", 9)) {
-		t.Errorf("HasInput broken")
-	}
 	if c.InputGate(key("zzz", 9)) != -1 {
 		t.Errorf("InputGate of unknown key should be -1")
 	}

@@ -32,12 +32,16 @@ import (
 // The strategy is chosen automatically from the semiring's capabilities.
 //
 // The evaluator runs on the circuit's frozen Program and borrows its
-// topological ranks and parents CSR instead of rebuilding them per session:
-// a Worklist drains dirty gates in increasing rank order, so every affected
-// gate is recomputed exactly once per wave no matter how many of its children
-// changed.  All wave state (worklist, old values) is owned by the Dynamic and
-// reused across updates: once the buffers have grown to their steady-state
-// capacity, updates on the generic path perform zero heap allocations.
+// topological ranks, wires and permanent cells instead of rebuilding them per
+// session: what a Dynamic holds per instance is values only — the gate values,
+// and per addition or permanent gate the counts, aggregation tree or
+// maintained matrix its strategy needs, each addressed by the Program's slots.
+// A Worklist drains dirty gates in increasing rank order, handing each the
+// slots whose child changed, so every affected gate is recomputed exactly once
+// per wave no matter how many of its children changed.  All wave state
+// (worklist, old values) is owned by the Dynamic and reused across updates:
+// once the buffers have grown to their steady-state capacity, updates on the
+// generic path perform zero heap allocations.
 //
 // # Goroutine safety
 //
@@ -67,12 +71,19 @@ type Dynamic[T any] struct {
 
 	vals []T
 
-	adders []*adderState[T]
-	perms  []permState[T]
+	// What the strategy maintains beside vals, indexed by slot.  An addition
+	// gate g keeps nothing over a ring (difference updates on vals);
+	// addCounts[g][i], the number of its slots holding elems[i], over a finite
+	// semiring; addTree[g], a complete binary aggregation tree with its slots
+	// as leaves, otherwise.  perms[k] maintains the Program's k-th permanent
+	// gate.
+	addCounts [][]int64
+	addTree   [][]T
+	perms     []perm.Maintainer[T]
 
 	// Wave state, reused across updates (see runWave).
 	wave    *Worklist
-	refresh func(g int, changed []int) // refreshGate, bound once so a wave allocates nothing
+	refresh func(g int, slots []int32) // refreshGate, bound once so a wave allocates nothing
 	oldOf   []T                        // oldOf[g] is g's value right before this wave's change
 	stamp   []uint64                   // stamp[g] == gen marks g as changed this wave
 	gen     uint64                     // wave generation for stamp (not the commit epoch)
@@ -117,30 +128,11 @@ type InputChange[T any] struct {
 	Value T
 }
 
-type adderState[T any] struct {
-	children []int32
-	// occurrences[child] lists the positions of that child within children,
-	// so that an update touches only the changed child's occurrences.
-	occurrences map[int][]int
-	// ring path: nothing extra (difference updates on vals).
-	// finite path: counts[i] = number of children currently equal to elems[i].
-	counts []int64
-	// generic path: a complete binary aggregation tree over the children.
-	tree []T
-	size int
-}
-
-type permState[T any] struct {
-	maintainer perm.Maintainer[T]
-	// positions[child] lists the wired (row, col) positions of that child.
-	positions map[int][][2]int
-}
-
 // NewDynamicProgram initialises the dynamic evaluator on a frozen Program
 // under the given valuation.  Freezing already validated the topological
 // gate order, so propagation may trust the Program's ranks.  Many Dynamic
 // sessions may share one Program; each gets independent update state — and a
-// clock of its own — while the ranks, parents and children arenas stay shared
+// clock of its own — while the ranks, wires and children arenas stay shared
 // and immutable.
 func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) *Dynamic[T] {
 	if p.output < 0 {
@@ -167,14 +159,20 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 	}
 	n := p.numGates
 	d.vals = EvaluateAllProgram(p, s, v)
-	d.adders = make([]*adderState[T], n)
-	d.perms = make([]permState[T], n)
+	switch {
+	case d.ring != nil: // difference updates: no state beside vals
+	case d.finite != nil:
+		d.addCounts = make([][]int64, n)
+	default:
+		d.addTree = make([][]T, n)
+	}
+	d.perms = make([]perm.Maintainer[T], len(p.perms))
 	for id := 0; id < n; id++ {
 		switch Kind(p.kind[id]) {
 		case KindAdd:
-			d.adders[id] = d.newAdderState(p.ChildIDs(id))
+			d.initAdder(id)
 		case KindPerm:
-			d.perms[id] = d.newPermState(id)
+			d.perms[p.arg[id]] = d.newMaintainer(id)
 		}
 	}
 	d.wave = NewWorklist(p)
@@ -187,37 +185,34 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 	return d
 }
 
-func (d *Dynamic[T]) newAdderState(children []int32) *adderState[T] {
-	st := &adderState[T]{children: children, occurrences: map[int][]int{}}
-	for pos, ch := range children {
-		st.occurrences[int(ch)] = append(st.occurrences[int(ch)], pos)
-	}
+// initAdder builds what the strategy maintains for addition gate g.
+func (d *Dynamic[T]) initAdder(g int) {
+	children := d.p.ChildIDs(g)
 	switch {
-	case d.ring != nil:
-		// Difference updates need no auxiliary state.
-	case d.finite != nil:
-		st.counts = make([]int64, len(d.elems))
+	case d.addCounts != nil:
+		counts := make([]int64, len(d.elems))
 		for _, ch := range children {
-			st.counts[d.elemIndex(d.vals[ch])]++
+			counts[d.elemIndex(d.vals[ch])]++
 		}
-	default:
+		d.addCounts[g] = counts
+	case d.addTree != nil:
 		// Balanced aggregation tree over the children values.
-		st.size = 1
-		for st.size < len(children) {
-			st.size *= 2
+		size := 1
+		for size < len(children) {
+			size *= 2
 		}
-		st.tree = make([]T, 2*st.size)
-		for i := range st.tree {
-			st.tree[i] = d.s.Zero()
+		tree := make([]T, 2*size)
+		for i := range tree {
+			tree[i] = d.s.Zero()
 		}
 		for i, ch := range children {
-			st.tree[st.size+i] = d.vals[ch]
+			tree[size+i] = d.vals[ch]
 		}
-		for i := st.size - 1; i >= 1; i-- {
-			st.tree[i] = d.s.Add(st.tree[2*i], st.tree[2*i+1])
+		for i := size - 1; i >= 1; i-- {
+			tree[i] = d.s.Add(tree[2*i], tree[2*i+1])
 		}
+		d.addTree[g] = tree
 	}
-	return st
 }
 
 // smallCarrierScanLimit is the carrier size below which elemIndex scans with
@@ -244,24 +239,20 @@ func (d *Dynamic[T]) elemIndex(v T) int {
 	panic("circuit: value outside the finite semiring carrier")
 }
 
-func (d *Dynamic[T]) newPermState(id int) permState[T] {
+// newMaintainer builds the matrix of permanent gate id from the current
+// values and hands it to the strategy's maintainer, which adopts it.
+func (d *Dynamic[T]) newMaintainer(id int) perm.Maintainer[T] {
 	rows, cols := d.p.PermShape(id)
 	m := perm.NewMatrix[T](d.s, rows, cols)
-	positions := make(map[int][][2]int)
-	d.p.ForEachPermEntry(id, func(row, col, gate int) {
-		m.Set(row, col, d.vals[gate])
-		positions[gate] = append(positions[gate], [2]int{row, col})
-	})
-	var maint perm.Maintainer[T]
+	d.p.ForEachPermEntry(id, func(row, col, gate int) { m.Set(row, col, d.vals[gate]) })
 	switch {
 	case d.ring != nil:
-		maint = perm.NewRingDynamic(d.ring, m)
+		return perm.NewRingDynamic(d.ring, m)
 	case d.finite != nil:
-		maint = perm.NewFiniteDynamic(d.finite, m)
+		return perm.NewFiniteDynamic(d.finite, m)
 	default:
-		maint = perm.NewDynamic(d.s, m)
+		return perm.NewDynamic(d.s, m)
 	}
-	return permState[T]{maintainer: maint, positions: positions}
 }
 
 // Clock returns the clock this state commits under.  Another engine state
@@ -408,10 +399,10 @@ func (d *Dynamic[T]) propagateWave() {
 	d.gen++
 }
 
-// refreshGate is the wave's per-gate step: recompute g from its changed
-// children and, when its value moved, store it and pass the change on.
-func (d *Dynamic[T]) refreshGate(g int, changed []int) {
-	newVal := d.recomputeGate(g, changed)
+// refreshGate is the wave's per-gate step: recompute g from the slots whose
+// child changed and, when its value moved, store it and pass the change on.
+func (d *Dynamic[T]) refreshGate(g int, slots []int32) {
+	newVal := d.recomputeGate(g, slots)
 	if d.s.Equal(newVal, d.vals[g]) {
 		return
 	}
@@ -420,83 +411,80 @@ func (d *Dynamic[T]) refreshGate(g int, changed []int) {
 	d.markChanged(g, old)
 }
 
-// recomputeGate refreshes the auxiliary structures of gate g given its
-// changed children (their pre-wave values are in oldOf), and returns the new
-// value of g.
-func (d *Dynamic[T]) recomputeGate(g int, changed []int) T {
+// recomputeGate refreshes what is maintained for gate g given the slots whose
+// child changed (the children's pre-wave values are in oldOf), and returns the
+// new value of g.  A child assigned back to its pre-wave value within one
+// batch is enlisted all the same, hence the Equal checks.
+func (d *Dynamic[T]) recomputeGate(g int, slots []int32) T {
+	kids := d.p.ChildIDs(g)
 	switch Kind(d.p.kind[g]) {
 	case KindAdd:
-		return d.recomputeAdd(g, changed)
+		return d.recomputeAdd(g, kids, slots)
 	case KindMul:
 		acc := d.s.One()
-		for _, ch := range d.p.ChildIDs(g) {
+		for _, ch := range kids {
 			acc = d.s.Mul(acc, d.vals[ch])
 		}
 		return acc
 	case KindPerm:
-		st := d.perms[g]
-		for _, child := range changed {
-			if d.s.Equal(d.oldOf[child], d.vals[child]) {
+		maintainer := d.perms[d.p.arg[g]]
+		for _, slot := range slots {
+			ch := kids[slot]
+			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
 				continue
 			}
-			for _, pos := range st.positions[child] {
-				st.maintainer.Update(pos[0], pos[1], d.vals[child])
-			}
+			row, col := d.p.PermCell(g, int(slot))
+			maintainer.Update(row, col, d.vals[ch])
 		}
-		return st.maintainer.Value()
+		return maintainer.Value()
 	default:
 		panic(fmt.Sprintf("circuit: gate %d of kind %v cannot be recomputed dynamically", g, Kind(d.p.kind[g])))
 	}
 }
 
-func (d *Dynamic[T]) recomputeAdd(g int, changed []int) T {
-	st := d.adders[g]
+func (d *Dynamic[T]) recomputeAdd(g int, kids, slots []int32) T {
 	switch {
 	case d.ring != nil:
-		// Each changed child contributes occurrences·(new − old) once per
-		// wave: children drain strictly before parents, so oldOf holds the
-		// value this gate last incorporated.
+		// Each changed slot contributes new − old once per wave: children
+		// drain strictly before parents, so oldOf holds the value this gate
+		// last incorporated.
 		acc := d.vals[g]
-		for _, ch := range changed {
-			occ := int64(len(st.occurrences[ch]))
-			if occ == 0 {
-				continue
-			}
-			delta := d.ring.Add(d.vals[ch], d.ring.Neg(d.oldOf[ch]))
-			acc = d.ring.Add(acc, semiring.ScalarMul[T](d.ring, occ, delta))
+		for _, slot := range slots {
+			ch := kids[slot]
+			acc = d.ring.Add(acc, d.ring.Add(d.vals[ch], d.ring.Neg(d.oldOf[ch])))
 		}
 		return acc
 	case d.finite != nil:
-		for _, ch := range changed {
-			oldVal := d.oldOf[ch]
-			if d.s.Equal(oldVal, d.vals[ch]) {
+		counts := d.addCounts[g]
+		for _, slot := range slots {
+			ch := kids[slot]
+			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
 				continue
 			}
-			occ := int64(len(st.occurrences[ch]))
-			st.counts[d.elemIndex(oldVal)] -= occ
-			st.counts[d.elemIndex(d.vals[ch])] += occ
+			counts[d.elemIndex(d.oldOf[ch])]--
+			counts[d.elemIndex(d.vals[ch])]++
 		}
 		acc := d.s.Zero()
-		for i, cnt := range st.counts {
+		for i, cnt := range counts {
 			if cnt > 0 {
 				acc = d.s.Add(acc, semiring.ScalarMul(d.s, cnt, d.elems[i]))
 			}
 		}
 		return acc
 	default:
-		for _, ch := range changed {
+		tree := d.addTree[g]
+		for _, slot := range slots {
+			ch := kids[slot]
 			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
 				continue
 			}
-			for _, i := range st.occurrences[ch] {
-				pos := st.size + i
-				st.tree[pos] = d.vals[ch]
-				for pos >= 2 {
-					pos /= 2
-					st.tree[pos] = d.s.Add(st.tree[2*pos], st.tree[2*pos+1])
-				}
+			pos := len(tree)/2 + int(slot)
+			tree[pos] = d.vals[ch]
+			for pos >= 2 {
+				pos /= 2
+				tree[pos] = d.s.Add(tree[2*pos], tree[2*pos+1])
 			}
 		}
-		return st.tree[1]
+		return tree[1]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/rand"
 	. "repro/internal/circuit"
+	"repro/internal/circuit/circuittest"
 	"testing"
 
 	"repro/internal/provenance"
@@ -413,5 +414,78 @@ func BenchmarkDynamicApplyBatch(b *testing.B) {
 			batch[j].Value = int64((i + j) % 5)
 		}
 		d.ApplyBatch(batch)
+	}
+}
+
+// TestRepeatedWires wires one gate several times into one parent — an input
+// twice into an addition gate and into two cells of one permanent, an interior
+// gate twice into the output sum — so the slot-addressed rules (one ring delta,
+// one count, one tree leaf, one matrix cell per wire) are checked where a gate
+// and a slot are not the same thing: gate for gate against the reference walk
+// after every write, and through DynSnapshot.EvalWith at a pin one write
+// stale.  Every write assigns its key twice, so the first value's slots are
+// enlisted and then found unchanged or changed again.
+func TestRepeatedWires(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	t.Run("Int-ring", func(t *testing.T) {
+		checkRepeatedWires[int64](t, r, semiring.Int, func() int64 { return int64(r.Intn(9) - 4) })
+	})
+	t.Run("Bool-finite", func(t *testing.T) {
+		checkRepeatedWires[bool](t, r, semiring.Bool, func() bool { return r.Intn(2) == 0 })
+	})
+	t.Run("Mod7-finite", func(t *testing.T) {
+		checkRepeatedWires[int64](t, r, semiring.NewModular(7), func() int64 { return int64(r.Intn(7)) })
+	})
+	t.Run("Nat-generic", func(t *testing.T) {
+		checkRepeatedWires[int64](t, r, semiring.Nat, func() int64 { return int64(r.Intn(5)) })
+	})
+	t.Run("MinPlus-generic", func(t *testing.T) {
+		checkRepeatedWires[semiring.Ext](t, r, semiring.MinPlus, func() semiring.Ext {
+			if r.Intn(4) == 0 {
+				return semiring.Infinite
+			}
+			return semiring.Fin(int64(r.Intn(10)))
+		})
+	})
+}
+
+func checkRepeatedWires[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[T], draw func() T) {
+	c := NewBuilder()
+	x, y, z := c.Input(key("w", 0)), c.Input(key("w", 1)), c.Input(key("w", 2))
+	sum := c.Add(x, x, y)
+	pm := c.Perm(2, 3, []PermEntry{
+		{Row: 0, Col: 0, Gate: x}, {Row: 0, Col: 1, Gate: y}, {Row: 0, Col: 2, Gate: z},
+		{Row: 1, Col: 0, Gate: z}, {Row: 1, Col: 1, Gate: x}, {Row: 1, Col: 2, Gate: sum},
+	})
+	c.SetOutput(c.Add(c.Mul(sum, pm), sum, sum))
+
+	vals := map[structure.WeightKey]T{}
+	for i := 0; i < 3; i++ {
+		vals[key("w", i)] = draw()
+	}
+	val := func(k structure.WeightKey) (T, bool) { v, ok := vals[k]; return v, ok }
+	d := NewDynamicProgram[T](c.Program(), s, val)
+	for step := 0; step < 60; step++ {
+		snap := d.Snapshot()
+		overKey, overVal := key("w", r.Intn(3)), draw()
+		pinned := circuittest.EvaluateAll[T](c, s, func(k structure.WeightKey) (T, bool) {
+			if k == overKey {
+				return overVal, true
+			}
+			return val(k)
+		})[c.Output]
+
+		k := key("w", r.Intn(3))
+		vals[k] = draw()
+		d.ApplyBatch([]InputChange[T]{{Key: k, Value: draw()}, {Key: k, Value: vals[k]}})
+		for id, want := range circuittest.EvaluateAll[T](c, s, val) {
+			if got := d.GateValue(id); !s.Equal(got, want) {
+				t.Fatalf("step %d gate %d: maintained %s, reference %s", step, id, s.Format(got), s.Format(want))
+			}
+		}
+		if got := snap.EvalWith([]InputChange[T]{{Key: overKey, Value: overVal}}); !s.Equal(got, pinned) {
+			t.Fatalf("step %d: EvalWith at the stale pin = %s, reference %s", step, s.Format(got), s.Format(pinned))
+		}
+		snap.Release()
 	}
 }

@@ -6,11 +6,12 @@
 // pointers all over the heap and each engine re-derives children, parents,
 // ranks and level schedules on the side.  Freezing compiles the circuit once
 // into a Program: a struct-of-arrays (CSR) layout with one shared children
-// arena, a parallel parents CSR for wave propagation, interned constants
-// with a small-int fast path, and the topological ranks plus the level
-// schedule baked in.  A Program is immutable and safe for any number of
-// concurrent evaluations, dynamic sessions and enumerators; they all borrow
-// its bookkeeping instead of rebuilding their own.
+// arena, a wires CSR saying at which slot of which parent every gate sits (the
+// one child→parent index in the tree, which every propagation wave walks),
+// interned constants with a small-int fast path, and the topological ranks
+// plus the level schedule baked in.  A Program is immutable and safe for any
+// number of concurrent evaluations, dynamic sessions and enumerators; they all
+// borrow its bookkeeping instead of rebuilding their own.
 //
 // The split is the seam between build and execute: Circuit stays the
 // construction API (internal/compile and the examples keep building through
@@ -29,6 +30,13 @@ import (
 // Program is a frozen CSR compilation of a built Circuit.  All slices are
 // internal arenas; the exported accessors hand out read-only views that must
 // not be mutated.  Obtain one with Circuit.Program (memoised) or Freeze.
+//
+// The Program owns the whole shape of the circuit: kinds, operands, the slot
+// each operand occupies in its gate (and, in a permanent gate, the matrix cell
+// that slot is), the wires back from a gate to those slots, ranks and levels.
+// Everything an engine keeps per instance — values, emptiness bits,
+// aggregation trees, column types — is addressed by gate id and slot into
+// these arenas, so no engine state rebuilds any of it.
 type Program struct {
 	numGates int
 	output   int
@@ -40,15 +48,18 @@ type Program struct {
 	arg  []int32
 
 	// Children CSR: the operand gates of gate id are
-	// children[childStart[id]:childStart[id+1]].  For permanent gates the
-	// slice lists the wired entry gates in entry order.
+	// children[childStart[id]:childStart[id+1]]; the index of an operand in
+	// that slice is its slot.  For permanent gates the slice lists the wired
+	// entry gates in entry order.
 	childStart []int32
 	children   []int32
 
-	// Parents CSR, deduplicated: the gates reading gate id are
-	// parents[parentStart[id]:parentStart[id+1]], in increasing order.
-	parentStart []int32
-	parents     []int32
+	// Wires CSR, the inverse of the children arena: gate id is read at
+	// wires[wireStart[id]:wireStart[id+1]], one (parent, slot) per occurrence
+	// with children[childStart[parent]+slot] == id, ordered by parent then
+	// slot.  A gate wired k times into one parent has k wires to it.
+	wireStart []int32
+	wires     []Wire
 
 	// rank[id] is the topological rank (longest path from a leaf); children
 	// always have strictly smaller rank.  levels lists all gate ids grouped
@@ -71,10 +82,14 @@ type Program struct {
 
 	// Permanent gates: perms[arg[id]] describes the matrix; the wired rows
 	// and columns of its entries are permRows/permCols[entOff:entOff+k]
-	// where k is the gate's child count, parallel to the children arena.
-	perms    []permProgram
-	permRows []int32
-	permCols []int32
+	// where k is the gate's child count, parallel to the children arena, so
+	// slot i of the gate is the cell (permRows[entOff+i], permCols[entOff+i]).
+	// Entries are column-major: column c of the gate is the run of slots
+	// permColStart[colOff+c] ≤ i < permColStart[colOff+c+1].
+	perms        []permProgram
+	permRows     []int32
+	permCols     []int32
+	permColStart []int32
 
 	// freezeDur is the wall-clock cost of Freeze, recorded here because
 	// freezing happens deep inside compilation (no context in scope); the
@@ -89,6 +104,13 @@ func (p *Program) FreezeDuration() time.Duration { return p.freezeDur }
 type permProgram struct {
 	rows, cols int32
 	entOff     int32
+	colOff     int32
+}
+
+// Wire is one occurrence of a gate among the operands of another:
+// ChildIDs(Parent)[Slot] is the gate the wire leaves.
+type Wire struct {
+	Parent, Slot int32
 }
 
 // Freeze compiles a built circuit into its frozen Program form.  It
@@ -111,11 +133,12 @@ func Freeze(c *Circuit) *Program {
 		rank:       make([]int32, n),
 	}
 
-	// Pass 1: kinds, child counts, payload indexes, ranks, parent counts
-	// (with duplicates), topological-order validation.
+	// Pass 1: kinds, child counts, payload indexes, ranks, wire counts,
+	// topological-order validation.
 	childCount := 0
 	entryCount := 0
-	parentCount := make([]int32, n)
+	colCount := 0
+	p.wireStart = make([]int32, n+1)
 	constIdx := map[string]int32{}
 	for id := 0; id < n; id++ {
 		g := &c.Gates[id]
@@ -129,7 +152,7 @@ func Freeze(c *Circuit) *Program {
 			if p.rank[ch]+1 > r {
 				r = p.rank[ch] + 1
 			}
-			parentCount[ch]++
+			p.wireStart[ch+1]++
 		}
 		switch g.Kind {
 		case KindInput:
@@ -157,7 +180,8 @@ func Freeze(c *Circuit) *Program {
 			childCount += len(g.Children)
 		case KindPerm:
 			p.arg[id] = int32(len(p.perms))
-			p.perms = append(p.perms, permProgram{rows: int32(g.Rows), cols: int32(g.Cols), entOff: int32(entryCount)})
+			p.perms = append(p.perms, permProgram{rows: int32(g.Rows), cols: int32(g.Cols), entOff: int32(entryCount), colOff: int32(colCount)})
+			colCount += g.Cols + 1
 			for _, e := range g.Entries {
 				visit(e.Gate)
 			}
@@ -182,10 +206,12 @@ func Freeze(c *Circuit) *Program {
 	// Pass 2: fill the children arena and the permanent-entry arenas.  The
 	// entries of each permanent gate are stored column-major (stably sorted
 	// by column), so evaluation can run the column dynamic program straight
-	// off the arena without materialising a per-column matrix.
+	// off the arena without materialising a per-column matrix, and the
+	// counting sort's offsets stay behind as the gate's column index.
 	p.children = make([]int32, childCount)
 	p.permRows = make([]int32, entryCount)
 	p.permCols = make([]int32, entryCount)
+	p.permColStart = make([]int32, colCount)
 	for id := 0; id < n; id++ {
 		g := &c.Gates[id]
 		off := p.childStart[id]
@@ -195,8 +221,8 @@ func Freeze(c *Circuit) *Program {
 				p.children[off+int32(i)] = int32(ch)
 			}
 		case KindPerm:
-			ent := p.perms[p.arg[id]].entOff
-			place := make([]int32, g.Cols+1)
+			pm := p.perms[p.arg[id]]
+			place := p.permColStart[pm.colOff : pm.colOff+pm.cols+1]
 			for _, e := range g.Entries {
 				place[e.Col+1]++
 			}
@@ -207,38 +233,27 @@ func Freeze(c *Circuit) *Program {
 				i := place[e.Col]
 				place[e.Col]++
 				p.children[off+i] = int32(e.Gate)
-				p.permRows[ent+i] = int32(e.Row)
-				p.permCols[ent+i] = int32(e.Col)
+				p.permRows[pm.entOff+i] = int32(e.Row)
+				p.permCols[pm.entOff+i] = int32(e.Col)
 			}
+			// Filling advanced every column's offset to the next column's.
+			copy(place[1:], place[:g.Cols])
+			place[0] = 0
 		}
 	}
 
-	// Pass 3: parents CSR.  Iterating parents in increasing id keeps each
-	// child's list sorted, so duplicates (a child wired several times into
-	// one gate) are adjacent and compact away in place.
-	start := make([]int32, n+1)
+	// Pass 3: wires CSR.  Visiting parents in increasing id and their slots in
+	// increasing order leaves each gate's wires sorted by (parent, slot).
 	for id := 0; id < n; id++ {
-		start[id+1] = start[id] + parentCount[id]
+		p.wireStart[id+1] += p.wireStart[id]
 	}
-	raw := make([]int32, start[n])
+	p.wires = make([]Wire, childCount)
 	fill := make([]int32, n)
 	for id := 0; id < n; id++ {
-		for _, ch := range p.children[p.childStart[id]:p.childStart[id+1]] {
-			raw[start[ch]+fill[ch]] = int32(id)
+		for slot, ch := range p.children[p.childStart[id]:p.childStart[id+1]] {
+			p.wires[p.wireStart[ch]+fill[ch]] = Wire{Parent: int32(id), Slot: int32(slot)}
 			fill[ch]++
 		}
-	}
-	p.parentStart = make([]int32, n+1)
-	p.parents = raw[:0]
-	for id := 0; id < n; id++ {
-		lo, hi := start[id], start[id+1]
-		for i := lo; i < hi; i++ {
-			if i > lo && raw[i] == raw[i-1] {
-				continue
-			}
-			p.parents = append(p.parents, raw[i])
-		}
-		p.parentStart[id+1] = int32(len(p.parents))
 	}
 
 	// Pass 4: level schedule by counting sort on rank.
@@ -285,11 +300,11 @@ func (p *Program) ChildIDs(id int) []int32 {
 	return p.children[p.childStart[id]:p.childStart[id+1]]
 }
 
-// ParentIDs returns the deduplicated parents of gate id, in increasing
-// order, as a view into the shared parents arena.  The returned slice must
-// not be modified.
-func (p *Program) ParentIDs(id int) []int32 {
-	return p.parents[p.parentStart[id]:p.parentStart[id+1]]
+// Wires returns every occurrence of gate id among the operands of other
+// gates, ordered by parent then slot, as a view into the shared wires arena.
+// The returned slice must not be modified.
+func (p *Program) Wires(id int) []Wire {
+	return p.wires[p.wireStart[id]:p.wireStart[id+1]]
 }
 
 // Rank returns the topological rank of gate id (the length of the longest
@@ -310,14 +325,19 @@ func (p *Program) LevelGates(d int) []int32 {
 // NumInputs returns the number of input gates.
 func (p *Program) NumInputs() int { return len(p.inputKeys) }
 
-// InputKey returns the weight key of input gate id; it panics when id is not
-// an input gate.
-func (p *Program) InputKey(id int) structure.WeightKey {
+// InputNumber returns the position of input gate id among the program's
+// inputs, in gate order (0 ≤ n < NumInputs): the index of per-input state.  It
+// panics when id is not an input gate.
+func (p *Program) InputNumber(id int) int {
 	if p.kind[id] != uint8(KindInput) {
 		panic(fmt.Sprintf("circuit: gate %d is not an input gate", id))
 	}
-	return p.inputKeys[p.arg[id]]
+	return int(p.arg[id])
 }
+
+// InputKey returns the weight key of input gate id; it panics when id is not
+// an input gate.
+func (p *Program) InputKey(id int) structure.WeightKey { return p.inputKeys[p.InputNumber(id)] }
 
 // InputGate returns the gate id of the input with the given weight key, or
 // -1 when the program does not reference it.
@@ -370,6 +390,22 @@ func (p *Program) ForEachPermEntry(id int, f func(row, col, gate int)) {
 	}
 }
 
+// PermCell returns the matrix cell (row, col) that slot of permanent gate id
+// is wired to; it panics when id is not a permanent gate.
+func (p *Program) PermCell(id, slot int) (row, col int) {
+	i := p.perms[p.permArg(id)].entOff + int32(slot)
+	return int(p.permRows[i]), int(p.permCols[i])
+}
+
+// PermColumn returns the wired cells of column col of permanent gate id, as
+// views into the shared arenas that must not be modified: the i-th has row
+// rows[i] and child gate gates[i].  It panics when id is not a permanent gate.
+func (p *Program) PermColumn(id, col int) (rows, gates []int32) {
+	pm := p.perms[p.permArg(id)]
+	lo, hi := p.permColStart[pm.colOff+int32(col)], p.permColStart[pm.colOff+int32(col)+1]
+	return p.permRows[pm.entOff+lo : pm.entOff+hi], p.children[p.childStart[id]+lo : p.childStart[id]+hi]
+}
+
 func (p *Program) permArg(id int) int32 {
 	if p.kind[id] != uint8(KindPerm) {
 		panic(fmt.Sprintf("circuit: gate %d is not a permanent gate", id))
@@ -385,9 +421,9 @@ func (p *Program) permArg(id int) int32 {
 func (p *Program) Footprint() int64 {
 	bytes := int64(len(p.kind)) // 1 byte per kind
 	bytes += 4 * int64(len(p.arg)+len(p.childStart)+len(p.children)+
-		len(p.parentStart)+len(p.parents)+len(p.rank)+len(p.levelOff)+len(p.levels)+
-		len(p.permRows)+len(p.permCols))
-	bytes += 12 * int64(len(p.perms))
+		len(p.wireStart)+2*len(p.wires)+len(p.rank)+len(p.levelOff)+len(p.levels)+
+		len(p.permRows)+len(p.permCols)+len(p.permColStart))
+	bytes += 16 * int64(len(p.perms))
 	bytes += 8 * int64(len(p.constSmall))
 	for _, b := range p.constBig {
 		bytes += 8 // slice slot

@@ -76,16 +76,16 @@ func (s *DynSnapshot[T]) resolveLocked(g int) T {
 // overlay is the working memory of one DynSnapshot.EvalWith, borrowed from
 // the Dynamic's pool for the call — allocated on first use and reused by
 // whichever snapshot reads next, since a session read takes a fresh
-// DynSnapshot every time.  The overlay wave keeps a sparse worklist of its own
-// instead of a Worklist: a pinned read is throwaway, so it may cost
-// O(touched gates) but never O(gates).  A gate waits in a bucket iff it has a
-// changeCh entry.
+// DynSnapshot every time.  The overlay wave walks the Program's wires like the
+// writer's, but keeps a sparse worklist of its own instead of a Worklist: a
+// pinned read is throwaway, so it may cost O(touched gates) but never
+// O(gates).  A gate waits in a bucket iff it has a changed entry.
 type overlay[T any] struct {
-	s        *DynSnapshot[T] // the snapshot being read, while borrowed
-	vals     map[int]T       // gate → value under the current overrides
-	changeCh map[int][]int   // gate → children changed by the overlay wave
-	buckets  [][]int         // buckets[r] lists the waiting gates of rank r
-	free     [][]int         // emptied changeCh lists, for the next wave
+	s       *DynSnapshot[T] // the snapshot being read, while borrowed
+	vals    map[int]T       // gate → value under the current overrides
+	changed map[int][]int32 // gate → its slots whose child the overlay wave changed
+	buckets [][]int         // buckets[r] lists the waiting gates of rank r
+	free    [][]int32       // emptied changed lists, for the next wave
 	// Operands of the permanent gate being recomputed, gathered in entry
 	// order, the identity index that addresses them, and the DP's buffers.
 	permOps []T
@@ -98,9 +98,9 @@ func (s *DynSnapshot[T]) borrowOverlay() *overlay[T] {
 	o, _ := s.d.overlays.Get().(*overlay[T])
 	if o == nil {
 		o = &overlay[T]{
-			vals:     make(map[int]T),
-			changeCh: make(map[int][]int),
-			buckets:  make([][]int, s.d.p.maxRank+1),
+			vals:    make(map[int]T),
+			changed: make(map[int][]int32),
+			buckets: make([][]int, s.d.p.maxRank+1),
 		}
 	}
 	o.s = s
@@ -108,7 +108,7 @@ func (s *DynSnapshot[T]) borrowOverlay() *overlay[T] {
 }
 
 // release empties o and returns it to the pool.  The wave has drained every
-// bucket and changeCh entry by then.
+// bucket and changed entry by then.
 func (o *overlay[T]) release() {
 	clear(o.vals)
 	d := o.s.d
@@ -124,7 +124,7 @@ func (o *overlay[T]) release() {
 // whole time.
 //
 // Addition gates recompute by the cheapest applicable rule: a ring delta
-// when the semiring subtracts; appending the new summands when every changed
+// when the semiring subtracts; appending the new summands while every changed
 // child was zero at the pinned epoch (the usual case for point-query
 // toggles, valid in any semiring); a full fan-in re-sum otherwise.
 // Permanent gates recompute from scratch with the static sweep's evaluator
@@ -170,26 +170,26 @@ func (o *overlay[T]) value(g int) T {
 	return o.s.resolveLocked(g)
 }
 
-// mark enlists g's parents after g's overlay value changed.  Parents outrank
-// g and ranks drain in increasing order, so a parent that already has a
-// changeCh entry is still waiting and is not queued again.
+// mark enlists the slots g is wired to after g's overlay value changed.
+// Parents outrank g and ranks drain in increasing order, so a parent that
+// already has a changed entry is still waiting and is not queued again.
 func (o *overlay[T]) mark(g int) {
 	p := o.s.d.p
-	for _, p32 := range p.ParentIDs(g) {
-		parent := int(p32)
-		chs, waiting := o.changeCh[parent]
+	for _, wire := range p.Wires(g) {
+		parent := int(wire.Parent)
+		slots, waiting := o.changed[parent]
 		if !waiting {
 			r := p.rank[parent]
 			o.buckets[r] = append(o.buckets[r], parent)
 			if k := len(o.free); k > 0 {
-				chs, o.free = o.free[k-1], o.free[:k-1]
+				slots, o.free = o.free[k-1], o.free[:k-1]
 			}
 		}
-		o.changeCh[parent] = append(chs, g)
+		o.changed[parent] = append(slots, wire.Slot)
 	}
 }
 
-// run drains the private rank buckets in increasing order.  A gate's changeCh
+// run drains the private rank buckets in increasing order.  A gate's changed
 // list goes back to the free list once the gate is recomputed: nothing below
 // its rank is left to mark it again.
 func (o *overlay[T]) run() {
@@ -197,10 +197,10 @@ func (o *overlay[T]) run() {
 	for r := 1; r < len(o.buckets); r++ {
 		bucket := o.buckets[r]
 		for _, g := range bucket {
-			chs := o.changeCh[g]
-			newVal := o.recompute(g, chs)
-			delete(o.changeCh, g)
-			o.free = append(o.free, chs[:0])
+			slots := o.changed[g]
+			newVal := o.recompute(g, slots)
+			delete(o.changed, g)
+			o.free = append(o.free, slots[:0])
 			if s.d.s.Equal(newVal, s.resolveLocked(g)) {
 				continue
 			}
@@ -212,8 +212,8 @@ func (o *overlay[T]) run() {
 }
 
 // recompute computes gate g's value under the overlay from its children,
-// given chs, the children the current wave changed.
-func (o *overlay[T]) recompute(g int, chs []int) T {
+// given the slots whose child the current wave changed.
+func (o *overlay[T]) recompute(g int, slots []int32) T {
 	d := o.s.d
 	switch Kind(d.p.kind[g]) {
 	case KindMul:
@@ -223,7 +223,7 @@ func (o *overlay[T]) recompute(g int, chs []int) T {
 		}
 		return acc
 	case KindAdd:
-		return o.recomputeAdd(g, chs)
+		return o.recomputeAdd(g, slots)
 	case KindPerm:
 		return o.recomputePerm(g)
 	default:
@@ -231,46 +231,26 @@ func (o *overlay[T]) recompute(g int, chs []int) T {
 	}
 }
 
-func (o *overlay[T]) recomputeAdd(g int, chs []int) T {
+// recomputeAdd applies EvalWith's rules slot by slot, one summand per wire.
+func (o *overlay[T]) recomputeAdd(g int, slots []int32) T {
 	s, d := o.s, o.s.d
-	st := d.adders[g] // children and occurrences are immutable after build
-	snapVal := s.resolveLocked(g)
-	if d.ring != nil {
-		acc := snapVal
-		for _, ch := range chs {
-			occ := int64(len(st.occurrences[ch]))
-			if occ == 0 {
-				continue
+	kids := d.p.ChildIDs(g)
+	acc := s.resolveLocked(g)
+	for _, slot := range slots {
+		ch := int(kids[slot])
+		old := s.resolveLocked(ch)
+		switch {
+		case d.ring != nil:
+			acc = d.ring.Add(acc, d.ring.Add(o.value(ch), d.ring.Neg(old)))
+		case semiring.IsZero(d.s, old):
+			acc = d.s.Add(acc, o.value(ch))
+		default: // a non-zero summand to replace, and no subtraction: re-sum
+			acc = d.s.Zero()
+			for _, ch := range kids {
+				acc = d.s.Add(acc, o.value(int(ch)))
 			}
-			delta := d.ring.Add(o.value(ch), d.ring.Neg(s.resolveLocked(ch)))
-			acc = d.ring.Add(acc, semiring.ScalarMul[T](d.ring, occ, delta))
+			return acc
 		}
-		return acc
-	}
-	// Without subtraction: if every changed child was zero at the snapshot,
-	// the old sum simply gains the new summands (zero contributed nothing).
-	allZero := true
-	for _, ch := range chs {
-		if !semiring.IsZero(d.s, s.resolveLocked(ch)) {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		acc := snapVal
-		for _, ch := range chs {
-			occ := int64(len(st.occurrences[ch]))
-			if occ == 0 {
-				continue
-			}
-			acc = d.s.Add(acc, semiring.ScalarMul(d.s, occ, o.value(ch)))
-		}
-		return acc
-	}
-	// Fallback: re-sum the whole fan-in.
-	acc := d.s.Zero()
-	for _, ch := range st.children {
-		acc = d.s.Add(acc, o.value(int(ch)))
 	}
 	return acc
 }

@@ -27,7 +27,6 @@ package dbio
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
@@ -297,72 +296,4 @@ func ConvertWeights[T any](w *structure.Weights[int64], embed func(int64) T) *st
 		out.Set(k.Weight, structure.ParseTupleKey(k.Tuple), embed(v))
 	})
 	return out
-}
-
-// LoadCSVRelation reads tuples of the named relation from CSV records (one
-// tuple per record, one element per column) and adds them to the structure.
-// It returns the number of tuples added.
-func LoadCSVRelation(a *structure.Structure, rel string, r io.Reader) (int, error) {
-	sym, ok := a.Sig.Relation(rel)
-	if !ok {
-		return 0, fmt.Errorf("dbio: unknown relation %q", rel)
-	}
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	added := 0
-	for {
-		record, err := cr.Read()
-		if err == io.EOF {
-			return added, nil
-		}
-		if err != nil {
-			return added, err
-		}
-		if len(record) != sym.Arity {
-			return added, fmt.Errorf("dbio: relation %s expects %d columns, got %d", rel, sym.Arity, len(record))
-		}
-		tuple, err := parseTuple(record, a.N)
-		if err != nil {
-			return added, fmt.Errorf("dbio: %v", err)
-		}
-		if err := a.AddTuple(rel, tuple...); err != nil {
-			return added, err
-		}
-		added++
-	}
-}
-
-// LoadCSVWeights reads weights for the named weight symbol from CSV records
-// (tuple columns followed by one value column) into weights.  It returns the
-// number of weights set.
-func LoadCSVWeights(a *structure.Structure, weights *structure.Weights[int64], name string, r io.Reader) (int, error) {
-	sym, ok := a.Sig.Weight(name)
-	if !ok {
-		return 0, fmt.Errorf("dbio: unknown weight symbol %q", name)
-	}
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	set := 0
-	for {
-		record, err := cr.Read()
-		if err == io.EOF {
-			return set, nil
-		}
-		if err != nil {
-			return set, err
-		}
-		if len(record) != sym.Arity+1 {
-			return set, fmt.Errorf("dbio: weight %s expects %d columns, got %d", name, sym.Arity+1, len(record))
-		}
-		tuple, err := parseTuple(record[:len(record)-1], a.N)
-		if err != nil {
-			return set, fmt.Errorf("dbio: %v", err)
-		}
-		value, err := strconv.ParseInt(strings.TrimSpace(record[len(record)-1]), 10, 64)
-		if err != nil {
-			return set, fmt.Errorf("dbio: invalid weight value %q", record[len(record)-1])
-		}
-		weights.Set(name, tuple, value)
-		set++
-	}
 }

@@ -162,50 +162,3 @@ func TestConvertWeights(t *testing.T) {
 		t.Errorf("converted weight count %d, want %d", mp.Len(), w.Len())
 	}
 }
-
-func TestLoadCSVRelationAndWeights(t *testing.T) {
-	sig := structure.MustSignature(
-		[]structure.RelSymbol{{Name: "E", Arity: 2}},
-		[]structure.WeightSymbol{{Name: "w", Arity: 2}},
-	)
-	a := structure.NewStructure(sig, 5)
-	added, err := LoadCSVRelation(a, "E", strings.NewReader("0,1\n1,2\n2, 3\n"))
-	if err != nil {
-		t.Fatalf("LoadCSVRelation: %v", err)
-	}
-	if added != 3 || !a.HasTuple("E", 2, 3) {
-		t.Fatalf("expected 3 edges loaded, got %d", added)
-	}
-
-	w := structure.NewWeights[int64]()
-	set, err := LoadCSVWeights(a, w, "w", strings.NewReader("0,1,10\n1,2,20\n"))
-	if err != nil {
-		t.Fatalf("LoadCSVWeights: %v", err)
-	}
-	if set != 2 {
-		t.Fatalf("expected 2 weights, got %d", set)
-	}
-	if v, _ := w.Get("w", structure.Tuple{1, 2}); v != 20 {
-		t.Fatalf("w(1,2) = %d, want 20", v)
-	}
-
-	// Error cases: unknown symbols, wrong column counts, bad elements.
-	if _, err := LoadCSVRelation(a, "F", strings.NewReader("0,1\n")); err == nil {
-		t.Errorf("unknown relation should fail")
-	}
-	if _, err := LoadCSVRelation(a, "E", strings.NewReader("0,1,2\n")); err == nil {
-		t.Errorf("wrong arity should fail")
-	}
-	if _, err := LoadCSVRelation(a, "E", strings.NewReader("0,9\n")); err == nil {
-		t.Errorf("out-of-range element should fail")
-	}
-	if _, err := LoadCSVWeights(a, w, "missing", strings.NewReader("0,1,1\n")); err == nil {
-		t.Errorf("unknown weight symbol should fail")
-	}
-	if _, err := LoadCSVWeights(a, w, "w", strings.NewReader("0,1\n")); err == nil {
-		t.Errorf("missing value column should fail")
-	}
-	if _, err := LoadCSVWeights(a, w, "w", strings.NewReader("0,1,ten\n")); err == nil {
-		t.Errorf("non-numeric value should fail")
-	}
-}

@@ -125,7 +125,7 @@ func (ans *Answers) Clone(c *mvcc.Clock) *Answers {
 	p, e := ans.sh.Result().Program, ans.enum
 	e.clock.RLock()
 	defer e.clock.RUnlock()
-	current := func(key structure.WeightKey) Value { return e.inputValue[p.InputGate(key)] }
+	current := func(key structure.WeightKey) Value { return e.inputValue[p.InputNumber(p.InputGate(key))] }
 	return &Answers{Relations: ans.Relations.Clone(), sh: ans.sh, enum: newProgram(c, p, current, nil)}
 }
 

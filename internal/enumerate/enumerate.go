@@ -125,9 +125,10 @@ func (c *sliceCursor) Next() (provenance.Monomial, bool) {
 // depth and fan-out, hence bounded reach-out).
 //
 // The enumerator runs on the circuit's frozen Program and borrows its
-// topological ranks, parents CSR and children arena instead of rebuilding
-// them: many enumerators may share one Program, each with private emptiness
-// bookkeeping.
+// topological ranks, wires, children arena and permanent columns instead of
+// rebuilding them: many enumerators may share one Program, each holding values
+// only — input values, emptiness bits, and per addition or permanent gate the
+// non-empty slots and column types, addressed by the Program's slots.
 //
 // # Goroutine safety
 //
@@ -150,8 +151,8 @@ type Enumerator struct {
 	clock *mvcc.Clock
 	log   *mvcc.Log[enumUndo]
 
-	// inputValue[id] is the value of input gate id.
-	inputValue map[int]Value
+	// inputValue[p.InputNumber(id)] is the value of input gate id.
+	inputValue []Value
 	empty      []bool
 
 	adders []*adderMeta
@@ -162,7 +163,7 @@ type Enumerator struct {
 	// exactly once per update batch.  refresh and isEmpty are refreshWave and
 	// the live emptiness view, bound once so a wave allocates nothing.
 	wave    *circuit.Worklist
-	refresh func(g int, changed []int)
+	refresh func(g int, slots []int32)
 	isEmpty func(gate int) bool
 }
 
@@ -190,50 +191,41 @@ type InputAssignment struct {
 	Value Value
 }
 
-// adderMeta maintains, for an addition gate, the positions (occurrence
-// indices within the children arena slice) whose child is currently
-// non-empty.
+// adderMeta maintains, for an addition gate, the slots whose child is
+// currently non-empty.
 type adderMeta struct {
-	children  []int32 // view into the Program's children arena
-	positions []int   // positions with non-empty children
-	index     []int   // position → index in positions, -1 when absent
-	// occurrences[child] lists the positions of that child, so that an
-	// update touches only the changed child's occurrences.  Only the writer
-	// updates metadata, so only build fills it; snapshots leave it nil.
-	occurrences map[int][]int
+	positions []int32 // slots with non-empty children
+	index     []int32 // slot → index in positions, -1 when absent
 }
 
 // newAdderMeta derives the metadata a cursor reads for an addition gate over
 // children, under the given emptiness view (the live bits for the writer, the
 // pinned epoch's for a snapshot).
 func newAdderMeta(children []int32, empty func(gate int) bool) *adderMeta {
-	meta := &adderMeta{children: children, index: make([]int, len(children))}
-	for pos, ch := range children {
+	meta := &adderMeta{index: make([]int32, len(children))}
+	for slot, ch := range children {
 		if empty(int(ch)) {
-			meta.index[pos] = -1
+			meta.index[slot] = -1
 			continue
 		}
-		meta.index[pos] = len(meta.positions)
-		meta.positions = append(meta.positions, pos)
+		meta.index[slot] = int32(len(meta.positions))
+		meta.positions = append(meta.positions, int32(slot))
 	}
 	return meta
 }
 
-// permGateMeta maintains the Lemma 39 bookkeeping of a permanent gate.
+// permGateMeta maintains the Lemma 39 bookkeeping of permanent gate id of p,
+// whose cells and columns it reads off the Program.
 type permGateMeta struct {
-	rows, cols int
-	// entry[col][row] is the child gate wired at (row, col), or -1.
-	entry [][]int
+	p    *circuit.Program
+	id   int
+	rows int
 	// colType[col] is the bitmask of rows whose wired child is non-empty.
 	colType []int
 	// byType[t] lists the columns of type t; posInType[col] is the column's
 	// index within its list (for O(1) removal).
 	byType    [][]int
 	posInType []int
-	// colsOfChild[child] lists the columns where that child is wired.  Only
-	// the writer updates metadata, so only build fills it; snapshots leave it
-	// nil.
-	colsOfChild map[int][]int
 }
 
 // newPermGateMeta derives the Lemma 39 column-type bookkeeping of permanent
@@ -242,19 +234,11 @@ type permGateMeta struct {
 func newPermGateMeta(p *circuit.Program, id int, empty func(gate int) bool) *permGateMeta {
 	rows, cols := p.PermShape(id)
 	meta := &permGateMeta{
-		rows: rows, cols: cols,
-		entry:     make([][]int, cols),
+		p: p, id: id, rows: rows,
 		colType:   make([]int, cols),
 		byType:    make([][]int, 1<<uint(rows)),
 		posInType: make([]int, cols),
 	}
-	for col := range meta.entry {
-		meta.entry[col] = make([]int, rows)
-		for r := range meta.entry[col] {
-			meta.entry[col][r] = -1
-		}
-	}
-	p.ForEachPermEntry(id, func(row, col, gate int) { meta.entry[col][row] = gate })
 	for col := 0; col < cols; col++ {
 		t := meta.columnType(col, empty)
 		meta.colType[col] = t
@@ -267,13 +251,25 @@ func newPermGateMeta(p *circuit.Program, id int, empty func(gate int) bool) *per
 // columnType returns the bitmask of the rows of col whose wired child is
 // non-empty under the given emptiness view.
 func (m *permGateMeta) columnType(col int, empty func(gate int) bool) int {
+	rows, gates := m.p.PermColumn(m.id, col)
 	t := 0
-	for r, ch := range m.entry[col] {
-		if ch >= 0 && !empty(ch) {
-			t |= 1 << uint(r)
+	for i, ch := range gates {
+		if !empty(int(ch)) {
+			t |= 1 << uint(rows[i])
 		}
 	}
 	return t
+}
+
+// cell returns the child gate wired at (row, col), or -1.
+func (m *permGateMeta) cell(row, col int) int {
+	rows, gates := m.p.PermColumn(m.id, col)
+	for i, r := range rows {
+		if int(r) == row {
+			return int(gates[i])
+		}
+	}
+	return -1
 }
 
 // Nonempty computes the initial non-emptiness of every gate with the
@@ -297,7 +293,7 @@ func Nonempty(ctx context.Context, p *circuit.Program, inputs func(key structure
 }
 
 // NewProgram builds the enumerator directly on a frozen Program, sharing its
-// ranks, parents and children arenas with every other engine using it, on a
+// ranks, wires and children arenas with every other engine using it, on a
 // clock of its own.  A
 // non-nil nonempty carries the per-gate non-emptiness precomputed by Nonempty
 // and the pass skips recomputing it; nil has the pass decide it gate by gate.
@@ -316,7 +312,7 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 	n := p.NumGates()
 	e := &Enumerator{
 		p:          p,
-		inputValue: map[int]Value{},
+		inputValue: make([]Value, p.NumInputs()),
 		empty:      make([]bool, n),
 		adders:     make([]*adderMeta, n),
 		perms:      make([]*permGateMeta, n),
@@ -335,16 +331,12 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 					v = got
 				}
 			}
-			e.inputValue[id] = v
+			e.inputValue[p.InputNumber(id)] = v
 			e.empty[id] = v.Empty()
 		case circuit.KindConst:
 			e.empty[id] = p.ConstIsZero(id)
 		case circuit.KindAdd:
 			meta := newAdderMeta(p.ChildIDs(id), e.isEmpty)
-			meta.occurrences = map[int][]int{}
-			for pos, ch := range meta.children {
-				meta.occurrences[int(ch)] = append(meta.occurrences[int(ch)], pos)
-			}
 			e.adders[id] = meta
 			e.empty[id] = len(meta.positions) == 0
 		case circuit.KindMul:
@@ -357,10 +349,6 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 			e.empty[id] = anyEmpty
 		case circuit.KindPerm:
 			meta := newPermGateMeta(p, id, e.isEmpty)
-			meta.colsOfChild = map[int][]int{}
-			p.ForEachPermEntry(id, func(_, col, gate int) {
-				meta.colsOfChild[gate] = append(meta.colsOfChild[gate], col)
-			})
 			e.perms[id] = meta
 			if nonempty != nil {
 				// The boolean permanent already decided matchability.
@@ -428,17 +416,21 @@ func (e *Enumerator) SetInputs(assigns []InputAssignment) {
 // The caller holds the clock exclusively and runs the wave.
 func (e *Enumerator) assign(key structure.WeightKey, v Value) {
 	id := e.p.InputGate(key)
+	if id < 0 {
+		return
+	}
 	if v == nil {
 		v = zeroValue{}
 	}
-	if id < 0 || v == e.inputValue[id] {
+	held := &e.inputValue[e.p.InputNumber(id)]
+	if v == *held {
 		return
 	}
 	if e.log.Logging() {
-		e.log.Append(enumUndo{gate: int32(id), kind: undoInput, oldEmpty: e.empty[id], oldInput: e.inputValue[id]})
+		e.log.Append(enumUndo{gate: int32(id), kind: undoInput, oldEmpty: e.empty[id], oldInput: *held})
 	}
 	e.clock.Touch()
-	e.inputValue[id] = v
+	*held = v
 	if newEmpty := v.Empty(); newEmpty != e.empty[id] {
 		e.empty[id] = newEmpty
 		e.wave.Enlist(id)
@@ -447,19 +439,18 @@ func (e *Enumerator) assign(key structure.WeightKey, v Value) {
 
 // runWave drains the worklist seeded by assign: children flip before their
 // parents are refreshed and every affected gate is refreshed exactly once.
-// Each affected gate only revisits the positions of its children that
-// actually flipped emptiness, so the cost per update is bounded by the
-// circuit's fan-out and depth, not by the fan-in of wide gates.  An input
-// whose emptiness flips twice within one batch is enlisted twice;
-// refreshGate's per-child work is idempotent, so the duplicate entries are
-// harmless.
+// Each affected gate only revisits the slots whose child actually flipped
+// emptiness, so the cost per update is bounded by the circuit's fan-out and
+// depth, not by the fan-in of wide gates.  An input whose emptiness flips
+// twice within one batch is enlisted twice; refreshGate's per-slot work is
+// idempotent, so the duplicate entries are harmless.
 func (e *Enumerator) runWave() { e.wave.Drain(e.refresh) }
 
 // refreshWave is the wave's per-gate step: refresh g's metadata and, when its
 // emptiness flipped, log the old bit for pinned snapshots and pass the flip
 // on.
-func (e *Enumerator) refreshWave(g int, changed []int) {
-	newEmpty := e.refreshGate(g, changed)
+func (e *Enumerator) refreshWave(g int, slots []int32) {
+	newEmpty := e.refreshGate(g, slots)
 	if newEmpty == e.empty[g] {
 		return
 	}
@@ -470,31 +461,29 @@ func (e *Enumerator) refreshWave(g int, changed []int) {
 	e.wave.Enlist(g)
 }
 
-// refreshGate recomputes the metadata of gate g given the children whose
-// emptiness flipped, and returns the gate's emptiness.
-func (e *Enumerator) refreshGate(g int, changedChildren []int) bool {
+// refreshGate recomputes the metadata of gate g given the slots whose child
+// flipped emptiness, and returns the gate's emptiness.
+func (e *Enumerator) refreshGate(g int, slots []int32) bool {
 	switch e.p.GateKind(g) {
 	case circuit.KindAdd:
 		meta := e.adders[g]
-		for _, ch := range changedChildren {
-			want := !e.empty[ch]
-			for _, pos := range meta.occurrences[ch] {
-				has := meta.index[pos] >= 0
-				if has == want {
-					continue
-				}
-				if want {
-					meta.index[pos] = len(meta.positions)
-					meta.positions = append(meta.positions, pos)
-				} else {
-					// Swap-remove.
-					idx := meta.index[pos]
-					last := meta.positions[len(meta.positions)-1]
-					meta.positions[idx] = last
-					meta.index[last] = idx
-					meta.positions = meta.positions[:len(meta.positions)-1]
-					meta.index[pos] = -1
-				}
+		kids := e.p.ChildIDs(g)
+		for _, slot := range slots {
+			want := !e.empty[kids[slot]]
+			if has := meta.index[slot] >= 0; has == want {
+				continue
+			}
+			if want {
+				meta.index[slot] = int32(len(meta.positions))
+				meta.positions = append(meta.positions, slot)
+			} else {
+				// Swap-remove.
+				idx := meta.index[slot]
+				last := meta.positions[len(meta.positions)-1]
+				meta.positions[idx] = last
+				meta.index[last] = idx
+				meta.positions = meta.positions[:len(meta.positions)-1]
+				meta.index[slot] = -1
 			}
 		}
 		return len(meta.positions) == 0
@@ -507,27 +496,26 @@ func (e *Enumerator) refreshGate(g int, changedChildren []int) bool {
 		return false
 	case circuit.KindPerm:
 		meta := e.perms[g]
-		// Recomputing a column's type is idempotent, so columns wired to
-		// several changed children are simply recomputed more than once
-		// rather than tracked in a per-call set.
-		for _, ch := range changedChildren {
-			for _, col := range meta.colsOfChild[ch] {
-				t := meta.columnType(col, e.isEmpty)
-				if t == meta.colType[col] {
-					continue
-				}
-				// Move the column between type lists.
-				old := meta.colType[col]
-				idx := meta.posInType[col]
-				lst := meta.byType[old]
-				last := lst[len(lst)-1]
-				lst[idx] = last
-				meta.posInType[last] = idx
-				meta.byType[old] = lst[:len(lst)-1]
-				meta.colType[col] = t
-				meta.posInType[col] = len(meta.byType[t])
-				meta.byType[t] = append(meta.byType[t], col)
+		// Recomputing a column's type is idempotent, so a column with several
+		// changed slots is simply recomputed more than once rather than
+		// tracked in a per-call set.
+		for _, slot := range slots {
+			_, col := e.p.PermCell(g, int(slot))
+			t := meta.columnType(col, e.isEmpty)
+			if t == meta.colType[col] {
+				continue
 			}
+			// Move the column between type lists.
+			old := meta.colType[col]
+			idx := meta.posInType[col]
+			lst := meta.byType[old]
+			last := lst[len(lst)-1]
+			lst[idx] = last
+			meta.posInType[last] = idx
+			meta.byType[old] = lst[:len(lst)-1]
+			meta.colType[col] = t
+			meta.posInType[col] = len(meta.byType[t])
+			meta.byType[t] = append(meta.byType[t], col)
 		}
 		return !meta.matchable((1<<uint(meta.rows))-1, nil)
 	default:
@@ -555,11 +543,11 @@ func (e *Enumerator) gateCursor(id int) Cursor {
 	kind := e.p.GateKind(id)
 	switch kind {
 	case circuit.KindInput:
-		return e.inputValue[id].Cursor()
+		return e.inputValue[e.p.InputNumber(id)].Cursor()
 	case circuit.KindConst:
 		return &constCursor{remaining: e.p.ConstBig(id)}
 	case circuit.KindAdd:
-		return &concatCursor{e: e, meta: e.adders[id]}
+		return &concatCursor{e: e, children: e.p.ChildIDs(id), meta: e.adders[id]}
 	case circuit.KindMul:
 		return newProductCursor(e, e.p.ChildIDs(id))
 	case circuit.KindPerm:
@@ -583,12 +571,13 @@ func (c *constCursor) Next() (provenance.Monomial, bool) {
 }
 
 // concatCursor enumerates an addition gate: the concatenation of its
-// non-empty children (per occurrence).
+// non-empty children (per slot).
 type concatCursor struct {
-	e       view
-	meta    *adderMeta
-	idx     int
-	current Cursor
+	e        view
+	children []int32
+	meta     *adderMeta
+	idx      int
+	current  Cursor
 }
 
 func (c *concatCursor) Next() (provenance.Monomial, bool) {
@@ -597,7 +586,7 @@ func (c *concatCursor) Next() (provenance.Monomial, bool) {
 			if c.idx >= len(c.meta.positions) {
 				return nil, false
 			}
-			child := c.meta.children[c.meta.positions[c.idx]]
+			child := c.children[c.meta.positions[c.idx]]
 			c.current = c.e.gateCursor(int(child))
 		}
 		if m, ok := c.current.Next(); ok {
@@ -878,7 +867,7 @@ func (c *permCursor) seekColumn(r int, st *permRowState) bool {
 				// so skip the rest of the type.
 				break
 			}
-			cell := c.e.gateCursor(c.meta.entry[col][r])
+			cell := c.e.gateCursor(c.meta.cell(r, col))
 			m, cellOK := cell.Next()
 			if !cellOK {
 				// Cannot happen: the column type asserts non-emptiness.

@@ -73,7 +73,7 @@ func (s *Snapshot) inputLocked(id int) Value {
 	if u, ok := s.view.Lookup(int32(id)); ok && u.kind == undoInput {
 		return u.oldInput
 	}
-	return s.e.inputValue[id]
+	return s.e.inputValue[s.e.p.InputNumber(id)]
 }
 
 // gateCursor is the snapshot side of the cursor factory: the same cursor
@@ -96,7 +96,7 @@ func (s *Snapshot) gateCursor(id int) Cursor {
 	case circuit.KindConst:
 		return &constCursor{remaining: e.p.ConstBig(id)}
 	case circuit.KindAdd:
-		return &concatCursor{e: s, meta: s.adderLocked(id)}
+		return &concatCursor{e: s, children: e.p.ChildIDs(id), meta: s.adderLocked(id)}
 	case circuit.KindMul:
 		return newProductCursor(s, e.p.ChildIDs(id))
 	case circuit.KindPerm:

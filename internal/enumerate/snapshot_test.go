@@ -322,3 +322,49 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 		t.Errorf("retained undo bytes %d after all readers done, want 0", got)
 	}
 }
+
+// TestRepeatedWires wires one input twice into an addition gate and into two
+// cells of one permanent, and an interior gate twice into the output sum, and
+// checks the slot-addressed refresh against the explicit monomial multiset:
+// live after every batch, and at a Snapshot pinned one batch earlier.  Every
+// batch first assigns its key a value of the opposite emptiness, so the key's
+// slots are enlisted twice in one wave.
+func TestRepeatedWires(t *testing.T) {
+	c := circuit.NewBuilder()
+	x, y, z := c.Input(key("w", 0)), c.Input(key("w", 1)), c.Input(key("w", 2))
+	sum := c.Add(x, x, y)
+	pm := c.Perm(2, 3, []circuit.PermEntry{
+		{Row: 0, Col: 0, Gate: x}, {Row: 0, Col: 1, Gate: y}, {Row: 0, Col: 2, Gate: z},
+		{Row: 1, Col: 0, Gate: z}, {Row: 1, Col: 1, Gate: x}, {Row: 1, Col: 2, Gate: sum},
+	})
+	c.SetOutput(c.Add(c.Mul(sum, pm), sum, sum))
+
+	gens := []Value{Zero(), Gen("g0"), Gen("g1"), One()}
+	inputs := map[structure.WeightKey]Value{key("w", 0): Zero(), key("w", 1): Gen("y"), key("w", 2): Gen("z")}
+	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
+	drain := func(cur Cursor) []string {
+		var got []provenance.Monomial
+		for m, ok := cur.Next(); ok; m, ok = cur.Next() {
+			got = append(got, m)
+		}
+		return monomialMultiset(got)
+	}
+	e := NewProgram(c.Program(), lookup, nil)
+	r := rand.New(rand.NewSource(61))
+	for step := 0; step < 60; step++ {
+		epoch := e.clock.Pin()
+		snap, pinned := e.At(epoch), explicit()
+
+		k, v := key("w", r.Intn(3)), gens[r.Intn(len(gens))]
+		inputs[k] = v
+		e.SetInputs([]InputAssignment{{Key: k, Value: Bool(v.Empty())}, {Key: k, Value: v}})
+		if got, want := drain(e.Cursor()), explicit(); !equalStringSlices(got, want) {
+			t.Fatalf("step %d: live enumerator streams %v, want %v", step, got, want)
+		}
+		if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+			t.Fatalf("step %d: snapshot one batch stale streams %v, want %v", step, got, pinned)
+		}
+		e.clock.Unpin(epoch)
+	}
+}

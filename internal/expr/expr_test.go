@@ -138,9 +138,6 @@ func TestNormalizeTriangle(t *testing.T) {
 	if len(m.Bound) != 3 || len(m.Literals) != 3 || len(m.Weights) != 3 || m.Coeff != 1 {
 		t.Errorf("unexpected monomial: %s", m)
 	}
-	if p.MaxBoundVars() != 3 {
-		t.Errorf("MaxBoundVars = %d, want 3", p.MaxBoundVars())
-	}
 	if len(p.FreeVars()) != 0 {
 		t.Errorf("closed query has free vars %v", p.FreeVars())
 	}

@@ -389,19 +389,6 @@ func dedupStrings(xs []string) []string {
 	return out
 }
 
-// MaxBoundVars returns the largest number of bound variables over the
-// monomials of p; this is the parameter p of the low-treedepth colouring
-// used by the compiler.
-func (p *Polynomial) MaxBoundVars() int {
-	max := 0
-	for _, m := range p.Monomials {
-		if len(m.Bound) > max {
-			max = len(m.Bound)
-		}
-	}
-	return max
-}
-
 // FreeVars returns the sorted free variables over all monomials of p.
 func (p *Polynomial) FreeVars() []string {
 	set := map[string]bool{}

@@ -119,29 +119,8 @@ func (a *Analysis) Variables() []structure.WeightKey {
 	return append([]structure.WeightKey(nil), a.vars...)
 }
 
-// VariablesOf returns the weight inputs that gate g depends on.
-func (a *Analysis) VariablesOf(g int) []structure.WeightKey {
-	var out []structure.WeightKey
-	for i, key := range a.vars {
-		if a.sets[g].has(i) {
-			out = append(out, key)
-		}
-	}
-	return out
-}
-
 // DependencyCount returns the number of inputs gate g depends on.
 func (a *Analysis) DependencyCount(g int) int { return a.sets[g].count() }
-
-// DependsOn reports whether gate g depends on the given weight input.
-func (a *Analysis) DependsOn(g int, key structure.WeightKey) bool {
-	for i, k := range a.vars {
-		if k == key {
-			return a.sets[g].has(i)
-		}
-	}
-	return false
-}
 
 // Violation describes a gate at which a structural property fails.
 type Violation struct {
@@ -260,17 +239,6 @@ func (a *Analysis) CheckDeterministic() []Violation {
 func ModelCount(p *circuit.Program) *big.Int {
 	one := func(structure.WeightKey) (*big.Int, bool) { return big.NewInt(1), true }
 	return circuit.EvaluateProgram[*big.Int](p, semiring.Big, one)
-}
-
-// SupportSize counts the distinct monomials of the program by evaluating it
-// in the free semiring; unlike ModelCount it collapses repeated monomials.
-// Intended for moderate circuits.
-func SupportSize(p *circuit.Program) int {
-	free := provenance.FreeSemiring{}
-	val := func(key structure.WeightKey) (*provenance.Poly, bool) {
-		return provenance.Var(provenance.Generator(key.Weight + ":" + key.Tuple)), true
-	}
-	return circuit.EvaluateProgram[*provenance.Poly](p, free, val).NumTerms()
 }
 
 // Size returns the size measure used by the factorization report: the number

@@ -133,14 +133,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	}
 }
 
-// Mean returns the average observed duration (0 when empty).
-func (s *Snapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // Quantile estimates the q-quantile (q in [0, 1]) with linear interpolation
 // inside the containing bucket; the estimate is within one bucket width
 // (≤ 12.5% relative) of the exact order statistic.  Returns 0 when empty.

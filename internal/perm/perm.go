@@ -220,7 +220,8 @@ type Dynamic[T any] struct {
 }
 
 // NewDynamic builds the dynamic permanent structure for the given matrix in
-// O(3^k · n) semiring operations.
+// O(3^k · n) semiring operations.  It adopts m as its entry store: the caller
+// must not use m afterwards (clone it first to keep a copy).
 func NewDynamic[T any](s semiring.Semiring[T], m *Matrix[T]) *Dynamic[T] {
 	checkRows(m.Rows)
 	d := &Dynamic[T]{
@@ -229,7 +230,7 @@ func NewDynamic[T any](s semiring.Semiring[T], m *Matrix[T]) *Dynamic[T] {
 		cols:    m.Cols,
 		full:    1<<uint(m.Rows) - 1,
 		vecLen:  1 << uint(m.Rows),
-		entries: m.Clone(),
+		entries: m,
 	}
 	d.size = 1
 	for d.size < m.Cols {
@@ -356,14 +357,15 @@ type RingDynamic[T any] struct {
 	dirty   bool
 }
 
-// NewRingDynamic builds the structure in O(2^k·n) ring operations.
+// NewRingDynamic builds the structure in O(2^k·n) ring operations.  It adopts
+// m as its entry store: the caller must not use m afterwards.
 func NewRingDynamic[T any](s semiring.Ring[T], m *Matrix[T]) *RingDynamic[T] {
 	checkRows(m.Rows)
 	r := &RingDynamic[T]{
 		s:       s,
 		rows:    m.Rows,
 		cols:    m.Cols,
-		entries: m.Clone(),
+		entries: m,
 	}
 	size := 1 << uint(m.Rows)
 	r.sums = make([]T, size)
@@ -536,14 +538,15 @@ type FiniteDynamic[T any] struct {
 }
 
 // NewFiniteDynamic builds the structure in O(n·k) time plus a
-// data-independent DP.
+// data-independent DP.  It adopts m as its entry store: the caller must not
+// use m afterwards.
 func NewFiniteDynamic[T any](s semiring.Finite[T], m *Matrix[T]) *FiniteDynamic[T] {
 	checkRows(m.Rows)
 	f := &FiniteDynamic[T]{
 		s:          s,
 		rows:       m.Rows,
 		cols:       m.Cols,
-		entries:    m.Clone(),
+		entries:    m,
 		elems:      s.Elements(),
 		typeCounts: make(map[string]*big.Int),
 		typeVecs:   make(map[string][]T),

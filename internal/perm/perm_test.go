@@ -154,14 +154,14 @@ func exerciseMaintainer(t *testing.T, name string, r *rand.Rand, ref semiring.Se
 func TestDynamicGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	exerciseMaintainer(t, "Dynamic", r, semiring.Nat,
-		func(m *Matrix[int64]) Maintainer[int64] { return NewDynamic[int64](semiring.Nat, m) },
+		func(m *Matrix[int64]) Maintainer[int64] { return NewDynamic[int64](semiring.Nat, m.Clone()) },
 		func() int64 { return int64(r.Intn(5)) })
 }
 
 func TestRingDynamic(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	exerciseMaintainer(t, "RingDynamic", r, semiring.Int,
-		func(m *Matrix[int64]) Maintainer[int64] { return NewRingDynamic[int64](semiring.Int, m) },
+		func(m *Matrix[int64]) Maintainer[int64] { return NewRingDynamic[int64](semiring.Int, m.Clone()) },
 		func() int64 { return int64(r.Intn(7) - 3) })
 }
 
@@ -169,7 +169,7 @@ func TestFiniteDynamic(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	mod5 := semiring.NewModular(5)
 	exerciseMaintainer(t, "FiniteDynamic", r, mod5,
-		func(m *Matrix[int64]) Maintainer[int64] { return NewFiniteDynamic[int64](mod5, m) },
+		func(m *Matrix[int64]) Maintainer[int64] { return NewFiniteDynamic[int64](mod5, m.Clone()) },
 		func() int64 { return int64(r.Intn(5)) })
 }
 
@@ -177,7 +177,7 @@ func TestFiniteDynamicTruncated(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	tr := semiring.NewTruncated(6)
 	exerciseMaintainer(t, "FiniteDynamicTruncated", r, tr,
-		func(m *Matrix[int64]) Maintainer[int64] { return NewFiniteDynamic[int64](tr, m) },
+		func(m *Matrix[int64]) Maintainer[int64] { return NewFiniteDynamic[int64](tr, m.Clone()) },
 		func() int64 { return int64(r.Intn(4)) })
 }
 
@@ -192,7 +192,7 @@ func TestFiniteDynamicBooleanMatchesNaive(t *testing.T) {
 				m.Set(i, j, r.Intn(2) == 0)
 			}
 		}
-		d := NewFiniteDynamic[bool](semiring.Bool, m)
+		d := NewFiniteDynamic[bool](semiring.Bool, m.Clone())
 		if got, want := d.Value(), PermNaive[bool](semiring.Bool, m); got != want {
 			t.Fatalf("boolean finite dynamic: %v, want %v", got, want)
 		}
@@ -229,7 +229,7 @@ func TestDynamicMinPlus(t *testing.T) {
 				m.Set(i, j, gen())
 			}
 		}
-		d := NewDynamic[semiring.Ext](s, m)
+		d := NewDynamic[semiring.Ext](s, m.Clone())
 		if got, want := d.Value(), PermNaive[semiring.Ext](s, m); !s.Equal(got, want) {
 			t.Fatalf("min-plus dynamic initial: %v, want %v", got, want)
 		}
@@ -255,7 +255,7 @@ func TestRingDynamicRational(t *testing.T) {
 			m.Set(i, j, gen())
 		}
 	}
-	d := NewRingDynamic[*big.Rat](s, m)
+	d := NewRingDynamic[*big.Rat](s, m.Clone())
 	if got, want := d.Value(), PermNaive[*big.Rat](s, m); !s.Equal(got, want) {
 		t.Fatalf("rational ring dynamic initial: %s, want %s", s.Format(got), s.Format(want))
 	}

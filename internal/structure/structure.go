@@ -9,7 +9,6 @@ package structure
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -297,17 +296,6 @@ func (a *Structure) Gaifman() *graph.Graph {
 	return g
 }
 
-// MaxArity returns the maximum relation arity used by the signature.
-func (a *Structure) MaxArity() int {
-	max := 0
-	for _, r := range a.Sig.Relations {
-		if r.Arity > max {
-			max = r.Arity
-		}
-	}
-	return max
-}
-
 // Clone returns a deep copy of the structure (sharing the signature).
 func (a *Structure) Clone() *Structure { return a.OnSignature(a.Sig) }
 
@@ -325,22 +313,6 @@ func (a *Structure) OnSignature(sig *Signature) *Structure {
 		}
 	}
 	return b
-}
-
-// ElementsOf returns the sorted set of elements occurring in a relation.
-func (a *Structure) ElementsOf(rel string) []Element {
-	set := map[Element]bool{}
-	for _, t := range a.tuples[rel] {
-		for _, e := range t {
-			set[e] = true
-		}
-	}
-	out := make([]Element, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -77,13 +77,6 @@ func TestStructureTuples(t *testing.T) {
 	if a.TupleCount() != 4 {
 		t.Errorf("TupleCount = %d, want 4", a.TupleCount())
 	}
-	if a.MaxArity() != 3 {
-		t.Errorf("MaxArity = %d, want 3", a.MaxArity())
-	}
-	elems := a.ElementsOf("E")
-	if len(elems) != 3 || elems[0] != 0 || elems[2] != 2 {
-		t.Errorf("ElementsOf(E) = %v", elems)
-	}
 
 	b := a.Clone()
 	b.MustAddTuple("E", 3, 4)

@@ -241,3 +241,40 @@ func BenchmarkPairedColdPrepare(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPairedSessionOpen opens and closes one session per operation: what
+// every engine state over the shared Program builds per instance.  "point" is
+// the repository benchmark's session_rw query on its input (one value state);
+// "paired" is an enumerable query with a dynamic relation, whose session also
+// clones the answer state.
+func BenchmarkPairedSessionOpen(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name, kind string
+		n          int
+		query      string
+		opts       []agg.Option
+	}{
+		{"point", "pref-attach", 1500, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)", nil},
+		{"paired", "bounded-degree", 1200, "E(x,y) & E(y,z) & S(x)", []agg.Option{agg.WithDynamic("S")}},
+	} {
+		db, err := agg.Generate(c.kind, c.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := agg.Open(db).Prepare(ctx, c.query, c.opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/%s/n=%d", c.name, c.kind, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := p.Session()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+	}
+}
