@@ -2,6 +2,8 @@ package agg
 
 import (
 	"context"
+	"iter"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -406,6 +408,111 @@ func TestWritePathAllocations(t *testing.T) {
 		batch[0].Present = i%2 == 0
 		_ = paired.ApplyBatch(batch)
 	})
+}
+
+// enumerateDB prepares the benchmark's 2-path query "E(x,y) & E(y,z) & S(x)"
+// on bounded-degree n = 1,200 (2,879 answers) twice: static, and with S
+// dynamic in a session pinned by a Reader one write stale.
+func enumerateDB(t *testing.T) (static *Prepared, stale *Reader) {
+	t.Helper()
+	ctx := context.Background()
+	db, err := Generate("bounded-degree", 1200, 1)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	const query = "E(x,y) & E(y,z) & S(x)"
+	if static, err = Open(db).Prepare(ctx, query); err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	dyn, err := Open(db).Prepare(ctx, query, WithDynamic("S"))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := dyn.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if stale, err = s.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	t.Cleanup(func() { stale.Close() })
+	before := s.Epoch()
+	if err := s.Set(SetTuple("S", []int{0}, !db.HasTuple("S", 0))); err != nil || s.Epoch() != before+1 {
+		t.Fatalf("Set: %v, epoch %d → %d", err, before, s.Epoch())
+	}
+	return static, stale
+}
+
+// TestEnumerateAllocations guards the answer cursor's constant garbage: a
+// cursor is a stack of nodes over the enumeration structure, reset in place,
+// so one full enumeration pass allocates the caller's tuple per answer and
+// the stack once — at most 2 objects per answer, live and through a Reader
+// pinned one write stale.  (Rebuilding a monomial per answer cost ≈62.)
+func TestEnumerateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	static, stale := enumerateDB(t)
+	for _, tc := range []struct {
+		name   string
+		stream func(context.Context) iter.Seq2[Answer, error]
+	}{{"Prepared.Enumerate", static.Enumerate}, {"Reader.Enumerate one write stale", stale.Enumerate}} {
+		answers := 0
+		got := testing.AllocsPerRun(5, func() {
+			answers = 0
+			for _, err := range tc.stream(context.Background()) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers++
+			}
+		})
+		perAnswer := got / float64(max(answers, 1))
+		t.Logf("%s: %.0f allocs over %d answers, %.3f per answer", tc.name, got, answers, perAnswer)
+		if answers == 0 || perAnswer > 2 {
+			t.Errorf("%s allocates %.3f objects per answer over %d answers, want ≤ 2", tc.name, perAnswer, answers)
+		}
+	}
+}
+
+// TestEnumerateAnswersAreIndependent holds the answer cursor to its ownership
+// contract: every Answer a stream yields is the caller's, unchanged after the
+// stream has moved 1,000 answers on, so no frame of the cursor leaks into
+// it, and every slot holds an element — an answer generator is an integer
+// pair written straight into its slot, so a slot left unset is not
+// representable.
+func TestEnumerateAnswersAreIndependent(t *testing.T) {
+	static, stale := enumerateDB(t)
+	for _, tc := range []struct {
+		name   string
+		stream func(context.Context) iter.Seq2[Answer, error]
+	}{{"Prepared.Enumerate", static.Enumerate}, {"Reader.Enumerate", stale.Enumerate}} {
+		var got, copies []Answer
+		check := func(i int) {
+			if !slices.Equal(got[i], copies[i]) {
+				t.Fatalf("%s: answer %d changed from %v to %v", tc.name, i, copies[i], got[i])
+			}
+		}
+		for ans, err := range tc.stream(context.Background()) {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if len(ans) != 3 || slices.Contains(ans, -1) {
+				t.Fatalf("%s: answer %d is %v", tc.name, len(got), ans)
+			}
+			got, copies = append(got, ans), append(copies, slices.Clone(ans))
+			if i := len(got) - 1 - 1000; i >= 0 {
+				check(i)
+			}
+		}
+		if len(got) <= 1000 {
+			t.Fatalf("%s: %d answers, want more than 1,000", tc.name, len(got))
+		}
+		for i := range got {
+			check(i)
+		}
+	}
 }
 
 // TestSessionEvalAllocations guards the pooled overlay: a session read takes

@@ -365,6 +365,13 @@ func (p *Program) ConstBig(id int) *big.Int {
 	return big.NewInt(p.constSmall[ci])
 }
 
+// ConstInt64 returns the value of constant gate id and ok=true when it fits
+// int64, without allocating; it panics when id is not a constant gate.
+func (p *Program) ConstInt64(id int) (v int64, ok bool) {
+	ci := p.constArg(id)
+	return p.constSmall[ci], p.constBig[ci] == nil
+}
+
 func (p *Program) constArg(id int) int32 {
 	if p.kind[id] != uint8(KindConst) {
 		panic(fmt.Sprintf("circuit: gate %d is not a constant gate", id))

@@ -3,8 +3,6 @@ package enumerate
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/compile"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logic"
 	"repro/internal/mvcc"
-	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
@@ -90,26 +87,9 @@ func (ans *Answers) inputValue(key structure.WeightKey) Value {
 		return Bool(ans.sh.Result().Structure.HasTuple(rel, tuple...) == positive)
 	}
 	if i, a, ok := ans.sh.Param(key); ok {
-		return Gen(answerGenerator(i, a))
+		return answerValue{varIdx: i, elem: a}
 	}
 	return Zero()
-}
-
-func answerGenerator(varIdx int, elem structure.Element) provenance.Generator {
-	return provenance.Generator(fmt.Sprintf("%d|%d", varIdx, elem))
-}
-
-func decodeGenerator(g provenance.Generator) (varIdx int, elem structure.Element, err error) {
-	parts := strings.SplitN(string(g), "|", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("enumerate: malformed answer generator %q", g)
-	}
-	varIdx, err = strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	elem, err = strconv.Atoi(parts[1])
-	return varIdx, elem, err
 }
 
 // Clone returns an independent enumerator over the same compilation and the
@@ -145,32 +125,25 @@ func (ans *Answers) Empty() bool { return ans.enum.Empty() }
 // TupleCursor enumerates answer tuples with constant delay.
 type TupleCursor struct {
 	arity int
-	inner Cursor
+	w     walk
 }
 
 // Cursor returns a fresh cursor over the current answer set.  Cursors are
 // invalidated by updates; create a new one after SetTuple.
 func (ans *Answers) Cursor() *TupleCursor {
-	return &TupleCursor{arity: ans.sh.Arity(), inner: ans.enum.Cursor()}
+	return &TupleCursor{arity: ans.sh.Arity(), w: newWalk(ans.enum, ans.enum.p)}
 }
 
 // Next returns the next answer tuple, or ok=false when the enumeration is
-// complete.
+// complete.  The tuple is the caller's: the cursor keeps no reference to it.
 func (c *TupleCursor) Next() (structure.Tuple, bool) {
-	m, ok := c.inner.Next()
+	end, ok := c.w.next()
 	if !ok {
 		return nil, false
 	}
 	tuple := make(structure.Tuple, c.arity)
-	for i := range tuple {
-		tuple[i] = -1
-	}
-	for _, g := range m {
-		idx, elem, err := decodeGenerator(g)
-		if err != nil || idx < 0 || idx >= len(tuple) {
-			continue
-		}
-		tuple[idx] = elem
+	for _, g := range c.w.frame[:end] {
+		tuple[g.varIdx] = g.elem
 	}
 	return tuple, true
 }

@@ -4,18 +4,23 @@
 // constant-delay enumeration of the answers to first-order queries with
 // Gaifman-preserving updates (Theorem 24).
 //
-// After a linear-time preprocessing pass over the circuit, the enumerator
-// for any gate — in particular the output gate — can be (re)created in
-// constant time and produces the monomials of the gate's free-semiring value
-// with constant delay between consecutive outputs.  Permanent gates use the
+// After a linear-time preprocessing pass over the circuit, a cursor over any
+// gate — in particular the output gate — produces the monomials of the gate's
+// free-semiring value with constant delay.  As in Kazana and Segoufin's
+// enumeration, a cursor is a fixed stack of positions into the preprocessed
+// structure: one node per position of the current derivation (the chosen
+// child of an addition, every factor of a product, the column and cell of
+// each row of a permanent), all writing their generators onto one shared
+// frame.  A node that wraps around is reset in place and a node moved to
+// another gate keeps its storage, so once a cursor has grown to the shape of
+// the circuit, advancing it allocates nothing.  Permanent gates use the
 // column-type bookkeeping of Lemma 39 so that only columns that can still be
 // extended to a full system of distinct representatives are ever touched.
 package enumerate
 
 import (
 	"context"
-	"fmt"
-	"math/big"
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/circuit"
@@ -26,14 +31,16 @@ import (
 )
 
 // Value is the free-semiring value of a circuit input, given by its
-// emptiness and the ability to enumerate its monomials.  Implementations must
-// be comparable with ==: assigning an input the value it already holds is a
-// no-op that commits no epoch.
+// emptiness and its monomials.  Values are comparable with ==: assigning an
+// input the value it already holds is a no-op that commits no epoch.
 type Value interface {
 	// Empty reports whether the value is the zero polynomial.
 	Empty() bool
 	// Cursor returns a fresh enumerator over the monomials of the value.
 	Cursor() Cursor
+	// emit writes monomial i of the value onto w's frame from base and
+	// returns where it ends, or ok=false when the value has no monomial i.
+	emit(w *walk, i, base int) (end int, ok bool)
 }
 
 // Cursor enumerates monomials of a free-semiring element.  Next returns the
@@ -64,54 +71,70 @@ func Bool(b bool) Value {
 	return Zero()
 }
 
-// FromPoly wraps an explicit polynomial as an input value.
-func FromPoly(p *provenance.Poly) Value { return polyValue{p: p} }
+// FromPoly wraps an explicit polynomial as an input value: its monomials, each
+// repeated by its multiplicity, as they are when FromPoly is called.
+func FromPoly(p *provenance.Poly) Value {
+	v := &polyValue{}
+	for _, t := range p.Monomials() {
+		for i := int64(0); i < t.Count; i++ {
+			v.items = append(v.items, t.Monomial)
+		}
+	}
+	return v
+}
 
 type zeroValue struct{}
 
-func (zeroValue) Empty() bool    { return true }
-func (zeroValue) Cursor() Cursor { return &sliceCursor{} }
+func (zeroValue) Empty() bool                      { return true }
+func (v zeroValue) Cursor() Cursor                 { return valueCursor(v) }
+func (zeroValue) emit(*walk, int, int) (int, bool) { return 0, false }
 
 type unitValue struct{}
 
-func (unitValue) Empty() bool { return false }
-func (unitValue) Cursor() Cursor {
-	return &sliceCursor{items: []provenance.Monomial{provenance.NewMonomial()}}
-}
+func (unitValue) Empty() bool                           { return false }
+func (v unitValue) Cursor() Cursor                      { return valueCursor(v) }
+func (unitValue) emit(_ *walk, i, base int) (int, bool) { return base, i == 0 }
 
 type genValue struct{ g provenance.Generator }
 
-func (v genValue) Empty() bool { return false }
-func (v genValue) Cursor() Cursor {
-	return &sliceCursor{items: []provenance.Monomial{provenance.NewMonomial(v.g)}}
-}
-
-type polyValue struct{ p *provenance.Poly }
-
-func (v polyValue) Empty() bool { return v.p.IsZero() }
-func (v polyValue) Cursor() Cursor {
-	var items []provenance.Monomial
-	for _, t := range v.p.Monomials() {
-		for i := int64(0); i < t.Count; i++ {
-			items = append(items, t.Monomial)
-		}
+func (genValue) Empty() bool      { return false }
+func (v genValue) Cursor() Cursor { return valueCursor(v) }
+func (v genValue) emit(w *walk, i, base int) (int, bool) {
+	if i > 0 {
+		return 0, false
 	}
-	return &sliceCursor{items: items}
+	return w.put(base, gen{name: v.g, varIdx: -1}), true
 }
 
-// sliceCursor enumerates a fixed slice of monomials.
-type sliceCursor struct {
-	items []provenance.Monomial
-	pos   int
+// answerValue is the answer generator e^i_a of Theorem 24: answer variable
+// varIdx takes element elem.
+type answerValue struct {
+	varIdx int
+	elem   structure.Element
 }
 
-func (c *sliceCursor) Next() (provenance.Monomial, bool) {
-	if c.pos >= len(c.items) {
-		return nil, false
+func (answerValue) Empty() bool      { return false }
+func (v answerValue) Cursor() Cursor { return valueCursor(v) }
+func (v answerValue) emit(w *walk, i, base int) (int, bool) {
+	if i > 0 {
+		return 0, false
 	}
-	m := c.items[c.pos]
-	c.pos++
-	return m, true
+	return w.put(base, gen{varIdx: v.varIdx, elem: v.elem}), true
+}
+
+// polyValue is compared by identity: FromPoly mints a fresh one per call.
+type polyValue struct{ items []provenance.Monomial }
+
+func (v *polyValue) Empty() bool    { return len(v.items) == 0 }
+func (v *polyValue) Cursor() Cursor { return valueCursor(v) }
+func (v *polyValue) emit(w *walk, i, base int) (int, bool) {
+	if i >= len(v.items) {
+		return 0, false
+	}
+	for _, g := range v.items[i] {
+		base = w.put(base, gen{name: g, varIdx: -1})
+	}
+	return base, true
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +151,11 @@ func (c *sliceCursor) Next() (provenance.Monomial, bool) {
 // topological ranks, wires, children arena and permanent columns instead of
 // rebuilding them: many enumerators may share one Program, each holding values
 // only — input values, emptiness bits, and per addition or permanent gate the
-// non-empty slots and column types, addressed by the Program's slots.
+// non-empty slots and column types, carved out of two arenas sized once from
+// the Program.  What a reader holds is a cursor: a stack of nodes over those
+// values (see the package comment), grown to the circuit's shape on its first
+// answers and reset in place after that; the stack and its frame belong to
+// the cursor, never to the Enumerator.
 //
 // # Goroutine safety
 //
@@ -155,8 +182,10 @@ type Enumerator struct {
 	inputValue []Value
 	empty      []bool
 
-	adders []*adderMeta
-	perms  []*permGateMeta
+	// meta[id] indexes adders or perms, by the kind of gate id.
+	meta   []int32
+	adders []adderMeta
+	perms  []permGateMeta
 
 	// wave queues the parents of gates whose emptiness flipped and drains
 	// them in increasing rank order, so every affected gate is refreshed
@@ -194,24 +223,26 @@ type InputAssignment struct {
 // adderMeta maintains, for an addition gate, the slots whose child is
 // currently non-empty.
 type adderMeta struct {
-	positions []int32 // slots with non-empty children
+	positions []int32 // slots with non-empty children; capacity the fan-in
 	index     []int32 // slot → index in positions, -1 when absent
 }
 
-// newAdderMeta derives the metadata a cursor reads for an addition gate over
-// children, under the given emptiness view (the live bits for the writer, the
-// pinned epoch's for a snapshot).
-func newAdderMeta(children []int32, empty func(gate int) bool) *adderMeta {
-	meta := &adderMeta{index: make([]int32, len(children))}
+// adderWords is the arena length adderMeta.init takes for k children.
+func adderWords(k int) int { return 2 * k }
+
+// init derives the metadata a cursor reads for an addition gate over
+// children on buf, under the given emptiness view (the live bits for the
+// writer, the pinned epoch's for a snapshot).
+func (m *adderMeta) init(children, buf []int32, empty func(gate int) bool) {
+	k := len(children)
+	m.index, m.positions = buf[:k], buf[k:k:2*k]
 	for slot, ch := range children {
-		if empty(int(ch)) {
-			meta.index[slot] = -1
-			continue
+		m.index[slot] = -1
+		if !empty(int(ch)) {
+			m.index[slot] = int32(len(m.positions))
+			m.positions = append(m.positions, int32(slot))
 		}
-		meta.index[slot] = int32(len(meta.positions))
-		meta.positions = append(meta.positions, int32(slot))
 	}
-	return meta
 }
 
 // permGateMeta maintains the Lemma 39 bookkeeping of permanent gate id of p,
@@ -221,38 +252,68 @@ type permGateMeta struct {
 	id   int
 	rows int
 	// colType[col] is the bitmask of rows whose wired child is non-empty.
-	colType []int
-	// byType[t] lists the columns of type t; posInType[col] is the column's
-	// index within its list (for O(1) removal).
-	byType    [][]int
-	posInType []int
+	// list holds the columns grouped by type, type t at list[start[t]:start[t+1]];
+	// at[col] is the column's index in list.
+	colType, list, at, start []int32
 }
 
-// newPermGateMeta derives the Lemma 39 column-type bookkeeping of permanent
-// gate id under the given emptiness view (the live bits for the writer, the
-// pinned epoch's for a snapshot).
-func newPermGateMeta(p *circuit.Program, id int, empty func(gate int) bool) *permGateMeta {
+// permWords is the arena length permGateMeta.init takes for a rows × cols
+// gate.
+func permWords(rows, cols int) int { return 3*cols + 1<<rows + 1 }
+
+// init derives the Lemma 39 column-type bookkeeping of permanent gate id on
+// buf, under the given emptiness view (the live bits for the writer, the
+// pinned epoch's for a snapshot): a counting sort of the columns by type.
+func (m *permGateMeta) init(p *circuit.Program, id int, buf []int32, empty func(gate int) bool) {
 	rows, cols := p.PermShape(id)
-	meta := &permGateMeta{
-		p: p, id: id, rows: rows,
-		colType:   make([]int, cols),
-		byType:    make([][]int, 1<<uint(rows)),
-		posInType: make([]int, cols),
+	m.p, m.id, m.rows = p, id, rows
+	m.colType, m.list, m.at, m.start = buf[:cols], buf[cols:2*cols], buf[2*cols:3*cols], buf[3*cols:]
+	for col := range m.colType {
+		m.colType[col] = m.columnType(col, empty)
+		m.start[m.colType[col]+1]++
 	}
-	for col := 0; col < cols; col++ {
-		t := meta.columnType(col, empty)
-		meta.colType[col] = t
-		meta.posInType[col] = len(meta.byType[t])
-		meta.byType[t] = append(meta.byType[t], col)
+	for t := 1; t < len(m.start); t++ {
+		m.start[t] += m.start[t-1]
 	}
-	return meta
+	// Fill each type from its start, which moves start[t] to start[t+1]'s
+	// value; then shift the starts back.
+	for col, t := range m.colType {
+		m.list[m.start[t]], m.at[col] = int32(col), m.start[t]
+		m.start[t]++
+	}
+	for t := len(m.start) - 2; t > 0; t-- {
+		m.start[t] = m.start[t-1]
+	}
+	m.start[0] = 0
+}
+
+// retype moves col to type t, walking it across the type boundaries
+// between its old type and t (at most 2^rows swaps).
+func (m *permGateMeta) retype(col int, t int32) {
+	for old := m.colType[col]; old != t; {
+		i := m.at[col]
+		var j int32 // the slot col swaps into, then the boundary moves over it
+		if old < t {
+			m.start[old+1]--
+			j = m.start[old+1]
+			old++
+		} else {
+			j = m.start[old]
+			m.start[old]++
+			old--
+		}
+		other := m.list[j]
+		m.list[i], m.list[j] = other, int32(col)
+		m.at[other], m.at[col] = i, j
+	}
+	m.colType[col] = t
 }
 
 // columnType returns the bitmask of the rows of col whose wired child is
 // non-empty under the given emptiness view.
-func (m *permGateMeta) columnType(col int, empty func(gate int) bool) int {
+func (m *permGateMeta) columnType(col int, empty func(gate int) bool) int32 {
 	rows, gates := m.p.PermColumn(m.id, col)
-	t := 0
+	t := int32(0)
 	for i, ch := range gates {
 		if !empty(int(ch)) {
 			t |= 1 << uint(rows[i])
@@ -270,6 +331,30 @@ func (m *permGateMeta) cell(row, col int) int {
 		}
 	}
 	return -1
+}
+
+// matchable reports whether the rows in the mask can be matched to distinct
+// columns whose type covers them, excluding the used columns (Hall's
+// condition over the column-type counts).
+func (m *permGateMeta) matchable(rowMask int, used []int32) bool {
+	for sub := rowMask; sub != 0; sub = (sub - 1) & rowMask {
+		need, have := bits.OnesCount(uint(sub)), 0
+		for t := 1; t < len(m.start)-1 && have < need; t++ {
+			if t&sub == 0 {
+				continue
+			}
+			have += int(m.start[t+1] - m.start[t])
+			for _, u := range used {
+				if m.colType[u] == int32(t) {
+					have--
+				}
+			}
+		}
+		if have < need {
+			return false
+		}
+	}
+	return true
 }
 
 // Nonempty computes the initial non-emptiness of every gate with the
@@ -310,12 +395,31 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 		panic("enumerate: circuit has no output gate")
 	}
 	n := p.NumGates()
+	// Size the metadata arenas, then carve every gate's share out of them.
+	var adders, perms, addWords, permWordsTotal int
+	for id := 0; id < n; id++ {
+		switch p.GateKind(id) {
+		case circuit.KindAdd:
+			adders++
+			addWords += adderWords(len(p.ChildIDs(id)))
+		case circuit.KindPerm:
+			perms++
+			permWordsTotal += permWords(p.PermShape(id))
+		}
+	}
 	e := &Enumerator{
 		p:          p,
 		inputValue: make([]Value, p.NumInputs()),
 		empty:      make([]bool, n),
-		adders:     make([]*adderMeta, n),
-		perms:      make([]*permGateMeta, n),
+		meta:       make([]int32, n),
+		adders:     make([]adderMeta, 0, adders),
+		perms:      make([]permGateMeta, 0, perms),
+	}
+	addArena, permArena := make([]int32, addWords), make([]int32, permWordsTotal)
+	carve := func(arena *[]int32, k int) []int32 {
+		s := (*arena)[:k:k]
+		*arena = (*arena)[k:]
+		return s
 	}
 	e.clock = c
 	e.log = mvcc.NewLog[enumUndo](c, int64(unsafe.Sizeof(enumUndo{})))
@@ -336,8 +440,11 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 		case circuit.KindConst:
 			e.empty[id] = p.ConstIsZero(id)
 		case circuit.KindAdd:
-			meta := newAdderMeta(p.ChildIDs(id), e.isEmpty)
-			e.adders[id] = meta
+			kids := p.ChildIDs(id)
+			e.meta[id] = int32(len(e.adders))
+			e.adders = append(e.adders, adderMeta{})
+			meta := &e.adders[len(e.adders)-1]
+			meta.init(kids, carve(&addArena, adderWords(len(kids))), e.isEmpty)
 			e.empty[id] = len(meta.positions) == 0
 		case circuit.KindMul:
 			anyEmpty := false
@@ -348,8 +455,10 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 			}
 			e.empty[id] = anyEmpty
 		case circuit.KindPerm:
-			meta := newPermGateMeta(p, id, e.isEmpty)
-			e.perms[id] = meta
+			e.meta[id] = int32(len(e.perms))
+			e.perms = append(e.perms, permGateMeta{})
+			meta := &e.perms[len(e.perms)-1]
+			meta.init(p, id, carve(&permArena, permWords(p.PermShape(id))), e.isEmpty)
 			if nonempty != nil {
 				// The boolean permanent already decided matchability.
 				e.empty[id] = !nonempty[id]
@@ -369,7 +478,7 @@ func (e *Enumerator) GateEmpty(id int) bool { return e.empty[id] }
 
 // Cursor returns a fresh constant-delay cursor over the monomials of the
 // output gate.
-func (e *Enumerator) Cursor() Cursor { return e.gateCursor(e.p.OutputGate()) }
+func (e *Enumerator) Cursor() Cursor { return &monomialCursor{w: newWalk(e, e.p)} }
 
 // CollectAll drains a fresh cursor into a slice, stopping after limit
 // monomials (limit ≤ 0 means no limit).  Intended for tests and examples.
@@ -466,7 +575,7 @@ func (e *Enumerator) refreshWave(g int, slots []int32) {
 func (e *Enumerator) refreshGate(g int, slots []int32) bool {
 	switch e.p.GateKind(g) {
 	case circuit.KindAdd:
-		meta := e.adders[g]
+		meta := &e.adders[e.meta[g]]
 		kids := e.p.ChildIDs(g)
 		for _, slot := range slots {
 			want := !e.empty[kids[slot]]
@@ -495,403 +604,16 @@ func (e *Enumerator) refreshGate(g int, slots []int32) bool {
 		}
 		return false
 	case circuit.KindPerm:
-		meta := e.perms[g]
+		meta := &e.perms[e.meta[g]]
 		// Recomputing a column's type is idempotent, so a column with several
 		// changed slots is simply recomputed more than once rather than
 		// tracked in a per-call set.
 		for _, slot := range slots {
 			_, col := e.p.PermCell(g, int(slot))
-			t := meta.columnType(col, e.isEmpty)
-			if t == meta.colType[col] {
-				continue
-			}
-			// Move the column between type lists.
-			old := meta.colType[col]
-			idx := meta.posInType[col]
-			lst := meta.byType[old]
-			last := lst[len(lst)-1]
-			lst[idx] = last
-			meta.posInType[last] = idx
-			meta.byType[old] = lst[:len(lst)-1]
-			meta.colType[col] = t
-			meta.posInType[col] = len(meta.byType[t])
-			meta.byType[t] = append(meta.byType[t], col)
+			meta.retype(col, meta.columnType(col, e.isEmpty))
 		}
 		return !meta.matchable((1<<uint(meta.rows))-1, nil)
 	default:
 		return e.empty[g]
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Cursors per gate kind
-// ---------------------------------------------------------------------------
-
-// view is what a cursor needs from its owner to open child cursors: the live
-// Enumerator for live cursors, a pinned Snapshot for snapshot cursors.  The
-// cursor machinery below is otherwise oblivious to which epoch it streams.
-type view interface {
-	gateCursor(id int) Cursor
-}
-
-// gateCursor creates a cursor over the monomials of a gate.  Empty gates get
-// an empty cursor.
-func (e *Enumerator) gateCursor(id int) Cursor {
-	if e.empty[id] {
-		return &sliceCursor{}
-	}
-	kind := e.p.GateKind(id)
-	switch kind {
-	case circuit.KindInput:
-		return e.inputValue[e.p.InputNumber(id)].Cursor()
-	case circuit.KindConst:
-		return &constCursor{remaining: e.p.ConstBig(id)}
-	case circuit.KindAdd:
-		return &concatCursor{e: e, children: e.p.ChildIDs(id), meta: e.adders[id]}
-	case circuit.KindMul:
-		return newProductCursor(e, e.p.ChildIDs(id))
-	case circuit.KindPerm:
-		return newPermCursor(e, e.perms[id])
-	default:
-		panic(fmt.Sprintf("enumerate: unsupported gate kind %v", kind))
-	}
-}
-
-// constCursor yields the empty monomial N times.
-type constCursor struct {
-	remaining *big.Int
-}
-
-func (c *constCursor) Next() (provenance.Monomial, bool) {
-	if c.remaining.Sign() <= 0 {
-		return nil, false
-	}
-	c.remaining.Sub(c.remaining, big.NewInt(1))
-	return provenance.NewMonomial(), true
-}
-
-// concatCursor enumerates an addition gate: the concatenation of its
-// non-empty children (per slot).
-type concatCursor struct {
-	e        view
-	children []int32
-	meta     *adderMeta
-	idx      int
-	current  Cursor
-}
-
-func (c *concatCursor) Next() (provenance.Monomial, bool) {
-	for {
-		if c.current == nil {
-			if c.idx >= len(c.meta.positions) {
-				return nil, false
-			}
-			child := c.children[c.meta.positions[c.idx]]
-			c.current = c.e.gateCursor(int(child))
-		}
-		if m, ok := c.current.Next(); ok {
-			return m, true
-		}
-		c.current = nil
-		c.idx++
-	}
-}
-
-// productCursor enumerates a multiplication gate: the product (concatenation
-// of monomials) over all combinations of children monomials, in
-// lexicographic cursor order.
-type productCursor struct {
-	e        view
-	children []int32
-	cursors  []Cursor
-	current  []provenance.Monomial
-	started  bool
-	done     bool
-}
-
-func newProductCursor(e view, children []int32) *productCursor {
-	return &productCursor{
-		e:        e,
-		children: children,
-		cursors:  make([]Cursor, len(children)),
-		current:  make([]provenance.Monomial, len(children)),
-	}
-}
-
-func (c *productCursor) Next() (provenance.Monomial, bool) {
-	if c.done {
-		return nil, false
-	}
-	if !c.started {
-		c.started = true
-		for i, ch := range c.children {
-			c.cursors[i] = c.e.gateCursor(int(ch))
-			m, ok := c.cursors[i].Next()
-			if !ok {
-				c.done = true
-				return nil, false
-			}
-			c.current[i] = m
-		}
-		return c.output(), true
-	}
-	// Odometer advance from the last child.
-	for i := len(c.children) - 1; i >= 0; i-- {
-		if m, ok := c.cursors[i].Next(); ok {
-			c.current[i] = m
-			return c.output(), true
-		}
-		if i == 0 {
-			c.done = true
-			return nil, false
-		}
-		c.cursors[i] = c.e.gateCursor(int(c.children[i]))
-		m, ok := c.cursors[i].Next()
-		if !ok {
-			c.done = true
-			return nil, false
-		}
-		c.current[i] = m
-	}
-	c.done = true
-	return nil, false
-}
-
-func (c *productCursor) output() provenance.Monomial {
-	out := provenance.NewMonomial()
-	for _, m := range c.current {
-		out = out.Mul(m)
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Permanent gate cursor (Lemma 23 / Lemma 39)
-// ---------------------------------------------------------------------------
-
-// matchable reports whether the rows in the mask can be matched to distinct
-// columns whose type covers them, excluding the listed used columns
-// (Hall's condition over the column-type counts).
-func (m *permGateMeta) matchable(rowMask int, used []int) bool {
-	if rowMask == 0 {
-		return true
-	}
-	// count[t] = available columns of type t (excluding used).
-	for sub := rowMask; ; sub = (sub - 1) & rowMask {
-		if sub != 0 {
-			need := popcount(sub)
-			have := 0
-			for t := 1; t < len(m.byType); t++ {
-				if t&sub == 0 {
-					continue
-				}
-				avail := len(m.byType[t])
-				for _, u := range used {
-					if m.colType[u] == t {
-						avail--
-					}
-				}
-				have += avail
-				if have >= need {
-					break
-				}
-			}
-			if have < need {
-				return false
-			}
-		}
-		if sub == 0 {
-			break
-		}
-	}
-	return true
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// permRowState is the enumeration state of one row of a permanent gate.
-type permRowState struct {
-	typeIdx int // current type (index into byType)
-	listIdx int // position within byType[typeIdx]
-	column  int
-	cell    Cursor
-	current provenance.Monomial
-}
-
-// permCursor enumerates a permanent gate: all products over injective
-// assignments of rows to non-empty columns.
-type permCursor struct {
-	e     view
-	meta  *permGateMeta
-	rows  []*permRowState
-	used  []int
-	done  bool
-	begun bool
-}
-
-func newPermCursor(e view, meta *permGateMeta) *permCursor {
-	return &permCursor{e: e, meta: meta}
-}
-
-func (c *permCursor) Next() (provenance.Monomial, bool) {
-	if c.done {
-		return nil, false
-	}
-	if !c.begun {
-		c.begun = true
-		c.rows = make([]*permRowState, c.meta.rows)
-		c.used = nil
-		if !c.initRow(0) {
-			c.done = true
-			return nil, false
-		}
-		return c.output(), true
-	}
-	// Advance: try the deepest row's cell cursor, then its column, then
-	// backtrack.
-	r := c.meta.rows - 1
-	for r >= 0 {
-		st := c.rows[r]
-		if m, ok := st.cell.Next(); ok {
-			st.current = m
-			// Deeper rows restart from their first monomial of their current
-			// column/cell; but their cells are exhausted only when we reach
-			// them, so restart them fully.
-			if c.reinitBelow(r) {
-				return c.output(), true
-			}
-			// Deeper rows unexpectedly failed (cannot happen thanks to the
-			// matchability precondition); treat as exhaustion.
-			c.done = true
-			return nil, false
-		}
-		// Cell exhausted: advance this row to its next viable column.
-		c.popUsed(r)
-		if c.advanceRowColumn(r) {
-			if c.reinitBelow(r) {
-				return c.output(), true
-			}
-			c.done = true
-			return nil, false
-		}
-		r--
-	}
-	c.done = true
-	return nil, false
-}
-
-// output concatenates the current monomials of all rows.
-func (c *permCursor) output() provenance.Monomial {
-	out := provenance.NewMonomial()
-	for _, st := range c.rows {
-		out = out.Mul(st.current)
-	}
-	return out
-}
-
-// initRow positions row r on its first viable column and first cell
-// monomial, recursing into deeper rows.
-func (c *permCursor) initRow(r int) bool {
-	if r == c.meta.rows {
-		return true
-	}
-	st := &permRowState{typeIdx: 0, listIdx: -1}
-	c.rows[r] = st
-	if !c.seekColumn(r, st) {
-		return false
-	}
-	return c.initRow(r + 1)
-}
-
-// reinitBelow restarts rows r+1.. with fresh columns and cells.
-func (c *permCursor) reinitBelow(r int) bool {
-	// Remove used columns of deeper rows.
-	c.used = c.used[:r+1]
-	for i := r + 1; i < c.meta.rows; i++ {
-		c.rows[i] = nil
-	}
-	return c.initRow(r + 1)
-}
-
-// popUsed removes row r's column from the used set.
-func (c *permCursor) popUsed(r int) {
-	if len(c.used) > r {
-		c.used = c.used[:r]
-	}
-}
-
-// advanceRowColumn moves row r to its next viable column (after the current
-// one) and initialises its cell cursor.
-func (c *permCursor) advanceRowColumn(r int) bool {
-	st := c.rows[r]
-	return c.seekColumn(r, st)
-}
-
-// seekColumn advances the (typeIdx, listIdx) pointer of row r to the next
-// column that is non-empty at row r, unused, and keeps the remaining rows
-// matchable; it then opens the cell cursor.  Returns false when exhausted.
-func (c *permCursor) seekColumn(r int, st *permRowState) bool {
-	remaining := 0
-	for rr := r + 1; rr < c.meta.rows; rr++ {
-		remaining |= 1 << uint(rr)
-	}
-	for t := st.typeIdx; t < len(c.meta.byType); t++ {
-		if t&(1<<uint(r)) == 0 {
-			st.typeIdx = t + 1
-			st.listIdx = -1
-			continue
-		}
-		list := c.meta.byType[t]
-		start := 0
-		if t == st.typeIdx {
-			start = st.listIdx + 1
-		}
-		for i := start; i < len(list); i++ {
-			col := list[i]
-			if c.isUsed(col) {
-				continue
-			}
-			// Viability: remaining rows must be matchable avoiding used∪{col}.
-			c.used = append(c.used, col)
-			ok := c.meta.matchable(remaining, c.used)
-			if !ok {
-				c.used = c.used[:len(c.used)-1]
-				// All columns of this type are equivalent for matchability,
-				// so skip the rest of the type.
-				break
-			}
-			cell := c.e.gateCursor(c.meta.cell(r, col))
-			m, cellOK := cell.Next()
-			if !cellOK {
-				// Cannot happen: the column type asserts non-emptiness.
-				c.used = c.used[:len(c.used)-1]
-				continue
-			}
-			st.typeIdx = t
-			st.listIdx = i
-			st.column = col
-			st.cell = cell
-			st.current = m
-			return true
-		}
-		st.typeIdx = t + 1
-		st.listIdx = -1
-	}
-	return false
-}
-
-func (c *permCursor) isUsed(col int) bool {
-	for _, u := range c.used {
-		if u == col {
-			return true
-		}
-	}
-	return false
 }

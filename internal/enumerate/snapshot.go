@@ -1,7 +1,6 @@
 package enumerate
 
 import (
-	"repro/internal/circuit"
 	"repro/internal/mvcc"
 	"repro/internal/structure"
 )
@@ -46,9 +45,7 @@ func (s *Snapshot) Empty() bool { return s.GateEmpty(s.e.p.OutputGate()) }
 
 // GateEmpty reports emptiness of an arbitrary gate at the pinned epoch.
 func (s *Snapshot) GateEmpty(id int) bool {
-	s.e.clock.RLock()
-	defer s.e.clock.RUnlock()
-	s.view.Extend()
+	defer s.lock().unlock()
 	return s.emptyLocked(id)
 }
 
@@ -56,7 +53,7 @@ func (s *Snapshot) GateEmpty(id int) bool {
 // output gate at the pinned epoch.  Unlike live cursors, snapshot cursors
 // are not invalidated by updates: the writer may commit freely while the
 // cursor streams.
-func (s *Snapshot) Cursor() Cursor { return s.gateCursor(s.e.p.OutputGate()) }
+func (s *Snapshot) Cursor() Cursor { return &monomialCursor{w: newWalk(s, s.e.p)} }
 
 // emptyLocked resolves one gate's emptiness at the pinned epoch.  Caller
 // holds at least the shared lock with the view extended.
@@ -67,64 +64,49 @@ func (s *Snapshot) emptyLocked(id int) bool {
 	return s.e.empty[id]
 }
 
-// inputLocked resolves one input gate's value at the pinned epoch.  Caller
-// holds at least the shared lock with the view extended.
-func (s *Snapshot) inputLocked(id int) Value {
+// lock takes the shared lock and extends the view: the snapshot side of the
+// source a cursor binds its nodes through, so a node bound mid-stream
+// resolves the pinned epoch too.  The caller unlocks.
+func (s *Snapshot) lock() *Snapshot {
+	s.e.clock.RLock()
+	s.view.Extend()
+	return s
+}
+
+func (s *Snapshot) unlock() { s.e.clock.RUnlock() }
+
+// input resolves one input gate's value at the pinned epoch.
+func (s *Snapshot) input(id int) Value {
+	defer s.lock().unlock()
 	if u, ok := s.view.Lookup(int32(id)); ok && u.kind == undoInput {
 		return u.oldInput
 	}
 	return s.e.inputValue[s.e.p.InputNumber(id)]
 }
 
-// gateCursor is the snapshot side of the cursor factory: the same cursor
-// machinery as the live Enumerator, reading pinned-epoch state and
-// snapshot-derived metadata.  It implements view, so child cursors opened
-// mid-stream resolve through the snapshot as well.  Every cursor constructor
-// is lazy — none opens a child cursor before its first Next — so nothing
-// re-enters the shared lock held here.
-func (s *Snapshot) gateCursor(id int) Cursor {
-	e := s.e
-	e.clock.RLock()
-	defer e.clock.RUnlock()
-	s.view.Extend()
-	if s.emptyLocked(id) {
-		return &sliceCursor{}
-	}
-	switch e.p.GateKind(id) {
-	case circuit.KindInput:
-		return s.inputLocked(id).Cursor()
-	case circuit.KindConst:
-		return &constCursor{remaining: e.p.ConstBig(id)}
-	case circuit.KindAdd:
-		return &concatCursor{e: s, children: e.p.ChildIDs(id), meta: s.adderLocked(id)}
-	case circuit.KindMul:
-		return newProductCursor(s, e.p.ChildIDs(id))
-	case circuit.KindPerm:
-		return newPermCursor(s, s.permLocked(id))
-	default:
-		panic("enumerate: unsupported gate kind in snapshot cursor")
-	}
-}
-
-// adderLocked derives (and memoises) the metadata of an addition gate at the
-// pinned epoch, with the writer's constructor under the snapshot's emptiness
-// view.  Caller holds at least the shared lock with the view extended.
-func (s *Snapshot) adderLocked(id int) *adderMeta {
+// adder derives (and memoises) the metadata of an addition gate at the
+// pinned epoch, with the writer's constructor under the snapshot's
+// emptiness view.
+func (s *Snapshot) adder(id int) *adderMeta {
 	m, ok := s.adders[id]
 	if !ok {
-		m = newAdderMeta(s.e.p.ChildIDs(id), s.emptyLocked)
+		defer s.lock().unlock()
+		kids := s.e.p.ChildIDs(id)
+		m = new(adderMeta)
+		m.init(kids, make([]int32, adderWords(len(kids))), s.emptyLocked)
 		s.adders[id] = m
 	}
 	return m
 }
 
-// permLocked derives (and memoises) the Lemma 39 column-type bookkeeping of
-// a permanent gate at the pinned epoch, likewise.  Caller holds at least the
-// shared lock with the view extended.
-func (s *Snapshot) permLocked(id int) *permGateMeta {
+// perm derives (and memoises) the Lemma 39 column-type bookkeeping of a
+// permanent gate at the pinned epoch, likewise.
+func (s *Snapshot) perm(id int) *permGateMeta {
 	m, ok := s.perms[id]
 	if !ok {
-		m = newPermGateMeta(s.e.p, id, s.emptyLocked)
+		defer s.lock().unlock()
+		m = new(permGateMeta)
+		m.init(s.e.p, id, make([]int32, permWords(s.e.p.PermShape(id))), s.emptyLocked)
 		s.perms[id] = m
 	}
 	return m
@@ -156,7 +138,7 @@ func (s *AnswersSnapshot) Empty() bool { return s.snap.Empty() }
 // pinned epoch.  Unlike live cursors, it stays valid while the writer
 // updates.
 func (s *AnswersSnapshot) Cursor() *TupleCursor {
-	return &TupleCursor{arity: s.ans.sh.Arity(), inner: s.snap.Cursor()}
+	return &TupleCursor{arity: s.ans.sh.Arity(), w: newWalk(s.snap, s.snap.e.p)}
 }
 
 // Collect drains a fresh cursor into a slice of answers (limit ≤ 0 means no
