@@ -92,6 +92,61 @@ func TestParallelEvaluateCtxCancelStops(t *testing.T) {
 	}
 }
 
+// slowAddNat is ℕ with a busy-wait in Add, so the cost of a gate grows with
+// its fan-in.
+type slowAddNat struct{ semiring.Natural }
+
+func (slowAddNat) Add(a, b int64) int64 {
+	deadline := time.Now().Add(25 * time.Microsecond)
+	for time.Now().Before(deadline) {
+	}
+	return a + b
+}
+
+// TestParallelEvaluateCtxCancelStopsInWideGates checks that the cancellation
+// stride counts wires, not gates: a level of 128 additions of fan-in 128 is
+// ≈410 ms of work in 128 gates, which a check every 256 gates would never
+// interrupt.
+func TestParallelEvaluateCtxCancelStopsInWideGates(t *testing.T) {
+	const n = 128
+	c := NewBuilder()
+	inputs := make([]int, n)
+	for i := range inputs {
+		inputs[i] = c.Input(structure.MakeWeightKey("w", structure.Tuple{i}))
+	}
+	sums := make([]int, n)
+	for i := range sums {
+		children := make([]int, n)
+		for j := range children {
+			children[j] = inputs[(i+j)%n]
+		}
+		sums[i] = c.Add(children...)
+	}
+	c.SetOutput(c.Add(sums...))
+	p := c.Program()
+	one := func(structure.WeightKey) (int64, bool) { return 1, true }
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		errCh := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, err := ParallelEvaluateAllProgramCtx[int64](ctx, p, slowAddNat{}, one, workers)
+			errCh <- err
+		}()
+		time.Sleep(5 * time.Millisecond)
+		cancel()
+		err := <-errCh
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		// A stride is two of these gates, ≈6.4 ms of work per worker.
+		if elapsed > 120*time.Millisecond {
+			t.Errorf("workers=%d: cancelled evaluation still took %v", workers, elapsed)
+		}
+	}
+}
+
 // TestParallelEvaluateCtxPreCancelled checks an already-cancelled context
 // fails fast without evaluating anything.
 func TestParallelEvaluateCtxPreCancelled(t *testing.T) {

@@ -189,22 +189,25 @@ func (c *Circuit) Const(n *big.Int) int {
 func (c *Circuit) ConstInt(n int64) int { return c.Const(big.NewInt(n)) }
 
 // Add returns a gate computing the sum of the children.  Zero children are
-// dropped; an empty sum is the constant 0; a single child is returned
-// as-is.
+// dropped; an empty sum is the constant 0; a single surviving child is
+// returned as-is, and neither case allocates.
 func (c *Circuit) Add(children ...int) int {
-	kept := make([]int, 0, len(children))
+	survivors, last := 0, c.zeroGate
 	for _, ch := range children {
 		c.checkChild(ch)
-		if ch == c.zeroGate {
-			continue
+		if ch != c.zeroGate {
+			survivors++
+			last = ch
 		}
-		kept = append(kept, ch)
 	}
-	switch len(kept) {
-	case 0:
-		return c.zeroGate
-	case 1:
-		return kept[0]
+	if survivors <= 1 {
+		return last
+	}
+	kept := make([]int, 0, survivors)
+	for _, ch := range children {
+		if ch != c.zeroGate {
+			kept = append(kept, ch)
+		}
 	}
 	return c.addGate(Gate{Kind: KindAdd, Children: kept})
 }

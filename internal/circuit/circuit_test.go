@@ -88,6 +88,18 @@ func TestBuilderSimplifications(t *testing.T) {
 	if c.Add(in, c.Zero()) != in {
 		t.Errorf("Add with zero should collapse")
 	}
+	if c.Add(c.Zero(), c.Zero(), c.Zero()) != c.Zero() {
+		t.Errorf("Add of zero children only should be the zero gate")
+	}
+	before := c.NumGates()
+	if c.Add(c.Zero(), in, c.Zero()) != in || c.NumGates() != before {
+		t.Errorf("Add with a single survivor should return it and append no gate")
+	}
+	in2 := c.Input(key("u", 1))
+	sum := c.Add(c.Zero(), in, c.Zero(), in2, c.Zero())
+	if g := c.Gates[sum]; g.Kind != KindAdd || len(g.Children) != 2 || g.Children[0] != in || g.Children[1] != in2 {
+		t.Errorf("Add of zeros and two survivors = %v %v, want add [%d %d]", g.Kind, g.Children, in, in2)
+	}
 	if c.Mul(in, c.One()) != in {
 		t.Errorf("Mul with one should collapse")
 	}

@@ -8,8 +8,9 @@
 // level-parallel evaluation: every child of a rank-d gate has rank < d, so
 // the gates of one level of the Program's baked schedule are independent and
 // evaluate concurrently.  Permanent gates, with their O(2^rows·rows·cols)
-// column dynamic program, dominate evaluation time and parallelise across the
-// pool.
+// column dynamic program, parallelise across the pool and dominate evaluation
+// time where they occur: only on shape levels with two or more sibling slots,
+// since the compiler emits a one-slot level as an addition.
 package circuit
 
 import (
@@ -160,8 +161,9 @@ func ParallelEvaluateAllProgram[T any](p *Program, s semiring.Semiring[T], v Val
 
 // ParallelEvaluateAllProgramCtx evaluates like ParallelEvaluateAllProgram but
 // honours cancellation: when ctx is cancelled the evaluation stops in bounded
-// time (workers re-check the context every cancelCheckStride gates and at
-// every level barrier) and the call returns ctx.Err() with a nil slice.
+// time (workers re-check the context every cancelCheckStride of gates and
+// wires and at every level barrier) and the call returns ctx.Err() with a nil
+// slice.
 func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) ([]T, error) {
 	if ctx == nil || ctx.Done() == nil {
 		// No cancellation signal to watch; take the unchecked fast path.
@@ -187,9 +189,11 @@ func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s sem
 // nanoseconds, so very fine-grained fan-out would be pure overhead.
 const minGatesPerWorker = 32
 
-// cancelCheckStride is the number of gates evaluated between cancellation
-// checks; it bounds the latency of a cancelled evaluation to the cost of a
-// stride of gates (plus the gate in flight) per worker.
+// cancelCheckStride is the work between cancellation checks, counted as one
+// per gate plus one per wire it reads; it bounds the latency of a cancelled
+// evaluation to the cost of a stride (plus the gate in flight) per worker,
+// however that work is spread over gates — a level of a few wide additions
+// costs as much as one of many narrow gates.
 const cancelCheckStride = 256
 
 // cancelled does a non-blocking poll of a done channel (nil never fires).
@@ -202,6 +206,26 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
+// cancelPoll polls a done channel once per cancelCheckStride of work; the
+// zero budget polls before the first gate.  A nil channel never fires.
+type cancelPoll struct {
+	done   <-chan struct{}
+	budget int
+}
+
+// stop charges gate id to the budget and reports whether the evaluation was
+// cancelled, polling only when the budget runs out.
+func (c *cancelPoll) stop(p *Program, id int32) bool {
+	if c.done == nil {
+		return false
+	}
+	if c.budget -= int(p.childStart[id+1]-p.childStart[id]) + 1; c.budget > 0 {
+		return false
+	}
+	c.budget = cancelCheckStride
+	return cancelled(c.done)
+}
+
 // parallelEvaluateAllProgram is the shared engine behind the parallel
 // evaluators; a nil done channel disables the cancellation checks entirely.
 func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) ([]T, error) {
@@ -212,10 +236,11 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 		return EvaluateAllProgram(p, s, v), nil
 	}
 	vals := make([]T, p.numGates)
+	poll := cancelPoll{done: done} // for gates run on the calling goroutine
 	if workers == 1 {
 		var sc permScratch[T]
 		for id := 0; id < p.numGates; id++ {
-			if id%cancelCheckStride == 0 && cancelled(done) {
+			if poll.stop(p, int32(id)) {
 				return nil, context.Canceled
 			}
 			evaluateProgramGate(p, s, v, id, vals, &sc)
@@ -224,7 +249,6 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 	}
 	var wg sync.WaitGroup
 	var sc permScratch[T] // scratch for levels run on the calling goroutine
-	sinceCheck := 0
 	for d := 0; d <= p.maxRank; d++ {
 		if done != nil && cancelled(done) {
 			return nil, context.Canceled
@@ -237,13 +261,8 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 		}
 		if chunks <= 1 {
 			for _, id := range level {
-				if done != nil {
-					if sinceCheck++; sinceCheck >= cancelCheckStride {
-						sinceCheck = 0
-						if cancelled(done) {
-							return nil, context.Canceled
-						}
-					}
+				if poll.stop(p, id) {
+					return nil, context.Canceled
 				}
 				evaluateProgramGate(p, s, v, int(id), vals, &sc)
 			}
@@ -262,8 +281,9 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 			go func(ids []int32) {
 				defer wg.Done()
 				var sc permScratch[T] // one scratch per worker goroutine
-				for i, id := range ids {
-					if done != nil && i%cancelCheckStride == 0 && cancelled(done) {
+				poll := cancelPoll{done: done}
+				for _, id := range ids {
+					if poll.stop(p, id) {
 						return // abandon the chunk; the barrier notices below
 					}
 					evaluateProgramGate(p, s, v, int(id), vals, &sc)

@@ -9,8 +9,11 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/circuit"
 	"repro/internal/compile"
+	"repro/internal/dbio"
 	"repro/internal/dynamicq"
+	"repro/internal/enumerate"
 	"repro/internal/graph"
+	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/semiring"
 	"repro/internal/structure"
@@ -186,6 +189,57 @@ func TestCompileWorkIsLinear(t *testing.T) {
 	t.Logf("n=600: %.0f allocations per Compile", allocs)
 	if allocs > 200_000 {
 		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 200000", allocs)
+	}
+}
+
+// TestOneSlotLevelsAreSums checks that a shape level with one slot compiles to
+// a sum, not to a one-row permanent: injectivity over one slot is vacuous.
+// It compiles the benchmark's triangle, 2-path formula and point query over
+// the generated inputs and wants no frozen permanent with a single row, and
+// the triangle at bounded-degree n = 1,200 — a chain, one slot per level —
+// within 1,600 gates (it took 3,096 when every level was a permanent).
+func TestOneSlotLevelsAreSums(t *testing.T) {
+	const (
+		path  = "E(x,y) & E(y,z) & S(x)"
+		point = "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)"
+	)
+	for _, kind := range []string{"bounded-degree", "grid", "pref-attach"} {
+		db, err := dbio.LoadSource(dbio.Source{Kind: kind, N: 1200, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tri, err := dynamicq.CompileShared(db.A, parser.MustParseExpr(triangles), compile.Options{})
+		if err != nil {
+			t.Fatalf("%s triangle: %v", kind, err)
+		}
+		phi := parser.MustParseFormula(path)
+		paths, err := enumerate.EnumerateAnswers(db.A, phi, logic.FreeVars(phi), compile.Options{})
+		if err != nil {
+			t.Fatalf("%s path: %v", kind, err)
+		}
+		pt, err := dynamicq.CompileShared(db.A, parser.MustParseExpr(point), compile.Options{})
+		if err != nil {
+			t.Fatalf("%s point: %v", kind, err)
+		}
+		for _, q := range []struct {
+			name string
+			p    *circuit.Program
+		}{{"triangle", tri.Result().Program}, {"path", paths.Result().Program}, {"point", pt.Result().Program}} {
+			perms := 0
+			for id := 0; id < q.p.NumGates(); id++ {
+				if q.p.GateKind(id) != circuit.KindPerm {
+					continue
+				}
+				perms++
+				if rows, cols := q.p.PermShape(id); rows == 1 {
+					t.Fatalf("%s %s: gate %d is a 1×%d permanent", kind, q.name, id, cols)
+				}
+			}
+			t.Logf("%s %s: %d gates, %d permanents", kind, q.name, q.p.NumGates(), perms)
+		}
+		if p := tri.Result().Program; kind == "bounded-degree" && p.NumGates() > 1600 {
+			t.Errorf("triangle over bounded-degree n=1200: %d gates, want ≤ 1600", p.NumGates())
+		}
 	}
 }
 

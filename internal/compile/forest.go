@@ -360,7 +360,10 @@ func (t *shapeTree) isAncestor(a, s int) bool {
 // shapeBuilder compiles one (monomial, box, planned shape) triple into a
 // circuit over the box's forest, following the recursion of Claim 1 in the
 // paper: at each level, a permanent gate assigns the shape slots injectively
-// to data nodes, and the entries recurse into the corresponding subtrees.
+// to data nodes, and the entries recurse into the corresponding subtrees.  A
+// level with one slot is a sum instead: injectivity over one slot is vacuous,
+// and the permanent of a 1×m matrix is the sum of its row — a deterministic
+// OR, since each entry fixes a different data node.
 type shapeBuilder struct {
 	env *compileEnv
 	cf  *colorForest
@@ -378,11 +381,23 @@ func (b *shapeBuilder) build() int {
 }
 
 // rec builds the circuit assigning the given shape slots (all at one depth,
-// sharing a parent) injectively to the candidate data nodes.
+// sharing a parent) injectively to the candidate data nodes: a permanent
+// for two or more sibling slots, the sum of the live entries for one.
 func (b *shapeBuilder) rec(slots []int, candidates []int) int {
 	c := b.env.c
-	if len(slots) == 0 {
+	switch len(slots) {
+	case 0:
 		return c.One()
+	case 1:
+		// Few entries of a level survive, so they collect without allocating.
+		var buf [16]int
+		live := buf[:0]
+		for _, v := range candidates {
+			if g := b.entry(slots[0], v); g != c.Zero() {
+				live = append(live, g)
+			}
+		}
+		return c.Add(live...)
 	}
 	var entries []circuit.PermEntry
 	cols := 0

@@ -412,61 +412,72 @@ func TestApplyBatchAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestRingAndFiniteSemiringPaths runs the same queries through every
+// maintenance strategy — ring deltas (ℤ, ℚ), finite counts (ℤ/5) and the
+// aggregation trees of ℕ and min-plus — and holds the maintained value to a
+// from-scratch evaluation after every random SetWeight.  The weighted
+// triangle is a chain shape, so every level of its circuit is a one-slot sum
+// that each strategy maintains.
 func TestRingAndFiniteSemiringPaths(t *testing.T) {
-	// The same query compiled over ℤ (ring fast path) and ℤ/5 (finite fast
-	// path) must agree with naive evaluation after updates.
-	q := expr.Agg([]string{"x", "y"}, expr.Times(
-		expr.Guard(logic.R("E", "x", "y")), expr.W("w", "x", "y"), expr.W("u", "y"),
-	))
+	queries := []struct {
+		name string
+		q    expr.Expr
+	}{
+		{"edge", expr.Agg([]string{"x", "y"}, expr.Times(
+			expr.Guard(logic.R("E", "x", "y")), expr.W("w", "x", "y"), expr.W("u", "y"),
+		))},
+		{"triangle", expr.Agg([]string{"x", "y", "z"}, expr.Times(
+			expr.Guard(logic.Conj(logic.R("E", "x", "y"), logic.R("E", "y", "z"), logic.R("E", "z", "x"))),
+			expr.W("w", "x", "y"), expr.W("w", "y", "z"), expr.W("w", "z", "x"),
+		))},
+	}
 	a, w := testDB(9, 22, 17)
-
-	intQuery, err := CompileQuery[int64](semiring.Int, a, w, q, compile.Options{})
-	if err != nil {
-		t.Fatalf("CompileQuery(Int): %v", err)
-	}
 	mod := semiring.NewModular(5)
-	modQuery, err := CompileQuery[int64](mod, a, w, q, compile.Options{})
-	if err != nil {
-		t.Fatalf("CompileQuery(Mod5): %v", err)
+	for _, q := range queries {
+		if naive(a, w, q.q, map[string]structure.Element{}) == 0 {
+			t.Fatalf("%s: the query is zero on the test database: the case tests nothing", q.name)
+		}
+		checkUpdates(t, q.name+"/Int", semiring.Int, func(v int64) int64 { return v }, a, w, q.q)
+		checkUpdates(t, q.name+"/Mod5", mod, func(v int64) int64 { return mod.Add(v, 0) }, a, w, q.q)
+		checkUpdates(t, q.name+"/Rat", semiring.Rat, func(v int64) *big.Rat { return big.NewRat(v, 1) }, a, w, q.q)
+		// A negative draw sets the semiring's zero: ℕ and min-plus have no
+		// negatives, and the aggregation trees see live children drop out.
+		checkUpdates(t, q.name+"/Nat", semiring.Nat, func(v int64) int64 { return max(v, 0) }, a, w, q.q)
+		checkUpdates(t, q.name+"/MinPlus", semiring.MinPlus, func(v int64) semiring.Ext {
+			if v < 0 {
+				return semiring.MinPlus.Zero()
+			}
+			return semiring.Fin(v)
+		}, a, w, q.q)
 	}
-	ratWeights := structure.NewWeights[*big.Rat]()
-	w.ForEach(func(k structure.WeightKey, v int64) {
-		ratWeights.Set(k.Weight, structure.ParseTupleKey(k.Tuple), big.NewRat(v, 1))
-	})
-	ratQuery, err := CompileQuery[*big.Rat](semiring.Rat, a, ratWeights, q, compile.Options{})
-	if err != nil {
-		t.Fatalf("CompileQuery(Rat): %v", err)
-	}
+}
 
+// checkUpdates compiles q in sr over a with the weights w converted by conv,
+// applies a seeded sequence of random SetWeight calls on w's edge weights and
+// compares the maintained value with expr.Eval after each.
+func checkUpdates[T any](t *testing.T, name string, sr semiring.Semiring[T], conv func(int64) T, a *structure.Structure, w *structure.Weights[int64], q expr.Expr) {
+	t.Helper()
+	cw := structure.NewWeights[T]()
+	w.ForEach(func(k structure.WeightKey, v int64) { cw.SetKey(k, conv(v)) })
+	query, err := CompileQuery(sr, a, cw.Clone(), q, compile.Options{})
+	if err != nil {
+		t.Fatalf("%s: CompileQuery: %v", name, err)
+	}
+	edges := a.Tuples("E")
 	r := rand.New(rand.NewSource(23))
 	for step := 0; step < 20; step++ {
-		tpl := a.Tuples("E")[r.Intn(len(a.Tuples("E")))]
-		v := int64(r.Intn(9) - 3)
-		if err := intQuery.SetWeight("w", tpl, v); err != nil {
-			t.Fatal(err)
+		tpl := edges[r.Intn(len(edges))]
+		v := conv(int64(r.Intn(9) - 3))
+		if err := query.SetWeight("w", tpl, v); err != nil {
+			t.Fatalf("%s: SetWeight: %v", name, err)
 		}
-		if err := modQuery.SetWeight("w", tpl, mod.Add(v, 0)); err != nil {
-			t.Fatal(err)
+		cw.Set("w", tpl, v)
+		got, err := query.ValueClosed()
+		if err != nil {
+			t.Fatalf("%s: ValueClosed: %v", name, err)
 		}
-		if err := ratQuery.SetWeight("w", tpl, big.NewRat(v, 1)); err != nil {
-			t.Fatal(err)
-		}
-		w.Set("w", tpl, v)
-
-		want := int64(0)
-		for _, e := range a.Tuples("E") {
-			we, _ := w.Get("w", e)
-			ue, _ := w.Get("u", structure.Tuple{e[1]})
-			want += we * ue
-		}
-		if got, _ := intQuery.ValueClosed(); got != want {
-			t.Fatalf("Int path: %d, want %d", got, want)
-		}
-		if got, _ := modQuery.ValueClosed(); !mod.Equal(got, want) {
-			t.Fatalf("Mod5 path: %d, want %d", got, mod.Add(want, 0))
-		}
-		if got, _ := ratQuery.ValueClosed(); got.Cmp(big.NewRat(want, 1)) != 0 {
-			t.Fatalf("Rat path: %s, want %d", got.RatString(), want)
+		if want := expr.Eval(sr, a, cw, q, map[string]structure.Element{}); !sr.Equal(got, want) {
+			t.Fatalf("%s: step %d: maintained %v, from scratch %v", name, step, got, want)
 		}
 	}
 }
