@@ -2,6 +2,8 @@ package agg
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,5 +116,60 @@ func TestAnalyzeNested(t *testing.T) {
 	}
 	if st := p2.Stats(); st.Gates != report.Gates || p2.Footprint() != report.FootprintBytes || p2.Footprint() <= 0 {
 		t.Errorf("Stats %+v and Footprint %d disagree with the report %+v", st, p2.Footprint(), report)
+	}
+}
+
+// TestAnalyzeAndDOTGolden pins what Analyze and DOT present for queries with
+// a dynamic relation, whose membership inputs render as rel+:S(a) and
+// rel-:S(a).  The files under testdata were written when those inputs were
+// still weights named by a prefix; since the role is a field, the same text
+// must come from the role.
+func TestAnalyzeAndDOTGolden(t *testing.T) {
+	for _, tc := range []struct{ query, name string }{
+		{"E(x,y) & S(x)", "dynamic"},
+		{"E(x,y) & S(x) & !S(y)", "dynamic_negated"},
+	} {
+		p, err := testEngine(t).Prepare(context.Background(), tc.query, WithDynamic("S"))
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", tc.query, err)
+		}
+		report, err := Analyze(p)
+		if err != nil {
+			t.Fatalf("Analyze: %v", err)
+		}
+		dot, err := DOT(p)
+		if err != nil {
+			t.Fatalf("DOT: %v", err)
+		}
+		// The footprint measures the program, not its presentation: it moves
+		// with what a key holds.
+		if report.FootprintBytes != p.Footprint() || report.FootprintBytes <= 0 {
+			t.Errorf("%q: FootprintBytes %d, Footprint %d", tc.query, report.FootprintBytes, p.Footprint())
+		}
+		file := "testdata/analyze_" + tc.name + ".json"
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		var golden Analysis
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatalf("decoding %s: %v", file, err)
+		}
+		report.FootprintBytes = golden.FootprintBytes
+		js, err := json.MarshalIndent(report, "", "  ")
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		if got := string(js) + "\n"; got != string(raw) {
+			t.Errorf("%q: Analyze differs from %s:\n got %s\nwant %s", tc.query, file, got, raw)
+		}
+		file = "testdata/dot_" + tc.name + ".dot"
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		if dot != string(want) {
+			t.Errorf("%q: DOT differs from %s:\n got %s\nwant %s", tc.query, file, dot, want)
+		}
 	}
 }

@@ -151,7 +151,7 @@ func (n *Nested) resolve(sem Semiring) (nested.Formula, error) {
 	case nWeight:
 		return nested.S(sem.boxed(), n.rel, n.args...), nil
 	case nConstVal:
-		return nested.Val(sem.boxed(), sem.embedAny(structure.MakeWeightKey("", nil), n.val)), nil
+		return nested.Val(sem.boxed(), sem.embedAny("", nil, n.val)), nil
 	case nConstBool:
 		return nested.Val(nested.BoolSemiring, n.b), nil
 	case nNot:
@@ -274,7 +274,8 @@ func (p *Prepared) nestedInput() (*nestedInput, error) {
 	if w != nil {
 		w.ForEach(func(k structure.WeightKey, v int64) {
 			if err == nil {
-				err = db.SetValue(k.Weight, structure.ParseTupleKey(k.Tuple), base.embedAny(k, v))
+				t := structure.ParseTupleKey(k.Tuple)
+				err = db.SetValue(k.Weight, t, base.embedAny(k.Weight, t, v))
 			}
 		})
 	}
@@ -395,7 +396,7 @@ func (s *nestedSession) apply(ch Change) error {
 	if _, _, ok := s.in.db.SRelation(ch.Weight); !ok {
 		return fmt.Errorf("unknown weight %q", ch.Weight)
 	}
-	return s.in.db.SetValue(ch.Weight, t, s.in.base.embedAny(structure.MakeWeightKey(ch.Weight, t), ch.Value))
+	return s.in.db.SetValue(ch.Weight, t, s.in.base.embedAny(ch.Weight, t, ch.Value))
 }
 
 // Clock is nil: the recompute session has no epoch-versioned state to pin, so

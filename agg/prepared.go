@@ -419,7 +419,7 @@ func (p *Prepared) Session() (*Session, error) {
 	s := &Session{p: p, sess: p.sem.newSession(p.sh, p.weights(), p.tr)}
 	s.clock = s.sess.Clock()
 	if p.enum != nil && len(p.cfg.dynamic) > 0 {
-		s.ans = p.enum.ans.Clone(s.clock)
+		s.ans = p.enum.ans.Follower(s.clock)
 	}
 	return s, nil
 }

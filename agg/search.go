@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/enumerate"
-	"repro/internal/mvcc"
 	"repro/internal/structure"
 )
 
@@ -40,7 +39,7 @@ func (p *Prepared) Search() (*Searcher, error) {
 	if len(p.enum.ans.Result().DynamicRelations) == 0 {
 		return nil, errorf(ErrArgument, p.text, "Search needs updatable relations; prepare the improvement query with WithDynamic(...)")
 	}
-	return &Searcher{p: p, ans: p.enum.ans.Clone(new(mvcc.Clock))}, nil
+	return &Searcher{p: p, ans: p.enum.ans.Clone()}, nil
 }
 
 // FindImprovement returns one answer of the improvement query for the

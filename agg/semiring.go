@@ -65,7 +65,7 @@ type Semiring interface {
 	boxed() nested.Semiring
 	// embedAny embeds one int64 database weight into the carrier, with the
 	// type erased for nested S-relation stores.
-	embedAny(key structure.WeightKey, v int64) any
+	embedAny(weight string, tuple []int, v int64) any
 }
 
 // erasedSession is the engine state of a dynamic-update session with the
@@ -96,20 +96,14 @@ type erasedSession interface {
 // the full key so carriers like the provenance semiring can mint a distinct
 // generator per tuple.
 func NewSemiring[T any](name string, ops Arithmetic[T], embed func(weight string, tuple []int, value int64) T) Semiring {
-	return &typedSemiring[T]{
-		name: name,
-		s:    semiring.Semiring[T](ops),
-		embed: func(k structure.WeightKey, v int64) T {
-			return embed(k.Weight, []int(structure.ParseTupleKey(k.Tuple)), v)
-		},
-	}
+	return &typedSemiring[T]{name: name, s: semiring.Semiring[T](ops), embed: embed}
 }
 
 // typedSemiring adapts one semiring.Semiring[T] to the erased interface.
 type typedSemiring[T any] struct {
 	name  string
 	s     semiring.Semiring[T]
-	embed func(key structure.WeightKey, v int64) T
+	embed func(weight string, tuple []int, value int64) T
 }
 
 func (ts *typedSemiring[T]) Name() string { return ts.name }
@@ -117,7 +111,9 @@ func (ts *typedSemiring[T]) Name() string { return ts.name }
 func (ts *typedSemiring[T]) convert(w *structure.Weights[int64]) any {
 	out := structure.NewWeights[T]()
 	if w != nil {
-		w.ForEach(func(k structure.WeightKey, v int64) { out.SetKey(k, ts.embed(k, v)) })
+		w.ForEach(func(k structure.WeightKey, v int64) {
+			out.SetKey(k, ts.embed(k.Weight, structure.ParseTupleKey(k.Tuple), v))
+		})
 	}
 	return out
 }
@@ -149,8 +145,8 @@ func (ts *typedSemiring[T]) boxed() nested.Semiring {
 	return nested.Box(ts.name, ts.s)
 }
 
-func (ts *typedSemiring[T]) embedAny(key structure.WeightKey, v int64) any {
-	return ts.embed(key, v)
+func (ts *typedSemiring[T]) embedAny(weight string, tuple []int, v int64) any {
+	return ts.embed(weight, tuple, v)
 }
 
 // typedSession adapts a dynamicq.Query to the erased session interface.
@@ -176,26 +172,24 @@ func (s *typedSession[T]) At(epoch uint64) func(args []int) (string, error) {
 	return func(args []int) (string, error) { return s.format(snap.Value(args...)) }
 }
 
-// Write is the one write section of a session: the query validates and
-// prepares the batch, then — under the clock, exclusively — the value state
-// and (when the session keeps one) the answer state both stage it, and the
-// clock commits once, iff either state changed.  The embedding is the
-// registrant's code, so it runs before the clock is taken.
+// Write is the one write section of a session: the query validates the
+// batch, records it in the session's one shadow and translates it into leaf
+// inputs, then — under the clock, exclusively — the answer state (when the
+// session keeps one) stages the query's membership leaves, the value state
+// stages all of them, and the clock commits once, iff either state changed.
+// The embedding is the registrant's code, so it runs before the clock is
+// taken.
 func (s *typedSession[T]) Write(changes []Change, ans *enumerate.Answers) (uint64, error) {
-	// A single Set converts and mirrors on the stack.
+	// A single Set converts on the stack.
 	var one [1]dynamicq.Change[T]
-	var oneTuple [1]enumerate.TupleChange
-	typed, mirror := one[:0], oneTuple[:0]
+	typed := one[:0]
 	if len(changes) > 1 {
 		typed = make([]dynamicq.Change[T], 0, len(changes))
 	}
 	for _, ch := range changes {
-		t := structure.Tuple(ch.Tuple)
-		c := dynamicq.Change[T]{Weight: ch.Weight, Rel: ch.Rel, Tuple: t, Present: ch.Present}
+		c := dynamicq.Change[T]{Weight: ch.Weight, Rel: ch.Rel, Tuple: ch.Tuple, Present: ch.Present}
 		if ch.Weight != "" {
-			c.Value = s.ts.embed(structure.MakeWeightKey(ch.Weight, t), ch.Value)
-		} else if ans != nil {
-			mirror = append(mirror, enumerate.TupleChange{Rel: ch.Rel, Tuple: t, Present: ch.Present})
+			c.Value = s.ts.embed(ch.Weight, ch.Tuple, ch.Value)
 		}
 		typed = append(typed, c)
 	}
@@ -205,11 +199,10 @@ func (s *typedSession[T]) Write(changes []Change, ans *enumerate.Answers) (uint6
 	c := s.q.Clock()
 	c.Lock()
 	defer c.Unlock()
-	s.q.Stage()
 	if ans != nil {
-		// The query validated the batch against the closure ans was built on.
-		ans.Follow(s.sh, mirror)
+		ans.Follow(s.sh, s.q.Members())
 	}
+	s.q.Stage()
 	return c.Commit(), nil
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/big"
 	"time"
+	"unsafe"
 
 	"repro/internal/structure"
 )
@@ -439,9 +440,9 @@ func (p *Program) Footprint() int64 {
 		}
 	}
 	for _, k := range p.inputKeys {
-		// Key struct (two string headers) plus the string bytes, counted once
-		// here and once for the map copy of the key.
-		bytes += 2 * (32 + int64(len(k.Weight)+len(k.Tuple)))
+		// Key struct plus the string bytes, counted once here and once for
+		// the map copy of the key.
+		bytes += 2 * (int64(unsafe.Sizeof(k)) + int64(len(k.Weight)+len(k.Tuple)))
 	}
 	bytes += int64(len(p.inputIndex)) * 16 // map slot overhead (value + buckets, approximate)
 	return bytes

@@ -302,7 +302,7 @@ func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
 		for _, l := range pm.literals {
 			tuple := constantTuple(el, len(l.Args))
 			if env.dyn[l.Rel] {
-				factors = append(factors, env.c.Input(relationInputKey(l.Rel, tuple, l.Positive)))
+				factors = append(factors, env.c.Input(membershipInput(l.Rel, tuple.Key(), l.Positive)))
 				continue
 			}
 			if env.a.HasTuple(l.Rel, tuple...) != l.Positive {
@@ -337,9 +337,8 @@ func constantTuple(el, arity int) structure.Tuple {
 // with the 0/1 dynamic-relation inputs read from the compiled structure.
 func NewValuation[T any](res *Result, s semiring.Semiring[T], w *structure.Weights[T]) circuit.Valuation[T] {
 	return func(key structure.WeightKey) (T, bool) {
-		if rel, tuple, positive, ok := DecodeRelationKey(key); ok {
-			holds := res.Structure.HasTuple(rel, tuple...)
-			return semiring.Iverson(s, holds == positive), true
+		if key.Role != structure.Ordinary {
+			return semiring.Iverson(s, res.Structure.Holds(key)), true
 		}
 		if w == nil {
 			var zero T

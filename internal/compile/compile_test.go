@@ -218,7 +218,7 @@ func TestCompileDynamicRelations(t *testing.T) {
 		// The circuit must reference relation inputs rather than baking E in.
 		foundRelInput := false
 		for key := range res.Circuit.Inputs() {
-			if _, _, _, ok := DecodeRelationKey(key); ok {
+			if key.Role != structure.Ordinary {
 				foundRelInput = true
 				break
 			}
@@ -234,9 +234,8 @@ func TestCompileDynamicRelations(t *testing.T) {
 		}
 		victim := a.Tuples("E")[0]
 		d := circuit.NewDynamicProgram[int64](res.Program, semiring.Nat, NewValuation[int64](res, semiring.Nat, w))
-		pos, neg := RelationInputKeys("E", victim)
-		d.SetInput(pos, 0)
-		d.SetInput(neg, 1)
+		d.SetInput(membershipInput("E", victim.Key(), true), 0)
+		d.SetInput(membershipInput("E", victim.Key(), false), 1)
 		// Build the modified structure for the reference value.
 		b := structure.NewStructure(a.Sig, a.N)
 		for _, tpl := range a.Tuples("E") {
@@ -341,17 +340,45 @@ func TestCompileStatsAndLinearSize(t *testing.T) {
 	}
 }
 
-func TestDecodeRelationKey(t *testing.T) {
-	pos, neg := RelationInputKeys("E", structure.Tuple{3, 5})
-	rel, tuple, positive, ok := DecodeRelationKey(pos)
-	if !ok || rel != "E" || !positive || !tuple.Equal(structure.Tuple{3, 5}) {
-		t.Errorf("DecodeRelationKey(pos) = %v %v %v %v", rel, tuple, positive, ok)
+// TestMembershipInputRoles checks that Lemma 40's two inputs of a tuple are
+// told apart by their role alone, that the shadow's translation of a tuple
+// update yields exactly the inputs the compiler wired, and that no ordinary
+// weight — not even one named like the inputs' rendering — is taken for one.
+func TestMembershipInputRoles(t *testing.T) {
+	tuple := structure.Tuple{3, 5}
+	pos, neg := membershipInput("E", tuple.Key(), true), membershipInput("E", tuple.Key(), false)
+	if pos == neg || pos.Role != structure.Member || neg.Role != structure.NonMember || pos.Weight != "E" || neg.Weight != "E" {
+		t.Fatalf("membership inputs of E(3,5): v⁺ %+v, v⁻ %+v", pos, neg)
 	}
-	rel, tuple, positive, ok = DecodeRelationKey(neg)
-	if !ok || rel != "E" || positive || !tuple.Equal(structure.Tuple{3, 5}) {
-		t.Errorf("DecodeRelationKey(neg) = %v %v %v %v", rel, tuple, positive, ok)
+	if pos.Name() != "rel+:E" || neg.Name() != "rel-:E" {
+		t.Errorf("membership inputs render as %q and %q", pos.Name(), neg.Name())
 	}
-	if _, _, _, ok := DecodeRelationKey(structure.MakeWeightKey("w", structure.Tuple{1})); ok {
-		t.Errorf("ordinary weight key misdetected as relation key")
+	for _, w := range []string{"E", "rel+:E", "rel-:E"} {
+		if k := structure.MakeWeightKey(w, tuple); k.Role != structure.Ordinary || k == pos || k == neg {
+			t.Errorf("ordinary weight %s(3,5) is keyed %+v, a membership input", w, k)
+		}
+	}
+
+	a, w := testDB(7, 12, 3)
+	victim := a.Tuples("E")[0]
+	q := expr.Agg([]string{"x", "y"}, expr.Times(expr.Guard(logic.R("E", "x", "y")), expr.W("u", "x")))
+	res, err := Compile(a, q, Options{DynamicRelations: []string{"E"}})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	shadow := NewRelations(res)
+	leaves, was := shadow.Record("E", victim, false)
+	if !was || leaves[0].Value || !leaves[1].Value {
+		t.Fatalf("Record(E%v, absent) = %+v, was %v", victim, leaves, was)
+	}
+	if res.Program.InputGate(leaves[0].Key) < 0 || leaves[0].Key != membershipInput("E", victim.Key(), true) || leaves[1].Key != membershipInput("E", victim.Key(), false) {
+		t.Errorf("Record's leaves %+v are not the compiled inputs of E%v", leaves, victim)
+	}
+	if id := res.Program.InputGate(structure.MakeWeightKey("rel+:E", victim)); id >= 0 {
+		t.Errorf("the weight rel+:E%v addresses input gate %d", victim, id)
+	}
+	val := NewValuation[int64](res, semiring.Nat, w)
+	if v, ok := val(leaves[0].Key); !ok || v != 1 {
+		t.Errorf("valuation of v⁺_E%v = %d, %v; want 1 as compiled", victim, v, ok)
 	}
 }

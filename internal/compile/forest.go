@@ -447,7 +447,7 @@ func (b *shapeBuilder) entry(s, v int) int {
 	var factors []int
 	for _, li := range b.ps.slotLiterals[s] {
 		if l := b.pm.literals[li]; env.dyn[l.Rel] {
-			factors = append(factors, c.Input(relationInputKey(l.Rel, b.tuple(b.pm.litArgs[li]), l.Positive)))
+			factors = append(factors, c.Input(membershipInput(l.Rel, b.tuple(b.pm.litArgs[li]).Key(), l.Positive)))
 		}
 	}
 	for _, wi := range b.ps.slotWeights[s] {
@@ -471,47 +471,12 @@ func (b *shapeBuilder) tuple(args []int) structure.Tuple {
 	return t
 }
 
-// ---------------------------------------------------------------------------
-// Dynamic relation inputs
-// ---------------------------------------------------------------------------
-
-const (
-	dynamicPositivePrefix = "rel+:"
-	dynamicNegativePrefix = "rel-:"
-)
-
-// relationInputKey is the weight key of the 0/1 input representing the
-// (possibly negated) membership of a tuple in a dynamic relation
-// (the weight functions v⁺_R, v⁻_R of Lemma 40).
-func relationInputKey(rel string, tuple structure.Tuple, positive bool) structure.WeightKey {
-	prefix := dynamicPositivePrefix
+// membershipInput is the key of the 0/1 input v⁺_R (positive) or v⁻_R of
+// Lemma 40 at the tuple of the dynamic relation R whose Tuple.Key is tuple.
+func membershipInput(rel, tuple string, positive bool) structure.WeightKey {
+	role := structure.Member
 	if !positive {
-		prefix = dynamicNegativePrefix
+		role = structure.NonMember
 	}
-	return structure.WeightKey{Weight: prefix + rel, Tuple: tuple.Key()}
-}
-
-// DecodeRelationKey reports whether the weight key is a dynamic-relation
-// input and, if so, returns the relation, tuple and sign.
-func DecodeRelationKey(key structure.WeightKey) (rel string, tuple structure.Tuple, positive bool, ok bool) {
-	switch {
-	case len(key.Weight) > len(dynamicPositivePrefix) && key.Weight[:len(dynamicPositivePrefix)] == dynamicPositivePrefix:
-		return key.Weight[len(dynamicPositivePrefix):], structure.ParseTupleKey(key.Tuple), true, true
-	case len(key.Weight) > len(dynamicNegativePrefix) && key.Weight[:len(dynamicNegativePrefix)] == dynamicNegativePrefix:
-		return key.Weight[len(dynamicNegativePrefix):], structure.ParseTupleKey(key.Tuple), false, true
-	default:
-		return "", nil, false, false
-	}
-}
-
-// RelationInputKeys returns the pair of weight keys (asserted, negated) that
-// represent membership of the tuple in a dynamic relation.
-func RelationInputKeys(rel string, tuple structure.Tuple) (positive, negative structure.WeightKey) {
-	return relationInputKeys(rel, tuple.Key())
-}
-
-// relationInputKeys is RelationInputKeys on an already encoded tuple.
-func relationInputKeys(rel, tupleKey string) (positive, negative structure.WeightKey) {
-	return structure.WeightKey{Weight: dynamicPositivePrefix + rel, Tuple: tupleKey},
-		structure.WeightKey{Weight: dynamicNegativePrefix + rel, Tuple: tupleKey}
+	return structure.WeightKey{Weight: rel, Tuple: tuple, Role: role}
 }

@@ -3,15 +3,17 @@ package compile
 import (
 	"fmt"
 
+	"repro/internal/circuit"
 	"repro/internal/structure"
 )
 
-// Relations shadows the dynamic relations of one compilation for one engine
-// state: the membership of their tuples after the updates applied so far,
-// the validation of Theorem 24's update model, and the translation of a
-// membership update into the pair of 0/1 leaf inputs of Lemma 40.  Every
-// engine that accepts tuple updates (dynamicq.Query, enumerate.Answers)
-// embeds one, so the rules live here once.
+// Relations shadows the dynamic relations of one compilation for one
+// write path: the membership of their tuples after the updates applied so
+// far, the validation of Theorem 24's update model, and the one translation
+// of a membership update into the pair of 0/1 leaf inputs of Lemma 40.  The
+// engine state that validates a write records it here; any other engine state
+// kept in lockstep with it on one clock stages the leaves Record returned and
+// keeps no shadow of its own.
 type Relations struct {
 	res *Result
 	// state[rel][tuple.Key()] is the current membership of every tuple that
@@ -20,8 +22,8 @@ type Relations struct {
 }
 
 // NewRelations returns the shadow of res's dynamic relations as compiled.
-func NewRelations(res *Result) Relations {
-	r := Relations{res: res, state: make(map[string]map[string]bool, len(res.DynamicRelations))}
+func NewRelations(res *Result) *Relations {
+	r := &Relations{res: res, state: make(map[string]map[string]bool, len(res.DynamicRelations))}
 	for rel := range res.DynamicRelations {
 		state := map[string]bool{}
 		for _, t := range res.Structure.Tuples(rel) {
@@ -33,8 +35,8 @@ func NewRelations(res *Result) Relations {
 }
 
 // Clone returns an independent copy of the shadow over the same compilation.
-func (r *Relations) Clone() Relations {
-	c := Relations{res: r.res, state: make(map[string]map[string]bool, len(r.state))}
+func (r *Relations) Clone() *Relations {
+	c := &Relations{res: r.res, state: make(map[string]map[string]bool, len(r.state))}
 	for rel, state := range r.state {
 		s := make(map[string]bool, len(state))
 		for k, v := range state {
@@ -47,9 +49,9 @@ func (r *Relations) Clone() Relations {
 
 // ValidateTuple checks a membership update without recording it: the
 // relation must have been declared dynamic at compile time, the tuple must
-// match its arity, and an insertion must preserve the Gaifman graph of the
-// compiled structure — its elements must already be pairwise adjacent
-// (Theorem 24's update model).
+// match its arity and lie in the domain, and an insertion must preserve the
+// Gaifman graph of the compiled structure — its elements must already be
+// pairwise adjacent (Theorem 24's update model).
 func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present bool) error {
 	if !r.res.DynamicRelations[rel] {
 		return fmt.Errorf("relation %q was not declared dynamic at compile time", rel)
@@ -57,6 +59,9 @@ func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present boo
 	decl, _ := r.res.Structure.Sig.Relation(rel)
 	if decl.Arity != len(tuple) {
 		return fmt.Errorf("relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
+	}
+	if err := r.res.Structure.CheckDomain(tuple); err != nil {
+		return err
 	}
 	if present {
 		g := r.res.Structure.Gaifman()
@@ -72,15 +77,17 @@ func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present boo
 }
 
 // Record notes a validated membership update and returns the leaf inputs it
-// drives — positive takes [present], negative takes [!present]; both must
-// change within one committed epoch so no reader sees the tuple half-toggled
-// — and the membership recorded before.
-func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (positive, negative structure.WeightKey, was bool) {
+// drives, before they are embedded in any semiring — v⁺ takes [present] and
+// v⁻ takes [!present]; both must change within one committed epoch so no
+// reader sees the tuple half-toggled — and the membership recorded before.
+func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (leaves [2]circuit.InputChange[bool], was bool) {
 	key := tuple.Key()
 	was = r.state[rel][key]
 	r.state[rel][key] = present
-	positive, negative = relationInputKeys(rel, key)
-	return positive, negative, was
+	return [2]circuit.InputChange[bool]{
+		{Key: membershipInput(rel, key, true), Value: present},
+		{Key: membershipInput(rel, key, false), Value: !present},
+	}, was
 }
 
 // HasTuple reports the current membership of a tuple: the recorded state for

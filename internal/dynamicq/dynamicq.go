@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,11 +20,6 @@ import (
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
-
-// paramWeightPrefix names the fresh unary weight symbols v_1, ..., v_k of the
-// closure (the free-variable reduction in the proof of Theorem 8, and the
-// answer weights w_i of equation (4)).
-const paramWeightPrefix = ".fv:"
 
 // Query is a compiled weighted query f(x̄) over a structure, ready for
 // evaluation, point queries and updates in a fixed semiring.
@@ -41,15 +35,17 @@ const paramWeightPrefix = ".fv:"
 // and with the single writer, without ever blocking it.
 type Query[T any] struct {
 	// Relations shadows the dynamic relations: ValidateTuple, HasTuple.
-	compile.Relations
+	*compile.Relations
 	// reader reads the live evaluator: Value, ValueClosed.
 	reader[T]
 	s       semiring.Semiring[T]
 	dyn     *circuit.Dynamic[T]
 	weights *structure.Weights[T]
 	// leaves is the reusable leaf-change buffer Prepare fills and Stage
-	// applies.
-	leaves []circuit.InputChange[T]
+	// applies; members holds its membership leaves before they were embedded
+	// in s, for an engine state in lockstep with this one (Members).
+	leaves  []circuit.InputChange[T]
+	members []circuit.InputChange[bool]
 	// changed records that the prepared batch changes the database as the
 	// query sees it (see Prepare), so Stage commits it.
 	changed bool
@@ -75,6 +71,10 @@ type Query[T any] struct {
 type Shared struct {
 	res  *compile.Result
 	vars []string
+	// sig is the caller's signature, the one writes are validated against;
+	// res's extends it with the parameter weights, params[paramWeight(i)] = i.
+	sig    *structure.Signature
+	params map[string]int
 	// mentions holds the weight symbols occurring in the closure's polynomial.
 	mentions map[string]bool
 
@@ -107,7 +107,7 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 			return nil, fmt.Errorf("dynamicq: free variable %q is not among the parameters %v", v, vars)
 		}
 	}
-	closed, base := e, a
+	closed, base, params := e, a, make(map[string]int, len(vars))
 	if len(vars) > 0 {
 		extra := make([]structure.WeightSymbol, len(vars))
 		factors := []expr.Expr{e}
@@ -117,6 +117,7 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 		var bound []string
 		for i, v := range vars {
 			extra[i] = structure.WeightSymbol{Name: paramWeight(i), Arity: 1}
+			params[extra[i].Name] = i
 			factors = append(factors, expr.W(extra[i].Name, v))
 			if !slices.Contains(vars[:i], v) {
 				bound = append(bound, v)
@@ -142,7 +143,7 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 			mentions[w.W] = true
 		}
 	}
-	return &Shared{res: res, vars: slices.Clone(vars), mentions: mentions}, nil
+	return &Shared{res: res, vars: slices.Clone(vars), sig: a.Sig, params: params, mentions: mentions}, nil
 }
 
 // CompileShared closes e over its own free variables in sorted order.
@@ -150,21 +151,19 @@ func CompileShared(a *structure.Structure, e expr.Expr, opts compile.Options) (*
 	return Close(a, e, expr.FreeVars(e), opts)
 }
 
-func paramWeight(i int) string { return paramWeightPrefix + strconv.Itoa(i) }
+// paramWeight names the fresh unary weight symbol v_i of the closure (the
+// free-variable reduction in the proof of Theorem 8, and the answer weight w_i
+// of equation (4)).  Writes never reach it: a session validates its writes
+// against the caller's signature, which lacks it.
+func paramWeight(i int) string { return ".fv:" + strconv.Itoa(i) }
 
 // Param reports whether key is an input of the closure's parameter weights
 // and, if so, which parameter it belongs to and at which element.
 func (sh *Shared) Param(key structure.WeightKey) (i int, a structure.Element, ok bool) {
-	rest, ok := strings.CutPrefix(key.Weight, paramWeightPrefix)
-	if !ok {
+	if i, ok = sh.params[key.Weight]; !ok || key.Role != structure.Ordinary {
 		return 0, 0, false
 	}
-	i, err := strconv.Atoi(rest)
-	t := structure.ParseTupleKey(key.Tuple)
-	if err != nil || i >= len(sh.vars) || len(t) != 1 {
-		return 0, 0, false
-	}
-	return i, t[0], true
+	return i, structure.ParseTupleKey(key.Tuple)[0], true
 }
 
 // paramKey returns the weight key of v_i at element a, from the precomputed
@@ -311,8 +310,11 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 }
 
 // Prepare is the half of ApplyBatch that needs no lock: it validates the
-// batch (all-or-nothing), records it in the query's shadow of the weights and
-// relations, and translates it into the leaf changes the next Stage applies.
+// batch (all-or-nothing) against the caller's signature — a weight it
+// declares, an element of the domain — and not the closure's, so no write
+// reaches a parameter weight; records it in the query's shadow of the weights
+// and relations; and translates it into the leaf changes the next Stage
+// applies, membership inputs keyed by their Role.
 //
 // It also decides whether the batch is a commit, by the database and not by
 // the circuit: a batch commits iff it changes the stored value (missing is
@@ -327,11 +329,13 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 		case ch.Weight != "" && ch.Rel != "":
 			err = fmt.Errorf("change names both weight %q and relation %q", ch.Weight, ch.Rel)
 		case ch.Weight != "":
-			decl, ok := q.sh.res.Structure.Sig.Weight(ch.Weight)
+			decl, ok := q.sh.sig.Weight(ch.Weight)
 			if !ok {
 				err = fmt.Errorf("unknown weight symbol %q", ch.Weight)
 			} else if decl.Arity != len(ch.Tuple) {
 				err = fmt.Errorf("weight %q has arity %d, got tuple of length %d", ch.Weight, decl.Arity, len(ch.Tuple))
+			} else {
+				err = q.sh.res.Structure.CheckDomain(ch.Tuple)
 			}
 		case ch.Rel != "":
 			err = q.ValidateTuple(ch.Rel, ch.Tuple, ch.Present)
@@ -345,7 +349,7 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 			return fmt.Errorf("dynamicq: %w", err)
 		}
 	}
-	leaf := q.leaves[:0]
+	leaf, members := q.leaves[:0], q.members[:0]
 	for _, ch := range changes {
 		if ch.Weight != "" {
 			key := structure.MakeWeightKey(ch.Weight, ch.Tuple)
@@ -361,15 +365,22 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 			continue
 		}
 		// Both membership inputs land in one wave and one epoch.
-		pos, neg, was := q.Record(ch.Rel, ch.Tuple, ch.Present)
+		pair, was := q.Record(ch.Rel, ch.Tuple, ch.Present)
 		q.changed = q.changed || was != ch.Present
-		leaf = append(leaf,
-			circuit.InputChange[T]{Key: pos, Value: semiring.Iverson(q.s, ch.Present)},
-			circuit.InputChange[T]{Key: neg, Value: semiring.Iverson(q.s, !ch.Present)})
+		members = append(members, pair[:]...)
+		for _, m := range pair {
+			leaf = append(leaf, circuit.InputChange[T]{Key: m.Key, Value: semiring.Iverson(q.s, m.Value)})
+		}
 	}
-	q.leaves = leaf
+	q.leaves, q.members = leaf, members
 	return nil
 }
+
+// Members returns the membership leaves of the batch Prepare translated,
+// before they were embedded in the query's semiring, so that another engine
+// state over the same closure and clock (enumerate.Answers.Follow) stages
+// exactly what this one records and stages.  They are valid until Stage.
+func (q *Query[T]) Members() []circuit.InputChange[bool] { return q.members }
 
 // Stage is the other half: it writes the prepared leaves into the value
 // state, runs one wave and marks the write as a commit if Prepare found it to
@@ -385,5 +396,6 @@ func (q *Query[T]) Stage() {
 		q.changed = false
 	}
 	clear(q.leaves)
-	q.leaves = q.leaves[:0]
+	clear(q.members)
+	q.leaves, q.members = q.leaves[:0], q.members[:0]
 }

@@ -23,8 +23,9 @@ import (
 // same dynamicq.Shared a point query of [ϕ] toggles — evaluated in the free
 // semiring with w_i(a) set to the generator e^i_a.
 type Answers struct {
-	// Relations shadows the dynamic relations: ValidateTuple, HasTuple.
-	compile.Relations
+	// rel shadows the dynamic relations ApplyBatch validates and records
+	// against; nil for a Follower, whose writes another engine state records.
+	rel  *compile.Relations
 	enum *Enumerator
 	sh   *dynamicq.Shared
 }
@@ -76,15 +77,15 @@ func closeAnswers(a *structure.Structure, phi logic.Formula, vars []string, opts
 	if err != nil {
 		return nil, fmt.Errorf("enumerate: %w", err)
 	}
-	return &Answers{Relations: compile.NewRelations(sh.Result()), sh: sh}, nil
+	return &Answers{rel: compile.NewRelations(sh.Result()), sh: sh}, nil
 }
 
 // inputValue supplies the value of every circuit input as compiled: answer
 // generators for the closure's parameter weights, 0/1 for dynamic relation
 // memberships, zero otherwise.
 func (ans *Answers) inputValue(key structure.WeightKey) Value {
-	if rel, tuple, positive, ok := compile.DecodeRelationKey(key); ok {
-		return Bool(ans.sh.Result().Structure.HasTuple(rel, tuple...) == positive)
+	if key.Role != structure.Ordinary {
+		return Bool(ans.sh.Result().Structure.Holds(key))
 	}
 	if i, a, ok := ans.sh.Param(key); ok {
 		return answerValue{varIdx: i, elem: a}
@@ -93,20 +94,30 @@ func (ans *Answers) inputValue(key structure.WeightKey) Value {
 }
 
 // Clone returns an independent enumerator over the same compilation and the
-// same current dynamic state, committing under c: a fresh clock for an
-// enumerator of its own (how several local searches, or speculative update
-// sequences, run concurrently from one paid preprocessing), or the clock of
-// another engine state over the same closure, which Follow then keeps the
-// copy in lockstep with.  The frozen circuit program and its CSR arrays are
-// shared; the per-gate enumeration state is rebuilt from the original's
-// current input values with one linear preprocessing pass, after which
-// updates to the clone and to the original are fully isolated from each other.
-func (ans *Answers) Clone(c *mvcc.Clock) *Answers {
+// same current dynamic state, on a clock and with a shadow of its own: how
+// several local searches, or speculative update sequences, run concurrently
+// from one paid preprocessing.  ans must not be a Follower.  The frozen
+// circuit program and its CSR arrays are shared; the per-gate enumeration
+// state is rebuilt from the original's current input values with one linear
+// preprocessing pass, after which updates to the clone and to the original
+// are fully isolated from each other.
+func (ans *Answers) Clone() *Answers { return ans.copyOn(new(mvcc.Clock), true) }
+
+// Follower is Clone committing under c, the clock of another engine state
+// over the same closure, and without a shadow: that state validates and
+// records every write, and Follow stages its leaves into the copy.
+func (ans *Answers) Follower(c *mvcc.Clock) *Answers { return ans.copyOn(c, false) }
+
+func (ans *Answers) copyOn(c *mvcc.Clock, shadow bool) *Answers {
 	p, e := ans.sh.Result().Program, ans.enum
 	e.clock.RLock()
 	defer e.clock.RUnlock()
 	current := func(key structure.WeightKey) Value { return e.inputValue[p.InputNumber(p.InputGate(key))] }
-	return &Answers{Relations: ans.Relations.Clone(), sh: ans.sh, enum: newProgram(c, p, current, nil)}
+	out := &Answers{sh: ans.sh, enum: newProgram(c, p, current, nil)}
+	if shadow {
+		out.rel = ans.rel.Clone()
+	}
+	return out
 }
 
 // Shared returns the closure the enumerator runs on, so that point queries
@@ -207,10 +218,10 @@ type TupleChange struct {
 // changes to the same tuple coalesce with the last one winning.  The batch
 // commits one epoch — none if it changes no membership — so a snapshot can
 // never observe a tuple half-toggled; cursors drawn before it are
-// invalidated.
+// invalidated.  A Follower is written through Follow instead.
 func (ans *Answers) ApplyBatch(changes []TupleChange) error {
 	for i, ch := range changes {
-		if err := ans.ValidateTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
+		if err := ans.rel.ValidateTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
 			if len(changes) > 1 {
 				err = fmt.Errorf("batch change %d: %w", i, err)
 			}
@@ -220,38 +231,38 @@ func (ans *Answers) ApplyBatch(changes []TupleChange) error {
 	c := ans.enum.clock
 	c.Lock()
 	defer c.Unlock()
-	ans.stage(changes)
+	for _, ch := range changes {
+		pair, was := ans.rel.Record(ch.Rel, ch.Tuple, ch.Present)
+		if was != ch.Present {
+			c.Touch() // a commit by the database, wired to a gate or not
+		}
+		ans.assign(pair[:])
+	}
+	ans.enum.runWave()
 	c.Commit()
 	return nil
 }
 
-// Follow stages a batch that has already passed ValidateTuple on another
-// engine state over the same closure sh and on the same clock — the
-// dynamicq.Query a session keeps this enumerator in lockstep with — so each
-// write is validated once and committed once, by the caller, who holds the
-// clock exclusively.  It panics if sh is not the closure these answers were
-// built on: the other state's validation says nothing about this one then.
-func (ans *Answers) Follow(sh *dynamicq.Shared, changes []TupleChange) {
+// Follow stages the membership leaves of a batch that another engine state
+// over the same closure sh — the dynamicq.Query of a session, on whose clock
+// this Follower commits — has validated once and recorded in its shadow, the
+// session's only one (dynamicq.Query.Members).  Nothing is validated or
+// recorded again; the caller holds the clock exclusively and commits once for
+// both states.  It panics if sh is not the closure these answers were built
+// on: the other state's leaves address another program's inputs then.
+func (ans *Answers) Follow(sh *dynamicq.Shared, leaves []circuit.InputChange[bool]) {
 	if sh != ans.sh {
 		panic("enumerate: Follow: the batch was validated against a different closure")
 	}
-	ans.stage(changes)
+	ans.assign(leaves)
+	ans.enum.runWave()
 }
 
-// stage applies a validated batch under the caller's exclusive hold of the
-// clock, without committing.  It feeds the enumerator's input slots directly
-// and runs one coalesced wave at the end, instead of materialising an
-// InputAssignment slice: local search commits many tiny batches, where the
-// slice traffic would cost more than the coalescing saves.
-func (ans *Answers) stage(changes []TupleChange) {
-	e := ans.enum
-	for _, ch := range changes {
-		pos, neg, was := ans.Record(ch.Rel, ch.Tuple, ch.Present)
-		if was != ch.Present {
-			e.clock.Touch() // a commit by the database, wired to a gate or not
-		}
-		e.assign(pos, Bool(ch.Present))
-		e.assign(neg, Bool(!ch.Present))
+// assign writes membership leaves straight into the enumerator's input slots
+// under the caller's exclusive hold of the clock; the caller runs one wave
+// for the batch.
+func (ans *Answers) assign(leaves []circuit.InputChange[bool]) {
+	for _, l := range leaves {
+		ans.enum.assign(l.Key, Bool(l.Value))
 	}
-	e.runWave()
 }

@@ -60,12 +60,12 @@ func TestCursorResetEquivalence(t *testing.T) {
 	for step := 0; step < 80; step++ {
 		epoch := e.clock.Pin()
 		snap, pinned := e.At(epoch), explicit()
-		batch := make([]InputAssignment, 1+r.Intn(3))
+		batch := make([]circuit.InputChange[Value], 1+r.Intn(3))
 		for i := range batch {
 			k, v := key("w", r.Intn(len(in))), values[r.Intn(len(values))]
-			inputs[k], batch[i] = v, InputAssignment{Key: k, Value: v}
+			inputs[k], batch[i] = v, circuit.InputChange[Value]{Key: k, Value: v}
 		}
-		e.SetInputs(batch)
+		setInputs(e, batch...)
 		if got, want := drain(e.Cursor()), explicit(); !equalStringSlices(got, want) {
 			t.Fatalf("step %d: live enumerator streams %v, want %v", step, got, want)
 		}

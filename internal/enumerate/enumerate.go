@@ -214,12 +214,6 @@ const (
 
 func (u enumUndo) Slot() int32 { return u.gate }
 
-// InputAssignment pairs a weight input with its new value for SetInputs.
-type InputAssignment struct {
-	Key   structure.WeightKey
-	Value Value
-}
-
 // adderMeta maintains, for an addition gate, the slots whose child is
 // currently non-empty.
 type adderMeta struct {
@@ -480,49 +474,11 @@ func (e *Enumerator) GateEmpty(id int) bool { return e.empty[id] }
 // output gate.
 func (e *Enumerator) Cursor() Cursor { return &monomialCursor{w: newWalk(e, e.p)} }
 
-// CollectAll drains a fresh cursor into a slice, stopping after limit
-// monomials (limit ≤ 0 means no limit).  Intended for tests and examples.
-func (e *Enumerator) CollectAll(limit int) []provenance.Monomial {
-	var out []provenance.Monomial
-	cur := e.Cursor()
-	for {
-		m, ok := cur.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, m)
-		if limit > 0 && len(out) >= limit {
-			return out
-		}
-	}
-}
-
-// SetInput replaces the value of a weight input and updates the emptiness
-// bookkeeping along the input's fan-out cone: SetInputs of the one
-// assignment.
-func (e *Enumerator) SetInput(key structure.WeightKey, v Value) {
-	e.SetInputs([]InputAssignment{{Key: key, Value: v}})
-}
-
-// SetInputs replaces the values of several weight inputs and refreshes the
-// emptiness bookkeeping with a single propagation wave, so gates shared by
-// several changed inputs are revisited once per batch instead of once per
-// input.  The result is identical to calling SetInput for each assignment in
-// order, except that the whole batch commits a single epoch — and none when
-// every input already held its value.
-func (e *Enumerator) SetInputs(assigns []InputAssignment) {
-	e.clock.Lock()
-	defer e.clock.Unlock()
-	for _, a := range assigns {
-		e.assign(a.Key, a.Value)
-	}
-	e.runWave()
-	e.clock.Commit()
-}
-
 // assign stores an input value, touching the clock, and seeds the wave when
 // its emptiness flipped; an input that already holds the value is left alone.
-// The caller holds the clock exclusively and runs the wave.
+// The caller holds the clock exclusively and runs the wave: assigning a batch
+// and then draining it once revisits gates shared by several changed inputs
+// once per batch, not once per input.
 func (e *Enumerator) assign(key structure.WeightKey, v Value) {
 	id := e.p.InputGate(key)
 	if id < 0 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/compile"
+	"repro/internal/dynamicq"
 	"repro/internal/expr"
 	"repro/internal/logic"
 	"repro/internal/provenance"
@@ -16,6 +17,28 @@ import (
 
 func key(w string, elems ...int) structure.WeightKey {
 	return structure.MakeWeightKey(w, structure.Tuple(elems))
+}
+
+// setInputs stages input values into e and commits them, the way Answers
+// stages its leaves: every value assigned under the clock, then one wave.
+func setInputs(e *Enumerator, leaves ...circuit.InputChange[Value]) {
+	e.clock.Lock()
+	defer e.clock.Unlock()
+	for _, l := range leaves {
+		e.assign(l.Key, l.Value)
+	}
+	e.runWave()
+	e.clock.Commit()
+}
+
+// collectAll drains a fresh cursor over e's output gate.
+func collectAll(e *Enumerator) []provenance.Monomial {
+	var out []provenance.Monomial
+	cur := e.Cursor()
+	for m, ok := cur.Next(); ok; m, ok = cur.Next() {
+		out = append(out, m)
+	}
+	return out
 }
 
 // monomialMultiset renders a list of monomials as a sorted multiset of keys.
@@ -110,7 +133,7 @@ func countMonomials(c *circuit.Circuit, inputs func(key structure.WeightKey) Val
 func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(structure.WeightKey) Value) {
 	t.Helper()
 	e := NewProgram(c.Program(), inputs, nil)
-	got := monomialMultiset(e.CollectAll(0))
+	got := monomialMultiset(collectAll(e))
 	want := polyMultiset(evaluateExplicit(c, inputs))
 	if !equalStringSlices(got, want) {
 		t.Fatalf("enumerator and explicit evaluation disagree:\n got %v\nwant %v", got, want)
@@ -338,7 +361,7 @@ func TestEnumerateAnswersDynamic(t *testing.T) {
 			t.Fatalf("SetTuple: %v", err)
 		}
 		setMirror(mirror, "E", target, present)
-		if ans.HasTuple("E", target) != present {
+		if ans.rel.HasTuple("E", target) != present {
 			t.Fatalf("HasTuple does not reflect update")
 		}
 		checkAnswers(t, ans, mirror, phi, vars)
@@ -390,14 +413,16 @@ func TestEnumerateUnaryDynamicPredicate(t *testing.T) {
 	}
 }
 
-// TestFollowChecksTheClosure mirrors writes validated elsewhere over the
-// same closure, and refuses a batch vouched for by a different one.
+// TestFollowChecksTheClosure stages, into a Follower, the leaves a
+// dynamicq.Query over the same closure recorded in its shadow — the
+// follower keeps none of its own — and refuses leaves vouched for by a
+// different closure.
 func TestFollowChecksTheClosure(t *testing.T) {
 	a := enumerationStructure(8, 16, 23)
 	phi := logic.Conj(logic.R("S", "x"), logic.R("E", "x", "y"))
 	vars := []string{"x", "y"}
 	opts := compile.Options{DynamicRelations: []string{"S"}}
-	ans, err := EnumerateAnswers(a, phi, vars, opts)
+	src, err := EnumerateAnswers(a, phi, vars, opts)
 	if err != nil {
 		t.Fatalf("EnumerateAnswers: %v", err)
 	}
@@ -405,17 +430,31 @@ func TestFollowChecksTheClosure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnumerateAnswers: %v", err)
 	}
+	q := dynamicq.NewQuery(semiring.Bool, src.Shared(), nil)
+	ans := src.Follower(q.Clock())
+	if ans.rel != nil {
+		t.Fatal("a Follower keeps a shadow of its own")
+	}
 	mirror := a.Clone()
-	flip := []TupleChange{{Rel: "S", Tuple: structure.Tuple{3}, Present: !a.HasTuple("S", 3)}}
-	ans.Follow(ans.Shared(), flip)
-	setMirror(mirror, "S", flip[0].Tuple, flip[0].Present)
+	present := !a.HasTuple("S", 3)
+	if err := q.Prepare([]dynamicq.Change[bool]{dynamicq.TupleChange[bool]("S", structure.Tuple{3}, present)}); err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	c := q.Clock()
+	c.Lock()
+	ans.Follow(src.Shared(), q.Members())
+	q.Stage()
+	c.Commit()
+	c.Unlock()
+	setMirror(mirror, "S", structure.Tuple{3}, present)
 	checkAnswers(t, ans, mirror, phi, vars)
+	checkAnswers(t, src, a, phi, vars) // the source is untouched
 	defer func() {
 		if recover() == nil {
 			t.Errorf("Follow accepted a batch validated against another closure")
 		}
 	}()
-	ans.Follow(other.Shared(), flip)
+	ans.Follow(other.Shared(), q.Members())
 }
 
 // setMirror rebuilds the mirror structure with the tuple present or absent.
@@ -492,7 +531,7 @@ func TestProvenanceOfTriangles(t *testing.T) {
 		return Gen(provenance.Generator("e" + k.Tuple))
 	}
 	e := NewProgram(res.Program, inputs, nil)
-	got := monomialMultiset(e.CollectAll(0))
+	got := monomialMultiset(collectAll(e))
 	// The graph has two directed triangles 0→1→2→0 and 0→1→3→0; each is
 	// counted three times (once per starting vertex).
 	want := polyMultiset(evaluateExplicit(res.Circuit, inputs))

@@ -37,7 +37,7 @@ func TestNonemptyMatchesSequential(t *testing.T) {
 		t.Fatalf("EnumerateAnswers: %v", err)
 	}
 	p := seq.Result().Program
-	want := monomialMultiset(seq.enum.CollectAll(0))
+	want := monomialMultiset(collectAll(seq.enum))
 
 	// Gate-level comparison must reuse one compiled program: recompiling can
 	// legitimately produce a different (equivalent) circuit.
@@ -49,7 +49,7 @@ func TestNonemptyMatchesSequential(t *testing.T) {
 					workers, id, seq.enum.GateEmpty(id), par.GateEmpty(id))
 			}
 		}
-		got := monomialMultiset(par.CollectAll(0))
+		got := monomialMultiset(collectAll(par))
 		if !equalStringSlices(got, want) {
 			t.Fatalf("workers=%d: parallel preprocessing enumerates a different answer multiset", workers)
 		}

@@ -96,18 +96,18 @@ func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
 			if r.Intn(2) == 0 {
 				i := r.Intn(nInputs)
 				present[i] = !present[i]
-				seq.SetInput(key("w", i), Bool(present[i]))
-				par.SetInput(key("w", i), Bool(present[i]))
+				setInputs(seq, circuit.InputChange[Value]{Key: key("w", i), Value: Bool(present[i])})
+				setInputs(par, circuit.InputChange[Value]{Key: key("w", i), Value: Bool(present[i])})
 			} else {
 				size := r.Intn(nInputs) + 1
-				assigns := make([]InputAssignment, size)
+				assigns := make([]circuit.InputChange[Value], size)
 				for j := range assigns {
 					i := r.Intn(nInputs)
 					present[i] = r.Intn(2) == 0
-					assigns[j] = InputAssignment{Key: key("w", i), Value: Bool(present[i])}
+					assigns[j] = circuit.InputChange[Value]{Key: key("w", i), Value: Bool(present[i])}
 				}
-				seq.SetInputs(assigns)
-				par.SetInputs(assigns)
+				setInputs(seq, assigns...)
+				setInputs(par, assigns...)
 			}
 			check(step)
 		}

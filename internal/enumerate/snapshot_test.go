@@ -63,7 +63,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		k := keys[r.Intn(len(keys))]
 		v := gens[r.Intn(len(gens))]
 		inputs[k] = v
-		e.SetInput(k, v)
+		setInputs(e, circuit.InputChange[Value]{Key: k, Value: v})
 		if step%7 == 0 {
 			pins = append(pins, record())
 		}
@@ -88,7 +88,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		}
 	}
 	// The live enumerator still answers the present.
-	if got := monomialMultiset(e.CollectAll(0)); !equalStringSlices(got, explicit()) {
+	if got := monomialMultiset(collectAll(e)); !equalStringSlices(got, explicit()) {
 		t.Errorf("live enumerator drifted: %v vs %v", got, explicit())
 	}
 	for _, i := range r.Perm(len(pins)) {
@@ -131,7 +131,7 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	}
 	set := func(k structure.WeightKey, v Value) {
 		inputs[k] = v
-		e.SetInput(k, v)
+		setInputs(e, circuit.InputChange[Value]{Key: k, Value: v})
 	}
 
 	pinned := explicit()
@@ -358,7 +358,7 @@ func TestRepeatedWires(t *testing.T) {
 
 		k, v := key("w", r.Intn(3)), gens[r.Intn(len(gens))]
 		inputs[k] = v
-		e.SetInputs([]InputAssignment{{Key: k, Value: Bool(v.Empty())}, {Key: k, Value: v}})
+		setInputs(e, circuit.InputChange[Value]{Key: k, Value: Bool(v.Empty())}, circuit.InputChange[Value]{Key: k, Value: v})
 		if got, want := drain(e.Cursor()), explicit(); !equalStringSlices(got, want) {
 			t.Fatalf("step %d: live enumerator streams %v, want %v", step, got, want)
 		}

@@ -207,7 +207,8 @@ func (a *Analysis) permColumnSets(id int) map[int]bitset {
 func (a *Analysis) CheckDeterministic() []Violation {
 	free := provenance.FreeSemiring{}
 	val := func(key structure.WeightKey) (*provenance.Poly, bool) {
-		return provenance.Var(provenance.Generator(key.Weight + ":" + key.Tuple)), true
+		// Name carries the role, so v⁺ and v⁻ of one tuple stay two generators.
+		return provenance.Var(provenance.Generator(key.Name() + ":" + key.Tuple)), true
 	}
 	polys := circuit.EvaluateAllProgram[*provenance.Poly](a.p, free, val)
 	var out []Violation
@@ -295,7 +296,7 @@ func DOT(p *circuit.Program) string {
 		switch p.GateKind(id) {
 		case circuit.KindInput:
 			key := p.InputKey(id)
-			label = fmt.Sprintf("%s(%s)", key.Weight, key.Tuple)
+			label = fmt.Sprintf("%s(%s)", key.Name(), key.Tuple)
 			shape = "box"
 		case circuit.KindConst:
 			label = p.ConstBig(id).String()

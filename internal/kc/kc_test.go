@@ -177,6 +177,16 @@ func TestCheckDeterministic(t *testing.T) {
 	if v := Analyze(resCount.Program).CheckDeterministic(); len(v) == 0 {
 		t.Errorf("pure counting circuit should not be deterministic")
 	}
+
+	// v⁺ and v⁻ of one tuple differ only by their role and are two inputs:
+	// their sum produces two distinct monomials.
+	pos, neg := key("R", 3), key("R", 3)
+	pos.Role, neg.Role = structure.Member, structure.NonMember
+	c := circuit.NewBuilder()
+	c.SetOutput(c.Add(c.Input(pos), c.Input(neg)))
+	if v := Analyze(c.Program()).CheckDeterministic(); len(v) != 0 {
+		t.Errorf("v⁺ + v⁻ of R(3) should be deterministic, got %v", v[0])
+	}
 }
 
 func TestModelCountMatchesNaive(t *testing.T) {

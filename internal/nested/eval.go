@@ -48,9 +48,9 @@ func (db *Database) DeclareSRelation(name string, s Semiring, arity int) error {
 }
 
 // CheckValue validates an S-relation assignment without performing it: the
-// relation must be declared, the tuple must match its arity, and values of
-// arity ≥ 2 must sit on tuples of some boolean relation (the Gaifman-graph
-// discipline of the paper).
+// relation must be declared, the tuple must match its arity and lie in the
+// domain, and values of arity ≥ 2 must sit on tuples of some boolean relation
+// (the Gaifman-graph discipline of the paper).
 func (db *Database) CheckValue(name string, tuple structure.Tuple) error {
 	rel, ok := db.srel[name]
 	if !ok {
@@ -58,6 +58,9 @@ func (db *Database) CheckValue(name string, tuple structure.Tuple) error {
 	}
 	if len(tuple) != rel.arity {
 		return fmt.Errorf("nested: S-relation %q has arity %d, got tuple of length %d", name, rel.arity, len(tuple))
+	}
+	if err := db.A.CheckDomain(tuple); err != nil {
+		return fmt.Errorf("nested: %w", err)
 	}
 	if rel.arity >= 2 && !db.tupleInSomeRelation(tuple) {
 		return fmt.Errorf("nested: S-relation values of arity ≥ 2 may only be set on tuples of some boolean relation (Gaifman-graph discipline); %s%v is not such a tuple", name, tuple)

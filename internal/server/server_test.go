@@ -606,6 +606,20 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("unknown weight update: status %d (%v)", code, resp)
 	}
 	check(resp, "invalid_update")
+
+	// A point query's parameter weight is the closure's, not the database's:
+	// no update may name it.
+	if _, code := postJSON(t, ts.URL+"/session", map[string]any{"name": "point", "expr": "sum y . [E(x,y)] * w(x,y)", "semiring": "natural"}); code != http.StatusOK {
+		t.Fatalf("creating the point session failed")
+	}
+	resp, code = postJSON(t, ts.URL+"/update", map[string]any{
+		"session": "point",
+		"updates": []map[string]any{{"weight": ".fv:0", "tuple": []int{1}, "value": 1}},
+	})
+	if code != http.StatusBadRequest {
+		t.Errorf("parameter weight update: status %d (%v)", code, resp)
+	}
+	check(resp, "invalid_update")
 }
 
 // TestErrorTaxonomyRoundTrip checks errors.Is/As survive the HTTP layer as

@@ -9,6 +9,7 @@ package structure
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -190,10 +191,8 @@ func (a *Structure) AddTuple(rel string, tuple ...Element) error {
 	if len(tuple) != decl.Arity {
 		return fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
 	}
-	for _, e := range tuple {
-		if e < 0 || e >= a.N {
-			return fmt.Errorf("structure: element %d out of domain [0,%d)", e, a.N)
-		}
+	if err := a.CheckDomain(tuple); err != nil {
+		return fmt.Errorf("structure: %w", err)
 	}
 	t := Tuple(tuple).Clone()
 	key := t.Key()
@@ -244,6 +243,24 @@ func (a *Structure) RemoveTuple(rel string, tuple ...Element) error {
 	a.tuples[rel] = kept
 	a.gaifman = nil
 	return nil
+}
+
+// CheckDomain reports the first element of t outside the domain {0..N-1}.
+// Every write path checks it, so no write keeps a key that addresses nothing.
+func (a *Structure) CheckDomain(t Tuple) error {
+	for _, e := range t {
+		if e < 0 || e >= a.N {
+			return fmt.Errorf("element %d out of domain [0,%d)", e, a.N)
+		}
+	}
+	return nil
+}
+
+// Holds reports whether the membership input k is one in a: whether relation
+// k.Weight holds the tuple k.Tuple, for a Member input, or does not, for a
+// NonMember input.
+func (a *Structure) Holds(k WeightKey) bool {
+	return a.index[k.Weight][k.Tuple] == (k.Role == Member)
 }
 
 // HasTuple reports whether the named relation contains the tuple.
@@ -319,12 +336,41 @@ func (a *Structure) OnSignature(sig *Signature) *Structure {
 // Weight assignments
 // ---------------------------------------------------------------------------
 
-// WeightKey identifies a single weight input: a weight symbol applied to a
-// tuple of elements.  These are the inputs of the circuits produced by the
-// compiler (the pairs (w, a) of the paper).
+// WeightKey identifies a single input of the circuits the compiler produces:
+// a weight symbol applied to a tuple of elements (the pairs (w, a) of the
+// paper), or, by its Role, one of Lemma 40's membership inputs of a dynamic
+// relation, which then stands in Weight.  The role is a field and not part of
+// the name, so no weight symbol, whatever it is called, addresses a
+// membership input.
 type WeightKey struct {
 	Weight string
 	Tuple  string // Tuple.Key() of the argument tuple
+	Role   Role
+}
+
+// Role says what a circuit input stands for.
+type Role uint8
+
+const (
+	// Ordinary is the zero Role: a weight of the database, or a parameter
+	// weight of a closure (Theorem 8).
+	Ordinary Role = iota
+	// Member is v⁺_R(ā) of Lemma 40: one iff relation R holds ā.
+	Member
+	// NonMember is v⁻_R(ā): one iff R does not hold ā.
+	NonMember
+)
+
+// Name renders the key's symbol for display: the weight symbol, or
+// "rel+:R"/"rel-:R" for a membership input of R.
+func (k WeightKey) Name() string {
+	switch k.Role {
+	case Member:
+		return "rel+:" + k.Weight
+	case NonMember:
+		return "rel-:" + k.Weight
+	}
+	return k.Weight
 }
 
 // MakeWeightKey builds the key for weight symbol w applied to tuple t.
@@ -332,34 +378,48 @@ func MakeWeightKey(w string, t Tuple) WeightKey {
 	return WeightKey{Weight: w, Tuple: t.Key()}
 }
 
-// Weights assigns semiring values to weight inputs.  Missing entries are
-// implicitly the semiring zero.
+// Weights assigns semiring values to weight inputs, which are all of role
+// Ordinary.  Missing entries are implicitly the semiring zero.
 type Weights[T any] struct {
-	vals map[WeightKey]T
+	// vals is keyed without the role, which every entry shares: a third key
+	// field would cost every lookup of a closed evaluation a third hash.
+	vals map[weightID]T
 }
+
+// weightID is an Ordinary WeightKey without its role.
+type weightID struct{ weight, tuple string }
 
 // NewWeights returns an empty weight assignment.
 func NewWeights[T any]() *Weights[T] {
-	return &Weights[T]{vals: make(map[WeightKey]T)}
+	return &Weights[T]{vals: make(map[weightID]T)}
 }
 
 // Set assigns w(tuple) = value.
 func (w *Weights[T]) Set(weight string, tuple Tuple, value T) {
-	w.vals[MakeWeightKey(weight, tuple)] = value
+	w.vals[weightID{weight, tuple.Key()}] = value
 }
 
-// SetKey assigns the value for a pre-built key.
-func (w *Weights[T]) SetKey(k WeightKey, value T) { w.vals[k] = value }
+// SetKey assigns the value for a pre-built key, which must be Ordinary.
+func (w *Weights[T]) SetKey(k WeightKey, value T) {
+	if k.Role != Ordinary {
+		panic("structure: a membership input is not a weight")
+	}
+	w.vals[weightID{k.Weight, k.Tuple}] = value
+}
 
 // Get returns w(tuple) and whether it was explicitly set.
 func (w *Weights[T]) Get(weight string, tuple Tuple) (T, bool) {
-	v, ok := w.vals[MakeWeightKey(weight, tuple)]
+	v, ok := w.vals[weightID{weight, tuple.Key()}]
 	return v, ok
 }
 
-// GetKey returns the value for a pre-built key.
+// GetKey returns the value for a pre-built key; a membership input has none.
 func (w *Weights[T]) GetKey(k WeightKey) (T, bool) {
-	v, ok := w.vals[k]
+	if k.Role != Ordinary {
+		var zero T
+		return zero, false
+	}
+	v, ok := w.vals[weightID{k.Weight, k.Tuple}]
 	return v, ok
 }
 
@@ -368,18 +428,12 @@ func (w *Weights[T]) Len() int { return len(w.vals) }
 
 // Clone returns an independent copy of the assignment; the values themselves
 // are shared (weights are treated as immutable semiring elements).
-func (w *Weights[T]) Clone() *Weights[T] {
-	out := NewWeights[T]()
-	for k, v := range w.vals {
-		out.vals[k] = v
-	}
-	return out
-}
+func (w *Weights[T]) Clone() *Weights[T] { return &Weights[T]{vals: maps.Clone(w.vals)} }
 
 // ForEach iterates over all explicitly set weights.
 func (w *Weights[T]) ForEach(fn func(k WeightKey, v T)) {
-	for k, v := range w.vals {
-		fn(k, v)
+	for id, v := range w.vals {
+		fn(WeightKey{Weight: id.weight, Tuple: id.tuple}, v)
 	}
 }
 
