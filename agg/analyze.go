@@ -80,14 +80,15 @@ const maxReportedViolations = 8
 func Analyze(p *Prepared) (*Analysis, error) {
 	prog := p.sh.Result().Program
 	an := kc.Analyze(prog)
+	st := prog.Stats()
 
 	report := &Analysis{
 		Query:          p.text,
 		Semiring:       p.SemiringName(),
-		Gates:          prog.NumGates(),
-		Wires:          kc.Size(prog) - prog.NumGates(),
-		Inputs:         prog.NumInputs(),
-		Depth:          prog.Depth(),
+		Gates:          st.Gates,
+		Wires:          st.Edges,
+		Inputs:         st.InputGates,
+		Depth:          st.Depth,
 		Variables:      an.DependencyCount(prog.OutputGate()),
 		FootprintBytes: prog.Footprint(),
 	}

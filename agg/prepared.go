@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/circuit"
 	"repro/internal/compile"
 	"repro/internal/dynamicq"
 	"repro/internal/enumerate"
@@ -282,22 +281,8 @@ type CircuitStats struct {
 // Stats returns the structural statistics of the frozen circuit program,
 // computed from its CSR arrays.
 func (p *Prepared) Stats() CircuitStats {
-	prog := p.sh.Result().Program
-	st := CircuitStats{
-		Gates:  prog.NumGates(),
-		Depth:  prog.Depth(),
-		Inputs: prog.NumInputs(),
-	}
-	for id := 0; id < prog.NumGates(); id++ {
-		st.Edges += len(prog.ChildIDs(id))
-		if prog.GateKind(id) == circuit.KindPerm {
-			st.PermGates++
-			if rows, _ := prog.PermShape(id); rows > st.MaxPermRows {
-				st.MaxPermRows = rows
-			}
-		}
-	}
-	return st
+	st := p.sh.Result().Program.Stats()
+	return CircuitStats{Gates: st.Gates, Edges: st.Edges, Depth: st.Depth, PermGates: st.PermGates, MaxPermRows: st.MaxPermRows, Inputs: st.InputGates}
 }
 
 // Footprint returns the resident size in bytes of the frozen circuit

@@ -177,10 +177,10 @@ func E1CircuitCompilation(sizes []int) *Table {
 					panic(err)
 				}
 			})
-			st := res.Circuit.Statistics()
+			st := res.Program.Stats()
 			t.Rows = append(t.Rows, []string{
 				wl.name, fmt.Sprint(wl.db.A.N), fmt.Sprint(wl.db.A.TupleCount()), dur(elapsed),
-				fmt.Sprint(st.Gates), fmt.Sprintf("%.1f", float64(res.Circuit.Size())/float64(wl.db.A.TupleCount())),
+				fmt.Sprint(st.Gates), fmt.Sprintf("%.1f", float64(st.Gates+st.Edges)/float64(wl.db.A.TupleCount())),
 				fmt.Sprint(st.Depth), fmt.Sprint(st.MaxPermRows), fmt.Sprint(res.Stats.Colors),
 			})
 		}

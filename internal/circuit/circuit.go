@@ -10,14 +10,17 @@
 // gates of arbitrary fan-in, multiplication gates, and permanent gates whose
 // inputs form a rectangular matrix with a bounded number of rows.
 //
-// A Circuit only grows gates; it has no evaluators.  Freeze it into a Program
-// (program.go), the one executable form: the same Program can be evaluated in
-// any semiring (program_eval.go) and maintained under input updates
-// (dynamic.go).
+// A Circuit is the builder: it appends each gate straight into the arenas a
+// Program reads (program.go) and has no evaluators.  Freezing it into a
+// Program adds only what needs the finished circuit, the wires and the level
+// schedule; the same Program can be evaluated in any semiring
+// (program_eval.go) and maintained under input updates (dynamic.go).
 package circuit
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/big"
 	"sync"
 
@@ -61,37 +64,23 @@ type PermEntry struct {
 	Gate     int
 }
 
-// Gate is a single circuit gate.  Exactly the fields relevant to its Kind
-// are populated.
-type Gate struct {
-	Kind Kind
-
-	// Key identifies the weight input (w, a) for input gates.
-	Key structure.WeightKey
-
-	// N is the constant value for constant gates, interpreted as N·1.
-	N *big.Int
-
-	// Children are the operand gates of addition and multiplication gates.
-	Children []int
-
-	// Rows, Cols and Entries describe the matrix of a permanent gate.
-	Rows, Cols int
-	Entries    []PermEntry
-}
-
-// Circuit is a directed acyclic circuit under construction.  Gates are
-// stored in topological order: every child index is smaller than its
-// parent's index.  Once built, freeze it with Program (memoised) to obtain
-// the flat execution form shared by all engines.
+// Circuit is a directed acyclic circuit under construction.  A gate is
+// appended only after its children, so every child id is smaller than its
+// parent's and ids are a topological order.  Once built, freeze it with
+// Program (memoised) to obtain the form shared by all engines.
 type Circuit struct {
-	Gates  []Gate
+	// Output is the output gate, -1 until SetOutput.
 	Output int
 
-	inputIndex map[structure.WeightKey]int
-	constIndex map[string]int
+	// The gates as a Program lays them out, grown one gate at a time.
+	arenas
+
+	constIndex map[string]int // constant value → its gate
 	zeroGate   int
 	oneGate    int
+	// frozenInputs is set while a frozen Program shares inputIndex: the
+	// next new input copies the map before writing to it.
+	frozenInputs bool
 
 	progMu sync.Mutex
 	prog   *Program
@@ -100,29 +89,46 @@ type Circuit struct {
 // NewBuilder returns an empty circuit under construction, pre-seeded with
 // constant gates for 0 and 1.
 func NewBuilder() *Circuit {
-	c := &Circuit{inputIndex: make(map[structure.WeightKey]int), Output: -1}
-	c.zeroGate = c.addGate(Gate{Kind: KindConst, N: big.NewInt(0)})
-	c.oneGate = c.addGate(Gate{Kind: KindConst, N: big.NewInt(1)})
+	c := &Circuit{Output: -1, constIndex: map[string]int{}}
+	c.childStart = []int32{0}
+	c.inputIndex = map[structure.WeightKey]int32{}
+	c.zeroGate = c.newConst(big.NewInt(0))
+	c.oneGate = c.newConst(big.NewInt(1))
 	return c
 }
 
-// Program returns the frozen CSR form of the circuit, freezing on first use
-// and re-freezing when gates were added since.  It is safe for concurrent
-// use once construction has finished; the returned Program is immutable and
-// shared, so concurrent evaluations, dynamic sessions and enumerators all
-// borrow one artefact.
+// Program returns the circuit frozen into a Program, freezing on first use
+// and again when gates were added since.  It is safe for concurrent use once
+// construction has finished; the returned Program is immutable and shared,
+// so concurrent evaluations, dynamic sessions and enumerators all borrow one
+// artefact.
 func (c *Circuit) Program() *Program {
 	c.progMu.Lock()
 	defer c.progMu.Unlock()
-	if c.prog == nil || c.prog.numGates != len(c.Gates) || c.prog.output != c.Output {
-		c.prog = Freeze(c)
+	if c.prog == nil || c.prog.numGates != c.NumGates() || c.prog.output != c.Output {
+		c.prog = c.freeze()
 	}
 	return c.prog
 }
 
-func (c *Circuit) addGate(g Gate) int {
-	c.Gates = append(c.Gates, g)
-	return len(c.Gates) - 1
+// appendGate appends a gate of kind k with payload index arg, whose operands
+// are the children appended since the previous gate, and returns its id.  Its
+// rank is one above its highest operand's.
+func (c *Circuit) appendGate(k Kind, arg int) int {
+	id := len(c.kind)
+	if id >= math.MaxInt32 || len(c.children) > math.MaxInt32 {
+		panic("circuit: too many gates or wires for int32 ids")
+	}
+	var r int32
+	for _, ch := range c.children[c.childStart[id]:] {
+		r = max(r, c.rank[ch]+1)
+	}
+	c.kind = append(c.kind, uint8(k))
+	c.arg = append(c.arg, int32(arg))
+	c.rank = append(c.rank, r)
+	c.childStart = append(c.childStart, int32(len(c.children)))
+	c.maxRank = max(c.maxRank, int(r))
+	return id
 }
 
 // Zero returns the constant-0 gate.
@@ -135,29 +141,15 @@ func (c *Circuit) One() int { return c.oneGate }
 // use so that each weight input appears exactly once.
 func (c *Circuit) Input(key structure.WeightKey) int {
 	if id, ok := c.inputIndex[key]; ok {
-		return id
+		return int(id)
 	}
-	id := c.addGate(Gate{Kind: KindInput, Key: key})
-	c.inputIndex[key] = id
+	if c.frozenInputs {
+		c.inputIndex, c.frozenInputs = maps.Clone(c.inputIndex), false
+	}
+	id := c.appendGate(KindInput, len(c.inputKeys))
+	c.inputKeys = append(c.inputKeys, key)
+	c.inputIndex[key] = int32(id)
 	return id
-}
-
-// InputGate returns the gate id of an existing input, or -1.
-func (c *Circuit) InputGate(key structure.WeightKey) int {
-	if id, ok := c.inputIndex[key]; ok {
-		return id
-	}
-	return -1
-}
-
-// Inputs returns a copy of the map from weight keys to input gate ids; the
-// circuit's internal index stays private, so callers cannot corrupt it.
-func (c *Circuit) Inputs() map[structure.WeightKey]int {
-	out := make(map[structure.WeightKey]int, len(c.inputIndex))
-	for k, v := range c.inputIndex {
-		out[k] = v
-	}
-	return out
 }
 
 // Const returns a constant gate with value n ≥ 0.  Constants are interned:
@@ -167,21 +159,22 @@ func (c *Circuit) Const(n *big.Int) int {
 	if n.Sign() < 0 {
 		panic("circuit: negative constants are not representable in a general semiring")
 	}
-	if n.Sign() == 0 {
-		return c.zeroGate
-	}
-	if n.Cmp(big.NewInt(1)) == 0 {
-		return c.oneGate
-	}
-	key := n.String()
-	if id, ok := c.constIndex[key]; ok {
+	if id, ok := c.constIndex[n.String()]; ok {
 		return id
 	}
-	id := c.addGate(Gate{Kind: KindConst, N: new(big.Int).Set(n)})
-	if c.constIndex == nil {
-		c.constIndex = make(map[string]int)
+	return c.newConst(n)
+}
+
+func (c *Circuit) newConst(n *big.Int) int {
+	if n.IsInt64() {
+		c.constSmall = append(c.constSmall, n.Int64())
+		c.constBig = append(c.constBig, nil)
+	} else {
+		c.constSmall = append(c.constSmall, 0)
+		c.constBig = append(c.constBig, new(big.Int).Set(n))
 	}
-	c.constIndex[key] = id
+	id := c.appendGate(KindConst, len(c.constSmall)-1)
+	c.constIndex[n.String()] = id
 	return id
 }
 
@@ -189,8 +182,8 @@ func (c *Circuit) Const(n *big.Int) int {
 func (c *Circuit) ConstInt(n int64) int { return c.Const(big.NewInt(n)) }
 
 // Add returns a gate computing the sum of the children.  Zero children are
-// dropped; an empty sum is the constant 0; a single surviving child is
-// returned as-is, and neither case allocates.
+// dropped; an empty sum is the constant 0, and a single surviving child is
+// returned as-is.
 func (c *Circuit) Add(children ...int) int {
 	survivors, last := 0, c.zeroGate
 	for _, ch := range children {
@@ -203,41 +196,48 @@ func (c *Circuit) Add(children ...int) int {
 	if survivors <= 1 {
 		return last
 	}
-	kept := make([]int, 0, survivors)
 	for _, ch := range children {
 		if ch != c.zeroGate {
-			kept = append(kept, ch)
+			c.children = append(c.children, int32(ch))
 		}
 	}
-	return c.addGate(Gate{Kind: KindAdd, Children: kept})
+	return c.appendGate(KindAdd, -1)
 }
 
 // Mul returns a gate computing the product of the children.  Unit children
 // are dropped; a zero child makes the whole product the constant 0; an
-// empty product is the constant 1.
+// empty product is the constant 1, and a single remaining child is returned
+// as-is.
 func (c *Circuit) Mul(children ...int) int {
-	kept := make([]int, 0, len(children))
+	kept, last := 0, c.oneGate
 	for _, ch := range children {
 		c.checkChild(ch)
 		if ch == c.zeroGate {
 			return c.zeroGate
 		}
-		if ch == c.oneGate {
-			continue
+		if ch != c.oneGate {
+			kept++
+			last = ch
 		}
-		kept = append(kept, ch)
 	}
-	switch len(kept) {
-	case 0:
-		return c.oneGate
-	case 1:
-		return kept[0]
+	if kept <= 1 {
+		return last
 	}
-	return c.addGate(Gate{Kind: KindMul, Children: kept})
+	for _, ch := range children {
+		if ch != c.oneGate {
+			c.children = append(c.children, int32(ch))
+		}
+	}
+	return c.appendGate(KindMul, -1)
 }
 
 // Perm returns a permanent gate over a rows×cols matrix whose wired entries
-// are given; missing entries are the semiring zero.
+// are given; missing entries are the semiring zero.  The entries are copied,
+// so the caller may reuse the slice.
+//
+// The gate's slots are its entries in column-major order (stable within a
+// column), so evaluation runs the column dynamic program straight off the
+// arenas, and the counting sort's offsets stay behind as the column index.
 func (c *Circuit) Perm(rows, cols int, entries []PermEntry) int {
 	for _, e := range entries {
 		c.checkChild(e.Gate)
@@ -252,11 +252,34 @@ func (c *Circuit) Perm(rows, cols int, entries []PermEntry) int {
 		// Fewer columns than rows: no injective assignment exists.
 		return c.zeroGate
 	}
-	return c.addGate(Gate{Kind: KindPerm, Rows: rows, Cols: cols, Entries: entries})
+	off, entOff, colOff := len(c.children), len(c.permRows), len(c.permColStart)
+	c.perms = append(c.perms, permProgram{rows: int32(rows), cols: int32(cols), entOff: int32(entOff), colOff: int32(colOff)})
+	c.permColStart = append(c.permColStart, make([]int32, cols+1)...)
+	place := c.permColStart[colOff:]
+	for _, e := range entries {
+		place[e.Col+1]++
+	}
+	for col := 0; col < cols; col++ {
+		place[col+1] += place[col]
+	}
+	c.children = append(c.children, make([]int32, len(entries))...)
+	c.permRows = append(c.permRows, make([]int32, len(entries))...)
+	c.permCols = append(c.permCols, make([]int32, len(entries))...)
+	for _, e := range entries {
+		i := int(place[e.Col])
+		place[e.Col]++
+		c.children[off+i] = int32(e.Gate)
+		c.permRows[entOff+i] = int32(e.Row)
+		c.permCols[entOff+i] = int32(e.Col)
+	}
+	// Placing advanced every column's offset to the next column's.
+	copy(place[1:], place[:cols])
+	place[0] = 0
+	return c.appendGate(KindPerm, len(c.perms)-1)
 }
 
 func (c *Circuit) checkChild(ch int) {
-	if ch < 0 || ch >= len(c.Gates) {
+	if ch < 0 || ch >= c.NumGates() {
 		panic(fmt.Sprintf("circuit: child gate %d out of range", ch))
 	}
 }
@@ -268,91 +291,8 @@ func (c *Circuit) SetOutput(id int) {
 }
 
 // NumGates returns the number of gates.
-func (c *Circuit) NumGates() int { return len(c.Gates) }
-
-// NumEdges returns the number of wires.
-func (c *Circuit) NumEdges() int {
-	edges := 0
-	for _, g := range c.Gates {
-		edges += len(g.Children) + len(g.Entries)
-	}
-	return edges
-}
-
-// Size returns gates plus wires, the paper's notion of circuit size.
-func (c *Circuit) Size() int { return c.NumGates() + c.NumEdges() }
-
-// Stats summarises the structural parameters that Theorem 6 bounds.
-type Stats struct {
-	Gates       int
-	Edges       int
-	Depth       int
-	MaxFanIn    int
-	MaxFanOut   int
-	MaxPermRows int
-	PermGates   int
-	InputGates  int
-}
-
-// Statistics computes the structural statistics of the circuit.
-func (c *Circuit) Statistics() Stats {
-	st := Stats{Gates: len(c.Gates)}
-	depth := make([]int, len(c.Gates))
-	fanOut := make([]int, len(c.Gates))
-	for id, g := range c.Gates {
-		children := c.children(id)
-		st.Edges += len(children)
-		if len(children) > st.MaxFanIn {
-			st.MaxFanIn = len(children)
-		}
-		d := 0
-		for _, ch := range children {
-			fanOut[ch]++
-			if depth[ch]+1 > d {
-				d = depth[ch] + 1
-			}
-		}
-		depth[id] = d
-		if d > st.Depth {
-			st.Depth = d
-		}
-		switch g.Kind {
-		case KindPerm:
-			st.PermGates++
-			if g.Rows > st.MaxPermRows {
-				st.MaxPermRows = g.Rows
-			}
-		case KindInput:
-			st.InputGates++
-		}
-	}
-	for _, f := range fanOut {
-		if f > st.MaxFanOut {
-			st.MaxFanOut = f
-		}
-	}
-	return st
-}
-
-func (c *Circuit) children(id int) []int {
-	g := c.Gates[id]
-	if g.Kind == KindPerm {
-		out := make([]int, len(g.Entries))
-		for i, e := range g.Entries {
-			out[i] = e.Gate
-		}
-		return out
-	}
-	return g.Children
-}
+func (c *Circuit) NumGates() int { return len(c.kind) }
 
 // Valuation supplies the value of each weight input; inputs for which ok is
 // false take the semiring zero.
 type Valuation[T any] func(key structure.WeightKey) (value T, ok bool)
-
-// String renders a compact description of the circuit for diagnostics.
-func (c *Circuit) String() string {
-	st := c.Statistics()
-	return fmt.Sprintf("circuit{gates=%d edges=%d depth=%d permGates=%d maxPermRows=%d inputs=%d}",
-		st.Gates, st.Edges, st.Depth, st.PermGates, st.MaxPermRows, st.InputGates)
-}

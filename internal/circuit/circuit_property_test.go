@@ -16,8 +16,28 @@ import (
 // circuit value stays well inside int64 and cross-semiring comparisons are
 // exact.
 func randomCircuit(r *rand.Rand, nInputs, extraGates int) *Circuit {
+	c, _ := recordedRandomCircuit(r, nInputs, extraGates)
+	return c
+}
+
+// gateSpec is what the random generator asked the builder for in the call
+// that appended a gate: the operands requested of an addition or
+// multiplication (before the builder drops zeros or ones), the cells requested
+// of a permanent, the key of an input or the value of a constant.
+type gateSpec struct {
+	kind     Kind
+	operands []int
+	entries  []PermEntry
+	key      structure.WeightKey
+	value    int64
+}
+
+// recordedRandomCircuit is randomCircuit that also returns, by gate id, the
+// spec of every gate but the seeded constants 0 and 1.
+func recordedRandomCircuit(r *rand.Rand, nInputs, extraGates int) (*Circuit, map[int]gateSpec) {
 	const maxBound = int64(1) << 40
 	c := NewBuilder()
+	specs := map[int]gateSpec{}
 	gates := make([]int, 0, nInputs+extraGates)
 	bounds := map[int]int64{}
 	add := func(g int, bound int64) {
@@ -27,23 +47,30 @@ func randomCircuit(r *rand.Rand, nInputs, extraGates int) *Circuit {
 		}
 	}
 	for i := 0; i < nInputs; i++ {
+		specs[c.NumGates()] = gateSpec{kind: KindInput, key: key("w", i)}
 		add(c.Input(key("w", i)), 4)
 	}
 	pick := func() int { return gates[r.Intn(len(gates))] }
 	for i := 0; i < extraGates; i++ {
+		before := c.NumGates()
+		var spec gateSpec
 		switch r.Intn(4) {
 		case 0:
 			a, b, d := pick(), pick(), pick()
+			spec = gateSpec{kind: KindAdd, operands: []int{a, b, d}}
 			add(c.Add(a, b, d), bounds[a]+bounds[b]+bounds[d])
 		case 1:
 			a, b := pick(), pick()
 			if bounds[a] > 0 && bounds[b] > maxBound/bounds[a] {
+				spec = gateSpec{kind: KindAdd, operands: []int{a, b}}
 				add(c.Add(a, b), bounds[a]+bounds[b])
-				continue
+			} else {
+				spec = gateSpec{kind: KindMul, operands: []int{a, b}}
+				add(c.Mul(a, b), bounds[a]*bounds[b])
 			}
-			add(c.Mul(a, b), bounds[a]*bounds[b])
 		case 2:
 			n := int64(r.Intn(4))
+			spec = gateSpec{kind: KindConst, value: n}
 			add(c.ConstInt(n), n)
 		default:
 			rows := r.Intn(2) + 1
@@ -75,14 +102,19 @@ func randomCircuit(r *rand.Rand, nInputs, extraGates int) *Circuit {
 			}
 			if overflow {
 				a, b := pick(), pick()
+				spec = gateSpec{kind: KindAdd, operands: []int{a, b}}
 				add(c.Add(a, b), bounds[a]+bounds[b])
-				continue
+			} else {
+				spec = gateSpec{kind: KindPerm, entries: entries}
+				add(c.Perm(rows, cols, entries), bound)
 			}
-			add(c.Perm(rows, cols, entries), bound)
+		}
+		if c.NumGates() > before {
+			specs[before] = spec
 		}
 	}
 	c.SetOutput(gates[len(gates)-1])
-	return c
+	return c, specs
 }
 
 func randomValues(r *rand.Rand, nInputs int) []int64 {
@@ -147,15 +179,16 @@ func TestEvaluateAllConsistentWithEvaluate(t *testing.T) {
 		vals := randomValues(r, nInputs)
 		v := valuationFor(vals)
 
-		all := EvaluateAllProgram[int64](c.Program(), semiring.Nat, v)
-		if got, want := all[c.Output], EvaluateProgram[int64](c.Program(), semiring.Nat, v); got != want {
+		p := c.Program()
+		all := EvaluateAllProgram[int64](p, semiring.Nat, v)
+		if got, want := all[c.Output], EvaluateProgram[int64](p, semiring.Nat, v); got != want {
 			t.Fatalf("round %d: EvaluateAllProgram output %d, EvaluateProgram %d", round, got, want)
 		}
-		for id, g := range c.Gates {
-			switch g.Kind {
+		for id := range all {
+			switch p.GateKind(id) {
 			case KindAdd:
 				var sum int64
-				for _, ch := range g.Children {
+				for _, ch := range p.ChildIDs(id) {
 					sum += all[ch]
 				}
 				if all[id] != sum {
@@ -163,7 +196,7 @@ func TestEvaluateAllConsistentWithEvaluate(t *testing.T) {
 				}
 			case KindMul:
 				prod := int64(1)
-				for _, ch := range g.Children {
+				for _, ch := range p.ChildIDs(id) {
 					prod *= all[ch]
 				}
 				if all[id] != prod {

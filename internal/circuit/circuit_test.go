@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/rand"
 	. "repro/internal/circuit"
+	"slices"
 	"testing"
 
 	"repro/internal/semiring"
@@ -97,8 +98,11 @@ func TestBuilderSimplifications(t *testing.T) {
 	}
 	in2 := c.Input(key("u", 1))
 	sum := c.Add(c.Zero(), in, c.Zero(), in2, c.Zero())
-	if g := c.Gates[sum]; g.Kind != KindAdd || len(g.Children) != 2 || g.Children[0] != in || g.Children[1] != in2 {
-		t.Errorf("Add of zeros and two survivors = %v %v, want add [%d %d]", g.Kind, g.Children, in, in2)
+	if p := c.Program(); p.GateKind(sum) != KindAdd || !slices.Equal(p.ChildIDs(sum), []int32{int32(in), int32(in2)}) {
+		t.Errorf("Add of zeros and two survivors = %v %v, want add [%d %d]", p.GateKind(sum), p.ChildIDs(sum), in, in2)
+	}
+	if prod := c.Mul(in2, c.One(), in); !slices.Equal(c.Program().ChildIDs(prod), []int32{int32(in2), int32(in)}) {
+		t.Errorf("Mul of a unit and two factors has operands %v, want [%d %d]", c.Program().ChildIDs(prod), in2, in)
 	}
 	if c.Mul(in, c.One()) != in {
 		t.Errorf("Mul with one should collapse")
@@ -118,8 +122,25 @@ func TestBuilderSimplifications(t *testing.T) {
 	if c.Perm(2, 1, nil) != c.Zero() {
 		t.Errorf("permanent with fewer columns than rows should be zero")
 	}
-	if c.InputGate(key("zzz", 9)) != -1 {
+	if c.Program().InputGate(key("zzz", 9)) != -1 {
 		t.Errorf("InputGate of unknown key should be -1")
+	}
+	// A gate is appended after its children, so an operand must exist already.
+	for name, build := range map[string]func(ch int){
+		"Add":  func(ch int) { c.Add(in, ch) },
+		"Mul":  func(ch int) { c.Mul(in, ch) },
+		"Perm": func(ch int) { c.Perm(1, 2, []PermEntry{{Row: 0, Col: 0, Gate: in}, {Row: 0, Col: 1, Gate: ch}}) },
+	} {
+		for _, ch := range []int{c.NumGates(), c.NumGates() + 5, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted child %d of a %d-gate circuit", name, ch, c.NumGates())
+					}
+				}()
+				build(ch)
+			}()
+		}
 	}
 }
 
@@ -165,7 +186,7 @@ func TestEvaluateExample5(t *testing.T) {
 
 func TestStatistics(t *testing.T) {
 	c := buildTriangleLike(5)
-	st := c.Statistics()
+	st := c.Program().Stats()
 	if st.MaxPermRows != 3 {
 		t.Errorf("MaxPermRows = %d, want 3", st.MaxPermRows)
 	}
@@ -175,17 +196,56 @@ func TestStatistics(t *testing.T) {
 	if st.InputGates != 15 {
 		t.Errorf("InputGates = %d, want 15", st.InputGates)
 	}
-	if st.Depth < 2 {
-		t.Errorf("Depth = %d, want at least 2", st.Depth)
+	// add(perm(3×5), perm(2×5 over mul gates)): depth 3.
+	if st.Depth != 3 {
+		t.Errorf("Depth = %d, want 3", st.Depth)
 	}
-	if st.Gates != c.NumGates() || st.Edges != c.NumEdges() {
-		t.Errorf("Statistics inconsistent with NumGates/NumEdges")
+	// 15 inputs, 0 and 1, five products, two permanents and their sum; each
+	// product has 2 wires, the permanents 15 and 10, the sum 2.
+	if st.Gates != c.NumGates() || st.Gates != 25 || st.Edges != 37 {
+		t.Errorf("Gates, Edges = %d, %d, want 25, 37", st.Gates, st.Edges)
 	}
-	if c.Size() != st.Gates+st.Edges {
-		t.Errorf("Size inconsistent")
+}
+
+// TestBuilderAllocations holds the builder to allocating per arena, not per
+// gate: 10,000 additions, products and permanents (which copy their entries,
+// so the caller reuses one slice) grow a dozen arrays geometrically.
+func TestBuilderAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
 	}
-	if c.String() == "" {
-		t.Errorf("empty String rendering")
+	keys := make([]structure.WeightKey, 8)
+	for i := range keys {
+		keys[i] = key("w", i)
+	}
+	entries := make([]PermEntry, 0, 6)
+	allocs := testing.AllocsPerRun(3, func() {
+		c := NewBuilder()
+		gates := make([]int, 0, 10_008)
+		for _, k := range keys {
+			gates = append(gates, c.Input(k))
+		}
+		for i := 0; len(gates) < cap(gates); i++ {
+			a, b, d := gates[i%len(gates)], gates[(7*i+1)%len(gates)], gates[(13*i+5)%len(gates)]
+			switch i % 3 {
+			case 0:
+				gates = append(gates, c.Add(a, b, d))
+			case 1:
+				gates = append(gates, c.Mul(a, b))
+			default:
+				entries = append(entries[:0],
+					PermEntry{Row: 0, Col: 0, Gate: a}, PermEntry{Row: 0, Col: 1, Gate: b}, PermEntry{Row: 0, Col: 2, Gate: d},
+					PermEntry{Row: 1, Col: 0, Gate: d}, PermEntry{Row: 1, Col: 2, Gate: a})
+				gates = append(gates, c.Perm(2, 3, entries))
+			}
+		}
+		if c.NumGates() < 10_000 {
+			t.Fatalf("built %d gates, want ≥ 10,000", c.NumGates())
+		}
+	})
+	t.Logf("%.0f allocations to build 10,000 gates", allocs)
+	if allocs > 200 {
+		t.Errorf("building 10,000 gates allocates %.0f objects, want ≤ 200", allocs)
 	}
 }
 

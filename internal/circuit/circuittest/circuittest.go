@@ -1,8 +1,9 @@
 // Package circuittest holds the reference evaluator that tests compare the
-// Program engines against: an independent gate-by-gate walk of the builder
-// layout (Circuit.Gates), sharing no code with the frozen form's sweeps.  It
-// is test support only — import it from _test.go files, never from an
-// engine: circuit.Program is the one executable form.
+// Program engines against: an independent gate-by-gate walk of the circuit
+// through the Program's exported accessors, sharing no code with the engines'
+// sweeps (evaluateProgramGate, evaluateProgramPerm).  It is test support only
+// — import it from _test.go files, never from an engine: circuit.Program is
+// the one executable form.
 package circuittest
 
 import (
@@ -18,45 +19,44 @@ import (
 // Constants go through big.Int arithmetic and every permanent gate
 // materialises its column matrix for perm.PermColumns.
 func EvaluateAll[T any](c *circuit.Circuit, s semiring.Semiring[T], v circuit.Valuation[T]) []T {
-	vals := make([]T, len(c.Gates))
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		switch g.Kind {
+	p := c.Program()
+	vals := make([]T, p.NumGates())
+	for id := range vals {
+		switch p.GateKind(id) {
 		case circuit.KindInput:
-			if x, ok := v(g.Key); ok {
+			if x, ok := v(p.InputKey(id)); ok {
 				vals[id] = x
 			} else {
 				vals[id] = s.Zero()
 			}
 		case circuit.KindConst:
-			vals[id] = semiring.ScalarMulBig(s, g.N, s.One())
+			vals[id] = semiring.ScalarMulBig(s, p.ConstBig(id), s.One())
 		case circuit.KindAdd:
 			acc := s.Zero()
-			for _, ch := range g.Children {
+			for _, ch := range p.ChildIDs(id) {
 				acc = s.Add(acc, vals[ch])
 			}
 			vals[id] = acc
 		case circuit.KindMul:
 			acc := s.One()
-			for _, ch := range g.Children {
+			for _, ch := range p.ChildIDs(id) {
 				acc = s.Mul(acc, vals[ch])
 			}
 			vals[id] = acc
 		case circuit.KindPerm:
-			cols := make([][]T, g.Cols)
-			for c := range cols {
-				col := make([]T, g.Rows)
+			rows, cols := p.PermShape(id)
+			matrix := make([][]T, cols)
+			for c := range matrix {
+				col := make([]T, rows)
 				for r := range col {
 					col[r] = s.Zero()
 				}
-				cols[c] = col
+				matrix[c] = col
 			}
-			for _, e := range g.Entries {
-				cols[e.Col][e.Row] = vals[e.Gate]
-			}
-			vals[id] = perm.PermColumns(s, g.Rows, func(c int) []T { return cols[c] }, g.Cols)
+			p.ForEachPermEntry(id, func(row, col, gate int) { matrix[col][row] = vals[gate] })
+			vals[id] = perm.PermColumns(s, rows, func(c int) []T { return matrix[c] }, cols)
 		default:
-			panic(fmt.Sprintf("circuittest: unknown gate kind %v", g.Kind))
+			panic(fmt.Sprintf("circuittest: unknown gate kind %v", p.GateKind(id)))
 		}
 	}
 	return vals

@@ -11,26 +11,9 @@ import (
 	"repro/internal/structure"
 )
 
-// builderChildren lists the operand gates of a builder-layout gate.
-func builderChildren(g Gate) []int {
-	if g.Kind != KindPerm {
-		return g.Children
-	}
-	out := make([]int, len(g.Entries))
-	for i, e := range g.Entries {
-		out[i] = e.Gate
-	}
-	return out
-}
-
 // hasPermGate reports whether the circuit contains a permanent gate.
 func hasPermGate(c *Circuit) bool {
-	for _, g := range c.Gates {
-		if g.Kind == KindPerm {
-			return true
-		}
-	}
-	return false
+	return c.Program().Stats().PermGates > 0
 }
 
 // checkEquivalence asserts ParallelEvaluateAllProgram matches
@@ -107,7 +90,7 @@ func TestParallelEvaluateOutputEquivalence(t *testing.T) {
 // TestProgramLevelSchedule checks the structural invariants of the level
 // schedule baked into the Program: every gate appears exactly once on the
 // level of its rank, no level is empty, children sit on strictly lower
-// levels, and the depth agrees with Statistics.
+// levels, and the depth is the longest path from a leaf.
 func TestProgramLevelSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randomCircuit(rng, 8, 400)
@@ -136,15 +119,19 @@ func TestProgramLevelSchedule(t *testing.T) {
 			t.Fatalf("gate %d not scheduled", id)
 		}
 	}
-	for id, g := range c.Gates {
-		for _, ch := range builderChildren(g) {
-			if p.Rank(ch) >= p.Rank(id) {
-				t.Fatalf("child %d (level %d) not below gate %d (level %d)", ch, p.Rank(ch), id, p.Rank(id))
+	longest := make([]int, p.NumGates())
+	want := 0
+	for id := range longest {
+		for _, ch := range p.ChildIDs(id) {
+			if p.Rank(int(ch)) >= p.Rank(id) {
+				t.Fatalf("child %d (level %d) not below gate %d (level %d)", ch, p.Rank(int(ch)), id, p.Rank(id))
 			}
+			longest[id] = max(longest[id], longest[ch]+1)
 		}
+		want = max(want, longest[id])
 	}
-	if want := c.Statistics().Depth; p.Depth() != want {
-		t.Fatalf("program depth %d, Statistics depth %d", p.Depth(), want)
+	if p.Depth() != want || p.Stats().Depth != want {
+		t.Fatalf("program depth %d, Stats depth %d, longest path %d", p.Depth(), p.Stats().Depth, want)
 	}
 }
 

@@ -1,22 +1,21 @@
 // Program: the frozen, flat execution form of a circuit.
 //
-// A Circuit is a builder: convenient to grow gate by gate, but expensive to
-// execute — every Gate carries its own Children slice and *big.Int, so the
-// hot loops of the evaluation, maintenance and enumeration engines chase
-// pointers all over the heap and each engine re-derives children, parents,
-// ranks and level schedules on the side.  Freezing compiles the circuit once
-// into a Program: a struct-of-arrays (CSR) layout with one shared children
-// arena, a wires CSR saying at which slot of which parent every gate sits (the
-// one child→parent index in the tree, which every propagation wave walks),
-// interned constants with a small-int fast path, and the topological ranks
-// plus the level schedule baked in.  A Program is immutable and safe for any
-// number of concurrent evaluations, dynamic sessions and enumerators; they all
-// borrow its bookkeeping instead of rebuilding their own.
+// The hot loops of the evaluation, maintenance and enumeration engines walk
+// gates by id, so a circuit is laid out as a struct of arrays (CSR) from its
+// first gate on: the builder (circuit.go) appends each gate's kind, payload
+// index, operands, rank, input key, constant and permanent cells straight
+// into these arenas.  Freezing adds what needs the finished circuit — a wires
+// CSR saying at which slot of which parent every gate sits (the one
+// child→parent index in the tree, which every propagation wave walks) and the
+// level schedule — and cuts each arena to its exact length, so the Program
+// and the builder share one copy of the circuit and the builder's next append
+// moves to a new array instead of writing under a frozen Program.  A Program
+// is immutable and safe for any number of concurrent evaluations, dynamic
+// sessions and enumerators; they all borrow its bookkeeping instead of
+// rebuilding their own.
 //
-// The split is the seam between build and execute: Circuit stays the
-// construction API (internal/compile and the examples keep building through
-// it) and has no evaluators; EvaluateProgram, ParallelEvaluateAllProgram,
-// Dynamic and the enumeration engine all run on the frozen Program.
+// The Circuit has no evaluators; EvaluateProgram, ParallelEvaluateAllProgram,
+// Dynamic and the enumeration engine all run on the Program.
 package circuit
 
 import (
@@ -28,9 +27,9 @@ import (
 	"repro/internal/structure"
 )
 
-// Program is a frozen CSR compilation of a built Circuit.  All slices are
-// internal arenas; the exported accessors hand out read-only views that must
-// not be mutated.  Obtain one with Circuit.Program (memoised) or Freeze.
+// Program is a frozen CSR circuit.  All slices are internal arenas; the
+// exported accessors hand out read-only views that must not be mutated.
+// Obtain one with Circuit.Program (memoised) or Freeze.
 //
 // The Program owns the whole shape of the circuit: kinds, operands, the slot
 // each operand occupies in its gate (and, in a permanent gate, the matrix cell
@@ -42,6 +41,31 @@ type Program struct {
 	numGates int
 	output   int
 
+	// The arenas the builder appended the gates to.
+	arenas
+
+	// Wires CSR, the inverse of the children arena: gate id is read at
+	// wires[wireStart[id]:wireStart[id+1]], one (parent, slot) per occurrence
+	// with children[childStart[parent]+slot] == id, ordered by parent then
+	// slot.  A gate wired k times into one parent has k wires to it.
+	wireStart []int32
+	wires     []Wire
+
+	// levels lists all gate ids grouped by rank: rank-d gates are
+	// levels[levelOff[d]:levelOff[d+1]].
+	levelOff []int32
+	levels   []int32
+
+	// freezeDur is the wall-clock cost of freezing, recorded here because
+	// it happens deep inside compilation (no context in scope); the facade
+	// reads it back through FreezeDuration to attribute the time to the
+	// freeze stage of its trace.
+	freezeDur time.Duration
+}
+
+// arenas is a circuit gate by gate, in the layout a Program reads: what the
+// builder appends as each gate is added.
+type arenas struct {
 	// kind[id] is the gate kind; arg[id] is the kind-specific payload index:
 	// an index into inputKeys for inputs, into constSmall/constBig for
 	// constants, into perms for permanent gates, and -1 otherwise.
@@ -51,24 +75,14 @@ type Program struct {
 	// Children CSR: the operand gates of gate id are
 	// children[childStart[id]:childStart[id+1]]; the index of an operand in
 	// that slice is its slot.  For permanent gates the slice lists the wired
-	// entry gates in entry order.
+	// entry gates column-major.
 	childStart []int32
 	children   []int32
 
-	// Wires CSR, the inverse of the children arena: gate id is read at
-	// wires[wireStart[id]:wireStart[id+1]], one (parent, slot) per occurrence
-	// with children[childStart[parent]+slot] == id, ordered by parent then
-	// slot.  A gate wired k times into one parent has k wires to it.
-	wireStart []int32
-	wires     []Wire
-
 	// rank[id] is the topological rank (longest path from a leaf); children
-	// always have strictly smaller rank.  levels lists all gate ids grouped
-	// by rank: rank-d gates are levels[levelOff[d]:levelOff[d+1]].
-	rank     []int32
-	maxRank  int
-	levelOff []int32
-	levels   []int32
+	// always have strictly smaller rank.  maxRank is the largest.
+	rank    []int32
+	maxRank int
 
 	// Input gates: inputKeys[arg[id]] is the weight key of input gate id;
 	// inputIndex resolves a key back to its gate id.
@@ -91,15 +105,9 @@ type Program struct {
 	permRows     []int32
 	permCols     []int32
 	permColStart []int32
-
-	// freezeDur is the wall-clock cost of Freeze, recorded here because
-	// freezing happens deep inside compilation (no context in scope); the
-	// facade reads it back through FreezeDuration to attribute the time to
-	// the freeze stage of its trace.
-	freezeDur time.Duration
 }
 
-// FreezeDuration reports how long Freeze took to build this Program.
+// FreezeDuration reports how long freezing this Program took.
 func (p *Program) FreezeDuration() time.Duration { return p.freezeDur }
 
 type permProgram struct {
@@ -114,141 +122,36 @@ type Wire struct {
 	Parent, Slot int32
 }
 
-// Freeze compiles a built circuit into its frozen Program form.  It
-// validates the builder's topological-order invariant (every child id
-// strictly smaller than its parent's) and panics on circuits violating it,
-// so every engine running on a Program may propagate in id/rank order
-// without further checks.
+// Freeze returns a new Program over the circuit built so far.
+// Circuit.Program does the same once and memoises the result.
 func Freeze(c *Circuit) *Program {
-	freezeStart := time.Now()
-	n := len(c.Gates)
-	if n > 1<<31-1 {
-		panic("circuit: too many gates to freeze (gate ids exceed int32)")
-	}
-	p := &Program{
-		numGates:   n,
-		output:     c.Output,
-		kind:       make([]uint8, n),
-		arg:        make([]int32, n),
-		childStart: make([]int32, n+1),
-		rank:       make([]int32, n),
-	}
+	c.progMu.Lock()
+	defer c.progMu.Unlock()
+	return c.freeze()
+}
 
-	// Pass 1: kinds, child counts, payload indexes, ranks, wire counts,
-	// topological-order validation.
-	childCount := 0
-	entryCount := 0
-	colCount := 0
-	p.wireStart = make([]int32, n+1)
-	constIdx := map[string]int32{}
-	for id := 0; id < n; id++ {
-		g := &c.Gates[id]
-		p.kind[id] = uint8(g.Kind)
-		p.arg[id] = -1
-		r := int32(0)
-		visit := func(ch int) {
-			if ch < 0 || ch >= id {
-				panic(fmt.Sprintf("circuit: gate %d has child %d; gates must be stored in topological order (child ids smaller than the parent's)", id, ch))
-			}
-			if p.rank[ch]+1 > r {
-				r = p.rank[ch] + 1
-			}
-			p.wireStart[ch+1]++
-		}
-		switch g.Kind {
-		case KindInput:
-			p.arg[id] = int32(len(p.inputKeys))
-			p.inputKeys = append(p.inputKeys, g.Key)
-		case KindConst:
-			key := g.N.String()
-			ci, ok := constIdx[key]
-			if !ok {
-				ci = int32(len(p.constSmall))
-				constIdx[key] = ci
-				if g.N.IsInt64() {
-					p.constSmall = append(p.constSmall, g.N.Int64())
-					p.constBig = append(p.constBig, nil)
-				} else {
-					p.constSmall = append(p.constSmall, 0)
-					p.constBig = append(p.constBig, new(big.Int).Set(g.N))
-				}
-			}
-			p.arg[id] = ci
-		case KindAdd, KindMul:
-			for _, ch := range g.Children {
-				visit(ch)
-			}
-			childCount += len(g.Children)
-		case KindPerm:
-			p.arg[id] = int32(len(p.perms))
-			p.perms = append(p.perms, permProgram{rows: int32(g.Rows), cols: int32(g.Cols), entOff: int32(entryCount), colOff: int32(colCount)})
-			colCount += g.Cols + 1
-			for _, e := range g.Entries {
-				visit(e.Gate)
-			}
-			childCount += len(g.Entries)
-			entryCount += len(g.Entries)
-		default:
-			panic(fmt.Sprintf("circuit: unknown gate kind %v", g.Kind))
-		}
-		p.rank[id] = r
-		if int(r) > p.maxRank {
-			p.maxRank = int(r)
-		}
-		if childCount > 1<<31-1 {
-			panic("circuit: too many wires to freeze (children arena offsets exceed int32)")
-		}
-		p.childStart[id+1] = int32(childCount)
-	}
-	if n == 0 {
-		p.maxRank = -1
-	}
+// freeze cuts the builder's arenas to their exact lengths and derives the wires
+// CSR and the level schedule over them.  The caller holds c.progMu.
+func (c *Circuit) freeze() *Program {
+	start := time.Now()
+	a := &c.arenas
+	a.kind, a.arg, a.childStart, a.children, a.rank = exact(a.kind), exact(a.arg), exact(a.childStart), exact(a.children), exact(a.rank)
+	a.inputKeys, a.constSmall, a.constBig = exact(a.inputKeys), exact(a.constSmall), exact(a.constBig)
+	a.perms, a.permRows, a.permCols, a.permColStart = exact(a.perms), exact(a.permRows), exact(a.permCols), exact(a.permColStart)
+	c.frozenInputs = true
+	n := len(a.kind)
+	p := &Program{numGates: n, output: c.Output, arenas: *a}
 
-	// Pass 2: fill the children arena and the permanent-entry arenas.  The
-	// entries of each permanent gate are stored column-major (stably sorted
-	// by column), so evaluation can run the column dynamic program straight
-	// off the arena without materialising a per-column matrix, and the
-	// counting sort's offsets stay behind as the gate's column index.
-	p.children = make([]int32, childCount)
-	p.permRows = make([]int32, entryCount)
-	p.permCols = make([]int32, entryCount)
-	p.permColStart = make([]int32, colCount)
-	for id := 0; id < n; id++ {
-		g := &c.Gates[id]
-		off := p.childStart[id]
-		switch g.Kind {
-		case KindAdd, KindMul:
-			for i, ch := range g.Children {
-				p.children[off+int32(i)] = int32(ch)
-			}
-		case KindPerm:
-			pm := p.perms[p.arg[id]]
-			place := p.permColStart[pm.colOff : pm.colOff+pm.cols+1]
-			for _, e := range g.Entries {
-				place[e.Col+1]++
-			}
-			for col := 0; col < g.Cols; col++ {
-				place[col+1] += place[col]
-			}
-			for _, e := range g.Entries {
-				i := place[e.Col]
-				place[e.Col]++
-				p.children[off+i] = int32(e.Gate)
-				p.permRows[pm.entOff+i] = int32(e.Row)
-				p.permCols[pm.entOff+i] = int32(e.Col)
-			}
-			// Filling advanced every column's offset to the next column's.
-			copy(place[1:], place[:g.Cols])
-			place[0] = 0
-		}
-	}
-
-	// Pass 3: wires CSR.  Visiting parents in increasing id and their slots in
+	// Wires CSR.  Visiting parents in increasing id and their slots in
 	// increasing order leaves each gate's wires sorted by (parent, slot).
+	p.wireStart = make([]int32, n+1)
+	for _, ch := range p.children {
+		p.wireStart[ch+1]++
+	}
 	for id := 0; id < n; id++ {
 		p.wireStart[id+1] += p.wireStart[id]
 	}
-	p.wires = make([]Wire, childCount)
+	p.wires = make([]Wire, len(p.children))
 	fill := make([]int32, n)
 	for id := 0; id < n; id++ {
 		for slot, ch := range p.children[p.childStart[id]:p.childStart[id+1]] {
@@ -257,7 +160,7 @@ func Freeze(c *Circuit) *Program {
 		}
 	}
 
-	// Pass 4: level schedule by counting sort on rank.
+	// Level schedule by counting sort on rank.
 	p.levelOff = make([]int32, p.maxRank+2)
 	for _, r := range p.rank {
 		p.levelOff[r+1]++
@@ -272,17 +175,38 @@ func Freeze(c *Circuit) *Program {
 		p.levels[p.levelOff[r]+levelFill[r]] = int32(id)
 		levelFill[r]++
 	}
-
-	// Input index: derived from the gates themselves so that hand-built
-	// circuits (no builder map) freeze correctly too.
-	p.inputIndex = make(map[structure.WeightKey]int32, len(p.inputKeys))
-	for id := 0; id < n; id++ {
-		if p.kind[id] == uint8(KindInput) {
-			p.inputIndex[p.inputKeys[p.arg[id]]] = int32(id)
-		}
-	}
-	p.freezeDur = time.Since(freezeStart)
+	p.freezeDur = time.Since(start)
 	return p
+}
+
+// exact returns s in an array of exactly its length, copying it when the
+// array has room to spare.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// Stats summarises the structural parameters that Theorem 6 bounds.
+type Stats struct {
+	Gates       int
+	Edges       int
+	Depth       int
+	MaxPermRows int
+	PermGates   int
+	InputGates  int
+}
+
+// Stats returns the structural statistics of the program.
+func (p *Program) Stats() Stats {
+	st := Stats{Gates: p.numGates, Edges: len(p.children), Depth: p.maxRank, PermGates: len(p.perms), InputGates: len(p.inputKeys)}
+	for _, pm := range p.perms {
+		st.MaxPermRows = max(st.MaxPermRows, int(pm.rows))
+	}
+	return st
 }
 
 // NumGates returns the number of gates.
@@ -423,9 +347,8 @@ func (p *Program) permArg(id int) int32 {
 
 // Footprint returns the approximate resident size of the program in bytes:
 // every arena at its element size, the interned constants, the input keys
-// and an estimate of the input-index map.  It deliberately excludes the
-// builder Circuit the program was frozen from — the point of the frozen form
-// is that execution engines and caches can drop or share everything else.
+// and an estimate of the input-index map.  The builder Circuit the program
+// was frozen from shares these arenas and holds no copy of its own.
 func (p *Program) Footprint() int64 {
 	bytes := int64(len(p.kind)) // 1 byte per kind
 	bytes += 4 * int64(len(p.arg)+len(p.childStart)+len(p.children)+

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	. "repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
+	"slices"
 	"testing"
 
 	"repro/internal/provenance"
@@ -13,8 +14,7 @@ import (
 )
 
 // checkProgramAgreesWithLegacy asserts that program evaluation (sequential
-// and parallel) matches the reference walk of the builder layout
-// gate-for-gate.
+// and parallel) matches the reference walk of circuittest gate-for-gate.
 func checkProgramAgreesWithLegacy[T any](t *testing.T, name string, c *Circuit, s semiring.Semiring[T], v Valuation[T]) {
 	t.Helper()
 	want := circuittest.EvaluateAll(c, s, v)
@@ -36,7 +36,7 @@ func checkProgramAgreesWithLegacy[T any](t *testing.T, name string, c *Circuit, 
 
 // TestProgramEvalMatchesLegacyAcrossSemirings is the Program-equivalence
 // property test: on random circuits, program evaluation agrees gate-for-gate
-// with the legacy layout in every registered carrier (the server registry's
+// with the reference walk in every registered carrier (the server registry's
 // natural, min-plus, boolean and provenance semirings plus the ring, finite
 // and big-int upgrades).
 func TestProgramEvalMatchesLegacyAcrossSemirings(t *testing.T) {
@@ -87,8 +87,8 @@ func TestProgramEvalMatchesLegacyAcrossSemirings(t *testing.T) {
 }
 
 // TestProgramDynamicMatchesLegacyGateForGate drives dynamic updates on the
-// program engine and checks every gate against a legacy-layout recomputation
-// after each update, in a ring, a finite semiring and the generic path.
+// program engine and checks every gate against a recomputation by the
+// reference walk after each update, in a ring, a finite semiring and the generic path.
 func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	mod := semiring.NewModular(5)
@@ -128,7 +128,7 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 				x, ok := valuationFor(vals)(k)
 				return toExt(x), ok
 			})
-			for id := range c.Gates {
+			for id := range c.NumGates() {
 				if got := ring.GateValue(id); got != wantInt[id] {
 					t.Fatalf("round %d step %d: ℤ gate %d dynamic %d, legacy %d", round, step, id, got, wantInt[id])
 				}
@@ -143,16 +143,21 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 	}
 }
 
-// TestProgramStructure checks the structural invariants of the frozen form:
-// kinds, children, ranks, level coverage, deduplicated sorted parents and
-// the input index all agree with the builder layout.
+// TestProgramStructure checks the structural invariants of the frozen form
+// against what the random generator asked for: kinds, operands (an addition
+// without its zero operands, a product without its unit ones, a permanent's
+// cells as a multiset, since its slots are column-major), input keys and
+// their index, constants, ranks and level coverage.
 func TestProgramStructure(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for round := 0; round < 20; round++ {
-		c := randomCircuit(r, r.Intn(6)+2, r.Intn(40)+10)
+		c, specs := recordedRandomCircuit(r, r.Intn(6)+2, r.Intn(40)+10)
 		p := c.Program()
-		if p.NumGates() != c.NumGates() || p.OutputGate() != c.Output {
-			t.Fatalf("program covers %d gates output %d, circuit %d/%d", p.NumGates(), p.OutputGate(), c.NumGates(), c.Output)
+		if p.NumGates() != c.NumGates() || p.OutputGate() != c.Output || len(specs) != p.NumGates()-2 {
+			t.Fatalf("program covers %d gates output %d, circuit %d/%d with %d recorded gates", p.NumGates(), p.OutputGate(), c.NumGates(), c.Output, len(specs))
+		}
+		if !p.ConstIsZero(c.Zero()) || p.ConstBig(c.One()).Int64() != 1 {
+			t.Fatal("the seeded constants are not 0 and 1")
 		}
 		covered := make([]bool, p.NumGates())
 		for d := 0; d <= p.Depth(); d++ {
@@ -170,44 +175,51 @@ func TestProgramStructure(t *testing.T) {
 			if !covered[id] {
 				t.Fatalf("gate %d missing from the level schedule", id)
 			}
-			if p.GateKind(id) != c.Gates[id].Kind {
-				t.Fatalf("gate %d kind %v, circuit %v", id, p.GateKind(id), c.Gates[id].Kind)
+			for _, ch := range p.ChildIDs(id) {
+				if p.Rank(int(ch)) >= p.Rank(id) {
+					t.Fatalf("gate %d rank %d not above child %d rank %d", id, p.Rank(id), ch, p.Rank(int(ch)))
+				}
 			}
-			// Children (as a multiset per gate) match the builder layout; for
-			// permanent gates the arena is column-major, so compare sorted.
-			want := append([]int(nil), builderChildren(c.Gates[id])...)
+		}
+		for id, spec := range specs {
+			if p.GateKind(id) != spec.kind {
+				t.Fatalf("gate %d kind %v, asked for %v", id, p.GateKind(id), spec.kind)
+			}
+			var want []int
+			switch spec.kind {
+			case KindInput:
+				if p.InputKey(id) != spec.key || p.InputGate(spec.key) != id {
+					t.Fatalf("input gate %d key %v resolving to %d, want %v", id, p.InputKey(id), p.InputGate(spec.key), spec.key)
+				}
+			case KindConst:
+				if v, ok := p.ConstInt64(id); !ok || v != spec.value {
+					t.Fatalf("constant gate %d = %d, want %d", id, v, spec.value)
+				}
+			case KindAdd, KindMul:
+				dropped := c.Zero()
+				if spec.kind == KindMul {
+					dropped = c.One()
+				}
+				for _, ch := range spec.operands {
+					if ch != dropped {
+						want = append(want, ch)
+					}
+				}
+			case KindPerm:
+				for _, e := range spec.entries {
+					want = append(want, e.Gate)
+				}
+				slices.Sort(want)
+			}
 			got := make([]int, 0, len(want))
 			for _, ch := range p.ChildIDs(id) {
 				got = append(got, int(ch))
 			}
-			if len(got) != len(want) {
-				t.Fatalf("gate %d has %d arena children, circuit %d", id, len(got), len(want))
+			if spec.kind == KindPerm {
+				slices.Sort(got)
 			}
-			counts := map[int]int{}
-			for _, ch := range want {
-				counts[ch]++
-			}
-			for _, ch := range got {
-				counts[ch]--
-			}
-			for ch, n := range counts {
-				if n != 0 {
-					t.Fatalf("gate %d child %d multiplicity differs by %d", id, ch, n)
-				}
-			}
-			// Every child's rank strictly below the gate's.
-			for _, ch := range got {
-				if p.Rank(ch) >= p.Rank(id) {
-					t.Fatalf("gate %d rank %d not above child %d rank %d", id, p.Rank(id), ch, p.Rank(ch))
-				}
-			}
-		}
-		for key, id := range c.Inputs() {
-			if p.InputGate(key) != id {
-				t.Fatalf("input %v resolves to %d in the program, %d in the circuit", key, p.InputGate(key), id)
-			}
-			if p.InputKey(id) != key {
-				t.Fatalf("input gate %d key %v, want %v", id, p.InputKey(id), key)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v gate %d has operands %v, want %v", spec.kind, id, got, want)
 			}
 		}
 		if p.Footprint() <= 0 {
@@ -218,11 +230,11 @@ func TestProgramStructure(t *testing.T) {
 
 // TestProgramWires checks the one child→parent index in the tree: the wires
 // are exactly the inverse of the children arena, sorted by (parent, slot), and
-// the slot of a permanent parent is the cell the builder wired.
+// the slots of a permanent are the cells the generator asked for.
 func TestProgramWires(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for round := 0; round < 20; round++ {
-		c := randomCircuit(r, r.Intn(6)+2, r.Intn(40)+10)
+		c, specs := recordedRandomCircuit(r, r.Intn(6)+2, r.Intn(40)+10)
 		p := c.Program()
 		wires, children := 0, 0
 		for id := 0; id < p.NumGates(); id++ {
@@ -240,10 +252,10 @@ func TestProgramWires(t *testing.T) {
 			if p.GateKind(id) != KindPerm {
 				continue
 			}
-			// The slots' cells are the builder's entries, and the column runs
+			// The slots' cells are the requested entries, and the column runs
 			// are the slots in order.
 			want := map[PermEntry]int{}
-			for _, e := range c.Gates[id].Entries {
+			for _, e := range specs[id].entries {
 				want[e]++
 			}
 			kids := p.ChildIDs(id)
@@ -277,22 +289,49 @@ func TestProgramWires(t *testing.T) {
 	}
 }
 
-// TestFreezeRejectsNonTopologicalCircuits mirrors the Dynamic property
-// directly at the freeze seam.
-func TestFreezeRejectsNonTopologicalCircuits(t *testing.T) {
-	c := &Circuit{
-		Gates: []Gate{
-			{Kind: KindAdd, Children: []int{1}},
-			{Kind: KindConst, N: big.NewInt(2)},
-		},
-		Output: 0,
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Freeze accepted a non-topological circuit")
+// checkTopological asserts the order every engine's schedule relies on: each
+// operand of a gate has a smaller id and a lower rank than the gate.
+func checkTopological(t *testing.T, p *Program) {
+	t.Helper()
+	for id := 0; id < p.NumGates(); id++ {
+		for _, ch := range p.ChildIDs(id) {
+			if int(ch) >= id || p.Rank(int(ch)) >= p.Rank(id) {
+				t.Fatalf("gate %d (rank %d) has operand %d (rank %d)", id, p.Rank(id), ch, p.Rank(int(ch)))
+			}
 		}
-	}()
-	Freeze(c)
+	}
+}
+
+// TestFreezeRejectsNonTopologicalCircuits checks the topological-order
+// precondition at the freeze seam.  A forward reference cannot reach Freeze:
+// the builder refuses an operand or output that is not yet a gate and leaves
+// the circuit as it was, so the Program frozen afterwards is in order.
+func TestFreezeRejectsNonTopologicalCircuits(t *testing.T) {
+	c := NewBuilder()
+	two := c.ConstInt(2)
+	before := c.NumGates()
+	for name, forward := range map[string]func(){
+		"Add":       func() { c.Add(two, before) },
+		"SetOutput": func() { c.SetOutput(before) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted gate %d of a %d-gate circuit", name, before, before)
+				}
+			}()
+			forward()
+		}()
+	}
+	if c.NumGates() != before || c.Output != -1 {
+		t.Fatalf("refused calls left %d gates and output %d, want %d and -1", c.NumGates(), c.Output, before)
+	}
+	c.SetOutput(c.Add(two, c.Input(key("u", 0))))
+	p := Freeze(c)
+	checkTopological(t, p)
+	if got := EvaluateProgram[int64](p, semiring.Nat, func(structure.WeightKey) (int64, bool) { return 3, true }); got != 5 {
+		t.Fatalf("2 + u at u=3 = %d, want 5", got)
+	}
 }
 
 // TestConstInterning checks the builder satellite: repeated constants reuse
@@ -325,7 +364,7 @@ func TestConstInterning(t *testing.T) {
 	if c.NumGates() != before {
 		t.Fatalf("interned constants grew the circuit from %d to %d gates", before, c.NumGates())
 	}
-	// The frozen program interns by value as well.
+	// The frozen program keeps the interned values.
 	c.SetOutput(c.Add(g5, gBig))
 	p := c.Program()
 	if !p.ConstIsZero(c.Zero()) || p.ConstIsZero(c.One()) {
@@ -336,20 +375,46 @@ func TestConstInterning(t *testing.T) {
 	}
 }
 
-// TestInputsReturnsCopy checks the accessor satellite: mutating the returned
-// map must not corrupt the circuit's input index.
-func TestInputsReturnsCopy(t *testing.T) {
-	c := NewBuilder()
-	k := key("w", 0)
-	id := c.Input(k)
-	m := c.Inputs()
-	m[k] = -99
-	delete(m, k)
-	if got := c.InputGate(k); got != id {
-		t.Fatalf("mutating Inputs() corrupted the index: InputGate = %d, want %d", got, id)
+// TestFrozenProgramIsNotWrittenByTheBuilder reads a frozen Program from
+// another goroutine while the builder it shares its arenas with grows on —
+// inputs, constants, sums, products, permanents — and freezes again: under
+// -race a write of the builder into the frozen arrays or input index is a
+// reported race, and the frozen Program must still evaluate as it did.
+func TestFrozenProgramIsNotWrittenByTheBuilder(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	c := randomCircuit(r, 6, 80)
+	frozen := c.Program()
+	val := valuationFor(randomValues(r, 10))
+	want := EvaluateAllProgram[int64](frozen, semiring.Nat, val)
+	done := make(chan []int64)
+	go func() {
+		var got []int64
+		for i := 0; i < 50; i++ {
+			got = EvaluateAllProgram[int64](frozen, semiring.Nat, val)
+			for w := 0; w < 10; w++ {
+				if id := frozen.InputGate(key("w", w)); (id >= 0) != (w < 6) {
+					t.Errorf("frozen program resolves w(%d) to gate %d", w, id)
+				}
+			}
+		}
+		done <- got
+	}()
+	for w := 6; w < 10; w++ {
+		in := c.Input(key("w", w))
+		sum := c.Add(in, c.Output, c.ConstInt(int64(w)))
+		pm := c.Perm(2, 2, []PermEntry{{Row: 0, Col: 0, Gate: in}, {Row: 0, Col: 1, Gate: sum}, {Row: 1, Col: 1, Gate: in}})
+		c.SetOutput(c.Mul(sum, pm))
+		if w == 7 {
+			c.Program()
+		}
 	}
-	if c.Input(k) != id {
-		t.Fatal("re-requesting the input created a new gate")
+	grown := c.Program()
+	got := <-done
+	if frozen.NumGates() != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("the frozen program changed under the builder: %d gates, values %v, want %v", frozen.NumGates(), got, want)
+	}
+	if grown.NumGates() <= frozen.NumGates() || grown.InputGate(key("w", 9)) < 0 {
+		t.Fatalf("the grown program has %d gates and no input w(9)", grown.NumGates())
 	}
 }
 

@@ -8,6 +8,8 @@ package compile
 import (
 	"encoding/binary"
 	"slices"
+
+	"repro/internal/circuit"
 )
 
 // maxJoinedVars bounds the variables of one monomial (candidate-set
@@ -116,8 +118,10 @@ type boxEnum struct {
 	colors []int
 	cand   [][]int
 	gates  []int
-	// assign is the shape builders' slot-assignment scratch.
-	assign []int
+	// assign and entries are the shape builders' slot-assignment and
+	// permanent-cell scratch.
+	assign  []int
+	entries []circuit.PermEntry
 }
 
 // compileJoined handles monomials with at least two bound variables.  The
@@ -351,10 +355,11 @@ func (e *boxEnum) compileBox() error {
 	for _, ps := range e.pm.planFor(cf) {
 		env.stats.Shapes++
 		e.assign = slices.Grow(e.assign[:0], ps.tree.numSlots)[:ps.tree.numSlots]
-		b := shapeBuilder{env: env, cf: cf, pm: e.pm, ps: ps, assign: e.assign}
+		b := shapeBuilder{env: env, cf: cf, pm: e.pm, ps: ps, assign: e.assign, entries: e.entries}
 		if g := b.build(); g != env.c.Zero() {
 			gates = append(gates, g)
 		}
+		e.entries = b.entries
 	}
 	if g := env.c.Add(gates...); g != env.c.Zero() {
 		e.gates = append(e.gates, g)

@@ -55,12 +55,13 @@ type Stats struct {
 // database (and, for dynamic relations, tuple-membership indicators), plus
 // the bookkeeping needed to evaluate and update it.
 type Result struct {
-	// Circuit is the compiled circuit in builder form; it is kept for
-	// structural inspection (Statistics, knowledge-compilation analysis).
+	// Circuit is the builder the circuit was compiled with.  It shares its
+	// arenas with Program, so keeping it costs only its constant index; it
+	// is kept so a caller can extend the circuit or freeze it again.
 	Circuit *circuit.Circuit
-	// Program is the frozen CSR form of Circuit, compiled once at the end of
-	// Compile.  Every execution layer — evaluation, dynamic sessions,
-	// enumeration — runs on this shared immutable artefact.
+	// Program is Circuit frozen once at the end of Compile.  Every execution
+	// layer — evaluation, dynamic sessions, enumeration — runs on this shared
+	// immutable artefact.
 	Program *circuit.Program
 	// Structure is the (possibly quantifier-elimination-extended) structure
 	// the circuit was compiled against.

@@ -53,8 +53,8 @@ func checkAgainstNaive(t *testing.T, a *structure.Structure, w *structure.Weight
 	gotNat := Evaluate[int64](res, semiring.Nat, w)
 	wantNat := expr.Eval[int64](semiring.Nat, a, w, e, env)
 	if gotNat != wantNat {
-		t.Fatalf("Compile(%s): circuit value %d, naive %d\npolynomial: %s\ncircuit: %s",
-			e, gotNat, wantNat, res.Polynomial, res.Circuit)
+		t.Fatalf("Compile(%s): circuit value %d, naive %d\npolynomial: %s\ncircuit: %+v",
+			e, gotNat, wantNat, res.Polynomial, res.Program.Stats())
 	}
 
 	wmp := structure.NewWeights[semiring.Ext]()
@@ -90,7 +90,7 @@ func TestCompileTriangleQuery(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		a, w := testDB(9, 20, seed)
 		res := checkAgainstNaive(t, a, w, triangleQuery(), Options{})
-		st := res.Circuit.Statistics()
+		st := res.Program.Stats()
 		if st.MaxPermRows > 3 {
 			t.Errorf("triangle circuit has permanent gates with %d rows, want ≤ 3", st.MaxPermRows)
 		}
@@ -217,8 +217,8 @@ func TestCompileDynamicRelations(t *testing.T) {
 		}
 		// The circuit must reference relation inputs rather than baking E in.
 		foundRelInput := false
-		for key := range res.Circuit.Inputs() {
-			if key.Role != structure.Ordinary {
+		for id := 0; id < res.Program.NumGates(); id++ {
+			if res.Program.GateKind(id) == circuit.KindInput && res.Program.InputKey(id).Role != structure.Ordinary {
 				foundRelInput = true
 				break
 			}
@@ -323,7 +323,8 @@ func TestCompileStatsAndLinearSize(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("n=%d: expected planted triangles to give a non-zero count", n)
 		}
-		sizes = append(sizes, res.Circuit.Size())
+		st := res.Program.Stats()
+		sizes = append(sizes, st.Gates+st.Edges)
 		ns = append(ns, n)
 		if res.Stats.Monomials != 1 {
 			t.Errorf("expected 1 monomial, got %d", res.Stats.Monomials)

@@ -372,6 +372,11 @@ type shapeBuilder struct {
 	// assign[s] is the data node (subgraph index) of slot s on the current
 	// root-to-slot path.
 	assign []int
+	// entries holds the cells of the permanents being collected, one run per
+	// open level: a level appends after the runs of the levels enclosing it
+	// and cuts the buffer back to where its run began once its cells are
+	// collected (Perm copies them).
+	entries []circuit.PermEntry
 }
 
 // build compiles the shape into a circuit gate, the zero gate when no tuple
@@ -399,7 +404,7 @@ func (b *shapeBuilder) rec(slots []int, candidates []int) int {
 		}
 		return c.Add(live...)
 	}
-	var entries []circuit.PermEntry
+	base := len(b.entries)
 	cols := 0
 	var rows uint64 // the rows (at most one per variable) that have an entry
 	for _, v := range candidates {
@@ -414,9 +419,11 @@ func (b *shapeBuilder) rec(slots []int, candidates []int) int {
 				cols++
 			}
 			rows |= 1 << uint(ri)
-			entries = append(entries, circuit.PermEntry{Row: ri, Col: cols - 1, Gate: g})
+			b.entries = append(b.entries, circuit.PermEntry{Row: ri, Col: cols - 1, Gate: g})
 		}
 	}
+	entries := b.entries[base:]
+	b.entries = b.entries[:base]
 	if rows != 1<<uint(len(slots))-1 {
 		return c.Zero() // a slot no data node can take: the permanent is zero
 	}

@@ -376,8 +376,8 @@ func Nonempty(ctx context.Context, p *circuit.Program, inputs func(key structure
 // clock of its own.  A
 // non-nil nonempty carries the per-gate non-emptiness precomputed by Nonempty
 // and the pass skips recomputing it; nil has the pass decide it gate by gate.
-// The Program's freeze already validated the topological gate order, so the
-// emptiness bookkeeping may trust its ranks.
+// The builder appends a gate only after its operands, so the emptiness
+// bookkeeping may trust the Program's ranks.
 func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
 	return newProgram(new(mvcc.Clock), p, inputs, nonempty)
 }

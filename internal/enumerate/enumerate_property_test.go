@@ -1,7 +1,6 @@
 package enumerate
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -56,21 +55,27 @@ func TestEnumerateRandomFormulasMatchesNaive(t *testing.T) {
 
 // TestEnumeratorRejectsNonTopologicalCircuits mirrors the circuit.Dynamic
 // property: a circuit whose gate ids are not topologically ordered must be
-// rejected at preprocessing time, not silently enumerated in the wrong order.
+// rejected before preprocessing, not silently enumerated in the wrong order.
+// The builder refuses a forward operand and leaves the circuit as it was, so
+// the enumerator over what was built still matches explicit evaluation.
 func TestEnumeratorRejectsNonTopologicalCircuits(t *testing.T) {
-	c := &circuit.Circuit{
-		Gates: []circuit.Gate{
-			{Kind: circuit.KindAdd, Children: []int{1}},
-			{Kind: circuit.KindConst, N: big.NewInt(2)},
-		},
-		Output: 0,
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("NewProgram accepted a non-topological circuit")
-		}
+	c := circuit.NewBuilder()
+	u, v := c.Input(key("w", 0)), c.Input(key("w", 1))
+	before := c.NumGates()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Mul accepted operand %d of a %d-gate circuit", before, before)
+			}
+		}()
+		c.Mul(u, before)
 	}()
-	NewProgram(c.Program(), nil, nil)
+	if c.NumGates() != before {
+		t.Fatalf("a refused gate left %d gates, want %d", c.NumGates(), before)
+	}
+	c.SetOutput(c.Add(c.Mul(u, v), v))
+	inputs := map[structure.WeightKey]Value{key("w", 0): Gen("g"), key("w", 1): Gen("h")}
+	checkEnumeratorAgainstExplicit(t, c, func(k structure.WeightKey) Value { return inputs[k] })
 }
 
 // TestAnswersApplyBatch drives random batches of Gaifman-preserving updates

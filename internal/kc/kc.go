@@ -242,17 +242,6 @@ func ModelCount(p *circuit.Program) *big.Int {
 	return circuit.EvaluateProgram[*big.Int](p, semiring.Big, one)
 }
 
-// Size returns the size measure used by the factorization report: the number
-// of gates plus the number of wires of the program (the length of the shared
-// children arena).
-func Size(p *circuit.Program) int {
-	wires := 0
-	for id := 0; id < p.NumGates(); id++ {
-		wires += len(p.ChildIDs(id))
-	}
-	return p.NumGates() + wires
-}
-
 // FactorizationReport compares the program against the flat representation
 // of the answer set it factorizes.
 type FactorizationReport struct {
@@ -272,8 +261,9 @@ type FactorizationReport struct {
 // Factorization measures how compactly the program represents an answer set
 // of the given arity.
 func Factorization(p *circuit.Program, arity int) FactorizationReport {
+	st := p.Stats()
 	report := FactorizationReport{
-		CircuitSize: Size(p),
+		CircuitSize: st.Gates + st.Edges,
 		Answers:     ModelCount(p),
 		Arity:       arity,
 	}
