@@ -182,3 +182,40 @@ func TestSessionWritesStayInDomain(t *testing.T) {
 		t.Errorf("point read at 99999: session %q (%v), Prepared %q (%v)", got, err, want, werr)
 	}
 }
+
+// TestDatabaseHasTupleOutOfRange asks Database.HasTuple about tuples no
+// relation can hold: elements outside the domain {0..3}, the wrong arity and
+// an unknown relation.  Each is answered false, and none may panic by
+// indexing the relation store out of range.
+func TestDatabaseHasTupleOutOfRange(t *testing.T) {
+	db, err := ReadDatabase(strings.NewReader(testDB))
+	if err != nil {
+		t.Fatalf("ReadDatabase: %v", err)
+	}
+	if !db.HasTuple("E", 2, 3) || !db.HasTuple("S", 2) {
+		t.Fatalf("HasTuple misses stored tuples E(2,3), S(2)")
+	}
+	for _, tc := range []struct {
+		rel   string
+		tuple []int
+	}{
+		{"E", []int{-1, 0}},
+		{"E", []int{0, -1}},
+		{"E", []int{4, 0}},
+		{"E", []int{2, 4}},
+		{"E", []int{1 << 40, 0}},
+		{"S", []int{-1}},
+		{"S", []int{4}},
+		{"S", []int{64}},
+		{"E", []int{0}},
+		{"E", []int{0, 1, 2}},
+		{"E", nil},
+		{"S", []int{0, 0}},
+		{"missing", []int{0}},
+		{"", nil},
+	} {
+		if db.HasTuple(tc.rel, tc.tuple...) {
+			t.Errorf("HasTuple(%q, %v) = true, want false", tc.rel, tc.tuple)
+		}
+	}
+}

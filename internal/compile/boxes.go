@@ -25,6 +25,10 @@ type link struct {
 	// lits are the positive literals over static relations whose variables
 	// are exactly the two linked ones.
 	lits []int
+	// run is the first of lits over a binary relation, whose index lists the
+	// partners of an element directly, or -1 when there is none and partners
+	// are found among the element's Gaifman neighbours.
+	run int
 }
 
 // joinPlan is what the box enumeration needs of a monomial.
@@ -48,10 +52,14 @@ func (env *compileEnv) joinPlanFor(pm *preparedMonomial) *joinPlan {
 	type pair struct {
 		linked, equal bool
 		lits          []int
+		run           int
 	}
 	pairs := make([][]pair, k)
 	for i := range pairs {
 		pairs[i] = make([]pair, k)
+		for j := range pairs[i] {
+			pairs[i][j].run = -1
+		}
 	}
 	for _, p := range pm.comparePairs() {
 		pairs[p[0]][p[1]].linked, pairs[p[1]][p[0]].linked = true, true
@@ -76,6 +84,9 @@ func (env *compileEnv) joinPlanFor(pm *preparedMonomial) *joinPlan {
 			i, j := vars[0], vars[1]
 			pairs[i][j].lits = append(pairs[i][j].lits, li)
 			pairs[j][i].lits = pairs[i][j].lits
+			if pairs[i][j].run < 0 && len(args) == 2 {
+				pairs[i][j].run, pairs[j][i].run = li, li
+			}
 		}
 	}
 	linked := func(i, j int) bool { return pairs[i][j].linked || pairs[i][j].equal }
@@ -97,7 +108,8 @@ func (env *compileEnv) joinPlanFor(pm *preparedMonomial) *joinPlan {
 		}
 		for _, j := range jp.order {
 			if linked(next, j) {
-				jp.links[next] = append(jp.links[next], link{to: j, equal: pairs[next][j].equal, lits: pairs[next][j].lits})
+				p := pairs[next][j]
+				jp.links[next] = append(jp.links[next], link{to: j, equal: p.equal, lits: p.lits, run: p.run})
 			}
 		}
 		jp.order = append(jp.order, next)
@@ -205,11 +217,19 @@ func (e *boxEnum) reach(i int) []int {
 		}
 	}
 	for _, b := range e.cand[from.to] {
-		collect(b)
-		if !from.equal {
-			for _, a := range env.gaifman.Neighbors(b) {
+		if from.equal {
+			collect(b)
+			continue
+		}
+		if from.run >= 0 {
+			for _, a := range e.partners(b, from.to, from.run) {
 				collect(a)
 			}
+			continue
+		}
+		collect(b)
+		for _, a := range env.gaifman.Neighbors(b) {
+			collect(a)
 		}
 	}
 	slices.SortFunc(reach, func(a, b int) int {
@@ -255,7 +275,7 @@ func (e *boxEnum) try(t, c int, pool []int) error {
 		old := e.cand[ln.to]
 		var kept []int
 		for _, b := range old {
-			if e.hasPartner(b, ln.to, link{to: i, equal: ln.equal, lits: ln.lits}) {
+			if e.hasPartner(b, ln.to, link{to: i, equal: ln.equal, lits: ln.lits, run: ln.run}) {
 				kept = append(kept, b)
 			}
 		}
@@ -301,14 +321,23 @@ func (e *boxEnum) mark(i int, elements []int, in bool) {
 // hasPartner reports whether element a, standing for variable va, has a
 // partner among the candidates of variable ln.to: an element equal to a or,
 // unless the link is an equality, adjacent to it, on which the link's
-// literals hold.  It walks a's adjacency list, never a colour class.
+// literals hold.  It scans the run of a in the link's binary relation when
+// there is one, else a's adjacency list, never a colour class.
 func (e *boxEnum) hasPartner(a, va int, ln link) bool {
 	bit := uint64(1) << uint(ln.to)
+	if ln.equal {
+		return e.env.member[a]&bit != 0 && e.holds(ln.lits, va, a, a)
+	}
+	if ln.run >= 0 {
+		for _, b := range e.partners(a, va, ln.run) {
+			if e.env.member[b]&bit != 0 && e.holds(ln.lits, va, a, b) {
+				return true
+			}
+		}
+		return false
+	}
 	if e.env.member[a]&bit != 0 && e.holds(ln.lits, va, a, a) {
 		return true
-	}
-	if ln.equal {
-		return false
 	}
 	for _, b := range e.env.gaifman.Neighbors(a) {
 		if e.env.member[b]&bit != 0 && e.holds(ln.lits, va, a, b) {
@@ -316,6 +345,17 @@ func (e *boxEnum) hasPartner(a, va int, ln link) bool {
 		}
 	}
 	return false
+}
+
+// partners lists the elements the other variable of the binary literal li
+// may take when variable va takes a: a's forward run in the literal's
+// relation when va is its first argument, a's reverse run otherwise.  Every
+// partner but a itself is a Gaifman neighbour of a.
+func (e *boxEnum) partners(a, va, li int) []int {
+	if e.pm.litArgs[li][0] == va {
+		return e.pm.rels[li].Forward(a)
+	}
+	return e.pm.rels[li].Reverse(a)
 }
 
 // holds reports whether the static relations contain the tuples of the given
@@ -331,7 +371,7 @@ func (e *boxEnum) holds(lits []int, va, a, b int) bool {
 			}
 		}
 		e.env.tuple = t
-		if !e.env.a.HasTuple(e.pm.literals[li].Rel, t...) {
+		if !e.pm.rels[li].Has(t...) {
 			return false
 		}
 	}

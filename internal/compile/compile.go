@@ -273,6 +273,15 @@ type compileEnv struct {
 
 // compileMonomial compiles one prepared monomial into a gate.
 func (env *compileEnv) compileMonomial(pm *preparedMonomial) (int, error) {
+	pm.rels = make([]*structure.Relation, len(pm.literals))
+	for li, l := range pm.literals {
+		if l.IsEquality() || env.dyn[l.Rel] {
+			continue
+		}
+		if pm.rels[li] = env.a.Relation(l.Rel); pm.rels[li] == nil {
+			return 0, fmt.Errorf("compile: relation %q is not in the signature", l.Rel)
+		}
+	}
 	// Nullary weights and the integer coefficient multiply the whole
 	// monomial.
 	prefix := []int{env.c.Const(pm.coeff)}
@@ -300,13 +309,13 @@ func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
 	for el := 0; el < env.a.N; el++ {
 		factors := make([]int, 0, len(pm.weights)+len(pm.literals))
 		ok := true
-		for _, l := range pm.literals {
+		for li, l := range pm.literals {
 			tuple := constantTuple(el, len(l.Args))
 			if env.dyn[l.Rel] {
 				factors = append(factors, env.c.Input(membershipInput(l.Rel, tuple.Key(), l.Positive)))
 				continue
 			}
-			if env.a.HasTuple(l.Rel, tuple...) != l.Positive {
+			if pm.rels[li].Has(tuple...) != l.Positive {
 				ok = false
 				break
 			}

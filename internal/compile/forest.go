@@ -144,7 +144,11 @@ type preparedMonomial struct {
 	vars     []string
 	varIndex map[string]int
 	literals []expr.Literal
-	weights  []expr.WeightTerm
+	// rels[l] is the relation of literals[l] when it is over a static
+	// relation, nil for equalities and dynamic relations; compileMonomial
+	// resolves them once.
+	rels    []*structure.Relation
+	weights []expr.WeightTerm
 	// litArgs[l] and weightArgs[w] are the variable indices of the arguments
 	// of literals[l] and weights[w].
 	litArgs, weightArgs [][]int
@@ -442,8 +446,7 @@ func (b *shapeBuilder) entry(s, v int) int {
 	}
 	b.assign[s] = v
 	for _, li := range b.ps.slotLiterals[s] {
-		l := b.pm.literals[li]
-		if !env.dyn[l.Rel] && env.a.HasTuple(l.Rel, b.tuple(b.pm.litArgs[li])...) != l.Positive {
+		if r := b.pm.rels[li]; r != nil && r.Has(b.tuple(b.pm.litArgs[li])...) != b.pm.literals[li].Positive {
 			return c.Zero()
 		}
 	}

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/circuit"
 	"repro/internal/structure"
@@ -16,35 +17,18 @@ import (
 // keeps no shadow of its own.
 type Relations struct {
 	res *Result
-	// state[rel][tuple.Key()] is the current membership of every tuple that
-	// was present at compile time or has been updated since.
-	state map[string]map[string]bool
+	// updated[k] is the membership last recorded for the tuple of the Member
+	// input k; a tuple never updated keeps its membership in the compiled
+	// structure, so a new shadow copies nothing.
+	updated map[structure.WeightKey]bool
 }
 
 // NewRelations returns the shadow of res's dynamic relations as compiled.
-func NewRelations(res *Result) *Relations {
-	r := &Relations{res: res, state: make(map[string]map[string]bool, len(res.DynamicRelations))}
-	for rel := range res.DynamicRelations {
-		state := map[string]bool{}
-		for _, t := range res.Structure.Tuples(rel) {
-			state[t.Key()] = true
-		}
-		r.state[rel] = state
-	}
-	return r
-}
+func NewRelations(res *Result) *Relations { return &Relations{res: res} }
 
 // Clone returns an independent copy of the shadow over the same compilation.
 func (r *Relations) Clone() *Relations {
-	c := &Relations{res: r.res, state: make(map[string]map[string]bool, len(r.state))}
-	for rel, state := range r.state {
-		s := make(map[string]bool, len(state))
-		for k, v := range state {
-			s[k] = v
-		}
-		c.state[rel] = s
-	}
-	return c
+	return &Relations{res: r.res, updated: maps.Clone(r.updated)}
 }
 
 // ValidateTuple checks a membership update without recording it: the
@@ -82,19 +66,31 @@ func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present boo
 // reader sees the tuple half-toggled — and the membership recorded before.
 func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (leaves [2]circuit.InputChange[bool], was bool) {
 	key := tuple.Key()
-	was = r.state[rel][key]
-	r.state[rel][key] = present
+	member := membershipInput(rel, key, true)
+	was = r.has(member, tuple)
+	if r.updated == nil {
+		r.updated = make(map[structure.WeightKey]bool)
+	}
+	r.updated[member] = present
 	return [2]circuit.InputChange[bool]{
-		{Key: membershipInput(rel, key, true), Value: present},
+		{Key: member, Value: present},
 		{Key: membershipInput(rel, key, false), Value: !present},
 	}, was
+}
+
+// has is the current membership of the tuple of the Member input k.
+func (r *Relations) has(k structure.WeightKey, tuple structure.Tuple) bool {
+	if v, ok := r.updated[k]; ok {
+		return v
+	}
+	return r.res.Structure.HasTuple(k.Weight, tuple...)
 }
 
 // HasTuple reports the current membership of a tuple: the recorded state for
 // a dynamic relation, the compiled structure otherwise.
 func (r *Relations) HasTuple(rel string, tuple structure.Tuple) bool {
-	if state, ok := r.state[rel]; ok {
-		return state[tuple.Key()]
+	if r.res.DynamicRelations[rel] {
+		return r.has(membershipInput(rel, tuple.Key(), true), tuple)
 	}
 	return r.res.Structure.HasTuple(rel, tuple...)
 }

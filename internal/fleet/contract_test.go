@@ -128,12 +128,12 @@ func metricFamilies(t *testing.T, base string) map[string]string {
 		t.Fatal(err)
 	}
 	kinds := map[string]string{}
-	labels := map[string]map[string]bool{}
+	labels := map[string]map[string]struct{}{}
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
 			family, kind, _ := strings.Cut(rest, " ")
 			kinds[family] = kind
-			labels[family] = map[string]bool{}
+			labels[family] = map[string]struct{}{}
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -154,7 +154,7 @@ func metricFamilies(t *testing.T, base string) map[string]string {
 		}
 		for _, pair := range strings.Split(strings.TrimSuffix(labelPart, "}"), `",`) {
 			if key, _, ok := strings.Cut(pair, "="); ok && key != "le" {
-				labels[family][key] = true
+				labels[family][key] = struct{}{}
 			}
 		}
 	}

@@ -177,13 +177,14 @@ func (a Atom) String() string {
 }
 
 func (a Atom) eval(st *structure.Structure, env map[string]structure.Element) bool {
-	tuple := make([]structure.Element, len(a.Args))
-	for i, v := range a.Args {
+	var buf [8]structure.Element // the usual arities test membership on the stack
+	tuple := buf[:0]
+	for _, v := range a.Args {
 		e, ok := env[v]
 		if !ok {
 			panic(fmt.Sprintf("logic: unbound variable %q in atom %s", v, a))
 		}
-		tuple[i] = e
+		tuple = append(tuple, e)
 	}
 	return st.HasTuple(a.Rel, tuple...)
 }

@@ -343,10 +343,11 @@ func (e *eliminator) buildIncidence() {
 // guard are known to be false.
 func (e *eliminator) diagonalType(w structure.Element) string {
 	key := make([]byte, len(e.sig.Relations))
+	var buf [8]structure.Element
 	for i, r := range e.sig.Relations {
-		t := make([]structure.Element, r.Arity)
-		for j := range t {
-			t[j] = w
+		t := buf[:0]
+		for range r.Arity {
+			t = append(t, w)
 		}
 		if e.work.HasTuple(r.Name, t...) {
 			key[i] = '1'

@@ -162,49 +162,61 @@ type Structure struct {
 	Sig *Signature
 	N   int
 
-	// tuples[rel] lists the tuples of the relation, in insertion order.
-	tuples map[string][]Tuple
-	// index[rel] supports O(1) membership tests.
-	index map[string]map[string]bool
+	// rels[i] holds relation Sig.Relations[i]: its tuples in insertion order,
+	// which fixes the Gaifman graph's adjacency order and with it every
+	// colouring and Program compiled over the structure, and the integer
+	// index membership tests and partner scans read (relation.go).
+	rels []Relation
 
 	gaifman *graph.Graph
 }
 
 // NewStructure returns an empty structure with the given domain size.
 func NewStructure(sig *Signature, n int) *Structure {
-	return &Structure{
-		Sig:    sig,
-		N:      n,
-		tuples: make(map[string][]Tuple),
-		index:  make(map[string]map[string]bool),
+	a := &Structure{Sig: sig, N: n, rels: make([]Relation, len(sig.Relations))}
+	for i, r := range sig.Relations {
+		a.rels[i] = Relation{arity: r.Arity, n: n}
 	}
+	return a
+}
+
+// Relation returns a handle on the named relation, nil when the signature
+// does not declare it (a nil handle holds nothing).
+func (a *Structure) Relation(name string) *Relation {
+	i, ok := a.Sig.relIndex[name]
+	if !ok {
+		return nil
+	}
+	return &a.rels[i]
+}
+
+// relationFor resolves the relation a write names and checks the tuple's
+// arity against it.
+func (a *Structure) relationFor(rel string, tuple []Element) (*Relation, error) {
+	r := a.Relation(rel)
+	if r == nil {
+		return nil, fmt.Errorf("structure: unknown relation %q", rel)
+	}
+	if len(tuple) != r.arity {
+		return nil, fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, r.arity, len(tuple))
+	}
+	return r, nil
 }
 
 // AddTuple inserts a tuple into the named relation.  Duplicate insertions
 // are ignored.  Adding tuples invalidates any previously computed Gaifman
 // graph.
 func (a *Structure) AddTuple(rel string, tuple ...Element) error {
-	decl, ok := a.Sig.Relation(rel)
-	if !ok {
-		return fmt.Errorf("structure: unknown relation %q", rel)
-	}
-	if len(tuple) != decl.Arity {
-		return fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
+	r, err := a.relationFor(rel, tuple)
+	if err != nil {
+		return err
 	}
 	if err := a.CheckDomain(tuple); err != nil {
 		return fmt.Errorf("structure: %w", err)
 	}
-	t := Tuple(tuple).Clone()
-	key := t.Key()
-	if a.index[rel] == nil {
-		a.index[rel] = make(map[string]bool)
+	if r.add(tuple) {
+		a.gaifman = nil
 	}
-	if a.index[rel][key] {
-		return nil
-	}
-	a.index[rel][key] = true
-	a.tuples[rel] = append(a.tuples[rel], t)
-	a.gaifman = nil
 	return nil
 }
 
@@ -216,32 +228,19 @@ func (a *Structure) MustAddTuple(rel string, tuple ...Element) {
 }
 
 // RemoveTuple deletes a tuple from the named relation; removing an absent
-// tuple is a no-op.  The cost is linear in the relation's size (one scan, no
-// allocation beyond the index delete), and any previously computed Gaifman
-// graph is invalidated.
+// tuple is a no-op.  The index is updated by a binary search in the tuple's
+// run, O(log d) for a run of d tuples plus the shift; the insertion list,
+// which keeps the order of the remaining tuples, is scanned once, linear in
+// the relation's size.  Nothing is allocated, and any previously computed
+// Gaifman graph is invalidated.
 func (a *Structure) RemoveTuple(rel string, tuple ...Element) error {
-	decl, ok := a.Sig.Relation(rel)
-	if !ok {
-		return fmt.Errorf("structure: unknown relation %q", rel)
+	r, err := a.relationFor(rel, tuple)
+	if err != nil {
+		return err
 	}
-	if len(tuple) != decl.Arity {
-		return fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, decl.Arity, len(tuple))
+	if r.remove(tuple) {
+		a.gaifman = nil
 	}
-	var buf [keyBufSize]byte
-	key := Tuple(tuple).appendKey(buf[:0])
-	idx := a.index[rel]
-	if !idx[string(key)] {
-		return nil
-	}
-	delete(idx, string(key))
-	kept := a.tuples[rel][:0]
-	for _, t := range a.tuples[rel] {
-		if !t.Equal(tuple) {
-			kept = append(kept, t)
-		}
-	}
-	a.tuples[rel] = kept
-	a.gaifman = nil
 	return nil
 }
 
@@ -258,32 +257,36 @@ func (a *Structure) CheckDomain(t Tuple) error {
 
 // Holds reports whether the membership input k is one in a: whether relation
 // k.Weight holds the tuple k.Tuple, for a Member input, or does not, for a
-// NonMember input.
+// NonMember input.  The key is decoded into a stack buffer and looked up in
+// the relation's index, so the test allocates nothing.
 func (a *Structure) Holds(k WeightKey) bool {
-	return a.index[k.Weight][k.Tuple] == (k.Role == Member)
+	var buf [8]Element
+	t, err := appendKeyElements(buf[:0], k.Tuple)
+	return (err == nil && a.Relation(k.Weight).Has(t...)) == (k.Role == Member)
 }
 
-// HasTuple reports whether the named relation contains the tuple.
+// HasTuple reports whether the named relation contains the tuple.  An
+// unknown relation, a tuple of the wrong arity and an element outside the
+// domain are all answered false.
 func (a *Structure) HasTuple(rel string, tuple ...Element) bool {
-	idx := a.index[rel]
-	if idx == nil {
-		return false
-	}
-	// A map lookup by string(bytes) does not allocate the string.
-	var buf [keyBufSize]byte
-	return idx[string(Tuple(tuple).appendKey(buf[:0]))]
+	return a.Relation(rel).Has(tuple...)
 }
 
-// Tuples returns the tuples of the named relation.  The returned slice must
-// not be modified.
-func (a *Structure) Tuples(rel string) []Tuple { return a.tuples[rel] }
+// Tuples returns the tuples of the named relation in insertion order.  The
+// returned slice must not be modified.
+func (a *Structure) Tuples(rel string) []Tuple {
+	if r := a.Relation(rel); r != nil {
+		return r.tuples
+	}
+	return nil
+}
 
 // TupleCount returns the total number of tuples over all relations, which
 // for structures from a bounded-expansion class is linear in N.
 func (a *Structure) TupleCount() int {
 	total := 0
-	for _, ts := range a.tuples {
-		total += len(ts)
+	for i := range a.rels {
+		total += len(a.rels[i].tuples)
 	}
 	return total
 }
@@ -297,11 +300,11 @@ func (a *Structure) Gaifman() *graph.Graph {
 		return a.gaifman
 	}
 	g := graph.New(a.N)
-	// In signature order, not map order: the adjacency lists, and with them
-	// every colouring and forest computed from the graph, are a function of
-	// the structure alone.
-	for _, r := range a.Sig.Relations {
-		for _, t := range a.tuples[r.Name] {
+	// In signature order and insertion order: the adjacency lists, and with
+	// them every colouring and forest computed from the graph, are a function
+	// of the structure alone.
+	for i := range a.rels {
+		for _, t := range a.rels[i].tuples {
 			for i := 0; i < len(t); i++ {
 				for j := i + 1; j < len(t); j++ {
 					g.AddEdge(t[i], t[j])
@@ -318,16 +321,25 @@ func (a *Structure) Clone() *Structure { return a.OnSignature(a.Sig) }
 
 // OnSignature re-homes the structure onto sig: a fresh structure over the
 // same domain holding every tuple of every relation of a.  sig must declare
-// a's relation symbols with their arities (it panics otherwise); typically it
-// is a.Sig extended with weight symbols (the Theorem 8 closure) or with
-// derived relations (quantifier elimination, nested connectives), which start
-// out empty.  The source is left untouched.
+// a's non-empty relation symbols with their arities (it panics otherwise);
+// typically it is a.Sig extended with weight symbols (the Theorem 8 closure)
+// or with derived relations (quantifier elimination, nested connectives),
+// which start out empty.  Each relation is copied in bulk into one arena of
+// its own (Relation.clone), a constant number of allocations per relation;
+// the source is left untouched, and later writes to either structure are
+// invisible in the other.
 func (a *Structure) OnSignature(sig *Signature) *Structure {
 	b := NewStructure(sig, a.N)
-	for _, r := range a.Sig.Relations {
-		for _, t := range a.tuples[r.Name] {
-			b.MustAddTuple(r.Name, t...)
+	for i, r := range a.Sig.Relations {
+		src := &a.rels[i]
+		if len(src.tuples) == 0 {
+			continue
 		}
+		dst := b.Relation(r.Name)
+		if dst == nil || dst.arity != r.Arity {
+			panic(fmt.Sprintf("structure: the target signature does not declare relation %s of arity %d", r.Name, r.Arity))
+		}
+		*dst = src.clone()
 	}
 	return b
 }
@@ -479,10 +491,15 @@ func (w *Weights[T]) Validate(a *Structure, isZero func(T) bool) error {
 // parseTupleKey decodes Tuple.Key: decimal elements, comma separated, the
 // empty key being the empty tuple.
 func parseTupleKey(key string) (Tuple, error) {
+	return appendKeyElements(make(Tuple, 0, strings.Count(key, ",")+1), key)
+}
+
+// appendKeyElements decodes Tuple.Key text onto t; it allocates only when t
+// runs out of capacity, or for the error.
+func appendKeyElements(t Tuple, key string) (Tuple, error) {
 	if key == "" {
-		return Tuple{}, nil
+		return t, nil
 	}
-	t := make(Tuple, 0, strings.Count(key, ",")+1)
 	for rest, more := key, true; more; {
 		var part string
 		part, rest, more = strings.Cut(rest, ",")
