@@ -135,12 +135,11 @@ func pName(p int) string { return "p=" + string(rune('0'+p)) }
 func BenchmarkA5LocalSearch(b *testing.B) {
 	ctx := context.Background()
 	db := workload.Grid(48, 48, 3)
-	g := graph.New(db.A.N)
+	var edges [][2]int
 	for _, t := range db.A.Tuples("E") {
-		if !g.HasEdge(t[0], t[1]) {
-			g.AddEdge(t[0], t[1])
-		}
+		edges = append(edges, [2]int{t[0], t[1]})
 	}
+	g := graph.FromEdges(db.A.N, edges)
 	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}, {Name: "Blocked", Arity: 1}}, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -134,6 +134,50 @@ func TestPointEval(t *testing.T) {
 	}
 }
 
+// TestConcurrentClosedPrepare prepares one closed query from four goroutines
+// on one Engine.  A closed query compiles over the engine's own structure,
+// so every Prepare reads its cached Gaifman graph, the first ones while it
+// is built; under -race this is the check that the cache is published
+// safely.  Every goroutine must get the value a lone Prepare gets.
+func TestConcurrentClosedPrepare(t *testing.T) {
+	ctx := context.Background()
+	const query = "sum x, y . [E(x,y)] * w(x,y)"
+	db, err := Generate("bounded-degree", 300, 1)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	eng := Open(db)
+	vals := make([]Value, 4)
+	var wg sync.WaitGroup
+	for i := range vals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := eng.Prepare(ctx, query)
+			if err == nil {
+				vals[i], err = p.Eval(ctx)
+			}
+			if err != nil {
+				t.Errorf("goroutine %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	p, err := eng.Prepare(ctx, query)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	want, err := p.Eval(ctx)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	for i, v := range vals {
+		if v != want {
+			t.Errorf("goroutine %d got %q, want %q", i, v, want)
+		}
+	}
+}
+
 func TestSessionUpdates(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()

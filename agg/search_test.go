@@ -259,56 +259,57 @@ func TestConcurrentSearchers(t *testing.T) {
 // internal/localsearch driver onto Searcher)
 // ---------------------------------------------------------------------------
 
-func pathGraph(n int) *graph.Graph {
-	g := graph.New(n)
+func pathGraph(n int) *graph.Graph { return graph.FromEdges(n, pathEdges(n)) }
+
+func pathEdges(n int) [][2]int {
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return edges
 }
 
 func cycleGraph(n int) *graph.Graph {
-	g := pathGraph(n)
+	edges := pathEdges(n)
 	if n > 2 {
-		g.AddEdge(n-1, 0)
+		edges = append(edges, [2]int{n - 1, 0})
 	}
-	return g
+	return graph.FromEdges(n, edges)
 }
 
 func gridGraph(w, h int) *graph.Graph {
-	g := graph.New(w * h)
+	var edges [][2]int
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				g.AddEdge(id(x, y), id(x+1, y))
+				edges = append(edges, [2]int{id(x, y), id(x+1, y)})
 			}
 			if y+1 < h {
-				g.AddEdge(id(x, y), id(x, y+1))
+				edges = append(edges, [2]int{id(x, y), id(x, y+1)})
 			}
 		}
 	}
-	return g
+	return graph.FromEdges(w*h, edges)
 }
 
 func starGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
+		edges = append(edges, [2]int{0, i})
 	}
-	return g
+	return graph.FromEdges(n, edges)
 }
 
+// randomSparse draws m random vertex pairs; FromEdges drops the loops and
+// repeats among them.
 func randomSparse(n, m int, seed int64) *graph.Graph {
-	g := graph.New(n)
 	r := rand.New(rand.NewSource(seed))
-	for i := 0; i < m; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !g.HasEdge(u, v) {
-			g.AddEdge(u, v)
-		}
+	edges := make([][2]int, m)
+	for i := range edges {
+		edges[i] = [2]int{r.Intn(n), r.Intn(n)}
 	}
-	return g
+	return graph.FromEdges(n, edges)
 }
 
 func searchTestGraphs() map[string]*graph.Graph {
@@ -318,8 +319,8 @@ func searchTestGraphs() map[string]*graph.Graph {
 		"grid8x8":   gridGraph(8, 8),
 		"star20":    starGraph(20),
 		"sparse100": randomSparse(100, 150, 4),
-		"edgeless":  graph.New(7),
-		"single":    graph.New(1),
+		"edgeless":  graph.FromEdges(7, nil),
+		"single":    graph.FromEdges(1, nil),
 	}
 }
 
@@ -508,7 +509,7 @@ func TestSearchMaximalIndependentSetOnGraphFamilies(t *testing.T) {
 		}
 	}
 	// On an edgeless graph the whole vertex set is selected.
-	if got := len(maximalIndependentSet(t, graph.New(5))); got != 5 {
+	if got := len(maximalIndependentSet(t, graph.FromEdges(5, nil))); got != 5 {
 		t.Errorf("edgeless graph: got %d vertices, want 5", got)
 	}
 	// On a star, either the centre alone or all leaves form the only maximal
@@ -538,7 +539,7 @@ func TestSearchMinimalDominatingSetOnGraphFamilies(t *testing.T) {
 		t.Errorf("star: dominating set size %d, want 1 or 14", got)
 	}
 	// An edgeless graph needs every vertex.
-	if got := len(minimalDominatingSet(t, graph.New(4))); got != 4 {
+	if got := len(minimalDominatingSet(t, graph.FromEdges(4, nil))); got != 4 {
 		t.Errorf("edgeless: dominating set size %d, want 4", got)
 	}
 	// A path on 3k vertices has domination number k.

@@ -133,10 +133,6 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 	if err != nil {
 		return nil, err
 	}
-	// Compile built the structure's lazily cached Gaifman graph; touching it
-	// here keeps that a guarantee, so concurrent sessions sharing this closure
-	// run Gaifman-preservation checks without racing on a first construction.
-	res.Structure.Gaifman()
 	mentions := map[string]bool{}
 	for _, m := range res.Polynomial.Monomials {
 		for _, w := range m.Weights {

@@ -279,32 +279,13 @@ outer:
 }
 
 // rebuildWith sets membership of a tuple in a relation of the mirror
-// structure (Structure has no deletion, so rebuild).
+// structure.
 func rebuildWith(a *structure.Structure, rel string, tuple structure.Tuple, present bool) {
-	old := a.Tuples(rel)
-	keep := make([]structure.Tuple, 0, len(old)+1)
-	for _, t := range old {
-		if !t.Equal(tuple) {
-			keep = append(keep, t)
-		}
-	}
 	if present {
-		keep = append(keep, tuple)
+		a.MustAddTuple(rel, tuple...)
+	} else if err := a.RemoveTuple(rel, tuple...); err != nil {
+		panic(err)
 	}
-	// Rebuild in place: copy everything else.
-	fresh := structure.NewStructure(a.Sig, a.N)
-	for _, r := range a.Sig.Relations {
-		if r.Name == rel {
-			for _, t := range keep {
-				fresh.MustAddTuple(rel, t...)
-			}
-			continue
-		}
-		for _, t := range a.Tuples(r.Name) {
-			fresh.MustAddTuple(r.Name, t...)
-		}
-	}
-	*a = *fresh
 }
 
 // TestApplyBatchMixedChanges drives random mixed batches (weight updates and

@@ -457,21 +457,14 @@ func TestFollowChecksTheClosure(t *testing.T) {
 	ans.Follow(other.Shared(), q.Members())
 }
 
-// setMirror rebuilds the mirror structure with the tuple present or absent.
+// setMirror sets membership of a tuple in a relation of the mirror
+// structure.
 func setMirror(a *structure.Structure, rel string, tuple structure.Tuple, present bool) {
-	fresh := structure.NewStructure(a.Sig, a.N)
-	for _, r := range a.Sig.Relations {
-		for _, t := range a.Tuples(r.Name) {
-			if r.Name == rel && t.Equal(tuple) {
-				continue
-			}
-			fresh.MustAddTuple(r.Name, t...)
-		}
-	}
 	if present {
-		fresh.MustAddTuple(rel, tuple...)
+		a.MustAddTuple(rel, tuple...)
+	} else if err := a.RemoveTuple(rel, tuple...); err != nil {
+		panic(err)
 	}
-	*a = *fresh
 }
 
 func TestCursorIsIncremental(t *testing.T) {

@@ -29,13 +29,13 @@ func (a *arcs) out(i int) []int32 { return a.dst[a.off[i]:a.off[i+1]] }
 // degeneracy order of g, which bounds every out-degree by the degeneracy.
 func orient(g *Graph) *arcs {
 	order, _ := g.DegeneracyOrder()
-	rank := make([]int32, g.n)
+	rank := make([]int32, g.N())
 	for i, v := range order {
 		rank[v] = int32(i)
 	}
-	a := &arcs{order: order, off: make([]int, g.n+1), dst: make([]int32, 0, g.m)}
+	a := &arcs{order: order, off: make([]int, g.N()+1), dst: make([]int32, 0, g.M())}
 	for i, v := range order {
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if r := rank[w]; r > int32(i) {
 				a.dst = append(a.dst, r)
 			}
@@ -133,10 +133,10 @@ func augmented(g *Graph, rounds int) *arcs {
 // affects only performance, never correctness.
 func LowTreedepthColoring(g *Graph, p int) *Coloring {
 	a := augmented(g, p-1)
-	c := &Coloring{Color: make([]int, g.n), AugmentedArcs: len(a.dst)}
-	byRank := make([]int32, g.n)
-	used := make([]int32, g.n+1) // used[c] == i+1 iff an out-neighbour of i has colour c
-	for i := g.n - 1; i >= 0; i-- {
+	c := &Coloring{Color: make([]int, g.N()), AugmentedArcs: len(a.dst)}
+	byRank := make([]int32, g.N())
+	used := make([]int32, g.N()+1) // used[c] == i+1 iff an out-neighbour of i has colour c
+	for i := g.N() - 1; i >= 0; i-- {
 		mark := int32(i) + 1
 		for _, w := range a.out(i) {
 			used[byRank[w]] = mark

@@ -3,113 +3,112 @@
 // transitive–fraternal augmentations and low-treedepth colourings.
 //
 // These are the combinatorial tools behind classes of bounded expansion
-// (Section 2 of the paper): Proposition 1 (low treedepth colourings).
+// (Section 2 of the paper): Proposition 1 (low treedepth colourings).  A
+// graph is immutable adjacency arrays built once by FromEdges; the algorithms
+// work over arrays, vertex orders and stamps, never a hash map.
 package graph
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
-// Graph is a simple undirected graph on vertices 0..N-1 stored as adjacency
-// lists.  Self-loops and parallel edges are rejected by AddEdge.
+// Graph is a simple undirected graph on vertices 0..N-1 in compressed sparse
+// row form: the neighbours of v are nbr[off[v]:off[v+1]], in the order their
+// edges first appear in the list the graph was built from.  Nothing mutates a
+// Graph once FromEdges returns it, so it may be shared freely.
 type Graph struct {
-	n   int
-	adj [][]int
-	// edgeSet provides O(1) membership tests, keyed by edgeKey.  Nothing
-	// ranges over it: every order the package exposes comes from the adjacency
-	// lists, so equal graphs built in equal order behave identically.
-	edgeSet map[uint64]struct{}
-	m       int
+	off []int
+	nbr []int
 }
 
-// New returns an empty graph with n vertices and no edges.
-func New(n int) *Graph {
+// FromEdges returns the graph on vertices 0..n-1 with the given edges, less
+// self-loops and repeats in either orientation, so callers may pass raw
+// tuple scans.  The arcs of both orientations are counting-sorted by tail,
+// which keeps each tail's arcs in edge order, and one stamp array keeps the
+// first arc to every head: O(n + len(edges)) time, at most four allocations.
+func FromEdges(n int, edges [][2]int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Graph{
-		n:       n,
-		adj:     make([][]int, n),
-		edgeSet: make(map[uint64]struct{}),
+	// off[v+2] counts v's arcs; after the prefix sums off[v+1] is v's start,
+	// and filling advances it to v's end, which is where v+1 starts.
+	off := make([]int, n+2)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || v < 0 || u >= n || v >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
+		}
+		if u != v {
+			off[u+2]++
+			off[v+2]++
+		}
 	}
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	nbr := make([]int, off[n+1])
+	for _, e := range edges {
+		if u, v := e[0], e[1]; u != v {
+			nbr[off[u+1]] = v
+			off[u+1]++
+			nbr[off[v+1]] = u
+			off[v+1]++
+		}
+	}
+	// Compact in place: stamp[w] == v+1 iff v's list already holds w.
+	stamp := make([]int32, n)
+	lo, k := 0, 0
+	for v := 0; v < n; v++ {
+		hi, mark := off[v+1], int32(v)+1
+		for _, w := range nbr[lo:hi] {
+			if stamp[w] != mark {
+				stamp[w] = mark
+				nbr[k] = w
+				k++
+			}
+		}
+		lo, off[v+1] = hi, k
+	}
+	return &Graph{off: off[:n+1], nbr: nbr[:k]}
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return len(g.nbr) / 2 }
 
 // Neighbors returns the adjacency list of v.  The returned slice must not be
 // modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []int { return g.nbr[g.off[v]:g.off[v+1]] }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 
-// edgeKey packs the endpoints, smaller first, into one word (the runtime's
-// fast map path); vertex counts stay far below 2³².
-func edgeKey(u, v int) uint64 {
-	if u > v {
+// HasEdge reports whether the edge {u, v} is present.  It scans the shorter
+// of the two adjacency lists, O(min(deg u, deg v)) time; summed over the
+// edges of a graph that is at most 2·arboricity·m (Chiba–Nishizeki), which
+// stays linear on a class of bounded expansion.
+func (g *Graph) HasEdge(u, v int) bool {
+	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	return uint64(u)<<32 | uint64(v)
-}
-
-// HasEdge reports whether the edge {u, v} is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u == v {
-		return false
-	}
-	_, ok := g.edgeSet[edgeKey(u, v)]
-	return ok
-}
-
-// AddEdge inserts the undirected edge {u, v}.  Self-loops and duplicate
-// edges are ignored so that callers can add edges from tuple scans without
-// pre-deduplication.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v {
-		return
-	}
-	if u < 0 || v < 0 || u >= g.n || v >= g.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
-	}
-	key := edgeKey(u, v)
-	if _, ok := g.edgeSet[key]; ok {
-		return
-	}
-	g.edgeSet[key] = struct{}{}
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-	g.m++
+	return slices.Contains(g.Neighbors(u), v)
 }
 
 // Edges returns all edges as (u, v) pairs with u < v, ordered by u and then
 // by the position of v in u's adjacency list.
 func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, g.m)
-	for u, nbrs := range g.adj {
-		for _, v := range nbrs {
+	out := make([][2]int, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
 			if u < v {
 				out = append(out, [2]int{u, v})
 			}
 		}
 	}
 	return out
-}
-
-// Clone returns a deep copy of the graph with every adjacency list in the
-// same order, so whatever is computed from the copy (degeneracy orders,
-// colourings, forests) equals what is computed from the original.
-func (g *Graph) Clone() *Graph {
-	h := &Graph{n: g.n, adj: make([][]int, g.n), edgeSet: maps.Clone(g.edgeSet), m: g.m}
-	for v, nbrs := range g.adj {
-		h.adj[v] = slices.Clone(nbrs)
-	}
-	return h
 }
 
 // Inducer builds induced subgraphs of one graph through one reusable
@@ -123,37 +122,41 @@ type Inducer struct {
 	index []int32
 }
 
-// NewInducer returns an Inducer for g, which must not grow while it is used.
-func NewInducer(g *Graph) *Inducer { return &Inducer{g: g, index: make([]int32, g.n)} }
+// NewInducer returns an Inducer for g.
+func NewInducer(g *Graph) *Inducer { return &Inducer{g: g, index: make([]int32, g.N())} }
 
 // Subgraph returns the subgraph induced by the given distinct vertices;
-// subgraph vertex i is vertices[i], which toOrig records.  Adjacency lists
-// keep the relative order they have in the original graph.
+// subgraph vertex i is vertices[i], which toOrig records.  It is FromEdges of
+// the induced edges {i, j}, i < j, listed by i and then in the order of
+// vertices[i]'s adjacency list, which are distinct already; a call makes the
+// same few allocations whatever its size.
 func (in *Inducer) Subgraph(vertices []int) (sub *Graph, toOrig []int) {
 	toOrig = slices.Clone(vertices)
+	deg := 0
 	for i, v := range vertices {
 		in.index[v] = int32(i) + 1
+		deg += in.g.Degree(v)
 	}
-	sub = New(len(vertices))
+	edges := make([][2]int, 0, deg/2) // an induced edge takes two arcs of deg
 	for i, v := range vertices {
-		for _, w := range in.g.adj[v] {
+		for _, w := range in.g.Neighbors(v) {
 			if j := int(in.index[w]) - 1; j > i {
-				sub.AddEdge(i, j)
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
 	for _, v := range vertices {
 		in.index[v] = 0
 	}
-	return sub, toOrig
+	return FromEdges(len(vertices), edges), toOrig
 }
 
 // ConnectedComponents returns the vertex sets of the connected components.
 func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
+	seen := make([]bool, g.N())
 	var comps [][]int
 	stack := make([]int, 0, 16)
-	for s := 0; s < g.n; s++ {
+	for s := 0; s < g.N(); s++ {
 		if seen[s] {
 			continue
 		}
@@ -164,7 +167,7 @@ func (g *Graph) ConnectedComponents() [][]int {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(v) {
 				if !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)
@@ -186,11 +189,11 @@ func (g *Graph) ConnectedComponents() [][]int {
 // in the order) and the degeneracy d: every vertex has at most d neighbours
 // that appear after it in the returned order.
 func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
-	n := g.n
+	n := g.N()
 	deg := make([]int, n)
 	maxDeg := 0
-	for v, nbrs := range g.adj {
-		deg[v] = len(nbrs)
+	for v := range deg {
+		deg[v] = g.Degree(v)
 		maxDeg = max(maxDeg, deg[v])
 	}
 	// order holds the vertices sorted by current degree, bin[d] is where the
@@ -217,7 +220,7 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 	bin[0] = 0
 	for _, v := range order {
 		degeneracy = max(degeneracy, deg[v])
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			// A removed vertex has degree at most deg[v] and is skipped too:
 			// degrees at removal never decrease along the order.
 			if dw := deg[w]; dw > deg[v] {
@@ -346,8 +349,8 @@ func (f *Forest) IsAncestor(a, v int) bool {
 // forest is a heuristic upper bound on the treedepth of g.
 //
 // The construction removes, in each connected component, a vertex chosen to
-// break the component apart (a BFS-centre-of-a-longest-path heuristic with a
-// fallback to maximum degree) and recurses on the remaining components,
+// break the component apart (the middle of a longest BFS path, found by two
+// BFS runs) and recurses on the remaining components,
 // attaching their roots as children of the removed vertex.  Any forest built
 // this way is a valid elimination forest; only its depth depends on the
 // heuristic.
@@ -359,13 +362,17 @@ func EliminationForest(g *Graph) *Forest {
 	}
 	removed := make([]bool, n)
 
-	// Scratch buffers reused across recursive calls.
+	// Scratch reused across recursive calls; compGen[v] == gen marks v as
+	// placed in a component by the current step.
 	queue := make([]int, 0, n)
 	dist := make([]int, n)
+	prev := make([]int, n)
+	compGen := make([]int, n)
+	gen := 0
 
-	// bfsFarthest returns the vertex farthest from start within the current
-	// (non-removed) component containing start, considering only vertices in
-	// the component.
+	// bfsFarthest runs a BFS from start over the members not yet removed,
+	// recording distances and predecessors, and returns the first vertex it
+	// reaches at the largest distance.
 	bfsFarthest := func(start int, member []bool) int {
 		for _, v := range queue {
 			dist[v] = -1
@@ -376,9 +383,9 @@ func EliminationForest(g *Graph) *Forest {
 		far := start
 		for i := 0; i < len(queue); i++ {
 			v := queue[i]
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(v) {
 				if member[w] && !removed[w] && dist[w] == -1 {
-					dist[w] = dist[v] + 1
+					dist[w], prev[w] = dist[v]+1, v
 					if dist[w] > dist[far] {
 						far = w
 					}
@@ -387,40 +394,6 @@ func EliminationForest(g *Graph) *Forest {
 			}
 		}
 		return far
-	}
-
-	// bfsMiddle returns the middle vertex of a BFS path from a to b.
-	bfsMiddle := func(a, b int, member []bool) int {
-		for _, v := range queue {
-			dist[v] = -1
-		}
-		queue = queue[:0]
-		queue = append(queue, a)
-		dist[a] = 0
-		prev := make(map[int]int)
-		for i := 0; i < len(queue); i++ {
-			v := queue[i]
-			if v == b {
-				break
-			}
-			for _, w := range g.adj[v] {
-				if member[w] && !removed[w] && dist[w] == -1 {
-					dist[w] = dist[v] + 1
-					prev[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-		if dist[b] == -1 {
-			return a
-		}
-		// Walk back half way from b.
-		steps := dist[b] / 2
-		v := b
-		for i := 0; i < steps; i++ {
-			v = prev[v]
-		}
-		return v
 	}
 
 	member := make([]bool, n)
@@ -446,10 +419,13 @@ func EliminationForest(g *Graph) *Forest {
 		}
 		// Choose a separator vertex: the midpoint of an approximate longest
 		// path (double BFS), which gives good depths on paths, grids and
-		// trees; ties broken by degree.
+		// trees.
 		a := bfsFarthest(vertices[0], member)
 		b := bfsFarthest(a, member)
-		sep := bfsMiddle(a, b, member)
+		sep := b // walked back to the middle of the BFS path from a
+		for i := 0; i < dist[b]/2; i++ {
+			sep = prev[sep]
+		}
 		for _, v := range vertices {
 			member[v] = false
 		}
@@ -459,25 +435,18 @@ func EliminationForest(g *Graph) *Forest {
 		removed[sep] = true
 		// Split the remaining vertices into connected components of g minus
 		// the removed vertices.
-		compID := make(map[int]int)
+		gen++
 		var comps [][]int
 		for _, s := range vertices {
-			if removed[s] {
-				continue
-			}
-			if _, seen := compID[s]; seen {
+			if removed[s] || compGen[s] == gen {
 				continue
 			}
 			comp := []int{s}
-			compID[s] = len(comps)
+			compGen[s] = gen
 			for i := 0; i < len(comp); i++ {
-				v := comp[i]
-				for _, w := range g.adj[v] {
-					if removed[w] {
-						continue
-					}
-					if _, seen := compID[w]; !seen {
-						compID[w] = len(comps)
+				for _, w := range g.Neighbors(comp[i]) {
+					if !removed[w] && compGen[w] != gen {
+						compGen[w] = gen
 						comp = append(comp, w)
 					}
 				}

@@ -7,87 +7,88 @@ import (
 	"testing"
 )
 
-func pathGraph(n int) *Graph {
-	g := New(n)
+func pathGraph(n int) *Graph { return FromEdges(n, pathEdges(n)) }
+
+func pathEdges(n int) [][2]int {
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return edges
 }
 
 func cycleGraph(n int) *Graph {
-	g := pathGraph(n)
+	edges := pathEdges(n)
 	if n > 2 {
-		g.AddEdge(n-1, 0)
+		edges = append(edges, [2]int{n - 1, 0})
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 func gridGraph(w, h int) *Graph {
-	g := New(w * h)
+	var edges [][2]int
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				g.AddEdge(id(x, y), id(x+1, y))
+				edges = append(edges, [2]int{id(x, y), id(x+1, y)})
 			}
 			if y+1 < h {
-				g.AddEdge(id(x, y), id(x, y+1))
+				edges = append(edges, [2]int{id(x, y), id(x, y+1)})
 			}
 		}
 	}
-	return g
+	return FromEdges(w*h, edges)
 }
 
 func completeGraph(n int) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
+// randomSparseGraph draws random pairs until m of them are distinct edges.
 func randomSparseGraph(n, m int, seed int64) *Graph {
 	r := rand.New(rand.NewSource(seed))
-	g := New(n)
-	for g.M() < m {
-		u, v := r.Intn(n), r.Intn(n)
-		g.AddEdge(u, v)
+	ref := newRefGraph(n)
+	var edges [][2]int
+	for ref.m < m {
+		e := [2]int{r.Intn(n), r.Intn(n)}
+		ref.add(e[0], e[1])
+		edges = append(edges, e)
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 func TestBasicOperations(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 1) // duplicate ignored
-	g.AddEdge(3, 3) // self loop ignored
-	if g.M() != 2 {
-		t.Fatalf("M = %d, want 2", g.M())
+	// A repeat, a reversed repeat and a self-loop are dropped.
+	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 1}, {2, 1}, {3, 3}})
+	if g.N() != 5 || g.M() != 2 {
+		t.Fatalf("N, M = %d, %d, want 5, 2", g.N(), g.M())
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Errorf("HasEdge(0,1) should hold in both directions")
 	}
-	if g.HasEdge(0, 2) {
-		t.Errorf("HasEdge(0,2) should not hold")
+	if g.HasEdge(0, 2) || g.HasEdge(3, 3) || g.HasEdge(1, 1) {
+		t.Errorf("HasEdge holds on a non-edge or a self-loop")
 	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d, want 2", g.Degree(1))
+	if g.Degree(1) != 2 || !slices.Equal(g.Neighbors(1), []int{0, 2}) {
+		t.Errorf("neighbours of 1 are %v, want [0 2]", g.Neighbors(1))
 	}
-	if len(g.Edges()) != 2 {
-		t.Errorf("Edges() returned %d edges, want 2", len(g.Edges()))
+	if !slices.Equal(g.Edges(), [][2]int{{0, 1}, {1, 2}}) {
+		t.Errorf("Edges() = %v, want [[0 1] [1 2]]", g.Edges())
+	}
+	if e := FromEdges(0, nil); e.N() != 0 || e.M() != 0 || len(e.Edges()) != 0 {
+		t.Errorf("the empty graph has %d vertices and %d edges", e.N(), e.M())
 	}
 }
 
 func TestConnectedComponents(t *testing.T) {
-	g := New(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	// 5 and 6 isolated
+	g := FromEdges(7, [][2]int{{0, 1}, {1, 2}, {3, 4}}) // 5 and 6 isolated
 	comps := g.ConnectedComponents()
 	if len(comps) != 4 {
 		t.Fatalf("got %d components, want 4", len(comps))
@@ -121,10 +122,7 @@ func TestInducedSubgraph(t *testing.T) {
 // builds: the shared index must be clean again after every call.
 func TestInducerIsReusable(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	g := New(60)
-	for i := 0; i < 150; i++ {
-		g.AddEdge(r.Intn(60), r.Intn(60))
-	}
+	g := FromEdges(60, randomEdges(r, 60, 150))
 	in := NewInducer(g)
 	for round := 0; round < 50; round++ {
 		vertices := r.Perm(60)[:r.Intn(30)]
@@ -149,43 +147,23 @@ func TestInducerIsReusable(t *testing.T) {
 	}
 }
 
-// TestCloneIsDeterministic pins what makes compilation repeatable: a clone
-// has the adjacency lists of the original in the same order, so the edge
-// list, the degeneracy order and the colouring computed from either agree,
-// call after call.
-func TestCloneIsDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	g := New(200)
-	for i := 0; i < 500; i++ {
-		g.AddEdge(r.Intn(200), r.Intn(200))
+// TestSubgraphAllocations wants Inducer.Subgraph to make as many allocations
+// for 1,000 induced vertices as for 10: the induced edge list is presized
+// and FromEdges allocates a fixed number of arrays.
+func TestSubgraphAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
 	}
-	order, _ := g.DegeneracyOrder()
-	colors := LowTreedepthColoring(g, 3).Color
-	for i := 0; i < 5; i++ {
-		h := g.Clone()
-		if h.M() != g.M() || !slices.Equal(h.Edges(), g.Edges()) {
-			t.Fatalf("clone %d lists its edges in another order", i)
+	in := NewInducer(gridGraph(50, 40))
+	allocs := func(k int) float64 {
+		vertices := make([]int, k)
+		for i := range vertices {
+			vertices[i] = i
 		}
-		for v := 0; v < g.N(); v++ {
-			if !slices.Equal(h.Neighbors(v), g.Neighbors(v)) {
-				t.Fatalf("clone %d: neighbours of %d are %v, want %v", i, v, h.Neighbors(v), g.Neighbors(v))
-			}
-		}
-		if o, _ := h.DegeneracyOrder(); !slices.Equal(o, order) {
-			t.Fatalf("clone %d has another degeneracy order", i)
-		}
-		if c := LowTreedepthColoring(h, 3).Color; !slices.Equal(c, colors) {
-			t.Fatalf("clone %d is coloured differently", i)
-		}
-		for v := 1; v < g.N(); v++ {
-			h.AddEdge(0, v)
-		}
+		return testing.AllocsPerRun(5, func() { in.Subgraph(vertices) })
 	}
-	if g.Degree(0) == g.N()-1 {
-		t.Errorf("edges added to a clone reached the original")
-	}
-	if e := g.Edges(); !slices.IsSortedFunc(e, func(a, b [2]int) int { return a[0] - b[0] }) {
-		t.Errorf("Edges is not ordered by the smaller endpoint: %v", e)
+	if small, large := allocs(10), allocs(1000); small != large {
+		t.Errorf("Subgraph allocates %.0f objects for 10 vertices and %.0f for 1,000, want equal counts", small, large)
 	}
 }
 
@@ -199,8 +177,8 @@ func TestDegeneracy(t *testing.T) {
 		{"cycle", cycleGraph(10), 2},
 		{"grid5x5", gridGraph(5, 5), 2},
 		{"complete5", completeGraph(5), 4},
-		{"empty", New(4), 0},
-		{"single", New(1), 0},
+		{"empty", FromEdges(4, nil), 0},
+		{"single", FromEdges(1, nil), 0},
 	}
 	for _, c := range cases {
 		order, d := c.g.DegeneracyOrder()
@@ -337,20 +315,20 @@ func TestEliminationForest(t *testing.T) {
 }
 
 func starGraph(n int) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
+		edges = append(edges, [2]int{0, i})
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 func randomTree(n int, seed int64) *Graph {
 	r := rand.New(rand.NewSource(seed))
-	g := New(n)
+	var edges [][2]int
 	for v := 1; v < n; v++ {
-		g.AddEdge(v, r.Intn(v))
+		edges = append(edges, [2]int{v, r.Intn(v)})
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 func TestGreedyColoringProper(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"maps"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -168,7 +169,8 @@ type Structure struct {
 	// index membership tests and partner scans read (relation.go).
 	rels []Relation
 
-	gaifman *graph.Graph
+	// gaifman caches Gaifman's graph; nil until it is built and after a write.
+	gaifman atomic.Pointer[graph.Graph]
 }
 
 // NewStructure returns an empty structure with the given domain size.
@@ -215,7 +217,7 @@ func (a *Structure) AddTuple(rel string, tuple ...Element) error {
 		return fmt.Errorf("structure: %w", err)
 	}
 	if r.add(tuple) {
-		a.gaifman = nil
+		a.gaifman.Store(nil)
 	}
 	return nil
 }
@@ -239,7 +241,7 @@ func (a *Structure) RemoveTuple(rel string, tuple ...Element) error {
 		return err
 	}
 	if r.remove(tuple) {
-		a.gaifman = nil
+		a.gaifman.Store(nil)
 	}
 	return nil
 }
@@ -294,25 +296,30 @@ func (a *Structure) TupleCount() int {
 // Gaifman returns the Gaifman graph of the structure: vertices are domain
 // elements; two distinct elements are adjacent when they occur together in
 // some tuple of some relation.  The graph is cached until the structure is
-// modified.
+// modified; reads of an unmodified structure may run concurrently.
 func (a *Structure) Gaifman() *graph.Graph {
-	if a.gaifman != nil {
-		return a.gaifman
+	if g := a.gaifman.Load(); g != nil {
+		return g
 	}
-	g := graph.New(a.N)
+	pairs := 0
+	for _, r := range a.rels {
+		pairs += len(r.tuples) * r.arity * (r.arity - 1) / 2
+	}
 	// In signature order and insertion order: the adjacency lists, and with
 	// them every colouring and forest computed from the graph, are a function
 	// of the structure alone.
+	edges := make([][2]int, 0, pairs)
 	for i := range a.rels {
 		for _, t := range a.rels[i].tuples {
 			for i := 0; i < len(t); i++ {
 				for j := i + 1; j < len(t); j++ {
-					g.AddEdge(t[i], t[j])
+					edges = append(edges, [2]int{t[i], t[j]})
 				}
 			}
 		}
 	}
-	a.gaifman = g
+	g := graph.FromEdges(a.N, edges)
+	a.gaifman.Store(g)
 	return g
 }
 

@@ -113,6 +113,35 @@ func TestGaifmanGraph(t *testing.T) {
 	}
 }
 
+// TestGaifmanAllocations builds the Gaifman graph of a cycle stored in both
+// orientations, with chords and a unary relation, at n = 2,000 and
+// n = 20,000: one presized edge list and FromEdges's fixed arrays, so the
+// number of allocations does not grow with the structure.
+func TestGaifmanAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	sig := MustSignature([]RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}}, nil)
+	allocs := func(n int) float64 {
+		a := NewStructure(sig, n)
+		for v := 0; v < n; v++ {
+			a.MustAddTuple("E", v, (v+1)%n)
+			a.MustAddTuple("E", (v+1)%n, v)
+			if v%2 == 0 {
+				a.MustAddTuple("E", v, (v+3)%n)
+				a.MustAddTuple("S", v)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			a.gaifman.Store(nil)
+			a.Gaifman()
+		})
+	}
+	if small, large := allocs(2000), allocs(20000); small != large {
+		t.Errorf("Gaifman allocates %.0f objects at n = 2,000 and %.0f at n = 20,000, want equal counts", small, large)
+	}
+}
+
 func TestTupleKey(t *testing.T) {
 	tu := Tuple{3, 1, 4}
 	if tu.Key() != "3,1,4" {
