@@ -8,7 +8,7 @@
 //
 // Everything here runs in one process via fleet.StartLocal — three real
 // replicas and a router on loopback listeners — which is also how the race
-// tests and the E19 scale-out experiment drive the fleet.
+// tests and the benchmark's fleet_mix workload drive the fleet.
 //
 //	go run ./examples/fleet
 package main

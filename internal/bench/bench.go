@@ -5,9 +5,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/baseline"
@@ -104,18 +102,6 @@ func timeIt(f func()) time.Duration {
 	return time.Since(start)
 }
 
-// bestOf runs f reps times and returns the fastest wall time, damping
-// scheduler noise in comparisons of sub-second timings.
-func bestOf(reps int, f func()) time.Duration {
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		if d := timeIt(f); i == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // TriangleQuery is the paper's running example: the weighted count of
 // directed triangles, Σ_{x,y,z}[E(x,y)∧E(y,z)∧E(z,x)]·w(x,y)·w(y,z)·w(z,x).
 func TriangleQuery() expr.Expr {
@@ -133,15 +119,6 @@ func PageRankQuery() expr.Expr {
 		expr.W("base"),
 		expr.Agg([]string{"y"}, expr.Times(expr.Guard(logic.R("E", "y", "x")), expr.W("w", "y"), expr.W("invdeg", "y"))),
 	)
-}
-
-// PathQuery is the weighted count of directed 2-paths with distinct
-// endpoints.
-func PathQuery() expr.Expr {
-	return expr.Agg([]string{"x", "y", "z"}, expr.Times(
-		expr.Guard(logic.Conj(logic.R("E", "x", "y"), logic.R("E", "y", "z"), logic.Neg(logic.Equal("x", "z")))),
-		expr.W("u", "x"), expr.W("u", "z"),
-	))
 }
 
 // Sizes returns the default problem sizes, reduced in quick mode.
@@ -693,63 +670,10 @@ func E10ProvenancePermanent(columns []int) *Table {
 	return t
 }
 
-// E11ParallelEvaluation measures the level-parallel circuit evaluator
-// against the sequential one on the compiled triangle query.
-func E11ParallelEvaluation(sizes []int, workers int) *Table {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t := &Table{
-		ID:     "E11",
-		Title:  "Level-parallel circuit evaluation",
-		Claim:  "the compiled circuits are wide and shallow (bounded depth, linear width), so evaluating each topological level across a worker pool scales with the number of cores",
-		Header: []string{"n", "gates", "levels", "max width", "eval(seq)", fmt.Sprintf("eval(par, %d workers)", workers), "speedup", "agree"},
-	}
-	for _, n := range sizes {
-		db := workload.BoundedDegree(n, 3, 7)
-		w := db.Weights()
-		res, err := compile.Compile(db.A, TriangleQuery(), compile.Options{})
-		if err != nil {
-			panic(err)
-		}
-		val := compile.NewValuation(res, semiring.Nat, w)
-		var seqVals, parVals []int64
-		seq := timeIt(func() {
-			seqVals = circuit.EvaluateAllProgram[int64](res.Program, semiring.Nat, val)
-		})
-		par := timeIt(func() {
-			parVals = circuit.ParallelEvaluateAllProgram[int64](res.Program, semiring.Nat, val, workers)
-		})
-		agree := len(seqVals) == len(parVals)
-		if agree {
-			for i := range seqVals {
-				if seqVals[i] != parVals[i] {
-					agree = false
-					break
-				}
-			}
-		}
-		levels, maxWidth := res.Program.Depth()+1, 0
-		for d := 0; d < levels; d++ {
-			maxWidth = max(maxWidth, len(res.Program.LevelGates(d)))
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), fmt.Sprint(res.Program.NumGates()),
-			fmt.Sprint(levels), fmt.Sprint(maxWidth),
-			dur(seq), dur(par), fmt.Sprintf("%.2fx", float64(seq)/float64(par)), fmt.Sprint(agree),
-		})
-	}
-	t.Notes = append(t.Notes, "the level schedule is baked into the Program at freeze time; on a single-core machine the speedup column stays near 1x")
-	return t
-}
-
 // Experiment is a named, runnable experiment.
 type Experiment struct {
 	ID  string
 	Run func() *Table
-	// Check, when set, runs the experiment as a pass/fail gate with its own
-	// fixed sizes and thresholds (aggbench -check, used by CI).
-	Check func() error
 }
 
 // Registry lists every experiment with its default parameters.
@@ -769,12 +693,6 @@ func Registry(quick bool) []Experiment {
 	if !quick {
 		naiveCap = 500
 	}
-	// The E16 seed-era nested comparator enumerates all assignments
-	// (quadratic here), so its sizes stay modest.
-	e16Nested, e16Search := []int{500, 1000, 2000}, []int{20000, 60000}
-	if quick {
-		e16Nested, e16Search = []int{500, 1000}, []int{20000}
-	}
 	return []Experiment{
 		{ID: "E1", Run: func() *Table { return E1CircuitCompilation(sizes) }},
 		{ID: "E2", Run: func() *Table { return E2WeightedTriangles(sizes, naiveCap) }},
@@ -786,55 +704,5 @@ func Registry(quick bool) []Experiment {
 		{ID: "E8", Run: func() *Table { return E8LocalSearch(sizes) }},
 		{ID: "E9", Run: func() *Table { return E9Coloring(small) }},
 		{ID: "E10", Run: func() *Table { return E10ProvenancePermanent(permCols) }},
-		{ID: "E11", Run: func() *Table { return E11ParallelEvaluation(sizes, 0) }},
-		{ID: "E12", Run: func() *Table { return E12ServingThroughput(small, 8) }},
-		{ID: "E13", Run: func() *Table { return E13BatchedUpdates(small, 10000, 1024, 64) }},
-		{ID: "E15", Run: func() *Table { return E15FacadeOverhead(small, 10) }},
-		{ID: "E16", Run: func() *Table { return E16Replatform(e16Nested, e16Search) }, Check: e16Check},
-		{ID: "E17", Run: func() *Table { return E17InstrumentationOverhead(small, 10) }, Check: e17Check},
-		{ID: "E18", Run: func() *Table { return E18SnapshotReads(small, 10000) }, Check: e18Check},
-		{ID: "E19", Run: func() *Table {
-			if quick {
-				return E19FleetScaling(500, 24, 12, 8, 32)
-			}
-			return E19FleetScaling(800, 32, 12, 8, 48)
-		}, Check: e19Check},
-		{ID: "E20", Run: func() *Table {
-			if quick {
-				return E20LivePush(small[:1], 1000, 4000)
-			}
-			return E20LivePush(small, 2000, 10000)
-		}, Check: e20Check},
 	}
-}
-
-// RunExperiments executes the experiments across a pool of workers
-// goroutines (≤ 0 selects GOMAXPROCS; 1 runs sequentially), returning the
-// tables in the input order.  Running the sweep in parallel trades clean
-// per-experiment timings for wall-clock throughput: use one worker when the
-// absolute numbers matter, many when scanning for regressions.
-func RunExperiments(exps []Experiment, workers int) []*Table {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]*Table, len(exps))
-	if workers == 1 {
-		for i, e := range exps {
-			out[i] = e.Run()
-		}
-		return out
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, e := range exps {
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = e.Run()
-		}(i, e)
-	}
-	wg.Wait()
-	return out
 }

@@ -365,16 +365,10 @@ func Evaluate[T any](res *Result, s semiring.Semiring[T], w *structure.Weights[T
 	return circuit.EvaluateProgram(res.Program, s, NewValuation(res, s, w))
 }
 
-// EvaluateParallel evaluates the compiled program like Evaluate but spreads
-// each topological level of gates across workers goroutines (≤ 0 selects
-// GOMAXPROCS), using the level schedule baked in at freeze time.
-func EvaluateParallel[T any](res *Result, s semiring.Semiring[T], w *structure.Weights[T], workers int) T {
-	vals := circuit.ParallelEvaluateAllProgram(res.Program, s, NewValuation(res, s, w), workers)
-	return vals[res.Program.OutputGate()]
-}
-
-// EvaluateParallelCtx evaluates like EvaluateParallel but honours
-// cancellation: when ctx is cancelled mid-evaluation the level-parallel
+// EvaluateParallelCtx evaluates the compiled program like Evaluate but
+// spreads each topological level of gates across workers goroutines (≤ 0
+// selects GOMAXPROCS), using the level schedule baked in at freeze time, and
+// honours cancellation: when ctx is cancelled mid-evaluation the level-parallel
 // engine stops in bounded time and the context's error is returned.
 func EvaluateParallelCtx[T any](ctx context.Context, res *Result, s semiring.Semiring[T], w *structure.Weights[T], workers int) (T, error) {
 	vals, err := circuit.ParallelEvaluateAllProgramCtx(ctx, res.Program, s, NewValuation(res, s, w), workers)
