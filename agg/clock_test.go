@@ -399,7 +399,7 @@ func TestWritePathAllocations(t *testing.T) {
 		t.Fatalf("Session: %v", err)
 	}
 	defer expr.Close()
-	check("expression Session.Set", 1, func(i int) { _ = expr.Set(SetWeight("w", ring[i%16], int64(i%5+1))) })
+	check("expression Session.Set", 0, func(i int) { _ = expr.Set(SetWeight("w", ring[i%16], int64(i%5+1))) })
 	check("expression Session.Eval", 26, func(i int) { _, _ = expr.Eval(ctx, i%16) })
 
 	_, paired := pairedSession(t)

@@ -272,10 +272,9 @@ func (p *Prepared) nestedInput() (*nestedInput, error) {
 		}
 	}
 	if w != nil {
-		w.ForEach(func(k structure.WeightKey, v int64) {
+		w.Each(func(weight string, t structure.Tuple, v int64) {
 			if err == nil {
-				t := structure.ParseTupleKey(k.Tuple)
-				err = db.SetValue(k.Weight, t, base.embedAny(k.Weight, t, v))
+				err = db.SetValue(weight, t, base.embedAny(weight, t, v))
 			}
 		})
 	}

@@ -50,7 +50,7 @@ type Semiring interface {
 	convert(w *structure.Weights[int64]) any
 	// adopt is convert for weights that already are values of the carrier: the
 	// ones a nested query's materialisation derived, dynamically typed.
-	adopt(ws []nested.WeightValue) (any, error)
+	adopt(ws *structure.Weights[any]) (any, error)
 	// evaluate runs the compiled circuit under previously converted weights
 	// across workers goroutines, honouring ctx, and formats the output.
 	evaluate(ctx context.Context, res *compile.Result, cw any, workers int) (string, error)
@@ -111,14 +111,12 @@ func (ts *typedSemiring[T]) Name() string { return ts.name }
 func (ts *typedSemiring[T]) convert(w *structure.Weights[int64]) any {
 	out := structure.NewWeights[T]()
 	if w != nil {
-		w.ForEach(func(k structure.WeightKey, v int64) {
-			out.SetKey(k, ts.embed(k.Weight, structure.ParseTupleKey(k.Tuple), v))
-		})
+		w.Each(func(weight string, t structure.Tuple, v int64) { out.Set(weight, t, ts.embed(weight, t, v)) })
 	}
 	return out
 }
 
-func (ts *typedSemiring[T]) adopt(ws []nested.WeightValue) (any, error) {
+func (ts *typedSemiring[T]) adopt(ws *structure.Weights[any]) (any, error) {
 	return nested.TypedWeights[T](ws)
 }
 
@@ -284,8 +282,8 @@ func init() {
 			if v == 0 {
 				return provenance.NewPoly()
 			}
-			// Tuple.Key renders "0,1", keeping generator names identical to
-			// the ones minted everywhere else in the codebase.
-			return provenance.Var(provenance.Generator(weight + "(" + structure.Tuple(tuple).Key() + ")"))
+			// The generator is named after the weight's label, w(0,1).
+			k := structure.InputLabel(weight, structure.Ordinary, tuple)
+			return provenance.Var(provenance.Generator(k.Weight + "(" + k.Tuple + ")"))
 		}))
 }

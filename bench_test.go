@@ -273,15 +273,14 @@ func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	var entries []circuit.PermEntry
 	for col := 0; col < n; col++ {
 		for row := 0; row < k; row++ {
-			key := structure.MakeWeightKey("cell", structure.Tuple{row, col})
-			entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input(key)})
+			entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input("cell", structure.Ordinary, structure.Tuple{row, col})})
 		}
 	}
 	c.SetOutput(c.Perm(k, n, entries))
-	inputs := func(key structure.WeightKey) enumerate.Value {
-		return enumerate.Gen(provenance.Generator("g" + key.Tuple))
-	}
 	p := c.Program()
+	inputs := func(in circuit.Input) enumerate.Value {
+		return enumerate.Gen(provenance.Generator("g" + p.InputKey(in.Gate).Tuple))
+	}
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			enumerate.NewProgram(p, inputs, nil)

@@ -635,13 +635,12 @@ func E10ProvenancePermanent(columns []int) *Table {
 		var entries []circuit.PermEntry
 		for col := 0; col < n; col++ {
 			for row := 0; row < k; row++ {
-				key := structure.MakeWeightKey("cell", structure.Tuple{row, col})
-				entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input(key)})
+				entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input("cell", structure.Ordinary, structure.Tuple{row, col})})
 			}
 		}
 		c.SetOutput(c.Perm(k, n, entries))
-		inputs := func(key structure.WeightKey) enumerate.Value {
-			return enumerate.Gen(provenance.Generator("g" + key.Tuple))
+		inputs := func(in circuit.Input) enumerate.Value {
+			return enumerate.Gen(provenance.Generator(fmt.Sprintf("g%d", in.Gate)))
 		}
 		var e *enumerate.Enumerator
 		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), inputs, nil) })

@@ -17,7 +17,7 @@ import (
 // sleep would round up to the scheduler's timer granularity), so an
 // evaluation over many inputs takes long enough to be cancelled mid-flight.
 func slowValuation(d time.Duration) Valuation[int64] {
-	return func(key structure.WeightKey) (int64, bool) {
+	return func(in Input) (int64, bool) {
 		deadline := time.Now().Add(d)
 		for time.Now().Before(deadline) {
 		}
@@ -31,7 +31,7 @@ func wideCircuit(n int) *Circuit {
 	c := NewBuilder()
 	adds := make([]int, n)
 	for i := 0; i < n; i++ {
-		in := c.Input(structure.MakeWeightKey("w", structure.Tuple{i}))
+		in := c.Input("w", structure.Ordinary, structure.Tuple{i})
 		adds[i] = c.Add(in)
 	}
 	c.SetOutput(c.Add(adds...))
@@ -44,7 +44,7 @@ func TestParallelEvaluateCtxCompletesUncancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randomCircuit(rng, 8, 300)
 	p := c.Program()
-	v := func(key structure.WeightKey) (int64, bool) { return 2, true }
+	v := func(in Input) (int64, bool) { return 2, true }
 	want := EvaluateAllProgram[int64](p, semiring.Nat, v)
 	for _, workers := range []int{1, 2, 4} {
 		got, err := ParallelEvaluateAllProgramCtx(context.Background(), p, semiring.Nat, v, workers)
@@ -112,7 +112,7 @@ func TestParallelEvaluateCtxCancelStopsInWideGates(t *testing.T) {
 	c := NewBuilder()
 	inputs := make([]int, n)
 	for i := range inputs {
-		inputs[i] = c.Input(structure.MakeWeightKey("w", structure.Tuple{i}))
+		inputs[i] = c.Input("w", structure.Ordinary, structure.Tuple{i})
 	}
 	sums := make([]int, n)
 	for i := range sums {
@@ -124,7 +124,7 @@ func TestParallelEvaluateCtxCancelStopsInWideGates(t *testing.T) {
 	}
 	c.SetOutput(c.Add(sums...))
 	p := c.Program()
-	one := func(structure.WeightKey) (int64, bool) { return 1, true }
+	one := func(Input) (int64, bool) { return 1, true }
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		errCh := make(chan error, 1)
@@ -154,7 +154,7 @@ func TestParallelEvaluateCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	v := func(key structure.WeightKey) (int64, bool) { calls++; return 1, true }
+	v := func(in Input) (int64, bool) { calls++; return 1, true }
 	if _, err := ParallelEvaluateAllProgramCtx(ctx, p, semiring.Nat, v, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

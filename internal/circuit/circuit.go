@@ -19,9 +19,9 @@ package circuit
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/big"
+	"slices"
 	"sync"
 
 	"repro/internal/structure"
@@ -78,8 +78,8 @@ type Circuit struct {
 	constIndex map[string]int // constant value → its gate
 	zeroGate   int
 	oneGate    int
-	// frozenInputs is set while a frozen Program shares inputIndex: the
-	// next new input copies the map before writing to it.
+	// frozenInputs is set while a frozen Program shares the input index: the
+	// next new input copies it before writing to it.
 	frozenInputs bool
 
 	progMu sync.Mutex
@@ -91,7 +91,6 @@ type Circuit struct {
 func NewBuilder() *Circuit {
 	c := &Circuit{Output: -1, constIndex: map[string]int{}}
 	c.childStart = []int32{0}
-	c.inputIndex = map[structure.WeightKey]int32{}
 	c.zeroGate = c.newConst(big.NewInt(0))
 	c.oneGate = c.newConst(big.NewInt(1))
 	return c
@@ -137,18 +136,22 @@ func (c *Circuit) Zero() int { return c.zeroGate }
 // One returns the constant-1 gate.
 func (c *Circuit) One() int { return c.oneGate }
 
-// Input returns the input gate for the weight key, creating it on first
-// use so that each weight input appears exactly once.
-func (c *Circuit) Input(key structure.WeightKey) int {
-	if id, ok := c.inputIndex[key]; ok {
-		return int(id)
+// Input returns the input gate of symbol sym, in the given role, at a copy of
+// tuple t, creating it on first use so that each input appears exactly once;
+// finding an existing input allocates nothing.
+func (c *Circuit) Input(sym string, role structure.Role, t structure.Tuple) int {
+	s := slices.Index(c.inputSyms, sym)
+	if s < 0 {
+		s, c.inputSyms = len(c.inputSyms), append(c.inputSyms, sym)
+	} else if n := c.inputs.Find(inputHead(s, role), t); n >= 0 {
+		return int(c.inputGates[n])
 	}
 	if c.frozenInputs {
-		c.inputIndex, c.frozenInputs = maps.Clone(c.inputIndex), false
+		c.inputs, c.frozenInputs = c.inputs.Clone(), false
 	}
-	id := c.appendGate(KindInput, len(c.inputKeys))
-	c.inputKeys = append(c.inputKeys, key)
-	c.inputIndex[key] = int32(id)
+	id := c.appendGate(KindInput, c.inputs.Len())
+	c.inputs.Add(inputHead(s, role), t)
+	c.inputGates = append(c.inputGates, int32(id))
 	return id
 }
 
@@ -293,6 +296,16 @@ func (c *Circuit) SetOutput(id int) {
 // NumGates returns the number of gates.
 func (c *Circuit) NumGates() int { return len(c.kind) }
 
-// Valuation supplies the value of each weight input; inputs for which ok is
-// false take the semiring zero.
-type Valuation[T any] func(key structure.WeightKey) (value T, ok bool)
+// Input is a circuit input (w, ā) as the engine holds it: its gate, the weight
+// symbol w — or, by the Role, the relation of a Lemma 40 membership input —
+// and the tuple ā, a view into the Program's arena that must not be modified.
+type Input struct {
+	Gate   int
+	Symbol string
+	Role   structure.Role
+	Tuple  structure.Tuple
+}
+
+// Valuation supplies the value of each input; inputs for which ok is false
+// take the semiring zero.
+type Valuation[T any] func(in Input) (value T, ok bool)

@@ -48,7 +48,7 @@ func recordedRandomCircuit(r *rand.Rand, nInputs, extraGates int) (*Circuit, map
 	}
 	for i := 0; i < nInputs; i++ {
 		specs[c.NumGates()] = gateSpec{kind: KindInput, key: key("w", i)}
-		add(c.Input(key("w", i)), 4)
+		add(input(c, "w", i), 4)
 	}
 	pick := func() int { return gates[r.Intn(len(gates))] }
 	for i := 0; i < extraGates; i++ {
@@ -126,12 +126,11 @@ func randomValues(r *rand.Rand, nInputs int) []int64 {
 }
 
 func valuationFor(vals []int64) Valuation[int64] {
-	return func(k structure.WeightKey) (int64, bool) {
-		t := structure.ParseTupleKey(k.Tuple)
-		if k.Weight != "w" || len(t) != 1 || t[0] < 0 || t[0] >= len(vals) {
-			return 0, false
+	return func(in Input) (int64, bool) {
+		if t := in.Tuple; in.Symbol == "w" && len(t) == 1 && t[0] >= 0 && t[0] < len(vals) {
+			return vals[t[0]], true
 		}
-		return vals[t[0]], true
+		return 0, false
 	}
 }
 
@@ -147,8 +146,8 @@ func TestEvaluateAgreesAcrossSemirings(t *testing.T) {
 		vals := randomValues(r, nInputs)
 
 		nat := EvaluateProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
-		bi := EvaluateProgram[*big.Int](c.Program(), semiring.Big, func(k structure.WeightKey) (*big.Int, bool) {
-			v, ok := valuationFor(vals)(k)
+		bi := EvaluateProgram[*big.Int](c.Program(), semiring.Big, func(in Input) (*big.Int, bool) {
+			v, ok := valuationFor(vals)(in)
 			if !ok {
 				return nil, false
 			}
@@ -158,8 +157,8 @@ func TestEvaluateAgreesAcrossSemirings(t *testing.T) {
 			t.Fatalf("round %d: ℕ evaluation %d differs from big-int evaluation %s", round, nat, bi)
 		}
 
-		boolVal := EvaluateProgram[bool](c.Program(), semiring.Bool, func(k structure.WeightKey) (bool, bool) {
-			v, ok := valuationFor(vals)(k)
+		boolVal := EvaluateProgram[bool](c.Program(), semiring.Bool, func(in Input) (bool, bool) {
+			v, ok := valuationFor(vals)(in)
 			return v != 0, ok
 		})
 		if boolVal != (nat != 0) {
@@ -245,8 +244,8 @@ func TestDynamicMatchesRecomputationMinPlus(t *testing.T) {
 			return semiring.Fin(v)
 		}
 		valuation := func() Valuation[semiring.Ext] {
-			return func(k structure.WeightKey) (semiring.Ext, bool) {
-				v, ok := valuationFor(vals)(k)
+			return func(in Input) (semiring.Ext, bool) {
+				v, ok := valuationFor(vals)(in)
 				if !ok {
 					return semiring.Infinite, false
 				}

@@ -15,6 +15,14 @@ func key(w string, elems ...int) structure.WeightKey {
 	return structure.MakeWeightKey(w, structure.Tuple(elems))
 }
 
+// input is the input gate of weight w at the elements.
+func input(c *Circuit, w string, elems ...int) int {
+	return c.Input(w, structure.Ordinary, elems)
+}
+
+// label is the label of an input, for valuations that look values up by it.
+func label(in Input) structure.WeightKey { return structure.InputLabel(in.Symbol, in.Role, in.Tuple) }
+
 // buildTriangleLike builds, by hand, the circuit of Example 5 of the paper:
 //
 //	f = Σ_{x,y,z} [x≠y ∧ x≠z] · u(x) · v(y) · w(z)
@@ -26,9 +34,9 @@ func buildTriangleLike(n int) *Circuit {
 	var entries3 []PermEntry
 	var entries2 []PermEntry
 	for a := 0; a < n; a++ {
-		u := c.Input(key("u", a))
-		v := c.Input(key("v", a))
-		w := c.Input(key("w", a))
+		u := input(c, "u", a)
+		v := input(c, "v", a)
+		w := input(c, "w", a)
 		entries3 = append(entries3,
 			PermEntry{Row: 0, Col: a, Gate: u},
 			PermEntry{Row: 1, Col: a, Gate: v},
@@ -63,15 +71,14 @@ func referenceTriangleLike(u, v, w []int64) int64 {
 }
 
 func valuationFromSlices(u, v, w []int64) Valuation[int64] {
-	return func(k structure.WeightKey) (int64, bool) {
-		t := structure.ParseTupleKey(k.Tuple)
-		switch k.Weight {
+	return func(in Input) (int64, bool) {
+		switch in.Symbol {
 		case "u":
-			return u[t[0]], true
+			return u[in.Tuple[0]], true
 		case "v":
-			return v[t[0]], true
+			return v[in.Tuple[0]], true
 		case "w":
-			return w[t[0]], true
+			return w[in.Tuple[0]], true
 		}
 		return 0, false
 	}
@@ -85,7 +92,7 @@ func TestBuilderSimplifications(t *testing.T) {
 	if c.Mul() != c.One() {
 		t.Errorf("empty Mul should be the one gate")
 	}
-	in := c.Input(key("u", 0))
+	in := input(c, "u", 0)
 	if c.Add(in, c.Zero()) != in {
 		t.Errorf("Add with zero should collapse")
 	}
@@ -96,7 +103,7 @@ func TestBuilderSimplifications(t *testing.T) {
 	if c.Add(c.Zero(), in, c.Zero()) != in || c.NumGates() != before {
 		t.Errorf("Add with a single survivor should return it and append no gate")
 	}
-	in2 := c.Input(key("u", 1))
+	in2 := input(c, "u", 1)
 	sum := c.Add(c.Zero(), in, c.Zero(), in2, c.Zero())
 	if p := c.Program(); p.GateKind(sum) != KindAdd || !slices.Equal(p.ChildIDs(sum), []int32{int32(in), int32(in2)}) {
 		t.Errorf("Add of zeros and two survivors = %v %v, want add [%d %d]", p.GateKind(sum), p.ChildIDs(sum), in, in2)
@@ -110,7 +117,7 @@ func TestBuilderSimplifications(t *testing.T) {
 	if c.Mul(in, c.Zero()) != c.Zero() {
 		t.Errorf("Mul with zero should be zero")
 	}
-	if c.Input(key("u", 0)) != in {
+	if input(c, "u", 0) != in {
 		t.Errorf("Input should be deduplicated")
 	}
 	if c.Const(big.NewInt(0)) != c.Zero() || c.Const(big.NewInt(1)) != c.One() {
@@ -161,8 +168,8 @@ func TestEvaluateExample5(t *testing.T) {
 	}
 	// The same circuit evaluated in the min-plus semiring computes the
 	// minimum of u(x)+v(y)+w(z) over x≠y, x≠z.
-	mpVal := func(k structure.WeightKey) (semiring.Ext, bool) {
-		iv, ok := valuationFromSlices(u, v, w)(k)
+	mpVal := func(in Input) (semiring.Ext, bool) {
+		iv, ok := valuationFromSlices(u, v, w)(in)
 		if !ok {
 			return semiring.Infinite, false
 		}
@@ -214,16 +221,12 @@ func TestBuilderAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	keys := make([]structure.WeightKey, 8)
-	for i := range keys {
-		keys[i] = key("w", i)
-	}
 	entries := make([]PermEntry, 0, 6)
 	allocs := testing.AllocsPerRun(3, func() {
 		c := NewBuilder()
 		gates := make([]int, 0, 10_008)
-		for _, k := range keys {
-			gates = append(gates, c.Input(k))
+		for i := 0; i < 8; i++ {
+			gates = append(gates, input(c, "w", i))
 		}
 		for i := 0; len(gates) < cap(gates); i++ {
 			a, b, d := gates[i%len(gates)], gates[(7*i+1)%len(gates)], gates[(13*i+5)%len(gates)]
@@ -249,24 +252,52 @@ func TestBuilderAllocations(t *testing.T) {
 	}
 }
 
+// TestInputLookupAllocations holds the lookup of an existing input to no
+// allocation: an input is its symbol's number, its role and its elements in
+// the builder's and the Program's index, so neither Input nor InputGate, which
+// decodes its label onto the stack, builds or hashes a key.
+func TestInputLookupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	c := NewBuilder()
+	for i := 0; i < 1000; i++ {
+		input(c, "w", i, i+1)
+		c.Input("E", structure.Member, structure.Tuple{i, i + 1})
+	}
+	p := c.Program()
+	tu, k := structure.Tuple{500, 501}, key("w", 500, 501)
+	id := p.InputGate(k)
+	if id < 0 || c.Input("w", structure.Ordinary, tu) != id || p.FindInput("w", structure.Ordinary, tu) != id || p.FindInput("E", structure.NonMember, tu) != -1 {
+		t.Fatalf("w(500,501) is gate %d, Input %d, FindInput %d; E's v⁻ there is %d", id, c.Input("w", structure.Ordinary, tu), p.FindInput("w", structure.Ordinary, tu), p.FindInput("E", structure.NonMember, tu))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Input("w", structure.Ordinary, tu)
+		c.Input("E", structure.Member, tu)
+		p.InputGate(k)
+	}); allocs != 0 {
+		t.Errorf("finding an existing input allocates %.0f objects, want 0", allocs)
+	}
+}
+
 func TestConstGateEvaluation(t *testing.T) {
 	c := NewBuilder()
 	// 5 + 3·x where x is an input.
-	x := c.Input(key("x", 0))
+	x := input(c, "x", 0)
 	five := c.ConstInt(5)
 	three := c.ConstInt(3)
 	c.SetOutput(c.Add(five, c.Mul(three, x)))
-	val := func(k structure.WeightKey) (int64, bool) { return 7, true }
+	val := func(in Input) (int64, bool) { return 7, true }
 	if got := EvaluateProgram[int64](c.Program(), semiring.Nat, val); got != 26 {
 		t.Errorf("5 + 3·7 = %d, want 26", got)
 	}
 	// In the boolean semiring constants ≥ 1 collapse to true.
-	bval := func(k structure.WeightKey) (bool, bool) { return false, true }
+	bval := func(in Input) (bool, bool) { return false, true }
 	if got := EvaluateProgram[bool](c.Program(), semiring.Bool, bval); got != true {
 		t.Errorf("constant 5 should be true in the boolean semiring")
 	}
 	// Missing inputs default to zero.
-	missing := func(k structure.WeightKey) (int64, bool) { return 0, false }
+	missing := func(in Input) (int64, bool) { return 0, false }
 	if got := EvaluateProgram[int64](c.Program(), semiring.Nat, missing); got != 5 {
 		t.Errorf("with missing input: %d, want 5", got)
 	}
@@ -293,7 +324,7 @@ func TestDynamicMatchesRecomputation(t *testing.T) {
 	}
 
 	runFor("Nat-generic", func(_ int, vals map[structure.WeightKey]int64) {
-		val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+		val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 		d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 		for step := 0; step < 40; step++ {
 			k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
@@ -307,7 +338,7 @@ func TestDynamicMatchesRecomputation(t *testing.T) {
 	})
 
 	runFor("Int-ring", func(_ int, vals map[structure.WeightKey]int64) {
-		val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+		val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 		d := NewDynamicProgram[int64](c.Program(), semiring.Int, val)
 		for step := 0; step < 40; step++ {
 			k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
@@ -322,7 +353,7 @@ func TestDynamicMatchesRecomputation(t *testing.T) {
 
 	runFor("Mod7-finite", func(_ int, vals map[structure.WeightKey]int64) {
 		mod := semiring.NewModular(7)
-		val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+		val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 		d := NewDynamicProgram[int64](c.Program(), mod, val)
 		for step := 0; step < 40; step++ {
 			k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
@@ -346,7 +377,7 @@ func TestDynamicMinPlus(t *testing.T) {
 			vals[key(w, a)] = semiring.Fin(int64(r.Intn(10)))
 		}
 	}
-	val := func(k structure.WeightKey) (semiring.Ext, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (semiring.Ext, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, val)
 	for step := 0; step < 30; step++ {
 		k := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n))
@@ -366,7 +397,7 @@ func TestDynamicMinPlus(t *testing.T) {
 func TestDynamicIgnoresUnknownInputs(t *testing.T) {
 	c := buildTriangleLike(3)
 	vals := map[structure.WeightKey]int64{}
-	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	before := d.Value()
 	d.SetInput(key("unrelated", 0), 99)
@@ -383,14 +414,14 @@ func TestDynamicIgnoresUnknownInputs(t *testing.T) {
 func TestGateValueAndSharedSubcircuits(t *testing.T) {
 	// A gate feeding two parents (fan-out 2) must propagate to both.
 	c := NewBuilder()
-	x := c.Input(key("x", 0))
-	y := c.Input(key("y", 0))
+	x := input(c, "x", 0)
+	y := input(c, "y", 0)
 	shared := c.Mul(x, y)
 	left := c.Add(shared, x)
 	right := c.Mul(shared, y)
 	c.SetOutput(c.Add(left, right))
 	vals := map[structure.WeightKey]int64{key("x", 0): 2, key("y", 0): 3}
-	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	// (2·3 + 2) + (2·3·3) = 8 + 18 = 26
 	if d.Value() != 26 {

@@ -24,7 +24,7 @@ func EvaluateAll[T any](c *circuit.Circuit, s semiring.Semiring[T], v circuit.Va
 	for id := range vals {
 		switch p.GateKind(id) {
 		case circuit.KindInput:
-			if x, ok := v(p.InputKey(id)); ok {
+			if x, ok := v(p.Input(id)); ok {
 				vals[id] = x
 			} else {
 				vals[id] = s.Zero()

@@ -120,11 +120,18 @@ func (u valUndo[T]) Slot() int32 { return u.gate }
 // back into the Dynamic.
 func (d *Dynamic[T]) SetWaveHook(f func(time.Duration)) { d.waveHook = f }
 
-// InputChange is one element of an ApplyBatch batch: the weight input Key
+// InputChange is one element of an ApplyBatch batch: the input labelled Key
 // takes the Value.  Keys the circuit does not reference are ignored, and when
 // the same key appears several times in one batch the last value wins.
 type InputChange[T any] struct {
 	Key   structure.WeightKey
+	Value T
+}
+
+// Leaf is an input change resolved to its gate, the form engines stage: input
+// gate Gate takes the Value, and a Gate of -1 (no such input) is ignored.
+type Leaf[T any] struct {
+	Gate  int
 	Value T
 }
 
@@ -271,49 +278,53 @@ func (d *Dynamic[T]) GateValue(id int) T {
 	return v
 }
 
-// SetInput updates one weight input to the given value and propagates the
-// change: ApplyBatch of the one change.
+// SetInput sets the input labelled key to value and propagates the change:
+// ApplyBatch of the one change.
 func (d *Dynamic[T]) SetInput(key structure.WeightKey, value T) {
 	d.ApplyBatch([]InputChange[T]{{Key: key, Value: value}})
 }
 
-// assign stores value at the input gate of key and enlists its parents in the
-// pending wave.  It reports the gate and the value it held, or changed=false
-// when the circuit does not reference the key or already holds the value.
+// assign stores value at input gate id and enlists its parents in the
+// pending wave.  It reports the value the gate held, or changed=false when id
+// is -1 (an input the circuit does not reference) or already holds the value.
 // The caller holds the clock and runs the wave.
-func (d *Dynamic[T]) assign(key structure.WeightKey, value T) (id int, old T, changed bool) {
-	id = d.p.InputGate(key)
+func (d *Dynamic[T]) assign(id int, value T) (old T, changed bool) {
 	if id < 0 || d.s.Equal(d.vals[id], value) {
-		return id, old, false
+		return old, false
 	}
 	old = d.vals[id]
 	d.vals[id] = value
 	d.markChanged(id, old)
-	return id, old, true
+	return old, true
 }
 
-// ApplyBatch applies every leaf change first and then runs one propagation
-// wave in rank order, so gates shared by several changed inputs are
-// recomputed once per batch instead of once per update.  Repeated changes to
-// the same key coalesce (the last value wins); unknown keys (keys the circuit
-// does not reference) are ignored, matching the convention that weights
-// outside the circuit cannot influence the query value.  Applying a batch is
-// observationally equivalent to applying its changes one at a time; only the
-// propagation cost differs.  A batch that changes no input commits no epoch.
+// ApplyBatch decodes each change's label to its input gate once, applies every
+// leaf change first and then runs one propagation wave in rank order, so gates
+// shared by several changed inputs are recomputed once per batch instead of
+// once per update.  Repeated changes to the same key coalesce (the last value
+// wins); keys the circuit does not reference are ignored, matching the
+// convention that weights outside the circuit cannot influence the query
+// value.  Applying a batch is observationally equivalent to applying its
+// changes one at a time; a batch that changes no input commits no epoch.
 func (d *Dynamic[T]) ApplyBatch(changes []InputChange[T]) {
 	d.clock.Lock()
 	defer d.clock.Unlock()
-	d.Stage(changes)
+	d.stage(len(changes), func(i int) (int, T) { return d.p.InputGate(changes[i].Key), changes[i].Value })
 	d.clock.Commit()
 }
 
-// Stage is ApplyBatch without the lock and without the commit, for a caller
-// that holds Clock() exclusively and commits this state's changes together
-// with another's.
-func (d *Dynamic[T]) Stage(changes []InputChange[T]) {
+// Stage is ApplyBatch on leaves already resolved to their gates, without the
+// lock and without the commit, for a caller that holds Clock() exclusively
+// and commits this state's changes together with another's.
+func (d *Dynamic[T]) Stage(leaves []Leaf[T]) {
+	d.stage(len(leaves), func(i int) (int, T) { return leaves[i].Gate, leaves[i].Value })
+}
+
+// stage assigns the n changes leaf yields and runs one wave if any was new.
+func (d *Dynamic[T]) stage(n int, leaf func(i int) (gate int, value T)) {
 	touched := false
-	for _, ch := range changes {
-		if _, _, changed := d.assign(ch.Key, ch.Value); changed {
+	for i := 0; i < n; i++ {
+		if _, changed := d.assign(leaf(i)); changed {
 			touched = true
 		}
 	}
@@ -332,13 +343,13 @@ func (d *Dynamic[T]) Stage(changes []InputChange[T]) {
 // where first-wins resolution recovers the original values.  This is the
 // writer-side fast path of dynamicq's point queries; snapshot readers use
 // DynSnapshot.EvalWith, which leaves the shared state untouched.
-func (d *Dynamic[T]) EvalWith(changes []InputChange[T]) T {
+func (d *Dynamic[T]) EvalWith(leaves []Leaf[T]) T {
 	d.clock.Lock()
 	defer d.clock.Unlock()
 	d.restore = d.restore[:0]
-	for _, ch := range changes {
-		if id, old, changed := d.assign(ch.Key, ch.Value); changed {
-			d.restore = append(d.restore, valUndo[T]{gate: int32(id), old: old})
+	for _, l := range leaves {
+		if old, changed := d.assign(l.Gate, l.Value); changed {
+			d.restore = append(d.restore, valUndo[T]{gate: int32(l.Gate), old: old})
 		}
 	}
 	if len(d.restore) == 0 {

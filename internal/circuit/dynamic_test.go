@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	. "repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
+	"strconv"
 	"testing"
 
 	"repro/internal/provenance"
@@ -58,12 +59,12 @@ func TestDynamicOracleRandomized(t *testing.T) {
 		// One dynamic evaluator per semiring, all driven by the same updates.
 		nat := NewDynamicProgram[int64](c.Program(), semiring.Nat, valuationFor(vals))
 		ring := NewDynamicProgram[int64](c.Program(), semiring.Int, valuationFor(vals))
-		fin := NewDynamicProgram[int64](c.Program(), trunc, func(k structure.WeightKey) (int64, bool) {
-			v, ok := valuationFor(vals)(k)
+		fin := NewDynamicProgram[int64](c.Program(), trunc, func(in Input) (int64, bool) {
+			v, ok := valuationFor(vals)(in)
 			return trunc.Add(v, 0), ok
 		})
-		finMod := NewDynamicProgram[int64](c.Program(), mod, func(k structure.WeightKey) (int64, bool) {
-			v, ok := valuationFor(vals)(k)
+		finMod := NewDynamicProgram[int64](c.Program(), mod, func(in Input) (int64, bool) {
+			v, ok := valuationFor(vals)(in)
 			return mod.Add(v, 0), ok
 		})
 		toExt := func(v int64) semiring.Ext {
@@ -72,8 +73,8 @@ func TestDynamicOracleRandomized(t *testing.T) {
 			}
 			return semiring.Fin(v)
 		}
-		mp := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
-			v, ok := valuationFor(vals)(k)
+		mp := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(in Input) (semiring.Ext, bool) {
+			v, ok := valuationFor(vals)(in)
 			return toExt(v), ok
 		})
 		toPoly := func(i int, v int64) *provenance.Poly {
@@ -81,13 +82,13 @@ func TestDynamicOracleRandomized(t *testing.T) {
 				return provenance.NewPoly()
 			}
 			p := provenance.NewPoly()
-			m := provenance.NewMonomial(provenance.Generator(structure.Tuple{i}.Key()))
+			m := provenance.NewMonomial(provenance.Generator(strconv.Itoa(i)))
 			p.AddMonomial(m, v)
 			return p
 		}
-		provVal := func(k structure.WeightKey) (*provenance.Poly, bool) {
-			tp := structure.ParseTupleKey(k.Tuple)
-			if k.Weight != "w" || len(tp) != 1 || tp[0] < 0 || tp[0] >= len(vals) {
+		provVal := func(in Input) (*provenance.Poly, bool) {
+			tp := in.Tuple
+			if in.Symbol != "w" || len(tp) != 1 || tp[0] < 0 || tp[0] >= len(vals) {
 				return nil, false
 			}
 			return toPoly(tp[0], vals[tp[0]]), true
@@ -102,22 +103,22 @@ func TestDynamicOracleRandomized(t *testing.T) {
 			if got, want := ring.Value(), EvaluateProgram[int64](c.Program(), semiring.Int, valuationFor(vals)); got != want {
 				t.Fatalf("round %d step %d: ℤ dynamic %d, oracle %d", round, step, got, want)
 			}
-			wantFin := EvaluateProgram[int64](c.Program(), trunc, func(k structure.WeightKey) (int64, bool) {
-				v, ok := valuationFor(vals)(k)
+			wantFin := EvaluateProgram[int64](c.Program(), trunc, func(in Input) (int64, bool) {
+				v, ok := valuationFor(vals)(in)
 				return trunc.Add(v, 0), ok
 			})
 			if got := fin.Value(); !trunc.Equal(got, wantFin) {
 				t.Fatalf("round %d step %d: truncated dynamic %d, oracle %d", round, step, got, wantFin)
 			}
-			wantMod := EvaluateProgram[int64](c.Program(), mod, func(k structure.WeightKey) (int64, bool) {
-				v, ok := valuationFor(vals)(k)
+			wantMod := EvaluateProgram[int64](c.Program(), mod, func(in Input) (int64, bool) {
+				v, ok := valuationFor(vals)(in)
 				return mod.Add(v, 0), ok
 			})
 			if got := finMod.Value(); !mod.Equal(got, wantMod) {
 				t.Fatalf("round %d step %d: mod-7 dynamic %d, oracle %d", round, step, got, wantMod)
 			}
-			wantMP := EvaluateProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
-				v, ok := valuationFor(vals)(k)
+			wantMP := EvaluateProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(in Input) (semiring.Ext, bool) {
+				v, ok := valuationFor(vals)(in)
 				return toExt(v), ok
 			})
 			if got := mp.Value(); !semiring.MinPlus.Equal(got, wantMP) {
@@ -197,7 +198,7 @@ func TestApplyBatchRevertIsNoOp(t *testing.T) {
 			vals[key(w, a)] = int64(r.Intn(4) + 1)
 		}
 	}
-	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	before := make([]int64, c.NumGates())
 	for id := range c.NumGates() {
@@ -306,7 +307,7 @@ func TestGenericUpdateZeroAllocs(t *testing.T) {
 	const nInputs = 32
 	inputs := make([]int, nInputs)
 	for i := range inputs {
-		inputs[i] = c.Input(key("w", i))
+		inputs[i] = input(c, "w", i)
 	}
 	var muls []int
 	for i := 0; i+1 < nInputs; i += 2 {
@@ -321,7 +322,7 @@ func TestGenericUpdateZeroAllocs(t *testing.T) {
 	permGate := c.Perm(2, 8, entries)
 	c.SetOutput(c.Add(wide, permGate))
 
-	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, func(k structure.WeightKey) (int64, bool) {
+	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, func(in Input) (int64, bool) {
 		return 1, true
 	})
 	keys := make([]structure.WeightKey, nInputs)
@@ -441,7 +442,7 @@ func TestRepeatedWires(t *testing.T) {
 
 func checkRepeatedWires[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[T], draw func() T) {
 	c := NewBuilder()
-	x, y, z := c.Input(key("w", 0)), c.Input(key("w", 1)), c.Input(key("w", 2))
+	x, y, z := input(c, "w", 0), input(c, "w", 1), input(c, "w", 2)
 	sum := c.Add(x, x, y)
 	pm := c.Perm(2, 3, []PermEntry{
 		{Row: 0, Col: 0, Gate: x}, {Row: 0, Col: 1, Gate: y}, {Row: 0, Col: 2, Gate: z},
@@ -453,16 +454,17 @@ func checkRepeatedWires[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[T
 	for i := 0; i < 3; i++ {
 		vals[key("w", i)] = draw()
 	}
-	val := func(k structure.WeightKey) (T, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (T, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[T](c.Program(), s, val)
 	for step := 0; step < 60; step++ {
 		snap := d.Snapshot()
 		overKey, overVal := key("w", r.Intn(3)), draw()
-		pinned := circuittest.EvaluateAll[T](c, s, func(k structure.WeightKey) (T, bool) {
+		pinned := circuittest.EvaluateAll[T](c, s, func(in Input) (T, bool) {
+			k := label(in)
 			if k == overKey {
 				return overVal, true
 			}
-			return val(k)
+			return val(in)
 		})[c.Output]
 
 		k := key("w", r.Intn(3))
@@ -473,7 +475,7 @@ func checkRepeatedWires[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[T
 				t.Fatalf("step %d gate %d: maintained %s, reference %s", step, id, s.Format(got), s.Format(want))
 			}
 		}
-		if got := snap.EvalWith([]InputChange[T]{{Key: overKey, Value: overVal}}); !s.Equal(got, pinned) {
+		if got := snap.EvalWith([]Leaf[T]{{Gate: c.Program().InputGate(overKey), Value: overVal}}); !s.Equal(got, pinned) {
 			t.Fatalf("step %d: EvalWith at the stale pin = %s, reference %s", step, s.Format(got), s.Format(pinned))
 		}
 		snap.Release()

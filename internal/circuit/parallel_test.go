@@ -54,14 +54,15 @@ func TestParallelEvaluateAllEquivalence(t *testing.T) {
 		natVal := valuationFor(vals)
 		checkEquivalence[int64](t, fmt.Sprintf("nat/round%d", round), c, semiring.Nat, natVal)
 
-		tropVal := func(key structure.WeightKey) (semiring.Ext, bool) {
-			v, ok := natVal(key)
+		tropVal := func(in Input) (semiring.Ext, bool) {
+			v, ok := natVal(in)
 			return semiring.Fin(v), ok
 		}
 		checkEquivalence[semiring.Ext](t, fmt.Sprintf("minplus/round%d", round), c, semiring.MinPlus, tropVal)
 
-		provVal := func(key structure.WeightKey) (*provenance.Poly, bool) {
-			if _, ok := natVal(key); !ok {
+		provVal := func(in Input) (*provenance.Poly, bool) {
+			key := label(in)
+			if _, ok := natVal(in); !ok {
 				return nil, false
 			}
 			return provenance.FromMonomials(provenance.NewMonomial(provenance.Generator("g" + key.Tuple))), true
@@ -148,7 +149,7 @@ func TestProgramRefreezesExtendedCircuit(t *testing.T) {
 		t.Fatalf("Program() after extension covers %d gates output %d, circuit has %d/%d",
 			p.NumGates(), p.OutputGate(), c.NumGates(), c.Output)
 	}
-	one := func(structure.WeightKey) (int64, bool) { return 1, true }
+	one := func(Input) (int64, bool) { return 1, true }
 	if got, want := EvaluateProgram[int64](p, semiring.Nat, one), EvaluateProgram[int64](stale, semiring.Nat, one)+41; got != want {
 		t.Fatalf("extended program evaluates to %d, want %d", got, want)
 	}
@@ -162,7 +163,7 @@ func benchmarkCircuit(b *testing.B) (*Circuit, Valuation[int64]) {
 	rng := rand.New(rand.NewSource(42))
 	var inputs []int
 	for i := 0; i < 3000; i++ {
-		inputs = append(inputs, c.Input(structure.MakeWeightKey("w", structure.Tuple{i})))
+		inputs = append(inputs, c.Input("w", structure.Ordinary, structure.Tuple{i}))
 	}
 	var permGates []int
 	for i := 0; i < 7000; i++ {
@@ -184,7 +185,7 @@ func benchmarkCircuit(b *testing.B) (*Circuit, Valuation[int64]) {
 	if c.NumGates() < 10000 {
 		b.Fatalf("benchmark circuit has only %d gates, want ≥ 10000", c.NumGates())
 	}
-	return c, func(key structure.WeightKey) (int64, bool) { return int64(len(key.Tuple)%5) + 1, true }
+	return c, func(in Input) (int64, bool) { key := label(in); return int64(len(key.Tuple)%5) + 1, true }
 }
 
 // BenchmarkEvaluateAllParallel measures the level-parallel evaluator at

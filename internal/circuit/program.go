@@ -21,8 +21,8 @@ package circuit
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
-	"unsafe"
 
 	"repro/internal/structure"
 )
@@ -67,7 +67,7 @@ type Program struct {
 // builder appends as each gate is added.
 type arenas struct {
 	// kind[id] is the gate kind; arg[id] is the kind-specific payload index:
-	// an index into inputKeys for inputs, into constSmall/constBig for
+	// the input number for inputs, into constSmall/constBig for
 	// constants, into perms for permanent gates, and -1 otherwise.
 	kind []uint8
 	arg  []int32
@@ -84,10 +84,12 @@ type arenas struct {
 	rank    []int32
 	maxRank int
 
-	// Input gates: inputKeys[arg[id]] is the weight key of input gate id;
-	// inputIndex resolves a key back to its gate id.
-	inputKeys  []structure.WeightKey
-	inputIndex map[structure.WeightKey]int32
+	// Input gates: input number i, the arg of gate inputGates[i], is entry i
+	// of inputs, whose head packs the number of its symbol in inputSyms with
+	// its role (inputHead) and whose tuple is its elements.
+	inputSyms  []string
+	inputs     structure.TupleIndex
+	inputGates []int32
 
 	// Interned constants: constant gate id has value constSmall[arg[id]]
 	// unless constBig[arg[id]] is non-nil (a constant that does not fit
@@ -136,7 +138,7 @@ func (c *Circuit) freeze() *Program {
 	start := time.Now()
 	a := &c.arenas
 	a.kind, a.arg, a.childStart, a.children, a.rank = exact(a.kind), exact(a.arg), exact(a.childStart), exact(a.children), exact(a.rank)
-	a.inputKeys, a.constSmall, a.constBig = exact(a.inputKeys), exact(a.constSmall), exact(a.constBig)
+	a.inputSyms, a.inputGates, a.constSmall, a.constBig = exact(a.inputSyms), exact(a.inputGates), exact(a.constSmall), exact(a.constBig)
 	a.perms, a.permRows, a.permCols, a.permColStart = exact(a.perms), exact(a.permRows), exact(a.permCols), exact(a.permColStart)
 	c.frozenInputs = true
 	n := len(a.kind)
@@ -202,7 +204,7 @@ type Stats struct {
 
 // Stats returns the structural statistics of the program.
 func (p *Program) Stats() Stats {
-	st := Stats{Gates: p.numGates, Edges: len(p.children), Depth: p.maxRank, PermGates: len(p.perms), InputGates: len(p.inputKeys)}
+	st := Stats{Gates: p.numGates, Edges: len(p.children), Depth: p.maxRank, PermGates: len(p.perms), InputGates: len(p.inputGates)}
 	for _, pm := range p.perms {
 		st.MaxPermRows = max(st.MaxPermRows, int(pm.rows))
 	}
@@ -248,7 +250,7 @@ func (p *Program) LevelGates(d int) []int32 {
 }
 
 // NumInputs returns the number of input gates.
-func (p *Program) NumInputs() int { return len(p.inputKeys) }
+func (p *Program) NumInputs() int { return len(p.inputGates) }
 
 // InputNumber returns the position of input gate id among the program's
 // inputs, in gate order (0 ≤ n < NumInputs): the index of per-input state.  It
@@ -260,17 +262,53 @@ func (p *Program) InputNumber(id int) int {
 	return int(p.arg[id])
 }
 
-// InputKey returns the weight key of input gate id; it panics when id is not
-// an input gate.
-func (p *Program) InputKey(id int) structure.WeightKey { return p.inputKeys[p.InputNumber(id)] }
+// Input returns input gate id as its integers; it panics when id is not an
+// input gate.
+func (p *Program) Input(id int) Input {
+	p.InputNumber(id)
+	return p.input(id)
+}
 
-// InputGate returns the gate id of the input with the given weight key, or
-// -1 when the program does not reference it.
-func (p *Program) InputGate(key structure.WeightKey) int {
-	if id, ok := p.inputIndex[key]; ok {
-		return int(id)
+// input is Input unchecked, so that the evaluators' sweeps inline it.
+func (p *Program) input(id int) Input {
+	n := int(p.arg[id])
+	h := p.inputs.Head(n)
+	return Input{Gate: id, Symbol: p.inputSyms[h>>2], Role: structure.Role(h & 3), Tuple: p.inputs.Tuple(n)}
+}
+
+// FindInput returns the gate of the input of symbol sym, in the given role,
+// at tuple t, or -1 when the circuit does not reference it.  It allocates
+// nothing.
+func (a *arenas) FindInput(sym string, role structure.Role, t structure.Tuple) int {
+	s := slices.Index(a.inputSyms, sym)
+	if s < 0 {
+		return -1
+	}
+	if n := a.inputs.Find(inputHead(s, role), t); n >= 0 {
+		return int(a.inputGates[n])
 	}
 	return -1
+}
+
+// inputHead packs a symbol number and a role into an input's index head.
+func inputHead(sym int, role structure.Role) int32 { return int32(sym)<<2 | int32(role) }
+
+// InputKey formats the label of input gate id, for displays and callers that
+// name inputs by text; it panics when id is not an input gate.
+func (p *Program) InputKey(id int) structure.WeightKey {
+	in := p.Input(id)
+	return structure.InputLabel(in.Symbol, in.Role, in.Tuple)
+}
+
+// InputGate returns the gate of the input labelled key, decoding the label
+// once, or -1 when the program does not reference it.
+func (p *Program) InputGate(key structure.WeightKey) int {
+	var buf [8]structure.Element
+	t, err := key.AppendTuple(buf[:0])
+	if err != nil {
+		return -1
+	}
+	return p.FindInput(key.Weight, key.Role, t)
 }
 
 // ConstIsZero reports whether constant gate id has value 0; it panics when
@@ -346,9 +384,9 @@ func (p *Program) permArg(id int) int32 {
 }
 
 // Footprint returns the approximate resident size of the program in bytes:
-// every arena at its element size, the interned constants, the input keys
-// and an estimate of the input-index map.  The builder Circuit the program
-// was frozen from shares these arenas and holds no copy of its own.
+// every arena at its element size, the interned constants and the input
+// index.  The builder Circuit the program was frozen from
+// shares these arenas and holds no copy of its own.
 func (p *Program) Footprint() int64 {
 	bytes := int64(len(p.kind)) // 1 byte per kind
 	bytes += 4 * int64(len(p.arg)+len(p.childStart)+len(p.children)+
@@ -362,11 +400,6 @@ func (p *Program) Footprint() int64 {
 			bytes += int64(len(b.Bytes())) + 24
 		}
 	}
-	for _, k := range p.inputKeys {
-		// Key struct plus the string bytes, counted once here and once for
-		// the map copy of the key.
-		bytes += 2 * (int64(unsafe.Sizeof(k)) + int64(len(k.Weight)+len(k.Tuple)))
-	}
-	bytes += int64(len(p.inputIndex)) * 16 // map slot overhead (value + buckets, approximate)
+	bytes += 4*int64(len(p.inputGates)) + p.inputs.Footprint()
 	return bytes
 }

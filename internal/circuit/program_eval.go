@@ -68,7 +68,7 @@ func (sc *permScratch[T]) ensure(rows, size int) {
 func evaluateProgramGate[T any](p *Program, s semiring.Semiring[T], v Valuation[T], id int, vals []T, sc *permScratch[T]) {
 	switch Kind(p.kind[id]) {
 	case KindInput:
-		if x, ok := v(p.inputKeys[p.arg[id]]); ok {
+		if x, ok := v(p.input(id)); ok {
 			vals[id] = x
 		} else {
 			vals[id] = s.Zero()

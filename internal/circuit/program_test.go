@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/semiring"
-	"repro/internal/structure"
 )
 
 // checkProgramAgreesWithLegacy asserts that program evaluation (sequential
@@ -51,37 +50,37 @@ func TestProgramEvalMatchesLegacyAcrossSemirings(t *testing.T) {
 
 		checkProgramAgreesWithLegacy[int64](t, "nat", c, semiring.Nat, natVal)
 		checkProgramAgreesWithLegacy[int64](t, "int", c, semiring.Int, natVal)
-		checkProgramAgreesWithLegacy[int64](t, "mod7", c, mod, func(k structure.WeightKey) (int64, bool) {
-			x, ok := natVal(k)
+		checkProgramAgreesWithLegacy[int64](t, "mod7", c, mod, func(in Input) (int64, bool) {
+			x, ok := natVal(in)
 			return mod.Add(x, 0), ok
 		})
-		checkProgramAgreesWithLegacy[int64](t, "truncated", c, trunc, func(k structure.WeightKey) (int64, bool) {
-			x, ok := natVal(k)
+		checkProgramAgreesWithLegacy[int64](t, "truncated", c, trunc, func(in Input) (int64, bool) {
+			x, ok := natVal(in)
 			return trunc.Add(x, 0), ok
 		})
-		checkProgramAgreesWithLegacy[bool](t, "bool", c, semiring.Bool, func(k structure.WeightKey) (bool, bool) {
-			x, ok := natVal(k)
+		checkProgramAgreesWithLegacy[bool](t, "bool", c, semiring.Bool, func(in Input) (bool, bool) {
+			x, ok := natVal(in)
 			return x != 0, ok
 		})
-		checkProgramAgreesWithLegacy[*big.Int](t, "big", c, semiring.Big, func(k structure.WeightKey) (*big.Int, bool) {
-			x, ok := natVal(k)
+		checkProgramAgreesWithLegacy[*big.Int](t, "big", c, semiring.Big, func(in Input) (*big.Int, bool) {
+			x, ok := natVal(in)
 			if !ok {
 				return nil, false
 			}
 			return big.NewInt(x), true
 		})
-		checkProgramAgreesWithLegacy[semiring.Ext](t, "minplus", c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
-			x, ok := natVal(k)
+		checkProgramAgreesWithLegacy[semiring.Ext](t, "minplus", c, semiring.MinPlus, func(in Input) (semiring.Ext, bool) {
+			x, ok := natVal(in)
 			if x == 0 {
 				return semiring.Infinite, ok
 			}
 			return semiring.Fin(x), ok
 		})
-		checkProgramAgreesWithLegacy[*provenance.Poly](t, "provenance", c, provenance.Free, func(k structure.WeightKey) (*provenance.Poly, bool) {
-			if _, ok := natVal(k); !ok {
+		checkProgramAgreesWithLegacy[*provenance.Poly](t, "provenance", c, provenance.Free, func(in Input) (*provenance.Poly, bool) {
+			if _, ok := natVal(in); !ok {
 				return nil, false
 			}
-			return provenance.FromMonomials(provenance.NewMonomial(provenance.Generator("g" + k.Tuple))), true
+			return provenance.FromMonomials(provenance.NewMonomial(provenance.Generator("g" + label(in).Tuple))), true
 		})
 	}
 }
@@ -98,8 +97,8 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 		vals := randomValues(r, nInputs)
 
 		ring := NewDynamicProgram[int64](c.Program(), semiring.Int, valuationFor(vals))
-		fin := NewDynamicProgram[int64](c.Program(), mod, func(k structure.WeightKey) (int64, bool) {
-			x, ok := valuationFor(vals)(k)
+		fin := NewDynamicProgram[int64](c.Program(), mod, func(in Input) (int64, bool) {
+			x, ok := valuationFor(vals)(in)
 			return mod.Add(x, 0), ok
 		})
 		toExt := func(x int64) semiring.Ext {
@@ -108,8 +107,8 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 			}
 			return semiring.Fin(x)
 		}
-		generic := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
-			x, ok := valuationFor(vals)(k)
+		generic := NewDynamicProgram[semiring.Ext](c.Program(), semiring.MinPlus, func(in Input) (semiring.Ext, bool) {
+			x, ok := valuationFor(vals)(in)
 			return toExt(x), ok
 		})
 		for step := 0; step < 12; step++ {
@@ -120,12 +119,12 @@ func TestProgramDynamicMatchesLegacyGateForGate(t *testing.T) {
 			generic.SetInput(key("w", i), toExt(vals[i]))
 
 			wantInt := circuittest.EvaluateAll[int64](c, semiring.Int, valuationFor(vals))
-			wantMod := circuittest.EvaluateAll[int64](c, mod, func(k structure.WeightKey) (int64, bool) {
-				x, ok := valuationFor(vals)(k)
+			wantMod := circuittest.EvaluateAll[int64](c, mod, func(in Input) (int64, bool) {
+				x, ok := valuationFor(vals)(in)
 				return mod.Add(x, 0), ok
 			})
-			wantMP := circuittest.EvaluateAll[semiring.Ext](c, semiring.MinPlus, func(k structure.WeightKey) (semiring.Ext, bool) {
-				x, ok := valuationFor(vals)(k)
+			wantMP := circuittest.EvaluateAll[semiring.Ext](c, semiring.MinPlus, func(in Input) (semiring.Ext, bool) {
+				x, ok := valuationFor(vals)(in)
 				return toExt(x), ok
 			})
 			for id := range c.NumGates() {
@@ -326,10 +325,10 @@ func TestFreezeRejectsNonTopologicalCircuits(t *testing.T) {
 	if c.NumGates() != before || c.Output != -1 {
 		t.Fatalf("refused calls left %d gates and output %d, want %d and -1", c.NumGates(), c.Output, before)
 	}
-	c.SetOutput(c.Add(two, c.Input(key("u", 0))))
+	c.SetOutput(c.Add(two, input(c, "u", 0)))
 	p := Freeze(c)
 	checkTopological(t, p)
-	if got := EvaluateProgram[int64](p, semiring.Nat, func(structure.WeightKey) (int64, bool) { return 3, true }); got != 5 {
+	if got := EvaluateProgram[int64](p, semiring.Nat, func(Input) (int64, bool) { return 3, true }); got != 5 {
 		t.Fatalf("2 + u at u=3 = %d, want 5", got)
 	}
 }
@@ -400,7 +399,7 @@ func TestFrozenProgramIsNotWrittenByTheBuilder(t *testing.T) {
 		done <- got
 	}()
 	for w := 6; w < 10; w++ {
-		in := c.Input(key("w", w))
+		in := input(c, "w", w)
 		sum := c.Add(in, c.Output, c.ConstInt(int64(w)))
 		pm := c.Perm(2, 2, []PermEntry{{Row: 0, Col: 0, Gate: in}, {Row: 0, Col: 1, Gate: sum}, {Row: 1, Col: 1, Gate: in}})
 		c.SetOutput(c.Mul(sum, pm))

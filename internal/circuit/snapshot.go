@@ -131,23 +131,23 @@ func (o *overlay[T]) release() {
 // over the snapshot-resolved entries — costlier than the writer's maintained
 // structures, but permanents are capped at twelve rows and both sides of a
 // snapshot comparison pay the same path.
-func (s *DynSnapshot[T]) EvalWith(changes []InputChange[T]) T {
+func (s *DynSnapshot[T]) EvalWith(leaves []Leaf[T]) T {
 	d := s.d
 	d.clock.RLock()
 	defer d.clock.RUnlock()
 	s.view.Extend()
 	o := s.borrowOverlay()
 	touched := false
-	for _, ch := range changes {
-		id := d.p.InputGate(ch.Key)
+	for _, l := range leaves {
+		id := l.Gate
 		if id < 0 {
 			continue
 		}
 		_, already := o.vals[id]
-		if !already && d.s.Equal(s.resolveLocked(id), ch.Value) {
+		if !already && d.s.Equal(s.resolveLocked(id), l.Value) {
 			continue
 		}
-		o.vals[id] = ch.Value
+		o.vals[id] = l.Value
 		if !already {
 			o.mark(id)
 		}

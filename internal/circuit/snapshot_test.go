@@ -39,7 +39,7 @@ func TestSnapshotResolvesPinnedEpoch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			vals := map[structure.WeightKey]int64{}
-			val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+			val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 			d := NewDynamicProgram[int64](c.Program(), tc.s, val)
 			prog := c.Program()
 
@@ -133,7 +133,7 @@ func checkSnapshotEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semirin
 			vals[key(w, a)] = draw()
 		}
 	}
-	val := func(k structure.WeightKey) (T, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (T, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[T](c.Program(), s, val)
 
 	// Pin, remember the pinned assignment, then let the writer move on.
@@ -143,7 +143,7 @@ func checkSnapshotEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semirin
 	for k, v := range vals {
 		pinnedVals[k] = v
 	}
-	pinnedVal := func(k structure.WeightKey) (T, bool) { v, ok := pinnedVals[k]; return v, ok }
+	pinnedVal := func(in Input) (T, bool) { v, ok := pinnedVals[label(in)]; return v, ok }
 	for step := 0; step < 25; step++ {
 		k := randomKey()
 		vals[k] = draw()
@@ -152,17 +152,18 @@ func checkSnapshotEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semirin
 
 	for trial := 0; trial < 20; trial++ {
 		over := map[structure.WeightKey]T{}
-		var changes []InputChange[T]
+		var changes []Leaf[T]
 		for i := 0; i < 1+r.Intn(3); i++ {
 			k, v := randomKey(), draw()
 			over[k] = v
-			changes = append(changes, InputChange[T]{Key: k, Value: v})
+			changes = append(changes, Leaf[T]{Gate: c.Program().InputGate(k), Value: v})
 		}
-		refVal := func(k structure.WeightKey) (T, bool) {
+		refVal := func(in Input) (T, bool) {
+			k := label(in)
 			if v, ok := over[k]; ok {
 				return v, true
 			}
-			return pinnedVal(k)
+			return pinnedVal(in)
 		}
 		want := circuittest.EvaluateAll[T](c, s, refVal)[c.Output]
 		if got := snap.EvalWith(changes); !s.Equal(got, want) {
@@ -188,7 +189,7 @@ func TestSnapshotOverlaysAreNotShared(t *testing.T) {
 			vals[key(w, a)] = int64(a + 1)
 		}
 	}
-	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 
 	var wg sync.WaitGroup
@@ -199,17 +200,18 @@ func TestSnapshotOverlaysAreNotShared(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for read := 0; read < reads; read++ {
 				over := map[structure.WeightKey]int64{}
-				var changes []InputChange[int64]
+				var changes []Leaf[int64]
 				for j := 0; j < 1+r.Intn(3); j++ {
 					k, v := key([]string{"u", "v", "w"}[r.Intn(3)], r.Intn(n)), int64(r.Intn(5))
 					over[k] = v
-					changes = append(changes, InputChange[int64]{Key: k, Value: v})
+					changes = append(changes, Leaf[int64]{Gate: c.Program().InputGate(k), Value: v})
 				}
-				want := circuittest.EvaluateAll[int64](c, semiring.Nat, func(k structure.WeightKey) (int64, bool) {
+				want := circuittest.EvaluateAll[int64](c, semiring.Nat, func(in Input) (int64, bool) {
+					k := label(in)
 					if v, ok := over[k]; ok {
 						return v, true
 					}
-					return val(k)
+					return val(in)
 				})[c.Output]
 				epoch := d.Clock().Pin()
 				got := d.At(epoch).EvalWith(changes)
@@ -233,7 +235,7 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 	n := 4
 	c := buildTriangleLike(n)
 	vals := map[structure.WeightKey]int64{}
-	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 
 	const (
@@ -291,7 +293,7 @@ func TestSnapshotConcurrentReadersObserveCommittedEpochs(t *testing.T) {
 				}
 				if r.Intn(2) == 0 {
 					// Point-style overlay read must not disturb the pin.
-					_ = snap.EvalWith([]InputChange[int64]{{Key: key("u", r.Intn(n)), Value: int64(r.Intn(5))}})
+					_ = snap.EvalWith([]Leaf[int64]{{Gate: c.Program().InputGate(key("u", r.Intn(n))), Value: int64(r.Intn(5))}})
 					if again := snap.Value(); again != got {
 						errs <- errf("reader %d: Value changed %d → %d after EvalWith", seed, got, again)
 						d.Clock().Unpin(epoch)
@@ -319,7 +321,7 @@ func TestSnapshotReclamationBoundsUndoMemory(t *testing.T) {
 	n := 4
 	c := buildTriangleLike(n)
 	vals := map[structure.WeightKey]int64{}
-	val := func(k structure.WeightKey) (int64, bool) { v, ok := vals[k]; return v, ok }
+	val := func(in Input) (int64, bool) { v, ok := vals[label(in)]; return v, ok }
 	d := NewDynamicProgram[int64](c.Program(), semiring.Nat, val)
 	r := rand.New(rand.NewSource(5))
 	update := func() {

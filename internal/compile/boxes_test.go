@@ -99,7 +99,7 @@ func TestBoxEnumerationAgainstBaseline(t *testing.T) {
 	} {
 		a, w := linkDB(db.d, db.isolated)
 		wmp := structure.NewWeights[semiring.Ext]()
-		w.ForEach(func(k structure.WeightKey, v int64) { wmp.SetKey(k, fin(v)) })
+		w.Each(func(name string, t structure.Tuple, v int64) { wmp.Set(name, t, fin(v)) })
 		for _, q := range linkQueries {
 			t.Run(db.name+"/"+q.name, func(t *testing.T) {
 				e := parser.MustParseExpr(q.text)

@@ -286,7 +286,7 @@ func (env *compileEnv) compileMonomial(pm *preparedMonomial) (int, error) {
 	// monomial.
 	prefix := []int{env.c.Const(pm.coeff)}
 	for _, w := range pm.nullaryWeights {
-		prefix = append(prefix, env.c.Input(structure.MakeWeightKey(w.W, structure.Tuple{})))
+		prefix = append(prefix, env.c.Input(w.W, structure.Ordinary, nil))
 	}
 	switch len(pm.vars) {
 	case 0:
@@ -312,7 +312,7 @@ func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
 		for li, l := range pm.literals {
 			tuple := constantTuple(el, len(l.Args))
 			if env.dyn[l.Rel] {
-				factors = append(factors, env.c.Input(membershipInput(l.Rel, tuple.Key(), l.Positive)))
+				factors = append(factors, env.c.Input(l.Rel, membershipRole(l.Positive), tuple))
 				continue
 			}
 			if pm.rels[li].Has(tuple...) != l.Positive {
@@ -324,7 +324,7 @@ func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
 			continue
 		}
 		for _, w := range pm.weights {
-			factors = append(factors, env.c.Input(structure.MakeWeightKey(w.W, constantTuple(el, len(w.Args)))))
+			factors = append(factors, env.c.Input(w.W, structure.Ordinary, constantTuple(el, len(w.Args))))
 		}
 		terms = append(terms, env.c.Mul(factors...))
 	}
@@ -346,15 +346,15 @@ func constantTuple(el, arity int) structure.Tuple {
 // NewValuation builds the circuit valuation combining a weight assignment
 // with the 0/1 dynamic-relation inputs read from the compiled structure.
 func NewValuation[T any](res *Result, s semiring.Semiring[T], w *structure.Weights[T]) circuit.Valuation[T] {
-	return func(key structure.WeightKey) (T, bool) {
-		if key.Role != structure.Ordinary {
-			return semiring.Iverson(s, res.Structure.Holds(key)), true
+	return func(in circuit.Input) (T, bool) {
+		if in.Role != structure.Ordinary {
+			return semiring.Iverson(s, res.Structure.Holds(in.Symbol, in.Role, in.Tuple)), true
 		}
 		if w == nil {
 			var zero T
 			return zero, false
 		}
-		return w.GetKey(key)
+		return w.Get(in.Symbol, in.Tuple)
 	}
 }
 

@@ -234,8 +234,8 @@ func TestCompileDynamicRelations(t *testing.T) {
 		}
 		victim := a.Tuples("E")[0]
 		d := circuit.NewDynamicProgram[int64](res.Program, semiring.Nat, NewValuation[int64](res, semiring.Nat, w))
-		d.SetInput(membershipInput("E", victim.Key(), true), 0)
-		d.SetInput(membershipInput("E", victim.Key(), false), 1)
+		d.SetInput(structure.InputLabel("E", structure.Member, victim), 0)
+		d.SetInput(structure.InputLabel("E", structure.NonMember, victim), 1)
 		// Build the modified structure for the reference value.
 		b := structure.NewStructure(a.Sig, a.N)
 		for _, tpl := range a.Tuples("E") {
@@ -347,7 +347,7 @@ func TestCompileStatsAndLinearSize(t *testing.T) {
 // weight — not even one named like the inputs' rendering — is taken for one.
 func TestMembershipInputRoles(t *testing.T) {
 	tuple := structure.Tuple{3, 5}
-	pos, neg := membershipInput("E", tuple.Key(), true), membershipInput("E", tuple.Key(), false)
+	pos, neg := structure.InputLabel("E", membershipRole(true), tuple), structure.InputLabel("E", membershipRole(false), tuple)
 	if pos == neg || pos.Role != structure.Member || neg.Role != structure.NonMember || pos.Weight != "E" || neg.Weight != "E" {
 		t.Fatalf("membership inputs of E(3,5): v⁺ %+v, v⁻ %+v", pos, neg)
 	}
@@ -372,14 +372,15 @@ func TestMembershipInputRoles(t *testing.T) {
 	if !was || leaves[0].Value || !leaves[1].Value {
 		t.Fatalf("Record(E%v, absent) = %+v, was %v", victim, leaves, was)
 	}
-	if res.Program.InputGate(leaves[0].Key) < 0 || leaves[0].Key != membershipInput("E", victim.Key(), true) || leaves[1].Key != membershipInput("E", victim.Key(), false) {
+	p := res.Program
+	if leaves[0].Gate < 0 || p.InputKey(leaves[0].Gate) != structure.InputLabel("E", structure.Member, victim) || leaves[1].Gate != p.InputGate(structure.InputLabel("E", structure.NonMember, victim)) {
 		t.Errorf("Record's leaves %+v are not the compiled inputs of E%v", leaves, victim)
 	}
 	if id := res.Program.InputGate(structure.MakeWeightKey("rel+:E", victim)); id >= 0 {
 		t.Errorf("the weight rel+:E%v addresses input gate %d", victim, id)
 	}
 	val := NewValuation[int64](res, semiring.Nat, w)
-	if v, ok := val(leaves[0].Key); !ok || v != 1 {
+	if v, ok := val(p.Input(leaves[0].Gate)); !ok || v != 1 {
 		t.Errorf("valuation of v⁺_E%v = %d, %v; want 1 as compiled", victim, v, ok)
 	}
 }

@@ -457,11 +457,11 @@ func (b *shapeBuilder) entry(s, v int) int {
 	var factors []int
 	for _, li := range b.ps.slotLiterals[s] {
 		if l := b.pm.literals[li]; env.dyn[l.Rel] {
-			factors = append(factors, c.Input(membershipInput(l.Rel, b.tuple(b.pm.litArgs[li]).Key(), l.Positive)))
+			factors = append(factors, c.Input(l.Rel, membershipRole(l.Positive), b.tuple(b.pm.litArgs[li])))
 		}
 	}
 	for _, wi := range b.ps.slotWeights[s] {
-		factors = append(factors, c.Input(structure.MakeWeightKey(b.pm.weights[wi].W, b.tuple(b.pm.weightArgs[wi]))))
+		factors = append(factors, c.Input(b.pm.weights[wi].W, structure.Ordinary, b.tuple(b.pm.weightArgs[wi])))
 	}
 	if factors == nil {
 		return child
@@ -481,12 +481,11 @@ func (b *shapeBuilder) tuple(args []int) structure.Tuple {
 	return t
 }
 
-// membershipInput is the key of the 0/1 input v⁺_R (positive) or v⁻_R of
-// Lemma 40 at the tuple of the dynamic relation R whose Tuple.Key is tuple.
-func membershipInput(rel, tuple string, positive bool) structure.WeightKey {
-	role := structure.Member
-	if !positive {
-		role = structure.NonMember
+// membershipRole is the role of the 0/1 input v⁺_R (positive) or v⁻_R of
+// Lemma 40 at a tuple of a dynamic relation R.
+func membershipRole(positive bool) structure.Role {
+	if positive {
+		return structure.Member
 	}
-	return structure.WeightKey{Weight: rel, Tuple: tuple, Role: role}
+	return structure.NonMember
 }

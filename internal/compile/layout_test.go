@@ -15,8 +15,10 @@ import (
 	"repro/internal/dbio"
 	"repro/internal/dynamicq"
 	"repro/internal/enumerate"
+	"repro/internal/kc"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/structure"
 )
 
 // The queries of the benchmark's four workloads (perf/oracle.go).
@@ -171,5 +173,105 @@ func TestCompiledCircuitIsHeldOnce(t *testing.T) {
 		if 2*held > 3*footprint {
 			t.Errorf("%s: Circuit and Program hold %d B, want ≤ 1.5 × the footprint %d B", c.name(), held, footprint)
 		}
+	}
+}
+
+// TestCompiledProgramsAreDecomposableAndDeterministic runs the structural
+// checks of internal/kc over the benchmark's Programs, each query at the
+// smallest size layoutCases compiles it at (the point query at n = 500, which
+// keeps the check under a few seconds): no product multiplies two values
+// that read one input, and no gate produces a monomial twice when every input
+// is its own generator — which holds only while v⁺ and v⁻ of one tuple are
+// two inputs and each input is its own generator.
+func TestCompiledProgramsAreDecomposableAndDeterministic(t *testing.T) {
+	type named struct {
+		name string
+		p    *circuit.Program
+	}
+	var programs []named
+	for _, c := range []layoutCase{
+		{"bounded-degree", layoutTriangle, 600},
+		{"bounded-degree", layoutPath, 600},
+		{"bounded-degree", layoutExists, 600},
+		{"pref-attach", layoutPoint, 500},
+		{"pref-attach", layoutEdges, 1500},
+	} {
+		programs = append(programs, named{c.name(), compileLayoutCase(t, c).Program})
+	}
+	programs = append(programs, named{"membership", membershipProgram(t)})
+	for _, np := range programs {
+		name, p := np.name, np.p
+		a := kc.Analyze(p)
+		for _, v := range a.CheckDecomposable() {
+			t.Errorf("%s: %v", name, v)
+		}
+		for _, v := range a.CheckDeterministic() {
+			// The triangle sum visits each triangle once per rotation of
+			// (x, y, z), so its output holds every monomial three times by the
+			// query's own multiplicity; every gate below it must not.
+			if strings.Contains(name, "E(z,x)") && v.Gate == p.OutputGate() && strings.HasSuffix(v.Detail, "produced 3 times") {
+				continue
+			}
+			t.Errorf("%s: %v", name, v)
+		}
+	}
+}
+
+// membershipProgram compiles a path formula with S dynamic: S(x) and ¬S(z)
+// read Lemma 40's v⁺ and v⁻ of one tuple wherever x = z, so one product
+// multiplies both.
+func membershipProgram(t *testing.T) *circuit.Program {
+	t.Helper()
+	db, err := dbio.LoadSource(dbio.Source{Kind: "bounded-degree", N: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := parser.MustParseFormula("E(x,y) & E(y,z) & S(x) & !S(z)")
+	ans, err := enumerate.EnumerateAnswers(db.A, phi, logic.FreeVars(phi), compile.Options{DynamicRelations: []string{"S"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Result().Program
+}
+
+// TestInputKeyRoundTrip holds the boundary pair on a compiled Program: the
+// label InputKey formats for an input decodes back to its gate through
+// InputGate, in every role; a label the Program does not hold addresses no
+// gate; and resolving a label allocates nothing.
+func TestInputKeyRoundTrip(t *testing.T) {
+	p := membershipProgram(t)
+	roles := map[structure.Role]int{}
+	for id := 0; id < p.NumGates(); id++ {
+		if p.GateKind(id) != circuit.KindInput {
+			continue
+		}
+		in, k := p.Input(id), p.InputKey(id)
+		roles[in.Role]++
+		if k.Weight != in.Symbol || k.Role != in.Role || !structure.ParseTupleKey(k.Tuple).Equal(in.Tuple) {
+			t.Fatalf("gate %d: input %+v is labelled %+v", id, in, k)
+		}
+		if got := p.InputGate(k); got != id || p.FindInput(in.Symbol, in.Role, in.Tuple) != id {
+			t.Fatalf("gate %d: InputGate(%+v) = %d, FindInput = %d", id, k, got, p.FindInput(in.Symbol, in.Role, in.Tuple))
+		}
+	}
+	if roles[structure.Member] == 0 || roles[structure.NonMember] == 0 || roles[structure.Ordinary] == 0 {
+		t.Fatalf("inputs by role %v, want all three", roles)
+	}
+	for _, k := range []structure.WeightKey{
+		structure.InputLabel("S", structure.Member, structure.Tuple{1000}),
+		structure.InputLabel("S", structure.Ordinary, structure.Tuple{0}),
+		structure.InputLabel("E", structure.Member, structure.Tuple{0}),
+		{Weight: "S", Tuple: "0,", Role: structure.Member},
+	} {
+		if got := p.InputGate(k); got != -1 {
+			t.Errorf("InputGate(%+v) = %d, want -1", k, got)
+		}
+	}
+	k := structure.InputLabel("S", structure.NonMember, structure.Tuple{7})
+	if p.InputGate(k) < 0 {
+		t.Fatalf("the Program does not read %+v", k)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.InputGate(k) }); allocs != 0 && !raceEnabled {
+		t.Errorf("InputGate allocates %.0f objects per call, want 0", allocs)
 	}
 }

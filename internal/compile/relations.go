@@ -2,7 +2,6 @@ package compile
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/circuit"
 	"repro/internal/structure"
@@ -17,10 +16,10 @@ import (
 // keeps no shadow of its own.
 type Relations struct {
 	res *Result
-	// updated[k] is the membership last recorded for the tuple of the Member
-	// input k; a tuple never updated keeps its membership in the compiled
-	// structure, so a new shadow copies nothing.
-	updated map[structure.WeightKey]bool
+	// updated holds the membership last recorded for a tuple of a dynamic
+	// relation, by the relation's name; a tuple never updated keeps its
+	// membership in the compiled structure, so a new shadow copies nothing.
+	updated structure.Weights[bool]
 }
 
 // NewRelations returns the shadow of res's dynamic relations as compiled.
@@ -28,7 +27,7 @@ func NewRelations(res *Result) *Relations { return &Relations{res: res} }
 
 // Clone returns an independent copy of the shadow over the same compilation.
 func (r *Relations) Clone() *Relations {
-	return &Relations{res: r.res, updated: maps.Clone(r.updated)}
+	return &Relations{res: r.res, updated: *r.updated.Clone()}
 }
 
 // ValidateTuple checks a membership update without recording it: the
@@ -61,36 +60,23 @@ func (r *Relations) ValidateTuple(rel string, tuple structure.Tuple, present boo
 }
 
 // Record notes a validated membership update and returns the leaf inputs it
-// drives, before they are embedded in any semiring — v⁺ takes [present] and
-// v⁻ takes [!present]; both must change within one committed epoch so no
-// reader sees the tuple half-toggled — and the membership recorded before.
-func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (leaves [2]circuit.InputChange[bool], was bool) {
-	key := tuple.Key()
-	member := membershipInput(rel, key, true)
-	was = r.has(member, tuple)
-	if r.updated == nil {
-		r.updated = make(map[structure.WeightKey]bool)
-	}
-	r.updated[member] = present
-	return [2]circuit.InputChange[bool]{
-		{Key: member, Value: present},
-		{Key: membershipInput(rel, key, false), Value: !present},
+// drives, resolved to their gates and not yet embedded in a semiring — v⁺
+// takes [present] and v⁻ [!present], both in one committed epoch so no reader
+// sees the tuple half-toggled — and the membership recorded before.
+func (r *Relations) Record(rel string, tuple structure.Tuple, present bool) (leaves [2]circuit.Leaf[bool], was bool) {
+	was = r.HasTuple(rel, tuple)
+	r.updated.Set(rel, tuple, present)
+	return [2]circuit.Leaf[bool]{
+		{Gate: r.res.Program.FindInput(rel, structure.Member, tuple), Value: present},
+		{Gate: r.res.Program.FindInput(rel, structure.NonMember, tuple), Value: !present},
 	}, was
 }
 
-// has is the current membership of the tuple of the Member input k.
-func (r *Relations) has(k structure.WeightKey, tuple structure.Tuple) bool {
-	if v, ok := r.updated[k]; ok {
-		return v
-	}
-	return r.res.Structure.HasTuple(k.Weight, tuple...)
-}
-
-// HasTuple reports the current membership of a tuple: the recorded state for
-// a dynamic relation, the compiled structure otherwise.
+// HasTuple reports the current membership of a tuple: the state last
+// recorded for it, the compiled structure's otherwise.
 func (r *Relations) HasTuple(rel string, tuple structure.Tuple) bool {
-	if r.res.DynamicRelations[rel] {
-		return r.has(membershipInput(rel, tuple.Key(), true), tuple)
+	if v, ok := r.updated.Get(rel, tuple); ok {
+		return v
 	}
 	return r.res.Structure.HasTuple(rel, tuple...)
 }

@@ -84,8 +84,8 @@ func Write(w io.Writer, a *structure.Structure, weights *structure.Weights[int64
 			value int64
 		}
 		var entries []entry
-		weights.ForEach(func(k structure.WeightKey, v int64) {
-			entries = append(entries, entry{name: k.Weight, tuple: structure.ParseTupleKey(k.Tuple), value: v})
+		weights.Each(func(name string, t structure.Tuple, v int64) {
+			entries = append(entries, entry{name: name, tuple: t, value: v})
 		})
 		sort.Slice(entries, func(i, j int) bool {
 			if entries[i].name != entries[j].name {
@@ -292,8 +292,6 @@ func parseTuple(fields []string, domain int) (structure.Tuple, error) {
 // the supplied embedding, preserving the weight symbols and tuples.
 func ConvertWeights[T any](w *structure.Weights[int64], embed func(int64) T) *structure.Weights[T] {
 	out := structure.NewWeights[T]()
-	w.ForEach(func(k structure.WeightKey, v int64) {
-		out.Set(k.Weight, structure.ParseTupleKey(k.Tuple), embed(v))
-	})
+	w.Each(func(weight string, t structure.Tuple, v int64) { out.Set(weight, t, embed(v)) })
 	return out
 }

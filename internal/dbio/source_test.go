@@ -50,9 +50,9 @@ func TestRoundTripProperty(t *testing.T) {
 				if got.W.Len() != db.W.Len() {
 					t.Fatalf("weights %d, want %d", got.W.Len(), db.W.Len())
 				}
-				db.W.ForEach(func(k structure.WeightKey, v int64) {
-					if have, ok := got.W.GetKey(k); !ok || have != v {
-						t.Fatalf("weight %v = %d,%v want %d", k, have, ok, v)
+				db.W.Each(func(name string, tup structure.Tuple, v int64) {
+					if have, ok := got.W.Get(name, tup); !ok || have != v {
+						t.Fatalf("weight %s%v = %d,%v want %d", name, tup, have, ok, v)
 					}
 				})
 				var second bytes.Buffer

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -44,8 +43,8 @@ type Query[T any] struct {
 	// leaves is the reusable leaf-change buffer Prepare fills and Stage
 	// applies; members holds its membership leaves before they were embedded
 	// in s, for an engine state in lockstep with this one (Members).
-	leaves  []circuit.InputChange[T]
-	members []circuit.InputChange[bool]
+	leaves  []circuit.Leaf[T]
+	members []circuit.Leaf[bool]
 	// changed records that the prepared batch changes the database as the
 	// query sees it (see Prepare), so Stage commits it.
 	changed bool
@@ -72,17 +71,11 @@ type Shared struct {
 	res  *compile.Result
 	vars []string
 	// sig is the caller's signature, the one writes are validated against;
-	// res's extends it with the parameter weights, params[paramWeight(i)] = i.
+	// res's extends it with the parameter weights, params[i] = paramWeight(i).
 	sig    *structure.Signature
-	params map[string]int
+	params []string
 	// mentions holds the weight symbols occurring in the closure's polynomial.
 	mentions map[string]bool
-
-	// keys[i][a] is the weight key of v_i at element a, built on the first
-	// point query's behalf so that no point query rebuilds keys with Sprintf,
-	// and shared by every Query on this closure.
-	keysOnce sync.Once
-	keys     [][]structure.WeightKey
 }
 
 // FreeVars returns the closure's parameters, in the order Query.Value takes
@@ -107,7 +100,7 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 			return nil, fmt.Errorf("dynamicq: free variable %q is not among the parameters %v", v, vars)
 		}
 	}
-	closed, base, params := e, a, make(map[string]int, len(vars))
+	closed, base, params := e, a, make([]string, len(vars))
 	if len(vars) > 0 {
 		extra := make([]structure.WeightSymbol, len(vars))
 		factors := []expr.Expr{e}
@@ -116,8 +109,8 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 		// sum the inner binding out and scale the value by the domain size).
 		var bound []string
 		for i, v := range vars {
-			extra[i] = structure.WeightSymbol{Name: paramWeight(i), Arity: 1}
-			params[extra[i].Name] = i
+			params[i] = paramWeight(i)
+			extra[i] = structure.WeightSymbol{Name: params[i], Arity: 1}
 			factors = append(factors, expr.W(extra[i].Name, v))
 			if !slices.Contains(vars[:i], v) {
 				bound = append(bound, v)
@@ -153,44 +146,23 @@ func CompileShared(a *structure.Structure, e expr.Expr, opts compile.Options) (*
 // against the caller's signature, which lacks it.
 func paramWeight(i int) string { return ".fv:" + strconv.Itoa(i) }
 
-// Param reports whether key is an input of the closure's parameter weights
+// Param reports whether in is an input of the closure's parameter weights
 // and, if so, which parameter it belongs to and at which element.
-func (sh *Shared) Param(key structure.WeightKey) (i int, a structure.Element, ok bool) {
-	if i, ok = sh.params[key.Weight]; !ok || key.Role != structure.Ordinary {
+func (sh *Shared) Param(in circuit.Input) (i int, a structure.Element, ok bool) {
+	if i = slices.Index(sh.params, in.Symbol); i < 0 || in.Role != structure.Ordinary {
 		return 0, 0, false
 	}
-	return i, structure.ParseTupleKey(key.Tuple)[0], true
+	return i, in.Tuple[0], true
 }
 
-// paramKey returns the weight key of v_i at element a, from the precomputed
-// table when a is a structure element and built on the fly otherwise
-// (out-of-universe arguments address no input gate and are ignored by the
-// evaluator either way).
-func (sh *Shared) paramKey(i int, a structure.Element) structure.WeightKey {
-	sh.keysOnce.Do(func() {
-		sh.keys = make([][]structure.WeightKey, len(sh.vars))
-		for i := range sh.keys {
-			name := paramWeight(i)
-			sh.keys[i] = make([]structure.WeightKey, sh.res.Structure.N)
-			for a := range sh.keys[i] {
-				sh.keys[i][a] = structure.MakeWeightKey(name, structure.Tuple{a})
-			}
-		}
-	})
-	if keys := sh.keys[i]; a >= 0 && a < len(keys) {
-		return keys[a]
-	}
-	return structure.MakeWeightKey(paramWeight(i), structure.Tuple{a})
-}
-
-// point translates the argument tuple of a point query into the toggles of
-// the Theorem 8 reduction — v_i raised to one at args[i] — appended to buf.
-func point[T any](sh *Shared, one T, args []structure.Element, buf []circuit.InputChange[T]) ([]circuit.InputChange[T], error) {
+// point appends to buf the toggles of the Theorem 8 reduction for a point
+// query at args — v_i raised to one at args[i], ignored outside the universe.
+func point[T any](sh *Shared, one T, args []structure.Element, buf []circuit.Leaf[T]) ([]circuit.Leaf[T], error) {
 	if len(args) != len(sh.vars) {
 		return buf, fmt.Errorf("dynamicq: query has %d free variables, got %d arguments", len(sh.vars), len(args))
 	}
 	for i, a := range args {
-		buf = append(buf, circuit.InputChange[T]{Key: sh.paramKey(i, a), Value: one})
+		buf = append(buf, circuit.Leaf[T]{Gate: sh.res.Program.FindInput(sh.params[i], structure.Ordinary, structure.Tuple{a}), Value: one})
 	}
 	return buf, nil
 }
@@ -249,7 +221,7 @@ func (q *Query[T]) Clock() *mvcc.Clock { return q.dyn.Clock() }
 // SetWeight updates the weight w(tuple) to the given value: ApplyBatch of the
 // one change.
 func (q *Query[T]) SetWeight(weight string, tuple structure.Tuple, value T) error {
-	return q.ApplyBatch([]Change[T]{WeightChange(weight, tuple, value)})
+	return q.ApplyBatch([]Change[T]{{Weight: weight, Tuple: tuple, Value: value}})
 }
 
 // SetTuple inserts (present=true) or removes (present=false) a tuple of a
@@ -257,7 +229,7 @@ func (q *Query[T]) SetWeight(weight string, tuple structure.Tuple, value T) erro
 // the Gaifman graph: the elements of the tuple must already form a clique in
 // the Gaifman graph of the compiled structure (Theorem 24's update model).
 func (q *Query[T]) SetTuple(rel string, tuple structure.Tuple, present bool) error {
-	return q.ApplyBatch([]Change[T]{TupleChange[T](rel, tuple, present)})
+	return q.ApplyBatch([]Change[T]{{Rel: rel, Tuple: tuple, Present: present}})
 }
 
 // Change is one element of an ApplyBatch batch: a weight update (Weight
@@ -270,16 +242,6 @@ type Change[T any] struct {
 	Tuple   structure.Tuple
 	Value   T
 	Present bool
-}
-
-// WeightChange builds a weight update for ApplyBatch.
-func WeightChange[T any](weight string, tuple structure.Tuple, value T) Change[T] {
-	return Change[T]{Weight: weight, Tuple: tuple, Value: value}
-}
-
-// TupleChange builds a dynamic-relation update for ApplyBatch.
-func TupleChange[T any](rel string, tuple structure.Tuple, present bool) Change[T] {
-	return Change[T]{Rel: rel, Tuple: tuple, Present: present}
 }
 
 // ApplyBatch applies a mixed batch of weight and tuple changes atomically:
@@ -310,7 +272,7 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 // declares, an element of the domain — and not the closure's, so no write
 // reaches a parameter weight; records it in the query's shadow of the weights
 // and relations; and translates it into the leaf changes the next Stage
-// applies, membership inputs keyed by their Role.
+// applies, each resolved to its input gate once.
 //
 // It also decides whether the batch is a commit, by the database and not by
 // the circuit: a batch commits iff it changes the stored value (missing is
@@ -348,16 +310,15 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 	leaf, members := q.leaves[:0], q.members[:0]
 	for _, ch := range changes {
 		if ch.Weight != "" {
-			key := structure.MakeWeightKey(ch.Weight, ch.Tuple)
 			if q.sh.mentions[ch.Weight] {
-				old, ok := q.weights.GetKey(key)
+				old, ok := q.weights.Get(ch.Weight, ch.Tuple)
 				if !ok {
 					old = q.s.Zero()
 				}
 				q.changed = q.changed || !q.s.Equal(old, ch.Value)
 			}
-			q.weights.SetKey(key, ch.Value)
-			leaf = append(leaf, circuit.InputChange[T]{Key: key, Value: ch.Value})
+			q.weights.Set(ch.Weight, ch.Tuple, ch.Value)
+			leaf = append(leaf, circuit.Leaf[T]{Gate: q.sh.res.Program.FindInput(ch.Weight, structure.Ordinary, ch.Tuple), Value: ch.Value})
 			continue
 		}
 		// Both membership inputs land in one wave and one epoch.
@@ -365,7 +326,7 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 		q.changed = q.changed || was != ch.Present
 		members = append(members, pair[:]...)
 		for _, m := range pair {
-			leaf = append(leaf, circuit.InputChange[T]{Key: m.Key, Value: semiring.Iverson(q.s, m.Value)})
+			leaf = append(leaf, circuit.Leaf[T]{Gate: m.Gate, Value: semiring.Iverson(q.s, m.Value)})
 		}
 	}
 	q.leaves, q.members = leaf, members
@@ -376,14 +337,14 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 // before they were embedded in the query's semiring, so that another engine
 // state over the same closure and clock (enumerate.Answers.Follow) stages
 // exactly what this one records and stages.  They are valid until Stage.
-func (q *Query[T]) Members() []circuit.InputChange[bool] { return q.members }
+func (q *Query[T]) Members() []circuit.Leaf[bool] { return q.members }
 
 // Stage is the other half: it writes the prepared leaves into the value
 // state, runs one wave and marks the write as a commit if Prepare found it to
 // be one, without committing.  The caller holds Clock()
 // exclusively and commits, after staging the batch into any other engine
 // state on the clock.  The leaf buffer is zeroed before it is recycled, so its
-// backing array does not pin the batch's keys and semiring values (e.g.
+// backing array does not pin the batch's semiring values (e.g.
 // provenance polynomials) until the next large batch.
 func (q *Query[T]) Stage() {
 	q.dyn.Stage(q.leaves)
@@ -392,6 +353,5 @@ func (q *Query[T]) Stage() {
 		q.changed = false
 	}
 	clear(q.leaves)
-	clear(q.members)
 	q.leaves, q.members = q.leaves[:0], q.members[:0]
 }

@@ -318,11 +318,11 @@ func TestApplyBatchMixedChanges(t *testing.T) {
 			tpl := edges[r.Intn(len(edges))]
 			switch r.Intn(3) {
 			case 0:
-				batch[i] = WeightChange("w", tpl, int64(r.Intn(6)))
+				batch[i] = Change[int64]{Weight: "w", Tuple: tpl, Value: int64(r.Intn(6))}
 			case 1:
-				batch[i] = WeightChange("u", structure.Tuple{tpl[1]}, int64(r.Intn(4)))
+				batch[i] = Change[int64]{Weight: "u", Tuple: structure.Tuple{tpl[1]}, Value: int64(r.Intn(4))}
 			default:
-				batch[i] = TupleChange[int64]("E", tpl, r.Intn(2) == 0)
+				batch[i] = Change[int64]{Rel: "E", Tuple: tpl, Present: r.Intn(2) == 0}
 			}
 		}
 		if err := batched.ApplyBatch(batch); err != nil {
@@ -372,12 +372,13 @@ func TestApplyBatchAllOrNothing(t *testing.T) {
 	}
 	before, _ := query.ValueClosed()
 	tpl := a.Tuples("E")[0]
+	good := Change[int64]{Weight: "w", Tuple: tpl, Value: 99}
 	bad := [][]Change[int64]{
-		{WeightChange("w", tpl, int64(99)), WeightChange[int64]("nope", tpl, 1)},
-		{WeightChange("w", tpl, int64(99)), TupleChange[int64]("U", structure.Tuple{0}, true)},
-		{WeightChange("w", tpl, int64(99)), {Weight: "w", Rel: "E", Tuple: tpl}},
-		{WeightChange("w", tpl, int64(99)), {}},
-		{WeightChange("w", tpl, int64(99)), WeightChange("w", structure.Tuple{0}, int64(1))},
+		{good, {Weight: "nope", Tuple: tpl, Value: 1}},
+		{good, {Rel: "U", Tuple: structure.Tuple{0}, Present: true}},
+		{good, {Weight: "w", Rel: "E", Tuple: tpl}},
+		{good, {}},
+		{good, {Weight: "w", Tuple: structure.Tuple{0}, Value: 1}},
 	}
 	for i, batch := range bad {
 		if err := query.ApplyBatch(batch); err == nil {
@@ -439,7 +440,7 @@ func TestRingAndFiniteSemiringPaths(t *testing.T) {
 func checkUpdates[T any](t *testing.T, name string, sr semiring.Semiring[T], conv func(int64) T, a *structure.Structure, w *structure.Weights[int64], q expr.Expr) {
 	t.Helper()
 	cw := structure.NewWeights[T]()
-	w.ForEach(func(k structure.WeightKey, v int64) { cw.SetKey(k, conv(v)) })
+	w.Each(func(name string, t structure.Tuple, v int64) { cw.Set(name, t, conv(v)) })
 	query, err := CompileQuery(sr, a, cw.Clone(), q, compile.Options{})
 	if err != nil {
 		t.Fatalf("%s: CompileQuery: %v", name, err)

@@ -18,10 +18,10 @@ type reader[T any] struct {
 	one T
 	ev  interface {
 		Value() T
-		EvalWith(changes []circuit.InputChange[T]) T
+		EvalWith(leaves []circuit.Leaf[T]) T
 	}
 	// point is the reusable override buffer behind Value's point queries.
-	point []circuit.InputChange[T]
+	point []circuit.Leaf[T]
 }
 
 // Value returns the value of the query at the given tuple of the free

@@ -83,11 +83,11 @@ func closeAnswers(a *structure.Structure, phi logic.Formula, vars []string, opts
 // inputValue supplies the value of every circuit input as compiled: answer
 // generators for the closure's parameter weights, 0/1 for dynamic relation
 // memberships, zero otherwise.
-func (ans *Answers) inputValue(key structure.WeightKey) Value {
-	if key.Role != structure.Ordinary {
-		return Bool(ans.sh.Result().Structure.Holds(key))
+func (ans *Answers) inputValue(in circuit.Input) Value {
+	if in.Role != structure.Ordinary {
+		return Bool(ans.sh.Result().Structure.Holds(in.Symbol, in.Role, in.Tuple))
 	}
-	if i, a, ok := ans.sh.Param(key); ok {
+	if i, a, ok := ans.sh.Param(in); ok {
 		return answerValue{varIdx: i, elem: a}
 	}
 	return Zero()
@@ -112,7 +112,7 @@ func (ans *Answers) copyOn(c *mvcc.Clock, shadow bool) *Answers {
 	p, e := ans.sh.Result().Program, ans.enum
 	e.clock.RLock()
 	defer e.clock.RUnlock()
-	current := func(key structure.WeightKey) Value { return e.inputValue[p.InputNumber(p.InputGate(key))] }
+	current := func(in circuit.Input) Value { return e.inputValue[p.InputNumber(in.Gate)] }
 	out := &Answers{sh: ans.sh, enum: newProgram(c, p, current, nil)}
 	if shadow {
 		out.rel = ans.rel.Clone()
@@ -188,8 +188,8 @@ func (ans *Answers) Count() int64 {
 // countAnswers evaluates p in ℕ with every input sent to [it is non-empty],
 // under the given emptiness view of the input gates.
 func countAnswers(p *circuit.Program, empty func(gate int) bool) int64 {
-	return circuit.EvaluateProgram[int64](p, semiring.Nat, func(key structure.WeightKey) (int64, bool) {
-		if id := p.InputGate(key); id < 0 || empty(id) {
+	return circuit.EvaluateProgram[int64](p, semiring.Nat, func(in circuit.Input) (int64, bool) {
+		if empty(in.Gate) {
 			return 0, false
 		}
 		return 1, true
@@ -250,7 +250,7 @@ func (ans *Answers) ApplyBatch(changes []TupleChange) error {
 // recorded again; the caller holds the clock exclusively and commits once for
 // both states.  It panics if sh is not the closure these answers were built
 // on: the other state's leaves address another program's inputs then.
-func (ans *Answers) Follow(sh *dynamicq.Shared, leaves []circuit.InputChange[bool]) {
+func (ans *Answers) Follow(sh *dynamicq.Shared, leaves []circuit.Leaf[bool]) {
 	if sh != ans.sh {
 		panic("enumerate: Follow: the batch was validated against a different closure")
 	}
@@ -261,8 +261,8 @@ func (ans *Answers) Follow(sh *dynamicq.Shared, leaves []circuit.InputChange[boo
 // assign writes membership leaves straight into the enumerator's input slots
 // under the caller's exclusive hold of the clock; the caller runs one wave
 // for the batch.
-func (ans *Answers) assign(leaves []circuit.InputChange[bool]) {
+func (ans *Answers) assign(leaves []circuit.Leaf[bool]) {
 	for _, l := range leaves {
-		ans.enum.assign(l.Key, Bool(l.Value))
+		ans.enum.assign(l.Gate, Bool(l.Value))
 	}
 }

@@ -20,7 +20,7 @@ func TestCursorResetEquivalence(t *testing.T) {
 	c := circuit.NewBuilder()
 	in := make([]int, 6)
 	for i := range in {
-		in[i] = c.Input(key("w", i))
+		in[i] = input(c, "w", i)
 	}
 	sumA := c.Add(in[0], in[1])
 	sumB := c.Add(in[2], c.ConstInt(2))
@@ -42,7 +42,7 @@ func TestCursorResetEquivalence(t *testing.T) {
 		inputs[key("w", i)] = values[2+i%4]
 	}
 	inputs[key("w", 5)] = Gen("g") // the generator of w0, through another input
-	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
 	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
 	drain := func(cur Cursor) []string {
 		var got []provenance.Monomial

@@ -361,12 +361,12 @@ func (m *permGateMeta) matchable(rowMask int, used []int32) bool {
 // matchability test).  inputs is called from multiple goroutines and must be
 // safe for concurrent use.  When ctx is cancelled the wave stops in bounded
 // time and ctx's error is returned.
-func Nonempty(ctx context.Context, p *circuit.Program, inputs func(key structure.WeightKey) Value, workers int) ([]bool, error) {
-	return circuit.ParallelEvaluateAllProgramCtx[bool](ctx, p, semiring.Bool, func(key structure.WeightKey) (bool, bool) {
+func Nonempty(ctx context.Context, p *circuit.Program, inputs func(in circuit.Input) Value, workers int) ([]bool, error) {
+	return circuit.ParallelEvaluateAllProgramCtx[bool](ctx, p, semiring.Bool, func(in circuit.Input) (bool, bool) {
 		if inputs == nil {
 			return false, true
 		}
-		v := inputs(key)
+		v := inputs(in)
 		return v != nil && !v.Empty(), true
 	}, workers)
 }
@@ -378,13 +378,13 @@ func Nonempty(ctx context.Context, p *circuit.Program, inputs func(key structure
 // and the pass skips recomputing it; nil has the pass decide it gate by gate.
 // The builder appends a gate only after its operands, so the emptiness
 // bookkeeping may trust the Program's ranks.
-func NewProgram(p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
+func NewProgram(p *circuit.Program, inputs func(in circuit.Input) Value, nonempty []bool) *Enumerator {
 	return newProgram(new(mvcc.Clock), p, inputs, nonempty)
 }
 
 // newProgram is NewProgram with the enumerator's undo log attached to c, the
 // clock of a session that keeps other engine states over p as well.
-func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.WeightKey) Value, nonempty []bool) *Enumerator {
+func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(in circuit.Input) Value, nonempty []bool) *Enumerator {
 	if p.OutputGate() < 0 {
 		panic("enumerate: circuit has no output gate")
 	}
@@ -425,7 +425,7 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(key structure.Wei
 		case circuit.KindInput:
 			v := Value(zeroValue{})
 			if inputs != nil {
-				if got := inputs(p.InputKey(id)); got != nil {
+				if got := inputs(p.Input(id)); got != nil {
 					v = got
 				}
 			}
@@ -474,13 +474,13 @@ func (e *Enumerator) GateEmpty(id int) bool { return e.empty[id] }
 // output gate.
 func (e *Enumerator) Cursor() Cursor { return &monomialCursor{w: newWalk(e, e.p)} }
 
-// assign stores an input value, touching the clock, and seeds the wave when
-// its emptiness flipped; an input that already holds the value is left alone.
+// assign stores a value at input gate id (-1, an input the circuit does not
+// reference, is ignored), touching the clock, and seeds the wave when its
+// emptiness flipped; an input that already holds the value is left alone.
 // The caller holds the clock exclusively and runs the wave: assigning a batch
 // and then draining it once revisits gates shared by several changed inputs
 // once per batch, not once per input.
-func (e *Enumerator) assign(key structure.WeightKey, v Value) {
-	id := e.p.InputGate(key)
+func (e *Enumerator) assign(id int, v Value) {
 	if id < 0 {
 		return
 	}

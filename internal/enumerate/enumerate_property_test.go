@@ -60,7 +60,7 @@ func TestEnumerateRandomFormulasMatchesNaive(t *testing.T) {
 // the enumerator over what was built still matches explicit evaluation.
 func TestEnumeratorRejectsNonTopologicalCircuits(t *testing.T) {
 	c := circuit.NewBuilder()
-	u, v := c.Input(key("w", 0)), c.Input(key("w", 1))
+	u, v := input(c, "w", 0), input(c, "w", 1)
 	before := c.NumGates()
 	func() {
 		defer func() {
@@ -75,7 +75,7 @@ func TestEnumeratorRejectsNonTopologicalCircuits(t *testing.T) {
 	}
 	c.SetOutput(c.Add(c.Mul(u, v), v))
 	inputs := map[structure.WeightKey]Value{key("w", 0): Gen("g"), key("w", 1): Gen("h")}
-	checkEnumeratorAgainstExplicit(t, c, func(k structure.WeightKey) Value { return inputs[k] })
+	checkEnumeratorAgainstExplicit(t, c, func(in circuit.Input) Value { return inputs[label(in)] })
 }
 
 // TestAnswersApplyBatch drives random batches of Gaifman-preserving updates

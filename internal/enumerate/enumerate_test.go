@@ -19,13 +19,23 @@ func key(w string, elems ...int) structure.WeightKey {
 	return structure.MakeWeightKey(w, structure.Tuple(elems))
 }
 
+// input is the input gate of weight w at the elements.
+func input(c *circuit.Circuit, w string, elems ...int) int {
+	return c.Input(w, structure.Ordinary, elems)
+}
+
+// label is the label of an input, for valuations that look values up by it.
+func label(in circuit.Input) structure.WeightKey {
+	return structure.InputLabel(in.Symbol, in.Role, in.Tuple)
+}
+
 // setInputs stages input values into e and commits them, the way Answers
 // stages its leaves: every value assigned under the clock, then one wave.
 func setInputs(e *Enumerator, leaves ...circuit.InputChange[Value]) {
 	e.clock.Lock()
 	defer e.clock.Unlock()
 	for _, l := range leaves {
-		e.assign(l.Key, l.Value)
+		e.assign(e.p.InputGate(l.Key), l.Value)
 	}
 	e.runWave()
 	e.clock.Commit()
@@ -78,12 +88,12 @@ func equalStringSlices(a, b []string) bool {
 // evaluateExplicit evaluates the circuit's Program in the explicit free
 // semiring under the same inputs: the differential oracle of the cursors on
 // small instances.
-func evaluateExplicit(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) *provenance.Poly {
-	val := func(key structure.WeightKey) (*provenance.Poly, bool) {
+func evaluateExplicit(c *circuit.Circuit, inputs func(in circuit.Input) Value) *provenance.Poly {
+	val := func(in circuit.Input) (*provenance.Poly, bool) {
 		if inputs == nil {
 			return nil, false
 		}
-		v := inputs(key)
+		v := inputs(in)
 		if v == nil {
 			return nil, false
 		}
@@ -104,12 +114,12 @@ func evaluateExplicit(c *circuit.Circuit, inputs func(key structure.WeightKey) V
 // countMonomials evaluates the circuit's Program in ℕ under the homomorphism
 // sending every generator to 1: the number of monomials (with multiplicity)
 // of the output value, cross-checking enumeration completeness.
-func countMonomials(c *circuit.Circuit, inputs func(key structure.WeightKey) Value) int64 {
-	val := func(key structure.WeightKey) (int64, bool) {
+func countMonomials(c *circuit.Circuit, inputs func(in circuit.Input) Value) int64 {
+	val := func(in circuit.Input) (int64, bool) {
 		if inputs == nil {
 			return 0, false
 		}
-		v := inputs(key)
+		v := inputs(in)
 		if v == nil || v.Empty() {
 			return 0, false
 		}
@@ -130,7 +140,7 @@ func countMonomials(c *circuit.Circuit, inputs func(key structure.WeightKey) Val
 // checkEnumeratorAgainstExplicit builds both the iterator-based enumerator
 // and the explicit free-semiring evaluation of a circuit and compares the
 // resulting multisets of monomials.
-func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(structure.WeightKey) Value) {
+func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(circuit.Input) Value) {
 	t.Helper()
 	e := NewProgram(c.Program(), inputs, nil)
 	got := monomialMultiset(collectAll(e))
@@ -195,28 +205,28 @@ func TestPermCursorDirect(t *testing.T) {
 				case 1:
 					k := key("w", row, col)
 					inputs[k] = Gen(provenance.Generator(k.Tuple))
-					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input(k)})
+					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "w", row, col)})
 				default:
 					k := key("p", row, col)
 					inputs[k] = FromPoly(provenance.FromMonomials(
 						provenance.NewMonomial(provenance.Generator("x"+k.Tuple)),
 						provenance.NewMonomial(provenance.Generator("y"+k.Tuple)),
 					))
-					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input(k)})
+					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "p", row, col)})
 				}
 			}
 		}
 		c.SetOutput(c.Perm(rows, cols, entries))
-		lookup := func(k structure.WeightKey) Value { return inputs[k] }
+		lookup := func(in circuit.Input) Value { return inputs[label(in)] }
 		checkEnumeratorAgainstExplicit(t, c, lookup)
 	}
 }
 
 func TestAddMulConstCursors(t *testing.T) {
 	c := circuit.NewBuilder()
-	a := c.Input(key("a", 0))
-	b := c.Input(key("b", 0))
-	d := c.Input(key("d", 0))
+	a := input(c, "a", 0)
+	b := input(c, "b", 0)
+	d := input(c, "d", 0)
 	sum := c.Add(a, b, d, b) // b occurs twice: multiplicity 2
 	prod := c.Mul(sum, a)
 	c.SetOutput(c.Add(prod, c.ConstInt(3), c.Mul(b, d)))
@@ -225,7 +235,7 @@ func TestAddMulConstCursors(t *testing.T) {
 		key("b", 0): Gen("b"),
 		key("d", 0): Zero(),
 	}
-	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
 	checkEnumeratorAgainstExplicit(t, c, lookup)
 }
 
@@ -254,7 +264,7 @@ func enumerationStructure(n, m int, seed int64) *structure.Structure {
 func sortTuples(ts []structure.Tuple) []string {
 	out := make([]string, len(ts))
 	for i, t := range ts {
-		out[i] = t.Key()
+		out[i] = structure.MakeWeightKey("", t).Tuple
 	}
 	sort.Strings(out)
 	return out
@@ -437,7 +447,7 @@ func TestFollowChecksTheClosure(t *testing.T) {
 	}
 	mirror := a.Clone()
 	present := !a.HasTuple("S", 3)
-	if err := q.Prepare([]dynamicq.Change[bool]{dynamicq.TupleChange[bool]("S", structure.Tuple{3}, present)}); err != nil {
+	if err := q.Prepare([]dynamicq.Change[bool]{{Rel: "S", Tuple: structure.Tuple{3}, Present: present}}); err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
 	c := q.Clock()
@@ -513,7 +523,8 @@ func TestProvenanceOfTriangles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	inputs := func(k structure.WeightKey) Value {
+	inputs := func(in circuit.Input) Value {
+		k := label(in)
 		if k.Weight != "w" {
 			return Zero()
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/structure"
 
 	"repro/internal/compile"
 	"repro/internal/parser"
@@ -14,7 +13,7 @@ import (
 
 // newProgramParallel builds an enumerator whose initial emptiness comes from
 // the level-parallel Nonempty pass on workers goroutines.
-func newProgramParallel(t *testing.T, p *circuit.Program, inputs func(structure.WeightKey) Value, workers int) *Enumerator {
+func newProgramParallel(t *testing.T, p *circuit.Program, inputs func(circuit.Input) Value, workers int) *Enumerator {
 	t.Helper()
 	nonempty, err := Nonempty(context.Background(), p, inputs, workers)
 	if err != nil {

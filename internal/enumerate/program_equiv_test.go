@@ -17,7 +17,7 @@ func randomEnumCircuit(r *rand.Rand, nInputs, extraGates int) *circuit.Circuit {
 	c := circuit.NewBuilder()
 	gates := make([]int, 0, nInputs+extraGates)
 	for i := 0; i < nInputs; i++ {
-		gates = append(gates, c.Input(key("w", i)))
+		gates = append(gates, input(c, "w", i))
 	}
 	pick := func() int { return gates[r.Intn(len(gates))] }
 	for i := 0; i < extraGates; i++ {
@@ -61,15 +61,16 @@ func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
 		for i := range present {
 			present[i] = r.Intn(2) == 0
 		}
-		inputs := func(k structure.WeightKey) Value {
+		inputs := func(in circuit.Input) Value {
+			k := label(in)
 			tp := structure.ParseTupleKey(k.Tuple)
 			if k.Weight != "w" || len(tp) != 1 || tp[0] < 0 || tp[0] >= nInputs {
 				return Zero()
 			}
 			return Bool(present[tp[0]])
 		}
-		boolVal := func(k structure.WeightKey) (bool, bool) {
-			v := inputs(k)
+		boolVal := func(in circuit.Input) (bool, bool) {
+			v := inputs(in)
 			return !v.Empty(), true
 		}
 

@@ -23,10 +23,10 @@ func errf(format string, args ...any) error { return fmt.Errorf(format, args...)
 // log can recover.
 func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 	c := circuit.NewBuilder()
-	a := c.Input(key("a", 0))
-	b := c.Input(key("b", 0))
-	d := c.Input(key("d", 0))
-	e4 := c.Input(key("e", 0))
+	a := input(c, "a", 0)
+	b := input(c, "b", 0)
+	d := input(c, "d", 0)
+	e4 := input(c, "e", 0)
 	sum := c.Add(a, b, d, b)
 	prod := c.Mul(sum, a)
 	perm := c.Perm(2, 3, []circuit.PermEntry{
@@ -42,7 +42,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		key("a", 0): Gen("a"), key("b", 0): Gen("b"),
 		key("d", 0): Zero(), key("e", 0): One(),
 	}
-	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
 	e := NewProgram(c.Program(), lookup, nil)
 
 	type pinned struct {
@@ -115,11 +115,11 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 		for col := 0; col < cols; col++ {
 			k := key("m", row, col)
 			inputs[k] = Gen(provenance.Generator(fmt.Sprintf("r%dc%d", row, col)))
-			entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: c.Input(k)})
+			entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "m", row, col)})
 		}
 	}
 	c.SetOutput(c.Perm(rows, cols, entries))
-	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
 	e := NewProgram(c.Program(), lookup, nil)
 	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
 	drain := func(cur Cursor) []string {
@@ -331,7 +331,7 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 // slots are enlisted twice in one wave.
 func TestRepeatedWires(t *testing.T) {
 	c := circuit.NewBuilder()
-	x, y, z := c.Input(key("w", 0)), c.Input(key("w", 1)), c.Input(key("w", 2))
+	x, y, z := input(c, "w", 0), input(c, "w", 1), input(c, "w", 2)
 	sum := c.Add(x, x, y)
 	pm := c.Perm(2, 3, []circuit.PermEntry{
 		{Row: 0, Col: 0, Gate: x}, {Row: 0, Col: 1, Gate: y}, {Row: 0, Col: 2, Gate: z},
@@ -341,7 +341,7 @@ func TestRepeatedWires(t *testing.T) {
 
 	gens := []Value{Zero(), Gen("g0"), Gen("g1"), One()}
 	inputs := map[structure.WeightKey]Value{key("w", 0): Zero(), key("w", 1): Gen("y"), key("w", 2): Gen("z")}
-	lookup := func(k structure.WeightKey) Value { return inputs[k] }
+	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
 	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
 	drain := func(cur Cursor) []string {
 		var got []provenance.Monomial

@@ -36,17 +36,13 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/provenance"
 	"repro/internal/semiring"
-	"repro/internal/structure"
 )
 
 // Analysis holds per-gate dependency information for a frozen program.
 type Analysis struct {
 	p *circuit.Program
-	// vars lists the weight inputs of the program in a fixed order.
-	vars []structure.WeightKey
-	// varIndex maps an input gate id to its position in vars.
-	varIndex map[int]int
-	// sets[g] is a bitset over vars: the inputs reachable from gate g.
+	// sets[g] is a bitset over the program's input numbers: the inputs
+	// reachable from gate g.
 	sets []bitset
 }
 
@@ -83,20 +79,14 @@ func (b bitset) count() int {
 // Analyze computes the input-dependency sets of every gate by one pass over
 // the program in id (hence topological) order.
 func Analyze(p *circuit.Program) *Analysis {
-	a := &Analysis{p: p, varIndex: map[int]int{}}
+	a := &Analysis{p: p}
 	n := p.NumGates()
-	for id := 0; id < n; id++ {
-		if p.GateKind(id) == circuit.KindInput {
-			a.varIndex[id] = len(a.vars)
-			a.vars = append(a.vars, p.InputKey(id))
-		}
-	}
 	a.sets = make([]bitset, n)
 	for id := 0; id < n; id++ {
-		s := newBitset(len(a.vars))
+		s := newBitset(p.NumInputs())
 		switch p.GateKind(id) {
 		case circuit.KindInput:
-			s.set(a.varIndex[id])
+			s.set(p.InputNumber(id))
 		case circuit.KindConst:
 			// no dependencies
 		default:
@@ -113,11 +103,6 @@ func Analyze(p *circuit.Program) *Analysis {
 
 // Program returns the analysed program.
 func (a *Analysis) Program() *circuit.Program { return a.p }
-
-// Variables lists the weight inputs of the program in analysis order.
-func (a *Analysis) Variables() []structure.WeightKey {
-	return append([]structure.WeightKey(nil), a.vars...)
-}
 
 // DependencyCount returns the number of inputs gate g depends on.
 func (a *Analysis) DependencyCount(g int) int { return a.sets[g].count() }
@@ -188,7 +173,7 @@ func (a *Analysis) permColumnSets(id int) map[int]bitset {
 	a.p.ForEachPermEntry(id, func(row, col, gate int) {
 		s, ok := cols[col]
 		if !ok {
-			s = newBitset(len(a.vars))
+			s = newBitset(a.p.NumInputs())
 			cols[col] = s
 		}
 		s.or(a.sets[gate])
@@ -206,8 +191,9 @@ func (a *Analysis) permColumnSets(id int) map[int]bitset {
 // moderate circuits (tests, diagnostics), not for production-size databases.
 func (a *Analysis) CheckDeterministic() []Violation {
 	free := provenance.FreeSemiring{}
-	val := func(key structure.WeightKey) (*provenance.Poly, bool) {
-		// Name carries the role, so v⁺ and v⁻ of one tuple stay two generators.
+	val := func(in circuit.Input) (*provenance.Poly, bool) {
+		// One generator per input, named by its label, whose Name carries the role.
+		key := a.p.InputKey(in.Gate)
 		return provenance.Var(provenance.Generator(key.Name() + ":" + key.Tuple)), true
 	}
 	polys := circuit.EvaluateAllProgram[*provenance.Poly](a.p, free, val)
@@ -238,7 +224,7 @@ func (a *Analysis) CheckDeterministic() []Violation {
 // i.e. it counts the monomials of the represented polynomial with
 // multiplicity.  For an enumeration circuit this is the number of answers.
 func ModelCount(p *circuit.Program) *big.Int {
-	one := func(structure.WeightKey) (*big.Int, bool) { return big.NewInt(1), true }
+	one := func(circuit.Input) (*big.Int, bool) { return big.NewInt(1), true }
 	return circuit.EvaluateProgram[*big.Int](p, semiring.Big, one)
 }
 

@@ -14,8 +14,9 @@ import (
 	"repro/internal/structure"
 )
 
-func key(w string, elems ...int) structure.WeightKey {
-	return structure.MakeWeightKey(w, structure.Tuple(elems))
+// input is the input gate of weight w at the elements.
+func input(c *circuit.Circuit, w string, elems ...int) int {
+	return c.Input(w, structure.Ordinary, elems)
 }
 
 // smallGraph builds a random sparse directed graph with unary weights u, v
@@ -55,15 +56,15 @@ func edgePairQuery() expr.Expr {
 
 func TestAnalyzeDependencies(t *testing.T) {
 	c := circuit.NewBuilder()
-	ux := c.Input(key("u", 0))
-	vy := c.Input(key("v", 1))
-	wxy := c.Input(key("w", 0, 1))
+	ux := input(c, "u", 0)
+	vy := input(c, "v", 1)
+	wxy := input(c, "w", 0, 1)
 	prod := c.Mul(ux, vy)
 	sum := c.Add(prod, wxy)
 	c.SetOutput(sum)
 
 	a := Analyze(c.Program())
-	if got := len(a.Variables()); got != 3 {
+	if got := a.Program().NumInputs(); got != 3 {
 		t.Fatalf("expected 3 variables, got %d", got)
 	}
 	if got := a.DependencyCount(prod); got != 2 {
@@ -77,14 +78,14 @@ func TestAnalyzeDependencies(t *testing.T) {
 func TestCheckDecomposableHandBuilt(t *testing.T) {
 	// u(0)·v(1) is decomposable; u(0)·u(0) is not.
 	good := circuit.NewBuilder()
-	g := good.Mul(good.Input(key("u", 0)), good.Input(key("v", 1)))
+	g := good.Mul(input(good, "u", 0), input(good, "v", 1))
 	good.SetOutput(g)
 	if v := Analyze(good.Program()).CheckDecomposable(); len(v) != 0 {
 		t.Errorf("decomposable circuit flagged: %v", v)
 	}
 
 	bad := circuit.NewBuilder()
-	in := bad.Input(key("u", 0))
+	in := input(bad, "u", 0)
 	b := bad.Mul(in, in)
 	bad.SetOutput(b)
 	violations := Analyze(bad.Program()).CheckDecomposable()
@@ -97,8 +98,8 @@ func TestCheckDecomposableHandBuilt(t *testing.T) {
 
 	// A permanent whose two columns share an input is not decomposable.
 	sharedPerm := circuit.NewBuilder()
-	shared := sharedPerm.Input(key("u", 0))
-	other := sharedPerm.Input(key("v", 1))
+	shared := input(sharedPerm, "u", 0)
+	other := input(sharedPerm, "v", 1)
 	p := sharedPerm.Perm(2, 2, []circuit.PermEntry{
 		{Row: 0, Col: 0, Gate: shared},
 		{Row: 1, Col: 0, Gate: other},
@@ -113,10 +114,10 @@ func TestCheckDecomposableHandBuilt(t *testing.T) {
 	// A permanent whose columns use distinct inputs is decomposable.
 	okPerm := circuit.NewBuilder()
 	p2 := okPerm.Perm(2, 2, []circuit.PermEntry{
-		{Row: 0, Col: 0, Gate: okPerm.Input(key("u", 0))},
-		{Row: 1, Col: 0, Gate: okPerm.Input(key("v", 0))},
-		{Row: 0, Col: 1, Gate: okPerm.Input(key("u", 1))},
-		{Row: 1, Col: 1, Gate: okPerm.Input(key("v", 1))},
+		{Row: 0, Col: 0, Gate: input(okPerm, "u", 0)},
+		{Row: 1, Col: 0, Gate: input(okPerm, "v", 0)},
+		{Row: 0, Col: 1, Gate: input(okPerm, "u", 1)},
+		{Row: 1, Col: 1, Gate: input(okPerm, "v", 1)},
 	})
 	okPerm.SetOutput(p2)
 	if v := Analyze(okPerm.Program()).CheckDecomposable(); len(v) != 0 {
@@ -180,10 +181,8 @@ func TestCheckDeterministic(t *testing.T) {
 
 	// v⁺ and v⁻ of one tuple differ only by their role and are two inputs:
 	// their sum produces two distinct monomials.
-	pos, neg := key("R", 3), key("R", 3)
-	pos.Role, neg.Role = structure.Member, structure.NonMember
 	c := circuit.NewBuilder()
-	c.SetOutput(c.Add(c.Input(pos), c.Input(neg)))
+	c.SetOutput(c.Add(c.Input("R", structure.Member, structure.Tuple{3}), c.Input("R", structure.NonMember, structure.Tuple{3})))
 	if v := Analyze(c.Program()).CheckDeterministic(); len(v) != 0 {
 		t.Errorf("v⁺ + v⁻ of R(3) should be deterministic, got %v", v[0])
 	}
@@ -252,10 +251,10 @@ func TestModelCountAgreesWithNatEvaluation(t *testing.T) {
 func TestDOT(t *testing.T) {
 	c := circuit.NewBuilder()
 	p := c.Perm(2, 2, []circuit.PermEntry{
-		{Row: 0, Col: 0, Gate: c.Input(key("u", 0))},
-		{Row: 1, Col: 0, Gate: c.Input(key("v", 0))},
-		{Row: 0, Col: 1, Gate: c.Input(key("u", 1))},
-		{Row: 1, Col: 1, Gate: c.Input(key("v", 1))},
+		{Row: 0, Col: 0, Gate: input(c, "u", 0)},
+		{Row: 1, Col: 0, Gate: input(c, "v", 0)},
+		{Row: 0, Col: 1, Gate: input(c, "u", 1)},
+		{Row: 1, Col: 1, Gate: input(c, "v", 1)},
 	})
 	out := c.Add(p, c.ConstInt(3))
 	c.SetOutput(out)

@@ -26,8 +26,7 @@ type sRelation struct {
 	name   string
 	arity  int
 	s      Semiring
-	values map[string]any
-	tuples []structure.Tuple
+	values structure.Weights[any] // under the relation's name, in the order first set
 }
 
 // NewDatabase wraps a relational structure as a nested-query database.
@@ -43,7 +42,7 @@ func (db *Database) DeclareSRelation(name string, s Semiring, arity int) error {
 	if _, ok := db.srel[name]; ok {
 		return fmt.Errorf("nested: S-relation %q already declared", name)
 	}
-	db.srel[name] = &sRelation{name: name, arity: arity, s: s, values: map[string]any{}}
+	db.srel[name] = &sRelation{name: name, arity: arity, s: s}
 	return nil
 }
 
@@ -62,7 +61,7 @@ func (db *Database) CheckValue(name string, tuple structure.Tuple) error {
 	if err := db.A.CheckDomain(tuple); err != nil {
 		return fmt.Errorf("nested: %w", err)
 	}
-	if rel.arity >= 2 && !db.tupleInSomeRelation(tuple) {
+	if rel.arity >= 2 && !db.A.InSomeRelation(tuple) {
 		return fmt.Errorf("nested: S-relation values of arity ≥ 2 may only be set on tuples of some boolean relation (Gaifman-graph discipline); %s%v is not such a tuple", name, tuple)
 	}
 	return nil
@@ -75,24 +74,8 @@ func (db *Database) SetValue(name string, tuple structure.Tuple, v any) error {
 	if err := db.CheckValue(name, tuple); err != nil {
 		return err
 	}
-	rel := db.srel[name]
-	key := tuple.Key()
-	if _, seen := rel.values[key]; !seen {
-		rel.tuples = append(rel.tuples, tuple.Clone())
-	}
-	rel.values[key] = v
+	db.srel[name].values.Set(name, tuple, v)
 	return nil
-}
-
-// tupleInSomeRelation reports whether the tuple occurs in some boolean
-// relation of matching arity.
-func (db *Database) tupleInSomeRelation(tuple structure.Tuple) bool {
-	for _, r := range db.A.Sig.Relations {
-		if r.Arity == len(tuple) && db.A.HasTuple(r.Name, tuple...) {
-			return true
-		}
-	}
-	return false
 }
 
 // SetTuple sets the membership of a tuple in a boolean relation of the
@@ -124,17 +107,9 @@ func (db *Database) SRelation(name string) (s Semiring, arity int, ok bool) {
 func (db *Database) Clone() *Database {
 	c := &Database{A: db.A.Clone(), srel: make(map[string]*sRelation, len(db.srel))}
 	for name, r := range db.srel {
-		nr := &sRelation{
-			name:   r.name,
-			arity:  r.arity,
-			s:      r.s,
-			values: make(map[string]any, len(r.values)),
-			tuples: append([]structure.Tuple(nil), r.tuples...),
-		}
-		for k, v := range r.values {
-			nr.values[k] = v
-		}
-		c.srel[name] = nr
+		nr := *r
+		nr.values = *r.values.Clone()
+		c.srel[name] = &nr
 	}
 	return c
 }
@@ -145,7 +120,7 @@ func (db *Database) Value(name string, tuple structure.Tuple) any {
 	if !ok {
 		return nil
 	}
-	if v, ok := rel.values[tuple.Key()]; ok {
+	if v, ok := rel.values.Get(name, tuple); ok {
 		return v
 	}
 	return rel.s.Zero()
@@ -311,7 +286,7 @@ type Stage struct {
 	Phi  logic.Formula
 	Expr expr.Expr
 	// Weights are the values of the base and derived S-relations Expr reads.
-	Weights []WeightValue
+	Weights *structure.Weights[any]
 }
 
 // Compile validates f against the database and materialises its guarded
@@ -463,7 +438,7 @@ func (ev *evaluator) materializeGuarded(g Guarded) (Formula, error) {
 		return BRel{Rel: name, Args: g.GuardArgs}, nil
 	}
 	// Derived S-relation stored as weights.
-	rel := &sRelation{name: name, arity: len(g.GuardArgs), s: out, values: map[string]any{}}
+	rel := &sRelation{name: name, arity: len(g.GuardArgs), s: out}
 	for ti, t := range tuples {
 		args := make([]any, len(g.Args))
 		for i := range g.Args {
@@ -471,8 +446,7 @@ func (ev *evaluator) materializeGuarded(g Guarded) (Formula, error) {
 		}
 		v := g.Conn.Apply(args)
 		if !out.Equal(v, out.Zero()) {
-			rel.values[t.Key()] = v
-			rel.tuples = append(rel.tuples, t)
+			rel.values.Set(name, t, v)
 		}
 	}
 	ev.derived[name] = rel
@@ -514,7 +488,7 @@ func (ev *evaluator) stage(f Formula) (*Stage, error) {
 		// A quantified boolean formula compiles as the weighted expression [ϕ]
 		// over the boolean semiring, with quantifier elimination applied inside
 		// the compiler.
-		return &Stage{A: ev.work, Out: BoolSemiring, Phi: phi, Expr: expr.Guard(phi)}, nil
+		return &Stage{A: ev.work, Out: BoolSemiring, Phi: phi, Expr: expr.Guard(phi), Weights: structure.NewWeights[any]()}, nil
 	}
 	e, weights, symbols, err := ev.toExpr(f)
 	if err != nil {
@@ -579,8 +553,8 @@ func (ev *evaluator) toLogic(f Formula) (logic.Formula, error) {
 // toExpr converts a connective-free S-valued formula into a weighted
 // expression over the working structure, collecting the weight values it
 // references and the weight symbols needed in the signature.
-func (ev *evaluator) toExpr(f Formula) (expr.Expr, []WeightValue, []structure.WeightSymbol, error) {
-	var weights []WeightValue
+func (ev *evaluator) toExpr(f Formula) (expr.Expr, *structure.Weights[any], []structure.WeightSymbol, error) {
+	weights := structure.NewWeights[any]()
 	var symbols []structure.WeightSymbol
 	declared := map[string]bool{}
 	constCounter := 0
@@ -600,17 +574,17 @@ func (ev *evaluator) toExpr(f Formula) (expr.Expr, []WeightValue, []structure.We
 			if !ok {
 				return nil, fmt.Errorf("nested: unknown S-relation %q", h.Rel)
 			}
-			declare(h.Rel, rel.arity)
-			// Register the relation's values once.
-			for _, t := range rel.tuples {
-				weights = append(weights, WeightValue{Weight: h.Rel, Tuple: t, Value: rel.values[t.Key()]})
+			if !declared[h.Rel] {
+				// Register the relation's values once, however often it occurs.
+				rel.values.Each(func(_ string, t structure.Tuple, v any) { weights.Set(h.Rel, t, v) })
 			}
+			declare(h.Rel, rel.arity)
 			return expr.W(h.Rel, h.Args...), nil
 		case ConstF:
 			constCounter++
 			name := fmt.Sprintf(".const%d", constCounter)
 			declare(name, 0)
-			weights = append(weights, WeightValue{Weight: name, Tuple: structure.Tuple{}, Value: h.Value})
+			weights.Set(name, nil, h.Value)
 			return expr.W(name), nil
 		case BinOp:
 			l, err := rec(h.L)
@@ -645,15 +619,5 @@ func (ev *evaluator) toExpr(f Formula) (expr.Expr, []WeightValue, []structure.We
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Deduplicate weight entries (the same S-relation may occur twice).
-	seen := map[string]bool{}
-	dedup := weights[:0]
-	for _, wv := range weights {
-		key := wv.Weight + "|" + wv.Tuple.Key()
-		if !seen[key] {
-			seen[key] = true
-			dedup = append(dedup, wv)
-		}
-	}
-	return e, dedup, symbols, nil
+	return e, weights, symbols, nil
 }

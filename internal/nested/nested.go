@@ -43,14 +43,7 @@ type Semiring interface {
 	// reader instantiates the closure sh in this carrier under the given
 	// weights and hands back its point query (Theorem 8): the typed engine
 	// state behind a closure over dynamically typed values.
-	reader(sh *dynamicq.Shared, weights []WeightValue) (func(args []structure.Element) (any, error), error)
-}
-
-// WeightValue is one dynamically typed weight entry.
-type WeightValue struct {
-	Weight string
-	Tuple  structure.Tuple
-	Value  any
+	reader(sh *dynamicq.Shared, weights *structure.Weights[any]) (func(args []structure.Element) (any, error), error)
 }
 
 // box adapts a typed semiring to the dynamic interface.
@@ -95,7 +88,7 @@ func (b box[T]) Less(x, y any) (bool, bool) {
 	return ord.Less(x.(T), y.(T)), true
 }
 
-func (b box[T]) reader(sh *dynamicq.Shared, weights []WeightValue) (func([]structure.Element) (any, error), error) {
+func (b box[T]) reader(sh *dynamicq.Shared, weights *structure.Weights[any]) (func([]structure.Element) (any, error), error) {
 	w, err := TypedWeights[T](weights)
 	if err != nil {
 		return nil, err
@@ -104,18 +97,19 @@ func (b box[T]) reader(sh *dynamicq.Shared, weights []WeightValue) (func([]struc
 	return func(args []structure.Element) (any, error) { return q.Value(args...) }, nil
 }
 
-// TypedWeights converts dynamically typed weight entries into a weight
-// assignment over the carrier T they were computed in.
-func TypedWeights[T any](weights []WeightValue) (*structure.Weights[T], error) {
+// TypedWeights converts dynamically typed weights into a weight assignment
+// over the carrier T they were computed in.
+func TypedWeights[T any](weights *structure.Weights[any]) (*structure.Weights[T], error) {
 	w := structure.NewWeights[T]()
-	for _, wv := range weights {
-		tv, ok := wv.Value.(T)
-		if !ok {
-			return nil, fmt.Errorf("nested: weight %s%v has value %v of type %T, which is not its carrier %T", wv.Weight, wv.Tuple, wv.Value, wv.Value, tv)
+	var err error
+	weights.Each(func(name string, t structure.Tuple, v any) {
+		tv, ok := v.(T)
+		if !ok && err == nil {
+			err = fmt.Errorf("nested: weight %s%v has value %v of type %T, which is not its carrier %T", name, t, v, v, tv)
 		}
-		w.Set(wv.Weight, wv.Tuple, tv)
-	}
-	return w, nil
+		w.Set(name, t, tv)
+	})
+	return w, err
 }
 
 // Connective is a function between semirings, applied under a guard.

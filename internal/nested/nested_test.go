@@ -258,10 +258,10 @@ func TestNestedConnectivesWithBinaryWeights(t *testing.T) {
 	if err := db.DeclareSRelation("cost", MinPlus, 2); err != nil {
 		t.Fatal(err)
 	}
-	costs := map[string]int64{}
+	costs := map[[2]int]int64{}
 	for _, e := range a.Tuples("E") {
 		c := int64(r.Intn(20) + 1)
-		costs[e.Key()] = c
+		costs[[2]int(e)] = c
 		if err := db.SetValue("cost", e, semiring.Fin(c)); err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestNestedConnectivesWithBinaryWeights(t *testing.T) {
 		best := semiring.Infinite // min-plus zero
 		for _, e := range a.Tuples("E") {
 			if e[0] == x {
-				best = semiring.MinPlus.Add(best, semiring.Fin(costs[e.Key()]))
+				best = semiring.MinPlus.Add(best, semiring.Fin(costs[[2]int(e)]))
 			}
 		}
 		if !best.Inf {

@@ -9,7 +9,7 @@ package structure
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -22,27 +22,6 @@ type Element = int
 
 // Tuple is a tuple of database elements.
 type Tuple []Element
-
-// Key encodes a tuple as a map key: its elements in decimal, comma
-// separated.
-func (t Tuple) Key() string {
-	var buf [keyBufSize]byte
-	return string(t.appendKey(buf[:0]))
-}
-
-// keyBufSize keeps the keys of tuples of the usual arities (≤ 4) and domain
-// sizes on the caller's stack.
-const keyBufSize = 48
-
-func (t Tuple) appendKey(b []byte) []byte {
-	for i, e := range t {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(e), 10)
-	}
-	return b
-}
 
 // Equal reports element-wise equality.
 func (t Tuple) Equal(u Tuple) bool {
@@ -257,14 +236,10 @@ func (a *Structure) CheckDomain(t Tuple) error {
 	return nil
 }
 
-// Holds reports whether the membership input k is one in a: whether relation
-// k.Weight holds the tuple k.Tuple, for a Member input, or does not, for a
-// NonMember input.  The key is decoded into a stack buffer and looked up in
-// the relation's index, so the test allocates nothing.
-func (a *Structure) Holds(k WeightKey) bool {
-	var buf [8]Element
-	t, err := appendKeyElements(buf[:0], k.Tuple)
-	return (err == nil && a.Relation(k.Weight).Has(t...)) == (k.Role == Member)
+// Holds reports whether the membership input of the given role at tuple t of
+// relation rel is one: whether rel holds t (Member) or does not (NonMember).
+func (a *Structure) Holds(rel string, role Role, t Tuple) bool {
+	return a.Relation(rel).Has(t...) == (role == Member)
 }
 
 // HasTuple reports whether the named relation contains the tuple.  An
@@ -355,15 +330,16 @@ func (a *Structure) OnSignature(sig *Signature) *Structure {
 // Weight assignments
 // ---------------------------------------------------------------------------
 
-// WeightKey identifies a single input of the circuits the compiler produces:
-// a weight symbol applied to a tuple of elements (the pairs (w, a) of the
-// paper), or, by its Role, one of Lemma 40's membership inputs of a dynamic
-// relation, which then stands in Weight.  The role is a field and not part of
-// the name, so no weight symbol, whatever it is called, addresses a
-// membership input.
+// WeightKey labels an input of the circuits the compiler produces — a weight
+// symbol applied to a tuple of elements (the pairs (w, a) of the paper), or,
+// by its Role, one of Lemma 40's membership inputs of the dynamic relation in
+// Weight — with the tuple in decimal text: the form an input (circuit.Input,
+// integers) takes at the boundary, formatted by InputLabel and decoded by
+// AppendTuple.  The role is a field and not part of the name, so no weight
+// symbol, whatever it is called, addresses a membership input.
 type WeightKey struct {
 	Weight string
-	Tuple  string // Tuple.Key() of the argument tuple
+	Tuple  string // the argument tuple's elements in decimal, comma separated
 	Role   Role
 }
 
@@ -392,54 +368,84 @@ func (k WeightKey) Name() string {
 	return k.Weight
 }
 
-// MakeWeightKey builds the key for weight symbol w applied to tuple t.
-func MakeWeightKey(w string, t Tuple) WeightKey {
-	return WeightKey{Weight: w, Tuple: t.Key()}
+// InputLabel labels the input sym(t) of the given role, formatting t.
+func InputLabel(sym string, role Role, t Tuple) WeightKey {
+	var buf [48]byte // the usual arities (≤ 4) and domain sizes fit on the stack
+	b := buf[:0]
+	for i, e := range t {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(e), 10)
+	}
+	return WeightKey{Weight: sym, Tuple: string(b), Role: role}
+}
+
+// MakeWeightKey labels weight symbol w applied to tuple t.
+func MakeWeightKey(w string, t Tuple) WeightKey { return InputLabel(w, Ordinary, t) }
+
+// AppendTuple decodes the key's tuple onto t — the one decoder of the label
+// text — allocating only when t runs out of capacity, or for the error.
+func (k WeightKey) AppendTuple(t Tuple) (Tuple, error) {
+	if k.Tuple == "" {
+		return t, nil
+	}
+	for rest, more := k.Tuple, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		e, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("structure: malformed tuple key %q", k.Tuple)
+		}
+		t = append(t, e)
+	}
+	return t, nil
+}
+
+// ParseTupleKey decodes the tuple text of a label.  Every label is minted by
+// InputLabel, so a malformed one is a bug in the caller and panics instead of
+// decoding to zeros.
+func ParseTupleKey(key string) Tuple {
+	t, err := WeightKey{Tuple: key}.AppendTuple(make(Tuple, 0, strings.Count(key, ",")+1))
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // Weights assigns semiring values to weight inputs, which are all of role
-// Ordinary.  Missing entries are implicitly the semiring zero.
+// Ordinary.  Missing entries are implicitly the semiring zero.  An entry is
+// integers in a TupleIndex, so reading or overwriting one allocates nothing.
 type Weights[T any] struct {
-	// vals is keyed without the role, which every entry shares: a third key
-	// field would cost every lookup of a closed evaluation a third hash.
-	vals map[weightID]T
+	names []string // the weight symbols, by the heads of their entries
+	index TupleIndex
+	vals  []T // vals[i] is the value of index entry i
 }
-
-// weightID is an Ordinary WeightKey without its role.
-type weightID struct{ weight, tuple string }
 
 // NewWeights returns an empty weight assignment.
-func NewWeights[T any]() *Weights[T] {
-	return &Weights[T]{vals: make(map[weightID]T)}
-}
+func NewWeights[T any]() *Weights[T] { return &Weights[T]{} }
 
 // Set assigns w(tuple) = value.
 func (w *Weights[T]) Set(weight string, tuple Tuple, value T) {
-	w.vals[weightID{weight, tuple.Key()}] = value
-}
-
-// SetKey assigns the value for a pre-built key, which must be Ordinary.
-func (w *Weights[T]) SetKey(k WeightKey, value T) {
-	if k.Role != Ordinary {
-		panic("structure: a membership input is not a weight")
+	s := slices.Index(w.names, weight)
+	if s < 0 {
+		s, w.names = len(w.names), append(w.names, weight)
 	}
-	w.vals[weightID{k.Weight, k.Tuple}] = value
+	if i, added := w.index.Add(int32(s), tuple); !added {
+		w.vals[i] = value
+		return
+	}
+	w.vals = append(w.vals, value)
 }
 
 // Get returns w(tuple) and whether it was explicitly set.
 func (w *Weights[T]) Get(weight string, tuple Tuple) (T, bool) {
-	v, ok := w.vals[weightID{weight, tuple.Key()}]
-	return v, ok
-}
-
-// GetKey returns the value for a pre-built key; a membership input has none.
-func (w *Weights[T]) GetKey(k WeightKey) (T, bool) {
-	if k.Role != Ordinary {
-		var zero T
-		return zero, false
+	// An unknown symbol's head, -1, heads no entry.
+	if i := w.index.Find(int32(slices.Index(w.names, weight)), tuple); i >= 0 {
+		return w.vals[i], true
 	}
-	v, ok := w.vals[weightID{k.Weight, k.Tuple}]
-	return v, ok
+	var zero T
+	return zero, false
 }
 
 // Len returns the number of explicitly set weights.
@@ -447,13 +453,23 @@ func (w *Weights[T]) Len() int { return len(w.vals) }
 
 // Clone returns an independent copy of the assignment; the values themselves
 // are shared (weights are treated as immutable semiring elements).
-func (w *Weights[T]) Clone() *Weights[T] { return &Weights[T]{vals: maps.Clone(w.vals)} }
+func (w *Weights[T]) Clone() *Weights[T] {
+	return &Weights[T]{names: slices.Clone(w.names), index: w.index.Clone(), vals: slices.Clone(w.vals)}
+}
 
-// ForEach iterates over all explicitly set weights.
-func (w *Weights[T]) ForEach(fn func(k WeightKey, v T)) {
-	for id, v := range w.vals {
-		fn(WeightKey{Weight: id.weight, Tuple: id.tuple}, v)
+// Each calls fn for every explicitly set weight, in the order the entries
+// were first set.  The tuple is a view into an arena that is only ever
+// appended to, so it stays valid; it must not be modified.
+func (w *Weights[T]) Each(fn func(weight string, t Tuple, v T)) {
+	for i, v := range w.vals {
+		fn(w.names[w.index.Head(i)], w.index.Tuple(i), v)
 	}
+}
+
+// ForEach is Each with every entry labelled by its WeightKey, for callers
+// that name weights by their text.
+func (w *Weights[T]) ForEach(fn func(k WeightKey, v T)) {
+	w.Each(func(weight string, t Tuple, v T) { fn(MakeWeightKey(weight, t), v) })
 }
 
 // Validate checks the paper's requirement that weight symbols of arity ≥ 1
@@ -461,72 +477,29 @@ func (w *Weights[T]) ForEach(fn func(k WeightKey, v T)) {
 // arity (for arity 1, to any domain element), and that arities match the
 // signature.  isZero decides zero-ness of values.
 func (w *Weights[T]) Validate(a *Structure, isZero func(T) bool) error {
-	var err error
-	w.ForEach(func(k WeightKey, v T) {
-		if err != nil {
-			return
-		}
-		decl, ok := a.Sig.Weight(k.Weight)
+	for i, v := range w.vals {
+		name, t := w.names[w.index.Head(i)], w.index.Tuple(i)
+		decl, ok := a.Sig.Weight(name)
 		if !ok {
-			err = fmt.Errorf("structure: weight value set for undeclared weight symbol %q", k.Weight)
-			return
-		}
-		t, perr := parseTupleKey(k.Tuple)
-		if perr != nil {
-			err = perr
-			return
+			return fmt.Errorf("structure: weight value set for undeclared weight symbol %q", name)
 		}
 		if len(t) != decl.Arity {
-			err = fmt.Errorf("structure: weight %q has arity %d but value set for tuple of length %d", k.Weight, decl.Arity, len(t))
-			return
+			return fmt.Errorf("structure: weight %q has arity %d but value set for tuple of length %d", name, decl.Arity, len(t))
 		}
-		if decl.Arity <= 1 || isZero(v) {
-			return
+		if decl.Arity <= 1 || isZero(v) || a.InSomeRelation(t) {
+			continue
 		}
-		// Must appear in some relation of matching arity.
-		for _, r := range a.Sig.Relations {
-			if r.Arity == decl.Arity && a.HasTuple(r.Name, t...) {
-				return
-			}
-		}
-		err = fmt.Errorf("structure: non-zero weight %s(%v) on a tuple outside every relation of arity %d",
-			k.Weight, t, decl.Arity)
-	})
-	return err
+		return fmt.Errorf("structure: non-zero weight %s(%v) on a tuple outside every relation of arity %d", name, t, decl.Arity)
+	}
+	return nil
 }
 
-// parseTupleKey decodes Tuple.Key: decimal elements, comma separated, the
-// empty key being the empty tuple.
-func parseTupleKey(key string) (Tuple, error) {
-	return appendKeyElements(make(Tuple, 0, strings.Count(key, ",")+1), key)
-}
-
-// appendKeyElements decodes Tuple.Key text onto t; it allocates only when t
-// runs out of capacity, or for the error.
-func appendKeyElements(t Tuple, key string) (Tuple, error) {
-	if key == "" {
-		return t, nil
-	}
-	for rest, more := key, true; more; {
-		var part string
-		part, rest, more = strings.Cut(rest, ",")
-		e, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("structure: malformed tuple key %q", key)
+// InSomeRelation reports whether some relation of t's arity holds t.
+func (a *Structure) InSomeRelation(t Tuple) bool {
+	for _, r := range a.Sig.Relations {
+		if r.Arity == len(t) && a.HasTuple(r.Name, t...) {
+			return true
 		}
-		t = append(t, e)
 	}
-	return t, nil
-}
-
-// ParseTupleKey exposes tuple-key decoding for other packages (e.g. the
-// enumeration layer decodes answer tuples from free-semiring generators).
-// Every key in the system is minted by Tuple.Key, so a malformed one is a bug
-// in the caller and panics instead of decoding to zeros.
-func ParseTupleKey(key string) Tuple {
-	t, err := parseTupleKey(key)
-	if err != nil {
-		panic(err)
-	}
-	return t
+	return false
 }

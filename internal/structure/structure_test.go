@@ -144,10 +144,11 @@ func TestGaifmanAllocations(t *testing.T) {
 
 func TestTupleKey(t *testing.T) {
 	tu := Tuple{3, 1, 4}
-	if tu.Key() != "3,1,4" {
-		t.Errorf("Key = %q", tu.Key())
+	k := MakeWeightKey("w", tu)
+	if k != (WeightKey{Weight: "w", Tuple: "3,1,4"}) {
+		t.Errorf("MakeWeightKey = %+v", k)
 	}
-	round := ParseTupleKey(tu.Key())
+	round := ParseTupleKey(k.Tuple)
 	if !round.Equal(tu) {
 		t.Errorf("ParseTupleKey round trip failed: %v", round)
 	}
@@ -299,11 +300,17 @@ func TestTupleKeyRoundTrip(t *testing.T) {
 		{Tuple{1000000, 2, 30, 400}, "1000000,2,30,400"},
 		{Tuple{123456789, 123456789, 123456789, 123456789, 123456789, 123456789}, "123456789,123456789,123456789,123456789,123456789,123456789"},
 	} {
-		if got := tc.tuple.Key(); got != tc.key {
-			t.Errorf("%v.Key() = %q, want %q", []int(tc.tuple), got, tc.key)
+		if got := MakeWeightKey("w", tc.tuple).Tuple; got != tc.key {
+			t.Errorf("MakeWeightKey(w, %v).Tuple = %q, want %q", []int(tc.tuple), got, tc.key)
 		}
 		if back := ParseTupleKey(tc.key); !back.Equal(tc.tuple) {
 			t.Errorf("ParseTupleKey(%q) = %v, want %v", tc.key, back, tc.tuple)
+		}
+		for _, role := range []Role{Ordinary, Member, NonMember} {
+			k := InputLabel("R", role, tc.tuple)
+			if back, err := k.AppendTuple(nil); err != nil || !back.Equal(tc.tuple) || k.Role != role || k.Weight != "R" {
+				t.Errorf("InputLabel(R, %d, %v) = %+v decodes to %v, %v", role, tc.tuple, k, back, err)
+			}
 		}
 	}
 	a := NewStructure(testSignature(t), 2000)
@@ -314,28 +321,30 @@ func TestTupleKeyRoundTrip(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { a.HasTuple("T", 12, 345, 1999) }); allocs != 0 {
 		t.Errorf("HasTuple allocates %.0f objects per call, want 0", allocs)
 	}
-	member := WeightKey{Weight: "T", Tuple: Tuple{12, 345, 1999}.Key(), Role: Member}
-	absent := WeightKey{Weight: "T", Tuple: "12,34,51999", Role: NonMember}
-	if !a.Holds(member) || !a.Holds(absent) {
-		t.Errorf("Holds(%v) = %v, Holds(%v) = %v, want both true", member, a.Holds(member), absent, a.Holds(absent))
+	member, absent := Tuple{12, 345, 1999}, Tuple{12, 34, 51999}
+	if !a.Holds("T", Member, member) || !a.Holds("T", NonMember, absent) || a.Holds("T", NonMember, member) {
+		t.Errorf("Holds does not tell the membership inputs of (12,345,1999) from (12,34,51999)")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { a.Holds(member) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { a.Holds("T", Member, member) }); allocs != 0 {
 		t.Errorf("Holds allocates %.0f objects per call, want 0", allocs)
+	}
+	label := InputLabel("T", Member, member)
+	buf := make(Tuple, 0, 8)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = label.AppendTuple(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendTuple into a buffer with room allocates %.0f objects per call, want 0", allocs)
 	}
 }
 
-// TestMalformedTupleKey decides what a key Tuple.Key cannot have minted does:
-// Validate reports it, ParseTupleKey panics, and neither decodes it to zeros.
+// TestMalformedTupleKey decides what a label InputLabel cannot have minted
+// does: the boundary decoder reports it, ParseTupleKey panics, and neither
+// decodes it to zeros.
 func TestMalformedTupleKey(t *testing.T) {
 	if got := ParseTupleKey("-3,+4,007"); !got.Equal(Tuple{-3, 4, 7}) {
 		t.Errorf(`ParseTupleKey("-3,+4,007") = %v, want [-3 4 7]`, got)
 	}
-	a := NewStructure(testSignature(t), 4)
 	for _, key := range []string{",", "1,", ",1", "1,,2", "x", "1,2x", "1 ,2", "99999999999999999999"} {
-		w := NewWeights[int64]()
-		w.SetKey(WeightKey{Weight: "u", Tuple: key}, 1)
-		if err := w.Validate(a, func(v int64) bool { return v == 0 }); err == nil || !strings.Contains(err.Error(), "malformed tuple key") {
-			t.Errorf("Validate with key %q = %v, want a malformed-key error", key, err)
+		if got, err := (WeightKey{Weight: "u", Tuple: key}).AppendTuple(nil); err == nil || !strings.Contains(err.Error(), "malformed tuple key") {
+			t.Errorf("AppendTuple of %q = %v, %v, want a malformed-key error", key, got, err)
 		}
 		func() {
 			defer func() {
@@ -345,6 +354,73 @@ func TestMalformedTupleKey(t *testing.T) {
 			}()
 			ParseTupleKey(key)
 		}()
+	}
+}
+
+// TestWeightsAllocations holds reading a weight, and overwriting one that is
+// set, to no allocation: an entry is its symbol's number and its elements in
+// a TupleIndex, and nothing formats a key.
+func TestWeightsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	w := NewWeights[int64]()
+	for i := 0; i < 1000; i++ {
+		w.Set("w", Tuple{i, i + 1}, int64(i))
+		w.Set("u", Tuple{i}, 1)
+	}
+	probe := Tuple{500, 501}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.Get("w", probe)
+		w.Get("u", Tuple{5000})
+		w.Get("nope", probe)
+	}); allocs != 0 {
+		t.Errorf("Get allocates %.0f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.Set("w", probe, 7) }); allocs != 0 {
+		t.Errorf("Set of an existing entry allocates %.0f objects per call, want 0", allocs)
+	}
+	if v, ok := w.Get("w", probe); !ok || v != 7 || w.Len() != 2000 {
+		t.Errorf("after the overwrites Get(w, %v) = %d, %v and Len = %d; want 7, true and 2000", probe, v, ok, w.Len())
+	}
+}
+
+// TestTupleIndex checks the index against a map of formatted keys: every pair
+// added is found under its first number, heads keep equal tuples apart, an
+// absent pair is not found, and a clone is independent of its original.
+func TestTupleIndex(t *testing.T) {
+	var x TupleIndex
+	if x.Find(0, Tuple{1}) != -1 {
+		t.Fatal("the empty index finds an entry")
+	}
+	want := map[WeightKey]int{}
+	for i := 0; i < 3000; i++ {
+		head, tu := int32(i%3), Tuple{i % 97, i % 89}[:1+i%2]
+		k := InputLabel("", Role(head), tu)
+		n, added := x.Add(head, tu)
+		if first, seen := want[k]; seen != !added || (seen && n != first) {
+			t.Fatalf("Add(%d, %v) = %d, %v; first added as %d (seen %v)", head, tu, n, added, first, seen)
+		}
+		if added {
+			want[k] = n
+		}
+	}
+	if x.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", x.Len(), len(want))
+	}
+	for k, n := range want {
+		tu := ParseTupleKey(k.Tuple)
+		if got := x.Find(int32(k.Role), tu); got != n || x.Head(n) != int32(k.Role) || !x.Tuple(n).Equal(tu) {
+			t.Fatalf("Find(%d, %v) = %d, want %d", k.Role, tu, got, n)
+		}
+	}
+	if x.Find(3, Tuple{0}) != -1 || x.Find(0, Tuple{0, 1, 2}) != -1 {
+		t.Error("Find reports a pair never added")
+	}
+	y := x.Clone()
+	y.Add(0, Tuple{1000})
+	if x.Find(0, Tuple{1000}) != -1 || y.Find(0, Tuple{1000}) != x.Len() {
+		t.Error("a clone shares its additions with the original")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 type cdcMirror struct {
 	d       *workload.Database
 	edges   []structure.Tuple
-	edgeIdx map[string]int
+	edgeIdx map[[2]int]int
 	present []bool
 	inS     []bool
 	wVal    []int64
@@ -28,16 +28,16 @@ func newCDCMirror(d *workload.Database) *cdcMirror {
 	m := &cdcMirror{
 		d:       d,
 		edges:   d.A.Tuples("E"),
-		edgeIdx: map[string]int{},
+		edgeIdx: map[[2]int]int{},
 		inS:     make([]bool, d.A.N),
 		uVal:    make([]int64, d.A.N),
 	}
 	m.present = make([]bool, len(m.edges))
 	m.wVal = make([]int64, len(m.edges))
 	for i, e := range m.edges {
-		m.edgeIdx[e.Key()] = i
+		m.edgeIdx[[2]int(e)] = i
 		m.present[i] = true
-		m.wVal[i] = d.EdgeWeight[e.Key()]
+		m.wVal[i] = d.EdgeWeight[[2]int(e)]
 	}
 	for v := 0; v < d.A.N; v++ {
 		m.inS[v] = d.A.HasTuple("S", v)
@@ -52,7 +52,7 @@ func (m *cdcMirror) apply(t *testing.T, i int, c workload.Change) {
 	ins := c.Present == nil || *c.Present
 	switch {
 	case c.Weight == "w":
-		e, ok := m.edgeIdx[structure.Tuple(c.Tuple).Key()]
+		e, ok := m.edgeIdx[[2]int(c.Tuple)]
 		if !ok || !m.present[e] {
 			t.Fatalf("change %d: w update on absent edge %v", i, c.Tuple)
 		}
@@ -60,7 +60,7 @@ func (m *cdcMirror) apply(t *testing.T, i int, c workload.Change) {
 	case c.Weight == "u":
 		m.uVal[c.Tuple[0]] = c.Value
 	case c.Rel == "E":
-		e, ok := m.edgeIdx[structure.Tuple(c.Tuple).Key()]
+		e, ok := m.edgeIdx[[2]int(c.Tuple)]
 		if !ok {
 			t.Fatalf("change %d: E change on non-original edge %v (Gaifman-unsafe)", i, c.Tuple)
 		}

@@ -28,7 +28,7 @@ func GraphSignature() *structure.Signature {
 type Database struct {
 	A *structure.Structure
 	// EdgeWeight holds w(x, y) for every edge tuple (x, y) ∈ E.
-	EdgeWeight map[string]int64
+	EdgeWeight map[[2]structure.Element]int64
 	// VertexWeight holds u(x) for every vertex.
 	VertexWeight []int64
 }
@@ -36,14 +36,7 @@ type Database struct {
 // Weights materialises the integer weights as a weight assignment over the
 // naturals.
 func (d *Database) Weights() *structure.Weights[int64] {
-	w := structure.NewWeights[int64]()
-	for _, t := range d.A.Tuples("E") {
-		w.Set("w", t, d.EdgeWeight[t.Key()])
-	}
-	for v := 0; v < d.A.N; v++ {
-		w.Set("u", structure.Tuple{v}, d.VertexWeight[v])
-	}
-	return w
+	return WeightsIn(d, func(v int64) int64 { return v })
 }
 
 // WeightsIn converts the integer weights into an arbitrary semiring through
@@ -51,7 +44,7 @@ func (d *Database) Weights() *structure.Weights[int64] {
 func WeightsIn[T any](d *Database, embed func(int64) T) *structure.Weights[T] {
 	w := structure.NewWeights[T]()
 	for _, t := range d.A.Tuples("E") {
-		w.Set("w", t, embed(d.EdgeWeight[t.Key()]))
+		w.Set("w", t, embed(d.EdgeWeight[[2]structure.Element(t)]))
 	}
 	for v := 0; v < d.A.N; v++ {
 		w.Set("u", structure.Tuple{v}, embed(d.VertexWeight[v]))
@@ -65,9 +58,9 @@ func (d *Database) MinPlusWeights() *structure.Weights[semiring.Ext] {
 }
 
 func newDatabase(a *structure.Structure, r *rand.Rand, maxWeight int64) *Database {
-	d := &Database{A: a, EdgeWeight: map[string]int64{}, VertexWeight: make([]int64, a.N)}
+	d := &Database{A: a, EdgeWeight: map[[2]structure.Element]int64{}, VertexWeight: make([]int64, a.N)}
 	for _, t := range a.Tuples("E") {
-		d.EdgeWeight[t.Key()] = r.Int63n(maxWeight) + 1
+		d.EdgeWeight[[2]structure.Element(t)] = r.Int63n(maxWeight) + 1
 	}
 	for v := 0; v < a.N; v++ {
 		d.VertexWeight[v] = r.Int63n(maxWeight) + 1
@@ -257,7 +250,7 @@ func RoadNetwork(w, h int, shortcuts int, seed int64) *Database {
 		u := v + dy*w + dx
 		if u >= 0 && u < n && u != v {
 			d.A.MustAddTuple("E", v, u)
-			d.EdgeWeight[structure.Tuple{v, u}.Key()] = r.Int63n(8) + 1
+			d.EdgeWeight[[2]structure.Element{v, u}] = r.Int63n(8) + 1
 		}
 	}
 	return d

@@ -26,7 +26,7 @@ func TestGenerators(t *testing.T) {
 		}
 		// Weights cover every edge and every vertex.
 		for _, tup := range a.Tuples("E") {
-			if c.db.EdgeWeight[tup.Key()] <= 0 {
+			if c.db.EdgeWeight[[2]int(tup)] <= 0 {
 				t.Errorf("%s: missing edge weight for %v", c.name, tup)
 			}
 		}
