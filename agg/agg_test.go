@@ -366,6 +366,37 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
+// TestPrepareRejectsDynamicRelationUnderQuantifier wants a dynamic relation
+// under a quantifier refused even where its atom does not mention the
+// quantified variable.  Eliminating ∃y E(x,y) ∧ S(x) would fold S into a
+// static derived predicate, and the session would keep reading 90 after S
+// came to hold everywhere, where the value is 214.
+func TestPrepareRejectsDynamicRelationUnderQuantifier(t *testing.T) {
+	db, err := Generate("bounded-degree", 50, 1)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	ctx := context.Background()
+	const query = "sum x . [exists y . E(x,y) & S(x)] * u(x)"
+	if _, err := Open(db).Prepare(ctx, query, WithDynamic("S")); !errors.Is(err, ErrCompile) {
+		t.Fatalf("Prepare(%q) with S dynamic: %v, want ErrCompile", query, err)
+	}
+	p, err := Open(db).Prepare(ctx, query)
+	if err != nil {
+		t.Fatalf("Prepare(%q) with S static: %v", query, err)
+	}
+	if got, err := p.Eval(ctx); err != nil || got != "90" {
+		t.Errorf("Eval(%q) = %q, %v; want 90", query, got, err)
+	}
+	const everywhere = "sum x . [exists y . E(x,y)] * u(x)"
+	if p, err = Open(db).Prepare(ctx, everywhere); err != nil {
+		t.Fatalf("Prepare(%q): %v", everywhere, err)
+	}
+	if got, err := p.Eval(ctx); err != nil || got != "214" {
+		t.Errorf("Eval(%q) = %q, %v; want 214", everywhere, got, err)
+	}
+}
+
 func TestErrorTaxonomy(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()

@@ -25,13 +25,6 @@ type Options struct {
 	// the 2^k / 3^k blow-ups of permanent maintenance and shape enumeration.
 	// Zero means the default of 4.
 	MaxVars int
-
-	// MaxBracketAtoms is forwarded to expr.Normalize.
-	MaxBracketAtoms int
-
-	// SkipQuantifierElimination disables the qe preprocessing; brackets must
-	// then already be quantifier free.
-	SkipQuantifierElimination bool
 }
 
 // Stats summarises the work performed by the compiler.
@@ -98,16 +91,12 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 		dyn[r] = true
 	}
 
-	work := a
-	var err error
-	if !opts.SkipQuantifierElimination {
-		work, e, err = eliminateBrackets(a, e, opts.DynamicRelations)
-		if err != nil {
-			return nil, err
-		}
+	work, e, err := eliminateBrackets(a, e, opts.DynamicRelations)
+	if err != nil {
+		return nil, err
 	}
 
-	poly, err := expr.Normalize(e, expr.NormalizeOptions{MaxBracketAtoms: opts.MaxBracketAtoms})
+	poly, err := expr.Normalize(e, expr.NormalizeOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -144,9 +133,10 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 	}
 	res.Stats.Monomials = len(prepared)
 
-	gaifman := work.Gaifman()
+	var gaifman *graph.Graph
 	var coloring *graph.Coloring
 	if maxVars >= 2 {
+		gaifman = work.Gaifman()
 		coloring = graph.LowTreedepthColoring(gaifman, maxVars)
 		res.Coloring = coloring
 		res.Stats.Colors = coloring.NumColors
@@ -303,19 +293,34 @@ func (env *compileEnv) compileMonomial(pm *preparedMonomial) (int, error) {
 }
 
 // compileSingleVariable handles monomials over one bound variable: the
-// aggregation is a plain sum over the domain, no decomposition needed.
+// aggregation is a plain sum over the domain, no decomposition needed.  Every
+// argument is that variable, so each term reads a prefix of the constant
+// tuple (el, …, el), written into one buffer: Circuit.Input copies what it
+// keeps and Relation.Has only reads, as does Circuit.Mul with the factors.
 func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
+	arity := 0
+	for _, l := range pm.literals {
+		arity = max(arity, len(l.Args))
+	}
+	for _, w := range pm.weights {
+		arity = max(arity, len(w.Args))
+	}
+	tuple := make(structure.Tuple, arity)
+	factors := make([]int, 0, len(pm.weights)+len(pm.literals))
 	var terms []int
 	for el := 0; el < env.a.N; el++ {
-		factors := make([]int, 0, len(pm.weights)+len(pm.literals))
+		for i := range tuple {
+			tuple[i] = el
+		}
+		factors = factors[:0]
 		ok := true
 		for li, l := range pm.literals {
-			tuple := constantTuple(el, len(l.Args))
+			t := tuple[:len(l.Args)]
 			if env.dyn[l.Rel] {
-				factors = append(factors, env.c.Input(l.Rel, membershipRole(l.Positive), tuple))
+				factors = append(factors, env.c.Input(l.Rel, membershipRole(l.Positive), t))
 				continue
 			}
-			if pm.rels[li].Has(tuple...) != l.Positive {
+			if pm.rels[li].Has(t...) != l.Positive {
 				ok = false
 				break
 			}
@@ -324,19 +329,11 @@ func (env *compileEnv) compileSingleVariable(pm *preparedMonomial) int {
 			continue
 		}
 		for _, w := range pm.weights {
-			factors = append(factors, env.c.Input(w.W, structure.Ordinary, constantTuple(el, len(w.Args))))
+			factors = append(factors, env.c.Input(w.W, structure.Ordinary, tuple[:len(w.Args)]))
 		}
 		terms = append(terms, env.c.Mul(factors...))
 	}
 	return env.c.Add(terms...)
-}
-
-func constantTuple(el, arity int) structure.Tuple {
-	t := make(structure.Tuple, arity)
-	for i := range t {
-		t[i] = el
-	}
-	return t
 }
 
 // ---------------------------------------------------------------------------

@@ -9,19 +9,24 @@
 // aggregates): an existential quantifier ∃y ψ is eliminated when ψ is
 // quantifier-free (after recursive elimination) and every atom of ψ
 // containing y contains at most one other variable x (the same x for all
-// such atoms), so that ∃y ψ defines a unary property of x computable in
-// linear time by a scan over the tuples incident to each element.  The
-// derived property is materialised as a fresh unary relation on a copy of
-// the structure, keeping the Gaifman graph unchanged.
+// such atoms), so that ∃y ψ defines a unary property of x.  The property is
+// decided for every element a in time linear in a's degree: the named
+// witnesses are a and its neighbours in the Gaifman graph, and every other
+// witness is far from a, where ψ sees only which atoms on y alone it
+// satisfies — its type — so one test per type present among the far elements
+// settles the rest.  The derived property is materialised as a fresh unary
+// relation on a copy of the structure, keeping the Gaifman graph unchanged.
 //
-// Formulas outside the fragment are rejected with a descriptive error
-// rather than silently mis-evaluated.
+// Formulas outside the fragment, and quantifiers over a forbidden (dynamic)
+// relation, are rejected with a descriptive error rather than silently
+// mis-evaluated.
 package qe
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/structure"
@@ -47,24 +52,15 @@ type eliminator struct {
 	// work is the working structure: the input structure progressively
 	// extended with the derived unary predicates, so that inner derived
 	// predicates are visible when eliminating outer quantifiers.
-	work    *structure.Structure
-	sig     *structure.Signature
+	work *structure.Structure
+	// gaifman is the Gaifman graph of the input structure, which the derived
+	// predicates, being unary, leave unchanged.
+	gaifman *graph.Graph
 	derived []string
-	// adjacency index: for every element, the tuples (relation, tuple)
-	// containing it; built lazily.
-	incident map[structure.Element][]incidence
-	built    bool
-	// typeCount caches the number of elements of each diagonal type.
-	typeCount map[string]int
-	counter   int
-	// forbidden relations (e.g. dynamic relations) may not be folded into
-	// derived predicates.
-	forbidden map[string]bool
-}
-
-type incidence struct {
-	rel   string
-	tuple structure.Tuple
+	counter int
+	// forbidden relations (e.g. dynamic relations) may not occur under a
+	// quantifier.
+	forbidden []string
 }
 
 // Eliminate rewrites every quantifier in f that falls into the guarded
@@ -72,14 +68,7 @@ type incidence struct {
 // a.  Relations listed in forbidden (typically the dynamic relations of
 // Theorem 24) must not occur under an eliminated quantifier.
 func Eliminate(a *structure.Structure, f logic.Formula, forbidden []string) (*Result, error) {
-	e := &eliminator{
-		work:      a,
-		sig:       a.Sig,
-		forbidden: map[string]bool{},
-	}
-	for _, r := range forbidden {
-		e.forbidden[r] = true
-	}
+	e := &eliminator{work: a, gaifman: a.Gaifman(), forbidden: forbidden}
 	out, err := e.rewrite(f)
 	if err != nil {
 		return nil, err
@@ -88,27 +77,18 @@ func Eliminate(a *structure.Structure, f logic.Formula, forbidden []string) (*Re
 }
 
 // extend rebuilds the working structure with an additional unary relation
-// holding the given members, and invalidates the eliminator's caches.
-func (e *eliminator) extend(name string, members map[structure.Element]bool) error {
-	rels := append(append([]structure.RelSymbol(nil), e.sig.Relations...), structure.RelSymbol{Name: name, Arity: 1})
-	sig, err := structure.NewSignature(rels, e.sig.Weights)
+// holding the given members, in the order given.
+func (e *eliminator) extend(name string, members []structure.Element) error {
+	sig := e.work.Sig
+	rels := append(slices.Clone(sig.Relations), structure.RelSymbol{Name: name, Arity: 1})
+	ext, err := structure.NewSignature(rels, sig.Weights)
 	if err != nil {
 		return &Error{Detail: fmt.Sprintf("extending signature with %s", name), Err: err}
 	}
-	ext := e.work.OnSignature(sig)
-	elems := make([]structure.Element, 0, len(members))
-	for el := range members {
-		elems = append(elems, el)
+	e.work = e.work.OnSignature(ext)
+	for _, el := range members {
+		e.work.MustAddTuple(name, el)
 	}
-	sort.Ints(elems)
-	for _, el := range elems {
-		ext.MustAddTuple(name, el)
-	}
-	e.work = ext
-	e.sig = sig
-	e.built = false
-	e.incident = nil
-	e.typeCount = nil
 	return nil
 }
 
@@ -124,32 +104,20 @@ func (e *eliminator) rewrite(f logic.Formula) (logic.Formula, error) {
 		}
 		return logic.Neg(arg), nil
 	case logic.And:
-		args := make([]logic.Formula, len(g.Args))
-		for i, x := range g.Args {
-			a, err := e.rewrite(x)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = a
+		args, err := e.rewriteAll(g.Args)
+		if err != nil {
+			return nil, err
 		}
 		return logic.Conj(args...), nil
 	case logic.Or:
-		args := make([]logic.Formula, len(g.Args))
-		for i, x := range g.Args {
-			a, err := e.rewrite(x)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = a
+		args, err := e.rewriteAll(g.Args)
+		if err != nil {
+			return nil, err
 		}
 		return logic.Disj(args...), nil
 	case logic.Forall:
 		// ∀y ψ ≡ ¬∃y ¬ψ.
-		inner, err := e.rewrite(logic.Neg(logic.Exists{Var: g.Var, Arg: logic.Neg(g.Arg)}))
-		if err != nil {
-			return nil, err
-		}
-		return inner, nil
+		return e.rewrite(logic.Neg(logic.Exists{Var: g.Var, Arg: logic.Neg(g.Arg)}))
 	case logic.Exists:
 		arg, err := e.rewrite(g.Arg)
 		if err != nil {
@@ -161,47 +129,36 @@ func (e *eliminator) rewrite(f logic.Formula) (logic.Formula, error) {
 	}
 }
 
+func (e *eliminator) rewriteAll(fs []logic.Formula) ([]logic.Formula, error) {
+	args := make([]logic.Formula, len(fs))
+	for i, f := range fs {
+		a, err := e.rewrite(f)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = a
+	}
+	return args, nil
+}
+
 // eliminateExists handles ∃y ψ for quantifier-free ψ.
 func (e *eliminator) eliminateExists(y string, psi logic.Formula) (logic.Formula, error) {
 	if !logic.IsQuantifierFree(psi) {
 		return nil, failf(y, parser.FormatFormula(psi),
 			fmt.Sprintf("nested quantifier under ∃%s could not be eliminated", y))
 	}
-	free := logic.FreeVars(psi)
-	hasY := false
-	var others []string
-	for _, v := range free {
-		if v == y {
-			hasY = true
-		} else {
-			others = append(others, v)
-		}
-	}
-	if !hasY {
-		// ∃y ψ with y not free: equivalent to ψ when the domain is
-		// non-empty (checked at evaluation sites; domains here are always
-		// non-empty in practice), but to stay exact keep the existential
-		// only if the domain could be empty.  We simply return ψ and note
-		// that empty domains make every aggregation trivial anyway.
-		return psi, nil
-	}
-	// Check guardedness: every atom containing y mentions at most one other
-	// variable, and that variable is the same across all such atoms.
+	// Check the dynamic relations and guardedness: every atom containing y
+	// mentions at most one other variable, and that variable is the same
+	// across all such atoms.
 	guard := ""
 	for _, atom := range logic.CollectAtoms(psi) {
-		vars := logic.FreeVars(atom)
-		containsY := false
-		for _, v := range vars {
-			if v == y {
-				containsY = true
-			}
-		}
-		if !containsY {
-			continue
-		}
-		if a, ok := atom.(logic.Atom); ok && e.forbidden[a.Rel] {
+		if a, ok := atom.(logic.Atom); ok && slices.Contains(e.forbidden, a.Rel) {
 			return nil, failf(y, parser.FormatFormula(psi),
-				fmt.Sprintf("quantified variable %s occurs in dynamic relation %s; dynamic relations cannot appear under quantifiers", y, a.Rel))
+				fmt.Sprintf("dynamic relation %s occurs under ∃%s; dynamic relations cannot appear under quantifiers", a.Rel, y))
+		}
+		vars := logic.FreeVars(atom)
+		if !slices.Contains(vars, y) {
+			continue
 		}
 		for _, v := range vars {
 			if v == y {
@@ -215,18 +172,18 @@ func (e *eliminator) eliminateExists(y string, psi logic.Formula) (logic.Formula
 			}
 		}
 	}
-	if guard == "" {
-		// Every atom involving y is unary in y.  If ψ has no other free
-		// variables, ∃y ψ is a sentence that can be evaluated right now.
-		if len(others) != 0 {
-			return nil, failf(y, parser.FormatFormula(psi),
-				fmt.Sprintf("∃%s mixes atoms on %s with free variables %v without a common guard (outside the supported fragment)", y, y, others))
+	free := logic.FreeVars(psi)
+	if !slices.Contains(free, y) {
+		// ∃y ψ with y not free holds iff ψ does and the domain is non-empty.
+		if e.work.N == 0 {
+			return logic.False(), nil
 		}
-		holds := logic.Eval(logic.Exists{Var: y, Arg: psi}, e.work, map[string]structure.Element{})
-		if holds {
-			return logic.True(), nil
-		}
-		return logic.False(), nil
+		return psi, nil
+	}
+	others := slices.DeleteFunc(free, func(v string) bool { return v == y })
+	if guard == "" && len(others) != 0 {
+		return nil, failf(y, parser.FormatFormula(psi),
+			fmt.Sprintf("∃%s mixes atoms on %s with free variables %v without a common guard (outside the supported fragment)", y, y, others))
 	}
 	// The derived predicate is unary in the guard, so ψ may not have further
 	// free variables.
@@ -236,212 +193,234 @@ func (e *eliminator) eliminateExists(y string, psi logic.Formula) (logic.Formula
 				fmt.Sprintf("∃%s ψ has free variables %v besides the guard %s ; the supported fragment guards ∃%s by atoms linking %s to a single other variable, the only one ψ may mention", y, others, guard, y, y))
 		}
 	}
-	// Materialise the derived predicate P(guard) ≡ ∃y ψ(guard, y) by
-	// scanning, for every element a, the candidate witnesses y: either
-	// elements incident to a through some tuple, or, when ψ is satisfiable
-	// with y non-adjacent to the guard, every element (the scan is still
-	// linear for each incident pair; the non-adjacent case is detected and
-	// handled by evaluating ψ with a "far" witness pattern).
+	s := &search{work: e.work, y: y}
+	s.psi = s.resolve(psi)
+	if len(s.diagonal) > 64 {
+		return nil, failf(y, parser.FormatFormula(psi),
+			fmt.Sprintf("∃%s ψ tests %d relations on %s alone; at most 64 are supported", y, len(s.diagonal), y))
+	}
+	s.countTypes()
+	if guard == "" {
+		// ∃y ψ is a sentence: with no guard to be near, every witness is
+		// far, and a type decides ψ for all its elements.
+		for _, typ := range s.types {
+			if s.holds(&s.psi, -1, -1, typ) {
+				return logic.True(), nil
+			}
+		}
+		return logic.False(), nil
+	}
+	// Materialise the derived predicate P(guard) ≡ ∃y ψ(guard, y).
 	e.counter++
 	name := fmt.Sprintf(".qe%d", e.counter)
 	e.derived = append(e.derived, name)
-	members := map[structure.Element]bool{}
-	e.buildIncidence()
-	env := map[string]structure.Element{}
-	// A witness y is useful only if it makes ψ true; atoms linking y to the
-	// guard are false unless y is incident to the guard or y equals the
-	// guard, so it suffices to test incident elements, the guard itself,
-	// and one representative "non-adjacent" element per guard value.
-	for a := 0; a < e.work.N; a++ {
-		env[guard] = a
-		found := false
-		tryWitness := func(w structure.Element) {
-			if found {
-				return
-			}
-			env[y] = w
-			if logic.Eval(psi, e.work, env) {
-				found = true
-			}
+	var members []structure.Element
+	for a := range e.work.N {
+		if s.witnessed(a, e.gaifman.Neighbors(a)) {
+			members = append(members, a)
 		}
-		tryWitness(a)
-		for _, inc := range e.incident[a] {
-			for _, el := range inc.tuple {
-				if el != a {
-					tryWitness(el)
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			// No incident witness: a witness not adjacent to the guard can
-			// still satisfy ψ.  For such a witness every atom linking it to
-			// the guard is false, so its behaviour is determined by its
-			// diagonal type (membership of the constant tuples (w,...,w)).
-			// Check, for every diagonal type that still has a non-adjacent
-			// element available, whether a virtual witness of that type
-			// satisfies ψ.
-			adjacentByType := map[string]int{}
-			adjacentByType[e.diagonalType(a)]++
-			seenAdj := map[structure.Element]bool{a: true}
-			for _, inc := range e.incident[a] {
-				for _, el := range inc.tuple {
-					if !seenAdj[el] {
-						seenAdj[el] = true
-						adjacentByType[e.diagonalType(el)]++
-					}
-				}
-			}
-			for typ, total := range e.typeCounts() {
-				if total <= adjacentByType[typ] {
-					continue
-				}
-				if e.evalVirtualWitness(psi, y, guard, a, typ) {
-					found = true
-					break
-				}
-			}
-		}
-		if found {
-			members[a] = true
-		}
-		delete(env, y)
 	}
-	delete(env, guard)
 	if err := e.extend(name, members); err != nil {
 		return nil, err
 	}
 	return logic.R(name, guard), nil
 }
 
-// buildIncidence indexes, for each element, the tuples containing it.
-func (e *eliminator) buildIncidence() {
-	if e.built {
-		return
-	}
-	e.built = true
-	e.incident = map[structure.Element][]incidence{}
-	for _, r := range e.sig.Relations {
-		for _, t := range e.work.Tuples(r.Name) {
-			seen := map[structure.Element]bool{}
-			for _, el := range t {
-				if !seen[el] {
-					seen[el] = true
-					e.incident[el] = append(e.incident[el], incidence{rel: r.Name, tuple: t})
-				}
+// search decides ∃y ψ(a, y) for the elements a of a structure, ψ being
+// quantifier free over y and at most one other variable, the guard.
+type search struct {
+	work *structure.Structure
+	y    string
+	psi  node
+	// diagonal lists the distinct atoms of ψ on y alone, R(y,…,y), each
+	// determined by its relation and arity; atom i is bit i of a type.
+	diagonal []diagonalAtom
+	// masks[w] is the type of element w: the diagonal atoms it satisfies.
+	masks []uint64
+	// types lists the distinct types in increasing order, counts how many
+	// elements have each.
+	types  []uint64
+	counts []int
+	// tuple is the scratch buffer an atom's arguments are resolved into.
+	tuple structure.Tuple
+}
+
+type diagonalAtom struct {
+	rel   *structure.Relation
+	arity int
+}
+
+// node is a connective or an atom of ψ resolved against the working
+// structure.  A Truth is the empty conjunction (true) or disjunction (false).
+type node struct {
+	op   op
+	kids []node
+	// rel is an atom's relation handle, and onY[i] reports whether its
+	// argument i is y (otherwise it is the guard).
+	rel *structure.Relation
+	onY []bool
+	// mixed reports that an atom, or an equality, links y to the guard.
+	mixed bool
+	// bit is the index of an atom on y alone in diagonal, −1 for any other.
+	bit int
+}
+
+type op uint8
+
+const (
+	opAnd op = iota
+	opOr
+	opNot
+	opEq
+	opAtom
+)
+
+// resolve turns quantifier-free ψ into its node tree, numbering the diagonal
+// atoms as it meets them.
+func (s *search) resolve(f logic.Formula) node {
+	switch g := f.(type) {
+	case logic.Truth:
+		if g.Value {
+			return node{op: opAnd}
+		}
+		return node{op: opOr}
+	case logic.Eq:
+		return node{op: opEq, mixed: (g.Left == s.y) != (g.Right == s.y)}
+	case logic.Atom:
+		n := node{op: opAtom, rel: s.work.Relation(g.Rel), onY: make([]bool, len(g.Args)), bit: -1}
+		ys := 0
+		for i, v := range g.Args {
+			if v == s.y {
+				n.onY[i] = true
+				ys++
 			}
 		}
+		n.mixed = ys > 0 && ys < len(g.Args)
+		if ys > 0 && ys == len(g.Args) {
+			d := diagonalAtom{rel: n.rel, arity: ys}
+			if n.bit = slices.Index(s.diagonal, d); n.bit < 0 {
+				n.bit, s.diagonal = len(s.diagonal), append(s.diagonal, d)
+			}
+		}
+		return n
+	case logic.Not:
+		return node{op: opNot, kids: []node{s.resolve(g.Arg)}}
+	case logic.And:
+		return node{op: opAnd, kids: s.resolveAll(g.Args)}
+	case logic.Or:
+		return node{op: opOr, kids: s.resolveAll(g.Args)}
+	default:
+		panic(fmt.Sprintf("qe: unexpected formula %T in a quantifier-free ψ", f))
 	}
 }
 
-// diagonalType describes an element by its membership in the "diagonal" of
-// every relation: whether the constant tuple (w, ..., w) belongs to R, for
-// every relation symbol R.  Two elements of the same diagonal type are
-// interchangeable as witnesses once all atoms linking the witness to the
-// guard are known to be false.
-func (e *eliminator) diagonalType(w structure.Element) string {
-	key := make([]byte, len(e.sig.Relations))
-	var buf [8]structure.Element
-	for i, r := range e.sig.Relations {
-		t := buf[:0]
-		for range r.Arity {
-			t = append(t, w)
-		}
-		if e.work.HasTuple(r.Name, t...) {
-			key[i] = '1'
-		} else {
-			key[i] = '0'
-		}
+func (s *search) resolveAll(fs []logic.Formula) []node {
+	kids := make([]node, len(fs))
+	for i, f := range fs {
+		kids[i] = s.resolve(f)
 	}
-	return string(key)
+	return kids
 }
 
-// typeCounts returns how many elements have each diagonal type (cached).
-func (e *eliminator) typeCounts() map[string]int {
-	if e.typeCount != nil {
-		return e.typeCount
-	}
-	e.typeCount = map[string]int{}
-	for a := 0; a < e.work.N; a++ {
-		e.typeCount[e.diagonalType(a)]++
-	}
-	return e.typeCount
-}
-
-// evalVirtualWitness evaluates quantifier-free ψ under the assignment
-// guard ↦ guardElem, y ↦ a virtual element of the given diagonal type that
-// is distinct from and not adjacent to the guard.
-func (e *eliminator) evalVirtualWitness(psi logic.Formula, y, guard string, guardElem structure.Element, typ string) bool {
-	relIndex := map[string]int{}
-	for i, r := range e.sig.Relations {
-		relIndex[r.Name] = i
-	}
-	var eval func(f logic.Formula) bool
-	eval = func(f logic.Formula) bool {
-		switch g := f.(type) {
-		case logic.Truth:
-			return g.Value
-		case logic.Eq:
-			l, r := g.Left, g.Right
-			switch {
-			case l == y && r == y:
-				return true
-			case l == y || r == y:
-				return false // the virtual witness differs from every named element
-			default:
-				return e.evalGroundEq(l, r, guard, guardElem)
+// countTypes computes every element's type and counts the distinct ones.
+func (s *search) countTypes() {
+	s.masks = make([]uint64, s.work.N)
+	for w := range s.masks {
+		for i, d := range s.diagonal {
+			t := s.tuple[:0]
+			for range d.arity {
+				t = append(t, w)
 			}
-		case logic.Atom:
-			mentionsY := false
-			onlyY := true
-			for _, v := range g.Args {
-				if v == y {
-					mentionsY = true
-				} else {
-					onlyY = false
-				}
+			s.tuple = t
+			if d.rel.Has(t...) {
+				s.masks[w] |= 1 << i
 			}
-			if !mentionsY {
-				env := map[string]structure.Element{guard: guardElem}
-				return logic.Eval(g, e.work, env)
-			}
-			if onlyY {
-				return typ[relIndex[g.Rel]] == '1'
-			}
-			// Atom links the virtual witness to the guard: false because the
-			// witness is not adjacent to the guard.
-			return false
-		case logic.Not:
-			return !eval(g.Arg)
-		case logic.And:
-			for _, x := range g.Args {
-				if !eval(x) {
-					return false
-				}
-			}
-			return true
-		case logic.Or:
-			for _, x := range g.Args {
-				if eval(x) {
-					return true
-				}
-			}
-			return false
-		default:
-			panic(fmt.Sprintf("qe: unexpected formula %T under virtual-witness evaluation", f))
 		}
 	}
-	return eval(psi)
+	sorted := slices.Clone(s.masks)
+	slices.Sort(sorted)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		s.types = append(s.types, sorted[i])
+		s.counts = append(s.counts, j-i)
+		i = j
+	}
 }
 
-func (e *eliminator) evalGroundEq(l, r, guard string, guardElem structure.Element) bool {
-	// Both sides are the guard variable (the only other free variable in a
-	// guarded formula).
-	if l == guard && r == guard {
+// witnessed reports whether ψ(a, w) holds for some element w.  The named
+// witnesses are a and its Gaifman neighbours nbrs; every other element is far
+// from a, and a far witness of type typ exists when more elements have that
+// type than a and its neighbours.
+func (s *search) witnessed(a int, nbrs []int) bool {
+	if s.holds(&s.psi, a, a, s.masks[a]) {
 		return true
 	}
-	// Any other variable would be unbound; guardedness prevents this.
-	return l == r
+	for _, w := range nbrs {
+		if s.holds(&s.psi, a, w, s.masks[w]) {
+			return true
+		}
+	}
+	for i, typ := range s.types {
+		if !s.holds(&s.psi, a, -1, typ) {
+			continue
+		}
+		near := 0
+		if s.masks[a] == typ {
+			near++
+		}
+		for _, w := range nbrs {
+			if s.masks[w] == typ {
+				near++
+			}
+		}
+		if s.counts[i] > near {
+			return true
+		}
+	}
+	return false
+}
+
+// holds evaluates ψ's node n with the guard at a and y at witness w of type
+// typ.  A negative w is a far witness: distinct from every named element and
+// adjacent to none, so every atom or equality linking it to a is false.
+func (s *search) holds(n *node, a, w int, typ uint64) bool {
+	switch n.op {
+	case opAnd:
+		for i := range n.kids {
+			if !s.holds(&n.kids[i], a, w, typ) {
+				return false
+			}
+		}
+		return true
+	case opOr:
+		for i := range n.kids {
+			if s.holds(&n.kids[i], a, w, typ) {
+				return true
+			}
+		}
+		return false
+	case opNot:
+		return !s.holds(&n.kids[0], a, w, typ)
+	case opEq:
+		return !n.mixed || a == w
+	}
+	switch {
+	case n.bit >= 0:
+		return typ>>n.bit&1 != 0
+	case n.mixed && w < 0:
+		return false
+	}
+	t := s.tuple[:0]
+	for _, isY := range n.onY {
+		if isY {
+			t = append(t, w)
+		} else {
+			t = append(t, a)
+		}
+	}
+	s.tuple = t
+	return n.rel.Has(t...)
 }

@@ -1,6 +1,7 @@
 package qe
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -105,6 +106,8 @@ func TestEliminateSmallStructures(t *testing.T) {
 	// Exhaustive-ish check across several random structures, including very
 	// small ones where corner cases (no witnesses, all witnesses adjacent)
 	// are more likely.
+	x := []string{"x"}
+	ex := func(f logic.Formula) logic.Formula { return logic.Ex([]string{"y"}, f) }
 	formulas := []struct {
 		f    logic.Formula
 		vars []string
@@ -112,13 +115,100 @@ func TestEliminateSmallStructures(t *testing.T) {
 		{logic.Ex([]string{"y"}, logic.Conj(logic.R("E", "x", "y"), logic.Neg(logic.R("S", "y")))), []string{"x"}},
 		{logic.Ex([]string{"y"}, logic.Conj(logic.Neg(logic.R("E", "x", "y")), logic.Neg(logic.R("E", "y", "x")), logic.R("S", "y"))), []string{"x"}},
 		{logic.Neg(logic.Ex([]string{"y"}, logic.R("E", "y", "x"))), []string{"x"}},
+		// ∃y true is false on the empty domain and true on every other.
+		{ex(logic.True()), nil},
+		// Atoms on y alone, which a far witness is judged by: loops, the
+		// diagonal of a ternary relation, and the equality with the guard.
+		// On the structures without T its atoms are false.
+		{ex(logic.Conj(logic.R("E", "x", "y"), logic.R("E", "y", "y"))), x},
+		{ex(logic.Conj(logic.Neg(logic.R("E", "x", "y")), logic.R("E", "y", "y"))), x},
+		{ex(logic.R("T", "x", "y", "y")), x},
+		{ex(logic.Conj(logic.R("T", "y", "y", "y"), logic.Neg(logic.R("E", "y", "x")))), x},
+		{ex(logic.Conj(logic.Neg(logic.R("T", "x", "y", "y")), logic.R("T", "y", "y", "y"), logic.Neg(logic.R("E", "y", "y")))), x},
+		{ex(logic.Conj(logic.Equal("x", "y"), logic.R("E", "y", "y"))), x},
+		{ex(logic.Conj(logic.Neg(logic.Equal("x", "y")), logic.R("T", "y", "y", "y"), logic.Neg(logic.R("S", "y")))), x},
+		{ex(logic.Disj(logic.Conj(logic.R("E", "y", "y"), logic.R("U", "x")), logic.Conj(logic.R("T", "x", "x", "y"), logic.R("S", "y")))), x},
+		{logic.All([]string{"y"}, logic.Disj(logic.Neg(logic.R("E", "y", "y")), logic.R("E", "x", "y"), logic.R("S", "y"))), x},
+		{logic.Conj(logic.R("U", "x"), ex(logic.Conj(logic.R("T", "y", "y", "y"), logic.R("E", "y", "y")))), x},
 	}
+	structures := []*structure.Structure{randomStructure(0, 0, 0)}
 	for seed := int64(0); seed < 8; seed++ {
 		n := 3 + int(seed)
-		a := randomStructure(n, 2*n, seed)
+		structures = append(structures, randomStructure(n, 2*n, seed), loopStructure(n, seed))
+	}
+	for _, a := range structures {
 		for _, c := range formulas {
 			checkEquivalence(t, a, c.f, c.vars)
 		}
+	}
+}
+
+// loopStructure is randomStructure with loops E(v,v), a ternary relation T
+// whose tuples include the diagonal ones (v,v,v) and (u,v,v), and element 0
+// as a hub adjacent to every other: diagonal atoms such as E(y,y) and
+// T(y,y,y) split the domain into several types, and every witness of the hub
+// is a named one.
+func loopStructure(n int, seed int64) *structure.Structure {
+	sig := structure.MustSignature(
+		[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}, {Name: "U", Arity: 1}, {Name: "T", Arity: 3}},
+		nil,
+	)
+	r := rand.New(rand.NewSource(seed))
+	a := structure.NewStructure(sig, n)
+	for v := 1; v < n; v++ {
+		a.MustAddTuple("E", 0, v)
+	}
+	for range 2 * n {
+		a.MustAddTuple("E", r.Intn(n), r.Intn(n))
+	}
+	for v := 0; v < n; v++ {
+		if r.Intn(3) == 0 {
+			a.MustAddTuple("E", v, v)
+		}
+		if r.Intn(2) == 0 {
+			a.MustAddTuple("S", v)
+		}
+		if r.Intn(3) == 0 {
+			a.MustAddTuple("U", v)
+		}
+		if r.Intn(3) == 0 {
+			a.MustAddTuple("T", v, v, v)
+		}
+		if r.Intn(3) == 0 {
+			a.MustAddTuple("T", r.Intn(n), v, v)
+		}
+		a.MustAddTuple("T", r.Intn(n), r.Intn(n), v)
+	}
+	return a
+}
+
+// TestEliminateAllocations wants one guarded ∃ over a bounded-degree
+// structure to allocate about as many objects at n = 8,000 as at n = 1,000:
+// the witness search reads the cached Gaifman graph and one type per
+// element, and only the growth of the derived relation depends on n.
+func TestEliminateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	f := logic.Ex([]string{"y"}, logic.Conj(logic.R("E", "x", "y"), logic.R("S", "y")))
+	allocs := func(n int) float64 {
+		a := structure.NewStructure(randomStructure(0, 0, 0).Sig, n)
+		for v := 0; v < n; v++ {
+			a.MustAddTuple("E", v, (v+1)%n)
+			a.MustAddTuple("E", v, (v+7)%n)
+			if v%5 == 0 {
+				a.MustAddTuple("S", v)
+			}
+		}
+		a.Gaifman()
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Eliminate(a, f, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(8000); large > small+64 {
+		t.Errorf("Eliminate allocates %.0f objects at n = 1,000 and %.0f at n = 8,000, want at most 64 more", small, large)
 	}
 }
 
@@ -146,6 +236,14 @@ func TestEliminateRejectsUnsupported(t *testing.T) {
 	f := logic.Ex([]string{"y"}, logic.R("E", "x", "y"))
 	if _, err := Eliminate(a, f, []string{"E"}); err == nil {
 		t.Errorf("quantification over a dynamic relation should be rejected")
+	}
+	// So is one whose atom does not mention the quantified variable:
+	// materialising ∃y E(x,y) ∧ S(x) would freeze S into the derived
+	// predicate.
+	h := logic.Ex([]string{"y"}, logic.Conj(logic.R("E", "x", "y"), logic.R("S", "x")))
+	var qeErr *Error
+	if _, err := Eliminate(a, h, []string{"S"}); !errors.As(err, &qeErr) || qeErr.Var != "y" || !strings.Contains(qeErr.Detail, "S") {
+		t.Errorf("Eliminate(%s) with S dynamic: %v, want a *qe.Error on y naming S", h, err)
 	}
 	// But a dynamic relation outside quantifiers is fine.
 	g := logic.Conj(logic.R("E", "x", "y"), logic.Ex([]string{"z"}, logic.R("S", "z")))
