@@ -113,6 +113,7 @@ func BenchmarkA4LowTreedepthColoring(b *testing.B) {
 			g := in.gen().A.Gaifman()
 			for _, p := range []int{1, 2, 3} {
 				b.Run(pName(p), func(b *testing.B) {
+					b.ReportAllocs()
 					var c *graph.Coloring
 					for i := 0; i < b.N; i++ {
 						c = graph.LowTreedepthColoring(g, p)

@@ -130,10 +130,20 @@ type boxEnum struct {
 	colors []int
 	cand   [][]int
 	gates  []int
-	// assign and entries are the shape builders' slot-assignment and
-	// permanent-cell scratch.
+	// arena holds, stacked, the filtered pools, reaches and candidate sets
+	// of the visit and try frames open, and the shape gates of the box being
+	// compiled: a frame appends its sets and cuts the arena back to where
+	// they began when it returns.  A set is never modified once built, so
+	// its slice stays valid when a later append moves the arena.
+	arena []int
+	// shrunk[t] holds the candidate sets the t-th variable's try replaced,
+	// to put back, one per link.
+	shrunk [][][]int
+	// assign, entries and factors are the shape builders' slot-assignment,
+	// permanent-cell and entry-factor scratch.
 	assign  []int
 	entries []circuit.PermEntry
+	factors []int
 }
 
 // compileJoined handles monomials with at least two bound variables.  The
@@ -145,7 +155,10 @@ type boxEnum struct {
 // the weights and the dynamic relations become.
 func (env *compileEnv) compileJoined(pm *preparedMonomial) (int, error) {
 	k := len(pm.vars)
-	e := &boxEnum{env: env, pm: pm, jp: env.joinPlanFor(pm), colors: make([]int, k), cand: make([][]int, k)}
+	e := &boxEnum{env: env, pm: pm, jp: env.joinPlanFor(pm), colors: make([]int, k), cand: make([][]int, k), shrunk: make([][][]int, k)}
+	for t, i := range e.jp.order {
+		e.shrunk[t] = make([][]int, len(e.jp.links[i]))
+	}
 	if err := e.visit(0); err != nil {
 		return 0, err
 	}
@@ -163,16 +176,18 @@ func (e *boxEnum) visit(t int) error {
 		// Unlinked: every non-empty colour class, whole unless a unary
 		// literal filters it.
 		for c, class := range e.env.colorClasses {
-			pool := class
+			pool, base := class, len(e.arena)
 			if len(e.jp.unary[i]) > 0 {
-				pool = nil
 				for _, a := range class {
 					if e.holds(e.jp.unary[i], i, a, a) {
-						pool = append(pool, a)
+						e.arena = append(e.arena, a)
 					}
 				}
+				pool = e.arena[base:]
 			}
-			if err := e.try(t, c, pool); err != nil {
+			err := e.try(t, c, pool)
+			e.arena = e.arena[:base]
+			if err != nil {
 				return err
 			}
 		}
@@ -180,6 +195,8 @@ func (e *boxEnum) visit(t int) error {
 	}
 	// Linked: only the colours occurring among the elements equal or
 	// adjacent to a linked candidate set.
+	base := len(e.arena)
+	defer func() { e.arena = e.arena[:base] }()
 	reach := e.reach(i)
 	for lo, hi := 0, 0; lo < len(reach); lo = hi {
 		c := e.env.color[reach[lo]]
@@ -197,6 +214,7 @@ func (e *boxEnum) visit(t int) error {
 // an equality if there is one, else the link with the smallest candidate set
 // — that satisfy i's unary literals, ordered by colour and then by element.
 // It costs the degrees of that candidate set, not the size of a colour class.
+// The elements are appended to the arena.
 func (e *boxEnum) reach(i int) []int {
 	env := e.env
 	links := e.jp.links[i]
@@ -207,12 +225,12 @@ func (e *boxEnum) reach(i int) []int {
 		}
 	}
 	env.seenGen++
-	var reach []int
+	base := len(e.arena)
 	collect := func(a int) {
 		if env.seen[a] != env.seenGen {
 			env.seen[a] = env.seenGen
 			if e.holds(e.jp.unary[i], i, a, a) {
-				reach = append(reach, a)
+				e.arena = append(e.arena, a)
 			}
 		}
 	}
@@ -232,6 +250,7 @@ func (e *boxEnum) reach(i int) []int {
 			collect(a)
 		}
 	}
+	reach := e.arena[base:]
 	slices.SortFunc(reach, func(a, b int) int {
 		if ca, cb := env.color[a], env.color[b]; ca != cb {
 			return ca - cb
@@ -244,13 +263,15 @@ func (e *boxEnum) reach(i int) []int {
 // try gives the t-th variable colour c and, as its candidate set, the
 // elements of pool that have a partner in the candidate set of every linked
 // variable; it shrinks those sets to the elements that have a partner in the
-// new one, recurses unless a set emptied, and restores them.
+// new one, recurses unless a set emptied, and restores them.  The sets it
+// builds go on the arena, which it cuts back before it returns.
 func (e *boxEnum) try(t, c int, pool []int) error {
 	i := e.jp.order[t]
 	links := e.jp.links[i]
+	base := len(e.arena)
+	defer func() { e.arena = e.arena[:base] }()
 	cand := pool
 	if len(links) > 0 {
-		cand = nil
 	pool:
 		for _, a := range pool {
 			for _, ln := range links {
@@ -258,8 +279,9 @@ func (e *boxEnum) try(t, c int, pool []int) error {
 					continue pool
 				}
 			}
-			cand = append(cand, a)
+			e.arena = append(e.arena, a)
 		}
+		cand = e.arena[base:]
 	}
 	if len(cand) == 0 {
 		if len(pool) > 0 {
@@ -269,17 +291,19 @@ func (e *boxEnum) try(t, c int, pool []int) error {
 	}
 	e.colors[i], e.cand[i] = c, cand
 	e.mark(i, cand, true)
-	shrunk := make([][]int, len(links)) // the sets replaced, to put back
+	shrunk := e.shrunk[t]
+	clear(shrunk)
 	alive := true
 	for li, ln := range links {
-		old := e.cand[ln.to]
-		var kept []int
+		old, start := e.cand[ln.to], len(e.arena)
 		for _, b := range old {
 			if e.hasPartner(b, ln.to, link{to: i, equal: ln.equal, lits: ln.lits, run: ln.run}) {
-				kept = append(kept, b)
+				e.arena = append(e.arena, b)
 			}
 		}
+		kept := e.arena[start:]
 		if len(kept) == len(old) {
+			e.arena = e.arena[:start]
 			continue
 		}
 		shrunk[li], e.cand[ln.to] = old, kept
@@ -391,40 +415,49 @@ func (e *boxEnum) compileBox() error {
 	if cf.maxDepth > env.stats.MaxForestDepth {
 		env.stats.MaxForestDepth = cf.maxDepth
 	}
-	var gates []int
+	base := len(e.arena)
 	for _, ps := range e.pm.planFor(cf) {
 		env.stats.Shapes++
 		e.assign = slices.Grow(e.assign[:0], ps.tree.numSlots)[:ps.tree.numSlots]
-		b := shapeBuilder{env: env, cf: cf, pm: e.pm, ps: ps, assign: e.assign, entries: e.entries}
+		b := shapeBuilder{env: env, cf: cf, pm: e.pm, ps: ps, assign: e.assign, entries: e.entries, factors: e.factors}
 		if g := b.build(); g != env.c.Zero() {
-			gates = append(gates, g)
+			e.arena = append(e.arena, g)
 		}
-		e.entries = b.entries
+		e.entries, e.factors = b.entries, b.factors
 	}
-	if g := env.c.Add(gates...); g != env.c.Zero() {
+	g := env.c.Add(e.arena[base:]...)
+	e.arena = e.arena[:base]
+	if g != env.c.Zero() {
 		e.gates = append(e.gates, g)
 	}
 	return nil
 }
 
 // forestFor returns the elimination forest of the Gaifman subgraph induced
-// by the union of the candidate sets.  When every set is its whole colour
-// class the forest depends on the set of colours only and is cached, so
-// monomials without links share one forest per colour set.
+// by the union of the candidate sets, valid until the next call.  When every
+// set is its whole colour class the forest depends on the set of colours
+// only and is cached, so monomials without links share one forest per
+// colour set; the key, the set's colours in increasing order as uvarints, is
+// built in scratch and allocates only when it is stored.
 func (env *compileEnv) forestFor(colors []int, cand [][]int) (*colorForest, error) {
 	whole := true
 	for i, c := range colors {
 		whole = whole && len(cand[i]) == len(env.colorClasses[c])
 	}
-	var key string
 	if whole {
-		key = colorSetKey(colors)
-		if cf, ok := env.forests[key]; ok {
+		set := append(env.colorSet[:0], colors...)
+		slices.Sort(set)
+		key := env.colorKey[:0]
+		for _, c := range slices.Compact(set) {
+			key = binary.AppendUvarint(key, uint64(c))
+		}
+		env.colorSet, env.colorKey = set, key
+		if cf, ok := env.forests[string(key)]; ok {
 			return cf, nil
 		}
 	}
 	env.seenGen++
-	var vertices []int
+	vertices := env.vertices[:0]
 	for _, set := range cand {
 		for _, a := range set {
 			if env.seen[a] != env.seenGen {
@@ -434,23 +467,15 @@ func (env *compileEnv) forestFor(colors []int, cand [][]int) (*colorForest, erro
 		}
 	}
 	slices.Sort(vertices)
-	cf, err := buildColorForest(env.inducer, vertices)
+	env.vertices = vertices
+	cf, err := env.scratch.build(vertices)
 	if err != nil {
 		return nil, err
 	}
 	env.stats.Forests++
 	if whole {
-		env.forests[key] = cf
+		cf = cf.clone()
+		env.forests[string(env.colorKey)] = cf
 	}
 	return cf, nil
-}
-
-// colorSetKey encodes the set of colours of an assignment.
-func colorSetKey(colors []int) string {
-	set := slices.Compact(slices.Sorted(slices.Values(colors)))
-	key := make([]byte, 0, 2*len(set))
-	for _, c := range set {
-		key = binary.AppendUvarint(key, uint64(c))
-	}
-	return string(key)
 }

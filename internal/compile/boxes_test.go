@@ -157,7 +157,8 @@ const triangles = "sum x,y,z . [E(x,y)&E(y,z)&E(z,x)] * w(x,y)*w(y,z)*w(z,x)"
 // counts that repeat exactly, not on time: doubling the database may not
 // much more than double the boxes compiled and the shapes built (the
 // colour-tuple enumeration this replaced grew 4.5× and 4.2×), and one
-// compilation at n=600 stays within a tenth of the 2.16 M allocations it took.
+// compilation at n=600 stays within 8,000 allocations: it took 2.16 M with
+// that enumeration and 24,839 while every box built its forest afresh.
 func TestCompileWorkIsLinear(t *testing.T) {
 	e := parser.MustParseExpr(triangles)
 	var stats [2]compile.Stats
@@ -187,8 +188,34 @@ func TestCompileWorkIsLinear(t *testing.T) {
 		}
 	})
 	t.Logf("n=600: %.0f allocations per Compile", allocs)
-	if allocs > 200_000 {
-		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 200000", allocs)
+	if allocs > 8_000 {
+		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 8000", allocs)
+	}
+}
+
+// TestBoxAllocations wants a box to cost no garbage: the triangle at
+// bounded-degree n = 4,800 — 2,065 boxes — compiles within 12 allocations
+// per box, where building every box's forest, candidate sets and factor
+// lists afresh took 70.
+func TestBoxAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	e := parser.MustParseExpr(triangles)
+	a := workload.BoundedDegree(4800, 3, 1).A
+	a.Gaifman()
+	var boxes int
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := compile.Compile(a, e, compile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes = res.Stats.ColorAssignments
+	})
+	perBox := allocs / float64(boxes)
+	t.Logf("%.0f allocations for %d boxes: %.2f per box", allocs, boxes, perBox)
+	if perBox > 12 {
+		t.Errorf("Compile at n=4800 allocates %.2f objects per box, want ≤ 12", perBox)
 	}
 }
 

@@ -155,7 +155,7 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 		for v, col := range coloring.Color {
 			env.colorClasses[col] = append(env.colorClasses[col], v)
 		}
-		env.inducer = graph.NewInducer(gaifman)
+		env.scratch.fb = graph.NewForestBuilder(gaifman)
 		env.forests = map[string]*colorForest{}
 		env.member = make([]uint64, work.N)
 		env.seen = make([]uint32, work.N)
@@ -246,10 +246,15 @@ type compileEnv struct {
 	// elements of colour c in increasing order.
 	color        []int
 	colorClasses [][]int
-	inducer      *graph.Inducer
-	// forests caches the forest of a set of whole colour classes by
-	// colorSetKey.
-	forests map[string]*colorForest
+	// forests caches the forest of a set of whole colour classes, keyed by
+	// the set's colours in increasing order as uvarints, which forestFor
+	// sorts in colorSet and encodes in colorKey; scratch builds every forest,
+	// over the elements of the box collected in vertices.
+	scratch  forestScratch
+	forests  map[string]*colorForest
+	colorSet []int
+	colorKey []byte
+	vertices []int
 	// member[v] has bit i set while element v is in the candidate set of
 	// variable i of the box being enumerated.
 	member []uint64

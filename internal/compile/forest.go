@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/expr"
@@ -25,73 +25,82 @@ type colorForest struct {
 	forest *graph.Forest
 	// toOrig maps subgraph vertex indices to original elements.
 	toOrig []int
-	// roots lists the forest roots (subgraph indices).
-	roots []int
 	// depthMask has bit d set when some node has depth d.
 	depthMask uint64
-	// siblingMeet[m+1][d1] has bit d2 set when two nodes at depths d1, d2 in
-	// *different* child subtrees have their deepest common ancestor at depth
-	// m; index 0 encodes m = -1 ("different trees").
-	siblingMeet [][]uint64
+	// siblingMeet[(m+1)*(maxDepth+1)+d1] has bit d2 set when two nodes at
+	// depths d1, d2 in *different* child subtrees have their deepest common
+	// ancestor at depth m; m = -1 stands for "different trees".
+	siblingMeet []uint64
 	maxDepth    int
 	// profile encodes maxDepth, depthMask and siblingMeet — everything shape
 	// enumeration asks of the forest — so forests with equal profiles share
 	// one shape plan per monomial.
-	profile string
+	profile []byte
 }
 
-// buildColorForest constructs the elimination forest for the induced
-// subgraph on the given original elements.
-func buildColorForest(inducer *graph.Inducer, vertices []int) (*colorForest, error) {
-	sub, toOrig := inducer.Subgraph(vertices)
-	f := graph.EliminationForest(sub)
+// forestScratch builds the colorForest of one box after another in buffers
+// it keeps, so a box's forest costs its size and no garbage; what build
+// returns is valid until the next call.
+type forestScratch struct {
+	fb *graph.ForestBuilder
+	cf colorForest
+	// depthsBelow[v] is the bitmask of depths in the subtree rooted at v;
+	// byDepth lists the nodes level by level.
+	depthsBelow, prefix []uint64
+	byDepth             []int
+}
+
+// build constructs the elimination forest for the induced subgraph on the
+// given original elements, which it keeps as toOrig.
+func (s *forestScratch) build(vertices []int) (*colorForest, error) {
+	f := s.fb.Forest(vertices)
 	if f.MaxDepth > maxForestDepth {
 		return nil, fmt.Errorf("compile: elimination forest depth %d exceeds the supported maximum %d; the colouring is too coarse for this graph", f.MaxDepth, maxForestDepth)
 	}
-	cf := &colorForest{forest: f, toOrig: toOrig, roots: f.Roots(), maxDepth: f.MaxDepth}
+	cf := &s.cf
+	cf.forest, cf.toOrig, cf.maxDepth, cf.depthMask = f, vertices, f.MaxDepth, 0
 	n := f.N()
-	// depthsBelow[v]: bitmask of depths occurring in the subtree rooted at v.
-	depthsBelow := make([]uint64, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	depthsBelow := slices.Grow(s.depthsBelow[:0], n)[:n]
+	for v, d := range f.Depth {
+		depthsBelow[v] = 1 << uint(d)
+		cf.depthMask |= 1 << uint(d)
 	}
-	sort.Slice(order, func(i, j int) bool { return f.Depth[order[i]] > f.Depth[order[j]] })
-	for _, v := range order {
-		depthsBelow[v] |= 1 << uint(f.Depth[v])
-		cf.depthMask |= 1 << uint(f.Depth[v])
+	// Propagate child masks to parents, the levels deepest first (a BFS
+	// lists the nodes by depth): children are strictly deeper, so a node's
+	// own mask is complete before it is folded into its parent.
+	byDepth := append(s.byDepth[:0], f.Roots()...)
+	for i := 0; i < len(byDepth); i++ {
+		byDepth = append(byDepth, f.Children(byDepth[i])...)
 	}
-	// Propagate child masks to parents: iterating in decreasing depth order
-	// is a valid post-order because children are strictly deeper, so a
-	// node's own mask is complete before it is folded into its parent.
-	for _, v := range order {
+	for _, v := range slices.Backward(byDepth) {
 		if !f.IsRoot(v) {
 			depthsBelow[f.Parent[v]] |= depthsBelow[v]
 		}
 	}
+	s.depthsBelow, s.byDepth = depthsBelow, byDepth
 	// Sibling meets at internal nodes.
-	cf.siblingMeet = make([][]uint64, cf.maxDepth+2)
-	for i := range cf.siblingMeet {
-		cf.siblingMeet[i] = make([]uint64, cf.maxDepth+1)
-	}
+	width := cf.maxDepth + 1
+	cf.siblingMeet = slices.Grow(cf.siblingMeet[:0], (cf.maxDepth+2)*width)[:(cf.maxDepth+2)*width]
+	clear(cf.siblingMeet)
 	recordSiblings := func(meetIdx int, children []int) {
 		if len(children) < 2 {
 			return
 		}
-		// prefix/suffix ORs to get "others" per child in linear time.
-		prefix := make([]uint64, len(children)+1)
-		suffix := make([]uint64, len(children)+1)
-		for i, c := range children {
-			prefix[i+1] = prefix[i] | depthsBelow[c]
+		// Prefix ORs and a running suffix OR give the "others" of every
+		// child in linear time.
+		prefix := append(s.prefix[:0], 0)
+		for _, c := range children {
+			prefix = append(prefix, prefix[len(prefix)-1]|depthsBelow[c])
 		}
-		for i := len(children) - 1; i >= 0; i-- {
-			suffix[i] = suffix[i+1] | depthsBelow[children[i]]
-		}
-		for i, c := range children {
-			others := prefix[i] | suffix[i+1]
+		s.prefix = prefix
+		row := cf.siblingMeet[meetIdx*width : (meetIdx+1)*width]
+		suffix := uint64(0)
+		for i, c := range slices.Backward(children) {
+			others := prefix[i] | suffix
 			for mm := depthsBelow[c]; mm != 0 && others != 0; mm &= mm - 1 {
-				cf.siblingMeet[meetIdx][bits.TrailingZeros64(mm)] |= others
+				row[bits.TrailingZeros64(mm)] |= others
 			}
+			suffix |= depthsBelow[c]
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -99,17 +108,27 @@ func buildColorForest(inducer *graph.Inducer, vertices []int) (*colorForest, err
 	}
 	// Different trees: the virtual forest "root" has the tree roots as
 	// children.
-	recordSiblings(0, cf.roots)
+	recordSiblings(0, f.Roots())
 
-	key := binary.AppendUvarint(make([]byte, 0, 16), uint64(cf.maxDepth))
+	key := binary.AppendUvarint(cf.profile[:0], uint64(cf.maxDepth))
 	key = binary.AppendUvarint(key, cf.depthMask)
-	for _, row := range cf.siblingMeet {
-		for _, m := range row {
-			key = binary.AppendUvarint(key, m)
-		}
+	for _, m := range cf.siblingMeet {
+		key = binary.AppendUvarint(key, m)
 	}
-	cf.profile = string(key)
+	cf.profile = key
 	return cf, nil
+}
+
+// clone copies a colorForest out of the scratch it was built in.
+func (cf *colorForest) clone() *colorForest {
+	return &colorForest{
+		forest:      graph.NewForest(slices.Clone(cf.forest.Parent)),
+		toOrig:      slices.Clone(cf.toOrig),
+		depthMask:   cf.depthMask,
+		siblingMeet: slices.Clone(cf.siblingMeet),
+		maxDepth:    cf.maxDepth,
+		profile:     slices.Clone(cf.profile),
+	}
 }
 
 // realizable reports whether some pair of nodes at depths d1, d2 meets at
@@ -120,10 +139,10 @@ func (cf *colorForest) realizable(d1, d2, m int) bool {
 		return false
 	}
 	idx := m + 1
-	if idx < 0 || idx >= len(cf.siblingMeet) {
+	if idx < 0 || idx > cf.maxDepth+1 {
 		return false
 	}
-	return cf.siblingMeet[idx][d1]&(1<<uint(d2)) != 0
+	return cf.siblingMeet[idx*(cf.maxDepth+1)+d1]&(1<<uint(d2)) != 0
 }
 
 func (cf *colorForest) depthRealizable(d int) bool {
@@ -278,7 +297,7 @@ type plannedShape struct {
 // planFor returns the monomial's shape plan for forests with cf's profile:
 // the shapes such a forest can realise and that can support the monomial.
 func (pm *preparedMonomial) planFor(cf *colorForest) []*plannedShape {
-	if plan, ok := pm.plans[cf.profile]; ok {
+	if plan, ok := pm.plans[string(cf.profile)]; ok {
 		return plan
 	}
 	var plan []*plannedShape
@@ -287,7 +306,7 @@ func (pm *preparedMonomial) planFor(cf *colorForest) []*plannedShape {
 			plan = append(plan, ps)
 		}
 	}
-	pm.plans[cf.profile] = plan
+	pm.plans[string(cf.profile)] = plan
 	return plan
 }
 
@@ -381,12 +400,15 @@ type shapeBuilder struct {
 	// and cuts the buffer back to where its run began once its cells are
 	// collected (Perm copies them).
 	entries []circuit.PermEntry
+	// factors collects the factors of one entry once its subtree is built;
+	// Mul only reads them, so every entry reuses the buffer.
+	factors []int
 }
 
 // build compiles the shape into a circuit gate, the zero gate when no tuple
 // of the box has this shape.
 func (b *shapeBuilder) build() int {
-	return b.rec(b.ps.tree.roots, b.cf.roots)
+	return b.rec(b.ps.tree.roots, b.cf.forest.Roots())
 }
 
 // rec builds the circuit assigning the given shape slots (all at one depth,
@@ -454,7 +476,7 @@ func (b *shapeBuilder) entry(s, v int) int {
 	if child == c.Zero() {
 		return c.Zero()
 	}
-	var factors []int
+	factors := b.factors[:0]
 	for _, li := range b.ps.slotLiterals[s] {
 		if l := b.pm.literals[li]; env.dyn[l.Rel] {
 			factors = append(factors, c.Input(l.Rel, membershipRole(l.Positive), b.tuple(b.pm.litArgs[li])))
@@ -463,10 +485,11 @@ func (b *shapeBuilder) entry(s, v int) int {
 	for _, wi := range b.ps.slotWeights[s] {
 		factors = append(factors, c.Input(b.pm.weights[wi].W, structure.Ordinary, b.tuple(b.pm.weightArgs[wi])))
 	}
-	if factors == nil {
+	if len(factors) == 0 {
 		return child
 	}
-	return c.Mul(append(factors, child)...)
+	b.factors = append(factors, child)
+	return c.Mul(b.factors...)
 }
 
 // tuple resolves the argument variables of a literal or weight term to

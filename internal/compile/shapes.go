@@ -18,7 +18,11 @@
 //  3. for every box, the subgraph induced by the union of its candidate
 //     sets is decomposed by an elimination forest of bounded depth
 //     (Lemma 33 / Example 2) — the cached forest of the colour classes when
-//     every candidate set is a whole class;
+//     every candidate set is a whole class.  One graph.ForestBuilder per
+//     compilation builds the subgraph and its forest, and forest.go the
+//     forest's realisability profile, in scratch reused from box to box, so
+//     a box costs its size and leaves no garbage; only a cached forest is
+//     copied out;
 //  4. over that forest, the monomial is decomposed into *shapes* — the
 //     ancestry/equality patterns of the bound variables (Appendix A.2) —
 //     and each shape is compiled into a circuit by structural recursion,

@@ -75,35 +75,44 @@ func (a *arcs) transpose() (off []int, src []int32) {
 // the orientation stays acyclic round after round and nothing is re-derived.
 func (a *arcs) augment() {
 	n := len(a.order)
-	stamp := make([]int32, n) // stamp[x] == u+1 iff u's new list already holds x
+	stamp := make([]int32, n)
 	inOff, in := a.transpose()
 	off := make([]int, n+1)
 	dst := make([]int32, 0, 2*len(a.dst))
 	for u := 0; u < n; u++ {
-		mark := int32(u) + 1
-		for _, w := range a.out(u) {
-			stamp[w] = mark
-			dst = append(dst, w)
-		}
-		for _, w := range a.out(u) {
-			for _, x := range a.out(int(w)) {
-				if stamp[x] != mark {
-					stamp[x] = mark
-					dst = append(dst, x)
-				}
-			}
-		}
-		for _, v := range in[inOff[u]:inOff[u+1]] {
-			for _, w := range a.out(int(v)) {
-				if int(w) > u && stamp[w] != mark {
-					stamp[w] = mark
-					dst = append(dst, w)
-				}
-			}
-		}
+		dst = a.augmentedOut(dst, u, inOff, in, stamp)
 		off[u+1] = len(dst)
 	}
 	a.off, a.dst = off, dst
+}
+
+// augmentedOut appends to dst the out-list of u after one more round of
+// augmentation: u's out-neighbours, the heads of the arcs out of them, and
+// the out-neighbours above u of u's in-neighbours, each once.  inOff and in
+// are a's in-lists; stamp[x] == u+1 marks the heads appended for u.
+func (a *arcs) augmentedOut(dst []int32, u int, inOff []int, in, stamp []int32) []int32 {
+	mark := int32(u) + 1
+	for _, w := range a.out(u) {
+		stamp[w] = mark
+		dst = append(dst, w)
+	}
+	for _, w := range a.out(u) {
+		for _, x := range a.out(int(w)) {
+			if stamp[x] != mark {
+				stamp[x] = mark
+				dst = append(dst, x)
+			}
+		}
+	}
+	for _, v := range in[inOff[u]:inOff[u+1]] {
+		for _, w := range a.out(int(v)) {
+			if int(w) > u && stamp[w] != mark {
+				stamp[w] = mark
+				dst = append(dst, w)
+			}
+		}
+	}
+	return dst
 }
 
 // augmented returns g oriented by degeneracy and augmented rounds times.
@@ -131,14 +140,31 @@ func augmented(g *Graph, rounds int) *arcs {
 // whenever the augmentation closure is reached.  The decomposition identity
 // used by the compiler is exact for any colouring, so colouring quality
 // affects only performance, never correctness.
+//
+// The last round is never built: the greedy pass reads each vertex's
+// out-list in it off the round before, into one buffer, so the largest arc
+// array is only counted, into AugmentedArcs.
 func LowTreedepthColoring(g *Graph, p int) *Coloring {
-	a := augmented(g, p-1)
-	c := &Coloring{Color: make([]int, g.N()), AugmentedArcs: len(a.dst)}
-	byRank := make([]int32, g.N())
-	used := make([]int32, g.N()+1) // used[c] == i+1 iff an out-neighbour of i has colour c
-	for i := g.N() - 1; i >= 0; i-- {
+	n := g.N()
+	a := augmented(g, max(p-2, 0))
+	var inOff []int
+	var in, stamp, buf []int32
+	if p >= 2 {
+		inOff, in = a.transpose()
+		stamp = make([]int32, n)
+	}
+	c := &Coloring{Color: make([]int, n)}
+	byRank := make([]int32, n)
+	used := make([]int32, n+1) // used[c] == i+1 iff an out-neighbour of i has colour c
+	for i := n - 1; i >= 0; i-- {
+		out := a.out(i)
+		if p >= 2 {
+			buf = a.augmentedOut(buf[:0], i, inOff, in, stamp)
+			out = buf
+		}
+		c.AugmentedArcs += len(out)
 		mark := int32(i) + 1
-		for _, w := range a.out(i) {
+		for _, w := range out {
 			used[byRank[w]] = mark
 		}
 		col := 0
@@ -175,22 +201,22 @@ func ColoringQuality(g *Graph, c *Coloring, p int) []SubsetStatistics {
 	for v, col := range c.Color {
 		classes[col] = append(classes[col], v)
 	}
-	inducer := NewInducer(g)
+	b := NewForestBuilder(g)
+	var vertices []int
 	var stats []SubsetStatistics
 	var rec func(start int, chosen []int)
 	rec = func(start int, chosen []int) {
 		if len(chosen) > 0 {
-			var vertices []int
+			vertices = vertices[:0]
 			for _, col := range chosen {
 				vertices = append(vertices, classes[col]...)
 			}
 			slices.Sort(vertices)
-			sub, _ := inducer.Subgraph(vertices)
-			f := EliminationForest(sub)
+			f := b.Forest(vertices)
 			stats = append(stats, SubsetStatistics{
 				Colors:      append([]int(nil), chosen...),
-				Vertices:    sub.N(),
-				Edges:       sub.M(),
+				Vertices:    len(vertices),
+				Edges:       b.sub.M(),
 				ForestDepth: f.MaxDepth,
 			})
 		}

@@ -5,7 +5,10 @@
 // These are the combinatorial tools behind classes of bounded expansion
 // (Section 2 of the paper): Proposition 1 (low treedepth colourings).  A
 // graph is immutable adjacency arrays built once by FromEdges; the algorithms
-// work over arrays, vertex orders and stamps, never a hash map.
+// work over arrays, vertex orders and stamps, never a hash map.  A
+// ForestBuilder builds the elimination forests of many induced subgraphs of
+// one graph in scratch it reuses: a forest it returns is valid until its next
+// call.
 package graph
 
 import (
@@ -111,74 +114,6 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Inducer builds induced subgraphs of one graph through one reusable
-// original→subgraph index, so a call costs the size of the subgraph and its
-// vertices' adjacency lists, not O(n): the compiler builds one small subgraph
-// per box of candidate sets, thousands per compilation.
-type Inducer struct {
-	g *Graph
-	// index[v] is one more than v's subgraph index during a Subgraph call
-	// and zero between calls.
-	index []int32
-}
-
-// NewInducer returns an Inducer for g.
-func NewInducer(g *Graph) *Inducer { return &Inducer{g: g, index: make([]int32, g.N())} }
-
-// Subgraph returns the subgraph induced by the given distinct vertices;
-// subgraph vertex i is vertices[i], which toOrig records.  It is FromEdges of
-// the induced edges {i, j}, i < j, listed by i and then in the order of
-// vertices[i]'s adjacency list, which are distinct already; a call makes the
-// same few allocations whatever its size.
-func (in *Inducer) Subgraph(vertices []int) (sub *Graph, toOrig []int) {
-	toOrig = slices.Clone(vertices)
-	deg := 0
-	for i, v := range vertices {
-		in.index[v] = int32(i) + 1
-		deg += in.g.Degree(v)
-	}
-	edges := make([][2]int, 0, deg/2) // an induced edge takes two arcs of deg
-	for i, v := range vertices {
-		for _, w := range in.g.Neighbors(v) {
-			if j := int(in.index[w]) - 1; j > i {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-	}
-	for _, v := range vertices {
-		in.index[v] = 0
-	}
-	return FromEdges(len(vertices), edges), toOrig
-}
-
-// ConnectedComponents returns the vertex sets of the connected components.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.N())
-	var comps [][]int
-	stack := make([]int, 0, 16)
-	for s := 0; s < g.N(); s++ {
-		if seen[s] {
-			continue
-		}
-		comp := []int{}
-		stack = append(stack[:0], s)
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, w := range g.Neighbors(v) {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // ---------------------------------------------------------------------------
 // Degeneracy
 // ---------------------------------------------------------------------------
@@ -248,39 +183,68 @@ type Forest struct {
 	Parent []int
 	// Depth[v] is the depth of v (roots have depth 0).
 	Depth []int
-	// children lists, computed lazily.
-	children [][]int
 	// MaxDepth is the maximum depth over all vertices.
 	MaxDepth int
+	// roots lists the roots in increasing order; the children of v are
+	// child[childOff[v]:childOff[v+1]], in increasing order too.
+	roots, childOff, child []int
 }
 
 // NewForest builds a Forest from parent pointers, computing depths.
 func NewForest(parent []int) *Forest {
-	n := len(parent)
-	f := &Forest{Parent: parent, Depth: make([]int, n)}
+	f := &Forest{Parent: parent}
+	f.index()
+	return f
+}
+
+// index derives Depth, MaxDepth, the roots and the children from Parent in
+// O(N) time, into the forest's own buffers when they are large enough.
+func (f *Forest) index() {
+	n := len(f.Parent)
+	f.Depth = resize(f.Depth, n)
 	for v := range f.Depth {
 		f.Depth[v] = -1
 	}
-	var depth func(v int) int
-	depth = func(v int) int {
-		if f.Depth[v] >= 0 {
-			return f.Depth[v]
+	f.MaxDepth = 0
+	for v := range f.Parent {
+		// Climb to the first vertex of known depth, fixing a root's at 0,
+		// then walk the path again handing out depths.
+		d, u := 0, v
+		for f.Depth[u] < 0 {
+			if p := f.Parent[u]; p != u {
+				u, d = p, d+1
+			} else {
+				f.Depth[u] = 0
+			}
 		}
-		if parent[v] == v {
-			f.Depth[v] = 0
-			return 0
+		d += f.Depth[u]
+		f.MaxDepth = max(f.MaxDepth, d)
+		for u = v; f.Depth[u] < 0; u = f.Parent[u] {
+			f.Depth[u], d = d, d-1
 		}
-		d := depth(parent[v]) + 1
-		f.Depth[v] = d
-		return d
 	}
-	for v := 0; v < n; v++ {
-		d := depth(v)
-		if d > f.MaxDepth {
-			f.MaxDepth = d
+	// Children counting-sorted by parent, as FromEdges sorts arcs by tail.
+	f.roots = f.roots[:0]
+	off := resize(f.childOff, n+2)
+	clear(off)
+	for v, p := range f.Parent {
+		if p == v {
+			f.roots = append(f.roots, v)
+		} else {
+			off[p+2]++
 		}
 	}
-	return f
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	f.child = resize(f.child, n-len(f.roots))
+	for v, p := range f.Parent {
+		if p != v {
+			f.child[off[p+1]] = v
+			off[p+1]++
+		}
+	}
+	f.childOff = off[:n+1]
 }
 
 // N returns the number of vertices of the forest.
@@ -289,177 +253,225 @@ func (f *Forest) N() int { return len(f.Parent) }
 // IsRoot reports whether v is a root.
 func (f *Forest) IsRoot(v int) bool { return f.Parent[v] == v }
 
-// Roots returns all roots of the forest.
-func (f *Forest) Roots() []int {
-	var out []int
-	for v := range f.Parent {
-		if f.Parent[v] == v {
-			out = append(out, v)
-		}
-	}
-	return out
+// Roots returns the roots of the forest in increasing order.  The returned
+// slice must not be modified.
+func (f *Forest) Roots() []int { return f.roots }
+
+// Children returns the children of v in increasing order.  The returned
+// slice must not be modified.
+func (f *Forest) Children(v int) []int { return f.child[f.childOff[v]:f.childOff[v+1]] }
+
+// ForestBuilder builds elimination forests of induced subgraphs of one graph
+// in scratch it keeps from call to call, so a call costs the size of the
+// subgraph and its vertices' adjacency lists, not O(n), and allocates nothing
+// once the scratch has grown to the largest subgraph asked for: the compiler
+// builds one forest per box of candidate sets, thousands per compilation.
+// What a call returns is valid until the next call.  A ForestBuilder is not
+// safe for concurrent use.
+type ForestBuilder struct {
+	g *Graph
+	// index[v] is one more than v's subgraph index during a call and zero
+	// between calls.
+	index []int32
+	sub   Graph
+	f     Forest
+	// The rest is indexed by subgraph vertex.  removed marks the vertices
+	// placed in the forest; dist and prev hold the last BFS, whose vertices
+	// queue lists, and dist is -1 off it; seen[v] == gen marks v as put in a
+	// component by the current split.
+	removed    []bool
+	dist, prev []int
+	queue      []int
+	seen       []int32
+	gen        int32
+	// comps holds the vertex lists of the components waiting to be split,
+	// stacked in the order of work, which says where each one starts and
+	// ends and which vertex its root hangs from; split collects the
+	// components of one split before they replace their parent in comps,
+	// and is the stack of the depth-first search that lists a component.
+	comps, split []int
+	work         []component
 }
 
-// Children returns the children of v.  The result is cached.
-func (f *Forest) Children(v int) []int {
-	if f.children == nil {
-		f.children = make([][]int, len(f.Parent))
-		for w, p := range f.Parent {
-			if p != w {
-				f.children[p] = append(f.children[p], w)
+// component is a connected component of the subgraph less the vertices
+// placed so far: the vertex list comps[lo:hi], to hang below attach (-1 for
+// none).
+type component struct{ lo, hi, attach int }
+
+// NewForestBuilder returns a ForestBuilder for the induced subgraphs of g.
+func NewForestBuilder(g *Graph) *ForestBuilder {
+	return &ForestBuilder{g: g, index: make([]int32, g.N())}
+}
+
+// induce returns the subgraph induced by the given distinct vertices, vertex
+// i being vertices[i].  It is FromEdges of the induced edges {i, j}, i < j,
+// listed by i and then in the order of vertices[i]'s adjacency list: those
+// are distinct already, so counting the arcs of both orientations by tail
+// and filling them in edge order gives FromEdges' adjacency lists.
+func (b *ForestBuilder) induce(vertices []int) *Graph {
+	k := len(vertices)
+	for i, v := range vertices {
+		b.index[v] = int32(i) + 1
+	}
+	off := resize(b.sub.off, k+2)
+	clear(off)
+	for i, v := range vertices {
+		for _, w := range b.g.Neighbors(v) {
+			if j := int(b.index[w]) - 1; j > i {
+				off[i+2]++
+				off[j+2]++
 			}
 		}
 	}
-	return f.children[v]
-}
-
-// Ancestor returns the ancestor of v exactly i levels above it, clamped at
-// the root (parent^i with the paper's convention parent(root) = root).
-func (f *Forest) Ancestor(v, i int) int {
-	for ; i > 0; i-- {
-		p := f.Parent[v]
-		if p == v {
-			return v
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	nbr := resize(b.sub.nbr, off[k+1])
+	for i, v := range vertices {
+		for _, w := range b.g.Neighbors(v) {
+			if j := int(b.index[w]) - 1; j > i {
+				nbr[off[i+1]], nbr[off[j+1]] = j, i
+				off[i+1]++
+				off[j+1]++
+			}
 		}
-		v = p
 	}
-	return v
+	for _, v := range vertices {
+		b.index[v] = 0
+	}
+	b.sub = Graph{off: off[:k+1], nbr: nbr}
+	return &b.sub
 }
 
-// AncestorAtDepth returns the ancestor of v at the given depth, or -1 when
-// depth exceeds the depth of v.
-func (f *Forest) AncestorAtDepth(v, depth int) int {
-	if depth > f.Depth[v] {
-		return -1
-	}
-	return f.Ancestor(v, f.Depth[v]-depth)
-}
-
-// IsAncestor reports whether a is an ancestor of v (including a == v).
-func (f *Forest) IsAncestor(a, v int) bool {
-	if f.Depth[a] > f.Depth[v] {
-		return false
-	}
-	return f.AncestorAtDepth(v, f.Depth[a]) == a
-}
-
-// EliminationForest computes a rooted forest over the vertices of g such
-// that every edge of g connects a vertex with one of its ancestors (an
-// elimination forest / treedepth decomposition).  The depth of the returned
-// forest is a heuristic upper bound on the treedepth of g.
+// Forest returns an elimination forest of the subgraph induced by the given
+// distinct vertices — every edge joins a vertex and one of its ancestors —
+// over subgraph vertices: vertex i is vertices[i].  Its depth is a heuristic
+// upper bound on the treedepth of the subgraph.  The forest lives in the
+// builder's scratch and is valid until the next call.
 //
-// The construction removes, in each connected component, a vertex chosen to
-// break the component apart (the middle of a longest BFS path, found by two
-// BFS runs) and recurses on the remaining components,
-// attaching their roots as children of the removed vertex.  Any forest built
-// this way is a valid elimination forest; only its depth depends on the
-// heuristic.
-func EliminationForest(g *Graph) *Forest {
-	n := g.N()
-	parent := make([]int, n)
+// Each connected component, taken in the depth-first order of its vertices
+// from its least one, is split at the middle of a longest BFS path (found by
+// two BFS runs from its first vertex), which becomes the root of the
+// component's tree; the components left, each in BFS order from its first
+// vertex in the order of the component split, hang their trees from that
+// vertex.  Components wait on a stack, so no call recurses.  Any forest
+// built this way is a valid elimination forest; only its depth depends on
+// the heuristic.
+func (b *ForestBuilder) Forest(vertices []int) *Forest {
+	g := b.induce(vertices)
+	k := g.N()
+	parent := resize(b.f.Parent, k)
 	for v := range parent {
 		parent[v] = v
 	}
-	removed := make([]bool, n)
-
-	// Scratch reused across recursive calls; compGen[v] == gen marks v as
-	// placed in a component by the current step.
-	queue := make([]int, 0, n)
-	dist := make([]int, n)
-	prev := make([]int, n)
-	compGen := make([]int, n)
-	gen := 0
-
-	// bfsFarthest runs a BFS from start over the members not yet removed,
-	// recording distances and predecessors, and returns the first vertex it
-	// reaches at the largest distance.
-	bfsFarthest := func(start int, member []bool) int {
-		for _, v := range queue {
-			dist[v] = -1
+	b.removed = resize(b.removed, k)
+	clear(b.removed)
+	b.dist, b.prev = resize(b.dist, k), resize(b.prev, k)
+	for v := range b.dist {
+		b.dist[v] = -1
+	}
+	b.seen = resize(b.seen, k)
+	clear(b.seen)
+	b.queue, b.gen = b.queue[:0], 0
+	for s := range k {
+		if b.removed[s] {
+			continue
 		}
-		queue = queue[:0]
-		queue = append(queue, start)
-		dist[start] = 0
-		far := start
-		for i := 0; i < len(queue); i++ {
-			v := queue[i]
+		// The component of s, depth first exactly as a stack-driven search
+		// from s lists it.
+		b.gen++
+		b.seen[s] = b.gen
+		b.comps = b.comps[:0]
+		stack := append(b.split[:0], s)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			b.comps = append(b.comps, v)
 			for _, w := range g.Neighbors(v) {
-				if member[w] && !removed[w] && dist[w] == -1 {
-					dist[w], prev[w] = dist[v]+1, v
-					if dist[w] > dist[far] {
-						far = w
-					}
-					queue = append(queue, w)
+				if b.seen[w] != b.gen {
+					b.seen[w] = b.gen
+					stack = append(stack, w)
 				}
 			}
 		}
-		return far
-	}
-
-	member := make([]bool, n)
-	for v := range dist {
-		dist[v] = -1
-	}
-
-	var process func(vertices []int, attachTo int)
-	process = func(vertices []int, attachTo int) {
-		if len(vertices) == 0 {
-			return
-		}
-		if len(vertices) == 1 {
-			v := vertices[0]
-			if attachTo >= 0 {
-				parent[v] = attachTo
-			}
-			removed[v] = true
-			return
-		}
-		for _, v := range vertices {
-			member[v] = true
-		}
-		// Choose a separator vertex: the midpoint of an approximate longest
-		// path (double BFS), which gives good depths on paths, grids and
-		// trees.
-		a := bfsFarthest(vertices[0], member)
-		b := bfsFarthest(a, member)
-		sep := b // walked back to the middle of the BFS path from a
-		for i := 0; i < dist[b]/2; i++ {
-			sep = prev[sep]
-		}
-		for _, v := range vertices {
-			member[v] = false
-		}
-		if attachTo >= 0 {
-			parent[sep] = attachTo
-		}
-		removed[sep] = true
-		// Split the remaining vertices into connected components of g minus
-		// the removed vertices.
-		gen++
-		var comps [][]int
-		for _, s := range vertices {
-			if removed[s] || compGen[s] == gen {
-				continue
-			}
-			comp := []int{s}
-			compGen[s] = gen
-			for i := 0; i < len(comp); i++ {
-				for _, w := range g.Neighbors(comp[i]) {
-					if !removed[w] && compGen[w] != gen {
-						compGen[w] = gen
-						comp = append(comp, w)
-					}
-				}
-			}
-			comps = append(comps, comp)
-		}
-		for _, comp := range comps {
-			process(comp, sep)
+		b.split = stack
+		b.work = append(b.work[:0], component{0, len(b.comps), -1})
+		for len(b.work) > 0 {
+			c := b.work[len(b.work)-1]
+			b.work = b.work[:len(b.work)-1]
+			b.place(g, parent, c)
 		}
 	}
-
-	for _, comp := range g.ConnectedComponents() {
-		process(comp, -1)
-	}
-	return NewForest(parent)
+	b.f.Parent = parent
+	b.f.index()
+	return &b.f
 }
+
+// place puts the separator of component c into the forest below c.attach,
+// and replaces c on the stacks by the components it leaves.
+func (b *ForestBuilder) place(g *Graph, parent []int, c component) {
+	vs := b.comps[c.lo:c.hi]
+	sep := vs[0]
+	if len(vs) > 1 {
+		far := b.farthest(g, vs[0])
+		end := b.farthest(g, far)
+		sep = end
+		for i := 0; i < b.dist[end]/2; i++ {
+			sep = b.prev[sep]
+		}
+	}
+	if c.attach >= 0 {
+		parent[sep] = c.attach
+	}
+	b.removed[sep] = true
+	b.gen++
+	split := b.split[:0]
+	for _, s := range vs {
+		if b.removed[s] || b.seen[s] == b.gen {
+			continue
+		}
+		lo := len(split)
+		split = append(split, s)
+		b.seen[s] = b.gen
+		for i := lo; i < len(split); i++ {
+			for _, w := range g.Neighbors(split[i]) {
+				if !b.removed[w] && b.seen[w] != b.gen {
+					b.seen[w] = b.gen
+					split = append(split, w)
+				}
+			}
+		}
+		b.work = append(b.work, component{c.lo + lo, c.lo + len(split), sep})
+	}
+	b.comps = append(b.comps[:c.lo], split...)
+	b.split = split
+}
+
+// farthest runs a BFS from start over the vertices not yet placed, recording
+// distances and predecessors, and returns the first vertex it reaches at the
+// largest distance.
+func (b *ForestBuilder) farthest(g *Graph, start int) int {
+	for _, v := range b.queue {
+		b.dist[v] = -1
+	}
+	b.queue = append(b.queue[:0], start)
+	b.dist[start] = 0
+	far := start
+	for i := 0; i < len(b.queue); i++ {
+		v := b.queue[i]
+		for _, w := range g.Neighbors(v) {
+			if !b.removed[w] && b.dist[w] < 0 {
+				b.dist[w], b.prev[w] = b.dist[v]+1, v
+				if b.dist[w] > b.dist[far] {
+					far = w
+				}
+				b.queue = append(b.queue, w)
+			}
+		}
+	}
+	return far
+}
+
+// resize returns s with length n, reusing its array when it is large enough;
+// the elements are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

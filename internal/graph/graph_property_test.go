@@ -94,7 +94,8 @@ func TestFromEdgesMatchesAppender(t *testing.T) {
 	}
 }
 
-// TestSubgraphIsFromEdges wants Inducer.Subgraph to be FromEdges of the
+// TestSubgraphIsFromEdges wants a ForestBuilder's induced subgraph, which
+// its forests are built over, to be FromEdges of the
 // induced edge list — {i, j}, i < j, by i and then in the order of vertex
 // i's neighbours — and so equal to appending those edges one by one.
 func TestSubgraphIsFromEdges(t *testing.T) {
@@ -118,9 +119,9 @@ func TestSubgraphIsFromEdges(t *testing.T) {
 				}
 			}
 		}
-		sub, toOrig := NewInducer(g).Subgraph(vertices)
+		sub := NewForestBuilder(g).induce(vertices)
 		want := FromEdges(len(vertices), induced)
-		return slices.Equal(toOrig, vertices) && sameAsRef(want, refFromEdges(len(vertices), induced)) &&
+		return sameAsRef(want, refFromEdges(len(vertices), induced)) &&
 			sameAsRef(sub, refFromEdges(len(vertices), induced))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -170,8 +171,7 @@ func TestGreedyColoringProperOnRandomGraphs(t *testing.T) {
 func TestEliminationForestValidOnRandomGraphs(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		g := graphFromEdgeList(raw, 18)
-		f := EliminationForest(g)
-		return ValidEliminationForest(g, f)
+		return ValidEliminationForest(g, eliminationForest(g))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -226,15 +226,21 @@ func TestLowTreedepthColoringCoversAllVertices(t *testing.T) {
 	}
 }
 
+// TestConnectedComponentsPartitionVertices wants the trees of an elimination
+// forest to be the connected components: every vertex in exactly one tree,
+// the endpoints of every edge in the same one, and as many trees as a
+// union–find over the edges counts components.
 func TestConnectedComponentsPartitionVertices(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		g := graphFromEdgeList(raw, 25)
-		comps := g.ConnectedComponents()
+		f := eliminationForest(g)
 		seen := make([]bool, g.N())
 		total := 0
-		for _, comp := range comps {
-			for _, v := range comp {
-				if v < 0 || v >= g.N() || seen[v] {
+		for _, r := range f.Roots() {
+			for stack := []int{r}; len(stack) > 0; {
+				v := stack[len(stack)-1]
+				stack = append(stack[:len(stack)-1], f.Children(v)...)
+				if seen[v] {
 					return false
 				}
 				seen[v] = true
@@ -244,15 +250,60 @@ func TestConnectedComponentsPartitionVertices(t *testing.T) {
 		if total != g.N() {
 			return false
 		}
-		// Endpoints of every edge lie in the same component.
-		compOf := make([]int, g.N())
-		for i, comp := range comps {
-			for _, v := range comp {
-				compOf[v] = i
+		for _, e := range g.Edges() {
+			if f.Ancestor(e[0], g.N()) != f.Ancestor(e[1], g.N()) {
+				return false
 			}
 		}
-		for _, e := range g.Edges() {
-			if compOf[e[0]] != compOf[e[1]] {
+		return len(f.Roots()) == componentCount(g)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func componentCount(g *Graph) int {
+	rep := make([]int, g.N())
+	for v := range rep {
+		rep[v] = v
+	}
+	var find func(v int) int
+	find = func(v int) int {
+		if rep[v] != v {
+			rep[v] = find(rep[v])
+		}
+		return rep[v]
+	}
+	count := g.N()
+	for _, e := range g.Edges() {
+		if a, b := find(e[0]), find(e[1]); a != b {
+			rep[a] = b
+			count--
+		}
+	}
+	return count
+}
+
+// TestForestBuilderIsReusable runs one builder over vertex subsets that grow
+// and shrink and wants every forest equal, parent for parent and child list
+// for child list, to a fresh builder's on the same subset, and a valid
+// elimination forest of the subgraph: scratch left stale by a larger or a
+// smaller call would show as a difference.
+func TestForestBuilderIsReusable(t *testing.T) {
+	const n = 20
+	prop := func(raw []uint8, seed int64) bool {
+		g := graphFromEdgeList(raw, n)
+		r := rand.New(rand.NewSource(seed))
+		b := NewForestBuilder(g)
+		for _, k := range []int{5, 14, 20, 2, 0, 9, 20, 1, 17, 6} {
+			vertices := r.Perm(n)[:k]
+			if r.Intn(2) == 0 {
+				slices.Sort(vertices)
+			}
+			got := b.Forest(vertices)
+			want := NewForestBuilder(g).Forest(vertices)
+			if !sameForest(got, want) || !ValidEliminationForest(NewForestBuilder(g).induce(vertices), got) {
+				t.Logf("k=%d vertices=%v: parents %v, want %v", k, vertices, got.Parent, want.Parent)
 				return false
 			}
 		}
@@ -261,4 +312,59 @@ func TestConnectedComponentsPartitionVertices(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+func sameForest(f, g *Forest) bool {
+	if !slices.Equal(f.Parent, g.Parent) || !slices.Equal(f.Depth, g.Depth) || f.MaxDepth != g.MaxDepth ||
+		!slices.Equal(f.Roots(), g.Roots()) {
+		return false
+	}
+	for v := range f.Parent {
+		if !slices.Equal(f.Children(v), g.Children(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestColoringIsGreedyOverTheAugmentation wants LowTreedepthColoring, which
+// reads the last augmentation round off the one before instead of building
+// it, to colour exactly as the greedy pass over augmented(g, p−1) does, and
+// to count that round's arcs.
+func TestColoringIsGreedyOverTheAugmentation(t *testing.T) {
+	prop := func(raw []uint8) bool {
+		g := graphFromEdgeList(raw, 16)
+		for p := 1; p <= 4; p++ {
+			got, want := LowTreedepthColoring(g, p), greedyColoring(augmented(g, p-1))
+			if !slices.Equal(got.Color, want.Color) || got.NumColors != want.NumColors || got.AugmentedArcs != want.AugmentedArcs {
+				t.Logf("p=%d: %d colours and %d arcs, want %d and %d", p, got.NumColors, got.AugmentedArcs, want.NumColors, want.AugmentedArcs)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// greedyColoring colours every vertex, down the order, with the least colour
+// none of its out-neighbours has.
+func greedyColoring(a *arcs) *Coloring {
+	n := len(a.order)
+	c := &Coloring{Color: make([]int, n), AugmentedArcs: len(a.dst)}
+	byRank := make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		used := map[int]bool{}
+		for _, w := range a.out(i) {
+			used[byRank[w]] = true
+		}
+		col := 0
+		for used[col] {
+			col++
+		}
+		byRank[i], c.Color[a.order[i]] = col, col
+		c.NumColors = max(c.NumColors, col+1)
+	}
+	return c
 }

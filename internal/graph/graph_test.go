@@ -87,24 +87,34 @@ func TestBasicOperations(t *testing.T) {
 	}
 }
 
+// TestConnectedComponents wants one tree per connected component, the
+// isolated vertices being roots of their own.
 func TestConnectedComponents(t *testing.T) {
 	g := FromEdges(7, [][2]int{{0, 1}, {1, 2}, {3, 4}}) // 5 and 6 isolated
-	comps := g.ConnectedComponents()
-	if len(comps) != 4 {
-		t.Fatalf("got %d components, want 4", len(comps))
+	f := eliminationForest(g)
+	if !slices.Equal(f.Roots(), []int{1, 3, 5, 6}) {
+		t.Fatalf("roots %v, want [1 3 5 6]: the middles of 0-1-2 and of 3-4, then 5 and 6", f.Roots())
 	}
 	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[len(c)]++
+	for _, r := range f.Roots() {
+		sizes[treeSize(f, r)]++
 	}
 	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 2 {
-		t.Errorf("unexpected component size distribution: %v", sizes)
+		t.Errorf("unexpected tree size distribution: %v", sizes)
 	}
+}
+
+func treeSize(f *Forest, v int) int {
+	size := 1
+	for _, w := range f.Children(v) {
+		size += treeSize(f, w)
+	}
+	return size
 }
 
 func TestInducedSubgraph(t *testing.T) {
 	g := cycleGraph(6)
-	sub, toOrig := NewInducer(g).Subgraph([]int{0, 1, 2, 4})
+	sub := NewForestBuilder(g).induce([]int{0, 1, 2, 4})
 	if sub.N() != 4 {
 		t.Fatalf("subgraph has %d vertices, want 4", sub.N())
 	}
@@ -112,58 +122,24 @@ func TestInducedSubgraph(t *testing.T) {
 	if sub.M() != 2 || !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.Degree(3) != 0 {
 		t.Errorf("subgraph has edges %v, want 0-1 and 1-2", sub.Edges())
 	}
-	if !slices.Equal(toOrig, []int{0, 1, 2, 4}) {
-		t.Errorf("toOrig = %v, want the vertices given", toOrig)
-	}
 }
 
-// TestInducerIsReusable takes many subgraphs through one Inducer and wants
-// each equal, adjacency list for adjacency list, to the one a fresh Inducer
-// builds: the shared index must be clean again after every call.
-func TestInducerIsReusable(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	g := FromEdges(60, randomEdges(r, 60, 150))
-	in := NewInducer(g)
-	for round := 0; round < 50; round++ {
-		vertices := r.Perm(60)[:r.Intn(30)]
-		got, toOrig := in.Subgraph(vertices)
-		want, wantOrig := NewInducer(g).Subgraph(vertices)
-		if !slices.Equal(toOrig, wantOrig) || !slices.Equal(toOrig, vertices) {
-			t.Fatalf("round %d: toOrig %v, want %v", round, toOrig, vertices)
-		}
-		if got.N() != want.N() || got.M() != want.M() {
-			t.Fatalf("round %d: %d vertices and %d edges, want %d and %d", round, got.N(), got.M(), want.N(), want.M())
-		}
-		for v := 0; v < got.N(); v++ {
-			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
-				t.Fatalf("round %d: neighbours of %d are %v, want %v", round, v, got.Neighbors(v), want.Neighbors(v))
-			}
-			for _, w := range got.Neighbors(v) {
-				if !g.HasEdge(toOrig[v], toOrig[w]) || !got.HasEdge(v, w) {
-					t.Fatalf("round %d: subgraph edge %d-%d is not an edge %d-%d of the graph", round, v, w, toOrig[v], toOrig[w])
-				}
-			}
-		}
-	}
-}
-
-// TestSubgraphAllocations wants Inducer.Subgraph to make as many allocations
-// for 1,000 induced vertices as for 10: the induced edge list is presized
-// and FromEdges allocates a fixed number of arrays.
-func TestSubgraphAllocations(t *testing.T) {
+// TestForestBuilderAllocations wants a ForestBuilder to allocate nothing once
+// a call as large as any later one has grown its scratch.
+func TestForestBuilderAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	in := NewInducer(gridGraph(50, 40))
-	allocs := func(k int) float64 {
-		vertices := make([]int, k)
-		for i := range vertices {
-			vertices[i] = i
-		}
-		return testing.AllocsPerRun(5, func() { in.Subgraph(vertices) })
+	b := NewForestBuilder(gridGraph(50, 40))
+	prefix := make([]int, 1000)
+	for i := range prefix {
+		prefix[i] = 2 * i
 	}
-	if small, large := allocs(10), allocs(1000); small != large {
-		t.Errorf("Subgraph allocates %.0f objects for 10 vertices and %.0f for 1,000, want equal counts", small, large)
+	b.Forest(prefix)
+	for _, k := range []int{10, 500, 1000} {
+		if allocs := testing.AllocsPerRun(5, func() { b.Forest(prefix[:k]) }); allocs != 0 {
+			t.Errorf("Forest of %d vertices allocates %.0f objects after a warm-up, want 0", k, allocs)
+		}
 	}
 }
 
@@ -304,7 +280,7 @@ func TestEliminationForest(t *testing.T) {
 		{"grid4x4", gridGraph(4, 4), 10},
 	}
 	for _, c := range cases {
-		f := EliminationForest(c.g)
+		f := eliminationForest(c.g)
 		if !ValidEliminationForest(c.g, f) {
 			t.Errorf("%s: invalid elimination forest", c.name)
 		}
@@ -414,7 +390,7 @@ func TestColoringQualityStats(t *testing.T) {
 
 func TestEliminationForestCoversAllVertices(t *testing.T) {
 	g := randomSparseGraph(500, 900, 23)
-	f := EliminationForest(g)
+	f := eliminationForest(g)
 	if f.N() != g.N() {
 		t.Fatalf("size mismatch")
 	}
@@ -428,6 +404,36 @@ func TestEliminationForestCoversAllVertices(t *testing.T) {
 	}
 }
 
+// Ancestor returns the ancestor of v exactly i levels above it, clamped at
+// the root (parent^i with the paper's convention parent(root) = root).
+func (f *Forest) Ancestor(v, i int) int {
+	for ; i > 0; i-- {
+		p := f.Parent[v]
+		if p == v {
+			return v
+		}
+		v = p
+	}
+	return v
+}
+
+// AncestorAtDepth returns the ancestor of v at the given depth, or -1 when
+// depth exceeds the depth of v.
+func (f *Forest) AncestorAtDepth(v, depth int) int {
+	if depth > f.Depth[v] {
+		return -1
+	}
+	return f.Ancestor(v, f.Depth[v]-depth)
+}
+
+// IsAncestor reports whether a is an ancestor of v (including a == v).
+func (f *Forest) IsAncestor(a, v int) bool {
+	if f.Depth[a] > f.Depth[v] {
+		return false
+	}
+	return f.AncestorAtDepth(v, f.Depth[a]) == a
+}
+
 // IsProperColoring reports whether c is a proper colouring of g.
 func IsProperColoring(g *Graph, c *Coloring) bool {
 	for _, e := range g.Edges() {
@@ -436,6 +442,15 @@ func IsProperColoring(g *Graph, c *Coloring) bool {
 		}
 	}
 	return true
+}
+
+// eliminationForest returns a fresh builder's forest of all of g.
+func eliminationForest(g *Graph) *Forest {
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
+	return NewForestBuilder(g).Forest(all)
 }
 
 // ValidEliminationForest reports whether f is a valid elimination forest for
