@@ -144,12 +144,12 @@ func BenchmarkA5LocalSearch(b *testing.B) {
 	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}, {Name: "Blocked", Arity: 1}}, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := structure.NewStructure(sig, g.N())
+		build := structure.NewBuilder(sig, g.N())
 		for _, e := range g.Edges() {
-			a.MustAddTuple("E", e[0], e[1])
-			a.MustAddTuple("E", e[1], e[0])
+			build.MustAddTuple("E", e[0], e[1])
+			build.MustAddTuple("E", e[1], e[0])
 		}
-		p, err := agg.Open(agg.FromStructure(a, nil)).Prepare(ctx, "!S(x) & !Blocked(x)", agg.WithDynamic("S", "Blocked"))
+		p, err := agg.Open(agg.FromStructure(build.Build(), nil)).Prepare(ctx, "!S(x) & !Blocked(x)", agg.WithDynamic("S", "Blocked"))
 		if err != nil {
 			b.Fatal(err)
 		}

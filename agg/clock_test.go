@@ -240,13 +240,13 @@ func TestReaderNeverSplitsValueAndAnswers(t *testing.T) {
 	}
 	var wantCount [2]int64
 	for in := range wantCount {
-		a := eng.db.a.Clone()
+		edit := eng.db.a.Edit()
 		if in == 0 {
-			if err := a.RemoveTuple("S", 0); err != nil {
+			if err := edit.RemoveTuple("S", 0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		wantCount[in] = int64(len(logic.Answers(phi, a, []string{"x", "y"})))
+		wantCount[in] = int64(len(logic.Answers(phi, edit.Build(), []string{"x", "y"})))
 	}
 
 	var wg sync.WaitGroup

@@ -132,10 +132,11 @@ func TestEvalTakesArgumentsInAnswerVarOrder(t *testing.T) {
 	check("before update", before, before)
 
 	// Removing the edge 0→1 removes the answer (y,x) = (1,0).
-	after := before.Clone()
-	if err := after.RemoveTuple("E", 0, 1); err != nil {
+	edit := before.Edit()
+	if err := edit.RemoveTuple("E", 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	after := edit.Build()
 	if err := s.Set(SetTuple("E", []int{0, 1}, false)); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
@@ -250,5 +251,30 @@ func TestFormulaIsCompiledOnce(t *testing.T) {
 	}
 	if prog := p.enum.ans.Result().Program; p.sh.Result().Program != prog || prog.Footprint() != footprint {
 		t.Errorf("the enumerator and the point queries run on different programs")
+	}
+}
+
+// TestClosureSharesTheGaifmanGraph compiles the session workloads' point
+// query on their input (pref-attach, n = 1,500) and a query whose quantifier
+// is eliminated: the closure over the free variable and the derived predicate
+// are views of the engine's database, so the Program's structure reads the
+// database's Gaifman graph instead of building one of its own.
+func TestClosureSharesTheGaifmanGraph(t *testing.T) {
+	db, err := Generate("pref-attach", 1500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := Open(db)
+	for _, q := range []string{
+		"sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)",
+		"sum x . [exists y . E(x,y) & S(y)] * u(x)",
+	} {
+		p, err := eng.Prepare(context.Background(), q)
+		if err != nil {
+			t.Fatalf("Prepare(%s): %v", q, err)
+		}
+		if a := p.sh.Result().Structure; a == db.a || a.Gaifman() != db.a.Gaifman() {
+			t.Errorf("%s: the compiled structure is the database itself or has a Gaifman graph of its own", q)
+		}
 	}
 }

@@ -262,10 +262,14 @@ func (p *Prepared) nestedInput() (*nestedInput, error) {
 	}
 	a, w := p.eng.db.a, p.eng.db.w
 	sig, err := structure.NewSignature(a.Sig.Relations, nil)
+	view := a
+	if err == nil {
+		view, err = a.Extend(sig)
+	}
 	if err != nil {
 		return nil, err
 	}
-	db, box := nested.NewDatabase(a.OnSignature(sig)), base.boxed()
+	db, box := nested.NewDatabase(view), base.boxed()
 	for _, ws := range a.Sig.Weights {
 		if err := db.DeclareSRelation(ws.Name, box, ws.Arity); err != nil {
 			return nil, err

@@ -332,12 +332,12 @@ func graphEngine(g *graph.Graph, unary ...string) *Engine {
 	for _, u := range unary {
 		rels = append(rels, structure.RelSymbol{Name: u, Arity: 1})
 	}
-	a := structure.NewStructure(structure.MustSignature(rels, nil), g.N())
+	b := structure.NewBuilder(structure.MustSignature(rels, nil), g.N())
 	for _, e := range g.Edges() {
-		a.MustAddTuple("E", e[0], e[1])
-		a.MustAddTuple("E", e[1], e[0])
+		b.MustAddTuple("E", e[0], e[1])
+		b.MustAddTuple("E", e[1], e[0])
 	}
-	return Open(FromStructure(a, nil))
+	return Open(FromStructure(b.Build(), nil))
 }
 
 // growSolution runs a search whose every round adds the improvement vertex v

@@ -196,10 +196,11 @@ func BenchmarkE6PageRank(b *testing.B) {
 	a := db.A
 	sig := structure.MustSignature(a.Sig.Relations,
 		[]structure.WeightSymbol{{Name: "w", Arity: 1}, {Name: "invdeg", Arity: 1}, {Name: "base", Arity: 0}})
-	s := structure.NewStructure(sig, a.N)
+	build := structure.NewBuilder(sig, a.N)
 	for _, t := range a.Tuples("E") {
-		s.MustAddTuple("E", t...)
+		build.MustAddTuple("E", t...)
 	}
+	s := build.Build()
 	outdeg := make([]float64, a.N)
 	for _, t := range a.Tuples("E") {
 		outdeg[t[0]]++

@@ -55,10 +55,11 @@ func TestMaterializeAnswers(t *testing.T) {
 
 func TestAverageNeighborWeightMax(t *testing.T) {
 	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}}, nil)
-	a := structure.NewStructure(sig, 4)
-	a.MustAddTuple("E", 0, 1)
-	a.MustAddTuple("E", 0, 2)
-	a.MustAddTuple("E", 3, 2)
+	b := structure.NewBuilder(sig, 4)
+	b.MustAddTuple("E", 0, 1)
+	b.MustAddTuple("E", 0, 2)
+	b.MustAddTuple("E", 3, 2)
+	a := b.Build()
 	weights := []int64{0, 10, 4, 0}
 	// Vertex 0: avg(10,4) = 7; vertex 3: avg(4) = 4.
 	if got := AverageNeighborWeightMax(a, weights); got != 7 {

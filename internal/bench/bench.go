@@ -403,13 +403,12 @@ func E6PageRank(sizes []int) *Table {
 		db := workload.PreferentialAttachment(n, 2, 23)
 		a := db.A
 		// Weights: previous round w(v) = 1/n, invdeg(v) = d/outdeg(v).
-		sig := structure.MustSignature(
+		b, err := a.Extend(structure.MustSignature(
 			a.Sig.Relations,
 			[]structure.WeightSymbol{{Name: "w", Arity: 1}, {Name: "invdeg", Arity: 1}, {Name: "base", Arity: 0}},
-		)
-		b := structure.NewStructure(sig, a.N)
-		for _, tup := range a.Tuples("E") {
-			b.MustAddTuple("E", tup...)
+		))
+		if err != nil {
+			panic(err)
 		}
 		outdeg := make([]float64, a.N)
 		for _, tup := range a.Tuples("E") {
@@ -475,13 +474,14 @@ func E7NestedQuery(sizes []int) *Table {
 			[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "V", Arity: 1}},
 			nil,
 		)
-		b := structure.NewStructure(sig, a.N)
+		build := structure.NewBuilder(sig, a.N)
 		for _, tup := range a.Tuples("E") {
-			b.MustAddTuple("E", tup...)
+			build.MustAddTuple("E", tup...)
 		}
 		for v := 0; v < a.N; v++ {
-			b.MustAddTuple("V", v)
+			build.MustAddTuple("V", v)
 		}
+		b := build.Build()
 		ndb := nested.NewDatabase(b)
 		if err := ndb.DeclareSRelation("weight", nested.NatSemiring, 1); err != nil {
 			panic(err)
@@ -536,10 +536,11 @@ func E8LocalSearch(sizes []int) *Table {
 			[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}, {Name: "Blocked", Arity: 1}},
 			nil,
 		)
-		b := structure.NewStructure(sig, a.N)
+		build := structure.NewBuilder(sig, a.N)
 		for _, tup := range a.Tuples("E") {
-			b.MustAddTuple("E", tup...)
+			build.MustAddTuple("E", tup...)
 		}
+		b := build.Build()
 		neighbors := make([][]int, a.N)
 		for _, tup := range a.Tuples("E") {
 			neighbors[tup[0]] = append(neighbors[tup[0]], tup[1])

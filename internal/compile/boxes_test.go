@@ -31,35 +31,35 @@ func linkDB(d *workload.Database, isolated int) (*structure.Structure, *structur
 		[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}, {Name: "T", Arity: 3}, {Name: "D", Arity: 2}},
 		[]structure.WeightSymbol{{Name: "w", Arity: 2}, {Name: "u", Arity: 1}},
 	)
-	a := structure.NewStructure(sig, d.A.N+isolated)
+	b := structure.NewBuilder(sig, d.A.N+isolated)
 	out := make([][]int, d.A.N)
 	for i, t := range d.A.Tuples("E") {
-		a.MustAddTuple("E", t...)
+		b.MustAddTuple("E", t...)
 		out[t[0]] = append(out[t[0]], t[1])
 		if i%2 == 0 {
-			a.MustAddTuple("D", t...)
+			b.MustAddTuple("D", t...)
 		}
 	}
 	for _, t := range d.A.Tuples("S") {
-		a.MustAddTuple("S", t...)
+		b.MustAddTuple("S", t...)
 	}
 	w := d.Weights()
 	for x := 0; x < d.A.N; x += 3 {
 		for _, y := range out[x] {
 			for _, z := range out[y] {
-				a.MustAddTuple("T", x, y, z)
+				b.MustAddTuple("T", x, y, z)
 			}
 		}
 	}
 	for v := 1; v < d.A.N; v += 5 {
-		a.MustAddTuple("E", v, v)
+		b.MustAddTuple("E", v, v)
 		w.Set("w", structure.Tuple{v, v}, int64(v%3+1))
 	}
-	for v := d.A.N; v < a.N; v++ {
-		a.MustAddTuple("S", v) // isolated in the Gaifman graph all the same
+	for v := d.A.N; v < d.A.N+isolated; v++ {
+		b.MustAddTuple("S", v) // isolated in the Gaifman graph all the same
 		w.Set("u", structure.Tuple{v}, 2)
 	}
-	return a, w
+	return b.Build(), w
 }
 
 // linkQueries has one query per way two variables of a monomial can be
@@ -123,7 +123,7 @@ func TestBoxEnumerationAgainstBaseline(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CompileQuery: %v", err)
 				}
-				b := a.Clone()
+				b := a.Edit()
 				for i, edge := range a.Tuples("E") {
 					present := !a.HasTuple("D", edge...)
 					if i%3 == 0 {
@@ -142,7 +142,7 @@ func TestBoxEnumerationAgainstBaseline(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Value: %v", err)
 				}
-				if want := baseline.EvalExpression(semiring.Nat, b, w, e); got != want {
+				if want := baseline.EvalExpression(semiring.Nat, b.Build(), w, e); got != want {
 					t.Fatalf("after toggling D: circuit %d, baseline %d", got, want)
 				}
 			})

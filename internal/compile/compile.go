@@ -59,8 +59,6 @@ type Result struct {
 	// Structure is the (possibly quantifier-elimination-extended) structure
 	// the circuit was compiled against.
 	Structure *structure.Structure
-	// Original is the structure passed to Compile.
-	Original *structure.Structure
 	// Polynomial is the normalised form of the expression.
 	Polynomial *expr.Polynomial
 	// Coloring is the low-treedepth colouring used (nil when no monomial has
@@ -106,7 +104,6 @@ func Compile(a *structure.Structure, e expr.Expr, opts Options) (*Result, error)
 
 	res := &Result{
 		Structure:        work,
-		Original:         a,
 		Polynomial:       poly,
 		DynamicRelations: dyn,
 	}

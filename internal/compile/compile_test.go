@@ -19,24 +19,24 @@ func testDB(n, m int, seed int64) (*structure.Structure, *structure.Weights[int6
 		[]structure.WeightSymbol{{Name: "w", Arity: 2}, {Name: "u", Arity: 1}, {Name: "c", Arity: 0}},
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	w := structure.NewWeights[int64]()
-	for a.Tuples("E") == nil || len(a.Tuples("E")) < m {
+	for w.Len() == 0 || w.Len() < m {
 		x, y := r.Intn(n), r.Intn(n)
 		if x == y {
 			continue
 		}
-		a.MustAddTuple("E", x, y)
+		b.MustAddTuple("E", x, y)
 		w.Set("w", structure.Tuple{x, y}, int64(r.Intn(4)+1))
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("U", v)
+			b.MustAddTuple("U", v)
 		}
 		w.Set("u", structure.Tuple{v}, int64(r.Intn(3)))
 	}
 	w.Set("c", structure.Tuple{}, 2)
-	return a, w
+	return b.Build(), w
 }
 
 // checkAgainstNaive compiles e and compares the circuit value against the
@@ -237,7 +237,7 @@ func TestCompileDynamicRelations(t *testing.T) {
 		d.SetInput(structure.InputLabel("E", structure.Member, victim), 0)
 		d.SetInput(structure.InputLabel("E", structure.NonMember, victim), 1)
 		// Build the modified structure for the reference value.
-		b := structure.NewStructure(a.Sig, a.N)
+		b := structure.NewBuilder(a.Sig, a.N)
 		for _, tpl := range a.Tuples("E") {
 			if !tpl.Equal(victim) {
 				b.MustAddTuple("E", tpl...)
@@ -246,7 +246,7 @@ func TestCompileDynamicRelations(t *testing.T) {
 		for _, tpl := range a.Tuples("U") {
 			b.MustAddTuple("U", tpl...)
 		}
-		want = expr.Eval[int64](semiring.Nat, b, w, q, map[string]structure.Element{})
+		want = expr.Eval[int64](semiring.Nat, b.Build(), w, q, map[string]structure.Element{})
 		if d.Value() != want {
 			t.Fatalf("after simulated deletion: dynamic %d, naive %d", d.Value(), want)
 		}
@@ -301,16 +301,18 @@ func TestCompileStatsAndLinearSize(t *testing.T) {
 	for _, n := range []int{20, 40, 80} {
 		a, w := testDB(n, 2*n, 7)
 		// Plant a few directed triangles so the query has non-zero answers.
+		plant := a.Edit()
 		for i := 0; i+2 < n; i += 10 {
-			a.MustAddTuple("E", i, i+1)
-			a.MustAddTuple("E", i+1, i+2)
-			a.MustAddTuple("E", i+2, i)
+			plant.MustAddTuple("E", i, i+1)
+			plant.MustAddTuple("E", i+1, i+2)
+			plant.MustAddTuple("E", i+2, i)
 			for _, t := range []structure.Tuple{{i, i + 1}, {i + 1, i + 2}, {i + 2, i}} {
 				if _, ok := w.Get("w", t); !ok {
 					w.Set("w", t, 1)
 				}
 			}
 		}
+		a = plant.Build()
 		res, err := Compile(a, q, Options{})
 		if err != nil {
 			t.Fatalf("Compile: %v", err)

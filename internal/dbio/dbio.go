@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,7 +68,7 @@ func Write(w io.Writer, a *structure.Structure, weights *structure.Weights[int64
 
 	for _, r := range rels {
 		tuples := append([]structure.Tuple(nil), a.Tuples(r.Name)...)
-		sort.Slice(tuples, func(i, j int) bool { return lessTuple(tuples[i], tuples[j]) })
+		slices.SortFunc(tuples, func(a, b structure.Tuple) int { return slices.Compare(a, b) })
 		for _, t := range tuples {
 			bw.WriteString(r.Name)
 			for _, e := range t {
@@ -91,7 +92,7 @@ func Write(w io.Writer, a *structure.Structure, weights *structure.Weights[int64
 			if entries[i].name != entries[j].name {
 				return entries[i].name < entries[j].name
 			}
-			return lessTuple(entries[i].tuple, entries[j].tuple)
+			return slices.Compare(entries[i].tuple, entries[j].tuple) < 0
 		})
 		for _, e := range entries {
 			bw.WriteString(e.name)
@@ -117,15 +118,6 @@ func WriteFile(path string, a *structure.Structure, weights *structure.Weights[i
 	return f.Close()
 }
 
-func lessTuple(a, b structure.Tuple) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
 // Read parses a database in the text format described in the package
 // documentation.
 func Read(r io.Reader) (*Database, error) {
@@ -133,30 +125,29 @@ func Read(r io.Reader) (*Database, error) {
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 
 	var (
-		domain   = -1
-		rels     []structure.RelSymbol
-		wsyms    []structure.WeightSymbol
-		relArity = map[string]int{}
-		wArity   = map[string]int{}
-		a        *structure.Structure
-		weights  = structure.NewWeights[int64]()
-		lineNo   int
+		domain  = -1
+		rels    []structure.RelSymbol
+		wsyms   []structure.WeightSymbol
+		sig     *structure.Signature
+		b       *structure.Builder
+		weights = structure.NewWeights[int64]()
+		lineNo  int
 	)
 
-	// build instantiates the structure once all declarations are known; it
+	// build starts the structure's builder once all declarations are known; it
 	// is triggered lazily by the first tuple or weight line.
 	build := func() error {
-		if a != nil {
+		if b != nil {
 			return nil
 		}
 		if domain < 0 {
 			return fmt.Errorf("dbio: tuple encountered before the domain declaration")
 		}
-		sig, err := structure.NewSignature(rels, wsyms)
+		s, err := structure.NewSignature(rels, wsyms)
 		if err != nil {
 			return fmt.Errorf("dbio: %v", err)
 		}
-		a = structure.NewStructure(sig, domain)
+		sig, b = s, structure.NewBuilder(s, domain)
 		return nil
 	}
 
@@ -184,7 +175,7 @@ func Read(r io.Reader) (*Database, error) {
 			}
 			domain = n
 		case "rel":
-			if a != nil {
+			if b != nil {
 				return nil, lineErr(lineNo, "rel declaration after tuples")
 			}
 			name, arity, err := parseDecl(fields)
@@ -192,9 +183,8 @@ func Read(r io.Reader) (*Database, error) {
 				return nil, lineErr(lineNo, "%v", err)
 			}
 			rels = append(rels, structure.RelSymbol{Name: name, Arity: arity})
-			relArity[name] = arity
 		case "wsym":
-			if a != nil {
+			if b != nil {
 				return nil, lineErr(lineNo, "wsym declaration after tuples")
 			}
 			name, arity, err := parseDecl(fields)
@@ -202,28 +192,27 @@ func Read(r io.Reader) (*Database, error) {
 				return nil, lineErr(lineNo, "%v", err)
 			}
 			wsyms = append(wsyms, structure.WeightSymbol{Name: name, Arity: arity})
-			wArity[name] = arity
 		default:
 			if err := build(); err != nil {
 				return nil, err
 			}
 			name := fields[0]
-			if arity, ok := relArity[name]; ok {
-				if len(fields) != arity+1 {
-					return nil, lineErr(lineNo, "relation %s expects %d elements, got %d", name, arity, len(fields)-1)
+			if decl, ok := sig.Relation(name); ok {
+				if len(fields) != decl.Arity+1 {
+					return nil, lineErr(lineNo, "relation %s expects %d elements, got %d", name, decl.Arity, len(fields)-1)
 				}
 				tuple, err := parseTuple(fields[1:], domain)
 				if err != nil {
 					return nil, lineErr(lineNo, "%v", err)
 				}
-				if err := a.AddTuple(name, tuple...); err != nil {
+				if err := b.AddTuple(name, tuple...); err != nil {
 					return nil, lineErr(lineNo, "%v", err)
 				}
 				continue
 			}
-			if arity, ok := wArity[name]; ok {
-				if len(fields) != arity+2 {
-					return nil, lineErr(lineNo, "weight %s expects %d elements and a value, got %d fields", name, arity, len(fields)-1)
+			if decl, ok := sig.Weight(name); ok {
+				if len(fields) != decl.Arity+2 {
+					return nil, lineErr(lineNo, "weight %s expects %d elements and a value, got %d fields", name, decl.Arity, len(fields)-1)
 				}
 				tuple, err := parseTuple(fields[1:len(fields)-1], domain)
 				if err != nil {
@@ -245,7 +234,7 @@ func Read(r io.Reader) (*Database, error) {
 	if err := build(); err != nil {
 		return nil, err
 	}
-	return &Database{A: a, W: weights}, nil
+	return &Database{A: b.Build(), W: weights}, nil
 }
 
 // ReadFile parses the named file.

@@ -91,9 +91,8 @@ func (sh *Shared) Result() *compile.Result { return sh.res }
 // Close compiles the closure of e over the parameter list vars, which must
 // contain every free variable of e (a parameter e does not mention is summed
 // out, so its argument is ignored; one listed twice takes two arguments that
-// must agree).  This is the expensive,
-// semiring-independent part of every dynamic engine: one signature extension,
-// one re-homed structure, one compile.Compile.
+// must agree).  This is the expensive, semiring-independent part of every
+// dynamic engine: one view of a over the extended signature, one Compile.
 func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Options) (*Shared, error) {
 	for _, v := range expr.FreeVars(e) {
 		if !slices.Contains(vars, v) {
@@ -117,10 +116,13 @@ func Close(a *structure.Structure, e expr.Expr, vars []string, opts compile.Opti
 			}
 		}
 		sig, err := a.Sig.WithWeights(extra...)
-		if err != nil {
-			return nil, fmt.Errorf("dynamicq: extending signature: %w", err)
+		if err == nil {
+			base, err = a.Extend(sig)
 		}
-		closed, base = expr.Agg(bound, expr.Times(factors...)), a.OnSignature(sig)
+		if err != nil {
+			return nil, fmt.Errorf("dynamicq: extending the structure: %w", err)
+		}
+		closed = expr.Agg(bound, expr.Times(factors...))
 	}
 	res, err := compile.Compile(base, closed, opts)
 	if err != nil {

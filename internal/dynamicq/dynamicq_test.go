@@ -19,23 +19,23 @@ func testDB(n, m int, seed int64) (*structure.Structure, *structure.Weights[int6
 		[]structure.WeightSymbol{{Name: "w", Arity: 2}, {Name: "u", Arity: 1}},
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	w := structure.NewWeights[int64]()
-	for len(a.Tuples("E")) < m {
+	for w.Len() < m {
 		x, y := r.Intn(n), r.Intn(n)
 		if x == y {
 			continue
 		}
-		a.MustAddTuple("E", x, y)
+		b.MustAddTuple("E", x, y)
 		w.Set("w", structure.Tuple{x, y}, int64(r.Intn(5)+1))
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("U", v)
+			b.MustAddTuple("U", v)
 		}
 		w.Set("u", structure.Tuple{v}, int64(r.Intn(4)))
 	}
-	return a, w
+	return b.Build(), w
 }
 
 // naive evaluates a query with free variables by brute force.
@@ -224,7 +224,7 @@ func TestDynamicRelationUpdates(t *testing.T) {
 		t.Fatalf("CompileQuery: %v", err)
 	}
 	// Mirror structure for the naive reference.
-	mirror := a.Clone()
+	mirror := a
 	check := func(step int) {
 		t.Helper()
 		got, _ := query.ValueClosed()
@@ -249,7 +249,7 @@ func TestDynamicRelationUpdates(t *testing.T) {
 			t.Fatalf("SetTuple: %v", err)
 		}
 		// Apply to the mirror.
-		rebuildWith(mirror, "E", target, present)
+		mirror = rebuildWith(mirror, "E", target, present)
 		if query.HasTuple("E", target) != present {
 			t.Fatalf("HasTuple does not reflect the update")
 		}
@@ -278,14 +278,16 @@ outer:
 	}
 }
 
-// rebuildWith sets membership of a tuple in a relation of the mirror
-// structure.
-func rebuildWith(a *structure.Structure, rel string, tuple structure.Tuple, present bool) {
+// rebuildWith returns the mirror structure with the membership of a tuple in
+// a relation set.
+func rebuildWith(a *structure.Structure, rel string, tuple structure.Tuple, present bool) *structure.Structure {
+	b := a.Edit()
 	if present {
-		a.MustAddTuple(rel, tuple...)
-	} else if err := a.RemoveTuple(rel, tuple...); err != nil {
+		b.MustAddTuple(rel, tuple...)
+	} else if err := b.RemoveTuple(rel, tuple...); err != nil {
 		panic(err)
 	}
+	return b.Build()
 }
 
 // TestApplyBatchMixedChanges drives random mixed batches (weight updates and
@@ -307,7 +309,7 @@ func TestApplyBatchMixedChanges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileQuery: %v", err)
 	}
-	mirror := a.Clone()
+	mirror := a
 	mirrorW := w.Clone()
 
 	r := rand.New(rand.NewSource(43))
@@ -338,7 +340,7 @@ func TestApplyBatchMixedChanges(t *testing.T) {
 				if err := sequential.SetTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
 					t.Fatalf("step %d: SetTuple: %v", step, err)
 				}
-				rebuildWith(mirror, ch.Rel, ch.Tuple, ch.Present)
+				mirror = rebuildWith(mirror, ch.Rel, ch.Tuple, ch.Present)
 			}
 		}
 		for trial := 0; trial < 3; trial++ {
@@ -477,13 +479,15 @@ func TestPageRankExample(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(31))
 	n := 12
-	a := structure.NewStructure(sig, n)
-	for len(a.Tuples("E")) < 30 {
+	b := structure.NewBuilder(sig, n)
+	for edges := map[[2]int]bool{}; len(edges) < 30; {
 		x, y := r.Intn(n), r.Intn(n)
 		if x != y {
-			a.MustAddTuple("E", x, y)
+			edges[[2]int{x, y}] = true
+			b.MustAddTuple("E", x, y)
 		}
 	}
+	a := b.Build()
 	outdeg := make([]int64, n)
 	for _, t := range a.Tuples("E") {
 		outdeg[t[0]]++

@@ -35,7 +35,7 @@ func TestSnapshotPointQueriesPinned(t *testing.T) {
 	}
 	record := func() pinned {
 		epoch := query.Clock().Pin()
-		return pinned{epoch: epoch, snap: query.At(epoch), mirror: a.Clone(), w: w.Clone()}
+		return pinned{epoch: epoch, snap: query.At(epoch), mirror: a, w: w.Clone()}
 	}
 
 	pins := []pinned{record()}
@@ -48,7 +48,7 @@ func TestSnapshotPointQueriesPinned(t *testing.T) {
 			if err := query.SetTuple("E", tpl, present); err != nil {
 				t.Fatalf("SetTuple: %v", err)
 			}
-			rebuildWith(a, "E", tpl, present)
+			a = rebuildWith(a, "E", tpl, present)
 		} else {
 			tpl := edges[r.Intn(len(edges))]
 			v := int64(r.Intn(6))

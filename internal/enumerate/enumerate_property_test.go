@@ -100,7 +100,7 @@ func TestAnswersApplyBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		mirror := a.Clone()
+		mirror := a
 		for step := 0; step < 8; step++ {
 			batch := make([]TupleChange, r.Intn(5)+1)
 			for i := range batch {
@@ -115,7 +115,7 @@ func TestAnswersApplyBatch(t *testing.T) {
 				if err := sequential.SetTuple(ch.Rel, ch.Tuple, ch.Present); err != nil {
 					t.Fatalf("round %d step %d: SetTuple: %v", round, step, err)
 				}
-				setMirror(mirror, ch.Rel, ch.Tuple, ch.Present)
+				mirror = setMirror(mirror, ch.Rel, ch.Tuple, ch.Present)
 			}
 			if batched.Count() != sequential.Count() {
 				t.Fatalf("round %d step %d: batched count %d, sequential %d",
@@ -156,14 +156,14 @@ func TestEnumerateRandomDynamicUpdates(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		// mirror tracks the intended current state of S.
-		mirror := a.Clone()
+		mirror := a
 		for step := 0; step < 12; step++ {
 			v := r.Intn(a.N)
 			present := r.Intn(2) == 0
 			if err := ans.SetTuple("S", structure.Tuple{v}, present); err != nil {
 				t.Fatalf("round %d step %d: %v", round, step, err)
 			}
-			setMirror(mirror, "S", structure.Tuple{v}, present)
+			mirror = setMirror(mirror, "S", structure.Tuple{v}, present)
 			checkAnswers(t, ans, mirror, phi, vars)
 		}
 	}

@@ -245,19 +245,20 @@ func enumerationStructure(n, m int, seed int64) *structure.Structure {
 		nil,
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
-	for len(a.Tuples("E")) < m {
+	b := structure.NewBuilder(sig, n)
+	for edges := map[[2]int]bool{}; len(edges) < m; {
 		x, y := r.Intn(n), r.Intn(n)
 		if x != y {
-			a.MustAddTuple("E", x, y)
+			edges[[2]int{x, y}] = true
+			b.MustAddTuple("E", x, y)
 		}
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("S", v)
+			b.MustAddTuple("S", v)
 		}
 	}
-	return a
+	return b.Build()
 }
 
 // sortTuples sorts answer tuples lexicographically for comparison.
@@ -355,7 +356,7 @@ func TestEnumerateAnswersDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnumerateAnswers: %v", err)
 	}
-	mirror := a.Clone()
+	mirror := a
 	checkAnswers(t, ans, mirror, phi, vars)
 
 	r := rand.New(rand.NewSource(17))
@@ -370,7 +371,7 @@ func TestEnumerateAnswersDynamic(t *testing.T) {
 		if err := ans.SetTuple("E", target, present); err != nil {
 			t.Fatalf("SetTuple: %v", err)
 		}
-		setMirror(mirror, "E", target, present)
+		mirror = setMirror(mirror, "E", target, present)
 		if ans.rel.HasTuple("E", target) != present {
 			t.Fatalf("HasTuple does not reflect update")
 		}
@@ -409,7 +410,7 @@ func TestEnumerateUnaryDynamicPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnumerateAnswers: %v", err)
 	}
-	mirror := a.Clone()
+	mirror := a
 	checkAnswers(t, ans, mirror, phi, vars)
 	r := rand.New(rand.NewSource(29))
 	for step := 0; step < 20; step++ {
@@ -418,7 +419,7 @@ func TestEnumerateUnaryDynamicPredicate(t *testing.T) {
 		if err := ans.SetTuple("S", structure.Tuple{v}, present); err != nil {
 			t.Fatalf("SetTuple: %v", err)
 		}
-		setMirror(mirror, "S", structure.Tuple{v}, present)
+		mirror = setMirror(mirror, "S", structure.Tuple{v}, present)
 		checkAnswers(t, ans, mirror, phi, vars)
 	}
 }
@@ -445,7 +446,7 @@ func TestFollowChecksTheClosure(t *testing.T) {
 	if ans.rel != nil {
 		t.Fatal("a Follower keeps a shadow of its own")
 	}
-	mirror := a.Clone()
+	mirror := a
 	present := !a.HasTuple("S", 3)
 	if err := q.Prepare([]dynamicq.Change[bool]{{Rel: "S", Tuple: structure.Tuple{3}, Present: present}}); err != nil {
 		t.Fatalf("Prepare: %v", err)
@@ -456,7 +457,7 @@ func TestFollowChecksTheClosure(t *testing.T) {
 	q.Stage()
 	c.Commit()
 	c.Unlock()
-	setMirror(mirror, "S", structure.Tuple{3}, present)
+	mirror = setMirror(mirror, "S", structure.Tuple{3}, present)
 	checkAnswers(t, ans, mirror, phi, vars)
 	checkAnswers(t, src, a, phi, vars) // the source is untouched
 	defer func() {
@@ -467,14 +468,16 @@ func TestFollowChecksTheClosure(t *testing.T) {
 	ans.Follow(other.Shared(), q.Members())
 }
 
-// setMirror sets membership of a tuple in a relation of the mirror
-// structure.
-func setMirror(a *structure.Structure, rel string, tuple structure.Tuple, present bool) {
+// setMirror returns the mirror structure with the membership of a tuple in a
+// relation set.
+func setMirror(a *structure.Structure, rel string, tuple structure.Tuple, present bool) *structure.Structure {
+	b := a.Edit()
 	if present {
-		a.MustAddTuple(rel, tuple...)
-	} else if err := a.RemoveTuple(rel, tuple...); err != nil {
+		b.MustAddTuple(rel, tuple...)
+	} else if err := b.RemoveTuple(rel, tuple...); err != nil {
 		panic(err)
 	}
+	return b.Build()
 }
 
 func TestCursorIsIncremental(t *testing.T) {
@@ -509,11 +512,12 @@ func TestProvenanceOfTriangles(t *testing.T) {
 		[]structure.RelSymbol{{Name: "E", Arity: 2}},
 		[]structure.WeightSymbol{{Name: "w", Arity: 2}},
 	)
-	a := structure.NewStructure(sig, 4)
+	b := structure.NewBuilder(sig, 4)
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}, {1, 3}, {3, 0}}
 	for _, e := range edges {
-		a.MustAddTuple("E", e[0], e[1])
+		b.MustAddTuple("E", e[0], e[1])
 	}
+	a := b.Build()
 	// f = Σ_{x,y,z} [E(x,y) ∧ E(y,z) ∧ E(z,x)] · w(x,y) · w(y,z) · w(z,x)
 	f := expr.Agg([]string{"x", "y", "z"}, expr.Times(
 		expr.Guard(logic.Conj(logic.R("E", "x", "y"), logic.R("E", "y", "z"), logic.R("E", "z", "x"))),

@@ -187,7 +187,7 @@ func TestAnswersSnapshotPinnedEpochs(t *testing.T) {
 	}
 	record := func() pinned {
 		epoch := ans.enum.clock.Pin()
-		return pinned{epoch, ans.At(epoch), a.Clone()}
+		return pinned{epoch, ans.At(epoch), a}
 	}
 
 	pins := []pinned{record()}
@@ -203,7 +203,7 @@ func TestAnswersSnapshotPinnedEpochs(t *testing.T) {
 		if err := ans.SetTuple("E", target, present); err != nil {
 			t.Fatalf("SetTuple: %v", err)
 		}
-		setMirror(a, "E", target, present)
+		a = setMirror(a, "E", target, present)
 		if step%9 == 0 {
 			pins = append(pins, record())
 		}

@@ -18,23 +18,23 @@ func weightedDigraph(n, m int, seed int64) (*structure.Structure, *structure.Wei
 		[]structure.WeightSymbol{{Name: "w", Arity: 2}, {Name: "u", Arity: 1}},
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	w := structure.NewWeights[int64]()
-	for a.TupleCount() < m {
+	for w.Len() < m {
 		x, y := r.Intn(n), r.Intn(n)
 		if x == y {
 			continue
 		}
-		a.MustAddTuple("E", x, y)
+		b.MustAddTuple("E", x, y)
 		w.Set("w", structure.Tuple{x, y}, int64(r.Intn(5)+1))
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("U", v)
+			b.MustAddTuple("U", v)
 		}
 		w.Set("u", structure.Tuple{v}, int64(r.Intn(4)))
 	}
-	return a, w
+	return b.Build(), w
 }
 
 func TestEvalBasics(t *testing.T) {

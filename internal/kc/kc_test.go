@@ -26,25 +26,25 @@ func smallGraph(n, m int, seed int64) (*structure.Structure, *structure.Weights[
 		[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "R", Arity: 1}},
 		[]structure.WeightSymbol{{Name: "w", Arity: 2}, {Name: "u", Arity: 1}, {Name: "v", Arity: 1}},
 	)
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	weights := structure.NewWeights[int64]()
 	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < m; i++ {
 		x, y := r.Intn(n), r.Intn(n)
-		if x == y || a.HasTuple("E", x, y) {
+		if _, dup := weights.Get("w", structure.Tuple{x, y}); x == y || dup {
 			continue
 		}
-		a.MustAddTuple("E", x, y)
+		b.MustAddTuple("E", x, y)
 		weights.Set("w", structure.Tuple{x, y}, int64(r.Intn(5)+1))
 	}
 	for x := 0; x < n; x++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("R", x)
+			b.MustAddTuple("R", x)
 		}
 		weights.Set("u", structure.Tuple{x}, int64(r.Intn(4)+1))
 		weights.Set("v", structure.Tuple{x}, int64(r.Intn(4)+1))
 	}
-	return a, weights
+	return b.Build(), weights
 }
 
 func edgePairQuery() expr.Expr {

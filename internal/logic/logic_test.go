@@ -14,14 +14,14 @@ func directedPath(t *testing.T, n int) *structure.Structure {
 		[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "Odd", Arity: 1}},
 		nil,
 	)
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	for i := 0; i+1 < n; i++ {
-		a.MustAddTuple("E", i, i+1)
+		b.MustAddTuple("E", i, i+1)
 	}
 	for i := 1; i < n; i += 2 {
-		a.MustAddTuple("Odd", i)
+		b.MustAddTuple("Odd", i)
 	}
-	return a
+	return b.Build()
 }
 
 func TestFreeVars(t *testing.T) {

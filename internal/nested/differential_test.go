@@ -18,16 +18,17 @@ func randomNestedDB(t *testing.T, n int, seed int64) *Database {
 		[]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "V", Arity: 1}},
 		nil,
 	)
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	for v := 0; v < n; v++ {
-		a.MustAddTuple("V", v)
+		b.MustAddTuple("V", v)
 		deg := r.Intn(3) + 1
 		for i := 0; i < deg; i++ {
 			if u := r.Intn(n); u != v {
-				a.MustAddTuple("E", v, u)
+				b.MustAddTuple("E", v, u)
 			}
 		}
 	}
+	a := b.Build()
 	db := NewDatabase(a)
 	if err := db.DeclareSRelation("u", NatSemiring, 1); err != nil {
 		t.Fatalf("declare u: %v", err)

@@ -79,17 +79,22 @@ func (db *Database) SetValue(name string, tuple structure.Tuple, v any) error {
 }
 
 // SetTuple sets the membership of a tuple in a boolean relation of the
-// database.  Unlike the circuit-input updates of dynamic sessions, this
-// mutates the underlying structure: a Compile run afterwards sees the change,
-// and a Stage compiled before (whose A may be this very structure) is stale.
+// database by replacing its structure with an edited copy: a Compile run
+// afterwards sees the change, and a Stage compiled before keeps its own.
 func (db *Database) SetTuple(rel string, tuple structure.Tuple, present bool) error {
 	if _, ok := db.A.Sig.Relation(rel); !ok {
 		return fmt.Errorf("nested: unknown boolean relation %q", rel)
 	}
+	b := db.A.Edit()
+	write := b.RemoveTuple
 	if present {
-		return db.A.AddTuple(rel, tuple...)
+		write = b.AddTuple
 	}
-	return db.A.RemoveTuple(rel, tuple...)
+	if err := write(rel, tuple...); err != nil {
+		return err
+	}
+	db.A = b.Build()
+	return nil
 }
 
 // SRelation reports the semiring and arity of a declared S-relation.
@@ -101,11 +106,11 @@ func (db *Database) SRelation(name string) (s Semiring, arity int, ok bool) {
 	return rel.s, rel.arity, true
 }
 
-// Clone returns a deep copy of the database: the structure, the S-relation
-// declarations and their values are all private to the copy.  Used by
+// Clone returns a copy of the database: its S-relations are private to the
+// copy, and the structure, which SetTuple replaces, is shared.  Used by
 // sessions that mutate a database without disturbing the original.
 func (db *Database) Clone() *Database {
-	c := &Database{A: db.A.Clone(), srel: make(map[string]*sRelation, len(db.srel))}
+	c := &Database{A: db.A, srel: make(map[string]*sRelation, len(db.srel))}
 	for name, r := range db.srel {
 		nr := *r
 		nr.values = *r.values.Clone()
@@ -430,11 +435,15 @@ func (ev *evaluator) materializeGuarded(g Guarded) (Formula, error) {
 				members = append(members, t)
 			}
 		}
-		ext, err := extendStructure(ev.work, name, len(g.GuardArgs), members)
+		// The members are guard tuples, so the view adds no Gaifman edge.
+		rels := append(slices.Clone(ev.work.Sig.Relations), structure.RelSymbol{Name: name, Arity: len(g.GuardArgs)})
+		sig, err := structure.NewSignature(rels, ev.work.Sig.Weights)
 		if err != nil {
 			return nil, err
 		}
-		ev.work = ext
+		if ev.work, err = ev.work.Extend(sig, members); err != nil {
+			return nil, err
+		}
 		return BRel{Rel: name, Args: g.GuardArgs}, nil
 	}
 	// Derived S-relation stored as weights.
@@ -451,21 +460,6 @@ func (ev *evaluator) materializeGuarded(g Guarded) (Formula, error) {
 	}
 	ev.derived[name] = rel
 	return SRel{Rel: name, Args: g.GuardArgs, S: out}, nil
-}
-
-// extendStructure returns a copy of a with an additional relation holding
-// the given tuples.
-func extendStructure(a *structure.Structure, rel string, arity int, tuples []structure.Tuple) (*structure.Structure, error) {
-	rels := append(append([]structure.RelSymbol(nil), a.Sig.Relations...), structure.RelSymbol{Name: rel, Arity: arity})
-	sig, err := structure.NewSignature(rels, a.Sig.Weights)
-	if err != nil {
-		return nil, err
-	}
-	ext := a.OnSignature(sig)
-	for _, t := range tuples {
-		ext.MustAddTuple(rel, t...)
-	}
-	return ext, nil
 }
 
 // lookupSRelation finds a (base or derived) S-relation.
@@ -494,13 +488,17 @@ func (ev *evaluator) stage(f Formula) (*Stage, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-home the structure onto the signature extended with the weight
-	// symbols the expression uses.
-	sig, err := structure.NewSignature(ev.work.Sig.Relations, append(append([]structure.WeightSymbol(nil), ev.work.Sig.Weights...), symbols...))
+	// A view of the working structure over the signature extended with the
+	// weight symbols the expression uses.
+	a := ev.work
+	sig, err := structure.NewSignature(a.Sig.Relations, append(slices.Clone(a.Sig.Weights), symbols...))
+	if err == nil {
+		a, err = a.Extend(sig)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Stage{A: ev.work.OnSignature(sig), Out: f.Out(), Expr: e, Weights: weights}, nil
+	return &Stage{A: a, Out: f.Out(), Expr: e, Weights: weights}, nil
 }
 
 // toLogic converts a connective-free boolean formula to first-order logic

@@ -18,17 +18,18 @@ func testGraph(n, m int, seed int64) (*Database, []int64) {
 		nil,
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
-	for len(a.Tuples("E")) < m {
+	b := structure.NewBuilder(sig, n)
+	for edges := map[[2]int]bool{}; len(edges) < m; {
 		x, y := r.Intn(n), r.Intn(n)
 		if x != y {
-			a.MustAddTuple("E", x, y)
+			edges[[2]int{x, y}] = true
+			b.MustAddTuple("E", x, y)
 		}
 	}
 	for v := 0; v < n; v++ {
-		a.MustAddTuple("V", v)
+		b.MustAddTuple("V", v)
 	}
-	db := NewDatabase(a)
+	db := NewDatabase(b.Build())
 	if err := db.DeclareSRelation("weight", NatSemiring, 1); err != nil {
 		panic(err)
 	}
@@ -244,16 +245,18 @@ func TestNestedConnectivesWithBinaryWeights(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(11))
 	n := 8
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	for v := 0; v < n; v++ {
-		a.MustAddTuple("V", v)
+		b.MustAddTuple("V", v)
 	}
-	for len(a.Tuples("E")) < 18 {
+	for edges := map[[2]int]bool{}; len(edges) < 18; {
 		x, y := r.Intn(n), r.Intn(n)
 		if x != y {
-			a.MustAddTuple("E", x, y)
+			edges[[2]int{x, y}] = true
+			b.MustAddTuple("E", x, y)
 		}
 	}
+	a := b.Build()
 	db := NewDatabase(a)
 	if err := db.DeclareSRelation("cost", MinPlus, 2); err != nil {
 		t.Fatal(err)

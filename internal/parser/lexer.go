@@ -243,7 +243,7 @@ func lex(input string) ([]token, error) {
 		case r == '_':
 			toks = append(toks, token{tokUnderscore, "_", i})
 			i += size
-		case unicode.IsDigit(r):
+		case '0' <= r && r <= '9': // another script's digit is no number
 			j := i
 			for j < len(input) && input[j] >= '0' && input[j] <= '9' {
 				j++

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -21,25 +22,25 @@ func mustSig() *structure.Signature {
 
 func buildStructure(n, m int, seed int64) (*structure.Structure, *structure.Weights[int64]) {
 	sig := mustSig()
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	weights := structure.NewWeights[int64]()
 	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < m; i++ {
 		x, y := r.Intn(n), r.Intn(n)
-		if x == y || a.HasTuple("E", x, y) {
+		if _, dup := weights.Get("w", structure.Tuple{x, y}); x == y || dup {
 			continue
 		}
-		a.MustAddTuple("E", x, y)
+		b.MustAddTuple("E", x, y)
 		weights.Set("w", structure.Tuple{x, y}, int64(r.Intn(9)+1))
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("R", v)
+			b.MustAddTuple("R", v)
 		}
-		a.MustAddTuple("V", v)
+		b.MustAddTuple("V", v)
 		weights.Set("u", structure.Tuple{v}, int64(r.Intn(5)))
 	}
-	return a, weights
+	return b.Build(), weights
 }
 
 func TestParseExprBasics(t *testing.T) {
@@ -130,6 +131,8 @@ func TestParseErrors(t *testing.T) {
 		"2 2",
 		"sum 3 . u(x)",
 		"3 # 4",
+		"٣",
+		"u(x) * ۰",
 	}
 	for _, in := range exprInputs {
 		if _, err := ParseExpr(in); err == nil {
@@ -146,11 +149,21 @@ func TestParseErrors(t *testing.T) {
 		"x",
 		"E(x,y) extra(z)",
 		"(E(x,y)",
+		"٣",
+		"u(x) * ۰",
 	}
 	for _, in := range formulaInputs {
 		if _, err := ParseFormula(in); err == nil {
 			t.Errorf("ParseFormula(%q) unexpectedly succeeded", in)
 		}
+	}
+	// A digit of another script is an unexpected character, not a number.
+	var perr *Error
+	if _, err := ParseExpr("٣"); !errors.As(err, &perr) {
+		t.Errorf("ParseExpr(%q) = %v, want a *Error", "٣", err)
+	}
+	if _, err := ParseFormula("٣"); !errors.As(err, &perr) {
+		t.Errorf("ParseFormula(%q) = %v, want a *Error", "٣", err)
 	}
 }
 

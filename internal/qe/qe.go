@@ -15,7 +15,8 @@
 // witness is far from a, where ψ sees only which atoms on y alone it
 // satisfies — its type — so one test per type present among the far elements
 // settles the rest.  The derived property is materialised as a fresh unary
-// relation on a copy of the structure, keeping the Gaifman graph unchanged.
+// relation on a view of the structure (structure.Extend), which shares the
+// input's relations and Gaifman graph.
 //
 // Formulas outside the fragment, and quantifiers over a forbidden (dynamic)
 // relation, are rejected with a descriptive error rather than silently
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/structure"
@@ -52,10 +52,7 @@ type eliminator struct {
 	// work is the working structure: the input structure progressively
 	// extended with the derived unary predicates, so that inner derived
 	// predicates are visible when eliminating outer quantifiers.
-	work *structure.Structure
-	// gaifman is the Gaifman graph of the input structure, which the derived
-	// predicates, being unary, leave unchanged.
-	gaifman *graph.Graph
+	work    *structure.Structure
 	derived []string
 	counter int
 	// forbidden relations (e.g. dynamic relations) may not occur under a
@@ -64,11 +61,11 @@ type eliminator struct {
 }
 
 // Eliminate rewrites every quantifier in f that falls into the guarded
-// existential fragment, materialising derived unary predicates on a copy of
+// existential fragment, materialising derived unary predicates on a view of
 // a.  Relations listed in forbidden (typically the dynamic relations of
 // Theorem 24) must not occur under an eliminated quantifier.
 func Eliminate(a *structure.Structure, f logic.Formula, forbidden []string) (*Result, error) {
-	e := &eliminator{work: a, gaifman: a.Gaifman(), forbidden: forbidden}
+	e := &eliminator{work: a, forbidden: forbidden}
 	out, err := e.rewrite(f)
 	if err != nil {
 		return nil, err
@@ -76,8 +73,8 @@ func Eliminate(a *structure.Structure, f logic.Formula, forbidden []string) (*Re
 	return &Result{Formula: out, Derived: e.derived, Structure: e.work}, nil
 }
 
-// extend rebuilds the working structure with an additional unary relation
-// holding the given members, in the order given.
+// extend extends the working structure by a unary relation holding the given
+// members, in the order given: a view that shares the structure it extends.
 func (e *eliminator) extend(name string, members []structure.Element) error {
 	sig := e.work.Sig
 	rels := append(slices.Clone(sig.Relations), structure.RelSymbol{Name: name, Arity: 1})
@@ -85,11 +82,12 @@ func (e *eliminator) extend(name string, members []structure.Element) error {
 	if err != nil {
 		return &Error{Detail: fmt.Sprintf("extending signature with %s", name), Err: err}
 	}
-	e.work = e.work.OnSignature(ext)
-	for _, el := range members {
-		e.work.MustAddTuple(name, el)
+	tuples := make([]structure.Tuple, len(members))
+	for i := range members {
+		tuples[i] = members[i : i+1 : i+1]
 	}
-	return nil
+	e.work, err = e.work.Extend(ext, tuples)
+	return err
 }
 
 // rewrite eliminates quantifiers bottom-up.
@@ -215,8 +213,9 @@ func (e *eliminator) eliminateExists(y string, psi logic.Formula) (logic.Formula
 	name := fmt.Sprintf(".qe%d", e.counter)
 	e.derived = append(e.derived, name)
 	var members []structure.Element
+	g := e.work.Gaifman() // the input's: a view shares it
 	for a := range e.work.N {
-		if s.witnessed(a, e.gaifman.Neighbors(a)) {
+		if s.witnessed(a, g.Neighbors(a)) {
 			members = append(members, a)
 		}
 	}

@@ -16,22 +16,23 @@ func randomStructure(n, m int, seed int64) *structure.Structure {
 		nil,
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
-	for a.TupleCount() < m {
+	b := structure.NewBuilder(sig, n)
+	for edges := map[[2]int]bool{}; len(edges) < m; {
 		x, y := r.Intn(n), r.Intn(n)
 		if x != y {
-			a.MustAddTuple("E", x, y)
+			edges[[2]int{x, y}] = true
+			b.MustAddTuple("E", x, y)
 		}
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("S", v)
+			b.MustAddTuple("S", v)
 		}
 		if r.Intn(3) == 0 {
-			a.MustAddTuple("U", v)
+			b.MustAddTuple("U", v)
 		}
 	}
-	return a
+	return b.Build()
 }
 
 // checkEquivalence verifies that the rewritten formula has exactly the same
@@ -154,32 +155,32 @@ func loopStructure(n int, seed int64) *structure.Structure {
 		nil,
 	)
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(sig, n)
+	b := structure.NewBuilder(sig, n)
 	for v := 1; v < n; v++ {
-		a.MustAddTuple("E", 0, v)
+		b.MustAddTuple("E", 0, v)
 	}
 	for range 2 * n {
-		a.MustAddTuple("E", r.Intn(n), r.Intn(n))
+		b.MustAddTuple("E", r.Intn(n), r.Intn(n))
 	}
 	for v := 0; v < n; v++ {
 		if r.Intn(3) == 0 {
-			a.MustAddTuple("E", v, v)
+			b.MustAddTuple("E", v, v)
 		}
 		if r.Intn(2) == 0 {
-			a.MustAddTuple("S", v)
+			b.MustAddTuple("S", v)
 		}
 		if r.Intn(3) == 0 {
-			a.MustAddTuple("U", v)
+			b.MustAddTuple("U", v)
 		}
 		if r.Intn(3) == 0 {
-			a.MustAddTuple("T", v, v, v)
+			b.MustAddTuple("T", v, v, v)
 		}
 		if r.Intn(3) == 0 {
-			a.MustAddTuple("T", r.Intn(n), v, v)
+			b.MustAddTuple("T", r.Intn(n), v, v)
 		}
-		a.MustAddTuple("T", r.Intn(n), r.Intn(n), v)
+		b.MustAddTuple("T", r.Intn(n), r.Intn(n), v)
 	}
-	return a
+	return b.Build()
 }
 
 // TestEliminateAllocations wants one guarded ∃ over a bounded-degree
@@ -192,14 +193,15 @@ func TestEliminateAllocations(t *testing.T) {
 	}
 	f := logic.Ex([]string{"y"}, logic.Conj(logic.R("E", "x", "y"), logic.R("S", "y")))
 	allocs := func(n int) float64 {
-		a := structure.NewStructure(randomStructure(0, 0, 0).Sig, n)
+		b := structure.NewBuilder(randomStructure(0, 0, 0).Sig, n)
 		for v := 0; v < n; v++ {
-			a.MustAddTuple("E", v, (v+1)%n)
-			a.MustAddTuple("E", v, (v+7)%n)
+			b.MustAddTuple("E", v, (v+1)%n)
+			b.MustAddTuple("E", v, (v+7)%n)
 			if v%5 == 0 {
-				a.MustAddTuple("S", v)
+				b.MustAddTuple("S", v)
 			}
 		}
+		a := b.Build()
 		a.Gaifman()
 		return testing.AllocsPerRun(3, func() {
 			if _, err := Eliminate(a, f, nil); err != nil {
@@ -209,6 +211,21 @@ func TestEliminateAllocations(t *testing.T) {
 	}
 	if small, large := allocs(1000), allocs(8000); large > small+64 {
 		t.Errorf("Eliminate allocates %.0f objects at n = 1,000 and %.0f at n = 8,000, want at most 64 more", small, large)
+	}
+}
+
+// TestEliminateSharesTheGaifmanGraph: the derived predicates of nested
+// quantifiers extend views of the input structure, which read its Gaifman
+// graph instead of building their own.
+func TestEliminateSharesTheGaifmanGraph(t *testing.T) {
+	a := randomStructure(40, 80, 5)
+	f := logic.Ex([]string{"y"}, logic.Conj(logic.R("E", "x", "y"), logic.Ex([]string{"z"}, logic.Conj(logic.R("E", "y", "z"), logic.R("S", "z")))))
+	res, err := Eliminate(a, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Derived) != 2 || res.Structure == a || res.Structure.Gaifman() != a.Gaifman() {
+		t.Errorf("Eliminate derived %v on a structure with a Gaifman graph of its own", res.Derived)
 	}
 }
 

@@ -11,14 +11,14 @@ import "slices"
 // test is a bounds check and a binary search inside one run: it formats and
 // hashes nothing.
 //
-// A *Relation obtained from Structure.Relation is a read-only handle that
-// sees every later write to its structure.
+// A *Relation obtained from Structure.Relation is a read-only handle on an
+// immutable structure; only a Builder writes to a relation.
 type Relation struct {
 	arity, n int
 	// tuples lists the tuples in insertion order, each a window of an element
 	// arena capped at its own length.
 	tuples []Tuple
-	// elems is the arena AddTuple appends the elements of new tuples to.
+	// elems is the arena Builder.AddTuple appends the elements of new tuples to.
 	elems []Element
 	// bits is the membership bitmap of a unary relation.
 	bits []uint64
@@ -91,16 +91,16 @@ func searchRun(run, tail []Element) (int, bool) {
 	return lo, lo < len(run)/s && slices.Equal(run[lo*s:lo*s+s], tail)
 }
 
-// add inserts a tuple of the relation's arity over its domain, reporting
-// whether it was absent.
-func (r *Relation) add(t []Element) bool {
+// add inserts a tuple of the relation's arity over its domain; a duplicate is
+// ignored.
+func (r *Relation) add(t []Element) {
 	if r.arity == 1 {
 		if r.bits == nil {
 			r.bits = make([]uint64, (r.n+63)/64)
 		}
 		w, bit := t[0]>>6, uint64(1)<<(uint(t[0])&63)
 		if r.bits[w]&bit != 0 {
-			return false
+			return
 		}
 		r.bits[w] |= bit
 	} else {
@@ -112,7 +112,7 @@ func (r *Relation) add(t []Element) bool {
 		}
 		i, found := searchRun(r.fwd[t[0]], t[1:])
 		if found {
-			return false
+			return
 		}
 		r.fwd[t[0]] = slices.Insert(r.fwd[t[0]], i*(r.arity-1), t[1:]...)
 		if r.rev != nil {
@@ -123,15 +123,14 @@ func (r *Relation) add(t []Element) bool {
 	r.elems = append(r.elems, t...)
 	end := len(r.elems)
 	r.tuples = append(r.tuples, r.elems[end-len(t):end:end])
-	return true
 }
 
-// remove deletes a tuple, reporting whether it was present.  The index is
-// updated by a binary search in one run (two for a binary relation); the
-// insertion list is scanned.
-func (r *Relation) remove(t []Element) bool {
+// remove deletes a tuple if the relation holds it.  The index is updated by a
+// binary search in one run (two for a binary relation); the insertion list is
+// scanned.
+func (r *Relation) remove(t []Element) {
 	if !r.Has(t...) {
-		return false
+		return
 	}
 	if r.arity == 1 {
 		r.bits[t[0]>>6] &^= 1 << (uint(t[0]) & 63)
@@ -152,58 +151,38 @@ func (r *Relation) remove(t []Element) bool {
 	}
 	clear(r.tuples[len(kept):])
 	r.tuples = kept
-	return true
 }
 
-// clone copies the relation in bulk: the tuples, the runs and the bitmap.
-// The tuples' elements and every run share one arena, each window capped at
-// its length, so a later write to either copy reallocates what it grows
-// instead of clobbering a neighbour or the other copy.
+// clone copies the relation in bulk, for Edit: the tuples into one arena,
+// the runs into another and the bitmap.  Every window is capped at its
+// length, so a later write to the copy reallocates what it grows instead of
+// clobbering a neighbour or the original.
 func (r *Relation) clone() Relation {
-	c := Relation{arity: r.arity, n: r.n}
-	m, k := len(r.tuples), r.arity
-	if m == 0 {
-		return c
-	}
-	size := m * k
-	if k >= 2 {
-		size += m * (k - 1)
-	}
-	if k == 2 {
-		size += m
-	}
-	arena := make([]Element, 0, size)
-	c.tuples = make([]Tuple, m)
+	c := Relation{arity: r.arity, n: r.n, bits: slices.Clone(r.bits), fwd: cloneRuns(r.fwd), rev: cloneRuns(r.rev)}
+	k := r.arity
+	c.elems, c.tuples = make([]Element, 0, len(r.tuples)*k), make([]Tuple, len(r.tuples))
 	for i, t := range r.tuples {
-		arena = append(arena, t...)
-		c.tuples[i] = arena[i*k : i*k+k : i*k+k]
-	}
-	c.elems = arena[: m*k : m*k]
-	switch k {
-	case 1:
-		c.bits = slices.Clone(r.bits)
-	case 2:
-		runs := make([][]Element, 2*r.n)
-		c.fwd, c.rev = runs[:r.n:r.n], runs[r.n:]
-		arena = copyRuns(arena, r.fwd, c.fwd)
-		copyRuns(arena, r.rev, c.rev)
-	default:
-		c.fwd = make([][]Element, r.n)
-		copyRuns(arena, r.fwd, c.fwd)
+		c.elems = append(c.elems, t...)
+		c.tuples[i] = c.elems[i*k : i*k+k : i*k+k]
 	}
 	return c
 }
 
-// copyRuns appends every run of from to arena and points the matching run of
-// to at its capped window.
-func copyRuns(arena []Element, from, to [][]Element) []Element {
-	for a, run := range from {
-		if len(run) == 0 {
-			continue
-		}
-		start := len(arena)
-		arena = append(arena, run...)
-		to[a] = arena[start:len(arena):len(arena)]
+// cloneRuns copies runs into one arena.
+func cloneRuns(runs [][]Element) [][]Element {
+	if runs == nil {
+		return nil
 	}
-	return arena
+	size := 0
+	for _, run := range runs {
+		size += len(run)
+	}
+	arena, out := make([]Element, 0, size), make([][]Element, len(runs))
+	for a, run := range runs {
+		if len(run) > 0 {
+			arena = append(arena, run...)
+			out[a] = arena[len(arena)-len(run) : len(arena) : len(arena)]
+		}
+	}
+	return out
 }

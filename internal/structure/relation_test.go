@@ -2,6 +2,7 @@ package structure
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -91,24 +92,29 @@ func sortTails(run []Element, w int) {
 	}
 }
 
-// TestRelationIndexMatchesTuples runs seeded scripts of AddTuple (with
-// duplicates and self-loops), RemoveTuple (of stored and of absent tuples)
-// and OnSignature over relations of arities 1–3 at n = 64.  Every step writes
-// to one of the structures re-homed so far, and afterwards every one of them
-// must still match its own model: a write to a source after re-homing is
-// invisible in the copy, and the reverse.
+// TestRelationIndexMatchesTuples runs seeded scripts of builder writes —
+// AddTuple (with duplicates and self-loops) and RemoveTuple (of stored and of
+// absent tuples) — interleaved with Build, Edit and Extend, over relations of
+// arities 1–3 at n = 64.  Every structure built or extended so far must still
+// match its own model afterwards: a write to a builder an Edit seeded from it
+// is invisible in it, and a view holds its base's tuples and the derived ones.
 func TestRelationIndexMatchesTuples(t *testing.T) {
 	const n = 64
 	sig := MustSignature([]RelSymbol{{Name: "U", Arity: 1}, {Name: "E", Arity: 2}, {Name: "T", Arity: 3}}, nil)
-	// A relation declared first shifts every other one's position.
-	shifted := MustSignature(append([]RelSymbol{{Name: "D", Arity: 2}}, sig.Relations...), []WeightSymbol{{Name: "v0", Arity: 1}})
+	// A view adds a unary relation, a binary one inside E, and a weight.
+	extended := MustSignature(append(slices.Clone(sig.Relations), RelSymbol{Name: "D", Arity: 1}, RelSymbol{Name: "F", Arity: 2}), []WeightSymbol{{Name: "v0", Arity: 1}})
+	type built struct {
+		a *Structure
+		m indexModel
+	}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		structures := []*Structure{NewStructure(sig, n)}
+		builders := []*Builder{NewBuilder(sig, n)}
 		models := []indexModel{{}}
+		var structures []built
 		for step := 0; step < 300; step++ {
-			k := rng.Intn(len(structures))
-			a, m := structures[k], models[k]
+			k := rng.Intn(len(builders))
+			b, m := builders[k], models[k]
 			decl := sig.Relations[rng.Intn(len(sig.Relations))]
 			tuple := make(Tuple, decl.Arity)
 			for j := range tuple {
@@ -125,31 +131,56 @@ func TestRelationIndexMatchesTuples(t *testing.T) {
 			}
 			switch op := rng.Intn(10); {
 			case op < 6:
-				a.MustAddTuple(decl.Name, tuple...)
+				b.MustAddTuple(decl.Name, tuple...)
 				if !slices.ContainsFunc(m[decl.Name], tuple.Equal) {
 					m[decl.Name] = append(m[decl.Name], tuple)
 				}
-			case op < 9:
+			case op < 8:
 				if stored := m[decl.Name]; len(stored) > 0 && rng.Intn(3) > 0 {
 					tuple = stored[rng.Intn(len(stored))].Clone()
 				}
-				if err := a.RemoveTuple(decl.Name, tuple...); err != nil {
+				if err := b.RemoveTuple(decl.Name, tuple...); err != nil {
 					t.Fatal(err)
 				}
 				m[decl.Name] = slices.DeleteFunc(m[decl.Name], tuple.Equal)
 			default:
-				target := sig
-				if rng.Intn(2) == 0 {
-					target = shifted
+				// Build, and go on writing to an edit of what was built.
+				a := b.Build()
+				structures = append(structures, built{a, m.clone()})
+				builders[k] = a.Edit()
+				if rng.Intn(2) == 1 || a.Sig != sig {
+					break
 				}
-				if len(structures) < 4 {
-					structures, models = append(structures, a.OnSignature(target)), append(models, m.clone())
-				} else {
-					structures[k] = a.OnSignature(target)
+				var unary, inE []Tuple
+				vm := m.clone()
+				for range rng.Intn(8) {
+					u := Tuple{rng.Intn(n)}
+					unary = append(unary, u)
+					if !slices.ContainsFunc(vm["D"], u.Equal) {
+						vm["D"] = append(vm["D"], u)
+					}
+				}
+				for _, e := range m["E"] {
+					if rng.Intn(2) == 0 {
+						inE = append(inE, e)
+						vm["F"] = append(vm["F"], e)
+					}
+				}
+				view, err := a.Extend(extended, unary, inE)
+				if err != nil {
+					t.Fatal(err)
+				}
+				structures = append(structures, built{view, vm})
+				if len(builders) < 4 {
+					builders, models = append(builders, view.Edit()), append(models, vm.clone())
 				}
 			}
-			for i, s := range structures {
-				checkIndex(t, s, models[i], rng)
+			for len(structures) > 6 {
+				i := rng.Intn(len(structures))
+				structures = slices.Delete(structures, i, i+1)
+			}
+			for _, s := range structures {
+				checkIndex(t, s.a, s.m, rng)
 			}
 			if t.Failed() {
 				t.Fatalf("seed %d, step %d", seed, step)
@@ -158,77 +189,98 @@ func TestRelationIndexMatchesTuples(t *testing.T) {
 	}
 }
 
-// TestRehomedRunsAreCapped grows, in the copy, the run of every element that
-// has one, then shrinks it in the source: the copy's runs share one arena, so
-// a run that were not capped at its length would overwrite its neighbour,
-// and a copy that shared the source's runs would see the removals.
+// TestRehomedRunsAreCapped grows, in one edit of a structure, the run of every
+// element that has one, and shrinks it in another edit: an edit's runs share
+// one arena, so a run that were not capped at its length would overwrite its
+// neighbour, and edits that shared runs would see each other's writes.
 func TestRehomedRunsAreCapped(t *testing.T) {
 	const n = 16
 	sig := MustSignature([]RelSymbol{{Name: "E", Arity: 2}, {Name: "T", Arity: 3}}, nil)
-	src := NewStructure(sig, n)
+	b := NewBuilder(sig, n)
 	for v := 0; v < n; v++ {
-		src.MustAddTuple("E", v, (v+1)%n)
-		src.MustAddTuple("T", v, (v+1)%n, (v+2)%n)
+		b.MustAddTuple("E", v, (v+1)%n)
+		b.MustAddTuple("T", v, (v+1)%n, (v+2)%n)
 	}
-	dst := src.Clone()
+	src := b.Build()
+	grow, shrink := src.Edit(), src.Edit()
 	for v := 0; v < n; v++ {
-		dst.MustAddTuple("E", v, (v+5)%n)
-		dst.MustAddTuple("T", v, (v+5)%n, v)
-		if err := src.RemoveTuple("E", v, (v+1)%n); err != nil {
+		grow.MustAddTuple("E", v, (v+5)%n)
+		grow.MustAddTuple("T", v, (v+5)%n, v)
+		if err := shrink.RemoveTuple("E", v, (v+1)%n); err != nil {
 			t.Fatal(err)
 		}
 	}
+	dst, shrunk := grow.Build(), shrink.Build()
 	for v := 0; v < n; v++ {
 		want := []Element{(v + 1) % n, (v + 5) % n}
 		slices.Sort(want)
 		if got := dst.Relation("E").Forward(v); !slices.Equal(got, want) {
-			t.Errorf("copy: E.Forward(%d) = %v, want %v", v, got, want)
+			t.Errorf("grown: E.Forward(%d) = %v, want %v", v, got, want)
 		}
-		if got := src.Relation("E").Forward(v); len(got) != 0 {
-			t.Errorf("source: E.Forward(%d) = %v after its removal", v, got)
+		if got := shrunk.Relation("E").Forward(v); len(got) != 0 {
+			t.Errorf("shrunk: E.Forward(%d) = %v after its removal", v, got)
+		}
+		if got := src.Relation("E").Forward(v); !slices.Equal(got, []Element{(v + 1) % n}) {
+			t.Errorf("source: E.Forward(%d) = %v after its edits", v, got)
 		}
 		if !dst.HasTuple("T", v, (v+1)%n, (v+2)%n) || !dst.HasTuple("T", v, (v+5)%n, v) {
-			t.Errorf("copy lost a T tuple of %d", v)
+			t.Errorf("grown edit lost a T tuple of %d", v)
 		}
-		if src.HasTuple("T", v, (v+5)%n, v) {
-			t.Errorf("source sees the copy's T tuple of %d", v)
+		if src.HasTuple("T", v, (v+5)%n, v) || shrunk.HasTuple("T", v, (v+5)%n, v) {
+			t.Errorf("another edit sees the grown edit's T tuple of %d", v)
 		}
 	}
 	if got := len(dst.Tuples("E")); got != 2*n {
-		t.Errorf("copy holds %d E tuples, want %d", got, 2*n)
+		t.Errorf("grown edit holds %d E tuples, want %d", got, 2*n)
 	}
 }
 
-// TestOnSignatureAllocations: re-homing copies each relation in bulk into one
-// arena, so a 20,000-tuple structure with two relations costs a constant
-// number of allocations, not a few per tuple.
-func TestOnSignatureAllocations(t *testing.T) {
+// TestExtendAllocations: an Extend by weight symbols shares every relation
+// and the Gaifman graph, so it allocates the same bytes over 2,000 tuples as
+// over 20,000; an Edit copies each relation in bulk into one arena, a
+// constant number of allocations, not a few per tuple.
+func TestExtendAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const n = 10000
 	sig := MustSignature([]RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}}, nil)
-	a := NewStructure(sig, n)
-	for v := 0; v < n; v++ {
-		a.MustAddTuple("E", v, (v+1)%n)
-		if v%2 == 0 {
-			a.MustAddTuple("E", v, (v+3)%n)
-			a.MustAddTuple("S", v)
+	build := func(n int) *Structure {
+		b := NewBuilder(sig, n)
+		for v := 0; v < n; v++ {
+			b.MustAddTuple("E", v, (v+1)%n)
+			if v%2 == 0 {
+				b.MustAddTuple("E", v, (v+3)%n)
+				b.MustAddTuple("S", v)
+			}
 		}
-	}
-	if a.TupleCount() != 20000 {
-		t.Fatalf("built %d tuples, want 20000", a.TupleCount())
+		a := b.Build()
+		if a.TupleCount() != 2*n {
+			t.Fatalf("built %d tuples, want %d", a.TupleCount(), 2*n)
+		}
+		a.Gaifman()
+		return a
 	}
 	extended, err := sig.WithWeights(WeightSymbol{Name: "v0", Arity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rehome := range map[string]func(){
-		"Clone":       func() { a.Clone() },
-		"OnSignature": func() { a.OnSignature(extended) },
-	} {
-		if allocs := testing.AllocsPerRun(5, rehome); allocs > 16 {
-			t.Errorf("%s of 20,000 tuples allocates %.0f objects, want at most 16", name, allocs)
+	bytesPerExtend := func(a *Structure) uint64 {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := a.Extend(extended); err != nil {
+				t.Fatal(err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := build(1000), build(10000)
+	if s, l := bytesPerExtend(small), bytesPerExtend(large); s != l {
+		t.Errorf("Extend by a weight symbol allocates %d bytes over 2,000 tuples and %d over 20,000, want equal", s, l)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { large.Edit() }); allocs > 16 {
+		t.Errorf("Edit of 20,000 tuples allocates %.0f objects, want at most 16", allocs)
 	}
 }

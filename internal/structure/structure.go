@@ -5,6 +5,10 @@
 // relational part, fixed at compile time) plus a Weights assignment (the
 // semiring-valued part, which is an input of compiled circuits and may be
 // updated dynamically).
+//
+// A Structure is built once, by a Builder, and never changes; what the
+// pipeline derives from it adds no Gaifman edge, so it is a view (Extend)
+// sharing the base's relations and Gaifman graph.
 package structure
 
 import (
@@ -12,7 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -137,7 +141,8 @@ func (s *Signature) WithWeights(extra ...WeightSymbol) (*Signature, error) {
 }
 
 // Structure is a finite relational structure over a signature: a domain
-// {0..N-1} and, for each relation symbol, the set of tuples it contains.
+// {0..N-1} and, for each relation symbol, the set of tuples it contains.  It
+// is immutable, and reads may run concurrently.
 type Structure struct {
 	Sig *Signature
 	N   int
@@ -148,17 +153,120 @@ type Structure struct {
 	// index membership tests and partner scans read (relation.go).
 	rels []Relation
 
-	// gaifman caches Gaifman's graph; nil until it is built and after a write.
-	gaifman atomic.Pointer[graph.Graph]
+	// gaifman builds Gaifman's graph on its first call and returns that graph
+	// from then on; an Extend view shares its base's.
+	gaifman func() *graph.Graph
 }
 
-// NewStructure returns an empty structure with the given domain size.
-func NewStructure(sig *Signature, n int) *Structure {
+// Builder makes a Structure: tuples are added and removed one at a time, and
+// Build hands the finished structure over.  A builder is not used after
+// Build.
+type Builder struct {
+	a *Structure
+}
+
+// NewBuilder returns a builder of an empty structure with the given domain
+// size.
+func NewBuilder(sig *Signature, n int) *Builder {
 	a := &Structure{Sig: sig, N: n, rels: make([]Relation, len(sig.Relations))}
 	for i, r := range sig.Relations {
 		a.rels[i] = Relation{arity: r.Arity, n: n}
 	}
+	return &Builder{a: a}
+}
+
+// Edit returns a builder seeded with a's tuples, copied in bulk into one arena
+// per relation (Relation.clone); a itself is left untouched.
+func (a *Structure) Edit() *Builder {
+	b := NewBuilder(a.Sig, a.N)
+	for i := range a.rels {
+		b.a.rels[i] = a.rels[i].clone()
+	}
+	return b
+}
+
+// Build returns the structure built.
+func (b *Builder) Build() *Structure {
+	a := b.a
+	a.gaifman, b.a = sync.OnceValue(a.buildGaifman), nil
 	return a
+}
+
+// AddTuple inserts a tuple into the named relation.  Duplicate insertions
+// are ignored.
+func (b *Builder) AddTuple(rel string, tuple ...Element) error {
+	r, err := b.relationFor(rel, tuple)
+	if err == nil {
+		r.add(tuple)
+	}
+	return err
+}
+
+// MustAddTuple is AddTuple that panics on error.
+func (b *Builder) MustAddTuple(rel string, tuple ...Element) {
+	if err := b.AddTuple(rel, tuple...); err != nil {
+		panic(err)
+	}
+}
+
+// RemoveTuple deletes a tuple from the named relation; removing an absent
+// tuple is a no-op.  The index is updated by a binary search in the tuple's
+// run, O(log d) for a run of d tuples plus the shift; the insertion list,
+// which keeps the order of the remaining tuples, is scanned once, linear in
+// the relation's size.  Nothing is allocated.
+func (b *Builder) RemoveTuple(rel string, tuple ...Element) error {
+	r, err := b.relationFor(rel, tuple)
+	if err == nil {
+		r.remove(tuple)
+	}
+	return err
+}
+
+// relationFor resolves the relation a write names and checks the tuple's
+// arity and domain against it.
+func (b *Builder) relationFor(rel string, tuple []Element) (*Relation, error) {
+	r := b.a.Relation(rel)
+	if r == nil {
+		return nil, fmt.Errorf("structure: unknown relation %q", rel)
+	}
+	if len(tuple) != r.arity {
+		return nil, fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, r.arity, len(tuple))
+	}
+	if err := b.a.CheckDomain(tuple); err != nil {
+		return nil, fmt.Errorf("structure: %w", err)
+	}
+	return r, nil
+}
+
+// Extend returns a view of a over sig, which lists a's relations first, in
+// a's order, and then new ones; its weight symbols are free.  derived[i]
+// fills the i-th new relation, in the order given.  A derived tuple of arity
+// ≥ 2 must lie in some relation of a, so the view adds no edge to the
+// Gaifman graph: it shares a's relations and a's Gaifman graph, and costs
+// what it adds, not a copy of a.
+func (a *Structure) Extend(sig *Signature, derived ...[]Tuple) (*Structure, error) {
+	k := len(a.Sig.Relations)
+	if len(sig.Relations) < k || !slices.Equal(sig.Relations[:k], a.Sig.Relations) {
+		return nil, fmt.Errorf("structure: an extension must list the relations %v first", a.Sig.Relations)
+	}
+	if len(derived) > len(sig.Relations)-k {
+		return nil, fmt.Errorf("structure: %d derived relations for %d new relation symbols", len(derived), len(sig.Relations)-k)
+	}
+	b := NewBuilder(sig, a.N)
+	copy(b.a.rels, a.rels)
+	for i, ts := range derived {
+		name := sig.Relations[k+i].Name
+		for _, t := range ts {
+			if len(t) >= 2 && !a.InSomeRelation(t) {
+				return nil, fmt.Errorf("structure: derived tuple %s%v lies in no relation of the base structure", name, t)
+			}
+			if err := b.AddTuple(name, t...); err != nil {
+				return nil, err
+			}
+		}
+	}
+	b.a.gaifman = a.gaifman
+	return b.a, nil
 }
 
 // Relation returns a handle on the named relation, nil when the signature
@@ -169,60 +277,6 @@ func (a *Structure) Relation(name string) *Relation {
 		return nil
 	}
 	return &a.rels[i]
-}
-
-// relationFor resolves the relation a write names and checks the tuple's
-// arity against it.
-func (a *Structure) relationFor(rel string, tuple []Element) (*Relation, error) {
-	r := a.Relation(rel)
-	if r == nil {
-		return nil, fmt.Errorf("structure: unknown relation %q", rel)
-	}
-	if len(tuple) != r.arity {
-		return nil, fmt.Errorf("structure: relation %q has arity %d, got tuple of length %d", rel, r.arity, len(tuple))
-	}
-	return r, nil
-}
-
-// AddTuple inserts a tuple into the named relation.  Duplicate insertions
-// are ignored.  Adding tuples invalidates any previously computed Gaifman
-// graph.
-func (a *Structure) AddTuple(rel string, tuple ...Element) error {
-	r, err := a.relationFor(rel, tuple)
-	if err != nil {
-		return err
-	}
-	if err := a.CheckDomain(tuple); err != nil {
-		return fmt.Errorf("structure: %w", err)
-	}
-	if r.add(tuple) {
-		a.gaifman.Store(nil)
-	}
-	return nil
-}
-
-// MustAddTuple is AddTuple that panics on error.
-func (a *Structure) MustAddTuple(rel string, tuple ...Element) {
-	if err := a.AddTuple(rel, tuple...); err != nil {
-		panic(err)
-	}
-}
-
-// RemoveTuple deletes a tuple from the named relation; removing an absent
-// tuple is a no-op.  The index is updated by a binary search in the tuple's
-// run, O(log d) for a run of d tuples plus the shift; the insertion list,
-// which keeps the order of the remaining tuples, is scanned once, linear in
-// the relation's size.  Nothing is allocated, and any previously computed
-// Gaifman graph is invalidated.
-func (a *Structure) RemoveTuple(rel string, tuple ...Element) error {
-	r, err := a.relationFor(rel, tuple)
-	if err != nil {
-		return err
-	}
-	if r.remove(tuple) {
-		a.gaifman.Store(nil)
-	}
-	return nil
 }
 
 // CheckDomain reports the first element of t outside the domain {0..N-1}.
@@ -270,19 +324,20 @@ func (a *Structure) TupleCount() int {
 
 // Gaifman returns the Gaifman graph of the structure: vertices are domain
 // elements; two distinct elements are adjacent when they occur together in
-// some tuple of some relation.  The graph is cached until the structure is
-// modified; reads of an unmodified structure may run concurrently.
-func (a *Structure) Gaifman() *graph.Graph {
-	if g := a.gaifman.Load(); g != nil {
-		return g
-	}
+// some tuple of some relation.  It is built once, on the first call, and may
+// be read concurrently.
+func (a *Structure) Gaifman() *graph.Graph { return a.gaifman() }
+
+// buildGaifman builds the Gaifman graph from the relations, in signature order
+// and insertion order: the adjacency lists, and with them every colouring and
+// forest computed from the graph, are a function of the structure alone.  The
+// relations a view adds after its base's repeat edges the base already has,
+// so the view's graph is its base's, neighbour order included.
+func (a *Structure) buildGaifman() *graph.Graph {
 	pairs := 0
 	for _, r := range a.rels {
 		pairs += len(r.tuples) * r.arity * (r.arity - 1) / 2
 	}
-	// In signature order and insertion order: the adjacency lists, and with
-	// them every colouring and forest computed from the graph, are a function
-	// of the structure alone.
 	edges := make([][2]int, 0, pairs)
 	for i := range a.rels {
 		for _, t := range a.rels[i].tuples {
@@ -293,37 +348,13 @@ func (a *Structure) Gaifman() *graph.Graph {
 			}
 		}
 	}
-	g := graph.FromEdges(a.N, edges)
-	a.gaifman.Store(g)
-	return g
+	return graph.FromEdges(a.N, edges)
 }
 
-// Clone returns a deep copy of the structure (sharing the signature).
-func (a *Structure) Clone() *Structure { return a.OnSignature(a.Sig) }
-
-// OnSignature re-homes the structure onto sig: a fresh structure over the
-// same domain holding every tuple of every relation of a.  sig must declare
-// a's non-empty relation symbols with their arities (it panics otherwise);
-// typically it is a.Sig extended with weight symbols (the Theorem 8 closure)
-// or with derived relations (quantifier elimination, nested connectives),
-// which start out empty.  Each relation is copied in bulk into one arena of
-// its own (Relation.clone), a constant number of allocations per relation;
-// the source is left untouched, and later writes to either structure are
-// invisible in the other.
-func (a *Structure) OnSignature(sig *Signature) *Structure {
-	b := NewStructure(sig, a.N)
-	for i, r := range a.Sig.Relations {
-		src := &a.rels[i]
-		if len(src.tuples) == 0 {
-			continue
-		}
-		dst := b.Relation(r.Name)
-		if dst == nil || dst.arity != r.Arity {
-			panic(fmt.Sprintf("structure: the target signature does not declare relation %s of arity %d", r.Name, r.Arity))
-		}
-		*dst = src.clone()
-	}
-	return b
+// Clone returns a structure over the same relations with a Gaifman graph of
+// its own, not yet built.
+func (a *Structure) Clone() *Structure {
+	return (&Builder{a: &Structure{Sig: a.Sig, N: a.N, rels: a.rels}}).Build()
 }
 
 // ---------------------------------------------------------------------------

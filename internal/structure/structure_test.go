@@ -1,8 +1,12 @@
 package structure
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func testSignature(t *testing.T) *Signature {
@@ -51,22 +55,29 @@ func TestSignatureValidation(t *testing.T) {
 
 func TestStructureTuples(t *testing.T) {
 	sig := testSignature(t)
-	a := NewStructure(sig, 5)
-	a.MustAddTuple("E", 0, 1)
-	a.MustAddTuple("E", 1, 2)
-	a.MustAddTuple("E", 0, 1) // duplicate
-	a.MustAddTuple("U", 3)
-	a.MustAddTuple("T", 0, 1, 2)
+	b := NewBuilder(sig, 5)
+	b.MustAddTuple("E", 0, 1)
+	b.MustAddTuple("E", 1, 2)
+	b.MustAddTuple("E", 0, 1) // duplicate
+	b.MustAddTuple("U", 3)
+	b.MustAddTuple("T", 0, 1, 2)
 
-	if err := a.AddTuple("E", 0); err == nil {
+	if err := b.AddTuple("E", 0); err == nil {
 		t.Errorf("arity mismatch should be rejected")
 	}
-	if err := a.AddTuple("E", 0, 9); err == nil {
+	if err := b.AddTuple("E", 0, 9); err == nil {
 		t.Errorf("out-of-domain element should be rejected")
 	}
-	if err := a.AddTuple("missing", 0, 1); err == nil {
+	if err := b.AddTuple("missing", 0, 1); err == nil {
 		t.Errorf("unknown relation should be rejected")
 	}
+	if err := b.RemoveTuple("E", 0); err == nil {
+		t.Errorf("removal of a tuple of the wrong arity should be rejected")
+	}
+	if err := b.RemoveTuple("E", 0, 9); err == nil {
+		t.Errorf("removal of an out-of-domain tuple should be rejected")
+	}
+	a := b.Build()
 
 	if !a.HasTuple("E", 0, 1) || a.HasTuple("E", 1, 0) {
 		t.Errorf("HasTuple directionality broken")
@@ -78,19 +89,23 @@ func TestStructureTuples(t *testing.T) {
 		t.Errorf("TupleCount = %d, want 4", a.TupleCount())
 	}
 
-	b := a.Clone()
-	b.MustAddTuple("E", 3, 4)
-	if a.HasTuple("E", 3, 4) {
-		t.Errorf("Clone is not independent")
+	e := a.Edit()
+	e.MustAddTuple("E", 3, 4)
+	if err := e.RemoveTuple("E", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if edited := e.Build(); a.HasTuple("E", 3, 4) || !a.HasTuple("E", 0, 1) || !edited.HasTuple("E", 3, 4) || edited.HasTuple("E", 0, 1) {
+		t.Errorf("an edit is not independent of the structure it copies")
 	}
 }
 
 func TestGaifmanGraph(t *testing.T) {
 	sig := testSignature(t)
-	a := NewStructure(sig, 6)
-	a.MustAddTuple("E", 0, 1)
-	a.MustAddTuple("T", 2, 3, 4)
-	a.MustAddTuple("U", 5)
+	b := NewBuilder(sig, 6)
+	b.MustAddTuple("E", 0, 1)
+	b.MustAddTuple("T", 2, 3, 4)
+	b.MustAddTuple("U", 5)
+	a := b.Build()
 
 	g := a.Gaifman()
 	if !g.HasEdge(0, 1) {
@@ -106,10 +121,14 @@ func TestGaifmanGraph(t *testing.T) {
 	if g.Degree(5) != 0 {
 		t.Errorf("unary tuples should not create edges")
 	}
-	// Cache invalidation on modification.
-	a.MustAddTuple("E", 0, 2)
-	if !a.Gaifman().HasEdge(0, 2) {
-		t.Errorf("Gaifman graph not recomputed after update")
+	if a.Gaifman() != g {
+		t.Errorf("Gaifman graph rebuilt on a second call")
+	}
+	// An edit builds a structure of its own, with a graph of its own.
+	e := a.Edit()
+	e.MustAddTuple("E", 0, 2)
+	if !e.Build().Gaifman().HasEdge(0, 2) || a.Gaifman().HasEdge(0, 2) {
+		t.Errorf("an edit's Gaifman graph is not its own")
 	}
 }
 
@@ -123,19 +142,17 @@ func TestGaifmanAllocations(t *testing.T) {
 	}
 	sig := MustSignature([]RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}}, nil)
 	allocs := func(n int) float64 {
-		a := NewStructure(sig, n)
+		b := NewBuilder(sig, n)
 		for v := 0; v < n; v++ {
-			a.MustAddTuple("E", v, (v+1)%n)
-			a.MustAddTuple("E", (v+1)%n, v)
+			b.MustAddTuple("E", v, (v+1)%n)
+			b.MustAddTuple("E", (v+1)%n, v)
 			if v%2 == 0 {
-				a.MustAddTuple("E", v, (v+3)%n)
-				a.MustAddTuple("S", v)
+				b.MustAddTuple("E", v, (v+3)%n)
+				b.MustAddTuple("S", v)
 			}
 		}
-		return testing.AllocsPerRun(5, func() {
-			a.gaifman.Store(nil)
-			a.Gaifman()
-		})
+		a := b.Build()
+		return testing.AllocsPerRun(5, func() { a.Clone().Gaifman() })
 	}
 	if small, large := allocs(2000), allocs(20000); small != large {
 		t.Errorf("Gaifman allocates %.0f objects at n = 2,000 and %.0f at n = 20,000, want equal counts", small, large)
@@ -167,8 +184,9 @@ func TestTupleKey(t *testing.T) {
 
 func TestWeights(t *testing.T) {
 	sig := testSignature(t)
-	a := NewStructure(sig, 4)
-	a.MustAddTuple("E", 0, 1)
+	b := NewBuilder(sig, 4)
+	b.MustAddTuple("E", 0, 1)
+	a := b.Build()
 
 	w := NewWeights[int64]()
 	w.Set("w", Tuple{0, 1}, 5)
@@ -218,68 +236,140 @@ func TestWeights(t *testing.T) {
 	}
 }
 
-// TestOnSignature checks the one re-home helper behind the Theorem 8 closure,
-// quantifier elimination and the nested evaluator: every tuple survives, the
-// symbols the target signature adds are visible, and the source is untouched.
-func TestOnSignature(t *testing.T) {
+// TestExtend checks the one way the pipeline derives a structure — the
+// Theorem 8 closure's weights, quantifier elimination's predicates, a nested
+// connective's relation: the view declares the extended signature, answers
+// every query on a's relations as a does, holds the derived tuples, and reads
+// a's Gaifman graph itself.  An extension that would add a Gaifman edge, or
+// that does not list a's relations first, is refused.
+func TestExtend(t *testing.T) {
 	sig := testSignature(t)
-	src := NewStructure(sig, 5)
-	src.MustAddTuple("E", 0, 1)
-	src.MustAddTuple("E", 1, 2)
-	src.MustAddTuple("U", 3)
-	src.MustAddTuple("T", 0, 1, 2)
+	b := NewBuilder(sig, 5)
+	b.MustAddTuple("E", 0, 1)
+	b.MustAddTuple("E", 1, 2)
+	b.MustAddTuple("U", 3)
+	b.MustAddTuple("T", 0, 1, 2)
+	src := b.Build()
 
 	withWeight, err := sig.WithWeights(WeightSymbol{Name: "v0", Arity: 1})
 	if err != nil {
 		t.Fatalf("WithWeights: %v", err)
 	}
-	withRelation := MustSignature(append(append([]RelSymbol(nil), sig.Relations...), RelSymbol{Name: "D", Arity: 1}), sig.Weights)
+	withRelations := MustSignature(append(append([]RelSymbol(nil), sig.Relations...), RelSymbol{Name: "D", Arity: 1}, RelSymbol{Name: "F", Arity: 2}), sig.Weights)
 	noWeights := MustSignature(sig.Relations, nil)
 
 	for _, tc := range []struct {
-		name      string
-		sig       *Signature
-		weights   []string // weight symbols the copy must declare
-		relations []string // relation symbols the copy must declare, empty
+		name    string
+		sig     *Signature
+		derived [][]Tuple
+		weights []string // weight symbols the view must declare
 	}{
 		{name: "same signature", sig: sig, weights: []string{"w", "u", "c"}},
 		{name: "extra weight", sig: withWeight, weights: []string{"w", "v0"}},
-		{name: "extra relation", sig: withRelation, weights: []string{"w"}, relations: []string{"D"}},
+		{name: "extra relation", sig: withRelations, derived: [][]Tuple{{{4}, {0}, {4}}, {{1, 2}, {0, 1}, {1, 2}}}, weights: []string{"w"}},
 		{name: "weights dropped", sig: noWeights},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := src.OnSignature(tc.sig)
+			got, err := src.Extend(tc.sig, tc.derived...)
+			if err != nil {
+				t.Fatalf("Extend: %v", err)
+			}
 			if got.Sig != tc.sig || got.N != src.N {
-				t.Fatalf("copy has signature %p and domain %d, want %p and %d", got.Sig, got.N, tc.sig, src.N)
+				t.Fatalf("view has signature %p and domain %d, want %p and %d", got.Sig, got.N, tc.sig, src.N)
+			}
+			if got.Gaifman() != src.Gaifman() {
+				t.Errorf("the view built a Gaifman graph of its own")
 			}
 			for _, r := range sig.Relations {
-				want := src.Tuples(r.Name)
-				have := got.Tuples(r.Name)
-				if len(have) != len(want) {
-					t.Fatalf("relation %s has %d tuples, want %d", r.Name, len(have), len(want))
+				want, have := src.Tuples(r.Name), got.Tuples(r.Name)
+				if !slices.EqualFunc(have, want, Tuple.Equal) {
+					t.Errorf("relation %s holds %v on the view, %v on the base", r.Name, have, want)
 				}
-				for i := range want {
-					if !have[i].Equal(want[i]) || !got.HasTuple(r.Name, want[i]...) {
-						t.Errorf("relation %s tuple %d = %v, want %v", r.Name, i, have[i], want[i])
+				for e := range src.N {
+					if !slices.Equal(got.Relation(r.Name).Forward(e), src.Relation(r.Name).Forward(e)) ||
+						!slices.Equal(got.Relation(r.Name).Reverse(e), src.Relation(r.Name).Reverse(e)) ||
+						got.HasTuple(r.Name, e) != src.HasTuple(r.Name, e) {
+						t.Errorf("relation %s answers differently at %d on the view", r.Name, e)
 					}
 				}
 			}
 			for _, w := range tc.weights {
 				if _, ok := got.Sig.Weight(w); !ok {
-					t.Errorf("weight symbol %s is not visible on the copy", w)
+					t.Errorf("weight symbol %s is not visible on the view", w)
 				}
 			}
-			for _, r := range tc.relations {
-				if _, ok := got.Sig.Relation(r); !ok || len(got.Tuples(r)) != 0 {
-					t.Errorf("added relation %s should be declared and empty", r)
+			for i, ts := range tc.derived {
+				name := tc.sig.Relations[len(sig.Relations)+i].Name
+				var want []Tuple
+				for _, tu := range ts {
+					if !slices.ContainsFunc(want, tu.Equal) {
+						want = append(want, tu)
+					}
+				}
+				if !slices.EqualFunc(got.Tuples(name), want, Tuple.Equal) || !got.HasTuple(name, want[0]...) {
+					t.Errorf("derived relation %s holds %v, want %v", name, got.Tuples(name), want)
 				}
 			}
-			// The copy is independent: writing to it leaves the source alone.
-			got.MustAddTuple("U", 4)
-			if src.HasTuple("U", 4) || src.TupleCount() != 4 || src.Sig != sig {
-				t.Errorf("re-homing modified the source structure")
+			if src.Sig != sig || src.TupleCount() != 4 {
+				t.Errorf("extending modified the base structure")
 			}
 		})
+	}
+
+	binary := MustSignature(append(append([]RelSymbol(nil), sig.Relations...), RelSymbol{Name: "F", Arity: 2}), nil)
+	if _, err := src.Extend(binary, []Tuple{{0, 1}, {3, 4}}); err == nil {
+		t.Errorf("a derived binary tuple outside every relation of the base was accepted")
+	}
+	if _, err := src.Extend(binary, []Tuple{{0, 9}}); err == nil {
+		t.Errorf("a derived tuple outside the domain was accepted")
+	}
+	reordered := MustSignature([]RelSymbol{sig.Relations[1], sig.Relations[0], sig.Relations[2]}, nil)
+	missing := MustSignature(sig.Relations[:2], nil)
+	shifted := MustSignature(append([]RelSymbol{{Name: "D", Arity: 1}}, sig.Relations...), nil)
+	for _, bad := range []*Signature{reordered, missing, shifted} {
+		if _, err := src.Extend(bad); err == nil {
+			t.Errorf("an extension over %v, which does not list %v first, was accepted", bad.Relations, sig.Relations)
+		}
+	}
+	if _, err := src.Extend(sig, []Tuple{{0}}); err == nil {
+		t.Errorf("derived tuples for a relation the extension does not add were accepted")
+	}
+}
+
+// TestGaifmanIsSharedAcrossGoroutines asks a structure and views of it for
+// their Gaifman graph from several goroutines at once: they build it once
+// between them, and all get the same graph.
+func TestGaifmanIsSharedAcrossGoroutines(t *testing.T) {
+	sig := MustSignature([]RelSymbol{{Name: "E", Arity: 2}}, nil)
+	b := NewBuilder(sig, 200)
+	for v := range 200 {
+		b.MustAddTuple("E", v, (v+1)%200)
+	}
+	base := b.Build()
+	withWeight := MustSignature(sig.Relations, []WeightSymbol{{Name: "v0", Arity: 1}})
+	withRelation := MustSignature(append(slices.Clone(sig.Relations), RelSymbol{Name: "D", Arity: 1}), nil)
+	structures := []*Structure{base}
+	for _, ext := range []*Signature{withWeight, withRelation} {
+		view, err := base.Extend(ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		structures = append(structures, view)
+	}
+	graphs := make([]*graph.Graph, 8)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			graphs[i] = structures[i%len(structures)].Gaifman()
+		}()
+	}
+	wg.Wait()
+	for i, g := range graphs {
+		if g != graphs[0] {
+			t.Errorf("goroutine %d got Gaifman graph %p, goroutine 0 got %p", i, g, graphs[0])
+		}
 	}
 }
 
@@ -313,8 +403,9 @@ func TestTupleKeyRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	a := NewStructure(testSignature(t), 2000)
-	a.MustAddTuple("T", 12, 345, 1999)
+	b := NewBuilder(testSignature(t), 2000)
+	b.MustAddTuple("T", 12, 345, 1999)
+	a := b.Build()
 	if !a.HasTuple("T", 12, 345, 1999) || a.HasTuple("T", 12, 34, 51999) || a.HasTuple("T", 1, 2345, 1999) {
 		t.Errorf("HasTuple does not tell (12,345,1999) from tuples with the same digits")
 	}
@@ -424,22 +515,25 @@ func TestTupleIndex(t *testing.T) {
 	}
 }
 
-// TestRemoveTupleScansWithoutAllocating: removal deletes the tuple from its
-// run in place and compares stored tuples element-wise in its one scan of the
-// insertion list, so it allocates nothing.
+// TestRemoveTupleScansWithoutAllocating: removal, from a builder an Edit
+// seeded, deletes the tuple from its run in place and compares stored tuples
+// element-wise in its one scan of the insertion list, so it allocates
+// nothing.
 func TestRemoveTupleScansWithoutAllocating(t *testing.T) {
 	const n = 512
-	a := NewStructure(testSignature(t), n)
+	b := NewBuilder(testSignature(t), n)
 	for v := 0; v < n; v++ {
-		a.MustAddTuple("E", v, (v+1)%n)
+		b.MustAddTuple("E", v, (v+1)%n)
 	}
+	b = b.Build().Edit()
 	v := 0
 	allocs := testing.AllocsPerRun(n/2, func() {
-		if err := a.RemoveTuple("E", v, (v+1)%n); err != nil {
+		if err := b.RemoveTuple("E", v, (v+1)%n); err != nil {
 			t.Fatal(err)
 		}
 		v++
 	})
+	a := b.Build()
 	if allocs > 0 {
 		t.Errorf("RemoveTuple allocates %.1f objects per call over %d stored tuples, want 0", allocs, n)
 	}

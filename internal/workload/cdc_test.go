@@ -189,21 +189,21 @@ func TestChangeStreamAppliesCleanly(t *testing.T) {
 
 	// Oracle: evaluate the same query from scratch on the mirrored end
 	// state.
-	a2 := structure.NewStructure(workload.GraphSignature(), d.A.N)
+	b2 := structure.NewBuilder(workload.GraphSignature(), d.A.N)
 	w2 := structure.NewWeights[int64]()
 	for e, tup := range m.edges {
 		if m.present[e] {
-			a2.MustAddTuple("E", tup...)
+			b2.MustAddTuple("E", tup...)
 			w2.Set("w", tup, m.wVal[e])
 		}
 	}
 	for v := 0; v < d.A.N; v++ {
 		if m.inS[v] {
-			a2.MustAddTuple("S", v)
+			b2.MustAddTuple("S", v)
 		}
 		w2.Set("u", structure.Tuple{v}, m.uVal[v])
 	}
-	p2, err := agg.Open(agg.FromStructure(a2, w2)).Prepare(ctx, expr)
+	p2, err := agg.Open(agg.FromStructure(b2.Build(), w2)).Prepare(ctx, expr)
 	if err != nil {
 		t.Fatal(err)
 	}

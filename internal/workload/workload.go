@@ -68,10 +68,10 @@ func newDatabase(a *structure.Structure, r *rand.Rand, maxWeight int64) *Databas
 	return d
 }
 
-func markSubset(a *structure.Structure, r *rand.Rand, fraction float64) {
-	for v := 0; v < a.N; v++ {
+func markSubset(b *structure.Builder, n int, r *rand.Rand, fraction float64) {
+	for v := 0; v < n; v++ {
 		if r.Float64() < fraction {
-			a.MustAddTuple("S", v)
+			b.MustAddTuple("S", v)
 		}
 	}
 }
@@ -83,24 +83,24 @@ func markSubset(a *structure.Structure, r *rand.Rand, fraction float64) {
 // non-trivial answers.
 func BoundedDegree(n, d int, seed int64) *Database {
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(GraphSignature(), n)
+	b := structure.NewBuilder(GraphSignature(), n)
 	for v := 0; v < n; v++ {
 		deg := r.Intn(d) + 1
 		for i := 0; i < deg; i++ {
 			u := r.Intn(n)
 			if u != v {
-				a.MustAddTuple("E", v, u)
+				b.MustAddTuple("E", v, u)
 			}
 		}
 	}
 	// Plant directed triangles on consecutive vertex triples.
 	for v := 0; v+2 < n; v += 7 {
-		a.MustAddTuple("E", v, v+1)
-		a.MustAddTuple("E", v+1, v+2)
-		a.MustAddTuple("E", v+2, v)
+		b.MustAddTuple("E", v, v+1)
+		b.MustAddTuple("E", v+1, v+2)
+		b.MustAddTuple("E", v+2, v)
 	}
-	markSubset(a, r, 0.4)
-	return newDatabase(a, r, 8)
+	markSubset(b, n, r, 0.4)
+	return newDatabase(b.Build(), r, 8)
 }
 
 // Grid generates the directed w×h grid graph (each vertex points to its
@@ -108,24 +108,29 @@ func BoundedDegree(n, d int, seed int64) *Database {
 // triangles exist); grids are planar, hence of bounded expansion.
 func Grid(w, h int, seed int64) *Database {
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(GraphSignature(), w*h)
+	b := structure.NewBuilder(GraphSignature(), w*h)
+	grid(b, w, h)
+	markSubset(b, w*h, r, 0.3)
+	return newDatabase(b.Build(), r, 8)
+}
+
+// grid adds the edges of the directed w×h grid to b.
+func grid(b *structure.Builder, w, h int) {
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				a.MustAddTuple("E", id(x, y), id(x+1, y))
+				b.MustAddTuple("E", id(x, y), id(x+1, y))
 			}
 			if y+1 < h {
-				a.MustAddTuple("E", id(x, y), id(x, y+1))
+				b.MustAddTuple("E", id(x, y), id(x, y+1))
 			}
 			if x+1 < w && y+1 < h {
 				// Diagonal closing a directed triangle.
-				a.MustAddTuple("E", id(x+1, y+1), id(x, y))
+				b.MustAddTuple("E", id(x+1, y+1), id(x, y))
 			}
 		}
 	}
-	markSubset(a, r, 0.3)
-	return newDatabase(a, r, 8)
 }
 
 // Forest generates a random rooted forest with the given branching factor,
@@ -133,13 +138,13 @@ func Grid(w, h int, seed int64) *Database {
 // the base case of the paper's compilation.
 func Forest(n, branching int, seed int64) *Database {
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(GraphSignature(), n)
+	b := structure.NewBuilder(GraphSignature(), n)
 	for v := 1; v < n; v++ {
 		parent := v - 1 - r.Intn(min(v, branching))
-		a.MustAddTuple("E", v, parent)
+		b.MustAddTuple("E", v, parent)
 	}
-	markSubset(a, r, 0.5)
-	return newDatabase(a, r, 8)
+	markSubset(b, n, r, 0.5)
+	return newDatabase(b.Build(), r, 8)
 }
 
 // PreferentialAttachment generates a directed graph where each new vertex
@@ -148,7 +153,7 @@ func Forest(n, branching int, seed int64) *Database {
 // class has bounded expansion even though in-degrees are skewed.
 func PreferentialAttachment(n, attach int, seed int64) *Database {
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(GraphSignature(), n)
+	b := structure.NewBuilder(GraphSignature(), n)
 	var targets []int
 	for v := 1; v < n; v++ {
 		for i := 0; i < attach; i++ {
@@ -159,13 +164,13 @@ func PreferentialAttachment(n, attach int, seed int64) *Database {
 				u = targets[r.Intn(len(targets))]
 			}
 			if u != v {
-				a.MustAddTuple("E", v, u)
+				b.MustAddTuple("E", v, u)
 				targets = append(targets, u, v)
 			}
 		}
 	}
-	markSubset(a, r, 0.3)
-	return newDatabase(a, r, 8)
+	markSubset(b, n, r, 0.3)
+	return newDatabase(b.Build(), r, 8)
 }
 
 // NestedSignature is the signature of the nested-aggregation workload: the
@@ -186,18 +191,18 @@ func NestedSignature() *structure.Signature {
 // tuples.
 func NestedAgg(n, d int, seed int64) *Database {
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(NestedSignature(), n)
+	b := structure.NewBuilder(NestedSignature(), n)
 	for v := 0; v < n; v++ {
 		deg := r.Intn(d) + 1
 		for i := 0; i < deg; i++ {
 			if u := r.Intn(n); u != v {
-				a.MustAddTuple("E", v, u)
+				b.MustAddTuple("E", v, u)
 			}
 		}
-		a.MustAddTuple("V", v)
+		b.MustAddTuple("V", v)
 	}
-	markSubset(a, r, 0.4)
-	return newDatabase(a, r, 8)
+	markSubset(b, n, r, 0.4)
+	return newDatabase(b.Build(), r, 8)
 }
 
 // SearchSignature is the signature of the local-search workload: a symmetric
@@ -223,42 +228,35 @@ func SearchSignature() *structure.Signature {
 // n = 350000 at the default degree exceeds 10⁶ tuples.
 func Search(n, d int, seed int64) *Database {
 	r := rand.New(rand.NewSource(seed))
-	a := structure.NewStructure(SearchSignature(), n)
+	b := structure.NewBuilder(SearchSignature(), n)
 	for v := 0; v < n; v++ {
 		deg := r.Intn(d) + 1
 		for i := 0; i < deg; i++ {
 			u := r.Intn(n)
-			if u != v && !a.HasTuple("E", v, u) {
-				a.MustAddTuple("E", v, u)
-				a.MustAddTuple("E", u, v)
+			if u != v { // a duplicate pair is ignored, both ways
+				b.MustAddTuple("E", v, u)
+				b.MustAddTuple("E", u, v)
 			}
 		}
 	}
-	return newDatabase(a, r, 8)
+	return newDatabase(b.Build(), r, 8)
 }
 
 // RoadNetwork generates a planar-like network: a grid backbone with a small
 // number of random shortcut edges between nearby vertices, mimicking road
 // networks (low degeneracy, small separators).
 func RoadNetwork(w, h int, shortcuts int, seed int64) *Database {
-	d := Grid(w, h, seed)
-	r := rand.New(rand.NewSource(seed + 1))
-	n := d.A.N
+	r := rand.New(rand.NewSource(seed))
+	n := w * h
+	b := structure.NewBuilder(GraphSignature(), n)
+	grid(b, w, h)
 	for i := 0; i < shortcuts; i++ {
 		v := r.Intn(n)
 		dx, dy := r.Intn(5)-2, r.Intn(5)-2
-		u := v + dy*w + dx
-		if u >= 0 && u < n && u != v {
-			d.A.MustAddTuple("E", v, u)
-			d.EdgeWeight[[2]structure.Element{v, u}] = r.Int63n(8) + 1
+		if u := v + dy*w + dx; u >= 0 && u < n && u != v {
+			b.MustAddTuple("E", v, u)
 		}
 	}
-	return d
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	markSubset(b, n, r, 0.3)
+	return newDatabase(b.Build(), r, 8)
 }

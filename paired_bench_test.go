@@ -22,13 +22,14 @@ func pairedBenchSession(b *testing.B) *agg.Session {
 	b.Helper()
 	grid := workload.Grid(pairedGrid, pairedGrid, 3)
 	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}, {Name: "S", Arity: 1}}, nil)
-	a := structure.NewStructure(sig, grid.A.N)
+	build := structure.NewBuilder(sig, grid.A.N)
 	for _, t := range grid.A.Tuples("E") {
-		a.MustAddTuple("E", t[0], t[1])
+		build.MustAddTuple("E", t[0], t[1])
 	}
-	for v := 0; v < a.N; v += 2 {
-		a.MustAddTuple("S", v)
+	for v := 0; v < grid.A.N; v += 2 {
+		build.MustAddTuple("S", v)
 	}
+	a := build.Build()
 	p, err := agg.Open(agg.FromStructure(a, nil)).Prepare(context.Background(), "E(x,y) & S(x)", agg.WithDynamic("S"))
 	if err != nil {
 		b.Fatal(err)
