@@ -1,6 +1,8 @@
 package agg
 
 import (
+	"context"
+
 	"repro/internal/kc"
 )
 
@@ -105,7 +107,11 @@ func Analyze(p *Prepared) (*Analysis, error) {
 	}
 
 	if p.enum != nil {
-		fr := kc.Factorization(prog, p.enum.ans.Shared().Arity())
+		count, err := p.AnswerCount(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		fr := kc.Factorization(prog, count, p.enum.ans.Shared().Arity())
 		report.ModelCount = fr.Answers.String()
 		report.Factorization = &Factorization{
 			CircuitSize:      fr.CircuitSize,

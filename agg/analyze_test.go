@@ -47,33 +47,44 @@ func TestAnalyzeExpression(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFormulaCountsModels holds the model count of a formula's report
+// to its answer count, also when a relation is dynamic: Lemma 40's
+// membership inputs of the relations that do not hold count no answers.
 func TestAnalyzeFormulaCountsModels(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()
 
-	p, err := eng.Prepare(ctx, "E(x,y) & S(x)")
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	report, err := Analyze(p)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	want, err := p.AnswerCount(ctx)
-	if err != nil {
-		t.Fatalf("AnswerCount: %v", err)
-	}
-	if report.ModelCount != strconv.FormatInt(want, 10) {
-		t.Errorf("ModelCount = %q, AnswerCount = %d", report.ModelCount, want)
-	}
-	if report.Factorization == nil {
-		t.Fatal("formula-mode report has no factorization")
-	}
-	if report.Factorization.Arity != 2 {
-		t.Errorf("Factorization.Arity = %d, want 2", report.Factorization.Arity)
-	}
-	if report.Factorization.FlatCells != strconv.FormatInt(2*want, 10) {
-		t.Errorf("FlatCells = %q, want %d", report.Factorization.FlatCells, 2*want)
+	for _, query := range []string{"E(x,y) & S(x)", "E(x,y) & !S(x)"} {
+		for _, dynamic := range []string{"", "S", "E"} {
+			var opts []Option
+			if dynamic != "" {
+				opts = append(opts, WithDynamic(dynamic))
+			}
+			p, err := eng.Prepare(ctx, query, opts...)
+			if err != nil {
+				t.Fatalf("Prepare(%s): %v", query, err)
+			}
+			report, err := Analyze(p)
+			if err != nil {
+				t.Fatalf("Analyze(%s): %v", query, err)
+			}
+			want, err := p.AnswerCount(ctx)
+			if err != nil {
+				t.Fatalf("AnswerCount(%s): %v", query, err)
+			}
+			if report.ModelCount != strconv.FormatInt(want, 10) {
+				t.Errorf("%s, dynamic %q: ModelCount = %q, AnswerCount = %d", query, dynamic, report.ModelCount, want)
+			}
+			if report.Factorization == nil {
+				t.Fatalf("%s: formula-mode report has no factorization", query)
+			}
+			if report.Factorization.Arity != 2 {
+				t.Errorf("%s: Factorization.Arity = %d, want 2", query, report.Factorization.Arity)
+			}
+			if report.Factorization.FlatCells != strconv.FormatInt(2*want, 10) {
+				t.Errorf("%s: FlatCells = %q, want %d", query, report.Factorization.FlatCells, 2*want)
+			}
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/perm"
-	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -266,8 +265,9 @@ func BenchmarkE9Coloring(b *testing.B) {
 	})
 }
 
-// BenchmarkE10ProvenancePermanent measures Lemma 23: building and draining a
-// free-semiring permanent enumerator.
+// BenchmarkE10ProvenancePermanent measures Lemma 23: building and draining the
+// enumerator of a permanent whose cell (r, c) is the answer generator e^r_c,
+// whose monomials are the k-tuples of distinct columns.
 func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	const k, n = 2, 50000
 	c := circuit.NewBuilder()
@@ -279,8 +279,8 @@ func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	}
 	c.SetOutput(c.Perm(k, n, entries))
 	p := c.Program()
-	inputs := func(in circuit.Input) enumerate.Value {
-		return enumerate.Gen(provenance.Generator("g" + p.InputKey(in.Gate).Tuple))
+	inputs := func(in circuit.Input) (enumerate.Generator, bool) {
+		return enumerate.Generator{Var: in.Tuple[0], Elem: in.Tuple[1]}, true
 	}
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -289,11 +289,11 @@ func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	})
 	b.Run("per-monomial-delay", func(b *testing.B) {
 		e := enumerate.NewProgram(p, inputs, nil)
-		cur := e.Cursor()
+		cur := e.Cursor(k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, ok := cur.Next(); !ok {
-				cur = e.Cursor()
+				cur = e.Cursor(k)
 			}
 		}
 	})

@@ -18,7 +18,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/nested"
 	"repro/internal/perm"
-	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -621,13 +620,14 @@ func E9Coloring(sizes []int) *Table {
 	return t
 }
 
-// E10ProvenancePermanent measures Lemma 23/39: free-semiring permanents with
-// constant-delay enumerators.
+// E10ProvenancePermanent measures Lemma 23/39: the constant-delay enumerator
+// of a free-semiring permanent whose cell (r, c) is the answer generator
+// e^r_c, so that its monomials are the k-tuples of distinct columns.
 func E10ProvenancePermanent(columns []int) *Table {
 	t := &Table{
 		ID:     "E10",
-		Title:  "Provenance permanent enumerators (Lemma 23)",
-		Claim:  "the enumerator for the permanent of a k×n matrix of provenance values is built in O(n) and has delay independent of n",
+		Title:  "Permanent enumerators over answer generators (Lemma 23)",
+		Claim:  "the enumerator for the permanent of a k×n matrix with cell (r, c) = e^r_c — whose monomials are the k-tuples of distinct columns — is built in O(n) and has delay independent of n",
 		Header: []string{"k", "n", "build", "first 1000: avg delay", "max delay"},
 	}
 	const k = 2
@@ -640,12 +640,9 @@ func E10ProvenancePermanent(columns []int) *Table {
 			}
 		}
 		c.SetOutput(c.Perm(k, n, entries))
-		inputs := func(in circuit.Input) enumerate.Value {
-			return enumerate.Gen(provenance.Generator(fmt.Sprintf("g%d", in.Gate)))
-		}
 		var e *enumerate.Enumerator
-		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), inputs, nil) })
-		cur := e.Cursor()
+		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), permCell, nil) })
+		cur := e.Cursor(k)
 		var maxDelay, total time.Duration
 		count := 0
 		for count < 1000 {
@@ -668,6 +665,12 @@ func E10ProvenancePermanent(columns []int) *Table {
 		t.Rows = append(t.Rows, []string{fmt.Sprint(k), fmt.Sprint(n), dur(build), dur(avg), dur(maxDelay)})
 	}
 	return t
+}
+
+// permCell is the answer generator e^r_c of the input at cell (r, c) of a
+// permanent, present.
+func permCell(in circuit.Input) (enumerate.Generator, bool) {
+	return enumerate.Generator{Var: in.Tuple[0], Elem: in.Tuple[1]}, true
 }
 
 // Experiment is a named, runnable experiment.

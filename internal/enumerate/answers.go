@@ -21,7 +21,8 @@ import (
 //
 // It is the closure Σ_x̄ [ϕ(x̄)] · w_1(x_1) ··· w_k(x_k) of equation (4) — the
 // same dynamicq.Shared a point query of [ϕ] toggles — evaluated in the free
-// semiring with w_i(a) set to the generator e^i_a.
+// semiring with w_i(a) set to the generator e^i_a.  The generator table is
+// built once per closure and shared by every Clone and Follower.
 type Answers struct {
 	// rel shadows the dynamic relations ApplyBatch validates and records
 	// against; nil for a Follower, whose writes another engine state records.
@@ -40,7 +41,7 @@ func EnumerateAnswers(a *structure.Structure, phi logic.Formula, vars []string, 
 	if err != nil {
 		return nil, err
 	}
-	ans.enum = NewProgram(ans.sh.Result().Program, ans.inputValue, nil)
+	ans.build(nil)
 	return ans, nil
 }
 
@@ -58,16 +59,24 @@ func EnumerateAnswersCtx(ctx context.Context, a *structure.Structure, phi logic.
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ans.preprocess(ctx, workers); err != nil {
 		return nil, err
 	}
-	p := ans.sh.Result().Program
-	nonempty, err := Nonempty(ctx, p, ans.inputValue, workers)
-	if err != nil {
-		return nil, err
-	}
-	ans.enum = NewProgram(p, ans.inputValue, nonempty)
 	return ans, nil
+}
+
+// preprocess is EnumerateAnswersCtx past the compilation: the parallel
+// emptiness pass, then the enumerator on it.
+func (ans *Answers) preprocess(ctx context.Context, workers int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	nonempty, err := Nonempty(ctx, ans.sh.Result().Program, ans.present, workers)
+	if err != nil {
+		return err
+	}
+	ans.build(nonempty)
+	return nil
 }
 
 // closeAnswers compiles the closure of [ϕ] over vars and shadows its dynamic
@@ -80,17 +89,28 @@ func closeAnswers(a *structure.Structure, phi logic.Formula, vars []string, opts
 	return &Answers{rel: compile.NewRelations(sh.Result()), sh: sh}, nil
 }
 
-// inputValue supplies the value of every circuit input as compiled: answer
-// generators for the closure's parameter weights, 0/1 for dynamic relation
-// memberships, zero otherwise.
-func (ans *Answers) inputValue(in circuit.Input) Value {
+// build tabulates the closure's generators and builds the enumerator on
+// them, with the per-gate non-emptiness nonempty when it is non-nil.
+func (ans *Answers) build(nonempty []bool) {
+	p := ans.sh.Result().Program
+	gens := generators(p, func(in circuit.Input) Generator {
+		if i, a, ok := ans.sh.Param(in); ok {
+			return Generator{Var: i, Elem: a}
+		}
+		return NoGenerator
+	})
+	ans.enum = newProgram(new(mvcc.Clock), p, gens, ans.present, nonempty)
+}
+
+// present reports whether an input is present as compiled: every answer
+// generator of the closure's parameter weights, and the dynamic relation
+// memberships that hold.
+func (ans *Answers) present(in circuit.Input) bool {
 	if in.Role != structure.Ordinary {
-		return Bool(ans.sh.Result().Structure.Holds(in.Symbol, in.Role, in.Tuple))
+		return ans.sh.Result().Structure.Holds(in.Symbol, in.Role, in.Tuple)
 	}
-	if i, a, ok := ans.sh.Param(in); ok {
-		return answerValue{varIdx: i, elem: a}
-	}
-	return Zero()
+	_, _, ok := ans.sh.Param(in)
+	return ok
 }
 
 // Clone returns an independent enumerator over the same compilation and the
@@ -98,9 +118,9 @@ func (ans *Answers) inputValue(in circuit.Input) Value {
 // several local searches, or speculative update sequences, run concurrently
 // from one paid preprocessing.  ans must not be a Follower.  The frozen
 // circuit program and its CSR arrays are shared; the per-gate enumeration
-// state is rebuilt from the original's current input values with one linear
+// state is rebuilt from the original's current input presences with one linear
 // preprocessing pass, after which updates to the clone and to the original
-// are fully isolated from each other.
+// are fully isolated from each other.  The generator table is shared too.
 func (ans *Answers) Clone() *Answers { return ans.copyOn(new(mvcc.Clock), true) }
 
 // Follower is Clone committing under c, the clock of another engine state
@@ -109,11 +129,11 @@ func (ans *Answers) Clone() *Answers { return ans.copyOn(new(mvcc.Clock), true) 
 func (ans *Answers) Follower(c *mvcc.Clock) *Answers { return ans.copyOn(c, false) }
 
 func (ans *Answers) copyOn(c *mvcc.Clock, shadow bool) *Answers {
-	p, e := ans.sh.Result().Program, ans.enum
+	e := ans.enum
 	e.clock.RLock()
 	defer e.clock.RUnlock()
-	current := func(in circuit.Input) Value { return e.inputValue[p.InputNumber(in.Gate)] }
-	out := &Answers{sh: ans.sh, enum: newProgram(c, p, current, nil)}
+	current := func(in circuit.Input) bool { return !e.empty[in.Gate] }
+	out := &Answers{sh: ans.sh, enum: newProgram(c, e.p, e.gens, current, nil)}
 	if shadow {
 		out.rel = ans.rel.Clone()
 	}
@@ -133,31 +153,9 @@ func (ans *Answers) Result() *compile.Result { return ans.sh.Result() }
 // Empty reports whether the query currently has no answers.
 func (ans *Answers) Empty() bool { return ans.enum.Empty() }
 
-// TupleCursor enumerates answer tuples with constant delay.
-type TupleCursor struct {
-	arity int
-	w     walk
-}
-
 // Cursor returns a fresh cursor over the current answer set.  Cursors are
 // invalidated by updates; create a new one after SetTuple.
-func (ans *Answers) Cursor() *TupleCursor {
-	return &TupleCursor{arity: ans.sh.Arity(), w: newWalk(ans.enum, ans.enum.p)}
-}
-
-// Next returns the next answer tuple, or ok=false when the enumeration is
-// complete.  The tuple is the caller's: the cursor keeps no reference to it.
-func (c *TupleCursor) Next() (structure.Tuple, bool) {
-	end, ok := c.w.next()
-	if !ok {
-		return nil, false
-	}
-	tuple := make(structure.Tuple, c.arity)
-	for _, g := range c.w.frame[:end] {
-		tuple[g.varIdx] = g.elem
-	}
-	return tuple, true
-}
+func (ans *Answers) Cursor() *TupleCursor { return ans.enum.Cursor(ans.sh.Arity()) }
 
 // collect drains a cursor into a slice of answers (limit ≤ 0 means no limit).
 func collect(cur *TupleCursor, limit int) []structure.Tuple {
@@ -179,8 +177,8 @@ func collect(cur *TupleCursor, limit int) []structure.Tuple {
 func (ans *Answers) Collect(limit int) []structure.Tuple { return collect(ans.Cursor(), limit) }
 
 // Count returns the current number of answers by evaluating the circuit in
-// ℕ under the homomorphism sending every generator to 1 (without
-// enumerating them); useful for sanity checks and benchmarks.
+// ℕ with every present input sent to 1 and every absent one to 0 (without
+// enumerating them).
 func (ans *Answers) Count() int64 {
 	return countAnswers(ans.sh.Result().Program, ans.enum.GateEmpty)
 }
@@ -263,6 +261,6 @@ func (ans *Answers) Follow(sh *dynamicq.Shared, leaves []circuit.Leaf[bool]) {
 // for the batch.
 func (ans *Answers) assign(leaves []circuit.Leaf[bool]) {
 	for _, l := range leaves {
-		ans.enum.assign(l.Gate, Bool(l.Value))
+		ans.enum.assign(l.Gate, l.Value)
 	}
 }

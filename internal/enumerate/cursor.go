@@ -3,10 +3,8 @@ package enumerate
 import (
 	"math"
 	"slices"
-	"strconv"
 
 	"repro/internal/circuit"
-	"repro/internal/provenance"
 	"repro/internal/structure"
 )
 
@@ -15,42 +13,55 @@ import (
 // below is otherwise oblivious to which epoch it streams.
 type source interface {
 	GateEmpty(id int) bool
-	input(id int) Value
 	adder(id int) *adderMeta
 	perm(id int) *permGateMeta
 }
 
-func (e *Enumerator) input(id int) Value        { return e.inputValue[e.p.InputNumber(id)] }
 func (e *Enumerator) adder(id int) *adderMeta   { return &e.adders[e.meta[id]] }
 func (e *Enumerator) perm(id int) *permGateMeta { return &e.perms[e.meta[id]] }
 
-// gen is one generator on a cursor's frame: the answer generator (varIdx,
-// elem) of an answer input, or the named generator name when varIdx < 0.
-type gen struct {
-	name   provenance.Generator
-	varIdx int
-	elem   structure.Element
-}
-
-// walk is one cursor: the root of its node stack, the frame its nodes write
-// the current monomial onto, and the source they bind gates through.  A walk
-// over a lone Value (Value.Cursor) has no source and a root bound to it.
+// walk is one cursor's stack: the root of its nodes, the frame they write
+// the current monomial onto, the source they bind gates through and the
+// generator table their input nodes read.
 type walk struct {
 	src           source
 	p             *circuit.Program
+	gens          []Generator
 	gate          int
 	root          node
-	frame         []gen
+	frame         []Generator
 	started, done bool
 }
 
-func newWalk(src source, p *circuit.Program) walk {
-	return walk{src: src, p: p, gate: p.OutputGate()}
+// TupleCursor enumerates answer tuples with constant delay.
+type TupleCursor struct {
+	arity int
+	w     walk
+}
+
+// newCursor opens a cursor over e's output gate that binds gates through
+// src, reading each monomial as a tuple of the given arity.
+func newCursor(src source, e *Enumerator, arity int) *TupleCursor {
+	return &TupleCursor{arity: arity, w: walk{src: src, p: e.p, gens: e.gens, gate: e.p.OutputGate()}}
+}
+
+// Next returns the next answer tuple, or ok=false when the enumeration is
+// complete.  The tuple is the caller's: the cursor keeps no reference to it.
+func (c *TupleCursor) Next() (structure.Tuple, bool) {
+	end, ok := c.w.next()
+	if !ok {
+		return nil, false
+	}
+	tuple := make(structure.Tuple, c.arity)
+	for _, g := range c.w.frame[:end] {
+		tuple[g.Var] = g.Elem
+	}
+	return tuple, true
 }
 
 // put writes g at frame position i (at most one past the end) and returns
 // the position after it.
-func (w *walk) put(i int, g gen) int {
+func (w *walk) put(i int, g Generator) int {
 	if i == len(w.frame) {
 		w.frame = append(w.frame, g)
 	} else {
@@ -67,8 +78,6 @@ func (w *walk) next() (end int, ok bool) {
 		return 0, false
 	case w.started:
 		ok = w.root.next(w)
-	case w.src == nil:
-		ok = w.root.first(w, 0)
 	default:
 		ok = !w.src.GateEmpty(w.gate) && w.root.open(w, w.gate, 0)
 	}
@@ -78,7 +87,8 @@ func (w *walk) next() (end int, ok bool) {
 
 // node is one position of a walk's stack: the gate it is bound to, its
 // segment frame[base:end] of the current monomial, and the kind's state — the
-// monomial index of an input or constant, the index of the chosen slot among
+// monomial index of an input or constant (an input has one monomial, its
+// generator or the empty one), the index of the chosen slot among
 // an addition's non-empty ones, the column of every row of a permanent.  kids
 // are the positions below: the chosen child of an addition, one per factor of
 // a product, the cell of each row of a permanent.  Every slice is reused when
@@ -89,8 +99,8 @@ type node struct {
 	kind      circuit.Kind
 	base, end int
 	i         int
-	count     int64 // monomials of a constant
-	val       Value
+	count     int64 // monomials of an input (1) or a constant
+	gen       Generator
 	add       *adderMeta
 	perm      *permGateMeta
 	rows      []permRow
@@ -117,7 +127,8 @@ func (n *node) open(w *walk, gate, base int) bool {
 		n.bound, n.gate, n.kind = true, gate, w.p.GateKind(gate)
 		switch n.kind {
 		case circuit.KindInput:
-			n.val = w.src.input(gate)
+			// A cursor opens only non-empty gates: the input is present.
+			n.count, n.gen = 1, w.gens[w.p.InputNumber(gate)]
 		case circuit.KindConst:
 			v, fits := w.p.ConstInt64(gate)
 			if !fits { // constants are non-negative; this many never drains
@@ -185,15 +196,17 @@ func (n *node) next(w *walk) bool {
 	return false
 }
 
-// leaf emits monomial n.i of an input or constant gate.
+// leaf emits monomial n.i of an input or constant gate: an input's
+// generator, if it has one, or the empty monomial.
 func (n *node) leaf(w *walk) bool {
-	if n.kind == circuit.KindConst {
-		n.end = n.base
-		return int64(n.i) < n.count
+	n.end = n.base
+	if int64(n.i) >= n.count {
+		return false
 	}
-	end, ok := n.val.emit(w, n.i, n.base)
-	n.end = end
-	return ok
+	if n.kind == circuit.KindInput && n.gen.Var >= 0 {
+		n.end = w.put(n.base, n.gen)
+	}
+	return true
 }
 
 // openSlot opens the child at the n.i-th non-empty slot of an addition gate
@@ -263,30 +276,4 @@ func (n *node) seek(w *walk, r int) bool {
 		}
 	}
 	return false
-}
-
-// monomialCursor is the free-semiring boundary of a walk, for tests and the
-// explicit oracle: it builds each frame into a provenance.Monomial, rendering
-// an answer generator as "varIdx|elem".
-type monomialCursor struct{ w walk }
-
-func valueCursor(v Value) Cursor {
-	c := &monomialCursor{}
-	c.w.root = node{bound: true, kind: circuit.KindInput, val: v}
-	return c
-}
-
-func (c *monomialCursor) Next() (provenance.Monomial, bool) {
-	end, ok := c.w.next()
-	if !ok {
-		return nil, false
-	}
-	gs := make([]provenance.Generator, end)
-	for i, g := range c.w.frame[:end] {
-		gs[i] = g.name
-		if g.varIdx >= 0 {
-			gs[i] = provenance.Generator(strconv.Itoa(g.varIdx) + "|" + strconv.Itoa(g.elem))
-		}
-	}
-	return provenance.NewMonomial(gs...), true
 }

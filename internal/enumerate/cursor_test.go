@@ -5,17 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/provenance"
 	"repro/internal/structure"
 )
 
 // TestCursorResetEquivalence drives the reset-in-place cursor through every
 // way a node restarts — a product factor and a permanent cell wrapping
-// around many times, an input with repeated monomials, a constant above 1,
-// and one input wired into two cells of a permanent (plus a generator shared
-// by two inputs) — and checks the streamed monomial multiset against the
-// explicit free-semiring evaluation: live after every batch, and at a
-// Snapshot pinned one batch earlier.
+// around many times, a membership input, a constant above 1, and one input
+// wired into two cells of a permanent (plus a generator shared by two
+// inputs) — and checks the streamed monomial multiset against the explicit
+// free-semiring evaluation: live after every batch, and at a Snapshot pinned
+// one batch earlier.
 func TestCursorResetEquivalence(t *testing.T) {
 	c := circuit.NewBuilder()
 	in := make([]int, 6)
@@ -32,44 +31,37 @@ func TestCursorResetEquivalence(t *testing.T) {
 	})
 	c.SetOutput(c.Add(c.Mul(pm, sumA), prod, c.ConstInt(3)))
 
-	twice := provenance.NewPoly()
-	twice.AddMonomial(provenance.NewMonomial("p", "q"), 2)
-	twice.AddMonomial(provenance.NewMonomial("r"), 3)
-	values := []Value{Zero(), One(), Gen("g"), Gen("h"), FromPoly(twice),
-		FromPoly(provenance.FromMonomials(provenance.NewMonomial("s"), provenance.NewMonomial()))}
-	inputs := map[structure.WeightKey]Value{}
-	for i := range in {
-		inputs[key("w", i)] = values[2+i%4]
+	inputs := map[structure.WeightKey]val{
+		key("w", 0): gen(0, 0),
+		key("w", 1): member(true),
+		key("w", 2): gen(1, 2),
+		key("w", 3): gen(0, 3),
+		key("w", 4): gen(2, 4),
+		key("w", 5): gen(0, 0), // the generator of w0, through another input
 	}
-	inputs[key("w", 5)] = Gen("g") // the generator of w0, through another input
-	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
-	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
-	drain := func(cur Cursor) []string {
-		var got []provenance.Monomial
-		for m, ok := cur.Next(); ok; m, ok = cur.Next() {
-			got = append(got, m)
-		}
-		return monomialMultiset(got)
-	}
+	values := lookup(inputs)
+	oracle := func() []string { return explicit(c.Program(), values) }
 
-	e := NewProgram(c.Program(), lookup, nil)
-	if got, want := drain(e.Cursor()), explicit(); !equalStringSlices(got, want) || len(want) < 100 {
+	e := NewProgram(c.Program(), values, nil)
+	if got, want := drain(e.Cursor(0)), oracle(); !equalStringSlices(got, want) || len(want) < 50 {
 		t.Fatalf("initial: live enumerator streams %d monomials %v, want %d", len(got), got, len(want))
 	}
 	r := rand.New(rand.NewSource(26))
 	for step := 0; step < 80; step++ {
 		epoch := e.clock.Pin()
-		snap, pinned := e.At(epoch), explicit()
-		batch := make([]circuit.InputChange[Value], 1+r.Intn(3))
+		snap, pinned := e.At(epoch), oracle()
+		batch := make([]circuit.InputChange[bool], 1+r.Intn(3))
 		for i := range batch {
-			k, v := key("w", r.Intn(len(in))), values[r.Intn(len(values))]
-			inputs[k], batch[i] = v, circuit.InputChange[Value]{Key: k, Value: v}
+			k := key("w", r.Intn(len(in)))
+			v := inputs[k]
+			v.present = r.Intn(3) > 0
+			inputs[k], batch[i] = v, circuit.InputChange[bool]{Key: k, Value: v.present}
 		}
 		setInputs(e, batch...)
-		if got, want := drain(e.Cursor()), explicit(); !equalStringSlices(got, want) {
+		if got, want := drain(e.Cursor(0)), oracle(); !equalStringSlices(got, want) {
 			t.Fatalf("step %d: live enumerator streams %v, want %v", step, got, want)
 		}
-		if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+		if got := drain(snap.Cursor(0)); !equalStringSlices(got, pinned) {
 			t.Fatalf("step %d: snapshot one batch stale streams %v, want %v", step, got, pinned)
 		}
 		e.clock.Unpin(epoch)

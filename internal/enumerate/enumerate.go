@@ -1,21 +1,28 @@
-// Package enumerate implements the iterator side of the paper: evaluation of
-// compiled circuits in the free (provenance) semiring where every value is
-// represented by a constant-delay enumerator (Theorem 22), and on top of it
-// constant-delay enumeration of the answers to first-order queries with
-// Gaifman-preserving updates (Theorem 24).
+// Package enumerate implements constant-delay enumeration of the answers to
+// first-order queries with Gaifman-preserving updates (Theorem 24).
 //
-// After a linear-time preprocessing pass over the circuit, a cursor over any
-// gate — in particular the output gate — produces the monomials of the gate's
-// free-semiring value with constant delay.  As in Kazana and Segoufin's
-// enumeration, a cursor is a fixed stack of positions into the preprocessed
-// structure: one node per position of the current derivation (the chosen
-// child of an addition, every factor of a product, the column and cell of
-// each row of a permanent), all writing their generators onto one shared
-// frame.  A node that wraps around is reset in place and a node moved to
-// another gate keeps its storage, so once a cursor has grown to the shape of
-// the circuit, advancing it allocates nothing.  Permanent gates use the
-// column-type bookkeeping of Lemma 39 so that only columns that can still be
-// extended to a full system of distinct representatives are ever touched.
+// The answers of ϕ(x̄) are the monomials of the closure Σ_x̄ [ϕ(x̄)] ·
+// w_1(x_1) ··· w_k(x_k) evaluated in the free semiring with w_i(a) the answer
+// generator e^i_a (equation (4)).  The circuit of that closure has two kinds
+// of inputs: the answer generators, and Lemma 40's 0/1 memberships of the
+// dynamic relations.  Neither carries more than one monomial, so the
+// enumerator holds no value per input: an input is an emptiness bit, and its
+// generator — an (answer variable, element) pair, or none for a membership —
+// is read from one immutable table every enumerator over the closure shares.
+//
+// After a linear-time preprocessing pass over the circuit, a cursor over the
+// output gate produces the answers with constant delay.  As in Kazana and
+// Segoufin's enumeration, a cursor is a fixed stack of positions into the
+// preprocessed structure: one node per position of the current derivation
+// (the chosen child of an addition, every factor of a product, the column and
+// cell of each row of a permanent), all writing their generators onto one
+// shared frame.  A cursor opens only gates that are non-empty at its epoch,
+// so an input node writes its generator from the table and resolves nothing.
+// A node that wraps around is reset in place and a node moved to another gate
+// keeps its storage, so once a cursor has grown to the shape of the circuit,
+// advancing it allocates nothing.  Permanent gates use the column-type
+// bookkeeping of Lemma 39 so that only columns that can still be extended to
+// a full system of distinct representatives are ever touched.
 package enumerate
 
 import (
@@ -25,135 +32,53 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/mvcc"
-	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
-// Value is the free-semiring value of a circuit input, given by its
-// emptiness and its monomials.  Values are comparable with ==: assigning an
-// input the value it already holds is a no-op that commits no epoch.
-type Value interface {
-	// Empty reports whether the value is the zero polynomial.
-	Empty() bool
-	// Cursor returns a fresh enumerator over the monomials of the value.
-	Cursor() Cursor
-	// emit writes monomial i of the value onto w's frame from base and
-	// returns where it ends, or ok=false when the value has no monomial i.
-	emit(w *walk, i, base int) (end int, ok bool)
+// Generator is the answer generator e^Var_Elem of Theorem 24 — answer
+// variable Var takes element Elem — that an input gate writes onto every
+// monomial through it.  NoGenerator marks an input that writes none: a 0/1
+// membership input of Lemma 40.
+type Generator struct {
+	Var  int
+	Elem structure.Element
 }
 
-// Cursor enumerates monomials of a free-semiring element.  Next returns the
-// next monomial, or ok=false when exhausted.
-type Cursor interface {
-	Next() (provenance.Monomial, bool)
-}
+// NoGenerator is the generator of a membership input.
+var NoGenerator = Generator{Var: -1}
 
-// ---------------------------------------------------------------------------
-// Input values
-// ---------------------------------------------------------------------------
-
-// Zero is the empty (zero) value.
-func Zero() Value { return zeroValue{} }
-
-// One is the unit value: a single empty monomial.
-func One() Value { return unitValue{} }
-
-// Gen is the value consisting of a single generator.
-func Gen(g provenance.Generator) Value { return genValue{g: g} }
-
-// Bool returns One() for true and Zero() for false; it is the value of the
-// 0/1 relation-membership inputs of Lemma 40.
-func Bool(b bool) Value {
-	if b {
-		return One()
-	}
-	return Zero()
-}
-
-// FromPoly wraps an explicit polynomial as an input value: its monomials, each
-// repeated by its multiplicity, as they are when FromPoly is called.
-func FromPoly(p *provenance.Poly) Value {
-	v := &polyValue{}
-	for _, t := range p.Monomials() {
-		for i := int64(0); i < t.Count; i++ {
-			v.items = append(v.items, t.Monomial)
+// generators tabulates gen over the input gates of p by input number: the
+// immutable table every enumerator over p shares.
+func generators(p *circuit.Program, gen func(in circuit.Input) Generator) []Generator {
+	gens := make([]Generator, p.NumInputs())
+	for id := range p.NumGates() {
+		if p.GateKind(id) == circuit.KindInput {
+			gens[p.InputNumber(id)] = gen(p.Input(id))
 		}
 	}
-	return v
-}
-
-type zeroValue struct{}
-
-func (zeroValue) Empty() bool                      { return true }
-func (v zeroValue) Cursor() Cursor                 { return valueCursor(v) }
-func (zeroValue) emit(*walk, int, int) (int, bool) { return 0, false }
-
-type unitValue struct{}
-
-func (unitValue) Empty() bool                           { return false }
-func (v unitValue) Cursor() Cursor                      { return valueCursor(v) }
-func (unitValue) emit(_ *walk, i, base int) (int, bool) { return base, i == 0 }
-
-type genValue struct{ g provenance.Generator }
-
-func (genValue) Empty() bool      { return false }
-func (v genValue) Cursor() Cursor { return valueCursor(v) }
-func (v genValue) emit(w *walk, i, base int) (int, bool) {
-	if i > 0 {
-		return 0, false
-	}
-	return w.put(base, gen{name: v.g, varIdx: -1}), true
-}
-
-// answerValue is the answer generator e^i_a of Theorem 24: answer variable
-// varIdx takes element elem.
-type answerValue struct {
-	varIdx int
-	elem   structure.Element
-}
-
-func (answerValue) Empty() bool      { return false }
-func (v answerValue) Cursor() Cursor { return valueCursor(v) }
-func (v answerValue) emit(w *walk, i, base int) (int, bool) {
-	if i > 0 {
-		return 0, false
-	}
-	return w.put(base, gen{varIdx: v.varIdx, elem: v.elem}), true
-}
-
-// polyValue is compared by identity: FromPoly mints a fresh one per call.
-type polyValue struct{ items []provenance.Monomial }
-
-func (v *polyValue) Empty() bool    { return len(v.items) == 0 }
-func (v *polyValue) Cursor() Cursor { return valueCursor(v) }
-func (v *polyValue) emit(w *walk, i, base int) (int, bool) {
-	if i >= len(v.items) {
-		return 0, false
-	}
-	for _, g := range v.items[i] {
-		base = w.put(base, gen{name: g, varIdx: -1})
-	}
-	return base, true
+	return gens
 }
 
 // ---------------------------------------------------------------------------
 // Enumerator over a circuit
 // ---------------------------------------------------------------------------
 
-// Enumerator evaluates a circuit in the free semiring with iterator
-// representation: after linear preprocessing it provides constant-delay
-// cursors for the output gate and supports input updates in constant time
-// per affected gate (the circuits produced by the compiler have bounded
-// depth and fan-out, hence bounded reach-out).
+// Enumerator maintains the emptiness of every gate of a circuit whose inputs
+// each carry at most one generator, and streams the monomials of its output
+// gate: after linear preprocessing it provides constant-delay cursors and
+// supports input updates in constant time per affected gate (the circuits
+// produced by the compiler have bounded depth and fan-out, hence bounded
+// reach-out).
 //
 // The enumerator runs on the circuit's frozen Program and borrows its
 // topological ranks, wires, children arena and permanent columns instead of
-// rebuilding them: many enumerators may share one Program, each holding values
-// only — input values, emptiness bits, and per addition or permanent gate the
+// rebuilding them, and reads its inputs' generators from a table it shares
+// with every copy: many enumerators may share one Program, each holding
+// emptiness only — one bit per gate, and per addition or permanent gate the
 // non-empty slots and column types, carved out of two arenas sized once from
-// the Program.  What a reader holds is a cursor: a stack of nodes over those
-// values (see the package comment), grown to the circuit's shape on its first
+// the Program.  What a reader holds is a cursor: a stack of nodes over that
+// state (see the package comment), grown to the circuit's shape on its first
 // answers and reset in place after that; the stack and its frame belong to
 // the cursor, never to the Enumerator.
 //
@@ -172,15 +97,16 @@ func (v *polyValue) emit(w *walk, i, base int) (int, bool) {
 type Enumerator struct {
 	p *circuit.Program
 
+	// gens[p.InputNumber(id)] is the generator of input gate id, shared by
+	// every copy of the enumerator and never written.
+	gens []Generator
+
 	// log is this state's undo history on clock: per committed epoch, the
-	// pre-change input values and emptiness bits that pinned snapshots roll
-	// back through.
+	// pre-change emptiness bits that pinned snapshots roll back through.
 	clock *mvcc.Clock
 	log   *mvcc.Log[enumUndo]
 
-	// inputValue[p.InputNumber(id)] is the value of input gate id.
-	inputValue []Value
-	empty      []bool
+	empty []bool
 
 	// meta[id] indexes adders or perms, by the kind of gate id.
 	meta   []int32
@@ -196,21 +122,14 @@ type Enumerator struct {
 	isEmpty func(gate int) bool
 }
 
-// enumUndo is one undo-log entry: the pre-change state of a gate within one
-// committed transition.  Input gates record their old value and emptiness;
-// interior gates record only the emptiness bit (their cursors re-derive
-// everything else from children emptiness).
+// enumUndo is one undo-log entry: the emptiness bit of a gate before one
+// committed transition.  Inputs and interior gates log alike — an input's
+// generator never changes, and cursors re-derive everything else from the
+// bits.
 type enumUndo struct {
 	gate     int32
-	kind     uint8 // undoInput or undoEmpty
 	oldEmpty bool
-	oldInput Value
 }
-
-const (
-	undoInput = uint8(iota)
-	undoEmpty
-)
 
 func (u enumUndo) Slot() int32 { return u.gate }
 
@@ -355,36 +274,37 @@ func (m *permGateMeta) matchable(rowMask int, used []int32) bool {
 // level-parallel circuit engine (on workers goroutines; ≤ 0 selects
 // GOMAXPROCS), for NewProgram to skip its own per-gate emptiness work: a
 // gate's value is non-empty exactly when the circuit, with every input mapped
-// to the truth of "this input is non-empty", evaluates to true at that gate in
-// the boolean semiring (for permanent gates the boolean permanent is the
-// existence of a system of distinct representatives, which is Lemma 39's
-// matchability test).  inputs is called from multiple goroutines and must be
-// safe for concurrent use.  When ctx is cancelled the wave stops in bounded
-// time and ctx's error is returned.
-func Nonempty(ctx context.Context, p *circuit.Program, inputs func(in circuit.Input) Value, workers int) ([]bool, error) {
+// to its presence, evaluates to true at that gate in the boolean semiring
+// (for permanent gates the boolean permanent is the existence of a system of
+// distinct representatives, which is Lemma 39's matchability test).  present
+// is called from multiple goroutines and must be safe for concurrent use.
+// When ctx is cancelled the wave stops in bounded time and ctx's error is
+// returned.
+func Nonempty(ctx context.Context, p *circuit.Program, present func(in circuit.Input) bool, workers int) ([]bool, error) {
 	return circuit.ParallelEvaluateAllProgramCtx[bool](ctx, p, semiring.Bool, func(in circuit.Input) (bool, bool) {
-		if inputs == nil {
-			return false, true
-		}
-		v := inputs(in)
-		return v != nil && !v.Empty(), true
+		return present(in), true
 	}, workers)
 }
 
-// NewProgram builds the enumerator directly on a frozen Program, sharing its
-// ranks, wires and children arenas with every other engine using it, on a
-// clock of its own.  A
-// non-nil nonempty carries the per-gate non-emptiness precomputed by Nonempty
-// and the pass skips recomputing it; nil has the pass decide it gate by gate.
-// The builder appends a gate only after its operands, so the emptiness
-// bookkeeping may trust the Program's ranks.
-func NewProgram(p *circuit.Program, inputs func(in circuit.Input) Value, nonempty []bool) *Enumerator {
-	return newProgram(new(mvcc.Clock), p, inputs, nonempty)
+// NewProgram builds the enumerator of a hand-built circuit directly on its
+// frozen Program, on a clock of its own: inputs gives each input's generator
+// (NoGenerator for a membership) and whether it is present.  A non-nil
+// nonempty carries the per-gate non-emptiness precomputed by Nonempty and the
+// pass skips recomputing it; nil has the pass decide it gate by gate.
+func NewProgram(p *circuit.Program, inputs func(in circuit.Input) (Generator, bool), nonempty []bool) *Enumerator {
+	present := make([]bool, p.NumInputs())
+	gens := generators(p, func(in circuit.Input) (g Generator) {
+		g, present[p.InputNumber(in.Gate)] = inputs(in)
+		return g
+	})
+	return newProgram(new(mvcc.Clock), p, gens, func(in circuit.Input) bool { return present[p.InputNumber(in.Gate)] }, nonempty)
 }
 
-// newProgram is NewProgram with the enumerator's undo log attached to c, the
-// clock of a session that keeps other engine states over p as well.
-func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(in circuit.Input) Value, nonempty []bool) *Enumerator {
+// newProgram builds the enumerator over the generator table gens with its
+// undo log attached to c, the clock of a session that may keep other engine
+// states over p as well.  The builder appends a gate only after its
+// operands, so the emptiness bookkeeping may trust the Program's ranks.
+func newProgram(c *mvcc.Clock, p *circuit.Program, gens []Generator, present func(in circuit.Input) bool, nonempty []bool) *Enumerator {
 	if p.OutputGate() < 0 {
 		panic("enumerate: circuit has no output gate")
 	}
@@ -402,12 +322,12 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(in circuit.Input)
 		}
 	}
 	e := &Enumerator{
-		p:          p,
-		inputValue: make([]Value, p.NumInputs()),
-		empty:      make([]bool, n),
-		meta:       make([]int32, n),
-		adders:     make([]adderMeta, 0, adders),
-		perms:      make([]permGateMeta, 0, perms),
+		p:      p,
+		gens:   gens,
+		empty:  make([]bool, n),
+		meta:   make([]int32, n),
+		adders: make([]adderMeta, 0, adders),
+		perms:  make([]permGateMeta, 0, perms),
 	}
 	addArena, permArena := make([]int32, addWords), make([]int32, permWordsTotal)
 	carve := func(arena *[]int32, k int) []int32 {
@@ -423,14 +343,7 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, inputs func(in circuit.Input)
 	for id := 0; id < n; id++ {
 		switch p.GateKind(id) {
 		case circuit.KindInput:
-			v := Value(zeroValue{})
-			if inputs != nil {
-				if got := inputs(p.Input(id)); got != nil {
-					v = got
-				}
-			}
-			e.inputValue[p.InputNumber(id)] = v
-			e.empty[id] = v.Empty()
+			e.empty[id] = !present(p.Input(id))
 		case circuit.KindConst:
 			e.empty[id] = p.ConstIsZero(id)
 		case circuit.KindAdd:
@@ -471,35 +384,26 @@ func (e *Enumerator) Empty() bool { return e.empty[e.p.OutputGate()] }
 func (e *Enumerator) GateEmpty(id int) bool { return e.empty[id] }
 
 // Cursor returns a fresh constant-delay cursor over the monomials of the
-// output gate.
-func (e *Enumerator) Cursor() Cursor { return &monomialCursor{w: newWalk(e, e.p)} }
+// output gate, each read as a tuple of the given arity: the element of
+// generator e^i_a lands at position i.
+func (e *Enumerator) Cursor(arity int) *TupleCursor { return newCursor(e, e, arity) }
 
-// assign stores a value at input gate id (-1, an input the circuit does not
-// reference, is ignored), touching the clock, and seeds the wave when its
-// emptiness flipped; an input that already holds the value is left alone.
-// The caller holds the clock exclusively and runs the wave: assigning a batch
+// assign sets the presence of input gate id (-1, an input the circuit does
+// not reference, is ignored), touching the clock and seeding the wave when
+// it flips; an input already present or absent as asked is left alone.  The
+// caller holds the clock exclusively and runs the wave: assigning a batch
 // and then draining it once revisits gates shared by several changed inputs
 // once per batch, not once per input.
-func (e *Enumerator) assign(id int, v Value) {
-	if id < 0 {
-		return
-	}
-	if v == nil {
-		v = zeroValue{}
-	}
-	held := &e.inputValue[e.p.InputNumber(id)]
-	if v == *held {
+func (e *Enumerator) assign(id int, present bool) {
+	if id < 0 || e.empty[id] == !present {
 		return
 	}
 	if e.log.Logging() {
-		e.log.Append(enumUndo{gate: int32(id), kind: undoInput, oldEmpty: e.empty[id], oldInput: *held})
+		e.log.Append(enumUndo{gate: int32(id), oldEmpty: e.empty[id]})
 	}
 	e.clock.Touch()
-	*held = v
-	if newEmpty := v.Empty(); newEmpty != e.empty[id] {
-		e.empty[id] = newEmpty
-		e.wave.Enlist(id)
-	}
+	e.empty[id] = !present
+	e.wave.Enlist(id)
 }
 
 // runWave drains the worklist seeded by assign: children flip before their
@@ -520,7 +424,7 @@ func (e *Enumerator) refreshWave(g int, slots []int32) {
 		return
 	}
 	if e.log.Logging() {
-		e.log.Append(enumUndo{gate: int32(g), kind: undoEmpty, oldEmpty: e.empty[g]})
+		e.log.Append(enumUndo{gate: int32(g), oldEmpty: e.empty[g]})
 	}
 	e.empty[g] = newEmpty
 	e.wave.Enlist(g)

@@ -74,8 +74,7 @@ func TestEnumeratorRejectsNonTopologicalCircuits(t *testing.T) {
 		t.Fatalf("a refused gate left %d gates, want %d", c.NumGates(), before)
 	}
 	c.SetOutput(c.Add(c.Mul(u, v), v))
-	inputs := map[structure.WeightKey]Value{key("w", 0): Gen("g"), key("w", 1): Gen("h")}
-	checkEnumeratorAgainstExplicit(t, c, func(in circuit.Input) Value { return inputs[label(in)] })
+	checkEnumeratorAgainstExplicit(t, c, lookup(map[structure.WeightKey]val{key("w", 0): gen(0, 0), key("w", 1): gen(1, 0)}))
 }
 
 // TestAnswersApplyBatch drives random batches of Gaifman-preserving updates

@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -29,26 +30,66 @@ func label(in circuit.Input) structure.WeightKey {
 	return structure.InputLabel(in.Symbol, in.Role, in.Tuple)
 }
 
-// setInputs stages input values into e and commits them, the way Answers
-// stages its leaves: every value assigned under the clock, then one wave.
-func setInputs(e *Enumerator, leaves ...circuit.InputChange[Value]) {
+// setInputs stages input presences into e and commits them, the way Answers
+// stages its leaves: every presence assigned under the clock, then one wave.
+func setInputs(e *Enumerator, changes ...circuit.InputChange[bool]) {
 	e.clock.Lock()
 	defer e.clock.Unlock()
-	for _, l := range leaves {
-		e.assign(e.p.InputGate(l.Key), l.Value)
+	for _, ch := range changes {
+		e.assign(e.p.InputGate(ch.Key), ch.Value)
 	}
 	e.runWave()
 	e.clock.Commit()
 }
 
-// collectAll drains a fresh cursor over e's output gate.
-func collectAll(e *Enumerator) []provenance.Monomial {
-	var out []provenance.Monomial
-	cur := e.Cursor()
-	for m, ok := cur.Next(); ok; m, ok = cur.Next() {
-		out = append(out, m)
+// val is a hand-built circuit's setting of one input: its generator, fixed
+// when the enumerator is built, and its presence, which updates flip.
+type val struct {
+	g       Generator
+	present bool
+}
+
+// gen is a present input with the answer generator e^v_a.
+func gen(v, a int) val { return val{Generator{Var: v, Elem: a}, true} }
+
+// member is a membership input, present or not.
+func member(present bool) val { return val{NoGenerator, present} }
+
+// lookup reads the inputs of a hand-built circuit from vals by label;
+// unlisted inputs are absent.
+func lookup(vals map[structure.WeightKey]val) func(circuit.Input) (Generator, bool) {
+	return func(in circuit.Input) (Generator, bool) {
+		v, ok := vals[label(in)]
+		if !ok {
+			return NoGenerator, false
+		}
+		return v.g, v.present
 	}
-	return out
+}
+
+// genName names an answer generator in the free semiring, for the cursors'
+// frames and the explicit oracle alike.
+func genName(g Generator) provenance.Generator {
+	return provenance.Generator(fmt.Sprintf("%d|%d", g.Var, g.Elem))
+}
+
+// frameMonomial renders a cursor's frame as a provenance.Monomial.
+func frameMonomial(frame []Generator) provenance.Monomial {
+	gs := make([]provenance.Generator, len(frame))
+	for i, g := range frame {
+		gs[i] = genName(g)
+	}
+	return provenance.NewMonomial(gs...)
+}
+
+// drain walks a fresh cursor to its end, rendering every frame as a
+// monomial: the multiset of monomials it streams.
+func drain(cur *TupleCursor) []string {
+	var out []provenance.Monomial
+	for end, ok := cur.w.next(); ok; end, ok = cur.w.next() {
+		out = append(out, frameMonomial(cur.w.frame[:end]))
+	}
+	return monomialMultiset(out)
 }
 
 // monomialMultiset renders a list of monomials as a sorted multiset of keys.
@@ -85,110 +126,46 @@ func equalStringSlices(a, b []string) bool {
 	return true
 }
 
-// evaluateExplicit evaluates the circuit's Program in the explicit free
-// semiring under the same inputs: the differential oracle of the cursors on
-// small instances.
-func evaluateExplicit(c *circuit.Circuit, inputs func(in circuit.Input) Value) *provenance.Poly {
-	val := func(in circuit.Input) (*provenance.Poly, bool) {
-		if inputs == nil {
+// explicit evaluates p in the free semiring with every present input its
+// generator (the unit for a membership) and every absent one zero, under the
+// names genName gives the cursors' frames: the differential oracle of the
+// cursors on small instances, as a monomial multiset.
+func explicit(p *circuit.Program, inputs func(circuit.Input) (Generator, bool)) []string {
+	vals := circuit.EvaluateAllProgram[*provenance.Poly](p, provenance.Free, func(in circuit.Input) (*provenance.Poly, bool) {
+		g, present := inputs(in)
+		if !present {
 			return nil, false
 		}
-		v := inputs(in)
-		if v == nil {
-			return nil, false
+		if g.Var < 0 {
+			return provenance.Free.One(), true
 		}
-		p := provenance.NewPoly()
-		cur := v.Cursor()
-		for {
-			m, ok := cur.Next()
-			if !ok {
-				break
-			}
-			p.AddMonomial(m, 1)
-		}
-		return p, true
-	}
-	return circuit.EvaluateProgram[*provenance.Poly](c.Program(), provenance.Free, val)
+		return provenance.Var(genName(g)), true
+	})
+	return polyMultiset(vals[p.OutputGate()])
 }
 
-// countMonomials evaluates the circuit's Program in ℕ under the homomorphism
-// sending every generator to 1: the number of monomials (with multiplicity)
-// of the output value, cross-checking enumeration completeness.
-func countMonomials(c *circuit.Circuit, inputs func(in circuit.Input) Value) int64 {
-	val := func(in circuit.Input) (int64, bool) {
-		if inputs == nil {
-			return 0, false
-		}
-		v := inputs(in)
-		if v == nil || v.Empty() {
-			return 0, false
-		}
-		count := int64(0)
-		cur := v.Cursor()
-		for {
-			_, ok := cur.Next()
-			if !ok {
-				break
-			}
-			count++
-		}
-		return count, true
-	}
-	return circuit.EvaluateProgram[int64](c.Program(), semiring.Nat, val)
-}
-
-// checkEnumeratorAgainstExplicit builds both the iterator-based enumerator
-// and the explicit free-semiring evaluation of a circuit and compares the
-// resulting multisets of monomials.
-func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(circuit.Input) Value) {
+// checkEnumeratorAgainstExplicit builds the enumerator of a circuit and
+// compares the multiset of monomials it streams, and its count, with the
+// explicit free-semiring evaluation.
+func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(circuit.Input) (Generator, bool)) {
 	t.Helper()
-	e := NewProgram(c.Program(), inputs, nil)
-	got := monomialMultiset(collectAll(e))
-	want := polyMultiset(evaluateExplicit(c, inputs))
+	p := c.Program()
+	e := NewProgram(p, inputs, nil)
+	got, want := drain(e.Cursor(0)), explicit(p, inputs)
 	if !equalStringSlices(got, want) {
 		t.Fatalf("enumerator and explicit evaluation disagree:\n got %v\nwant %v", got, want)
 	}
 	if e.Empty() != (len(want) == 0) {
 		t.Fatalf("Empty() = %v but %d monomials expected", e.Empty(), len(want))
 	}
-	if count := countMonomials(c, inputs); count != int64(len(want)) {
-		t.Fatalf("countMonomials = %d, want %d", count, len(want))
-	}
-}
-
-func TestValueBasics(t *testing.T) {
-	if !Zero().Empty() || One().Empty() || Gen("g").Empty() {
-		t.Errorf("emptiness of basic values broken")
-	}
-	if m, ok := One().Cursor().Next(); !ok || len(m) != 0 {
-		t.Errorf("One cursor should yield the empty monomial")
-	}
-	if _, ok := Zero().Cursor().Next(); ok {
-		t.Errorf("Zero cursor should be empty")
-	}
-	if m, ok := Gen("g").Cursor().Next(); !ok || m.Key() != "g" {
-		t.Errorf("Gen cursor should yield its generator")
-	}
-	if Bool(true).Empty() || !Bool(false).Empty() {
-		t.Errorf("Bool values broken")
-	}
-	p := provenance.FromMonomials(provenance.NewMonomial("a"), provenance.NewMonomial("a", "b"))
-	v := FromPoly(p)
-	cur := v.Cursor()
-	count := 0
-	for {
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if count != 2 {
-		t.Errorf("FromPoly cursor yielded %d monomials, want 2", count)
+	if count := countAnswers(p, e.GateEmpty); count != int64(len(want)) {
+		t.Fatalf("countAnswers = %d, want %d", count, len(want))
 	}
 }
 
 // TestPermCursorDirect exercises the permanent-gate cursor on hand-built
-// circuits against explicit evaluation.
+// circuits against explicit evaluation: cell (row, col) is the answer
+// generator e^row_col, a membership, or absent.
 func TestPermCursorDirect(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
@@ -196,29 +173,23 @@ func TestPermCursorDirect(t *testing.T) {
 		cols := r.Intn(5) + 1
 		c := circuit.NewBuilder()
 		var entries []circuit.PermEntry
-		inputs := map[structure.WeightKey]Value{}
+		inputs := map[structure.WeightKey]val{}
 		for col := 0; col < cols; col++ {
 			for row := 0; row < rows; row++ {
 				switch r.Intn(3) {
 				case 0:
 					// absent entry
 				case 1:
-					k := key("w", row, col)
-					inputs[k] = Gen(provenance.Generator(k.Tuple))
+					inputs[key("w", row, col)] = gen(row, col)
 					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "w", row, col)})
 				default:
-					k := key("p", row, col)
-					inputs[k] = FromPoly(provenance.FromMonomials(
-						provenance.NewMonomial(provenance.Generator("x"+k.Tuple)),
-						provenance.NewMonomial(provenance.Generator("y"+k.Tuple)),
-					))
-					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "p", row, col)})
+					inputs[key("m", row, col)] = member(r.Intn(2) == 0)
+					entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "m", row, col)})
 				}
 			}
 		}
 		c.SetOutput(c.Perm(rows, cols, entries))
-		lookup := func(in circuit.Input) Value { return inputs[label(in)] }
-		checkEnumeratorAgainstExplicit(t, c, lookup)
+		checkEnumeratorAgainstExplicit(t, c, lookup(inputs))
 	}
 }
 
@@ -230,13 +201,12 @@ func TestAddMulConstCursors(t *testing.T) {
 	sum := c.Add(a, b, d, b) // b occurs twice: multiplicity 2
 	prod := c.Mul(sum, a)
 	c.SetOutput(c.Add(prod, c.ConstInt(3), c.Mul(b, d)))
-	inputs := map[structure.WeightKey]Value{
-		key("a", 0): Gen("a"),
-		key("b", 0): Gen("b"),
-		key("d", 0): Zero(),
+	inputs := map[structure.WeightKey]val{
+		key("a", 0): gen(0, 1),
+		key("b", 0): gen(0, 2),
+		key("d", 0): {Generator{Var: 0, Elem: 3}, false},
 	}
-	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
-	checkEnumeratorAgainstExplicit(t, c, lookup)
+	checkEnumeratorAgainstExplicit(t, c, lookup(inputs))
 }
 
 func enumerationStructure(n, m int, seed int64) *structure.Structure {
@@ -291,6 +261,48 @@ func checkAnswers(t *testing.T, ans *Answers, a *structure.Structure, phi logic.
 	}
 	if ans.Empty() != (len(want) == 0) {
 		t.Fatalf("Empty() inconsistent with answer count")
+	}
+}
+
+// TestModelCountMatchesNaive holds Count to the number of answers of E(x,y),
+// one per edge, also when E is dynamic and its tuples are membership inputs
+// of the circuit.
+func TestModelCountMatchesNaive(t *testing.T) {
+	a := enumerationStructure(25, 70, 13)
+	for _, opts := range []compile.Options{{}, {DynamicRelations: []string{"E"}}} {
+		ans, err := EnumerateAnswers(a, logic.R("E", "x", "y"), []string{"x", "y"}, opts)
+		if err != nil {
+			t.Fatalf("EnumerateAnswers: %v", err)
+		}
+		if got, want := ans.Count(), int64(len(a.Tuples("E"))); got != want {
+			t.Errorf("dynamic %v: Count = %d, want %d (one answer per edge)", opts.DynamicRelations, got, want)
+		}
+	}
+}
+
+// TestModelCountAgreesWithNatEvaluation holds Count to the value in ℕ of the
+// counting query Σ_x̄ [ϕ(x̄)], compiled on its own, whichever relations are
+// dynamic: a membership input that does not hold counts no answer.
+func TestModelCountAgreesWithNatEvaluation(t *testing.T) {
+	a := enumerationStructure(20, 50, 21)
+	vars := []string{"x", "y"}
+	phi := logic.Conj(logic.R("E", "x", "y"), logic.R("S", "x"), logic.Neg(logic.R("S", "y")))
+	res, err := compile.Compile(a, expr.Agg(vars, expr.Guard(phi)), compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nat := compile.Evaluate[int64](res, semiring.Nat, structure.NewWeights[int64]())
+	if nat == 0 {
+		t.Fatal("the counting query has no answers to count")
+	}
+	for _, dynamic := range [][]string{nil, {"S"}, {"E"}, {"E", "S"}} {
+		ans, err := EnumerateAnswers(a, phi, vars, compile.Options{DynamicRelations: dynamic})
+		if err != nil {
+			t.Fatalf("EnumerateAnswers: %v", err)
+		}
+		if got := ans.Count(); got != nat {
+			t.Errorf("dynamic %v: Count = %d, ℕ evaluation of the counting query = %d", dynamic, got, nat)
+		}
 	}
 }
 
@@ -527,22 +539,18 @@ func TestProvenanceOfTriangles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	inputs := func(in circuit.Input) Value {
-		k := label(in)
-		if k.Weight != "w" {
-			return Zero()
+	// The edge (x, y) is the generator e^x_y.
+	inputs := func(in circuit.Input) (Generator, bool) {
+		if in.Symbol != "w" || !a.HasTuple("E", in.Tuple...) {
+			return NoGenerator, false
 		}
-		tpl := structure.ParseTupleKey(k.Tuple)
-		if !a.HasTuple("E", tpl...) {
-			return Zero()
-		}
-		return Gen(provenance.Generator("e" + k.Tuple))
+		return Generator{Var: in.Tuple[0], Elem: in.Tuple[1]}, true
 	}
 	e := NewProgram(res.Program, inputs, nil)
-	got := monomialMultiset(collectAll(e))
+	got := drain(e.Cursor(0))
 	// The graph has two directed triangles 0→1→2→0 and 0→1→3→0; each is
 	// counted three times (once per starting vertex).
-	want := polyMultiset(evaluateExplicit(res.Circuit, inputs))
+	want := explicit(res.Program, inputs)
 	if !equalStringSlices(got, want) {
 		t.Fatalf("triangle provenance mismatch:\n got %v\nwant %v", got, want)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
 	"repro/internal/semiring"
-	"repro/internal/structure"
 )
 
 // randomEnumCircuit builds a random circuit over nInputs unary weight inputs
@@ -61,17 +60,13 @@ func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
 		for i := range present {
 			present[i] = r.Intn(2) == 0
 		}
-		inputs := func(in circuit.Input) Value {
-			k := label(in)
-			tp := structure.ParseTupleKey(k.Tuple)
-			if k.Weight != "w" || len(tp) != 1 || tp[0] < 0 || tp[0] >= nInputs {
-				return Zero()
-			}
-			return Bool(present[tp[0]])
+		// Input w(i) is the answer generator e^0_i.
+		inputs := func(in circuit.Input) (Generator, bool) {
+			return Generator{Var: 0, Elem: in.Tuple[0]}, present[in.Tuple[0]]
 		}
 		boolVal := func(in circuit.Input) (bool, bool) {
-			v := inputs(in)
-			return !v.Empty(), true
+			_, ok := inputs(in)
+			return ok, true
 		}
 
 		// Sequential and parallel preprocessing agree with each other and
@@ -97,15 +92,15 @@ func TestEnumeratorEmptinessMatchesLegacyBoolean(t *testing.T) {
 			if r.Intn(2) == 0 {
 				i := r.Intn(nInputs)
 				present[i] = !present[i]
-				setInputs(seq, circuit.InputChange[Value]{Key: key("w", i), Value: Bool(present[i])})
-				setInputs(par, circuit.InputChange[Value]{Key: key("w", i), Value: Bool(present[i])})
+				setInputs(seq, circuit.InputChange[bool]{Key: key("w", i), Value: present[i]})
+				setInputs(par, circuit.InputChange[bool]{Key: key("w", i), Value: present[i]})
 			} else {
 				size := r.Intn(nInputs) + 1
-				assigns := make([]circuit.InputChange[Value], size)
+				assigns := make([]circuit.InputChange[bool], size)
 				for j := range assigns {
 					i := r.Intn(nInputs)
 					present[i] = r.Intn(2) == 0
-					assigns[j] = circuit.InputChange[Value]{Key: key("w", i), Value: Bool(present[i])}
+					assigns[j] = circuit.InputChange[bool]{Key: key("w", i), Value: present[i]}
 				}
 				setInputs(seq, assigns...)
 				setInputs(par, assigns...)

@@ -50,10 +50,10 @@ func (s *Snapshot) GateEmpty(id int) bool {
 }
 
 // Cursor returns a fresh constant-delay cursor over the monomials of the
-// output gate at the pinned epoch.  Unlike live cursors, snapshot cursors
-// are not invalidated by updates: the writer may commit freely while the
-// cursor streams.
-func (s *Snapshot) Cursor() Cursor { return &monomialCursor{w: newWalk(s, s.e.p)} }
+// output gate at the pinned epoch, read as tuples of the given arity.
+// Unlike live cursors, snapshot cursors are not invalidated by updates: the
+// writer may commit freely while the cursor streams.
+func (s *Snapshot) Cursor(arity int) *TupleCursor { return newCursor(s, s.e, arity) }
 
 // emptyLocked resolves one gate's emptiness at the pinned epoch.  Caller
 // holds at least the shared lock with the view extended.
@@ -74,15 +74,6 @@ func (s *Snapshot) lock() *Snapshot {
 }
 
 func (s *Snapshot) unlock() { s.e.clock.RUnlock() }
-
-// input resolves one input gate's value at the pinned epoch.
-func (s *Snapshot) input(id int) Value {
-	defer s.lock().unlock()
-	if u, ok := s.view.Lookup(int32(id)); ok && u.kind == undoInput {
-		return u.oldInput
-	}
-	return s.e.inputValue[s.e.p.InputNumber(id)]
-}
 
 // adder derives (and memoises) the metadata of an addition gate at the
 // pinned epoch, with the writer's constructor under the snapshot's
@@ -138,7 +129,7 @@ func (s *AnswersSnapshot) Empty() bool { return s.snap.Empty() }
 // pinned epoch.  Unlike live cursors, it stays valid while the writer
 // updates.
 func (s *AnswersSnapshot) Cursor() *TupleCursor {
-	return &TupleCursor{arity: s.ans.sh.Arity(), w: newWalk(s.snap, s.snap.e.p)}
+	return s.snap.Cursor(s.ans.sh.Arity())
 }
 
 // Collect drains a fresh cursor into a slice of answers (limit ≤ 0 means no
@@ -146,8 +137,8 @@ func (s *AnswersSnapshot) Cursor() *TupleCursor {
 func (s *AnswersSnapshot) Collect(limit int) []structure.Tuple { return collect(s.Cursor(), limit) }
 
 // Count returns the number of answers at the pinned epoch by evaluating the
-// circuit in ℕ under the homomorphism sending every generator to 1, with
-// each input resolved through the snapshot.
+// circuit in ℕ with every input present at that epoch sent to 1 and every
+// absent one to 0.
 func (s *AnswersSnapshot) Count() int64 {
 	return countAnswers(s.ans.sh.Result().Program, s.snap.GateEmpty)
 }

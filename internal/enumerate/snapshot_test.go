@@ -6,21 +6,19 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/compile"
 	"repro/internal/logic"
-	"repro/internal/provenance"
 	"repro/internal/structure"
 )
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
 
 // TestEnumeratorSnapshotPinsValues pins snapshots of a hand-built circuit
-// (add, mul and permanent gates) along an update stream and checks that each
-// keeps streaming exactly the monomial multiset of its own epoch — including
-// input-value replacements that do not flip emptiness, which only the undo
-// log can recover.
+// (add, mul and permanent gates) along a stream of presence flips and checks
+// that each keeps streaming exactly the monomial multiset of its own epoch.
 func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 	c := circuit.NewBuilder()
 	a := input(c, "a", 0)
@@ -36,24 +34,22 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 	})
 	c.SetOutput(c.Add(prod, c.ConstInt(2), perm, c.Mul(b, d)))
 
-	gens := []Value{Zero(), Gen("g0"), Gen("g1"),
-		FromPoly(provenance.FromMonomials(provenance.NewMonomial("x"), provenance.NewMonomial("y")))}
-	inputs := map[structure.WeightKey]Value{
-		key("a", 0): Gen("a"), key("b", 0): Gen("b"),
-		key("d", 0): Zero(), key("e", 0): One(),
+	inputs := map[structure.WeightKey]val{
+		key("a", 0): gen(0, 1), key("b", 0): gen(1, 2),
+		key("d", 0): {Generator{Var: 0, Elem: 3}, false}, key("e", 0): member(true),
 	}
-	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
-	e := NewProgram(c.Program(), lookup, nil)
+	values := lookup(inputs)
+	e := NewProgram(c.Program(), values, nil)
 
 	type pinned struct {
 		epoch uint64
 		snap  *Snapshot
 		want  []string // monomial multiset at the pinned epoch
 	}
-	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
+	oracle := func() []string { return explicit(c.Program(), values) }
 	record := func() pinned {
 		epoch := e.clock.Pin()
-		return pinned{epoch, e.At(epoch), explicit()}
+		return pinned{epoch, e.At(epoch), oracle()}
 	}
 
 	pins := []pinned{record()}
@@ -61,35 +57,26 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 	keys := []structure.WeightKey{key("a", 0), key("b", 0), key("d", 0), key("e", 0)}
 	for step := 0; step < 30; step++ {
 		k := keys[r.Intn(len(keys))]
-		v := gens[r.Intn(len(gens))]
+		v := inputs[k]
+		v.present = !v.present
 		inputs[k] = v
-		setInputs(e, circuit.InputChange[Value]{Key: k, Value: v})
+		setInputs(e, circuit.InputChange[bool]{Key: k, Value: v.present})
 		if step%7 == 0 {
 			pins = append(pins, record())
 		}
 	}
 
 	for i, p := range pins {
-		var got []provenance.Monomial
-		cur := p.snap.Cursor()
-		for {
-			m, ok := cur.Next()
-			if !ok {
-				break
-			}
-			got = append(got, m)
-		}
-		if !equalStringSlices(monomialMultiset(got), p.want) {
-			t.Errorf("pin %d (epoch %d): snapshot enumerates %v, want %v",
-				i, p.epoch, monomialMultiset(got), p.want)
+		if got := drain(p.snap.Cursor(0)); !equalStringSlices(got, p.want) {
+			t.Errorf("pin %d (epoch %d): snapshot enumerates %v, want %v", i, p.epoch, got, p.want)
 		}
 		if p.snap.Empty() != (len(p.want) == 0) {
 			t.Errorf("pin %d: Empty() = %v with %d monomials expected", i, p.snap.Empty(), len(p.want))
 		}
 	}
 	// The live enumerator still answers the present.
-	if got := monomialMultiset(collectAll(e)); !equalStringSlices(got, explicit()) {
-		t.Errorf("live enumerator drifted: %v vs %v", got, explicit())
+	if got := drain(e.Cursor(0)); !equalStringSlices(got, oracle()) {
+		t.Errorf("live enumerator drifted: %v vs %v", got, oracle())
 	}
 	for _, i := range r.Perm(len(pins)) {
 		e.clock.Unpin(pins[i].epoch)
@@ -109,32 +96,24 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	const rows, cols = 2, 3
 	c := circuit.NewBuilder()
-	inputs := map[structure.WeightKey]Value{}
+	inputs := map[structure.WeightKey]val{}
 	var entries []circuit.PermEntry
 	for row := 0; row < rows; row++ {
 		for col := 0; col < cols; col++ {
-			k := key("m", row, col)
-			inputs[k] = Gen(provenance.Generator(fmt.Sprintf("r%dc%d", row, col)))
+			inputs[key("m", row, col)] = gen(row, col)
 			entries = append(entries, circuit.PermEntry{Row: row, Col: col, Gate: input(c, "m", row, col)})
 		}
 	}
 	c.SetOutput(c.Perm(rows, cols, entries))
-	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
-	e := NewProgram(c.Program(), lookup, nil)
-	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
-	drain := func(cur Cursor) []string {
-		var got []provenance.Monomial
-		for m, ok := cur.Next(); ok; m, ok = cur.Next() {
-			got = append(got, m)
-		}
-		return monomialMultiset(got)
-	}
-	set := func(k structure.WeightKey, v Value) {
-		inputs[k] = v
-		setInputs(e, circuit.InputChange[Value]{Key: k, Value: v})
+	values := lookup(inputs)
+	e := NewProgram(c.Program(), values, nil)
+	oracle := func() []string { return explicit(c.Program(), values) }
+	drop := func(k structure.WeightKey) {
+		inputs[k] = val{inputs[k].g, false}
+		setInputs(e, circuit.InputChange[bool]{Key: k, Value: false})
 	}
 
-	pinned := explicit()
+	pinned := oracle()
 	if len(pinned) != cols*(cols-1) {
 		t.Fatalf("full %d×%d permanent has %d monomials, want %d", rows, cols, len(pinned), cols*(cols-1))
 	}
@@ -143,28 +122,28 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	snap := e.At(epoch)
 
 	// Column 1 goes from type {0,1} to the empty type.
-	set(key("m", 0, 1), Zero())
-	set(key("m", 1, 1), Zero())
-	if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+	drop(key("m", 0, 1))
+	drop(key("m", 1, 1))
+	if got := drain(snap.Cursor(rows)); !equalStringSlices(got, pinned) {
 		t.Errorf("snapshot cursor opened after the flip enumerates %v, want the pinned %v", got, pinned)
 	}
-	if got := drain(e.Cursor()); !equalStringSlices(got, explicit()) || len(got) == len(pinned) {
-		t.Errorf("live cursor after the flip enumerates %v, want %v", got, explicit())
+	if got := drain(e.Cursor(rows)); !equalStringSlices(got, oracle()) || len(got) == len(pinned) {
+		t.Errorf("live cursor after the flip enumerates %v, want %v", got, oracle())
 	}
 
 	// Column 2 loses row 0; the memoised snapshot metadata must not follow.
-	set(key("m", 0, 2), Zero())
-	if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+	drop(key("m", 0, 2))
+	if got := drain(snap.Cursor(rows)); !equalStringSlices(got, pinned) {
 		t.Errorf("second snapshot cursor enumerates %v, want the pinned %v", got, pinned)
 	}
-	if got := drain(e.Cursor()); !equalStringSlices(got, explicit()) {
-		t.Errorf("live cursor after the second flip enumerates %v, want %v", got, explicit())
+	if got := drain(e.Cursor(rows)); !equalStringSlices(got, oracle()) {
+		t.Errorf("live cursor after the second flip enumerates %v, want %v", got, oracle())
 	}
 	lateEpoch := e.clock.Pin()
 	defer e.clock.Unpin(lateEpoch)
 	late := e.At(lateEpoch)
-	if got := drain(late.Cursor()); !equalStringSlices(got, explicit()) {
-		t.Errorf("snapshot pinned after the flips enumerates %v, want %v", got, explicit())
+	if got := drain(late.Cursor(rows)); !equalStringSlices(got, oracle()) {
+		t.Errorf("snapshot pinned after the flips enumerates %v, want %v", got, oracle())
 	}
 }
 
@@ -327,8 +306,8 @@ func TestAnswersSnapshotConcurrentReaders(t *testing.T) {
 // cells of one permanent, and an interior gate twice into the output sum, and
 // checks the slot-addressed refresh against the explicit monomial multiset:
 // live after every batch, and at a Snapshot pinned one batch earlier.  Every
-// batch first assigns its key a value of the opposite emptiness, so the key's
-// slots are enlisted twice in one wave.
+// batch first assigns its key the opposite of its new presence, so the key's
+// slots are enlisted twice in one wave when the presence does not change.
 func TestRepeatedWires(t *testing.T) {
 	c := circuit.NewBuilder()
 	x, y, z := input(c, "w", 0), input(c, "w", 1), input(c, "w", 2)
@@ -339,32 +318,34 @@ func TestRepeatedWires(t *testing.T) {
 	})
 	c.SetOutput(c.Add(c.Mul(sum, pm), sum, sum))
 
-	gens := []Value{Zero(), Gen("g0"), Gen("g1"), One()}
-	inputs := map[structure.WeightKey]Value{key("w", 0): Zero(), key("w", 1): Gen("y"), key("w", 2): Gen("z")}
-	lookup := func(in circuit.Input) Value { return inputs[label(in)] }
-	explicit := func() []string { return polyMultiset(evaluateExplicit(c, lookup)) }
-	drain := func(cur Cursor) []string {
-		var got []provenance.Monomial
-		for m, ok := cur.Next(); ok; m, ok = cur.Next() {
-			got = append(got, m)
-		}
-		return monomialMultiset(got)
+	inputs := map[structure.WeightKey]val{
+		key("w", 0): {Generator{Var: 0, Elem: 0}, false}, key("w", 1): gen(1, 1), key("w", 2): member(true),
 	}
-	e := NewProgram(c.Program(), lookup, nil)
+	values := lookup(inputs)
+	oracle := func() []string { return explicit(c.Program(), values) }
+	e := NewProgram(c.Program(), values, nil)
 	r := rand.New(rand.NewSource(61))
 	for step := 0; step < 60; step++ {
 		epoch := e.clock.Pin()
-		snap, pinned := e.At(epoch), explicit()
+		snap, pinned := e.At(epoch), oracle()
 
-		k, v := key("w", r.Intn(3)), gens[r.Intn(len(gens))]
-		inputs[k] = v
-		setInputs(e, circuit.InputChange[Value]{Key: k, Value: Bool(v.Empty())}, circuit.InputChange[Value]{Key: k, Value: v})
-		if got, want := drain(e.Cursor()), explicit(); !equalStringSlices(got, want) {
+		k, present := key("w", r.Intn(3)), r.Intn(2) == 0
+		inputs[k] = val{inputs[k].g, present}
+		setInputs(e, circuit.InputChange[bool]{Key: k, Value: !present}, circuit.InputChange[bool]{Key: k, Value: present})
+		if got, want := drain(e.Cursor(0)), oracle(); !equalStringSlices(got, want) {
 			t.Fatalf("step %d: live enumerator streams %v, want %v", step, got, want)
 		}
-		if got := drain(snap.Cursor()); !equalStringSlices(got, pinned) {
+		if got := drain(snap.Cursor(0)); !equalStringSlices(got, pinned) {
 			t.Fatalf("step %d: snapshot one batch stale streams %v, want %v", step, got, pinned)
 		}
 		e.clock.Unpin(epoch)
+	}
+}
+
+// TestUndoEntryIsAGateAndABit holds an undo-log entry to what a pinned
+// snapshot rolls back: a gate's emptiness bit, inputs included.
+func TestUndoEntryIsAGateAndABit(t *testing.T) {
+	if got := unsafe.Sizeof(enumUndo{}); got != 8 {
+		t.Errorf("an undo entry takes %d bytes, want 8", got)
 	}
 }

@@ -20,10 +20,9 @@
 //     on, and CheckDecomposable verifies the disjointness conditions.
 //   - CheckDeterministic verifies (semantically, via the free semiring) that
 //     no addition or permanent gate produces the same monomial twice.
-//   - ModelCount counts the monomials of the circuit — for the enumeration
-//     circuits of Theorem 24 this is exactly the number of query answers.
 //   - FactorizationReport quantifies how much smaller the circuit is than
-//     the flat table of answers it represents.
+//     the flat table of the answers it represents, given their number (for
+//     the enumeration circuits of Theorem 24, enumerate.Answers.Count).
 //   - DOT renders the program for inspection with Graphviz.
 package kc
 
@@ -35,7 +34,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/provenance"
-	"repro/internal/semiring"
 )
 
 // Analysis holds per-gate dependency information for a frozen program.
@@ -220,14 +218,6 @@ func (a *Analysis) CheckDeterministic() []Violation {
 	return out
 }
 
-// ModelCount evaluates the program in (ℤ, +, ·) with every input set to 1,
-// i.e. it counts the monomials of the represented polynomial with
-// multiplicity.  For an enumeration circuit this is the number of answers.
-func ModelCount(p *circuit.Program) *big.Int {
-	one := func(circuit.Input) (*big.Int, bool) { return big.NewInt(1), true }
-	return circuit.EvaluateProgram[*big.Int](p, semiring.Big, one)
-}
-
 // FactorizationReport compares the program against the flat representation
 // of the answer set it factorizes.
 type FactorizationReport struct {
@@ -245,12 +235,12 @@ type FactorizationReport struct {
 }
 
 // Factorization measures how compactly the program represents an answer set
-// of the given arity.
-func Factorization(p *circuit.Program, arity int) FactorizationReport {
+// of the given size and arity.
+func Factorization(p *circuit.Program, answers int64, arity int) FactorizationReport {
 	st := p.Stats()
 	report := FactorizationReport{
 		CircuitSize: st.Gates + st.Edges,
-		Answers:     ModelCount(p),
+		Answers:     big.NewInt(answers),
 		Arity:       arity,
 	}
 	report.FlatCells = new(big.Int).Mul(report.Answers, big.NewInt(int64(arity)))

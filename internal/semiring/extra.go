@@ -2,9 +2,9 @@
 //
 // These are not required by the paper's theorems but exercise the
 // "plug in any commutative semiring" universality of the compiled circuits
-// (Theorem 6): probabilistic inference (Viterbi, log-space), fuzzy logic,
-// parity counting, k-best optimisation, counting tropical optimisation,
-// bottleneck optimisation, and products of semirings.
+// (Theorem 6): probabilistic inference (Viterbi), fuzzy logic, parity
+// counting, k-best optimisation, counting tropical optimisation, and products
+// of semirings.
 package semiring
 
 import (
@@ -54,25 +54,6 @@ func (FuzzySemiring) Format(a float64) string  { return fmt.Sprintf("%g", a) }
 func (FuzzySemiring) Less(a, b float64) bool   { return a < b }
 
 // ---------------------------------------------------------------------------
-// Łukasiewicz semiring ([0,1], max, a⊗b = max(0, a+b−1))
-// ---------------------------------------------------------------------------
-
-// LukasiewiczSemiring is the Łukasiewicz fuzzy semiring ([0,1], max, ⊗)
-// with a ⊗ b = max(0, a + b − 1).
-type LukasiewiczSemiring struct{}
-
-// Lukasiewicz is the canonical LukasiewiczSemiring instance.
-var Lukasiewicz = LukasiewiczSemiring{}
-
-func (LukasiewiczSemiring) Zero() float64            { return 0 }
-func (LukasiewiczSemiring) One() float64             { return 1 }
-func (LukasiewiczSemiring) Add(a, b float64) float64 { return math.Max(a, b) }
-func (LukasiewiczSemiring) Mul(a, b float64) float64 { return math.Max(0, a+b-1) }
-func (LukasiewiczSemiring) Equal(a, b float64) bool  { return a == b }
-func (LukasiewiczSemiring) Format(a float64) string  { return fmt.Sprintf("%g", a) }
-func (LukasiewiczSemiring) Less(a, b float64) bool   { return a < b }
-
-// ---------------------------------------------------------------------------
 // GF(2): the two-element field ({0,1}, xor, and)
 // ---------------------------------------------------------------------------
 
@@ -97,68 +78,6 @@ func (GF2Field) Format(a bool) string {
 	return "0"
 }
 func (GF2Field) Elements() []bool { return []bool{false, true} }
-
-// ---------------------------------------------------------------------------
-// Log semiring (ℝ ∪ {−∞}, logaddexp, +)
-// ---------------------------------------------------------------------------
-
-// LogSemiring is the log-space probability semiring (ℝ ∪ {−∞}, ⊕, +) with
-// a ⊕ b = log(exp a + exp b).  It computes sums of products of probabilities
-// without underflow.  Equality is approximate (absolute tolerance 1e-9)
-// because log-add-exp is not exactly associative in floating point.
-type LogSemiring struct{}
-
-// Log is the canonical LogSemiring instance.
-var Log = LogSemiring{}
-
-func (LogSemiring) Zero() float64 { return math.Inf(-1) }
-func (LogSemiring) One() float64  { return 0 }
-func (LogSemiring) Add(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-func (LogSemiring) Mul(a, b float64) float64 {
-	if math.IsInf(a, -1) || math.IsInf(b, -1) {
-		return math.Inf(-1)
-	}
-	return a + b
-}
-func (LogSemiring) Equal(a, b float64) bool {
-	if math.IsInf(a, -1) || math.IsInf(b, -1) {
-		return math.IsInf(a, -1) && math.IsInf(b, -1)
-	}
-	return math.Abs(a-b) <= 1e-9
-}
-func (LogSemiring) Format(a float64) string { return fmt.Sprintf("%g", a) }
-func (LogSemiring) Less(a, b float64) bool  { return a < b }
-
-// ---------------------------------------------------------------------------
-// Bottleneck semiring (ℝ ∪ {±∞}, max, min)
-// ---------------------------------------------------------------------------
-
-// BottleneckSemiring is the widest-path semiring (ℝ ∪ {±∞}, max, min) on
-// float64: the value of a query is the best (largest) over answers of the
-// smallest weight appearing in the answer.
-type BottleneckSemiring struct{}
-
-// Bottleneck is the canonical BottleneckSemiring instance.
-var Bottleneck = BottleneckSemiring{}
-
-func (BottleneckSemiring) Zero() float64            { return math.Inf(-1) }
-func (BottleneckSemiring) One() float64             { return math.Inf(1) }
-func (BottleneckSemiring) Add(a, b float64) float64 { return math.Max(a, b) }
-func (BottleneckSemiring) Mul(a, b float64) float64 { return math.Min(a, b) }
-func (BottleneckSemiring) Equal(a, b float64) bool  { return a == b }
-func (BottleneckSemiring) Format(a float64) string  { return fmt.Sprintf("%g", a) }
-func (BottleneckSemiring) Less(a, b float64) bool   { return a < b }
 
 // ---------------------------------------------------------------------------
 // Counting tropical semiring: min cost together with its multiplicity
