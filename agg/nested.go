@@ -334,12 +334,12 @@ func (e *Engine) prepareNested(ctx context.Context, p *Prepared) (*Prepared, err
 // nestedSession is the recompute session of a nested query, the one engine
 // that is nested-specific: writes mutate its private database view — every
 // relation and weight is updatable, Gaifman-preserving or not — and the first
-// read after a write re-runs the front end over it and opens a flat session
-// on the result, which answers every read until the next write.
+// read after a write re-runs the front end over it and evaluates the result
+// once, which answers every read until the next write.
 type nestedSession struct {
 	p   *Prepared
 	in  *nestedInput
-	cur erasedSession
+	cur func(args []int) (string, error)
 }
 
 func (p *Prepared) nestedSession() (erasedSession, error) {
@@ -350,36 +350,16 @@ func (p *Prepared) nestedSession() (erasedSession, error) {
 	return &nestedSession{p: p, in: in}, nil
 }
 
-func (s *nestedSession) Point(args []int) (string, error) {
-	if s.cur == nil {
-		opts := s.p.compileOptions()
-		span := s.p.tr.StartSpan(obs.StageCompile)
-		st, out, cw, err := s.in.materialize(opts)
-		if err != nil {
-			return "", err
-		}
-		// Over the Prepared's own parameter list, so that the session takes its
-		// arguments in the order the Prepared does.
-		sh, err := dynamicq.Close(st.A, st.Expr, s.p.sh.FreeVars(), opts)
-		if err != nil {
-			return "", err
-		}
-		span.End()
-		s.cur = out.newSession(sh, cw, s.p.tr)
-	}
-	return s.cur.Point(args)
-}
-
 // Write applies the changes in order (so a batch may insert a tuple and then
 // weight it, as in flat sessions); a failing change rolls the whole batch
-// back, and the next read re-materialises once over the final state.  There
-// is no epoch to commit and no answer state to mirror into.
+// back and leaves the materialisation standing, and after a batch that
+// applied the next read re-materialises once over the final state.  There is
+// no epoch to commit and no answer state to mirror into.
 func (s *nestedSession) Write(changes []Change, _ *enumerate.Answers) (uint64, error) {
 	var rollback *nested.Database
 	if len(changes) > 1 {
 		rollback = s.in.db.Clone()
 	}
-	s.cur = nil
 	for i, ch := range changes {
 		if err := s.apply(ch); err != nil {
 			if rollback != nil {
@@ -388,6 +368,7 @@ func (s *nestedSession) Write(changes []Change, _ *enumerate.Answers) (uint64, e
 			return 0, err
 		}
 	}
+	s.cur = nil
 	return 0, nil
 }
 
@@ -403,8 +384,27 @@ func (s *nestedSession) apply(ch Change) error {
 }
 
 // Clock is nil: the recompute session has no epoch-versioned state to pin, so
-// it has no epochs, no snapshots and no subscriptions, reads that race a
-// writer keep failing fast with ErrSessionBusy, and At is never called.
+// it has no epochs, no snapshots and no subscriptions, and reads that race a
+// writer keep failing fast with ErrSessionBusy.
 func (s *nestedSession) Clock() *mvcc.Clock { return nil }
 
-func (s *nestedSession) At(uint64) func([]int) (string, error) { return nil }
+// At returns the point query of the current materialisation, built first when
+// none stands, over the Prepared's own parameter list so that the session
+// takes arguments in its order.  The caller holds the writer lock.
+func (s *nestedSession) At(uint64) func([]int) (string, error) {
+	if s.cur == nil {
+		opts := s.p.compileOptions()
+		span := s.p.tr.StartSpan(obs.StageCompile)
+		st, out, cw, err := s.in.materialize(opts)
+		var sh *dynamicq.Shared
+		if err == nil {
+			sh, err = dynamicq.Close(st.A, st.Expr, s.p.sh.FreeVars(), opts)
+		}
+		if err != nil {
+			return func([]int) (string, error) { return "", err }
+		}
+		span.End()
+		s.cur = out.newStatic(sh, cw)
+	}
+	return s.cur
+}

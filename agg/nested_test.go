@@ -320,3 +320,37 @@ func TestNestedSessionRecompilesPerWrite(t *testing.T) {
 		t.Errorf("one write and two reads observed %d compile stages; want 1", n)
 	}
 }
+
+// TestNestedRejectedWriteKeepsMaterialisation: a batch that fails and rolls
+// back leaves the nested session's database as it was, so the read after it
+// answers from the standing materialisation and compiles nothing.
+func TestNestedRejectedWriteKeepsMaterialisation(t *testing.T) {
+	tr := obs.NewTracer()
+	ctx := obs.NewContext(context.Background(), tr)
+	p, err := testEngine(t).Prepare(ctx, "out-weight", WithNested(outWeight()))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	before, err := s.Eval(ctx, 0)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	compiles := tr.Stage(obs.StageCompile).Snapshot().Count
+	if err := s.ApplyBatch([]Change{
+		SetWeight("w", []int{0, 1}, 7),
+		{Rel: "Nope", Tuple: []int{0}, Present: true},
+	}); !errors.Is(err, ErrUpdate) {
+		t.Fatalf("bad batch error = %v; want ErrUpdate", err)
+	}
+	if got, err := s.Eval(ctx, 0); err != nil || got != before {
+		t.Errorf("outWeight(0) after the rejected batch = %q, %v; want %q", got, err, before)
+	}
+	if n := tr.Stage(obs.StageCompile).Snapshot().Count - compiles; n != 0 {
+		t.Errorf("a rejected batch and a read observed %d compile stages; want 0", n)
+	}
+}

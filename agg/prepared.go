@@ -49,11 +49,12 @@ type Prepared struct {
 
 	// The weights sh reads, in the carrier — the database's, converted on
 	// first use, or the ones a nested query's materialisation derived at
-	// Prepare — and the implicit session behind Eval(args...), built on first
-	// use.
-	evalMu   sync.Mutex
-	cw       any
-	implicit erasedSession
+	// Prepare.
+	evalMu sync.Mutex
+	cw     any
+	// point answers Eval(args...), built by the first such call (newStatic).
+	pointOnce sync.Once
+	point     func(args []int) (string, error)
 
 	// Enumeration backend (formula and boolean nested mode): built at Prepare
 	// on sh, shared by all cursors and by every In/Workers rebind (it never
@@ -234,18 +235,11 @@ func (p *Prepared) compile(ctx context.Context, span obs.Span, a *structure.Stru
 func (p *Prepared) weights() any {
 	p.evalMu.Lock()
 	defer p.evalMu.Unlock()
-	return p.weightsLocked()
-}
-
-func (p *Prepared) weightsLocked() any {
 	if p.cw == nil {
 		p.cw = p.sem.convert(p.eng.db.w)
 	}
 	return p.cw
 }
-
-// workers resolves the configured worker-pool size (0 = GOMAXPROCS).
-func (p *Prepared) workers() int { return p.cfg.workers }
 
 // Query returns the original query text.
 func (p *Prepared) Query() string { return p.text }
@@ -302,18 +296,15 @@ func (p *Prepared) In(name string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	clone := &Prepared{
-		eng:       p.eng,
-		text:      p.text,
-		canonical: p.canonical,
-		cfg:       p.cfg,
-		sem:       sem,
-		sh:        p.sh,
-		enum:      p.enum,
-		tr:        p.tr,
-	}
+	clone := p.view(sem)
 	clone.cfg.semiring = sem.Name()
 	return clone, nil
+}
+
+// view returns a Prepared over p's compilation and enumeration state in the
+// carrier sem, with evaluation state of its own.
+func (p *Prepared) view(sem Semiring) *Prepared {
+	return &Prepared{eng: p.eng, text: p.text, canonical: p.canonical, cfg: p.cfg, sem: sem, sh: p.sh, enum: p.enum, tr: p.tr}
 }
 
 // Workers returns a view of this Prepared whose evaluations spread circuit
@@ -324,16 +315,7 @@ func (p *Prepared) Workers(n int) *Prepared {
 	if n == p.cfg.workers {
 		return p
 	}
-	clone := &Prepared{
-		eng:       p.eng,
-		text:      p.text,
-		canonical: p.canonical,
-		cfg:       p.cfg,
-		sem:       p.sem,
-		sh:        p.sh,
-		enum:      p.enum,
-		tr:        p.tr,
-	}
+	clone := p.view(p.sem)
 	clone.cfg.workers = n
 	p.evalMu.Lock()
 	clone.cw = p.cw
@@ -344,10 +326,10 @@ func (p *Prepared) Workers(n int) *Prepared {
 // Eval evaluates the prepared query under the context.  A closed query takes
 // no arguments and runs the level-parallel engine over the shared circuit; a
 // query with k free variables takes exactly k elements, in FreeVars order, and
-// answers the point query f(args) in logarithmic time through the Prepared's
-// internal session (built on the shared program at the first such call).
-// Cancelling the context stops a running parallel evaluation in bounded
-// time.
+// answers the point query f(args) (Theorem 8) as a read: the first one
+// evaluates every gate once, and each raises the parameter weights at args in
+// a private overlay, taking no lock.  Cancelling the context stops a running
+// parallel evaluation in bounded time.
 func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	ctx = ensureCtx(ctx)
 	tr := obs.FromContext(ctx)
@@ -356,7 +338,7 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 			return "", errorf(ErrArgument, p.text, "query has free variables %v; pass one argument per variable", free)
 		}
 		evalSpan := tr.StartSpan(obs.StageEval)
-		out, err := p.sem.evaluate(ctx, p.sh.Result(), p.weights(), p.workers())
+		out, err := p.sem.evaluate(ctx, p.sh.Result(), p.weights(), p.cfg.workers)
 		if err != nil {
 			return "", err
 		}
@@ -366,13 +348,9 @@ func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	p.evalMu.Lock()
-	defer p.evalMu.Unlock()
-	if p.implicit == nil {
-		p.implicit = p.sem.newSession(p.sh, p.weightsLocked(), p.tr)
-	}
+	p.pointOnce.Do(func() { p.point = p.sem.newStatic(p.sh, p.weights()) })
 	evalSpan := tr.StartSpan(obs.StageEval)
-	out, err := p.implicit.Point(args)
+	out, err := p.point(args)
 	if err != nil {
 		return "", newError(ErrArgument, p.text, err)
 	}

@@ -59,6 +59,9 @@ type Semiring interface {
 	// non-nil tracer receives the session's propagation-wave timings; nil
 	// leaves the update path uninstrumented (no clock reads).
 	newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession
+	// newStatic evaluates a shared compilation once under the converted
+	// weights cw and returns its point query, a lock-free read.
+	newStatic(sh *dynamicq.Shared, cw any) func(args []int) (string, error)
 	// boxed returns the dynamically typed view of the carrier used by nested
 	// (FOG[C]) formulas; bool carriers map onto the canonical boolean box so
 	// nested's boolean positions recognise them.
@@ -72,7 +75,6 @@ type Semiring interface {
 // carrier type erased; the public Session type wraps it with the fail-fast
 // writer lock and lifecycle state.
 type erasedSession interface {
-	Point(args []int) (string, error)
 	// Write validates the batch before anything is applied (all-or-nothing)
 	// and then applies it as one exclusive section of Clock() that commits at
 	// most one epoch, which it returns (0 when the write changed nothing or
@@ -86,7 +88,8 @@ type erasedSession interface {
 	Clock() *mvcc.Clock
 	// At returns the point query as of an epoch pinned on Clock(): it keeps
 	// answering as of that commit while the writer keeps committing, and is
-	// meant for one goroutine (it owns overlay scratch).
+	// meant for one goroutine.  An engine without a clock returns the point
+	// query of its current state, read under the session's writer lock.
 	At(epoch uint64) func(args []int) (string, error)
 }
 
@@ -109,11 +112,10 @@ type typedSemiring[T any] struct {
 func (ts *typedSemiring[T]) Name() string { return ts.name }
 
 func (ts *typedSemiring[T]) convert(w *structure.Weights[int64]) any {
-	out := structure.NewWeights[T]()
-	if w != nil {
-		w.Each(func(weight string, t structure.Tuple, v int64) { out.Set(weight, t, ts.embed(weight, t, v)) })
+	if w == nil {
+		return structure.NewWeights[T]()
 	}
-	return out
+	return structure.MapWeights(w, func(weight string, t structure.Tuple, v int64) T { return ts.embed(weight, t, v) })
 }
 
 func (ts *typedSemiring[T]) adopt(ws *structure.Weights[any]) (any, error) {
@@ -136,6 +138,11 @@ func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, cw any, tr *obs.Trac
 	return &typedSession[T]{ts: ts, sh: sh, q: q}
 }
 
+func (ts *typedSemiring[T]) newStatic(sh *dynamicq.Shared, cw any) func(args []int) (string, error) {
+	st := dynamicq.NewStatic(ts.s, sh, cw.(*structure.Weights[T]))
+	return func(args []int) (string, error) { return ts.format(st.Value(args...)) }
+}
+
 func (ts *typedSemiring[T]) boxed() nested.Semiring {
 	if _, ok := any(ts.s).(semiring.Semiring[bool]); ok {
 		return nested.BoolSemiring
@@ -154,20 +161,19 @@ type typedSession[T any] struct {
 	q  *dynamicq.Query[T]
 }
 
-func (s *typedSession[T]) format(v T, err error) (string, error) {
+// format renders a point read's value, or passes its error on.
+func (ts *typedSemiring[T]) format(v T, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.ts.s.Format(v), nil
+	return ts.s.Format(v), nil
 }
-
-func (s *typedSession[T]) Point(args []int) (string, error) { return s.format(s.q.Value(args...)) }
 
 func (s *typedSession[T]) Clock() *mvcc.Clock { return s.q.Clock() }
 
 func (s *typedSession[T]) At(epoch uint64) func(args []int) (string, error) {
 	snap := s.q.At(epoch)
-	return func(args []int) (string, error) { return s.format(snap.Value(args...)) }
+	return func(args []int) (string, error) { return s.ts.format(snap.Value(args...)) }
 }
 
 // Write is the one write section of a session: the query validates the

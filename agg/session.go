@@ -34,8 +34,9 @@ type Session struct {
 	p    *Prepared
 	once sync.Once
 
-	// writerMu serialises mutations (and a nested session's in-place reads);
-	// TryLock keeps the fail-fast contract for writer–writer conflicts.
+	// writerMu serialises mutations (and a nested session's reads, which may
+	// re-materialise); TryLock keeps the fail-fast contract for writer–writer
+	// conflicts.
 	writerMu sync.Mutex
 	// stateMu guards the lifecycle flag so concurrent readers can check it
 	// without contending with writers.
@@ -133,11 +134,11 @@ func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 		out, err = s.sess.At(epoch)(args)
 		c.Unpin(epoch)
 	} else {
-		// Nested sessions have no snapshots: evaluate in place, fail-fast.
+		// Nested sessions have no snapshots: read in place, fail-fast.
 		if !s.writerMu.TryLock() {
 			return "", errorf(ErrSessionBusy, s.p.text, "session is processing another operation")
 		}
-		out, err = s.sess.Point(args)
+		out, err = s.sess.At(0)(args)
 		s.writerMu.Unlock()
 	}
 	if err != nil {

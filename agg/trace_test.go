@@ -68,3 +68,24 @@ func TestTracedSessionMatchesPlain(t *testing.T) {
 		t.Errorf("the tracer observed no propagation wave: the traced session ran untraced")
 	}
 }
+
+// TestTracedPointReadsAreNotWaves: a point read of a Prepared is a read, so a
+// tracer captured at Prepare observes no propagation wave for it, however
+// many reads it serves.
+func TestTracedPointReadsAreNotWaves(t *testing.T) {
+	const n = 12
+	tr := obs.NewTracer()
+	ctx := obs.NewContext(context.Background(), tr)
+	p, err := ringEngine(t, n).Prepare(ctx, "sum y . [E(x,y)] * w(x,y)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	for x := 0; x < 4; x++ {
+		if _, err := p.Eval(ctx, x); err != nil {
+			t.Fatalf("Eval(%d): %v", x, err)
+		}
+	}
+	if waves := tr.Stage(obs.StageWave).Snapshot().Count; waves != 0 {
+		t.Errorf("4 point reads and no write observed %d propagation waves; want 0", waves)
+	}
+}

@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"fmt"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -33,12 +32,13 @@ import (
 //
 // The evaluator runs on the circuit's frozen Program and borrows its
 // topological ranks, wires and permanent cells instead of rebuilding them per
-// session: what a Dynamic holds per instance is values only — the gate values,
-// and per addition or permanent gate the counts, aggregation tree or
-// maintained matrix its strategy needs, each addressed by the Program's slots.
-// A Worklist drains dirty gates in increasing rank order, handing each the
-// slots whose child changed, so every affected gate is recomputed exactly once
-// per wave no matter how many of its children changed.  All wave state
+// session: what a Dynamic holds per instance is values only — the gate values
+// (a Values, the state every point read runs on), and per addition or
+// permanent gate the counts, aggregation tree or maintained matrix its
+// strategy needs, each addressed by the Program's slots.  A Worklist drains
+// dirty gates in increasing rank order, handing each the slots whose child
+// changed, so every affected gate is recomputed exactly once per wave no
+// matter how many of its children changed.  All wave state
 // (worklist, old values) is owned by the Dynamic and reused across updates:
 // once the buffers have grown to their steady-state capacity, updates on the
 // generic path perform zero heap allocations.
@@ -54,12 +54,12 @@ import (
 // reading goroutine, run concurrently with each other and with mutations.
 // The live reads Value and GateValue take the shared lock too: they are safe
 // from any goroutine, but not from a wave hook or other code already holding
-// the clock.
+// the clock.  Point reads never write: the writer's run on Live, any other
+// goroutine's on a snapshot, and both through Values' one overlay evaluator.
 type Dynamic[T any] struct {
 	p *Program
 	s semiring.Semiring[T]
 
-	ring   semiring.Ring[T]   // nil unless the semiring is a ring
 	finite semiring.Finite[T] // nil unless the semiring is finite
 	elems  []T                // carrier, when finite
 	// elemIdx maps the rendering of a carrier element to its index in elems,
@@ -69,7 +69,8 @@ type Dynamic[T any] struct {
 	// injective on the carrier (the scan is the always-correct fallback).
 	elemIdx map[string]int
 
-	vals []T
+	// live holds the gate values, rewritten in place by every wave.
+	live *Values[T]
 
 	// What the strategy maintains beside vals, indexed by slot.  An addition
 	// gate g keeps nothing over a ring (difference updates on vals);
@@ -92,10 +93,6 @@ type Dynamic[T any] struct {
 	// markChanged records each gate's pre-wave value.
 	clock *mvcc.Clock
 	log   *mvcc.Log[valUndo[T]]
-	// restore is the scratch of EvalWith's second (undo) wave.
-	restore []valUndo[T]
-	// overlays pools the scratch of DynSnapshot.EvalWith (*overlay[T]).
-	overlays sync.Pool
 
 	// waveHook, when non-nil, receives the wall-clock duration of every
 	// propagation wave.  The nil check in runWave keeps the uninstrumented
@@ -106,7 +103,7 @@ type Dynamic[T any] struct {
 }
 
 // valUndo is one undo-log entry: gate held old right before the transition's
-// wave.  It doubles as the restore scratch of EvalWith.
+// wave.
 type valUndo[T any] struct {
 	gate int32
 	old  T
@@ -142,13 +139,8 @@ type Leaf[T any] struct {
 // clock of its own — while the ranks, wires and children arenas stay shared
 // and immutable.
 func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) *Dynamic[T] {
-	if p.output < 0 {
-		panic("circuit: no output gate set")
-	}
 	d := &Dynamic[T]{p: p, s: s}
-	if r, ok := s.(semiring.Ring[T]); ok {
-		d.ring = r
-	}
+	d.live = NewValues(p, s, v)
 	if f, ok := s.(semiring.Finite[T]); ok {
 		d.finite = f
 		d.elems = f.Elements()
@@ -165,9 +157,8 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 		}
 	}
 	n := p.numGates
-	d.vals = EvaluateAllProgram(p, s, v)
 	switch {
-	case d.ring != nil: // difference updates: no state beside vals
+	case d.live.ring != nil: // difference updates: no state beside vals
 	case d.finite != nil:
 		d.addCounts = make([][]int64, n)
 	default:
@@ -199,7 +190,7 @@ func (d *Dynamic[T]) initAdder(g int) {
 	case d.addCounts != nil:
 		counts := make([]int64, len(d.elems))
 		for _, ch := range children {
-			counts[d.elemIndex(d.vals[ch])]++
+			counts[d.elemIndex(d.live.vals[ch])]++
 		}
 		d.addCounts[g] = counts
 	case d.addTree != nil:
@@ -213,7 +204,7 @@ func (d *Dynamic[T]) initAdder(g int) {
 			tree[i] = d.s.Zero()
 		}
 		for i, ch := range children {
-			tree[size+i] = d.vals[ch]
+			tree[size+i] = d.live.vals[ch]
 		}
 		for i := size - 1; i >= 1; i-- {
 			tree[i] = d.s.Add(tree[2*i], tree[2*i+1])
@@ -251,10 +242,10 @@ func (d *Dynamic[T]) elemIndex(v T) int {
 func (d *Dynamic[T]) newMaintainer(id int) perm.Maintainer[T] {
 	rows, cols := d.p.PermShape(id)
 	m := perm.NewMatrix[T](d.s, rows, cols)
-	d.p.ForEachPermEntry(id, func(row, col, gate int) { m.Set(row, col, d.vals[gate]) })
+	d.p.ForEachPermEntry(id, func(row, col, gate int) { m.Set(row, col, d.live.vals[gate]) })
 	switch {
-	case d.ring != nil:
-		return perm.NewRingDynamic(d.ring, m)
+	case d.live.ring != nil:
+		return perm.NewRingDynamic(d.live.ring, m)
 	case d.finite != nil:
 		return perm.NewFiniteDynamic(d.finite, m)
 	default:
@@ -267,13 +258,17 @@ func (d *Dynamic[T]) newMaintainer(id int) perm.Maintainer[T] {
 // Stage both, Commit, Unlock), pinned and read as one with this one.
 func (d *Dynamic[T]) Clock() *mvcc.Clock { return d.clock }
 
+// Live returns the values d maintains, for the goroutine that writes d to read
+// without the clock; any other goroutine reads at a pinned epoch (At).
+func (d *Dynamic[T]) Live() *Values[T] { return d.live }
+
 // Value returns the current value of the output gate.
 func (d *Dynamic[T]) Value() T { return d.GateValue(d.p.output) }
 
 // GateValue returns the current value of an arbitrary gate.
 func (d *Dynamic[T]) GateValue(id int) T {
 	d.clock.RLock()
-	v := d.vals[id]
+	v := d.live.vals[id]
 	d.clock.RUnlock()
 	return v
 }
@@ -289,11 +284,11 @@ func (d *Dynamic[T]) SetInput(key structure.WeightKey, value T) {
 // is -1 (an input the circuit does not reference) or already holds the value.
 // The caller holds the clock and runs the wave.
 func (d *Dynamic[T]) assign(id int, value T) (old T, changed bool) {
-	if id < 0 || d.s.Equal(d.vals[id], value) {
+	if id < 0 || d.s.Equal(d.live.vals[id], value) {
 		return old, false
 	}
-	old = d.vals[id]
-	d.vals[id] = value
+	old = d.live.vals[id]
+	d.live.vals[id] = value
 	d.markChanged(id, old)
 	return old, true
 }
@@ -332,44 +327,6 @@ func (d *Dynamic[T]) stage(n int, leaf func(i int) (gate int, value T)) {
 		d.runWave()
 		d.clock.Touch()
 	}
-}
-
-// EvalWith evaluates the output under temporary input overrides: the changes
-// are applied as one wave, the output read, and the originals restored with
-// a second wave, all under one exclusive section of the clock and without
-// committing an epoch — the state is net unchanged, so snapshots can never
-// pin the transient overrides.  While readers are pinned the two waves still
-// append their (mutually cancelling) undo entries to the open transition,
-// where first-wins resolution recovers the original values.  This is the
-// writer-side fast path of dynamicq's point queries; snapshot readers use
-// DynSnapshot.EvalWith, which leaves the shared state untouched.
-func (d *Dynamic[T]) EvalWith(leaves []Leaf[T]) T {
-	d.clock.Lock()
-	defer d.clock.Unlock()
-	d.restore = d.restore[:0]
-	for _, l := range leaves {
-		if old, changed := d.assign(l.Gate, l.Value); changed {
-			d.restore = append(d.restore, valUndo[T]{gate: int32(l.Gate), old: old})
-		}
-	}
-	if len(d.restore) == 0 {
-		return d.vals[d.p.output]
-	}
-	d.runWave()
-	out := d.vals[d.p.output]
-	// Undo in reverse, so duplicate keys restore the oldest value last.
-	for i := len(d.restore) - 1; i >= 0; i-- {
-		e := d.restore[i]
-		id := int(e.gate)
-		if d.s.Equal(d.vals[id], e.old) {
-			continue
-		}
-		old := d.vals[id]
-		d.vals[id] = e.old
-		d.markChanged(id, old)
-	}
-	d.runWave()
-	return out
 }
 
 // markChanged records that gate g's value just changed from old and enlists
@@ -414,11 +371,11 @@ func (d *Dynamic[T]) propagateWave() {
 // child changed and, when its value moved, store it and pass the change on.
 func (d *Dynamic[T]) refreshGate(g int, slots []int32) {
 	newVal := d.recomputeGate(g, slots)
-	if d.s.Equal(newVal, d.vals[g]) {
+	if d.s.Equal(newVal, d.live.vals[g]) {
 		return
 	}
-	old := d.vals[g]
-	d.vals[g] = newVal
+	old := d.live.vals[g]
+	d.live.vals[g] = newVal
 	d.markChanged(g, old)
 }
 
@@ -434,18 +391,18 @@ func (d *Dynamic[T]) recomputeGate(g int, slots []int32) T {
 	case KindMul:
 		acc := d.s.One()
 		for _, ch := range kids {
-			acc = d.s.Mul(acc, d.vals[ch])
+			acc = d.s.Mul(acc, d.live.vals[ch])
 		}
 		return acc
 	case KindPerm:
 		maintainer := d.perms[d.p.arg[g]]
 		for _, slot := range slots {
 			ch := kids[slot]
-			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
+			if d.s.Equal(d.oldOf[ch], d.live.vals[ch]) {
 				continue
 			}
 			row, col := d.p.PermCell(g, int(slot))
-			maintainer.Update(row, col, d.vals[ch])
+			maintainer.Update(row, col, d.live.vals[ch])
 		}
 		return maintainer.Value()
 	default:
@@ -455,25 +412,25 @@ func (d *Dynamic[T]) recomputeGate(g int, slots []int32) T {
 
 func (d *Dynamic[T]) recomputeAdd(g int, kids, slots []int32) T {
 	switch {
-	case d.ring != nil:
+	case d.live.ring != nil:
 		// Each changed slot contributes new − old once per wave: children
 		// drain strictly before parents, so oldOf holds the value this gate
 		// last incorporated.
-		acc := d.vals[g]
+		acc := d.live.vals[g]
 		for _, slot := range slots {
 			ch := kids[slot]
-			acc = d.ring.Add(acc, d.ring.Add(d.vals[ch], d.ring.Neg(d.oldOf[ch])))
+			acc = d.live.ring.Add(acc, d.live.ring.Add(d.live.vals[ch], d.live.ring.Neg(d.oldOf[ch])))
 		}
 		return acc
 	case d.finite != nil:
 		counts := d.addCounts[g]
 		for _, slot := range slots {
 			ch := kids[slot]
-			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
+			if d.s.Equal(d.oldOf[ch], d.live.vals[ch]) {
 				continue
 			}
 			counts[d.elemIndex(d.oldOf[ch])]--
-			counts[d.elemIndex(d.vals[ch])]++
+			counts[d.elemIndex(d.live.vals[ch])]++
 		}
 		acc := d.s.Zero()
 		for i, cnt := range counts {
@@ -486,11 +443,11 @@ func (d *Dynamic[T]) recomputeAdd(g int, kids, slots []int32) T {
 		tree := d.addTree[g]
 		for _, slot := range slots {
 			ch := kids[slot]
-			if d.s.Equal(d.oldOf[ch], d.vals[ch]) {
+			if d.s.Equal(d.oldOf[ch], d.live.vals[ch]) {
 				continue
 			}
 			pos := len(tree)/2 + int(slot)
-			tree[pos] = d.vals[ch]
+			tree[pos] = d.live.vals[ch]
 			for pos >= 2 {
 				pos /= 2
 				tree[pos] = d.s.Add(tree[2*pos], tree[2*pos+1])

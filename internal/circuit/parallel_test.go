@@ -1,6 +1,7 @@
 package circuit_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	. "repro/internal/circuit"
@@ -16,7 +17,7 @@ func hasPermGate(c *Circuit) bool {
 	return c.Program().Stats().PermGates > 0
 }
 
-// checkEquivalence asserts ParallelEvaluateAllProgram matches
+// checkEquivalence asserts ParallelEvaluateAllProgramCtx matches
 // EvaluateAllProgram gate-for-gate in the given semiring, across several
 // worker counts.
 func checkEquivalence[T any](t *testing.T, name string, c *Circuit, s semiring.Semiring[T], v Valuation[T]) {
@@ -24,7 +25,10 @@ func checkEquivalence[T any](t *testing.T, name string, c *Circuit, s semiring.S
 	p := c.Program()
 	want := EvaluateAllProgram(p, s, v)
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got := ParallelEvaluateAllProgram(p, s, v, workers)
+		got, err := ParallelEvaluateAllProgramCtx(context.Background(), p, s, v, workers)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", name, workers, err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s workers=%d: got %d values, want %d", name, workers, len(got), len(want))
 		}
@@ -82,7 +86,11 @@ func TestParallelEvaluateOutputEquivalence(t *testing.T) {
 	p := randomCircuit(rng, nInputs, 200).Program()
 	val := valuationFor(randomValues(rng, nInputs))
 	want := EvaluateProgram[int64](p, semiring.Nat, val)
-	got := ParallelEvaluateAllProgram[int64](p, semiring.Nat, val, 3)[p.OutputGate()]
+	all, err := ParallelEvaluateAllProgramCtx[int64](context.Background(), p, semiring.Nat, val, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := all[p.OutputGate()]
 	if got != want {
 		t.Fatalf("parallel output = %d, want %d", got, want)
 	}
@@ -196,6 +204,6 @@ func BenchmarkEvaluateAllParallel(b *testing.B) {
 	p := c.Program()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ParallelEvaluateAllProgram[int64](p, semiring.Nat, val, 0)
+		ParallelEvaluateAllProgramCtx[int64](context.Background(), p, semiring.Nat, val, 0)
 	}
 }

@@ -14,8 +14,9 @@
 // sessions and enumerators; they all borrow its bookkeeping instead of
 // rebuilding their own.
 //
-// The Circuit has no evaluators; EvaluateProgram, ParallelEvaluateAllProgram,
-// Dynamic and the enumeration engine all run on the Program.
+// The Circuit has no evaluators; EvaluateProgram,
+// ParallelEvaluateAllProgramCtx, Values, Dynamic and the enumeration engine
+// all run on the Program.
 package circuit
 
 import (

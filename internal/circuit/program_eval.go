@@ -149,19 +149,12 @@ func evaluateProgramPerm[T any](p *Program, s semiring.Semiring[T], id int, kids
 	return state[size-1]
 }
 
-// ParallelEvaluateAllProgram computes the value of every gate like
+// ParallelEvaluateAllProgramCtx computes the value of every gate like
 // EvaluateAllProgram, spreading each level of the program's baked schedule
 // across workers goroutines (≤ 0 selects GOMAXPROCS).  The valuation v and
 // the semiring s are called from multiple goroutines concurrently; both must
-// be safe for concurrent use.
-func ParallelEvaluateAllProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T], workers int) []T {
-	vals, _ := parallelEvaluateAllProgram(nil, p, s, v, workers)
-	return vals
-}
-
-// ParallelEvaluateAllProgramCtx evaluates like ParallelEvaluateAllProgram but
-// honours cancellation: when ctx is cancelled the evaluation stops in bounded
-// time (workers re-check the context every cancelCheckStride of gates and
+// be safe for concurrent use.  It honours cancellation: when ctx is cancelled
+// the evaluation stops in bounded time (workers re-check the context every cancelCheckStride of gates and
 // wires and at every level barrier) and the call returns ctx.Err() with a nil
 // slice.
 func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) ([]T, error) {

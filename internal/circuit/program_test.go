@@ -1,6 +1,7 @@
 package circuit_test
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	. "repro/internal/circuit"
@@ -18,10 +19,11 @@ func checkProgramAgreesWithLegacy[T any](t *testing.T, name string, c *Circuit, 
 	t.Helper()
 	want := circuittest.EvaluateAll(c, s, v)
 	p := c.Program()
-	for _, got := range [][]T{
-		EvaluateAllProgram(p, s, v),
-		ParallelEvaluateAllProgram(p, s, v, 3),
-	} {
+	parallel, err := ParallelEvaluateAllProgramCtx(context.Background(), p, s, v, 3)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, got := range [][]T{EvaluateAllProgram(p, s, v), parallel} {
 		if len(got) != len(want) {
 			t.Fatalf("%s: program evaluated %d gates, legacy %d", name, len(got), len(want))
 		}

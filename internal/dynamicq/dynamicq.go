@@ -25,17 +25,18 @@ import (
 //
 // # Goroutine safety
 //
-// A Query is a single-writer object: Value, SetWeight, SetTuple and
-// ApplyBatch (or Prepare and Stage) mutate the underlying dynamic evaluator
-// and the query's own shadow of the weights and relations, and must be
-// serialised by the caller (the agg layer does this with a fail-fast writer
-// lock).  Concurrent *reads* go through At, on an epoch pinned on Clock(): any
-// number of snapshots may evaluate point queries concurrently with each other
-// and with the single writer, without ever blocking it.
+// A Query is a single-writer object: SetWeight, SetTuple and ApplyBatch (or
+// Prepare and Stage) mutate the underlying dynamic evaluator and the query's
+// own shadow of the weights and relations, and must be serialised by the
+// caller (the agg layer does this with a fail-fast writer lock), and so must
+// Value and ValueClosed, which read without the clock.  Concurrent *reads* go
+// through At, on an epoch pinned on Clock(): any number of snapshots may
+// evaluate point queries concurrently with each other and with the single
+// writer, without ever blocking it.
 type Query[T any] struct {
 	// Relations shadows the dynamic relations: ValidateTuple, HasTuple.
 	*compile.Relations
-	// reader reads the live evaluator: Value, ValueClosed.
+	// reader reads the writer's values as they stand: Value, ValueClosed.
 	reader[T]
 	s       semiring.Semiring[T]
 	dyn     *circuit.Dynamic[T]
@@ -157,18 +158,6 @@ func (sh *Shared) Param(in circuit.Input) (i int, a structure.Element, ok bool) 
 	return i, in.Tuple[0], true
 }
 
-// point appends to buf the toggles of the Theorem 8 reduction for a point
-// query at args — v_i raised to one at args[i], ignored outside the universe.
-func point[T any](sh *Shared, one T, args []structure.Element, buf []circuit.Leaf[T]) ([]circuit.Leaf[T], error) {
-	if len(args) != len(sh.vars) {
-		return buf, fmt.Errorf("dynamicq: query has %d free variables, got %d arguments", len(sh.vars), len(args))
-	}
-	for i, a := range args {
-		buf = append(buf, circuit.Leaf[T]{Gate: sh.res.Program.FindInput(sh.params[i], structure.Ordinary, structure.Tuple{a}), Value: one})
-	}
-	return buf, nil
-}
-
 // NewQuery instantiates a compiled query in the semiring s under the initial
 // weight assignment w.  The query keeps a reference to w and records
 // SetWeight updates into it; pass a fresh copy when the caller's assignment
@@ -184,7 +173,7 @@ func NewQuery[T any](s semiring.Semiring[T], sh *Shared, w *structure.Weights[T]
 	dyn := circuit.NewDynamicProgram(sh.res.Program, s, compile.NewValuation(sh.res, s, w))
 	return &Query[T]{
 		Relations: compile.NewRelations(sh.res),
-		reader:    reader[T]{sh: sh, one: s.One(), ev: dyn},
+		reader:    reader[T]{sh: sh, one: s.One(), vals: dyn.Live()},
 		s:         s,
 		weights:   w,
 		dyn:       dyn,

@@ -4,41 +4,36 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/compile"
+	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
-// reader reads the closure at a tuple of its parameters on one side of the
-// clock.  ev is either the live evaluator, whose EvalWith toggles in place
-// under one exclusive section of the clock (the writer's logarithmic path),
-// or a snapshot of it at a pinned epoch, whose EvalWith runs on a private
-// overlay and so neither blocks the writer nor is disturbed by it.  Either
-// way no snapshot ever observes the transient toggles.
+// reader reads the closure at a tuple of its parameters through circuit's one
+// point evaluator, on vals as they stand or, when at is set, on a Dynamic at
+// the epoch at pins.
 type reader[T any] struct {
-	sh  *Shared
-	one T
-	ev  interface {
-		Value() T
-		EvalWith(leaves []circuit.Leaf[T]) T
-	}
-	// point is the reusable override buffer behind Value's point queries.
-	point []circuit.Leaf[T]
+	sh   *Shared
+	one  T
+	vals *circuit.Values[T]
+	at   *circuit.DynSnapshot[T]
 }
 
 // Value returns the value of the query at the given tuple of the free
-// variables.  Following the proof of Theorem 8, the point query is simulated
-// by k temporary weight updates: the fresh weights v_i are raised to 1 at
-// the queried elements, the output is read, and the weights are reset.
+// variables.  Following the proof of Theorem 8, the point query is k weight
+// toggles: the fresh weights v_i are raised to 1 at the queried elements
+// (ignored outside the universe) in the overlay, and the output is read there.
 func (r *reader[T]) Value(args ...structure.Element) (T, error) {
-	var err error
-	r.point, err = point(r.sh, r.one, args, r.point[:0])
-	if err != nil {
+	if len(args) != len(r.sh.vars) {
 		var zero T
-		return zero, err
+		return zero, fmt.Errorf("dynamicq: query has %d free variables, got %d arguments", len(r.sh.vars), len(args))
 	}
-	if len(args) == 0 {
-		return r.ev.Value(), nil
+	var buf [4]circuit.Leaf[T]
+	leaves := buf[:0]
+	for i, a := range args {
+		leaves = append(leaves, circuit.Leaf[T]{Gate: r.sh.res.Program.FindInput(r.sh.params[i], structure.Ordinary, structure.Tuple{a}), Value: r.one})
 	}
-	return r.ev.EvalWith(r.point), nil
+	return r.eval(leaves), nil
 }
 
 // ValueClosed returns the value of a closed query (no free variables).
@@ -47,7 +42,15 @@ func (r *reader[T]) ValueClosed() (T, error) {
 		var zero T
 		return zero, fmt.Errorf("dynamicq: query has free variables %v; use Value", r.sh.vars)
 	}
-	return r.ev.Value(), nil
+	return r.eval(nil), nil
+}
+
+// eval reads the output under the leaves.
+func (r *reader[T]) eval(leaves []circuit.Leaf[T]) T {
+	if r.at != nil {
+		return r.at.EvalWith(leaves)
+	}
+	return r.vals.EvalWith(leaves)
 }
 
 // Snapshot is a read handle on a Query at one committed epoch pinned on its
@@ -61,5 +64,17 @@ type Snapshot[T any] struct{ reader[T] }
 // whose memory grows with every write.  It is O(1) and safe to call
 // concurrently with the writer and with other snapshots.
 func (q *Query[T]) At(epoch uint64) *Snapshot[T] {
-	return &Snapshot[T]{reader[T]{sh: q.sh, one: q.one, ev: q.dyn.At(epoch)}}
+	return &Snapshot[T]{reader[T]{sh: q.sh, one: q.one, at: q.dyn.At(epoch)}}
+}
+
+// Static is a read-only handle on a closure under fixed weights, evaluated
+// once (circuit.Values): a read takes no lock, and any number of goroutines
+// may read one Static at once.
+type Static[T any] struct{ reader[T] }
+
+// NewStatic evaluates the closure sh in the semiring s under the weights w,
+// which it reads once and does not keep.
+func NewStatic[T any](s semiring.Semiring[T], sh *Shared, w *structure.Weights[T]) *Static[T] {
+	vals := circuit.NewValues(sh.res.Program, s, compile.NewValuation(sh.res, s, w))
+	return &Static[T]{reader[T]{sh: sh, one: s.One(), vals: vals}}
 }

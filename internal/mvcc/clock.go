@@ -46,11 +46,10 @@ type Clock struct {
 
 // history is what the Clock drives on every attached Log, whatever its entry
 // type: seal closes the open transition epoch → epoch+1 (retained when keep,
-// dropped otherwise); truncate drops the transitions older than min, and the
-// open one too when idle (no pin left).
+// dropped otherwise); truncate drops the transitions older than min.
 type history interface {
 	seal(epoch uint64, keep bool)
-	truncate(min uint64, idle bool)
+	truncate(min uint64)
 	retained() int64
 }
 
@@ -120,7 +119,7 @@ func (c *Clock) Unpin(epoch uint64) {
 		}
 	}
 	for _, l := range c.logs {
-		l.truncate(min, c.npins == 0)
+		l.truncate(min)
 	}
 }
 

@@ -71,14 +71,9 @@ func (l *Log[E]) seal(epoch uint64, keep bool) {
 	l.trans = append(l.trans, t)
 }
 
-// truncate recycles the dropped buffers.  With no pin left it also drops
-// entries parked in the open transition by non-committing operations (e.g.
-// override evaluations that restore the state in place).
-func (l *Log[E]) truncate(min uint64, idle bool) {
-	if idle {
-		l.recycle(l.cur)
-		l.cur = nil
-	}
+// truncate recycles the dropped buffers.  Every write that appends entries
+// commits, so no transition is open while the clock is free to truncate.
+func (l *Log[E]) truncate(min uint64) {
 	k := 0
 	for k < len(l.trans) && l.base+uint64(k) < min {
 		l.recycle(l.trans[k])
@@ -94,9 +89,6 @@ func (l *Log[E]) retained() int64 {
 		if t != nil {
 			n += int64(cap(t.entries))
 		}
-	}
-	if l.cur != nil {
-		n += int64(cap(l.cur.entries))
 	}
 	return n * l.entryBytes
 }

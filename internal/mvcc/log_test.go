@@ -135,15 +135,11 @@ func TestClockCommitsOncePerWriteAcrossLogs(t *testing.T) {
 
 func TestPinFreeCommitDropsOpenTransitionsAndRecycles(t *testing.T) {
 	c, ints, strs := twoStates()
-	// Entries parked in both open transitions by a write that does not commit
-	// (an override evaluation restoring the state in place) …
+	// The transitions a pinned write commits in both logs …
 	p := c.Pin()
-	c.Lock()
-	ints.log.Append(intUndo{1, 10})
-	strs.log.Append(strUndo{1, "a"})
-	c.Unlock()
+	write(c, func() { ints.set(1, 11); strs.set(1, "b") })
 	if c.Retained() == 0 {
-		t.Fatal("open transitions not counted while pinned")
+		t.Fatal("transitions not counted while pinned")
 	}
 	// … are dropped with the last pin, and their buffers reused by the next
 	// pinned write instead of allocated.
@@ -155,14 +151,14 @@ func TestPinFreeCommitDropsOpenTransitionsAndRecycles(t *testing.T) {
 		t.Fatalf("freelists hold %d/%d buffers, want 1/1", len(ints.log.free), len(strs.log.free))
 	}
 	p = c.Pin()
-	write(c, func() { ints.set(1, 11); strs.set(1, "b") })
+	write(c, func() { ints.set(1, 12); strs.set(1, "c") })
 	if len(ints.log.free) != 0 || len(strs.log.free) != 0 {
 		t.Fatal("pinned write did not reuse the recycled buffers")
 	}
 	c.Unpin(p)
 	// A pin-free commit seals nothing: the open transitions are recycled on the
 	// spot.
-	write(c, func() { ints.set(1, 12); strs.set(1, "c") })
+	write(c, func() { ints.set(1, 13); strs.set(1, "d") })
 	if got := c.Retained(); got != 0 || len(ints.log.trans) != 0 || len(strs.log.trans) != 0 {
 		t.Fatalf("pin-free commit kept history: retained %d, %d/%d transitions", got, len(ints.log.trans), len(strs.log.trans))
 	}

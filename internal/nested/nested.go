@@ -14,9 +14,10 @@
 // the constant-delay enumeration of a boolean one (result (E) of the paper).
 //
 // Every inner stage — S-valued connective arguments and boolean residues
-// alike — is compiled once to a frozen circuit.Program and read per guard
-// tuple through a dynamicq point query (Stage.At).  ReferenceEvalAt keeps the
-// direct recursive semantics as a differential-testing oracle.
+// alike — is compiled once to a frozen circuit.Program, evaluated once, and
+// read per guard tuple through a read-only point query (dynamicq.Static,
+// Stage.At).  ReferenceEvalAt keeps the direct recursive semantics as a
+// differential-testing oracle.
 package nested
 
 import (
@@ -40,9 +41,10 @@ type Semiring interface {
 	// Less reports a < b when the carrier is ordered; ok is false otherwise.
 	Less(a, b any) (less, ok bool)
 
-	// reader instantiates the closure sh in this carrier under the given
-	// weights and hands back its point query (Theorem 8): the typed engine
-	// state behind a closure over dynamically typed values.
+	// reader evaluates the closure sh in this carrier under the given weights
+	// and hands back its point query (Theorem 8), a read-only overlay read on
+	// those values: the typed engine state behind a closure over dynamically
+	// typed values.
 	reader(sh *dynamicq.Shared, weights *structure.Weights[any]) (func(args []structure.Element) (any, error), error)
 }
 
@@ -93,8 +95,8 @@ func (b box[T]) reader(sh *dynamicq.Shared, weights *structure.Weights[any]) (fu
 	if err != nil {
 		return nil, err
 	}
-	q := dynamicq.NewQuery(b.s, sh, w)
-	return func(args []structure.Element) (any, error) { return q.Value(args...) }, nil
+	st := dynamicq.NewStatic(b.s, sh, w)
+	return func(args []structure.Element) (any, error) { return st.Value(args...) }, nil
 }
 
 // TypedWeights converts dynamically typed weights into a weight assignment

@@ -335,8 +335,8 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 
 type pointRequest struct {
-	// Session targets a named session; alternatively db/expr/semiring use
-	// the compiled query's implicit session.
+	// Session targets a named session; alternatively db/expr/semiring read
+	// the compiled query at its loaded weights.
 	Session  string `json:"session"`
 	DB       string `json:"db"`
 	Expr     string `json:"expr"`
@@ -354,7 +354,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// A named session or, without one, the compiled query's implicit one.
+	// A named session or, without one, the compiled query's lock-free read.
 	var target interface {
 		Eval(ctx context.Context, args ...int) (agg.Value, error)
 	}

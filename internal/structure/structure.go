@@ -488,6 +488,17 @@ func (w *Weights[T]) Clone() *Weights[T] {
 	return &Weights[T]{names: slices.Clone(w.names), index: w.index.Clone(), vals: slices.Clone(w.vals)}
 }
 
+// MapWeights returns the assignment w with every value passed through f: the
+// same entries in the same order, indexed by a copy of w's index instead of
+// entry by entry.
+func MapWeights[T, U any](w *Weights[T], f func(weight string, t Tuple, v T) U) *Weights[U] {
+	out := &Weights[U]{names: slices.Clone(w.names), index: w.index.Clone(), vals: make([]U, len(w.vals))}
+	for i, v := range w.vals {
+		out.vals[i] = f(w.names[w.index.Head(i)], w.index.Tuple(i), v)
+	}
+	return out
+}
+
 // Each calls fn for every explicitly set weight, in the order the entries
 // were first set.  The tuple is a view into an arena that is only ever
 // appended to, so it stays valid; it must not be modified.

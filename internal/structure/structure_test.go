@@ -1,6 +1,7 @@
 package structure
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -451,6 +452,28 @@ func TestMalformedTupleKey(t *testing.T) {
 // TestWeightsAllocations holds reading a weight, and overwriting one that is
 // set, to no allocation: an entry is its symbol's number and its elements in
 // a TupleIndex, and nothing formats a key.
+// TestMapWeights: a mapped assignment holds every entry of its source under
+// the mapped value, and writing it leaves the source as it was.
+func TestMapWeights(t *testing.T) {
+	w := NewWeights[int64]()
+	w.Set("w", Tuple{0, 1}, 5)
+	w.Set("u", Tuple{2}, 7)
+	m := MapWeights(w, func(weight string, tu Tuple, v int64) string { return fmt.Sprintf("%s%v=%d", weight, tu, v) })
+	for _, c := range []struct {
+		weight string
+		tuple  Tuple
+		want   string
+	}{{"w", Tuple{0, 1}, "w[0 1]=5"}, {"u", Tuple{2}, "u[2]=7"}} {
+		if got, ok := m.Get(c.weight, c.tuple); !ok || got != c.want {
+			t.Errorf("mapped %s%v = %q, %v; want %q", c.weight, c.tuple, got, ok, c.want)
+		}
+	}
+	m.Set("u", Tuple{3}, "new")
+	if _, ok := w.Get("u", Tuple{3}); ok || w.Len() != 2 || m.Len() != 3 {
+		t.Errorf("a write to the mapped assignment reached its source")
+	}
+}
+
 func TestWeightsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

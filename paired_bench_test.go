@@ -7,6 +7,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/agg"
@@ -128,12 +129,13 @@ func BenchmarkPairedSessionReaderEnumerate(b *testing.B) {
 }
 
 // BenchmarkPairedPointRead reads one point of "sum y . [E(x,y)] * u(x) * u(y)"
-// through the two point evaluators the engine keeps: Prepared.Eval binds the
-// argument in place in the maintained trees (Dynamic.EvalWith, Theorem 8's
-// logarithmic read — and a mutation, so it cannot serve a stale pin), and
-// Session.Eval reads at a pin through a private overlay (DynSnapshot.EvalWith,
-// which recomputes the permanent gates it reaches over all their columns).
-// The pair is ROADMAP 5(a)'s measurement: how far apart the two are as n grows.
+// through the engine's one point evaluator, an overlay that raises the
+// parameter weights at the point over values it does not write (Theorem 8).
+// Its arms differ only in the values read: "static" is Prepared.Eval, on the
+// gate values evaluated once at its first point read, which nothing writes;
+// "pinned" is Session.Eval, on the session's live values rolled back to a pin
+// of its last commit; "static-parallel" is the static read on every
+// GOMAXPROCS goroutine at once, which takes no lock to contend on.
 func BenchmarkPairedPointRead(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{600, 2400, 9600} {
@@ -155,7 +157,7 @@ func BenchmarkPairedPointRead(b *testing.B) {
 			for _, read := range []struct {
 				name string
 				eval func(context.Context, ...int) (agg.Value, error)
-			}{{"inplace", p.Eval}, {"overlay", s.Eval}} {
+			}{{"static", p.Eval}, {"pinned", s.Eval}} {
 				b.Run(fmt.Sprintf("n=%d/%s/%s", n, semiring, read.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -165,6 +167,18 @@ func BenchmarkPairedPointRead(b *testing.B) {
 					}
 				})
 			}
+			b.Run(fmt.Sprintf("n=%d/%s/static-parallel", n, semiring), func(b *testing.B) {
+				b.ReportAllocs()
+				var next atomic.Int64
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						if _, err := p.Eval(ctx, int(next.Add(1))%elements); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+			})
 		}
 	}
 }
