@@ -24,9 +24,9 @@
 // program.
 //
 // Every entry point takes a context.Context and honours cancellation:
-// a cancelled context stops level-parallel circuit evaluation and
-// enumeration preprocessing waves in bounded time, and streaming iterators
-// stop between answers.  Failures come from a typed taxonomy (ErrParse,
+// a cancelled context stops a Prepared's level-parallel evaluation in bounded
+// time, fails a Prepare before and after compilation, and stops streaming
+// iterators between answers.  Failures come from a typed taxonomy (ErrParse,
 // ErrCompile, ErrUnknownSemiring, ErrSessionBusy, ...) that callers branch
 // on with errors.Is / errors.As.
 package agg
@@ -105,9 +105,10 @@ func WithDynamic(relations ...string) Option {
 	return func(c *config) { c.dynamic = append(c.dynamic, relations...) }
 }
 
-// WithWorkers sets the worker-pool size used for level-parallel circuit
-// evaluation and enumeration preprocessing (≤ 0, the default, selects
-// GOMAXPROCS).
+// WithWorkers sets the worker-pool size a Prepared's Eval spreads the
+// circuit's levels over (≤ 0, the default, selects GOMAXPROCS): every closed
+// Eval's, and the first point read's.  Enumeration preprocessing does not use
+// it.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

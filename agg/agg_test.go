@@ -505,7 +505,10 @@ func registerSlow(t *testing.T) {
 }
 
 // TestEvalCancellation checks a cancelled context stops a running parallel
-// evaluation in bounded time (run under -race in CI).
+// evaluation in bounded time (run under -race in CI), for a closed query,
+// which every Eval evaluates, and for a point query, which its first Eval
+// evaluates: the mid-flight cancellation targets the first Eval of a fresh
+// Prepared, whose cancelled evaluation must not be kept.
 func TestEvalCancellation(t *testing.T) {
 	registerSlow(t)
 	db, err := Generate("grid", 1024, 3)
@@ -513,47 +516,63 @@ func TestEvalCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := Open(db)
-	p, err := eng.Prepare(context.Background(), edgeSum, WithSemiring("slow-natural"), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		query string
+		args  []int
+	}{{edgeSum, nil}, {"sum y . [E(x,y)] * w(x,y)", []int{0}}} {
+		prepare := func() *Prepared {
+			p, err := eng.Prepare(context.Background(), c.query, WithSemiring("slow-natural"), WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		p, fresh := prepare(), prepare()
 
-	// Uncancelled baseline: the query evaluates fine (and slowly).
-	start := time.Now()
-	want, err := p.Eval(context.Background())
-	if err != nil {
-		t.Fatalf("baseline Eval: %v", err)
-	}
-	full := time.Since(start)
+		// Uncancelled baseline: the query evaluates fine (and slowly).
+		start := time.Now()
+		want, err := p.Eval(context.Background(), c.args...)
+		if err != nil {
+			t.Fatalf("%s: baseline Eval: %v", c.query, err)
+		}
+		full := time.Since(start)
 
-	// Pre-cancelled contexts fail fast.
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.Eval(pre); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled Eval: %v, want context.Canceled", err)
-	}
+		// Pre-cancelled contexts fail fast.
+		pre, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := p.Eval(pre, c.args...); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled Eval: %v, want context.Canceled", c.query, err)
+		}
 
-	// Mid-flight cancellation stops well before the full evaluation time.
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	start = time.Now()
-	go func() {
-		_, err := p.Eval(ctx)
-		errCh <- err
-	}()
-	time.Sleep(full / 10)
-	cancel()
-	err = <-errCh
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-flight Eval: %v, want context.Canceled", err)
-	}
-	if elapsed > full {
-		t.Errorf("cancelled Eval took %v, full evaluation takes %v", elapsed, full)
-	}
-	// And the Prepared still works afterwards.
-	if got, err := p.Eval(context.Background()); err != nil || got != want {
-		t.Errorf("Eval after cancellation = %q, %v; want %q", got, err, want)
+		// Mid-flight cancellation stops well before the full evaluation time.
+		ctx, cancel := context.WithCancel(context.Background())
+		errCh := make(chan error, 1)
+		start = time.Now()
+		go func() {
+			_, err := fresh.Eval(ctx, c.args...)
+			errCh <- err
+		}()
+		time.Sleep(full / 10)
+		cancel()
+		err = <-errCh
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: mid-flight Eval: %v, want context.Canceled", c.query, err)
+		}
+		if elapsed > full {
+			t.Errorf("%s: cancelled Eval took %v, full evaluation takes %v", c.query, elapsed, full)
+		}
+		// The cancelled evaluation is not kept, and the next Eval evaluates.
+		if fresh.ev.read.Load() != nil {
+			t.Errorf("%s: the cancelled evaluation was kept", c.query)
+		}
+		if got, err := fresh.Eval(context.Background(), c.args...); err != nil || got != want {
+			t.Errorf("%s: Eval after a cancelled first Eval = %q, %v; want %q", c.query, got, err, want)
+		}
+		// And the Prepared still works afterwards.
+		if got, err := p.Eval(context.Background(), c.args...); err != nil || got != want {
+			t.Errorf("%s: Eval after cancellation = %q, %v; want %q", c.query, got, err, want)
+		}
 	}
 }
 

@@ -320,7 +320,7 @@ func (e *Engine) prepareNested(ctx context.Context, p *Prepared) (*Prepared, err
 	if err != nil {
 		return nil, newError(ErrCompile, p.text, err)
 	}
-	p.canonical, p.sem, p.cw = in.f.String(), out, cw
+	p.canonical, p.sem, p.ev.cw = in.f.String(), out, cw
 	vars := nested.FreeVars(in.f)
 	if st.Phi == nil || len(vars) == 0 {
 		return p, p.compile(ctx, span, st.A, st.Expr, nil, nil)
@@ -400,11 +400,13 @@ func (s *nestedSession) At(uint64) func([]int) (string, error) {
 		if err == nil {
 			sh, err = dynamicq.Close(st.A, st.Expr, s.p.sh.FreeVars(), opts)
 		}
+		if err == nil {
+			s.cur, err = out.newStatic(context.Background(), sh, cw, 1)
+		}
 		if err != nil {
 			return func([]int) (string, error) { return "", err }
 		}
 		span.End()
-		s.cur = out.newStatic(sh, cw)
 	}
 	return s.cur
 }

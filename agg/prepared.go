@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/dynamicq"
@@ -47,14 +48,9 @@ type Prepared struct {
 	// variables of a formula).
 	sh *dynamicq.Shared
 
-	// The weights sh reads, in the carrier — the database's, converted on
-	// first use, or the ones a nested query's materialisation derived at
-	// Prepare.
-	evalMu sync.Mutex
-	cw     any
-	// point answers Eval(args...), built by the first such call (newStatic).
-	pointOnce sync.Once
-	point     func(args []int) (string, error)
+	// ev holds the weights in sem and the point query Eval keeps, shared
+	// with the Prepared's Workers views.
+	ev *evaluation
 
 	// Enumeration backend (formula and boolean nested mode): built at Prepare
 	// on sh, shared by all cursors and by every In/Workers rebind (it never
@@ -66,6 +62,16 @@ type Prepared struct {
 	// propagation-wave timings into it, and context-free entry points fall
 	// back to it.  All obs methods are nil-safe, so no call site guards it.
 	tr *obs.Tracer
+}
+
+// evaluation is what a Prepared evaluates in its carrier: the weights the
+// program reads — the database's, converted on first use, or the ones a nested
+// query's materialisation derived at Prepare — and the point query the first
+// Eval builds on them, which every later Eval takes without a lock.
+type evaluation struct {
+	mu   sync.Mutex // guards cw and serialises building read
+	cw   any
+	read atomic.Pointer[func(args []int) (string, error)]
 }
 
 // enumState is the enumeration backend of an enumerable query: the
@@ -82,8 +88,8 @@ type enumState struct {
 // is either a weighted expression ("sum x, y . [E(x,y)] * w(x,y)") or a
 // first-order formula ("E(x,y) & S(x)"); see Prepared for how the two modes
 // behave.  Compilation — the expensive, linear-time preprocessing of the
-// paper — happens here, once; the context bounds it and cancels the
-// parallel preprocessing waves.  For a WithNested query it includes
+// paper — happens here, once; a context cancelled before or during it fails
+// the Prepare.  For a WithNested query it includes
 // materialising every guarded connective at its guard tuples (one compilation
 // per connective argument), so that what Prepare leaves is one program like
 // any other and reads pay none of it.
@@ -102,7 +108,7 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 	}
 
 	tr := obs.FromContext(ctx)
-	p := &Prepared{eng: e, text: query, cfg: cfg, sem: sem, tr: tr}
+	p := &Prepared{eng: e, text: query, cfg: cfg, sem: sem, ev: new(evaluation), tr: tr}
 	p.cfg.semiring = sem.Name()
 
 	// Nested mode: the formula is the WithNested tree, not the query text.
@@ -182,14 +188,6 @@ func betterParseError(exprErr, formulaErr error) error {
 	}
 }
 
-// ctxErr returns err when it is a context cancellation error, nil otherwise.
-func ctxErr(err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return nil
-}
-
 func (p *Prepared) compileOptions() compile.Options {
 	return compile.Options{DynamicRelations: p.cfg.dynamic, MaxVars: p.cfg.maxVars}
 }
@@ -205,16 +203,13 @@ func (p *Prepared) compile(ctx context.Context, span obs.Span, a *structure.Stru
 	var ans *enumerate.Answers
 	var err error
 	if phi != nil {
-		if ans, err = enumerate.EnumerateAnswersCtx(ctx, a, phi, vars, p.compileOptions(), p.cfg.workers); err == nil {
+		if ans, err = enumerate.EnumerateAnswers(a, phi, vars, p.compileOptions()); err == nil {
 			sh = ans.Shared()
 		}
 	} else {
 		sh, err = dynamicq.CompileShared(a, ex, p.compileOptions())
 	}
 	if err != nil {
-		if cerr := ctxErr(err); cerr != nil {
-			return cerr
-		}
 		return newError(ErrCompile, p.text, err)
 	}
 	span.End()
@@ -233,12 +228,17 @@ func (p *Prepared) compile(ctx context.Context, span obs.Span, a *structure.Stru
 // database's are converted on first use (enumeration never needs them, and an
 // In rebind starts without).
 func (p *Prepared) weights() any {
-	p.evalMu.Lock()
-	defer p.evalMu.Unlock()
-	if p.cw == nil {
-		p.cw = p.sem.convert(p.eng.db.w)
+	p.ev.mu.Lock()
+	defer p.ev.mu.Unlock()
+	return p.weightsLocked()
+}
+
+// weightsLocked is weights for a caller that holds p.ev.mu.
+func (p *Prepared) weightsLocked() any {
+	if p.ev.cw == nil {
+		p.ev.cw = p.sem.convert(p.eng.db.w)
 	}
-	return p.cw
+	return p.ev.cw
 }
 
 // Query returns the original query text.
@@ -302,60 +302,75 @@ func (p *Prepared) In(name string) (*Prepared, error) {
 }
 
 // view returns a Prepared over p's compilation and enumeration state in the
-// carrier sem, with evaluation state of its own.
+// carrier sem, with an evaluation of its own: In's rebind, which evaluates in
+// another carrier.
 func (p *Prepared) view(sem Semiring) *Prepared {
-	return &Prepared{eng: p.eng, text: p.text, canonical: p.canonical, cfg: p.cfg, sem: sem, sh: p.sh, enum: p.enum, tr: p.tr}
+	return &Prepared{eng: p.eng, text: p.text, canonical: p.canonical, cfg: p.cfg, sem: sem, sh: p.sh, ev: new(evaluation), enum: p.enum, tr: p.tr}
 }
 
 // Workers returns a view of this Prepared whose evaluations spread circuit
 // levels over an n-goroutine pool (≤ 0 selects GOMAXPROCS).  The
-// compilation, enumeration state and converted weights are shared with the
-// receiver; only the pool size differs.
+// compilation, enumeration state, converted weights and the values a point
+// query's first Eval kept are shared with the receiver, so a view of a
+// Prepared whose point query was read evaluates nothing.
 func (p *Prepared) Workers(n int) *Prepared {
 	if n == p.cfg.workers {
 		return p
 	}
-	clone := p.view(p.sem)
+	clone := *p
 	clone.cfg.workers = n
-	p.evalMu.Lock()
-	clone.cw = p.cw
-	p.evalMu.Unlock()
-	return clone
+	return &clone
 }
 
 // Eval evaluates the prepared query under the context.  A closed query takes
-// no arguments and runs the level-parallel engine over the shared circuit; a
-// query with k free variables takes exactly k elements, in FreeVars order, and
-// answers the point query f(args) (Theorem 8) as a read: the first one
-// evaluates every gate once, and each raises the parameter weights at args in
-// a private overlay, taking no lock.  Cancelling the context stops a running
-// parallel evaluation in bounded time.
+// no arguments; a query with k free variables takes exactly k elements, in
+// FreeVars order, and answers the point query f(args) (Theorem 8).  Either
+// way Eval reads an evaluation of every gate, spread over the Prepared's
+// workers: a closed query's is made by each Eval, a point query's by the
+// first one and kept, and every later point read raises the parameter weights
+// at args in a private overlay over it, taking no lock.  Cancelling the
+// context stops an evaluation in bounded time; a cancelled one is not kept,
+// and the next Eval evaluates again.
 func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	ctx = ensureCtx(ctx)
-	tr := obs.FromContext(ctx)
-	if len(args) == 0 {
-		if free := p.sh.FreeVars(); len(free) > 0 {
-			return "", errorf(ErrArgument, p.text, "query has free variables %v; pass one argument per variable", free)
-		}
-		evalSpan := tr.StartSpan(obs.StageEval)
-		out, err := p.sem.evaluate(ctx, p.sh.Result(), p.weights(), p.cfg.workers)
-		if err != nil {
-			return "", err
-		}
-		evalSpan.End()
-		return Value(out), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	p.pointOnce.Do(func() { p.point = p.sem.newStatic(p.sh, p.weights()) })
-	evalSpan := tr.StartSpan(obs.StageEval)
-	out, err := p.point(args)
+	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
+	read, err := p.read(ctx)
+	if err != nil {
+		return "", err
+	}
+	out, err := read(args)
 	if err != nil {
 		return "", newError(ErrArgument, p.text, err)
 	}
 	evalSpan.End()
 	return Value(out), nil
+}
+
+// read returns the Prepared's evaluation under ctx.  A query with free
+// variables keeps the one its first Eval builds, and a cancelled build is not
+// kept; a closed query is evaluated afresh by every Eval (keeping its value
+// waits on the benchmark timing evaluation on its own; see ROADMAP).
+func (p *Prepared) read(ctx context.Context) (func(args []int) (string, error), error) {
+	if r := p.ev.read.Load(); r != nil {
+		return *r, nil
+	}
+	if len(p.sh.FreeVars()) == 0 {
+		return p.sem.newStatic(ctx, p.sh, p.weights(), p.cfg.workers)
+	}
+	p.ev.mu.Lock()
+	defer p.ev.mu.Unlock()
+	if r := p.ev.read.Load(); r != nil {
+		return *r, nil
+	}
+	r, err := p.sem.newStatic(ctx, p.sh, p.weightsLocked(), p.cfg.workers)
+	if err != nil {
+		return nil, err
+	}
+	p.ev.read.Store(&r)
+	return r, nil
 }
 
 // Session opens a dynamic-update session on the shared compilation: point

@@ -2,9 +2,11 @@ package agg
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/circuit"
 	"repro/internal/compile"
 	"repro/internal/dynamicq"
 	"repro/internal/enumerate"
@@ -51,17 +53,16 @@ type Semiring interface {
 	// adopt is convert for weights that already are values of the carrier: the
 	// ones a nested query's materialisation derived, dynamically typed.
 	adopt(ws *structure.Weights[any]) (any, error)
-	// evaluate runs the compiled circuit under previously converted weights
-	// across workers goroutines, honouring ctx, and formats the output.
-	evaluate(ctx context.Context, res *compile.Result, cw any, workers int) (string, error)
 	// newSession instantiates per-session dynamic state (Theorem 8) on a
 	// shared compilation, with a private copy of the converted weights cw.  A
 	// non-nil tracer receives the session's propagation-wave timings; nil
 	// leaves the update path uninstrumented (no clock reads).
 	newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession
 	// newStatic evaluates a shared compilation once under the converted
-	// weights cw and returns its point query, a lock-free read.
-	newStatic(sh *dynamicq.Shared, cw any) func(args []int) (string, error)
+	// weights cw, spreading its levels over workers goroutines and stopping
+	// with ctx's error when ctx is cancelled, and returns its point query, a
+	// lock-free read.  A closed query keeps its formatted value, not the gates.
+	newStatic(ctx context.Context, sh *dynamicq.Shared, cw any, workers int) (func(args []int) (string, error), error)
 	// boxed returns the dynamically typed view of the carrier used by nested
 	// (FOG[C]) formulas; bool carriers map onto the canonical boolean box so
 	// nested's boolean positions recognise them.
@@ -122,14 +123,6 @@ func (ts *typedSemiring[T]) adopt(ws *structure.Weights[any]) (any, error) {
 	return nested.TypedWeights[T](ws)
 }
 
-func (ts *typedSemiring[T]) evaluate(ctx context.Context, res *compile.Result, cw any, workers int) (string, error) {
-	v, err := compile.EvaluateParallelCtx(ctx, res, ts.s, cw.(*structure.Weights[T]), workers)
-	if err != nil {
-		return "", err
-	}
-	return ts.s.Format(v), nil
-}
-
 func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession {
 	q := dynamicq.NewQuery(ts.s, sh, cw.(*structure.Weights[T]).Clone())
 	if hook := tr.WaveHook(); hook != nil {
@@ -138,9 +131,27 @@ func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, cw any, tr *obs.Trac
 	return &typedSession[T]{ts: ts, sh: sh, q: q}
 }
 
-func (ts *typedSemiring[T]) newStatic(sh *dynamicq.Shared, cw any) func(args []int) (string, error) {
-	st := dynamicq.NewStatic(ts.s, sh, cw.(*structure.Weights[T]))
-	return func(args []int) (string, error) { return ts.format(st.Value(args...)) }
+func (ts *typedSemiring[T]) newStatic(ctx context.Context, sh *dynamicq.Shared, cw any, workers int) (func(args []int) (string, error), error) {
+	res, w := sh.Result(), cw.(*structure.Weights[T])
+	if len(sh.FreeVars()) > 0 {
+		st, err := dynamicq.NewStatic(ctx, ts.s, sh, w, workers)
+		if err != nil {
+			return nil, err
+		}
+		return func(args []int) (string, error) { return ts.format(st.Value(args...)) }, nil
+	}
+	// A closed query has one value: keep it formatted, not the gates.
+	vals, err := circuit.ParallelEvaluateAllProgramCtx(ctx, res.Program, ts.s, compile.NewValuation(res, ts.s, w), workers)
+	if err != nil {
+		return nil, err
+	}
+	out := ts.s.Format(vals[res.Program.OutputGate()])
+	return func(args []int) (string, error) {
+		if len(args) > 0 {
+			return "", fmt.Errorf("query has no free variables, got %d arguments", len(args))
+		}
+		return out, nil
+	}, nil
 }
 
 func (ts *typedSemiring[T]) boxed() nested.Semiring {

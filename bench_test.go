@@ -284,11 +284,11 @@ func BenchmarkE10ProvenancePermanent(b *testing.B) {
 	}
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			enumerate.NewProgram(p, inputs, nil)
+			enumerate.NewProgram(p, inputs)
 		}
 	})
 	b.Run("per-monomial-delay", func(b *testing.B) {
-		e := enumerate.NewProgram(p, inputs, nil)
+		e := enumerate.NewProgram(p, inputs)
 		cur := e.Cursor(k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

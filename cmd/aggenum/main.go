@@ -35,7 +35,6 @@ func main() {
 	file := flag.String("file", "", "read the database from this file (dbio format)")
 	limit := flag.Int("limit", 20, "print at most this many answers (0 prints none)")
 	countOnly := flag.Bool("count", false, "only report the number of answers and timing")
-	workers := flag.Int("workers", 1, "worker goroutines for the preprocessing emptiness pass (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 	ctx := context.Background()
 
@@ -51,9 +50,10 @@ func main() {
 	}
 
 	// Prepare pays the linear-time preprocessing (compilation plus the
-	// emptiness wave); answers then stream with constant delay.
+	// enumerator's one pass over the circuit); answers then stream with
+	// constant delay.
 	start := time.Now()
-	p, err := eng.Prepare(ctx, *phiText, agg.WithAnswerVars(vars...), agg.WithWorkers(*workers))
+	p, err := eng.Prepare(ctx, *phiText, agg.WithAnswerVars(vars...))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aggenum: %v\n", err)
 		os.Exit(1)

@@ -641,7 +641,7 @@ func E10ProvenancePermanent(columns []int) *Table {
 		}
 		c.SetOutput(c.Perm(k, n, entries))
 		var e *enumerate.Enumerator
-		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), permCell, nil) })
+		build := timeIt(func() { e = enumerate.NewProgram(c.Program(), permCell) })
 		cur := e.Cursor(k)
 		var maxDelay, total time.Duration
 		count := 0

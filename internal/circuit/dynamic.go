@@ -140,7 +140,7 @@ type Leaf[T any] struct {
 // and immutable.
 func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) *Dynamic[T] {
 	d := &Dynamic[T]{p: p, s: s}
-	d.live = NewValues(p, s, v)
+	d.live = valuesOf(p, s, EvaluateAllProgram(p, s, v))
 	if f, ok := s.(semiring.Finite[T]); ok {
 		d.finite = f
 		d.elems = f.Elements()

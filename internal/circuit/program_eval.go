@@ -230,16 +230,6 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 	}
 	vals := make([]T, p.numGates)
 	poll := cancelPoll{done: done} // for gates run on the calling goroutine
-	if workers == 1 {
-		var sc permScratch[T]
-		for id := 0; id < p.numGates; id++ {
-			if poll.stop(p, int32(id)) {
-				return nil, context.Canceled
-			}
-			evaluateProgramGate(p, s, v, id, vals, &sc)
-		}
-		return vals, nil
-	}
 	var wg sync.WaitGroup
 	var sc permScratch[T] // scratch for levels run on the calling goroutine
 	for d := 0; d <= p.maxRank; d++ {

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -23,13 +24,24 @@ type Values[T any] struct {
 	overlays sync.Pool
 }
 
-// NewValues evaluates every gate of p in s under the valuation v once.
-func NewValues[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) *Values[T] {
+// NewValues evaluates every gate of p in s under the valuation v once, with
+// ParallelEvaluateAllProgramCtx on workers goroutines: when ctx is cancelled
+// it stops in bounded time and returns ctx's error.
+func NewValues[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) (*Values[T], error) {
+	vals, err := ParallelEvaluateAllProgramCtx(ctx, p, s, v, workers)
+	if err != nil {
+		return nil, err
+	}
+	return valuesOf(p, s, vals), nil
+}
+
+// valuesOf wraps the gate values vals of p in s.
+func valuesOf[T any](p *Program, s semiring.Semiring[T], vals []T) *Values[T] {
 	if p.output < 0 {
 		panic("circuit: no output gate set")
 	}
 	ring, _ := s.(semiring.Ring[T])
-	return &Values[T]{p: p, s: s, ring: ring, vals: EvaluateAllProgram(p, s, v)}
+	return &Values[T]{p: p, s: s, ring: ring, vals: vals}
 }
 
 // EvalWith evaluates the output under temporary input overrides (evalWith),

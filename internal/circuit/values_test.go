@@ -1,6 +1,7 @@
 package circuit_test
 
 import (
+	"context"
 	"math/rand"
 	. "repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
@@ -46,7 +47,10 @@ func checkValuesEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[
 		}
 	}
 	val := func(in Input) (T, bool) { v, ok := vals[label(in)]; return v, ok }
-	static := NewValues[T](p, s, val)
+	static, err := NewValues[T](context.Background(), p, s, val, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	frozen := circuittest.EvaluateAll[T](c, s, val)[c.Output]
 	d := NewDynamicProgram[T](p, s, val)
 

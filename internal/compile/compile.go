@@ -1,7 +1,6 @@
 package compile
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -362,18 +361,4 @@ func NewValuation[T any](res *Result, s semiring.Semiring[T], w *structure.Weigh
 // the paper).
 func Evaluate[T any](res *Result, s semiring.Semiring[T], w *structure.Weights[T]) T {
 	return circuit.EvaluateProgram(res.Program, s, NewValuation(res, s, w))
-}
-
-// EvaluateParallelCtx evaluates the compiled program like Evaluate but
-// spreads each topological level of gates across workers goroutines (≤ 0
-// selects GOMAXPROCS), using the level schedule baked in at freeze time, and
-// honours cancellation: when ctx is cancelled mid-evaluation the level-parallel
-// engine stops in bounded time and the context's error is returned.
-func EvaluateParallelCtx[T any](ctx context.Context, res *Result, s semiring.Semiring[T], w *structure.Weights[T], workers int) (T, error) {
-	vals, err := circuit.ParallelEvaluateAllProgramCtx(ctx, res.Program, s, NewValuation(res, s, w), workers)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return vals[res.Program.OutputGate()], nil
 }

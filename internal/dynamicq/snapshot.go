@@ -1,6 +1,7 @@
 package dynamicq
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -73,8 +74,13 @@ func (q *Query[T]) At(epoch uint64) *Snapshot[T] {
 type Static[T any] struct{ reader[T] }
 
 // NewStatic evaluates the closure sh in the semiring s under the weights w,
-// which it reads once and does not keep.
-func NewStatic[T any](s semiring.Semiring[T], sh *Shared, w *structure.Weights[T]) *Static[T] {
-	vals := circuit.NewValues(sh.res.Program, s, compile.NewValuation(sh.res, s, w))
-	return &Static[T]{reader[T]{sh: sh, one: s.One(), vals: vals}}
+// which it reads once and does not keep, spreading the circuit's levels over
+// workers goroutines (≤ 0 selects GOMAXPROCS); when ctx is cancelled it stops
+// in bounded time and returns ctx's error.
+func NewStatic[T any](ctx context.Context, s semiring.Semiring[T], sh *Shared, w *structure.Weights[T], workers int) (*Static[T], error) {
+	vals, err := circuit.NewValues(ctx, sh.res.Program, s, compile.NewValuation(sh.res, s, w), workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Static[T]{reader[T]{sh: sh, one: s.One(), vals: vals}}, nil
 }

@@ -1,7 +1,6 @@
 package enumerate
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -41,42 +40,8 @@ func EnumerateAnswers(a *structure.Structure, phi logic.Formula, vars []string, 
 	if err != nil {
 		return nil, err
 	}
-	ans.build(nil)
+	ans.build()
 	return ans, nil
-}
-
-// EnumerateAnswersCtx preprocesses like EnumerateAnswers but computes the
-// initial per-gate emptiness with the level-parallel circuit engine
-// (Nonempty) on workers goroutines (≤ 0 selects GOMAXPROCS), and honours
-// cancellation: the context is checked between preprocessing stages and
-// inside the emptiness wave, so a cancelled preprocessing run stops in
-// bounded time and returns the context's error.
-func EnumerateAnswersCtx(ctx context.Context, a *structure.Structure, phi logic.Formula, vars []string, opts compile.Options, workers int) (*Answers, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ans, err := closeAnswers(a, phi, vars, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ans.preprocess(ctx, workers); err != nil {
-		return nil, err
-	}
-	return ans, nil
-}
-
-// preprocess is EnumerateAnswersCtx past the compilation: the parallel
-// emptiness pass, then the enumerator on it.
-func (ans *Answers) preprocess(ctx context.Context, workers int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	nonempty, err := Nonempty(ctx, ans.sh.Result().Program, ans.present, workers)
-	if err != nil {
-		return err
-	}
-	ans.build(nonempty)
-	return nil
 }
 
 // closeAnswers compiles the closure of [ϕ] over vars and shadows its dynamic
@@ -90,8 +55,8 @@ func closeAnswers(a *structure.Structure, phi logic.Formula, vars []string, opts
 }
 
 // build tabulates the closure's generators and builds the enumerator on
-// them, with the per-gate non-emptiness nonempty when it is non-nil.
-func (ans *Answers) build(nonempty []bool) {
+// them.
+func (ans *Answers) build() {
 	p := ans.sh.Result().Program
 	gens := generators(p, func(in circuit.Input) Generator {
 		if i, a, ok := ans.sh.Param(in); ok {
@@ -99,7 +64,7 @@ func (ans *Answers) build(nonempty []bool) {
 		}
 		return NoGenerator
 	})
-	ans.enum = newProgram(new(mvcc.Clock), p, gens, ans.present, nonempty)
+	ans.enum = newProgram(new(mvcc.Clock), p, gens, ans.present)
 }
 
 // present reports whether an input is present as compiled: every answer
@@ -133,7 +98,7 @@ func (ans *Answers) copyOn(c *mvcc.Clock, shadow bool) *Answers {
 	e.clock.RLock()
 	defer e.clock.RUnlock()
 	current := func(in circuit.Input) bool { return !e.empty[in.Gate] }
-	out := &Answers{sh: ans.sh, enum: newProgram(c, e.p, e.gens, current, nil)}
+	out := &Answers{sh: ans.sh, enum: newProgram(c, e.p, e.gens, current)}
 	if shadow {
 		out.rel = ans.rel.Clone()
 	}

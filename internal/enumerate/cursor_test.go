@@ -42,7 +42,7 @@ func TestCursorResetEquivalence(t *testing.T) {
 	values := lookup(inputs)
 	oracle := func() []string { return explicit(c.Program(), values) }
 
-	e := NewProgram(c.Program(), values, nil)
+	e := NewProgram(c.Program(), values)
 	if got, want := drain(e.Cursor(0)), oracle(); !equalStringSlices(got, want) || len(want) < 50 {
 		t.Fatalf("initial: live enumerator streams %d monomials %v, want %d", len(got), got, len(want))
 	}

@@ -26,13 +26,11 @@
 package enumerate
 
 import (
-	"context"
 	"math/bits"
 	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/mvcc"
-	"repro/internal/semiring"
 	"repro/internal/structure"
 )
 
@@ -270,41 +268,24 @@ func (m *permGateMeta) matchable(rowMask int, used []int32) bool {
 	return true
 }
 
-// Nonempty computes the initial non-emptiness of every gate with the
-// level-parallel circuit engine (on workers goroutines; ≤ 0 selects
-// GOMAXPROCS), for NewProgram to skip its own per-gate emptiness work: a
-// gate's value is non-empty exactly when the circuit, with every input mapped
-// to its presence, evaluates to true at that gate in the boolean semiring
-// (for permanent gates the boolean permanent is the existence of a system of
-// distinct representatives, which is Lemma 39's matchability test).  present
-// is called from multiple goroutines and must be safe for concurrent use.
-// When ctx is cancelled the wave stops in bounded time and ctx's error is
-// returned.
-func Nonempty(ctx context.Context, p *circuit.Program, present func(in circuit.Input) bool, workers int) ([]bool, error) {
-	return circuit.ParallelEvaluateAllProgramCtx[bool](ctx, p, semiring.Bool, func(in circuit.Input) (bool, bool) {
-		return present(in), true
-	}, workers)
-}
-
 // NewProgram builds the enumerator of a hand-built circuit directly on its
 // frozen Program, on a clock of its own: inputs gives each input's generator
-// (NoGenerator for a membership) and whether it is present.  A non-nil
-// nonempty carries the per-gate non-emptiness precomputed by Nonempty and the
-// pass skips recomputing it; nil has the pass decide it gate by gate.
-func NewProgram(p *circuit.Program, inputs func(in circuit.Input) (Generator, bool), nonempty []bool) *Enumerator {
+// (NoGenerator for a membership) and whether it is present.
+func NewProgram(p *circuit.Program, inputs func(in circuit.Input) (Generator, bool)) *Enumerator {
 	present := make([]bool, p.NumInputs())
 	gens := generators(p, func(in circuit.Input) (g Generator) {
 		g, present[p.InputNumber(in.Gate)] = inputs(in)
 		return g
 	})
-	return newProgram(new(mvcc.Clock), p, gens, func(in circuit.Input) bool { return present[p.InputNumber(in.Gate)] }, nonempty)
+	return newProgram(new(mvcc.Clock), p, gens, func(in circuit.Input) bool { return present[p.InputNumber(in.Gate)] })
 }
 
 // newProgram builds the enumerator over the generator table gens with its
 // undo log attached to c, the clock of a session that may keep other engine
-// states over p as well.  The builder appends a gate only after its
-// operands, so the emptiness bookkeeping may trust the Program's ranks.
-func newProgram(c *mvcc.Clock, p *circuit.Program, gens []Generator, present func(in circuit.Input) bool, nonempty []bool) *Enumerator {
+// states over p as well: one pass in gate order decides every gate's
+// emptiness and builds its metadata.  The builder appends a gate only after
+// its operands, so the pass may trust the Program's ranks.
+func newProgram(c *mvcc.Clock, p *circuit.Program, gens []Generator, present func(in circuit.Input) bool) *Enumerator {
 	if p.OutputGate() < 0 {
 		panic("enumerate: circuit has no output gate")
 	}
@@ -366,12 +347,7 @@ func newProgram(c *mvcc.Clock, p *circuit.Program, gens []Generator, present fun
 			e.perms = append(e.perms, permGateMeta{})
 			meta := &e.perms[len(e.perms)-1]
 			meta.init(p, id, carve(&permArena, permWords(p.PermShape(id))), e.isEmpty)
-			if nonempty != nil {
-				// The boolean permanent already decided matchability.
-				e.empty[id] = !nonempty[id]
-			} else {
-				e.empty[id] = !meta.matchable((1<<uint(meta.rows))-1, nil)
-			}
+			e.empty[id] = !meta.matchable((1<<uint(meta.rows))-1, nil)
 		}
 	}
 	return e

@@ -150,7 +150,7 @@ func explicit(p *circuit.Program, inputs func(circuit.Input) (Generator, bool)) 
 func checkEnumeratorAgainstExplicit(t *testing.T, c *circuit.Circuit, inputs func(circuit.Input) (Generator, bool)) {
 	t.Helper()
 	p := c.Program()
-	e := NewProgram(p, inputs, nil)
+	e := NewProgram(p, inputs)
 	got, want := drain(e.Cursor(0)), explicit(p, inputs)
 	if !equalStringSlices(got, want) {
 		t.Fatalf("enumerator and explicit evaluation disagree:\n got %v\nwant %v", got, want)
@@ -546,7 +546,7 @@ func TestProvenanceOfTriangles(t *testing.T) {
 		}
 		return Generator{Var: in.Tuple[0], Elem: in.Tuple[1]}, true
 	}
-	e := NewProgram(res.Program, inputs, nil)
+	e := NewProgram(res.Program, inputs)
 	got := drain(e.Cursor(0))
 	// The graph has two directed triangles 0→1→2→0 and 0→1→3→0; each is
 	// counted three times (once per starting vertex).

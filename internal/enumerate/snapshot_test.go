@@ -39,7 +39,7 @@ func TestEnumeratorSnapshotPinsValues(t *testing.T) {
 		key("d", 0): {Generator{Var: 0, Elem: 3}, false}, key("e", 0): member(true),
 	}
 	values := lookup(inputs)
-	e := NewProgram(c.Program(), values, nil)
+	e := NewProgram(c.Program(), values)
 
 	type pinned struct {
 		epoch uint64
@@ -106,7 +106,7 @@ func TestSnapshotPermCursorAfterColumnFlip(t *testing.T) {
 	}
 	c.SetOutput(c.Perm(rows, cols, entries))
 	values := lookup(inputs)
-	e := NewProgram(c.Program(), values, nil)
+	e := NewProgram(c.Program(), values)
 	oracle := func() []string { return explicit(c.Program(), values) }
 	drop := func(k structure.WeightKey) {
 		inputs[k] = val{inputs[k].g, false}
@@ -323,7 +323,7 @@ func TestRepeatedWires(t *testing.T) {
 	}
 	values := lookup(inputs)
 	oracle := func() []string { return explicit(c.Program(), values) }
-	e := NewProgram(c.Program(), values, nil)
+	e := NewProgram(c.Program(), values)
 	r := rand.New(rand.NewSource(61))
 	for step := 0; step < 60; step++ {
 		epoch := e.clock.Pin()

@@ -21,6 +21,7 @@
 package nested
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dynamicq"
@@ -95,7 +96,10 @@ func (b box[T]) reader(sh *dynamicq.Shared, weights *structure.Weights[any]) (fu
 	if err != nil {
 		return nil, err
 	}
-	st := dynamicq.NewStatic(b.s, sh, w)
+	st, err := dynamicq.NewStatic(context.Background(), b.s, sh, w, 1)
+	if err != nil {
+		return nil, err
+	}
 	return func(args []structure.Element) (any, error) { return st.Value(args...) }, nil
 }
 

@@ -124,41 +124,6 @@ func ScalarMulBig[T any](s Semiring[T], n *big.Int, a T) T {
 	return result
 }
 
-// Pow returns a^n with n ≥ 0, using O(log n) multiplications.
-func Pow[T any](s Semiring[T], a T, n int64) T {
-	if n < 0 {
-		panic("semiring: Pow with negative exponent")
-	}
-	result := s.One()
-	acc := a
-	for n > 0 {
-		if n&1 == 1 {
-			result = s.Mul(result, acc)
-		}
-		acc = s.Mul(acc, acc)
-		n >>= 1
-	}
-	return result
-}
-
-// Sum folds Add over a slice, returning Zero for an empty slice.
-func Sum[T any](s Semiring[T], xs []T) T {
-	acc := s.Zero()
-	for _, x := range xs {
-		acc = s.Add(acc, x)
-	}
-	return acc
-}
-
-// Product folds Mul over a slice, returning One for an empty slice.
-func Product[T any](s Semiring[T], xs []T) T {
-	acc := s.One()
-	for _, x := range xs {
-		acc = s.Mul(acc, x)
-	}
-	return acc
-}
-
 // ---------------------------------------------------------------------------
 // Boolean semiring B = ({false,true}, ∨, ∧)
 // ---------------------------------------------------------------------------
@@ -410,48 +375,6 @@ func (MaxPlusSemiring) Less(a, b Ext) bool {
 }
 
 // ---------------------------------------------------------------------------
-// MinMax semiring (ℕ ∪ {+∞}, min, max): bottleneck optimisation
-// ---------------------------------------------------------------------------
-
-// MinMaxSemiring is the bottleneck semiring (ℕ ∪ {+∞}, min, max) listed in
-// the paper's examples of semirings.
-type MinMaxSemiring struct{}
-
-// MinMax is the canonical MinMaxSemiring instance.
-var MinMax = MinMaxSemiring{}
-
-func (MinMaxSemiring) Zero() Ext { return Infinite }
-func (MinMaxSemiring) One() Ext  { return Fin(0) }
-func (MinMaxSemiring) Add(a, b Ext) Ext {
-	switch {
-	case a.Inf:
-		return b
-	case b.Inf:
-		return a
-	case a.V <= b.V:
-		return a
-	default:
-		return b
-	}
-}
-func (MinMaxSemiring) Mul(a, b Ext) Ext {
-	if a.Inf || b.Inf {
-		return Infinite
-	}
-	if a.V >= b.V {
-		return a
-	}
-	return b
-}
-func (MinMaxSemiring) Equal(a, b Ext) bool {
-	if a.Inf || b.Inf {
-		return a.Inf == b.Inf
-	}
-	return a.V == b.V
-}
-func (MinMaxSemiring) Format(a Ext) string { return formatExt(a, "+inf") }
-
-// ---------------------------------------------------------------------------
 // Modular ring ℤ/m on int64, a finite (semi)ring
 // ---------------------------------------------------------------------------
 
@@ -544,50 +467,6 @@ func (t Truncated) Elements() []int64 {
 	out := make([]int64, t.Cap+1)
 	for i := range out {
 		out[i] = int64(i)
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Set semiring (P(U), ∪, ∩) over a universe of at most 64 points
-// ---------------------------------------------------------------------------
-
-// SetAlgebra is the boolean algebra (P(U), ∪, ∩) over a universe of size at
-// most 64, represented as bit masks.  It is one of the paper's examples of a
-// semiring and is finite, exercising the finite-semiring machinery.
-type SetAlgebra struct {
-	// Universe is the number of points in the universe, at most 64.
-	Universe uint
-}
-
-// NewSetAlgebra returns the boolean algebra over a universe of size n ≤ 64.
-func NewSetAlgebra(n uint) SetAlgebra {
-	if n > 64 {
-		panic("semiring: set algebra universe limited to 64 points")
-	}
-	return SetAlgebra{Universe: n}
-}
-
-func (s SetAlgebra) full() uint64 {
-	if s.Universe == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << s.Universe) - 1
-}
-
-func (s SetAlgebra) Zero() uint64           { return 0 }
-func (s SetAlgebra) One() uint64            { return s.full() }
-func (s SetAlgebra) Add(a, b uint64) uint64 { return (a | b) & s.full() }
-func (s SetAlgebra) Mul(a, b uint64) uint64 { return a & b & s.full() }
-func (s SetAlgebra) Equal(a, b uint64) bool { return a&s.full() == b&s.full() }
-func (s SetAlgebra) Format(a uint64) string { return fmt.Sprintf("%#x", a&s.full()) }
-func (s SetAlgebra) Elements() []uint64 {
-	if s.Universe > 16 {
-		panic("semiring: enumerating a set algebra with more than 16 points")
-	}
-	out := make([]uint64, 1<<s.Universe)
-	for i := range out {
-		out[i] = uint64(i)
 	}
 	return out
 }

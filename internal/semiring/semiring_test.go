@@ -66,7 +66,6 @@ func TestSemiringAxioms(t *testing.T) {
 	}
 	axiomChecker[Ext](t, "MinPlus", MinPlus, genExt)
 	axiomChecker[Ext](t, "MaxPlus", MaxPlus, genExt)
-	axiomChecker[Ext](t, "MinMax", MinMax, genExt)
 
 	mod7 := NewModular(7)
 	axiomChecker[int64](t, "Modular7", mod7, func(r *rand.Rand) int64 { return int64(r.Intn(7)) })
@@ -75,9 +74,6 @@ func TestSemiringAxioms(t *testing.T) {
 
 	trunc := NewTruncated(5)
 	axiomChecker[int64](t, "Truncated5", trunc, func(r *rand.Rand) int64 { return int64(r.Intn(6)) })
-
-	sets := NewSetAlgebra(8)
-	axiomChecker[uint64](t, "SetAlgebra8", sets, func(r *rand.Rand) uint64 { return uint64(r.Intn(256)) })
 }
 
 func TestRingInterfaces(t *testing.T) {
@@ -160,35 +156,6 @@ func TestScalarMul(t *testing.T) {
 	}
 }
 
-func TestPow(t *testing.T) {
-	if got := Pow[int64](Nat, 3, 5); got != 243 {
-		t.Errorf("3^5 = %d, want 243", got)
-	}
-	if got := Pow[int64](Nat, 7, 0); got != 1 {
-		t.Errorf("7^0 = %d, want 1", got)
-	}
-	// Min-plus power is repeated addition of costs.
-	if got := Pow[Ext](MinPlus, Fin(4), 3); !MinPlus.Equal(got, Fin(12)) {
-		t.Errorf("4^3 in min-plus = %v, want 12", got)
-	}
-}
-
-func TestSumProduct(t *testing.T) {
-	xs := []int64{1, 2, 3, 4}
-	if got := Sum[int64](Nat, xs); got != 10 {
-		t.Errorf("Sum = %d, want 10", got)
-	}
-	if got := Product[int64](Nat, xs); got != 24 {
-		t.Errorf("Product = %d, want 24", got)
-	}
-	if got := Sum[int64](Nat, nil); got != 0 {
-		t.Errorf("empty Sum = %d, want 0", got)
-	}
-	if got := Product[int64](Nat, nil); got != 1 {
-		t.Errorf("empty Product = %d, want 1", got)
-	}
-}
-
 func TestIverson(t *testing.T) {
 	if Iverson[int64](Nat, true) != 1 || Iverson[int64](Nat, false) != 0 {
 		t.Errorf("Iverson bracket in Nat incorrect")
@@ -209,10 +176,6 @@ func TestFiniteElements(t *testing.T) {
 	tr := NewTruncated(4)
 	if got := len(tr.Elements()); got != 5 {
 		t.Errorf("Truncated(4) has %d elements, want 5", got)
-	}
-	sa := NewSetAlgebra(3)
-	if got := len(sa.Elements()); got != 8 {
-		t.Errorf("SetAlgebra(3) has %d elements, want 8", got)
 	}
 	if got := len(Bool.Elements()); got != 2 {
 		t.Errorf("Boolean has %d elements, want 2", got)

@@ -158,8 +158,17 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	writeEvent := func(event string, v any) error {
+		u, isUpdate := v.(agg.Update)
+		if isUpdate && u.Kind == "count" {
+			// Update's count is omitempty, for the kinds that carry none;
+			// a count of no answers is still a count.
+			v = struct {
+				agg.Update
+				Count int64 `json:"count"`
+			}{u, u.Count}
+		}
 		if sse {
-			if u, ok := v.(agg.Update); ok {
+			if isUpdate {
 				if _, err := fmt.Fprintf(w, "id: %d\n", u.Epoch); err != nil {
 					return err
 				}

@@ -263,6 +263,43 @@ func TestSubscribeCountAndDelta(t *testing.T) {
 	}
 }
 
+// TestSubscribeCountOfNoAnswers: a count update carries its count even when
+// the query has no answers, while the other kinds keep their lines without
+// one.  The lines are decoded into maps, so a missing key is not read as 0.
+func TestSubscribeCountOfNoAnswers(t *testing.T) {
+	_, ts, _ := newTestServer(t, 4)
+	for name, expr := range map[string]string{"none": "S(x) & !S(x)", "value": edgeSum} {
+		if resp, code := postJSON(t, ts.URL+"/session", map[string]any{
+			"name": name, "expr": expr, "semiring": "natural",
+		}); code != http.StatusOK {
+			t.Fatalf("creating session %s: %v", name, resp)
+		}
+	}
+	first := func(query string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/subscribe?" + query + "&limit=1")
+		if err != nil {
+			t.Fatalf("GET /subscribe?%s: %v", query, err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		if !sc.Scan() {
+			t.Fatalf("/subscribe?%s: no line: %v", query, sc.Err())
+		}
+		var line map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("/subscribe?%s: bad line %q: %v", query, sc.Text(), err)
+		}
+		return line
+	}
+	if line := first("session=none&kind=count"); line["count"] != 0.0 {
+		t.Errorf("count update of a query with no answers = %v, want a count of 0", line)
+	}
+	if line := first("session=value"); line["kind"] != "value" || line["count"] != nil {
+		t.Errorf("value update = %v, want no count", line)
+	}
+}
+
 // TestSubscribeDisconnectCancels verifies a client hanging up tears down the
 // server-side subscription: the canceled counter moves and the subscriber
 // gauge drains while the session keeps taking writes.
