@@ -35,7 +35,7 @@ func (p *Prepared) AnswerVars() []string {
 // and yields the context's error as its final pair.  Expression-mode queries
 // yield ErrNotEnumerable.
 func (p *Prepared) Enumerate(ctx context.Context) iter.Seq2[Answer, error] {
-	return p.stream(ctx, func() (*enumerate.TupleCursor, error) { return p.enum.ans.Cursor(), nil })
+	return p.stream(ctx, func() (*enumerate.TupleCursor, error) { return p.enum.Cursor(), nil })
 }
 
 // stream is the iterator behind Prepared.Enumerate and Reader.Enumerate: it
@@ -92,7 +92,6 @@ func (p *Prepared) AnswerCount(ctx context.Context) (int64, error) {
 		return 0, err
 	}
 	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
-	p.enum.countOnce.Do(func() { p.enum.count = p.enum.ans.Count() })
-	evalSpan.End()
-	return p.enum.count, nil
+	defer evalSpan.End()
+	return p.enum.Count(), nil
 }

@@ -34,9 +34,9 @@ var (
 	// ErrSessionExists marks an attempt to create a session under a name
 	// that is already taken.
 	ErrSessionExists = errors.New("session already exists")
-	// ErrSessionBusy marks a session operation attempted while another
-	// operation holds the session.  Sessions fail fast instead of queueing;
-	// callers that want queueing serialise with their own lock.
+	// ErrSessionBusy marks a session write attempted while another write
+	// holds the session.  Writes fail fast instead of queueing; callers that
+	// want queueing serialise with their own lock.
 	ErrSessionBusy = errors.New("session busy")
 	// ErrSessionClosed marks an operation on a closed session.
 	ErrSessionClosed = errors.New("session closed")

@@ -354,10 +354,11 @@ func TestConcurrentReadersNeverBusy(t *testing.T) {
 	}
 }
 
-// TestNestedSessionHasNoSnapshots pins down the one exception to the MVCC
-// read contract: nested sessions cannot snapshot, so Snapshot fails and Eval
-// keeps the fail-fast ErrSessionBusy behaviour under a concurrent writer.
-func TestNestedSessionHasNoSnapshots(t *testing.T) {
+// TestNestedSessionSnapshots pins the MVCC read contract on a nested session:
+// a write commits an epoch iff it changes a value or a membership the formula
+// reads, a Reader keeps its epoch's value while the writer moves on, and Eval
+// under a held writer answers the last committed epoch.
+func TestNestedSessionSnapshots(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()
 	q := NSum([]string{"x", "y"},
@@ -372,20 +373,75 @@ func TestNestedSessionHasNoSnapshots(t *testing.T) {
 	}
 	defer s.Close()
 
-	if _, err := s.Snapshot(); err == nil {
-		t.Error("nested Snapshot succeeded, want error")
+	r0, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
 	}
-	if got := s.Epoch(); got != 0 {
-		t.Errorf("nested Epoch = %d, want 0", got)
+	// Re-asserting stored state, and writing u and S, which the formula does
+	// not read, commit nothing.
+	for _, ch := range []Change{
+		SetWeight("w", []int{0, 1}, 2),
+		SetTuple("E", []int{0, 1}, true),
+		SetTuple("E", []int{1, 0}, false),
+		SetWeight("u", []int{0}, 9),
+		SetTuple("S", []int{1}, true),
+	} {
+		if err := s.Set(ch); err != nil {
+			t.Fatalf("Set(%+v): %v", ch, err)
+		}
+		if got := s.Epoch(); got != 0 {
+			t.Fatalf("Set(%+v) committed epoch %d; it changes nothing the formula reads", ch, got)
+		}
 	}
-	if got := s.RetainedUndoBytes(); got != 0 {
-		t.Errorf("nested RetainedUndoBytes = %d, want 0", got)
+	if err := s.ApplyBatch([]Change{SetWeight("u", []int{1}, 7), SetWeight("w", []int{1, 2}, 3)}); err != nil || s.Epoch() != 0 {
+		t.Fatalf("a batch of unread and re-asserted writes: %v, epoch %d; want no commit", err, s.Epoch())
 	}
+
+	if err := s.Set(SetWeight("w", []int{0, 1}, 7)); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	if got := s.Epoch(); got != 1 {
+		t.Fatalf("epoch after a value-changing write = %d, want 1", got)
+	}
+	if got, err := r0.Eval(ctx); err != nil || got != "11" {
+		t.Errorf("Reader at epoch 0 = %q, %v; want 11", got, err)
+	}
+	if got, err := s.Eval(ctx); err != nil || got != "16" {
+		t.Errorf("Eval at epoch 1 = %q, %v; want 16", got, err)
+	}
+	if got := s.RetainedUndoBytes(); got <= 0 {
+		t.Errorf("RetainedUndoBytes = %d with a Reader pinned behind a commit, want > 0", got)
+	}
+
 	s.writerMu.Lock()
-	if _, err := s.Eval(ctx); !errors.Is(err, ErrSessionBusy) {
-		t.Errorf("nested busy Eval: %v, want ErrSessionBusy", err)
-	}
+	got, err := s.Eval(ctx)
 	s.writerMu.Unlock()
+	if err != nil || got != "16" {
+		t.Errorf("Eval while a writer holds the session = %q, %v; want 16", got, err)
+	}
+
+	// A pin resolved only after the writer moved on still reads its epoch's
+	// version, which the writer froze before changing the database.
+	if err := s.Set(SetWeight("w", []int{1, 2}, 13)); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	epoch := s.clock.Pin()
+	if err := s.Set(SetWeight("w", []int{1, 2}, 3)); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	pinned, err := s.sess.At(epoch)(nil)
+	s.clock.Unpin(epoch)
+	if err != nil || pinned != "26" {
+		t.Errorf("a pin of epoch %d resolved after a commit reads %q, %v; want 26", epoch, pinned, err)
+	}
+	if got, err := s.Eval(ctx); err != nil || got != "16" {
+		t.Errorf("Eval at epoch %d = %q, %v; want 16", s.Epoch(), got, err)
+	}
+
+	r0.Close()
+	if got := s.RetainedUndoBytes(); got != 0 {
+		t.Errorf("RetainedUndoBytes = %d after the last Reader closed, want 0", got)
+	}
 }
 
 // TestSessionEvalAllocationIndependentOfDatabaseSize is the regression guard

@@ -3,10 +3,9 @@ package agg
 import (
 	"context"
 	"fmt"
+	"sync"
+	"unsafe"
 
-	"repro/internal/compile"
-	"repro/internal/dynamicq"
-	"repro/internal/enumerate"
 	"repro/internal/mvcc"
 	"repro/internal/nested"
 	"repro/internal/obs"
@@ -129,6 +128,17 @@ func NBracket(f *Nested) *Nested { return &Nested{kind: nBracket, kids: []*Neste
 // among the guard variables (the FOG[C] restriction, checked at Prepare).
 func NGuard(rel string, vars []string, conn NestedConnective, args ...*Nested) *Nested {
 	return &Nested{kind: nGuard, rel: rel, vars: vars, conn: conn, kids: args}
+}
+
+// reads adds the relations and weight symbols the tree reads to set.
+func (n *Nested) reads(set map[string]bool) map[string]bool {
+	if n.rel != "" {
+		set[n.rel] = true
+	}
+	for _, k := range n.kids {
+		k.reads(set)
+	}
+	return set
 }
 
 // resolve turns the builder tree into a checked nested.Formula, with weight
@@ -285,128 +295,169 @@ func (p *Prepared) nestedInput() (*nestedInput, error) {
 	return &nestedInput{base: base, f: f, db: db}, err
 }
 
-// materialize is the nested front end: it evaluates the guarded connectives
-// of the formula over the database view, innermost first — the paper's linear
-// preprocessing, one compilation per connective argument — and returns the
-// flat query that is left, the carrier its value lives in (looked up in the
-// registry by the name of its box) and the derived weights in that carrier.
-func (in *nestedInput) materialize(opts compile.Options) (*nested.Stage, Semiring, any, error) {
-	st, err := nested.Compile(in.db, in.f, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	name := st.Out.Name()
-	if name == nested.BoolSemiring.Name() {
-		name = "boolean"
-	}
-	out, err := LookupSemiring(name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cw, err := out.adopt(st.Weights)
-	return st, out, cw, err
-}
-
-// prepareNested compiles a WithNested query: the front end once, then the
-// tail every Prepare ends in.  From there on the Prepared is an ordinary one,
-// in the carrier of the nested formula's value, over the derived weights.
-func (e *Engine) prepareNested(ctx context.Context, p *Prepared) (*Prepared, error) {
+// compileNested is the nested front end and the compile tail over in's
+// database, for Prepare and for a session's versions alike: it evaluates the
+// guarded connectives innermost first — the paper's linear preprocessing, one
+// compilation per connective argument — and compiles the flat query left, in
+// the carrier of the formula's value and over the derived weights.
+func (p *Prepared) compileNested(ctx context.Context, in *nestedInput) error {
 	span := p.tr.StartSpan(obs.StageCompile)
-	in, err := p.nestedInput()
-	if err != nil {
-		return nil, newError(ErrCompile, p.text, err)
+	st, err := nested.Compile(in.db, in.f, p.compileOptions())
+	var out Semiring
+	if err == nil {
+		name := st.Out.Name()
+		if name == nested.BoolSemiring.Name() {
+			name = "boolean"
+		}
+		out, err = LookupSemiring(name)
 	}
-	st, out, cw, err := in.materialize(p.compileOptions())
-	if err != nil {
-		return nil, newError(ErrCompile, p.text, err)
+	if err == nil {
+		p.ev.cw, err = out.adopt(st.Weights)
 	}
-	p.canonical, p.sem, p.ev.cw = in.f.String(), out, cw
+	if err != nil {
+		return newError(ErrCompile, p.text, err)
+	}
+	p.canonical, p.sem = in.f.String(), out
 	vars := nested.FreeVars(in.f)
 	if st.Phi == nil || len(vars) == 0 {
-		return p, p.compile(ctx, span, st.A, st.Expr, nil, nil)
+		return p.compile(ctx, span, st.A, st.Expr, nil, nil)
 	}
 	if len(p.cfg.answerVars) > 0 {
 		vars = p.cfg.answerVars
 	}
-	return p, p.compile(ctx, span, st.A, nil, st.Phi, vars)
+	return p.compile(ctx, span, st.A, nil, st.Phi, vars)
 }
 
-// nestedSession is the recompute session of a nested query, the one engine
-// that is nested-specific: writes mutate its private database view — every
-// relation and weight is updatable, Gaifman-preserving or not — and the first
-// read after a write re-runs the front end over it and evaluates the result
-// once, which answers every read until the next write.
+// nestedSession is the session of a nested query: writes apply to a private
+// copy of the database (any relation or weight, Gaifman graph included), one
+// that changes what the formula reads commits an epoch whose version
+// supersedes the current one, and a read materialises its pinned epoch's
+// version once, outside every lock.  The writer changes the database in place
+// unless a reader is pinned at the current epoch, whose version keeps it.
 type nestedSession struct {
-	p   *Prepared
-	in  *nestedInput
-	cur func(args []int) (string, error)
+	p     *Prepared
+	in    *nestedInput    // built by the first write
+	reads map[string]bool // the relations and weight symbols the formula reads
+	clock mvcc.Clock
+	log   *mvcc.Log[*version] // per commit, the version it superseded
+	cur   *version            // the version of the committed epoch
 }
 
-func (p *Prepared) nestedSession() (erasedSession, error) {
-	in, err := p.nestedInput()
-	if err != nil {
-		return nil, newError(ErrCompile, p.text, err)
-	}
-	return &nestedSession{p: p, in: in}, nil
+// version is one epoch's database and the Prepared a read materialises.
+type version struct {
+	db   *nested.Database // nil once materialised, and for version 0
+	once sync.Once
+	p    *Prepared
+	read func(args []int) (string, error)
+	err  error
 }
 
-// Write applies the changes in order (so a batch may insert a tuple and then
-// weight it, as in flat sessions); a failing change rolls the whole batch
-// back and leaves the materialisation standing, and after a batch that
-// applied the next read re-materialises once over the final state.  There is
-// no epoch to commit and no answer state to mirror into.
-func (s *nestedSession) Write(changes []Change, _ *enumerate.Answers) (uint64, error) {
-	var rollback *nested.Database
-	if len(changes) > 1 {
-		rollback = s.in.db.Clone()
-	}
-	for i, ch := range changes {
-		if err := s.apply(ch); err != nil {
-			if rollback != nil {
-				s.in.db, err = rollback, fmt.Errorf("change %d: %w", i, err)
-			}
+// Slot makes a version the one-slot undo entry of the commit superseding it.
+func (*version) Slot() int32 { return 0 }
+
+func newNestedSession(p *Prepared) erasedSession {
+	s := &nestedSession{p: p, reads: p.cfg.nested.reads(map[string]bool{}), cur: &version{p: p}}
+	s.log = mvcc.NewLog[*version](&s.clock, int64(unsafe.Sizeof(s.cur)))
+	return s
+}
+
+func (s *nestedSession) Clock() *mvcc.Clock { return &s.clock }
+
+// Write applies the changes in order (a batch may insert a tuple and then
+// weight it), all or none, and commits iff one changed what the formula reads.
+func (s *nestedSession) Write(changes []Change) (uint64, error) {
+	s.clock.Lock()
+	defer s.clock.Unlock()
+	var err error
+	if s.in == nil {
+		if s.in, err = s.p.nestedInput(); err != nil {
 			return 0, err
 		}
 	}
-	s.cur = nil
-	return 0, nil
-}
-
-func (s *nestedSession) apply(ch Change) error {
-	t := structure.Tuple(ch.Tuple)
-	if ch.Weight == "" {
-		return s.in.db.SetTuple(ch.Rel, t, ch.Present)
+	before := s.in.db
+	if len(changes) > 1 || s.clock.HeadPinned() {
+		s.in.db = before.Clone()
 	}
-	if _, _, ok := s.in.db.SRelation(ch.Weight); !ok {
-		return fmt.Errorf("unknown weight %q", ch.Weight)
-	}
-	return s.in.db.SetValue(ch.Weight, t, s.in.base.embedAny(ch.Weight, t, ch.Value))
-}
-
-// Clock is nil: the recompute session has no epoch-versioned state to pin, so
-// it has no epochs, no snapshots and no subscriptions, and reads that race a
-// writer keep failing fast with ErrSessionBusy.
-func (s *nestedSession) Clock() *mvcc.Clock { return nil }
-
-// At returns the point query of the current materialisation, built first when
-// none stands, over the Prepared's own parameter list so that the session
-// takes arguments in its order.  The caller holds the writer lock.
-func (s *nestedSession) At(uint64) func([]int) (string, error) {
-	if s.cur == nil {
-		opts := s.p.compileOptions()
-		span := s.p.tr.StartSpan(obs.StageCompile)
-		st, out, cw, err := s.in.materialize(opts)
-		var sh *dynamicq.Shared
-		if err == nil {
-			sh, err = dynamicq.Close(st.A, st.Expr, s.p.sh.FreeVars(), opts)
-		}
-		if err == nil {
-			s.cur, err = out.newStatic(context.Background(), sh, cw, 1)
-		}
+	changed := false
+	for i, ch := range changes {
+		c, err := s.apply(ch)
 		if err != nil {
-			return func([]int) (string, error) { return "", err }
+			if s.in.db = before; len(changes) > 1 {
+				err = fmt.Errorf("change %d: %w", i, err)
+			}
+			return 0, err
 		}
-		span.End()
+		changed = changed || c
 	}
-	return s.cur
+	if !changed {
+		return 0, nil
+	}
+	if s.clock.HeadPinned() {
+		s.log.Append(s.cur)
+	}
+	s.cur = &version{db: s.in.db}
+	s.clock.Touch()
+	return s.clock.Commit(), nil
+}
+
+// apply makes one change to the session's database and reports whether it
+// changed a value or a membership the formula reads.
+func (s *nestedSession) apply(ch Change) (bool, error) {
+	db, t := s.in.db, structure.Tuple(ch.Tuple)
+	if ch.Weight == "" {
+		was := db.A.HasTuple(ch.Rel, t...)
+		return s.reads[ch.Rel] && was != ch.Present, db.SetTuple(ch.Rel, t, ch.Present)
+	}
+	sr, _, ok := db.SRelation(ch.Weight)
+	if !ok {
+		return false, fmt.Errorf("unknown weight %q", ch.Weight)
+	}
+	v, was := s.in.base.embedAny(ch.Weight, t, ch.Value), db.Value(ch.Weight, t)
+	return s.reads[ch.Weight] && !sr.Equal(was, v), db.SetValue(ch.Weight, t, v)
+}
+
+// materialize resolves a pinned epoch's version and builds its Prepared and
+// point query on the first read, outside the lock and under no reader's
+// context, for every reader shares the build; an error is kept too.
+func (s *nestedSession) materialize(epoch uint64) (*version, error) {
+	s.clock.RLock()
+	v := s.cur
+	view := s.log.At(epoch)
+	view.Extend()
+	if u, ok := view.Lookup(0); ok {
+		v = u
+	}
+	s.clock.RUnlock()
+	v.once.Do(func() {
+		if v.p == nil {
+			p := &Prepared{eng: s.p.eng, text: s.p.text, cfg: s.p.cfg, ev: new(evaluation), tr: s.p.tr}
+			if v.err = p.compileNested(context.Background(), &nestedInput{base: s.in.base, f: s.in.f, db: v.db}); v.err != nil {
+				return
+			}
+			v.p, v.db = p, nil
+		}
+		v.read, v.err = v.p.read(context.Background())
+	})
+	return v, v.err
+}
+
+func (s *nestedSession) At(epoch uint64) func(args []int) (string, error) {
+	return func(args []int) (string, error) {
+		v, err := s.materialize(epoch)
+		if err != nil {
+			return "", err
+		}
+		return v.read(args)
+	}
+}
+
+func (s *nestedSession) Answers(epoch uint64) (answers, error) {
+	if s.p.enum == nil {
+		return nil, nil
+	}
+	v, err := s.materialize(epoch)
+	if err != nil {
+		return nil, err
+	}
+	return v.p.enum, nil
 }

@@ -3,8 +3,13 @@ package agg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nested"
 	"repro/internal/obs"
@@ -352,5 +357,218 @@ func TestNestedRejectedWriteKeepsMaterialisation(t *testing.T) {
 	}
 	if n := tr.Stage(obs.StageCompile).Snapshot().Count - compiles; n != 0 {
 		t.Errorf("a rejected batch and a read observed %d compile stages; want 0", n)
+	}
+}
+
+// TestNestedSessionFirstReadCompilesNothing: epoch 0 of a nested session is
+// the Prepared's own program, so a fresh session's first read compiles
+// nothing.
+func TestNestedSessionFirstReadCompilesNothing(t *testing.T) {
+	tr := obs.NewTracer()
+	ctx := obs.NewContext(context.Background(), tr)
+	p, err := testEngine(t).Prepare(ctx, "out-weight", WithNested(outWeight()))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	compiles := tr.Stage(obs.StageCompile).Snapshot().Count
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	if got, err := s.Eval(ctx, 2); err != nil || got != "6" {
+		t.Fatalf("outWeight(2) = %q, %v; want 6", got, err)
+	}
+	if n := tr.Stage(obs.StageCompile).Snapshot().Count - compiles; n != 0 {
+		t.Errorf("a fresh session's first read observed %d compile stages; want 0", n)
+	}
+}
+
+// TestNestedSessionMatchesReference replays seeded scripts of weight and tuple
+// writes — edge inserts that change the Gaifman graph, removals,
+// re-assertions, writes of a symbol the formula does not read — on a nested
+// session and on a mirror database.  After every write it takes a Reader and
+// checks it from a goroutine of its own, while the writer moves on, against
+// the reference recursion over the mirror as of that write: Eval at every
+// element and, for the boolean formula, Enumerate and AnswerCount.
+func TestNestedSessionMatchesReference(t *testing.T) {
+	const n = 24
+	db, err := Generate("nested", n, 5)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	ctx := context.Background()
+	for name, q := range map[string]*Nested{
+		"point":   avgNeighbourWeight(),
+		"closed":  maxAvgNeighbourWeight(),
+		"boolean": NGuard("V", []string{"x"}, ConnAtLeast, avgNeighbourWeight(), NConst(3)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			p, err := Open(db).Prepare(ctx, name, WithNested(q))
+			if err != nil {
+				t.Fatalf("Prepare: %v", err)
+			}
+			s, err := p.Session()
+			if err != nil {
+				t.Fatalf("Session: %v", err)
+			}
+			defer s.Close()
+			mirror, err := p.nestedInput()
+			if err != nil {
+				t.Fatalf("nestedInput: %v", err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 64)
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			for step := 0; step < 40; step++ {
+				batch := make([]Change, 1+rng.Intn(3))
+				for i := range batch {
+					x, y := rng.Intn(n), rng.Intn(n-1)
+					switch rng.Intn(4) {
+					case 0:
+						batch[i] = SetTuple("E", []int{x, (x + 1 + y) % n}, rng.Intn(3) > 0)
+					case 1:
+						batch[i] = SetTuple("S", []int{x}, rng.Intn(2) == 0)
+					default:
+						batch[i] = SetWeight("u", []int{x}, int64(rng.Intn(5)))
+					}
+				}
+				if err := s.ApplyBatch(batch); err != nil {
+					t.Fatalf("step %d: ApplyBatch(%+v): %v", step, batch, err)
+				}
+				for _, ch := range batch {
+					if ch.Rel != "" {
+						err = mirror.db.SetTuple(ch.Rel, ch.Tuple, ch.Present)
+					} else {
+						err = mirror.db.SetValue(ch.Weight, ch.Tuple, mirror.base.embedAny(ch.Weight, ch.Tuple, ch.Value))
+					}
+					if err != nil {
+						t.Fatalf("step %d: mirror: %v", step, err)
+					}
+				}
+				r, err := s.Snapshot()
+				if err != nil {
+					t.Fatalf("step %d: Snapshot: %v", step, err)
+				}
+				wg.Add(1)
+				go func(db *nested.Database) {
+					defer wg.Done()
+					defer r.Close()
+					if err := checkNestedReader(ctx, r, mirror.f, db, n); err != nil {
+						errs <- fmt.Errorf("step %d: %w", step, err)
+					}
+				}(mirror.db.Clone())
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if got := s.RetainedUndoBytes(); got != 0 {
+				t.Errorf("RetainedUndoBytes = %d after every Reader closed, want 0", got)
+			}
+		})
+	}
+}
+
+// checkNestedReader compares a Reader of a nested session with the reference
+// recursion over db: Eval at every point and, when the query is enumerable,
+// the answer set and its count.
+func checkNestedReader(ctx context.Context, r *Reader, f nested.Formula, db *nested.Database, n int) error {
+	points := [][]int{nil}
+	if vars := r.FreeVars(); len(vars) == 1 {
+		points = points[:0]
+		for x := 0; x < n; x++ {
+			points = append(points, []int{x})
+		}
+	}
+	var want []Answer
+	for _, args := range points {
+		env := map[string]int{}
+		for i, v := range r.FreeVars() {
+			env[v] = args[i]
+		}
+		ref, err := nested.ReferenceEvalAt(db, f, env)
+		if err != nil {
+			return err
+		}
+		got, err := r.Eval(ctx, args...)
+		if err != nil {
+			return fmt.Errorf("epoch %d: Eval(%v): %w", r.Epoch(), args, err)
+		}
+		if string(got) != f.Out().Format(ref) {
+			return fmt.Errorf("epoch %d: Eval(%v) = %s, reference %s", r.Epoch(), args, got, f.Out().Format(ref))
+		}
+		if ref == true {
+			want = append(want, Answer(args))
+		}
+	}
+	if !r.p.Enumerable() {
+		return nil
+	}
+	var got []Answer
+	for a, err := range r.Enumerate(ctx) {
+		if err != nil {
+			return fmt.Errorf("epoch %d: Enumerate: %w", r.Epoch(), err)
+		}
+		got = append(got, a)
+	}
+	slices.SortFunc(got, slices.Compare[Answer])
+	if !slices.EqualFunc(got, want, slices.Equal[Answer]) {
+		return fmt.Errorf("epoch %d: Enumerate = %v, reference %v", r.Epoch(), got, want)
+	}
+	if count, err := r.AnswerCount(ctx); err != nil || count != int64(len(want)) {
+		return fmt.Errorf("epoch %d: AnswerCount = %d, %v; reference %d", r.Epoch(), count, err, len(want))
+	}
+	return nil
+}
+
+// TestNestedSubscribeValue: a value subscription on a nested session follows
+// its commits to the final epoch, and Close ends the stream without leaving a
+// goroutine behind.
+func TestNestedSubscribeValue(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	q := NSum([]string{"x", "y"},
+		NTimes(NBracket(NAtom("E", "x", "y")), NWeight("w", "x", "y")))
+	p, err := testEngine(t).Prepare(ctx, "nested edge sum", WithNested(q))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	base := runtime.NumGoroutine()
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	next, stop := pullSub(ctx, s)
+	if u := mustNext(t, next); u.Epoch != 0 || u.Value != "11" {
+		t.Fatalf("first update = %+v; want the value 11 at epoch 0", u)
+	}
+	for _, v := range []int64{3, 4, 5} {
+		if err := s.Set(SetWeight("w", []int{0, 1}, v)); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
+	}
+	if u := awaitEpoch(t, next, 3); u.Epoch != 3 || u.Value != "14" {
+		t.Fatalf("final update = %+v; want the value 14 at epoch 3", u)
+	}
+	s.Close()
+	for {
+		_, err, ok := next()
+		if !ok {
+			t.Fatal("stream ended without an error after Close")
+		}
+		if err != nil {
+			if !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("stream ended with %v, want ErrSessionClosed", err)
+			}
+			break
+		}
+	}
+	stop()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 2s after Session.Close, baseline %d", runtime.NumGoroutine(), base)
+		}
 	}
 }

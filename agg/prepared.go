@@ -84,6 +84,15 @@ type enumState struct {
 	count     int64
 }
 
+// Cursor draws an independent cursor over the answers.
+func (e *enumState) Cursor() *enumerate.TupleCursor { return e.ans.Cursor() }
+
+// Count returns the number of answers, counted on the first call.
+func (e *enumState) Count() int64 {
+	e.countOnce.Do(func() { e.count = e.ans.Count() })
+	return e.count
+}
+
 // Prepare parses and compiles a query over the engine's database.  The query
 // is either a weighted expression ("sum x, y . [E(x,y)] * w(x,y)") or a
 // first-order formula ("E(x,y) & S(x)"); see Prepared for how the two modes
@@ -113,7 +122,11 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 
 	// Nested mode: the formula is the WithNested tree, not the query text.
 	if cfg.nested != nil {
-		return e.prepareNested(ctx, p)
+		in, err := p.nestedInput()
+		if err != nil {
+			return nil, newError(ErrCompile, query, err)
+		}
+		return p, p.compileNested(ctx, in)
 	}
 
 	// Decide the mode.  WithAnswerVars forces formula mode; otherwise a
@@ -374,30 +387,18 @@ func (p *Prepared) read(ctx context.Context) (func(args []int) (string, error), 
 }
 
 // Session opens a dynamic-update session on the shared compilation: point
-// queries plus weight and tuple updates with logarithmic cost (Theorem 8).
-// Each call returns independent session state; the expensive compilation is
-// shared.  Updates fail fast with ErrSessionBusy when they race each other,
-// but reads never do: Eval always reads at a pin of the last committed
-// epoch, and Session.Snapshot keeps such a pin in a Reader for sustained
-// concurrent reading (see the Session and Reader docs for the full
-// concurrency contract).
-//
-// For enumerable queries with dynamic relations the session also carries a
-// private copy of the enumeration structure on the same clock as its value
-// state, written and committed together with it, so a Reader's one pin
-// serves Eval, Enumerate and AnswerCount at one epoch.
+// queries plus weight and tuple updates with logarithmic cost (Theorem 8),
+// under the concurrency contract the Session type describes.  Each call
+// returns independent session state.  An enumerable query with dynamic
+// relations keeps its answer set on the session's clock too, so a Reader's
+// one pin serves Eval, Enumerate and AnswerCount at one epoch.  A nested
+// query's session recomputes: the first read of an epoch re-materialises the
+// query over that epoch's database, and epoch 0 is the Prepared's own program.
 func (p *Prepared) Session() (*Session, error) {
+	open := p.sem.newSession
 	if p.cfg.nested != nil {
-		sess, err := p.nestedSession()
-		if err != nil {
-			return nil, err
-		}
-		return &Session{p: p, sess: sess}, nil
+		open = newNestedSession
 	}
-	s := &Session{p: p, sess: p.sem.newSession(p.sh, p.weights(), p.tr)}
-	s.clock = s.sess.Clock()
-	if p.enum != nil && len(p.cfg.dynamic) > 0 {
-		s.ans = p.enum.ans.Follower(s.clock)
-	}
-	return s, nil
+	sess := open(p)
+	return &Session{p: p, sess: sess, clock: sess.Clock()}, nil
 }

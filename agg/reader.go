@@ -27,38 +27,24 @@ type Reader struct {
 	clock  *mvcc.Clock
 	epoch  uint64 // the pin: taken by Snapshot, returned by Close
 	point  func(args []int) (string, error)
-	ans    *enumerate.AnswersSnapshot // nil unless enumerable with dynamic relations
+	ans    answers // nil unless enumerable
 	closed bool
-}
-
-// pinnable returns the session's clock, or the reason there is nothing to
-// pin: the session is closed, or nested and so without epochs.
-func (s *Session) pinnable() (*mvcc.Clock, error) {
-	s.stateMu.RLock()
-	closed := s.closed
-	s.stateMu.RUnlock()
-	if closed {
-		return nil, errorf(ErrSessionClosed, s.p.text, "session was closed")
-	}
-	if s.clock == nil {
-		return nil, errorf(ErrArgument, s.p.text, "nested sessions do not support snapshots")
-	}
-	return s.clock, nil
 }
 
 // Snapshot pins the session's current committed epoch and returns a Reader
 // for it.  Taking a snapshot is cheap (no copy of the evaluator state) and
-// does not block the writer beyond a brief pin.  Nested sessions cannot
-// snapshot and fail with ErrArgument.
+// does not block the writer beyond a brief pin; only an enumerable nested
+// query's Snapshot materialises its epoch, as the epoch's first read would.
 func (s *Session) Snapshot() (*Reader, error) {
-	c, err := s.pinnable()
-	if err != nil {
+	if err := s.open(); err != nil {
 		return nil, err
 	}
-	r := &Reader{p: s.p, clock: c, epoch: c.Pin()}
+	r := &Reader{p: s.p, clock: s.clock, epoch: s.clock.Pin()}
 	r.point = s.sess.At(r.epoch)
-	if s.ans != nil {
-		r.ans = s.ans.At(r.epoch)
+	var err error
+	if r.ans, err = s.sess.Answers(r.epoch); err != nil {
+		r.Close()
+		return nil, err
 	}
 	return r, nil
 }
@@ -95,15 +81,10 @@ func (r *Reader) Eval(ctx context.Context, args ...int) (Value, error) {
 // ErrNotEnumerable.
 func (r *Reader) Enumerate(ctx context.Context) iter.Seq2[Answer, error] {
 	return r.p.stream(ctx, func() (*enumerate.TupleCursor, error) {
-		switch {
-		case r.closed:
+		if r.closed {
 			return nil, errorf(ErrSessionClosed, r.p.text, "reader was closed")
-		case r.ans != nil:
-			return r.ans.Cursor(), nil
 		}
-		// Without dynamic relations the answers never change: the prepared
-		// query's static enumeration structure is every epoch's answer set.
-		return r.p.enum.ans.Cursor(), nil
+		return r.ans.Cursor(), nil
 	})
 }
 
@@ -122,10 +103,7 @@ func (r *Reader) AnswerCount(ctx context.Context) (int64, error) {
 	}
 	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
 	defer evalSpan.End()
-	if r.ans != nil {
-		return r.ans.Count(), nil
-	}
-	return r.p.AnswerCount(ctx)
+	return r.ans.Count(), nil
 }
 
 // Close releases the Reader's pin, letting the session reclaim undo history.

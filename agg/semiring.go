@@ -12,7 +12,6 @@ import (
 	"repro/internal/enumerate"
 	"repro/internal/mvcc"
 	"repro/internal/nested"
-	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/semiring"
 	"repro/internal/structure"
@@ -53,11 +52,11 @@ type Semiring interface {
 	// adopt is convert for weights that already are values of the carrier: the
 	// ones a nested query's materialisation derived, dynamically typed.
 	adopt(ws *structure.Weights[any]) (any, error)
-	// newSession instantiates per-session dynamic state (Theorem 8) on a
-	// shared compilation, with a private copy of the converted weights cw.  A
-	// non-nil tracer receives the session's propagation-wave timings; nil
-	// leaves the update path uninstrumented (no clock reads).
-	newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession
+	// newSession instantiates per-session dynamic state (Theorem 8) on p's
+	// compilation, with a private copy of its converted weights.  The Prepare
+	// tracer, when there is one, receives the session's propagation-wave
+	// timings; without one the update path is uninstrumented (no clock reads).
+	newSession(p *Prepared) erasedSession
 	// newStatic evaluates a shared compilation once under the converted
 	// weights cw, spreading its levels over workers goroutines and stopping
 	// with ctx's error when ctx is cancelled, and returns its point query, a
@@ -76,22 +75,27 @@ type Semiring interface {
 // carrier type erased; the public Session type wraps it with the fail-fast
 // writer lock and lifecycle state.
 type erasedSession interface {
-	// Write validates the batch before anything is applied (all-or-nothing)
-	// and then applies it as one exclusive section of Clock() that commits at
-	// most one epoch, which it returns (0 when the write changed nothing or
-	// there is no clock).  A non-nil ans is the session's answer state on the
-	// same clock: tuple changes are staged into it within the same section, so
-	// it is validated once and committed together with the value state.
-	Write(changes []Change, ans *enumerate.Answers) (committed uint64, err error)
+	// Write validates the batch and applies it as one exclusive section of
+	// Clock() that commits at most one epoch, which it returns (0 when the
+	// write changed nothing).
+	Write(changes []Change) (committed uint64, err error)
 	// Clock is the session's one MVCC clock: commit counter, reader pins and
-	// reader/writer lock of every engine state the session keeps; nil for an
-	// engine without epoch-versioned state (the nested recompute session).
+	// reader/writer lock of every engine state the session keeps.
 	Clock() *mvcc.Clock
 	// At returns the point query as of an epoch pinned on Clock(): it keeps
 	// answering as of that commit while the writer keeps committing, and is
-	// meant for one goroutine.  An engine without a clock returns the point
-	// query of its current state, read under the session's writer lock.
+	// meant for one goroutine.
 	At(epoch uint64) func(args []int) (string, error)
+	// Answers returns the answer set as of a pinned epoch, nil for a query
+	// that is not enumerable.
+	Answers(epoch uint64) (answers, error)
+}
+
+// answers is the answer set of one epoch: an enumerable Prepared's, which no
+// write reaches, a session follower's at a pin, or a nested version's.
+type answers interface {
+	Cursor() *enumerate.TupleCursor
+	Count() int64
 }
 
 // NewSemiring builds a registrable semiring from an arithmetic and an
@@ -123,12 +127,19 @@ func (ts *typedSemiring[T]) adopt(ws *structure.Weights[any]) (any, error) {
 	return nested.TypedWeights[T](ws)
 }
 
-func (ts *typedSemiring[T]) newSession(sh *dynamicq.Shared, cw any, tr *obs.Tracer) erasedSession {
-	q := dynamicq.NewQuery(ts.s, sh, cw.(*structure.Weights[T]).Clone())
-	if hook := tr.WaveHook(); hook != nil {
+func (ts *typedSemiring[T]) newSession(p *Prepared) erasedSession {
+	q := dynamicq.NewQuery(ts.s, p.sh, p.weights().(*structure.Weights[T]).Clone())
+	if hook := p.tr.WaveHook(); hook != nil {
 		q.SetWaveHook(hook)
 	}
-	return &typedSession[T]{ts: ts, sh: sh, q: q}
+	s := &typedSession[T]{ts: ts, sh: p.sh, q: q}
+	switch {
+	case p.enum != nil && len(p.cfg.dynamic) > 0:
+		s.follower = p.enum.ans.Follower(q.Clock())
+	case p.enum != nil:
+		s.static = p.enum
+	}
+	return s
 }
 
 func (ts *typedSemiring[T]) newStatic(ctx context.Context, sh *dynamicq.Shared, cw any, workers int) (func(args []int) (string, error), error) {
@@ -170,6 +181,11 @@ type typedSession[T any] struct {
 	ts *typedSemiring[T]
 	sh *dynamicq.Shared
 	q  *dynamicq.Query[T]
+	// static is an enumerable Prepared's answer set, every epoch's when no
+	// relation is dynamic; otherwise follower, a second engine state on q's
+	// program and clock, takes every write q validates, committed with it.
+	static   answers
+	follower *enumerate.Answers
 }
 
 // format renders a point read's value, or passes its error on.
@@ -187,14 +203,21 @@ func (s *typedSession[T]) At(epoch uint64) func(args []int) (string, error) {
 	return func(args []int) (string, error) { return s.ts.format(snap.Value(args...)) }
 }
 
+func (s *typedSession[T]) Answers(epoch uint64) (answers, error) {
+	if s.follower != nil {
+		return s.follower.At(epoch), nil
+	}
+	return s.static, nil
+}
+
 // Write is the one write section of a session: the query validates the
 // batch, records it in the session's one shadow and translates it into leaf
-// inputs, then — under the clock, exclusively — the answer state (when the
+// inputs, then — under the clock, exclusively — the follower (when the
 // session keeps one) stages the query's membership leaves, the value state
 // stages all of them, and the clock commits once, iff either state changed.
 // The embedding is the registrant's code, so it runs before the clock is
 // taken.
-func (s *typedSession[T]) Write(changes []Change, ans *enumerate.Answers) (uint64, error) {
+func (s *typedSession[T]) Write(changes []Change) (uint64, error) {
 	// A single Set converts on the stack.
 	var one [1]dynamicq.Change[T]
 	typed := one[:0]
@@ -214,8 +237,8 @@ func (s *typedSession[T]) Write(changes []Change, ans *enumerate.Answers) (uint6
 	c := s.q.Clock()
 	c.Lock()
 	defer c.Unlock()
-	if ans != nil {
-		ans.Follow(s.sh, s.q.Members())
+	if s.follower != nil {
+		s.follower.Follow(s.sh, s.q.Members())
 	}
 	s.q.Stage()
 	return c.Commit(), nil

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/enumerate"
 	"repro/internal/live"
 	"repro/internal/mvcc"
 	"repro/internal/obs"
@@ -20,23 +19,15 @@ import (
 // another update holds the session returns ErrSessionBusy instead of
 // queueing.  Reads never fail that way — Eval always reads at a pin of the
 // last committed epoch, writer in flight or not, and Snapshot hands out a
-// Reader that keeps one such pin for sustained concurrent reading.  The
-// lone exception is a nested (WithNested) session, which recomputes instead
-// of maintaining: a write may change any relation or weight, Gaifman graph
-// included, and only marks the session stale; the first read after it
-// re-materialises the nested query over the updated database (the cost of a
-// Prepare), and the reads that follow are point queries on that result until
-// the next write.  Such a session has no epochs to snapshot, so there Eval
-// keeps the fail-fast ErrSessionBusy contract.  After Close every operation
-// returns ErrSessionClosed, but Readers drawn before the Close stay usable
-// until they are closed themselves.
+// Reader that keeps one such pin for sustained concurrent reading.  After
+// Close every operation returns ErrSessionClosed, but Readers drawn before the
+// Close stay usable until they are closed themselves.
 type Session struct {
 	p    *Prepared
 	once sync.Once
 
-	// writerMu serialises mutations (and a nested session's reads, which may
-	// re-materialise); TryLock keeps the fail-fast contract for writer–writer
-	// conflicts.
+	// writerMu serialises mutations; TryLock keeps the fail-fast contract for
+	// writer–writer conflicts.
 	writerMu sync.Mutex
 	// stateMu guards the lifecycle flag so concurrent readers can check it
 	// without contending with writers.
@@ -45,14 +36,8 @@ type Session struct {
 	closed bool
 	sess   erasedSession
 	// clock is sess.Clock(): the session's one commit counter, pin set and
-	// reader/writer lock, nil for a nested session.
+	// reader/writer lock.
 	clock *mvcc.Clock
-	// ans is the session-private answer enumerator, present only for
-	// enumerable queries with dynamic relations: a second engine state, in the
-	// free semiring, over the program sess evaluates and on the same clock.
-	// Every write sess validates is staged into both and committed once, so a
-	// Reader's one pin resolves the value and the answer set of one epoch.
-	ans *enumerate.Answers
 	// one is Set's one-change batch, kept here (under writerMu) because a
 	// per-call slice would escape to the heap through the engine interface.
 	one [1]Change
@@ -92,11 +77,19 @@ func (s *Session) acquireWriter() error {
 	if !s.writerMu.TryLock() {
 		return errorf(ErrSessionBusy, s.p.text, "session is processing another update")
 	}
+	if err := s.open(); err != nil {
+		s.writerMu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// open returns ErrSessionClosed once the session is closed.
+func (s *Session) open() error {
 	s.stateMu.RLock()
 	closed := s.closed
 	s.stateMu.RUnlock()
 	if closed {
-		s.writerMu.Unlock()
 		return errorf(ErrSessionClosed, s.p.text, "session was closed")
 	}
 	return nil
@@ -109,38 +102,21 @@ func (s *Session) FreeVars() []string { return s.p.FreeVars() }
 // Eval reads the query value under the updates applied so far: no arguments
 // for a closed query, one element per free variable for a point query.
 //
-// Eval never returns ErrSessionBusy on an MVCC-backed (non-nested) session:
-// it pins the last committed epoch, answers from that, and unpins it, without
-// ever taking the writer lock — so reads keep flowing under a sustained write
-// stream and never make a concurrent writer fail either.  On a nested session,
-// which cannot snapshot, Eval reads — and after a write first rebuilds — the
-// session's one materialisation under the writer lock, and fails fast when it
-// is held.
+// Eval never returns ErrSessionBusy: it pins the last committed epoch, answers
+// from that, and unpins it, without ever taking the writer lock — so reads
+// keep flowing under a sustained write stream and never make a concurrent
+// writer fail either.
 func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 	if err := ensureCtx(ctx).Err(); err != nil {
 		return "", err
 	}
-	s.stateMu.RLock()
-	closed := s.closed
-	s.stateMu.RUnlock()
-	if closed {
-		return "", errorf(ErrSessionClosed, s.p.text, "session was closed")
+	if err := s.open(); err != nil {
+		return "", err
 	}
 	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
-	var out string
-	var err error
-	if c := s.clock; c != nil {
-		epoch := c.Pin()
-		out, err = s.sess.At(epoch)(args)
-		c.Unpin(epoch)
-	} else {
-		// Nested sessions have no snapshots: read in place, fail-fast.
-		if !s.writerMu.TryLock() {
-			return "", errorf(ErrSessionBusy, s.p.text, "session is processing another operation")
-		}
-		out, err = s.sess.At(0)(args)
-		s.writerMu.Unlock()
-	}
+	epoch := s.clock.Pin()
+	out, err := s.sess.At(epoch)(args)
+	s.clock.Unpin(epoch)
 	if err != nil {
 		return "", newError(ErrArgument, s.p.text, err)
 	}
@@ -153,16 +129,14 @@ func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 // by the compiled circuit: a Set or ApplyBatch commits exactly one epoch —
 // whatever the number of changes and of engine states they reach — iff it
 // changes the stored value (a missing one is zero) of a weight symbol the
-// query mentions, or the membership of a tuple of a dynamic relation, whether
-// or not the compiler wired that input to a gate.  A write that re-asserts
-// what the session already holds, or sets a weight symbol the query does not
-// mention, commits none and pushes nothing to subscribers.  Reader.Epoch,
-// Update.Epoch and this counter all read the same clock.  Nested sessions,
-// which have no commit counter, always report zero.
+// query mentions, or the membership of a tuple of a dynamic relation (of any
+// relation the query reads, for a nested query), whether or not the compiler
+// wired that input to a gate.  A write that re-asserts what the session
+// already holds, or sets a weight symbol the query does not mention, commits
+// none and pushes nothing to subscribers.  Reader.Epoch, Update.Epoch and this
+// counter all read the same clock.
 func (s *Session) Epoch() uint64 {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.closed || s.clock == nil {
+	if s.open() != nil {
 		return 0
 	}
 	return s.clock.Epoch()
@@ -171,9 +145,7 @@ func (s *Session) Epoch() uint64 {
 // RetainedUndoBytes reports the undo-history memory currently pinned by
 // outstanding Readers and snapshot reads; zero whenever none are open.
 func (s *Session) RetainedUndoBytes() int64 {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.closed || s.clock == nil {
+	if s.open() != nil {
 		return 0
 	}
 	return s.clock.Retained()
@@ -215,7 +187,7 @@ func (s *Session) write(changes []Change) error {
 			return errorf(ErrUpdate, s.p.text, "change %d must name exactly one of a weight and a relation, got weight %q and relation %q", i, ch.Weight, ch.Rel)
 		}
 	}
-	committed, err := s.sess.Write(changes, s.ans)
+	committed, err := s.sess.Write(changes)
 	if err != nil {
 		return newError(ErrUpdate, s.p.text, err)
 	}

@@ -148,7 +148,6 @@ func SubscribeFrom(epoch uint64) SubscribeOption {
 // The stream ends when ctx is cancelled (the iterator yields the context
 // error), when the session is closed (ErrSessionClosed, after any pending
 // update is delivered), or when the consumer breaks out of the loop.
-// Nested sessions, which cannot snapshot, fail with ErrArgument.
 func (s *Session) Subscribe(ctx context.Context, opts ...SubscribeOption) iter.Seq2[Update, error] {
 	ctx = ensureCtx(ctx)
 	return func(yield func(Update, error) bool) {
@@ -177,10 +176,10 @@ func (s *Session) Subscribe(ctx context.Context, opts ...SubscribeOption) iter.S
 				return
 			}
 		}
-		// Nested and closed sessions are rejected up front, and a context that
-		// is already over before anything is registered: a caller probing for
-		// the errors above costs the session nothing.
-		if _, err := s.pinnable(); err != nil {
+		// A closed session is rejected up front, and a context that is already
+		// over before anything is registered: a caller probing for the errors
+		// above costs the session nothing.
+		if err := s.open(); err != nil {
 			yield(Update{}, err)
 			return
 		}

@@ -236,7 +236,12 @@ func TestSubscribeValidation(t *testing.T) {
 		t.Fatalf("Session nested: %v", err)
 	}
 	defer ns.Close()
-	expectErr(ns, ErrArgument) // nested sessions cannot snapshot
+	for u, err := range ns.Subscribe(ctx) {
+		if err != nil || u.Value != "11" {
+			t.Errorf("nested Subscribe first update = %+v, %v; want the value 11", u, err)
+		}
+		break
+	}
 }
 
 func TestSubscribeSessionCloseEndsStream(t *testing.T) {

@@ -89,3 +89,31 @@ func TestTracedPointReadsAreNotWaves(t *testing.T) {
 		t.Errorf("4 point reads and no write observed %d propagation waves; want 0", waves)
 	}
 }
+
+// TestReaderAnswerCountObservesOneEval: a Reader's AnswerCount is one eval
+// stage, also on a session whose answers are the Prepared's.
+func TestReaderAnswerCountObservesOneEval(t *testing.T) {
+	tr := obs.NewTracer()
+	ctx := obs.NewContext(context.Background(), tr)
+	p, err := testEngine(t).Prepare(ctx, "E(x,y) & S(x)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	r, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	defer r.Close()
+	evals := tr.Stage(obs.StageEval).Snapshot().Count
+	if n, err := r.AnswerCount(ctx); err != nil || n != 3 {
+		t.Fatalf("AnswerCount = %d, %v; want 3", n, err)
+	}
+	if n := tr.Stage(obs.StageEval).Snapshot().Count - evals; n != 1 {
+		t.Errorf("one Reader.AnswerCount observed %d eval stages; want 1", n)
+	}
+}

@@ -62,12 +62,6 @@ type Dynamic[T any] struct {
 
 	finite semiring.Finite[T] // nil unless the semiring is finite
 	elems  []T                // carrier, when finite
-	// elemIdx maps the rendering of a carrier element to its index in elems,
-	// so large carriers resolve elements in O(1) instead of scanning on
-	// every update.  It stays nil for small carriers (where an Equal scan is
-	// cheaper than formatting) and for semirings whose Format is not
-	// injective on the carrier (the scan is the always-correct fallback).
-	elemIdx map[string]int
 
 	// live holds the gate values, rewritten in place by every wave.
 	live *Values[T]
@@ -144,17 +138,6 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 	if f, ok := s.(semiring.Finite[T]); ok {
 		d.finite = f
 		d.elems = f.Elements()
-		if len(d.elems) > smallCarrierScanLimit {
-			d.elemIdx = make(map[string]int, len(d.elems))
-			for i, e := range d.elems {
-				d.elemIdx[s.Format(e)] = i
-			}
-			if len(d.elemIdx) != len(d.elems) {
-				// Format collides on the carrier: a map hit could return the
-				// wrong index, so fall back to Equal scans throughout.
-				d.elemIdx = nil
-			}
-		}
 	}
 	n := p.numGates
 	switch {
@@ -213,22 +196,10 @@ func (d *Dynamic[T]) initAdder(g int) {
 	}
 }
 
-// smallCarrierScanLimit is the carrier size below which elemIndex scans with
-// Equal instead of using the rendering map: for a handful of elements the
-// scan is both faster and allocation-free, while formatting would allocate a
-// string per lookup on the update hot path.
-const smallCarrierScanLimit = 32
-
-// elemIndex resolves a carrier element to its index in elems: via the
-// rendering map precomputed in NewDynamicProgram for large carriers, by a
-// linear Equal scan otherwise (and as the fallback for elements the map
-// misses).
+// elemIndex resolves a carrier element to its index in elems by a linear
+// Equal scan: the finite carriers registered are tiny (boolean has two
+// elements), and the scan allocates nothing on the update hot path.
 func (d *Dynamic[T]) elemIndex(v T) int {
-	if d.elemIdx != nil {
-		if i, ok := d.elemIdx[d.s.Format(v)]; ok {
-			return i
-		}
-	}
 	for i, e := range d.elems {
 		if d.s.Equal(e, v) {
 			return i

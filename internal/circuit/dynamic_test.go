@@ -263,17 +263,17 @@ func TestNewDynamicRejectsNonTopologicalCircuits(t *testing.T) {
 
 // collidingFormat wraps a finite semiring with a Format that is constant on
 // the carrier, modelling diagnostics-oriented renderings that are not
-// injective; elemIndex must fall back to Equal scans and stay correct.
+// injective; elemIndex compares with Equal and must stay correct.
 type collidingFormat struct{ semiring.Truncated }
 
 func (collidingFormat) Format(int64) string { return "∗" }
 
-// TestFiniteCarrierIndexPaths drives the finite adder path through both
-// elemIndex strategies: a >32-element carrier with injective Format (the
-// precomputed map) and the same carrier with a colliding Format (the map is
-// dropped at NewDynamicProgram and the Equal-scan fallback takes over).
+// TestFiniteCarrierIndexPaths drives the finite adder path, whose elemIndex
+// is an Equal scan, over a large carrier: a 41-element one with an injective
+// Format and the same carrier with a colliding Format, which the scan must not
+// confuse.
 func TestFiniteCarrierIndexPaths(t *testing.T) {
-	big := semiring.NewTruncated(40) // 41 elements: above the scan limit
+	big := semiring.NewTruncated(40) // 41 elements
 	coll := collidingFormat{big}
 	r := rand.New(rand.NewSource(61))
 	for round := 0; round < 10; round++ {

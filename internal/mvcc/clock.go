@@ -61,6 +61,10 @@ func (c *Clock) Epoch() uint64 { return c.epoch.Load() }
 // exclusively.
 func (c *Clock) Touch() { c.dirty = true }
 
+// HeadPinned reports whether a reader is pinned at the committed epoch, the
+// one a write in progress supersedes.  The caller holds the clock exclusively.
+func (c *Clock) HeadPinned() bool { return c.pins[c.epoch.Load()] > 0 }
+
 // Commit ends a write: if any attached state was touched, the open
 // transition of every attached log is sealed as the one epoch C → C+1 — kept
 // while readers are pinned (possibly empty, so transitions stay indexable by

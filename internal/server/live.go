@@ -401,6 +401,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.ctr[cCanceled].Add(1)
 			return
 		}
+		line++ // the line that could not be read
 		fail(fmt.Errorf("reading change stream: %w: %v", agg.ErrArgument, err))
 		return
 	}

@@ -224,6 +224,85 @@ func BenchmarkPairedNestedPointRead(b *testing.B) {
 	}
 }
 
+// BenchmarkPairedNestedSession measures a session of the nested query of
+// BenchmarkPairedNestedPointRead, per operation: "first-read" opens a session
+// and reads one point; "write" sets a vertex weight the query reads, with no
+// Reader open; "pinned-write" sets one while a Reader is open; "write-read"
+// sets one and reads a point, so that every read is the first of its epoch.
+func BenchmarkPairedNestedSession(b *testing.B) {
+	ctx := context.Background()
+	sumW := agg.NSum([]string{"y"}, agg.NTimes(agg.NBracket(agg.NAtom("E", "x", "y")), agg.NWeight("u", "y")))
+	degree := agg.NSum([]string{"y"}, agg.NBracket(agg.NAtom("E", "x", "y")))
+	avg := agg.NGuard("V", []string{"x"}, agg.ConnRatio, sumW, degree)
+	for _, n := range []int{1000, 4000} {
+		db, err := agg.Generate("nested", n, 13)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := agg.Open(db).Prepare(ctx, "average neighbour weight", agg.WithNested(avg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		open := func(b *testing.B) *agg.Session {
+			s, err := p.Session()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { s.Close() })
+			return s
+		}
+		// set gives u(i mod n) a value no earlier operation gave it.
+		set := func(b *testing.B, s *agg.Session, i int) {
+			if err := s.Set(agg.SetWeight("u", []int{i % n}, int64(100+i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		read := func(b *testing.B, s *agg.Session, i int) {
+			if _, err := s.Eval(ctx, i%n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d/first-read", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := p.Session()
+				if err != nil {
+					b.Fatal(err)
+				}
+				read(b, s, i)
+				s.Close()
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/write", n), func(b *testing.B) {
+			s := open(b)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set(b, s, i)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/pinned-write", n), func(b *testing.B) {
+			s := open(b)
+			r, err := s.Snapshot()
+			if err != nil {
+				b.Skipf("Snapshot: %v", err)
+			}
+			defer r.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set(b, s, i)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/write-read", n), func(b *testing.B) {
+			s := open(b)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set(b, s, i)
+				read(b, s, i)
+			}
+		})
+	}
+}
+
 // BenchmarkPairedColdPrepare is the repository benchmark's cold_prepare
 // workload without its harness: a fresh Engine and one Prepare per operation
 // — parse, quantifier elimination, colouring, compile, freeze, nothing cached
