@@ -562,29 +562,41 @@ func TestSessionEvalAllocations(t *testing.T) {
 // gate feeds, which cell of a permanent a slot is — is frozen into the shared
 // Program, so a session that rebuilds it as per-gate maps (7.0 objects per
 // gate on this input, against 3.6 without them and with each permanent's
-// matrix allocated once) fails the bound.
+// matrix allocated once) fails the bound.  The bound holds on every update
+// strategy: natural's generic one, and ℤ's and boolean's constant-time ones,
+// whose permanent maintainers must not rebuild per gate what depends on the
+// row count only (a ring session that tabulated set partitions with big.Int
+// coefficients per gate made 9.4 objects per gate, and a boolean one that
+// kept big.Int counts per column type 7.7).
 func TestSessionOpenAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
+	registerStrategyCarriers()
 	db, err := Generate("pref-attach", 1500, 1)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	p, err := Open(db).Prepare(context.Background(), "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+	natural, err := Open(db).Prepare(context.Background(), "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	got := testing.AllocsPerRun(5, func() {
-		s, err := p.Session()
+	for _, carrier := range []string{"natural", ringCarrier, "boolean"} {
+		p, err := natural.In(carrier)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("In(%s): %v", carrier, err)
 		}
-		s.Close()
-	})
-	perGate := got / float64(p.Stats().Gates)
-	t.Logf("Prepared.Session: %.0f allocs, %.2f per gate", got, perGate)
-	if perGate > 5 {
-		t.Errorf("Prepared.Session allocates %.2f objects per gate, want ≤ 5", perGate)
+		got := testing.AllocsPerRun(5, func() {
+			s, err := p.Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		})
+		perGate := got / float64(p.Stats().Gates)
+		t.Logf("%s: Prepared.Session: %.0f allocs, %.2f per gate", carrier, got, perGate)
+		if perGate > 5 {
+			t.Errorf("%s: Prepared.Session allocates %.2f objects per gate, want ≤ 5", carrier, perGate)
+		}
 	}
 }

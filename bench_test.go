@@ -82,12 +82,14 @@ func BenchmarkE3Permanent(b *testing.B) {
 		return m
 	}
 	b.Run("static-eval", func(b *testing.B) {
+		b.ReportAllocs()
 		m := mk(semiring.Nat, 1<<62)
 		for i := 0; i < b.N; i++ {
 			perm.Perm[int64](semiring.Nat, m)
 		}
 	})
 	b.Run("update-generic-log", func(b *testing.B) {
+		b.ReportAllocs()
 		d := perm.NewDynamic[int64](semiring.Nat, mk(semiring.Nat, 1<<62))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -96,6 +98,7 @@ func BenchmarkE3Permanent(b *testing.B) {
 		}
 	})
 	b.Run("update-ring-const", func(b *testing.B) {
+		b.ReportAllocs()
 		d := perm.NewRingDynamic[int64](semiring.Int, mk(semiring.Int, 1<<62))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -104,6 +107,7 @@ func BenchmarkE3Permanent(b *testing.B) {
 		}
 	})
 	b.Run("update-finite-const", func(b *testing.B) {
+		b.ReportAllocs()
 		mod := semiring.NewModular(7)
 		d := perm.NewFiniteDynamic[int64](mod, mk(mod, 7))
 		b.ResetTimer()

@@ -17,7 +17,7 @@ import (
 // EvaluateAll computes the value of every gate of the built circuit in the
 // semiring s under the valuation v, returning the slice indexed by gate id.
 // Constants go through big.Int arithmetic and every permanent gate
-// materialises its column matrix for perm.PermColumns.
+// materialises its matrix for perm.Perm.
 func EvaluateAll[T any](c *circuit.Circuit, s semiring.Semiring[T], v circuit.Valuation[T]) []T {
 	p := c.Program()
 	vals := make([]T, p.NumGates())
@@ -45,16 +45,9 @@ func EvaluateAll[T any](c *circuit.Circuit, s semiring.Semiring[T], v circuit.Va
 			vals[id] = acc
 		case circuit.KindPerm:
 			rows, cols := p.PermShape(id)
-			matrix := make([][]T, cols)
-			for c := range matrix {
-				col := make([]T, rows)
-				for r := range col {
-					col[r] = s.Zero()
-				}
-				matrix[c] = col
-			}
-			p.ForEachPermEntry(id, func(row, col, gate int) { matrix[col][row] = vals[gate] })
-			vals[id] = perm.PermColumns(s, rows, func(c int) []T { return matrix[c] }, cols)
+			m := perm.NewMatrix(s, rows, cols)
+			p.ForEachPermEntry(id, func(row, col, gate int) { m.Set(row, col, vals[gate]) })
+			vals[id] = perm.Perm(s, m)
 		default:
 			panic(fmt.Sprintf("circuittest: unknown gate kind %v", p.GateKind(id)))
 		}

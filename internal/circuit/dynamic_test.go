@@ -358,6 +358,65 @@ func TestGenericUpdateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestConstantTimeUpdateZeroAllocs extends the allocation guard to the ring
+// and finite strategies, on TestGenericUpdateZeroAllocs' circuit shape: shared
+// mul gates, a wide adder kept by difference updates or value counts, and a
+// permanent gate backed by perm.RingDynamic or perm.FiniteDynamic.
+func TestConstantTimeUpdateZeroAllocs(t *testing.T) {
+	guardStrategyAllocs(t, "Int", semiring.Int, func(step int) int64 { return int64(step%7 - 3) })
+	guardStrategyAllocs(t, "Bool", semiring.Bool, func(step int) bool { return step%3 != 0 })
+	tr := semiring.NewTruncated(3)
+	guardStrategyAllocs[int64](t, "Truncated(3)", tr, func(step int) int64 { return int64(step % 4) })
+}
+
+func guardStrategyAllocs[T any](t *testing.T, name string, s semiring.Semiring[T], val func(step int) T) {
+	t.Helper()
+	c := NewBuilder()
+	const nInputs = 32
+	inputs := make([]int, nInputs)
+	for i := range inputs {
+		inputs[i] = input(c, "w", i)
+	}
+	var muls []int
+	for i := 0; i+1 < nInputs; i += 2 {
+		muls = append(muls, c.Mul(inputs[i], inputs[i+1]))
+	}
+	var entries []PermEntry
+	for col := 0; col < 8; col++ {
+		entries = append(entries, PermEntry{Row: 0, Col: col, Gate: inputs[col]})
+		entries = append(entries, PermEntry{Row: 1, Col: col, Gate: inputs[col+8]})
+	}
+	c.SetOutput(c.Add(c.Add(muls...), c.Perm(2, 8, entries)))
+
+	d := NewDynamicProgram[T](c.Program(), s, func(in Input) (T, bool) { return s.One(), true })
+	keys := make([]structure.WeightKey, nInputs)
+	for i := range keys {
+		keys[i] = key("w", i)
+	}
+	for round := 0; round < 3; round++ {
+		for i, k := range keys {
+			d.SetInput(k, val(round+i))
+		}
+	}
+	step := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		step++
+		d.SetInput(keys[step%nInputs], val(step))
+	}); allocs != 0 {
+		t.Errorf("%s: SetInput allocates %.2f objects per steady-state update, want 0", name, allocs)
+	}
+	batch := make([]InputChange[T], 8)
+	if allocs := testing.AllocsPerRun(200, func() {
+		step++
+		for i := range batch {
+			batch[i] = InputChange[T]{Key: keys[(step+i)%nInputs], Value: val(step + i)}
+		}
+		d.ApplyBatch(batch)
+	}); allocs != 0 {
+		t.Errorf("%s: ApplyBatch allocates %.2f objects per steady-state batch, want 0", name, allocs)
+	}
+}
+
 // BenchmarkDynamicGenericUpdate reports the per-update cost and allocation
 // count of the generic path (run with -benchmem; the allocs/op column must
 // stay at 0).

@@ -98,7 +98,7 @@ func evaluateProgramGate[T any](p *Program, s semiring.Semiring[T], v Valuation[
 }
 
 // evaluateProgramPerm is the one from-scratch evaluator of permanent gates:
-// the column dynamic program of perm.PermColumns, run directly over the
+// the column dynamic program of perm.Perm, run directly over the
 // column-major entry arena with the caller's scratch buffers, so no column
 // matrix is materialised and nothing is allocated.  The operand wired at
 // entry i is vals[kids[i]].  The sweeps pass the gate's slice of the children

@@ -17,15 +17,21 @@
 //     O(3^k·log n) semiring operations (the divide-and-conquer circuit of
 //     Lemma 10/11 and Corollary 13).
 //   - RingDynamic maintains a permanent over a ring in O(2^k) operations per
-//     update (the inclusion–exclusion circuit of Lemma 15, Corollary 17).
-//   - FiniteDynamic maintains a permanent over a finite semiring in time
-//     independent of n per update (the column-type counting argument of
-//     Lemma 18, Corollary 20).
+//     update and O(3^k) per read of a changed value (the inclusion–exclusion
+//     circuit of Lemma 15, Corollary 17).
+//   - FiniteDynamic maintains a permanent over a finite semiring in O(k·|S|)
+//     operations per update and O(types present · 3^k) per read of a changed
+//     value, plus O(k·log n) additions per type to lift its count into S
+//     (the column-type counting argument of Lemma 18, Corollary 20).
+//
+// The constant-time strategies keep their bookkeeping in machine integers:
+// subset masks, factorials up to (maxRows−1)! and column counts.  A count
+// enters the semiring only as n·1, through semiring.ScalarMul.
 package perm
 
 import (
 	"fmt"
-	"math/big"
+	"math/bits"
 
 	"repro/internal/semiring"
 )
@@ -56,18 +62,16 @@ func (m *Matrix[T]) At(r, c int) T { return m.data[r*m.Cols+c] }
 // Set assigns M[r, c] = v.
 func (m *Matrix[T]) Set(r, c int, v T) { m.data[r*m.Cols+c] = v }
 
-// Column returns the c-th column as a fresh slice.
-func (m *Matrix[T]) Column(c int) []T {
-	col := make([]T, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		col[r] = m.At(r, c)
-	}
-	return col
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Matrix[T]) Clone() *Matrix[T] {
 	return &Matrix[T]{Rows: m.Rows, Cols: m.Cols, data: append([]T(nil), m.data...)}
+}
+
+// checkUpdate panics unless (row, col) is an entry of m.
+func (m *Matrix[T]) checkUpdate(row, col int) {
+	if row < 0 || row >= m.Rows || col < 0 || col >= m.Cols {
+		panic("perm: update out of range")
+	}
 }
 
 // maxRows bounds the supported number of rows.  The number of rows equals
@@ -142,41 +146,6 @@ func Perm[T any](s semiring.Semiring[T], m *Matrix[T]) T {
 	return state[size-1]
 }
 
-// PermColumns computes the permanent of a matrix given as a sequence of
-// columns (each of length k), without materialising a Matrix.  It is used by
-// the circuit evaluator for permanent gates.
-func PermColumns[T any](s semiring.Semiring[T], k int, columns func(c int) []T, n int) T {
-	checkRows(k)
-	if k == 0 {
-		return s.One()
-	}
-	size := 1 << uint(k)
-	state := make([]T, size)
-	for i := range state {
-		state[i] = s.Zero()
-	}
-	state[0] = s.One()
-	next := make([]T, size)
-	for c := 0; c < n; c++ {
-		col := columns(c)
-		copy(next, state)
-		for sub := 0; sub < size; sub++ {
-			if semiring.IsZero(s, state[sub]) {
-				continue
-			}
-			for r := 0; r < k; r++ {
-				bit := 1 << uint(r)
-				if sub&bit != 0 {
-					continue
-				}
-				next[sub|bit] = s.Add(next[sub|bit], s.Mul(state[sub], col[r]))
-			}
-		}
-		state, next = next, state
-	}
-	return state[size-1]
-}
-
 // Maintainer is a dynamic permanent: it reports the current permanent value
 // and accepts single-entry updates.
 //
@@ -189,10 +158,16 @@ type Maintainer[T any] interface {
 	Value() T
 	// Update sets entry (row, col) to v and refreshes the value.
 	Update(row, col int, v T)
-	// At returns the current entry (row, col).
-	At(row, col int) T
-	// Dims returns the matrix dimensions.
-	Dims() (rows, cols int)
+}
+
+// subsetProducts writes into prod, for every subset S of the rows, the
+// product Π_{r∈S} at(r): 2^rows multiplications, nothing allocated.
+func subsetProducts[T any](s semiring.Semiring[T], prod []T, at func(r int) T) {
+	prod[0] = s.One()
+	for set := 1; set < len(prod); set++ {
+		low := set & -set
+		prod[set] = s.Mul(prod[set^low], at(bits.TrailingZeros(uint(low))))
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +190,7 @@ type Dynamic[T any] struct {
 	vecLen int
 	// tree[i] is the subset vector of node i (1-based heap layout).
 	tree [][]T
-	// entries holds the current matrix for At.
+	// entries holds the current matrix, which the leaves are built from.
 	entries *Matrix[T]
 }
 
@@ -236,35 +211,24 @@ func NewDynamic[T any](s semiring.Semiring[T], m *Matrix[T]) *Dynamic[T] {
 	for d.size < m.Cols {
 		d.size *= 2
 	}
-	if d.size < 1 {
-		d.size = 1
-	}
 	d.tree = make([][]T, 2*d.size)
-	for i := range d.tree {
-		d.tree[i] = nil
-	}
 	// Leaves.
 	for c := 0; c < d.size; c++ {
-		d.tree[d.size+c] = d.leafVector(c)
+		d.tree[d.size+c] = make([]T, d.vecLen)
+		d.leafVectorInto(d.tree[d.size+c], c)
 	}
 	// Internal nodes.
 	for i := d.size - 1; i >= 1; i-- {
-		d.tree[i] = d.merge(d.tree[2*i], d.tree[2*i+1])
+		d.tree[i] = make([]T, d.vecLen)
+		d.mergeInto(d.tree[i], d.tree[2*i], d.tree[2*i+1])
 	}
 	return d
 }
 
-// leafVector returns the subset vector of a single column: the empty subset
-// has value 1, singletons {r} have value M[r,c], larger subsets are 0
-// (a single column cannot match two rows).
-func (d *Dynamic[T]) leafVector(c int) []T {
-	vec := make([]T, d.vecLen)
-	d.leafVectorInto(vec, c)
-	return vec
-}
-
-// leafVectorInto writes the subset vector of column c into vec, reusing the
-// slice so that updates allocate nothing.
+// leafVectorInto writes the subset vector of column c into vec: the empty
+// subset has value 1, singletons {r} have value M[r,c], larger subsets are 0
+// (a single column cannot match two rows).  It reuses the slice so that
+// updates allocate nothing.
 func (d *Dynamic[T]) leafVectorInto(vec []T, c int) {
 	for i := range vec {
 		vec[i] = d.s.Zero()
@@ -277,15 +241,8 @@ func (d *Dynamic[T]) leafVectorInto(vec []T, c int) {
 	}
 }
 
-// merge combines the subset vectors of two adjacent column ranges:
-// out[S] = Σ_{T ⊆ S} left[T] · right[S\T].
-func (d *Dynamic[T]) merge(left, right []T) []T {
-	out := make([]T, d.vecLen)
-	d.mergeInto(out, left, right)
-	return out
-}
-
-// mergeInto writes the merge of left and right into out; out must not alias
+// mergeInto writes the merge of two adjacent column ranges,
+// out[S] = Σ_{T ⊆ S} left[T] · right[S\T], into out; out must not alias
 // either operand (tree nodes never alias their children, so Update can reuse
 // the existing node vectors).
 func (d *Dynamic[T]) mergeInto(out, left, right []T) {
@@ -315,9 +272,7 @@ func (d *Dynamic[T]) Value() T {
 // O(3^rows · log cols) semiring operations, rewriting the affected tree
 // vectors in place so steady-state updates allocate nothing.
 func (d *Dynamic[T]) Update(row, col int, v T) {
-	if row < 0 || row >= d.rows || col < 0 || col >= d.cols {
-		panic("perm: update out of range")
-	}
+	d.entries.checkUpdate(row, col)
 	d.entries.Set(row, col, v)
 	i := d.size + col
 	d.leafVectorInto(d.tree[i], col)
@@ -327,15 +282,19 @@ func (d *Dynamic[T]) Update(row, col int, v T) {
 	}
 }
 
-// At returns the current entry (row, col).
-func (d *Dynamic[T]) At(row, col int) T { return d.entries.At(row, col) }
-
-// Dims returns the matrix dimensions.
-func (d *Dynamic[T]) Dims() (int, int) { return d.rows, d.cols }
-
 // ---------------------------------------------------------------------------
 // Rings: inclusion–exclusion over set partitions (Lemma 15, Corollary 17)
 // ---------------------------------------------------------------------------
+
+// factorials[i] is i!, for the Möbius coefficients of blocks of up to
+// maxRows rows.
+var factorials = func() (f [maxRows]int64) {
+	f[0] = 1
+	for i := 1; i < maxRows; i++ {
+		f[i] = f[i-1] * int64(i)
+	}
+	return f
+}()
 
 // RingDynamic maintains the permanent of a k×n matrix over a ring with
 // O(2^k) ring operations per update.  It maintains, for every non-empty
@@ -345,14 +304,15 @@ func (d *Dynamic[T]) Dims() (int, int) { return d.rows, d.cols }
 //	perm(M) = Σ_{partitions π of the rows} Π_{B∈π} (−1)^{|B|−1}(|B|−1)!·S_B.
 //
 // For k = 2 this is the familiar Σa·Σb − Σab identity shown in the paper.
+// Value sums the partitions by a dynamic program over subsets rather than
+// listing them, and both scratch vectors belong to the maintainer, so over an
+// allocation-free ring neither Update nor Value allocates.
 type RingDynamic[T any] struct {
 	s       semiring.Ring[T]
-	rows    int
-	cols    int
-	sums    []T // indexed by subset (non-empty)
+	sums    []T // S_B, indexed by subset B (entry 0 unused)
+	scratch []T // a column's subset products (Update), the signed S_B (Value)
+	parts   []T // parts[R]: the inversion restricted to the rows of R (Value)
 	entries *Matrix[T]
-	parts   [][]int // set partitions of [rows], each as a list of subset masks
-	coeffs  []*big.Int
 	value   T
 	dirty   bool
 }
@@ -361,60 +321,41 @@ type RingDynamic[T any] struct {
 // m as its entry store: the caller must not use m afterwards.
 func NewRingDynamic[T any](s semiring.Ring[T], m *Matrix[T]) *RingDynamic[T] {
 	checkRows(m.Rows)
+	size := 1 << uint(m.Rows)
+	buf := make([]T, 3*size) // one allocation for the three vectors
 	r := &RingDynamic[T]{
 		s:       s,
-		rows:    m.Rows,
-		cols:    m.Cols,
+		sums:    buf[:size],
+		scratch: buf[size : 2*size],
+		parts:   buf[2*size:],
 		entries: m,
+		dirty:   true,
 	}
-	size := 1 << uint(m.Rows)
-	r.sums = make([]T, size)
 	for i := range r.sums {
 		r.sums[i] = s.Zero()
 	}
 	for c := 0; c < m.Cols; c++ {
 		r.addColumn(c, false)
 	}
-	r.parts, r.coeffs = setPartitions(m.Rows)
-	r.dirty = true
 	return r
 }
 
-// addColumn adds (or subtracts) the contribution of column c to every
-// subset sum.
+// addColumn adds (or subtracts) the contribution Π_{r∈B} M[r,c] of column c
+// to every subset sum S_B.
 func (r *RingDynamic[T]) addColumn(c int, subtract bool) {
-	size := 1 << uint(r.rows)
-	// prod[S] = Π_{r∈S} M[r,c]
-	prod := make([]T, size)
-	prod[0] = r.s.One()
-	for set := 1; set < size; set++ {
-		low := set & (-set)
-		rowIdx := trailingZeros(low)
-		prod[set] = r.s.Mul(prod[set^low], r.entries.At(rowIdx, c))
-	}
-	for set := 1; set < size; set++ {
+	subsetProducts(r.s, r.scratch, func(row int) T { return r.entries.At(row, c) })
+	for set := 1; set < len(r.sums); set++ {
+		p := r.scratch[set]
 		if subtract {
-			r.sums[set] = r.s.Add(r.sums[set], r.s.Neg(prod[set]))
-		} else {
-			r.sums[set] = r.s.Add(r.sums[set], prod[set])
+			p = r.s.Neg(p)
 		}
+		r.sums[set] = r.s.Add(r.sums[set], p)
 	}
-}
-
-func trailingZeros(x int) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // Update sets entry (row, col) to v in O(2^rows) ring operations.
 func (r *RingDynamic[T]) Update(row, col int, v T) {
-	if row < 0 || row >= r.rows || col < 0 || col >= r.cols {
-		panic("perm: update out of range")
-	}
+	r.entries.checkUpdate(row, col)
 	r.addColumn(col, true)
 	r.entries.Set(row, col, v)
 	r.addColumn(col, false)
@@ -422,184 +363,123 @@ func (r *RingDynamic[T]) Update(row, col int, v T) {
 }
 
 // Value returns the permanent, recomputed from the subset sums when needed
-// (O(Bell(k)·k) ring operations, independent of n).
+// in O(3^k) ring operations, independent of n.  With μ(B) =
+// (−1)^{|B|−1}(|B|−1)!, the partitions of a row set R are those of R∖B
+// extended by the block B that holds R's lowest row, so
+//
+//	parts(∅) = 1,  parts(R) = Σ_{B ⊆ R, min R ∈ B} μ(B)·S_B·parts(R∖B),
+//
+// and the permanent is parts(all rows).
 func (r *RingDynamic[T]) Value() T {
 	if !r.dirty {
 		return r.value
 	}
-	if r.rows == 0 {
-		r.value = r.s.One()
-		r.dirty = false
-		return r.value
-	}
-	total := r.s.Zero()
-	for i, part := range r.parts {
-		term := r.s.One()
-		for _, block := range part {
-			term = r.s.Mul(term, r.sums[block])
+	signed := r.scratch
+	for set := 1; set < len(signed); set++ {
+		size := bits.OnesCount(uint(set))
+		signed[set] = semiring.ScalarMul(r.s, factorials[size-1], r.sums[set])
+		if size%2 == 0 {
+			signed[set] = r.s.Neg(signed[set])
 		}
-		coeff := r.coeffs[i]
-		scaled := semiring.ScalarMulBig(r.s, new(big.Int).Abs(coeff), term)
-		if coeff.Sign() < 0 {
-			scaled = r.s.Neg(scaled)
-		}
-		total = r.s.Add(total, scaled)
 	}
-	r.value = total
-	r.dirty = false
-	return total
-}
-
-// At returns the current entry (row, col).
-func (r *RingDynamic[T]) At(row, col int) T { return r.entries.At(row, col) }
-
-// Dims returns the matrix dimensions.
-func (r *RingDynamic[T]) Dims() (int, int) { return r.rows, r.cols }
-
-// setPartitions enumerates all set partitions of {0..k-1} together with the
-// Möbius coefficient Π_B (−1)^{|B|−1}(|B|−1)! of each partition.
-func setPartitions(k int) ([][]int, []*big.Int) {
-	var parts [][]int
-	var coeffs []*big.Int
-	blocks := []int{}
-	var rec func(elem int)
-	rec = func(elem int) {
-		if elem == k {
-			part := append([]int(nil), blocks...)
-			coeff := big.NewInt(1)
-			for _, b := range part {
-				size := popcount(b)
-				f := factorial(size - 1)
-				if (size-1)%2 == 1 {
-					f.Neg(f)
-				}
-				coeff.Mul(coeff, f)
+	r.parts[0] = r.s.One()
+	for set := 1; set < len(r.parts); set++ {
+		low := set & -set
+		rest := set ^ low
+		acc := r.s.Zero()
+		for sub := rest; ; sub = (sub - 1) & rest {
+			acc = r.s.Add(acc, r.s.Mul(signed[sub|low], r.parts[rest^sub]))
+			if sub == 0 {
+				break
 			}
-			parts = append(parts, part)
-			coeffs = append(coeffs, coeff)
-			return
 		}
-		// Add elem to an existing block or start a new block.
-		for i := range blocks {
-			blocks[i] |= 1 << uint(elem)
-			rec(elem + 1)
-			blocks[i] &^= 1 << uint(elem)
-		}
-		blocks = append(blocks, 1<<uint(elem))
-		rec(elem + 1)
-		blocks = blocks[:len(blocks)-1]
+		r.parts[set] = acc
 	}
-	if k == 0 {
-		return [][]int{{}}, []*big.Int{big.NewInt(1)}
-	}
-	rec(0)
-	return parts, coeffs
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-func factorial(n int) *big.Int {
-	f := big.NewInt(1)
-	for i := 2; i <= n; i++ {
-		f.Mul(f, big.NewInt(int64(i)))
-	}
-	return f
+	r.value = r.parts[len(r.parts)-1]
+	r.dirty = false
+	return r.value
 }
 
 // ---------------------------------------------------------------------------
 // Finite semirings: column-type counting (Lemma 18, Corollary 20)
 // ---------------------------------------------------------------------------
 
+// colType is a column's type: the carrier index of each row's entry, rows
+// past the matrix's zero.
+type colType [maxRows]int32
+
 // FiniteDynamic maintains the permanent of a k×n matrix over a finite
 // semiring with update time independent of n.  The permanent only depends on
 // how many columns realise each possible column type (a vector in S^k), so
 // the structure maintains these counts and recomputes the permanent by
 // dynamic programming over the distinct types present.
+//
+// A count c enters the semiring only through the falling factorial
+// c·(c−1)···(c−j+1) of the ways to give j rows distinct columns of one type,
+// applied as a product of the (c−i)·1.  Because n ↦ n·1 is a semiring
+// homomorphism ℕ → S, that is exact in every carrier and never leaves int64.
 type FiniteDynamic[T any] struct {
 	s       semiring.Semiring[T]
-	rows    int
-	cols    int
 	entries *Matrix[T]
-	// elements of the carrier and a lookup from formatted value to index.
-	elems []T
-	// typeCounts maps an encoded column type to the number of columns of
-	// that type; typeVecs stores the decoded type vectors.
-	typeCounts map[string]*big.Int
-	typeVecs   map[string][]T
-	value      T
-	dirty      bool
+	elems   []T // the carrier; a type holds indices into it
+	counts  map[colType]int64
+	// Value's scratch: state over row subsets, one type's weighted subset
+	// products, and its ways to fill 0..k rows.
+	state, prod, ways []T
+	value             T
+	dirty             bool
 }
 
-// NewFiniteDynamic builds the structure in O(n·k) time plus a
-// data-independent DP.  It adopts m as its entry store: the caller must not
-// use m afterwards.
+// NewFiniteDynamic builds the structure in O(n·k·|S|) time.  It adopts m as
+// its entry store: the caller must not use m afterwards.
 func NewFiniteDynamic[T any](s semiring.Finite[T], m *Matrix[T]) *FiniteDynamic[T] {
 	checkRows(m.Rows)
+	size := 1 << uint(m.Rows)
+	buf := make([]T, 2*size+m.Rows+1) // one allocation for Value's scratch
 	f := &FiniteDynamic[T]{
-		s:          s,
-		rows:       m.Rows,
-		cols:       m.Cols,
-		entries:    m,
-		elems:      s.Elements(),
-		typeCounts: make(map[string]*big.Int),
-		typeVecs:   make(map[string][]T),
+		s:       s,
+		entries: m,
+		elems:   s.Elements(),
+		counts:  make(map[colType]int64),
+		state:   buf[:size],
+		prod:    buf[size : 2*size],
+		ways:    buf[2*size:],
+		dirty:   true,
 	}
 	for c := 0; c < m.Cols; c++ {
-		f.addColumn(c, 1)
+		f.counts[f.typeOf(c)]++
 	}
-	f.dirty = true
 	return f
 }
 
-func (f *FiniteDynamic[T]) typeKey(col []T) string {
-	key := ""
-	for _, v := range col {
-		key += fmt.Sprintf("%d,", f.elemIndex(v))
-	}
-	return key
-}
-
-func (f *FiniteDynamic[T]) elemIndex(v T) int {
-	for i, e := range f.elems {
-		if f.s.Equal(e, v) {
-			return i
+// typeOf returns the type of column c, resolving each entry by a linear Equal
+// scan of the carrier (registered finite carriers are tiny).
+func (f *FiniteDynamic[T]) typeOf(c int) colType {
+	var t colType
+	for r := 0; r < f.entries.Rows; r++ {
+		v := f.entries.At(r, c)
+		i := 0
+		for i < len(f.elems) && !f.s.Equal(f.elems[i], v) {
+			i++
 		}
+		if i == len(f.elems) {
+			panic("perm: value outside the finite semiring carrier")
+		}
+		t[r] = int32(i)
 	}
-	panic("perm: value outside the finite semiring carrier")
-}
-
-func (f *FiniteDynamic[T]) addColumn(c int, delta int64) {
-	col := f.entries.Column(c)
-	key := f.typeKey(col)
-	cnt, ok := f.typeCounts[key]
-	if !ok {
-		cnt = new(big.Int)
-		f.typeCounts[key] = cnt
-		f.typeVecs[key] = col
-	}
-	cnt.Add(cnt, big.NewInt(delta))
-	if cnt.Sign() == 0 {
-		delete(f.typeCounts, key)
-		delete(f.typeVecs, key)
-	}
+	return t
 }
 
 // Update sets entry (row, col) to v; the cost is independent of the number
-// of columns (it depends only on |S|^k and 2^k).
+// of columns (it depends only on k and |S|).
 func (f *FiniteDynamic[T]) Update(row, col int, v T) {
-	if row < 0 || row >= f.rows || col < 0 || col >= f.cols {
-		panic("perm: update out of range")
+	f.entries.checkUpdate(row, col)
+	old := f.typeOf(col)
+	if f.counts[old]--; f.counts[old] == 0 {
+		delete(f.counts, old)
 	}
-	f.addColumn(col, -1)
 	f.entries.Set(row, col, v)
-	f.addColumn(col, 1)
+	f.counts[f.typeOf(col)]++
 	f.dirty = true
 }
 
@@ -613,66 +493,41 @@ func (f *FiniteDynamic[T]) Value() T {
 	return f.value
 }
 
+// recompute runs the DP over the distinct column types present:
+// state[R] sums over the assignments of the rows in R to distinct columns
+// among the types processed so far, each type costing O(k·log n + 3^k)
+// semiring operations.
 func (f *FiniteDynamic[T]) recompute() T {
-	if f.rows == 0 {
-		return f.s.One()
-	}
-	// DP over the distinct column types: state[S] = sum over assignments of
-	// the rows in S to distinct columns among the types processed so far.
-	size := 1 << uint(f.rows)
-	state := make([]T, size)
+	s, state, prod, ways := f.s, f.state, f.prod, f.ways
 	for i := range state {
-		state[i] = f.s.Zero()
+		state[i] = s.Zero()
 	}
-	state[0] = f.s.One()
-	for key, count := range f.typeCounts {
-		colType := f.typeVecs[key]
-		next := make([]T, size)
-		copy(next, state)
-		// For each subset R of rows assigned to columns of this type, the
-		// rows pick distinct columns: count·(count−1)···(count−|R|+1) ways,
-		// each contributing Π_{r∈R} colType[r].
-		for set := 0; set < size; set++ {
-			if semiring.IsZero(f.s, state[set]) {
-				continue
-			}
-			free := (size - 1) &^ set
-			for sub := free; sub != 0; sub = (sub - 1) & free {
-				j := popcount(sub)
-				ways := fallingFactorial(count, j)
-				if ways.Sign() == 0 {
-					continue
-				}
-				prod := f.s.One()
-				for r := 0; r < f.rows; r++ {
-					if sub&(1<<uint(r)) != 0 {
-						prod = f.s.Mul(prod, colType[r])
-					}
-				}
-				contrib := semiring.ScalarMulBig(f.s, ways, f.s.Mul(state[set], prod))
-				next[set|sub] = f.s.Add(next[set|sub], contrib)
+	state[0] = s.One()
+	for t, count := range f.counts {
+		// ways[j] = count·(count−1)···(count−j+1) ways to give j rows
+		// distinct columns of this type.
+		ways[0] = s.One()
+		for j := 1; j < len(ways); j++ {
+			if c := count - int64(j) + 1; c > 0 {
+				ways[j] = s.Mul(ways[j-1], semiring.ScalarMul(s, c, s.One()))
+			} else {
+				ways[j] = s.Zero()
 			}
 		}
-		state = next
-	}
-	return state[size-1]
-}
-
-func fallingFactorial(n *big.Int, k int) *big.Int {
-	result := big.NewInt(1)
-	cur := new(big.Int).Set(n)
-	for i := 0; i < k; i++ {
-		if cur.Sign() <= 0 {
-			return new(big.Int)
+		// prod[R] = ways[|R|]·Π_{r∈R} t[r].
+		subsetProducts(s, prod, func(r int) T { return f.elems[t[r]] })
+		for set := range prod {
+			prod[set] = s.Mul(ways[bits.OnesCount(uint(set))], prod[set])
 		}
-		result.Mul(result, cur)
-		cur = new(big.Int).Sub(cur, big.NewInt(1))
+		// In decreasing order, state[R∖sub] still holds the previous types'
+		// value when state[R] is rewritten.
+		for set := len(state) - 1; set > 0; set-- {
+			acc := state[set]
+			for sub := set; sub != 0; sub = (sub - 1) & set {
+				acc = s.Add(acc, s.Mul(state[set^sub], prod[sub]))
+			}
+			state[set] = acc
+		}
 	}
-	return result
+	return state[len(state)-1]
 }
-
-// At returns the current entry (row, col).
-func (f *FiniteDynamic[T]) At(row, col int) T { return f.entries.At(row, col) }
-
-// Dims returns the matrix dimensions.
-func (f *FiniteDynamic[T]) Dims() (int, int) { return f.rows, f.cols }

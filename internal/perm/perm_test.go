@@ -74,10 +74,6 @@ func TestPermMatchesNaive(t *testing.T) {
 		if got := Perm[int64](semiring.Nat, m); got != want {
 			t.Fatalf("Perm = %d, PermNaive = %d (rows=%d cols=%d)", got, want, rows, cols)
 		}
-		got2 := PermColumns[int64](semiring.Nat, rows, m.Column, cols)
-		if got2 != want {
-			t.Fatalf("PermColumns = %d, want %d", got2, want)
-		}
 	}
 }
 
@@ -129,10 +125,6 @@ func exerciseMaintainer(t *testing.T, name string, r *rand.Rand, ref semiring.Se
 			}
 		}
 		d := mk(m)
-		gotRows, gotCols := d.Dims()
-		if gotRows != rows || gotCols != cols {
-			t.Fatalf("%s: Dims = (%d,%d), want (%d,%d)", name, gotRows, gotCols, rows, cols)
-		}
 		if got, want := d.Value(), Perm[int64](ref, m); !ref.Equal(got, want) {
 			t.Fatalf("%s: initial value %d, want %d", name, got, want)
 		}
@@ -141,9 +133,6 @@ func exerciseMaintainer(t *testing.T, name string, r *rand.Rand, ref semiring.Se
 			v := genValue()
 			d.Update(row, col, v)
 			m.Set(row, col, v)
-			if d.At(row, col) != v {
-				t.Fatalf("%s: At after update = %d, want %d", name, d.At(row, col), v)
-			}
 			if got, want := d.Value(), Perm[int64](ref, m); !ref.Equal(got, want) {
 				t.Fatalf("%s: after update value %d, want %d (rows=%d cols=%d)", name, got, want, rows, cols)
 			}
@@ -270,29 +259,6 @@ func TestRingDynamicRational(t *testing.T) {
 	}
 }
 
-func TestSetPartitions(t *testing.T) {
-	// Bell numbers: 1, 1, 2, 5, 15.
-	for k, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 5, 4: 15} {
-		parts, coeffs := setPartitions(k)
-		if len(parts) != want || len(coeffs) != want {
-			t.Errorf("setPartitions(%d) produced %d partitions, want %d", k, len(parts), want)
-		}
-	}
-	// For k=2 the coefficients are +1 (two singletons) and −1 (one pair).
-	parts, coeffs := setPartitions(2)
-	pos, neg := 0, 0
-	for i := range parts {
-		if coeffs[i].Sign() > 0 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos != 1 || neg != 1 {
-		t.Errorf("unexpected coefficient signs for k=2: %v", coeffs)
-	}
-}
-
 func TestMatrixHelpers(t *testing.T) {
 	m := NewMatrix[int64](semiring.Nat, 2, 3)
 	m.Set(1, 2, 9)
@@ -301,8 +267,41 @@ func TestMatrixHelpers(t *testing.T) {
 	if m.At(1, 2) != 9 {
 		t.Errorf("Clone aliases original")
 	}
-	col := m.Column(2)
-	if len(col) != 2 || col[1] != 9 {
-		t.Errorf("Column = %v", col)
+}
+
+// TestConstantTimeUpdateZeroAllocs is the allocation guard of the ring and
+// finite strategies: after warm-up, an Update followed by a Value read
+// allocates nothing, however often a column type disappears and returns.
+func TestConstantTimeUpdateZeroAllocs(t *testing.T) {
+	const rows, cols = 3, 64
+	r := rand.New(rand.NewSource(41))
+	mod7 := semiring.NewModular(7)
+	b := NewMatrix[bool](semiring.Bool, rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			b.Set(i, j, r.Intn(2) == 0)
+		}
+	}
+	guardUpdateAllocs(t, "RingDynamic/Int", NewRingDynamic[int64](semiring.Int, randomNatMatrix(r, rows, cols)),
+		rows, cols, func(step int) int64 { return int64(step%7 - 3) })
+	guardUpdateAllocs(t, "FiniteDynamic/Modular(7)", NewFiniteDynamic[int64](mod7, randomNatMatrix(r, rows, cols)),
+		rows, cols, func(step int) int64 { return int64(step % 7) })
+	guardUpdateAllocs(t, "FiniteDynamic/Bool", NewFiniteDynamic[bool](semiring.Bool, b),
+		rows, cols, func(step int) bool { return step%3 == 0 })
+}
+
+func guardUpdateAllocs[T any](t *testing.T, name string, d Maintainer[T], rows, cols int, val func(step int) T) {
+	t.Helper()
+	step := 0
+	update := func() {
+		step++
+		d.Update(step%rows, (step*7)%cols, val(step))
+		_ = d.Value()
+	}
+	for i := 0; i < 4*rows*cols; i++ {
+		update()
+	}
+	if allocs := testing.AllocsPerRun(500, update); allocs != 0 {
+		t.Errorf("%s: Update+Value allocates %.2f objects, want 0", name, allocs)
 	}
 }

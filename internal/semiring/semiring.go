@@ -147,8 +147,11 @@ func (Boolean) Less(a, b bool) bool  { return !a && b }
 // Natural numbers (ℕ, +, ·) on int64
 // ---------------------------------------------------------------------------
 
-// Natural is the semiring (ℕ, +, ·) represented on int64.  Overflow is the
-// caller's responsibility; use BigNat for arbitrary precision.
+// Natural is the semiring (ℕ, +, ·) represented on int64.  Its arithmetic
+// wraps silently on overflow, so a value is exact only while it fits in
+// int64; Big (BigInt) computes with arbitrary precision.  How a counting
+// carrier should surface overflow is open: see item 1(e), "Counting cannot
+// wrap", in ROADMAP.md.
 type Natural struct{}
 
 // Nat is the canonical Natural semiring instance.

@@ -7,10 +7,13 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/agg"
+	"repro/internal/semiring"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
@@ -370,5 +373,83 @@ func BenchmarkPairedSessionOpen(b *testing.B) {
 				s.Close()
 			}
 		})
+	}
+}
+
+// benchRingCarrier is semiring.Int under a name of its own: the same int64
+// arithmetic as "natural", but a ring, so its sessions take the ring update
+// strategy.
+const benchRingCarrier = "bench-integer"
+
+var registerBenchRingOnce sync.Once
+
+// BenchmarkPairedStrategySession runs session_rw's query on one Prepared
+// under the circuit's three update strategies: "natural" (generic: segment
+// trees), the ℤ ring (difference updates and inclusion–exclusion permanents)
+// and "boolean" (finite: value and column-type counts).  "set" is one u
+// weight Set at a random vertex, flipping it between zero and non-zero so
+// that it changes the value in every carrier; "open" is one Session() open
+// and close.
+func BenchmarkPairedStrategySession(b *testing.B) {
+	registerBenchRingOnce.Do(func() {
+		agg.MustRegister(agg.NewSemiring[int64](benchRingCarrier, semiring.Int,
+			func(_ string, _ []int, v int64) int64 { return v }))
+	})
+	ctx := context.Background()
+	for _, in := range []struct {
+		kind string
+		n    int
+	}{{"bounded-degree", 6000}, {"pref-attach", 1500}} {
+		db, err := agg.Generate(in.kind, in.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		natural, err := agg.Open(db).Prepare(ctx, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, carrier := range []string{"natural", benchRingCarrier, "boolean"} {
+			p, err := natural.In(carrier)
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%s/n=%d", carrier, in.kind, in.n)
+			b.Run("set/"+name, func(b *testing.B) {
+				s, err := p.Session()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				r := rand.New(rand.NewSource(1))
+				vertex := make([][]int, in.n)
+				zero := make([]bool, in.n) // the generated weights are non-zero
+				for v := range vertex {
+					vertex[v] = []int{v}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v := r.Intn(in.n)
+					zero[v] = !zero[v]
+					w := int64(1)
+					if zero[v] {
+						w = 0
+					}
+					if err := s.Set(agg.SetWeight("u", vertex[v], w)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("open/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := p.Session()
+					if err != nil {
+						b.Fatal(err)
+					}
+					s.Close()
+				}
+			})
+		}
 	}
 }
