@@ -562,41 +562,69 @@ func TestSessionEvalAllocations(t *testing.T) {
 // gate feeds, which cell of a permanent a slot is — is frozen into the shared
 // Program, so a session that rebuilds it as per-gate maps (7.0 objects per
 // gate on this input, against 3.6 without them and with each permanent's
-// matrix allocated once) fails the bound.  The bound holds on every update
-// strategy: natural's generic one, and ℤ's and boolean's constant-time ones,
-// whose permanent maintainers must not rebuild per gate what depends on the
-// row count only (a ring session that tabulated set partitions with big.Int
+// matrix allocated once) fails the bound.  The closed query's session
+// maintains every permanent, so the bound holds on every update strategy:
+// natural's generic one, and ℤ's and boolean's constant-time ones, whose
+// permanent maintainers must not rebuild per gate what depends on the row
+// count only (a ring session that tabulated set partitions with big.Int
 // coefficients per gate made 9.4 objects per gate, and a boolean one that
 // kept big.Int counts per column type 7.7).
+//
+// A point query's session leaves out the gates its parameters hold at zero,
+// which on session_rw's query is every addition and permanent gate, so its
+// open allocates the same few objects at n = 6,000 as at n = 1,500; a session
+// that builds a tree or a maintainer for one of them fails.
 func TestSessionOpenAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	registerStrategyCarriers()
-	db, err := Generate("pref-attach", 1500, 1)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
+	carriers := []string{"natural", ringCarrier, "boolean"}
+	prepare := func(n int, query string) *Prepared {
+		db, err := Generate("pref-attach", n, 1)
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		p, err := Open(db).Prepare(context.Background(), query)
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		return p
 	}
-	natural, err := Open(db).Prepare(context.Background(), "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	for _, carrier := range []string{"natural", ringCarrier, "boolean"} {
+	opens := func(natural *Prepared, carrier string) (*Prepared, float64) {
 		p, err := natural.In(carrier)
 		if err != nil {
 			t.Fatalf("In(%s): %v", carrier, err)
 		}
-		got := testing.AllocsPerRun(5, func() {
+		return p, testing.AllocsPerRun(5, func() {
 			s, err := p.Session()
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
 		})
-		perGate := got / float64(p.Stats().Gates)
-		t.Logf("%s: Prepared.Session: %.0f allocs, %.2f per gate", carrier, got, perGate)
-		if perGate > 5 {
-			t.Errorf("%s: Prepared.Session allocates %.2f objects per gate, want ≤ 5", carrier, perGate)
-		}
 	}
+	t.Run("closed", func(t *testing.T) {
+		closed := prepare(1500, "sum x,y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+		for _, carrier := range carriers {
+			p, got := opens(closed, carrier)
+			perGate := got / float64(p.Stats().Gates)
+			t.Logf("%s: Prepared.Session: %.0f allocs, %.2f per gate", carrier, got, perGate)
+			if perGate > 5 {
+				t.Errorf("%s: Prepared.Session allocates %.2f objects per gate, want ≤ 5", carrier, perGate)
+			}
+		}
+	})
+	t.Run("point", func(t *testing.T) {
+		const query = "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)"
+		small, large := prepare(1500, query), prepare(6000, query)
+		for _, carrier := range carriers {
+			_, atSmall := opens(small, carrier)
+			_, atLarge := opens(large, carrier)
+			t.Logf("%s: Prepared.Session: %.0f allocs at n = 1,500, %.0f at n = 6,000", carrier, atSmall, atLarge)
+			if atLarge != atSmall {
+				t.Errorf("%s: Prepared.Session allocates %.0f objects at n = 6,000 and %.0f at n = 1,500, want as many", carrier, atLarge, atSmall)
+			}
+		}
+	})
 }

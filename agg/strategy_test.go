@@ -190,3 +190,47 @@ func checkStrategiesAgree(t *testing.T, db *Database, query string, script [][]C
 		prev = now
 	}
 }
+
+// TestSessionStrategiesAgreeOnMixedGates replays a seeded write script, as
+// TestSessionStrategiesAgree does, on point queries with a part free of the
+// parameter.  A point session leaves out the gates the parameter holds at
+// zero; here that part's gates stay maintained beside them, and the point
+// read's overlay recomputes the left-out gates above them from their children,
+// live and through a Reader one write back, on all four carriers.
+func TestSessionStrategiesAgreeOnMixedGates(t *testing.T) {
+	registerStrategyCarriers()
+	db, err := Generate("bounded-degree", 24, 7)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	n := db.Elements()
+	// As in TestSessionStrategiesAgree: small values first, u in 0..1 and S
+	// on about an eighth of the elements, then u Sets in 0..2 and S toggles.
+	r := rand.New(rand.NewSource(23))
+	inS := make([]bool, n)
+	var first []Change
+	for v := range inS {
+		inS[v] = r.Intn(8) == 0
+		first = append(first, SetWeight("u", []int{v}, int64(r.Intn(2))), SetTuple("S", []int{v}, inS[v]))
+	}
+	script := [][]Change{first}
+	for len(script) < 40 {
+		batch := make([]Change, r.Intn(3)+1)
+		for i := range batch {
+			v := r.Intn(n)
+			if r.Intn(2) == 0 {
+				batch[i] = SetWeight("u", []int{v}, int64(r.Intn(3)))
+			} else {
+				inS[v] = !inS[v]
+				batch[i] = SetTuple("S", []int{v}, inS[v])
+			}
+		}
+		script = append(script, batch)
+	}
+	for _, query := range []string{
+		"sum y . [E(x,y)&S(y)] * u(y) + sum z,w . [E(z,w)&S(z)] * u(z)*u(w)",
+		"(sum y . [E(x,y)] * u(y)) * (sum z . [S(z)] * u(z))",
+	} {
+		t.Run(query, func(t *testing.T) { checkStrategiesAgree(t, db, query, script) })
+	}
+}

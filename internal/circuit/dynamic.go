@@ -35,7 +35,10 @@ import (
 // session: what a Dynamic holds per instance is values only — the gate values
 // (a Values, the state every point read runs on), and per addition or
 // permanent gate the counts, aggregation tree or maintained matrix its
-// strategy needs, each addressed by the Program's slots.  A Worklist drains
+// strategy needs, each addressed by the Program's slots.  A Dynamic built by
+// NewDynamicPruned holds less: a gate its fixed inputs zero (a point query's
+// parameters do so for most of its closure) is Zero in the values and has no
+// counts, tree or maintainer, and no wave visits it.  A Worklist drains
 // dirty gates in increasing rank order, handing each the slots whose child
 // changed, so every affected gate is recomputed exactly once per wave no
 // matter how many of its children changed.  All wave state
@@ -59,6 +62,8 @@ import (
 type Dynamic[T any] struct {
 	p *Program
 	s semiring.Semiring[T]
+	// zero marks the gates left out (NewDynamicPruned); nil leaves out none.
+	zero []bool
 
 	finite semiring.Finite[T] // nil unless the semiring is finite
 	elems  []T                // carrier, when finite
@@ -133,8 +138,17 @@ type Leaf[T any] struct {
 // clock of its own — while the ranks, wires and children arenas stay shared
 // and immutable.
 func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) *Dynamic[T] {
-	d := &Dynamic[T]{p: p, s: s}
-	d.live = valuesOf(p, s, EvaluateAllProgram(p, s, v))
+	return NewDynamicPruned(p, s, v, nil)
+}
+
+// NewDynamicPruned is NewDynamicProgram leaving out the gates zero marks
+// (Program.ZeroedBy, or nil for none): each holds Zero at every epoch, and the
+// Dynamic evaluates it never, keeps no state for it and enlists it in no wave.
+// The caller vouches that the inputs marking them are 0 under v and that no
+// write reaches them; a leaf change to a marked input panics.
+func NewDynamicPruned[T any](p *Program, s semiring.Semiring[T], v Valuation[T], zero []bool) *Dynamic[T] {
+	d := &Dynamic[T]{p: p, s: s, zero: zero}
+	d.live = valuesOf(p, s, evaluateAllProgram(p, s, v, zero))
 	if f, ok := s.(semiring.Finite[T]); ok {
 		d.finite = f
 		d.elems = f.Elements()
@@ -149,6 +163,9 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 	}
 	d.perms = make([]perm.Maintainer[T], len(p.perms))
 	for id := 0; id < n; id++ {
+		if d.pruned(id) {
+			continue
+		}
 		switch Kind(p.kind[id]) {
 		case KindAdd:
 			d.initAdder(id)
@@ -157,6 +174,7 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 		}
 	}
 	d.wave = NewWorklist(p)
+	d.wave.skip = zero
 	d.refresh = d.refreshGate
 	d.oldOf = make([]T, n)
 	d.stamp = make([]uint64, n)
@@ -165,6 +183,9 @@ func NewDynamicProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]
 	d.log = mvcc.NewLog[valUndo[T]](d.clock, int64(unsafe.Sizeof(valUndo[T]{})))
 	return d
 }
+
+// pruned reports whether gate g is one the Dynamic leaves out.
+func (d *Dynamic[T]) pruned(g int) bool { return d.zero != nil && d.zero[g] }
 
 // initAdder builds what the strategy maintains for addition gate g.
 func (d *Dynamic[T]) initAdder(g int) {
@@ -257,6 +278,9 @@ func (d *Dynamic[T]) SetInput(key structure.WeightKey, value T) {
 func (d *Dynamic[T]) assign(id int, value T) (old T, changed bool) {
 	if id < 0 || d.s.Equal(d.live.vals[id], value) {
 		return old, false
+	}
+	if d.pruned(id) {
+		panic(fmt.Sprintf("circuit: write to input gate %d, which the Dynamic holds at zero", id))
 	}
 	old = d.live.vals[id]
 	d.live.vals[id] = value

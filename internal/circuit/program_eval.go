@@ -34,9 +34,19 @@ func EvaluateProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) 
 // EvaluateAllProgram computes the value of every gate, returning the slice
 // indexed by gate id.
 func EvaluateAllProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T]) []T {
+	return evaluateAllProgram(p, s, v, nil)
+}
+
+// evaluateAllProgram is EvaluateAllProgram writing Zero, unevaluated, at the
+// gates zero marks.
+func evaluateAllProgram[T any](p *Program, s semiring.Semiring[T], v Valuation[T], zero []bool) []T {
 	vals := make([]T, p.numGates)
 	var sc permScratch[T]
 	for id := 0; id < p.numGates; id++ {
+		if zero != nil && zero[id] {
+			vals[id] = s.Zero()
+			continue
+		}
 		evaluateProgramGate(p, s, v, id, vals, &sc)
 	}
 	return vals

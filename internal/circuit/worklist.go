@@ -19,6 +19,7 @@ type Worklist struct {
 	p       *Program
 	buckets [][]int   // buckets[r] lists the waiting gates of rank r
 	changed [][]int32 // changed[g] lists g's slots whose child changed this wave; non-empty iff g waits
+	skip    []bool    // skip[g]: g never waits (a Dynamic's pruned gates); nil skips none
 }
 
 // NewWorklist returns an empty worklist over the program's gates.
@@ -28,13 +29,16 @@ func NewWorklist(p *Program) *Worklist {
 
 // Enlist records that gate g changed: every slot g is wired to joins the
 // changed-slots list of its parent, and a parent not yet waiting joins its
-// rank's bucket.  Enlisting the same gate twice in one wave lists its slots
-// twice: an engine whose per-slot refresh work is not idempotent keeps its own
-// guard (Dynamic's generation stamp), the others (the enumerator) simply redo
-// the slot.
+// rank's bucket, unless the parent is skipped.  Enlisting the same gate twice
+// in one wave lists its slots twice: an engine whose per-slot refresh work is
+// not idempotent keeps its own guard (Dynamic's generation stamp), the others
+// (the enumerator) simply redo the slot.
 func (w *Worklist) Enlist(g int) {
 	for _, wire := range w.p.Wires(g) {
 		p := wire.Parent
+		if w.skip != nil && w.skip[p] {
+			continue
+		}
 		if len(w.changed[p]) == 0 {
 			r := w.p.rank[p]
 			w.buckets[r] = append(w.buckets[r], int(p))

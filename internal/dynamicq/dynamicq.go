@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/circuit"
@@ -66,8 +67,11 @@ type Query[T any] struct {
 //
 // One Shared may back any number of engine states, possibly in different
 // semirings; instantiating one costs only its own state, not a
-// recompilation.  A Shared is immutable after Close and safe for concurrent
-// use by multiple goroutines.
+// recompilation.  A Query's state leaves out the gates that are 0 while the
+// v_i are, as they are in every epoch of a session; the first NewQuery finds
+// them, once per Shared (paramZero).  A Shared is safe for concurrent use by
+// multiple goroutines: it is immutable after Close but for that set, which is
+// written once.
 type Shared struct {
 	res  *compile.Result
 	vars []string
@@ -77,6 +81,11 @@ type Shared struct {
 	params []string
 	// mentions holds the weight symbols occurring in the closure's polynomial.
 	mentions map[string]bool
+	// zero marks the gates that are 0 while every parameter weight is 0
+	// (circuit.Program.ZeroedBy), found at the first NewQuery; nil when there
+	// are no parameters.
+	zeroOnce sync.Once
+	zero     []bool
 }
 
 // FreeVars returns the closure's parameters, in the order Query.Value takes
@@ -158,6 +167,24 @@ func (sh *Shared) Param(in circuit.Input) (i int, a structure.Element, ok bool) 
 	return i, in.Tuple[0], true
 }
 
+// paramZero returns the gates a session leaves out: those that are 0 while
+// every parameter weight is 0.  A session's parameter weights are 0 in every
+// epoch, since a point read raises them only in its private overlay and
+// writes never reach them (Query.Prepare), so these gates are too; the
+// overlay recomputes those on a raised parameter's cone from their children.
+// Enumeration sets the parameters to generators and must not use the set.
+func (sh *Shared) paramZero() []bool {
+	sh.zeroOnce.Do(func() {
+		if len(sh.params) > 0 {
+			sh.zero = sh.res.Program.ZeroedBy(func(in circuit.Input) bool {
+				_, _, ok := sh.Param(in)
+				return ok
+			})
+		}
+	})
+	return sh.zero
+}
+
 // NewQuery instantiates a compiled query in the semiring s under the initial
 // weight assignment w.  The query keeps a reference to w and records
 // SetWeight updates into it; pass a fresh copy when the caller's assignment
@@ -169,8 +196,9 @@ func NewQuery[T any](s semiring.Semiring[T], sh *Shared, w *structure.Weights[T]
 	}
 	// Every session instantiated from this Shared borrows the same frozen
 	// Program: the ranks, parents CSR and children arena are shared, only the
-	// per-session values and maintenance state below are private.
-	dyn := circuit.NewDynamicProgram(sh.res.Program, s, compile.NewValuation(sh.res, s, w))
+	// per-session values and maintenance state below are private, and none of
+	// it for the gates the parameters hold at zero.
+	dyn := circuit.NewDynamicPruned(sh.res.Program, s, compile.NewValuation(sh.res, s, w), sh.paramZero())
 	return &Query[T]{
 		Relations: compile.NewRelations(sh.res),
 		reader:    reader[T]{sh: sh, one: s.One(), vals: dyn.Live()},

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/compile"
@@ -548,4 +549,42 @@ func TestPageRankExample(t *testing.T) {
 			t.Fatalf("after update pagerank(%d) = %s, want %s", x, v.RatString(), want.RatString())
 		}
 	}
+}
+
+// TestQueriesOpenedConcurrentlyAgree opens sessions of one Shared from several
+// goroutines at once, so the first NewQuery's search for the gates the
+// parameters hold at zero races with the others' (run under -race), and
+// holds each session to the brute-force value after writes of its own.
+func TestQueriesOpenedConcurrentlyAgree(t *testing.T) {
+	q := expr.Agg([]string{"y"}, expr.Times(expr.Guard(logic.R("E", "x", "y")), expr.W("w", "x", "y"), expr.W("u", "y")))
+	a, w := testDB(12, 30, 5)
+	sh, err := CompileShared(a, q, compile.Options{})
+	if err != nil {
+		t.Fatalf("CompileShared: %v", err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mine := w.Clone()
+			query := NewQuery[int64](semiring.Nat, sh, mine.Clone())
+			for v := i; v < a.N; v += 4 {
+				if err := query.SetWeight("u", structure.Tuple{v}, int64(i+v)); err != nil {
+					t.Errorf("SetWeight: %v", err)
+					return
+				}
+				mine.Set("u", structure.Tuple{v}, int64(i+v))
+			}
+			for x := 0; x < a.N; x++ {
+				got, err := query.Value(x)
+				want := naive(a, mine, q, map[string]structure.Element{"x": x})
+				if err != nil || got != want {
+					t.Errorf("session %d: f(%d) = %d, %v; want %d", i, x, got, err, want)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }
