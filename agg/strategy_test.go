@@ -98,6 +98,13 @@ func checkStrategiesAgree(t *testing.T, db *Database, query string, script [][]C
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
+	// A closed query's session maintains every gate, so ℤ's and the finite
+	// carriers' permanent maintainers run on it once its Program keeps a
+	// permanent.  A point query's session leaves out the gates its parameter
+	// zeroes, which may be all of its permanents.
+	if len(p.FreeVars()) == 0 && p.Stats().PermGates == 0 {
+		t.Fatal("the closed query compiles to no permanent: no maintainer runs")
+	}
 	points := [][]int{nil}
 	if len(p.FreeVars()) > 0 {
 		points = points[:0]

@@ -270,6 +270,65 @@ func TestOneSlotLevelsAreSums(t *testing.T) {
 	}
 }
 
+// siblings is a three-sibling query: x, y and z hang below w, and the
+// disequalities keep a level's injectivity real wherever two of them can
+// take one data node.
+const siblings = "sum w,x,y,z . [E(w,x)&E(w,y)&E(w,z)&!(x=y)&!(y=z)&!(x=z)] * u(x)*u(y)*u(z)"
+
+// TestPermanentsAreConnected checks that a shape level where no data node can
+// take two slots is a product of row sums, not a permanent: a one-row
+// permanent never appears, and a two-row one has a column both rows can take.
+// It compiles the triangle, 2-path formula, point query and three-sibling
+// query over the generated inputs.  A level of three or more slots stays one
+// permanent once two of them share a column, so the three-sibling query is
+// then checked against the brute-force evaluator, in ℕ and in min-plus, on an
+// input where it keeps permanents.
+func TestPermanentsAreConnected(t *testing.T) {
+	const point = "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)"
+	for _, kind := range []string{"bounded-degree", "grid", "pref-attach"} {
+		for _, query := range []string{triangles, "E(x,y) & E(y,z) & S(x)", point, siblings} {
+			p := compileLayoutCase(t, layoutCase{kind, query, 600}).Program
+			perms := 0
+			for id := 0; id < p.NumGates(); id++ {
+				if p.GateKind(id) != circuit.KindPerm {
+					continue
+				}
+				perms++
+				rows, cols := p.PermShape(id)
+				shared := false
+				for col := 0; col < cols && !shared; col++ {
+					colRows, _ := p.PermColumn(id, col)
+					shared = len(colRows) > 1
+				}
+				if rows < 2 || rows == 2 && !shared {
+					t.Fatalf("%s %s: %d×%d permanent gate %d is a product of row sums", kind, query, rows, cols, id)
+				}
+			}
+			t.Logf("%s %s: %d gates, %d permanents", kind, query, p.NumGates(), perms)
+		}
+	}
+
+	d := workload.BoundedDegree(24, 7, 2)
+	w := d.Weights()
+	wmp := structure.NewWeights[semiring.Ext]()
+	w.Each(func(name string, t structure.Tuple, v int64) { wmp.Set(name, t, semiring.Fin(v)) })
+	e := parser.MustParseExpr(siblings)
+	res, err := compile.Compile(d.A, e, compile.Options{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if res.Program.Stats().PermGates == 0 {
+		t.Fatalf("the three-sibling query keeps no permanent on this input: the check tests nothing")
+	}
+	if got, want := compile.Evaluate(res, semiring.Nat, w), baseline.EvalExpression(semiring.Nat, d.A, w, e); got != want || want == 0 {
+		t.Fatalf("ℕ: circuit %d, baseline %d", got, want)
+	}
+	if got, want := compile.Evaluate(res, semiring.MinPlus, wmp), baseline.EvalExpression(semiring.MinPlus, d.A, wmp, e); !semiring.MinPlus.Equal(got, want) {
+		t.Fatalf("min-plus: circuit %v, baseline %v", got, want)
+	}
+	t.Logf("bounded-degree n = 24, degree 7: %d permanents", res.Program.Stats().PermGates)
+}
+
 // TestColorCountIsFlat guards the constant in Theorem 6 on a count that
 // repeats exactly: the colouring a three-variable query is compiled over
 // uses as many colours at n = 38,400 as at n = 600 on the two inputs whose

@@ -382,11 +382,14 @@ func (t *shapeTree) isAncestor(a, s int) bool {
 
 // shapeBuilder compiles one (monomial, box, planned shape) triple into a
 // circuit over the box's forest, following the recursion of Claim 1 in the
-// paper: at each level, a permanent gate assigns the shape slots injectively
-// to data nodes, and the entries recurse into the corresponding subtrees.  A
-// level with one slot is a sum instead: injectivity over one slot is vacuous,
-// and the permanent of a 1×m matrix is the sum of its row — a deterministic
-// OR, since each entry fixes a different data node.
+// paper: at each level, a permanent assigns the shape slots injectively to
+// data nodes, and the entries recurse into the corresponding subtrees.  When
+// no data node can take two of a level's slots, every assignment is already
+// injective and the permanent is the product of its row sums: the level
+// compiles to that product, each sum a deterministic OR since each entry
+// fixes a different data node.  A one-slot level is this case — injectivity
+// over one slot is vacuous — so only a level where two slots can take one
+// data node, and injectivity is real, stays a permanent gate.
 type shapeBuilder struct {
 	env *compileEnv
 	cf  *colorForest
@@ -395,13 +398,14 @@ type shapeBuilder struct {
 	// assign[s] is the data node (subgraph index) of slot s on the current
 	// root-to-slot path.
 	assign []int
-	// entries holds the cells of the permanents being collected, one run per
+	// entries holds the cells of the levels being collected, one run per
 	// open level: a level appends after the runs of the levels enclosing it
 	// and cuts the buffer back to where its run began once its cells are
 	// collected (Perm copies them).
 	entries []circuit.PermEntry
-	// factors collects the factors of one entry once its subtree is built;
-	// Mul only reads them, so every entry reuses the buffer.
+	// factors collects the factors of one entry once its subtree is built,
+	// and a level's row sums once its cells are collected; Add and Mul only
+	// read them, so every entry and level reuses the buffer.
 	factors []int
 }
 
@@ -413,47 +417,52 @@ func (b *shapeBuilder) build() int {
 
 // rec builds the circuit assigning the given shape slots (all at one depth,
 // sharing a parent) injectively to the candidate data nodes: a permanent
-// for two or more sibling slots, the sum of the live entries for one.
+// when two slots can take one data node, the product of the rows' sums of
+// live entries, in candidate order, when none can.
 func (b *shapeBuilder) rec(slots []int, candidates []int) int {
 	c := b.env.c
-	switch len(slots) {
-	case 0:
+	if len(slots) == 0 {
 		return c.One()
-	case 1:
-		// Few entries of a level survive, so they collect without allocating.
-		var buf [16]int
-		live := buf[:0]
-		for _, v := range candidates {
-			if g := b.entry(slots[0], v); g != c.Zero() {
-				live = append(live, g)
-			}
-		}
-		return c.Add(live...)
 	}
-	base := len(b.entries)
-	cols := 0
-	var rows uint64 // the rows (at most one per variable) that have an entry
+	base, cols := len(b.entries), 0
+	var filled uint64 // the rows (at most one per variable) that have an entry
+	shared := false   // whether some column has entries in two rows
 	for _, v := range candidates {
-		colUsed := false
+		var rows uint64 // the rows with an entry in this column
 		for ri, s := range slots {
 			g := b.entry(s, v)
 			if g == c.Zero() {
 				continue
 			}
-			if !colUsed {
-				colUsed = true
+			if rows == 0 {
 				cols++
 			}
 			rows |= 1 << uint(ri)
 			b.entries = append(b.entries, circuit.PermEntry{Row: ri, Col: cols - 1, Gate: g})
 		}
+		filled |= rows
+		shared = shared || rows&(rows-1) != 0
 	}
 	entries := b.entries[base:]
 	b.entries = b.entries[:base]
-	if rows != 1<<uint(len(slots))-1 {
-		return c.Zero() // a slot no data node can take: the permanent is zero
+	if filled != 1<<uint(len(slots))-1 {
+		return c.Zero() // a slot no data node can take: the level is zero
 	}
-	return c.Perm(len(slots), cols, entries)
+	if shared {
+		return c.Perm(len(slots), cols, entries)
+	}
+	sums := b.factors[:0]
+	for r := range slots {
+		at := len(sums)
+		for _, e := range entries {
+			if e.Row == r {
+				sums = append(sums, e.Gate)
+			}
+		}
+		sums = append(sums[:at], c.Add(sums[at:]...))
+	}
+	b.factors = sums
+	return c.Mul(sums...)
 }
 
 // entry builds the circuit for assigning data node v to shape slot s, the

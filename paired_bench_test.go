@@ -138,16 +138,29 @@ func BenchmarkPairedSessionReaderEnumerate(b *testing.B) {
 // gate values evaluated once at its first point read, which nothing writes;
 // "pinned" is Session.Eval, on the session's live values rolled back to a pin
 // of its last commit; "static-parallel" is the static read on every
-// GOMAXPROCS goroutine at once, which takes no lock to contend on.
+// GOMAXPROCS goroutine at once, which takes no lock to contend on.  The
+// "siblings" cells read session_rw's point query on its pref-attach input:
+// its shapes put y and z on one level as two sibling slots, which the grid
+// query's one-variable shapes never do.
 func BenchmarkPairedPointRead(b *testing.B) {
 	ctx := context.Background()
+	type input struct {
+		prefix, kind, query string
+		n                   int
+		semirings           []string
+	}
+	var inputs []input
 	for _, n := range []int{600, 2400, 9600} {
-		db, err := agg.Generate("grid", n, 1)
+		inputs = append(inputs, input{"", "grid", "sum y . [E(x,y)] * u(x) * u(y)", n, []string{"natural", "minplus"}})
+	}
+	inputs = append(inputs, input{"siblings/pref-attach/", "pref-attach", "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)", 1500, []string{"natural"}})
+	for _, in := range inputs {
+		db, err := agg.Generate(in.kind, in.n, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, semiring := range []string{"natural", "minplus"} {
-			p, err := agg.Open(db).Prepare(ctx, "sum y . [E(x,y)] * u(x) * u(y)", agg.WithSemiring(semiring))
+		for _, semiring := range in.semirings {
+			p, err := agg.Open(db).Prepare(ctx, in.query, agg.WithSemiring(semiring))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -161,7 +174,7 @@ func BenchmarkPairedPointRead(b *testing.B) {
 				name string
 				eval func(context.Context, ...int) (agg.Value, error)
 			}{{"static", p.Eval}, {"pinned", s.Eval}} {
-				b.Run(fmt.Sprintf("n=%d/%s/%s", n, semiring, read.name), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%sn=%d/%s/%s", in.prefix, in.n, semiring, read.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						if _, err := read.eval(ctx, i%elements); err != nil {
@@ -170,7 +183,7 @@ func BenchmarkPairedPointRead(b *testing.B) {
 					}
 				})
 			}
-			b.Run(fmt.Sprintf("n=%d/%s/static-parallel", n, semiring), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%sn=%d/%s/static-parallel", in.prefix, in.n, semiring), func(b *testing.B) {
 				b.ReportAllocs()
 				var next atomic.Int64
 				b.RunParallel(func(pb *testing.PB) {
@@ -390,8 +403,10 @@ var registerBenchRingOnce sync.Once
 // weight Set at a random vertex, flipping it between zero and non-zero so
 // that it changes the value in every carrier; "open" is one Session() open
 // and close.  The point query's session leaves out every gate its parameter
-// holds at zero, its permanents among them, so "closed-set" and "closed-open"
-// run the same on the query closed over x, whose session maintains them all.
+// holds at zero, so "closed-set" and "closed-open" run the same on the query
+// closed over x, whose session maintains every gate.  Its permanents are the
+// levels where two sibling slots can take one data node: none at
+// pref-attach n = 1,500, 81 at bounded-degree n = 6,000.
 func BenchmarkPairedStrategySession(b *testing.B) {
 	registerBenchRingOnce.Do(func() {
 		agg.MustRegister(agg.NewSemiring[int64](benchRingCarrier, semiring.Int,
