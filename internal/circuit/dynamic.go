@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 	"unsafe"
 
@@ -35,16 +36,21 @@ import (
 // session: what a Dynamic holds per instance is values only — the gate values
 // (a Values, the state every point read runs on), and per addition or
 // permanent gate the counts, aggregation tree or maintained matrix its
-// strategy needs, each addressed by the Program's slots.  A Dynamic built by
-// NewDynamicPruned holds less: a gate its fixed inputs zero (a point query's
-// parameters do so for most of its closure) is Zero in the values and has no
-// counts, tree or maintainer, and no wave visits it.  A Worklist drains
-// dirty gates in increasing rank order, handing each the slots whose child
-// changed, so every affected gate is recomputed exactly once per wave no
-// matter how many of its children changed.  All wave state
-// (worklist, old values) is owned by the Dynamic and reused across updates:
-// once the buffers have grown to their steady-state capacity, updates on the
-// generic path perform zero heap allocations.
+// strategy needs, each addressed by the Program's slots, the counts and trees
+// carved out of one arena.  A Dynamic built by NewDynamicPruned holds less: a
+// gate its fixed inputs zero (a point query's parameters do so for most of its
+// closure) is Zero in the values and has no counts, tree or maintainer, and no
+// write visits it.
+//
+// A write is a point read that commits.  Its leaves seed the wave a point
+// read runs (an overlay over the values and its Worklist), which visits the
+// cone of the changed inputs in increasing rank order, every affected gate
+// once however many of its children changed; a write differs only in how a
+// gate is recomputed — from what its strategy maintains, which the wave
+// updates in place — and in that it then copies the gates the wave changed
+// into the values.  The writer keeps one overlay of its own, made by its first
+// write and reused by every write after it, so steady-state writes allocate
+// nothing on any strategy.
 //
 // # Goroutine safety
 //
@@ -53,7 +59,7 @@ import (
 // its first leaf assignment through its wave to its commit — one epoch, iff
 // it changed something — and a snapshot resolves an epoch pinned on it under
 // the shared lock, rolling dirtied slots back through the undo entries the
-// wave logs while anything is pinned.  So any number of snapshots, one per
+// commit logs while anything is pinned.  So any number of snapshots, one per
 // reading goroutine, run concurrently with each other and with mutations.
 // The live reads Value and GateValue take the shared lock too: they are safe
 // from any goroutine, but not from a wave hook or other code already holding
@@ -68,28 +74,28 @@ type Dynamic[T any] struct {
 	finite semiring.Finite[T] // nil unless the semiring is finite
 	elems  []T                // carrier, when finite
 
-	// live holds the gate values, rewritten in place by every wave.
+	// live holds the gate values, rewritten by every commit.
 	live *Values[T]
 
-	// What the strategy maintains beside vals, indexed by slot.  An addition
-	// gate g keeps nothing over a ring (difference updates on vals);
-	// addCounts[g][i], the number of its slots holding elems[i], over a finite
-	// semiring; addTree[g], a complete binary aggregation tree with its slots
-	// as leaves, otherwise.  perms[k] maintains the Program's k-th permanent
-	// gate.
-	addCounts [][]int64
-	addTree   [][]T
-	perms     []perm.Maintainer[T]
+	// What the strategy maintains beside the values.  An addition gate keeps
+	// nothing over a ring (difference updates); over a finite semiring,
+	// counts[addAt[g]+i] is the number of g's slots holding elems[i];
+	// otherwise trees[addAt[g]:] is a complete binary aggregation tree with
+	// g's slots as leaves (treeLen).  perms[k] maintains the Program's k-th
+	// permanent gate.
+	addAt  []int32
+	counts []int64
+	trees  []T
+	perms  []perm.Maintainer[T]
 
-	// Wave state, reused across updates (see runWave).
-	wave    *Worklist
-	refresh func(g int, slots []int32) // refreshGate, bound once so a wave allocates nothing
-	oldOf   []T                        // oldOf[g] is g's value right before this wave's change
-	stamp   []uint64                   // stamp[g] == gen marks g as changed this wave
-	gen     uint64                     // wave generation for stamp (not the commit epoch)
+	// o is the overlay every write runs its wave in, made by the first write
+	// (the point reads' overlays are the Values'); refresh is refreshGate,
+	// bound once so a write allocates nothing.
+	o       *overlay[T]
+	refresh func(g int, slots []int32)
 
 	// log is this state's undo history on clock: while readers are pinned,
-	// markChanged records each gate's pre-wave value.
+	// every commit records each changed gate's value before it.
 	clock *mvcc.Clock
 	log   *mvcc.Log[valUndo[T]]
 
@@ -153,32 +159,16 @@ func NewDynamicPruned[T any](p *Program, s semiring.Semiring[T], v Valuation[T],
 		d.finite = f
 		d.elems = f.Elements()
 	}
-	n := p.numGates
-	switch {
-	case d.live.ring != nil: // difference updates: no state beside vals
-	case d.finite != nil:
-		d.addCounts = make([][]int64, n)
-	default:
-		d.addTree = make([][]T, n)
+	if d.live.ring == nil {
+		d.initAdders()
 	}
 	d.perms = make([]perm.Maintainer[T], len(p.perms))
-	for id := 0; id < n; id++ {
-		if d.pruned(id) {
-			continue
-		}
-		switch Kind(p.kind[id]) {
-		case KindAdd:
-			d.initAdder(id)
-		case KindPerm:
+	for id := 0; id < p.numGates; id++ {
+		if Kind(p.kind[id]) == KindPerm && !d.pruned(id) {
 			d.perms[p.arg[id]] = d.newMaintainer(id)
 		}
 	}
-	d.wave = NewWorklist(p)
-	d.wave.skip = zero
 	d.refresh = d.refreshGate
-	d.oldOf = make([]T, n)
-	d.stamp = make([]uint64, n)
-	d.gen = 1
 	d.clock = new(mvcc.Clock)
 	d.log = mvcc.NewLog[valUndo[T]](d.clock, int64(unsafe.Sizeof(valUndo[T]{})))
 	return d
@@ -187,34 +177,69 @@ func NewDynamicPruned[T any](p *Program, s semiring.Semiring[T], v Valuation[T],
 // pruned reports whether gate g is one the Dynamic leaves out.
 func (d *Dynamic[T]) pruned(g int) bool { return d.zero != nil && d.zero[g] }
 
-// initAdder builds what the strategy maintains for addition gate g.
-func (d *Dynamic[T]) initAdder(g int) {
-	children := d.p.ChildIDs(g)
-	switch {
-	case d.addCounts != nil:
-		counts := make([]int64, len(d.elems))
-		for _, ch := range children {
-			counts[d.elemIndex(d.live.vals[ch])]++
+// initAdders carves the counts or trees of every addition gate out of one
+// arena, sized in a first pass, and fills them from the current values.
+func (d *Dynamic[T]) initAdders() {
+	p := d.p
+	d.addAt = make([]int32, p.numGates)
+	size := 0
+	for id := 0; id < p.numGates; id++ {
+		if Kind(p.kind[id]) == KindAdd && !d.pruned(id) {
+			d.addAt[id] = int32(size)
+			if d.finite != nil {
+				size += len(d.elems)
+			} else {
+				size += treeLen(len(p.ChildIDs(id)))
+			}
 		}
-		d.addCounts[g] = counts
-	case d.addTree != nil:
-		// Balanced aggregation tree over the children values.
-		size := 1
-		for size < len(children) {
-			size *= 2
+	}
+	if d.finite != nil {
+		d.counts = make([]int64, size)
+	} else {
+		d.trees = make([]T, size)
+	}
+	for id := 0; id < p.numGates; id++ {
+		if Kind(p.kind[id]) != KindAdd || d.pruned(id) {
+			continue
 		}
-		tree := make([]T, 2*size)
-		for i := range tree {
-			tree[i] = d.s.Zero()
+		children := p.ChildIDs(id)
+		if d.finite != nil {
+			counts := d.addCounts(id)
+			for _, ch := range children {
+				counts[d.elemIndex(d.live.vals[ch])]++
+			}
+			continue
 		}
-		for i, ch := range children {
-			tree[size+i] = d.live.vals[ch]
+		tree := d.addTree(id, len(children))
+		half := len(tree) / 2
+		for i := half; i < len(tree); i++ {
+			if i-half < len(children) {
+				tree[i] = d.live.vals[children[i-half]]
+			} else {
+				tree[i] = d.s.Zero()
+			}
 		}
-		for i := size - 1; i >= 1; i-- {
+		for i := half - 1; i >= 1; i-- {
 			tree[i] = d.s.Add(tree[2*i], tree[2*i+1])
 		}
-		d.addTree[g] = tree
 	}
+}
+
+// treeLen is the length of the aggregation tree over k slots: a complete
+// binary tree, root at 1, whose leaves are the k slots padded with Zero to a
+// power of two.
+func treeLen(k int) int { return 2 << bits.Len(uint(k-1)) }
+
+// addCounts returns addition gate g's value counts.
+func (d *Dynamic[T]) addCounts(g int) []int64 {
+	at := int(d.addAt[g])
+	return d.counts[at : at+len(d.elems)]
+}
+
+// addTree returns the aggregation tree of addition gate g over its k slots.
+func (d *Dynamic[T]) addTree(g, k int) []T {
+	at := int(d.addAt[g])
+	return d.trees[at : at+treeLen(k)]
 }
 
 // elemIndex resolves a carrier element to its index in elems by a linear
@@ -271,23 +296,6 @@ func (d *Dynamic[T]) SetInput(key structure.WeightKey, value T) {
 	d.ApplyBatch([]InputChange[T]{{Key: key, Value: value}})
 }
 
-// assign stores value at input gate id and enlists its parents in the
-// pending wave.  It reports the value the gate held, or changed=false when id
-// is -1 (an input the circuit does not reference) or already holds the value.
-// The caller holds the clock and runs the wave.
-func (d *Dynamic[T]) assign(id int, value T) (old T, changed bool) {
-	if id < 0 || d.s.Equal(d.live.vals[id], value) {
-		return old, false
-	}
-	if d.pruned(id) {
-		panic(fmt.Sprintf("circuit: write to input gate %d, which the Dynamic holds at zero", id))
-	}
-	old = d.live.vals[id]
-	d.live.vals[id] = value
-	d.markChanged(id, old)
-	return old, true
-}
-
 // ApplyBatch decodes each change's label to its input gate once, applies every
 // leaf change first and then runs one propagation wave in rank order, so gates
 // shared by several changed inputs are recomputed once per batch instead of
@@ -310,122 +318,77 @@ func (d *Dynamic[T]) Stage(leaves []Leaf[T]) {
 	d.stage(len(leaves), func(i int) (int, T) { return leaves[i].Gate, leaves[i].Value })
 }
 
-// stage assigns the n changes leaf yields and runs one wave if any was new.
+// stage is a point read of the n changes leaf yields that commits: it seeds
+// them into the write's overlay, drains the wave with the maintained recompute
+// (refreshGate), and stores every gate the wave changed into the values,
+// logging the value it replaces while readers are pinned.
 func (d *Dynamic[T]) stage(n int, leaf func(i int) (gate int, value T)) {
-	touched := false
+	if d.o == nil {
+		d.o = d.live.newOverlay()
+		d.o.wave.skip = d.zero
+	}
+	o := d.o
 	for i := 0; i < n; i++ {
-		if _, changed := d.assign(leaf(i)); changed {
-			touched = true
+		if id, value := leaf(i); o.seed(id, value) && d.pruned(id) {
+			d.o = nil // it holds the batch's earlier seeds: the next write makes a new one
+			panic(fmt.Sprintf("circuit: write to input gate %d, which the Dynamic holds at zero", id))
 		}
 	}
-	if touched {
-		d.runWave()
-		d.clock.Touch()
-	}
-}
-
-// markChanged records that gate g's value just changed from old and enlists
-// g's parents in the wave.  A gate's value changes at most once per wave
-// (children drain strictly before parents), so the generation stamp only
-// guards against the same *input* being assigned twice within one batch: the
-// first assignment records the pre-wave value and enlists the parents, later
-// ones merely overwrite vals.  When snapshots are pinned the pre-wave
-// value is also appended to the undo log — it is exactly the entry a reader
-// at an older epoch needs to roll g back.
-func (d *Dynamic[T]) markChanged(g int, old T) {
-	if d.stamp[g] == d.gen {
+	if len(o.touched) == 0 {
 		return
 	}
-	d.stamp[g] = d.gen
-	d.oldOf[g] = old
-	if d.log.Logging() {
-		d.log.Append(valUndo[T]{gate: int32(g), old: old})
+	d.runWave()
+	for _, g := range o.touched {
+		if d.log.Logging() {
+			d.log.Append(valUndo[T]{gate: g, old: d.live.vals[g]})
+		}
+		d.live.vals[g] = o.vals[g]
 	}
-	d.wave.Enlist(g)
+	o.reset()
+	d.clock.Touch()
 }
 
-// runWave drains the propagation wave, timing it only when a wave hook is
+// runWave drains the write's wave, timing it only when a wave hook is
 // installed so the common path never reads a clock.
 func (d *Dynamic[T]) runWave() {
 	if d.waveHook == nil {
-		d.propagateWave()
+		d.o.wave.Drain(d.refresh)
 		return
 	}
 	start := time.Now()
-	d.propagateWave()
+	d.o.wave.Drain(d.refresh)
 	d.waveHook(time.Since(start))
 }
 
-// propagateWave drains the worklist and closes the wave's generation.
-func (d *Dynamic[T]) propagateWave() {
-	d.wave.Drain(d.refresh)
-	d.gen++
-}
-
-// refreshGate is the wave's per-gate step: recompute g from the slots whose
-// child changed and, when its value moved, store it and pass the change on.
+// refreshGate is a write's step for a waiting gate: recompute g from what is
+// maintained for it, updated at the slots whose child changed.  A child's
+// value before the write is o.base, after it o.value; a child set back to its
+// value within one batch is enlisted all the same, hence the Equal checks.
 func (d *Dynamic[T]) refreshGate(g int, slots []int32) {
-	newVal := d.recomputeGate(g, slots)
-	if d.s.Equal(newVal, d.live.vals[g]) {
-		return
-	}
-	old := d.live.vals[g]
-	d.live.vals[g] = newVal
-	d.markChanged(g, old)
-}
-
-// recomputeGate refreshes what is maintained for gate g given the slots whose
-// child changed (the children's pre-wave values are in oldOf), and returns the
-// new value of g.  A child assigned back to its pre-wave value within one
-// batch is enlisted all the same, hence the Equal checks.
-func (d *Dynamic[T]) recomputeGate(g int, slots []int32) T {
+	o := d.o
 	kids := d.p.ChildIDs(g)
-	switch Kind(d.p.kind[g]) {
-	case KindAdd:
-		return d.recomputeAdd(g, kids, slots)
-	case KindMul:
-		acc := d.s.One()
-		for _, ch := range kids {
-			acc = d.s.Mul(acc, d.live.vals[ch])
-		}
-		return acc
-	case KindPerm:
+	switch {
+	case Kind(d.p.kind[g]) == KindPerm:
 		maintainer := d.perms[d.p.arg[g]]
 		for _, slot := range slots {
-			ch := kids[slot]
-			if d.s.Equal(d.oldOf[ch], d.live.vals[ch]) {
-				continue
+			ch := int(kids[slot])
+			if now := o.value(ch); !d.s.Equal(o.base(ch), now) {
+				row, col := d.p.PermCell(g, int(slot))
+				maintainer.Update(row, col, now)
 			}
-			row, col := d.p.PermCell(g, int(slot))
-			maintainer.Update(row, col, d.live.vals[ch])
 		}
-		return maintainer.Value()
-	default:
-		panic(fmt.Sprintf("circuit: gate %d of kind %v cannot be recomputed dynamically", g, Kind(d.p.kind[g])))
-	}
-}
-
-func (d *Dynamic[T]) recomputeAdd(g int, kids, slots []int32) T {
-	switch {
-	case d.live.ring != nil:
-		// Each changed slot contributes new − old once per wave: children
-		// drain strictly before parents, so oldOf holds the value this gate
-		// last incorporated.
-		acc := d.live.vals[g]
-		for _, slot := range slots {
-			ch := kids[slot]
-			acc = d.live.ring.Add(acc, d.live.ring.Add(d.live.vals[ch], d.live.ring.Neg(d.oldOf[ch])))
-		}
-		return acc
+		o.settle(g, maintainer.Value())
+	case Kind(d.p.kind[g]) != KindAdd || d.live.ring != nil:
+		// A product, or a sum over a ring: the read's rule (a ring delta).
+		o.refreshRead(g, slots)
 	case d.finite != nil:
-		counts := d.addCounts[g]
+		counts := d.addCounts(g)
 		for _, slot := range slots {
-			ch := kids[slot]
-			if d.s.Equal(d.oldOf[ch], d.live.vals[ch]) {
-				continue
+			ch := int(kids[slot])
+			if was, now := o.base(ch), o.value(ch); !d.s.Equal(was, now) {
+				counts[d.elemIndex(was)]--
+				counts[d.elemIndex(now)]++
 			}
-			counts[d.elemIndex(d.oldOf[ch])]--
-			counts[d.elemIndex(d.live.vals[ch])]++
 		}
 		acc := d.s.Zero()
 		for i, cnt := range counts {
@@ -433,21 +396,20 @@ func (d *Dynamic[T]) recomputeAdd(g int, kids, slots []int32) T {
 				acc = d.s.Add(acc, semiring.ScalarMul(d.s, cnt, d.elems[i]))
 			}
 		}
-		return acc
+		o.settle(g, acc)
 	default:
-		tree := d.addTree[g]
+		tree := d.addTree(g, len(kids))
 		for _, slot := range slots {
-			ch := kids[slot]
-			if d.s.Equal(d.oldOf[ch], d.live.vals[ch]) {
-				continue
-			}
-			pos := len(tree)/2 + int(slot)
-			tree[pos] = d.live.vals[ch]
-			for pos >= 2 {
-				pos /= 2
-				tree[pos] = d.s.Add(tree[2*pos], tree[2*pos+1])
+			ch := int(kids[slot])
+			if now := o.value(ch); !d.s.Equal(o.base(ch), now) {
+				pos := len(tree)/2 + int(slot)
+				tree[pos] = now
+				for pos >= 2 {
+					pos /= 2
+					tree[pos] = d.s.Add(tree[2*pos], tree[2*pos+1])
+				}
 			}
 		}
-		return tree[1]
+		o.settle(g, tree[1])
 	}
 }

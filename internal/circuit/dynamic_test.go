@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	. "repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -414,6 +415,129 @@ func guardStrategyAllocs[T any](t *testing.T, name string, s semiring.Semiring[T
 		d.ApplyBatch(batch)
 	}); allocs != 0 {
 		t.Errorf("%s: ApplyBatch allocates %.2f objects per steady-state batch, want 0", name, allocs)
+	}
+}
+
+// TestFirstVisitWritesZeroAllocs checks that a write allocates nothing even
+// where it reaches gates no earlier wave visited: the wave's memory is sized
+// by the gates a wave reaches, not owned gate by gate.  The circuit is many
+// disjoint cones of one shape — a product, a sum and a 2×2 permanent over
+// four inputs each — under one wide sum; after one cone's input has been
+// written, writing every other cone's input once allocates nothing, on each
+// update strategy.
+func TestFirstVisitWritesZeroAllocs(t *testing.T) {
+	guardFirstVisits(t, "Nat", semiring.Nat, []int64{2, 3, 1})
+	guardFirstVisits(t, "Int", semiring.Int, []int64{-2, 3, 1})
+	guardFirstVisits(t, "Bool", semiring.Bool, []bool{false, true, false})
+}
+
+func guardFirstVisits[T any](t *testing.T, name string, s semiring.Semiring[T], warm []T) {
+	t.Helper()
+	// MemStats counts the whole process, so a window can catch an allocation
+	// of the runtime's own goroutines: the writes pass if one of three
+	// windows of fresh cones allocates nothing.  A write that allocates on
+	// its first visit does so in every window.
+	const windows, width = 3, 64
+	cones := 1 + windows*width
+	c := NewBuilder()
+	var tops []int
+	for i := 0; i < cones; i++ {
+		w, x, y, z := input(c, "w", i), input(c, "x", i), input(c, "y", i), input(c, "z", i)
+		perm := c.Perm(2, 2, []PermEntry{{Row: 0, Col: 0, Gate: w}, {Row: 0, Col: 1, Gate: x}, {Row: 1, Col: 0, Gate: y}, {Row: 1, Col: 1, Gate: z}})
+		tops = append(tops, c.Add(c.Mul(w, x), y, perm))
+	}
+	c.SetOutput(c.Add(tops...))
+	// y is 0, so a changed w reaches the wide sum in every carrier.
+	val := func(in Input) (T, bool) {
+		switch {
+		case in.Symbol == "y":
+			return s.Zero(), true
+		case in.Symbol == "w" && in.Tuple[0] == 0:
+			return warm[len(warm)-1], true
+		case in.Symbol == "w":
+			return warm[0], true
+		}
+		return s.One(), true
+	}
+	d := NewDynamicProgram[T](c.Program(), s, func(in Input) (T, bool) {
+		if in.Symbol == "w" {
+			return s.One(), true
+		}
+		return val(in)
+	})
+	keys := make([]structure.WeightKey, cones)
+	for i := range keys {
+		keys[i] = key("w", i)
+	}
+	for _, v := range warm {
+		d.SetInput(keys[0], v)
+	}
+	least := uint64(1 << 63)
+	for win := 0; win < windows; win++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, k := range keys[1+win*width : 1+(win+1)*width] {
+			d.SetInput(k, warm[0])
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Errorf("%s: %d first writes to unvisited cones allocate %d objects at least, want 0", name, width, least)
+	}
+	if got, want := d.Value(), circuittest.EvaluateAll[T](c, s, val)[c.Output]; !s.Equal(got, want) {
+		t.Errorf("%s: Value = %s, reference %s", name, s.Format(got), s.Format(want))
+	}
+}
+
+// TestPrunedOpenBytes guards what a point session costs to open: a Dynamic
+// over a Program whose gates its fixed inputs nearly all zero holds, per
+// gate, the gate's value and an arena offset, and nothing sized for a wave —
+// at most 16 bytes a gate over an int64 carrier, generic or ring.
+func TestPrunedOpenBytes(t *testing.T) {
+	const cones = 4096
+	c := NewBuilder()
+	u := input(c, "u", 0)
+	var tops []int
+	for i := 0; i < cones; i++ {
+		v, next := input(c, "v", i), input(c, "v", i+1)
+		tops = append(tops, c.Add(c.Mul(v, u), c.Mul(v, next)))
+	}
+	c.SetOutput(c.Add(u, c.Add(tops...)))
+	p := c.Program()
+	zero := p.ZeroedBy(fixedSymbol)
+	kept := 0
+	for _, z := range zero {
+		if !z {
+			kept++
+		}
+	}
+	if kept > 8 {
+		t.Fatalf("%d of %d gates kept, want nearly all left out", kept, p.NumGates())
+	}
+	val := func(in Input) (int64, bool) {
+		if fixedSymbol(in) {
+			return 0, true
+		}
+		return 1, true
+	}
+	for _, tc := range []struct {
+		name string
+		s    semiring.Semiring[int64]
+	}{{"Nat", semiring.Nat}, {"Int", semiring.Int}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := NewDynamicPruned[int64](p, tc.s, val, zero)
+		runtime.ReadMemStats(&after)
+		perGate := float64(after.TotalAlloc-before.TotalAlloc) / float64(p.NumGates())
+		t.Logf("%s: %.1f B a gate over %d gates", tc.name, perGate, p.NumGates())
+		if perGate > 16 {
+			t.Errorf("%s: NewDynamicPruned allocates %.1f B a gate, want ≤ 16", tc.name, perGate)
+		}
+		d.SetInput(key("u", 0), 3)
+		if got := d.Value(); got != 3 {
+			t.Errorf("%s: Value after a write = %d, want 3", tc.name, got)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Values is the value of every gate of a Program in one semiring under one
 // valuation, the state every point read runs on.  A Dynamic rewrites its live
-// Values in place; values nobody writes are read without any lock by any
-// number of goroutines at once.
+// Values in place, committing what a wave over them computed; values nobody
+// writes are read without any lock by any number of goroutines at once.
 type Values[T any] struct {
 	p    *Program
 	s    semiring.Semiring[T]
@@ -49,10 +49,11 @@ func valuesOf[T any](p *Program, s semiring.Semiring[T], vals []T) *Values[T] {
 func (v *Values[T]) EvalWith(leaves []Leaf[T]) T { return v.evalWith(nil, leaves) }
 
 // evalWith is the one point evaluator, Theorem 8's read of f(ā) with the
-// parameter weights raised at ā: the overrides seed a private overlay wave
-// that propagates rank-ascending like the writer's, reading every gate it does
-// not reach from vals as they stand, or through view at a pinned epoch (the
-// caller holds the clock shared, view extended).  It writes nothing shared.
+// parameter weights raised at ā: the overrides seed a wave over the cone of
+// the inputs they change, the wave a Dynamic's write runs too, and every gate
+// it does not reach is read from vals as they stand, or through view at a
+// pinned epoch (the caller holds the clock shared, view extended).  A read is a
+// write that does not commit: it writes nothing shared.
 //
 // Addition gates recompute by the cheapest applicable rule: a ring delta
 // when the semiring subtracts; appending the new summands while every changed
@@ -62,44 +63,28 @@ func (v *Values[T]) EvalWith(leaves []Leaf[T]) T { return v.evalWith(nil, leaves
 func (v *Values[T]) evalWith(view *mvcc.View[valUndo[T]], leaves []Leaf[T]) T {
 	o := v.borrowOverlay(view)
 	for _, l := range leaves {
-		switch id := l.Gate; {
-		case id < 0: // an input the circuit does not reference
-		case o.state[id] == valued: // the same input again: the last value wins
-			o.vals[id] = l.Value
-		case !v.s.Equal(o.base(id), l.Value):
-			o.enter(int32(id), valued)
-			o.vals[id] = l.Value
-			o.mark(id)
-		}
+		o.seed(l.Gate, l.Value)
 	}
-	o.run()
+	o.wave.Drain(o.refresh)
 	out := o.value(v.p.output)
 	o.release() // not deferred: a wave that panicked half-way is not pooled
 	return out
 }
 
-// What one point read holds for a gate: nothing (it reads through base), the
-// slots whose child changed (lists[list[g]]), or its value (vals[g]).
-const (
-	unread uint8 = iota
-	waiting
-	valued
-)
-
-// overlay is the working memory of one point read.  It indexes gates densely,
-// but a read visits and resets only the gates it touches: O(touched gates).
+// overlay is the working memory of one wave, a point read's or a write's: the
+// gates whose value the wave changed, and the Worklist that schedules it.  It
+// indexes gates densely, but a wave visits and resets only the gates it
+// reaches: O(touched gates).
 type overlay[T any] struct {
-	v     *Values[T]
-	view  *mvcc.View[valUndo[T]]
-	state []uint8
-	vals  []T
-	list  []int32
-	// lists[:nlists] are this read's changed-slot lists; touched lists the
-	// gates whose state it set; buckets[r] the waiting gates of rank r.
-	lists   [][]int32
-	nlists  int
+	v       *Values[T]
+	view    *mvcc.View[valUndo[T]]
+	wave    Worklist
+	refresh func(g int, slots []int32) // refreshRead, bound once so a read allocates nothing
+	// valued[g] marks the gates this wave changed, to vals[g]; touched lists
+	// them in the order they changed.
+	valued  []bool
+	vals    []T
 	touched []int32
-	buckets [][]int32
 	// Operands of the permanent gate being recomputed, gathered in entry
 	// order, the identity index that addresses them, and the DP's buffers.
 	permOps []T
@@ -114,36 +99,39 @@ func (v *Values[T]) borrowOverlay(view *mvcc.View[valUndo[T]]) *overlay[T] {
 		o, _ = v.overlays.Get().(*overlay[T])
 	}
 	if o == nil {
-		n := v.p.numGates
-		o = &overlay[T]{state: make([]uint8, n), vals: make([]T, n), list: make([]int32, n), buckets: make([][]int32, v.p.maxRank+1)}
+		o = v.newOverlay()
 	}
-	o.v, o.view = v, view
+	o.view = view
 	return o
 }
 
-// release resets the gates the read touched and returns o for the next read.
-func (o *overlay[T]) release() {
+// newOverlay returns an empty overlay over v.
+func (v *Values[T]) newOverlay() *overlay[T] {
+	n := v.p.numGates
+	o := &overlay[T]{v: v, wave: *NewWorklist(v.p), valued: make([]bool, n), vals: make([]T, n)}
+	o.refresh = o.refreshRead
+	return o
+}
+
+// reset forgets the gates the wave changed, leaving o empty.
+func (o *overlay[T]) reset() {
 	var zero T
 	for _, g := range o.touched {
-		o.state[g], o.vals[g] = unread, zero
+		o.valued[g], o.vals[g] = false, zero
 	}
-	o.touched, o.nlists = o.touched[:0], 0
-	v := o.v
-	o.v, o.view = nil, nil
-	if !v.spare.CompareAndSwap(nil, o) {
-		v.overlays.Put(o)
+	o.touched = o.touched[:0]
+}
+
+// release resets a read's overlay and returns it for the next read.
+func (o *overlay[T]) release() {
+	o.reset()
+	o.view = nil
+	if !o.v.spare.CompareAndSwap(nil, o) {
+		o.v.overlays.Put(o)
 	}
 }
 
-// enter moves g into state, noting the first time the read touches it.
-func (o *overlay[T]) enter(g int32, state uint8) {
-	if o.state[g] == unread {
-		o.touched = append(o.touched, g)
-	}
-	o.state[g] = state
-}
-
-// base reads a gate as the read found it, before any override: its
+// base reads a gate as the wave found it, before any override: its
 // first-recorded undo value if the writer dirtied it since the view's pin.
 func (o *overlay[T]) base(g int) T {
 	if o.view != nil {
@@ -156,50 +144,47 @@ func (o *overlay[T]) base(g int) T {
 
 // value reads a gate under the overrides.
 func (o *overlay[T]) value(g int) T {
-	if o.state[g] == valued {
+	if o.valued[g] {
 		return o.vals[g]
 	}
 	return o.base(g)
 }
 
-// mark enlists the slots g is wired to after g's value changed.  Parents
-// outrank g and ranks drain in increasing order, so a parent is waiting
-// already, and is not queued again, or unread.
-func (o *overlay[T]) mark(g int) {
-	p := o.v.p
-	for _, wire := range p.Wires(g) {
-		parent := wire.Parent
-		if o.state[parent] != waiting {
-			o.enter(parent, waiting)
-			o.buckets[p.rank[parent]] = append(o.buckets[p.rank[parent]], parent)
-			if o.nlists == len(o.lists) {
-				o.lists = append(o.lists, nil)
-			}
-			o.list[parent] = int32(o.nlists)
-			o.lists[o.nlists] = o.lists[o.nlists][:0]
-			o.nlists++
-		}
-		i := o.list[parent]
-		o.lists[i] = append(o.lists[i], wire.Slot)
+// seed overrides input gate id with value, and reports whether the wave now
+// holds an override for it.  An id of -1 (an input the circuit does not
+// reference) and a value the gate already holds are ignored; the same input
+// again takes the last value.
+func (o *overlay[T]) seed(id int, value T) bool {
+	switch {
+	case id < 0:
+		return false
+	case o.valued[id]:
+		o.vals[id] = value
+	case o.v.s.Equal(o.base(id), value):
+		return false
+	default:
+		o.set(id, value)
+	}
+	return true
+}
+
+// settle ends gate g's turn in the wave with its recomputed value: a value
+// other than the one g held is recorded and passed on to g's parents.
+func (o *overlay[T]) settle(g int, val T) {
+	if !o.v.s.Equal(val, o.base(g)) {
+		o.set(g, val)
 	}
 }
 
-// run drains the rank buckets in increasing order.
-func (o *overlay[T]) run() {
-	for r := 1; r < len(o.buckets); r++ {
-		for _, g := range o.buckets[r] {
-			newVal := o.recompute(int(g), o.lists[o.list[g]])
-			if o.v.s.Equal(newVal, o.base(int(g))) {
-				o.state[g] = unread
-				continue
-			}
-			o.enter(g, valued)
-			o.vals[g] = newVal
-			o.mark(int(g))
-		}
-		o.buckets[r] = o.buckets[r][:0]
-	}
+// set gives g the value val for the rest of the wave and enlists its parents.
+func (o *overlay[T]) set(g int, val T) {
+	o.valued[g], o.vals[g] = true, val
+	o.touched = append(o.touched, int32(g))
+	o.wave.Enlist(g)
 }
+
+// refreshRead is a read's step for a waiting gate.
+func (o *overlay[T]) refreshRead(g int, slots []int32) { o.settle(g, o.recompute(g, slots)) }
 
 // recompute computes gate g's value under the overlay from its children,
 // given the slots whose child the current wave changed.
