@@ -233,10 +233,12 @@ func equalStrings(a, b []string) bool {
 
 // TestConcurrentReadersNeverBusy is the race-enabled stress test of the MVCC
 // contract at the public API: one writer streams updates while reader
-// goroutines Eval through Session.Snapshot Readers, asserting that every
-// reader observes exactly the values of some committed epoch (differential
-// against the sequential oracle the writer records after each commit) and
-// that no read ever fails with ErrSessionBusy.
+// goroutines Eval through Session.Snapshot Readers and, between Reader passes,
+// through Session.Eval, asserting that every Reader observes exactly the
+// values of some committed epoch, that every live read observes the values of
+// an epoch committed while it ran (differential against the sequential oracle
+// the writer records after each commit), and that no read ever fails with
+// ErrSessionBusy.
 func TestConcurrentReadersNeverBusy(t *testing.T) {
 	ctx := context.Background()
 	const (
@@ -333,14 +335,35 @@ func TestConcurrentReadersNeverBusy(t *testing.T) {
 					r.Close()
 					return
 				}
-				// Session.Eval must never be busy either: it always reads at a
-				// pin of the last committed epoch, never under the writer lock.
-				if _, err := s.Eval(ctx, 0); err != nil {
-					errs <- fmt.Errorf("reader %d: Session.Eval: %v", id, err)
-					r.Close()
-					return
-				}
 				r.Close()
+				// Session.Eval, the live read, must never be busy either: it
+				// reads the last commit under the clock's shared lock, never
+				// under the writer lock, so its value is the oracle's at some
+				// epoch committed while it ran.
+				for x := 0; x < n; x++ {
+					lo := s.Epoch()
+					v, err := s.Eval(ctx, x)
+					hi := s.Epoch()
+					if err != nil {
+						errs <- fmt.Errorf("reader %d: Session.Eval(%d): %v", id, x, err)
+						return
+					}
+					for {
+						if _, ok := oracle.Load(hi); ok {
+							break
+						}
+						runtime.Gosched()
+					}
+					seen := false
+					for e := lo; e <= hi && !seen; e++ {
+						want, _ := oracle.Load(e)
+						seen = want.([]Value)[x] == v
+					}
+					if !seen {
+						errs <- fmt.Errorf("reader %d: Session.Eval(%d) = %s, no oracle value at epochs %d..%d", id, x, v, lo, hi)
+						return
+					}
+				}
 			}
 		}(i)
 	}

@@ -441,14 +441,24 @@ func (s *nestedSession) materialize(epoch uint64) (*version, error) {
 	return v, v.err
 }
 
+// Eval pins the last commit for as long as it materialises and reads it.
+func (s *nestedSession) Eval(args []int) (string, error) {
+	epoch := s.clock.Pin()
+	defer s.clock.Unpin(epoch)
+	return s.read(epoch, args)
+}
+
 func (s *nestedSession) At(epoch uint64) func(args []int) (string, error) {
-	return func(args []int) (string, error) {
-		v, err := s.materialize(epoch)
-		if err != nil {
-			return "", err
-		}
-		return v.read(args)
+	return func(args []int) (string, error) { return s.read(epoch, args) }
+}
+
+// read answers the point query at a pinned epoch.
+func (s *nestedSession) read(epoch uint64, args []int) (string, error) {
+	v, err := s.materialize(epoch)
+	if err != nil {
+		return "", err
 	}
+	return v.read(args)
 }
 
 func (s *nestedSession) Answers(epoch uint64) (answers, error) {

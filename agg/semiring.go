@@ -82,9 +82,13 @@ type erasedSession interface {
 	// Clock is the session's one MVCC clock: commit counter, reader pins and
 	// reader/writer lock of every engine state the session keeps.
 	Clock() *mvcc.Clock
-	// At returns the point query as of an epoch pinned on Clock(): it keeps
-	// answering as of that commit while the writer keeps committing, and is
-	// meant for one goroutine.
+	// Eval is the point query as of the last commit, safe from any goroutine:
+	// it waits at most for one write's staged section and never for the
+	// writer lock.
+	Eval(args []int) (string, error)
+	// At returns the point query as of an epoch pinned on Clock(), for a
+	// Reader: it keeps answering as of that commit while the writer keeps
+	// committing, and is meant for one goroutine.
 	At(epoch uint64) func(args []int) (string, error)
 	// Answers returns the answer set as of a pinned epoch, nil for a query
 	// that is not enumerable.
@@ -197,6 +201,10 @@ func (ts *typedSemiring[T]) format(v T, err error) (string, error) {
 }
 
 func (s *typedSession[T]) Clock() *mvcc.Clock { return s.q.Clock() }
+
+func (s *typedSession[T]) Eval(args []int) (string, error) {
+	return s.ts.format(s.q.Value(args...))
+}
 
 func (s *typedSession[T]) At(epoch uint64) func(args []int) (string, error) {
 	snap := s.q.At(epoch)

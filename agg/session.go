@@ -17,11 +17,12 @@ import (
 //
 // Writes serialise and fail fast: a Set or ApplyBatch attempted while
 // another update holds the session returns ErrSessionBusy instead of
-// queueing.  Reads never fail that way — Eval always reads at a pin of the
-// last committed epoch, writer in flight or not, and Snapshot hands out a
-// Reader that keeps one such pin for sustained concurrent reading.  After
-// Close every operation returns ErrSessionClosed, but Readers drawn before the
-// Close stay usable until they are closed themselves.
+// queueing.  Reads never fail that way — Eval reads the last commit under
+// the session clock's shared lock, writer in flight or not, and Snapshot
+// hands out a Reader that pins one commit for reads that must agree with each
+// other while the writer moves on.  After Close every operation returns
+// ErrSessionClosed, but Readers drawn before the Close stay usable until they
+// are closed themselves.
 type Session struct {
 	p    *Prepared
 	once sync.Once
@@ -102,10 +103,12 @@ func (s *Session) FreeVars() []string { return s.p.FreeVars() }
 // Eval reads the query value under the updates applied so far: no arguments
 // for a closed query, one element per free variable for a point query.
 //
-// Eval never returns ErrSessionBusy: it pins the last committed epoch, answers
-// from that, and unpins it, without ever taking the writer lock — so reads
-// keep flowing under a sustained write stream and never make a concurrent
-// writer fail either.
+// Eval never returns ErrSessionBusy: it reads the last commit under the
+// session clock's shared lock, which a write holds exclusively only while it
+// stages and commits one batch, and never takes the writer lock — so reads
+// keep flowing under a sustained write stream, run concurrently with each
+// other, and never make a concurrent writer fail either.  Two Evals may see
+// different commits; a Reader from Snapshot answers every read at one.
 func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 	if err := ensureCtx(ctx).Err(); err != nil {
 		return "", err
@@ -114,9 +117,7 @@ func (s *Session) Eval(ctx context.Context, args ...int) (Value, error) {
 		return "", err
 	}
 	evalSpan := obs.FromContext(ctx).StartSpan(obs.StageEval)
-	epoch := s.clock.Pin()
-	out, err := s.sess.At(epoch)(args)
-	s.clock.Unpin(epoch)
+	out, err := s.sess.Eval(args)
 	if err != nil {
 		return "", newError(ErrArgument, s.p.text, err)
 	}

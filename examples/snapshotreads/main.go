@@ -44,8 +44,9 @@ func main() {
 	//
 	// A writer streams weight updates while a reader issues point queries.
 	// Updates serialise against each other (a concurrent Set would fail fast
-	// with ErrSessionBusy), but every Eval below answers from a snapshot of
-	// the last committed epoch: no queueing, no busy errors.
+	// with ErrSessionBusy), but every Eval below answers from the last
+	// committed epoch under a shared lock: no busy errors, and at most one
+	// write's commit to wait for.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -63,8 +63,9 @@ import (
 // reading goroutine, run concurrently with each other and with mutations.
 // The live reads Value and GateValue take the shared lock too: they are safe
 // from any goroutine, but not from a wave hook or other code already holding
-// the clock.  Point reads never write: the writer's run on Live, any other
-// goroutine's on a snapshot, and both through Values' one overlay evaluator.
+// the clock.  Point reads never write: a read of the last commit runs on Live
+// under the shared lock (or, for the writer, under its own), a read at a
+// pinned epoch on a snapshot, and both through Values' one overlay evaluator.
 type Dynamic[T any] struct {
 	p *Program
 	s semiring.Semiring[T]
@@ -275,8 +276,9 @@ func (d *Dynamic[T]) newMaintainer(id int) perm.Maintainer[T] {
 // Stage both, Commit, Unlock), pinned and read as one with this one.
 func (d *Dynamic[T]) Clock() *mvcc.Clock { return d.clock }
 
-// Live returns the values d maintains, for the goroutine that writes d to read
-// without the clock; any other goroutine reads at a pinned epoch (At).
+// Live returns the values d maintains.  A goroutine reads them under the
+// clock's shared lock, or without it when it is the one that writes d; a read
+// that must outlast later writes goes through a pinned epoch (At).
 func (d *Dynamic[T]) Live() *Values[T] { return d.live }
 
 // Value returns the current value of the output gate.
@@ -325,7 +327,9 @@ func (d *Dynamic[T]) Stage(leaves []Leaf[T]) {
 func (d *Dynamic[T]) stage(n int, leaf func(i int) (gate int, value T)) {
 	if d.o == nil {
 		d.o = d.live.newOverlay()
-		d.o.wave.skip = d.zero
+		if d.zero != nil {
+			d.o.wave.skipGates(d.zero)
+		}
 	}
 	o := d.o
 	for i := 0; i < n; i++ {

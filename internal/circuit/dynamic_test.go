@@ -1,6 +1,7 @@
 package circuit_test
 
 import (
+	"fmt"
 	"math/rand"
 	. "repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
@@ -538,6 +539,62 @@ func TestPrunedOpenBytes(t *testing.T) {
 		if got := d.Value(); got != 3 {
 			t.Errorf("%s: Value after a write = %d, want 3", tc.name, got)
 		}
+	}
+}
+
+// fanOutDynamic is a pruned Dynamic whose input u feeds fan products v_i·u,
+// every one zeroed by its fixed v_i, beside a kept input w summed into the
+// output: a write to u changes u alone, whatever its fan-out.
+func fanOutDynamic(fan int) (*Dynamic[int64], *Program) {
+	c := NewBuilder()
+	u := input(c, "u", 0)
+	kids := []int{input(c, "w", 0)}
+	for i := 0; i < fan; i++ {
+		kids = append(kids, c.Mul(input(c, "v", i), u))
+	}
+	c.SetOutput(c.Add(kids...))
+	p := c.Program()
+	val := func(in Input) (int64, bool) {
+		if fixedSymbol(in) {
+			return 0, true
+		}
+		return 1, true
+	}
+	return NewDynamicPruned[int64](p, semiring.Nat, val, p.ZeroedBy(fixedSymbol)), p
+}
+
+// TestPrunedFanOutWrites writes an input whose parents are all left out —
+// the write enlists nothing and must still store the input — beside a kept
+// input whose write reaches the output, at fan-out 2 and 4,096.
+// BenchmarkPrunedFanOut times the first kind of write at both fan-outs.
+func TestPrunedFanOutWrites(t *testing.T) {
+	for _, fan := range []int{2, 4096} {
+		d, p := fanOutDynamic(fan)
+		for v := int64(2); v < 6; v++ {
+			d.SetInput(key("u", 0), v)
+			d.SetInput(key("w", 0), v)
+			if got := d.Value(); got != v {
+				t.Errorf("fan-out %d: Value after writes of %d = %d, want %d", fan, v, got, v)
+			}
+		}
+		if got := d.GateValue(p.InputGate(key("u", 0))); got != 5 {
+			t.Errorf("fan-out %d: u holds %d, want 5", fan, got)
+		}
+	}
+}
+
+// BenchmarkPrunedFanOut writes an input whose parents are all left out, at
+// fan-out 2 and 4,096: with the quiet bits both cost the same.
+func BenchmarkPrunedFanOut(b *testing.B) {
+	for _, fan := range []int{2, 4096} {
+		d, _ := fanOutDynamic(fan)
+		k := key("u", 0)
+		b.Run(fmt.Sprintf("fanout=%d", fan), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d.SetInput(k, int64(i%7+1))
+			}
+		})
 	}
 }
 

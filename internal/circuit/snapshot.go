@@ -9,6 +9,11 @@ import "repro/internal/mvcc"
 // costs a digest lookup plus, lazily, one walk over the undo entries
 // committed since the pin (mvcc.View).
 //
+// It is the handle of reads that must stay at one commit: a session's
+// Readers and its subscriptions' evaluations.  A read of the last commit
+// needs no pin and no handle: it evaluates Live under the clock's shared
+// lock, where no write can pass it.
+//
 // A snapshot holds no copy of the value array: it reads the writer's current
 // state under the shared lock and rolls dirtied gates back through the undo
 // chain, the copy-on-write scheme of the MVCC session layer.  The pin must be

@@ -45,7 +45,9 @@ func valuesOf[T any](p *Program, s semiring.Semiring[T], vals []T) *Values[T] {
 }
 
 // EvalWith evaluates the output under temporary input overrides (evalWith),
-// safe from any number of goroutines while nobody writes the values.
+// safe from any number of goroutines while nobody writes the values: a
+// Dynamic's live values under its clock's shared lock, or values nobody
+// writes at all.
 func (v *Values[T]) EvalWith(leaves []Leaf[T]) T { return v.evalWith(nil, leaves) }
 
 // evalWith is the one point evaluator, Theorem 8's read of f(ā) with the

@@ -1,5 +1,7 @@
 package circuit
 
+import "slices"
+
 // Worklist is the rank-bucket scheduler of a propagation wave over a Program,
 // the one every wave in the repository runs on: a Dynamic's writes, the point
 // reads of Values and snapshots, and the enumerator's emptiness updates.  A
@@ -24,7 +26,11 @@ type Worklist struct {
 	list    []int32   // list[g] is 1 + the index in lists of g's changed slots while g waits, else 0
 	lists   [][]int32 // the pool; lists[:used] are this wave's
 	used    int
-	skip    []bool // skip[g]: g never waits (a write's pruned gates); nil skips none
+	// skip[g]: g never waits (a write's pruned gates); nil skips none.  Bit g
+	// of quiet is set when every parent of g is skipped, so Enlist(g) returns
+	// without walking g's wires (skipGates).
+	skip  []bool
+	quiet []uint64
 }
 
 // NewWorklist returns an empty worklist over the program's gates.
@@ -38,6 +44,9 @@ func NewWorklist(p *Program) *Worklist {
 // in one wave lists its slots twice; the enumerator's per-slot refresh is
 // idempotent, and the value waves enlist a gate once.
 func (w *Worklist) Enlist(g int) {
+	if w.quiet != nil && w.quiet[g/64]&(1<<(g%64)) != 0 {
+		return
+	}
 	for _, wire := range w.p.Wires(g) {
 		p := wire.Parent
 		if w.skip != nil && w.skip[p] {
@@ -56,6 +65,19 @@ func (w *Worklist) Enlist(g int) {
 			w.buckets[r] = append(w.buckets[r], p)
 		}
 		w.lists[i-1] = append(w.lists[i-1], wire.Slot)
+	}
+}
+
+// skipGates makes every wave of w skip the gates skip marks, and marks quiet
+// the gates all of whose parents it skips (or that have none): a write to an
+// input whose fan-out the skip set prunes whole then walks none of it,
+// however wide.
+func (w *Worklist) skipGates(skip []bool) {
+	w.skip, w.quiet = skip, make([]uint64, (w.p.numGates+63)/64)
+	for g := 0; g < w.p.numGates; g++ {
+		if !slices.ContainsFunc(w.p.Wires(g), func(wire Wire) bool { return !skip[wire.Parent] }) {
+			w.quiet[g/64] |= 1 << (g % 64)
+		}
 	}
 }
 

@@ -29,15 +29,17 @@ import (
 // A Query is a single-writer object: SetWeight, SetTuple and ApplyBatch (or
 // Prepare and Stage) mutate the underlying dynamic evaluator and the query's
 // own shadow of the weights and relations, and must be serialised by the
-// caller (the agg layer does this with a fail-fast writer lock), and so must
-// Value and ValueClosed, which read without the clock.  Concurrent *reads* go
-// through At, on an epoch pinned on Clock(): any number of snapshots may
-// evaluate point queries concurrently with each other and with the single
-// writer, without ever blocking it.
+// caller (the agg layer does this with a fail-fast writer lock).  Value and
+// ValueClosed read the last commit under Clock()'s shared lock, so they are
+// safe from any goroutine and wait at most for one write's staged section;
+// they must not be called by code already holding the clock.  A read that
+// must stay at one commit while the writer moves on goes through At, on an
+// epoch pinned on Clock().
 type Query[T any] struct {
 	// Relations shadows the dynamic relations: ValidateTuple, HasTuple.
 	*compile.Relations
-	// reader reads the writer's values as they stand: Value, ValueClosed.
+	// reader reads the writer's values as they stand; Value and ValueClosed
+	// wrap it in the shared lock.
 	reader[T]
 	s       semiring.Semiring[T]
 	dyn     *circuit.Dynamic[T]
@@ -233,6 +235,24 @@ func (q *Query[T]) FreeVars() []string { return q.sh.FreeVars() }
 // Result exposes the underlying compilation result (circuit statistics,
 // colouring, normalised polynomial).
 func (q *Query[T]) Result() *compile.Result { return q.sh.res }
+
+// Value returns the value of the query at the given tuple of the free
+// variables as of the last commit, read under the clock's shared lock.
+func (q *Query[T]) Value(args ...structure.Element) (T, error) {
+	c := q.Clock()
+	c.RLock()
+	defer c.RUnlock()
+	return q.reader.Value(args...)
+}
+
+// ValueClosed returns the value of a closed query (no free variables) as of
+// the last commit, read under the clock's shared lock.
+func (q *Query[T]) ValueClosed() (T, error) {
+	c := q.Clock()
+	c.RLock()
+	defer c.RUnlock()
+	return q.reader.ValueClosed()
+}
 
 // Clock returns the clock the value state commits under (circuit.Dynamic.Clock).
 func (q *Query[T]) Clock() *mvcc.Clock { return q.dyn.Clock() }

@@ -11,8 +11,8 @@ import (
 )
 
 // reader reads the closure at a tuple of its parameters through circuit's one
-// point evaluator, on vals as they stand or, when at is set, on a Dynamic at
-// the epoch at pins.
+// point evaluator, on vals as they stand (the caller excludes writers to them)
+// or, when at is set, on a Dynamic at the epoch at pins.
 type reader[T any] struct {
 	sh   *Shared
 	one  T
@@ -56,8 +56,9 @@ func (r *reader[T]) eval(leaves []circuit.Leaf[T]) T {
 
 // Snapshot is a read handle on a Query at one committed epoch pinned on its
 // clock: Value and ValueClosed answer as of that commit no matter how many
-// weight or tuple updates the writer applies afterwards.  A Snapshot is
-// intended for a single reader goroutine; take one per goroutine.
+// weight or tuple updates the writer applies afterwards, where the Query's own
+// Value answers as of whichever commit it runs after.  A Snapshot is intended
+// for a single reader goroutine; take one per goroutine.
 type Snapshot[T any] struct{ reader[T] }
 
 // At returns a read handle for epoch, which the caller has pinned on Clock()

@@ -2,6 +2,7 @@ package dynamicq
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/compile"
@@ -118,5 +119,77 @@ func TestSnapshotArityChecks(t *testing.T) {
 	}
 	if want := naive(a, w, q, map[string]structure.Element{"x": 0}); got != want {
 		t.Errorf("f(0) = %d, want %d", got, want)
+	}
+}
+
+// TestLiveValueBesideWriter reads Value from several goroutines while the
+// writer commits batches that set every weight of one vertex's edges to the
+// same step value: a read under the clock's shared lock sees whole batches
+// only, so f(x) is step·deg(x) for a step that never goes back.
+func TestLiveValueBesideWriter(t *testing.T) {
+	q := expr.Agg([]string{"y"}, expr.Times(expr.Guard(logic.R("E", "x", "y")), expr.W("w", "x", "y")))
+	a, w := testDB(8, 16, 29)
+	out := make([][]structure.Tuple, a.N)
+	for _, e := range a.Tuples("E") {
+		out[e[0]] = append(out[e[0]], e)
+	}
+	x := 0
+	for v := range out {
+		if len(out[v]) > len(out[x]) {
+			x = v
+		}
+	}
+	edges := out[x]
+	batch := func(step int64) []Change[int64] {
+		changes := make([]Change[int64], len(edges))
+		for i, e := range edges {
+			changes[i] = Change[int64]{Weight: "w", Tuple: e, Value: step}
+		}
+		return changes
+	}
+	query, err := CompileQuery[int64](semiring.Nat, a, w, q, compile.Options{})
+	if err != nil {
+		t.Fatalf("CompileQuery: %v", err)
+	}
+	if err := query.ApplyBatch(batch(0)); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	const steps, readers = 300, 3
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := int64(0)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, err := query.Value(x)
+				if err != nil {
+					t.Errorf("Value(%d): %v", x, err)
+					return
+				}
+				if got%int64(len(edges)) != 0 || got < last {
+					t.Errorf("Value(%d) = %d after %d: not a whole batch of %d edges, or a step back", x, got, last, len(edges))
+					return
+				}
+				last = got
+			}
+		}()
+	}
+	for step := int64(1); step <= steps; step++ {
+		if err := query.ApplyBatch(batch(step)); err != nil {
+			t.Errorf("ApplyBatch: %v", err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if got, _ := query.Value(x); got != steps*int64(len(edges)) {
+		t.Errorf("final Value(%d) = %d, want %d", x, got, steps*int64(len(edges)))
 	}
 }

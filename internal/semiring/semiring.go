@@ -22,6 +22,7 @@ package semiring
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 )
 
 // Semiring is a commutative semiring over carrier type T.
@@ -139,7 +140,7 @@ func (Boolean) One() bool            { return true }
 func (Boolean) Add(a, b bool) bool   { return a || b }
 func (Boolean) Mul(a, b bool) bool   { return a && b }
 func (Boolean) Equal(a, b bool) bool { return a == b }
-func (Boolean) Format(a bool) string { return fmt.Sprintf("%v", a) }
+func (Boolean) Format(a bool) string { return strconv.FormatBool(a) }
 func (Boolean) Elements() []bool     { return []bool{false, true} }
 func (Boolean) Less(a, b bool) bool  { return !a && b }
 
@@ -162,7 +163,7 @@ func (Natural) One() int64            { return 1 }
 func (Natural) Add(a, b int64) int64  { return a + b }
 func (Natural) Mul(a, b int64) int64  { return a * b }
 func (Natural) Equal(a, b int64) bool { return a == b }
-func (Natural) Format(a int64) string { return fmt.Sprintf("%d", a) }
+func (Natural) Format(a int64) string { return strconv.FormatInt(a, 10) }
 func (Natural) Less(a, b int64) bool  { return a < b }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ func (IntRing) Add(a, b int64) int64  { return a + b }
 func (IntRing) Mul(a, b int64) int64  { return a * b }
 func (IntRing) Neg(a int64) int64     { return -a }
 func (IntRing) Equal(a, b int64) bool { return a == b }
-func (IntRing) Format(a int64) string { return fmt.Sprintf("%d", a) }
+func (IntRing) Format(a int64) string { return strconv.FormatInt(a, 10) }
 func (IntRing) Less(a, b int64) bool  { return a < b }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ func formatExt(a Ext, infSym string) string {
 	if a.Inf {
 		return infSym
 	}
-	return fmt.Sprintf("%d", a.V)
+	return strconv.FormatInt(a.V, 10)
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +412,9 @@ func (r Modular) Neg(a int64) int64    { return r.norm(-a) }
 func (r Modular) Equal(a, b int64) bool {
 	return r.norm(a) == r.norm(b)
 }
-func (r Modular) Format(a int64) string { return fmt.Sprintf("%d (mod %d)", r.norm(a), r.M) }
+func (r Modular) Format(a int64) string {
+	return strconv.FormatInt(r.norm(a), 10) + " (mod " + strconv.FormatInt(r.M, 10) + ")"
+}
 func (r Modular) Elements() []int64 {
 	out := make([]int64, r.M)
 	for i := range out {
@@ -464,7 +467,7 @@ func (t Truncated) Mul(a, b int64) int64 {
 	return t.clamp(a * b)
 }
 func (t Truncated) Equal(a, b int64) bool { return t.clamp(a) == t.clamp(b) }
-func (t Truncated) Format(a int64) string { return fmt.Sprintf("%d", t.clamp(a)) }
+func (t Truncated) Format(a int64) string { return strconv.FormatInt(t.clamp(a), 10) }
 func (t Truncated) Less(a, b int64) bool  { return t.clamp(a) < t.clamp(b) }
 func (t Truncated) Elements() []int64 {
 	out := make([]int64, t.Cap+1)

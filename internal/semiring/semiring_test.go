@@ -1,6 +1,8 @@
 package semiring
 
 import (
+	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -207,5 +209,35 @@ func TestOrderedSemirings(t *testing.T) {
 	}
 	if !Nat.Less(2, 3) || Nat.Less(3, 2) {
 		t.Errorf("Nat ordering broken")
+	}
+}
+
+// TestFormatMatchesSprintf pins the printed form of the integer and boolean
+// carriers, formatted with strconv on the read path, to the fmt verbs they
+// print as.
+func TestFormatMatchesSprintf(t *testing.T) {
+	ints := []int64{math.MinInt64, -12345, -100, -99, -1, 0, 1, 7, 99, 100, 12345, math.MaxInt64}
+	trunc, mod := NewTruncated(1000), NewModular(7)
+	for _, a := range ints {
+		for _, c := range []struct{ name, got, want string }{
+			{"Natural", Nat.Format(a), fmt.Sprintf("%d", a)},
+			{"IntRing", Int.Format(a), fmt.Sprintf("%d", a)},
+			{"Truncated", trunc.Format(a), fmt.Sprintf("%d", trunc.clamp(a))},
+			{"Modular", mod.Format(a), fmt.Sprintf("%d (mod %d)", mod.norm(a), mod.M)},
+			{"MinPlus", MinPlus.Format(Fin(a)), fmt.Sprintf("%d", a)},
+			{"MaxPlus", MaxPlus.Format(Fin(a)), fmt.Sprintf("%d", a)},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s.Format(%d) = %q, want %q", c.name, a, c.got, c.want)
+			}
+		}
+	}
+	for _, b := range []bool{false, true} {
+		if got, want := Bool.Format(b), fmt.Sprintf("%v", b); got != want {
+			t.Errorf("Boolean.Format(%v) = %q, want %q", b, got, want)
+		}
+	}
+	if got := MinPlus.Format(Infinite); got != "+inf" {
+		t.Errorf("MinPlus.Format(∞) = %q, want +inf", got)
 	}
 }

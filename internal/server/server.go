@@ -227,10 +227,10 @@ func (s *Server) cached(key string, eng *agg.Engine, text string, opts ...agg.Op
 // server.  The handle serialises *updates* with its own lock, so update
 // batches on one session queue while distinct sessions proceed in parallel
 // and the underlying agg.Session never reports a writer–writer conflict
-// through this path.  Point queries take no lock at all: agg.Session.Eval
-// reads through an MVCC snapshot of the last committed epoch, so /point
-// keeps answering — without queueing and without 409s — while a /batch is
-// mid-flight on the same session.
+// through this path.  Point queries take no handle lock: agg.Session.Eval
+// reads the last committed epoch under the session clock's shared lock, so
+// /point keeps answering — without 409s, and waiting at most for one write's
+// commit — while a /batch is mid-flight on the same session.
 type SessionHandle struct {
 	name     string
 	semiring string
@@ -250,7 +250,7 @@ func (h *SessionHandle) FreeVars() []string { return h.sess.FreeVars() }
 
 // Eval reads the session's query value at a tuple of its free variables (no
 // arguments for a closed query).  It does not take the handle's update lock:
-// the read pins a snapshot of the last committed epoch, so it proceeds
+// the read answers from the last committed epoch, so it proceeds
 // concurrently with updates on the same session.
 func (h *SessionHandle) Eval(ctx context.Context, args ...int) (agg.Value, error) {
 	return h.sess.Eval(ctx, args...)

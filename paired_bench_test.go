@@ -136,9 +136,11 @@ func BenchmarkPairedSessionReaderEnumerate(b *testing.B) {
 // parameter weights at the point over values it does not write (Theorem 8).
 // Its arms differ only in the values read: "static" is Prepared.Eval, on the
 // gate values evaluated once at its first point read, which nothing writes;
-// "pinned" is Session.Eval, on the session's live values rolled back to a pin
-// of its last commit; "static-parallel" is the static read on every
-// GOMAXPROCS goroutine at once, which takes no lock to contend on.  The
+// "session" is Session.Eval, on the session's live values under its clock's
+// shared lock; "reader" is Reader.Eval, on those values rolled back to the
+// epoch a Snapshot pinned; "static-parallel" and "session-parallel" are the
+// static and session reads on every GOMAXPROCS goroutine at once, the first
+// taking no lock and the second only the shared one.  The
 // "siblings" cells read session_rw's point query on its pref-attach input:
 // its shapes put y and z on one level as two sibling slots, which the grid
 // query's one-variable shapes never do.
@@ -168,12 +170,16 @@ func BenchmarkPairedPointRead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Cleanup(func() { s.Close() })
+			r, err := s.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { r.Close(); s.Close() })
 			elements := db.Elements()
 			for _, read := range []struct {
 				name string
 				eval func(context.Context, ...int) (agg.Value, error)
-			}{{"static", p.Eval}, {"pinned", s.Eval}} {
+			}{{"static", p.Eval}, {"session", s.Eval}, {"reader", r.Eval}} {
 				b.Run(fmt.Sprintf("%sn=%d/%s/%s", in.prefix, in.n, semiring, read.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -183,18 +189,23 @@ func BenchmarkPairedPointRead(b *testing.B) {
 					}
 				})
 			}
-			b.Run(fmt.Sprintf("%sn=%d/%s/static-parallel", in.prefix, in.n, semiring), func(b *testing.B) {
-				b.ReportAllocs()
-				var next atomic.Int64
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if _, err := p.Eval(ctx, int(next.Add(1))%elements); err != nil {
-							b.Error(err)
-							return
+			for _, read := range []struct {
+				name string
+				eval func(context.Context, ...int) (agg.Value, error)
+			}{{"static-parallel", p.Eval}, {"session-parallel", s.Eval}} {
+				b.Run(fmt.Sprintf("%sn=%d/%s/%s", in.prefix, in.n, semiring, read.name), func(b *testing.B) {
+					b.ReportAllocs()
+					var next atomic.Int64
+					b.RunParallel(func(pb *testing.PB) {
+						for pb.Next() {
+							if _, err := read.eval(ctx, int(next.Add(1))%elements); err != nil {
+								b.Error(err)
+								return
+							}
 						}
-					}
+					})
 				})
-			})
+			}
 		}
 	}
 }
