@@ -106,11 +106,12 @@ func (slowAddNat) Add(a, b int64) int64 {
 // TestParallelEvaluateCtxCancelStopsInWideGates checks that the cancellation
 // stride counts wires, not gates: a level of 128 additions of fan-in 128 is
 // ≈410 ms of work in 128 gates, which a check every 256 gates would never
-// interrupt.
+// interrupt.  Each sum reads all of 129 inputs but one, sum i leaving out input
+// i, so the builder, which interns equal gates, keeps 128 distinct sums.
 func TestParallelEvaluateCtxCancelStopsInWideGates(t *testing.T) {
 	const n = 128
 	c := NewBuilder()
-	inputs := make([]int, n)
+	inputs := make([]int, n+1)
 	for i := range inputs {
 		inputs[i] = c.Input("w", structure.Ordinary, structure.Tuple{i})
 	}
@@ -118,7 +119,7 @@ func TestParallelEvaluateCtxCancelStopsInWideGates(t *testing.T) {
 	for i := range sums {
 		children := make([]int, n)
 		for j := range children {
-			children[j] = inputs[(i+j)%n]
+			children[j] = inputs[(i+1+j)%(n+1)]
 		}
 		sums[i] = c.Add(children...)
 	}

@@ -11,9 +11,11 @@
 // inputs form a rectangular matrix with a bounded number of rows.
 //
 // A Circuit is the builder: it appends each gate straight into the arenas a
-// Program reads (program.go) and has no evaluators.  Freezing it into a
-// Program adds only what needs the finished circuit, the wires and the level
-// schedule; the same Program can be evaluated in any semiring
+// Program reads (program.go) and has no evaluators.  It builds every gate
+// once: asked for a gate it already has, it returns the existing one, so
+// every parent of a shared subexpression wires the same gate.  Freezing it
+// into a Program adds only what needs the finished circuit, the wires and the
+// level schedule; the same Program can be evaluated in any semiring
 // (program_eval.go) and maintained under input updates (dynamic.go).
 package circuit
 
@@ -66,8 +68,11 @@ type PermEntry struct {
 
 // Circuit is a directed acyclic circuit under construction.  A gate is
 // appended only after its children, so every child id is smaller than its
-// parent's and ids are a topological order.  Once built, freeze it with
-// Program (memoised) to obtain the form shared by all engines.
+// parent's and ids are a topological order.  Every gate is interned: no two
+// gates share a kind and operands — an input its symbol, role and tuple, a
+// constant its value, a sum or product its multiset of operands, a permanent
+// its shape and cells.  Once built, freeze it with Program (memoised) to
+// obtain the form shared by all engines.
 type Circuit struct {
 	// Output is the output gate, -1 until SetOutput.
 	Output int
@@ -78,6 +83,9 @@ type Circuit struct {
 	constIndex map[string]int // constant value → its gate
 	zeroGate   int
 	oneGate    int
+	// unique finds the sums, products and permanents already built; it is
+	// builder state, dropped at freeze and rebuilt by the next such gate.
+	unique unique
 	// frozenInputs is set while a frozen Program shares the input index: the
 	// next new input copies it before writing to it.
 	frozenInputs bool
@@ -155,9 +163,9 @@ func (c *Circuit) Input(sym string, role structure.Role, t structure.Tuple) int 
 	return id
 }
 
-// Const returns a constant gate with value n ≥ 0.  Constants are interned:
-// requesting the same value again returns the existing gate instead of
-// growing the circuit.
+// Const returns a constant gate with value n ≥ 0.  Like every gate it is
+// interned: requesting the same value again returns the existing gate
+// instead of growing the circuit.
 func (c *Circuit) Const(n *big.Int) int {
 	if n.Sign() < 0 {
 		panic("circuit: negative constants are not representable in a general semiring")
@@ -186,7 +194,9 @@ func (c *Circuit) ConstInt(n int64) int { return c.Const(big.NewInt(n)) }
 
 // Add returns a gate computing the sum of the children.  Zero children are
 // dropped; an empty sum is the constant 0, and a single surviving child is
-// returned as-is.
+// returned as-is.  Like every gate it is interned: a sum of the same multiset
+// of children, in any order, returns the existing gate, and finding it
+// allocates nothing.
 func (c *Circuit) Add(children ...int) int {
 	survivors, last := 0, c.zeroGate
 	for _, ch := range children {
@@ -204,13 +214,15 @@ func (c *Circuit) Add(children ...int) int {
 			c.children = append(c.children, int32(ch))
 		}
 	}
-	return c.appendGate(KindAdd, -1)
+	return c.intern(KindAdd, -1)
 }
 
 // Mul returns a gate computing the product of the children.  Unit children
 // are dropped; a zero child makes the whole product the constant 0; an
 // empty product is the constant 1, and a single remaining child is returned
-// as-is.
+// as-is.  Like every gate it is interned: a product of the same multiset of
+// children, in any order, returns the existing gate, and finding it
+// allocates nothing.
 func (c *Circuit) Mul(children ...int) int {
 	kept, last := 0, c.oneGate
 	for _, ch := range children {
@@ -231,12 +243,14 @@ func (c *Circuit) Mul(children ...int) int {
 			c.children = append(c.children, int32(ch))
 		}
 	}
-	return c.appendGate(KindMul, -1)
+	return c.intern(KindMul, -1)
 }
 
 // Perm returns a permanent gate over a rows×cols matrix whose wired entries
 // are given; missing entries are the semiring zero.  The entries are copied,
-// so the caller may reuse the slice.
+// so the caller may reuse the slice.  Like every gate it is interned: a
+// permanent of the same shape over the same cells, given in any order,
+// returns the existing gate, and finding it allocates nothing.
 //
 // The gate's slots are its entries in column-major order (stable within a
 // column), so evaluation runs the column dynamic program straight off the
@@ -278,7 +292,7 @@ func (c *Circuit) Perm(rows, cols int, entries []PermEntry) int {
 	// Placing advanced every column's offset to the next column's.
 	copy(place[1:], place[:cols])
 	place[0] = 0
-	return c.appendGate(KindPerm, len(c.perms)-1)
+	return c.intern(KindPerm, len(c.perms)-1)
 }
 
 func (c *Circuit) checkChild(ch int) {

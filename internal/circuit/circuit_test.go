@@ -280,6 +280,79 @@ func TestInputLookupAllocations(t *testing.T) {
 	}
 }
 
+// TestBuilderInternsGates checks the builder's unique table: a sum or
+// product of the same multiset of operands, and a permanent of the same shape
+// over the same cells, is the gate already built whatever order the operands
+// come in, and the gate keeps the order it was first built with; a different
+// multiset, kind, shape or cell is a new gate; and a frozen builder still
+// finds the gates it built before the freeze.
+func TestBuilderInternsGates(t *testing.T) {
+	c := NewBuilder()
+	a, b, d := input(c, "w", 0), input(c, "w", 1), input(c, "w", 2)
+	at := func(row, col, gate int) PermEntry { return PermEntry{Row: row, Col: col, Gate: gate} }
+	sum, prod := c.Add(a, b, d), c.Mul(a, b, b)
+	perm := c.Perm(2, 2, []PermEntry{at(0, 0, a), at(1, 0, b), at(0, 1, d)})
+	n := c.NumGates()
+	if c.Add(d, a, b) != sum || c.Add(b, c.Zero(), d, a) != sum || c.Mul(b, a, c.One(), b) != prod ||
+		c.Perm(2, 2, []PermEntry{at(0, 1, d), at(1, 0, b), at(0, 0, a)}) != perm || c.NumGates() != n {
+		t.Fatalf("asking again for the sum, product and permanent grew the circuit from %d to %d gates", n, c.NumGates())
+	}
+	if got := c.Program().ChildIDs(sum); !slices.Equal(got, []int32{int32(a), int32(b), int32(d)}) {
+		t.Errorf("the sum's operands are %v, want the order it was built with", got)
+	}
+	fresh := []int{
+		c.Mul(a, b, d), c.Add(a, b), c.Add(a, b, b), c.Mul(a, a, b),
+		c.Perm(2, 2, []PermEntry{at(1, 0, a), at(0, 0, b), at(0, 1, d)}),
+		c.Perm(2, 3, []PermEntry{at(0, 0, a), at(1, 0, b), at(0, 1, d)}),
+	}
+	for i, g := range fresh {
+		if g < n || slices.Index(fresh, g) != i {
+			t.Fatalf("gate %d of %v is not new: a different kind, multiset, shape or cell found another gate", i, fresh)
+		}
+	}
+	n = c.NumGates()
+	c.Program()
+	if c.Add(b, d, a) != sum || c.Perm(2, 2, []PermEntry{at(0, 1, d), at(0, 0, a), at(1, 0, b)}) != perm || c.NumGates() != n {
+		t.Fatalf("after a freeze, asking again grew the circuit from %d to %d gates", n, c.NumGates())
+	}
+}
+
+// TestInternAllocations holds a sum, product or permanent that finds an
+// existing gate to no allocation: the unique table is an array of gate ids,
+// and a probe compares operands in the builder's arenas and a reused scratch.
+func TestInternAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	c := NewBuilder()
+	gates := make([]int, 64)
+	for i := range gates {
+		gates[i] = input(c, "w", i)
+	}
+	wide := append([]int(nil), gates...)
+	c.Add(wide...)
+	slices.Reverse(wide)
+	cells := make([]PermEntry, 0, 3*len(gates))
+	for i, g := range gates {
+		cells = append(cells, PermEntry{Row: i % 3, Col: i / 3, Gate: g})
+	}
+	c.Perm(3, 22, cells)
+	slices.Reverse(cells)
+	for i := 0; i+2 < len(gates); i++ {
+		c.Mul(gates[i], gates[i+1], gates[i+2])
+	}
+	n := c.NumGates()
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Add(wide...)
+		c.Perm(3, 22, cells)
+		for i := 0; i+2 < len(gates); i++ {
+			c.Mul(gates[i+2], gates[i], gates[i+1])
+		}
+	}); allocs != 0 || c.NumGates() != n {
+		t.Errorf("finding existing gates allocates %.0f objects and grows the circuit from %d to %d gates, want 0 and no growth", allocs, n, c.NumGates())
+	}
+}
+
 func TestConstGateEvaluation(t *testing.T) {
 	c := NewBuilder()
 	// 5 + 3·x where x is an input.

@@ -78,6 +78,54 @@ func TestParallelEvaluateAllEquivalence(t *testing.T) {
 	}
 }
 
+// TestNarrowLevelsRunOnTheCaller checks that the parallel evaluator splits a
+// level by its work, gates plus wires, not by its gates: levels of a few
+// hundred cheap gates are evaluated on the calling goroutine, allocating what
+// the sequential sweep does, while a level of 4,096 inputs is still spread
+// over the workers.  A cancellable context keeps workers=1 on the level loop.
+func TestNarrowLevelsRunOnTheCaller(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	v := func(Input) (int64, bool) { return 1, true }
+	allocs := func(p *Program, workers int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ParallelEvaluateAllProgramCtx[int64](ctx, p, semiring.Nat, v, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, wide := wideCircuit(300).Program(), wideCircuit(4096).Program()
+	if seq, par := allocs(narrow, 1), allocs(narrow, 4); par != seq {
+		t.Errorf("levels of 300 gates: %v objects on 4 workers, want %v as on 1", par, seq)
+	}
+	if seq, par := allocs(wide, 1), allocs(wide, 4); par <= seq {
+		t.Errorf("levels of 4,096 gates: %v objects on 4 workers against %v on 1, want more: the levels were not spread", par, seq)
+	}
+}
+
+// TestFewWideGatesEquivalence checks levels whose work lies in a few wide
+// gates: 1 to 9 sums of fan-in 1,000 under 7 workers fill fewer chunks than
+// workers, and the output sum is one gate of more work than every worker's
+// share.
+func TestFewWideGatesEquivalence(t *testing.T) {
+	for sums := 1; sums <= 9; sums++ {
+		c := NewBuilder()
+		inputs := make([]int, 1000+sums)
+		for i := range inputs {
+			inputs[i] = c.Input("w", structure.Ordinary, structure.Tuple{i})
+		}
+		gates := make([]int, sums)
+		for i := range gates {
+			gates[i] = c.Add(inputs[i : i+1000]...)
+		}
+		c.SetOutput(c.Add(gates...))
+		checkEquivalence(t, fmt.Sprintf("%d sums", sums), c, semiring.Nat, func(in Input) (int64, bool) { return int64(in.Tuple[0]), true })
+	}
+}
+
 // TestParallelEvaluateOutputEquivalence checks the output gate of a parallel
 // evaluation against the sequential output-gate shortcut.
 func TestParallelEvaluateOutputEquivalence(t *testing.T) {

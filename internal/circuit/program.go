@@ -133,8 +133,9 @@ func Freeze(c *Circuit) *Program {
 	return c.freeze()
 }
 
-// freeze cuts the builder's arenas to their exact lengths and derives the wires
-// CSR and the level schedule over them.  The caller holds c.progMu.
+// freeze cuts the builder's arenas to their exact lengths, drops the
+// builder's unique table and derives the wires CSR and the level schedule
+// over them.  The caller holds c.progMu.
 func (c *Circuit) freeze() *Program {
 	start := time.Now()
 	a := &c.arenas
@@ -142,6 +143,7 @@ func (c *Circuit) freeze() *Program {
 	a.inputSyms, a.inputGates, a.constSmall, a.constBig = exact(a.inputSyms), exact(a.inputGates), exact(a.constSmall), exact(a.constBig)
 	a.perms, a.permRows, a.permCols, a.permColStart = exact(a.perms), exact(a.permRows), exact(a.permCols), exact(a.permColStart)
 	c.frozenInputs = true
+	c.unique = unique{}
 	n := len(a.kind)
 	p := &Program{numGates: n, output: c.Output, arenas: *a}
 

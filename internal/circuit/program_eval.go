@@ -186,11 +186,28 @@ func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s sem
 	return vals, nil
 }
 
-// minGatesPerWorker is the smallest slice of a level worth handing to a
-// separate goroutine; levels narrower than 2·minGatesPerWorker run on the
-// calling goroutine.  Cheap gates (add/mul over a few children) cost tens of
-// nanoseconds, so very fine-grained fan-out would be pure overhead.
-const minGatesPerWorker = 32
+// minWorkPerWorker is the least work worth handing to a separate goroutine,
+// counted like cancelCheckStride: one per gate plus one per wire it reads.  A
+// gate over a few children costs tens of nanoseconds, while handing a chunk to
+// a goroutine costs a start and a wake-up of another thread: microseconds on
+// an idle machine, and far more, and far less predictably, on a busy one.  So
+// a level with less than twice this work runs on the calling goroutine, where
+// its cost does not hang on what else the machine runs.
+const minWorkPerWorker = 1024
+
+// levelChunks is the number of goroutines level is spread over: one per
+// minWorkPerWorker of its work, at most workers and at most one per gate.  It
+// stops counting once the level has work enough for all of them.
+func levelChunks(p *Program, level []int32, workers int) int {
+	enough, work := workers*minWorkPerWorker, len(level)
+	for _, id := range level {
+		if work >= enough {
+			break
+		}
+		work += int(p.childStart[id+1] - p.childStart[id])
+	}
+	return min(workers, work/minWorkPerWorker, len(level))
+}
 
 // cancelCheckStride is the work between cancellation checks, counted as one
 // per gate plus one per wire it reads; it bounds the latency of a cancelled
@@ -248,10 +265,7 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 		}
 		level := p.LevelGates(d)
 		n := len(level)
-		chunks := workers
-		if max := n / minGatesPerWorker; chunks > max {
-			chunks = max
-		}
+		chunks := levelChunks(p, level, workers)
 		if chunks <= 1 {
 			for _, id := range level {
 				if poll.stop(p, id) {
@@ -264,6 +278,7 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 		// Contiguous chunks: gates within a level touch disjoint vals slots,
 		// so no synchronisation beyond the per-level barrier is needed.
 		chunkSize := (n + chunks - 1) / chunks
+		chunks = (n + chunkSize - 1) / chunkSize // a few wide gates may fill fewer
 		wg.Add(chunks)
 		for w := 0; w < chunks; w++ {
 			lo := w * chunkSize

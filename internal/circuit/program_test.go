@@ -2,11 +2,13 @@ package circuit_test
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"math/rand"
 	. "repro/internal/circuit"
 	"repro/internal/circuit/circuittest"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/provenance"
@@ -227,6 +229,65 @@ func TestProgramStructure(t *testing.T) {
 			t.Fatalf("non-positive footprint %d", p.Footprint())
 		}
 	}
+}
+
+// TestBuilderFindsEveryGate asks a random circuit's builder again for every
+// sum, product and permanent it appended, with the operands or cells
+// shuffled, and wants the gate it has: no two gates of the Program are equal.
+// Finding a gate must also cut the arenas back, so the same gates appended
+// next give the same Program as on a twin builder that was never asked.
+func TestBuilderFindsEveryGate(t *testing.T) {
+	shuffle := rand.New(rand.NewSource(59))
+	for round := int64(0); round < 20; round++ {
+		twin, _ := recordedRandomCircuit(rand.New(rand.NewSource(round)), 4, 40)
+		c, specs := recordedRandomCircuit(rand.New(rand.NewSource(round)), 4, 40)
+		n := c.NumGates()
+		for id, spec := range specs {
+			var got int
+			switch spec.kind {
+			case KindAdd, KindMul:
+				operands := slices.Clone(spec.operands)
+				shuffle.Shuffle(len(operands), func(i, j int) { operands[i], operands[j] = operands[j], operands[i] })
+				if spec.kind == KindAdd {
+					got = c.Add(operands...)
+				} else {
+					got = c.Mul(operands...)
+				}
+			case KindPerm:
+				entries := slices.Clone(spec.entries)
+				shuffle.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+				rows, cols := c.Program().PermShape(id)
+				got = c.Perm(rows, cols, entries)
+			default:
+				continue
+			}
+			if got != id || c.NumGates() != n {
+				t.Fatalf("round %d: asking again for %v gate %d found gate %d and grew the circuit from %d to %d gates", round, spec.kind, id, got, n, c.NumGates())
+			}
+		}
+		var programs [2]*Program
+		for i, b := range []*Circuit{twin, c} {
+			x, y := input(b, "x", 0), input(b, "x", 1)
+			b.SetOutput(b.Add(b.Perm(1, 2, []PermEntry{{Row: 0, Col: 0, Gate: x}, {Row: 0, Col: 1, Gate: y}}), b.Output, x))
+			programs[i] = b.Program()
+		}
+		if programs[0].Stats() != programs[1].Stats() || programs[0].Footprint() != programs[1].Footprint() || layout(programs[0]) != layout(programs[1]) {
+			t.Fatalf("round %d: after finding its gates the builder appends %+v (%d B), its twin %+v (%d B)",
+				round, programs[1].Stats(), programs[1].Footprint(), programs[0].Stats(), programs[0].Footprint())
+		}
+	}
+}
+
+// layout prints every gate of p: kind, operands and, for a permanent, cells.
+func layout(p *Program) string {
+	var b strings.Builder
+	for id := range p.NumGates() {
+		fmt.Fprintln(&b, p.GateKind(id), p.ChildIDs(id))
+		if p.GateKind(id) == KindPerm {
+			p.ForEachPermEntry(id, func(row, col, gate int) { fmt.Fprint(&b, row, col, gate, ";") })
+		}
+	}
+	return b.String()
 }
 
 // TestProgramWires checks the one child→parent index in the tree: the wires

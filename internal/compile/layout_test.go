@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -274,4 +276,104 @@ func TestInputKeyRoundTrip(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { p.InputGate(k) }); allocs != 0 && !raceEnabled {
 		t.Errorf("InputGate allocates %.0f objects per call, want 0", allocs)
 	}
+}
+
+// TestEnumerationOrderIsUnchanged holds the order in which the enumerator
+// produces answers, not only their set, to FNV digests recorded from the
+// builder before it interned its gates: a copy of a gate keeps the operand
+// order its first occurrence was built with, so a cursor walks the same
+// derivations in the same order.
+func TestEnumerationOrderIsUnchanged(t *testing.T) {
+	const n = 600
+	want := map[string]string{
+		"bounded-degree/E(x,y)&E(y,z)&S(x)":   "5d5551f7b2a5dad3",
+		"bounded-degree/E(x,y)&E(y,z)&E(z,x)": "9032f7d325e15e3a",
+		"bounded-degree/E(x,y)&!E(y,x)&S(y)":  "eae443625b432a01",
+		"pref-attach/E(x,y)&E(y,z)&S(x)":      "66d26fec5f5542a8",
+		"pref-attach/E(x,y)&E(y,z)&E(z,x)":    "cbf29ce484222325",
+		"pref-attach/E(x,y)&!E(y,x)&S(y)":     "e258543d964a3593",
+		"grid/E(x,y)&E(y,z)&S(x)":             "e131e700142c5a3f",
+		"grid/E(x,y)&E(y,z)&E(z,x)":           "ced88e0eeb623a9f",
+		"grid/E(x,y)&!E(y,x)&S(y)":            "f9b5944dcb17b6cf",
+	}
+	for _, kind := range []string{"bounded-degree", "pref-attach", "grid"} {
+		db, err := dbio.LoadSource(dbio.Source{Kind: kind, N: n, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"E(x,y)&E(y,z)&S(x)", "E(x,y)&E(y,z)&E(z,x)", "E(x,y)&!E(y,x)&S(y)"} {
+			phi := parser.MustParseFormula(q)
+			ans, err := enumerate.EnumerateAnswers(db.A, phi, logic.FreeVars(phi), compile.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, q, err)
+			}
+			h := fnv.New64a()
+			answers := 0
+			for cur := ans.Cursor(); ; answers++ {
+				tu, ok := cur.Next()
+				if !ok {
+					break
+				}
+				fmt.Fprintln(h, tu)
+			}
+			name, got := kind+"/"+q, fmt.Sprintf("%016x", h.Sum64())
+			t.Logf("%s: %d answers, %d gates, digest %s", name, answers, ans.Result().Program.NumGates(), got)
+			if got != want[name] {
+				t.Errorf("%s: %d answers digest to %s, want %s", name, answers, got, want[name])
+			}
+		}
+	}
+}
+
+// TestNoTwoEqualGates holds the builder's unique table to its promise on the
+// benchmark's Programs and the membership Program: no two sums or products
+// have the same multiset of operands, and no two permanents the same shape
+// and cells.  It logs each Program's gates and wires beside those of the
+// builder that did not intern its gates (the numbers it compiled before).
+func TestNoTwoEqualGates(t *testing.T) {
+	before := map[string][2]int{ // gates, wires of the builder that did not intern
+		"bounded-degree/600/sumx,y,z.[E(x,y)&E(y,z)&E(z,x)]*w(x,y)*w(y,z)*w(z,x)":  {837, 1395},
+		"bounded-degree/600/E(x,y)&E(y,z)&S(x)":                                    {4014, 7217},
+		"bounded-degree/600/sumx.[existsy.E(x,y)&S(y)]*u(x)":                       {407, 404},
+		"bounded-degree/1200/sumx,y,z.[E(x,y)&E(y,z)&E(z,x)]*w(x,y)*w(y,z)*w(z,x)": {1554, 2583},
+		"bounded-degree/1200/E(x,y)&E(y,z)&S(x)":                                   {7956, 14284},
+		"pref-attach/1500/sumy,z.[E(x,y)&E(y,z)&!(x=z)]*u(y)*u(z)":                 {12728, 25120},
+		"pref-attach/1500/sumx,y.[E(x,y)]*w(x,y)":                                  {3694, 3691},
+		"membership": {5496, 10442},
+	}
+	check := func(name string, p *circuit.Program) {
+		seen := map[string]int{}
+		for id := 0; id < p.NumGates(); id++ {
+			var key []int
+			switch p.GateKind(id) {
+			case circuit.KindAdd, circuit.KindMul:
+				for _, g := range p.ChildIDs(id) {
+					key = append(key, int(g))
+				}
+				slices.Sort(key)
+			case circuit.KindPerm:
+				var cells [][3]int
+				p.ForEachPermEntry(id, func(row, col, gate int) { cells = append(cells, [3]int{col, row, gate}) })
+				slices.SortFunc(cells, func(a, b [3]int) int { return slices.Compare(a[:], b[:]) })
+				rows, cols := p.PermShape(id)
+				key = append(key, rows, cols)
+				for _, c := range cells {
+					key = append(key, c[:]...)
+				}
+			default:
+				continue
+			}
+			k := fmt.Sprint(p.GateKind(id), key)
+			if first, ok := seen[k]; ok {
+				t.Errorf("%s: gate %d is a copy of gate %d (%s)", name, id, first, k)
+			}
+			seen[k] = id
+		}
+		st, was := p.Stats(), before[name]
+		t.Logf("%s: gates %d → %d, wires %d → %d", name, was[0], st.Gates, was[1], st.Edges)
+	}
+	for _, c := range layoutCases {
+		check(c.name(), compileLayoutCase(t, c).Program)
+	}
+	check("membership", membershipProgram(t))
 }
