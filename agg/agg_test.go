@@ -178,6 +178,31 @@ func TestConcurrentClosedPrepare(t *testing.T) {
 	}
 }
 
+// TestSessionWritesALoop: testDB's E has no loop, but a dynamic relation may
+// gain one, so the compiler keeps the shapes that put both variables of
+// E(x,y) on one node, and a session's write of E(3,3) is counted.
+func TestSessionWritesALoop(t *testing.T) {
+	ctx := context.Background()
+	p, err := testEngine(t).Prepare(ctx, "sum x,y . [E(x,y)]", WithDynamic("E"))
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	if got, _ := s.Eval(ctx); got != "4" {
+		t.Fatalf("initial session value %q, want 4", got)
+	}
+	if err := s.Set(SetTuple("E", []int{3, 3}, true)); err != nil {
+		t.Fatalf("Set(E(3,3)): %v", err)
+	}
+	if got, _ := s.Eval(ctx); got != "5" {
+		t.Errorf("after inserting the loop E(3,3): %q, want 5", got)
+	}
+}
+
 func TestSessionUpdates(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()

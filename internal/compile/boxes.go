@@ -27,8 +27,10 @@ type link struct {
 	lits []int
 	// run is the first of lits over a binary relation, whose index lists the
 	// partners of an element directly, or -1 when there is none and partners
-	// are found among the element's Gaifman neighbours.
-	run int
+	// are found among the element's Gaifman neighbours.  Every partner the
+	// run lists satisfies run, so only the others of lits are tested on it.
+	run    int
+	others []int
 }
 
 // joinPlan is what the box enumeration needs of a monomial.
@@ -109,7 +111,11 @@ func (env *compileEnv) joinPlanFor(pm *preparedMonomial) *joinPlan {
 		for _, j := range jp.order {
 			if linked(next, j) {
 				p := pairs[next][j]
-				jp.links[next] = append(jp.links[next], link{to: j, equal: p.equal, lits: p.lits, run: p.run})
+				ln := link{to: j, equal: p.equal, lits: p.lits, run: p.run}
+				if p.run >= 0 {
+					ln.others = slices.DeleteFunc(slices.Clone(p.lits), func(li int) bool { return li == p.run })
+				}
+				jp.links[next] = append(jp.links[next], ln)
 			}
 		}
 		jp.order = append(jp.order, next)
@@ -296,8 +302,10 @@ func (e *boxEnum) try(t, c int, pool []int) error {
 	alive := true
 	for li, ln := range links {
 		old, start := e.cand[ln.to], len(e.arena)
+		back := ln
+		back.to = i
 		for _, b := range old {
-			if e.hasPartner(b, ln.to, link{to: i, equal: ln.equal, lits: ln.lits, run: ln.run}) {
+			if e.hasPartner(b, ln.to, back) {
 				e.arena = append(e.arena, b)
 			}
 		}
@@ -354,7 +362,7 @@ func (e *boxEnum) hasPartner(a, va int, ln link) bool {
 	}
 	if ln.run >= 0 {
 		for _, b := range e.partners(a, va, ln.run) {
-			if e.env.member[b]&bit != 0 && e.holds(ln.lits, va, a, b) {
+			if e.env.member[b]&bit != 0 && e.holds(ln.others, va, a, b) {
 				return true
 			}
 		}

@@ -156,9 +156,12 @@ const triangles = "sum x,y,z . [E(x,y)&E(y,z)&E(z,x)] * w(x,y)*w(y,z)*w(z,x)"
 // TestCompileWorkIsLinear guards Theorem 6's "linear in the database" on
 // counts that repeat exactly, not on time: doubling the database may not
 // much more than double the boxes compiled and the shapes built (the
-// colour-tuple enumeration this replaced grew 4.5× and 4.2×), and one
-// compilation at n=600 stays within 8,000 allocations: it took 2.16 M with
-// that enumeration and 24,839 while every box built its forest afresh.
+// colour-tuple enumeration this replaced grew 4.5× and 4.2×).  At n=600 the
+// triangle compiles at most 2,000 (box, shape) pairs — 7,565 while shapes put
+// both variables of a loop-free E literal on one node — and one compilation
+// stays within 1,500 allocations: it took 2.16 M with that enumeration,
+// 24,839 while every box built its forest afresh and 3,082 while every shape
+// was planned again under each forest profile that admits it.
 func TestCompileWorkIsLinear(t *testing.T) {
 	e := parser.MustParseExpr(triangles)
 	var stats [2]compile.Stats
@@ -177,6 +180,9 @@ func TestCompileWorkIsLinear(t *testing.T) {
 	if r := float64(stats[1].Shapes) / float64(stats[0].Shapes); r > 2.5 {
 		t.Errorf("shapes grew %.2f× from n=600 to n=1200, want ≤ 2.5×", r)
 	}
+	if stats[0].Shapes > 2_000 {
+		t.Errorf("the triangle at n=600 compiles %d (box, shape) pairs, want ≤ 2000", stats[0].Shapes)
+	}
 	if raceEnabled {
 		return // allocation counts differ under the race detector
 	}
@@ -188,8 +194,84 @@ func TestCompileWorkIsLinear(t *testing.T) {
 		}
 	})
 	t.Logf("n=600: %.0f allocations per Compile", allocs)
-	if allocs > 8_000 {
-		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 8000", allocs)
+	if allocs > 1_500 {
+		t.Errorf("Compile at n=600 allocates %.0f objects, want ≤ 1500", allocs)
+	}
+}
+
+// TestStaticLoopsKeepTheirShapes: a positive literal over a static relation
+// keeps its two variables on different nodes only when no tuple of the
+// relation repeats an element.  Over a directed triangle E(x,y) & E(y,x)
+// holds nowhere; with the loop (3,3) added it holds at x = y = 3 alone, a
+// shape with both variables on one node.
+func TestStaticLoopsKeepTheirShapes(t *testing.T) {
+	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}}, nil)
+	e := parser.MustParseExpr("sum x,y . [E(x,y) & E(y,x)]")
+	for _, loop := range []bool{false, true} {
+		b := structure.NewBuilder(sig, 4)
+		b.MustAddTuple("E", 0, 1)
+		b.MustAddTuple("E", 1, 2)
+		b.MustAddTuple("E", 2, 0)
+		want := int64(0)
+		if loop {
+			b.MustAddTuple("E", 3, 3)
+			want = 1
+		}
+		res, err := compile.Compile(b.Build(), e, compile.Options{})
+		if err != nil {
+			t.Fatalf("Compile (loop %v): %v", loop, err)
+		}
+		if got := compile.Evaluate(res, semiring.Nat, structure.NewWeights[int64]()); got != want {
+			t.Errorf("loop %v: value %d, want %d", loop, got, want)
+		}
+	}
+}
+
+// TestLoopsAgreeWithLogic compiles the triangle and the path formula, summed
+// over all their variables, on bounded-degree graphs with and without loops,
+// and compares each count with logic.Eval at every triple of elements; the
+// loops must add answers, or the case tests nothing.
+func TestLoopsAgreeWithLogic(t *testing.T) {
+	const n = 36
+	formulas := []string{"E(x,y) & E(y,z) & E(z,x)", "E(x,y) & E(y,z) & S(x)"}
+	var counts [2][2]int64
+	for li, loops := range []bool{false, true} {
+		d := workload.BoundedDegree(n, 3, 7)
+		b := d.A.Edit()
+		if loops {
+			for v := 0; v < n; v += 4 {
+				b.MustAddTuple("E", v, v)
+			}
+		}
+		a := b.Build()
+		for fi, text := range formulas {
+			phi := parser.MustParseFormula(text)
+			want := int64(0)
+			env := map[string]structure.Element{}
+			for x := 0; x < n; x++ {
+				for y := 0; y < n; y++ {
+					for z := 0; z < n; z++ {
+						env["x"], env["y"], env["z"] = x, y, z
+						if logic.Eval(phi, a, env) {
+							want++
+						}
+					}
+				}
+			}
+			res, err := compile.Compile(a, parser.MustParseExpr("sum x,y,z . ["+text+"]"), compile.Options{})
+			if err != nil {
+				t.Fatalf("Compile %s: %v", text, err)
+			}
+			if got := compile.Evaluate(res, semiring.Nat, structure.NewWeights[int64]()); got != want {
+				t.Errorf("loops %v, %s: circuit %d, logic.Eval %d", loops, text, got, want)
+			}
+			counts[li][fi] = want
+		}
+	}
+	for fi, text := range formulas {
+		if counts[1][fi] <= counts[0][fi] {
+			t.Errorf("%s: %d answers with loops, %d without: the loops add none", text, counts[1][fi], counts[0][fi])
+		}
 	}
 }
 

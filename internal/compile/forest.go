@@ -175,8 +175,13 @@ type preparedMonomial struct {
 	// per-variable machinery).
 	nullaryWeights []expr.WeightTerm
 	coeff          *big.Int
-	// plans caches the monomial's shape plan per forest profile.
-	plans map[string][]*plannedShape
+	// plans caches the monomial's shape plan per forest profile, and shapes
+	// the plan of each shape any profile admitted, by shape key (nil for a
+	// shape that cannot support the monomial), so a shape is planned once
+	// however many profiles admit it; shapeKey is the key's scratch.
+	plans    map[string][]*plannedShape
+	shapes   map[string]*plannedShape
+	shapeKey []byte
 }
 
 // prepareMonomial indexes the variables of a closed monomial and folds
@@ -189,7 +194,7 @@ func prepareMonomial(m *expr.Monomial, domainSize int) (*preparedMonomial, error
 	for _, v := range m.Vars() {
 		used[v] = true
 	}
-	pm := &preparedMonomial{varIndex: map[string]int{}, coeff: big.NewInt(m.Coeff), plans: map[string][]*plannedShape{}}
+	pm := &preparedMonomial{varIndex: map[string]int{}, coeff: big.NewInt(m.Coeff), plans: map[string][]*plannedShape{}, shapes: map[string]*plannedShape{}}
 	unused := 0
 	for _, v := range m.Bound {
 		if used[v] {
@@ -253,7 +258,12 @@ func (pm *preparedMonomial) comparePairs() [][2]int {
 }
 
 // shapeConstraintsFor derives the shape constraints of a prepared monomial
-// over a given colour forest.
+// over a given colour forest.  Besides the negative equalities, two distinct
+// variables must differ when they sit at two positions of a positive literal
+// over a static relation that no tuple repeats an element at
+// (structure.Relation.Repeats): E(x, y) over an E without loops cannot hold
+// with x and y on one node, so no shape puts them there.  A dynamic relation
+// is never read so: a write may add a loop the compiled structure lacks.
 func (pm *preparedMonomial) shapeConstraintsFor(cf *colorForest) shapeConstraints {
 	c := shapeConstraints{
 		numVars:         len(pm.vars),
@@ -263,14 +273,23 @@ func (pm *preparedMonomial) shapeConstraintsFor(cf *colorForest) shapeConstraint
 		depthRealizable: cf.depthRealizable,
 	}
 	for li, l := range pm.literals {
-		if !l.IsEquality() {
+		args := pm.litArgs[li]
+		if l.IsEquality() {
+			if l.Positive {
+				c.mustEqual = append(c.mustEqual, [2]int{args[0], args[1]})
+			} else {
+				c.mustDiffer = append(c.mustDiffer, [2]int{args[0], args[1]})
+			}
 			continue
 		}
-		p := [2]int{pm.litArgs[li][0], pm.litArgs[li][1]}
-		if l.Positive {
-			c.mustEqual = append(c.mustEqual, p)
-		} else {
-			c.mustDiffer = append(c.mustDiffer, p)
+		if r := pm.rels[li]; r != nil && l.Positive {
+			for q := range args {
+				for p := range q {
+					if args[p] != args[q] && !r.Repeats(p, q) {
+						c.mustDiffer = append(c.mustDiffer, [2]int{args[p], args[q]})
+					}
+				}
+			}
 		}
 	}
 	return c
@@ -295,17 +314,25 @@ type plannedShape struct {
 }
 
 // planFor returns the monomial's shape plan for forests with cf's profile:
-// the shapes such a forest can realise and that can support the monomial.
+// the shapes such a forest can realise and that can support the monomial, in
+// enumeration order.  A shape admitted by several profiles is planned under
+// the first and looked up under the others.
 func (pm *preparedMonomial) planFor(cf *colorForest) []*plannedShape {
 	if plan, ok := pm.plans[string(cf.profile)]; ok {
 		return plan
 	}
 	var plan []*plannedShape
-	for _, sh := range enumerateShapes(pm.shapeConstraintsFor(cf)) {
-		if ps := pm.planShape(sh); ps != nil {
+	enumerateShapes(pm.shapeConstraintsFor(cf), func(sh *shape) {
+		pm.shapeKey = sh.appendKey(pm.shapeKey[:0])
+		ps, ok := pm.shapes[string(pm.shapeKey)]
+		if !ok {
+			ps = pm.planShape(sh)
+			pm.shapes[string(pm.shapeKey)] = ps
+		}
+		if ps != nil {
 			plan = append(plan, ps)
 		}
-	}
+	})
 	pm.plans[string(cf.profile)] = plan
 	return plan
 }

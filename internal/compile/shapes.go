@@ -27,12 +27,16 @@
 //     ancestry/equality patterns of the bound variables (Appendix A.2) —
 //     and each shape is compiled into a circuit by structural recursion,
 //     with permanent gates handling the injective assignment of sibling
-//     subtrees (Claim 1 of the paper).  Which shapes exist, their slot trees
-//     and where the monomial's literals and weights attach depend on the
+//     subtrees (Claim 1 of the paper).  Which shapes exist depends on the
 //     forest only through its realisability profile (depths present, depths
-//     of sibling meets), so they are computed once per (monomial, profile) —
-//     a *shape plan* — and every box with that profile runs the plan
-//     (forest.go).
+//     of sibling meets), so the list is computed once per (monomial,
+//     profile) — a *shape plan* — and every box with that profile runs the
+//     plan; a shape's slot tree and where the monomial's literals and
+//     weights attach depend on the shape alone, so each shape is planned
+//     once per monomial, however many profiles admit it (forest.go).  The
+//     data prunes shapes too: two variables of a positive literal over a
+//     static relation never share a node when no tuple of the relation
+//     repeats an element at their positions.
 //
 // Soundness of step 2.  The decomposition identity holds for any colouring
 // and any partition of the product space, and the colouring's guarantee —
@@ -89,6 +93,18 @@ func (sh *shape) comparable(i, j int) bool {
 	return m == sh.depth[i] || m == sh.depth[j]
 }
 
+// appendKey appends the shape's depths and its meets above the diagonal, one
+// byte each: two shapes of one monomial are equal exactly when their keys are.
+func (sh *shape) appendKey(key []byte) []byte {
+	for i, d := range sh.depth {
+		key = append(key, byte(d))
+		for j := i + 1; j < len(sh.depth); j++ {
+			key = append(key, byte(sh.meet[i][j]+1))
+		}
+	}
+	return key
+}
+
 func (sh *shape) String() string {
 	return fmt.Sprintf("shape{depth=%v}", sh.depth)
 }
@@ -119,15 +135,17 @@ type shapeConstraints struct {
 	depthRealizable func(d int) bool
 }
 
-// enumerateShapes lists every shape over the given constraints.  The
-// enumeration chooses a depth for every variable and a meet depth for every
-// pair, pruning by the three-point (ultrametric) condition, the monomial's
-// equality constraints, the comparability requirements and data
-// realisability.
-func enumerateShapes(c shapeConstraints) []*shape {
+// enumerateShapes calls visit with every shape over the given constraints.
+// The enumeration chooses a depth for every variable and a meet depth for
+// every pair, pruning by the three-point (ultrametric) condition, the
+// monomial's equality constraints, the comparability requirements and data
+// realisability.  The shape visit gets is scratch, overwritten by the next
+// one: visit must copy what it keeps.
+func enumerateShapes(c shapeConstraints, visit func(*shape)) {
 	k := c.numVars
 	if k == 0 {
-		return []*shape{{depth: nil, meet: nil}}
+		visit(&shape{})
+		return
 	}
 	if c.realizable == nil {
 		c.realizable = func(int, int, int) bool { return true }
@@ -135,12 +153,12 @@ func enumerateShapes(c shapeConstraints) []*shape {
 	if c.depthRealizable == nil {
 		c.depthRealizable = func(int) bool { return true }
 	}
-	var shapes []*shape
 	depth := make([]int, k)
 	meet := make([][]int, k)
 	for i := range meet {
 		meet[i] = make([]int, k)
 	}
+	sh := &shape{depth: depth, meet: meet}
 
 	mustEqual := make(map[[2]int]bool)
 	for _, p := range c.mustEqual {
@@ -201,7 +219,7 @@ func enumerateShapes(c shapeConstraints) []*shape {
 
 	chooseMeets = func(i, j int) {
 		if j == k {
-			shapes = append(shapes, cloneShape(depth, meet))
+			visit(sh)
 			return
 		}
 		ni, nj := i, j
@@ -232,7 +250,7 @@ func enumerateShapes(c shapeConstraints) []*shape {
 				meet[v][v] = depth[v]
 			}
 			if k == 1 {
-				shapes = append(shapes, cloneShape(depth, meet))
+				visit(sh)
 				return
 			}
 			chooseMeets(0, 1)
@@ -247,7 +265,6 @@ func enumerateShapes(c shapeConstraints) []*shape {
 		}
 	}
 	chooseDepths(0)
-	return shapes
 }
 
 func normPair(p [2]int) [2]int {
@@ -272,15 +289,6 @@ func threePoint(a, b, c int) bool {
 		x, y = y, x
 	}
 	return x == y
-}
-
-func cloneShape(depth []int, meet [][]int) *shape {
-	d := append([]int(nil), depth...)
-	m := make([][]int, len(meet))
-	for i := range meet {
-		m[i] = append([]int(nil), meet[i]...)
-	}
-	return &shape{depth: d, meet: m}
 }
 
 // shapeTree is the rooted forest of "slots" induced by a shape: one node per

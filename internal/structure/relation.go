@@ -27,7 +27,33 @@ type Relation struct {
 	// the heads of the tuples (a, b) of a binary relation.  Both are nil until
 	// the relation holds a tuple.
 	fwd, rev [][]Element
+	// repeats has bit pairBit(i, j) set once a tuple with equal elements at
+	// positions i < j has been added; remove never clears it.
+	repeats uint64
 }
+
+// Repeats reports whether some tuple added to the relation had equal elements
+// at argument positions i and j.  It may report true when none is held any
+// more — removing a tuple never clears it — and it does for i == j and for
+// positions too far apart to keep a bit for, so a false answer is the one to
+// act on: no tuple of the relation repeats an element at those positions.
+func (r *Relation) Repeats(i, j int) bool {
+	if i > j {
+		i, j = j, i
+	}
+	if r == nil || i < 0 || j >= r.arity {
+		return false
+	}
+	if i == j {
+		return true
+	}
+	b := pairBit(i, j)
+	return b >= 64 || r.repeats&(1<<uint(b)) != 0
+}
+
+// pairBit numbers the position pairs i < j: (0,1), (0,2), (1,2), (0,3), ….
+// Every pair of a relation of arity ≤ 11 gets a bit of a uint64.
+func pairBit(i, j int) int { return j*(j-1)/2 + i }
 
 // Has reports whether the relation holds the tuple.  A tuple of another
 // length, or with an element outside the domain, is not held; a nil handle
@@ -120,6 +146,13 @@ func (r *Relation) add(t []Element) {
 			r.rev[t[1]] = slices.Insert(r.rev[t[1]], j, t[0])
 		}
 	}
+	for j := 1; j < len(t); j++ {
+		for i := 0; i < j; i++ {
+			if b := pairBit(i, j); t[i] == t[j] && b < 64 {
+				r.repeats |= 1 << uint(b)
+			}
+		}
+	}
 	r.elems = append(r.elems, t...)
 	end := len(r.elems)
 	r.tuples = append(r.tuples, r.elems[end-len(t):end:end])
@@ -158,7 +191,7 @@ func (r *Relation) remove(t []Element) {
 // length, so a later write to the copy reallocates what it grows instead of
 // clobbering a neighbour or the original.
 func (r *Relation) clone() Relation {
-	c := Relation{arity: r.arity, n: r.n, bits: slices.Clone(r.bits), fwd: cloneRuns(r.fwd), rev: cloneRuns(r.rev)}
+	c := Relation{arity: r.arity, n: r.n, bits: slices.Clone(r.bits), fwd: cloneRuns(r.fwd), rev: cloneRuns(r.rev), repeats: r.repeats}
 	k := r.arity
 	c.elems, c.tuples = make([]Element, 0, len(r.tuples)*k), make([]Tuple, len(r.tuples))
 	for i, t := range r.tuples {

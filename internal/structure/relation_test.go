@@ -235,6 +235,46 @@ func TestRehomedRunsAreCapped(t *testing.T) {
 	}
 }
 
+// TestRepeatsRecordsLoops: a relation remembers each pair of positions at
+// which an added tuple repeats an element, keeps the mark when the tuple is
+// removed, and passes it on to an edit and to an extension.
+func TestRepeatsRecordsLoops(t *testing.T) {
+	sig := MustSignature([]RelSymbol{{Name: "E", Arity: 2}, {Name: "T", Arity: 3}, {Name: "W", Arity: 12}}, nil)
+	b := NewBuilder(sig, 4)
+	b.MustAddTuple("E", 0, 1)
+	b.MustAddTuple("T", 0, 1, 0)
+	b.MustAddTuple("W", 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3)
+	a := b.Build()
+	if e := a.Relation("E"); e.Repeats(0, 1) || e.Repeats(1, 0) {
+		t.Errorf("E without a loop repeats at (0,1)")
+	}
+	if tr := a.Relation("T"); !tr.Repeats(0, 2) || !tr.Repeats(2, 0) || tr.Repeats(0, 1) || tr.Repeats(1, 2) {
+		t.Errorf("T holding (0,1,0): Repeats(0,2)=%v Repeats(0,1)=%v Repeats(1,2)=%v, want true false false", tr.Repeats(0, 2), tr.Repeats(0, 1), tr.Repeats(1, 2))
+	}
+	if w := a.Relation("W"); w.Repeats(0, 1) || !w.Repeats(0, 4) || !w.Repeats(10, 11) {
+		t.Errorf("W: Repeats(0,1)=%v Repeats(0,4)=%v Repeats(10,11)=%v, want false true true (no bit for (10,11): conservative)", w.Repeats(0, 1), w.Repeats(0, 4), w.Repeats(10, 11))
+	}
+	ed := a.Edit()
+	ed.MustAddTuple("E", 2, 2)
+	if err := ed.RemoveTuple("E", 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	looped := ed.Build()
+	if !looped.Relation("E").Repeats(0, 1) {
+		t.Errorf("E forgot the loop (2,2) once it was removed")
+	}
+	if a.Relation("E").Repeats(0, 1) {
+		t.Errorf("an edit's loop shows in the structure it was edited from")
+	}
+	ext, err := looped.Extend(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ext.Relation("E").Repeats(0, 1) || !looped.Edit().Build().Relation("E").Repeats(0, 1) {
+		t.Errorf("an extension or an edit of a looped E lost the mark")
+	}
+}
+
 // TestExtendAllocations: an Extend by weight symbols shares every relation
 // and the Gaifman graph, so it allocates the same bytes over 2,000 tuples as
 // over 20,000; an Edit copies each relation in bulk into one arena, a
