@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"repro/agg"
-	"repro/internal/bench"
 	"repro/internal/compile"
 	"repro/internal/dbio"
 	"repro/internal/graph"
@@ -61,7 +60,7 @@ func BenchmarkA1PermanentMaintainers(b *testing.B) {
 // once per factor.
 func BenchmarkA2ProductSemiringSinglePass(b *testing.B) {
 	db := workload.BoundedDegree(4000, 3, 19)
-	res, err := compile.Compile(db.A, bench.TriangleQuery(), compile.Options{})
+	res, err := compile.Compile(db.A, triangleQuery(), compile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -422,6 +422,16 @@ func TestPrepareRejectsDynamicRelationUnderQuantifier(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsNegativeSizes checks that every workload kind refuses
+// n < 0 with ErrArgument, before its generator sizes anything by n.
+func TestGenerateRejectsNegativeSizes(t *testing.T) {
+	for _, kind := range []string{"bounded-degree", "grid", "forest", "pref-attach", "road", "nested", "search"} {
+		if _, err := Generate(kind, -1, 1); !errors.Is(err, ErrArgument) {
+			t.Errorf("Generate(%q, -1, 1): %v, want ErrArgument", kind, err)
+		}
+	}
+}
+
 func TestErrorTaxonomy(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()

@@ -54,6 +54,9 @@ func Load(src Source) (*Database, error) {
 		Seed:   src.Seed,
 	})
 	if err != nil {
+		if src.Reader == nil && !src.Stdin && src.Path == "" {
+			err = newError(ErrArgument, "", err) // the generator rejected Kind or N
+		}
 		return nil, err
 	}
 	return &Database{a: db.A, w: db.W}, nil

@@ -1,8 +1,9 @@
-// Package baseline provides the naive comparison algorithms used by the
-// benchmark harness: direct nested-loop evaluation of weighted queries,
-// brute-force first-order model checking, and materialised answer
-// enumeration.  These are the "flat" evaluation strategies that the paper's
-// factorized circuit representation is measured against.
+// Package baseline provides the naive comparison algorithms that tests,
+// benchmarks and perf/'s oracles check the engines against: direct
+// nested-loop evaluation of weighted queries, brute-force first-order model
+// checking, and materialised answer enumeration.  These are the "flat"
+// evaluation strategies that the paper's factorized circuit representation is
+// measured against.
 package baseline
 
 import (
@@ -56,26 +57,4 @@ func TriangleCountEdgeIterate[T any](s semiring.Semiring[T], a *structure.Struct
 		}
 	}
 	return total
-}
-
-// AverageNeighborWeightMax is the naive implementation of the introduction's
-// nested query: the maximum over all vertices of the integer-average weight
-// of the out-neighbours.
-func AverageNeighborWeightMax(a *structure.Structure, vertexWeight []int64) int64 {
-	best := int64(0)
-	sums := make([]int64, a.N)
-	degs := make([]int64, a.N)
-	for _, t := range a.Tuples("E") {
-		sums[t[0]] += vertexWeight[t[1]]
-		degs[t[0]]++
-	}
-	for v := 0; v < a.N; v++ {
-		if degs[v] == 0 {
-			continue
-		}
-		if avg := sums[v] / degs[v]; avg > best {
-			best = avg
-		}
-	}
-	return best
 }

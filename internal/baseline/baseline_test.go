@@ -6,7 +6,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/logic"
 	"repro/internal/semiring"
-	"repro/internal/structure"
 	"repro/internal/workload"
 )
 
@@ -50,19 +49,5 @@ func TestMaterializeAnswers(t *testing.T) {
 	}
 	if len(answers) == 0 {
 		t.Fatalf("expected some 2-paths in a grid")
-	}
-}
-
-func TestAverageNeighborWeightMax(t *testing.T) {
-	sig := structure.MustSignature([]structure.RelSymbol{{Name: "E", Arity: 2}}, nil)
-	b := structure.NewBuilder(sig, 4)
-	b.MustAddTuple("E", 0, 1)
-	b.MustAddTuple("E", 0, 2)
-	b.MustAddTuple("E", 3, 2)
-	a := b.Build()
-	weights := []int64{0, 10, 4, 0}
-	// Vertex 0: avg(10,4) = 7; vertex 3: avg(4) = 4.
-	if got := AverageNeighborWeightMax(a, weights); got != 7 {
-		t.Fatalf("AverageNeighborWeightMax = %d, want 7", got)
 	}
 }

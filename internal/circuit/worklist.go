@@ -26,6 +26,9 @@ type Worklist struct {
 	list    []int32   // list[g] is 1 + the index in lists of g's changed slots while g waits, else 0
 	lists   [][]int32 // the pool; lists[:used] are this wave's
 	used    int
+	// last is the number of gates that waited in the last drained wave;
+	// their slots stay in lists[:last] until the next Enlist.
+	last int
 	// skip[g]: g never waits (a write's pruned gates); nil skips none.  Bit g
 	// of quiet is set when every parent of g is skipped, so Enlist(g) returns
 	// without walking g's wires (skipGates).
@@ -96,5 +99,5 @@ func (w *Worklist) Drain(refresh func(g int, slots []int32)) {
 		}
 		w.buckets[r] = bucket[:0]
 	}
-	w.used = 0
+	w.last, w.used = w.used, 0
 }

@@ -17,8 +17,9 @@
 //	u 3 2
 //
 // Declarations ("domain", "rel", "wsym") must precede the tuples and weights
-// that use them.  Weight values are signed 64-bit integers; callers convert
-// them into the semiring of interest with ConvertWeights.
+// that use them, and a domain holds at most maxDomain elements.  Weight values
+// are signed 64-bit integers; callers convert them into the semiring of
+// interest with ConvertWeights.
 //
 // For interoperability with spreadsheet-style data the package also loads
 // single relations and weight functions from CSV readers (one tuple per
@@ -118,6 +119,11 @@ func WriteFile(path string, a *structure.Structure, weights *structure.Weights[i
 	return f.Close()
 }
 
+// maxDomain bounds the domain a database may declare, since Read allocates
+// per element before it reads a tuple: 2²² elements, four times the largest
+// input the scale ladder runs (10⁶).
+const maxDomain = 1 << 22
+
 // Read parses a database in the text format described in the package
 // documentation.
 func Read(r io.Reader) (*Database, error) {
@@ -169,6 +175,9 @@ func Read(r io.Reader) (*Database, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, lineErr(lineNo, "invalid domain size %q", fields[1])
+			}
+			if n > maxDomain {
+				return nil, lineErr(lineNo, "domain size %d exceeds the maximum %d", n, maxDomain)
 			}
 			if domain >= 0 {
 				return nil, lineErr(lineNo, "duplicate domain declaration")

@@ -2,6 +2,7 @@ package dbio
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -126,6 +127,20 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(c.input)); err == nil {
 			t.Errorf("%s: Read unexpectedly succeeded", c.name)
 		}
+	}
+}
+
+// TestReadRejectsHugeDomains checks that a declared domain above maxDomain is
+// a line error, raised before Read allocates for it.
+func TestReadRejectsHugeDomains(t *testing.T) {
+	for _, n := range []int{1 << 62, maxDomain + 1} {
+		_, err := Read(strings.NewReader(fmt.Sprintf("domain %d\nrel E 2\nE 0 1\n", n)))
+		if err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("domain %d: %v, want a line 1 error", n, err)
+		}
+	}
+	if _, err := Read(strings.NewReader(fmt.Sprintf("domain %d\nrel E 2\nE 0 1\n", maxDomain))); err != nil {
+		t.Errorf("domain %d: %v", maxDomain, err)
 	}
 }
 

@@ -36,6 +36,9 @@ type Source struct {
 // Generate builds the synthetic workload described by Kind/N/Degree/Seed.
 func (src Source) Generate() (*workload.Database, error) {
 	n := src.N
+	if n < 0 {
+		return nil, fmt.Errorf("dbio: negative workload size %d", n)
+	}
 	side := 1
 	for side*side < n {
 		side++

@@ -22,7 +22,9 @@ func (e *Enumerator) perm(id int) *permGateMeta { return &e.perms[e.meta[id]] }
 
 // walk is one cursor's stack: the root of its nodes, the frame they write
 // the current monomial onto, the source they bind gates through and the
-// generator table their input nodes read.
+// generator table their input nodes read.  steps counts the nodes positioned
+// (first) or advanced (next): every slot, factor or column a cursor tries is
+// one, so the steps between two answers are Theorem 24's delay.
 type walk struct {
 	src           source
 	p             *circuit.Program
@@ -31,6 +33,7 @@ type walk struct {
 	root          node
 	frame         []Generator
 	started, done bool
+	steps         int
 }
 
 // TupleCursor enumerates answer tuples with constant delay.
@@ -146,6 +149,7 @@ func (n *node) open(w *walk, gate, base int) bool {
 
 // first resets n in place onto its gate's first monomial, written from base.
 func (n *node) first(w *walk, base int) bool {
+	w.steps++
 	n.base, n.end, n.i = base, base, 0
 	switch n.kind {
 	case circuit.KindInput, circuit.KindConst:
@@ -166,6 +170,7 @@ func (n *node) first(w *walk, base int) bool {
 
 // next advances n to its gate's next monomial, written from n.base.
 func (n *node) next(w *walk) bool {
+	w.steps++
 	switch n.kind {
 	case circuit.KindInput, circuit.KindConst:
 		n.i++
