@@ -6,7 +6,7 @@
 //	db, err := agg.ReadDatabaseFile("roads.db")
 //	eng := agg.Open(db)
 //	p, err := eng.Prepare(ctx, "sum x, y . [E(x,y)] * w(x,y)",
-//	    agg.WithSemiring("minplus"), agg.WithWorkers(8))
+//	    agg.WithSemiring("minplus"))
 //	v, err := p.Eval(ctx)               // evaluate the compiled circuit
 //
 //	s, err := p.Session()               // dynamic updates (Theorem 8)
@@ -85,7 +85,6 @@ type Option func(*config)
 type config struct {
 	semiring   string
 	dynamic    []string
-	workers    int
 	maxVars    int
 	answerVars []string
 	nested     *Nested
@@ -103,14 +102,6 @@ func WithSemiring(name string) Option {
 // than compile-time constants.
 func WithDynamic(relations ...string) Option {
 	return func(c *config) { c.dynamic = append(c.dynamic, relations...) }
-}
-
-// WithWorkers sets the worker-pool size a Prepared's Eval spreads the
-// circuit's levels over (≤ 0, the default, selects GOMAXPROCS): every closed
-// Eval's, and the first point read's.  Enumeration preprocessing does not use
-// it.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
 }
 
 // WithMaxVars overrides the compiler's bound on joined variables per

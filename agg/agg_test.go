@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -432,6 +434,39 @@ func TestGenerateRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// TestLoadFailuresAreArguments checks that every way of loading a database
+// reports a bad source as ErrArgument, so that ErrorCode names it, and keeps
+// the cause: a missing file still matches fs.ErrNotExist.
+func TestLoadFailuresAreArguments(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.db")
+	for _, c := range []struct {
+		name     string
+		load     func() error
+		notExist bool
+	}{
+		{"Load of an unknown kind", func() error { _, err := Load(Source{Kind: "nope", N: 10}); return err }, false},
+		{"ReadDatabase of a malformed line", func() error {
+			_, err := ReadDatabase(strings.NewReader("domain 3\nrel E 2\nE 0\n"))
+			return err
+		}, false},
+		{"OpenReader of an element outside the domain", func() error {
+			_, err := OpenReader(strings.NewReader("domain 3\nrel E 2\nE 0 9\n"))
+			return err
+		}, false},
+		{"ReadDatabaseFile of a missing path", func() error { _, err := ReadDatabaseFile(missing); return err }, true},
+		{"OpenFile of a missing path", func() error { _, err := OpenFile(missing); return err }, true},
+		{"OpenSource of an unknown kind", func() error { _, err := OpenSource(Source{Kind: "nope", N: 10}); return err }, false},
+	} {
+		err := c.load()
+		if !errors.Is(err, ErrArgument) || ErrorCode(err) == "error" {
+			t.Errorf("%s: %v (code %q), want ErrArgument", c.name, err, ErrorCode(err))
+		}
+		if c.notExist && !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: %v, want it to match fs.ErrNotExist", c.name, err)
+		}
+	}
+}
+
 func TestErrorTaxonomy(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()
@@ -556,7 +591,7 @@ func TestEvalCancellation(t *testing.T) {
 		args  []int
 	}{{edgeSum, nil}, {"sum y . [E(x,y)] * w(x,y)", []int{0}}} {
 		prepare := func() *Prepared {
-			p, err := eng.Prepare(context.Background(), c.query, WithSemiring("slow-natural"), WithWorkers(2))
+			p, err := eng.Prepare(context.Background(), c.query, WithSemiring("slow-natural"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,7 +142,7 @@ func TestEvalTakesArgumentsInAnswerVarOrder(t *testing.T) {
 	}
 	check("after update", before, after)
 
-	// Rebinding the semiring or the worker pool keeps the order.
+	// Rebinding the semiring keeps the order.
 	bl, err := p.In("boolean")
 	if err != nil {
 		t.Fatalf("In(boolean): %v", err)
@@ -157,15 +157,9 @@ func TestEvalTakesArgumentsInAnswerVarOrder(t *testing.T) {
 		if got, err := bl.Eval(ctx, ans[1], ans[0]); err != nil || got != "false" {
 			t.Errorf("In(boolean).Eval(%d,%d) = %q, %v; want false", ans[1], ans[0], got, err)
 		}
-		if got, err := p.Workers(2).Eval(ctx, ans...); err != nil || got != "1" {
-			t.Errorf("Workers(2).Eval%v = %q, %v; want 1", ans, got, err)
-		}
-		if got, err := p.Workers(2).Eval(ctx, ans[1], ans[0]); err != nil || got != "0" {
-			t.Errorf("Workers(2).Eval(%d,%d) = %q, %v; want 0", ans[1], ans[0], got, err)
-		}
 	}
-	if got := fmt.Sprint(bl.FreeVars(), p.Workers(2).FreeVars()); got != "[y x] [y x]" {
-		t.Errorf("rebound FreeVars = %s; want [y x] [y x]", got)
+	if got := fmt.Sprint(bl.FreeVars()); got != "[y x]" {
+		t.Errorf("rebound FreeVars = %s; want [y x]", got)
 	}
 }
 

@@ -54,10 +54,8 @@ func Load(src Source) (*Database, error) {
 		Seed:   src.Seed,
 	})
 	if err != nil {
-		if src.Reader == nil && !src.Stdin && src.Path == "" {
-			err = newError(ErrArgument, "", err) // the generator rejected Kind or N
-		}
-		return nil, err
+		// The cause stays matchable: a missing file is still fs.ErrNotExist.
+		return nil, newError(ErrArgument, "", err)
 	}
 	return &Database{a: db.A, w: db.W}, nil
 }

@@ -83,7 +83,7 @@ func (p *Prepared) stream(ctx context.Context, open func() (*enumerate.TupleCurs
 // AnswerCount returns the number of answers of a formula query, computed
 // from the circuit without enumerating them.  The enumeration state never
 // receives updates, so the total is a constant: the linear-time pass runs
-// at most once per Prepare and is memoised across In/Workers rebinds.
+// at most once per Prepare and is memoised across In rebinds.
 func (p *Prepared) AnswerCount(ctx context.Context) (int64, error) {
 	if p.enum == nil {
 		return 0, errorf(ErrNotEnumerable, p.text, "AnswerCount needs a first-order formula or a boolean nested query with free variables")

@@ -430,7 +430,7 @@ func (s *nestedSession) materialize(epoch uint64) (*version, error) {
 	s.clock.RUnlock()
 	v.once.Do(func() {
 		if v.p == nil {
-			p := &Prepared{eng: s.p.eng, text: s.p.text, cfg: s.p.cfg, ev: new(evaluation), tr: s.p.tr}
+			p := &Prepared{eng: s.p.eng, text: s.p.text, cfg: s.p.cfg, tr: s.p.tr}
 			if v.err = p.compileNested(context.Background(), &nestedInput{base: s.in.base, f: s.in.f, db: v.db}); v.err != nil {
 				return
 			}

@@ -103,9 +103,9 @@ func registerCounting() *atomic.Int64 {
 }
 
 // TestPreparedEvaluatesOnce: only a point query's first Eval evaluates the
-// circuit.  A later point read, and one of a Workers view of the Prepared,
-// recompute only the gates the parameter reaches — fewer semiring operations
-// than the circuit has gates — and agree with the first; an In rebind, which
+// circuit.  Later point reads recompute only the gates the parameter
+// reaches — fewer semiring operations than the circuit has gates — and agree
+// with each other; an In rebind, which
 // evaluates in a carrier of its own, evaluates the circuit again.
 func TestPreparedEvaluatesOnce(t *testing.T) {
 	ops := registerCounting()
@@ -136,8 +136,8 @@ func TestPreparedEvaluatesOnce(t *testing.T) {
 	if n >= gates {
 		t.Errorf("a second point read performed %d semiring operations on %d gates; want a read", n, gates)
 	}
-	if got, n := eval("Workers(2).Eval", p.Workers(2), 1); got != want || n >= gates {
-		t.Errorf("Workers(2).Eval = %s after %d semiring operations on %d gates; want %s after a read", got, n, gates, want)
+	if got, n := eval("third Eval", p, 1); got != want || n >= gates {
+		t.Errorf("a third point read = %s after %d semiring operations on %d gates; want %s after a read", got, n, gates, want)
 	}
 	rebound, err := p.In("counting-natural")
 	if err != nil {

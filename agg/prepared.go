@@ -48,12 +48,11 @@ type Prepared struct {
 	// variables of a formula).
 	sh *dynamicq.Shared
 
-	// ev holds the weights in sem and the point query Eval keeps, shared
-	// with the Prepared's Workers views.
-	ev *evaluation
+	// ev holds the weights in sem and the point query Eval keeps.
+	ev evaluation
 
 	// Enumeration backend (formula and boolean nested mode): built at Prepare
-	// on sh, shared by all cursors and by every In/Workers rebind (it never
+	// on sh, shared by all cursors and by every In rebind (it never
 	// receives updates).
 	enum *enumState
 
@@ -117,7 +116,7 @@ func (e *Engine) Prepare(ctx context.Context, query string, opts ...Option) (*Pr
 	}
 
 	tr := obs.FromContext(ctx)
-	p := &Prepared{eng: e, text: query, cfg: cfg, sem: sem, ev: new(evaluation), tr: tr}
+	p := &Prepared{eng: e, text: query, cfg: cfg, sem: sem, tr: tr}
 	p.cfg.semiring = sem.Name()
 
 	// Nested mode: the formula is the WithNested tree, not the query text.
@@ -318,32 +317,17 @@ func (p *Prepared) In(name string) (*Prepared, error) {
 // carrier sem, with an evaluation of its own: In's rebind, which evaluates in
 // another carrier.
 func (p *Prepared) view(sem Semiring) *Prepared {
-	return &Prepared{eng: p.eng, text: p.text, canonical: p.canonical, cfg: p.cfg, sem: sem, sh: p.sh, ev: new(evaluation), enum: p.enum, tr: p.tr}
-}
-
-// Workers returns a view of this Prepared whose evaluations spread circuit
-// levels over an n-goroutine pool (≤ 0 selects GOMAXPROCS).  The
-// compilation, enumeration state, converted weights and the values a point
-// query's first Eval kept are shared with the receiver, so a view of a
-// Prepared whose point query was read evaluates nothing.
-func (p *Prepared) Workers(n int) *Prepared {
-	if n == p.cfg.workers {
-		return p
-	}
-	clone := *p
-	clone.cfg.workers = n
-	return &clone
+	return &Prepared{eng: p.eng, text: p.text, canonical: p.canonical, cfg: p.cfg, sem: sem, sh: p.sh, enum: p.enum, tr: p.tr}
 }
 
 // Eval evaluates the prepared query under the context.  A closed query takes
 // no arguments; a query with k free variables takes exactly k elements, in
 // FreeVars order, and answers the point query f(args) (Theorem 8).  Either
-// way Eval reads an evaluation of every gate, spread over the Prepared's
-// workers: a closed query's is made by each Eval, a point query's by the
-// first one and kept, and every later point read raises the parameter weights
-// at args in a private overlay over it, taking no lock.  Cancelling the
-// context stops an evaluation in bounded time; a cancelled one is not kept,
-// and the next Eval evaluates again.
+// way Eval reads an evaluation of every gate: a closed query's is made by
+// each Eval, a point query's by the first one and kept, and every later point
+// read raises the parameter weights at args in a private overlay over it,
+// taking no lock.  Cancelling the context stops an evaluation in bounded time;
+// a cancelled one is not kept, and the next Eval evaluates again.
 func (p *Prepared) Eval(ctx context.Context, args ...int) (Value, error) {
 	ctx = ensureCtx(ctx)
 	if err := ctx.Err(); err != nil {
@@ -371,14 +355,14 @@ func (p *Prepared) read(ctx context.Context) (func(args []int) (string, error), 
 		return *r, nil
 	}
 	if len(p.sh.FreeVars()) == 0 {
-		return p.sem.newStatic(ctx, p.sh, p.weights(), p.cfg.workers)
+		return p.sem.newStatic(ctx, p.sh, p.weights())
 	}
 	p.ev.mu.Lock()
 	defer p.ev.mu.Unlock()
 	if r := p.ev.read.Load(); r != nil {
 		return *r, nil
 	}
-	r, err := p.sem.newStatic(ctx, p.sh, p.weightsLocked(), p.cfg.workers)
+	r, err := p.sem.newStatic(ctx, p.sh, p.weightsLocked())
 	if err != nil {
 		return nil, err
 	}

@@ -58,10 +58,10 @@ type Semiring interface {
 	// timings; without one the update path is uninstrumented (no clock reads).
 	newSession(p *Prepared) erasedSession
 	// newStatic evaluates a shared compilation once under the converted
-	// weights cw, spreading its levels over workers goroutines and stopping
-	// with ctx's error when ctx is cancelled, and returns its point query, a
-	// lock-free read.  A closed query keeps its formatted value, not the gates.
-	newStatic(ctx context.Context, sh *dynamicq.Shared, cw any, workers int) (func(args []int) (string, error), error)
+	// weights cw, stopping with ctx's error when ctx is cancelled, and returns
+	// its point query, a lock-free read.  A closed query keeps its formatted
+	// value, not the gates.
+	newStatic(ctx context.Context, sh *dynamicq.Shared, cw any) (func(args []int) (string, error), error)
 	// boxed returns the dynamically typed view of the carrier used by nested
 	// (FOG[C]) formulas; bool carriers map onto the canonical boolean box so
 	// nested's boolean positions recognise them.
@@ -146,17 +146,17 @@ func (ts *typedSemiring[T]) newSession(p *Prepared) erasedSession {
 	return s
 }
 
-func (ts *typedSemiring[T]) newStatic(ctx context.Context, sh *dynamicq.Shared, cw any, workers int) (func(args []int) (string, error), error) {
+func (ts *typedSemiring[T]) newStatic(ctx context.Context, sh *dynamicq.Shared, cw any) (func(args []int) (string, error), error) {
 	res, w := sh.Result(), cw.(*structure.Weights[T])
 	if len(sh.FreeVars()) > 0 {
-		st, err := dynamicq.NewStatic(ctx, ts.s, sh, w, workers)
+		st, err := dynamicq.NewStatic(ctx, ts.s, sh, w)
 		if err != nil {
 			return nil, err
 		}
 		return func(args []int) (string, error) { return ts.format(st.Value(args...)) }, nil
 	}
 	// A closed query has one value: keep it formatted, not the gates.
-	vals, err := circuit.ParallelEvaluateAllProgramCtx(ctx, res.Program, ts.s, compile.NewValuation(res, ts.s, w), workers)
+	vals, err := circuit.ParallelEvaluateAllProgramCtx(ctx, res.Program, ts.s, compile.NewValuation(res, ts.s, w))
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
 	"repro/agg"
 )
@@ -42,7 +41,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	stdin := flag.Bool("stdin", false, "read the database from stdin (dbio format)")
 	file := flag.String("file", "", "read the database from this file (dbio format)")
-	workers := flag.Int("workers", 0, "worker goroutines per circuit evaluation (0 = GOMAXPROCS)")
 	analyze := flag.Bool("analyze", false, "print the knowledge-compilation report of the compiled circuit")
 	flag.Parse()
 	ctx := context.Background()
@@ -64,7 +62,7 @@ func main() {
 
 	// One Prepare pays the Theorem 6 compilation; In rebinds the shared
 	// circuit to further semirings without recompiling.
-	p, err := eng.Prepare(ctx, text, agg.WithWorkers(*workers))
+	p, err := eng.Prepare(ctx, text)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aggquery: %v\n", err)
 		os.Exit(1)
@@ -98,9 +96,6 @@ func main() {
 		}
 	}
 
-	// The three semirings are independent passes over the same circuit, so
-	// they run concurrently; each pass additionally spreads its gate levels
-	// over -workers goroutines.
 	passes := []struct {
 		semiring string
 		label    string
@@ -109,25 +104,15 @@ func main() {
 		{"minplus", "value in (N∪{∞},min,+):      "},
 		{"boolean", "value in (B,∨,∧):            "},
 	}
-	lines := make([]string, len(passes))
-	var wg sync.WaitGroup
-	for i, pass := range passes {
-		wg.Add(1)
-		go func(i int, semiring, label string) {
-			defer wg.Done()
-			q, err := p.In(semiring)
-			if err == nil {
-				var v agg.Value
-				if v, err = q.Eval(ctx); err == nil {
-					lines[i] = label + v.String()
-					return
-				}
+	for _, pass := range passes {
+		q, err := p.In(pass.semiring)
+		if err == nil {
+			var v agg.Value
+			if v, err = q.Eval(ctx); err == nil {
+				fmt.Println(pass.label + v.String())
+				continue
 			}
-			lines[i] = fmt.Sprintf("%s<error: %v>", label, err)
-		}(i, pass.semiring, pass.label)
-	}
-	wg.Wait()
-	for _, l := range lines {
-		fmt.Println(l)
+		}
+		fmt.Printf("%s<error: %v>\n", pass.label, err)
 	}
 }

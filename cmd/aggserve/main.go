@@ -92,7 +92,6 @@ func main() {
 	kind := flag.String("kind", "grid", "generated workload kind for the default database (used when no -db/-stdin)")
 	n := flag.Int("n", 2000, "generated database size")
 	seed := flag.Int64("seed", 1, "random seed for the generated database")
-	workers := flag.Int("workers", 0, "worker goroutines per circuit evaluation (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 128, "maximum number of cached compiled queries")
 	maxVars := flag.Int("maxvars", 0, "compiler MaxVars bound (0 = default)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -101,7 +100,6 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	route := flag.String("route", "", "run as a fleet router over these comma-separated replica base URLs (no database is loaded)")
 	healthInterval := flag.Duration("health-interval", time.Second, "router mode: period of the replica /healthz probe loop")
-	vnodes := flag.Int("vnodes", 0, "router mode: virtual nodes per replica on the hash ring (0 = default)")
 	flag.Parse()
 
 	log, err := newLogger(*logFormat, *logLevel)
@@ -111,13 +109,12 @@ func main() {
 	}
 
 	if *route != "" {
-		runRouter(log, *listen, *route, *healthInterval, *vnodes)
+		runRouter(log, *listen, *route, *healthInterval)
 		return
 	}
 
 	srv := server.New(server.Options{
 		CacheSize: *cacheSize,
-		Workers:   *workers,
 		MaxVars:   *maxVars,
 		Logger:    log,
 		SlowQuery: *slowQuery,
@@ -222,7 +219,7 @@ func serve(log *slog.Logger, httpSrv *http.Server, release func()) {
 
 // runRouter is the -route mode: a consistent-hash router over an aggserve
 // replica fleet.
-func runRouter(log *slog.Logger, listen, route string, healthInterval time.Duration, vnodes int) {
+func runRouter(log *slog.Logger, listen, route string, healthInterval time.Duration) {
 	var replicas []string
 	for _, u := range strings.Split(route, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -231,7 +228,6 @@ func runRouter(log *slog.Logger, listen, route string, healthInterval time.Durat
 	}
 	rt, err := fleet.New(fleet.Options{
 		Replicas:       replicas,
-		VNodes:         vnodes,
 		HealthInterval: healthInterval,
 		Logger:         log,
 	})

@@ -47,7 +47,7 @@ func TestParallelEvaluateCtxCompletesUncancelled(t *testing.T) {
 	v := func(in Input) (int64, bool) { return 2, true }
 	want := EvaluateAllProgram[int64](p, semiring.Nat, v)
 	for _, workers := range []int{1, 2, 4} {
-		got, err := ParallelEvaluateAllProgramCtx(context.Background(), p, semiring.Nat, v, workers)
+		got, err := ParallelEvaluateOn(context.Background(), p, semiring.Nat, v, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", workers, err)
 		}
@@ -60,8 +60,8 @@ func TestParallelEvaluateCtxCompletesUncancelled(t *testing.T) {
 }
 
 // TestParallelEvaluateCtxCancelStops checks a cancelled context stops a
-// running parallel evaluation in bounded time, for both the sequential and
-// the fan-out paths, under -race.
+// running parallel evaluation in bounded time, both on the calling goroutine
+// and fanned out, under -race.
 func TestParallelEvaluateCtxCancelStops(t *testing.T) {
 	const n = 4096
 	p := wideCircuit(n).Program()
@@ -73,7 +73,7 @@ func TestParallelEvaluateCtxCancelStops(t *testing.T) {
 		start := time.Now()
 		go func() {
 			defer wg.Done()
-			_, evalErr = ParallelEvaluateAllProgramCtx(ctx, p, semiring.Nat, slowValuation(50*time.Microsecond), workers)
+			_, evalErr = ParallelEvaluateOn(ctx, p, semiring.Nat, slowValuation(50*time.Microsecond), workers)
 		}()
 		time.Sleep(5 * time.Millisecond)
 		cancel()
@@ -131,7 +131,7 @@ func TestParallelEvaluateCtxCancelStopsInWideGates(t *testing.T) {
 		errCh := make(chan error, 1)
 		start := time.Now()
 		go func() {
-			_, err := ParallelEvaluateAllProgramCtx[int64](ctx, p, slowAddNat{}, one, workers)
+			_, err := ParallelEvaluateOn[int64](ctx, p, slowAddNat{}, one, workers)
 			errCh <- err
 		}()
 		time.Sleep(5 * time.Millisecond)
@@ -156,7 +156,7 @@ func TestParallelEvaluateCtxPreCancelled(t *testing.T) {
 	cancel()
 	calls := 0
 	v := func(in Input) (int64, bool) { calls++; return 1, true }
-	if _, err := ParallelEvaluateAllProgramCtx(ctx, p, semiring.Nat, v, 1); !errors.Is(err, context.Canceled) {
+	if _, err := ParallelEvaluateAllProgramCtx(ctx, p, semiring.Nat, v); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if calls != 0 {

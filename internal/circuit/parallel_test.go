@@ -17,15 +17,15 @@ func hasPermGate(c *Circuit) bool {
 	return c.Program().Stats().PermGates > 0
 }
 
-// checkEquivalence asserts ParallelEvaluateAllProgramCtx matches
-// EvaluateAllProgram gate-for-gate in the given semiring, across several
-// worker counts.
+// checkEquivalence asserts the level-parallel evaluator matches
+// EvaluateAllProgram gate-for-gate in the given semiring, with levels spread
+// over up to 1, 2, 4 and 7 goroutines.
 func checkEquivalence[T any](t *testing.T, name string, c *Circuit, s semiring.Semiring[T], v Valuation[T]) {
 	t.Helper()
 	p := c.Program()
 	want := EvaluateAllProgram(p, s, v)
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got, err := ParallelEvaluateAllProgramCtx(context.Background(), p, s, v, workers)
+	for _, workers := range []int{1, 2, 4, 7} {
+		got, err := ParallelEvaluateOn(context.Background(), p, s, v, workers)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", name, workers, err)
 		}
@@ -81,28 +81,34 @@ func TestParallelEvaluateAllEquivalence(t *testing.T) {
 // TestNarrowLevelsRunOnTheCaller checks that the parallel evaluator splits a
 // level by its work, gates plus wires, not by its gates: levels of a few
 // hundred cheap gates are evaluated on the calling goroutine, allocating what
-// the sequential sweep does, while a level of 4,096 inputs is still spread
-// over the workers.  A cancellable context keeps workers=1 on the level loop.
+// EvaluateAllProgram does under a context that is never cancelled and under
+// one that can be, while a level of 4,096 inputs is still spread over 4
+// goroutines.
 func TestNarrowLevelsRunOnTheCaller(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cancellable, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	v := func(Input) (int64, bool) { return 1, true }
-	allocs := func(p *Program, workers int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := ParallelEvaluateAllProgramCtx[int64](ctx, p, semiring.Nat, v, workers); err != nil {
-				t.Fatal(err)
-			}
-		})
+	sequential := func(p *Program) float64 {
+		return testing.AllocsPerRun(20, func() { EvaluateAllProgram[int64](p, semiring.Nat, v) })
 	}
 	narrow, wide := wideCircuit(300).Program(), wideCircuit(4096).Program()
-	if seq, par := allocs(narrow, 1), allocs(narrow, 4); par != seq {
-		t.Errorf("levels of 300 gates: %v objects on 4 workers, want %v as on 1", par, seq)
-	}
-	if seq, par := allocs(wide, 1), allocs(wide, 4); par <= seq {
-		t.Errorf("levels of 4,096 gates: %v objects on 4 workers against %v on 1, want more: the levels were not spread", par, seq)
+	for name, ctx := range map[string]context.Context{"background": context.Background(), "cancellable": cancellable} {
+		parallel := func(p *Program) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := ParallelEvaluateOn[int64](ctx, p, semiring.Nat, v, 4); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if seq, par := sequential(narrow), parallel(narrow); par != seq {
+			t.Errorf("%s: levels of 300 gates: %v objects on 4 workers, want %v as EvaluateAllProgram", name, par, seq)
+		}
+		if seq, par := sequential(wide), parallel(wide); par <= seq {
+			t.Errorf("%s: levels of 4,096 gates: %v objects on 4 workers against %v for EvaluateAllProgram, want more: the levels were not spread", name, par, seq)
+		}
 	}
 }
 
@@ -134,7 +140,7 @@ func TestParallelEvaluateOutputEquivalence(t *testing.T) {
 	p := randomCircuit(rng, nInputs, 200).Program()
 	val := valuationFor(randomValues(rng, nInputs))
 	want := EvaluateProgram[int64](p, semiring.Nat, val)
-	all, err := ParallelEvaluateAllProgramCtx[int64](context.Background(), p, semiring.Nat, val, 3)
+	all, err := ParallelEvaluateOn[int64](context.Background(), p, semiring.Nat, val, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +250,14 @@ func benchmarkCircuit(b *testing.B) (*Circuit, Valuation[int64]) {
 	return c, func(in Input) (int64, bool) { key := label(in); return int64(len(key.Tuple)%5) + 1, true }
 }
 
-// BenchmarkEvaluateAllParallel measures the level-parallel evaluator at
-// GOMAXPROCS workers; on a multi-core machine it should beat
+// BenchmarkEvaluateAllParallel measures the level-parallel evaluator; on a
+// multi-core machine it should beat
 // BenchmarkProgramEvaluateAll.
 func BenchmarkEvaluateAllParallel(b *testing.B) {
 	c, val := benchmarkCircuit(b)
 	p := c.Program()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ParallelEvaluateAllProgramCtx[int64](context.Background(), p, semiring.Nat, val, 0)
+		ParallelEvaluateAllProgramCtx[int64](context.Background(), p, semiring.Nat, val)
 	}
 }

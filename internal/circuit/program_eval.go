@@ -8,9 +8,10 @@
 // level-parallel evaluation: every child of a rank-d gate has rank < d, so
 // the gates of one level of the Program's baked schedule are independent and
 // evaluate concurrently.  Permanent gates, with their O(2^rows·rows·cols)
-// column dynamic program, parallelise across the pool and dominate evaluation
-// time where they occur: only on shape levels with two or more sibling slots,
-// since the compiler emits a one-slot level as an addition.
+// column dynamic program, parallelise across a level's goroutines and
+// dominate evaluation time where they occur: only on shape levels with two or
+// more sibling slots, since the compiler emits a one-slot level as an
+// addition.
 package circuit
 
 import (
@@ -161,29 +162,15 @@ func evaluateProgramPerm[T any](p *Program, s semiring.Semiring[T], id int, kids
 
 // ParallelEvaluateAllProgramCtx computes the value of every gate like
 // EvaluateAllProgram, spreading each level of the program's baked schedule
-// across workers goroutines (≤ 0 selects GOMAXPROCS).  The valuation v and
+// over at most GOMAXPROCS goroutines, one per minWorkPerWorker of the level's
+// work, so a narrow level runs on the calling goroutine.  The valuation v and
 // the semiring s are called from multiple goroutines concurrently; both must
 // be safe for concurrent use.  It honours cancellation: when ctx is cancelled
-// the evaluation stops in bounded time (workers re-check the context every cancelCheckStride of gates and
-// wires and at every level barrier) and the call returns ctx.Err() with a nil
-// slice.
-func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) ([]T, error) {
-	if ctx == nil || ctx.Done() == nil {
-		// No cancellation signal to watch; take the unchecked fast path.
-		return parallelEvaluateAllProgram(nil, p, s, v, workers)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	vals, err := parallelEvaluateAllProgram(ctx.Done(), p, s, v, workers)
-	if err != nil {
-		// Report the context's own cause (Canceled vs DeadlineExceeded).
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
-	}
-	return vals, nil
+// the evaluation stops in bounded time (every goroutine re-checks the context
+// every cancelCheckStride of gates and wires, and at every level barrier) and
+// the call returns ctx.Err() with a nil slice.
+func ParallelEvaluateAllProgramCtx[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T]) ([]T, error) {
+	return parallelEvaluateAllProgram(ctx, p, s, v, runtime.GOMAXPROCS(0))
 }
 
 // minWorkPerWorker is the least work worth handing to a separate goroutine,
@@ -246,22 +233,24 @@ func (c *cancelPoll) stop(p *Program, id int32) bool {
 	return cancelled(c.done)
 }
 
-// parallelEvaluateAllProgram is the shared engine behind the parallel
-// evaluators; a nil done channel disables the cancellation checks entirely.
-func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) ([]T, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// parallelEvaluateAllProgram is ParallelEvaluateAllProgramCtx spreading a
+// level over at most workers goroutines.  A context that is never cancelled
+// has a nil done channel, which disables the cancellation checks entirely.
+func parallelEvaluateAllProgram[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) ([]T, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if workers == 1 && done == nil {
-		return EvaluateAllProgram(p, s, v), nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	done := ctx.Done()
 	vals := make([]T, p.numGates)
 	poll := cancelPoll{done: done} // for gates run on the calling goroutine
-	var wg sync.WaitGroup
-	var sc permScratch[T] // scratch for levels run on the calling goroutine
+	var sc permScratch[T]          // scratch for levels run on the calling goroutine
+	var wg *sync.WaitGroup         // made by the first level that is spread
 	for d := 0; d <= p.maxRank; d++ {
 		if done != nil && cancelled(done) {
-			return nil, context.Canceled
+			return nil, ctx.Err()
 		}
 		level := p.LevelGates(d)
 		n := len(level)
@@ -269,7 +258,7 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 		if chunks <= 1 {
 			for _, id := range level {
 				if poll.stop(p, id) {
-					return nil, context.Canceled
+					return nil, ctx.Err()
 				}
 				evaluateProgramGate(p, s, v, int(id), vals, &sc)
 			}
@@ -279,6 +268,9 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 		// so no synchronisation beyond the per-level barrier is needed.
 		chunkSize := (n + chunks - 1) / chunks
 		chunks = (n + chunkSize - 1) / chunkSize // a few wide gates may fill fewer
+		if wg == nil {
+			wg = new(sync.WaitGroup)
+		}
 		wg.Add(chunks)
 		for w := 0; w < chunks; w++ {
 			lo := w * chunkSize
@@ -286,7 +278,9 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 			if hi > n {
 				hi = n
 			}
-			go func(ids []int32) {
+			// wg is an argument, not a capture: a captured variable that is
+			// assigned in the loop would move to the heap on every call.
+			go func(ids []int32, wg *sync.WaitGroup) {
 				defer wg.Done()
 				var sc permScratch[T] // one scratch per worker goroutine
 				poll := cancelPoll{done: done}
@@ -296,11 +290,11 @@ func parallelEvaluateAllProgram[T any](done <-chan struct{}, p *Program, s semir
 					}
 					evaluateProgramGate(p, s, v, int(id), vals, &sc)
 				}
-			}(level[lo:hi])
+			}(level[lo:hi], wg)
 		}
 		wg.Wait()
 		if done != nil && cancelled(done) {
-			return nil, context.Canceled
+			return nil, ctx.Err()
 		}
 	}
 	return vals, nil

@@ -21,7 +21,7 @@ func checkProgramAgreesWithLegacy[T any](t *testing.T, name string, c *Circuit, 
 	t.Helper()
 	want := circuittest.EvaluateAll(c, s, v)
 	p := c.Program()
-	parallel, err := ParallelEvaluateAllProgramCtx(context.Background(), p, s, v, 3)
+	parallel, err := ParallelEvaluateOn(context.Background(), p, s, v, 3)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

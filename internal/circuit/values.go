@@ -25,10 +25,10 @@ type Values[T any] struct {
 }
 
 // NewValues evaluates every gate of p in s under the valuation v once, with
-// ParallelEvaluateAllProgramCtx on workers goroutines: when ctx is cancelled
-// it stops in bounded time and returns ctx's error.
-func NewValues[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T], workers int) (*Values[T], error) {
-	vals, err := ParallelEvaluateAllProgramCtx(ctx, p, s, v, workers)
+// ParallelEvaluateAllProgramCtx: when ctx is cancelled it stops in bounded
+// time and returns ctx's error.
+func NewValues[T any](ctx context.Context, p *Program, s semiring.Semiring[T], v Valuation[T]) (*Values[T], error) {
+	vals, err := ParallelEvaluateAllProgramCtx(ctx, p, s, v)
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func checkValuesEvalWith[T any](t *testing.T, r *rand.Rand, s semiring.Semiring[
 		}
 	}
 	val := func(in Input) (T, bool) { v, ok := vals[label(in)]; return v, ok }
-	static, err := NewValues[T](context.Background(), p, s, val, 2)
+	static, err := NewValues[T](context.Background(), p, s, val)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func startFleet(t *testing.T, n int) *LocalFleet {
 	t.Helper()
 	db := workload.Grid(6, 6, 7)
 	f, err := StartLocal(n, LocalOptions{
-		Server: server.Options{CacheSize: 32, Workers: 2},
+		Server: server.Options{CacheSize: 32},
 		Configure: func(i int, s *server.Server) {
 			s.MountDatabaseValue("default", agg.FromStructure(db.A, db.Weights()))
 		},

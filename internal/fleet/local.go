@@ -12,7 +12,7 @@ import (
 
 // LocalOptions configures an in-process fleet.
 type LocalOptions struct {
-	// Server configures every replica (cache size, workers, logger, ...).
+	// Server configures every replica (cache size, logger, ...).
 	Server server.Options
 	// Configure, when set, runs once per replica after construction —
 	// typically to mount databases.  Replicas share nothing, so each one

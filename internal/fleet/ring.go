@@ -18,10 +18,10 @@ import (
 	"strconv"
 )
 
-// defaultVNodes is the number of virtual nodes per replica.  128 points per
+// vnodesPerReplica is the number of virtual nodes per replica.  128 points per
 // replica keeps the expected load imbalance of an 8-replica fleet within a
 // few percent while the ring stays small enough to rebuild instantly.
-const defaultVNodes = 128
+const vnodesPerReplica = 128
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle owned
 // by a replica.
@@ -41,23 +41,21 @@ type Ring struct {
 	n      int
 }
 
-// NewRing builds a ring with vnodes virtual nodes (≤ 0 selects the default
-// of 128) for each of the given replica identifiers.
-func NewRing(ids []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring with vnodesPerReplica virtual nodes for each of the
+// given replica identifiers.  Every router builds the same ring from the same
+// identifiers, so every router places every key identically.
+func NewRing(ids []string) (*Ring, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one replica")
 	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
 	seen := make(map[string]bool, len(ids))
-	r := &Ring{points: make([]ringPoint, 0, len(ids)*vnodes), n: len(ids)}
+	r := &Ring{points: make([]ringPoint, 0, len(ids)*vnodesPerReplica), n: len(ids)}
 	for i, id := range ids {
 		if seen[id] {
 			return nil, fmt.Errorf("fleet: duplicate replica id %q", id)
 		}
 		seen[id] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < vnodesPerReplica; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:    hashKey(id + "#" + strconv.Itoa(v)),
 				replica: i,

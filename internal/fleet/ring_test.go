@@ -18,7 +18,7 @@ func ringIDs(n int) []string {
 // a third or more than triple its fair share.
 func TestRingBalance(t *testing.T) {
 	const replicas, keys = 8, 20000
-	r, err := NewRing(ringIDs(replicas), 0)
+	r, err := NewRing(ringIDs(replicas))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingStability(t *testing.T) {
 	const replicas, keys = 5, 4000
 	const down = 2
-	r, err := NewRing(ringIDs(replicas), 0)
+	r, err := NewRing(ringIDs(replicas))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestRingStability(t *testing.T) {
 // TestRingDeterminism: two rings over the same identifiers agree on every
 // lookup (routing must be reproducible across router restarts).
 func TestRingDeterminism(t *testing.T) {
-	a, err := NewRing(ringIDs(6), 64)
+	a, err := NewRing(ringIDs(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(ringIDs(6), 64)
+	b, err := NewRing(ringIDs(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingRejectsDuplicates: duplicate replica ids would silently halve the
 // fleet, so construction must fail.
 func TestRingRejectsDuplicates(t *testing.T) {
-	if _, err := NewRing([]string{"a", "b", "a"}, 8); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate replica ids accepted")
 	}
-	if _, err := NewRing(nil, 8); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty replica set accepted")
 	}
 }

@@ -28,9 +28,6 @@ type Options struct {
 	// (e.g. "http://10.0.0.1:8080").  The URL doubles as the replica's ring
 	// identifier, so keep it stable across router restarts.
 	Replicas []string
-	// VNodes is the number of virtual nodes per replica on the hash ring
-	// (≤ 0 selects the default of 128).
-	VNodes int
 	// HealthInterval is the period of the /healthz probe loop (≤ 0 selects
 	// 1s).
 	HealthInterval time.Duration
@@ -146,7 +143,7 @@ func New(opts Options) (*Router, error) {
 		replicas[i].up.Store(true)
 		ids[i] = id
 	}
-	ring, err := NewRing(ids, opts.VNodes)
+	ring, err := NewRing(ids)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func (b box[T]) reader(sh *dynamicq.Shared, weights *structure.Weights[any]) (fu
 	if err != nil {
 		return nil, err
 	}
-	st, err := dynamicq.NewStatic(context.Background(), b.s, sh, w, 1)
+	st, err := dynamicq.NewStatic(context.Background(), b.s, sh, w)
 	if err != nil {
 		return nil, err
 	}

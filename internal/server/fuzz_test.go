@@ -42,16 +42,13 @@ func FuzzIngest(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 
-	srv := New(Options{CacheSize: 4, Workers: 1})
+	srv := New(Options{CacheSize: 4})
 	srv.MountDatabaseValue("default", agg.FromStructure(db.A, db.Weights()))
 	if _, _, err := srv.CreateSession("s", "default", "sum x, y . [E(x,y) & S(x)] * w(x,y)", "natural", []string{"E", "S"}); err != nil {
 		f.Fatal(err)
 	}
 	h := srv.Handler()
-	codes := map[string]bool{}
-	for _, kind := range []error{agg.ErrParse, agg.ErrCompile, agg.ErrUnknownSemiring, agg.ErrUnknownDatabase, agg.ErrUnknownSession, agg.ErrSessionExists, agg.ErrSessionBusy, agg.ErrSessionClosed, agg.ErrArgument, agg.ErrUpdate, agg.ErrNotEnumerable} {
-		codes[agg.ErrorCode(kind)] = true
-	}
+	codes := taxonomyCodes()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
@@ -93,6 +90,85 @@ func FuzzIngest(f *testing.F) {
 		}
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("/batch: status %d answered %q, not JSON", rec.Code, rec.Body)
+		}
+	})
+}
+
+// taxonomyCodes is the set of codes agg.ErrorCode gives the error taxonomy's
+// sentinels.
+func taxonomyCodes() map[string]bool {
+	codes := map[string]bool{}
+	for _, kind := range []error{agg.ErrParse, agg.ErrCompile, agg.ErrUnknownSemiring, agg.ErrUnknownDatabase, agg.ErrUnknownSession, agg.ErrSessionExists, agg.ErrSessionBusy, agg.ErrSessionClosed, agg.ErrArgument, agg.ErrUpdate, agg.ErrNotEnumerable} {
+		codes[agg.ErrorCode(kind)] = true
+	}
+	return codes
+}
+
+// FuzzQuery sends arbitrary bytes as the body of POST /query, /point and
+// /session, and checks that the server answers each without a panic or a
+// 5xx, and every refusal with an ErrorBody whose code is in the taxonomy.  A
+// session a body creates is deleted after the input, so the run stays
+// bounded.  The seeds are a valid body for each route, a /query body that
+// still names a worker count, truncated JSON, and unknown semirings,
+// databases and sessions.
+func FuzzQuery(f *testing.F) {
+	for _, seed := range []string{
+		`{"expr":"sum x, y . [E(x,y)] * w(x,y)"}`,
+		`{"expr":"sum x, y . [E(x,y) & S(x)] * w(x,y)","semiring":"minplus","dynamic":["S"]}`,
+		`{"expr":"sum x, y . [E(x,y)] * w(x,y)","workers":8}`,
+		`{"expr":"sum x, y . [E(x,y)] * w(x,y)","semiring":"nope"}`,
+		`{"db":"nope","expr":"sum x . u(x)"}`,
+		`{"session":"s","args":[1]}`,
+		`{"session":"s","args":[1,2,3]}`,
+		`{"session":"nope","args":[0]}`,
+		`{"expr":"sum y . [E(x,y)] * w(x,y)","args":[2]}`,
+		`{"name":"t","expr":"sum y . [E(x,y)] * w(x,y)","dynamic":["E"]}`,
+		`{"name":"s","expr":"sum x . u(x)"}`,
+		`{"name":"t","expr":"sum x . u(x)","semiring":"nope"}`,
+		`{"expr":"sum x`,
+		`{`,
+		``,
+		`null`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	db := workload.Grid(4, 4, 7)
+	srv := New(Options{CacheSize: 4})
+	srv.MountDatabaseValue("default", agg.FromStructure(db.A, db.Weights()))
+	if _, _, err := srv.CreateSession("s", "default", "sum y . [E(x,y) & S(x)] * w(x,y)", "natural", []string{"E", "S"}); err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	codes := taxonomyCodes()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, route := range []string{"/query", "/point", "/session"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("%s: status %d, body %q", route, rec.Code, rec.Body)
+			}
+			if rec.Code != http.StatusOK {
+				var e ErrorBody
+				dec := json.NewDecoder(rec.Body)
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&e); err != nil || e.Error == "" || !codes[e.Code] {
+					t.Fatalf("%s: status %d answered %q, not an ErrorBody with a taxonomy code (%v)", route, rec.Code, rec.Body, err)
+				}
+				continue
+			}
+			if route != "/session" {
+				continue
+			}
+			var created sessionResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+				t.Fatalf("/session: %q: %v", rec.Body, err)
+			}
+			if err := srv.DeleteSession(created.Session); err != nil {
+				t.Fatalf("deleting session %q: %v", created.Session, err)
+			}
 		}
 	})
 }

@@ -214,9 +214,6 @@ type queryRequest struct {
 	DB       string `json:"db"`
 	Expr     string `json:"expr"`
 	Semiring string `json:"semiring"`
-	// Workers overrides the server's evaluation worker pool for this request
-	// (0 keeps the server default).
-	Workers int `json:"workers"`
 	// Dynamic lists relations compiled as dynamic inputs; it participates in
 	// the cache key.
 	Dynamic []string `json:"dynamic"`
@@ -250,9 +247,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if free := p.FreeVars(); len(free) > 0 {
 		s.writeError(w, fmt.Errorf("expression has free variables %v; use /point for point queries: %w", free, agg.ErrArgument))
 		return
-	}
-	if req.Workers > 0 {
-		p = p.Workers(req.Workers) // p carries the server default otherwise
 	}
 	var value agg.Value
 	d := timed(&s.ctr[cEvalNanos], func() {

@@ -34,9 +34,6 @@ type Options struct {
 	// CacheSize bounds the number of cached compiled queries (≤ 0 selects
 	// the default of 128).
 	CacheSize int
-	// Workers is the default worker-pool size per circuit evaluation and
-	// enumeration preprocessing pass (≤ 0 selects GOMAXPROCS).
-	Workers int
 	// MaxVars is forwarded to the compiler (0 keeps the compiler default).
 	MaxVars int
 	// Logger receives the server's structured logs: access logs at Debug,
@@ -191,8 +188,8 @@ func (s *Server) compiledEnumerator(dbName, phiText string, vars []string) (*agg
 }
 
 // cached is the cache-through step shared by every compilation: look key up,
-// prepare text on a miss (at most once per key, with the server's worker and
-// MaxVars options after opts), and account for the hit or miss.
+// prepare text on a miss (at most once per key, with the server's MaxVars
+// option after opts), and account for the hit or miss.
 func (s *Server) cached(key string, eng *agg.Engine, text string, opts ...agg.Option) (*agg.Prepared, bool, error) {
 	lookupStart := time.Now()
 	v, hit, err := s.cache.getOrCreate(key, func() (any, error) {
@@ -204,7 +201,7 @@ func (s *Server) cached(key string, eng *agg.Engine, text string, opts ...agg.Op
 			// outlives the triggering request.  The server tracer rides along
 			// so parse/compile/freeze stages and later session waves record.
 			p, cerr = eng.Prepare(obs.NewContext(context.Background(), s.tr), text,
-				append(opts, agg.WithWorkers(s.opts.Workers), agg.WithMaxVars(s.opts.MaxVars))...)
+				append(opts, agg.WithMaxVars(s.opts.MaxVars))...)
 		})
 		if cerr != nil {
 			return nil, cerr

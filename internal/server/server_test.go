@@ -25,7 +25,7 @@ import (
 func newTestServer(t *testing.T, n int) (*Server, *httptest.Server, *workload.Database) {
 	t.Helper()
 	db := workload.Grid(n, n, 7)
-	srv := New(Options{CacheSize: 32, Workers: 2})
+	srv := New(Options{CacheSize: 32})
 	srv.MountDatabaseValue("default", agg.FromStructure(db.A, db.Weights()))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -655,7 +655,7 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 // produced) and increments the canceled counter.
 func TestEnumerateClientDisconnect(t *testing.T) {
 	db := workload.Grid(50, 50, 7)
-	srv := New(Options{CacheSize: 8, Workers: 2})
+	srv := New(Options{CacheSize: 8})
 	srv.MountDatabaseValue("default", agg.FromStructure(db.A, db.Weights()))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

@@ -494,9 +494,8 @@ func benchStrategySet(b *testing.B, p *agg.Prepared, n int) {
 // BenchmarkPairedClosedEval is the repository benchmark's warm_read operation
 // without its harness: one Prepared.Eval of the closed triangle, which
 // evaluates every gate of its Program, at the warm_read input (bounded-degree,
-// n = 1,200) and at n = 6,000 on bounded-degree and the grid.  "workers=0" is
-// the default level-parallel evaluation over GOMAXPROCS workers, "workers=1"
-// the sequential sweep; gates/op is the size of the Program each Eval walks.
+// n = 1,200) and at n = 6,000 on bounded-degree and the grid; gates/op is the
+// size of the Program each Eval walks.
 func BenchmarkPairedClosedEval(b *testing.B) {
 	ctx := context.Background()
 	const triangle = "sum x,y,z . [E(x,y)&E(y,z)&E(z,x)] * w(x,y)*w(y,z)*w(z,x)"
@@ -508,20 +507,18 @@ func BenchmarkPairedClosedEval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, workers := range []int{0, 1} {
-			p, err := agg.Open(db).Prepare(ctx, triangle, agg.WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/n=%d/workers=%d", c.kind, c.n, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Eval(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(p.Stats().Gates), "gates/op")
-			})
+		p, err := agg.Open(db).Prepare(ctx, triangle)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("%s/n=%d", c.kind, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Eval(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(p.Stats().Gates), "gates/op")
+		})
 	}
 }
