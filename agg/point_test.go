@@ -187,3 +187,110 @@ func allocatedBytes(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// TestPointReadsOutsideTheDomain pins what a point read at an element outside
+// the domain {0..n-1} returns: the parameter weight is raised at no input, so
+// the value is the semiring's zero, with no error, on a Prepared, a session
+// and a Reader alike.
+func TestPointReadsOutsideTheDomain(t *testing.T) {
+	ctx := context.Background()
+	db, err := Generate("pref-attach", 200, 1)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	p, err := Open(db).Prepare(ctx, "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	r, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	defer r.Close()
+	for _, read := range []struct {
+		name string
+		eval func(context.Context, ...int) (Value, error)
+	}{{"Prepared.Eval", p.Eval}, {"Session.Eval", s.Eval}, {"Reader.Eval", r.Eval}} {
+		for _, x := range []int{-1, db.Elements(), 1 << 40} {
+			if got, err := read.eval(ctx, x); got != "0" || err != nil {
+				t.Errorf("%s(%d) = %q, %v; want \"0\", nil", read.name, x, got, err)
+			}
+		}
+	}
+}
+
+// TestFirstSessionReadsAreConcurrent makes the first point reads of a fresh
+// session on eight goroutines at once — half live, half through a Reader of
+// their own — and holds every read to a second Prepared's value.  The first
+// read of a closure builds its table of parameter inputs; under -race this is
+// the check that the table is published safely to the reads racing it.
+func TestFirstSessionReadsAreConcurrent(t *testing.T) {
+	const readers = 8
+	ctx := context.Background()
+	db, err := Generate("pref-attach", 300, 2)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	const query = "sum y,z . [E(x,y)&E(y,z)&!(x=z)] * u(y)*u(z)"
+	ref, err := Open(db).Prepare(ctx, query)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	n := db.Elements()
+	want := make([]Value, n)
+	for x := range want {
+		if want[x], err = ref.Eval(ctx, x); err != nil {
+			t.Fatalf("Eval(%d): %v", x, err)
+		}
+	}
+	p, err := Open(db).Prepare(ctx, query)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	s, err := p.Session()
+	if err != nil {
+		t.Fatalf("Session: %v", err)
+	}
+	defer s.Close()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		read := s.Eval
+		if g%2 == 1 {
+			r, err := s.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			defer r.Close()
+			read = r.Eval
+		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < n; i++ {
+				x := (i + g*n/readers) % n // each reader starts elsewhere
+				got, err := read(ctx, x)
+				if err == nil && got != want[x] {
+					err = fmt.Errorf("Eval(%d) = %s, want %s", x, got, want[x])
+				}
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %w", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

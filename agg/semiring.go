@@ -233,11 +233,10 @@ func (s *typedSession[T]) Write(changes []Change) (uint64, error) {
 		typed = make([]dynamicq.Change[T], 0, len(changes))
 	}
 	for _, ch := range changes {
-		c := dynamicq.Change[T]{Weight: ch.Weight, Rel: ch.Rel, Tuple: ch.Tuple, Present: ch.Present}
+		typed = append(typed, dynamicq.Change[T]{Weight: ch.Weight, Rel: ch.Rel, Tuple: ch.Tuple, Present: ch.Present})
 		if ch.Weight != "" {
-			c.Value = s.ts.embed(ch.Weight, ch.Tuple, ch.Value)
+			typed[len(typed)-1].Value = s.ts.embed(ch.Weight, ch.Tuple, ch.Value)
 		}
-		typed = append(typed, c)
 	}
 	if err := s.q.Prepare(typed); err != nil {
 		return 0, err

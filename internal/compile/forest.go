@@ -323,7 +323,7 @@ func (pm *preparedMonomial) planFor(cf *colorForest) []*plannedShape {
 	}
 	var plan []*plannedShape
 	enumerateShapes(pm.shapeConstraintsFor(cf), func(sh *shape) {
-		pm.shapeKey = sh.appendKey(pm.shapeKey[:0])
+		pm.shapeKey = sh.appendShapeKey(pm.shapeKey[:0])
 		ps, ok := pm.shapes[string(pm.shapeKey)]
 		if !ok {
 			ps = pm.planShape(sh)

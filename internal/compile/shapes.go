@@ -93,9 +93,10 @@ func (sh *shape) comparable(i, j int) bool {
 	return m == sh.depth[i] || m == sh.depth[j]
 }
 
-// appendKey appends the shape's depths and its meets above the diagonal, one
-// byte each: two shapes of one monomial are equal exactly when their keys are.
-func (sh *shape) appendKey(key []byte) []byte {
+// appendShapeKey appends the shape's depths and its meets above the diagonal,
+// one byte each: two shapes of one monomial are equal exactly when their keys
+// are.
+func (sh *shape) appendShapeKey(key []byte) []byte {
 	for i, d := range sh.depth {
 		key = append(key, byte(d))
 		for j := i + 1; j < len(sh.depth); j++ {

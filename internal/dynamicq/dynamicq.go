@@ -52,7 +52,29 @@ type Query[T any] struct {
 	// changed records that the prepared batch changes the database as the
 	// query sees it (see Prepare), so Stage commits it.
 	changed bool
+	// syms holds what Prepare needs of each weight symbol of the caller's
+	// signature, built at the first write; picked is Prepare's reusable list
+	// of the symbol of each weight change of a batch, by its index in syms.
+	syms   []weightSym
+	picked []int32
+	// gates maps a row of weights to its input gate, -1 when the Program does
+	// not reference it, and unresolved until the row is first written.  Rows
+	// are never renumbered and the Program is frozen, so an entry never goes
+	// stale.
+	gates []int32
 }
+
+// weightSym is one weight symbol of the caller's signature as Prepare reads
+// it: its declaration, whether the closure's polynomial mentions it, and the
+// head of its entries in the query's weights.
+type weightSym struct {
+	structure.WeightSymbol
+	mentioned bool
+	head      int32
+}
+
+// unresolved marks a row of Query.gates whose input gate is not looked up yet.
+const unresolved = -2
 
 // Shared is the semiring-agnostic closure of a query over an ordered list of
 // parameters x̄ = x_1, ..., x_k:
@@ -88,6 +110,11 @@ type Shared struct {
 	// are no parameters.
 	zeroOnce sync.Once
 	zero     []bool
+	// paramGates[i*N+a] is the input gate of parameter i at element a of the
+	// domain {0..N-1}, or -1 when the Program does not reference it, built at
+	// the first point read (inputsOf).
+	gatesOnce  sync.Once
+	paramGates []int32
 }
 
 // FreeVars returns the closure's parameters, in the order Query.Value takes
@@ -185,6 +212,26 @@ func (sh *Shared) paramZero() []bool {
 		}
 	})
 	return sh.zero
+}
+
+// inputsOf returns the input gate of parameter i at element a, or -1 when a
+// is outside the domain or the Program does not reference that input.  The
+// first call tabulates every parameter at every element, one int32 each, so
+// a point read finds its inputs by indexing, not by probing the Program.
+func (sh *Shared) inputsOf(i int, a structure.Element) int {
+	n := sh.res.Structure.N
+	sh.gatesOnce.Do(func() {
+		sh.paramGates = make([]int32, len(sh.params)*n)
+		for j, p := range sh.params {
+			for b := range n {
+				sh.paramGates[j*n+b] = int32(sh.res.Program.FindInput(p, structure.Ordinary, structure.Tuple{b}))
+			}
+		}
+	})
+	if a < 0 || a >= n {
+		return -1
+	}
+	return int(sh.paramGates[i*n+a])
 }
 
 // NewQuery instantiates a compiled query in the semiring s under the initial
@@ -311,7 +358,14 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 // declares, an element of the domain — and not the closure's, so no write
 // reaches a parameter weight; records it in the query's shadow of the weights
 // and relations; and translates it into the leaf changes the next Stage
-// applies, each resolved to its input gate once.
+// applies.
+//
+// A weight change names its symbol once, in a small per-query table (its
+// declaration, whether the polynomial mentions it, its head in the weights),
+// and its tuple once: one probe of the weights' index assigns the value and
+// returns the entry's row with the value it replaced.  The row's input gate
+// is looked up in the Program on the row's first write and read from a
+// row-indexed array after that.
 //
 // It also decides whether the batch is a commit, by the database and not by
 // the circuit: a batch commits iff it changes the stored value (missing is
@@ -320,17 +374,19 @@ func (q *Query[T]) ApplyBatch(changes []Change[T]) error {
 // happened to wire to a gate — it prunes the ones no answer can reach — does
 // not enter into it.
 func (q *Query[T]) Prepare(changes []Change[T]) error {
+	picked := q.picked[:0]
 	for i, ch := range changes {
 		var err error
 		switch {
 		case ch.Weight != "" && ch.Rel != "":
 			err = fmt.Errorf("change names both weight %q and relation %q", ch.Weight, ch.Rel)
 		case ch.Weight != "":
-			decl, ok := q.sh.sig.Weight(ch.Weight)
-			if !ok {
+			k := q.symbol(ch.Weight)
+			picked = append(picked, int32(k))
+			if k < 0 {
 				err = fmt.Errorf("unknown weight symbol %q", ch.Weight)
-			} else if decl.Arity != len(ch.Tuple) {
-				err = fmt.Errorf("weight %q has arity %d, got tuple of length %d", ch.Weight, decl.Arity, len(ch.Tuple))
+			} else if arity := q.syms[k].Arity; arity != len(ch.Tuple) {
+				err = fmt.Errorf("weight %q has arity %d, got tuple of length %d", ch.Weight, arity, len(ch.Tuple))
 			} else {
 				err = q.sh.res.Structure.CheckDomain(ch.Tuple)
 			}
@@ -343,21 +399,24 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 			if len(changes) > 1 {
 				err = fmt.Errorf("batch change %d: %w", i, err)
 			}
+			q.picked = picked[:0]
 			return fmt.Errorf("dynamicq: %w", err)
 		}
 	}
 	leaf, members := q.leaves[:0], q.members[:0]
+	next := 0
 	for _, ch := range changes {
 		if ch.Weight != "" {
-			if q.sh.mentions[ch.Weight] {
-				old, ok := q.weights.Get(ch.Weight, ch.Tuple)
-				if !ok {
+			sym := &q.syms[picked[next]]
+			next++
+			row, old, had := q.weights.Assign(sym.head, ch.Tuple, ch.Value)
+			if sym.mentioned {
+				if !had {
 					old = q.s.Zero()
 				}
 				q.changed = q.changed || !q.s.Equal(old, ch.Value)
 			}
-			q.weights.Set(ch.Weight, ch.Tuple, ch.Value)
-			leaf = append(leaf, circuit.Leaf[T]{Gate: q.sh.res.Program.FindInput(ch.Weight, structure.Ordinary, ch.Tuple), Value: ch.Value})
+			leaf = append(leaf, circuit.Leaf[T]{Gate: q.inputGate(row, ch.Weight, ch.Tuple), Value: ch.Value})
 			continue
 		}
 		// Both membership inputs land in one wave and one epoch.
@@ -368,8 +427,43 @@ func (q *Query[T]) Prepare(changes []Change[T]) error {
 			leaf = append(leaf, circuit.Leaf[T]{Gate: m.Gate, Value: semiring.Iverson(q.s, m.Value)})
 		}
 	}
-	q.leaves, q.members = leaf, members
+	q.leaves, q.members, q.picked = leaf, members, picked[:0]
 	return nil
+}
+
+// symbol returns the index in q.syms of the weight symbol name, or -1 when
+// the caller's signature does not declare it.  The table is built at the
+// first write, so opening a session allocates none of it; a signature
+// declares a handful of weight symbols, so a scan beats hashing the name.
+func (q *Query[T]) symbol(name string) int {
+	if q.syms == nil {
+		decls := q.sh.sig.Weights
+		q.syms = make([]weightSym, len(decls))
+		for i, d := range decls {
+			q.syms[i] = weightSym{WeightSymbol: d, mentioned: q.sh.mentions[d.Name], head: q.weights.Head(d.Name)}
+		}
+	}
+	for i := range q.syms {
+		if q.syms[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// inputGate returns the input gate of row of the query's weights, which holds
+// weight at t, or -1 when the Program does not reference it; it looks the
+// gate up on the row's first write only.
+func (q *Query[T]) inputGate(row int, weight string, t structure.Tuple) int {
+	for len(q.gates) <= row {
+		q.gates = append(q.gates, unresolved)
+	}
+	if g := q.gates[row]; g != unresolved {
+		return int(g)
+	}
+	g := q.sh.res.Program.FindInput(weight, structure.Ordinary, t)
+	q.gates[row] = int32(g)
+	return g
 }
 
 // Members returns the membership leaves of the batch Prepare translated,

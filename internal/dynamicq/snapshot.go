@@ -24,6 +24,8 @@ type reader[T any] struct {
 // variables.  Following the proof of Theorem 8, the point query is k weight
 // toggles: the fresh weights v_i are raised to 1 at the queried elements
 // (ignored outside the universe) in the overlay, and the output is read there.
+// Each v_i's input at its element is read from the Shared's dense table of
+// parameter inputs, which the first point read of the closure builds.
 func (r *reader[T]) Value(args ...structure.Element) (T, error) {
 	if len(args) != len(r.sh.vars) {
 		var zero T
@@ -32,7 +34,7 @@ func (r *reader[T]) Value(args ...structure.Element) (T, error) {
 	var buf [4]circuit.Leaf[T]
 	leaves := buf[:0]
 	for i, a := range args {
-		leaves = append(leaves, circuit.Leaf[T]{Gate: r.sh.res.Program.FindInput(r.sh.params[i], structure.Ordinary, structure.Tuple{a}), Value: r.one})
+		leaves = append(leaves, circuit.Leaf[T]{Gate: r.sh.inputsOf(i, a), Value: r.one})
 	}
 	return r.eval(leaves), nil
 }

@@ -529,12 +529,19 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
+// copyBufs recycles flushCopy's chunk buffers across proxied responses; a
+// fresh 32 KB buffer per request was most of what the router allocated.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32*1024); return &b }}
+
 // flushCopy streams src to w, flushing after every chunk so NDJSON lines
 // reach the client as the replica emits them instead of pooling in the
-// router's buffers.
+// router's buffers.  w does not keep the chunk it is handed, so the buffer
+// goes back to the pool when the copy ends.
 func flushCopy(w http.ResponseWriter, src io.Reader) {
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {

@@ -458,15 +458,33 @@ func NewWeights[T any]() *Weights[T] { return &Weights[T]{} }
 
 // Set assigns w(tuple) = value.
 func (w *Weights[T]) Set(weight string, tuple Tuple, value T) {
+	w.Assign(w.Head(weight), tuple, value)
+}
+
+// Head returns the head of the weight symbol's entries, the symbol's number in
+// the assignment, adding the symbol when it has none.  A head never changes,
+// so a caller that writes one symbol many times resolves its name once.
+func (w *Weights[T]) Head(weight string) int32 {
 	s := slices.Index(w.names, weight)
 	if s < 0 {
 		s, w.names = len(w.names), append(w.names, weight)
 	}
-	if i, added := w.index.Add(int32(s), tuple); !added {
-		w.vals[i] = value
-		return
+	return int32(s)
+}
+
+// Assign sets the entry of head (see Head) at tuple to value with one probe
+// of the index, and returns the entry's row, the value it replaced and
+// whether it had one.  Rows are numbered densely in the order entries are
+// first set and never renumbered, so a row identifies its (symbol, tuple)
+// for the assignment's lifetime.
+func (w *Weights[T]) Assign(head int32, tuple Tuple, value T) (row int, old T, had bool) {
+	row, added := w.index.Add(head, tuple)
+	if added {
+		w.vals = append(w.vals, value)
+		return row, old, false
 	}
-	w.vals = append(w.vals, value)
+	old, w.vals[row] = w.vals[row], value
+	return row, old, true
 }
 
 // Get returns w(tuple) and whether it was explicitly set.

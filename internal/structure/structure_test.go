@@ -474,6 +474,43 @@ func TestMapWeights(t *testing.T) {
 	}
 }
 
+// TestWeightsAssign: Assign returns the entry's row, which never changes,
+// and the value it replaced; a new entry takes the next row and reports none.
+// A symbol's head is the same on every call, and the assignment reads back
+// through Get.
+func TestWeightsAssign(t *testing.T) {
+	w := NewWeights[int64]()
+	w.Set("w", Tuple{0, 1}, 5)
+	u := w.Head("u")
+	if w.Head("u") != u || w.Head("w") == u {
+		t.Fatalf("heads: u %d then %d, w %d", u, w.Head("u"), w.Head("w"))
+	}
+	for _, c := range []struct {
+		head  int32
+		tuple Tuple
+		value int64
+		row   int
+		old   int64
+		had   bool
+	}{
+		{u, Tuple{3}, 7, 1, 0, false},
+		{w.Head("w"), Tuple{0, 1}, 6, 0, 5, true},
+		{u, Tuple{3}, 8, 1, 7, true},
+		{u, Tuple{4}, 9, 2, 0, false},
+	} {
+		row, old, had := w.Assign(c.head, c.tuple, c.value)
+		if row != c.row || old != c.old || had != c.had {
+			t.Errorf("Assign(%d, %v, %d) = %d, %d, %v; want %d, %d, %v", c.head, c.tuple, c.value, row, old, had, c.row, c.old, c.had)
+		}
+	}
+	if v, ok := w.Get("u", Tuple{3}); !ok || v != 8 || w.Len() != 3 {
+		t.Errorf("Get(u, [3]) = %d, %v with %d entries; want 8, true with 3", v, ok, w.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.Assign(u, Tuple{3}, 1) }); allocs != 0 && !raceEnabled {
+		t.Errorf("Assign of an existing entry allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
 func TestWeightsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
