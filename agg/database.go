@@ -135,7 +135,11 @@ func (d *Database) HasTuple(rel string, tuple ...int) bool {
 }
 
 // Write serialises the database to w in the dbio text format; the output is
-// deterministic and round-trips through ReadDatabase.
+// deterministic and round-trips through ReadDatabase.  A failing w fails the
+// write with ErrArgument, which keeps w's error as its cause.
 func (d *Database) Write(w io.Writer) error {
-	return dbio.Write(w, d.a, d.w)
+	if err := dbio.Write(w, d.a, d.w); err != nil {
+		return newError(ErrArgument, "", err)
+	}
+	return nil
 }
