@@ -260,9 +260,18 @@ func (p *Program) NumInputs() int { return len(p.inputGates) }
 // panics when id is not an input gate.
 func (p *Program) InputNumber(id int) int {
 	if p.kind[id] != uint8(KindInput) {
-		panic(fmt.Sprintf("circuit: gate %d is not an input gate", id))
+		notAnInput(id)
 	}
 	return int(p.arg[id])
+}
+
+// notAnInput panics that gate id is not an input gate.  It is kept out of
+// line so that InputNumber, which the enumeration cursor calls per answer,
+// stays within the inliner's budget.
+//
+//go:noinline
+func notAnInput(id int) {
+	panic(fmt.Sprintf("circuit: gate %d is not an input gate", id))
 }
 
 // Input returns input gate id as its integers; it panics when id is not an

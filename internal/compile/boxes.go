@@ -33,6 +33,16 @@ type link struct {
 	others []int
 }
 
+// unwalked returns the literals of the link that walking an element's
+// partners does not prove: the others when the walk follows the run, all of
+// them otherwise.
+func (ln link) unwalked() []int {
+	if ln.run >= 0 && !ln.equal {
+		return ln.others
+	}
+	return ln.lits
+}
+
 // joinPlan is what the box enumeration needs of a monomial.
 type joinPlan struct {
 	// order lists the variables so that each is linked to an earlier one
@@ -191,7 +201,7 @@ func (e *boxEnum) visit(t int) error {
 				}
 				pool = e.arena[base:]
 			}
-			err := e.try(t, c, pool)
+			err := e.try(t, c, pool, -1)
 			e.arena = e.arena[:base]
 			if err != nil {
 				return err
@@ -203,13 +213,13 @@ func (e *boxEnum) visit(t int) error {
 	// adjacent to a linked candidate set.
 	base := len(e.arena)
 	defer func() { e.arena = e.arena[:base] }()
-	reach := e.reach(i)
+	reach, proven := e.reach(i)
 	for lo, hi := 0, 0; lo < len(reach); lo = hi {
 		c := e.env.color[reach[lo]]
 		for hi < len(reach) && e.env.color[reach[hi]] == c {
 			hi++
 		}
-		if err := e.try(t, c, reach[lo:hi]); err != nil {
+		if err := e.try(t, c, reach[lo:hi], proven); err != nil {
 			return err
 		}
 	}
@@ -220,68 +230,92 @@ func (e *boxEnum) visit(t int) error {
 // an equality if there is one, else the link with the smallest candidate set
 // — that satisfy i's unary literals, ordered by colour and then by element.
 // It costs the degrees of that candidate set, not the size of a colour class.
-// The elements are appended to the arena.
-func (e *boxEnum) reach(i int) []int {
+// The elements are appended to the arena.  The walk tests none of the link's
+// literals; when it leaves none unproven (see unwalked), every element
+// reached has a partner on the link, and proven is the link's index among
+// i's links, else -1.
+func (e *boxEnum) reach(i int) (reach []int, proven int) {
 	env := e.env
 	links := e.jp.links[i]
-	from := links[0]
-	for _, ln := range links[1:] {
-		if !from.equal && (ln.equal || len(e.cand[ln.to]) < len(e.cand[from.to])) {
-			from = ln
+	proven = 0
+	for li, ln := range links[1:] {
+		if from := links[proven]; !from.equal && (ln.equal || len(e.cand[ln.to]) < len(e.cand[from.to])) {
+			proven = li + 1
 		}
 	}
-	env.seenGen++
+	from := links[proven]
 	base := len(e.arena)
-	collect := func(a int) {
-		if env.seen[a] != env.seenGen {
-			env.seen[a] = env.seenGen
-			if e.holds(e.jp.unary[i], i, a, a) {
-				e.arena = append(e.arena, a)
+	e.walk(e.cand[from.to], from.to, from, false)
+	keys := env.keys[:0]
+	for _, a := range e.arena[base:] {
+		if e.holds(e.jp.unary[i], i, a, a) {
+			keys = append(keys, uint64(env.color[a])<<32|uint64(a))
+		}
+	}
+	slices.Sort(keys)
+	reach = e.arena[base : base+len(keys)]
+	for k, key := range keys {
+		reach[k] = int(uint32(key))
+	}
+	e.arena, env.keys = e.arena[:base+len(keys)], keys
+	if len(from.unwalked()) > 0 {
+		proven = -1
+	}
+	return reach, proven
+}
+
+// walk stamps under a fresh generation of env.seen, and appends to the arena
+// once each, the partners of the elements of set, taken by variable v, on
+// link ln: each element itself when the link is an equality, its run in the
+// link's binary relation when the link has one, else itself and its Gaifman
+// neighbours.  With test set it keeps only the partners on which the
+// literals the walk leaves unproven hold.
+func (e *boxEnum) walk(set []int, v int, ln link, test bool) {
+	env := e.env
+	lits := ln.unwalked()
+	if !test {
+		lits = nil
+	}
+	env.nextGen()
+	stamp := func(a, b int) {
+		if env.seen[b] != env.seenGen && e.holds(lits, v, a, b) {
+			env.seen[b] = env.seenGen
+			e.arena = append(e.arena, b)
+		}
+	}
+	for _, a := range set {
+		if ln.run >= 0 && !ln.equal {
+			for _, b := range e.partners(a, v, ln.run) {
+				stamp(a, b)
+			}
+			continue
+		}
+		stamp(a, a)
+		if !ln.equal {
+			for _, b := range env.gaifman.Neighbors(a) {
+				stamp(a, b)
 			}
 		}
 	}
-	for _, b := range e.cand[from.to] {
-		if from.equal {
-			collect(b)
-			continue
-		}
-		if from.run >= 0 {
-			for _, a := range e.partners(b, from.to, from.run) {
-				collect(a)
-			}
-			continue
-		}
-		collect(b)
-		for _, a := range env.gaifman.Neighbors(b) {
-			collect(a)
-		}
-	}
-	reach := e.arena[base:]
-	slices.SortFunc(reach, func(a, b int) int {
-		if ca, cb := env.color[a], env.color[b]; ca != cb {
-			return ca - cb
-		}
-		return a - b
-	})
-	return reach
 }
 
 // try gives the t-th variable colour c and, as its candidate set, the
 // elements of pool that have a partner in the candidate set of every linked
-// variable; it shrinks those sets to the elements that have a partner in the
-// new one, recurses unless a set emptied, and restores them.  The sets it
-// builds go on the arena, which it cuts back before it returns.
-func (e *boxEnum) try(t, c int, pool []int) error {
+// variable, testing every link but the proven one, whose partners reach
+// already found; it shrinks those sets to the elements that have a partner
+// in the new one, recurses unless a set emptied, and restores them.  The sets
+// it builds go on the arena, which it cuts back before it returns.
+func (e *boxEnum) try(t, c int, pool []int, proven int) error {
 	i := e.jp.order[t]
 	links := e.jp.links[i]
 	base := len(e.arena)
 	defer func() { e.arena = e.arena[:base] }()
 	cand := pool
-	if len(links) > 0 {
+	if len(links) > 0 && (proven < 0 || len(links) > 1) {
 	pool:
 		for _, a := range pool {
-			for _, ln := range links {
-				if !e.hasPartner(a, i, ln) {
+			for li, ln := range links {
+				if li != proven && !e.hasPartner(a, i, ln) {
 					continue pool
 				}
 			}
@@ -301,11 +335,13 @@ func (e *boxEnum) try(t, c int, pool []int) error {
 	clear(shrunk)
 	alive := true
 	for li, ln := range links {
+		// The old set's elements that have a partner in the new one are
+		// those a walk of the new set's partners stamps.
 		old, start := e.cand[ln.to], len(e.arena)
-		back := ln
-		back.to = i
+		e.walk(cand, i, ln, true)
+		e.arena = e.arena[:start]
 		for _, b := range old {
-			if e.hasPartner(b, ln.to, back) {
+			if e.env.seen[b] == e.env.seenGen {
 				e.arena = append(e.arena, b)
 			}
 		}
@@ -464,7 +500,7 @@ func (env *compileEnv) forestFor(colors []int, cand [][]int) (*colorForest, erro
 			return cf, nil
 		}
 	}
-	env.seenGen++
+	env.nextGen()
 	vertices := env.vertices[:0]
 	for _, set := range cand {
 		for _, a := range set {

@@ -227,14 +227,17 @@ func TestStaticLoopsKeepTheirShapes(t *testing.T) {
 	}
 }
 
-// TestLoopsAgreeWithLogic compiles the triangle and the path formula, summed
-// over all their variables, on bounded-degree graphs with and without loops,
-// and compares each count with logic.Eval at every triple of elements; the
-// loops must add answers, or the case tests nothing.
+// TestLoopsAgreeWithLogic compiles the triangle, the path formula and a path
+// whose first step is an equality, summed over all their variables, on
+// bounded-degree graphs with and without loops, and compares each count with
+// logic.Eval at every triple of elements; the loops must add answers, or the
+// case tests nothing.  The equality link x = y reaches its candidates without
+// testing E(x,y), so only the test that follows keeps x off loop-free
+// vertices.
 func TestLoopsAgreeWithLogic(t *testing.T) {
 	const n = 36
-	formulas := []string{"E(x,y) & E(y,z) & E(z,x)", "E(x,y) & E(y,z) & S(x)"}
-	var counts [2][2]int64
+	formulas := []string{"E(x,y) & E(y,z) & E(z,x)", "E(x,y) & E(y,z) & S(x)", "x=y & E(x,y) & E(y,z)"}
+	var counts [2][3]int64
 	for li, loops := range []bool{false, true} {
 		d := workload.BoundedDegree(n, 3, 7)
 		b := d.A.Edit()

@@ -254,12 +254,23 @@ type compileEnv struct {
 	// member[v] has bit i set while element v is in the candidate set of
 	// variable i of the box being enumerated.
 	member []uint64
-	// seen[v] == seenGen marks v as collected by the current union or reach.
+	// seen[v] == seenGen marks v as collected by the current union or walk.
 	seen    []uint32
 	seenGen uint32
+	// keys is the scratch reach sorts its elements in, as colour<<32 | element.
+	keys []uint64
 	// tuple is the scratch buffer literal and weight arguments are resolved
 	// into.
 	tuple structure.Tuple
+}
+
+// nextGen starts a fresh generation of seen, clearing it when the counter
+// wraps around.
+func (env *compileEnv) nextGen() {
+	if env.seenGen++; env.seenGen == 0 {
+		clear(env.seen)
+		env.seenGen = 1
+	}
 }
 
 // compileMonomial compiles one prepared monomial into a gate.

@@ -32,8 +32,22 @@ const (
 	layoutEdges    = "sum x,y . [E(x,y)] * w(x,y)"
 )
 
-// layoutCase is one compiled query of a workload: the query over the
-// generated input of the given kind and size.
+// Queries whose links are of the kinds the benchmark's queries do not make:
+// an equality link that carries a binary literal, a pair joined by two
+// binary literals (one run plus others), and a pair joined only by a weight
+// term (a Gaifman link without literals).
+const (
+	layoutEqualLink  = "sum x,y,z . [x=y & E(x,y) & E(y,z)] * w(y,z)"
+	layoutTwoLits    = "sum x,y,z . [E(x,y) & E(y,x) & E(y,z)] * w(x,y)"
+	layoutWeightLink = "sum x,y,z . [E(x,y)] * w(y,z) * u(z)"
+)
+
+// layoutCase is one compiled query: the query over the generated input of
+// the given kind and size.  A kind ending in "+loops" adds the loop E(v,v)
+// on every 4th vertex, as TestLoopsAgreeWithLogic does, so that an equality
+// link meets a binary literal that holds; one ending in "+mutual" adds the
+// reverse of every 3rd tuple of E, so that E(x,y) & E(y,x) holds on pairs of
+// distinct elements beside pairs where only one of the two does.
 type layoutCase struct {
 	kind, query string
 	n           int
@@ -51,6 +65,10 @@ var layoutCases = []layoutCase{
 	{"bounded-degree", layoutPath, 1200},
 	{"pref-attach", layoutPoint, 1500},
 	{"pref-attach", layoutEdges, 1500},
+	{"bounded-degree+loops", layoutEqualLink, 600},
+	{"bounded-degree+loops", layoutTwoLits, 600},
+	{"bounded-degree+mutual", layoutTwoLits, 600},
+	{"bounded-degree", layoutWeightLink, 600},
 }
 
 // compileLayoutCase compiles the query the way agg.Prepare does: a formula
@@ -58,9 +76,28 @@ var layoutCases = []layoutCase{
 // dynamicq.
 func compileLayoutCase(t *testing.T, c layoutCase) *compile.Result {
 	t.Helper()
-	db, err := dbio.LoadSource(dbio.Source{Kind: c.kind, N: c.n, Seed: 1})
+	kind, edit, _ := strings.Cut(c.kind, "+")
+	db, err := dbio.LoadSource(dbio.Source{Kind: kind, N: c.n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if edit != "" {
+		b := db.A.Edit()
+		switch edit {
+		case "loops":
+			for v := 0; v < c.n; v += 4 {
+				b.MustAddTuple("E", v, v)
+			}
+		case "mutual":
+			for i, tu := range db.A.Tuples("E") {
+				if i%3 == 0 {
+					b.MustAddTuple("E", tu[1], tu[0])
+				}
+			}
+		default:
+			t.Fatalf("%s: unknown edit %q", c.name(), edit)
+		}
+		db.A = b.Build()
 	}
 	if c.query == layoutPath {
 		phi := parser.MustParseFormula(c.query)
@@ -113,22 +150,30 @@ func layoutDigest(p *circuit.Program) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// readGolden reads a file of lines "name value" into a map from name to
+// value.
+func readGolden(t *testing.T, golden string) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Errorf("read %s: %v", golden, err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok {
+			want[name] = value
+		}
+	}
+	return want
+}
+
 // TestProgramLayoutIsUnchanged holds the Programs of the benchmark's queries
 // to digests recorded in testdata: a change to how circuits are built or
 // frozen that alters anything an engine reads — a gate id, an operand order,
 // a wire, a level, a permanent's cell — fails here, whatever it evaluates to.
 func TestProgramLayoutIsUnchanged(t *testing.T) {
 	const golden = "testdata/program_layout.txt"
-	want := map[string]string{}
-	if data, err := os.ReadFile(golden); err == nil {
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			if name, digest, ok := strings.Cut(line, " "); ok {
-				want[name] = digest
-			}
-		}
-	} else {
-		t.Errorf("read %s: %v", golden, err)
-	}
+	want := readGolden(t, golden)
 	var got strings.Builder
 	for _, c := range layoutCases {
 		res := compileLayoutCase(t, c)
@@ -140,6 +185,28 @@ func TestProgramLayoutIsUnchanged(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("digests of this build (the lines of %s):\n%s", golden, got.String())
+	}
+}
+
+// TestCompileStatsAreUnchanged holds the compile work of the same queries to
+// counts recorded in testdata: the colours, the boxes compiled and pruned,
+// the forests built and the shapes compiled.  The builder interns its gates,
+// so a change that visits more or larger boxes can leave every Program equal;
+// these counts see it.
+func TestCompileStatsAreUnchanged(t *testing.T) {
+	const golden = "testdata/compile_stats.txt"
+	want := readGolden(t, golden)
+	var got strings.Builder
+	for _, c := range layoutCases {
+		st := compileLayoutCase(t, c).Stats
+		counts := fmt.Sprintf("colors=%d boxes=%d pruned=%d forests=%d shapes=%d", st.Colors, st.ColorAssignments, st.PrunedAssignments, st.Forests, st.Shapes)
+		fmt.Fprintf(&got, "%s %s\n", c.name(), counts)
+		if want[c.name()] != counts {
+			t.Errorf("%s: %s, want %s", c.name(), counts, want[c.name()])
+		}
+	}
+	if t.Failed() {
+		t.Logf("counts of this build (the lines of %s):\n%s", golden, got.String())
 	}
 }
 

@@ -7,9 +7,6 @@ import "slices"
 type Coloring struct {
 	Color     []int
 	NumColors int
-	// AugmentedArcs is the number of edges of the augmented graph that
-	// LowTreedepthColoring coloured properly.
-	AugmentedArcs int
 }
 
 // arcs is an acyclic orientation of a graph, held in rank space: vertex i is
@@ -73,6 +70,10 @@ func (a *arcs) transpose() (off []int, src []int32) {
 // of out-degree d contributes at most d² pairs — the fraternal edge {u, w},
 // directed up the order like every other arc.  The order never changes, so
 // the orientation stays acyclic round after round and nothing is re-derived.
+//
+// The new out-list of u holds u's out-neighbours, the heads of the arcs out
+// of them, and the out-neighbours above u of u's in-neighbours, each once:
+// stamp[x] == u+1 marks the heads appended for u.
 func (a *arcs) augment() {
 	n := len(a.order)
 	stamp := make([]int32, n)
@@ -80,39 +81,30 @@ func (a *arcs) augment() {
 	off := make([]int, n+1)
 	dst := make([]int32, 0, 2*len(a.dst))
 	for u := 0; u < n; u++ {
-		dst = a.augmentedOut(dst, u, inOff, in, stamp)
-		off[u+1] = len(dst)
-	}
-	a.off, a.dst = off, dst
-}
-
-// augmentedOut appends to dst the out-list of u after one more round of
-// augmentation: u's out-neighbours, the heads of the arcs out of them, and
-// the out-neighbours above u of u's in-neighbours, each once.  inOff and in
-// are a's in-lists; stamp[x] == u+1 marks the heads appended for u.
-func (a *arcs) augmentedOut(dst []int32, u int, inOff []int, in, stamp []int32) []int32 {
-	mark := int32(u) + 1
-	for _, w := range a.out(u) {
-		stamp[w] = mark
-		dst = append(dst, w)
-	}
-	for _, w := range a.out(u) {
-		for _, x := range a.out(int(w)) {
-			if stamp[x] != mark {
-				stamp[x] = mark
-				dst = append(dst, x)
-			}
-		}
-	}
-	for _, v := range in[inOff[u]:inOff[u+1]] {
-		for _, w := range a.out(int(v)) {
-			if int(w) > u && stamp[w] != mark {
+		mark := int32(u) + 1
+		for _, w := range a.out(u) {
+			if stamp[w] != mark {
 				stamp[w] = mark
 				dst = append(dst, w)
 			}
+			for _, x := range a.out(int(w)) {
+				if stamp[x] != mark {
+					stamp[x] = mark
+					dst = append(dst, x)
+				}
+			}
 		}
+		for _, v := range in[inOff[u]:inOff[u+1]] {
+			for _, w := range a.out(int(v)) {
+				if int(w) > u && stamp[w] != mark {
+					stamp[w] = mark
+					dst = append(dst, w)
+				}
+			}
+		}
+		off[u+1] = len(dst)
 	}
-	return dst
+	a.off, a.dst = off, dst
 }
 
 // augmented returns g oriented by degeneracy and augmented rounds times.
@@ -142,30 +134,37 @@ func augmented(g *Graph, rounds int) *arcs {
 // affects only performance, never correctness.
 //
 // The last round is never built: the greedy pass reads each vertex's
-// out-list in it off the round before, into one buffer, so the largest arc
-// array is only counted, into AugmentedArcs.
+// out-neighbours in it off the round before and marks their colours, so a
+// neighbour reached twice marks its colour twice, which changes nothing.
 func LowTreedepthColoring(g *Graph, p int) *Coloring {
 	n := g.N()
 	a := augmented(g, max(p-2, 0))
 	var inOff []int
-	var in, stamp, buf []int32
+	var in []int32
 	if p >= 2 {
 		inOff, in = a.transpose()
-		stamp = make([]int32, n)
 	}
 	c := &Coloring{Color: make([]int, n)}
 	byRank := make([]int32, n)
 	used := make([]int32, n+1) // used[c] == i+1 iff an out-neighbour of i has colour c
 	for i := n - 1; i >= 0; i-- {
-		out := a.out(i)
-		if p >= 2 {
-			buf = a.augmentedOut(buf[:0], i, inOff, in, stamp)
-			out = buf
-		}
-		c.AugmentedArcs += len(out)
 		mark := int32(i) + 1
-		for _, w := range out {
+		for _, w := range a.out(i) {
 			used[byRank[w]] = mark
+			if p >= 2 { // the last round's transitive arcs
+				for _, x := range a.out(int(w)) {
+					used[byRank[x]] = mark
+				}
+			}
+		}
+		if p >= 2 { // and its fraternal ones
+			for _, v := range in[inOff[i]:inOff[i+1]] {
+				for _, w := range a.out(int(v)) {
+					if int(w) > i {
+						used[byRank[w]] = mark
+					}
+				}
+			}
 		}
 		col := 0
 		for used[col] == mark {
