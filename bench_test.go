@@ -1,7 +1,8 @@
 // Package repro's top-level benchmarks: one benchmark per complexity claim of
-// the paper (E1–E6, E9, E10), each timing the core operation the claim bounds
-// at one representative size; BenchmarkPairedNestedSession times E7's nested
-// query and BenchmarkA5LocalSearch E8's local search.  Run with
+// the paper (E1–E6, E10), each timing the core operation the claim bounds at
+// one representative size; BenchmarkPairedNestedSession times E7's nested
+// query, BenchmarkA5LocalSearch E8's local search and
+// BenchmarkA4LowTreedepthColoring E9's colouring.  Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -20,7 +21,6 @@ import (
 	"repro/internal/dynamicq"
 	"repro/internal/enumerate"
 	"repro/internal/expr"
-	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/perm"
 	"repro/internal/semiring"
@@ -249,22 +249,6 @@ func BenchmarkE6PageRank(b *testing.B) {
 			if err := q.SetWeight("w", structure.Tuple{i % a.N}, float64(i%7)/float64(a.N)); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkE9Coloring measures the low-treedepth colouring substrate.
-func BenchmarkE9Coloring(b *testing.B) {
-	db := workload.Grid(70, 70, 3)
-	g := db.A.Gaifman()
-	b.Run("p2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graph.LowTreedepthColoring(g, 2)
-		}
-	})
-	b.Run("p3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graph.LowTreedepthColoring(g, 3)
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"math"
+	"math/bits"
+)
 
 // Coloring is a (not necessarily proper) vertex colouring: Color[v] is the
 // colour of vertex v, colours are 0..NumColors-1.
@@ -16,7 +19,7 @@ type Coloring struct {
 // are dst[off[i]:off[i+1]], each greater than i.
 type arcs struct {
 	order []int // order[i] is the input vertex of rank i
-	off   []int
+	off   []int32
 	dst   []int32
 }
 
@@ -30,35 +33,36 @@ func orient(g *Graph) *arcs {
 	for i, v := range order {
 		rank[v] = int32(i)
 	}
-	a := &arcs{order: order, off: make([]int, g.N()+1), dst: make([]int32, 0, g.M())}
+	a := &arcs{order: order, off: make([]int32, g.N()+1), dst: make([]int32, 0, g.M())}
 	for i, v := range order {
 		for _, w := range g.Neighbors(v) {
 			if r := rank[w]; r > int32(i) {
 				a.dst = append(a.dst, r)
 			}
 		}
-		a.off[i+1] = len(a.dst)
+		a.off[i+1] = int32(len(a.dst))
 	}
 	return a
 }
 
 // transpose returns the in-lists of a in the same flat layout: the tails of
-// the arcs into i, in increasing order.
-func (a *arcs) transpose() (off []int, src []int32) {
+// the arcs into i, in increasing order.  off[i] first counts up to the end of
+// i's list, and placing the tails from the highest down walks it back to the
+// list's start.
+func (a *arcs) transpose() (off, src []int32) {
 	n := len(a.order)
-	off = make([]int, n+1)
+	off = make([]int32, n+1)
 	for _, w := range a.dst {
-		off[w+1]++
+		off[w]++
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
 	}
 	src = make([]int32, len(a.dst))
-	next := slices.Clone(off[:n])
-	for u := 0; u < n; u++ {
+	for u := n - 1; u >= 0; u-- {
 		for _, w := range a.out(u) {
-			src[next[w]] = int32(u)
-			next[w]++
+			off[w]--
+			src[off[w]] = int32(u)
 		}
 	}
 	return off, src
@@ -73,13 +77,23 @@ func (a *arcs) transpose() (off []int, src []int32) {
 //
 // The new out-list of u holds u's out-neighbours, the heads of the arcs out
 // of them, and the out-neighbours above u of u's in-neighbours, each once:
-// stamp[x] == u+1 marks the heads appended for u.
+// stamp[x] == u+1 marks the heads appended for u.  The new lists share one
+// array, sized once by a bound: each arc, each path u→w→x and each pair of
+// arcs out of one vertex adds at most one head.
 func (a *arcs) augment() {
 	n := len(a.order)
-	stamp := make([]int32, n)
 	inOff, in := a.transpose()
-	off := make([]int, n+1)
-	dst := make([]int32, 0, 2*len(a.dst))
+	size := 0
+	for w := 0; w < n; w++ {
+		d, into := int(a.off[w+1]-a.off[w]), int(inOff[w+1]-inOff[w])
+		size += into*(1+d) + d*(d-1)/2
+	}
+	if size > math.MaxInt32 {
+		panic("graph: augmentation exceeds 2³¹ arcs")
+	}
+	stamp := make([]int32, n)
+	off := make([]int32, n+1)
+	dst := make([]int32, 0, size)
 	for u := 0; u < n; u++ {
 		mark := int32(u) + 1
 		for _, w := range a.out(u) {
@@ -102,7 +116,7 @@ func (a *arcs) augment() {
 				}
 			}
 		}
-		off[u+1] = len(dst)
+		off[u+1] = int32(len(dst))
 	}
 	a.off, a.dst = off, dst
 }
@@ -133,112 +147,75 @@ func augmented(g *Graph, rounds int) *arcs {
 // used by the compiler is exact for any colouring, so colouring quality
 // affects only performance, never correctness.
 //
-// The last round is never built: the greedy pass reads each vertex's
-// out-neighbours in it off the round before and marks their colours, so a
-// neighbour reached twice marks its colour twice, which changes nothing.
+// The last round is never built.  Each vertex v keeps a colour summary
+// acc(v), a bitset of W words: a vertex's colour is set in its own summary
+// and, for p ≥ 2, in those of its in-neighbours.  Vertices are coloured down
+// the order, so when i's turn comes acc(w) for an out-neighbour w holds the
+// colours of w and of every head of an arc out of w (the last round's
+// transitive arcs out of i), and acc(v) for an in-neighbour v holds the
+// colours of v's out-neighbours above i (its fraternal arcs).  i takes the
+// least colour none of these summaries holds, which costs W words per arc of
+// the last round built and no walk over arcs of arcs; W grows by one word
+// whenever the colours outgrow it.
 func LowTreedepthColoring(g *Graph, p int) *Coloring {
 	n := g.N()
 	a := augmented(g, max(p-2, 0))
-	var inOff []int
-	var in []int32
+	var inOff, in []int32
 	if p >= 2 {
 		inOff, in = a.transpose()
 	}
 	c := &Coloring{Color: make([]int, n)}
-	byRank := make([]int32, n)
-	used := make([]int32, n+1) // used[c] == i+1 iff an out-neighbour of i has colour c
+	words := 1
+	acc := make([]uint64, n) // acc[v*words:(v+1)*words] is v's colour summary
+	used := make([]uint64, words)
 	for i := n - 1; i >= 0; i-- {
-		mark := int32(i) + 1
+		clear(used)
 		for _, w := range a.out(i) {
-			used[byRank[w]] = mark
-			if p >= 2 { // the last round's transitive arcs
-				for _, x := range a.out(int(w)) {
-					used[byRank[x]] = mark
-				}
+			orRow(used, acc[int(w)*words:])
+		}
+		var into []int32
+		if p >= 2 {
+			into = in[inOff[i]:inOff[i+1]]
+			for _, v := range into {
+				orRow(used, acc[int(v)*words:])
 			}
 		}
-		if p >= 2 { // and its fraternal ones
-			for _, v := range in[inOff[i]:inOff[i+1]] {
-				for _, w := range a.out(int(v)) {
-					if int(w) > i {
-						used[byRank[w]] = mark
-					}
-				}
+		col := 64 * words
+		for k, x := range used {
+			if x != ^uint64(0) {
+				col = 64*k + bits.TrailingZeros64(^x)
+				break
 			}
 		}
-		col := 0
-		for used[col] == mark {
-			col++
+		if col == 64*words {
+			acc = restride(acc, n, words)
+			words++
+			used = make([]uint64, words)
 		}
-		byRank[i] = int32(col)
+		k, bit := col>>6, uint64(1)<<(col&63)
+		acc[i*words+k] |= bit
+		for _, v := range into {
+			acc[int(v)*words+k] |= bit
+		}
 		c.Color[a.order[i]] = col
 		c.NumColors = max(c.NumColors, col+1)
 	}
 	return c
 }
 
-// SubsetStatistics describes the treedepth quality of a colouring for a
-// particular colour subset.
-type SubsetStatistics struct {
-	// Colors is the colour subset.
-	Colors []int
-	// Vertices is the number of vertices in the induced subgraph.
-	Vertices int
-	// Edges is the number of edges in the induced subgraph.
-	Edges int
-	// ForestDepth is the depth of the heuristic elimination forest of the
-	// induced subgraph, roots at depth 0: one less than its number of levels,
-	// which bounds the subgraph's treedepth from above.
-	ForestDepth int
+// orRow ORs the first len(dst) words of src into dst.
+func orRow(dst, src []uint64) {
+	src = src[:len(dst)]
+	for k, x := range src {
+		dst[k] |= x
+	}
 }
 
-// ColoringQuality computes elimination-forest depth statistics for every
-// colour subset of size at most p.  It is used by experiment E9 and by
-// tests validating the colouring heuristics.
-func ColoringQuality(g *Graph, c *Coloring, p int) []SubsetStatistics {
-	classes := make([][]int, c.NumColors)
-	for v, col := range c.Color {
-		classes[col] = append(classes[col], v)
+// restride copies n rows of words words each into rows one word wider.
+func restride(acc []uint64, n, words int) []uint64 {
+	wide := make([]uint64, n*(words+1))
+	for v := 0; v < n; v++ {
+		copy(wide[v*(words+1):], acc[v*words:(v+1)*words])
 	}
-	b := NewForestBuilder(g)
-	var vertices []int
-	var stats []SubsetStatistics
-	var rec func(start int, chosen []int)
-	rec = func(start int, chosen []int) {
-		if len(chosen) > 0 {
-			vertices = vertices[:0]
-			for _, col := range chosen {
-				vertices = append(vertices, classes[col]...)
-			}
-			slices.Sort(vertices)
-			f := b.Forest(vertices)
-			stats = append(stats, SubsetStatistics{
-				Colors:      append([]int(nil), chosen...),
-				Vertices:    len(vertices),
-				Edges:       b.sub.M(),
-				ForestDepth: f.MaxDepth,
-			})
-		}
-		if len(chosen) == p {
-			return
-		}
-		for col := start; col < c.NumColors; col++ {
-			rec(col+1, append(chosen, col))
-		}
-	}
-	rec(0, nil)
-	return stats
-}
-
-// MaxForestDepth returns the maximum elimination-forest depth over all
-// colour subsets of size at most p, a practical proxy for the treedepth
-// guarantee of Proposition 1.
-func MaxForestDepth(g *Graph, c *Coloring, p int) int {
-	max := 0
-	for _, s := range ColoringQuality(g, c, p) {
-		if s.ForestDepth > max {
-			max = s.ForestDepth
-		}
-	}
-	return max
+	return wide
 }

@@ -347,6 +347,48 @@ func TestColoringIsGreedyOverTheAugmentation(t *testing.T) {
 	}
 }
 
+// TestColoringIsGreedyPastOneWord wants the same of graphs dense enough that
+// the colours outgrow one 64-bit word of LowTreedepthColoring's colour
+// summaries: a planted clique of 40–89 vertices among 80–140, every other
+// pair an edge with probability 1/2.  At p = 1 some of them stay within 64
+// colours; at p = 2 and 3 the summaries widen to three words.
+func TestColoringIsGreedyPastOneWord(t *testing.T) {
+	r := rand.New(rand.NewSource(56))
+	var fewest, most [4]int
+	for round := 0; round < 10; round++ {
+		n := 80 + r.Intn(61)
+		k := min(n, 40+r.Intn(50))
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if v < k || r.Intn(2) == 0 {
+					edges = append(edges, [2]int{u, v})
+				}
+			}
+		}
+		g := FromEdges(n, edges)
+		for p := 1; p <= 3; p++ {
+			got, want := LowTreedepthColoring(g, p), greedyColoring(augmented(g, p-1))
+			if !slices.Equal(got.Color, want.Color) || got.NumColors != want.NumColors {
+				t.Fatalf("round %d, n=%d, p=%d: %d colours %v, want %d: %v", round, n, p, got.NumColors, got.Color, want.NumColors, want.Color)
+			}
+			if round == 0 || got.NumColors < fewest[p] {
+				fewest[p] = got.NumColors
+			}
+			most[p] = max(most[p], got.NumColors)
+		}
+	}
+	for p := 1; p <= 3; p++ {
+		t.Logf("p=%d: %d to %d colours", p, fewest[p], most[p])
+		if most[p] <= 64 {
+			t.Errorf("p=%d: at most %d colours, want a graph past 64", p, most[p])
+		}
+	}
+	if fewest[1] > 64 {
+		t.Errorf("p=1: at least %d colours, want a graph within 64", fewest[1])
+	}
+}
+
 // greedyColoring colours every vertex, down the order, with the least colour
 // none of its out-neighbours has.
 func greedyColoring(a *arcs) *Coloring {

@@ -143,6 +143,26 @@ func TestForestBuilderAllocations(t *testing.T) {
 	}
 }
 
+// TestColoringAllocationsAreFlat wants LowTreedepthColoring to allocate as
+// many objects on a large grid as on a small one: every array is sized once
+// from the graph, and only a colour count past 64 widens the colour
+// summaries.
+func TestColoringAllocationsAreFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	var allocs []float64
+	for _, g := range []*Graph{gridGraph(20, 20), gridGraph(120, 100)} {
+		if c := LowTreedepthColoring(g, 3); c.NumColors > 64 {
+			t.Fatalf("%d vertices: %d colours, want at most 64", g.N(), c.NumColors)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(3, func() { LowTreedepthColoring(g, 3) }))
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("colouring allocates %.0f objects at 400 vertices and %.0f at 12,000, want equal", allocs[0], allocs[1])
+	}
+}
+
 func TestDegeneracy(t *testing.T) {
 	cases := []struct {
 		name string
